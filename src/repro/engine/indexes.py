@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+from repro import vector
 from repro.algebra.physical import LAYOUT_ROWS
 from repro.errors import IndexError_, QueryError
 from repro.index.btree import BPlusTree
@@ -79,11 +80,8 @@ def build_field_index(table: "Table", field_name: str) -> FieldIndex:
         raise QueryError(f"unknown index field {field_name!r}")
     key_type = schema.field(field_name).dtype
     tree = BPlusTree(table._db.pool, key_type=key_type)
-    position_of = schema.index_of(field_name)
-    pairs = [
-        (record[position_of], row)
-        for row, record in enumerate(table._db.renderer.iter_rows(table.layout))
-    ]
+    (keys,) = _stored_columns(table, field_name)
+    pairs = list(zip(keys, range(len(keys))))
     tree.bulk_load(pairs)
     return FieldIndex(field_name, tree, row_count=len(pairs))
 
@@ -93,16 +91,26 @@ def build_spatial_index(
 ) -> SpatialIndex:
     """Build an R-Tree over two numeric point fields of a rows layout."""
     _require_rows_layout(table, "spatial index")
-    schema = table.plan.schema
-    xi = schema.index_of(x_field)
-    yi = schema.index_of(y_field)
+    xs, ys = _stored_columns(table, x_field, y_field)
     tree = RTree(table._db.pool)
     entries = [
-        (MBR(record[xi], record[yi], record[xi], record[yi]), row)
-        for row, record in enumerate(table._db.renderer.iter_rows(table.layout))
+        (MBR(x, y, x, y), row) for row, (x, y) in enumerate(zip(xs, ys))
     ]
     tree.bulk_load(entries)
     return SpatialIndex(x_field, y_field, tree, row_count=len(entries))
+
+
+def _stored_columns(table: "Table", *field_names: str) -> list[list]:
+    """Stored values of the named fields over the main layout, in storage
+    order — read column-wise, so no record tuple is ever assembled."""
+    schema = table.plan.schema
+    positions = [schema.index_of(name) for name in field_names]
+    values: list[list] = [[] for _ in positions]
+    for batch in table._db.renderer.iter_row_batches(table.layout):
+        columns = batch.columns()
+        for out, position in zip(values, positions):
+            out.extend(vector.to_list(columns[position]))
+    return values
 
 
 def _require_rows_layout(table: "Table", what: str) -> None:

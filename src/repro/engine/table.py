@@ -37,9 +37,11 @@ from __future__ import annotations
 
 import operator
 import weakref
+from bisect import bisect_right
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
+from repro import vector
 from repro.algebra import ast
 from repro.algebra.physical import (
     LAYOUT_ARRAY,
@@ -810,13 +812,9 @@ class Table:
         main_batches, avail = self._batch_stored(
             self.layout, needed, predicate
         )
-        fields = tuple(avail)
         renderer = self._db.renderer
         schema_names = self.scan_schema().names()
-        projector = None
-        if avail != schema_names:
-            project_idx = [schema_names.index(f) for f in avail]
-            projector = _batch_projector(project_idx)
+        reorder = _batch_reorderer(schema_names, avail)
         overflow_layouts = list(self._overflow)
         intervals = self._prune_intervals(predicate)
         pending = [tuple(r) for r in self._pending]
@@ -834,13 +832,7 @@ class Table:
                 if intervals
                 else None
             )
-            for batch in renderer.iter_row_batches(overflow, skip=skip):
-                if projector is None:
-                    yield batch
-                else:
-                    yield ColumnBatch.from_rows(
-                        fields, projector(batch.rows())
-                    )
+            return map(reorder, renderer.iter_row_batches(overflow, skip=skip))
 
         def chained() -> Iterator[ColumnBatch]:
             yield from self._corruption_guard(main_batches, "main")
@@ -849,8 +841,9 @@ class Table:
                     overflow_batches(overflow), f"overflow[{i}]"
                 )
             if pending:
-                rows = pending if projector is None else projector(pending)
-                yield ColumnBatch.from_rows(fields, rows)
+                yield reorder(
+                    ColumnBatch.from_rows(tuple(schema_names), pending)
+                )
 
         return chained(), avail
 
@@ -922,6 +915,42 @@ class Table:
         )
         return survivors
 
+    def _region_batches(
+        self,
+        region,
+        needed: Sequence[str] | None,
+        predicate: Predicate | None,
+        target: Sequence[str],
+    ) -> Iterator[ColumnBatch]:
+        """One region's batches (main layout + overflow + pending, all
+        zone-pruned against ``predicate``) projected to ``target``."""
+        renderer = self._db.renderer
+        scan_names = self.scan_schema().names()
+        intervals = self._prune_intervals(predicate)
+        if region.layout is not None and region.layout.row_count:
+            main, avail = self._batch_stored(region.layout, needed, predicate)
+            yield from map(_batch_reorderer(avail, target), main)
+        reorder = _batch_reorderer(scan_names, target)
+        for overflow in region.overflow:
+            skip = (
+                zonemaps.rows_page_skip(overflow, intervals)
+                if intervals
+                else None
+            )
+            yield from map(
+                reorder, renderer.iter_row_batches(overflow, skip=skip)
+            )
+        pending = [tuple(r) for r in region.pending]
+        if (
+            pending
+            and intervals
+            and region.pending_zone is not None
+            and not zonemaps.zone_may_match(region.pending_zone, intervals)
+        ):
+            pending = []
+        if pending:
+            yield reorder(ColumnBatch.from_rows(tuple(scan_names), pending))
+
     def _region_batch_iter(
         self,
         region,
@@ -929,58 +958,12 @@ class Table:
         predicate: Predicate | None,
         target: Sequence[str],
     ):
-        """Zero-arg source producing one region's batches (main layout +
-        overflow + pending, all zone-pruned) projected to ``target``."""
-        renderer = self._db.renderer
-        fields = tuple(target)
-        scan_names = self.scan_schema().names()
-
-        def generate() -> Iterator[ColumnBatch]:
-            intervals = self._prune_intervals(predicate)
-            if region.layout is not None and region.layout.row_count:
-                main, avail = self._batch_stored(
-                    region.layout, needed, predicate
-                )
-                projector = _fields_projector(avail, target)
-                if projector is None:
-                    yield from main
-                else:
-                    for batch in main:
-                        yield ColumnBatch.from_rows(
-                            fields, projector(batch.rows())
-                        )
-            over_projector = _fields_projector(scan_names, target)
-            for overflow in region.overflow:
-                skip = (
-                    zonemaps.rows_page_skip(overflow, intervals)
-                    if intervals
-                    else None
-                )
-                for batch in renderer.iter_row_batches(overflow, skip=skip):
-                    if over_projector is None:
-                        yield batch
-                    else:
-                        yield ColumnBatch.from_rows(
-                            fields, over_projector(batch.rows())
-                        )
-            pending = [tuple(r) for r in region.pending]
-            if (
-                pending
-                and intervals
-                and region.pending_zone is not None
-                and not zonemaps.zone_may_match(region.pending_zone, intervals)
-            ):
-                pending = []
-            if pending:
-                rows = (
-                    pending
-                    if over_projector is None
-                    else over_projector(pending)
-                )
-                yield ColumnBatch.from_rows(fields, rows)
-
+        """Zero-arg source producing :meth:`_region_batches` for a scan:
+        a corrupt region is contained per the store's degraded-read policy."""
         unit = f"partition[{region.pid}]"
-        return lambda: self._corruption_guard(generate(), unit)
+        return lambda: self._corruption_guard(
+            self._region_batches(region, needed, predicate, target), unit
+        )
 
     def _partition_batches(
         self,
@@ -1062,7 +1045,8 @@ class Table:
         pending) in canonical scan order — the source of a
         partition-granular rewrite."""
         target = list(self.scan_schema().names())
-        return list(self._region_row_iter(region, None, None, target))
+        batches = self._region_batches(region, None, None, target)
+        return list(chain.from_iterable(map(ColumnBatch.iter_rows, batches)))
 
     # ==================================================================
     # levelled (LSM) scans: pending buffer, then runs newest-first
@@ -1110,9 +1094,8 @@ class Table:
             and not zonemaps.zone_may_match(self._pending_zone, intervals)
         ):
             pending = []
-        pending_projector = _fields_projector(
-            self.scan_schema().names(), target
-        )
+        scan_names = self.scan_schema().names()
+        reorder_pending = _batch_reorderer(scan_names, target)
 
         def run_batches(run) -> Iterator[ColumnBatch]:
             if run.layout is None or not run.layout.row_count:
@@ -1121,32 +1104,23 @@ class Table:
             source, avail = self._batch_stored(
                 run.layout, run_needed, run_pred
             )
-            projector = _fields_projector(avail, target)
+            source = map(_batch_reorderer(avail, target), source)
             if not active and not keyed:
                 # Fast path (the ingest-heavy case): no suppression can
                 # apply, batches pass through the vectorized pipeline.
-                if projector is None:
-                    yield from source
-                    return
-                for batch in source:
-                    yield ColumnBatch.from_rows(
-                        fields, projector(batch.rows())
-                    )
+                yield from source
                 return
             for batch in source:
-                rows = batch.rows()
-                if projector is not None:
-                    rows = projector(rows)
-                kept = resolver.resolve(rows)
+                kept = resolver.resolve(batch.rows())
                 if kept:
                     yield ColumnBatch.from_rows(fields, kept)
 
         def chained() -> Iterator[ColumnBatch]:
             rows = resolver.resolve_pending(pending)
             if rows:
-                if pending_projector is not None:
-                    rows = pending_projector(rows)
-                yield ColumnBatch.from_rows(fields, rows)
+                yield reorder_pending(
+                    ColumnBatch.from_rows(tuple(scan_names), rows)
+                )
             for run in runs:
                 yield from self._corruption_guard(
                     run_batches(run), f"run[{run.rid}]"
@@ -1243,7 +1217,7 @@ class Table:
             names = plan.schema.names()
             pruned = self._iter_sorted_rows_range(layout, predicate)
             if pruned is not None:
-                return _chunk_rows(pruned, tuple(names), batch_rows), names
+                return pruned, names
             if plan.delta_fields:
                 # Delta reconstruction needs every preceding record, so
                 # page skipping is disabled (zones exclude delta fields
@@ -1363,7 +1337,8 @@ class Table:
         if plan.kind == LAYOUT_ROWS:
             pruned = self._iter_sorted_rows_range(layout, predicate)
             if pruned is not None:
-                return pruned, plan.schema.names()
+                rows = chain.from_iterable(map(ColumnBatch.iter_rows, pruned))
+                return rows, plan.schema.names()
             rows = renderer.iter_rows(layout)
             if plan.delta_fields:
                 positions = {n: i for i, n in enumerate(plan.schema.names())}
@@ -1534,8 +1509,8 @@ class Table:
 
     def _iter_sorted_rows_range(
         self, layout: StoredLayout, predicate: Predicate | None
-    ) -> Iterator[tuple] | None:
-        """Page-pruned scan of a sorted rows layout.
+    ) -> Iterator[ColumnBatch] | None:
+        """Page-pruned scan of a sorted rows layout, one batch per page.
 
         When the stored order's leading key is range-constrained, binary
         search over page boundaries finds the first page that can contain a
@@ -1576,25 +1551,17 @@ class Table:
             else:
                 right = mid - 1
 
-        def generate() -> Iterator[tuple]:
-            from repro.storage.page import SlottedPage
-            from repro.storage.serializer import RecordSerializer
-
-            serializer = RecordSerializer(plan.schema)
-            for page_index in range(start, n_pages):
-                page_id = layout.extent.page_ids[page_index]
-                frame = renderer.pool.fetch(page_id)
-                try:
-                    page = SlottedPage(renderer.page_size, frame.data)
-                    blobs = [blob for _, blob in page.records()]
-                finally:
-                    renderer.pool.unpin(page_id)
-                for blob in blobs:
-                    record = serializer.decode(blob)
-                    key = record[lead_pos]
-                    if key > hi:
-                        return
-                    yield record
+        def generate() -> Iterator[ColumnBatch]:
+            for batch in renderer.iter_row_batches(layout, start=start):
+                # Keys ascend within the page: everything past ``hi`` —
+                # here and on every later page — is out of range.
+                keys = vector.to_list(batch.columns()[lead_pos])
+                cut = bisect_right(keys, hi)
+                if cut < len(keys):
+                    if cut:
+                        yield batch.head(cut)
+                    return
+                yield batch
 
         return generate()
 
@@ -2523,33 +2490,60 @@ class Table:
                 predicate, assignments, names, positions
             )
 
-        def transform(rows: list[tuple]) -> tuple[list[tuple], int]:
+        vectorized = getattr(self._db, "vectorized", True)
+
+        def victims(batch: ColumnBatch) -> list | None:
+            """Per-row verdicts of ``predicate`` on one batch (``None`` =
+            nothing matches): the vectorized bitmap when the batch and the
+            predicate support one, ``matches`` row by row otherwise."""
+            if predicate is None:
+                return [True] * batch.n_rows
+            mask = None
+            if batch.is_columnar and vectorized:
+                mask = predicate.filter_vector(
+                    batch.column_map(), batch.n_rows
+                )
+            if mask is None:
+                mask = [predicate.matches(r, positions) for r in batch.rows()]
+            return vector.to_list(mask) if vector.mask_count(mask) else None
+
+        def transform(batches: list[ColumnBatch]) -> tuple[list[tuple], int]:
+            """Rows of ``batches`` with the rewrite applied, and how many it
+            changed — (``[]``, 0) without materializing a row when none."""
+            masks = [victims(batch) for batch in batches]
+            if not any(masks):
+                return [], 0
             changed = 0
             out: list[tuple] = []
-            for row in rows:
-                if predicate is not None and not predicate.matches(
-                    row, positions
-                ):
-                    out.append(row)
+            for batch, mask in zip(batches, masks):
+                if mask is None:
+                    out.extend(batch.rows())
                     continue
-                changed += 1
-                if assignments is None:
-                    continue  # delete: drop the row
-                values = list(row)
-                for field, value in assignments.items():
-                    if callable(value):
-                        value = value(dict(zip(names, row)))
-                    values[positions[field]] = value
-                out.append(tuple(values))
+                for row, hit in zip(batch.rows(), mask):
+                    if not hit:
+                        out.append(row)
+                        continue
+                    changed += 1
+                    if assignments is None:
+                        continue  # delete: drop the row
+                    values = list(row)
+                    for field, value in assignments.items():
+                        if callable(value):
+                            value = value(dict(zip(names, row)))
+                        values[positions[field]] = value
+                    out.append(tuple(values))
             return out, changed
 
         with self._db.mutate(self.name) as m:
             if self.is_partitioned:
                 total = 0
-                for region in self._require_partitions():
+                # Only partitions the predicate can reach are read at all.
+                for region in self.partition_survivors(predicate):
                     with self._db.adaptivity.pause():
-                        rows = self._region_rows(region)
-                    new_rows, changed = transform(rows)
+                        batches = list(
+                            self._region_batches(region, None, None, names)
+                        )
+                    new_rows, changed = transform(batches)
                     if not changed:
                         continue
                     total += changed
@@ -2571,8 +2565,8 @@ class Table:
                     m.touch(self.name)
                 return total
             with self._db.adaptivity.pause():
-                rows = list(self.scan())
-            new_rows, changed = transform(rows)
+                batches = list(self.scan_column_batches())
+            new_rows, changed = transform(batches)
             if not changed:
                 return 0
             self._db._rewrite_stored(entry, new_rows, m)
@@ -2872,17 +2866,29 @@ def _region_may_match(spec, region, lo: float, hi: float) -> bool:
     return True
 
 
-def _fields_projector(avail: Sequence[str], target: Sequence[str]):
-    """Batch projector re-ordering ``avail``-shaped rows to ``target``
-    (``None`` when the orders already agree)."""
+def _batch_reorderer(avail: Sequence[str], target: Sequence[str]):
+    """``ColumnBatch -> ColumnBatch`` re-ordering ``avail``-shaped batches to
+    ``target`` (the identity when the orders already agree). Columnar
+    batches keep their vectors and any pending selection bitmap; row-major
+    ones project their tuples."""
     if list(avail) == list(target):
-        return None
+        return lambda batch: batch
     index = {f: i for i, f in enumerate(avail)}
-    return _batch_projector([index[f] for f in target])
+    idx = [index[f] for f in target]
+    fields = tuple(target)
+    project_rows = _batch_projector(idx)
+
+    def reorder(batch: ColumnBatch) -> ColumnBatch:
+        if batch.is_columnar:
+            return batch.project_columns(idx, fields)
+        return ColumnBatch.from_rows(fields, project_rows(batch.rows()))
+
+    return reorder
 
 
 def _row_fields_projector(avail: Sequence[str], target: Sequence[str]):
-    """Per-row counterpart of :func:`_fields_projector`."""
+    """Per-row projector re-ordering ``avail``-shaped rows to ``target``
+    (``None`` when the orders already agree)."""
     if list(avail) == list(target):
         return None
     index = {f: i for i, f in enumerate(avail)}

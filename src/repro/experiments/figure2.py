@@ -280,34 +280,25 @@ def _run_rtree(
     )
 
     pages = seeks = found = 0.0
-    serializer_schema = layout.plan.schema
-    from repro.storage.page import SlottedPage
-    from repro.storage.serializer import RecordSerializer
-
-    serializer = RecordSerializer(serializer_schema)
+    all_pages = set(range(len(layout.extent.page_ids)))
 
     def run_query(query: Rect) -> int:
         bounds = query.ranges()
         qlat, qlon = bounds["lat"], bounds["lon"]
         query_box = MBR(qlat[0], qlon[0], qlat[1], qlon[1])
         hits = rtree.search(query_box)
-        page_ids: set[int] = set()
+        wanted: set[int] = set()
         for _, trip in hits:
             first, last = trip_pages[trip]
-            for page_index in range(first, last + 1):
-                page_ids.add(layout.extent.page_ids[page_index])
-        count = 0
-        for page_id in sorted(page_ids):
-            frame = store.pool.fetch(page_id)
-            try:
-                page = SlottedPage(page_size, frame.data)
-                for _, blob in page.records():
-                    record = serializer.decode(blob)
-                    if query.matches(record, positions):
-                        count += 1
-            finally:
-                store.pool.unpin(page_id)
-        return count
+            wanted.update(range(first, last + 1))
+        batches = store.renderer.iter_row_batches(
+            layout, skip=all_pages - wanted
+        )
+        return sum(
+            query.matches(record, positions)
+            for batch in batches
+            for record in batch.iter_rows()
+        )
 
     for query in queries:
         count, io = store.run_cold(lambda q=query: run_query(q))

@@ -30,9 +30,13 @@ Read paths come in two granularities:
 * **batch-at-a-time** readers (:meth:`LayoutRenderer.iter_batches` and the
   per-layout helpers it dispatches to) — the hot path. They yield
   :class:`ColumnBatch` objects: a page/chunk worth of decoded values at
-  once, produced with the codecs' bulk ``decode_all`` fast path and the
-  serializers' bulk record decode, so the per-value Python interpreter tax
-  is paid once per batch instead of once per value.
+  once, produced with the codecs' bulk ``decode_all`` fast path, so the
+  per-value Python interpreter tax is paid once per batch instead of once
+  per value.
+
+Slotted pages have a single reader, whichever granularity asks:
+:meth:`RecordSerializer.decode_page` turns a page into column vectors (typed
+ones, for fixed-width numeric schemas) and the row iterators transpose them.
 """
 
 from __future__ import annotations
@@ -108,10 +112,10 @@ class ColumnBatch:
     """A batch of decoded records, backed by rows or by typed columns.
 
     Batches are produced in whichever orientation the layout yields
-    naturally — row pages decode to row tuples, column chunks decode to
-    contiguous typed vectors (numpy ``ndarray``/stdlib ``array`` for
-    numeric fields, plain lists otherwise; see :mod:`repro.vector`) — and
-    transpose lazily when the consumer needs the other orientation.
+    naturally — grid cells and folded records decode to row tuples, column
+    chunks and row pages decode to per-field vectors (contiguous typed ones
+    for numeric fields, plain lists otherwise; see :mod:`repro.vector`) —
+    and transpose lazily when the consumer needs the other orientation.
 
     Columnar batches may additionally carry a *selection bitmap*: a
     boolean mask over the underlying vectors recording which rows a
@@ -624,8 +628,7 @@ class LayoutRenderer:
 
     def _render_rows(self, plan: PhysicalPlan, evaluated: Evaluated) -> StoredLayout:
         records = evaluated.records()
-        serializer = RecordSerializer(plan.schema)
-        pages = self._pack_slotted(serializer.encode(r) for r in records)
+        pages = self._pack_slotted(RecordSerializer(plan.schema), records)
         extent = self._write_pages(pages)
         names = tuple(plan.schema.names())
         zones = []
@@ -647,20 +650,18 @@ class LayoutRenderer:
             synopsis=LayoutSynopsis(page_zones=zones),
         )
 
-    def _pack_slotted(self, blobs: Iterator[bytes]) -> list[SlottedPage]:
+    def _pack_slotted(
+        self, serializer: RecordSerializer, records: Sequence[Sequence[Any]]
+    ) -> list[SlottedPage]:
+        """``records`` as a run of slotted pages (one empty page for none)."""
         pages: list[SlottedPage] = []
-        current = SlottedPage(self.page_size)
-        for blob in blobs:
-            if not current.can_fit(len(blob)):
-                pages.append(current)
-                current = SlottedPage(self.page_size)
-                if not current.can_fit(len(blob)):
-                    raise StorageError(
-                        f"record of {len(blob)} bytes exceeds page capacity"
-                    )
-            current.insert(blob)
-        pages.append(current)
-        return pages
+        start = 0
+        while True:
+            page, count = serializer.encode_page(records, start, self.page_size)
+            pages.append(page)
+            start += count
+            if start >= len(records):
+                return pages
 
     def _write_pages(
         self, pages: Sequence[SlottedPage | BytePage]
@@ -753,8 +754,7 @@ class LayoutRenderer:
         self, plan: PhysicalPlan, group_fields: tuple[str, ...], values: list
     ) -> tuple[ColumnGroupStore, list]:
         sub_schema = plan.schema.project(group_fields)
-        serializer = RecordSerializer(sub_schema)
-        pages = self._pack_slotted(serializer.encode(v) for v in values)
+        pages = self._pack_slotted(RecordSerializer(sub_schema), values)
         extent = self._write_pages(pages)
         names = tuple(group_fields)
         zones: list = []
@@ -959,24 +959,18 @@ class LayoutRenderer:
     # Reading (scan path)
     # ==================================================================
 
-    def iter_slotted_records(self, layout: StoredLayout) -> Iterator[bytes]:
-        """Raw record blobs of a rows/folded layout, in storage order."""
-        if layout.extent is None:
-            return
-        for page_id in layout.extent.page_ids:
-            frame = self.pool.fetch(page_id)
-            try:
-                page = SlottedPage(self.page_size, frame.data)
-                for _, blob in page.records():
-                    yield blob
-            finally:
-                self.pool.unpin(page_id)
+    def _read_slotted(self, page_id: int, serializer: RecordSerializer) -> list:
+        """One slotted page's records as per-field vectors, via the pool."""
+        frame = self.pool.fetch(page_id)
+        try:
+            return serializer.decode_page(frame.data, self.page_size)
+        finally:
+            self.pool.unpin(page_id)
 
     def iter_rows(self, layout: StoredLayout) -> Iterator[tuple]:
         """Decoded records of a rows layout, in storage order."""
-        serializer = RecordSerializer(layout.plan.schema)
-        for blob in self.iter_slotted_records(layout):
-            yield serializer.decode(blob)
+        for batch in self.iter_row_batches(layout):
+            yield from batch.iter_rows()
 
     def iter_column_group(
         self, layout: StoredLayout, group_index: int
@@ -998,13 +992,8 @@ class LayoutRenderer:
         else:
             serializer = RecordSerializer(plan.schema.project(store.fields))
             for page_id in store.extent.page_ids:
-                frame = self.pool.fetch(page_id)
-                try:
-                    page = SlottedPage(self.page_size, frame.data)
-                    for _, blob in page.records():
-                        yield serializer.decode(blob)
-                finally:
-                    self.pool.unpin(page_id)
+                columns = self._read_slotted(page_id, serializer)
+                yield from zip(*map(vector.to_list, columns))
 
     def read_cell(
         self, layout: StoredLayout, entry: CellEntry, bulk: bool = False
@@ -1186,28 +1175,25 @@ class LayoutRenderer:
         self,
         layout: StoredLayout,
         skip: "set[int] | None" = None,
+        start: int = 0,
     ) -> Iterator[ColumnBatch]:
-        """Row-layout records, one (bulk-decoded) batch per slotted page.
+        """Row-layout records, one columnar batch per slotted page.
 
         ``skip`` holds extent positions of pages zone-map pruning ruled out;
         skipped pages are never fetched from the buffer pool or decoded.
+        ``start`` is the extent position to begin at (sorted-range scans).
         """
         if layout.extent is None:
             return
         serializer = RecordSerializer(layout.plan.schema)
-        decode_many = serializer.decode_many
         fields = tuple(layout.plan.schema.names())
-        for page_index, page_id in enumerate(layout.extent.page_ids):
+        page_ids = layout.extent.page_ids
+        for page_index in range(start, len(page_ids)):
             if skip is not None and page_index in skip:
                 continue
-            frame = self.pool.fetch(page_id)
-            try:
-                page = SlottedPage(self.page_size, frame.data)
-                blobs = [blob for _, blob in page.records()]
-            finally:
-                self.pool.unpin(page_id)
-            if blobs:
-                yield ColumnBatch.from_rows(fields, decode_many(blobs))
+            columns = self._read_slotted(page_ids[page_index], serializer)
+            if columns and len(columns[0]):
+                yield ColumnBatch.from_columns(fields, columns)
 
     def iter_column_batches(
         self,
@@ -1294,22 +1280,13 @@ class LayoutRenderer:
     def _multi_group_chunk(
         self, store: ColumnGroupStore, serializer: RecordSerializer, chunk_index: int
     ) -> list:
-        """One multi-field chunk as per-field value lists (cached)."""
+        """One multi-field chunk as per-field value vectors (cached)."""
         cached = store.cache.get(chunk_index)
         if cached is not None:
             return cached
-        page_id = store.extent.page_ids[chunk_index]
-        frame = self.pool.fetch(page_id)
-        try:
-            page = SlottedPage(self.page_size, frame.data)
-            blobs = [blob for _, blob in page.records()]
-        finally:
-            self.pool.unpin(page_id)
-        records = serializer.decode_many(blobs)
-        if records:
-            columns = [list(c) for c in zip(*records)]
-        else:
-            columns = [[] for _ in store.fields]
+        columns = self._read_slotted(
+            store.extent.page_ids[chunk_index], serializer
+        )
         _cache_put(store.cache, chunk_index, columns)
         return columns
 

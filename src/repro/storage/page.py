@@ -19,6 +19,7 @@ cursors walk an object without consulting the catalog.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import Iterator
 
 from repro.errors import PageError
@@ -41,6 +42,22 @@ _DELETED = 0xFFFFFFFF
 COMMON_HEADER_SIZE = _COMMON_HEADER.size
 SLOTTED_HEADER_SIZE = COMMON_HEADER_SIZE + _SLOTTED_EXTRA.size
 BYTES_HEADER_SIZE = COMMON_HEADER_SIZE + _BYTES_EXTRA.size
+
+
+@lru_cache(maxsize=64)
+def _packed_directory(page_size: int, record_size: int) -> bytes:
+    """Slot directory of a page filled to capacity with ``record_size``-byte
+    records laid back to back from ``SLOTTED_HEADER_SIZE``.
+
+    Slot ``i`` sits at a fixed distance from the end of the page, so the
+    directory of the first ``n`` such records is this one's last
+    ``n * _SLOT.size`` bytes — whatever ``n`` is.
+    """
+    capacity = SlottedPage.packed_capacity(page_size, record_size)
+    entries: list[int] = []
+    for slot_id in reversed(range(capacity)):
+        entries += (SLOTTED_HEADER_SIZE + slot_id * record_size, record_size)
+    return struct.pack(f"<{len(entries)}I", *entries)
 
 
 class SlottedPage:
@@ -89,6 +106,12 @@ class SlottedPage:
         self._slot_count, self._free_offset = _SLOTTED_EXTRA.unpack_from(
             self.buffer, COMMON_HEADER_SIZE
         )
+        directory_start = self.page_size - self._slot_count * _SLOT.size
+        if not SLOTTED_HEADER_SIZE <= self._free_offset <= directory_start:
+            raise PageError(
+                f"corrupt slotted header: {self._slot_count} slots, heap "
+                f"ends at {self._free_offset} in a {self.page_size}-byte page"
+            )
 
     def set_next_page_id(self, page_id: int) -> None:
         self.next_page_id = page_id
@@ -143,6 +166,7 @@ class SlottedPage:
         offset, length = self._slot(slot_id)
         if length == _DELETED:
             raise PageError(f"slot {slot_id} is deleted")
+        self._check_extent(slot_id, offset, length)
         return bytes(self.buffer[offset : offset + length])
 
     def delete(self, slot_id: int) -> None:
@@ -180,12 +204,79 @@ class SlottedPage:
             )
         return _SLOT.unpack_from(self.buffer, self._slot_offset(slot_id))
 
+    def _check_extent(self, slot_id: int, offset: int, length: int) -> None:
+        if offset < SLOTTED_HEADER_SIZE or offset + length > self._free_offset:
+            raise PageError(
+                f"slot {slot_id} spans [{offset}, {offset + length}), outside "
+                f"the record heap [{SLOTTED_HEADER_SIZE}, {self._free_offset})"
+            )
+
     def records(self) -> Iterator[tuple[int, bytes]]:
-        """Yield ``(slot_id, record_bytes)`` for all live slots in order."""
-        for slot_id in range(self._slot_count):
-            offset, length = self._slot(slot_id)
+        """Yield ``(slot_id, record_bytes)`` for all live slots in order.
+
+        The directory is read with one bulk unpack; a live slot whose
+        extent leaves the record heap raises :class:`PageError` rather
+        than yielding bytes of the header, the directory or another page.
+        """
+        count = self._slot_count
+        directory = struct.unpack_from(
+            f"<{2 * count}I", self.buffer, self.page_size - count * _SLOT.size
+        )
+        # The directory grows backward: slot 0 is its last entry.
+        slots = zip(directory[-2::-2], directory[-1::-2])
+        for slot_id, (offset, length) in enumerate(slots):
             if length != _DELETED:
+                self._check_extent(slot_id, offset, length)
                 yield slot_id, bytes(self.buffer[offset : offset + length])
+
+    # -- packed pages -----------------------------------------------------
+    #
+    # A page is *packed* when every slot is live and its records, all of
+    # one length, lie back to back from ``SLOTTED_HEADER_SIZE`` to the end
+    # of the heap — what appending equal-length records to an empty page
+    # produces, and therefore what every render of a fixed-width schema
+    # writes. Readers and writers can then treat the heap as one array.
+
+    @staticmethod
+    def packed_capacity(page_size: int, record_size: int) -> int:
+        """How many ``record_size``-byte records one empty page holds."""
+        return (page_size - SLOTTED_HEADER_SIZE) // (record_size + _SLOT.size)
+
+    def packed_count(self, record_size: int) -> int:
+        """Records on the page when it is packed with ``record_size``-byte
+        records, else 0 (an empty page has nothing to read either way)."""
+        count = self._slot_count
+        if (
+            not count
+            or self._free_offset != SLOTTED_HEADER_SIZE + count * record_size
+        ):
+            return 0
+        directory = _packed_directory(self.page_size, record_size)
+        size = count * _SLOT.size
+        # The header check above bounds count by the packed capacity.
+        if self.buffer[self.page_size - size :] != directory[-size:]:
+            return 0
+        return count
+
+    def set_packed(self, count: int, record_size: int) -> None:
+        """Declare ``count`` records of ``record_size`` bytes that the
+        caller has laid back to back into ``buffer`` from
+        ``SLOTTED_HEADER_SIZE``: one directory write and one header write,
+        byte-identical to ``count`` :meth:`insert` calls on an empty page.
+        """
+        if self._slot_count:
+            raise PageError("only an empty page can be declared packed")
+        if count > self.packed_capacity(self.page_size, record_size):
+            raise PageError(
+                f"{count} records of {record_size} bytes do not fit"
+            )
+        if count:
+            size = count * _SLOT.size
+            directory = _packed_directory(self.page_size, record_size)
+            self.buffer[self.page_size - size :] = directory[-size:]
+        self._slot_count = count
+        self._free_offset = SLOTTED_HEADER_SIZE + count * record_size
+        self._write_header()
 
     def compact(self) -> None:
         """Rewrite the heap dropping tombstones; slot ids are reassigned."""

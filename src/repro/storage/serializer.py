@@ -9,6 +9,10 @@ Record wire format (used by slotted pages)::
 Null fields contribute zeroed placeholder bytes in the fixed section and a
 zero-length payload in the variable section, keeping offsets computable.
 
+Whole slotted pages of records go through :meth:`RecordSerializer.decode_page`
+and :meth:`RecordSerializer.encode_page` — the one place a row page is turned
+into column vectors, or a run of records into a page image.
+
 Vector wire format (used by column chunks)::
 
     [u32 count][encoded values...]            fixed-size element type
@@ -18,10 +22,12 @@ Vector wire format (used by column chunks)::
 from __future__ import annotations
 
 import struct
+from itertools import chain
 from typing import Any, Sequence
 
 from repro import vector
 from repro.errors import SerializationError
+from repro.storage.page import SLOTTED_HEADER_SIZE, SlottedPage
 from repro.types.schema import Schema
 from repro.types.types import DataType
 
@@ -44,6 +50,12 @@ class RecordSerializer:
                 self._var_fields.append((i, field.dtype))
         self._fixed_struct = struct.Struct(fmt)
         self._bitmap_size = (len(schema.fields) + 7) // 8
+        # Schemas made only of 8-byte numeric fields have one record size,
+        # so their pages can be read and written as arrays (the *packed*
+        # shape of :class:`SlottedPage`); "" for every other schema.
+        codes = [vector.typecode_for(f.dtype) or "" for f in schema.fields]
+        self._packed_codes = "".join(codes) if all(codes) else ""
+        self._record_size = self._bitmap_size + self._fixed_struct.size
 
     # -- encoding ----------------------------------------------------------
 
@@ -111,29 +123,93 @@ class RecordSerializer:
             offset += length
         return tuple(values)
 
-    def decode_many(self, blobs: Sequence[bytes]) -> list[tuple]:
-        """Bulk-decode a page's worth of record blobs in one pass.
+    # -- whole pages --------------------------------------------------------
 
-        The batch scan pipeline's record fast path: for all-fixed-width
-        schemas with no nulls (the common case), each record is a single
-        ``struct.unpack_from`` — no per-field loop, no null bookkeeping.
-        Output is identical to mapping :meth:`decode` over ``blobs``.
+    def decode_page(self, buffer: bytes | bytearray, page_size: int) -> list:
+        """Every live record of the slotted page in ``buffer``, in slot
+        order, as one value vector per schema field.
+
+        A packed page of null-free records — what rendering a schema of
+        8-byte numeric fields always writes — is lifted out as typed
+        vectors by :func:`repro.vector.from_records`, with no per-record
+        Python. Any other page (variable-length or bool fields, nulls,
+        tombstoned or in-place-updated slots) is decoded record by record
+        into plain lists holding the same values, so callers never branch.
+
+        Raises:
+            PageError: when the header or a live slot is out of bounds.
+            SerializationError: when a record does not parse.
         """
-        if not self._var_fields:
-            bitmap_size = self._bitmap_size
-            zeros = bytes(bitmap_size)
-            min_size = bitmap_size + self._fixed_struct.size
-            unpack_from = self._fixed_struct.unpack_from
-            decode = self.decode
-            # Short/nulled blobs fall back to decode(), which raises the
-            # same SerializationError the tuple-at-a-time path would.
-            return [
-                unpack_from(blob, bitmap_size)
-                if len(blob) >= min_size and blob[:bitmap_size] == zeros
-                else decode(blob)
-                for blob in blobs
-            ]
-        return [self.decode(blob) for blob in blobs]
+        page = SlottedPage(page_size, buffer)
+        if self._packed_codes:
+            count = page.packed_count(self._record_size)
+            if count:
+                columns = vector.from_records(
+                    buffer,
+                    SLOTTED_HEADER_SIZE,
+                    count,
+                    self._bitmap_size,
+                    self._packed_codes,
+                )
+                if columns is not None:
+                    return columns
+        records = [self.decode(blob) for _, blob in page.records()]
+        if not records:
+            return [[] for _ in self.schema.fields]
+        return [list(column) for column in zip(*records)]
+
+    def encode_page(
+        self, records: Sequence[Sequence[Any]], start: int, page_size: int
+    ) -> tuple[SlottedPage, int]:
+        """Fill one fresh slotted page with ``records[start:]``.
+
+        Returns the page and how many records it took. The image is
+        byte-identical to ``insert(encode(record))`` per record; schemas of
+        8-byte numeric fields pack a page's worth of records straight into
+        the page buffer and write directory and header once.
+
+        Raises:
+            PageError: when a single record exceeds the page capacity.
+        """
+        page = SlottedPage(page_size)
+        if self._packed_codes:
+            capacity = SlottedPage.packed_capacity(page_size, self._record_size)
+            chunk = records[start : start + capacity]
+            if chunk and self._pack_records(page.buffer, chunk):
+                page.set_packed(len(chunk), self._record_size)
+                return page, len(chunk)
+            page = SlottedPage(page_size)  # a failed pack leaves debris
+        count = 0
+        for i in range(start, len(records)):
+            blob = self.encode(records[i])
+            if count and not page.can_fit(len(blob)):
+                break
+            page.insert(blob)
+            count += 1
+        return page, count
+
+    def _pack_records(self, buffer: bytearray, chunk: Sequence) -> bool:
+        """Pack null-free ``chunk`` back to back into ``buffer`` from
+        ``SLOTTED_HEADER_SIZE``; False when any record needs :meth:`encode`
+        (a null, a value ``struct`` would coerce differently, an arity
+        error to report) — ``buffer`` may then hold a partial write."""
+        values = list(chain.from_iterable(chunk))
+        if set(map(len, chunk)) != {len(self._packed_codes)} or not (
+            set(map(type, values)) <= {int, float}
+        ):
+            return False
+        record_format = f"{self._bitmap_size}x{self._packed_codes}"
+        try:
+            # One format per page length; struct caches the compiled form.
+            struct.pack_into(
+                "<" + record_format * len(chunk),
+                buffer,
+                SLOTTED_HEADER_SIZE,
+                *values,
+            )
+        except (struct.error, OverflowError):
+            return False
+        return True
 
     def encoded_size(self, record: Sequence[Any]) -> int:
         """Byte length of :meth:`encode` without building the buffer."""

@@ -8,7 +8,8 @@ uniformly called a *vector*:
 * a stdlib ``array.array`` (typecode ``"q"``/``"d"``) — the pure-Python
   fallback, still contiguous and bulk-decodable;
 * a plain ``list`` — the graceful-degradation shape for strings, bools,
-  mixed/null data, and any codec that has no typed decode.
+  mixed/null data, any codec that has no typed decode, and row pages read
+  without numpy (:func:`from_records`).
 
 Every helper here accepts all three shapes so callers never branch on
 numpy availability; behavior is identical either way, only speed differs.
@@ -19,6 +20,7 @@ fallback even when numpy is installed, which is how tests assert parity.
 from __future__ import annotations
 
 import os
+import struct
 import sys
 from array import array
 from typing import Any, Iterable, Sequence
@@ -87,6 +89,44 @@ def from_bytes(data, offset: int, count: int, code: str):
     if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
         vec.byteswap()
     return vec
+
+
+def from_records(data, offset: int, count: int, prefix: int, codes: str):
+    """Transpose ``count`` back-to-back fixed-width records into one vector
+    per field, with no per-record Python.
+
+    Each record is ``prefix`` flag bytes followed by one little-endian
+    8-byte field per typecode in ``codes``; the records start at ``offset``
+    in ``data``. Returns ``None`` when any flag byte is non-zero (a record
+    carries nulls), leaving such pages to the caller's per-record decode.
+
+    Under numpy the records are a strided byte matrix over ``data``: the
+    field bytes are copied out, viewed as 8-byte words and transposed, so
+    each vector is contiguous and owns its memory (``data`` may be recycled
+    at once). The fallback unpacks the records with one
+    ``struct.iter_unpack`` and transposes them with one ``zip``; its vectors
+    are plain lists (the python scalars already exist, re-packing them into
+    ``array`` would buy nothing).
+    """
+    stride = prefix + 8 * len(codes)
+    if _np is not None:
+        records = _np.frombuffer(
+            data, dtype=_np.uint8, count=count * stride, offset=offset
+        ).reshape(count, stride)
+        if records[:, :prefix].any():
+            return None
+        fields = _np.ascontiguousarray(records[:, prefix:]).view("<i8")
+        columns = _np.ascontiguousarray(fields.T)
+        return [
+            column if code == "q" else column.view("<f8")
+            for code, column in zip(codes, columns)
+        ]
+    end = offset + count * stride
+    unpacked = struct.iter_unpack(f"<{prefix}s{codes}", data[offset:end])
+    flags, *columns = zip(*unpacked)
+    if flags.count(bytes(prefix)) != count:
+        return None
+    return [list(column) for column in columns]
 
 
 def from_values(values: Sequence, code: str):

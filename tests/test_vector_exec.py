@@ -140,13 +140,20 @@ def test_vector_serializer_has_no_null_path():
         VectorSerializer(INT).encode([1, None, 3])
 
 
+def _page_roundtrip(ser: RecordSerializer, records: list) -> list:
+    page, count = ser.encode_page(records, 0, 4096)
+    assert count == len(records)
+    columns = ser.decode_page(page.buffer, 4096)
+    return list(zip(*map(vector.to_list, columns)))
+
+
 def test_record_serializer_all_null_column_roundtrip():
     schema = Schema.of("a:int", "b:float", "c:string")
     ser = RecordSerializer(schema)
     records = [(None, None, None) for _ in range(17)]
     blobs = [ser.encode(r) for r in records]
     assert [ser.decode(b) for b in blobs] == records
-    assert ser.decode_many(blobs) == records
+    assert _page_roundtrip(ser, records) == records
 
 
 def test_record_serializer_mixed_null_column_roundtrip():
@@ -155,8 +162,7 @@ def test_record_serializer_mixed_null_column_roundtrip():
     records = [
         (i if i % 3 else None, None if i % 2 else i * 0.5) for i in range(40)
     ]
-    blobs = [ser.encode(r) for r in records]
-    assert ser.decode_many(blobs) == records
+    assert _page_roundtrip(ser, records) == records
 
 
 # ---------------------------------------------------------------------------
