@@ -12,7 +12,7 @@ from repro.types.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.engine.stats import TableStats
-    from repro.engine.synopsis import ZoneSynopsis
+    from repro.engine.synopsis import ZoneTable
     from repro.layout.renderer import StoredLayout
     from repro.optimizer.monitor import WorkloadMonitor
 
@@ -38,7 +38,7 @@ class PartitionRegion:
     layout: "StoredLayout | None" = None
     overflow: list = field(default_factory=list)
     pending: list = field(default_factory=list)
-    pending_zone: "ZoneSynopsis | None" = None
+    pending_zone: "ZoneTable | None" = None
 
     @property
     def row_count(self) -> int:
@@ -108,7 +108,7 @@ class CatalogEntry:
     # Table handles — so every handle sees the same pending rows and a
     # re-layout can fold them into the new representation.
     pending: list = field(default_factory=list)
-    pending_zone: "ZoneSynopsis | None" = None
+    pending_zone: "ZoneTable | None" = None
     # Live workload observations feeding the adaptive loop (lazily created
     # by the AdaptiveController the first time the table is scanned).
     monitor: "WorkloadMonitor | None" = None

@@ -17,6 +17,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
 
+from repro import vector
 from repro.algebra import ast
 from repro.algebra.interpreter import AlgebraInterpreter
 from repro.algebra.parser import parse
@@ -569,43 +570,42 @@ class RodentStore:
     def _scrub_synopses(
         self, entry: CatalogEntry, rows: list[tuple], report: dict
     ) -> None:
-        """Zone synopses must *contain* the actual data: a zone claiming
-        tighter bounds than reality would let pruning skip live rows."""
-        zones = []
-        for layout in self._entry_layouts(entry):
+        """Zone synopses must be parallel to their directories and must
+        *contain* the actual data: a zone claiming tighter bounds than
+        reality would let pruning skip live rows."""
+        tables = []
+        layouts = self._entry_layouts(entry)
+        for layout in layouts:  # grows as it goes: mirrors hold the zones
+            layouts.extend(layout.mirrors)
+            if layout.synopsis_error is not None:
+                report["synopsis_mismatches"].append(
+                    {"table": entry.name, "error": layout.synopsis_error}
+                )
             s = layout.synopsis
-            if s is None:
-                continue
-            zones.extend(s.page_zones)
-            for group in s.group_zones:
-                zones.extend(group)
-            zones.extend(s.cell_zones)
-            zones.extend(s.folded_zones)
+            if s is not None:
+                tables += [s.page_zones, *s.group_zones]
+                tables += [s.cell_zones, s.folded_zones]
         for region in entry.partitions:
             if region.pending_zone is not None:
-                zones.append(region.pending_zone)
+                tables.append(region.pending_zone)
         if entry.pending_zone is not None:
-            zones.append(entry.pending_zone)
-        if not zones or not rows:
+            tables.append(entry.pending_zone)
+        if not rows:
             return
         names = _scan_schema(entry.plan).names()
         for i, name in enumerate(names):
-            union_min = union_max = None
-            covered = False
-            for zone in zones:
-                fz = zone.fields.get(name)
-                if fz is None or fz.min_value is None:
-                    continue
-                covered = True
-                try:
-                    if union_min is None or fz.min_value < union_min:
-                        union_min = fz.min_value
-                    if union_max is None or fz.max_value > union_max:
-                        union_max = fz.max_value
-                except TypeError:
-                    return  # mixed types: containment is undefined
-            if not covered:
-                continue
+            columns = [t.fields[name] for t in tables if name in t.fields]
+            try:
+                union_min = vector.min_max_nulls(
+                    [vector.min_max_nulls(c.mins)[0] for c in columns]
+                )[0]
+                union_max = vector.min_max_nulls(
+                    [vector.min_max_nulls(c.maxs)[1] for c in columns]
+                )[1]
+            except TypeError:
+                return  # mixed types: containment is undefined
+            if union_min is None:
+                continue  # no zone bounds this field
             values = [r[i] for r in rows if i < len(r) and r[i] is not None]
             if not values:
                 continue

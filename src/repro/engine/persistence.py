@@ -17,9 +17,10 @@ import json
 import zlib
 from typing import TYPE_CHECKING, Any
 
+from repro import vector
 from repro.algebra.physical import PhysicalPlan
 from repro.engine.stats import FieldStats, TableStats
-from repro.engine.synopsis import FieldZone, LayoutSynopsis, ZoneSynopsis
+from repro.engine.synopsis import LayoutSynopsis, ZoneColumn, ZoneTable
 from repro.errors import CatalogError, CorruptCatalogError
 from repro.layout.renderer import (
     CellEntry,
@@ -53,37 +54,58 @@ def _catalog_crc(payload: dict) -> int:
 # -- layout (de)serialization -------------------------------------------------
 
 
-def _zone_to_dict(zone: ZoneSynopsis) -> dict:
+def _zones_to_dict(zones: ZoneTable) -> dict:
+    """One list per field per collection: ``fields[name]`` is
+    ``[mins, maxs, null_counts]``, each parallel to ``rows``."""
     return {
-        "rows": zone.row_count,
+        "rows": vector.to_list(zones.row_counts),
         "fields": {
-            name: [fz.min_value, fz.max_value, fz.null_count, fz.distinct_hint]
-            for name, fz in zone.fields.items()
+            name: [
+                vector.to_list(column.mins),
+                vector.to_list(column.maxs),
+                column.null_counts,
+            ]
+            for name, column in zones.fields.items()
         },
     }
 
 
-def _zone_from_dict(data: dict) -> ZoneSynopsis:
-    return ZoneSynopsis(
-        row_count=data["rows"],
-        fields={
-            name: FieldZone(mn, mx, nulls, distinct)
-            for name, (mn, mx, nulls, distinct) in data["fields"].items()
+def _columnar(zones: list[dict]) -> dict:
+    """The per-zone shape of earlier catalogs — one ``{"rows", "fields":
+    {name: [min, max, nulls, distinct]}}`` dict per zone — converted to the
+    columnar one. A field a zone lacks reads as unknown bounds, which never
+    prune."""
+    unknown = (None, None, 0)
+    names = dict.fromkeys(name for zone in zones for name in zone["fields"])
+    return {
+        "rows": [zone["rows"] for zone in zones],
+        "fields": {
+            name: [
+                [zone["fields"].get(name, unknown)[part] for zone in zones]
+                for part in range(3)
+            ]
+            for name in names
         },
-    )
+    }
+
+
+def _zones_from_dict(data: dict | list) -> ZoneTable:
+    if isinstance(data, list):
+        data = _columnar(data)
+    fields = {
+        name: ZoneColumn(*parts) for name, parts in data["fields"].items()
+    }
+    return ZoneTable(data["rows"], fields).pack()
 
 
 def synopsis_to_dict(synopsis: LayoutSynopsis | None) -> dict | None:
     if synopsis is None:
         return None
     return {
-        "page_zones": [_zone_to_dict(z) for z in synopsis.page_zones],
-        "group_zones": [
-            [_zone_to_dict(z) for z in zones]
-            for zones in synopsis.group_zones
-        ],
-        "cell_zones": [_zone_to_dict(z) for z in synopsis.cell_zones],
-        "folded_zones": [_zone_to_dict(z) for z in synopsis.folded_zones],
+        "page_zones": _zones_to_dict(synopsis.page_zones),
+        "group_zones": [_zones_to_dict(z) for z in synopsis.group_zones],
+        "cell_zones": _zones_to_dict(synopsis.cell_zones),
+        "folded_zones": _zones_to_dict(synopsis.folded_zones),
     }
 
 
@@ -91,15 +113,12 @@ def synopsis_from_dict(data: dict | None) -> LayoutSynopsis | None:
     if data is None:
         return None
     return LayoutSynopsis(
-        page_zones=[_zone_from_dict(z) for z in data.get("page_zones", [])],
+        page_zones=_zones_from_dict(data.get("page_zones", [])),
         group_zones=[
-            [_zone_from_dict(z) for z in zones]
-            for zones in data.get("group_zones", [])
+            _zones_from_dict(zones) for zones in data.get("group_zones", [])
         ],
-        cell_zones=[_zone_from_dict(z) for z in data.get("cell_zones", [])],
-        folded_zones=[
-            _zone_from_dict(z) for z in data.get("folded_zones", [])
-        ],
+        cell_zones=_zones_from_dict(data.get("cell_zones", [])),
+        folded_zones=_zones_from_dict(data.get("folded_zones", [])),
     )
 
 
@@ -423,9 +442,8 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
     if pending:
         # The pending zone map is derived data: rebuild it from the
         # restored rows so pruned scans keep skipping the buffer.
-        zone = ZoneSynopsis()
-        zone.update(_scan_schema_of(entry).names(), pending)
-        entry.pending_zone = zone
+        entry.pending_zone = ZoneTable()
+        entry.pending_zone.merge_rows(_scan_schema_of(entry).names(), pending)
     if t.get("monitor"):
         from repro.optimizer.monitor import WorkloadMonitor
 
@@ -457,9 +475,10 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
                 pending=[tuple(row) for row in r.get("pending", [])],
             )
             if region.pending:
-                zone = ZoneSynopsis()
-                zone.update(scan_schema.names(), region.pending)
-                region.pending_zone = zone
+                region.pending_zone = ZoneTable()
+                region.pending_zone.merge_rows(
+                    scan_schema.names(), region.pending
+                )
             regions.append(region)
         entry.partitions = regions
         entry.region_index = {}

@@ -144,8 +144,8 @@ def recover_store(store: "RodentStore") -> dict:
         else:
             entry.pending.extend(rows)
             if entry.pending_zone is None:
-                entry.pending_zone = zonemaps.ZoneSynopsis()
-            entry.pending_zone.update(table.scan_schema().names(), rows)
+                entry.pending_zone = zonemaps.ZoneTable()
+            entry.pending_zone.merge_rows(table.scan_schema().names(), rows)
         rows_replayed += len(rows)
 
     summary = {

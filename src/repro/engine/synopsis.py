@@ -1,203 +1,222 @@
-"""Per-zone min/max synopses (zone maps) and the pruning decisions they drive.
+"""Columnar min/max synopses (zone maps) and the pruning decisions they drive.
 
 A *zone* is the natural storage unit of a layout — a slotted row page, one
 codec-encoded column chunk, a grid cell, a folded record's nested vectors, an
 array page. At render time the :class:`~repro.layout.renderer.LayoutRenderer`
-summarizes every zone into a :class:`ZoneSynopsis` (per-field min/max,
-null count, and a distinct-value hint) and attaches the collection to the
-:class:`~repro.layout.renderer.StoredLayout` as a :class:`LayoutSynopsis`.
+summarizes each collection of zones into one :class:`ZoneTable` — a struct
+of arrays: a row-count vector plus, per field, ``mins`` / ``maxs`` /
+``null_counts`` vectors, all parallel to the layout's own directory — and
+attaches them to the :class:`~repro.layout.renderer.StoredLayout` as a
+:class:`LayoutSynopsis`. Bounds come from one min and one max reduction per
+value vector (:func:`repro.vector.min_max_nulls`).
 
 At scan time, :mod:`repro.engine.table` extracts per-field intervals from the
 query predicate (:func:`predicate_intervals`, built on
 :meth:`repro.query.expressions.Predicate.ranges` — *necessary* conditions
 only, so pruning can never drop a matching record) and intersects them
-against the zone maps **before** any page is fetched or decoded:
+against a whole collection in one vector pass (:meth:`ZoneTable.keep_mask`)
+**before** any page is fetched or decoded:
 
 * row / array layouts — a per-page *skip set* (:func:`rows_page_skip`);
 * column layouts — surviving *row intervals* shared by every scanned group
   (:func:`column_keep_intervals`), so groups with different chunk geometries
   stay positionally aligned while pruned chunks are never read;
 * grid / folded layouts — per-cell / per-record keep masks
-  (:func:`grid_cell_keep`, :func:`folded_keep`) that refine the existing
-  cell-directory and key-range pruning with min/max over *all* fields.
+  (:func:`directory_keep`) that refine the existing
+  cell-directory and key-range pruning with min/max over *all* fields;
+* pending buffers — a one-zone table kept current by merging each batch's
+  bounds into the running ones (:meth:`ZoneTable.merge_rows`).
 
 The same metadata answers the planner's question "how many pages will this
 scan skip?" exactly and without I/O (:func:`column_pruned_pages`, the skip
 sets' sizes), which is what ``Q.explain()`` reports as ``pages_pruned``.
 
-Pruning is always conservative: zones whose min/max are unknown (all-null,
-non-numeric against numeric bounds, or fields excluded because they are
-stored delta-encoded) are kept.
+Pruning is always conservative: zones whose min/max are unknown (non-numeric
+or bool against numeric bounds, or fields excluded because they are stored
+delta-encoded) are kept; only empty and all-null zones are always skipped.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+
+from repro import vector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.layout.renderer import StoredLayout
     from repro.query.expressions import Predicate
 
-#: Per-zone distinct counting stops growing the sample set at this size.
-_DISTINCT_CAP = 4096
+Intervals = Mapping[str, tuple[float, float]]
 
 
-class FieldZone:
-    """Min/max + null count + distinct hint of one field within one zone."""
+class ZoneColumn:
+    """One field's bounds over the zones of a collection (parallel vectors).
 
-    __slots__ = ("min_value", "max_value", "null_count", "distinct_hint")
+    ``mins[i]`` / ``maxs[i]`` are ``None`` for a zone without a non-null
+    value of the field; ``null_counts[i]`` counts its nulls.
+    """
 
-    def __init__(
+    __slots__ = ("mins", "maxs", "null_counts")
+
+    def __init__(self, mins=None, maxs=None, null_counts=None):
+        self.mins = [] if mins is None else mins
+        self.maxs = [] if maxs is None else maxs
+        self.null_counts = [] if null_counts is None else null_counts
+
+
+class ZoneTable:
+    """Zone maps of one collection as a struct of arrays.
+
+    ``row_counts[i]`` rows live in zone ``i``; ``fields[name]`` holds that
+    field's :class:`ZoneColumn`. A field absent from ``fields`` is not
+    summarized (stored delta-encoded) and never prunes.
+    """
+
+    __slots__ = ("row_counts", "fields")
+
+    def __init__(self, row_counts=None, fields=None):
+        self.row_counts = [] if row_counts is None else row_counts
+        self.fields: dict[str, ZoneColumn] = {} if fields is None else fields
+
+    def __len__(self) -> int:
+        return len(self.row_counts)
+
+    # -- construction ------------------------------------------------------
+
+    def add(
         self,
-        min_value: Any = None,
-        max_value: Any = None,
-        null_count: int = 0,
-        distinct_hint: int = 0,
-    ):
-        self.min_value = min_value
-        self.max_value = max_value
-        self.null_count = null_count
-        self.distinct_hint = distinct_hint
+        row_count: int,
+        names: Iterable[str],
+        columns: Iterable[Sequence[Any]],
+        skip_fields: Sequence[str] = (),
+    ) -> None:
+        """Append one zone summarizing parallel value vectors (one per
+        field; they may differ in length — folded records pair one key value
+        with whole nested vectors).
 
-    def __repr__(self) -> str:
-        return (
-            f"FieldZone([{self.min_value!r}, {self.max_value!r}] "
-            f"nulls={self.null_count} distinct≈{self.distinct_hint})"
+        ``skip_fields`` are recorded only in the row count — used for fields
+        whose stored values differ from their logical values (delta
+        encoding), where min/max over stored bytes would prune incorrectly.
+        """
+        self.row_counts.append(row_count)
+        for name, values in zip(names, columns):
+            if name in skip_fields:
+                continue
+            column = self.fields.get(name)
+            if column is None:
+                column = self.fields[name] = ZoneColumn()
+            low, high, nulls = vector.min_max_nulls(values)
+            column.mins.append(low)
+            column.maxs.append(high)
+            column.null_counts.append(nulls)
+
+    def add_rows(
+        self,
+        names: Sequence[str],
+        rows: Sequence[Sequence[Any]],
+        skip_fields: Sequence[str] = (),
+    ) -> None:
+        """Append one zone summarizing record tuples."""
+        columns = zip(*rows) if rows else ((),) * len(names)
+        self.add(len(rows), names, columns, skip_fields)
+
+    def merge_rows(
+        self, names: Sequence[str], rows: Sequence[Sequence[Any]]
+    ) -> None:
+        """Fold records into the single running zone of a pending buffer:
+        the batch is reduced once and its bounds merged in — O(batch)."""
+        batch = ZoneTable()
+        batch.add_rows(names, rows)
+        if not self.row_counts:
+            self.row_counts, self.fields = batch.row_counts, batch.fields
+            return
+        self.row_counts[0] += batch.row_counts[0]
+        for name, new in batch.fields.items():
+            old = self.fields[name]
+            old.null_counts[0] += new.null_counts[0]
+            if old.mins[0] is None:
+                old.mins[0], old.maxs[0] = new.mins[0], new.maxs[0]
+            elif new.mins[0] is not None:
+                old.mins[0] = min(old.mins[0], new.mins[0])
+                old.maxs[0] = max(old.maxs[0], new.maxs[0])
+
+    def pack(self) -> "ZoneTable":
+        """Freeze a finished table into typed vectors (no more ``add``)."""
+        self.row_counts = vector.pack(self.row_counts)
+        for column in self.fields.values():
+            column.mins = vector.pack(column.mins)
+            column.maxs = vector.pack(column.maxs)
+        return self
+
+    def shape_error(self, expected: int) -> str | None:
+        """Why these vectors are not parallel to ``expected`` directory
+        entries, or ``None``. Pruning indexes zones positionally, so a
+        short or long vector would silently drop rows."""
+        vectors = [self.row_counts]
+        for column in self.fields.values():
+            vectors += [column.mins, column.maxs, column.null_counts]
+        lengths = sorted({len(v) for v in vectors})
+        if lengths != [expected]:
+            return f"vectors of {lengths} entries for {expected} zones"
+        return None
+
+    # -- the pruning kernel ------------------------------------------------
+
+    def keep_mask(self, intervals: Intervals):
+        """Selection mask over the zones: false only where *no* row of the
+        zone can satisfy the intervals."""
+        keep = vector.nonzero_mask(self.row_counts)
+        for name, (lo, hi) in intervals.items():
+            column = self.fields.get(name)
+            if column is None:
+                continue  # field not summarized here (e.g. delta-encoded)
+            mins, maxs = column.mins, column.maxs
+            keep = vector.mask_and_not(
+                keep, vector.disjoint_mask(mins, maxs, lo, hi)
+            )
+            if not (vector.is_typed(mins) and vector.is_typed(maxs)):
+                # Only untyped vectors can hold None: no non-null value,
+                # and a range predicate cannot match nulls.
+                all_null = [
+                    (low is None or high is None) and nulls >= rows
+                    for low, high, nulls, rows in zip(
+                        mins,
+                        maxs,
+                        column.null_counts,
+                        vector.to_list(self.row_counts),
+                    )
+                ]
+                keep = vector.mask_and_not(keep, all_null)
+        return keep
+
+    def pruned_indexes(self, intervals: Intervals) -> list[int]:
+        """Positions of the zones :meth:`keep_mask` rules out."""
+        return vector.mask_indexes(
+            vector.mask_and_not(None, self.keep_mask(intervals))
         )
 
-
-class ZoneSynopsis:
-    """Synopsis of one zone: row count plus per-field :class:`FieldZone`."""
-
-    __slots__ = ("row_count", "fields")
-
-    def __init__(self, row_count: int = 0, fields: dict | None = None):
-        self.row_count = row_count
-        self.fields: dict[str, FieldZone] = fields if fields is not None else {}
-
-    def update(self, names: Sequence[str], rows: Iterable[Sequence]) -> None:
-        """Fold more records into this synopsis (incremental maintenance).
-
-        Used for in-memory pending/overflow accumulation: inserts extend the
-        zone instead of recomputing it from scratch.
-        """
-        n = 0
-        zones = [self.fields.setdefault(name, FieldZone()) for name in names]
-        for row in rows:
-            n += 1
-            for zone, value in zip(zones, row):
-                if value is None:
-                    zone.null_count += 1
-                    continue
-                if zone.min_value is None:
-                    zone.min_value = zone.max_value = value
-                    zone.distinct_hint = 1
-                else:
-                    if value < zone.min_value:
-                        zone.min_value = value
-                        zone.distinct_hint += 1
-                    elif value > zone.max_value:
-                        zone.max_value = value
-                        zone.distinct_hint += 1
-        self.row_count += n
-
-    def __repr__(self) -> str:
-        return f"<ZoneSynopsis rows={self.row_count} fields={self.fields}>"
+    def may_match(self, intervals: Intervals) -> bool:
+        """Can any zone hold a matching row? (pending buffers: one zone)"""
+        return vector.mask_count(self.keep_mask(intervals)) > 0
 
 
 @dataclass
 class LayoutSynopsis:
     """All zone maps of one stored layout, keyed by the layout's geometry.
 
-    Exactly one of the collections is populated per layout kind; the lists
-    are parallel to the layout's own directories (``extent.page_ids``,
+    Exactly one of the collections is populated per layout kind; each table
+    is parallel to the layout's own directory (``extent.page_ids``,
     ``ColumnGroupStore.chunks`` / group pages, ``cell_directory``,
     ``folded_directory``).
     """
 
-    page_zones: list[ZoneSynopsis] = field(default_factory=list)
-    group_zones: list[list[ZoneSynopsis]] = field(default_factory=list)
-    cell_zones: list[ZoneSynopsis] = field(default_factory=list)
-    folded_zones: list[ZoneSynopsis] = field(default_factory=list)
-
-
-# ---------------------------------------------------------------------------
-# synopsis construction (render-time)
-# ---------------------------------------------------------------------------
-
-
-def _field_zone(values: Sequence[Any]) -> FieldZone:
-    zone = FieldZone()
-    seen: set = set()
-    for value in values:
-        if value is None:
-            zone.null_count += 1
-            continue
-        if zone.min_value is None:
-            zone.min_value = zone.max_value = value
-        elif value < zone.min_value:
-            zone.min_value = value
-        elif value > zone.max_value:
-            zone.max_value = value
-        if len(seen) < _DISTINCT_CAP:
-            seen.add(value)
-    zone.distinct_hint = len(seen)
-    return zone
-
-
-def zone_from_columns(
-    names: Sequence[str],
-    columns: Sequence[Sequence[Any]],
-    skip_fields: Sequence[str] = (),
-) -> ZoneSynopsis:
-    """Summarize parallel value vectors (one per field) into a zone.
-
-    ``skip_fields`` are recorded only in the row count — used for fields
-    whose stored values differ from their logical values (delta encoding),
-    where min/max over stored bytes would prune incorrectly.
-    """
-    row_count = len(columns[0]) if columns else 0
-    fields: dict[str, FieldZone] = {}
-    for name, column in zip(names, columns):
-        if name in skip_fields:
-            continue
-        fields[name] = _field_zone(column)
-    return ZoneSynopsis(row_count, fields)
-
-
-def zone_from_rows(
-    names: Sequence[str],
-    rows: Sequence[Sequence[Any]],
-    skip_fields: Sequence[str] = (),
-) -> ZoneSynopsis:
-    """Summarize record tuples into a zone (row-oriented counterpart)."""
-    if not rows:
-        return ZoneSynopsis(0, {})
-    columns = list(zip(*rows))
-    zone = zone_from_columns(names, columns, skip_fields)
-    zone.row_count = len(rows)
-    return zone
-
-
-def zone_from_parts(
-    row_count: int, parts: Mapping[str, Sequence[Any]]
-) -> ZoneSynopsis:
-    """Zone over heterogeneous per-field value collections.
-
-    Folded records use this: group-key fields contribute a single value,
-    nested fields contribute their whole vectors, and ``row_count`` is the
-    number of un-nested rows the record expands to.
-    """
-    return ZoneSynopsis(
-        row_count, {name: _field_zone(values) for name, values in parts.items()}
-    )
-
-
-# ---------------------------------------------------------------------------
-# predicate intervals and the zone overlap test
-# ---------------------------------------------------------------------------
+    page_zones: ZoneTable = field(default_factory=ZoneTable)
+    group_zones: list[ZoneTable] = field(default_factory=list)
+    cell_zones: ZoneTable = field(default_factory=ZoneTable)
+    folded_zones: ZoneTable = field(default_factory=ZoneTable)
 
 
 def predicate_intervals(
@@ -218,51 +237,19 @@ def predicate_intervals(
     return out
 
 
-def _comparable(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def zone_may_match(
-    zone: ZoneSynopsis, intervals: Mapping[str, tuple[float, float]]
-) -> bool:
-    """False only when *no* row of the zone can satisfy the intervals."""
-    if zone.row_count == 0:
-        return False
-    for name, (lo, hi) in intervals.items():
-        fz = zone.fields.get(name)
-        if fz is None:
-            continue  # field not summarized here (e.g. delta-encoded)
-        mn, mx = fz.min_value, fz.max_value
-        if mn is None or mx is None:
-            # No non-null values: a range predicate cannot match nulls.
-            if fz.null_count >= zone.row_count:
-                return False
-            continue
-        if not (_comparable(mn) and _comparable(mx)):
-            continue  # non-numeric zone vs numeric bounds: keep
-        if mx < lo or mn > hi:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # per-layout pruning decisions (metadata only, no I/O)
 # ---------------------------------------------------------------------------
 
 
 def rows_page_skip(
-    layout: "StoredLayout", intervals: Mapping[str, tuple[float, float]]
+    layout: "StoredLayout", intervals: Intervals
 ) -> set[int] | None:
     """Page indexes (positions in the extent) a rows/array scan can skip."""
     synopsis = layout.synopsis
     if synopsis is None or not synopsis.page_zones or not intervals:
         return None
-    skip = {
-        i
-        for i, zone in enumerate(synopsis.page_zones)
-        if not zone_may_match(zone, intervals)
-    }
-    return skip or None
+    return set(synopsis.page_zones.pruned_indexes(intervals)) or None
 
 
 def _group_chunk_rows(layout: "StoredLayout", group_index: int) -> list[int]:
@@ -271,13 +258,13 @@ def _group_chunk_rows(layout: "StoredLayout", group_index: int) -> list[int]:
     if len(store.fields) == 1:
         return [rows for _, rows in store.chunks]
     assert layout.synopsis is not None
-    return [z.row_count for z in layout.synopsis.group_zones[group_index]]
+    return vector.to_list(layout.synopsis.group_zones[group_index].row_counts)
 
 
 def column_keep_intervals(
     layout: "StoredLayout",
     group_indexes: Sequence[int],
-    intervals: Mapping[str, tuple[float, float]],
+    intervals: Intervals,
 ) -> list[tuple[int, int]] | None:
     """Surviving row intervals after chunk-zone pruning, or ``None``.
 
@@ -291,19 +278,16 @@ def column_keep_intervals(
     if synopsis is None or not synopsis.group_zones or not intervals:
         return None
     pruned: list[tuple[int, int]] = []
-    saw_zones = False
     for gi in group_indexes:
         zones = synopsis.group_zones[gi]
-        if not zones:
-            continue
-        start = 0
-        for zone in zones:
-            end = start + zone.row_count
-            saw_zones = True
-            if zone.row_count and not zone_may_match(zone, intervals):
-                pruned.append((start, end))
-            start = end
-    if not saw_zones or not pruned:
+        indexes = zones.pruned_indexes(intervals)
+        if indexes:
+            rows = vector.to_list(zones.row_counts)
+            ends = list(accumulate(rows))
+            pruned.extend(
+                (ends[i] - rows[i], ends[i]) for i in indexes if rows[i]
+            )
+    if not pruned:
         return None
     return _complement(_merge_intervals(pruned), layout.row_count)
 
@@ -364,21 +348,11 @@ def column_pruned_pages(
     return skipped
 
 
-def grid_cell_keep(
-    layout: "StoredLayout", intervals: Mapping[str, tuple[float, float]]
-) -> list[bool] | None:
-    """Keep flag per cell-directory entry, or ``None`` when not applicable."""
+def directory_keep(layout: "StoredLayout", intervals: Intervals):
+    """Keep mask over a grid's cell directory or a fold's record directory
+    (whichever the layout has), or ``None`` when not applicable."""
     synopsis = layout.synopsis
-    if synopsis is None or not synopsis.cell_zones or not intervals:
+    if synopsis is None or not intervals:
         return None
-    return [zone_may_match(z, intervals) for z in synopsis.cell_zones]
-
-
-def folded_keep(
-    layout: "StoredLayout", intervals: Mapping[str, tuple[float, float]]
-) -> list[bool] | None:
-    """Keep flag per folded-directory entry, or ``None`` when not applicable."""
-    synopsis = layout.synopsis
-    if synopsis is None or not synopsis.folded_zones or not intervals:
-        return None
-    return [zone_may_match(z, intervals) for z in synopsis.folded_zones]
+    zones = synopsis.cell_zones or synopsis.folded_zones
+    return zones.keep_mask(intervals) if zones else None

@@ -192,7 +192,7 @@ class Table:
         return self._entry.pending
 
     @property
-    def _pending_zone(self) -> zonemaps.ZoneSynopsis | None:
+    def _pending_zone(self) -> zonemaps.ZoneTable | None:
         """Incrementally maintained zone map over the pending buffer, so
         pruned scans can skip the pending batch without touching it."""
         if self._snap is not None:
@@ -822,7 +822,7 @@ class Table:
             pending
             and intervals
             and self._pending_zone is not None
-            and not zonemaps.zone_may_match(self._pending_zone, intervals)
+            and not self._pending_zone.may_match(intervals)
         ):
             pending = []
 
@@ -945,7 +945,7 @@ class Table:
             pending
             and intervals
             and region.pending_zone is not None
-            and not zonemaps.zone_may_match(region.pending_zone, intervals)
+            and not region.pending_zone.may_match(intervals)
         ):
             pending = []
         if pending:
@@ -1091,7 +1091,7 @@ class Table:
             and not keyed
             and intervals
             and self._pending_zone is not None
-            and not zonemaps.zone_may_match(self._pending_zone, intervals)
+            and not self._pending_zone.may_match(intervals)
         ):
             pending = []
         scan_names = self.scan_schema().names()
@@ -1424,17 +1424,15 @@ class Table:
         if zones:
             intervals = self._prune_intervals(predicate)
             if intervals:
-                keep = zonemaps.grid_cell_keep(layout, intervals)
+                keep = zonemaps.directory_keep(layout, intervals)
         if not usable and keep is None:
             return None
-        if keep is None:
-            return layout.cells_overlapping(usable)
-        # One pass: zone verdict (parallel to the directory) plus the
-        # bounds test, delegated so both share one cell-bound convention.
+        # The zone verdict (a mask parallel to the directory) narrowed by
+        # the bounds test, delegated so there is one cell-bound convention.
+        directory = layout.cell_directory
         return [
-            entry
-            for entry, kept in zip(layout.cell_directory, keep)
-            if kept and layout.entry_overlaps(entry, usable)
+            directory[i]
+            for i in vector.mask_indexes(layout.cell_keep(usable, keep))
         ]
 
     def _iter_grid(
@@ -1487,13 +1485,16 @@ class Table:
         if zones:
             intervals = self._prune_intervals(predicate)
             if intervals:
-                zone_keep = zonemaps.folded_keep(layout, intervals)
+                zone_keep = zonemaps.directory_keep(layout, intervals)
         if not constrained and zone_keep is None:
             return None
+        if zone_keep is None:
+            candidates = range(len(layout.folded_keys))
+        else:
+            candidates = vector.mask_indexes(zone_keep)
         out = []
-        for i, key in enumerate(layout.folded_keys):
-            if zone_keep is not None and not zone_keep[i]:
-                continue
+        for i in candidates:
+            key = layout.folded_keys[i]
             keep = True
             for position, (lo, hi) in constrained:
                 value = key[position]
@@ -2300,8 +2301,8 @@ class Table:
                     # Incremental synopsis over the pending buffer: each
                     # insert extends the running zone instead of rescanning.
                     if entry.pending_zone is None:
-                        entry.pending_zone = zonemaps.ZoneSynopsis()
-                    entry.pending_zone.update(
+                        entry.pending_zone = zonemaps.ZoneTable()
+                    entry.pending_zone.merge_rows(
                         self.scan_schema().names(), transformed
                     )
                     self._mark_indexes_stale()
@@ -2333,8 +2334,8 @@ class Table:
             region = regions[pid]
             region.pending.extend(batch)
             if region.pending_zone is None:
-                region.pending_zone = zonemaps.ZoneSynopsis()
-            region.pending_zone.update(names, batch)
+                region.pending_zone = zonemaps.ZoneTable()
+            region.pending_zone.merge_rows(names, batch)
 
     def _apply_record_pipeline(
         self, records: list[tuple], plan: PhysicalPlan | None = None
@@ -2667,11 +2668,10 @@ class Table:
                         # over-approximation until the next seal renders
                         # an exact synopsis for the sealed run.
                         if entry.pending_zone is None:
-                            zone = zonemaps.ZoneSynopsis()
-                            zone.update(names, survivors)
-                            entry.pending_zone = zone
+                            entry.pending_zone = zonemaps.ZoneTable()
+                            entry.pending_zone.merge_rows(names, survivors)
                         elif new_rows:
-                            entry.pending_zone.update(names, new_rows)
+                            entry.pending_zone.merge_rows(names, new_rows)
                     if entry.runs:
                         seq = entry.next_run_seq
                         entry.next_run_seq += 1

@@ -64,12 +64,7 @@ from repro.algebra.transforms import (
 )
 from repro import vector
 from repro.compression import get_codec
-from repro.engine.synopsis import (
-    LayoutSynopsis,
-    zone_from_columns,
-    zone_from_parts,
-    zone_from_rows,
-)
+from repro.engine.synopsis import LayoutSynopsis, ZoneTable
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import (
@@ -381,9 +376,9 @@ class _GroupSlicer:
             self._serializer = None
         else:
             assert layout.synopsis is not None
-            counts = [
-                z.row_count for z in layout.synopsis.group_zones[group_index]
-            ]
+            counts = vector.to_list(
+                layout.synopsis.group_zones[group_index].row_counts
+            )
             self._dtype = self._codec = None
             self._serializer = RecordSerializer(
                 plan.schema.project(store.fields)
@@ -489,9 +484,62 @@ class StoredLayout:
     folded_keys: list[tuple] = field(default_factory=list)
     # Records per page, for rows layouts (enables direct get_element).
     page_row_counts: list[int] = field(default_factory=list)
-    # Per-zone min/max synopses (zone maps), computed at render time;
-    # ``None`` for layouts rendered before synopses existed.
+    # Columnar min/max synopses (zone maps), computed at render time;
+    # ``None`` for layouts rendered before synopses existed, or when the
+    # attached tables are not parallel to this layout's directories
+    # (``synopsis_error`` then says why, and scans run unpruned).
     synopsis: LayoutSynopsis | None = None
+    synopsis_error: str | None = field(init=False, default=None)
+    # (lows, highs) bound vectors per grid dimension, parallel to
+    # ``cell_directory`` (struct-of-arrays twin of ``CellEntry.bounds``).
+    cell_bounds: list[tuple] = field(init=False, default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.synopsis is not None:
+            self.synopsis_error = self._synopsis_shape_error(self.synopsis)
+            if self.synopsis_error is not None:
+                self.synopsis = None
+        if self.cell_directory:
+            bounds = [entry.bounds for entry in self.cell_directory]
+            self.cell_bounds = [
+                (
+                    vector.pack([b[dim][0] for b in bounds]),
+                    vector.pack([b[dim][1] for b in bounds]),
+                )
+                for dim in range(len(bounds[0]))
+            ]
+
+    def _synopsis_shape_error(self, synopsis: LayoutSynopsis) -> str | None:
+        """Why a zone table is not parallel to the directory it indexes
+        (pruning is positional: a mismatch would silently drop rows)."""
+        pages = len(self.extent.page_ids) if self.extent else 0
+        checks = [
+            ("page_zones", synopsis.page_zones, pages),
+            ("cell_zones", synopsis.cell_zones, len(self.cell_directory)),
+            ("folded_zones", synopsis.folded_zones, len(self.folded_directory)),
+        ]
+        if synopsis.group_zones:
+            if len(synopsis.group_zones) != len(self.column_groups):
+                return (
+                    f"group_zones: {len(synopsis.group_zones)} tables for "
+                    f"{len(self.column_groups)} column groups"
+                )
+            for i, store in enumerate(self.column_groups):
+                zones = synopsis.group_zones[i]
+                single = len(store.fields) == 1
+                units = store.chunks if single else store.extent.page_ids
+                checks.append((f"group_zones[{i}]", zones, len(units)))
+                rows = sum(vector.to_list(zones.row_counts))
+                if rows != self.row_count:
+                    return (
+                        f"group_zones[{i}]: zones cover {rows} rows, "
+                        f"layout has {self.row_count}"
+                    )
+        for label, zones, expected in checks:
+            error = zones.shape_error(expected) if zones else None
+            if error is not None:
+                return f"{label}: {error}"
+        return None
 
     def total_pages(self) -> int:
         """Number of pages this layout occupies on disk."""
@@ -535,32 +583,30 @@ class StoredLayout:
         ``ranges`` maps dimension name to an inclusive [lo, hi] interval;
         dimensions absent from ``ranges`` are unconstrained.
         """
-        if self.plan.grid is None:
-            raise StorageError("layout is not gridded")
-        return [
-            entry
-            for entry in self.cell_directory
-            if self.entry_overlaps(entry, ranges)
-        ]
+        keep = self.cell_keep(ranges)
+        return [self.cell_directory[i] for i in vector.mask_indexes(keep)]
 
-    def entry_overlaps(
-        self, entry: "CellEntry", ranges: dict[str, tuple[float, float]]
-    ) -> bool:
-        """Can ``entry``'s cell bounds intersect the query ranges?
+    def cell_keep(self, ranges: dict[str, tuple[float, float]], keep=None):
+        """``keep`` (a selection mask over ``cell_directory``; ``None`` =
+        every cell) narrowed to the cells whose bounds can intersect the
+        query ranges — one vector pass per constrained dimension.
 
         The single home of the half-open cell-bound convention
         (``[lo, hi)`` per dimension vs inclusive query intervals) — every
         pruning path must test through here so they can never diverge.
         """
-        assert self.plan.grid is not None
-        for dim, (lo, hi) in zip(self.plan.grid.dims, entry.bounds):
+        if self.plan.grid is None:
+            raise StorageError("layout is not gridded")
+        for dim, (lows, highs) in zip(self.plan.grid.dims, self.cell_bounds):
             query = ranges.get(dim)
-            if query is None:
-                continue
-            qlo, qhi = query
-            if hi <= qlo or lo > qhi:
-                return False
-        return True
+            if query is not None:
+                keep = vector.mask_and_not(
+                    keep,
+                    vector.disjoint_mask(lows, highs, *query, half_open=True),
+                )
+        if keep is None:
+            keep = [True] * len(self.cell_directory)
+        return keep
 
 
 class LayoutRenderer:
@@ -630,18 +676,9 @@ class LayoutRenderer:
         records = evaluated.records()
         pages = self._pack_slotted(RecordSerializer(plan.schema), records)
         extent = self._write_pages(pages)
-        names = tuple(plan.schema.names())
-        zones = []
-        start = 0
-        for page in pages:
-            zones.append(
-                zone_from_rows(
-                    names,
-                    records[start : start + page.slot_count],
-                    plan.delta_fields,
-                )
-            )
-            start += page.slot_count
+        zones = self._slotted_zones(
+            tuple(plan.schema.names()), records, pages, plan.delta_fields
+        )
         return StoredLayout(
             plan=plan,
             row_count=len(records),
@@ -649,6 +686,22 @@ class LayoutRenderer:
             page_row_counts=[p.slot_count for p in pages],
             synopsis=LayoutSynopsis(page_zones=zones),
         )
+
+    @staticmethod
+    def _slotted_zones(
+        names: tuple[str, ...],
+        records: Sequence[Sequence[Any]],
+        pages: Sequence[SlottedPage],
+        skip_fields: Sequence[str],
+    ) -> ZoneTable:
+        """One zone per slotted page of ``records`` (in page order)."""
+        zones = ZoneTable()
+        start = 0
+        for page in pages:
+            end = start + page.slot_count
+            zones.add_rows(names, records[start:end], skip_fields)
+            start = end
+        return zones.pack()
 
     def _pack_slotted(
         self, serializer: RecordSerializer, records: Sequence[Sequence[Any]]
@@ -682,8 +735,8 @@ class LayoutRenderer:
             (f,) for f in plan.schema.names()
         )
         values_by_group = evaluated.value  # parallel to groups
-        layout = StoredLayout(plan=plan, row_count=0)
-        group_zones: list[list] = []
+        stores: list[ColumnGroupStore] = []
+        group_zones: list[ZoneTable] = []
         row_count = None
         for group_fields, values in zip(groups, values_by_group):
             if row_count is None:
@@ -698,22 +751,26 @@ class LayoutRenderer:
                 store, zones = self._render_minirecord_group(
                     plan, group_fields, values
                 )
-            layout.column_groups.append(store)
+            stores.append(store)
             group_zones.append(zones)
-        layout.row_count = row_count or 0
-        layout.synopsis = LayoutSynopsis(group_zones=group_zones)
-        return layout
+        return StoredLayout(
+            plan=plan,
+            row_count=row_count or 0,
+            column_groups=stores,
+            synopsis=LayoutSynopsis(group_zones=group_zones),
+        )
 
     def _render_value_column(
         self, plan: PhysicalPlan, field_name: str, values: list
-    ) -> tuple[ColumnGroupStore, list]:
+    ) -> tuple[ColumnGroupStore, ZoneTable]:
         dtype = plan.schema.field(field_name).dtype
         codec = get_codec(plan.codec_for(field_name))
         capacity = self.page_size - BYTES_HEADER_SIZE
         target_rows = self._target_rows(dtype, capacity)
         pages: list[BytePage] = []
         chunks: list[tuple[int, int]] = []
-        zones: list = []
+        zones = ZoneTable()
+        names = (field_name,)
         start = 0
         while start < len(values):
             rows = min(target_rows, len(values) - start)
@@ -728,12 +785,8 @@ class LayoutRenderer:
             page = BytePage(self.page_size)
             page.write(encoded)
             chunks.append((len(pages), rows))
-            zones.append(
-                zone_from_columns(
-                    (field_name,),
-                    [values[start : start + rows]],
-                    plan.delta_fields,
-                )
+            zones.add(
+                rows, names, [values[start : start + rows]], plan.delta_fields
             )
             pages.append(page)
             start += rows
@@ -741,10 +794,10 @@ class LayoutRenderer:
             page = BytePage(self.page_size)
             page.write(codec.encode([], dtype))
             chunks.append((0, 0))
-            zones.append(zone_from_columns((field_name,), [[]]))
+            zones.add(0, names, [[]])
             pages.append(page)
         extent = self._write_pages(pages)
-        return ColumnGroupStore((field_name,), extent, chunks), zones
+        return ColumnGroupStore((field_name,), extent, chunks), zones.pack()
 
     def _target_rows(self, dtype: Any, capacity: int) -> int:
         width = dtype.fixed_size if dtype.fixed_size else dtype.estimated_size()
@@ -752,22 +805,13 @@ class LayoutRenderer:
 
     def _render_minirecord_group(
         self, plan: PhysicalPlan, group_fields: tuple[str, ...], values: list
-    ) -> tuple[ColumnGroupStore, list]:
+    ) -> tuple[ColumnGroupStore, ZoneTable]:
         sub_schema = plan.schema.project(group_fields)
         pages = self._pack_slotted(RecordSerializer(sub_schema), values)
         extent = self._write_pages(pages)
-        names = tuple(group_fields)
-        zones: list = []
-        start = 0
-        for page in pages:
-            zones.append(
-                zone_from_rows(
-                    names,
-                    values[start : start + page.slot_count],
-                    plan.delta_fields,
-                )
-            )
-            start += page.slot_count
+        zones = self._slotted_zones(
+            tuple(group_fields), values, pages, plan.delta_fields
+        )
         return ColumnGroupStore(tuple(group_fields), extent), zones
 
     # -- grid -------------------------------------------------------------
@@ -778,7 +822,7 @@ class LayoutRenderer:
         positions = {name: i for i, name in enumerate(schema.names())}
         stream = bytearray()
         directory: list[CellEntry] = []
-        cell_zones: list = []
+        cell_zones = ZoneTable()
         names = tuple(schema.names())
         total_rows = 0
         for coord, cell in zip(grid.coords, grid.cells):
@@ -792,7 +836,7 @@ class LayoutRenderer:
                     row_count=len(cell),
                 )
             )
-            cell_zones.append(zone_from_rows(names, cell, plan.delta_fields))
+            cell_zones.add_rows(names, cell, plan.delta_fields)
             stream += blob
             total_rows += len(cell)
         extent = self._write_stream(bytes(stream))
@@ -802,7 +846,7 @@ class LayoutRenderer:
             extent=extent,
             cell_directory=directory,
             grid_origin=tuple(grid.origin),
-            synopsis=LayoutSynopsis(cell_zones=cell_zones),
+            synopsis=LayoutSynopsis(cell_zones=cell_zones.pack()),
         )
 
     def _encode_cell(
@@ -874,7 +918,7 @@ class LayoutRenderer:
         stream = bytearray()
         directory: list[tuple[int, int]] = []
         keys: list[tuple] = []
-        folded_zones: list = []
+        folded_zones = ZoneTable()
         skip = set(plan.delta_fields)
         for row in evaluated.value:
             key = tuple(row[: len(plan.group_fields)])
@@ -899,7 +943,7 @@ class LayoutRenderer:
             blob = b"".join(parts)
             directory.append((len(stream), len(blob)))
             keys.append(key)
-            folded_zones.append(zone_from_parts(len(nested), zone_parts))
+            folded_zones.add(len(nested), zone_parts, zone_parts.values())
             stream += blob
         extent = self._write_stream(bytes(stream))
         return StoredLayout(
@@ -908,7 +952,7 @@ class LayoutRenderer:
             extent=extent,
             folded_directory=directory,
             folded_keys=keys,
-            synopsis=LayoutSynopsis(folded_zones=folded_zones),
+            synopsis=LayoutSynopsis(folded_zones=folded_zones.pack()),
         )
 
     # -- array -------------------------------------------------------------
@@ -922,15 +966,12 @@ class LayoutRenderer:
         width = dtype.fixed_size or dtype.estimated_size()
         per_page = max(1, (capacity - 8) // max(1, width))
         pages: list[BytePage] = []
-        zones: list = []
+        zones = ZoneTable()
         for start in range(0, max(len(leaves), 1), per_page):
+            chunk = leaves[start : start + per_page]
             page = BytePage(self.page_size)
-            page.write(serializer.encode(leaves[start : start + per_page]))
-            zones.append(
-                zone_from_columns(
-                    ("value",), [leaves[start : start + per_page]]
-                )
-            )
+            page.write(serializer.encode(chunk))
+            zones.add(len(chunk), ("value",), [chunk])
             pages.append(page)
         extent = self._write_pages(pages)
         return StoredLayout(
@@ -940,7 +981,7 @@ class LayoutRenderer:
             array_shape=array_shape,
             array_values_per_page=per_page,
             array_dtype=dtype,
-            synopsis=LayoutSynopsis(page_zones=zones),
+            synopsis=LayoutSynopsis(page_zones=zones.pack()),
         )
 
     # -- mirror ------------------------------------------------------------

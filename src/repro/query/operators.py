@@ -526,7 +526,8 @@ class GroupByOp(Operator):
     sums, mins, maxs), then the result is emitted in first-seen group
     order. ``count(field)`` / ``sum`` / ``avg`` / ``min`` / ``max`` skip
     ``None`` values; ``count(*)`` counts all rows; aggregates over a group
-    whose values are all ``None`` yield ``None``.
+    whose values are all ``None`` yield ``None``. Without keys the result
+    is always exactly one row, also over no input rows.
     """
 
     def __init__(
@@ -626,6 +627,10 @@ class GroupByOp(Operator):
                         current = state.maxs[slot]
                         if current is None or value > current:
                             state.maxs[slot] = value
+        if not states and not key_idx:
+            # SQL: an aggregate without GROUP BY is one row even over no
+            # input (count 0, sum/avg/min/max NULL) — a fresh state.
+            states[()] = _AggState(n_counts, n_sums, n_minmax)
         out: list[tuple] = []
         for key, state in states.items():  # dicts preserve first-seen order
             result: list[Any] = list(key)

@@ -19,6 +19,7 @@ fallback even when numpy is installed, which is how tests assert parity.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import sys
@@ -211,3 +212,138 @@ def as_ndarray(vec):
     if isinstance(vec, array):
         return _np.empty(0, dtype=_NP_DTYPES.get(vec.typecode, "<i8"))
     return None
+
+
+# ---------------------------------------------------------------------------
+# min/max synopsis kernels (zone maps, grid cell bounds)
+# ---------------------------------------------------------------------------
+
+_INF = float("inf")
+_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
+
+
+def min_max_nulls(values) -> tuple[Any, Any, int]:
+    """``(min, max, null count)`` of a value vector in one reduction each;
+    ``(None, None, nulls)`` when it holds no non-null value."""
+    if not len(values):
+        return None, None, 0
+    if _numpy_mod is not None and isinstance(values, _numpy_mod.ndarray):
+        return values.min().item(), values.max().item(), 0
+    try:
+        low, high = min(values), max(values)
+    except TypeError:  # a None among the values: not orderable
+        low = None
+    if low is not None:
+        return low, high, 0
+    # Nulls are rare, so they are looked for only now (a lone None, the
+    # one case the reductions accept, lands here through ``low``). Values
+    # of genuinely unorderable types raise again below.
+    present = [v for v in values if v is not None]
+    nulls = len(values) - len(present)
+    if not present:
+        return None, None, nulls
+    return min(present), max(present), nulls
+
+
+def pack(values: list):
+    """A bounds vector in its fastest shape: an ``int64``/``float64``
+    ndarray when numpy is on and every entry is an int (not bool) or every
+    entry a float; otherwise (``None`` for an all-null zone, strings,
+    bools, mixed, beyond int64) the list itself."""
+    if _np is None or not values:
+        return values
+    kinds = set(map(type, values))
+    code = "q" if kinds == {int} else "d" if kinds == {float} else None
+    packed = from_values(values, code) if code else None
+    return values if packed is None else packed
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _exact_bound(vec, bound, up: bool):
+    """``bound`` moved onto ``vec``'s dtype without changing a comparison.
+
+    numpy rounds a python scalar to the array's dtype before comparing
+    (an int beyond 2**53 to the nearest float, a float to the int64 array's
+    float image), python compares exactly. Rounding *up* to the smallest
+    representable value >= ``bound`` keeps ``vec < bound`` exact; rounding
+    down keeps ``vec > bound`` and ``vec <= bound`` exact.
+    """
+    if isinstance(bound, float):
+        if vec.dtype.kind == "f" or bound != bound or bound in (_INF, -_INF):
+            return bound
+        bound = math.ceil(bound) if up else math.floor(bound)
+    if vec.dtype.kind == "i":
+        if bound > _I64_MAX:
+            return _INF
+        return -_INF if bound < _I64_MIN else bound
+    try:
+        image = float(bound)
+    except OverflowError:
+        if bound > 0:
+            return _INF if up else sys.float_info.max
+        return -sys.float_info.max if up else -_INF
+    if up and image < bound:
+        return math.nextafter(image, _INF)
+    if not up and image > bound:
+        return math.nextafter(image, -_INF)
+    return image
+
+
+def disjoint_mask(lows, highs, lo, hi, half_open: bool = False):
+    """Per entry: is ``[low, high]`` provably disjoint from the inclusive
+    query interval ``[lo, hi]``? ``half_open`` entries are ``[low, high)``.
+
+    Typed bounds take one vector pass; list bounds are tested entry by
+    entry, and an entry that is not an (int, float) pair — ``None``,
+    strings, bools — is never provably disjoint.
+    """
+    np_mod = _numpy_mod
+    if (
+        np_mod is not None
+        and isinstance(lows, np_mod.ndarray)
+        and isinstance(highs, np_mod.ndarray)
+        and isinstance(lo, (int, float))
+        and isinstance(hi, (int, float))
+    ):
+        if half_open:
+            below = highs <= _exact_bound(highs, lo, up=False)
+        else:
+            below = highs < _exact_bound(highs, lo, up=True)
+        return below | (lows > _exact_bound(lows, hi, up=False))
+    return [
+        _is_number(low)
+        and _is_number(high)
+        and ((high <= lo if half_open else high < lo) or low > hi)
+        for low, high in zip(to_list(lows), to_list(highs))
+    ]
+
+
+def nonzero_mask(values):
+    """Selection mask of the non-zero entries of a count vector."""
+    if _numpy_mod is not None and isinstance(values, _numpy_mod.ndarray):
+        return values != 0
+    return [v != 0 for v in values]
+
+
+def mask_and_not(keep, drop):
+    """``keep & ~drop`` for selection masks of either shape; ``keep`` may
+    be ``None`` (everything selected so far)."""
+    np_mod = _numpy_mod
+    if np_mod is not None and (
+        isinstance(keep, np_mod.ndarray) or isinstance(drop, np_mod.ndarray)
+    ):
+        drop = np_mod.asarray(drop, dtype=bool)
+        return ~drop if keep is None else np_mod.asarray(keep, dtype=bool) & ~drop
+    if keep is None:
+        return [not d for d in drop]
+    return [k and not d for k, d in zip(keep, drop)]
+
+
+def mask_indexes(mask) -> list[int]:
+    """Positions of the selected entries of a selection mask, ascending."""
+    if _numpy_mod is not None and isinstance(mask, _numpy_mod.ndarray):
+        return _numpy_mod.flatnonzero(mask).tolist()
+    return [i for i, selected in enumerate(mask) if selected]

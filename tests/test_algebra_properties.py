@@ -82,9 +82,14 @@ def projected_fields(expr: ast.Node) -> list[str]:
 
 
 def well_typed(expr: ast.Node) -> bool:
-    """Projection chains may reference dropped fields; filter those out."""
+    """Projection chains may reference dropped fields; filter those out.
+
+    ``compile`` normalizes before it type-checks, so it accepts a chain
+    whose ill-typed inner projection the rewriter merges away; evaluating
+    the expression as written does not."""
     try:
         AlgebraInterpreter({"T": SCHEMA}).compile(expr)
+        evaluate(expr, TABLES)
         return True
     except Exception:
         return False

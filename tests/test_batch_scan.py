@@ -210,13 +210,20 @@ def test_grouped_aggregation_over_batches(tables):
     assert got == want
 
 
-def test_aggregation_empty_table_has_no_groups():
+def test_aggregation_over_no_rows():
+    """SQL: without GROUP BY one row (count 0, the rest NULL); with it,
+    no groups."""
     store = RodentStore(page_size=1024, pool_capacity=8)
     store.create_table("T", SCHEMA)
     table = store.load("T", [(0, 0, 0, 0)])
+    aggregates = (Aggregate("count"), Aggregate("sum", "x"))
     spec = QuerySpec(
-        table="T", aggregates=(Aggregate("count"),),
-        predicate=Range("t", 5, 9),
+        table="T", aggregates=aggregates, predicate=Range("t", 5, 9)
+    )
+    assert execute(table, spec) == [(0, None)]
+    spec = QuerySpec(
+        table="T", aggregates=aggregates, predicate=Range("t", 5, 9),
+        group_by=("g",),
     )
     assert execute(table, spec) == []
 

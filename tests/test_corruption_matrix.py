@@ -27,12 +27,16 @@ Environment knobs (CI smoke uses small defaults):
 * ``CORRUPT_SEED`` — seed for the workload generator and flip masks.
 """
 
+import json
 import os
 import random
 import shutil
 import tempfile
 
+import pytest
+
 from repro.engine.database import RodentStore
+from repro.engine.persistence import CATALOG_CRC_KEY, _catalog_crc
 from repro.errors import CorruptionError, RodentStoreError
 from repro.query.expressions import Range
 from repro.types import Schema
@@ -257,3 +261,61 @@ def test_catalog_flips_rejected():
     # touching content must be rejected by the catalog checksum.
     assert outcomes["loud"] > 0, "no catalog flip was detected"
     assert outcomes["prefix"] == 0 and outcomes["degraded"] == 0
+
+
+def _drop_last_min(zones):
+    """One field's ``mins`` loses its tail: the table disagrees with itself."""
+    mins = next(iter(zones["fields"].values()))[0]
+    del mins[-1:]
+
+
+def _drop_first_zone(zones):
+    """Every vector loses its head: self-consistent, but shifted against
+    the chunk directory — positional pruning would skip the wrong rows."""
+    del zones["rows"][:1]
+    for vectors in zones["fields"].values():
+        for values in vectors:
+            del values[:1]
+
+
+@pytest.mark.parametrize("damage", [_drop_last_min, _drop_first_zone])
+def test_truncated_synopsis_vector_scans_unpruned_and_scrub_reports(damage):
+    """A catalog whose checksum is *valid* but whose persisted synopsis
+    vectors are shorter than the directory they index (a writer bug, not a
+    bit flip) must never drop rows: the layout scans unpruned and scrub
+    names the mismatch."""
+    base = tempfile.mkdtemp()
+    try:
+        path = os.path.join(base, "db")
+        final = run_workload(path, checkpoint=True)[-1]
+        catalog = path + ".catalog.json"
+        with open(catalog, encoding="utf-8") as f:
+            payload = json.load(f)
+        del payload[CATALOG_CRC_KEY]
+        (table,) = payload["tables"]
+        for zones in table["layout"]["synopsis"]["group_zones"]:
+            assert len(zones["rows"]) > 1, "workload too small to truncate"
+            damage(zones)
+        payload[CATALOG_CRC_KEY] = _catalog_crc(payload)
+        with open(catalog, "w", encoding="utf-8") as f:
+            json.dump(payload, f)
+
+        store = RodentStore(
+            path, page_size=1024, pool_capacity=64, durable=True
+        )
+        try:
+            layout = store.table("T").layout
+            assert layout.synopsis is None and layout.synopsis_error
+            for lo, hi in [(0, 60), (100, 149), (300, 330), (400, 500)]:
+                got = sorted(store.table("T").scan(predicate=Range("id", lo, hi)))
+                assert got == [r for r in final if lo <= r[0] <= hi]
+            report = store.scrub()
+            assert report["clean"] is False
+            assert [m["error"] for m in report["synopsis_mismatches"]] == [
+                layout.synopsis_error
+            ]
+        finally:
+            store.wal.close()
+            store.disk.close()
+    finally:
+        shutil.rmtree(base, ignore_errors=True)

@@ -494,6 +494,24 @@ class TestScrub:
         assert stats["scrubs"] == 1
         store.close()
 
+    @pytest.mark.parametrize("layout", ["rows(T)", "columns(T)"])
+    def test_scrub_flags_synopsis_tightened_past_the_data(
+        self, tmp_path, layout
+    ):
+        store = make_store(tmp_path)
+        store.create_table("T", SCHEMA, layout=layout)
+        store.load("T", [(i, i * 7) for i in range(400)])
+        synopsis = store.table("T").layout.synopsis
+        zones = synopsis.page_zones or synopsis.group_zones[0]
+        zones.fields["id"].maxs[-1] = 0  # the last zone reaches 399
+        report = store.scrub()
+        assert report["clean"] is False
+        (mismatch,) = report["synopsis_mismatches"]
+        assert mismatch["field"] == "id"
+        assert mismatch["zone_bounds"][1] < 399
+        assert mismatch["actual_bounds"] == [0, 399]
+        store.close()
+
     def test_scrub_detects_and_repairs_with_wal(self, tmp_path):
         store = make_store(tmp_path)
         store.create_table("T", SCHEMA, layout="columns(T)")

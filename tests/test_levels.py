@@ -251,7 +251,7 @@ def test_tombstone_gc_after_partial_merge():
 def test_pending_zone_incremental_after_interleaved_insert_delete():
     """The pending-buffer zone is maintained incrementally and must stay a
     sound over-approximation of the buffer through any interleaving of
-    inserts and deletes — a stale-narrow zone would make ``zone_may_match``
+    inserts and deletes — a stale-narrow zone would make ``may_match``
     prune live pending rows out of predicate scans."""
     store = make_store(level_seal_rows=10_000)  # never seals: all pending
     store.create_table("T", SCHEMA, layout="levels[4; 2](rows(T))")
@@ -302,8 +302,8 @@ def test_pending_zone_incremental_not_rebuilt_on_delete():
     t.delete(Range("id", 40, 49))
     assert entry.pending_zone is zone_before  # maintained in place
     # ...and still covers every survivor (over-approximation is fine).
-    fz = entry.pending_zone.fields["id"]
-    assert fz.min_value <= 0 and fz.max_value >= 39
+    ids = entry.pending_zone.fields["id"]
+    assert ids.mins[0] <= 0 and ids.maxs[0] >= 39
     assert sorted(t.scan()) == [(i, i) for i in range(40)]
     store.close()
 
@@ -322,7 +322,7 @@ def test_flush_inserts_seals_and_resets_pending_zone():
     assert entry.pending is not None and len(entry.pending) == 0
     assert entry.pending_zone is None
     t.insert([(1000, 1)])
-    assert entry.pending_zone.fields["id"].min_value == 1000
+    assert entry.pending_zone.fields["id"].mins == [1000]
     store.close()
 
 

@@ -1,0 +1,235 @@
+"""Pruning decisions, end to end, pinned to the values of the parent commit.
+
+For every layout kind the zone maps serve — rows, single- and multi-field
+column groups, the N4 grid with its ``delta`` fields skipped, folded,
+array, mirror, partitioned (+overflow, +pending) and levelled tables —
+``Table.pruned_pages(pred)`` and the set of page ids the scan fetches are
+compared with ``RECORDED``: the values the per-zone ``zone_may_match``
+implementation produced for the same seed before the synopsis became
+columnar. Regenerate (only when the *data layout* changes, never to make a
+pruning change pass) with ``python tests/test_prune_decisions.py``.
+"""
+
+import random
+
+import pytest
+
+from repro.engine.database import RodentStore
+from repro.query.expressions import And, Or, Range, Rect
+from repro.types import Schema
+
+SCHEMA = Schema.of("t:int", "x:int", "y:int", "g:int", "f:float")
+SEED = 20260925
+
+
+def make_records(n, start=0):
+    rng = random.Random(SEED + start)
+    return [
+        (
+            start + i,
+            (start + i) // 7 % 100 - 40 + rng.randrange(3),
+            (i * i) % 97,
+            (start + i) // 90,
+            (start + i) * 0.16 + rng.random(),
+        )
+        for i in range(n)
+    ]
+
+
+LAYOUTS = {
+    "rows": "T",
+    "columns": "columns(T)",
+    "grouped": "columns[[t, g], [x, y], [f]](T)",
+    "grid_n4": (
+        "compress[varint; x, y](delta[x, y](zorder(grid[x, y],[25, 25](T))))"
+    ),
+    "folded": "fold[t, x, y, f; g](T)",
+    "array": "transpose(project[x, y](T))",
+    "mirror": "mirror(rows(T), columns(T))",
+    "partitioned": "partition[t; range, 128](T)",
+    "levelled": "levels[4; 2](columns(T))",
+}
+
+PREDICATES = {
+    "t_head": Range("t", 0, 40),
+    "t_mid": Range("t", 300.5, 420),
+    "t_none": Range("t", 50_000, 60_000),
+    "t_open": Range("t", lo=560),
+    "x_band": Range("x", -5, 5),
+    "f_band": Range("f", 40.0, 52.5),
+    "rect": Rect({"x": (-10, 20), "y": (3, 40)}),
+    "and": And(Range("t", 100, 500), Range("g", 2, 3)),
+    "or": Or(Range("t", 0, 25), Range("t", 600, 900)),
+    "overflow_only": Range("t", 1005, 1010),
+    "pending_only": Range("t", 2000, 2100),
+}
+ARRAY_PREDICATES = {
+    "value_low": Range("value", -40, -30),
+    "value_none": Range("value", 9999, 10000),
+}
+
+
+def build(kind):
+    store = RodentStore(
+        page_size=1024, pool_capacity=64, level_seal_rows=64
+    )
+    store.create_table("T", SCHEMA, layout=LAYOUTS[kind])
+    if kind == "levelled":
+        table = store.table("T")
+        for start in range(0, 640, 40):
+            table.insert(make_records(40, start))
+        return store, table
+    table = store.load("T", make_records(640))
+    if kind in ("rows", "columns", "partitioned"):
+        table.insert(make_records(60, 1000))
+        table.flush_inserts()  # an overflow region with its own zones
+        table.insert(make_records(25, 2000))  # pending, zone kept in memory
+    return store, table
+
+
+def decisions(kind):
+    store, table = build(kind)
+    predicates = ARRAY_PREDICATES if kind == "array" else PREDICATES
+    out = {}
+    for name, predicate in predicates.items():
+        fetched: set[int] = set()
+        pool_fetch = store.pool.fetch
+
+        def fetch(page_id, *args, **kwargs):
+            fetched.add(page_id)
+            return pool_fetch(page_id, *args, **kwargs)
+
+        store.pool.fetch = fetch
+        try:
+            rows, _ = store.run_cold(
+                lambda: list(table.scan(predicate=predicate))
+            )
+        finally:
+            del store.pool.fetch
+        assert rows == list(table.scan_reference(predicate=predicate))
+        out[name] = (table.pruned_pages(predicate), sorted(fetched))
+    store.close()
+    return out
+
+
+# fmt: off
+RECORDED = {'array': {'value_low': (10, [0]), 'value_none': (11, [])},
+ 'columns': {'and': (23, [1, 2, 7, 8, 13, 14, 19, 20, 25, 26]),
+             'f_band': (23, [1, 2, 7, 8, 13, 14, 19, 20, 25, 26]),
+             'or': (3,
+                    [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
+                     22, 23, 24, 25, 26, 27, 28, 29]),
+             'overflow_only': (32, [30]),
+             'pending_only': (33, []),
+             'rect': (15, [1, 2, 3, 7, 8, 9, 13, 14, 15, 19, 20, 21, 25, 26, 27, 30, 31, 32]),
+             't_head': (28, [0, 6, 12, 18, 24]),
+             't_mid': (23, [2, 3, 8, 9, 14, 15, 20, 21, 26, 27]),
+             't_none': (33, []),
+             't_open': (20, [4, 5, 10, 11, 16, 17, 22, 23, 28, 29, 30, 31, 32]),
+             'x_band': (21, [1, 2, 7, 8, 13, 14, 19, 20, 25, 26, 30, 31])},
+ 'folded': {'and': (14, [5, 6, 7, 8, 9, 10, 11]),
+            'f_band': (14, [5, 6, 7, 8, 9, 10, 11]),
+            'or': (0, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20]),
+            'overflow_only': (21, []),
+            'pending_only': (21, []),
+            'rect': (11, [5, 6, 7, 8, 9, 10, 11, 12, 13, 14]),
+            't_head': (18, [0, 1, 2]),
+            't_mid': (14, [8, 9, 10, 11, 12, 13, 14]),
+            't_none': (21, []),
+            't_open': (17, [17, 18, 19, 20]),
+            'x_band': (14, [5, 6, 7, 8, 9, 10, 11])},
+ 'grid_n4': {'and': (7, [2, 3, 4, 7, 8, 9, 10, 11, 13, 14, 15]),
+             'f_band': (12, [2, 3, 4, 7, 8, 9]),
+             'or': (0, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17]),
+             'overflow_only': (18, []),
+             'pending_only': (18, []),
+             'rect': (12, [2, 3, 4, 9, 10, 11]),
+             't_head': (11, [0, 1, 2, 4, 5, 6, 7]),
+             't_mid': (7, [2, 3, 4, 7, 8, 9, 10, 11, 13, 14, 15]),
+             't_none': (18, []),
+             't_open': (12, [11, 12, 13, 15, 16, 17]),
+             'x_band': (12, [2, 3, 4, 7, 8, 9])},
+ 'grouped': {'and': (26, [4, 5, 6, 7, 8, 20, 21, 22, 23, 24, 33, 34]),
+             'f_band': (22, [3, 4, 5, 6, 7, 8, 9, 19, 20, 21, 22, 23, 24, 25, 33, 34]),
+             'or': (0,
+                    [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
+                     22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37]),
+             'overflow_only': (38, []),
+             'pending_only': (38, []),
+             'rect': (23, [5, 6, 7, 8, 9, 10, 21, 22, 23, 24, 25, 26, 33, 34, 35]),
+             't_head': (33, [0, 1, 16, 17, 32]),
+             't_mid': (28, [7, 8, 9, 10, 23, 24, 25, 26, 34, 35]),
+             't_none': (38, []),
+             't_open': (32, [14, 15, 30, 31, 36, 37]),
+             'x_band': (30, [5, 6, 7, 21, 22, 23, 33, 34])},
+ 'levelled': {'and': (15, [21, 22, 24, 25, 27, 28, 30, 31, 33, 34, 55, 58, 61, 64, 67]),
+              'f_band': (20, [22, 25, 28, 31, 34, 55, 58, 61, 64, 67]),
+              'or': (0,
+                     [20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 55, 56, 57, 58,
+                      59, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69]),
+              'overflow_only': (30, []),
+              'pending_only': (30, []),
+              'rect': (15, [21, 22, 24, 25, 27, 28, 30, 31, 33, 34, 55, 58, 61, 64, 67]),
+              't_head': (25, [20, 23, 26, 29, 32]),
+              't_mid': (20, [22, 25, 28, 31, 34, 55, 58, 61, 64, 67]),
+              't_none': (30, []),
+              't_open': (20, [56, 57, 59, 60, 62, 63, 65, 66, 68, 69]),
+              'x_band': (20, [21, 22, 24, 25, 27, 28, 30, 31, 33, 34])},
+ 'mirror': {'and': (23, [9, 10, 11, 12, 13, 14, 15, 16, 17]),
+            'f_band': (27, [12, 13, 14, 15, 16]),
+            'or': (0,
+                   [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
+                    22, 23, 24, 25, 26, 27, 28, 29, 30, 31]),
+            'overflow_only': (32, []),
+            'pending_only': (32, []),
+            'rect': (20, [10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21]),
+            't_head': (29, [0, 1, 2]),
+            't_mid': (25, [15, 16, 17, 18, 19, 20, 21]),
+            't_none': (32, []),
+            't_open': (28, [28, 29, 30, 31]),
+            'x_band': (27, [11, 12, 13, 14, 15])},
+ 'partitioned': {'and': (26, [9, 10, 11, 12, 13, 14, 15, 16, 17, 18]),
+                 'f_band': (31, [12, 13, 14, 15, 16]),
+                 'or': (3,
+                        [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20,
+                         21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32]),
+                 'overflow_only': (35, [33]),
+                 'pending_only': (36, []),
+                 'rect': (21, [10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 33, 34, 35]),
+                 't_head': (33, [0, 1, 2]),
+                 't_mid': (29, [15, 16, 17, 18, 19, 20, 21]),
+                 't_none': (36, []),
+                 't_open': (28, [28, 29, 30, 31, 32, 33, 34, 35]),
+                 'x_band': (29, [12, 13, 14, 15, 16, 33, 34])},
+ 'rows': {'and': (26, [9, 10, 11, 12, 13, 14, 15, 16, 17]),
+          'f_band': (30, [12, 13, 14, 15, 16]),
+          'or': (3,
+                 [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22,
+                  23, 24, 25, 26, 27, 28, 29, 30, 31]),
+          'overflow_only': (34, [32]),
+          'pending_only': (35, []),
+          'rect': (20, [10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 32, 33, 34]),
+          't_head': (32, [0, 1, 2]),
+          't_mid': (28, [15, 16, 17, 18, 19, 20, 21]),
+          't_none': (35, []),
+          't_open': (28, [28, 29, 30, 31, 32, 33, 34]),
+          'x_band': (28, [11, 12, 13, 14, 15, 32, 33])}}
+# fmt: on
+
+
+@pytest.mark.parametrize("kind", sorted(LAYOUTS))
+def test_decisions_equal_parent_commit(kind):
+    got = decisions(kind)
+    assert got == RECORDED[kind]
+    # The pin is only meaningful if pruning actually happens.
+    assert any(pruned for pruned, _ in got.values())
+
+
+if __name__ == "__main__":
+    import pprint
+
+    pprint.pprint(
+        {kind: decisions(kind) for kind in sorted(LAYOUTS)},
+        width=100,
+        compact=True,
+    )

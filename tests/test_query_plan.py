@@ -81,6 +81,8 @@ def reference_eval(table, spec):
         for r in rows:
             key = tuple(r[pos[k]] for k in spec.group_by)
             groups.setdefault(key, []).append(r)
+        if not spec.group_by and not groups:
+            groups[()] = []  # SQL: a group-less aggregate is always one row
         out = []
         for key, members in groups.items():
             values = list(key)
@@ -158,6 +160,24 @@ SPECS = {
     "global_agg": QuerySpec(
         table="T", aggregates=(Aggregate("avg", "y", "my"),)
     ),
+    "global_agg_no_rows": QuerySpec(
+        table="T",
+        predicate=Range("t", 10**6, 10**6 + 1),
+        aggregates=(
+            Aggregate("count", None, "n"),
+            Aggregate("count", "x", "nx"),
+            Aggregate("sum", "x", "sx"),
+            Aggregate("avg", "y", "my"),
+            Aggregate("min", "y"),
+            Aggregate("max", "t"),
+        ),
+    ),
+    "group_no_rows": QuerySpec(
+        table="T",
+        predicate=Range("t", 10**6, 10**6 + 1),
+        group_by=("g",),
+        aggregates=(Aggregate("count", None, "n"),),
+    ),
     "pred_group_order_limit": QuerySpec(
         table="T",
         predicate=Range("t", 50, 150),
@@ -175,6 +195,11 @@ ARRAY_SPECS = {
     ),
     "global_agg": QuerySpec(
         table="T",
+        aggregates=(Aggregate("count", None, "n"), Aggregate("sum", "value")),
+    ),
+    "global_agg_no_rows": QuerySpec(
+        table="T",
+        predicate=Range("value", 10**6, 10**6 + 1),
         aggregates=(Aggregate("count", None, "n"), Aggregate("sum", "value")),
     ),
 }

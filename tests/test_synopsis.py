@@ -11,12 +11,7 @@ import pytest
 
 from repro.engine.database import RodentStore
 from repro.engine.stats import zone_survival_fraction
-from repro.engine.synopsis import (
-    FieldZone,
-    ZoneSynopsis,
-    predicate_intervals,
-    zone_may_match,
-)
+from repro.engine.synopsis import predicate_intervals
 from repro.query.expressions import And, Not, Or, Range, Rect
 from repro.types import Schema
 
@@ -225,6 +220,86 @@ def test_synopsis_survives_catalog_persistence(tmp_path):
     assert io.page_reads < table2.layout.total_pages()
 
 
+def _per_zone_shape(zones):
+    """A columnar persisted zone table rewritten in the per-zone JSON shape
+    earlier catalogs used: ``[{"rows": n, "fields": {name: [min, max,
+    nulls, distinct_hint]}}, ...]``."""
+    return [
+        {
+            "rows": rows,
+            "fields": {
+                name: [mins[i], maxs[i], nulls[i], 1]
+                for name, (mins, maxs, nulls) in zones["fields"].items()
+            },
+        }
+        for i, rows in enumerate(zones["rows"])
+    ]
+
+
+@pytest.mark.parametrize("layout", ["rows", "grouped", "grid", "folded"])
+def test_old_per_zone_catalog_loads_and_prunes_identically(tmp_path, layout):
+    import json
+
+    db = tmp_path / "db.pages"
+    cat = tmp_path / "catalog.json"
+    store = RodentStore(path=str(db), page_size=1024, pool_capacity=64)
+    store.create_table("T", SCHEMA, layout=LAYOUTS[layout])
+    table = store.load("T", make_records(600))
+    predicates = predicates_for(table)
+    expected = [
+        (table.pruned_pages(p), list(table.scan(predicate=p)))
+        for p in predicates
+    ]
+    assert any(pruned for pruned, _ in expected)
+    store.save_catalog(str(cat))
+    store.close()
+
+    payload = json.loads(cat.read_text())
+    del payload["crc32"]  # pre-integrity files carry no checksum either
+    synopsis = payload["tables"][0]["layout"]["synopsis"]
+    for key in ("page_zones", "cell_zones", "folded_zones"):
+        synopsis[key] = _per_zone_shape(synopsis[key])
+    synopsis["group_zones"] = [
+        _per_zone_shape(zones) for zones in synopsis["group_zones"]
+    ]
+    cat.write_text(json.dumps(payload))
+
+    reopened = RodentStore.open(str(db), str(cat), page_size=1024)
+    table2 = reopened.table("T")
+    assert table2.layout.synopsis is not None
+    got = [
+        (table2.pruned_pages(p), list(table2.scan(predicate=p)))
+        for p in predicates
+    ]
+    assert got == expected
+    reopened.close()
+
+
+def test_hand_written_per_zone_synopsis_converts():
+    """The old shape, literally: a field one zone lacks reads as unknown
+    bounds (kept), the 4th ``distinct_hint`` entry is ignored."""
+    from repro.engine.persistence import synopsis_from_dict
+
+    synopsis = synopsis_from_dict(
+        {
+            "page_zones": [
+                {"rows": 4, "fields": {"t": [0, 9, 0, 4], "x": [1, 2, 0, 2]}},
+                {"rows": 4, "fields": {"t": [10, 19, 0, 4]}},
+                {"rows": 2, "fields": {"t": [None, None, 2, 0], "x": [5, 6, 0, 2]}},
+                {"rows": 0, "fields": {}},
+            ],
+            "group_zones": [],
+            "cell_zones": [],
+            "folded_zones": [],
+        }
+    )
+    zones = synopsis.page_zones
+    assert list(zones.row_counts) == [4, 4, 2, 0]
+    assert list(zones.fields["x"].mins) == [1, None, 5, None]
+    assert zones.pruned_indexes({"t": (0, 5)}) == [1, 2, 3]
+    assert zones.pruned_indexes({"x": (5, 9)}) == [0, 3]  # zone 1: unknown
+
+
 def test_next_resumes_after_get_element_batchwise():
     """Satellite: the cursor rebuild after get_element skips batch-wise and
     still yields exactly the rows after the access position."""
@@ -245,28 +320,8 @@ def test_next_resumes_after_get_element_batchwise():
 
 
 # ---------------------------------------------------------------------------
-# unit tests of the pruning decision itself
+# unit tests of the pruning inputs (the kernel itself: test_zone_kernels.py)
 # ---------------------------------------------------------------------------
-
-
-def test_zone_may_match_semantics():
-    zone = ZoneSynopsis(10, {"t": FieldZone(5, 20, 0, 8)})
-    assert zone_may_match(zone, {"t": (0, 5)})  # touches min boundary
-    assert zone_may_match(zone, {"t": (20, 30)})  # touches max boundary
-    assert not zone_may_match(zone, {"t": (21, 30)})
-    assert not zone_may_match(zone, {"t": (0, 4)})
-    # Unknown field: conservative keep.
-    assert zone_may_match(zone, {"other": (0, 1)})
-    # Empty zone never matches.
-    assert not zone_may_match(ZoneSynopsis(0, {}), {"t": (0, 1)})
-    # All-null zone cannot satisfy a range; partially-null zones keep.
-    all_null = ZoneSynopsis(3, {"t": FieldZone(None, None, 3, 0)})
-    assert not zone_may_match(all_null, {"t": (0, 1)})
-    some_null = ZoneSynopsis(3, {"t": FieldZone(None, None, 2, 0)})
-    assert zone_may_match(some_null, {"t": (0, 1)})
-    # Non-numeric min/max against numeric bounds: conservative keep.
-    strings = ZoneSynopsis(3, {"t": FieldZone("a", "z", 0, 3)})
-    assert zone_may_match(strings, {"t": (0, 1)})
 
 
 def test_predicate_intervals_drop_unbounded():

@@ -336,6 +336,11 @@ QUERIES = [
         table="T",
         aggregates=(Aggregate("sum", "x"), Aggregate("avg", "y")),
     ),
+    QuerySpec(  # no input rows: still one row, from both fold paths
+        table="T",
+        predicate=Range("t", 10**6, 10**6 + 1),
+        aggregates=(Aggregate("count"), Aggregate("sum", "x"), Aggregate("min", "y")),
+    ),
     QuerySpec(
         table="T",
         fieldlist=("t", "x", "label"),
