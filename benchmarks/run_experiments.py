@@ -245,10 +245,11 @@ def vector_bench(
 ) -> dict:
     """Vectorized execution core: before/after on the same machine.
 
-    Writes ``BENCH_vector.json`` — scan / group-by / join throughput on the
-    ``columns(Sales)`` layout with ``store.vectorized`` on vs off (the "off"
-    mode runs the identical batch pipeline transposed to row tuples at the
-    leaf, so the delta isolates the typed-buffer paths), a ``batch_rows``
+    Writes ``BENCH_vector.json`` — scan / order-by / top-k / group-by / join
+    throughput on the ``columns(Sales)`` layout against the tuple-at-a-time
+    oracle and with ``store.vectorized`` on vs off (the "off" mode runs
+    the identical batch pipeline transposed to row tuples at the leaf, so
+    the delta isolates the typed-buffer paths), a ``batch_rows``
     sweep justifying the default granularity, and the pure-Python
     ``array``-module fallback with numpy disabled. All modes are verified
     against each other before timing.
@@ -343,6 +344,41 @@ def vector_bench(
         f"({result['scan']['speedup']:.1f}x)\n"
     )
 
+    # --- order-by / top-k: the ordering kernel vs the row-tuple oracle ---
+    order = [("price", False), ("productid", True), ("customerid", True)]
+    reference_sorted = list(table.scan_reference(order=order))
+    assert list(table.scan(order=order)) == reference_sorted
+    assert list(table.scan(order=order, limit=10)) == reference_sorted[:10]
+    result["order"] = {
+        "sort_rows_per_sec_reference": round(
+            best_of(lambda: list(table.scan_reference(order=order))), 1
+        ),
+        "sort_rows_per_sec": round(
+            best_of(lambda: list(table.scan(order=order))), 1
+        ),
+        # The oracle has no limit: top-k there is the full sort, sliced.
+        "topk_rows_per_sec_reference": round(
+            best_of(lambda: list(table.scan_reference(order=order))[:10]), 1
+        ),
+        "topk_rows_per_sec": round(
+            best_of(lambda: list(table.scan(order=order, limit=10))), 1
+        ),
+    }
+    for metric in ("sort", "topk"):
+        result["order"][f"{metric}_speedup"] = round(
+            result["order"][f"{metric}_rows_per_sec"]
+            / result["order"][f"{metric}_rows_per_sec_reference"],
+            2,
+        )
+    print(
+        f"order by 3 keys: reference "
+        f"{result['order']['sort_rows_per_sec_reference']:,.0f} rows/s, kernel "
+        f"{result['order']['sort_rows_per_sec']:,.0f} rows/s "
+        f"({result['order']['sort_speedup']:.1f}x); top-10 "
+        f"{result['order']['topk_rows_per_sec']:,.0f} rows/s "
+        f"({result['order']['topk_speedup']:.1f}x)\n"
+    )
+
     # --- operator pipeline, vectorized on vs off (row-backed leaves) ---
     modes: dict = {}
     answers: dict = {}
@@ -406,9 +442,16 @@ def vector_bench(
         assert sum(1 for _ in fb_table.scan()) == n_records
         assert sorted(run_filter(fb_store)) == answers["vectorized"][0]
         assert sorted(run_groupby(fb_store)) == answers["vectorized"][1]
+        assert list(fb_table.scan(order=order)) == reference_sorted
         result["no_numpy"] = {
             "scan_rows_per_sec": round(
                 best_of(lambda: sum(1 for _ in fb_table.scan())), 1
+            ),
+            "sort_rows_per_sec": round(
+                best_of(lambda: list(fb_table.scan(order=order))), 1
+            ),
+            "topk_rows_per_sec": round(
+                best_of(lambda: list(fb_table.scan(order=order, limit=10))), 1
             ),
             "groupby_rows_per_sec": round(
                 best_of(lambda: run_groupby(fb_store)), 1

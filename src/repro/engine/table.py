@@ -72,6 +72,7 @@ from repro.layout.renderer import (
     LayoutRenderer,
     StoredLayout,
     select_column_groups,
+    sort_batches,
 )
 from repro.query.expressions import Predicate
 from repro.types.schema import Schema
@@ -409,10 +410,12 @@ class Table:
                 layouts with a fresh secondary index probe it instead of
                 scanning when the predicate is selective.
             order: optional sort order; when the stored order does not
-                satisfy it, the scan buffers and re-sorts.
+                satisfy it, the scan sorts on the fly, over the key
+                columns of its batches (``sort_batches``).
             limit: optional maximum row count, pushed into the pipeline —
                 scans whose order is already satisfied stop reading pages
-                once ``limit`` rows survive the predicate.
+                once ``limit`` rows survive the predicate, and a scan that
+                has to sort keeps only the best ``limit`` rows as it reads.
 
         The iterator is produced batch-at-a-time internally (see
         :meth:`scan_batches`); results are identical — values and order —
@@ -645,16 +648,15 @@ class Table:
 
         def generate() -> Iterator[ColumnBatch]:
             if sort_needed:
-                collected: list[tuple] = []
-                for batch in batches:
-                    collected.extend(filtered(batch).rows())
-                rows = multisort(collected, sort_idx, sort_desc)
-                if project is not None:
-                    rows = project(rows)
-                if limit is not None:
-                    del rows[limit:]
-                if rows:
-                    yield ColumnBatch.from_rows(out_fields, rows)
+                ordered = sort_batches(
+                    map(filtered, batches),
+                    tuple(avail),
+                    sort_idx,
+                    sort_desc,
+                    limit,
+                )
+                if ordered.n_rows:
+                    yield projected(ordered)
                 return
             remaining = limit
             if remaining is not None and remaining <= 0:

@@ -223,6 +223,14 @@ class ColumnBatch:
             selection=self._selection,
         )
 
+    def take(self, indexes) -> "ColumnBatch":
+        """The rows at ``indexes`` (visible-row positions, from
+        :func:`repro.vector.sort_indexes`), in that order, as a columnar
+        batch."""
+        return ColumnBatch.from_columns(
+            self.fields, [vector.take(c, indexes) for c in self.columns()]
+        )
+
     def head(self, k: int) -> "ColumnBatch":
         """The first ``k`` visible rows (limit pushdown)."""
         if k >= self.n_rows:
@@ -242,6 +250,71 @@ class ColumnBatch:
         if self._selection is not None:
             kind += "+selection"
         return f"<ColumnBatch {self.n_rows}x{len(self.fields)} {kind}>"
+
+
+#: "No row is ruled out yet" for :func:`sort_batches` (``None`` could be a
+#: key value).
+_UNBOUNDED = object()
+
+
+def sort_batches(
+    batches: Iterator[ColumnBatch],
+    fields: tuple[str, ...],
+    key_idx: Sequence[int],
+    descending: Sequence[bool],
+    limit: int | None = None,
+) -> ColumnBatch:
+    """The rows of a batch stream in order, as one columnar batch: sorted
+    on columns ``key_idx`` (most significant first; ``descending`` per
+    key), rows equal on every key in stream order, and only the first
+    ``limit`` of them when a limit is given.
+
+    The ordering itself is :func:`repro.vector.sort_indexes` over the key
+    columns; no row tuple is built. With a limit the selection is bounded:
+    once twice ``limit`` rows are held they are cut back to the best
+    ``limit``, and from then on a row whose leading key sorts strictly
+    after the worst one kept is dropped on arrival by one vector compare
+    (:func:`repro.vector.within_bound`). Survivors queue up *behind* the
+    rows kept so far, so the stable re-selection breaks ties exactly as a
+    sort of the whole stream would — memory is O(limit + batch).
+    """
+    empty = ColumnBatch.from_rows(fields, [])
+    if limit is not None and limit <= 0:
+        return empty
+    lead, lead_descending = key_idx[0], descending[0]
+    held: list[ColumnBatch] = []
+    held_rows = 0
+    bound = _UNBOUNDED
+
+    def best() -> ColumnBatch:
+        if not held:
+            return empty
+        parts = [batch.columns() for batch in held]
+        merged = ColumnBatch.from_columns(
+            fields,
+            [vector.concat([p[i] for p in parts]) for i in range(len(fields))],
+        )
+        columns = merged.columns()
+        return merged.take(
+            vector.sort_indexes([columns[i] for i in key_idx], descending, limit)
+        )
+
+    for batch in batches:
+        if bound is not _UNBOUNDED and batch.n_rows:
+            batch = batch.select(
+                vector.within_bound(batch.columns()[lead], bound, lead_descending)
+            )
+        if not batch.n_rows:
+            continue
+        held.append(batch)
+        held_rows += batch.n_rows
+        if limit is not None and held_rows >= 2 * limit:
+            top = best()
+            held, held_rows = [top], top.n_rows
+            worst = vector.to_list(top.columns()[lead][-1:])[0]
+            if worst == worst:  # a NaN bounds nothing
+                bound = worst
+    return best()
 
 
 def select_column_groups(

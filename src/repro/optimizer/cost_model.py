@@ -70,12 +70,18 @@ def operator_cpu_ms(kind: str, rows: float) -> float:
     return _OPERATOR_US.get(kind, 0.1) * max(0.0, rows) / 1e3
 
 
-def sort_cpu_ms(rows: float) -> float:
-    """Estimated CPU milliseconds to sort ``rows`` rows (n log n)."""
+def sort_cpu_ms(rows: float, limit: int | None = None) -> float:
+    """Estimated CPU milliseconds to order ``rows`` rows: ``n log n`` for
+    a full sort; with a ``limit``, one selection pass over all of them
+    plus the sort of the ``limit`` rows kept."""
     n = max(0.0, rows)
-    if n < 2:
-        return 0.0
-    return n * math.log2(n) * _SORT_COMPARE_US / 1e3
+    if limit is not None and limit < n:
+        return (n + _sort_compares(float(limit))) * _SORT_COMPARE_US / 1e3
+    return _sort_compares(n) * _SORT_COMPARE_US / 1e3
+
+
+def _sort_compares(n: float) -> float:
+    return n * math.log2(n) if n >= 2 else 0.0
 
 
 @dataclass

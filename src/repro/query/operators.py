@@ -43,9 +43,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 from repro import vector
 from repro.engine.cost import CostEstimate
 from repro.errors import QueryError, StorageError
-from repro.layout.renderer import DEFAULT_BATCH_ROWS, ColumnBatch
+from repro.layout.renderer import DEFAULT_BATCH_ROWS, ColumnBatch, sort_batches
 from repro.query.expressions import Predicate
-from repro.types.values import multisort
 
 if TYPE_CHECKING:  # pragma: no cover - circular import guard
     from repro.engine.table import Table
@@ -790,13 +789,23 @@ class GroupByOp(Operator):
 
 
 class SortOp(Operator):
-    """Pipeline breaker: buffer everything, stable multi-key sort."""
+    """Pipeline breaker: stable multi-key sort of the child's batches.
+
+    With a ``limit`` (the planner fuses a Limit directly above a Sort into
+    it) this is top-k selection in O(limit + batch) memory. The ordering
+    is the batch layer's kernel (:func:`~repro.layout.renderer.sort_batches`)
+    either way: key columns in, one row permutation out.
+    """
 
     def __init__(
-        self, child: Operator, keys: Sequence[tuple[str, bool]]
+        self,
+        child: Operator,
+        keys: Sequence[tuple[str, bool]],
+        limit: int | None = None,
     ):
         self.child = child
         self.keys = tuple(keys)
+        self.limit = limit
         positions = {name: i for i, name in enumerate(child.fields)}
         self.fields = child.fields
         self._idx: list[int] = []
@@ -811,21 +820,17 @@ class SortOp(Operator):
         return (self.child,)
 
     def detail(self) -> str:
-        return ", ".join(
+        text = ", ".join(
             f"{name}{'' if asc else ' desc'}" for name, asc in self.keys
         )
+        return text if self.limit is None else f"{text} top={self.limit}"
 
     def batches(self) -> Iterator[ColumnBatch]:
-        collected: list[tuple] = []
-        for batch in self.child.batches():
-            collected.extend(batch.rows())
-        if not collected:
-            return
-        rows = multisort(collected, self._idx, self._desc)
-        for start in range(0, len(rows), DEFAULT_BATCH_ROWS):
-            yield ColumnBatch.from_rows(
-                self.fields, rows[start : start + DEFAULT_BATCH_ROWS]
-            )
+        ordered = sort_batches(
+            self.child.batches(), self.fields, self._idx, self._desc, self.limit
+        )
+        if ordered.n_rows:
+            yield ordered
 
 
 class LimitOp(Operator):

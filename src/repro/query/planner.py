@@ -14,7 +14,9 @@ batch operators in :mod:`repro.query.operators`:
   touches (output + join keys + residual predicate + sort fields), so
   column-group layouts skip unused groups.
 * **Limit/order pushdown** — single-table queries fold order and limit into
-  the scan itself, where order-satisfied scans stop reading pages early.
+  the scan itself, where order-satisfied scans stop reading pages early;
+  above a group-by or join, a Limit directly over a Sort lowers to one
+  top-k :class:`~repro.query.operators.SortOp`.
 * **Access-path choice** — each scan is labelled index-vs-scan via
   :meth:`Table.access_path`, the runtime-faithful version of the paper's
   ``scan_cost`` (§4.1 method 4).
@@ -467,18 +469,27 @@ def _lower(node: lp.LogicalNode, binder: _Binder) -> Operator:
         )
         return op
     if isinstance(node, lp.Sort):
-        child = _lower(node.child, binder)
-        op = SortOp(child, node.keys)
-        op.est_rows = child.est_rows
-        op.est_cost = child.est_cost + _cpu(sort_cpu_ms(child.est_rows))
-        return op
+        return _lower_sort(node, None, binder)
     if isinstance(node, lp.Limit):
+        if isinstance(node.child, lp.Sort):
+            # Top-k: the sort keeps only ``count`` rows as it goes.
+            return _lower_sort(node.child, node.count, binder)
         child = _lower(node.child, binder)
         op = LimitOp(child, node.count)
         op.est_rows = min(child.est_rows, float(node.count))
         op.est_cost = child.est_cost
         return op
     raise QueryError(f"cannot lower logical node {node!r}")
+
+
+def _lower_sort(node: lp.Sort, limit: int | None, binder: _Binder) -> Operator:
+    child = _lower(node.child, binder)
+    op = SortOp(child, node.keys, limit)
+    op.est_rows = (
+        child.est_rows if limit is None else min(child.est_rows, float(limit))
+    )
+    op.est_cost = child.est_cost + _cpu(sort_cpu_ms(child.est_rows, limit))
+    return op
 
 
 def _lower_scan(node: lp.Scan, binder: _Binder) -> Operator:
@@ -531,11 +542,13 @@ def _lower_scan(node: lp.Scan, binder: _Binder) -> Operator:
         )
         if observed is not None:
             est = observed
+    if node.order and not _order_satisfied(table, node.order):
+        # The ordering sees every row the predicate keeps; the limit only
+        # makes it a selection instead of a sort.
+        cost = cost + _cpu(sort_cpu_ms(est, node.limit))
     if node.limit is not None:
         est = min(est, float(node.limit))
     op.est_rows = est
-    if node.order and not _order_satisfied(table, node.order):
-        cost = cost + _cpu(sort_cpu_ms(est))
     op.est_cost = cost
     return op
 

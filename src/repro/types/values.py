@@ -7,41 +7,11 @@ paper's physical representation φ), and depth/shape inspection for nestings.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, Sequence
 
 Record = tuple
 Nesting = list
-
-
-def sort_key(
-    positions: Sequence[int], descending: Sequence[bool] | None = None
-) -> Callable[[Sequence[Any]], tuple]:
-    """Build a sort key over record positions with per-position direction.
-
-    Python's ``sorted`` is stable, so mixed-direction multi-attribute ordering
-    is implemented by negating numeric values where possible and falling back
-    to repeated stable sorts elsewhere (see :func:`multisort`).
-    """
-    if descending is None:
-        descending = [False] * len(positions)
-
-    def key(record: Sequence[Any]) -> tuple:
-        return tuple(record[p] for p in positions)
-
-    if not any(descending):
-        return key
-
-    def directional_key(record: Sequence[Any]) -> tuple:
-        parts = []
-        for p, desc in zip(positions, descending):
-            v = record[p]
-            if desc and isinstance(v, (int, float)) and not isinstance(v, bool):
-                parts.append(-v)
-            else:
-                parts.append(v)
-        return tuple(parts)
-
-    return directional_key
 
 
 def multisort(
@@ -51,14 +21,19 @@ def multisort(
 ) -> list:
     """Sort records on multiple positions with per-position direction.
 
-    Handles non-numeric descending attributes correctly by applying stable
-    sorts from the least-significant key to the most-significant one.
+    All-ascending orders take one sort on the tuple of key positions.
+    Mixed directions apply stable sorts from the least-significant key to
+    the most-significant one, which handles descending non-numeric
+    attributes correctly.
     """
     result = list(records)
-    if descending is None:
-        descending = [False] * len(positions)
+    if not positions:
+        return result
+    if descending is None or not any(descending):
+        result.sort(key=itemgetter(*positions))
+        return result
     for pos, desc in reversed(list(zip(positions, descending))):
-        result.sort(key=lambda r, p=pos: r[p], reverse=desc)
+        result.sort(key=itemgetter(pos), reverse=desc)
     return result
 
 

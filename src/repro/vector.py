@@ -19,6 +19,7 @@ fallback even when numpy is installed, which is how tests assert parity.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 import struct
@@ -149,11 +150,12 @@ def is_typed(vec) -> bool:
     return not isinstance(vec, list)
 
 
-def to_list(vec) -> list:
-    """Materialize native python scalars. Lists pass through unchanged;
-    ndarray/array use their bulk ``tolist`` (never ``list(ndarray)``,
-    which would leak numpy scalars into row tuples)."""
-    if isinstance(vec, list):
+def to_list(vec) -> list | tuple:
+    """Materialize native python scalars. Lists — and tuples, the columns
+    of a transposed row batch — pass through unchanged; ndarray/array use
+    their bulk ``tolist`` (never ``list(ndarray)``, which would leak numpy
+    scalars into row tuples)."""
+    if isinstance(vec, (list, tuple)):
         return vec
     return vec.tolist()
 
@@ -194,9 +196,7 @@ def apply_mask(vec, mask) -> list | Any:
         if isinstance(vec, np_mod.ndarray):
             return vec[mask]
         mask = mask.tolist()
-    if not isinstance(vec, list):
-        vec = vec.tolist()
-    return [v for v, keep in zip(vec, mask) if keep]
+    return [v for v, keep in zip(to_list(vec), mask) if keep]
 
 
 def as_ndarray(vec):
@@ -347,3 +347,101 @@ def mask_indexes(mask) -> list[int]:
     if _numpy_mod is not None and isinstance(mask, _numpy_mod.ndarray):
         return _numpy_mod.flatnonzero(mask).tolist()
     return [i for i, selected in enumerate(mask) if selected]
+
+
+# ---------------------------------------------------------------------------
+# ordering kernel (order-by, top-k)
+# ---------------------------------------------------------------------------
+
+
+def _dense_rank(values) -> list[int]:
+    """Each value's rank among the distinct values, under Python's own
+    ``<`` / ``==`` — what makes strings, bools and mixed int/float columns
+    sortable as ints without changing a single comparison's outcome."""
+    rank = {value: i for i, value in enumerate(sorted(set(values)))}
+    return list(map(rank.__getitem__, values))
+
+
+def _ascending_key(vec, descending: bool):
+    """``vec`` as a numeric ndarray whose *ascending* order is the wanted
+    order of the column (numpy path only).
+
+    Typed vectors, and lists that are all int or all float, are used as
+    they are; any other column goes through its dense rank. Descending is
+    ``~x`` on ints and ranks (total on int64, unlike ``-x`` at ``-2**63``)
+    and ``-x`` on floats; both keep ties ties.
+    """
+    key = as_ndarray(vec)
+    if key is None:
+        values = to_list(vec)
+        key = as_ndarray(pack(values))
+        if key is None:
+            key = _np.asarray(_dense_rank(values), dtype="<i8")
+    if not descending:
+        return key
+    return -key if key.dtype.kind == "f" else ~key
+
+
+def sort_indexes(
+    keys: Sequence, descending: Sequence[bool], limit: int | None = None
+):
+    """Row positions that put parallel ``keys`` vectors (most significant
+    first) in order, each key descending where ``descending`` says so;
+    only the first ``limit`` of them when a limit is given.
+
+    The order is *stable*: rows equal on every key keep their input order,
+    so the result is exactly what one stable sort per key, least
+    significant first, leaves behind — with Python's comparisons, whatever
+    the shape of a key vector. One ``np.lexsort`` under numpy (with a
+    limit, over only the rows whose leading key is within the limit-th
+    smallest), one ``sorted`` / ``heapq.nsmallest`` over a composite key
+    without. A NaN key has no place in any order, here as in ``sorted``.
+    """
+    n = len(keys[0])
+    if _np is not None:
+        columns = [_ascending_key(v, d) for v, d in zip(keys, descending)]
+        if limit is not None and limit < n:
+            lead = columns[0]
+            cutoff = _np.partition(lead, limit - 1)[limit - 1]
+            rows = _np.flatnonzero(lead <= cutoff)
+            if limit <= len(rows) < n:  # (a NaN cut-off selects nothing)
+                order = _np.lexsort([c[rows] for c in reversed(columns)])
+                return rows[order[:limit]]
+        return _np.lexsort(columns[::-1])[:limit]
+    columns = []
+    for vec, desc in zip(keys, descending):
+        values = to_list(vec)
+        if desc and isinstance(vec, array):
+            values = [-v for v in values]
+        elif desc:
+            values = [~r for r in _dense_rank(values)]
+        columns.append(values)
+    composite = columns[0] if len(columns) == 1 else list(zip(*columns))
+    if limit is None:
+        return sorted(range(n), key=composite.__getitem__)
+    return heapq.nsmallest(limit, range(n), key=composite.__getitem__)
+
+
+def take(vec, indexes):
+    """The entries of ``vec`` at ``indexes``, in that order: an ndarray
+    stays one, every other shape gathers into a list."""
+    np_mod = _numpy_mod
+    if np_mod is not None and isinstance(indexes, np_mod.ndarray):
+        if isinstance(vec, np_mod.ndarray):
+            return vec[indexes]
+        indexes = indexes.tolist()
+    return list(map(to_list(vec).__getitem__, indexes))
+
+
+def within_bound(vec, bound, descending: bool):
+    """Selection mask of the entries that sort no later than ``bound``:
+    ``<= bound`` ascending, ``>= bound`` descending (ties selected)."""
+    arr = as_ndarray(vec)
+    if arr is not None and isinstance(bound, (int, float)):
+        if descending:
+            return arr >= _exact_bound(arr, bound, up=True)
+        return arr <= _exact_bound(arr, bound, up=False)
+    values = to_list(vec)
+    if descending:
+        return [v >= bound for v in values]
+    return [v <= bound for v in values]

@@ -12,7 +12,8 @@ Each iteration builds a seeded random scenario:
   region and an unflushed *pending* buffer, per partition when
   partitioned);
 * a batch of random queries (projection / range / conjunction / disjunction
-  / negation predicates, orders, limits).
+  / negation predicates, orders, limits), each with an ``order_by`` +
+  ``limit`` leg *above* a group-by and above a join (the top-k operator).
 
 For every query it asserts ``Table.scan_batches`` ≡ ``Table.scan_reference``
 ≡ the compiled query pipeline (``Q.run()``), with zone-map + partition
@@ -175,7 +176,87 @@ def random_query(rng: random.Random, scan_names: list[str]) -> dict:
         k = rng.randint(1, min(2, len(scan_names)))
         order = [(n, rng.random() < 0.7) for n in rng.sample(scan_names, k)]
     limit = rng.choice([None, None, None, 0, 1, 7, 50])
-    return {"fieldlist": fieldlist, "order": order, "limit": limit}
+    # Top-k above a group-by (few distinct sort values: the answer is
+    # mostly tie order) and above a join (a total order over the output
+    # columns, since a hash join promises no row order of its own).
+    key, source, on = (rng.choice(scan_names) for _ in range(3))
+    group_order = [
+        (n, rng.random() < 0.5)
+        for n in rng.sample([key, "n", "s"], rng.randint(1, 2))
+    ]
+    join_order = [
+        (n, rng.random() < 0.5)
+        for n in rng.sample(scan_names + list(DIM_NAMES), len(scan_names) + 2)
+    ]
+    return {
+        "fieldlist": fieldlist,
+        "order": order,
+        "limit": limit,
+        "group": (key, source, group_order),
+        "join": (on, join_order),
+        "top": rng.choice([None, 1, 3, 20]),
+    }
+
+
+DIM_NAMES = ("dk", "w")
+#: Joined to a random field of ``T``: every value below 200 (the largest
+#: domain) matches once, every fifth value twice.
+DIM_ROWS = [(v, v % 3) for v in range(200)] + [(v, 7) for v in range(0, 200, 5)]
+
+
+def add_dim_table(store: RodentStore) -> None:
+    store.create_table("D", Schema.of("dk:int", "w:int"))
+    store.load("D", DIM_ROWS)
+
+
+def stable_sorted(rows, names, order, top):
+    """``rows`` ordered by ``order`` the naive way: one stable sort per
+    key, least significant first; then the first ``top``."""
+    rows = list(rows)
+    for name, ascending in reversed(order):
+        rows.sort(key=lambda r, i=names.index(name): r[i], reverse=not ascending)
+    return rows[:top]
+
+
+def check_topk_above_operators(store: RodentStore, query: dict, predicate) -> None:
+    table = store.table("T")
+    names = list(table.scan_schema().names())
+    rows = list(table.scan_reference(predicate=predicate))
+    top = query["top"]
+
+    def base():
+        q = store.query("T")
+        return q if predicate is None else q.where(predicate)
+
+    key, source, order = query["group"]
+    groups: dict = {}  # first-seen order, like GroupByOp
+    for row in rows:
+        groups.setdefault(row[names.index(key)], []).append(
+            row[names.index(source)]
+        )
+    grouped = [(k, len(v), sum(v)) for k, v in groups.items()]
+    q = base().group_by(key).agg(n="*", s=f"sum:{source}").order_by(*order)
+    got = (q if top is None else q.limit(top)).run()
+    assert got == stable_sorted(grouped, [key, "n", "s"], order, top), (
+        f"top-k above group-by (group={query['group']}, top={top}, "
+        f"predicate={predicate!r}, layout={table.plan.expr.to_text()})"
+    )
+
+    on, order = query["join"]
+    matches: dict = {}
+    for dim_row in DIM_ROWS:
+        matches.setdefault(dim_row[0], []).append(dim_row)
+    joined = [
+        row + dim_row
+        for row in rows
+        for dim_row in matches.get(row[names.index(on)], ())
+    ]
+    q = base().join("D", on=(on, "dk")).order_by(*order)
+    got = (q if top is None else q.limit(top)).run()
+    assert got == stable_sorted(joined, names + list(DIM_NAMES), order, top), (
+        f"top-k above join (join={query['join']}, top={top}, "
+        f"predicate={predicate!r}, layout={table.plan.expr.to_text()})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +329,9 @@ def run_query_all_paths(
                 f"{table.plan.expr.to_text()})"
             )
             results[(pruning, workers)] = batch
+        # Once per engine pairing (with the parallel executor on, where
+        # there is one): the operators above the scan don't depend on it.
+        check_topk_above_operators(store, query, predicate)
     store.zone_pruning = True
     store.partition_pruning = True
     store.scan_workers = 0
@@ -284,6 +368,7 @@ def test_fuzz_differential_equivalence(iteration: int):
     )
     layout = random_layout(rng, names, domains)
     store.create_table("T", schema, layout=layout)
+    add_dim_table(store)
     n_loaded = rng.randint(len(expected) // 2, len(expected))
     table = store.load("T", expected[:n_loaded])
 
@@ -372,6 +457,7 @@ def test_fuzz_levelled_equivalence(iteration: int):
         level_seal_rows=rng.choice([16, 32, 64]),
     )
     store.create_table("T", schema, layout=layout)
+    add_dim_table(store)
 
     expected = random_records(rng, domains, rng.randint(60, 150))
     store.load("T", expected)
@@ -451,6 +537,7 @@ def _query_valid(
     used = set(query["fieldlist"] or [])
     if query["order"]:
         used |= {n for n, _ in query["order"]}
+    used |= {*query["group"][:2], query["join"][0]}
     if predicate is not None:
         used |= predicate.fields_used()
     return used <= set(scan_names)

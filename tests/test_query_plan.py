@@ -22,10 +22,13 @@ from repro.errors import QueryError
 from repro.query import Q, QuerySpec, Range, Rect
 from repro.query.executor import Aggregate, execute
 from repro.query.expressions import And, Or
+from repro.optimizer.cost_model import sort_cpu_ms
 from repro.query.operators import (
     GroupByOp,
     HashJoinOp,
+    LimitOp,
     RowsOp,
+    SortOp,
     TableScanOp,
 )
 from repro.types import Schema
@@ -187,6 +190,31 @@ SPECS = {
         limit=3,
     ),
 }
+
+# order_by + limit directly above a group-by lower to one top-k SortOp;
+# every group has the same count, so the answer is all tie order.
+SPECS["group_topk_all_ties"] = QuerySpec(
+    table="T",
+    group_by=("g",),
+    aggregates=(Aggregate("count", None, "n"),),
+    order=(("n", False),),
+    limit=3,
+)
+SPECS["group_topk_mixed_directions"] = QuerySpec(
+    table="T",
+    predicate=Range("x", -20, 20),
+    group_by=("y",),
+    aggregates=(Aggregate("count", None, "n"), Aggregate("max", "t", "mt")),
+    order=(("n", False), ("mt", True)),
+    limit=9,
+)
+SPECS["group_topk_limit_beyond_groups"] = QuerySpec(
+    table="T",
+    group_by=("g",),
+    aggregates=(Aggregate("avg", "x", "ax"),),
+    order=(("ax", True),),
+    limit=500,
+)
 
 ARRAY_SPECS = {
     "full": QuerySpec(table="T"),
@@ -451,6 +479,104 @@ def test_explain_reports_index_access_path():
     assert q.run() == reference_eval(
         table, QuerySpec(table="T", predicate=Range("t", 0, 10))
     )
+
+
+# ---------------------------------------------------------------------------
+# top-k: Limit fused into Sort, ordering costed on the pre-limit rows
+# ---------------------------------------------------------------------------
+
+
+def test_pushed_down_order_limit_is_costed_on_pre_limit_rows(join_store):
+    n = len(make_records())
+    plain = Q(join_store, "T").explain()
+    full = Q(join_store, "T").order_by("-x").explain()
+    topk = Q(join_store, "T").order_by("-x").limit(2).explain()
+    assert "order=[x desc] limit=2" in str(topk)
+    assert topk.est_rows == 2 and full.est_rows == n
+    # The runtime orders all 220 rows whatever the limit: one selection
+    # pass with a limit, n log n without — never "a sort of 2 rows".
+    assert topk.ms - plain.ms == pytest.approx(sort_cpu_ms(n, 2))
+    assert full.ms - plain.ms == pytest.approx(sort_cpu_ms(n))
+    assert sort_cpu_ms(2) < sort_cpu_ms(n, 2) < sort_cpu_ms(n)
+
+
+def test_limit_above_sort_fuses_into_one_topk_operator(join_store):
+    def grouped():
+        return Q(join_store, "T").group_by("g").agg(n="*")
+
+    explain = grouped().order_by("-n", "g").limit(3).explain()
+    ops = list(_walk(explain.root))
+    assert isinstance(explain.root, SortOp) and explain.root.limit == 3
+    assert not any(isinstance(op, LimitOp) for op in ops)
+    assert "Sort n desc, g top=3" in str(explain)
+    child = explain.root.child
+    assert explain.est_rows == 3
+    assert explain.ms - child.est_cost.ms == pytest.approx(
+        sort_cpu_ms(child.est_rows, 3)
+    )
+    # Without an order there is nothing to fuse into; without a limit the
+    # sort is a full one.
+    full = grouped().order_by("-n", "g").explain().root
+    assert isinstance(full, SortOp) and full.limit is None
+    assert isinstance(grouped().limit(3).explain().root, LimitOp)
+
+
+TOPK_LAYOUTS = {
+    "flat": "columns(T)",
+    "partitioned": "partition[r.g](T)",
+    "levelled": "levels[2; 2](columns(T))",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TOPK_LAYOUTS))
+def test_topk_above_group_by_and_join(kind):
+    """order_by + limit above a group-by and above a join (the fused
+    SortOp) on flat, partitioned and levelled tables, with rows still in
+    the pending buffer: answers equal the naive evaluation, tie order
+    included."""
+    store = RodentStore(page_size=1024, pool_capacity=64, level_seal_rows=32)
+    store.create_table("T", SCHEMA, layout=TOPK_LAYOUTS[kind])
+    records = make_records()
+    table = store.load("T", records[:150])
+    table.insert(records[150:200])
+    table.flush_inserts()
+    table.insert(records[200:])
+    store.create_table("D", DIM_SCHEMA)
+    store.load("D", DIM + [(2, 999)])  # g=2 joins twice
+
+    for limit in (0, 1, 4, 1000):
+        spec = QuerySpec(
+            table="T",
+            predicate=Range("t", 20, 210),
+            group_by=("g",),
+            aggregates=(
+                Aggregate("count", None, "n"),
+                Aggregate("min", "y", "low"),
+            ),
+            order=(("low", True), ("n", False)),
+            limit=limit,
+        )
+        assert execute(table, spec) == reference_eval(table, spec), (kind, limit)
+
+        q = (
+            Q(store, "T")
+            .join("D", on="g")
+            .where(Range("x", -20, 20))
+            .select("label", "y", "t")
+            .order_by("-label", "y", "-t")
+            .limit(limit)
+        )
+        root = q.explain().root
+        assert isinstance(root.child, SortOp) and root.child.limit == limit
+        t_rows = [r for r in table.scan_reference() if -20 <= r[1] <= 20]
+        d_rows = list(store.table("D").scan_reference())
+        joined = [
+            (r[5], r[2], r[0]) for r in nested_loop(t_rows, d_rows, [(3, 0)])
+        ]
+        # (label, y, t) is unique per output row: one right answer.
+        want = sorted(joined, key=lambda r: (-r[0], r[1], -r[2]))[:limit]
+        assert q.run() == want, (kind, limit)
+    store.close()
 
 
 def test_store_query_convenience(join_store):

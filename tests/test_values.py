@@ -12,7 +12,6 @@ from repro.types.values import (
     normalize,
     records_equal,
     shape,
-    sort_key,
 )
 
 nested_ints = st.recursive(
@@ -71,23 +70,6 @@ class TestDepthAndShape:
         assert shape(cube) == (2, 2, 2)
 
 
-class TestSortKey:
-    def test_single_ascending(self):
-        rows = [(3, "c"), (1, "a"), (2, "b")]
-        key = sort_key([0])
-        assert sorted(rows, key=key) == [(1, "a"), (2, "b"), (3, "c")]
-
-    def test_numeric_descending(self):
-        rows = [(3,), (1,), (2,)]
-        key = sort_key([0], [True])
-        assert sorted(rows, key=key) == [(3,), (2,), (1,)]
-
-    def test_multi_key(self):
-        rows = [(1, 2), (1, 1), (0, 9)]
-        key = sort_key([0, 1])
-        assert sorted(rows, key=key) == [(0, 9), (1, 1), (1, 2)]
-
-
 class TestMultisort:
     def test_mixed_directions(self):
         rows = [(1, "b"), (1, "a"), (2, "a")]
@@ -107,6 +89,15 @@ class TestMultisort:
                     max_size=30))
     def test_matches_python_sorted(self, rows):
         assert multisort(rows, [0, 1]) == sorted(rows, key=lambda r: (r[0], r[1]))
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                    max_size=30))
+    def test_single_pass_keeps_ties_in_input_order(self, pairs):
+        rows = [pair + (serial,) for serial, pair in enumerate(pairs)]
+        expected = sorted(rows, key=lambda r: r[1])
+        expected.sort(key=lambda r: r[0])
+        assert multisort(rows, [0, 1]) == expected
+        assert multisort(rows, [0, 1], [False, False]) == expected
 
     @given(st.lists(st.tuples(st.integers(0, 5), st.text(max_size=3)),
                     max_size=30))
