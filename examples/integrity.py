@@ -30,9 +30,9 @@ def first_table_frame(store, name):
     """Disk offset of the first page referenced by ``name``'s layout."""
     entry = store.catalog.entry(name)
     pid = min(
-        min(l.page_ids())
-        for l in store._entry_layouts(entry)
-        if l.page_ids()
+        min(run.layout.page_ids())
+        for run in entry.runs()
+        if run.layout.page_ids()
     )
     return pid, pid * store.disk.frame_size
 

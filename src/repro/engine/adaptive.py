@@ -275,17 +275,7 @@ class AdaptiveController:
         if (monitor is None or not monitor.patterns) and seed is None:
             decision["reason"] = "no observed workload"
             return decision
-        loaded = entry.layout is not None or (
-            entry.plan is not None
-            and entry.plan.kind == LAYOUT_PARTITIONED
-            and entry.partitions_loaded
-        ) or (
-            # A levelled table is born scannable: runs + pending ARE the
-            # representation, no bulk load required.
-            entry.plan is not None
-            and entry.plan.kind == LAYOUT_LEVELLED
-        )
-        if entry.plan is None or not loaded:
+        if entry.plan is None or not entry.loaded:
             decision["reason"] = "table not loaded"
             return decision
         if (
@@ -459,7 +449,7 @@ class AdaptiveController:
         most-accessed region's plan (falling back to the template)."""
         weights = self._partition_weights(entry)
         best = None
-        for region in entry.partitions:
+        for region in entry.regions:
             if region.plan is None:
                 continue
             weight = weights.get(region.pid, 0.0)
@@ -498,18 +488,18 @@ class AdaptiveController:
 
         weights = self._partition_weights(entry)
         total_weight = sum(weights.values())
-        mean = total_weight / max(1, len(entry.partitions))
+        mean = total_weight / max(1, len(entry.regions))
         threshold = self.HOT_PARTITION_FACTOR * mean
         hot = [
             region
-            for region in entry.partitions
+            for region in entry.regions
             if total_weight == 0.0
             or weights.get(region.pid, 0.0) >= threshold
         ]
         decision["hot_partitions"] = [r.pid for r in hot]
         decision["partition_weights"] = {
             r.pid: round(weights.get(r.pid, 0.0), 3)
-            for r in entry.partitions
+            for r in entry.regions
         }
 
         stale = [
@@ -566,7 +556,7 @@ class AdaptiveController:
         decision["adapted"] = True
         decision["relayout_partitions"] = rewritten
         decision["kept_partitions"] = [
-            r.pid for r in entry.partitions if r.pid not in set(rewritten)
+            r.pid for r in entry.regions if r.pid not in set(rewritten)
         ]
         decision["reason"] = (
             f"re-laid out {len(rewritten)} hot partition(s) to "
@@ -609,7 +599,8 @@ class AdaptiveController:
         expr, predicted_ms, storage_pages = chosen
         decision["recommended"] = expr.to_text()
         decision["predicted_ms"] = round(predicted_ms, 3)
-        decision["run_count"] = len(entry.runs)
+        (region,) = entry.regions
+        decision["run_count"] = len(region.runs)
         write_load = self._write_load.get(name, 0.0)
         decision["write_load"] = round(write_load, 3)
         assert entry.plan is not None and entry.plan.levels is not None
@@ -649,7 +640,7 @@ class AdaptiveController:
                 )
                 return decision
 
-        n_runs = len(entry.runs)
+        n_runs = len(region.runs)
         if n_runs > 1:
             if not force and write_load > self.LEVELLED_WRITE_LOAD_FLOOR:
                 decision["reason"] = (
@@ -658,7 +649,7 @@ class AdaptiveController:
                 )
                 return decision
             model = self.store.cost_model
-            pages = sum(r.total_pages() for r in entry.runs)
+            pages = region.total_pages()
             per_scan = (
                 estimate(model, pages, n_runs).ms
                 - estimate(model, pages, 1).ms

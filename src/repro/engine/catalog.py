@@ -2,55 +2,122 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.algebra.physical import PhysicalPlan
+from repro.algebra import ast
+from repro.algebra.physical import LAYOUT_ROWS, PhysicalPlan
 from repro.engine.mvcc import EntryMVCC
+from repro.engine.synopsis import ZoneTable
 from repro.errors import CatalogError
 from repro.types.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.engine.stats import TableStats
-    from repro.engine.synopsis import ZoneTable
     from repro.layout.renderer import StoredLayout
     from repro.optimizer.monitor import WorkloadMonitor
 
 
-@dataclass
-class PartitionRegion:
-    """One horizontal partition: an independently rendered region.
+def overflow_plan(schema: Schema) -> PhysicalPlan:
+    """The design of every overflow run: plain row-major pages over the
+    table's stored-record shape."""
+    return PhysicalPlan(
+        expr=ast.TableRef("__overflow__"), kind=LAYOUT_ROWS, schema=schema
+    )
 
-    A partitioned table is a sequence of these — each with its own physical
-    plan (initially the table's per-partition template, free to diverge
-    through single-partition re-layouts), stored layout with zone synopses,
-    overflow regions, and pending insert buffer. ``key`` identifies the
-    partition (distinct value, range bucket index, or hash bucket);
-    ``lower``/``upper`` are the range bounds partition pruning intersects
-    with predicate ranges (``None`` = unbounded).
+
+@dataclass
+class Run:
+    """One immutable rendered unit: a layout and the plan it was rendered
+    under. Rendered once — by a bulk load, a flush, a seal, a merge or a
+    copy-on-write rewrite — and never modified afterwards.
+
+    ``overflow`` marks the row-major renders of flushed inserts that trail
+    a flat table's or a partition's main run. ``rid``/``level`` and the
+    creation-sequence range ``min_seq``/``max_seq`` order the runs of a
+    levelled region: scans resolve them newest-first by ``max_seq``, and a
+    tombstone with sequence ``s`` suppresses matching rows in runs with
+    ``max_seq < s``.
     """
 
-    pid: int
-    key: object = None
-    lower: float | None = None
-    upper: float | None = None
-    plan: PhysicalPlan | None = None
-    layout: "StoredLayout | None" = None
-    overflow: list = field(default_factory=list)
-    pending: list = field(default_factory=list)
-    pending_zone: "ZoneTable | None" = None
+    plan: PhysicalPlan
+    layout: "StoredLayout"
+    overflow: bool = False
+    rid: int = 0
+    level: int = 0
+    min_seq: int = 0
+    max_seq: int = 0
 
     @property
     def row_count(self) -> int:
-        count = self.layout.row_count if self.layout is not None else 0
-        count += sum(o.row_count for o in self.overflow)
-        count += len(self.pending)
-        return count
+        return self.layout.row_count
 
     def total_pages(self) -> int:
-        pages = self.layout.total_pages() if self.layout is not None else 0
-        pages += sum(o.total_pages() for o in self.overflow)
-        return pages
+        return self.layout.total_pages()
+
+
+@dataclass
+class Region:
+    """A list of runs plus the not-yet-rendered inserts that trail them.
+
+    Every table is a list of these. A flat table is one region whose runs
+    are ``[main, *overflow]``; ``partition[...]`` is many regions routed by
+    ``key`` (``lower``/``upper`` are the range bounds partition pruning
+    intersects with predicate ranges, ``None`` = unbounded); ``levels[...]``
+    is one region whose runs are kept sorted by ``max_seq`` and read
+    newest-first. ``plan`` is the design the region's next render uses —
+    the table plan, the partition template (free to diverge through
+    single-partition re-layouts) or the run template.
+
+    ``pending`` holds inserted records (stored-record shape) with an
+    incrementally maintained zone map. It lives here — not on Table
+    handles — so every handle sees the same rows and a re-layout can fold
+    them into the new representation.
+    """
+
+    plan: PhysicalPlan | None = None
+    runs: list = field(default_factory=list)
+    pending: list = field(default_factory=list)
+    pending_zone: "ZoneTable | None" = None
+    pid: int = 0
+    key: object = None
+    lower: float | None = None
+    upper: float | None = None
+
+    @property
+    def main(self) -> "Run | None":
+        """The region's merged representation (``None`` until a load or a
+        compaction renders one)."""
+        return next((r for r in self.runs if not r.overflow), None)
+
+    @property
+    def overflow(self) -> "list[Run]":
+        return [r for r in self.runs if r.overflow]
+
+    @property
+    def row_count(self) -> int:
+        return sum(r.row_count for r in self.runs) + len(self.pending)
+
+    def total_pages(self) -> int:
+        return sum(r.total_pages() for r in self.runs)
+
+    def add_pending(self, names: Sequence[str], rows: Sequence[tuple]) -> None:
+        """Buffer ``rows``; the running zone extends instead of rescanning."""
+        self.pending.extend(rows)
+        if self.pending_zone is None:
+            self.pending_zone = ZoneTable()
+        self.pending_zone.merge_rows(names, rows)
+
+    def clear_pending(self) -> None:
+        self.pending = []
+        self.pending_zone = None
+
+    def freeze(self) -> "Region":
+        """What a pinned scan sees: runs are immutable, so freezing the two
+        lists keeps it stable across concurrent inserts, flushes and merges."""
+        return replace(
+            self, runs=tuple(self.runs), pending=tuple(self.pending)
+        )
 
     def describe_key(self) -> str:
         if self.lower is not None or self.upper is not None:
@@ -61,76 +128,35 @@ class PartitionRegion:
 
 
 @dataclass
-class LevelRun:
-    """One immutable sorted-run of a levelled (LSM) table.
-
-    A run is an independently rendered region of the table's ``inner``
-    design: rendered once when the pending buffer seals (level 0) or when
-    a level merges (level > 0), never modified afterwards. ``min_seq`` /
-    ``max_seq`` are the creation-sequence range the run covers — scans
-    resolve runs newest-first by ``max_seq``, and a tombstone with
-    sequence ``s`` suppresses matching rows in runs with ``max_seq < s``.
-    """
-
-    rid: int
-    level: int
-    min_seq: int
-    max_seq: int
-    plan: PhysicalPlan | None = None
-    layout: "StoredLayout | None" = None
-
-    @property
-    def row_count(self) -> int:
-        return self.layout.row_count if self.layout is not None else 0
-
-    def total_pages(self) -> int:
-        return self.layout.total_pages() if self.layout is not None else 0
-
-
-@dataclass
 class CatalogEntry:
     """Everything the engine knows about one table."""
 
     name: str
     logical_schema: Schema
     plan: PhysicalPlan | None = None
-    layout: "StoredLayout | None" = None
     stats: "TableStats | None" = None
-    # Row-major overflow regions holding data inserted after the last
-    # (re)organization — the paper's "reorganize only new data" state.
-    overflow: list = field(default_factory=list)
+    # The table's data: see :class:`Region`. Range-partitioned regions are
+    # kept sorted by bucket so the table scans in ascending key order.
+    regions: "list[Region]" = field(default_factory=list)
+    # True once the table is scannable: after a bulk load (an empty load
+    # may legitimately create zero value-partitions), and from birth for a
+    # levelled table, whose first seal renders run 0.
+    loaded: bool = False
     # Secondary access paths: field name -> FieldIndex, and
     # (x_field, y_field) -> SpatialIndex.
     indexes: dict = field(default_factory=dict)
     spatial_indexes: dict = field(default_factory=dict)
-    # Not-yet-flushed inserted records (stored-record shape) with an
-    # incrementally maintained zone map. Kept on the catalog entry — not on
-    # Table handles — so every handle sees the same pending rows and a
-    # re-layout can fold them into the new representation.
-    pending: list = field(default_factory=list)
-    pending_zone: "ZoneTable | None" = None
     # Live workload observations feeding the adaptive loop (lazily created
     # by the AdaptiveController the first time the table is scanned).
     monitor: "WorkloadMonitor | None" = None
-    # Horizontal partitions of a partitioned table (plan.kind ==
-    # LAYOUT_PARTITIONED); each region owns its own plan/layout/overflow/
-    # pending. Range-partitioned regions are kept sorted by bucket so the
-    # table scans in ascending key order.
-    partitions: "list[PartitionRegion]" = field(default_factory=list)
-    # True once a partitioned table has been bulk-loaded (an empty load
-    # may legitimately create zero value-partitions).
-    partitions_loaded: bool = False
     # Monotonic partition-id allocator for this table.
     next_partition_id: int = 0
     # Cumulative partition-pruning counters (exposed by storage_stats).
     partition_scans: int = 0
     partitions_pruned_total: int = 0
-    # Immutable runs of a levelled table (plan.kind == LAYOUT_LEVELLED),
-    # kept sorted by max_seq ascending (oldest first); scans walk them in
-    # reverse. ``level_tombstones`` are (seq, value) pairs — value is the
-    # merge key for keyed tables, the full stored row otherwise — each
-    # suppressing matching rows in runs older than its seq.
-    runs: "list[LevelRun]" = field(default_factory=list)
+    # ``level_tombstones`` are (seq, value) pairs of a levelled table —
+    # value is the merge key for keyed tables, the full stored row
+    # otherwise — each suppressing matching rows in runs older than its seq.
     level_tombstones: list = field(default_factory=list)
     # Monotonic run-id / sequence allocators for this table.
     next_run_id: int = 0
@@ -142,9 +168,8 @@ class CatalogEntry:
     wa_bytes_written: int = 0
     wa_pages_compacted: int = 0
     wa_compactions: int = 0
-    # Transient key -> PartitionRegion index for O(1) insert routing;
-    # rebuilt lazily whenever it disagrees with ``partitions`` (never
-    # persisted).
+    # Transient key -> Region index for O(1) insert routing; rebuilt lazily
+    # whenever it disagrees with ``regions`` (never persisted).
     region_index: dict = field(default_factory=dict, repr=False)
     # Corrupt units the most recent degraded-read scan skipped (event
     # dicts); surfaced as ``corruption_skipped`` in explain(). Never
@@ -152,8 +177,16 @@ class CatalogEntry:
     last_corruption_skipped: list = field(default_factory=list, repr=False)
     # Snapshot machinery: version counter, scan pins, deferred page frees.
     # ``mvcc.lock`` guards every mutation of the layout-bearing fields
-    # above (plan/layout/overflow/pending/indexes/partitions).
+    # above (plan/regions/indexes).
     mvcc: EntryMVCC = field(default_factory=EntryMVCC, repr=False)
+
+    def runs(self) -> "Iterator[Run]":
+        """Every run of every region — what the metadata walkers (page
+        counts, scrub, drop, cold-cache resets) iterate."""
+        return (run for region in self.regions for run in region.runs)
+
+    def total_pages(self) -> int:
+        return sum(run.total_pages() for run in self.runs())
 
 
 class Catalog:

@@ -24,11 +24,16 @@ from repro.algebra.parser import parse
 from repro.algebra.physical import (
     LAYOUT_LEVELLED,
     LAYOUT_PARTITIONED,
-    LAYOUT_ROWS,
     PhysicalPlan,
 )
 from repro.algebra.transforms import Evaluated, Evaluator
-from repro.engine.catalog import Catalog, CatalogEntry, LevelRun, PartitionRegion
+from repro.engine.catalog import (
+    Catalog,
+    CatalogEntry,
+    Region,
+    Run,
+    overflow_plan,
+)
 from repro.engine.cost import CostModel
 from repro.engine.stats import TableStats
 from repro.engine.table import (
@@ -477,8 +482,8 @@ class RodentStore:
         self.pool.flush_all()
         referenced: set[int] = set()
         for entry in self.catalog:
-            for layout in self._entry_layouts(entry):
-                referenced.update(layout.page_ids())
+            for run in entry.runs():
+                referenced.update(run.layout.page_ids())
         report["pages_referenced"] = len(referenced)
         report["pages_allocated"] = self.disk.num_pages
         report["pages_free"] = len(self.disk.free_page_ids())
@@ -529,20 +534,6 @@ class RodentStore:
         self.integrity.record_scrub(report)
         return report
 
-    def _entry_layouts(self, entry: CatalogEntry) -> list[StoredLayout]:
-        layouts = []
-        if entry.layout is not None:
-            layouts.append(entry.layout)
-        layouts.extend(entry.overflow)
-        for run in entry.runs:
-            if run.layout is not None:
-                layouts.append(run.layout)
-        for region in entry.partitions:
-            if region.layout is not None:
-                layouts.append(region.layout)
-            layouts.extend(region.overflow)
-        return layouts
-
     def _scrub_entry(self, entry: CatalogEntry, report: dict) -> None:
         """Cross-structure invariants for one table (best effort).
 
@@ -573,8 +564,12 @@ class RodentStore:
         """Zone synopses must be parallel to their directories and must
         *contain* the actual data: a zone claiming tighter bounds than
         reality would let pruning skip live rows."""
-        tables = []
-        layouts = self._entry_layouts(entry)
+        tables = [
+            r.pending_zone
+            for r in entry.regions
+            if r.pending_zone is not None
+        ]
+        layouts = [run.layout for run in entry.runs()]
         for layout in layouts:  # grows as it goes: mirrors hold the zones
             layouts.extend(layout.mirrors)
             if layout.synopsis_error is not None:
@@ -585,11 +580,6 @@ class RodentStore:
             if s is not None:
                 tables += [s.page_zones, *s.group_zones]
                 tables += [s.cell_zones, s.folded_zones]
-        for region in entry.partitions:
-            if region.pending_zone is not None:
-                tables.append(region.pending_zone)
-        if entry.pending_zone is not None:
-            tables.append(entry.pending_zone)
         if not rows:
             return
         names = _scan_schema(entry.plan).names()
@@ -630,13 +620,13 @@ class RodentStore:
         self, entry: CatalogEntry, table: Table, report: dict
     ) -> None:
         """Every row stored in a region must route back to that region."""
-        if not entry.partitions or entry.plan is None:
+        if entry.plan.partition is None:
             return
         try:
             router = self.router_for(entry)
         except RodentStoreError:
             return
-        for region in entry.partitions:
+        for region in entry.regions:
             try:
                 region_rows = table._region_rows(region)
             except RodentStoreError:
@@ -727,7 +717,8 @@ class RodentStore:
         expr = self._resolve_expr(name, layout)
         with self.mutate() as m:
             entry = self.catalog.create(name, schema)
-            entry.plan = self._interpreter().compile(expr)
+            entry.plan = plan = self._interpreter().compile(expr)
+            entry.regions, entry.loaded = _unloaded_regions(plan)
             # Log the (empty) catalog entry so a table created after the
             # last checkpoint exists again at recovery — otherwise its
             # replayed row inserts would have nowhere to land.
@@ -750,15 +741,11 @@ class RodentStore:
         entry = self.catalog.entry(name)
         with self.mutate(name) as m:
             with entry.mvcc.lock:
-                layouts: list[StoredLayout | None] = [entry.layout]
-                layouts.extend(entry.overflow)
-                layouts.extend(r.layout for r in entry.runs)
-                for region in entry.partitions:
-                    layouts.append(region.layout)
-                    layouts.extend(region.overflow)
-                # Regions keep their fields — a pinned scan may still be
+                # Regions keep their runs — a pinned scan may still be
                 # reading them; only the page frees are deferred.
-                entry.mvcc.retire(self._layout_freer(*layouts))
+                entry.mvcc.retire(
+                    self._layout_freer(*(r.layout for r in entry.runs()))
+                )
             if entry.monitor is not None:
                 entry.monitor.forget_partitions([])
             self.catalog.drop(name)
@@ -797,7 +784,10 @@ class RodentStore:
     # -- data loading ----------------------------------------------------------
 
     def load(self, name: str, records: Sequence[Sequence[Any]]) -> Table:
-        """Bulk-load logical records, rendering the table's physical design."""
+        """Bulk-load logical records, rendering the table's physical design.
+
+        A load *replaces* the table's contents, whatever its shape: runs,
+        overflow and pending rows of an earlier load are superseded."""
         entry = self.catalog.entry(name)
         if entry.plan is None:
             raise CatalogError(f"table {name!r} has no physical plan")
@@ -808,73 +798,128 @@ class RodentStore:
         entry: CatalogEntry,
         plan: PhysicalPlan,
         records: Sequence[Sequence[Any]],
-        reset_overflow: bool = False,
     ) -> Table:
         """(Re)render ``entry`` under ``plan`` from logical ``records``.
 
-        The shared core of :meth:`load` and :meth:`relayout`. Rendering
-        happens *before* any entry state changes; the plan and the new
-        layout then swap in together under the entry's MVCC lock (a pinned
-        scan either sees the old plan+layout pair or the new one, never a
-        mismatch), and the superseded pages are retired, not freed — the
-        last draining reader frees them. The whole operation is one
+        The shared core of :meth:`load` and :meth:`relayout` (which folds
+        the current rows into ``records`` first). Rendering happens
+        *before* any entry state changes, into a private region list that
+        :meth:`_install` then swaps in. The whole operation is one
         transaction: the rendered pages and the new catalog image are
         WAL-logged at commit.
-
-        A plain (re)load keeps accumulated overflow regions, exactly like
-        the historical bulk-load path; ``reset_overflow=True`` (re-layouts)
-        folds them into ``records`` beforehand and retires them too.
         """
-        name = entry.name
         schema = entry.logical_schema
-        with self.mutate(name) as m:
+        with self.mutate(entry.name) as m:
             coerced = [schema.coerce_record(r) for r in records]
             stats = TableStats.collect(schema, coerced)
-            if plan.kind == LAYOUT_PARTITIONED:
-                table = self._load_partitioned(
-                    entry, plan, coerced, stats, m, reset_overflow
-                )
-                return table
-            if plan.kind == LAYOUT_LEVELLED:
-                return self._load_levelled(
-                    entry, plan, coerced, stats, m, reset_overflow
-                )
-            evaluated = self._evaluate(plan, {name: (coerced, schema)})
-            new_layout = self.renderer.render(plan, evaluated)
-            with entry.mvcc.lock:
-                retire: list[StoredLayout | None] = [entry.layout]
-                retire.extend(r.layout for r in entry.runs)
-                for region in entry.partitions:
-                    retire.append(region.layout)
-                    retire.extend(region.overflow)
-                if reset_overflow:
-                    retire.extend(entry.overflow)
-                    entry.overflow = []
-                entry.plan = plan
-                entry.layout = new_layout
-                entry.stats = stats
-                # A (re)load swaps the physical design wholesale: synopses
-                # were re-rendered above, and every derived structure
-                # describing the old layout — secondary/spatial indexes,
-                # the pending buffer and its zone — goes with it
-                # (re-layouts fold pending rows into ``records`` first).
-                entry.indexes.clear()
-                entry.spatial_indexes.clear()
-                entry.pending.clear()
-                entry.pending_zone = None
-                entry.partitions = []
-                entry.region_index.clear()
-                entry.partitions_loaded = False
-                entry.next_partition_id = 0
-                entry.runs = []
-                entry.level_tombstones = []
-                entry.mvcc.retire(self._layout_freer(*retire))
-                self._wa_note(entry, new_layout, ingest=True)
-            if entry.monitor is not None:
-                entry.monitor.forget_partitions([])
-            m.log_layout(new_layout)
-            m.touch(name)
+            regions = self._render_regions(entry, plan, coerced)
+            self._install(entry, plan, stats, regions, m)
             return Table(self, entry)
+
+    def _render_regions(
+        self, entry: CatalogEntry, plan: PhysicalPlan, coerced: list[tuple]
+    ) -> list[Region]:
+        """Render logical records into the regions ``plan`` describes.
+
+        A flat design renders one region with one main run. The other two
+        work on the *stored-record shape* (the template's record-level
+        pipeline output), so bulk load and inserts route and resolve
+        identically:
+
+        * ``partition[...]`` renders one region per partition. Fixed
+          splits (range/hash) render every region eagerly (empty ones
+          included: the partition map is part of the physical design);
+          value partitions appear in first-seen key order, which keeps
+          scan order identical to the pre-partitioned grouped rendering
+          of ``partition_C(N)``.
+        * ``levels[...]`` renders ONE run: a bulk load is already "fully
+          compacted" — the run lands at its size class directly and the
+          pending buffer starts empty. Keyed tables dedup to
+          last-writer-wins first, exactly like a seal.
+        """
+        name, schema = entry.name, entry.logical_schema
+        if plan.kind not in (LAYOUT_PARTITIONED, LAYOUT_LEVELLED):
+            evaluated = self._evaluate(plan, {name: (coerced, schema)})
+            layout = self.renderer.render(plan, evaluated)
+            return [Region(plan=plan, runs=[Run(plan, layout)])]
+        rows = Table(self, entry)._apply_record_pipeline(coerced, plan=plan)
+        names = _scan_schema(plan).names()
+        if plan.kind == LAYOUT_PARTITIONED:
+            regions: list[Region] = []
+            lookup: dict = {}
+            for locator, part_rows in PartitionRouter(
+                plan.partition, names
+            ).split(rows):
+                region, _ = _find_or_create_region(
+                    plan, regions, lookup, len(regions), locator
+                )
+                region.runs = [
+                    Run(
+                        region.plan,
+                        self._render_region(plan, region.plan, part_rows),
+                    )
+                ]
+            return regions
+        spec = plan.levels
+        if spec.key is not None:
+            rows = _LevelResolver(spec, names, []).resolve_pending(rows)
+        region = Region(plan=plan.level_plans[0])
+        if rows:
+            region.runs = [
+                Run(
+                    region.plan,
+                    self._render_region(plan, region.plan, rows),
+                    level=spec.level_of(len(rows), self.level_seal_rows),
+                )
+            ]
+        return [region]
+
+    def _install(
+        self,
+        entry: CatalogEntry,
+        plan: PhysicalPlan,
+        stats: TableStats,
+        regions: list[Region],
+        m: _Mutation,
+    ) -> None:
+        """Swap a freshly rendered design into ``entry``.
+
+        The plan and the new regions swap in together under the entry's
+        MVCC lock (a pinned scan either sees the old plan+regions pair or
+        the new one, never a mismatch), and every superseded run is
+        retired, not freed — the last draining reader frees its pages.
+        Every derived structure describing the old design goes with it:
+        secondary/spatial indexes, pending buffers and their zones, the
+        partition map and its skew history (new regions reusing an old pid
+        must not inherit its weight), tombstones and the run sequence
+        space.
+        """
+        with entry.mvcc.lock:
+            retired = [run.layout for run in entry.runs()]
+            entry.plan = plan
+            entry.stats = stats
+            entry.regions = regions
+            entry.loaded = True
+            entry.indexes.clear()
+            entry.spatial_indexes.clear()
+            entry.region_index = {}
+            # Allocators restart past what the render numbered: partition
+            # ids 0..n-1; a levelled bulk load is run 0 at sequence 0.
+            levelled = plan.levels is not None
+            entry.next_partition_id = (
+                len(regions) if plan.partition is not None else 0
+            )
+            entry.level_tombstones = []
+            entry.next_run_id = len(regions[0].runs) if levelled else 0
+            entry.next_run_seq = int(levelled)
+            entry.mvcc.retire(self._layout_freer(*retired))
+            for run in entry.runs():
+                self._wa_note(entry, run.layout, ingest=True)
+        if entry.monitor is not None:
+            entry.monitor.forget_partitions([])
+        for run in entry.runs():
+            m.log_layout(run.layout)
+        m.touch(entry.name)
 
     # -- horizontal partitions ---------------------------------------------
 
@@ -885,175 +930,24 @@ class RodentStore:
             entry.plan.partition, _scan_schema(entry.plan).names()
         )
 
-    def _load_partitioned(
-        self,
-        entry: CatalogEntry,
-        plan: PhysicalPlan,
-        coerced: list[tuple],
-        stats: TableStats,
-        m: _Mutation,
-        reset_overflow: bool = False,
-    ) -> Table:
-        """Render one region per partition (the partitioned bulk load).
-
-        The partition key is evaluated on the *stored-record shape* — the
-        template's record-level pipeline output — so bulk load and inserts
-        route identically. Fixed splits (range/hash) render every region
-        eagerly (empty ones included: the partition map is part of the
-        physical design); value partitions appear in first-seen key order,
-        which keeps scan order identical to the pre-partitioned grouped
-        rendering of ``partition_C(N)``.
-
-        The new region list is built privately and swapped into the entry
-        in one step under the MVCC lock, with the superseded regions'
-        pages retired for the last pinned reader to free.
-        """
-        table = Table(self, entry)
-        rows = table._apply_record_pipeline(coerced, plan=plan)
-        router = PartitionRouter(
-            plan.partition, _scan_schema(plan).names()
-        )
-        new_regions: list[PartitionRegion] = []
-        lookup: dict = {}
-        next_pid = 0
-        for locator, part_rows in router.split(rows):
-            region, next_pid = _find_or_create_region(
-                plan, new_regions, lookup, next_pid, locator
-            )
-            assert region.plan is not None
-            region.layout = self._render_region(
-                plan, region.plan, part_rows
-            )
-        with entry.mvcc.lock:
-            retire: list[StoredLayout | None] = [entry.layout]
-            retire.extend(r.layout for r in entry.runs)
-            for region in entry.partitions:
-                retire.append(region.layout)
-                retire.extend(region.overflow)
-            if reset_overflow:
-                retire.extend(entry.overflow)
-                entry.overflow = []
-            entry.plan = plan
-            entry.layout = None
-            entry.stats = stats
-            entry.partitions = new_regions
-            entry.region_index = lookup
-            entry.next_partition_id = next_pid
-            entry.partitions_loaded = True
-            entry.indexes.clear()
-            entry.spatial_indexes.clear()
-            entry.pending.clear()
-            entry.pending_zone = None
-            entry.runs = []
-            entry.level_tombstones = []
-            entry.mvcc.retire(self._layout_freer(*retire))
-            for region in new_regions:
-                self._wa_note(entry, region.layout, ingest=True)
-        if entry.monitor is not None:
-            # A reload rebuilds the partition map from scratch and restarts
-            # pid allocation at 0, so skew recorded against the old regions
-            # must be dropped entirely — new regions reusing an old pid
-            # must not inherit its weight.
-            entry.monitor.forget_partitions([])
-        for region in new_regions:
-            m.log_layout(region.layout)
-        m.touch(entry.name)
-        return Table(self, entry)
-
-    def _load_levelled(
-        self,
-        entry: CatalogEntry,
-        plan: PhysicalPlan,
-        coerced: list[tuple],
-        stats: TableStats,
-        m: _Mutation,
-        reset_overflow: bool = False,
-    ) -> Table:
-        """Bulk-load a levelled table: render the records as ONE run.
-
-        A bulk load is already "fully compacted" — the run lands at its
-        size class directly and the pending buffer starts empty. Keyed
-        tables dedup to last-writer-wins first, exactly like a seal. The
-        sequence space restarts (no tombstones survive a reload).
-        """
-        assert plan.levels is not None
-        spec = plan.levels
-        table = Table(self, entry)
-        rows = table._apply_record_pipeline(coerced, plan=plan)
-        if spec.key is not None and rows:
-            resolver = _LevelResolver(spec, _scan_schema(plan).names(), [])
-            rows = resolver.resolve_pending([tuple(r) for r in rows])
-        run_plan = plan.level_plans[0]
-        new_layout = (
-            self._render_region(plan, run_plan, rows) if rows else None
-        )
-        with entry.mvcc.lock:
-            retire: list[StoredLayout | None] = [entry.layout]
-            retire.extend(r.layout for r in entry.runs)
-            for region in entry.partitions:
-                retire.append(region.layout)
-                retire.extend(region.overflow)
-            if reset_overflow:
-                retire.extend(entry.overflow)
-                entry.overflow = []
-            entry.plan = plan
-            entry.layout = None
-            entry.stats = stats
-            entry.indexes.clear()
-            entry.spatial_indexes.clear()
-            entry.pending.clear()
-            entry.pending_zone = None
-            entry.partitions = []
-            entry.region_index.clear()
-            entry.partitions_loaded = False
-            entry.next_partition_id = 0
-            entry.level_tombstones = []
-            entry.next_run_id = 0
-            entry.next_run_seq = 1
-            entry.runs = []
-            if new_layout is not None:
-                entry.runs.append(
-                    LevelRun(
-                        rid=entry.next_run_id,
-                        level=spec.level_of(
-                            len(rows), self.level_seal_rows
-                        ),
-                        min_seq=0,
-                        max_seq=0,
-                        plan=run_plan,
-                        layout=new_layout,
-                    )
-                )
-                entry.next_run_id += 1
-            entry.mvcc.retire(self._layout_freer(*retire))
-            self._wa_note(entry, new_layout, ingest=True)
-        if entry.monitor is not None:
-            entry.monitor.forget_partitions([])
-        if new_layout is not None:
-            m.log_layout(new_layout)
-        m.touch(entry.name)
-        return Table(self, entry)
-
-    def _region_for(
-        self, entry: CatalogEntry, locator: Locator
-    ) -> PartitionRegion:
+    def _region_for(self, entry: CatalogEntry, locator: Locator) -> Region:
         """Find or create the region ``locator`` addresses.
 
         Lookups go through a per-entry ``key -> region`` index (rebuilt
-        whenever the partition list changed shape) so bulk insert routing
+        whenever the region list changed shape) so bulk insert routing
         stays O(rows), not O(rows x partitions). Range regions insert in
-        bucket order so the table's partition list stays sorted by key
-        range (the property that lets a range-partitioned scan serve
-        ``ORDER BY key`` without sorting).
+        bucket order so the table's region list stays sorted by key range
+        (the property that lets a range-partitioned scan serve ``ORDER BY
+        key`` without sorting).
         """
         assert entry.plan is not None and entry.plan.partition is not None
         lookup = entry.region_index
-        if len(lookup) != len(entry.partitions):
+        if len(lookup) != len(entry.regions):
             lookup.clear()
-            lookup.update({r.key: r for r in entry.partitions})
+            lookup.update({r.key: r for r in entry.regions})
         region, entry.next_partition_id = _find_or_create_region(
             entry.plan,
-            entry.partitions,
+            entry.regions,
             lookup,
             entry.next_partition_id,
             locator,
@@ -1102,16 +996,15 @@ class RodentStore:
         entry = self.catalog.entry(name)
         if entry.plan is None or entry.plan.kind != LAYOUT_PARTITIONED:
             raise StorageError(f"table {name!r} is not partitioned")
-        region = next(
-            (r for r in entry.partitions if r.pid == pid), None
-        )
+        region = next((r for r in entry.regions if r.pid == pid), None)
         if region is None:
             raise StorageError(f"table {name!r} has no partition {pid}")
         expr = self._resolve_expr(name, layout)
         new_plan = self._interpreter().compile(expr)
-        if new_plan.kind == LAYOUT_PARTITIONED:
+        if new_plan.partition_plans or new_plan.level_plans:
             raise StorageError(
-                "a partition's design cannot itself be partitioned"
+                "a partition's design is one layout: it cannot itself be "
+                "partitioned or levelled"
             )
         canonical = set(_scan_schema(entry.plan).names())
         produced = set(_scan_schema(new_plan).names())
@@ -1125,22 +1018,7 @@ class RodentStore:
         with self.mutate(name) as m:
             with self.adaptivity.pause():  # maintenance read, not workload
                 rows = table._region_rows(region)
-            # Render first: a failed render must leave the region untouched
-            # (no plan/layout mismatch, no lost overflow/pending rows).
-            new_layout = self._render_region(entry.plan, new_plan, rows)
-            with entry.mvcc.lock:
-                old_layout, old_overflow = region.layout, region.overflow
-                region.plan = new_plan
-                region.layout = new_layout
-                region.overflow = []
-                region.pending = []
-                region.pending_zone = None
-                entry.mvcc.retire(
-                    self._layout_freer(old_layout, *old_overflow)
-                )
-                self._wa_note(entry, new_layout)
-            m.log_layout(new_layout)
-            m.touch(name)
+            self._rewrite_region(entry, region, rows, m, plan=new_plan)
         return table
 
     def _evaluate(
@@ -1177,12 +1055,10 @@ class RodentStore:
         with self.mutate(name):
             if source_records is None:
                 source_records = self._recover_logical_records(entry)
-            # One transaction: recover rows, render under the new plan,
-            # swap plan+layout together (never a plan/layout mismatch),
-            # retire the old pages and the folded-in overflow regions.
-            return self._load_with_plan(
-                entry, new_plan, source_records, reset_overflow=True
-            )
+            # One transaction: recover rows (overflow and pending folded
+            # in), render under the new plan, swap plan+regions together
+            # (never a mismatch), retire every old run.
+            return self._load_with_plan(entry, new_plan, source_records)
 
     def _recover_logical_records(self, entry: CatalogEntry) -> list[tuple]:
         table = Table(self, entry)
@@ -1201,11 +1077,11 @@ class RodentStore:
             return list(table.scan(fieldlist=logical_fields))
 
     def compact_table(self, name: str) -> None:
-        """Fold overflow regions back into the main representation.
+        """Fold overflow runs and pending rows back into each region's
+        main representation.
 
-        Partitioned tables compact one region at a time: only partitions
-        that actually accumulated overflow/pending rows are re-rendered,
-        the rest are untouched.
+        One region at a time: only regions that actually accumulated
+        overflow/pending rows are re-rendered, the rest are untouched.
         """
         entry = self.catalog.entry(name)
         if entry.plan is not None and entry.plan.kind == LAYOUT_LEVELLED:
@@ -1213,96 +1089,92 @@ class RodentStore:
             # into one — the LSM equivalent of folding overflow back in.
             self.compact_levels(name, full=True)
             return
-        if entry.plan is not None and entry.plan.kind == LAYOUT_PARTITIONED:
-            if not entry.partitions_loaded:
-                raise StorageError(f"table {name!r} is not loaded")
-            table = Table(self, entry)
-            with self.mutate(name) as m:
-                compacted = False
-                for region in entry.partitions:
-                    if not region.overflow and not region.pending:
-                        continue
-                    with self.adaptivity.pause():
-                        rows = table._region_rows(region)
-                    assert region.plan is not None
-                    # Render before mutating: a failed render leaves the
-                    # region (and its pending rows) exactly as they were.
-                    new_layout = self._render_region(
-                        entry.plan, region.plan, rows
-                    )
-                    with entry.mvcc.lock:
-                        old_layout = region.layout
-                        old_overflow = region.overflow
-                        region.layout = new_layout
-                        region.overflow = []
-                        region.pending = []
-                        region.pending_zone = None
-                        entry.mvcc.retire(
-                            self._layout_freer(old_layout, *old_overflow)
-                        )
-                        self._wa_note(entry, new_layout, compaction=True)
-                    m.log_layout(new_layout)
-                    compacted = True
-                if compacted:
-                    m.touch(name)
-            return
-        if entry.plan is None or entry.layout is None:
+        if entry.plan is None or not entry.loaded:
             raise StorageError(f"table {name!r} is not loaded")
         table = Table(self, entry)
         with self.mutate(name) as m:
-            with self.adaptivity.pause():  # maintenance scan, not workload
-                stored = list(table.scan())
-            new_layout = self._rewrite_stored(entry, stored, m)
-            with entry.mvcc.lock:
-                entry.wa_pages_compacted += new_layout.total_pages()
-                entry.wa_compactions += 1
+            for region in entry.regions:
+                if not region.overflow and not region.pending:
+                    continue
+                with self.adaptivity.pause():  # maintenance, not workload
+                    rows = table._region_rows(region)
+                self._rewrite_region(entry, region, rows, m, compaction=True)
 
-    def _rewrite_stored(
+    def _rewrite_region(
         self,
         entry: CatalogEntry,
-        stored: list[tuple],
+        region: Region,
+        rows: Sequence[tuple],
         m: _Mutation,
-    ) -> StoredLayout:
-        """Re-render an unpartitioned table from stored-shape rows.
-
-        The copy-on-write rewrite core shared by :meth:`compact_table` and
-        ``Table.delete``/``Table.update``: render first, swap under the
-        MVCC lock, retire the superseded layout + overflow, log the new
-        pages and catalog image at commit. ``stored`` already folds the
-        pending rows in (it comes from a full scan).
+        plan: PhysicalPlan | None = None,
+        compaction: bool = False,
+    ) -> None:
+        """Re-render one region from stored-shape ``rows`` (which already
+        fold its pending rows in) as a single main run — under ``plan``
+        when the region changes design. The copy-on-write core of
+        compaction, ``Table.delete``/``Table.update`` and
+        :meth:`relayout_partition`. Renders first: a failed render leaves
+        the region (plan, runs, pending rows) exactly as it was.
         """
         assert entry.plan is not None
-        table = Table(self, entry)
-        names = table.scan_schema().names()
-        residual = structural_residual(
-            entry.plan.expr, "__stored__", names
-        )
-        evaluator = Evaluator({"__stored__": (stored, tuple(names))})
-        evaluated = evaluator.evaluate(residual)
-        new_layout = self.renderer.render(entry.plan, evaluated)
+        run_plan = plan or region.plan
+        layout = self._render_region(entry.plan, run_plan, rows)
         with entry.mvcc.lock:
-            old_layout = entry.layout
-            old_overflow = entry.overflow
-            entry.layout = new_layout
-            entry.overflow = []
-            entry.indexes.clear()
-            entry.spatial_indexes.clear()
-            entry.pending.clear()
-            entry.pending_zone = None
-            entry.mvcc.retire(
-                self._layout_freer(old_layout, *old_overflow)
+            region.plan = run_plan
+            self._replace_runs(
+                entry, region, list(region.runs), [Run(run_plan, layout)], m,
+                compaction=compaction,
             )
-            self._wa_note(entry, new_layout)
-        m.log_layout(new_layout)
+
+    def _replace_runs(
+        self,
+        entry: CatalogEntry,
+        region: Region,
+        old: "list[Run]",
+        new: "list[Run]",
+        m: _Mutation,
+        ingest: bool = False,
+        compaction: bool = False,
+        keep_pending: bool = False,
+    ) -> None:
+        """THE structural write: ``old`` runs of ``region`` out, ``new``
+        runs in — flush and seal (nothing out), compaction, merge, rewrite
+        and re-layout (everything read out, one run in).
+
+        ``new`` was rendered from ``old`` plus — unless ``keep_pending`` —
+        the pending buffer, which clears. The swap happens under the
+        entry's MVCC lock, so a pinned scan sees either side of it, never
+        a mix; superseded pages are retired, not freed (the last draining
+        reader frees them), and positions indexed before a rewrite mean
+        nothing after it. Every render is charged to the
+        write-amplification ledger, logged page by page, and the new
+        catalog image is logged at commit.
+        """
+        with entry.mvcc.lock:
+            gone = {id(run) for run in old}
+            runs = [run for run in region.runs if id(run) not in gone] + new
+            runs.sort(key=lambda run: run.max_seq)
+            region.runs = runs
+            if not keep_pending:
+                region.clear_pending()
+            if old:
+                entry.indexes.clear()
+                entry.spatial_indexes.clear()
+                entry.mvcc.retire(
+                    self._layout_freer(*(run.layout for run in old))
+                )
+            for run in new:
+                self._wa_note(entry, run.layout, ingest, compaction)
+        for run in new:
+            m.log_layout(run.layout)
         m.touch(entry.name)
-        return new_layout
 
     # -- levelled (LSM) storage ---------------------------------------------
 
-    def maintain_levels(self, name: str) -> None:
-        """Post-insert maintenance for a levelled table.
-
-        Seals the pending buffer into a level-0 run once it reaches
+    def maintain_levels(self, name: str, rows_written: int = 0) -> None:
+        """Post-insert maintenance for a levelled table (a no-op for any
+        other): notes the write load the adaptive loop weighs run merges
+        against, seals the pending buffer into a level-0 run once it reaches
         :attr:`level_seal_rows`, then kicks a merge when any level's
         fan-out reached the design's ``k`` — in the background on the
         shared worker pool when ``scan_workers > 1``, synchronously
@@ -1310,15 +1182,17 @@ class RodentStore:
         """
         entry = self.catalog.entry(name)
         plan = entry.plan
-        if plan is None or plan.kind != LAYOUT_LEVELLED or self._closed:
+        if plan is None or plan.kind != LAYOUT_LEVELLED:
             return
-        if len(entry.pending) >= self.level_seal_rows:
+        if rows_written:
+            self.adaptivity.note_write(name, rows_written)
+        if self._closed:
+            return
+        (region,) = entry.regions
+        if len(region.pending) >= self.level_seal_rows:
             self.seal_level_run(name)
         assert plan.levels is not None
-        counts: dict[int, int] = {}
-        for run in entry.runs:
-            counts[run.level] = counts.get(run.level, 0) + 1
-        if any(c >= plan.levels.k for c in counts.values()):
+        if _levels_over_fanout(region, plan.levels.k):
             self._schedule_level_compaction(name)
 
     def _schedule_level_compaction(self, name: str) -> None:
@@ -1343,6 +1217,12 @@ class RodentStore:
         else:
             self.compact_levels(name)
 
+    def _levelled(self, name: str) -> CatalogEntry:
+        entry = self.catalog.entry(name)
+        if entry.plan is None or entry.plan.kind != LAYOUT_LEVELLED:
+            raise StorageError(f"table {name!r} is not levelled")
+        return entry
+
     def seal_level_run(self, name: str) -> StoredLayout | None:
         """Seal the pending buffer into an immutable level-0 run.
 
@@ -1353,13 +1233,11 @@ class RodentStore:
         seal's catalog image), never both and never neither. Returns the
         new run's layout, or ``None`` when nothing was pending.
         """
-        entry = self.catalog.entry(name)
-        plan = entry.plan
-        if plan is None or plan.kind != LAYOUT_LEVELLED:
-            raise StorageError(f"table {name!r} is not levelled")
-        assert plan.levels is not None
+        entry = self._levelled(name)
         with self.mutate(name) as m:
-            rows = [tuple(r) for r in entry.pending]
+            plan = entry.plan
+            (region,) = entry.regions
+            rows = [tuple(r) for r in region.pending]
             if not rows:
                 return None
             if plan.levels.key is not None:
@@ -1367,27 +1245,16 @@ class RodentStore:
                     plan.levels, _scan_schema(plan).names(), []
                 )
                 rows = resolver.resolve_pending(rows)
-            run_plan = plan.level_plans[0]
-            layout = self._render_region(plan, run_plan, rows)
+            layout = self._render_region(plan, region.plan, rows)
             with entry.mvcc.lock:
                 seq = entry.next_run_seq
                 entry.next_run_seq += 1
-                entry.runs.append(
-                    LevelRun(
-                        rid=entry.next_run_id,
-                        level=0,
-                        min_seq=seq,
-                        max_seq=seq,
-                        plan=run_plan,
-                        layout=layout,
-                    )
+                run = Run(
+                    region.plan, layout,
+                    rid=entry.next_run_id, min_seq=seq, max_seq=seq,
                 )
                 entry.next_run_id += 1
-                entry.pending.clear()
-                entry.pending_zone = None
-                self._wa_note(entry, layout, ingest=True)
-            m.log_layout(layout)
-            m.touch(name)
+                self._replace_runs(entry, region, [], [run], m, ingest=True)
             return layout
 
     def compact_levels(
@@ -1406,11 +1273,10 @@ class RodentStore:
         loop's levelled re-organization; the design must keep the stored
         fields). Returns ``{"merges", "runs_merged", "relayout"}``.
         """
-        entry = self.catalog.entry(name)
-        if entry.plan is None or entry.plan.kind != LAYOUT_LEVELLED:
-            raise StorageError(f"table {name!r} is not levelled")
+        entry = self._levelled(name)
         report = {"merges": 0, "runs_merged": 0, "relayout": False}
         with self.mutate(name) as m:
+            (region,) = entry.regions
             plan = entry.plan
             assert plan is not None and plan.levels is not None
             if inner is not None:
@@ -1418,32 +1284,27 @@ class RodentStore:
                 full = True
                 report["relayout"] = True
             if full:
-                sources = list(entry.runs)
-                if sources or entry.pending:
+                sources = list(region.runs)
+                if sources or region.pending:
                     self._merge_runs_once(
                         entry, plan, sources, m,
                         target_level=None, include_pending=True,
                     )
                     report["merges"] = 1
                     report["runs_merged"] = len(sources)
-                elif entry.plan is not plan:
+                else:
                     # Nothing to merge: still swap in the new design so
                     # future seals render under it.
                     with entry.mvcc.lock:
                         entry.plan = plan
+                        region.plan = plan.level_plans[0]
                 m.touch(name)
                 return report
-            spec = plan.levels
             while True:
-                counts: dict[int, int] = {}
-                for run in entry.runs:
-                    counts[run.level] = counts.get(run.level, 0) + 1
-                over = sorted(
-                    lvl for lvl, c in counts.items() if c >= spec.k
-                )
+                over = _levels_over_fanout(region, plan.levels.k)
                 if not over:
                     break
-                sources = [r for r in entry.runs if r.level == over[0]]
+                sources = [r for r in region.runs if r.level == over[0]]
                 # Merges target exactly level+1: size-based promotion
                 # could interleave another level's sequence range inside
                 # the merged run's, breaking newest-first resolution.
@@ -1452,19 +1313,17 @@ class RodentStore:
                 )
                 report["merges"] += 1
                 report["runs_merged"] += len(sources)
-            if report["merges"]:
-                m.touch(name)
         return report
 
     def _merge_runs_once(
         self,
         entry: CatalogEntry,
         plan: PhysicalPlan,
-        sources: "list[LevelRun]",
+        sources: "list[Run]",
         m: _Mutation,
         target_level: int | None,
         include_pending: bool = False,
-    ) -> "LevelRun | None":
+    ) -> None:
         """Merge ``sources`` (plus optionally the pending buffer) into one
         run, resolving tombstones and (keyed) duplicate keys exactly as a
         scan would — the same :class:`_LevelResolver` drives both.
@@ -1474,14 +1333,12 @@ class RodentStore:
         the merged rows are then reordered for ``plan`` — the target
         design, which differs only during a levelled re-layout. The swap
         is atomic under the MVCC lock: sources out, merged run in, plan
-        updated, applicable tombstones collected, superseded pages
-        retired for the last pinned reader to free.
+        updated, applicable tombstones collected.
         """
-        assert plan.levels is not None
+        assert plan.levels is not None and entry.plan is not None
         spec = plan.levels
-        old_plan = entry.plan
-        assert old_plan is not None
-        old_names = list(_scan_schema(old_plan).names())
+        (region,) = entry.regions
+        old_names = list(_scan_schema(entry.plan).names())
         table = Table(self, entry)
         resolver = _LevelResolver(spec, old_names, entry.level_tombstones)
         pending_rows: list[tuple] = []
@@ -1489,11 +1346,13 @@ class RodentStore:
             # Pending is the freshest segment: resolve it first so (keyed)
             # its keys shadow older copies in the sources. Tombstones never
             # apply to pending rows — they postdate every tombstone.
-            pending_rows = resolver.resolve_pending(list(entry.pending))
+            pending_rows = resolver.resolve_pending(list(region.pending))
         survivors: list[list[tuple]] = []
         for run in sorted(sources, key=lambda r: r.max_seq, reverse=True):
             resolver.enter_run(run)
-            survivors.append(resolver.resolve(table._run_rows(run)))
+            survivors.append(
+                resolver.resolve(table._region_rows(Region(runs=[run])))
+            )
         merged_rows: list[tuple] = []
         for rows in reversed(survivors):  # oldest source first
             merged_rows.extend(rows)
@@ -1504,69 +1363,47 @@ class RodentStore:
             order = [idx[f] for f in new_names]
             merged_rows = [tuple(r[i] for i in order) for r in merged_rows]
         run_plan = plan.level_plans[0]
-        new_layout = (
-            self._render_region(plan, run_plan, merged_rows)
-            if merged_rows
-            else None
-        )
-        if target_level is None:
-            # Full compaction: one resulting run cannot interleave any
-            # other run's range, so its size class is safe to use.
-            target_level = max(
-                [spec.level_of(len(merged_rows), self.level_seal_rows)]
-                + [r.level for r in sources]
-            )
+        new_runs: list[Run] = []
+        if merged_rows:
+            if target_level is None:
+                # Full compaction: one resulting run cannot interleave any
+                # other run's range, so its size class is safe to use.
+                target_level = max(
+                    [spec.level_of(len(merged_rows), self.level_seal_rows)]
+                    + [r.level for r in sources]
+                )
+            layout = self._render_region(plan, run_plan, merged_rows)
+            new_runs.append(Run(run_plan, layout, level=target_level))
         with entry.mvcc.lock:
-            source_ids = {r.rid for r in sources}
-            remaining = [r for r in entry.runs if r.rid not in source_ids]
-            merged: LevelRun | None = None
-            if new_layout is not None:
-                if include_pending:
+            for run in new_runs:
+                if include_pending or not sources:
                     # A full merge's output is the complete post-
                     # resolution state: folded-in pending rows are newer
                     # than every tombstone (an inherited seq would let a
                     # surviving tombstone suppress them at scan), and
                     # every tombstone has been applied to every source —
                     # a fresh sequence lets the GC below drop them all.
-                    max_seq = entry.next_run_seq
+                    run.max_seq = entry.next_run_seq
                     entry.next_run_seq += 1
-                elif sources:
-                    max_seq = max(r.max_seq for r in sources)
                 else:
-                    max_seq = entry.next_run_seq
-                    entry.next_run_seq += 1
-                min_seq = min(
-                    (r.min_seq for r in sources), default=max_seq
+                    run.max_seq = max(r.max_seq for r in sources)
+                run.min_seq = min(
+                    (r.min_seq for r in sources), default=run.max_seq
                 )
-                merged = LevelRun(
-                    rid=entry.next_run_id,
-                    level=target_level,
-                    min_seq=min_seq,
-                    max_seq=max_seq,
-                    plan=run_plan,
-                    layout=new_layout,
-                )
+                run.rid = entry.next_run_id
                 entry.next_run_id += 1
-                remaining.append(merged)
-            remaining.sort(key=lambda r: r.max_seq)
-            entry.runs = remaining
+            entry.plan = plan
+            region.plan = run_plan
+            self._replace_runs(
+                entry, region, sources, new_runs, m,
+                compaction=True, keep_pending=not include_pending,
+            )
             # A tombstone still applies only to runs older than its seq;
             # with none left it is garbage (a full merge drops them all).
             entry.level_tombstones = [
                 t for t in entry.level_tombstones
-                if any(r.max_seq < t[0] for r in remaining)
+                if any(r.max_seq < t[0] for r in region.runs)
             ]
-            if include_pending:
-                entry.pending.clear()
-                entry.pending_zone = None
-            entry.plan = plan
-            entry.mvcc.retire(
-                self._layout_freer(*(r.layout for r in sources))
-            )
-            self._wa_note(entry, new_layout, compaction=True)
-        if new_layout is not None:
-            m.log_layout(new_layout)
-        return merged
 
     def _relevel_plan(
         self, entry: CatalogEntry, inner: str | ast.Node
@@ -1622,17 +1459,13 @@ class RodentStore:
             entry.wa_pages_compacted += pages
             entry.wa_compactions += 1
 
-    def render_overflow_region(
+    def render_overflow_run(
         self, schema: Schema, records: Sequence[tuple]
-    ) -> StoredLayout:
-        """Render a row-major overflow region (used by Table.flush_inserts)."""
-        plan = PhysicalPlan(
-            expr=ast.TableRef("__overflow__"),
-            kind=LAYOUT_ROWS,
-            schema=schema,
-        )
+    ) -> Run:
+        """Render flushed inserts as a row-major overflow run."""
+        plan = overflow_plan(schema)
         evaluated = Evaluated(list(records), tuple(schema.names()))
-        return self.renderer.render(plan, evaluated)
+        return Run(plan, self.renderer.render(plan, evaluated), overflow=True)
 
     def adapt(self, name: str | None = None) -> dict:
         """Run the adaptive loop now: advise on the observed workload and
@@ -1710,13 +1543,12 @@ class RodentStore:
         tables: dict[str, dict] = {}
         for entry in self.catalog:
             info: dict[str, Any] = {}
-            if entry.plan is not None and (
-                entry.plan.kind == LAYOUT_PARTITIONED
-            ):
+            kind = entry.plan.kind if entry.plan is not None else None
+            if kind == LAYOUT_PARTITIONED:
                 info.update(
                     {
                         "partitioned": True,
-                        "partition_count": len(entry.partitions),
+                        "partition_count": len(entry.regions),
                         "partition_scans": entry.partition_scans,
                         "partitions_pruned": entry.partitions_pruned_total,
                         "partitions": [
@@ -1731,24 +1563,23 @@ class RodentStore:
                                 "overflow_regions": len(region.overflow),
                                 "pending_rows": len(region.pending),
                             }
-                            for region in entry.partitions
+                            for region in entry.regions
                         ],
                     }
                 )
-            if entry.plan is not None and (
-                entry.plan.kind == LAYOUT_LEVELLED
-            ):
+            if kind == LAYOUT_LEVELLED:
+                (region,) = entry.regions
                 levels: dict[int, int] = {}
-                for run in entry.runs:
+                for run in region.runs:
                     levels[run.level] = levels.get(run.level, 0) + 1
                 info.update(
                     {
                         "levelled": True,
-                        "run_count": len(entry.runs),
+                        "run_count": len(region.runs),
                         "levels": {
                             str(lvl): levels[lvl] for lvl in sorted(levels)
                         },
-                        "pending_rows": len(entry.pending),
+                        "pending_rows": len(region.pending),
                         "tombstones": len(entry.level_tombstones),
                         "runs": [
                             {
@@ -1758,7 +1589,7 @@ class RodentStore:
                                 "pages": run.total_pages(),
                                 "seq": [run.min_seq, run.max_seq],
                             }
-                            for run in entry.runs
+                            for run in region.runs
                         ],
                     }
                 )
@@ -1832,14 +1663,8 @@ class RodentStore:
         its true I/O.
         """
         for entry in self.catalog:
-            if entry.layout is not None:
-                entry.layout.clear_caches()
-            for run in entry.runs:
-                if run.layout is not None:
-                    run.layout.clear_caches()
-            for region in entry.partitions:
-                if region.layout is not None:
-                    region.layout.clear_caches()
+            for run in entry.runs():
+                run.layout.clear_caches()
         self.pool.clear()
         self.disk.reset_head()
         with self.disk.measure() as io:
@@ -1847,42 +1672,62 @@ class RodentStore:
         return result, io
 
 
+def _unloaded_regions(plan: PhysicalPlan) -> tuple[list[Region], bool]:
+    """``(regions, loaded)`` of a table created under ``plan`` and not yet
+    bulk-loaded. A flat table has its one region from birth (inserts need
+    a pending buffer) but scans only once loaded; partitions appear as
+    rows route to them; a levelled table is born scannable — create,
+    insert, scan — with the first seal rendering run 0."""
+    if plan.partition is not None:
+        return [], False
+    (template,) = plan.level_plans or (plan,)
+    return [Region(plan=template)], plan.levels is not None
+
+
+def _levels_over_fanout(region: Region, k: int) -> list[int]:
+    """Levels of a levelled region holding at least ``k`` runs, shallowest
+    first."""
+    counts: dict[int, int] = {}
+    for run in region.runs:
+        counts[run.level] = counts.get(run.level, 0) + 1
+    return sorted(level for level, c in counts.items() if c >= k)
+
+
 def _find_or_create_region(
     plan: PhysicalPlan,
-    partitions: list[PartitionRegion],
+    regions: list[Region],
     lookup: dict,
     next_pid: int,
     locator: Locator,
-) -> tuple[PartitionRegion, int]:
-    """Find ``locator``'s region in ``partitions`` or create it.
+) -> tuple[Region, int]:
+    """Find ``locator``'s region in ``regions`` or create it.
 
     Pure list/dict manipulation shared by live routing
     (:meth:`RodentStore._region_for`, against the entry's lists) and the
     partitioned bulk load (against private lists that swap in atomically).
-    Range regions insert in bucket order so the partition list stays sorted
+    Range regions insert in bucket order so the region list stays sorted
     by key range. Returns ``(region, next_pid)``.
     """
     assert plan.partition is not None
     found = lookup.get(locator.key)
     if found is not None:
         return found, next_pid
-    template = plan.partition_plans[0]
-    region = PartitionRegion(
+    region = Region(
+        plan=plan.partition_plans[0],
         pid=next_pid,
         key=locator.key,
         lower=locator.lower,
         upper=locator.upper,
-        plan=template,
     )
     next_pid += 1
     if plan.partition.method == "range":
-        at = len(partitions)
-        for i, existing in enumerate(partitions):
+        at = len(regions)
+        for i, existing in enumerate(regions):
             if existing.key > region.key:
                 at = i
                 break
-        partitions.insert(at, region)
+        regions.insert(at, region)
     else:
-        partitions.append(region)
+        regions.append(region)
     lookup[region.key] = region
     return region, next_pid

@@ -4,9 +4,9 @@ RodentStore writers never mutate a rendered layout in place: a structural
 change (flush, re-layout, compaction, partition rewrite) builds new pages
 copy-on-write and atomically swaps the new plan/layout into the catalog entry
 at commit. That makes snapshots nearly free — a scan *pins* the entry, which
-shallow-copies the handful of references it needs (plan, layout, overflow
-list, pending buffer, indexes, partition regions); unchanged pages are shared
-between versions, as in RStore's page-shared snapshots.
+shallow-copies the handful of references it needs (plan, indexes, and each
+region's run list and pending buffer, frozen by ``Region.freeze``); unchanged
+pages are shared between versions, as in RStore's page-shared snapshots.
 
 The one thing pinning must also solve is reclamation: the pages of a
 superseded layout may still be read by in-flight scans that pinned the old
@@ -26,76 +26,24 @@ import threading
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.catalog import CatalogEntry, PartitionRegion
-
-
-class RegionView:
-    """Immutable view of one :class:`PartitionRegion` at pin time.
-
-    Duck-types the region for the scan paths: same attribute names, with
-    ``overflow``/``pending`` frozen to tuples so a concurrent insert into
-    the live region cannot bleed into a pinned snapshot.
-    """
-
-    __slots__ = (
-        "pid", "key", "lower", "upper", "plan", "layout", "overflow",
-        "pending", "pending_zone",
-    )
-
-    def __init__(self, region: "PartitionRegion"):
-        self.pid = region.pid
-        self.key = region.key
-        self.lower = region.lower
-        self.upper = region.upper
-        self.plan = region.plan
-        self.layout = region.layout
-        self.overflow = tuple(region.overflow)
-        self.pending = tuple(region.pending)
-        self.pending_zone = region.pending_zone
-
-    @property
-    def row_count(self) -> int:
-        count = self.layout.row_count if self.layout is not None else 0
-        count += sum(o.row_count for o in self.overflow)
-        count += len(self.pending)
-        return count
-
-    def total_pages(self) -> int:
-        pages = self.layout.total_pages() if self.layout is not None else 0
-        pages += sum(o.total_pages() for o in self.overflow)
-        return pages
-
-    def describe_key(self) -> str:
-        if self.lower is not None or self.upper is not None:
-            lo = "-inf" if self.lower is None else f"{self.lower:g}"
-            hi = "+inf" if self.upper is None else f"{self.upper:g}"
-            return f"[{lo}, {hi})"
-        return repr(self.key)
+    from repro.engine.catalog import CatalogEntry
 
 
 class TableSnapshot:
     """What one scan sees: the entry's layout-bearing state at pin time."""
 
     __slots__ = (
-        "version", "plan", "layout", "overflow", "pending", "pending_zone",
-        "indexes", "spatial_indexes", "partitions", "partitions_loaded",
-        "runs", "level_tombstones", "released",
+        "version", "plan", "regions", "loaded", "indexes", "spatial_indexes",
+        "level_tombstones", "released",
     )
 
     def __init__(self, entry: "CatalogEntry", version: int):
         self.version = version
         self.plan = entry.plan
-        self.layout = entry.layout
-        self.overflow = tuple(entry.overflow)
-        self.pending = tuple(entry.pending)
-        self.pending_zone = entry.pending_zone
+        self.regions = [region.freeze() for region in entry.regions]
+        self.loaded = entry.loaded
         self.indexes = dict(entry.indexes)
         self.spatial_indexes = dict(entry.spatial_indexes)
-        self.partitions = [RegionView(r) for r in entry.partitions]
-        self.partitions_loaded = entry.partitions_loaded
-        # The pinned run manifest: runs are immutable, so freezing the
-        # list keeps a scan stable across concurrent seals/compactions.
-        self.runs = tuple(entry.runs)
         self.level_tombstones = tuple(entry.level_tombstones)
         self.released = False
 

@@ -18,7 +18,12 @@ import zlib
 from typing import TYPE_CHECKING, Any
 
 from repro import vector
-from repro.algebra.physical import PhysicalPlan
+from repro.algebra.physical import (
+    LAYOUT_LEVELLED,
+    LAYOUT_PARTITIONED,
+    PhysicalPlan,
+)
+from repro.engine.catalog import Region, Run, overflow_plan
 from repro.engine.stats import FieldStats, TableStats
 from repro.engine.synopsis import LayoutSynopsis, ZoneColumn, ZoneTable
 from repro.errors import CatalogError, CorruptCatalogError
@@ -245,6 +250,16 @@ def stats_from_dict(data: dict) -> TableStats:
 # -- catalog save/load --------------------------------------------------------
 
 
+def _run_layouts(region) -> dict:
+    """A flat table's or a partition's runs under their catalog keys."""
+    main = region.main
+    return {
+        "layout": layout_to_dict(main.layout) if main else None,
+        "overflow": [layout_to_dict(o.layout) for o in region.overflow],
+        "pending": [list(r) for r in region.pending],
+    }
+
+
 def _region_to_dict(region) -> dict:
     return {
         "pid": region.pid,
@@ -252,9 +267,7 @@ def _region_to_dict(region) -> dict:
         "lower": region.lower,
         "upper": region.upper,
         "expr": region.plan.expr.to_text() if region.plan else None,
-        "layout": layout_to_dict(region.layout) if region.layout else None,
-        "overflow": [layout_to_dict(o) for o in region.overflow],
-        "pending": [list(r) for r in region.pending],
+        **_run_layouts(region),
     }
 
 
@@ -264,13 +277,27 @@ def _run_to_dict(run) -> dict:
         "level": run.level,
         "min_seq": run.min_seq,
         "max_seq": run.max_seq,
-        "expr": run.plan.expr.to_text() if run.plan else None,
-        "layout": layout_to_dict(run.layout) if run.layout else None,
+        "expr": run.plan.expr.to_text(),
+        "layout": layout_to_dict(run.layout),
     }
 
 
 def entry_to_dict(entry) -> dict:
-    """Serialize one catalog entry (schema, design, layout metadata)."""
+    """Serialize one catalog entry (schema, design, layout metadata).
+
+    The one place that spells the three table shapes differently: a flat
+    table's single region is written as the entry-level ``layout`` /
+    ``overflow`` / ``pending`` keys, a partitioned table's regions as
+    ``partitions``, a levelled table's single region as ``runs`` +
+    ``pending``.
+    """
+    kind = entry.plan.kind if entry.plan else None
+    partitioned = kind == LAYOUT_PARTITIONED
+    levelled = kind == LAYOUT_LEVELLED
+    # The one region of a flat or levelled table (its runs are spelled
+    # ``runs`` when levelled, ``layout`` + ``overflow`` when flat).
+    single = Region() if partitioned or not entry.regions else entry.regions[0]
+    own = _run_layouts(Region(pending=single.pending) if levelled else single)
     return {
         "name": entry.name,
         "schema": [
@@ -278,19 +305,21 @@ def entry_to_dict(entry) -> dict:
             for f in entry.logical_schema.fields
         ],
         "expr": entry.plan.expr.to_text() if entry.plan else None,
-        "layout": layout_to_dict(entry.layout) if entry.layout else None,
-        "overflow": [layout_to_dict(o) for o in entry.overflow],
+        "layout": own["layout"],
+        "overflow": own["overflow"],
         "stats": stats_to_dict(entry.stats) if entry.stats else None,
-        "pending": [list(r) for r in entry.pending],
+        "pending": own["pending"],
         "monitor": entry.monitor.to_dict()
         if entry.monitor is not None
         else None,
-        "partitions": [_region_to_dict(r) for r in entry.partitions],
-        "partitions_loaded": entry.partitions_loaded,
+        "partitions": [
+            _region_to_dict(r) for r in entry.regions if partitioned
+        ],
+        "partitions_loaded": partitioned and entry.loaded,
         "next_partition_id": entry.next_partition_id,
         "partition_scans": entry.partition_scans,
         "partitions_pruned": entry.partitions_pruned_total,
-        "runs": [_run_to_dict(r) for r in entry.runs],
+        "runs": [_run_to_dict(r) for r in single.runs if levelled],
         "level_tombstones": [
             [seq, list(value) if isinstance(value, tuple) else value]
             for seq, value in entry.level_tombstones
@@ -379,10 +408,6 @@ def load_catalog(store: "RodentStore", path: str) -> None:
     The store must be backed by the same page file the catalog was saved
     against (checked via page size; page contents are trusted).
     """
-    from repro.algebra.interpreter import AlgebraInterpreter
-    from repro.algebra.physical import LAYOUT_ROWS, PhysicalPlan
-    from repro.algebra import ast
-
     payload = read_catalog_payload(store, path)
     if payload.get("version") != FORMAT_VERSION:
         raise CatalogError(
@@ -411,8 +436,6 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
     over whatever earlier state the checkpoint restored.
     """
     from repro.algebra.interpreter import AlgebraInterpreter
-    from repro.algebra.physical import LAYOUT_ROWS, PhysicalPlan
-    from repro.algebra import ast
 
     if not store.catalog.has(t["name"]):
         store.catalog.create(t["name"], Schema.of(*t["schema"]))
@@ -421,100 +444,77 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
     entry.plan = (
         interpreter.compile(t["expr"]) if t["expr"] is not None else None
     )
-    entry.layout = (
-        layout_from_dict(t["layout"], entry.plan)
-        if t["layout"] is not None
-        else None
-    )
-    overflow_plan = PhysicalPlan(
-        expr=ast.TableRef("__overflow__"),
-        kind=LAYOUT_ROWS,
-        schema=_scan_schema_of(entry),
-    )
-    entry.overflow = [
-        layout_from_dict(o, overflow_plan) for o in t.get("overflow", [])
-    ]
     if t.get("stats"):
         entry.stats = stats_from_dict(t["stats"])
-    pending = [tuple(r) for r in t.get("pending", [])]
-    entry.pending = pending
-    entry.pending_zone = None
-    if pending:
-        # The pending zone map is derived data: rebuild it from the
-        # restored rows so pruned scans keep skipping the buffer.
-        entry.pending_zone = ZoneTable()
-        entry.pending_zone.merge_rows(_scan_schema_of(entry).names(), pending)
     if t.get("monitor"):
         from repro.optimizer.monitor import WorkloadMonitor
 
         entry.monitor = WorkloadMonitor.from_dict(t["monitor"])
-    if t.get("partitions") or t.get("partitions_loaded"):
-        from repro.engine.catalog import PartitionRegion
+    scan_schema = _scan_schema_of(entry)
+    spill_plan = overflow_plan(scan_schema)
 
-        scan_schema = _scan_schema_of(entry)
-        regions = []
-        for r in t.get("partitions", []):
-            region_plan = (
-                interpreter.compile(r["expr"])
-                if r.get("expr")
-                else None
-            )
-            region = PartitionRegion(
+    def region_from(data: dict, plan, **identity) -> Region:
+        """A flat table's or a partition's region from its catalog keys.
+        The pending zone map is derived data: rebuilt from the restored
+        rows so pruned scans keep skipping the buffer."""
+        region = Region(plan=plan, **identity)
+        if data.get("layout"):
+            main = layout_from_dict(data["layout"], plan)
+            region.runs.append(Run(plan, main))
+        region.runs += [
+            Run(spill_plan, layout_from_dict(o, spill_plan), overflow=True)
+            for o in data.get("overflow", [])
+        ]
+        pending = [tuple(row) for row in data.get("pending", [])]
+        if pending:
+            region.add_pending(scan_schema.names(), pending)
+        return region
+
+    kind = entry.plan.kind if entry.plan is not None else None
+    entry.region_index = {}
+    if kind == LAYOUT_PARTITIONED:
+        entry.regions = [
+            region_from(
+                r,
+                interpreter.compile(r["expr"]) if r.get("expr") else None,
                 pid=r["pid"],
                 key=r.get("key"),
                 lower=r.get("lower"),
                 upper=r.get("upper"),
-                plan=region_plan,
-                layout=layout_from_dict(r["layout"], region_plan)
-                if r.get("layout")
-                else None,
-                overflow=[
-                    layout_from_dict(o, overflow_plan)
-                    for o in r.get("overflow", [])
-                ],
-                pending=[tuple(row) for row in r.get("pending", [])],
             )
-            if region.pending:
-                region.pending_zone = ZoneTable()
-                region.pending_zone.merge_rows(
-                    scan_schema.names(), region.pending
-                )
-            regions.append(region)
-        entry.partitions = regions
-        entry.region_index = {}
-        entry.partitions_loaded = bool(
-            t.get("partitions_loaded", bool(regions))
+            for r in t.get("partitions", [])
+        ]
+        entry.loaded = bool(
+            t.get("partitions_loaded", bool(entry.regions))
         )
         entry.next_partition_id = t.get(
             "next_partition_id",
-            max((r.pid for r in regions), default=-1) + 1,
+            max((r.pid for r in entry.regions), default=-1) + 1,
         )
         entry.partition_scans = t.get("partition_scans", 0)
         entry.partitions_pruned_total = t.get("partitions_pruned", 0)
-    else:
-        entry.partitions = []
-        entry.region_index = {}
-        entry.partitions_loaded = False
-    from repro.engine.catalog import LevelRun
-
-    runs = []
-    for r in t.get("runs", []):
-        run_plan = (
-            interpreter.compile(r["expr"]) if r.get("expr") else None
+    elif kind == LAYOUT_LEVELLED:
+        region = region_from(
+            {"pending": t.get("pending", [])}, entry.plan.level_plans[0]
         )
-        runs.append(
-            LevelRun(
-                rid=r["rid"],
-                level=r["level"],
-                min_seq=r["min_seq"],
-                max_seq=r["max_seq"],
-                plan=run_plan,
-                layout=layout_from_dict(r["layout"], run_plan)
-                if r.get("layout")
-                else None,
+        for r in t.get("runs", []):
+            run_plan = interpreter.compile(r["expr"])
+            region.runs.append(
+                Run(
+                    run_plan,
+                    layout_from_dict(r["layout"], run_plan),
+                    rid=r["rid"],
+                    level=r["level"],
+                    min_seq=r["min_seq"],
+                    max_seq=r["max_seq"],
+                )
             )
-        )
-    entry.runs = runs
+        entry.regions = [region]
+        entry.loaded = True
+    else:
+        entry.regions = [region_from(t, entry.plan)]
+        entry.loaded = t["layout"] is not None
+    runs = list(entry.runs())
     # Multiset tombstone values are full stored rows (JSON lists back to
     # the tuples scan resolution compares against); keyed values are the
     # merge-key scalar and pass through.

@@ -21,7 +21,7 @@ RodentStore's copy-on-write engine:
 4. **Logical replay.** The *last* committed catalog image per table is
    applied (it supersedes older images and any page-level state), then
    committed row inserts newer than that image land back in the pending
-   buffer, routed per-partition for partitioned tables.
+   buffers through the same ``Table._add_pending`` an insert uses.
 5. **Re-checkpoint.** The recovered state is checkpointed, truncating the
    log — recovery is idempotent and a crash during recovery just replays.
 """
@@ -117,8 +117,6 @@ def recover_store(store: "RodentStore") -> dict:
             applied += 1
 
     # -- logical replay: committed row inserts ----------------------------
-    from repro.algebra.physical import LAYOUT_PARTITIONED
-    from repro.engine import synopsis as zonemaps
     from repro.engine.table import Table
 
     rows_replayed = 0
@@ -130,7 +128,7 @@ def recover_store(store: "RodentStore") -> dict:
         catalog_record_lsn = catalogs.get(name, (0, None))[0]
         if r.lsn <= catalog_record_lsn:
             # The newer catalog image already folds these rows in (they
-            # were in the entry's pending/overflow when it was serialized).
+            # were in a pending buffer or a run when it was serialized).
             continue
         if not store.catalog.has(name):
             continue  # table dropped later in the log
@@ -138,14 +136,7 @@ def recover_store(store: "RodentStore") -> dict:
         if entry.plan is None:
             continue
         rows = [tuple(v) for v in payload["rows"]]
-        table = Table(store, entry)
-        if entry.plan.kind == LAYOUT_PARTITIONED:
-            table._route_pending(rows)
-        else:
-            entry.pending.extend(rows)
-            if entry.pending_zone is None:
-                entry.pending_zone = zonemaps.ZoneTable()
-            entry.pending_zone.merge_rows(table.scan_schema().names(), rows)
+        Table(store, entry)._add_pending(rows)
         rows_replayed += len(rows)
 
     summary = {

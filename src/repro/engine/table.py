@@ -17,10 +17,13 @@ positionally), nested attributes are un-nested by merging with the parent
 tuple, and when the requested order differs from the stored order the data is
 buffered and re-sorted on the fly.
 
-Inserted records accumulate in row-major *overflow regions* (the "reorganize
-only new data" state of §5); scans transparently merge the main layout with
-the overflow, and :meth:`Table.compact` folds the overflow back into the main
-representation.
+Every table is a list of *regions*, each a list of immutable *runs* plus a
+pending insert buffer (:mod:`repro.engine.catalog`): a flat table is one
+region, ``partition[...]`` is regions routed by key, ``levels[...]`` is one
+region read newest-first. Inserted records accumulate in row-major *overflow
+runs* (the "reorganize only new data" state of §5); scans transparently merge
+a region's main run with its overflow, and :meth:`Table.compact` folds the
+overflow back into the main representation.
 
 Scans execute **batch-at-a-time** internally while keeping the paper's
 per-tuple iterator API: the renderer yields page/chunk-sized
@@ -38,6 +41,7 @@ from __future__ import annotations
 import operator
 import weakref
 from bisect import bisect_right
+from functools import partial
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
@@ -184,28 +188,11 @@ class Table:
         return view
 
     @property
-    def _pending(self):
-        """Not-yet-flushed inserts. Lives on the catalog entry — shared by
-        every Table handle and preserved across re-layouts (a relayout
-        recovers them through the scan path before rendering)."""
+    def _regions(self):
+        """The table's regions (snapshot-frozen for pinned scans)."""
         if self._snap is not None:
-            return self._snap.pending
-        return self._entry.pending
-
-    @property
-    def _pending_zone(self) -> zonemaps.ZoneTable | None:
-        """Incrementally maintained zone map over the pending buffer, so
-        pruned scans can skip the pending batch without touching it."""
-        if self._snap is not None:
-            return self._snap.pending_zone
-        return self._entry.pending_zone
-
-    @property
-    def _overflow(self):
-        """Overflow regions visible to this handle (snapshot or live)."""
-        if self._snap is not None:
-            return self._snap.overflow
-        return self._entry.overflow
+            return self._snap.regions
+        return self._entry.regions
 
     @property
     def _indexes(self) -> dict:
@@ -242,30 +229,27 @@ class Table:
         return plan
 
     @property
-    def layout(self) -> StoredLayout:
-        layout = (
-            self._snap.layout if self._snap is not None else self._entry.layout
-        )
-        if layout is None:
-            raise StorageError(f"table {self.name!r} has not been loaded yet")
-        return layout
+    def is_loaded(self) -> bool:
+        if self._snap is not None:
+            return self._snap.loaded
+        return self._entry.loaded
+
+    def _require_loaded(self) -> list:
+        """The regions of a scannable table."""
+        if not self.is_loaded:
+            raise StorageError(
+                f"table {self.name!r} has not been loaded yet"
+            )
+        return self._regions
 
     @property
-    def is_loaded(self) -> bool:
-        if self.is_partitioned:
-            if self._snap is not None:
-                return self._snap.partitions_loaded
-            return self._entry.partitions_loaded
-        if self.is_levelled:
-            # A levelled table is born scannable — create, insert, scan —
-            # with the first seal rendering run 0; there is no separate
-            # bulk-load gate.
-            return True
-        if self._snap is not None:
-            return self._snap.layout is not None
-        return self._entry.layout is not None
-
-    # -- horizontal partitions ---------------------------------------------
+    def layout(self) -> StoredLayout:
+        """The main layout of a flat (one region, one main run) table."""
+        regions = self._require_loaded()
+        main = regions[0].main if len(regions) == 1 else None
+        if main is None:
+            raise StorageError(f"table {self.name!r} has no single layout")
+        return main.layout
 
     @property
     def is_partitioned(self) -> bool:
@@ -274,42 +258,19 @@ class Table:
 
     @property
     def partitions(self):
-        """The table's :class:`~repro.engine.catalog.PartitionRegion` list
-        (empty for unpartitioned tables; region views for pinned scans)."""
-        if self._snap is not None:
-            return self._snap.partitions
-        return self._entry.partitions
+        """The table's :class:`~repro.engine.catalog.Region` list — the
+        partitions of a partitioned table; any other table is one region
+        (frozen for pinned scans)."""
+        return self._regions
 
     @property
     def partition_count(self) -> int:
-        return len(self.partitions)
-
-    def _require_partitions(self) -> list:
-        if self._snap is not None:
-            if not self._snap.partitions_loaded:
-                raise StorageError(
-                    f"table {self.name!r} has not been loaded yet"
-                )
-            return self._snap.partitions
-        if not self._entry.partitions_loaded:
-            raise StorageError(
-                f"table {self.name!r} has not been loaded yet"
-            )
-        return self._entry.partitions
-
-    # -- levelled (LSM) runs -----------------------------------------------
+        return len(self._regions)
 
     @property
     def is_levelled(self) -> bool:
         plan = self._snap.plan if self._snap is not None else self._entry.plan
         return plan is not None and plan.kind == LAYOUT_LEVELLED
-
-    @property
-    def _runs(self):
-        """The run manifest, oldest first (snapshot-pinned for scans)."""
-        if self._snap is not None:
-            return self._snap.runs
-        return self._entry.runs
 
     @property
     def _level_tombstones(self):
@@ -319,18 +280,23 @@ class Table:
 
     @property
     def run_count(self) -> int:
-        return len(self._runs)
+        """Runs in a levelled table's manifest."""
+        if not self.is_levelled:
+            return 0
+        return sum(len(region.runs) for region in self._regions)
 
     @property
     def row_count(self) -> int:
-        if self.is_partitioned:
-            return sum(r.row_count for r in self.partitions)
-        if self.is_levelled:
-            return self._levelled_row_count()
-        count = self.layout.row_count if self.is_loaded else 0
-        count += sum(o.row_count for o in self._overflow)
-        count += len(self._pending)
-        return count
+        regions = self._regions
+        spec = self.plan.levels if regions else None
+        if spec is not None and (
+            spec.key is not None or self._level_tombstones
+        ):
+            # Shadowed versions and tombstoned rows are still stored:
+            # count what a scan resolves.
+            batches, _ = self._table_source(None, None)
+            return sum(batch.n_rows for batch in batches)
+        return sum(region.row_count for region in regions)
 
     def scan_schema(self) -> Schema:
         """Schema of the tuples a scan produces (folded layouts un-nest)."""
@@ -566,12 +532,8 @@ class Table:
             batches: Iterator[ColumnBatch] = _chunk_rows(
                 index_rows, tuple(avail), probe_chunk
             )
-        elif self.is_partitioned:
-            batches, avail = self._partition_batches(needed, predicate)
-        elif self.is_levelled:
-            batches, avail = self._levelled_batches(needed, predicate)
         else:
-            batches, avail = self._batches_with_overflow(needed, predicate)
+            batches, avail = self._table_source(needed, predicate)
         positions = {name: i for i, name in enumerate(avail)}
 
         row_filter = None
@@ -724,12 +686,8 @@ class Table:
         index_rows = self._index_path(predicate)
         if index_rows is not None:
             rows, avail = index_rows, self.plan.schema.names()
-        elif self.is_partitioned:
-            rows, avail = self._partition_rows(needed, predicate)
-        elif self.is_levelled:
-            rows, avail = self._levelled_rows(needed, predicate)
         else:
-            rows, avail = self._iter_with_overflow(needed, predicate)
+            rows, avail = self._table_source(needed, predicate, reference=True)
         positions = {name: i for i, name in enumerate(avail)}
 
         if predicate is not None:
@@ -799,67 +757,82 @@ class Table:
             return {}
         return zonemaps.predicate_intervals(predicate)
 
-    def _batches_with_overflow(
+    # ==================================================================
+    # the table as a list of regions of runs
+    # ==================================================================
+
+    def _table_source(
         self,
         needed: Sequence[str] | None,
         predicate: Predicate | None,
-    ) -> tuple[Iterator[ColumnBatch], list[str]]:
-        """Main-layout batches with overflow + pending as trailing batches.
+        reference: bool = False,
+    ) -> tuple[Iterator, list[str]]:
+        """``(source, fields)`` over every region a scan must read.
 
-        Overflow regions are row-major renders with their own page zone
-        maps, and the pending buffer keeps an incrementally maintained
-        zone — both prune against the same predicate intervals as the main
-        layout.
+        The routing of the three table shapes, and nothing else: which
+        regions, in which field order, resolved how, contained how. The
+        reading is :meth:`_region_batches` — or, with ``reference``, its
+        tuple-at-a-time oracle :meth:`_region_reference_rows`.
         """
-        main_batches, avail = self._batch_stored(
-            self.layout, needed, predicate
+        scan = (
+            self._region_reference_rows if reference else self._region_batches
         )
-        renderer = self._db.renderer
-        schema_names = self.scan_schema().names()
-        reorder = _batch_reorderer(schema_names, avail)
-        overflow_layouts = list(self._overflow)
-        intervals = self._prune_intervals(predicate)
-        pending = [tuple(r) for r in self._pending]
-        if (
-            pending
-            and intervals
-            and self._pending_zone is not None
-            and not self._pending_zone.may_match(intervals)
-        ):
-            pending = []
-
-        def overflow_batches(overflow) -> Iterator[ColumnBatch]:
-            skip = (
-                zonemaps.rows_page_skip(overflow, intervals)
-                if intervals
-                else None
+        regions = self._require_loaded()
+        if self.is_levelled:
+            # Multiset tables keep every pruning lever: tombstone
+            # suppression is by row value, independent of what pruning
+            # drops. Keyed tables scan un-pruned and un-projected instead —
+            # a newer version must shadow older versions of its key even
+            # when the newer row itself fails the predicate — leaving
+            # selection entirely to the downstream filter.
+            needed, predicate = self._run_scan_args(needed, predicate)
+            target = self._target_fields(needed)
+            resolver = _LevelResolver(
+                self.plan.levels, target, self._level_tombstones
             )
-            return map(reorder, renderer.iter_row_batches(overflow, skip=skip))
+            return scan(
+                regions[0], needed, predicate, target, resolver,
+                lambda i, run: f"run[{run.rid}]",
+            )
+        if not self.is_partitioned:
+            return scan(
+                regions[0],
+                needed,
+                predicate,
+                unit=lambda i, run: f"overflow[{i - 1}]" if i else "main",
+            )
+        # Regions may carry different designs (their field orders differ),
+        # so a partitioned scan normalizes to one target order. A corrupt
+        # region is contained whole, per the store's degraded-read policy.
+        target = self._target_fields(needed)
 
-        def chained() -> Iterator[ColumnBatch]:
-            yield from self._corruption_guard(main_batches, "main")
-            for i, overflow in enumerate(overflow_layouts):
-                yield from self._corruption_guard(
-                    overflow_batches(overflow), f"overflow[{i}]"
-                )
-            if pending:
-                yield reorder(
-                    ColumnBatch.from_rows(tuple(schema_names), pending)
-                )
+        def source(region):
+            batches, _ = scan(region, needed, predicate, target)
+            if reference:
+                return batches
+            return self._corruption_guard(batches, f"partition[{region.pid}]")
 
-        return chained(), avail
+        sources = [
+            partial(source, region)
+            for region in self._partitions_for_scan(predicate)
+        ]
+        workers = int(getattr(self._db, "scan_workers", 0) or 0)
+        if workers > 1 and len(sources) > 1 and not reference:
+            # Regions fan out to the store's shared thread pool
+            # morsel-style and merge back **in partition order**, so
+            # parallel results are byte-identical to serial ones (the
+            # buffer pool is lock-guarded for exactly this path).
+            from repro.query.operators import fan_out_partitions
 
-    # ==================================================================
-    # partitioned scans (one independently rendered region per partition)
-    # ==================================================================
+            return (
+                fan_out_partitions(self._db.scan_executor(), sources, workers),
+                target,
+            )
+        return chain.from_iterable(make() for make in sources), target
 
-    def _partition_target_fields(self, needed: Sequence[str] | None) -> list[str]:
-        """The field order every region's batches project to.
-
-        Regions may carry different designs (their ``avail`` orders differ),
-        so partitioned scans normalize to the canonical scan-schema order
-        restricted to the fields the scan touches.
-        """
+    def _target_fields(self, needed: Sequence[str] | None) -> list[str]:
+        """The canonical scan-schema order restricted to the fields a scan
+        touches — the one order runs of different designs project to."""
         scan_names = self.scan_schema().names()
         if needed is None:
             return list(scan_names)
@@ -875,19 +848,18 @@ class Table:
         zone maps even load. Pruning is conservative: expression keys and
         non-numeric values keep every region.
         """
-        regions = self._require_partitions()
-        if predicate is None or not getattr(
-            self._db, "partition_pruning", True
-        ):
-            return list(regions)
+        regions = self._require_loaded()
         spec = self.plan.partition
         key_field = spec.key_field if spec is not None else None
-        if key_field is None:
+        if (
+            predicate is None
+            or key_field is None
+            or not getattr(self._db, "partition_pruning", True)
+        ):
             return list(regions)
-        ranges = predicate.ranges()
-        if key_field not in ranges:
-            return list(regions)
-        lo, hi = ranges[key_field]
+        lo, hi = predicate.ranges().get(
+            key_field, (float("-inf"), float("inf"))
+        )
         if lo == float("-inf") and hi == float("inf"):
             return list(regions)
         return [
@@ -898,20 +870,18 @@ class Table:
         """Partitions a scan with ``predicate`` skips outright — from the
         partition map alone, no I/O and no counter side effects (what
         ``Q.explain()`` reports per scan node)."""
-        if not self.is_partitioned or not self.is_loaded:
+        if not self.is_loaded:
             return 0
-        regions = self.partitions
-        return len(regions) - len(self.partition_survivors(predicate))
+        return len(self._regions) - len(self.partition_survivors(predicate))
 
     def _partitions_for_scan(self, predicate: Predicate | None) -> list:
         """Survivors for an *executing* scan: updates the cumulative
         pruning counters and feeds per-partition access skew to the
         workload monitor."""
-        regions = self._require_partitions()
         survivors = self.partition_survivors(predicate)
         entry = self._entry
         entry.partition_scans += 1
-        entry.partitions_pruned_total += len(regions) - len(survivors)
+        entry.partitions_pruned_total += len(self._regions) - len(survivors)
         self._db.adaptivity.observe_partitions(
             self.name, [r.pid for r in survivors]
         )
@@ -922,194 +892,47 @@ class Table:
         region,
         needed: Sequence[str] | None,
         predicate: Predicate | None,
-        target: Sequence[str],
-    ) -> Iterator[ColumnBatch]:
-        """One region's batches (main layout + overflow + pending, all
-        zone-pruned against ``predicate``) projected to ``target``."""
-        renderer = self._db.renderer
-        scan_names = self.scan_schema().names()
-        intervals = self._prune_intervals(predicate)
-        if region.layout is not None and region.layout.row_count:
-            main, avail = self._batch_stored(region.layout, needed, predicate)
-            yield from map(_batch_reorderer(avail, target), main)
-        reorder = _batch_reorderer(scan_names, target)
-        for overflow in region.overflow:
-            skip = (
-                zonemaps.rows_page_skip(overflow, intervals)
-                if intervals
-                else None
-            )
-            yield from map(
-                reorder, renderer.iter_row_batches(overflow, skip=skip)
-            )
-        pending = [tuple(r) for r in region.pending]
-        if (
-            pending
-            and intervals
-            and region.pending_zone is not None
-            and not region.pending_zone.may_match(intervals)
-        ):
-            pending = []
-        if pending:
-            yield reorder(ColumnBatch.from_rows(tuple(scan_names), pending))
-
-    def _region_batch_iter(
-        self,
-        region,
-        needed: Sequence[str] | None,
-        predicate: Predicate | None,
-        target: Sequence[str],
-    ):
-        """Zero-arg source producing :meth:`_region_batches` for a scan:
-        a corrupt region is contained per the store's degraded-read policy."""
-        unit = f"partition[{region.pid}]"
-        return lambda: self._corruption_guard(
-            self._region_batches(region, needed, predicate, target), unit
-        )
-
-    def _partition_batches(
-        self,
-        needed: Sequence[str] | None,
-        predicate: Predicate | None,
+        target: Sequence[str] | None = None,
+        resolver: "_LevelResolver | None" = None,
+        unit=None,
     ) -> tuple[Iterator[ColumnBatch], list[str]]:
-        """Batch source over all surviving partitions.
+        """THE batch scan of one region: ``(batches, fields)``.
 
-        With ``store.scan_workers > 1`` and more than one surviving region,
-        regions fan out to the store's shared thread pool morsel-style and
-        merge back **in partition order**, so parallel results are
-        byte-identical to serial ones (the buffer pool is lock-guarded for
-        exactly this path).
+        Runs stream in stored order with the pending buffer trailing — or,
+        under a ``resolver`` (levels), the pending buffer first and the
+        runs newest-first through it. Every run prunes against
+        ``predicate`` by its own synopses (:meth:`_batch_stored`; overflow
+        runs are row-major renders with page zone maps), the pending
+        buffer by its incrementally maintained zone. Batches are projected
+        to ``target``; ``None`` keeps the first run's own field order (a
+        flat table's main run: no reorder on its hot path). ``unit(i,
+        run)`` names a run for degraded-read containment; ``None`` leaves
+        containment to the caller.
         """
-        target = self._partition_target_fields(needed)
-        survivors = self._partitions_for_scan(predicate)
-        sources = [
-            self._region_batch_iter(region, needed, predicate, target)
-            for region in survivors
-        ]
-        workers = int(getattr(self._db, "scan_workers", 0) or 0)
-        if workers > 1 and len(sources) > 1:
-            from repro.query.operators import fan_out_partitions
-
-            batches = fan_out_partitions(
-                self._db.scan_executor(), sources, workers
-            )
-        else:
-
-            def serial() -> Iterator[ColumnBatch]:
-                for make in sources:
-                    yield from make()
-
-            batches = serial()
-        return batches, target
-
-    def _region_row_iter(
-        self,
-        region,
-        needed: Sequence[str] | None,
-        predicate: Predicate | None,
-        target: Sequence[str],
-    ) -> Iterator[tuple]:
-        """Tuple-at-a-time region scan (the reference-path counterpart of
-        :meth:`_region_batch_iter`; overflow/pending stay un-pruned so the
-        reference pipeline remains a zone-map-free oracle)."""
-        if region.layout is not None and region.layout.row_count:
-            main, avail = self._iter_stored(region.layout, needed, predicate)
-            projector = _row_fields_projector(avail, target)
-            yield from (main if projector is None else map(projector, main))
-        scan_names = self.scan_schema().names()
-        over = _row_fields_projector(scan_names, target)
-        renderer = self._db.renderer
-        for overflow in region.overflow:
-            it = renderer.iter_rows(overflow)
-            yield from (it if over is None else map(over, it))
-        if region.pending:
-            pending = iter([tuple(r) for r in region.pending])
-            yield from (pending if over is None else map(over, pending))
-
-    def _partition_rows(
-        self,
-        needed: Sequence[str] | None,
-        predicate: Predicate | None,
-    ) -> tuple[Iterator[tuple], list[str]]:
-        target = self._partition_target_fields(needed)
-        survivors = self._partitions_for_scan(predicate)
-
-        def generate() -> Iterator[tuple]:
-            for region in survivors:
-                yield from self._region_row_iter(
-                    region, needed, predicate, target
-                )
-
-        return generate(), target
-
-    def _region_rows(self, region) -> list[tuple]:
-        """Every stored-shape row of one region (main + overflow +
-        pending) in canonical scan order — the source of a
-        partition-granular rewrite."""
-        target = list(self.scan_schema().names())
-        batches = self._region_batches(region, None, None, target)
-        return list(chain.from_iterable(map(ColumnBatch.iter_rows, batches)))
-
-    # ==================================================================
-    # levelled (LSM) scans: pending buffer, then runs newest-first
-    # ==================================================================
-
-    def _levelled_batches(
-        self,
-        needed: Sequence[str] | None,
-        predicate: Predicate | None,
-    ) -> tuple[Iterator[ColumnBatch], list[str]]:
-        """Batch source over a levelled table.
-
-        Segments stream newest-first — the pending buffer, then runs by
-        descending ``max_seq`` — through one shared :class:`_LevelResolver`
-        carrying last-writer-wins / tombstone state across segments.
-
-        Multiset tables keep every pruning lever (per-run zone and page
-        skips, the pending-zone skip): tombstone suppression is by row
-        value, independent of what pruning drops. Keyed tables scan
-        un-pruned and un-projected instead — a newer version must shadow
-        older versions of its key even when the newer row itself fails the
-        predicate — leaving selection entirely to the downstream filter.
-        """
-        spec = self.plan.levels
-        keyed = spec.key is not None
-        tombstones = self._level_tombstones
-        plain = not keyed and not tombstones
-        target = (
-            self._partition_target_fields(needed)
-            if plain
-            else list(self.scan_schema().names())
-        )
+        runs = list(region.runs)
+        if resolver is not None:
+            runs.reverse()
+        opened = None
+        if target is None:
+            opened = self._batch_stored(runs[0].layout, needed, predicate)
+            target = opened[1]
         fields = tuple(target)
-        run_needed = needed if plain else None
-        run_pred = predicate if not keyed else None
-        resolver = _LevelResolver(spec, target, tombstones)
-        runs = list(reversed(self._runs))
-        pending = [tuple(r) for r in self._pending]
-        intervals = self._prune_intervals(run_pred)
-        if (
-            pending
-            and not keyed
-            and intervals
-            and self._pending_zone is not None
-            and not self._pending_zone.may_match(intervals)
-        ):
-            pending = []
-        scan_names = self.scan_schema().names()
-        reorder_pending = _batch_reorderer(scan_names, target)
+        scan_names = tuple(self.scan_schema().names())
+        intervals = self._prune_intervals(predicate)
 
-        def run_batches(run) -> Iterator[ColumnBatch]:
-            if run.layout is None or not run.layout.row_count:
-                return
-            active = resolver.enter_run(run)
-            source, avail = self._batch_stored(
-                run.layout, run_needed, run_pred
-            )
-            source = map(_batch_reorderer(avail, target), source)
-            if not active and not keyed:
-                # Fast path (the ingest-heavy case): no suppression can
-                # apply, batches pass through the vectorized pipeline.
+        def run_batches(run, opened) -> Iterator[ColumnBatch]:
+            if opened is None:
+                if not run.row_count:
+                    return
+                opened = self._batch_stored(run.layout, needed, predicate)
+            source, avail = opened
+            reorder = _batch_reorderer(avail, fields)
+            if reorder is not None:
+                source = map(reorder, source)
+            if resolver is None or not resolver.enter_run(run):
+                # Fast path (flat, partitioned, and the ingest-heavy
+                # levelled case): no suppression can apply, batches pass
+                # through the vectorized pipeline.
                 yield from source
                 return
             for batch in source:
@@ -1117,88 +940,96 @@ class Table:
                 if kept:
                     yield ColumnBatch.from_rows(fields, kept)
 
-        def chained() -> Iterator[ColumnBatch]:
-            rows = resolver.resolve_pending(pending)
+        def pending_batches() -> Iterator[ColumnBatch]:
+            zone = region.pending_zone
+            if (
+                intervals
+                and zone is not None
+                and not zone.may_match(intervals)
+            ):
+                return
+            rows = [tuple(r) for r in region.pending]
+            if resolver is not None:
+                rows = resolver.resolve_pending(rows)
             if rows:
-                yield reorder_pending(
-                    ColumnBatch.from_rows(tuple(scan_names), rows)
-                )
-            for run in runs:
-                yield from self._corruption_guard(
-                    run_batches(run), f"run[{run.rid}]"
-                )
+                batch = ColumnBatch.from_rows(scan_names, rows)
+                reorder = _batch_reorderer(scan_names, fields)
+                yield batch if reorder is None else reorder(batch)
 
-        return chained(), target
+        def generate() -> Iterator[ColumnBatch]:
+            if resolver is not None:
+                yield from pending_batches()
+            for i, run in enumerate(runs):
+                source = run_batches(run, opened if i == 0 else None)
+                if unit is not None:
+                    source = self._corruption_guard(source, unit(i, run))
+                yield from source
+            if resolver is None:
+                yield from pending_batches()
 
-    def _levelled_rows(
+        return generate(), list(target)
+
+    def _region_reference_rows(
         self,
+        region,
         needed: Sequence[str] | None,
         predicate: Predicate | None,
+        target: Sequence[str] | None = None,
+        resolver: "_LevelResolver | None" = None,
+        unit=None,
     ) -> tuple[Iterator[tuple], list[str]]:
-        """Tuple-at-a-time counterpart of :meth:`_levelled_batches` — the
-        same newest-first resolution without zone maps (the reference
-        oracle both paths must match exactly)."""
-        spec = self.plan.levels
-        keyed = spec.key is not None
-        tombstones = self._level_tombstones
-        plain = not keyed and not tombstones
-        target = (
-            self._partition_target_fields(needed)
-            if plain
-            else list(self.scan_schema().names())
-        )
-        run_needed = needed if plain else None
-        run_pred = predicate if not keyed else None
-        resolver = _LevelResolver(spec, target, tombstones)
-        runs = list(reversed(self._runs))
-        pending = [tuple(r) for r in self._pending]
-        pending_projector = _row_fields_projector(
-            self.scan_schema().names(), target
-        )
+        """Tuple-at-a-time twin of :meth:`_region_batches` — same order,
+        same resolution, but no zone map is consulted for any run or for
+        the pending buffer, so :meth:`scan_reference` stays the oracle the
+        batch scan is checked against."""
+        runs = list(region.runs)
+        if resolver is not None:
+            runs.reverse()
+        opened = None
+        if target is None:
+            opened = self._iter_stored(runs[0].layout, needed, predicate)
+            target = opened[1]
+        scan_names = self.scan_schema().names()
+
+        def run_rows(run, opened) -> Iterator[tuple]:
+            if opened is None:
+                if not run.row_count:
+                    return
+                opened = self._iter_stored(run.layout, needed, predicate)
+            source, avail = opened
+            projector = _row_fields_projector(avail, target)
+            if projector is not None:
+                source = map(projector, source)
+            if resolver is None or not resolver.enter_run(run):
+                yield from source
+                return
+            for row in source:
+                yield from resolver.resolve((row,))
+
+        def pending_rows() -> Iterator[tuple]:
+            rows = [tuple(r) for r in region.pending]
+            if resolver is not None:
+                rows = resolver.resolve_pending(rows)
+            projector = _row_fields_projector(scan_names, target)
+            return iter(rows) if projector is None else map(projector, rows)
 
         def generate() -> Iterator[tuple]:
-            rows = resolver.resolve_pending(pending)
-            if pending_projector is not None:
-                rows = [pending_projector(r) for r in rows]
-            yield from rows
-            for run in runs:
-                if run.layout is None or not run.layout.row_count:
-                    continue
-                active = resolver.enter_run(run)
-                source, avail = self._iter_stored(
-                    run.layout, run_needed, run_pred
-                )
-                projector = _row_fields_projector(avail, target)
-                if projector is not None:
-                    source = map(projector, source)
-                if not active and not keyed:
-                    yield from source
-                    continue
-                for row in source:
-                    kept = resolver.resolve((row,))
-                    if kept:
-                        yield kept[0]
+            if resolver is not None:
+                yield from pending_rows()
+            for i, run in enumerate(runs):
+                yield from run_rows(run, opened if i == 0 else None)
+            if resolver is None:
+                yield from pending_rows()
 
-        return generate(), target
+        return generate(), list(target)
 
-    def _run_rows(self, run) -> list[tuple]:
-        """Every stored row of one run, un-resolved, in stored order and
-        canonical scan-schema field order — the compaction merge input."""
-        if run.layout is None or not run.layout.row_count:
-            return []
-        target = list(self.scan_schema().names())
-        rows, avail = self._iter_stored(run.layout, None, None)
-        projector = _row_fields_projector(avail, target)
-        if projector is not None:
-            rows = map(projector, rows)
-        return [tuple(r) for r in rows]
-
-    def _levelled_row_count(self) -> int:
-        spec = self.plan.levels
-        if spec.key is None and not self._level_tombstones:
-            return len(self._pending) + sum(r.row_count for r in self._runs)
-        rows, _ = self._levelled_rows(None, None)
-        return sum(1 for _ in rows)
+    def _region_rows(self, region) -> list[tuple]:
+        """Every stored-shape row of one region (runs + pending) in
+        canonical scan order — the source of a region-granular rewrite."""
+        batches, _ = self._region_batches(
+            region, None, None, self.scan_schema().names()
+        )
+        return _batch_rows(batches)
 
     def _batch_stored(
         self,
@@ -1293,39 +1124,6 @@ class Table:
             )
             return renderer.iter_array_batches(layout, skip=skip), ["value"]
         raise StorageError(f"cannot scan layout kind {plan.kind!r}")
-
-    def _iter_with_overflow(
-        self,
-        needed: Sequence[str] | None,
-        predicate: Predicate | None,
-    ) -> tuple[Iterator[tuple], list[str]]:
-        """Main-layout records chained with overflow + pending records."""
-        main_iter, avail = self._iter_stored(
-            self.layout, needed, predicate
-        )
-        extra_sources: list[Iterator[tuple]] = []
-        renderer = self._db.renderer
-        schema_names = self.scan_schema().names()
-        needs_projection = avail != schema_names
-        if needs_projection:
-            project = _row_projector([schema_names.index(f) for f in avail])
-        for overflow in self._overflow:
-            it = renderer.iter_rows(overflow)
-            if needs_projection:
-                it = map(project, it)
-            extra_sources.append(it)
-        if self._pending:
-            pending = iter([tuple(r) for r in self._pending])
-            if needs_projection:
-                pending = map(project, pending)
-            extra_sources.append(pending)
-
-        def chained() -> Iterator[tuple]:
-            yield from main_iter
-            for source in extra_sources:
-                yield from source
-
-        return chained(), avail
 
     def _iter_stored(
         self,
@@ -1585,43 +1383,25 @@ class Table:
         return best
 
     def _order_satisfied(self, order_keys: tuple[tuple[str, bool], ...]) -> bool:
-        if self.is_partitioned:
-            return self._partition_order_satisfied(order_keys)
-        if self._overflow or self._pending:
-            return False  # overflow regions are unordered relative to main
-        stored = tuple(self.plan.sort_keys)
-        if len(order_keys) > len(stored):
-            return False
-        return stored[: len(order_keys)] == order_keys
+        """Does a scan serve ``order_keys`` without sorting?
 
-    def _partition_order_satisfied(
-        self, order_keys: tuple[tuple[str, bool], ...]
-    ) -> bool:
-        """Does a partitioned scan serve ``order_keys`` without sorting?
-
-        Every non-empty region must store that order itself (regions may
-        have diverged designs, so each is checked), and — with multiple
+        Overflow runs and pending rows are unordered relative to a main
+        run, and the runs of a levelled region interleave. Otherwise every
+        non-empty region must store that order itself (regions may have
+        diverged designs, so each is checked), and — with multiple
         non-empty regions — the regions must concatenate in key order,
         which only range partitioning on the leading (ascending) sort key
         guarantees (regions are kept sorted by range bucket).
         """
         if not order_keys:
             return True
-        regions = self.partitions
-        if any(r.overflow or r.pending for r in regions):
+        regions = self._regions
+        if self._unmerged():
             return False
-        live = [
-            r
-            for r in regions
-            if r.layout is not None and r.layout.row_count
-        ]
+        live = [r for r in regions if r.row_count]
         for region in live:
-            assert region.plan is not None
-            stored = tuple(region.plan.sort_keys)
-            if (
-                len(order_keys) > len(stored)
-                or stored[: len(order_keys)] != order_keys
-            ):
+            (run,) = region.runs
+            if tuple(run.plan.sort_keys)[: len(order_keys)] != order_keys:
                 return False
         if len(live) <= 1:
             return True
@@ -1645,12 +1425,7 @@ class Table:
         """Build (or rebuild) a B+Tree secondary index over ``field_name``."""
         from repro.engine.indexes import build_field_index
 
-        if self.is_partitioned or self.is_levelled:
-            raise StorageError(
-                "secondary indexes address flat storage positions; "
-                "partitioned and levelled tables prune by region bounds "
-                "and per-run zone maps instead"
-            )
+        self._require_flat("secondary")
         index = build_field_index(self, field_name)
         self._entry.indexes[field_name] = index
         return index
@@ -1659,15 +1434,18 @@ class Table:
         """Build (or rebuild) an R-Tree over two numeric point fields."""
         from repro.engine.indexes import build_spatial_index
 
-        if self.is_partitioned or self.is_levelled:
-            raise StorageError(
-                "spatial indexes address flat storage positions; "
-                "partitioned and levelled tables prune by region bounds "
-                "and per-run zone maps instead"
-            )
+        self._require_flat("spatial")
         index = build_spatial_index(self, x_field, y_field)
         self._entry.spatial_indexes[(x_field, y_field)] = index
         return index
+
+    def _require_flat(self, what: str) -> None:
+        if self.is_partitioned or self.is_levelled:
+            raise StorageError(
+                f"{what} indexes address flat storage positions; "
+                "partitioned and levelled tables prune by region bounds "
+                "and per-run zone maps instead"
+            )
 
     def drop_index(self, field_name: str) -> None:
         self._entry.indexes.pop(field_name, None)
@@ -1677,6 +1455,13 @@ class Table:
             index.stale = True
         for index in self._entry.spatial_indexes.values():
             index.stale = True
+
+    def _unmerged(self) -> bool:
+        """Does any region hold more than one merged run? Positions (and
+        stored order) then no longer describe the whole table."""
+        return any(
+            r.pending or r.overflow or len(r.runs) > 1 for r in self._regions
+        )
 
     def _index_path(
         self, predicate: Predicate | None
@@ -1701,8 +1486,7 @@ class Table:
         if (
             predicate is None
             or self.plan.kind != LAYOUT_ROWS
-            or self._overflow
-            or self._pending
+            or self._unmerged()
             or not self.layout.page_row_counts
         ):
             return None
@@ -1910,45 +1694,40 @@ class Table:
         needed: Sequence[str] | None,
         predicate: Predicate | None,
     ) -> CostEstimate:
-        """Main-layout scan cost plus one pass per overflow region (the
-        shared scan branch of :meth:`scan_cost` and :meth:`access_path`).
+        """One independently costed pass per run of every region the scan
+        reads (the shared scan branch of :meth:`scan_cost` and
+        :meth:`access_path`); pending rows are memory-resident.
 
         Partitioned tables sum the surviving regions only — partition
         pruning shows up in the estimate exactly as it does at runtime.
         """
         model = self._db.cost_model
-        if self.is_partitioned:
-            total = CostEstimate.zero()
-            for region in self.partition_survivors(predicate):
-                if region.layout is not None:
+        regions = self.partition_survivors(predicate)
+        needed, predicate = self._run_scan_args(needed, predicate)
+        total = CostEstimate.zero()
+        for region in regions:
+            for run in region.runs:
+                if run.overflow:
+                    total = total + estimate(model, run.total_pages(), 1)
+                else:
                     total = total + self._layout_scan_cost(
-                        region.layout, needed, predicate
+                        run.layout, needed, predicate
                     )
-                for overflow in region.overflow:
-                    total = total + estimate(
-                        model, overflow.total_pages(), 1
-                    )
-            return total
-        if self.is_levelled:
-            # One independently costed pass per run (pending rows are
-            # memory-resident). Keyed tables scan un-pruned — see
-            # :meth:`_levelled_batches` — so their estimate must too.
-            keyed = self.plan.levels.key is not None
-            run_pred = None if keyed else predicate
-            run_needed = (
-                needed if not keyed and not self._level_tombstones else None
-            )
-            total = CostEstimate.zero()
-            for run in self._runs:
-                if run.layout is not None:
-                    total = total + self._layout_scan_cost(
-                        run.layout, run_needed, run_pred
-                    )
-            return total
-        total = self._layout_scan_cost(self.layout, needed, predicate)
-        for overflow in self._overflow:
-            total = total + estimate(model, overflow.total_pages(), 1)
         return total
+
+    def _run_scan_args(
+        self, needed: Sequence[str] | None, predicate: Predicate | None
+    ) -> tuple[Sequence[str] | None, Predicate | None]:
+        """The projection and predicate a scan hands each *run* — what the
+        costing and pruning estimates must assume too. Only a levelled
+        table narrows them: a keyed table scans un-pruned and un-projected
+        (see :meth:`_table_source`), and tombstones compare whole rows."""
+        spec = self.plan.levels
+        if spec is None:
+            return needed, predicate
+        keyed = spec.key is not None
+        plain = not keyed and not self._level_tombstones
+        return (needed if plain else None), (None if keyed else predicate)
 
     def access_path(
         self,
@@ -1986,48 +1765,20 @@ class Table:
         """
         if predicate is None or not self.is_loaded:
             return 0
-        intervals = self._prune_intervals(predicate)
         needed = self._needed_fields(fieldlist, predicate, ())
-        if self.is_partitioned:
-            survivors = {
-                r.pid for r in self.partition_survivors(predicate)
-            }
-            total = 0
-            for region in self.partitions:
-                if region.pid not in survivors:
-                    # The whole region is skipped: every one of its pages
-                    # (main layout and overflow) counts as pruned.
-                    total += region.total_pages()
-                    continue
-                if not intervals:
-                    continue
-                if region.layout is not None:
-                    total += self._layout_pruned_pages(
-                        region.layout, needed, predicate
-                    )
-                for overflow in region.overflow:
-                    skip = zonemaps.rows_page_skip(overflow, intervals)
-                    if skip:
-                        total += len(skip)
-            return total
-        if self.is_levelled:
-            if self.plan.levels.key is not None or not intervals:
-                return 0  # keyed scans never prune (shadowing soundness)
-            run_needed = None if self._level_tombstones else needed
-            total = 0
-            for run in self._runs:
-                if run.layout is not None:
-                    total += self._layout_pruned_pages(
-                        run.layout, run_needed, predicate
-                    )
-            return total
-        if not intervals:
-            return 0
-        total = self._layout_pruned_pages(self.layout, needed, predicate)
-        for overflow in self._overflow:
-            skip = zonemaps.rows_page_skip(overflow, intervals)
-            if skip:
-                total += len(skip)
+        survivors = {r.pid for r in self.partition_survivors(predicate)}
+        needed, predicate = self._run_scan_args(needed, predicate)
+        total = 0
+        for region in self._regions:
+            if region.pid not in survivors:
+                # The whole region is skipped: every one of its pages
+                # (main run and overflow) counts as pruned.
+                total += region.total_pages()
+                continue
+            for run in region.runs:
+                total += self._layout_pruned_pages(
+                    run.layout, needed, predicate
+                )
         return total
 
     def _layout_pruned_pages(
@@ -2127,8 +1878,7 @@ class Table:
         if (
             predicate is None
             or self.plan.kind != LAYOUT_ROWS
-            or self._overflow
-            or self._pending
+            or self._unmerged()
         ):
             return None
         stats = self._entry.stats
@@ -2228,9 +1978,6 @@ class Table:
         """Estimated cost of ``get_element`` (§4.1 method 5)."""
         model = self._db.cost_model
         plan = self.plan
-        if plan.kind in (LAYOUT_PARTITIONED, LAYOUT_LEVELLED):
-            # Positional access walks the regions/runs in scan order.
-            return self._full_scan_estimate(None, None)
         if plan.kind == LAYOUT_ROWS:
             return estimate(model, 1, 1)
         if plan.kind == LAYOUT_ARRAY:
@@ -2251,9 +1998,10 @@ class Table:
                 if needed_set & set(g.fields)
             ]
             return estimate(model, max(1, len(groups)), max(1, len(groups)))
-        # Folded/mirror and exotic cases: one pass over the layout, bounded by
-        # a full scan.
-        return self._layout_scan_cost(self.layout, None, None)
+        # Everything else — folded and mirror layouts, the regions of a
+        # partitioned table, the runs of a levelled one — is walked in
+        # scan order: bounded by a full scan.
+        return self._full_scan_estimate(None, None)
 
     def order_list(self) -> list[tuple[tuple[str, bool], ...]]:
         """Sort orders the current organization serves efficiently (§4.1
@@ -2289,55 +2037,41 @@ class Table:
         """
         coerced = [self.logical_schema.coerce_record(r) for r in records]
         transformed = self._apply_record_pipeline(coerced)
-        entry = self._entry
         with self._db.mutate(self.name) as m:
-            with entry.mvcc.lock:
-                if self.is_partitioned:
-                    # Route each record to its owning partition's pending
-                    # buffer (creating regions for unseen value-partition
-                    # keys), keeping that partition's zone map current.
-                    if transformed:
-                        self._route_pending(transformed)
-                elif transformed:
-                    entry.pending.extend(transformed)
-                    # Incremental synopsis over the pending buffer: each
-                    # insert extends the running zone instead of rescanning.
-                    if entry.pending_zone is None:
-                        entry.pending_zone = zonemaps.ZoneTable()
-                    entry.pending_zone.merge_rows(
-                        self.scan_schema().names(), transformed
-                    )
-                    self._mark_indexes_stale()
             if transformed:
+                with self._entry.mvcc.lock:
+                    self._add_pending(transformed)
                 m.log_rows(self.name, transformed)
-        if transformed and entry.plan is not None and (
-            entry.plan.kind == LAYOUT_LEVELLED
-        ):
-            # After the insert transaction commits: seal a full pending
-            # buffer into a level-0 run and kick compaction when a level
-            # reaches its fan-out (a crash in between simply leaves the
-            # rows in pending for the next seal — WAL replay restores
-            # them from the insert's KIND_ROWS record).
-            self._db.adaptivity.note_write(self.name, len(transformed))
-            self._db.maintain_levels(self.name)
+        if transformed:
+            # After the insert transaction commits (a crash in between
+            # simply leaves the rows in pending for the next seal — WAL
+            # replay restores them from the insert's KIND_ROWS record).
+            self._db.maintain_levels(self.name, len(transformed))
         return len(transformed)
 
-    def _route_pending(self, rows: list[tuple]) -> None:
+    def _add_pending(self, rows: list[tuple]) -> None:
+        """Buffer stored-shape ``rows`` in their regions' pending buffers —
+        the one landing path of :meth:`insert` and of WAL replay. A
+        partitioned table routes each row to its owning partition
+        (creating regions for unseen value-partition keys); every other
+        table has one region. Caller holds the entry's MVCC lock."""
         db, entry = self._db, self._entry
-        router = db.router_for(entry)
+        if self.is_partitioned:
+            router = db.router_for(entry)
+            grouped: dict[int, tuple[Any, list[tuple]]] = {}
+            for row in rows:
+                region = db._region_for(entry, router.locate(row))
+                slot = grouped.get(region.pid)
+                if slot is None:
+                    slot = grouped[region.pid] = (region, [])
+                slot[1].append(row)
+            batches = list(grouped.values())
+        else:
+            batches = [(entry.regions[0], rows)]
         names = self.scan_schema().names()
-        grouped: dict[int, list[tuple]] = {}
-        regions: dict[int, Any] = {}
-        for row in rows:
-            region = db._region_for(entry, router.locate(row))
-            grouped.setdefault(region.pid, []).append(row)
-            regions[region.pid] = region
-        for pid, batch in grouped.items():
-            region = regions[pid]
-            region.pending.extend(batch)
-            if region.pending_zone is None:
-                region.pending_zone = zonemaps.ZoneTable()
-            region.pending_zone.merge_rows(names, batch)
+        for region, batch in batches:
+            region.add_pending(names, batch)
+        self._mark_indexes_stale()
 
     def _apply_record_pipeline(
         self, records: list[tuple], plan: PhysicalPlan | None = None
@@ -2367,70 +2101,48 @@ class Table:
         return current
 
     def flush_inserts(self):
-        """Render pending records into new on-disk overflow regions.
+        """Render pending records into new on-disk runs.
 
-        Returns the overflow layout (or, for partitioned tables, the list
-        of per-partition overflow layouts); ``None`` when nothing was
-        pending.
+        Flat and partitioned tables gain a row-major overflow run per
+        region with pending rows; returns the overflow layout (or, for
+        partitioned tables, the list of per-partition overflow layouts),
+        ``None`` when nothing was pending. Levelled tables seal the pending
+        buffer into a new level-0 run (the returned layout is the run's).
         """
-        entry = self._entry
         if self.is_levelled:
-            # Levelled tables flush by sealing the pending buffer into a
-            # new level-0 run (the returned layout is the run's).
             return self._db.seal_level_run(self.name)
+        entry = self._entry
+        schema = self.scan_schema()
+        flushed = []
         with self._db.mutate(self.name) as m:
-            if self.is_partitioned:
-                flushed = []
-                for region in entry.partitions:
-                    if not region.pending:
-                        continue
-                    overflow = self._db.render_overflow_region(
-                        self.scan_schema(), region.pending
-                    )
-                    with entry.mvcc.lock:
-                        region.overflow.append(overflow)
-                        region.pending = []
-                        region.pending_zone = None
-                    m.log_layout(overflow)
-                    flushed.append(overflow)
-                if flushed:
-                    m.touch(self.name)
-                return flushed or None
-            if not entry.pending:
-                return None
-            overflow = self._db.render_overflow_region(
-                self.scan_schema(), entry.pending
-            )
-            with entry.mvcc.lock:
-                entry.overflow.append(overflow)
-                entry.pending = []
-                entry.pending_zone = None
-                self._db._wa_note(entry, overflow, ingest=True)
-            m.log_layout(overflow)
-            m.touch(self.name)
-            return overflow
+            for region in entry.regions:
+                if not region.pending:
+                    continue
+                run = self._db.render_overflow_run(schema, region.pending)
+                self._db._replace_runs(
+                    entry, region, [], [run], m, ingest=True
+                )
+                flushed.append(run.layout)
+        if self.is_partitioned:
+            return flushed or None
+        return flushed[0] if flushed else None
 
     @property
     def overflow_row_count(self) -> int:
-        if self.is_partitioned:
-            return sum(
-                sum(o.row_count for o in r.overflow) + len(r.pending)
-                for r in self.partitions
-            )
-        return sum(o.row_count for o in self._overflow) + len(
-            self._pending
+        return sum(
+            sum(run.row_count for run in region.overflow)
+            + len(region.pending)
+            for region in self._regions
         )
 
     def compact(self) -> None:
-        """Merge overflow regions back into the main representation.
+        """Merge overflow runs and pending rows back into each region's
+        main representation.
 
         For levelled tables this is a *full* compaction: every run plus
         the pending buffer merges into a single run, applying tombstones
         and last-writer-wins resolution physically.
         """
-        if self.is_levelled:
-            self._db.compact_levels(self.name, full=True)
-            return
         self._db.compact_table(self.name)
 
     # ==================================================================
@@ -2481,16 +2193,26 @@ class Table:
                     f"predicate references unavailable field(s) "
                     f"{sorted(missing)}"
                 )
-        if assignments is not None and self.is_partitioned:
+        if assignments is not None:
             spec = self.plan.partition
             if spec is not None and spec.key_field in assignments:
                 raise StorageError(
                     "cannot update the partition key in place; "
                     "re-load or re-layout the table instead"
                 )
+
+        def updated(row: tuple) -> tuple:
+            values = list(row)
+            for field, value in assignments.items():
+                if callable(value):
+                    value = value(dict(zip(names, row)))
+                values[positions[field]] = value
+            return tuple(values)
+
         if self.is_levelled:
             return self._rewrite_levelled(
-                predicate, assignments, names, positions
+                predicate, updated if assignments is not None else None,
+                names, positions,
             )
 
         vectorized = getattr(self._db, "vectorized", True)
@@ -2527,78 +2249,49 @@ class Table:
                         out.append(row)
                         continue
                     changed += 1
-                    if assignments is None:
-                        continue  # delete: drop the row
-                    values = list(row)
-                    for field, value in assignments.items():
-                        if callable(value):
-                            value = value(dict(zip(names, row)))
-                        values[positions[field]] = value
-                    out.append(tuple(values))
+                    if assignments is not None:  # a delete drops the row
+                        out.append(updated(row))
             return out, changed
 
+        # Copy-on-write, one region at a time: only regions the predicate
+        # can reach are read at all, only regions holding a victim are
+        # re-rendered.
+        total = 0
         with self._db.mutate(self.name) as m:
-            if self.is_partitioned:
-                total = 0
-                # Only partitions the predicate can reach are read at all.
-                for region in self.partition_survivors(predicate):
-                    with self._db.adaptivity.pause():
-                        batches = list(
-                            self._region_batches(region, None, None, names)
-                        )
-                    new_rows, changed = transform(batches)
-                    if not changed:
-                        continue
-                    total += changed
-                    new_layout = self._db._render_region(
-                        self.plan, region.plan, new_rows
+            for region in self.partition_survivors(predicate):
+                with self._db.adaptivity.pause():
+                    batches = list(
+                        self._region_batches(region, None, None, names)[0]
                     )
-                    with entry.mvcc.lock:
-                        old_layout = region.layout
-                        old_overflow = list(region.overflow)
-                        region.layout = new_layout
-                        region.overflow = []
-                        region.pending = []
-                        region.pending_zone = None
-                        entry.mvcc.retire(
-                            self._db._layout_freer(old_layout, *old_overflow)
-                        )
-                    m.log_layout(new_layout)
-                if total:
-                    m.touch(self.name)
-                return total
-            with self._db.adaptivity.pause():
-                batches = list(self.scan_column_batches())
-            new_rows, changed = transform(batches)
-            if not changed:
-                return 0
-            self._db._rewrite_stored(entry, new_rows, m)
-            return changed
+                new_rows, changed = transform(batches)
+                if changed:
+                    total += changed
+                    self._db._rewrite_region(entry, region, new_rows, m)
+        return total
 
     def _rewrite_levelled(
         self,
         predicate: Predicate | None,
-        assignments: dict | None,
+        updated,
         names: list[str],
         positions: dict[str, int],
     ) -> int:
         """Delete/update on a levelled table: no run is ever rewritten.
 
         Matching *visible* rows are resolved once; pending rows are
-        filtered (and, for updates, re-appended transformed) in place, and
-        one tombstone per distinct victim — merge key when keyed, full row
-        value otherwise — suppresses matches in the immutable runs until a
-        merge physically drops them. The pending zone synopsis is rebuilt
-        incrementally from the surviving rows, never left stale.
+        filtered (and, for updates, re-appended through ``updated``) in
+        place, and one tombstone per distinct victim — merge key when
+        keyed, full row value otherwise — suppresses matches in the
+        immutable runs until a merge physically drops them. The pending
+        zone synopsis is rebuilt incrementally from the surviving rows,
+        never left stale.
         """
         entry = self._entry
-        spec = self.plan.levels
-        keyed = spec.key is not None
-        key_expr = spec.key
+        key_expr = self.plan.levels.key
         with self._db.mutate(self.name) as m:
+            (region,) = entry.regions
             with self._db.adaptivity.pause():
-                rows_iter, _ = self._levelled_rows(None, None)
-                visible = list(rows_iter)
+                visible = _batch_rows(self._table_source(None, None)[0])
             if predicate is None:
                 matched = visible
             else:
@@ -2607,79 +2300,52 @@ class Table:
                 ]
             if not matched:
                 return 0
-            new_rows: list[tuple] = []
-            if assignments is not None:
-                for row in matched:
-                    values = list(row)
-                    for field, value in assignments.items():
-                        if callable(value):
-                            value = value(dict(zip(names, row)))
-                        values[positions[field]] = value
-                    new_rows.append(tuple(values))
+            if predicate is None and updated is None:
+                # Delete-all: drop every run outright, no tombstones.
+                with entry.mvcc.lock:
+                    entry.level_tombstones = []
+                    self._db._replace_runs(
+                        entry, region, list(region.runs), [], m
+                    )
+                return len(matched)
+            new_rows = [updated(r) for r in matched] if updated else []
+
+            def victim_of(row: tuple):
+                if key_expr is None:
+                    return tuple(row)
+                return eval_scalar(key_expr, row, positions)
+
             # Distinct victims in first-match order: the merge key kills
             # every older version of that key; a row value kills every
             # equal copy (predicates are value-deterministic, so equal
             # copies always match together).
-            victims: list = []
-            victim_set: set = set()
-            for row in matched:
-                value = (
-                    eval_scalar(key_expr, row, positions)
-                    if keyed
-                    else tuple(row)
-                )
-                if value not in victim_set:
-                    victim_set.add(value)
-                    victims.append(value)
-            if keyed:
-                def drop(row: tuple) -> bool:
-                    return eval_scalar(key_expr, row, positions) in victim_set
-            else:
-                def drop(row: tuple) -> bool:
-                    return row in victim_set
+            victims = list(dict.fromkeys(map(victim_of, matched)))
+            victim_set = set(victims)
             with entry.mvcc.lock:
-                if predicate is None and assignments is None:
-                    # Delete-all: drop every run outright, no tombstones.
-                    old_layouts = [
-                        r.layout for r in entry.runs if r.layout is not None
-                    ]
-                    entry.runs = []
-                    entry.level_tombstones = []
-                    entry.pending = []
-                    entry.pending_zone = None
-                    if old_layouts:
-                        entry.mvcc.retire(
-                            self._db._layout_freer(*old_layouts)
-                        )
+                survivors = [
+                    tuple(r)
+                    for r in region.pending
+                    if victim_of(r) not in victim_set
+                ]
+                # Incremental zone maintenance: the existing zone already
+                # covers every survivor (a subset of the rows it
+                # summarized), so only the update-produced rows fold in —
+                # O(changes), not O(pending). The bounds stay a sound
+                # over-approximation until the next seal renders an exact
+                # synopsis for the sealed run.
+                if region.pending_zone is None or not (survivors or new_rows):
+                    region.clear_pending()
+                    new_rows = survivors + new_rows
                 else:
-                    survivors = [
-                        tuple(r)
-                        for r in entry.pending
-                        if not drop(tuple(r))
-                    ]
-                    survivors.extend(new_rows)
-                    entry.pending = survivors
-                    if not survivors:
-                        entry.pending_zone = None
-                    else:
-                        # Incremental maintenance: the existing zone
-                        # already covers every survivor (survivors are a
-                        # subset of the rows it summarized), so only the
-                        # update-produced rows fold in — O(changes), not
-                        # O(pending). The bounds stay a sound
-                        # over-approximation until the next seal renders
-                        # an exact synopsis for the sealed run.
-                        if entry.pending_zone is None:
-                            entry.pending_zone = zonemaps.ZoneTable()
-                            entry.pending_zone.merge_rows(names, survivors)
-                        elif new_rows:
-                            entry.pending_zone.merge_rows(names, new_rows)
-                    if entry.runs:
-                        seq = entry.next_run_seq
-                        entry.next_run_seq += 1
-                        entry.level_tombstones.extend(
-                            (seq, v) for v in victims
-                        )
+                    region.pending = survivors
+                if new_rows:
+                    region.add_pending(names, new_rows)
+                if region.runs:
+                    seq = entry.next_run_seq
+                    entry.next_run_seq += 1
+                    entry.level_tombstones.extend(
+                        (seq, v) for v in victims
+                    )
                 self._mark_indexes_stale()
             m.touch(self.name)
         return len(matched)
@@ -2785,8 +2451,8 @@ class _LevelResolver:
         return kept
 
     def enter_run(self, run) -> bool:
-        """Activate tombstones newer than ``run``; True when suppression
-        can apply to its rows (keyed runs always resolve — the seen-set
+        """Activate tombstones newer than ``run``; True when its rows must
+        pass through :meth:`resolve` (keyed runs always do — the seen-set
         must grow even when nothing is suppressed yet)."""
         inactive = self._inactive
         while inactive and inactive[-1][0] > run.max_seq:
@@ -2795,7 +2461,7 @@ class _LevelResolver:
                 self.seen.add(value)
             else:
                 self.dead.add(value)
-        return bool(self.seen) if self.keyed else bool(self.dead)
+        return self.keyed or bool(self.dead)
 
     def resolve(self, rows: Iterable[tuple]) -> list[tuple]:
         """Surviving rows of one run segment, in stored order."""
@@ -2818,14 +2484,11 @@ class _LevelResolver:
 
 def _scan_schema(plan: PhysicalPlan) -> Schema:
     """Schema of scan results: folded layouts un-nest to group+nest fields."""
-    if plan.kind == LAYOUT_PARTITIONED:
-        # Every partition projects to the template's scan shape, even when
-        # individual regions have diverged to other designs.
-        return _scan_schema(plan.partition_plans[0])
-    if plan.kind == LAYOUT_LEVELLED:
-        # Every run projects to the run template's scan shape, even when
-        # individual runs carry diverged (re-chosen) designs.
-        return _scan_schema(plan.level_plans[0])
+    templates = plan.partition_plans or plan.level_plans
+    if templates:
+        # Every partition / run projects to the template's scan shape,
+        # even when individual regions or runs carry diverged designs.
+        return _scan_schema(templates[0])
     if plan.kind != LAYOUT_FOLDED:
         return plan.schema
     from repro.layout.renderer import _nest_types
@@ -2870,11 +2533,11 @@ def _region_may_match(spec, region, lo: float, hi: float) -> bool:
 
 def _batch_reorderer(avail: Sequence[str], target: Sequence[str]):
     """``ColumnBatch -> ColumnBatch`` re-ordering ``avail``-shaped batches to
-    ``target`` (the identity when the orders already agree). Columnar
+    ``target`` (``None`` when the orders already agree). Columnar
     batches keep their vectors and any pending selection bitmap; row-major
     ones project their tuples."""
     if list(avail) == list(target):
-        return lambda batch: batch
+        return None
     index = {f: i for i, f in enumerate(avail)}
     idx = [index[f] for f in target]
     fields = tuple(target)
@@ -2918,6 +2581,11 @@ def _batch_projector(out_idx: Sequence[int] | None):
         return lambda rows: [(row[i],) for row in rows]
     getter = operator.itemgetter(*out_idx)
     return lambda rows: list(map(getter, rows))
+
+
+def _batch_rows(batches: Iterable[ColumnBatch]) -> list[tuple]:
+    """Every row of ``batches`` as native-python tuples."""
+    return list(chain.from_iterable(map(ColumnBatch.iter_rows, batches)))
 
 
 def _chunk_rows(

@@ -76,19 +76,12 @@ class ReorganizationManager:
     def estimated_rewrite_ms(self, table: str, new_storage_pages: int) -> float:
         """Predicted one-time cost of rewriting ``table`` into a design of
         ``new_storage_pages`` pages: one sequential pass over the current
-        representation (main layout plus overflow regions) and one
+        representation (every run of every region) and one
         sequential write of the new one. The adaptive controller charges
         this against a recommendation's predicted benefit before any data
         moves — a cheap design switch that saves little must not thrash.
         """
-        entry = self.store.catalog.entry(table)
-        read_pages = 0
-        if entry.layout is not None:
-            read_pages += entry.layout.total_pages()
-        for overflow in entry.overflow:
-            read_pages += overflow.total_pages()
-        for run in entry.runs:
-            read_pages += run.total_pages()
+        read_pages = self.store.catalog.entry(table).total_pages()
         return self.store.cost_model.cost_ms(
             read_pages + max(1, new_storage_pages), 2
         )

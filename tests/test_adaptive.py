@@ -354,7 +354,7 @@ class TestReorganizationStaleness:
     def test_relayout_rerenders_synopses(self):
         store = make_store(n=1000)
         store.relayout("T", "columns(T)")
-        layout = store.catalog.entry("T").layout
+        layout = store.table("T").layout
         assert layout.synopsis is not None
         assert layout.synopsis.group_zones  # columnar zones, not row pages
         # Pruning stays correct against the new zones.
@@ -419,8 +419,9 @@ class TestMonitorPersistence:
         assert entry.monitor.total_weight() == pytest.approx(
             monitor_before.total_weight()
         )
-        assert entry.pending == [(5000, 1, 2, 3), (5001, 4, 5, 6)]
-        assert entry.pending_zone is not None
+        (region,) = entry.regions
+        assert region.pending == [(5000, 1, 2, 3), (5001, 4, 5, 6)]
+        assert region.pending_zone is not None
         assert reopened.table("T").row_count == 302
         # The restored workload still drives the advisor.
         decision = reopened.adapt("T")

@@ -132,7 +132,7 @@ def scan_rows(store):
     if not store.catalog.has("T"):
         return None
     entry = store.catalog.entry("T")
-    if entry.plan is None or (entry.layout is None and not entry.partitions):
+    if entry.plan is None or not entry.loaded:
         return []
     return sorted(store.table("T").scan())
 

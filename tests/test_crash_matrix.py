@@ -153,9 +153,7 @@ def test_crash_recovery_matrix():
             else:
                 want = expected[completed - 1]
                 entry = reopened.catalog.entry("T")
-                if entry.plan is None or (
-                    entry.layout is None and not entry.partitions
-                ):
+                if entry.plan is None or not entry.loaded:
                     got = []  # created but never loaded
                 else:
                     got = sorted(reopened.table("T").scan())
@@ -208,12 +206,13 @@ def build_levelled_workload(seed):
 def assert_level_structure_consistent(store):
     """Structural invariants of a recovered levelled manifest."""
     entry = store.catalog.entry("T")
-    seqs = [r.max_seq for r in entry.runs]
+    (region,) = entry.regions
+    seqs = [r.max_seq for r in region.runs]
     assert seqs == sorted(seqs), "manifest must stay oldest-first"
-    rids = [r.rid for r in entry.runs]
+    rids = [r.rid for r in region.runs]
     assert len(rids) == len(set(rids)), "run ids must be unique"
-    assert all(r.rid < entry.next_run_id for r in entry.runs)
-    assert all(r.max_seq < entry.next_run_seq for r in entry.runs)
+    assert all(r.rid < entry.next_run_id for r in region.runs)
+    assert all(r.max_seq < entry.next_run_seq for r in region.runs)
     assert all(
         t[0] <= entry.next_run_seq for t in entry.level_tombstones
     )
@@ -268,9 +267,7 @@ def test_crash_recovery_levelled_matrix():
                 assert not reopened.catalog.has("T")
             else:
                 entry = reopened.catalog.entry("T")
-                if entry.plan is None or (
-                    not entry.runs and not entry.pending
-                ):
+                if entry.plan is None or not entry.regions[0].row_count:
                     got = []
                 else:
                     got = sorted(reopened.table("T").scan())

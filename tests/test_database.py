@@ -69,11 +69,24 @@ class TestLoad:
         with pytest.raises(CatalogError):
             store.load("X", RECORDS)
 
-    def test_reload_replaces_layout(self, store):
-        store.create_table("T", SCHEMA)
-        store.load("T", RECORDS)
-        table = store.load("T", RECORDS[:10])
-        assert table.row_count == 10
+    @pytest.mark.parametrize(
+        "layout",
+        ["rows(T)", "partition[r.id](T)", "levels[2; 2](rows(T))"],
+    )
+    def test_reload_replaces_layout(self, store, layout):
+        """``load`` on a loaded table replaces it in every shape: runs,
+        flushed overflow and pending rows of the old contents all go."""
+        store.create_table("T", SCHEMA, layout=layout)
+        table = store.load("T", RECORDS)
+        table.insert([(1000 + i, 1, 2, i % 7) for i in range(50)])
+        table.flush_inserts()
+        table.insert([(2000 + i, 3, 4, i % 7) for i in range(5)])
+        assert table.row_count == len(RECORDS) + 55
+        table = store.load("T", RECORDS[:100])
+        assert table.row_count == 100
+        assert table.overflow_row_count == 0
+        assert sorted(table.scan()) == sorted(RECORDS[:100])
+        assert sorted(table.scan_reference()) == sorted(RECORDS[:100])
 
     def test_unknown_table_load(self, store):
         with pytest.raises(CatalogError):

@@ -217,10 +217,21 @@ class TestFaultInjection:
         reopened.close()
 
 
+@pytest.mark.parametrize(
+    "layout",
+    [
+        "rows(T)",
+        "partition[id; range, 100](T)",
+        "levels[2; 2](rows(T))",
+    ],
+)
 class TestSnapshotScans:
-    def test_scan_survives_concurrent_relayout(self, tmp_path):
+    """Every shape pins through ``Region.freeze()``: a scan keeps seeing
+    the version it opened whatever replaces runs underneath it."""
+
+    def test_scan_survives_concurrent_relayout(self, tmp_path, layout):
         store = open_store(tmp_path)
-        store.create_table("T", SCHEMA)
+        store.create_table("T", SCHEMA, layout=layout)
         store.load("T", ROWS)
         table = store.table("T")
         it = table.scan()
@@ -230,22 +241,28 @@ class TestSnapshotScans:
         assert sorted([first] + rest) == sorted(ROWS)
         store.close()
 
-    def test_scan_survives_concurrent_delete(self, tmp_path):
+    def test_scan_survives_concurrent_writes(self, tmp_path, layout):
         store = open_store(tmp_path)
-        store.create_table("T", SCHEMA)
+        store.create_table("T", SCHEMA, layout=layout)
         store.load("T", ROWS)
         table = store.table("T")
         it = table.scan(predicate=Range("id", 0, 10_000))
         first = next(it)
-        assert table.delete() == len(ROWS)
+        extra = [(1000 + i, i) for i in range(40)]
+        table.insert(extra)  # pending rows
+        table.flush_inserts()  # an overflow run / a sealed run
+        table.insert(extra[:5])
+        assert sorted(table.scan()) == sorted(ROWS + extra + extra[:5])
+        table.compact()  # every run replaced
+        assert table.delete() == len(ROWS) + 45
         rest = list(it)
         assert sorted([first] + rest) == sorted(ROWS)
         assert list(table.scan()) == []
         store.close()
 
-    def test_new_scan_sees_new_version(self, tmp_path):
+    def test_new_scan_sees_new_version(self, tmp_path, layout):
         store = open_store(tmp_path)
-        store.create_table("T", SCHEMA)
+        store.create_table("T", SCHEMA, layout=layout)
         store.load("T", ROWS)
         table = store.table("T")
         table.update({"val": 0}, Range("id", 0, 9))

@@ -387,7 +387,7 @@ class TestCatalogIntegrity:
 def _corrupt_first_table_page(store, path):
     """Flip a byte inside the first page referenced by table T."""
     entry = store.catalog.entry("T")
-    layouts = store._entry_layouts(entry)
+    layouts = [run.layout for run in entry.runs()]
     pid = min(min(l.page_ids()) for l in layouts if l.page_ids())
     frame_size = store.disk.frame_size
     flip_byte(path, pid * frame_size + 20)

@@ -97,7 +97,7 @@ def test_seal_on_threshold_and_fanout_merge():
     # exactly one level, never past it.
     t.insert([(10 + i, i) for i in range(10)])
     entry = store.catalog.entry("T")
-    assert [r.level for r in entry.runs] == [1]
+    assert [r.level for r in entry.regions[0].runs] == [1]
     assert sorted(t.scan()) == sorted(t.scan_reference())
     assert t.row_count == 20
     store.close()
@@ -110,10 +110,10 @@ def test_runs_are_immutable_and_sorted_by_seq():
     for b in range(4):
         t.insert([(b * 5 + i, b) for i in range(5)])
     entry = store.catalog.entry("T")
-    assert len(entry.runs) == 4
-    seqs = [r.max_seq for r in entry.runs]
+    assert len(entry.regions[0].runs) == 4
+    seqs = [r.max_seq for r in entry.regions[0].runs]
     assert seqs == sorted(seqs)  # manifest oldest-first
-    rids = {r.rid for r in entry.runs}
+    rids = {r.rid for r in entry.regions[0].runs}
     assert len(rids) == 4
     store.close()
 
@@ -129,7 +129,7 @@ def test_full_compaction_single_run():
     t.compact()
     entry = store.catalog.entry("T")
     assert t.run_count == 1
-    assert entry.pending == [] and entry.level_tombstones == []
+    assert entry.regions[0].pending == [] and entry.level_tombstones == []
     assert sorted(t.scan()) == sorted(rows + [(100, 1)])
     store.close()
 
@@ -275,7 +275,7 @@ def test_pending_zone_incremental_after_interleaved_insert_delete():
             live = [r for r in live if not lo <= r[0] <= lo + 7]
         # Soundness: every live pending row is covered by the zone, so a
         # point query for it can never be wrongly pruned.
-        zone = entry.pending_zone
+        zone = entry.regions[0].pending_zone
         if live:
             assert zone is not None
             for row in rng.sample(live, min(4, len(live))):
@@ -297,12 +297,13 @@ def test_pending_zone_incremental_not_rebuilt_on_delete():
     t = store.table("T")
     entry = store.catalog.entry("T")
     t.insert([(i, i) for i in range(50)])
-    zone_before = entry.pending_zone
+    zone_before = entry.regions[0].pending_zone
     assert zone_before is not None
     t.delete(Range("id", 40, 49))
-    assert entry.pending_zone is zone_before  # maintained in place
+    # maintained in place
+    assert entry.regions[0].pending_zone is zone_before
     # ...and still covers every survivor (over-approximation is fine).
-    ids = entry.pending_zone.fields["id"]
+    ids = entry.regions[0].pending_zone.fields["id"]
     assert ids.mins[0] <= 0 and ids.maxs[0] >= 39
     assert sorted(t.scan()) == [(i, i) for i in range(40)]
     store.close()
@@ -314,15 +315,15 @@ def test_flush_inserts_seals_and_resets_pending_zone():
     t = store.table("T")
     entry = store.catalog.entry("T")
     t.insert([(i, i) for i in range(20)])
-    assert entry.pending_zone is not None
+    assert entry.regions[0].pending_zone is not None
     layout = t.flush_inserts()
     assert layout is not None and t.run_count == 1
     # The seal renders an exact per-run synopsis; the buffer zone resets
     # so post-flush bounds reflect only newly pending rows.
-    assert entry.pending is not None and len(entry.pending) == 0
-    assert entry.pending_zone is None
+    assert len(entry.regions[0].pending) == 0
+    assert entry.regions[0].pending_zone is None
     t.insert([(1000, 1)])
-    assert entry.pending_zone.fields["id"].mins == [1000]
+    assert entry.regions[0].pending_zone.fields["id"].mins == [1000]
     store.close()
 
 
@@ -350,6 +351,41 @@ def test_storage_stats_write_amplification():
     store.close()
 
 
+@pytest.mark.parametrize(
+    "layout",
+    ["rows(T)", "partition[r.v](T)", "levels[2; 2](rows(T))"],
+)
+def test_every_render_is_charged_to_the_ledger(layout):
+    """One ledger for every shape: whatever replaces runs — a flush or a
+    seal, an update's copy-on-write, a compaction or a merge — moves
+    ``bytes_written``; only first renders of new rows move
+    ``bytes_ingested``."""
+    store = make_store(level_seal_rows=10_000)
+    store.create_table("T", SCHEMA, layout=layout)
+    t = store.load("T", [(i, i % 4) for i in range(400)])
+
+    def ledger():
+        return store.storage_stats()["tables"]["T"]["write_amplification"]
+
+    loaded = ledger()
+    assert loaded["bytes_written"] == loaded["bytes_ingested"] > 0
+    t.insert([(1000 + i, i % 4) for i in range(50)])
+    t.flush_inserts()
+    flushed = ledger()
+    assert flushed["bytes_written"] > loaded["bytes_written"]
+    assert flushed["bytes_written"] == flushed["bytes_ingested"]
+    # A levelled update renders nothing (tombstone + pending row) until
+    # the compaction below; everywhere else it re-renders a region.
+    assert t.update({"id": 5000}, Range("id", 7, 7)) == 1
+    t.compact()
+    final = ledger()
+    assert final["bytes_ingested"] == flushed["bytes_ingested"]
+    assert final["bytes_written"] > flushed["bytes_written"]
+    assert final["factor"] > 1.0
+    assert sorted(t.scan()) == sorted(t.scan_reference())
+    store.close()
+
+
 # ---------------------------------------------------------------------------
 # persistence: durable reopen preserves the level structure
 # ---------------------------------------------------------------------------
@@ -370,7 +406,9 @@ def test_durable_reopen_preserves_levels():
         t.delete(Range("id", 0, 4))
         t.insert([(100, 100)])  # stays pending across the reopen
         entry = store.catalog.entry("T")
-        manifest = [(r.rid, r.level, r.max_seq) for r in entry.runs]
+        manifest = [
+            (r.rid, r.level, r.max_seq) for r in entry.regions[0].runs
+        ]
         tombs = list(entry.level_tombstones)
         next_ids = (entry.next_run_id, entry.next_run_seq)
         expected = sorted(rows[5:] + [(100, 100)])
@@ -382,7 +420,7 @@ def test_durable_reopen_preserves_levels():
         )
         entry2 = reopened.catalog.entry("T")
         assert [
-            (r.rid, r.level, r.max_seq) for r in entry2.runs
+            (r.rid, r.level, r.max_seq) for r in entry2.regions[0].runs
         ] == manifest
         assert list(entry2.level_tombstones) == tombs
         assert (entry2.next_run_id, entry2.next_run_seq) == next_ids
@@ -455,7 +493,7 @@ def test_background_compaction_with_workers():
     while time.time() < deadline:
         entry = store.catalog.entry("T")
         counts: dict[int, int] = {}
-        for r in entry.runs:
+        for r in entry.regions[0].runs:
             counts[r.level] = counts.get(r.level, 0) + 1
         if all(c < 2 for c in counts.values()):
             break

@@ -397,7 +397,7 @@ def _partitioned():
 
 
 def _page_ids(table) -> dict:
-    return {region.key: list(region.layout.page_ids())
+    return {region.key: list(region.main.layout.page_ids())
             for region in table.partitions}
 
 

@@ -422,11 +422,13 @@ class TestPartitionMaintenance:
             "partition[r.t; range, 100, 200, 300](T)", records
         )
         untouched = [
-            r.layout for r in table.partitions if r.lower == 100.0
+            r.main.layout for r in table.partitions if r.lower == 100.0
         ]
         table.insert([(10, 1, 1)])  # only the first partition is dirty
         table.compact()
-        still = [r.layout for r in table.partitions if r.lower == 100.0]
+        still = [
+            r.main.layout for r in table.partitions if r.lower == 100.0
+        ]
         assert untouched == still  # same object: region was not re-rendered
         assert table.overflow_row_count == 0
         store.close()

@@ -21,6 +21,34 @@ def setup():
     return store, manager
 
 
+class TestRewriteEstimate:
+    def test_partitioned_table_pays_for_the_pages_it_stores(self):
+        """The amortisation gate charges a whole-table rewrite for every
+        stored page, whichever regions hold them: the same rows cost the
+        same, give or take a page or two, flat and partitioned."""
+        costs = {}
+        for layout in ("rows(T)", "partition[r.id](T)"):
+            store = RodentStore(page_size=1024, pool_capacity=64)
+            store.create_table("T", SCHEMA, layout=layout)
+            table = store.load("T", RECORDS)
+            table.insert(RECORDS[:40])
+            table.flush_inserts()
+            manager = ReorganizationManager(store)
+            pages = store.catalog.entry("T").total_pages()
+            assert pages > 10
+            assert manager.estimated_rewrite_ms("T", 20) == pytest.approx(
+                store.cost_model.cost_ms(pages + 20, 2)
+            )
+            costs[layout] = (manager.estimated_rewrite_ms("T", 20), pages)
+            page_ms = store.cost_model.transfer_ms(1)
+            store.close()
+        (flat_ms, flat_pages), (part_ms, part_pages) = costs.values()
+        # 7 partitions, each with a partly filled last page and its own
+        # overflow run.
+        assert abs(part_pages - flat_pages) <= 14
+        assert abs(part_ms - flat_ms) <= 14 * page_ms + 1e-9
+
+
 class TestEager:
     def test_rewrites_immediately(self, setup):
         store, manager = setup
