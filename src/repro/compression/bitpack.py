@@ -158,7 +158,7 @@ class BitpackCodec(Codec):
     def decode_all(self, data: bytes, dtype: DataType) -> list:
         return unpack_uints_bulk(data)
 
-    def decode_buffer(self, data: bytes, dtype: DataType):
+    def decode_vector(self, data: bytes, dtype: DataType):
         if vector.typecode_for(dtype) == "q":
             out = _unpack_uints_ndarray(data)
             if out is not None:
@@ -198,7 +198,7 @@ class ForCodec(Codec):
             return unpack_uints_bulk(data[8:])
         return [v + reference for v in unpack_uints_bulk(data[8:])]
 
-    def decode_buffer(self, data: bytes, dtype: DataType):
+    def decode_vector(self, data: bytes, dtype: DataType):
         if len(data) < 8:
             raise CodecError("truncated frame-of-reference vector")
         if vector.typecode_for(dtype) == "q":

@@ -56,7 +56,7 @@ class DeltaCodec(Codec):
             return self._decode_floats_bulk(data)
         raise CodecError(f"delta codec requires a numeric type, got {dtype.name}")
 
-    def decode_buffer(self, data: bytes, dtype: DataType):
+    def decode_vector(self, data: bytes, dtype: DataType):
         base = getattr(dtype, "base", dtype)
         if isinstance(base, IntType) and vector.typecode_for(dtype) == "q":
             np = vector.numpy_module()

@@ -65,7 +65,7 @@ class DictionaryCodec(Codec):
         del codes[total:]
         return list(map(dictionary.__getitem__, codes))
 
-    def decode_buffer(self, data: bytes, dtype: DataType):
+    def decode_vector(self, data: bytes, dtype: DataType):
         code = vector.typecode_for(dtype)
         np = vector.numpy_module()
         if code is not None and np is not None and vector.numpy_enabled():

@@ -60,7 +60,7 @@ class RleCodec(Codec):
             extend((value,) * run)
         return values
 
-    def decode_buffer(self, data: bytes, dtype: DataType):
+    def decode_vector(self, data: bytes, dtype: DataType):
         np = vector.numpy_module()
         code = vector.typecode_for(dtype)
         if np is not None and vector.numpy_enabled() and code is not None:

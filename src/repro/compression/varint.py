@@ -12,6 +12,7 @@ from typing import Any, Sequence
 
 import struct
 
+from repro import vector
 from repro.compression.base import Codec, CodecError, register
 from repro.types.types import DataType, FloatType, IntType
 
@@ -19,8 +20,12 @@ _U32 = struct.Struct("<I")
 
 
 def zigzag_encode(value: int) -> int:
-    """Map signed to unsigned so small magnitudes stay small: 0,-1,1,-2,..."""
-    return (value << 1) ^ (value >> 63) if value >= -(2**63) else 0
+    """Map signed to unsigned so small magnitudes stay small: 0,-1,1,-2,...
+
+    Arbitrary precision: the difference of two 64-bit values (what
+    ``delta`` hands this codec) need not fit 64 bits itself.
+    """
+    return value << 1 if value >= 0 else ((-value) << 1) - 1
 
 
 def zigzag_decode(value: int) -> int:
@@ -58,23 +63,17 @@ def varint_decode(data: bytes, offset: int) -> tuple[int, int]:
             raise CodecError("varint too long")
 
 
-def zigzag_varint_decode_all(
-    data: bytes, offset: int, count: int
-) -> list[int]:
-    """Decode ``count`` zigzag varints starting at ``offset`` in one pass.
-
-    Bulk counterpart of ``zigzag_decode(varint_decode(...))``: the LEB128 and
-    zigzag steps are inlined into a single loop over local variables, which
-    is what makes the batch scan pipeline's chunk decode cheap.
-    """
-    values: list[int] = []
-    append = values.append
-    size = len(data)
+def _zigzag_varints_into(
+    append, data: bytes, offset: int, count: int, end: int
+) -> int:
+    """Append ``count`` zigzag varints starting at ``offset`` (none may
+    reach ``end``); returns the offset after the last one. The LEB128 and
+    zigzag steps are inlined into a single loop over local variables."""
     for _ in range(count):
         result = 0
         shift = 0
         while True:
-            if offset >= size:
+            if offset >= end:
                 raise CodecError("truncated varint")
             byte = data[offset]
             offset += 1
@@ -85,7 +84,42 @@ def zigzag_varint_decode_all(
             if shift > 70:
                 raise CodecError("varint too long")
         append((result >> 1) ^ -(result & 1))
+    return offset
+
+
+def zigzag_varint_decode_all(
+    data: bytes, offset: int, count: int
+) -> list[int]:
+    """Decode ``count`` zigzag varints starting at ``offset`` in one pass:
+    the bulk counterpart of ``zigzag_decode(varint_decode(...))``."""
+    values: list[int] = []
+    _zigzag_varints_into(values.append, data, offset, count, len(data))
     return values
+
+
+def _decode_blobs(data: bytes, lengths: Sequence[int]) -> tuple[list, list]:
+    """``(values, values per blob)`` of count-prefixed varint blobs laid
+    back to back — one loop over one ``bytes``, exact at any width."""
+    values: list[int] = []
+    counts: list[int] = []
+    offset = 0
+    for length in lengths:
+        end = offset + length
+        if length < 4 or end > len(data):
+            raise CodecError("truncated varint vector")
+        (count,) = _U32.unpack_from(data, offset)
+        offset = _zigzag_varints_into(
+            values.append, data, offset + 4, count, end
+        )
+        if offset != end:
+            raise CodecError(
+                f"varint vector of {count} values ends {end - offset} "
+                "bytes short of its blob"
+            )
+        counts.append(count)
+    if offset != len(data):
+        raise CodecError("bytes after the last varint vector")
+    return values, counts
 
 
 class VarintCodec(Codec):
@@ -122,6 +156,22 @@ class VarintCodec(Codec):
             raise CodecError("truncated varint vector")
         (count,) = _U32.unpack_from(data, 0)
         return zigzag_varint_decode_all(data, 4, count)
+
+    def decode_buffer(self, data, dtype, lengths=None, counts=None):
+        """A run of blobs in a single pass: one typed-vector pass over all
+        the bytes when :func:`repro.vector.zigzag_varints` takes them (an
+        int64 vector comes back), otherwise one byte loop (a list — the
+        only shape that holds values wider than 64 bits)."""
+        if lengths is None:
+            return super().decode_buffer(data, dtype)
+        values, found = vector.zigzag_varints(data, lengths) or _decode_blobs(
+            data, lengths
+        )
+        if counts is not None and found != list(counts):
+            raise CodecError(
+                f"varint blobs hold {found} values, expected {list(counts)}"
+            )
+        return values
 
 
 register(VarintCodec())

@@ -90,7 +90,7 @@ class XorFloatCodec(Codec):
             append(unpack_f64(pack_u64(prev_bits))[0])
         return values
 
-    def decode_buffer(self, data: bytes, dtype: DataType):
+    def decode_vector(self, data: bytes, dtype: DataType):
         # Variable-length records force the sequential decode; wrap the
         # result so downstream reductions still see a typed vector.
         values = self.decode_all(data, dtype)

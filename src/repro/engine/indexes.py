@@ -10,7 +10,8 @@ the engine as *secondary* access paths over row layouts:
   positions.
 
 Index probes return row positions; the scan path groups positions by page so
-each data page is fetched once, in storage order. Indexes are built against
+each data page is fetched and decoded once, in storage order, into one
+columnar batch. Indexes are built against
 the current main layout and become *stale* when rows are inserted afterwards
 — a stale index is never used silently (scans fall back to the base path)
 until it is rebuilt.
@@ -18,7 +19,8 @@ until it is rebuilt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro import vector
@@ -26,7 +28,7 @@ from repro.algebra.physical import LAYOUT_ROWS
 from repro.errors import IndexError_, QueryError
 from repro.index.btree import BPlusTree
 from repro.index.rtree import MBR, RTree
-from repro.storage.page import SlottedPage
+from repro.layout.renderer import ColumnBatch
 from repro.storage.serializer import RecordSerializer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,7 +49,7 @@ class FieldIndex:
             raise IndexError_(
                 f"index on {self.field_name!r} is stale; rebuild it"
             )
-        return sorted(pos for _, pos in self.tree.range(lo, hi))
+        return sorted(self.tree.range_values(lo, hi))
 
 
 @dataclass
@@ -125,63 +127,43 @@ def _require_rows_layout(table: "Table", what: str) -> None:
 
 def fetch_rows_by_position(
     table: "Table", positions: Sequence[int]
-) -> Iterator[tuple]:
-    """Fetch records at sorted ``positions``, one page fetch per data page.
+) -> Iterator[ColumnBatch]:
+    """Records at ``positions`` (ascending, distinct), a batch per data page.
 
-    Positions are translated to (page, slot) through the layout's per-page
-    row counts; consecutive positions on the same page share one pool fetch.
+    Positions are grouped by page through the layout's ``page_starts``;
+    each page is fetched and decoded once (``decode_page``) and its wanted
+    slots gathered from the column vectors — a slice when they are
+    consecutive, as the matches of a clustered index are. Pages are read
+    as the consumer pulls batches, so a limit-pushdown scan that stops
+    early fetches no page it did not need, and none stays pinned.
     """
     layout = table.layout
     renderer = table._db.renderer
     serializer = RecordSerializer(table.plan.schema)
-    page_starts: list[int] = []
-    acc = 0
-    for count in layout.page_row_counts:
-        page_starts.append(acc)
-        acc += count
-
-    current_page = -1
-    page = None
-    page_id = None
-    try:
-        for position in positions:
-            if position < 0 or position >= acc:
-                raise QueryError(f"row position {position} out of range")
-            page_index = _page_of(page_starts, position)
-            if page_index != current_page:
-                if page_id is not None:
-                    renderer.pool.unpin(page_id)
-                    page_id = None
-                page_id = layout.extent.page_ids[page_index]
-                frame = renderer.pool.fetch(page_id)
-                page = SlottedPage(renderer.page_size, frame.data)
-                current_page = page_index
-            slot = position - page_starts[page_index]
-            yield serializer.decode(page.get(slot))
-    finally:
-        # Also runs on GeneratorExit: a limit-pushdown scan may abandon
-        # the probe mid-page, and the frame must not stay pinned.
-        if page_id is not None:
-            renderer.pool.unpin(page_id)
-
-
-def _page_of(page_starts: list[int], position: int) -> int:
-    lo, hi = 0, len(page_starts) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if page_starts[mid] <= position:
-            lo = mid
+    fields = tuple(table.plan.schema.names())
+    page_starts = layout.page_starts
+    if positions and not 0 <= positions[0] <= positions[-1] < page_starts[-1]:
+        out_of_range = positions[0] if positions[0] < 0 else positions[-1]
+        raise QueryError(f"row position {out_of_range} out of range")
+    lo = 0
+    while lo < len(positions):
+        page_index = bisect_right(page_starts, positions[lo]) - 1
+        first = page_starts[page_index]
+        hi = bisect_left(positions, page_starts[page_index + 1], lo)
+        columns = renderer._read_slotted(
+            layout.extent.page_ids[page_index], serializer
+        )
+        start, stop = positions[lo] - first, positions[hi - 1] - first + 1
+        if stop - start == hi - lo:
+            columns = [column[start:stop] for column in columns]
         else:
-            hi = mid - 1
-    return lo
+            slots = [position - first for position in positions[lo:hi]]
+            columns = [vector.take(column, slots) for column in columns]
+        yield ColumnBatch.from_columns(fields, columns)
+        lo = hi
 
 
 def pages_for_positions(table: "Table", positions: Sequence[int]) -> int:
     """Distinct data pages covering ``positions`` (for cost estimation)."""
-    layout = table.layout
-    page_starts: list[int] = []
-    acc = 0
-    for count in layout.page_row_counts:
-        page_starts.append(acc)
-        acc += count
-    return len({_page_of(page_starts, p) for p in positions})
+    page_starts = table.layout.page_starts
+    return len({bisect_right(page_starts, p) for p in positions})

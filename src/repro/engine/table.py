@@ -42,7 +42,7 @@ import operator
 import weakref
 from bisect import bisect_right
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro import vector
@@ -75,6 +75,7 @@ from repro.layout.renderer import (
     ColumnBatch,
     LayoutRenderer,
     StoredLayout,
+    select_cell_fields,
     select_column_groups,
     sort_batches,
 )
@@ -519,19 +520,11 @@ class Table:
         self._corruption_report = []
         self._entry.last_corruption_skipped = self._corruption_report
         needed = self._needed_fields(fieldlist, predicate, order_keys)
-        batch_rows = getattr(self._db, "batch_rows", DEFAULT_BATCH_ROWS)
-        index_rows = self._index_path(predicate)
-        if index_rows is not None:
+        # An index probe is a batch per matched page, fetched as the scan
+        # pulls it: a pushed-down limit stops fetching pages early.
+        batches = self._index_path(predicate)
+        if batches is not None:
             avail = self.plan.schema.names()
-            # Lazy chunking keeps the probe incremental: a pushed-down
-            # limit stops fetching index-matched pages early, so size the
-            # chunks to the limit when it is the smaller number.
-            probe_chunk = batch_rows
-            if limit is not None:
-                probe_chunk = max(1, min(probe_chunk, limit))
-            batches: Iterator[ColumnBatch] = _chunk_rows(
-                index_rows, tuple(avail), probe_chunk
-            )
         else:
             batches, avail = self._table_source(needed, predicate)
         positions = {name: i for i, name in enumerate(avail)}
@@ -545,7 +538,6 @@ class Table:
                 raise QueryError(
                     f"predicate references unavailable field(s) {sorted(missing)}"
                 )
-            row_filter = predicate.compile(positions)
             # Mask evaluation only helps predicates with a columnar
             # override; the generic fallback would re-zip columns anyway.
             use_mask = (
@@ -583,6 +575,7 @@ class Table:
         )
 
         def filtered(batch: ColumnBatch) -> ColumnBatch:
+            nonlocal row_filter
             if predicate is None:
                 return batch
             if batch.is_columnar:
@@ -597,6 +590,10 @@ class Table:
                         batch.column_map(), batch.n_rows
                     )
                     return batch.select(mask)
+            if row_filter is None:
+                # Compiled on first use: a scan whose batches all take a
+                # columnar path above never pays for the row closure.
+                row_filter = predicate.compile(positions)
             return ColumnBatch.from_rows(
                 batch.fields, list(filter(row_filter, batch.rows()))
             )
@@ -683,9 +680,12 @@ class Table:
         order_keys: tuple[tuple[str, bool], ...],
     ) -> Iterator[tuple]:
         needed = self._needed_fields(fieldlist, predicate, order_keys)
-        index_rows = self._index_path(predicate)
-        if index_rows is not None:
-            rows, avail = index_rows, self.plan.schema.names()
+        index_batches = self._index_path(predicate)
+        if index_batches is not None:
+            rows = chain.from_iterable(
+                map(ColumnBatch.iter_rows, index_batches)
+            )
+            avail = self.plan.schema.names()
         else:
             rows, avail = self._table_source(needed, predicate, reference=True)
         positions = {name: i for i, name in enumerate(avail)}
@@ -1094,15 +1094,14 @@ class Table:
                 batches = _undelta_batches(batches, idx, tuple(avail))
             return batches, avail
         if plan.kind == LAYOUT_GRID:
+            names = plan.schema.names()
             return (
-                renderer.iter_batches(
+                renderer.iter_grid_batches(
                     layout,
-                    batch_size=batch_rows,
-                    grid_entries=self._grid_prune_entries(
-                        layout, predicate, zones=True
-                    ),
+                    self._grid_prune_entries(layout, predicate, zones=True),
+                    needed,
                 ),
-                plan.schema.names(),
+                [names[i] for i in select_cell_fields(plan.schema, needed)],
             )
         if plan.kind == LAYOUT_FOLDED:
             indices = self._folded_indices(layout, predicate, zones=True)
@@ -1465,7 +1464,7 @@ class Table:
 
     def _index_path(
         self, predicate: Predicate | None
-    ) -> Iterator[tuple] | None:
+    ) -> Iterator[ColumnBatch] | None:
         """Probe a fresh secondary index when it would beat the full scan."""
         positions = self._index_positions(predicate)
         if positions is None:
@@ -2588,43 +2587,22 @@ def _batch_rows(batches: Iterable[ColumnBatch]) -> list[tuple]:
     return list(chain.from_iterable(map(ColumnBatch.iter_rows, batches)))
 
 
-def _chunk_rows(
-    rows: Iterable[tuple],
-    fields: tuple[str, ...],
-    batch_size: int = DEFAULT_BATCH_ROWS,
-) -> Iterator[ColumnBatch]:
-    """Wrap a row iterator (e.g. a pruned page scan) into batches."""
-    iterator = iter(rows)
-    while True:
-        chunk = list(islice(iterator, batch_size))
-        if not chunk:
-            return
-        yield ColumnBatch.from_rows(fields, chunk)
-
-
 def _undelta_batches(
     batches: Iterable[ColumnBatch],
     idx: Sequence[int],
     fields: tuple[str, ...],
 ) -> Iterator[ColumnBatch]:
-    """Reconstruct delta-encoded fields batch-wise, carrying the running
-    values across batch boundaries (batch counterpart of
-    :func:`repro.algebra.transforms.undelta_records`)."""
-    prev: tuple | None = None
+    """Reconstruct delta-encoded fields batch-wise: each one a running sum
+    (:func:`repro.vector.prefix_sum`) carried across batch boundaries."""
+    carry: list = [None] * len(idx)
     for batch in batches:
-        out: list[tuple] = []
-        append = out.append
-        for row in batch.rows():
-            if prev is None:
-                record = tuple(row)
-            else:
-                values = list(row)
-                for i in idx:
-                    values[i] = prev[i] + values[i]
-                record = tuple(values)
-            append(record)
-            prev = record
-        yield ColumnBatch.from_rows(fields, out)
+        if not batch.n_rows:
+            continue
+        columns = list(batch.columns())
+        for k, i in enumerate(idx):
+            columns[i] = vector.prefix_sum(columns[i], carry=carry[k])
+            (carry[k],) = vector.to_list(columns[i][-1:])
+        yield ColumnBatch.from_columns(fields, columns)
 
 
 def _count_runs(page_ids: Sequence[int]) -> int:

@@ -13,6 +13,7 @@ positions or encoded page pointers). Duplicate keys are allowed.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left, bisect_right
 from typing import Any, Iterator, Sequence
 
 from repro.errors import IndexError_
@@ -110,15 +111,13 @@ class BPlusTree:
         offset = _HEADER.size
         (key_len,) = _U32.unpack_from(payload, offset)
         offset += 4
-        keys = self._key_ser.decode(payload[offset : offset + key_len])
+        keys = self._key_ser.decode_bulk(payload[offset : offset + key_len])
         offset += key_len
         node = _Node(page_id, bool(is_leaf))
         node.keys = keys
         node.next_leaf = next_leaf
         count = n if is_leaf else n + 1
-        slots = [
-            _I64.unpack_from(payload, offset + 8 * i)[0] for i in range(count)
-        ]
+        slots = list(struct.unpack_from(f"<{count}q", payload, offset))
         if is_leaf:
             node.values = slots
         else:
@@ -144,7 +143,7 @@ class BPlusTree:
         path = [self._read_node(self.root_page)]
         while not path[-1].is_leaf:
             node = path[-1]
-            index = _upper_bound(node.keys, key)
+            index = bisect_right(node.keys, key)
             path.append(self._read_node(node.children[index]))
         return path
 
@@ -156,41 +155,40 @@ class BPlusTree:
         """
         node = self._read_node(self.root_page)
         while not node.is_leaf:
-            index = _lower_bound(node.keys, key)
+            index = bisect_left(node.keys, key)
             node = self._read_node(node.children[index])
         return node
 
+    def _leaf_spans(self, lo: Any, hi: Any) -> Iterator[tuple[_Node, int, int]]:
+        """``(leaf, start, stop)`` per leaf holding entries with
+        lo <= key <= hi, in key order: the entries are the leaf's
+        ``[start:stop]`` — bounds found by bisection, no per-entry work."""
+        leaf = self._descend_first(lo)
+        start = bisect_left(leaf.keys, lo)
+        while True:
+            stop = bisect_right(leaf.keys, hi, start)
+            if stop > start:
+                yield leaf, start, stop
+            if stop < len(leaf.keys) or leaf.next_leaf < 0:
+                return
+            leaf = self._read_node(leaf.next_leaf)
+            start = 0
+
     def search(self, key: Any) -> list[int]:
         """All values stored under ``key``."""
-        leaf = self._descend_first(key)
-        out: list[int] = []
-        i = _lower_bound(leaf.keys, key)
-        while True:
-            while i < len(leaf.keys):
-                if leaf.keys[i] != key:
-                    return out
-                out.append(leaf.values[i])
-                i += 1
-            if leaf.next_leaf < 0:
-                return out
-            leaf = self._read_node(leaf.next_leaf)
-            i = 0
+        return self.range_values(key, key)
 
     def range(self, lo: Any, hi: Any) -> Iterator[tuple[Any, int]]:
         """(key, value) pairs with lo <= key <= hi, in key order."""
-        leaf = self._descend_first(lo)
-        i = _lower_bound(leaf.keys, lo)
-        while True:
-            while i < len(leaf.keys):
-                key = leaf.keys[i]
-                if key > hi:
-                    return
-                yield key, leaf.values[i]
-                i += 1
-            if leaf.next_leaf < 0:
-                return
-            leaf = self._read_node(leaf.next_leaf)
-            i = 0
+        for leaf, start, stop in self._leaf_spans(lo, hi):
+            yield from zip(leaf.keys[start:stop], leaf.values[start:stop])
+
+    def range_values(self, lo: Any, hi: Any) -> list[int]:
+        """The values of :meth:`range`, without the pairs."""
+        out: list[int] = []
+        for leaf, start, stop in self._leaf_spans(lo, hi):
+            out.extend(leaf.values[start:stop])
+        return out
 
     def items(self) -> Iterator[tuple[Any, int]]:
         """All (key, value) pairs in key order."""
@@ -208,7 +206,7 @@ class BPlusTree:
     def insert(self, key: Any, value: int) -> None:
         path = self._descend(key)
         leaf = path[-1]
-        index = _upper_bound(leaf.keys, key)
+        index = bisect_right(leaf.keys, key)
         leaf.keys.insert(index, key)
         leaf.values.insert(index, value)
         self._size += 1
@@ -267,7 +265,7 @@ class BPlusTree:
         removed = 0
         leaf = self._descend_first(key)
         while True:
-            i = _lower_bound(leaf.keys, key)
+            i = bisect_left(leaf.keys, key)
             changed = False
             while i < len(leaf.keys) and leaf.keys[i] == key:
                 if value is None or leaf.values[i] == value:
@@ -335,25 +333,3 @@ def _subtree_min(tree: BPlusTree, node: _Node) -> Any:
     if not node.keys:
         raise IndexError_("empty node during bulk load")
     return node.keys[0]
-
-
-def _lower_bound(keys: list, key: Any) -> int:
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if keys[mid] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _upper_bound(keys: list, key: Any) -> int:
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if keys[mid] <= key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo

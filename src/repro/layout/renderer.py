@@ -29,10 +29,10 @@ Read paths come in two granularities:
   before-side of the scan benchmarks;
 * **batch-at-a-time** readers (:meth:`LayoutRenderer.iter_batches` and the
   per-layout helpers it dispatches to) — the hot path. They yield
-  :class:`ColumnBatch` objects: a page/chunk worth of decoded values at
-  once, produced with the codecs' bulk ``decode_all`` fast path, so the
-  per-value Python interpreter tax is paid once per batch instead of once
-  per value.
+  :class:`ColumnBatch` objects: a page, a chunk or a run of grid cells
+  worth of decoded values at once, produced by the codecs' vectorized
+  ``decode_buffer``, so the per-value Python interpreter tax is paid once
+  per batch instead of once per value.
 
 Slotted pages have a single reader, whichever granularity asks:
 :meth:`RecordSerializer.decode_page` turns a page into column vectors (typed
@@ -44,6 +44,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Iterator, Sequence
 
 from repro.algebra.physical import (
@@ -79,6 +80,7 @@ from repro.types.values import flatten, shape as nesting_shape
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
+_CELL_HEADER = struct.Struct("<IH")  # row count, field count
 
 #: Default rows per batch for batch-at-a-time readers whose natural unit
 #: (page, chunk, cell) is smaller than this; page-shaped sources keep their
@@ -107,10 +109,11 @@ class ColumnBatch:
     """A batch of decoded records, backed by rows or by typed columns.
 
     Batches are produced in whichever orientation the layout yields
-    naturally — grid cells and folded records decode to row tuples, column
-    chunks and row pages decode to per-field vectors (contiguous typed ones
-    for numeric fields, plain lists otherwise; see :mod:`repro.vector`) —
-    and transpose lazily when the consumer needs the other orientation.
+    naturally — folded records decode to row tuples; column chunks, row
+    pages and runs of grid cells decode to per-field vectors (contiguous
+    typed ones for numeric fields, plain lists otherwise; see
+    :mod:`repro.vector`) — and transpose lazily when the consumer needs the
+    other orientation.
 
     Columnar batches may additionally carry a *selection bitmap*: a
     boolean mask over the underlying vectors recording which rows a
@@ -331,6 +334,19 @@ def select_column_groups(
     needed_set = set(needed)
     touched = [(i, g) for i, g in groups if needed_set & set(g.fields)]
     return touched or groups[:1]
+
+
+def select_cell_fields(schema: Schema, needed: Sequence[str] | None) -> list[int]:
+    """Schema positions of the fields a grid scan for ``needed`` must decode.
+
+    ``None`` means every field; a projection that touches no stored field
+    still decodes the first so row counts exist.
+    """
+    if needed is None:
+        return list(range(len(schema.fields)))
+    needed_set = set(needed)
+    touched = [i for i, f in enumerate(schema.fields) if f.name in needed_set]
+    return touched or [0]
 
 
 class _ColumnCursor:
@@ -557,6 +573,10 @@ class StoredLayout:
     folded_keys: list[tuple] = field(default_factory=list)
     # Records per page, for rows layouts (enables direct get_element).
     page_row_counts: list[int] = field(default_factory=list)
+    # Storage position of each page's first record, and past the last page
+    # the row total: ``bisect_right(page_starts, position) - 1`` is the
+    # page a position lives on.
+    page_starts: list[int] = field(init=False, default_factory=list)
     # Columnar min/max synopses (zone maps), computed at render time;
     # ``None`` for layouts rendered before synopses existed, or when the
     # attached tables are not parallel to this layout's directories
@@ -568,6 +588,7 @@ class StoredLayout:
     cell_bounds: list[tuple] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
+        self.page_starts = list(accumulate(self.page_row_counts, initial=0))
         if self.synopsis is not None:
             self.synopsis_error = self._synopsis_shape_error(self.synopsis)
             if self.synopsis_error is not None:
@@ -934,9 +955,7 @@ class LayoutRenderer:
             parts.append(encoded)
         return b"".join(parts)
 
-    def _decode_cell(
-        self, plan: PhysicalPlan, blob: bytes, bulk: bool = False
-    ) -> list[tuple]:
+    def _decode_cell(self, plan: PhysicalPlan, blob: bytes) -> list[tuple]:
         schema = plan.schema
         (row_count,) = _U32.unpack_from(blob, 0)
         (n_fields,) = _U16.unpack_from(blob, 4)
@@ -951,15 +970,13 @@ class LayoutRenderer:
             (length,) = _U32.unpack_from(blob, offset)
             offset += 4
             codec = get_codec(plan.codec_for(f.name))
-            decode = codec.decode_all if bulk else codec.decode
-            columns.append(decode(blob[offset : offset + length], f.dtype))
+            columns.append(
+                codec.decode(blob[offset : offset + length], f.dtype)
+            )
             offset += length
-        if bulk:
-            records = list(zip(*columns)) if row_count else []
-        else:
-            records = [
-                tuple(col[i] for col in columns) for i in range(row_count)
-            ]
+        records = [
+            tuple(col[i] for col in columns) for i in range(row_count)
+        ]
         if plan.delta_fields:
             positions = {name: i for i, name in enumerate(schema.names())}
             records = undelta_records(records, positions, plan.delta_fields)
@@ -1109,15 +1126,12 @@ class LayoutRenderer:
                 columns = self._read_slotted(page_id, serializer)
                 yield from zip(*map(vector.to_list, columns))
 
-    def read_cell(
-        self, layout: StoredLayout, entry: CellEntry, bulk: bool = False
-    ) -> list[tuple]:
-        """Fetch and decode one grid cell (delta reconstruction included).
-
-        ``bulk`` selects the codecs' ``decode_all`` fast path (batch scans).
-        """
+    def read_cell(self, layout: StoredLayout, entry: CellEntry) -> list[tuple]:
+        """Fetch and decode one grid cell (delta reconstruction included),
+        value at a time: ``get_element`` on a cell coordinate, and the
+        reference reader :meth:`iter_grid_batches` is checked against."""
         blob = self._read_stream_range(layout, entry.offset, entry.length)
-        return self._decode_cell(layout.plan, blob, bulk)
+        return self._decode_cell(layout.plan, blob)
 
     def _read_stream_range(
         self, layout: StoredLayout, offset: int, length: int
@@ -1243,9 +1257,10 @@ class LayoutRenderer:
 
         Args:
             needed: fields the scan touches; column layouts decode only the
-                groups these fields live in (``None`` = all fields).
+                groups, and grid layouts only the cell fields, these live
+                in (``None`` = all fields).
             batch_size: target rows per batch where the source's natural
-                unit (page, chunk, cell) doesn't dictate one.
+                unit (page, chunk, page of cell stream) doesn't dictate one.
             folded_indices: directory positions to read for folded layouts
                 (the key-range pruning hook); ``None`` = all.
             grid_entries: cell-directory entries to read for grid layouts
@@ -1263,14 +1278,7 @@ class LayoutRenderer:
                 layout, indexes, batch_size=batch_size
             )
         elif kind == LAYOUT_GRID:
-            fields = tuple(layout.plan.schema.names())
-            entries = (
-                layout.cell_directory if grid_entries is None else grid_entries
-            )
-            for entry in entries:
-                records = self.read_cell(layout, entry, bulk=True)
-                if records:
-                    yield ColumnBatch.from_rows(fields, records)
+            yield from self.iter_grid_batches(layout, grid_entries, needed)
         elif kind == LAYOUT_FOLDED:
             yield from self.iter_folded_batches(
                 layout, folded_indices, batch_size=batch_size
@@ -1434,6 +1442,112 @@ class LayoutRenderer:
                     columns.extend(slicer.slice(batch_start, batch_end))
                 if columns and len(columns[0]):
                     yield ColumnBatch.from_columns(fields, columns)
+
+    def iter_grid_batches(
+        self,
+        layout: StoredLayout,
+        entries: Sequence[CellEntry] | None = None,
+        needed: Sequence[str] | None = None,
+    ) -> Iterator[ColumnBatch]:
+        """Grid cells a run at a time: columnar batches of the ``needed``
+        fields (:func:`select_cell_fields`) over ``entries`` — directory
+        entries in stream order, ``None`` = every cell. A batch is about a
+        page of cell stream: it closes at the first cell that brings its
+        encoded bytes to a page's worth.
+
+        Cells that follow each other in the stream, or start on a page the
+        range reaches anyway, are fetched as one range. Each cell's header
+        is walked once and checked against the directory; fields the scan
+        does not need are stepped over by their length prefix. Each needed
+        field of *all* the batch's cells is then one
+        :meth:`Codec.decode_buffer` call into one vector, and a delta field
+        one :func:`repro.vector.prefix_sum` restarting at every cell. Rows
+        come out exactly as :meth:`read_cell` would give them, cell after
+        cell.
+        """
+        wanted = select_cell_fields(layout.plan.schema, needed)
+        capacity = self.page_size - BYTES_HEADER_SIZE
+        pending: list[CellEntry] = []
+        size = 0
+        for entry in layout.cell_directory if entries is None else entries:
+            if not entry.row_count:
+                continue
+            pending.append(entry)
+            size += entry.length
+            if size >= capacity:
+                yield self._read_cells(layout, pending, wanted)
+                pending, size = [], 0
+        if pending:
+            yield self._read_cells(layout, pending, wanted)
+
+    def _read_cells(
+        self, layout: StoredLayout, entries: list[CellEntry], wanted: list[int]
+    ) -> ColumnBatch:
+        """One columnar batch of the ``wanted`` fields of ``entries``."""
+        plan = layout.plan
+        fields = plan.schema.fields
+        blobs: dict[int, list[bytes]] = {i: [] for i in wanted}
+        capacity = self.page_size - BYTES_HEADER_SIZE
+        start = 0
+        while start < len(entries):
+            # One stream range per run of cells: a cell joins the run when
+            # it starts on a page the range reaches anyway.
+            offset = entries[start].offset
+            end = offset + entries[start].length
+            stop = start + 1
+            while (
+                stop < len(entries)
+                and entries[stop].offset // capacity <= (end - 1) // capacity
+            ):
+                end = max(end, entries[stop].offset + entries[stop].length)
+                stop += 1
+            run = self._read_stream_range(layout, offset, end - offset)
+            if len(run) != end - offset:
+                raise StorageError(
+                    f"cell stream holds {len(run)} of the {end - offset} "
+                    f"bytes the directory places at offset {offset}"
+                )
+            for entry in entries[start:stop]:
+                at = entry.offset - offset
+                limit = at + entry.length
+                if entry.length < _CELL_HEADER.size:
+                    raise StorageError(f"cell {entry.coord} has no header")
+                row_count, n_fields = _CELL_HEADER.unpack_from(run, at)
+                if row_count != entry.row_count or n_fields != len(fields):
+                    raise StorageError(
+                        f"cell {entry.coord} stores {row_count} rows of "
+                        f"{n_fields} fields, the directory and schema say "
+                        f"{entry.row_count} of {len(fields)}"
+                    )
+                at += _CELL_HEADER.size
+                for i in range(n_fields):
+                    if at + 4 > limit:
+                        raise StorageError(
+                            f"cell {entry.coord} ends inside a field header"
+                        )
+                    (length,) = _U32.unpack_from(run, at)
+                    at += 4
+                    if i in blobs:  # others: stepped over by their length
+                        blobs[i].append(run[at : at + length])
+                    at += length
+                if at != limit:
+                    raise StorageError(
+                        f"cell {entry.coord}: fields take {at - limit:+d} "
+                        f"bytes over the cell's {entry.length}"
+                    )
+            start = stop
+        counts = [entry.row_count for entry in entries]
+        columns = []
+        for i, parts in blobs.items():
+            values = get_codec(plan.codec_for(fields[i].name)).decode_buffer(
+                b"".join(parts), fields[i].dtype, list(map(len, parts)), counts
+            )
+            if fields[i].name in plan.delta_fields:
+                values = vector.prefix_sum(values, counts)
+            columns.append(values)
+        return ColumnBatch.from_columns(
+            tuple(fields[i].name for i in wanted), columns
+        )
 
     def iter_folded_batches(
         self,

@@ -25,6 +25,7 @@ import os
 import struct
 import sys
 from array import array
+from itertools import accumulate, islice
 from typing import Any, Iterable, Sequence
 
 try:  # pragma: no cover - exercised via both CI legs
@@ -426,9 +427,9 @@ def take(vec, indexes):
     """The entries of ``vec`` at ``indexes``, in that order: an ndarray
     stays one, every other shape gathers into a list."""
     np_mod = _numpy_mod
+    if np_mod is not None and isinstance(vec, np_mod.ndarray):
+        return vec[indexes]
     if np_mod is not None and isinstance(indexes, np_mod.ndarray):
-        if isinstance(vec, np_mod.ndarray):
-            return vec[indexes]
         indexes = indexes.tolist()
     return list(map(to_list(vec).__getitem__, indexes))
 
@@ -445,3 +446,104 @@ def within_bound(vec, bound, descending: bool):
     if descending:
         return [v >= bound for v in values]
     return [v <= bound for v in values]
+
+
+# ---------------------------------------------------------------------------
+# run kernels (grid cell runs, delta reconstruction)
+# ---------------------------------------------------------------------------
+
+
+def zigzag_varints(data, lengths: Sequence[int]):
+    """Every value of several zigzag-LEB128 blobs laid back to back in
+    ``data`` in one pass: ``(int64 vector, values per blob)``.
+
+    Blob ``i`` is ``lengths[i]`` bytes: a little-endian ``u32`` value count,
+    then that many varints. Returns ``None`` — the caller then runs its own
+    byte loop, which also owns the error messages — when numpy is off, when
+    a varint is longer than 9 bytes (its value may not fit 64 bits), or
+    when the blobs are not exactly what they declare: a count that differs
+    from the varints found, a varint cut by the end of its blob, lengths
+    that do not add up to ``data``.
+    """
+    if (
+        _np is None
+        or not len(lengths)
+        or min(lengths) < 4
+        or sum(lengths) != len(data)
+    ):
+        return None
+    buf = _np.frombuffer(data, dtype=_np.uint8)
+    sizes = _np.asarray(lengths, dtype=_np.int64)
+    ends = sizes.cumsum()
+    header = (ends - sizes)[:, None] + _np.arange(4)
+    declared = buf[header].view("<u4").ravel()
+    in_body = _np.ones(len(buf), dtype=bool)
+    in_body[header.ravel()] = False
+    body = buf[in_body]
+    body_ends = ends - _np.arange(4, 4 * len(sizes) + 4, 4)
+    (stops,) = (body < 0x80).nonzero()  # the last byte of each varint
+    found = stops.searchsorted(body_ends)
+    found[1:] -= found[:-1].copy()
+    whole = body_ends[sizes > 4] - 1  # the last byte of each non-empty body
+    if (found != declared).any() or (body[whole] >= 0x80).any():
+        return None
+    counts = found.tolist()
+    if not len(stops):
+        return _np.empty(0, dtype="<i8"), counts
+    first = _np.empty_like(stops)
+    first[0] = 0
+    first[1:] = stops[:-1] + 1
+    widths = stops - first + 1
+    if widths.max() > 9:
+        return None
+    # Nine 7-bit groups are 63 bits: every step below fits a signed word.
+    shift = (_np.arange(len(body)) - first.repeat(widths)) * 7
+    raw = _np.add.reduceat((body & 0x7F).astype("<i8") << shift, first)
+    return (raw >> 1) ^ -(raw & 1), counts
+
+
+def prefix_sum(values, counts: Sequence[int] | None = None, carry=None):
+    """Running sums of ``values``: the inverse of delta encoding.
+
+    ``counts`` are segment lengths (adding up to ``len(values)``); the sum
+    restarts at every segment boundary — grid cells delta-encode on their
+    own. ``carry`` seeds the first segment: the last value of the batch
+    before this one. Sums are exactly Python's left-to-right ``+``: an
+    int64 vector takes one modular ``cumsum`` only when no running sum can
+    leave 64 bits, every other shape (floats, whose segmented sums would
+    round differently; lists; wider ints) accumulates value by value into
+    a list.
+    """
+    if counts is None:
+        counts = (len(values),)
+    np_mod = _numpy_mod
+    if (
+        np_mod is not None
+        and isinstance(values, np_mod.ndarray)
+        and values.dtype.kind == "i"
+        and len(values)
+    ):
+        reach = max(-values.min().item(), values.max().item(), 0) * max(counts)
+        seed = carry or 0
+        if isinstance(seed, int) and reach + abs(seed) <= _I64_MAX:
+            sums = values.cumsum()
+            if len(counts) > 1:
+                sizes = np_mod.asarray(counts, dtype=np_mod.int64)
+                starts = sizes.cumsum() - sizes
+                before = np_mod.concatenate(([0], sums))[starts]
+                sums -= before.repeat(sizes)
+            if seed:
+                sums[: counts[0]] += seed
+            return sums
+    values = to_list(values)
+    out: list = []
+    start = 0
+    for count in counts:
+        segment = values[start : start + count]
+        start += count
+        if carry is None:
+            out.extend(accumulate(segment))
+        else:
+            out.extend(islice(accumulate(segment, initial=carry), 1, None))
+            carry = None
+    return out

@@ -1,0 +1,573 @@
+"""The read path's run kernels, each against the per-record reader it replaced.
+
+* :meth:`LayoutRenderer.iter_grid_batches` ≡ ``read_cell`` / ``_decode_cell``
+  cell by cell, over hand-built grids (empty, one-row and page-straddling
+  cells, any subset of survivors and of fields, every grid codec, delta on
+  and off, values beyond 64 bits) — and numpy on ≡ off;
+* :func:`repro.vector.prefix_sum` ≡ ``undelta_records``, segmented and
+  carried across arbitrary batch splits, and through ``delta`` on rows and
+  columns layouts;
+* the page-batched index fetch ≡ a slot-at-a-time fetch, on the packed and
+  on the general ``decode_page`` path, lazily and without pinned frames;
+* the varint codec beyond int64, through ``compress[varint](delta[...])``;
+* a grid whose directory disagrees with its cells fails loudly.
+"""
+
+from contextlib import contextmanager
+from dataclasses import replace
+from itertools import accumulate
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import vector
+from repro.algebra.interpreter import AlgebraInterpreter
+from repro.algebra.parser import parse
+from repro.algebra.transforms import undelta_records
+from repro.compression import CodecError, get_codec
+from repro.engine.database import RodentStore
+from repro.engine.indexes import fetch_rows_by_position, pages_for_positions
+from repro.errors import QueryError, StorageError
+from repro.layout.renderer import (
+    CellEntry,
+    LayoutRenderer,
+    StoredLayout,
+    select_cell_fields,
+)
+from repro.query.expressions import Range, Rect
+from repro.storage.buffer import BufferPool
+from repro.storage.disk import DiskManager
+from repro.storage.page import SlottedPage
+from repro.storage.serializer import RecordSerializer
+from repro.types import Schema
+from repro.types.types import INT
+
+I64_MIN, I64_MAX = -(2**63), 2**63 - 1
+
+numpy_legs = pytest.mark.parametrize(
+    "numpy_on",
+    [
+        pytest.param(
+            True,
+            marks=pytest.mark.skipif(
+                not vector.numpy_enabled(), reason="numpy off"
+            ),
+        ),
+        False,
+    ],
+)
+
+
+@contextmanager
+def numpy_set(enabled):
+    previous = vector.set_numpy_enabled(enabled)
+    try:
+        yield
+    finally:
+        vector.set_numpy_enabled(previous)
+
+
+@pytest.fixture
+def numpy_leg(numpy_on):
+    with numpy_set(numpy_on):
+        yield numpy_on
+
+
+# ---------------------------------------------------------------------------
+# grid cells, a run at a time
+# ---------------------------------------------------------------------------
+
+GRID_SCHEMA = Schema.of("x:int", "y:int", "a:int", "b:int", "s:string")
+FIELDS = tuple(GRID_SCHEMA.names())
+
+#: Values each codec can store in the ``a``/``b`` columns of a cell.
+CODEC_VALUES = {
+    "varint": st.one_of(
+        st.integers(-300, 300),
+        st.integers(I64_MIN, I64_MAX),
+        st.integers(-(2**66), 2**66),  # varints of ten bytes and more
+        st.sampled_from([I64_MIN, I64_MAX, 2**62, -(2**62) - 1, 2**63]),
+    ),
+    "none": st.one_of(
+        st.integers(-300, 300),
+        st.integers(I64_MIN, I64_MAX),
+        st.sampled_from([I64_MIN, I64_MAX]),
+    ),
+    "bitpack": st.one_of(st.integers(0, 300), st.integers(0, I64_MAX)),
+    "for": st.one_of(st.integers(-300, 300), st.integers(I64_MIN, I64_MAX)),
+    "delta": st.one_of(st.integers(-300, 300), st.integers(I64_MIN, I64_MAX)),
+}
+
+
+def grid_plan(codec: str, delta: bool):
+    expr = "grid[x, y],[10, 10](T)"
+    if delta:
+        expr = f"delta[a, b]({expr})"
+    if codec != "none":
+        expr = f"compress[{codec}; a, b]({expr})"
+    return AlgebraInterpreter({"T": GRID_SCHEMA}).compile(parse(expr))
+
+
+def build_grid(plan, cells, page_size):
+    """A grid layout holding exactly ``cells`` (lists of stored records) in
+    stream order — empty cells included, which rendering never produces."""
+    renderer = LayoutRenderer(BufferPool(DiskManager(page_size=page_size), 64))
+    stream = bytearray()
+    directory = []
+    for i, cell in enumerate(cells):
+        blob = renderer._encode_cell(plan, plan.schema, cell)
+        directory.append(
+            CellEntry(
+                coord=(i, 0),
+                bounds=((10 * i, 10 * i + 10), (0, 10)),
+                offset=len(stream),
+                length=len(blob),
+                row_count=len(cell),
+            )
+        )
+        stream += blob
+    layout = StoredLayout(
+        plan=plan,
+        row_count=sum(map(len, cells)),
+        extent=renderer._write_stream(bytes(stream)),
+        cell_directory=directory,
+    )
+    return renderer, layout
+
+
+def batch_rows(batches):
+    return [row for batch in batches for row in batch.rows()]
+
+
+@st.composite
+def grids(draw):
+    codec = draw(st.sampled_from(sorted(CODEC_VALUES)))
+    values = CODEC_VALUES[codec]
+    record = st.tuples(
+        st.integers(0, 99),
+        st.integers(0, 9),
+        values,
+        values,
+        st.text(max_size=6),
+    )
+    size = st.sampled_from([0, 0, 1, 1, 2, 5, 40, 150])
+    cells = draw(
+        st.lists(
+            size.flatmap(lambda n: st.lists(record, min_size=n, max_size=n)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    keep = draw(
+        st.one_of(
+            st.none(),  # every cell
+            st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)),
+        )
+    )
+    needed = draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.sampled_from(FIELDS + ("nowhere",)), unique=True),
+        )
+    )
+    return (
+        codec,
+        draw(st.booleans()),
+        cells,
+        keep,
+        needed,
+        draw(st.sampled_from([128, 256, 4096])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids())
+def test_grid_batches_equal_cell_at_a_time_reader(case):
+    codec, delta, cells, keep, needed, page_size = case
+    plan = grid_plan(codec, delta)
+    renderer, layout = build_grid(plan, cells, page_size)
+    entries = None
+    if keep is not None:
+        entries = [e for e, k in zip(layout.cell_directory, keep) if k]
+    wanted = select_cell_fields(plan.schema, needed)
+    oracle = [
+        tuple(row[i] for i in wanted)
+        for entry in (layout.cell_directory if entries is None else entries)
+        for row in renderer.read_cell(layout, entry)
+    ]
+    results = []
+    for numpy_on in (True, False):
+        with numpy_set(numpy_on):
+            batches = list(renderer.iter_grid_batches(layout, entries, needed))
+        assert all(b.n_rows and b.is_columnar for b in batches)
+        assert all(b.fields == tuple(FIELDS[i] for i in wanted) for b in batches)
+        rows = batch_rows(batches)
+        # Native python scalars only, whatever the vectors were.
+        assert {type(v) for row in rows for v in row} <= {int, str}
+        results.append(rows)
+    assert results[0] == results[1] == oracle
+    assert not renderer.pool.pinned_pages()
+
+
+@numpy_legs
+def test_grid_batches_close_at_a_page_of_cell_stream(numpy_leg):
+    plan = grid_plan("varint", delta=True)
+    cells = [[(i, 0, i, -i, "s")] * 20 for i in range(30)]
+    renderer, layout = build_grid(plan, cells, page_size=512)
+    batches = list(renderer.iter_grid_batches(layout, None, ["a"]))
+    assert len(batches) > 1
+    assert sum(b.n_rows for b in batches) == 600
+    # A limit that the first batch satisfies reads no further cell.
+    first = next(renderer.iter_grid_batches(layout, None, ["a"]))
+    assert first.n_rows < 600
+
+
+@numpy_legs
+def test_scan_filters_grid_batches_as_vectors(numpy_leg, monkeypatch):
+    """The N4 shape end to end: the in-cell ``Rect`` is evaluated by
+    ``filter_vector`` on the numpy leg, and either leg equals the oracle."""
+    store = RodentStore(page_size=512, pool_capacity=64)
+    records = [(i, (i * 37) % 200, (i * 53) % 200, i % 5) for i in range(900)]
+    store.create_table(
+        "T",
+        Schema.of("t:int", "lat:int", "lon:int", "id:int"),
+        layout="compress[varint; lat, lon](delta[lat, lon](zorder("
+        "grid[lat, lon],[25, 25](project[lat, lon](T)))))",
+    )
+    table = store.load("T", records)
+    calls = []
+    original = Rect.filter_vector
+
+    def spy(self, columns, n_rows):
+        verdict = original(self, columns, n_rows)
+        calls.append(verdict is not None)
+        return verdict
+
+    monkeypatch.setattr(Rect, "filter_vector", spy)
+    box = Rect({"lat": (30, 110), "lon": (15, 95)})
+    got = list(table.scan(["lat", "lon"], box))
+    assert got == list(table.scan_reference(["lat", "lon"], box))
+    assert got and calls and all(calls) == numpy_leg
+    assert list(table.scan()) == list(table.scan_reference())
+
+
+# ---------------------------------------------------------------------------
+# a directory that disagrees with its cells
+# ---------------------------------------------------------------------------
+
+
+def _damaged(layout, index, **changes):
+    directory = list(layout.cell_directory)
+    directory[index] = replace(directory[index], **changes)
+    return replace(layout, cell_directory=directory)
+
+
+@numpy_legs
+@pytest.mark.parametrize("index", [0, 2, 4])
+@pytest.mark.parametrize(
+    "field, step", [("row_count", 1), ("row_count", -1), ("length", 1), ("length", -1)]
+)
+def test_directory_off_by_one_is_a_loud_error(numpy_leg, index, field, step):
+    plan = grid_plan("varint", delta=True)
+    cells = [[(i, 0, 7 * i + j, -j, "s") for j in range(3 + i)] for i in range(5)]
+    renderer, layout = build_grid(plan, cells, page_size=256)
+    entry = layout.cell_directory[index]
+    bad = _damaged(layout, index, **{field: getattr(entry, field) + step})
+    with pytest.raises(StorageError):
+        list(renderer.iter_grid_batches(bad, None, None))
+    with pytest.raises(StorageError):
+        list(renderer.iter_grid_batches(bad, [bad.cell_directory[index]], ["a"]))
+
+
+@numpy_legs
+def test_blob_with_the_wrong_value_count_is_a_loud_error(numpy_leg):
+    """A cell whose header agrees with the directory but whose column blob
+    holds another number of values must not shift the cells after it."""
+    codec = get_codec("varint")
+    blobs = [codec.encode(v, INT) for v in ([1, 2, 3], [4, 5], [6])]
+    data, lengths = b"".join(blobs), list(map(len, blobs))
+    assert vector.to_list(
+        codec.decode_buffer(data, INT, lengths, [3, 2, 1])
+    ) == [1, 2, 3, 4, 5, 6]
+    with pytest.raises(CodecError):
+        codec.decode_buffer(data, INT, lengths, [3, 1, 2])
+    with pytest.raises(CodecError):  # a varint cut by the end of its blob
+        codec.decode_buffer(data[:-1] + b"\x80", INT, lengths, [3, 2, 1])
+    with pytest.raises(CodecError):  # lengths that do not cover the payload
+        codec.decode_buffer(data, INT, lengths[:-1], [3, 2])
+    for name in ("none", "for", "delta", "bitpack"):
+        other = get_codec(name)
+        blobs = [other.encode(v, INT) for v in ([1, 2, 3], [4, 5])]
+        data, lengths = b"".join(blobs), list(map(len, blobs))
+        assert vector.to_list(
+            other.decode_buffer(data, INT, lengths, [3, 2])
+        ) == [1, 2, 3, 4, 5]
+        with pytest.raises(CodecError):
+            other.decode_buffer(data, INT, lengths, [2, 3])
+
+
+# ---------------------------------------------------------------------------
+# varint beyond int64
+# ---------------------------------------------------------------------------
+
+BEYOND_INT64 = [2**63, -(2**63) - 1, 2**64 - 1, -(2**64 - 1), -(2**70)]
+
+
+def test_varint_round_trips_beyond_int64():
+    codec = get_codec("varint")
+    values = BEYOND_INT64 + [I64_MIN, I64_MAX, 0, -1, 1]
+    data = codec.encode(values, INT)
+    assert codec.decode(data, INT) == values
+    assert codec.decode_all(data, INT) == values
+    assert vector.to_list(codec.decode_buffer(data, INT)) == values
+    # In-range values keep the bytes they always had.
+    assert codec.encode([I64_MIN, I64_MAX, -1, 1], INT) == bytes.fromhex(
+        "04000000" + "ff" * 9 + "01" + "fe" + "ff" * 8 + "01" + "01" + "02"
+    )
+
+
+@numpy_legs
+@pytest.mark.parametrize(
+    "layout",
+    [
+        "compress[varint; v](delta[v](grid[k, k2],[10, 10](T)))",
+        "compress[varint; v](columns(delta[v](T)))",
+    ],
+)
+def test_delta_of_int64_values_survives_varint(numpy_leg, layout):
+    """``delta`` of two valid int64 values need not fit int64: the varint
+    codec under it must carry the difference exactly."""
+    store = RodentStore(page_size=512, pool_capacity=64)
+    records = [(0, 0, 2**62), (1, 1, -(2**62) - 1), (2, 2, I64_MAX), (3, 3, I64_MIN)]
+    store.create_table("T", Schema.of("k:int", "k2:int", "v:int"), layout=layout)
+    table = store.load("T", records)
+    assert sorted(table.scan()) == records
+    assert sorted(table.scan_reference()) == records
+
+
+# ---------------------------------------------------------------------------
+# prefix sums
+# ---------------------------------------------------------------------------
+
+
+def _undelta(values):
+    return [r[0] for r in undelta_records([(v,) for v in values], {"v": 0}, ["v"])]
+
+
+def _shapes(values):
+    """``values`` as every vector shape that can hold them."""
+    shapes = [list(values), tuple(values)]
+    code = "q" if all(isinstance(v, int) for v in values) else "d"
+    typed = vector.from_values(values, code)
+    if typed is not None and len(typed):
+        shapes.append(typed)
+    return shapes
+
+
+numbers = st.one_of(
+    st.lists(st.integers(-1000, 1000), max_size=60),
+    st.lists(st.integers(I64_MIN, I64_MAX), max_size=60),
+    st.lists(st.integers(-(2**70), 2**70), max_size=20),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), max_size=60),
+)
+
+
+@numpy_legs
+@settings(max_examples=150, deadline=None)
+@given(values=numbers, cuts=st.lists(st.integers(0, 60), max_size=6))
+def test_prefix_sum_segments_equal_undelta_records(numpy_on, values, cuts):
+    with numpy_set(numpy_on):
+        bounds = sorted({0, len(values), *(c for c in cuts if c <= len(values))})
+        counts = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        if cuts and len(values):
+            counts.insert(len(counts) // 2, 0)  # an empty segment changes nothing
+        want = []
+        start = 0
+        for count in counts:
+            want.extend(_undelta(values[start : start + count]))
+            start += count
+        for shape in _shapes(values):
+            got = vector.to_list(vector.prefix_sum(shape, counts))
+            assert got == want and list(map(type, got)) == list(map(type, want))
+        assert vector.to_list(vector.prefix_sum(list(values))) == _undelta(values)
+
+
+@numpy_legs
+@settings(max_examples=150, deadline=None)
+@given(values=numbers, cuts=st.lists(st.integers(0, 60), max_size=6))
+def test_prefix_sum_carries_across_batch_splits(numpy_on, values, cuts):
+    with numpy_set(numpy_on):
+        bounds = sorted({0, len(values), *(c for c in cuts if c <= len(values))})
+        for shape in _shapes(values):
+            got, carry = [], None
+            for lo, hi in zip(bounds, bounds[1:]):
+                sums = vector.to_list(vector.prefix_sum(shape[lo:hi], carry=carry))
+                got.extend(sums)
+                carry = sums[-1]
+            assert got == _undelta(values)
+
+
+DELTA_SCHEMA = Schema.of("k:int", "a:int", "f:float", "s:string")
+
+
+@numpy_legs
+@pytest.mark.parametrize(
+    "layout", ["delta[a, f](T)", "columns(delta[a, f](T))", "columns[[k, a], [f], [s]](delta[a](T))"]
+)
+@settings(max_examples=25, deadline=None)
+@given(
+    records=st.lists(
+        st.tuples(
+            st.integers(0, 50),
+            st.integers(-(2**40), 2**40),
+            st.floats(-1e6, 1e6, width=32),
+            st.text(max_size=4),
+        ),
+        max_size=120,
+    )
+)
+def test_delta_layouts_scan_equals_reference(numpy_on, layout, records):
+    with numpy_set(numpy_on):
+        store = RodentStore(page_size=256, pool_capacity=64, batch_rows=16)
+        store.create_table("T", DELTA_SCHEMA, layout=layout)
+        table = store.load("T", records)
+        assert list(table.scan()) == list(table.scan_reference())
+        assert list(table.scan(["a", "k"], Range("a", -(2**39), 2**39))) == list(
+            table.scan_reference(["a", "k"], Range("a", -(2**39), 2**39))
+        )
+
+
+# ---------------------------------------------------------------------------
+# index probes, a page at a time
+# ---------------------------------------------------------------------------
+
+PACKED_SCHEMA = Schema.of("k:int", "v:int", "w:float")
+GENERAL_SCHEMA = Schema.of("k:int", "v:int", "s:string")
+
+
+def _slot_at_a_time(table, positions):
+    """The reader ``fetch_rows_by_position`` replaced: one ``page.get`` and
+    one ``RecordSerializer.decode`` per position."""
+    layout = table.layout
+    pool = table.store.pool
+    serializer = RecordSerializer(table.plan.schema)
+    starts = list(accumulate(layout.page_row_counts, initial=0))
+    rows = []
+    for position in positions:
+        index = max(i for i, s in enumerate(starts[:-1]) if s <= position)
+        page_id = layout.extent.page_ids[index]
+        frame = pool.fetch(page_id)
+        try:
+            page = SlottedPage(table.store.disk.page_size, frame.data)
+            rows.append(serializer.decode(page.get(position - starts[index])))
+        finally:
+            pool.unpin(page_id)
+    return rows
+
+
+def _indexed_table(schema, records):
+    store = RodentStore(page_size=512, pool_capacity=64)
+    store.create_table("T", schema, layout="orderby[k](T)")
+    table = store.load("T", records)
+    table.create_index("k")
+    return store, table
+
+
+@numpy_legs
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_page_batched_fetch_equals_slot_at_a_time(numpy_on, data):
+    with numpy_set(numpy_on):
+        if data.draw(st.booleans()):
+            schema = PACKED_SCHEMA
+            record = st.tuples(
+                st.integers(0, 30), st.integers(I64_MIN, I64_MAX), st.floats(-9, 9)
+            )
+        else:
+            schema = GENERAL_SCHEMA
+            record = st.tuples(
+                st.integers(0, 30),
+                st.integers(-99, 99),
+                st.text(max_size=5),
+            )
+        records = data.draw(st.lists(record, min_size=1, max_size=150))
+        store, table = _indexed_table(schema, records)
+        positions = sorted(
+            data.draw(st.sets(st.integers(0, len(records) - 1), max_size=60))
+        )
+        batches = list(fetch_rows_by_position(table, positions))
+        assert batch_rows(batches) == _slot_at_a_time(table, positions)
+        assert len(batches) == pages_for_positions(table, positions)
+        assert not store.pool.pinned_pages()
+        # Through a scan: whichever path the planner takes equals the stored
+        # rows filtered one by one.
+        lo, hi = sorted(data.draw(st.tuples(st.integers(0, 30), st.integers(0, 30))))
+        stored = _slot_at_a_time(table, range(len(records)))
+        assert list(table.scan(predicate=Range("k", lo, hi))) == [
+            r for r in stored if lo <= r[0] <= hi
+        ]
+
+
+@numpy_legs
+def test_duplicate_keys_spanning_leaves(numpy_leg):
+    records = [(k, i, float(i)) for i, k in enumerate([3] * 40 + [7] * 400 + [9] * 40)]
+    store, table = _indexed_table(PACKED_SCHEMA, records)
+    index = table._indexes["k"]
+    assert index.tree.height > 1
+    assert index.positions_in_range(7, 7) == list(range(40, 440))
+    assert index.tree.search(7) == list(range(40, 440))
+    assert [k for k, _ in index.tree.range(3, 7)] == [3] * 40 + [7] * 400
+    assert index.positions_in_range(4, 6) == []
+    assert list(table.scan(predicate=Range("k", 7, 7))) == records[40:440]
+    assert list(table.scan(predicate=Range("k", 8, 99))) == records[440:]
+
+
+@numpy_legs
+def test_limit_stops_the_probe_and_leaves_no_frame_pinned(numpy_leg):
+    records = [(k, k, float(k)) for k in range(2000)]
+    store, table = _indexed_table(PACKED_SCHEMA, records)
+    positions = table._index_positions(Range("k", 100, 400))
+    assert positions == list(range(100, 401))
+    pages = table.layout.page_starts
+    per_page = pages[1]
+    assert len(positions) > 3 * per_page  # the probe spans several pages
+
+    def data_page_reads(consume):
+        store.pool.clear()
+        store.disk.stats.reset()
+        consume()
+        assert not store.pool.pinned_pages()
+        return store.disk.stats.page_reads
+
+    everything = data_page_reads(lambda: list(fetch_rows_by_position(table, positions)))
+    first_only = data_page_reads(lambda: next(fetch_rows_by_position(table, positions)))
+    assert first_only == 1 < everything
+
+    def abandoned():
+        batches = fetch_rows_by_position(table, positions)
+        next(batches)
+        batches.close()
+
+    assert data_page_reads(abandoned) == 1
+    # A pushed-down limit reads the index and the pages holding the first
+    # ``limit`` matches — what the record-at-a-time probe read — no more.
+    limit = per_page // 2
+    probe_only = data_page_reads(lambda: table._index_positions(Range("k", 100, 400)))
+    limited = data_page_reads(
+        lambda: list(table.scan(predicate=Range("k", 100, 400), limit=limit))
+    )
+    covering = len({p // per_page for p in positions[:limit]})
+    assert limited <= probe_only + covering
+    assert list(table.scan(predicate=Range("k", 100, 400), limit=limit)) == (
+        records[100 : 100 + limit]
+    )
+
+
+def test_fetch_rejects_positions_outside_the_layout():
+    store, table = _indexed_table(PACKED_SCHEMA, [(k, k, 0.0) for k in range(50)])
+    with pytest.raises(QueryError):
+        list(fetch_rows_by_position(table, [3, 50]))
+    with pytest.raises(QueryError):
+        list(fetch_rows_by_position(table, [-1, 3]))
+    assert list(fetch_rows_by_position(table, [])) == []

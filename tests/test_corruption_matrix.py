@@ -319,3 +319,73 @@ def test_truncated_synopsis_vector_scans_unpruned_and_scrub_reports(damage):
             store.disk.close()
     finally:
         shutil.rmtree(base, ignore_errors=True)
+
+
+GRID_LAYOUT = (
+    "compress[varint; id, val](delta[id, val](zorder("
+    "grid[id, val],[40, 250](T))))"
+)
+
+
+@pytest.mark.parametrize("degraded", [False, True])
+@pytest.mark.parametrize(
+    "field, step",
+    [("row_count", 1), ("row_count", -1), ("length", 1), ("length", -1)],
+)
+def test_grid_directory_off_by_one_never_returns_wrong_rows(
+    field, step, degraded
+):
+    """Every page CRC and the catalog checksum are *valid*, but one cell's
+    directory entry is off by one (a writer bug, not a bit flip). The run
+    reader checks each cell header against the directory before it decodes
+    anything, so every scan that touches the cell fails loudly — a short or
+    shifted column vector would be silently wrong rows."""
+    base = tempfile.mkdtemp()
+    try:
+        path = os.path.join(base, "db")
+        rng = random.Random(CORRUPT_SEED)
+        rows = sorted((i, rng.randrange(1000)) for i in range(400))
+        store = RodentStore(path, page_size=1024, pool_capacity=64, durable=True)
+        store.create_table("T", SCHEMA, layout=GRID_LAYOUT)
+        store.load("T", rows)
+        store.checkpoint()
+        store.close()
+
+        catalog = path + ".catalog.json"
+        with open(catalog, encoding="utf-8") as f:
+            payload = json.load(f)
+        del payload[CATALOG_CRC_KEY]
+        (table,) = payload["tables"]
+        directory = table["layout"]["cell_directory"]
+        assert len(directory) > 4
+        victim = directory[len(directory) // 2]
+        victim[field] += step
+        payload[CATALOG_CRC_KEY] = _catalog_crc(payload)
+        with open(catalog, "w", encoding="utf-8") as f:
+            json.dump(payload, f)
+
+        store = RodentStore(
+            path,
+            page_size=1024,
+            pool_capacity=64,
+            durable=True,
+            degraded_reads=degraded,
+        )
+        try:
+            table = store.table("T")
+            (lo, hi), (vlo, vhi) = victim["bounds"]
+            inside = Range("id", lo, hi - 1)
+            with pytest.raises(RodentStoreError):
+                list(table.scan())
+            with pytest.raises(RodentStoreError):
+                list(table.scan(predicate=inside))
+            # Scans that prune the damaged cell away never read it.
+            elsewhere = Range("id", hi + 40, 10_000)
+            assert sorted(table.scan(predicate=elsewhere)) == [
+                r for r in rows if r[0] >= hi + 40
+            ]
+        finally:
+            store.wal.close()
+            store.disk.close()
+    finally:
+        shutil.rmtree(base, ignore_errors=True)

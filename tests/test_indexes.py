@@ -149,7 +149,9 @@ class TestPositionHelpers:
     def test_fetch_rows_by_position(self, setup):
         _, table = setup
         positions = [0, 1, 5, 700, 1499]
-        got = list(fetch_rows_by_position(table, positions))
+        batches = list(fetch_rows_by_position(table, positions))
+        assert [b.n_rows for b in batches] == [3, 1, 1]  # one per page
+        got = [row for batch in batches for row in batch.rows()]
         assert got == [RECORDS[p] for p in positions]
 
     def test_fetch_out_of_range(self, setup):
