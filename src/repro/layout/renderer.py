@@ -217,8 +217,8 @@ class ColumnBatch:
         self, idx: Sequence[int], fields: tuple[str, ...]
     ) -> "ColumnBatch":
         """Reorder/subset columns without touching the selection bitmap
-        (columnar batches only)."""
-        cols = self._columns
+        (a row-backed batch is transposed first)."""
+        cols = self._columns if self._columns is not None else self.columns()
         return ColumnBatch(
             fields,
             self.n_rows,
@@ -253,6 +253,18 @@ class ColumnBatch:
         if self._selection is not None:
             kind += "+selection"
         return f"<ColumnBatch {self.n_rows}x{len(self.fields)} {kind}>"
+
+
+def merge_batches(fields: tuple[str, ...], held: Sequence[ColumnBatch]) -> ColumnBatch:
+    """The rows of ``held`` (batches over ``fields``), in order, as one
+    columnar batch: each column is one :func:`repro.vector.concat` of the
+    batches' vectors, typed where they all are."""
+    parts = [batch.columns() for batch in held]
+    return ColumnBatch(
+        fields,
+        sum(batch.n_rows for batch in held),
+        columns=[vector.concat([p[i] for p in parts]) for i in range(len(fields))],
+    )
 
 
 #: "No row is ruled out yet" for :func:`sort_batches` (``None`` could be a
@@ -292,11 +304,7 @@ def sort_batches(
     def best() -> ColumnBatch:
         if not held:
             return empty
-        parts = [batch.columns() for batch in held]
-        merged = ColumnBatch.from_columns(
-            fields,
-            [vector.concat([p[i] for p in parts]) for i in range(len(fields))],
-        )
+        merged = merge_batches(fields, held)
         columns = merged.columns()
         return merged.take(
             vector.sort_indexes([columns[i] for i in key_idx], descending, limit)

@@ -12,17 +12,20 @@ The leaf is :class:`TableScanOp`, a thin adapter over
 pushdown, grid-cell pruning, column-group selection, and the
 index-vs-scan choice all happen inside the access method. Above it sit
 :class:`FilterOp` (residual predicates), :class:`ProjectOp`,
-:class:`HashJoinOp` (equi-join, hash the estimated-smaller side),
-:class:`GroupByOp` (scalar accumulators, no member-row buffering),
-:class:`SortOp`, and :class:`LimitOp`.
+:class:`HashJoinOp` (equi-join, key the estimated-smaller side),
+:class:`GroupByOp` (flat accumulators by group id, no member-row
+buffering), :class:`SortOp`, and :class:`LimitOp`.
 
 When the store's vectorized mode is on, columnar batches flow through the
 tree untransposed: filters evaluate selection bitmaps
 (:meth:`Predicate.filter_vector`) and defer the gather, projections
-reorder column vectors, joins extract keys from packed column slices, and
-group-by reduces typed buffers with numpy when it is importable. Every
-vector path bails to the row-at-a-time code on anything it cannot
-reproduce bit-for-bit, so results are identical either way.
+reorder column vectors, and the two keyed operators run on one kernel —
+:class:`repro.vector.KeyTable` turns key columns into dense group ids a
+coalesced chunk at a time, group-by folds value vectors by id, the join
+gathers both sides by index vectors and emits columnar batches. The
+kernels take every vector shape (typed, list, numpy on or off) and answer
+with Python's own ``==``, ``+`` and ``<`` semantics in each, so there is
+one fold and one probe, not a fast path beside a row loop.
 
 Null semantics follow SQL: join keys containing ``None`` never match, and
 ``count(field)`` / ``sum`` / ``avg`` / ``min`` / ``max`` skip ``None``
@@ -36,14 +39,19 @@ re-runnable because each call re-reads the scans and rebuilds any state
 from __future__ import annotations
 
 import operator as _operator
-from collections import defaultdict, deque
+from collections import deque
 from concurrent.futures import wait as _wait_futures
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro import vector
 from repro.engine.cost import CostEstimate
 from repro.errors import QueryError, StorageError
-from repro.layout.renderer import DEFAULT_BATCH_ROWS, ColumnBatch, sort_batches
+from repro.layout.renderer import (
+    DEFAULT_BATCH_ROWS,
+    ColumnBatch,
+    merge_batches,
+    sort_batches,
+)
 from repro.query.expressions import Predicate
 
 if TYPE_CHECKING:  # pragma: no cover - circular import guard
@@ -386,20 +394,49 @@ class ProjectOp(Operator):
             yield ColumnBatch.from_rows(self.fields, project(batch.rows()))
 
 
-def _key_fn(idx: Sequence[int]) -> Callable[[tuple], Any]:
-    """Join-key extractor; single keys stay scalar (no tuple allocation)."""
-    if len(idx) == 1:
-        i = idx[0]
-        return lambda row: row[i]
-    return _operator.itemgetter(*idx)
+#: Rows a keyed operator buffers before it makes one kernel call over
+#: them. The kernels cost a fixed few dozen microseconds per call whatever
+#: the row count, so a post-filter batch of a few hundred rows is far too
+#: small a unit; 64 batches amortize the call and still bound memory.
+_CHUNK_ROWS = 64 * DEFAULT_BATCH_ROWS
+
+
+def _chunks(
+    batches: Iterator[ColumnBatch],
+    fields: tuple[str, ...],
+    idx: Sequence[int] | None = None,
+) -> Iterator[ColumnBatch]:
+    """Coalesce a batch stream into columnar batches of about
+    ``_CHUNK_ROWS`` rows each, in stream order, keeping only the columns
+    ``idx`` (named ``fields``) when given. At most one chunk plus one input
+    batch of rows is buffered."""
+    held: list[ColumnBatch] = []
+    rows = 0
+    for batch in batches:
+        if not batch.n_rows:
+            continue
+        held.append(batch if idx is None else batch.project_columns(idx, fields))
+        rows += batch.n_rows
+        if rows >= _CHUNK_ROWS:
+            yield merge_batches(fields, held)
+            held, rows = [], 0
+    if held:
+        yield merge_batches(fields, held)
 
 
 class HashJoinOp(Operator):
-    """Equi-join: hash the build side, stream the probe side.
+    """Equi-join: key the build side, stream the probe side.
+
+    The build side's keys go into a :class:`repro.vector.KeyTable` and its
+    rows are ordered by key id; each probe chunk is one ``lookup`` plus
+    one gather (:func:`repro.vector.take`) per output column, so the
+    operator above sees columnar batches of typed vectors.
 
     Output rows are always ``left_row + right_row`` regardless of which
     side is built, so the planner's build-side choice (the estimated
-    smaller input) never changes results. ``None`` join keys match nothing.
+    smaller input) never changes *which* rows come out. Their order is
+    probe-major: probe rows in stream order, the partners of one probe row
+    in build stream order. ``None`` join keys match nothing.
     """
 
     def __init__(
@@ -436,97 +473,49 @@ class HashJoinOp(Operator):
         side = "left" if self.build_left else "right"
         return f"on {keys} [build={side}]"
 
-    @staticmethod
-    def _null_key(key: Any, composite: bool) -> bool:
-        return (None in key) if composite else (key is None)
-
-    @staticmethod
-    def _batch_keys(batch: ColumnBatch, idx: Sequence[int]) -> list:
-        """Per-row join keys, sliced from packed columns when available.
-
-        Columnar batches yield their key columns as whole vectors — one
-        bulk ``tolist`` per key instead of an itemgetter call per row.
-        Single keys stay scalar, composites become tuples, matching
-        :func:`_key_fn` exactly.
-        """
-        if batch.is_columnar:
-            cols = batch.columns()
-            key_cols = [vector.to_list(cols[i]) for i in idx]
-            if len(key_cols) == 1:
-                return key_cols[0]
-            return list(zip(*key_cols))
-        key_of = _key_fn(idx)
-        return [key_of(row) for row in batch.rows()]
-
     def batches(self) -> Iterator[ColumnBatch]:
-        composite = len(self.left_keys) > 1
-        null_key = self._null_key
         if self.build_left:
             build, probe = self.left, self.right
             build_idx, probe_idx = self._left_idx, self._right_idx
         else:
             build, probe = self.right, self.left
             build_idx, probe_idx = self._right_idx, self._left_idx
-        table: dict[Any, list[tuple]] = defaultdict(list)
-        for batch in build.batches():
-            keys = self._batch_keys(batch, build_idx)
-            for key, row in zip(keys, batch.rows()):
-                if null_key(key, composite):
-                    continue
-                table[key].append(row)
-        if not table:
+        built = merge_batches(build.fields, list(build.batches()))
+        if not built.n_rows:
             return
-        get = table.get
-        build_is_left = self.build_left
-        for batch in probe.batches():
-            out: list[tuple] = []
-            extend = out.extend
-            keys = self._batch_keys(batch, probe_idx)
-            for key, row in zip(keys, batch.rows()):
-                if null_key(key, composite):
-                    continue
-                matches = get(key)
-                if not matches:
-                    continue
-                if build_is_left:
-                    extend(b + row for b in matches)
-                else:
-                    extend(row + b for b in matches)
-            if out:
-                yield ColumnBatch.from_rows(self.fields, out)
-
-
-#: Int sums stay exact in int64 as long as ``max(|value|) * n_rows`` is
-#: below this; anything bigger bails to arbitrary-precision python ints.
-_INT64_SAFE = 2**62
-
-
-#: min/max slots treat ``None`` as "unset"; safe because None *values* are
-#: skipped before reaching the slot (SQL null semantics).
-class _AggState:
-    """Scalar accumulators for one group — no member-row buffering."""
-
-    __slots__ = ("count", "counts", "sums", "sum_counts", "mins", "maxs")
-
-    def __init__(self, n_counts: int, n_sums: int, n_minmax: int):
-        self.count = 0  # count(*): every row
-        self.counts = [0] * n_counts  # count(field): non-null rows
-        self.sums = [0] * n_sums
-        self.sum_counts = [0] * n_sums  # non-null denominators for avg
-        self.mins: list[Any] = [None] * n_minmax
-        self.maxs: list[Any] = [None] * n_minmax
+        built_columns = built.columns()
+        table = vector.KeyTable()
+        ids = table.ids([built_columns[i] for i in build_idx])
+        order, offsets = vector.group_rows(ids, len(table))
+        for chunk in _chunks(probe.batches(), probe.fields):
+            columns = chunk.columns()
+            found = table.lookup([columns[i] for i in probe_idx])
+            probe_rows, build_rows = vector.match_rows(found, order, offsets)
+            if not len(probe_rows):
+                continue
+            from_build = [vector.take(c, build_rows) for c in built_columns]
+            from_probe = [vector.take(c, probe_rows) for c in columns]
+            yield ColumnBatch.from_columns(
+                self.fields,
+                from_build + from_probe if self.build_left else from_probe + from_build,
+            )
 
 
 class GroupByOp(Operator):
-    """Grouped aggregation folded into scalar accumulator states.
+    """Grouped aggregation over dense group ids.
 
-    One pipeline-breaking pass: every input batch folds into per-group
-    scalar slots (shared row count, per-source non-null counts, running
-    sums, mins, maxs), then the result is emitted in first-seen group
-    order. ``count(field)`` / ``sum`` / ``avg`` / ``min`` / ``max`` skip
-    ``None`` values; ``count(*)`` counts all rows; aggregates over a group
-    whose values are all ``None`` yield ``None``. Without keys the result
-    is always exactly one row, also over no input rows.
+    One pipeline-breaking pass: the key and aggregate-source columns of
+    the input are folded a coalesced chunk at a time — a
+    :class:`repro.vector.KeyTable` turns the chunk's keys into ids, and
+    per aggregated field four flat accumulators indexed by id (non-null
+    count, sum, min, max; plus one shared row count) take the chunk in one
+    kernel call each. Memory is O(chunk + groups). The result is emitted
+    in first-seen group order. ``count(field)`` / ``sum`` / ``avg`` /
+    ``min`` / ``max`` skip ``None`` values; ``count(*)`` counts all rows;
+    aggregates over a group whose values are all ``None`` yield ``None``.
+    Sums are Python's left-to-right ``+``; of values that compare equal
+    the first seen is the ``min`` / ``max``. Without keys the result is
+    always exactly one row, also over no input rows.
     """
 
     def __init__(
@@ -541,28 +530,16 @@ class GroupByOp(Operator):
         self.fields = self.keys + tuple(
             a.output_name for a in self.aggregates
         )
+        #: Aggregated fields, each with the accumulators its aggregates read.
+        self._sources: dict[str, set[str]] = {}
+        for agg in self.aggregates:
+            if agg.source is not None:
+                self._sources.setdefault(agg.source, set()).add(agg.func)
+        # The fold sees the key columns, then one column per source.
+        self._needed = self.keys + tuple(self._sources)
         positions = {name: i for i, name in enumerate(child.fields)}
         try:
-            self._key_idx = [positions[k] for k in keys]
-            # Slot layout: one list per accumulator family, deduplicated by
-            # source field so sum+avg over the same column share a slot.
-            self._count_fields: list[str] = []
-            self._sum_fields: list[str] = []
-            self._minmax_specs: list[tuple[str, str]] = []
-            for agg in self.aggregates:
-                if agg.source is None:
-                    continue
-                if agg.func == "count" and agg.source not in self._count_fields:
-                    self._count_fields.append(agg.source)
-                if agg.func in ("sum", "avg") and agg.source not in self._sum_fields:
-                    self._sum_fields.append(agg.source)
-                if agg.func in ("min", "max"):
-                    spec = (agg.func, agg.source)
-                    if spec not in self._minmax_specs:
-                        self._minmax_specs.append(spec)
-            self._count_idx = [positions[f] for f in self._count_fields]
-            self._sum_idx = [positions[f] for f in self._sum_fields]
-            self._minmax_idx = [positions[s] for _, s in self._minmax_specs]
+            self._needed_idx = [positions[f] for f in self._needed]
         except KeyError as exc:
             raise QueryError(
                 f"unknown aggregation field {exc.args[0]!r}"
@@ -576,216 +553,59 @@ class GroupByOp(Operator):
         return f"keys={list(self.keys)} aggs=[{aggs}]"
 
     def batches(self) -> Iterator[ColumnBatch]:
-        key_idx = self._key_idx
-        count_idx = self._count_idx
-        sum_idx = self._sum_idx
-        minmax_idx = self._minmax_idx
-        minmax_specs = self._minmax_specs
-        n_counts, n_sums, n_minmax = (
-            len(count_idx), len(sum_idx), len(minmax_idx)
-        )
-        key_of = _key_fn(key_idx) if key_idx else None
-        single_key = len(key_idx) == 1
-        states: dict[tuple, _AggState] = {}
-        for batch in self.child.batches():
-            if (
-                batch.is_columnar
-                and batch.n_rows
-                and self._fold_vectorized(batch, states)
-            ):
-                continue
-            for row in batch.rows():
-                if key_of is None:
-                    key = ()
-                elif single_key:
-                    key = (key_of(row),)
-                else:
-                    key = key_of(row)
-                state = states.get(key)
-                if state is None:
-                    state = states[key] = _AggState(n_counts, n_sums, n_minmax)
-                state.count += 1
-                for slot, i in enumerate(count_idx):
-                    if row[i] is not None:
-                        state.counts[slot] += 1
-                for slot, i in enumerate(sum_idx):
-                    value = row[i]
-                    if value is not None:
-                        state.sums[slot] += value
-                        state.sum_counts[slot] += 1
-                for slot, i in enumerate(minmax_idx):
-                    value = row[i]
-                    if value is None:
-                        continue
-                    func, _ = minmax_specs[slot]
-                    if func == "min":
-                        current = state.mins[slot]
-                        if current is None or value < current:
-                            state.mins[slot] = value
-                    else:
-                        current = state.maxs[slot]
-                        if current is None or value > current:
-                            state.maxs[slot] = value
-        if not states and not key_idx:
-            # SQL: an aggregate without GROUP BY is one row even over no
-            # input (count 0, sum/avg/min/max NULL) — a fresh state.
-            states[()] = _AggState(n_counts, n_sums, n_minmax)
-        out: list[tuple] = []
-        for key, state in states.items():  # dicts preserve first-seen order
-            result: list[Any] = list(key)
-            for agg in self.aggregates:
-                result.append(self._finalize(agg, state))
-            out.append(tuple(result))
-        if out:
-            yield ColumnBatch.from_rows(self.fields, out)
-
-    def _fold_vectorized(self, batch: ColumnBatch, states: dict) -> bool:
-        """Fold one columnar batch into ``states`` with numpy reductions.
-
-        Groups come from a stable argsort over combined key codes, so each
-        sorted slice preserves the batch's original row order, and groups
-        commit to ``states`` in first-seen order (``argsort`` of each
-        group's first row position) — the dict ends up identical to the
-        row loop's. Int sums reduce with ``np.add.reduceat`` (exact below
-        the int64 guard); float sums accumulate sequentially in python over
-        the sorted slices so rounding matches the row loop bit-for-bit.
-
-        Returns False, leaving ``states`` untouched, whenever any piece
-        can't be reproduced exactly: numpy unavailable, a needed column
-        that isn't a typed numeric vector (typed vectors also guarantee
-        no ``None``s, which is what lets counts equal group sizes), NaNs
-        anywhere (their comparison semantics differ from the row loop's
-        min/max and dict-key behavior), or an int sum that could overflow.
-        """
-        np = vector.numpy_module()
-        if np is None or not vector.numpy_enabled():
-            return False
-        n = batch.n_rows
-        cols = batch.columns()
-
-        def ndarray(i):
-            arr = vector.as_ndarray(cols[i])
-            if (
-                arr is not None
-                and arr.dtype.kind == "f"
-                and np.isnan(arr).any()
-            ):
-                return None
-            return arr
-
-        key_arrays = [ndarray(i) for i in self._key_idx]
-        count_arrays = [ndarray(i) for i in self._count_idx]
-        sum_arrays = [ndarray(i) for i in self._sum_idx]
-        minmax_arrays = [ndarray(i) for i in self._minmax_idx]
-        if any(
-            a is None
-            for group in (key_arrays, count_arrays, sum_arrays, minmax_arrays)
-            for a in group
-        ):
-            return False
-
-        if key_arrays:
-            codes = None
-            cardinality = 1
-            for arr in key_arrays:
-                uniques, inverse = np.unique(arr, return_inverse=True)
-                k = len(uniques)
-                if codes is None:
-                    codes = inverse.astype(np.int64, copy=False)
-                else:
-                    if cardinality * k >= _INT64_SAFE:
-                        return False
-                    codes = codes * k + inverse
-                cardinality *= k
-            order = np.argsort(codes, kind="stable")
-            sorted_codes = codes[order]
-            change = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
-            starts = np.concatenate([np.zeros(1, dtype=np.intp), change])
-            firsts = order[starts]
-            group_keys = list(
-                zip(*(arr[firsts].tolist() for arr in key_arrays))
-            )
-            group_order = np.argsort(firsts, kind="stable").tolist()
-        else:
-            order = np.arange(n)
-            starts = np.zeros(1, dtype=np.intp)
-            group_keys = [()]
-            group_order = [0]
-        starts_list = [int(s) for s in starts.tolist()]
-        stops_list = starts_list[1:] + [n]
-        sizes = [hi - lo for lo, hi in zip(starts_list, stops_list)]
-
-        int_sums: dict[int, list] = {}
-        float_sums: dict[int, list] = {}
-        for slot, arr in enumerate(sum_arrays):
-            vals = arr[order]
-            if arr.dtype.kind == "f":
-                float_sums[slot] = vals.tolist()
+        n_keys = len(self.keys)
+        table = vector.KeyTable()
+        groups = 0 if n_keys else 1  # SQL: no GROUP BY is one row, always
+        counts: list[int] = [0] * groups
+        #: Per source: non-null counts, sums, mins, maxs — by group id.
+        slots = {
+            source: ([0] * groups, [0] * groups, [None] * groups, [None] * groups)
+            for source in self._sources
+        }
+        chunks = _chunks(self.child.batches(), self._needed, self._needed_idx)
+        for chunk in chunks:
+            columns = chunk.columns()
+            if n_keys:
+                ids = table.ids(columns[:n_keys])
+                grown = len(table) - groups
+                groups = len(table)
+                counts += [0] * grown
+                for valid, sums, mins, maxs in slots.values():
+                    valid += [0] * grown
+                    sums += [0] * grown
+                    mins += [None] * grown
+                    maxs += [None] * grown
             else:
-                bound = max(abs(int(vals.min())), abs(int(vals.max())))
-                if bound * n >= _INT64_SAFE:
-                    return False
-                int_sums[slot] = np.add.reduceat(vals, starts).tolist()
-        minmax_segs = []
-        for slot, arr in enumerate(minmax_arrays):
-            vals = arr[order]
-            reducer = (
-                np.minimum
-                if self._minmax_specs[slot][0] == "min"
-                else np.maximum
-            )
-            minmax_segs.append(reducer.reduceat(vals, starts).tolist())
-
-        n_counts = len(count_arrays)
-        n_sums = len(sum_arrays)
-        for g in group_order:
-            key = group_keys[g]
-            state = states.get(key)
-            if state is None:
-                state = states[key] = _AggState(
-                    n_counts, n_sums, len(minmax_arrays)
-                )
-            size = sizes[g]
-            state.count += size
-            for slot in range(n_counts):
-                state.counts[slot] += size
-            for slot in range(n_sums):
-                seg = int_sums.get(slot)
-                if seg is not None:
-                    state.sums[slot] += seg[g]
-                else:
-                    lo, hi = starts_list[g], stops_list[g]
-                    state.sums[slot] = sum(
-                        float_sums[slot][lo:hi], state.sums[slot]
-                    )
-                state.sum_counts[slot] += size
-            for slot, seg in enumerate(minmax_segs):
-                value = seg[g]
-                if self._minmax_specs[slot][0] == "min":
-                    current = state.mins[slot]
-                    if current is None or value < current:
-                        state.mins[slot] = value
-                else:
-                    current = state.maxs[slot]
-                    if current is None or value > current:
-                        state.maxs[slot] = value
-        return True
-
-    def _finalize(self, agg: "Aggregate", state: _AggState) -> Any:
-        if agg.source is None:  # count(*)
-            return state.count
-        if agg.func == "count":
-            return state.counts[self._count_fields.index(agg.source)]
-        if agg.func == "sum":
-            slot = self._sum_fields.index(agg.source)
-            return state.sums[slot] if state.sum_counts[slot] else None
-        if agg.func == "avg":
-            slot = self._sum_fields.index(agg.source)
-            n = state.sum_counts[slot]
-            return state.sums[slot] / n if n else None
-        if agg.func == "min":
-            return state.mins[self._minmax_specs.index(("min", agg.source))]
-        return state.maxs[self._minmax_specs.index(("max", agg.source))]
+                ids = vector.zeros(chunk.n_rows)
+            vector.count_groups(counts, ids)
+            for (source, funcs), values in zip(
+                self._sources.items(), columns[n_keys:]
+            ):
+                valid, sums, mins, maxs = slots[source]
+                vector.count_groups(valid, ids, values)
+                if funcs & {"sum", "avg"}:
+                    vector.sum_groups(sums, ids, values)
+                if "min" in funcs:
+                    vector.extreme_groups(mins, ids, values, largest=False)
+                if "max" in funcs:
+                    vector.extreme_groups(maxs, ids, values, largest=True)
+        if not groups:
+            return
+        out: list = [list(column) for column in zip(*table.keys())]
+        for agg in self.aggregates:
+            if agg.source is None:  # count(*)
+                out.append(counts)
+                continue
+            valid, sums, mins, maxs = slots[agg.source]
+            if agg.func == "count":
+                out.append(valid)
+            elif agg.func == "sum":
+                out.append([s if n else None for s, n in zip(sums, valid)])
+            elif agg.func == "avg":
+                out.append([s / n if n else None for s, n in zip(sums, valid)])
+            else:
+                out.append(mins if agg.func == "min" else maxs)
+        yield ColumnBatch(self.fields, groups, columns=out)
 
 
 class SortOp(Operator):

@@ -211,12 +211,12 @@ class SlottedPage:
                 f"the record heap [{SLOTTED_HEADER_SIZE}, {self._free_offset})"
             )
 
-    def records(self) -> Iterator[tuple[int, bytes]]:
-        """Yield ``(slot_id, record_bytes)`` for all live slots in order.
+    def live_slots(self) -> Iterator[tuple[int, int, int]]:
+        """Yield ``(slot_id, offset, length)`` for all live slots in order.
 
         The directory is read with one bulk unpack; a live slot whose
         extent leaves the record heap raises :class:`PageError` rather
-        than yielding bytes of the header, the directory or another page.
+        than naming bytes of the header, the directory or another page.
         """
         count = self._slot_count
         directory = struct.unpack_from(
@@ -224,10 +224,17 @@ class SlottedPage:
         )
         # The directory grows backward: slot 0 is its last entry.
         slots = zip(directory[-2::-2], directory[-1::-2])
+        heap_end = self._free_offset
         for slot_id, (offset, length) in enumerate(slots):
             if length != _DELETED:
-                self._check_extent(slot_id, offset, length)
-                yield slot_id, bytes(self.buffer[offset : offset + length])
+                if offset < SLOTTED_HEADER_SIZE or offset + length > heap_end:
+                    self._check_extent(slot_id, offset, length)  # raises
+                yield slot_id, offset, length
+
+    def records(self) -> Iterator[tuple[int, bytes]]:
+        """Yield ``(slot_id, record_bytes)`` for all live slots in order."""
+        for slot_id, offset, length in self.live_slots():
+            yield slot_id, bytes(self.buffer[offset : offset + length])
 
     # -- packed pages -----------------------------------------------------
     #

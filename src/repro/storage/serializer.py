@@ -50,6 +50,8 @@ class RecordSerializer:
                 self._var_fields.append((i, field.dtype))
         self._fixed_struct = struct.Struct(fmt)
         self._bitmap_size = (len(schema.fields) + 7) // 8
+        # A record's null bitmap and fixed section in one unpack.
+        self._head_struct = struct.Struct(f"<{self._bitmap_size}s{fmt[1:]}")
         # Schemas made only of 8-byte numeric fields have one record size,
         # so their pages can be read and written as arrays (the *packed*
         # shape of :class:`SlottedPage`); "" for every other schema.
@@ -133,8 +135,9 @@ class RecordSerializer:
         8-byte numeric fields always writes — is lifted out as typed
         vectors by :func:`repro.vector.from_records`, with no per-record
         Python. Any other page (variable-length or bool fields, nulls,
-        tombstoned or in-place-updated slots) is decoded record by record
-        into plain lists holding the same values, so callers never branch.
+        tombstoned or in-place-updated slots) is read in one walk of the
+        slot directory, straight off the page buffer, into plain lists
+        holding the same values, so callers never branch.
 
         Raises:
             PageError: when the header or a live slot is out of bounds.
@@ -153,10 +156,44 @@ class RecordSerializer:
                 )
                 if columns is not None:
                     return columns
-        records = [self.decode(blob) for _, blob in page.records()]
-        if not records:
-            return [[] for _ in self.schema.fields]
-        return [list(column) for column in zip(*records)]
+        unpack_head = self._head_struct.unpack_from
+        head_size = self._record_size
+        no_nulls = bytes(self._bitmap_size)
+        variable = [
+            (dtype.name == "bytes", []) for _, dtype in self._var_fields
+        ]
+        heads: list[tuple] = []  # (null bitmap, *fixed values) per record
+        nulls: list[tuple[int, bytes]] = []  # (row, bitmap) where one is set
+        for _, offset, length in page.live_slots():
+            if length < head_size:
+                raise SerializationError(
+                    f"record buffer too short ({length} bytes)"
+                )
+            head = unpack_head(buffer, offset)
+            at, end = offset + head_size, offset + length
+            for is_bytes, column in variable:
+                if at + 4 > end:
+                    raise SerializationError("truncated variable-length section")
+                (size,) = _U32.unpack_from(buffer, at)
+                at += 4
+                if at + size > end:
+                    raise SerializationError("truncated variable-length payload")
+                payload = buffer[at : at + size]
+                column.append(bytes(payload) if is_bytes else payload.decode("utf-8"))
+                at += size
+            if head[0] != no_nulls:
+                nulls.append((len(heads), head[0]))
+            heads.append(head)
+        columns: list[list] = [[] for _ in self.schema.fields]
+        for (i, _), column in zip(self._fixed_fields, list(zip(*heads))[1:]):
+            columns[i] = list(column)
+        for (i, _), (_, column) in zip(self._var_fields, variable):
+            columns[i] = column
+        for row, bitmap in nulls:
+            for i, column in enumerate(columns):
+                if _is_null(bitmap, i):
+                    column[row] = None
+        return columns
 
     def encode_page(
         self, records: Sequence[Sequence[Any]], start: int, page_size: int

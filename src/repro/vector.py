@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import os
 import struct
 import sys
 from array import array
-from itertools import accumulate, islice
+from collections import Counter, defaultdict
+from itertools import accumulate, chain, count, islice, repeat
 from typing import Any, Iterable, Sequence
 
 try:  # pragma: no cover - exercised via both CI legs
@@ -166,7 +168,11 @@ def concat(parts: list):
     fragments share it; degrades to a plain list otherwise."""
     if len(parts) == 1:
         return parts[0]
-    if _np is not None and all(isinstance(p, _np.ndarray) for p in parts):
+    if (
+        _np is not None
+        and all(isinstance(p, _np.ndarray) for p in parts)
+        and len({p.dtype for p in parts}) == 1  # (never upcast ints to floats)
+    ):
         return _np.concatenate(parts)
     if (
         all(isinstance(p, array) for p in parts)
@@ -547,3 +553,240 @@ def prefix_sum(values, counts: Sequence[int] | None = None, carry=None):
             out.extend(islice(accumulate(segment, initial=carry), 1, None))
             carry = None
     return out
+
+
+# ---------------------------------------------------------------------------
+# keyed kernel (group-by, hash join)
+# ---------------------------------------------------------------------------
+
+#: An int sum (and a composite key code) is computed in int64 only while
+#: ``max(|value|) * rows`` stays below this; beyond it, Python ints.
+_INT64_SAFE = 2**62
+
+
+def _may_hold_null(vec) -> bool:
+    """Lists and tuples (the columns of a transposed row batch) are the
+    only vector shapes that can carry ``None``."""
+    return isinstance(vec, (list, tuple))
+
+
+def _nan_free_ndarray(vec):
+    """:func:`as_ndarray`, but ``None`` also for a float vector holding a
+    NaN — the one typed value numpy and Python compare differently."""
+    arr = as_ndarray(vec)
+    if arr is not None and arr.dtype.kind == "f" and _np.isnan(arr).any():
+        return None
+    return arr
+
+
+def _distinct_rows(vectors: Sequence):
+    """Numpy's half of :class:`KeyTable`: ``(arrays, rows, local)`` — the
+    key vectors as ndarrays, the row at which each distinct key of the call
+    first appears (in first-seen order), and each row's position in
+    ``rows``. ``None`` unless every vector is a typed, NaN-free one.
+
+    One ``np.unique`` over the key column; several columns first become
+    one mixed-radix code per row over their per-column ranks.
+    """
+    arrays = [_nan_free_ndarray(vec) for vec in vectors]
+    if any(arr is None for arr in arrays) or not len(arrays[0]):
+        return None
+    codes = arrays[0]
+    if len(arrays) > 1:
+        codes, span = 0, 1
+        for arr in arrays:
+            distinct, rank = _np.unique(arr, return_inverse=True)
+            span *= len(distinct)
+            if span >= _INT64_SAFE:
+                return None
+            codes = codes * len(distinct) + rank
+    distinct, local = _np.unique(codes, return_inverse=True)
+    first = _np.full(len(distinct), len(codes))
+    _np.minimum.at(first, local, _np.arange(len(codes)))
+    order = first.argsort()
+    rank = _np.empty_like(order)
+    rank[order] = _np.arange(len(order))
+    return arrays, first[order], rank[local]
+
+
+class KeyTable:
+    """Dense ids for the distinct keys of a scan, in first-seen order.
+
+    A key is one row's values across parallel *key vectors*. Two keys are
+    the same exactly when Python says so — ``1 == 1.0 == True``, ``-0.0 ==
+    0.0``, an int beyond ``2**53`` equals no float beside it, a NaN equals
+    only itself as an object — because one ``dict`` is the only judge
+    across calls; the first value seen represents the key. ``None`` is a
+    legal key to :meth:`ids` (SQL groups nulls together).
+
+    Typed int and NaN-free float vectors are deduplicated by numpy first,
+    so the dict sees each distinct key of a call once. Every other shape
+    (strings, ``None``, NaN, bools, mixed or beyond-int64 numbers, tuple
+    columns, numpy off) is one dict pass over the rows. Either way the
+    answer is an id vector: an ``intp`` ndarray while numpy is on, a list
+    otherwise. The table lives as long as its scan: ids are stable across
+    calls, memory is O(distinct keys).
+    """
+
+    def __init__(self) -> None:
+        self._ids: dict = defaultdict(count().__next__)
+        self._width = 0
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def keys(self) -> list[tuple]:
+        """The keys in id order, as tuples of native Python values."""
+        if self._width == 1:
+            return [(key,) for key in self._ids]
+        return list(self._ids)
+
+    def ids(self, vectors: Sequence):
+        """Each row's id; a key not seen before takes the next one."""
+        return self._map(vectors, self._ids.__getitem__)
+
+    def lookup(self, vectors: Sequence):
+        """Each row's id, ``-1`` for a key :meth:`ids` never saw and for a
+        key with a ``None`` in it (SQL: a null joins nothing)."""
+        found = self._map(vectors, self._ids.get, repeat(-1))
+        for vec in vectors:
+            if _may_hold_null(vec) and None in vec:
+                for row, value in enumerate(vec):
+                    if value is None:
+                        found[row] = -1
+        return found
+
+    def _map(self, vectors: Sequence, id_of, *more):
+        self._width = len(vectors)
+        distinct = _distinct_rows(vectors)
+        if distinct is None:
+            columns, local = [to_list(vec) for vec in vectors], None
+            n = len(vectors[0])
+        else:
+            arrays, rows, local = distinct
+            columns, n = [arr[rows].tolist() for arr in arrays], len(rows)
+        keys = columns[0] if len(columns) == 1 else zip(*columns)
+        found = map(id_of, keys, *more)
+        if _np is None:
+            return list(found)
+        found = _np.fromiter(found, _np.intp, n)
+        return found if local is None else found[local]
+
+
+def zeros(n: int):
+    """The id vector of ``n`` rows that all belong to group 0."""
+    return [0] * n if _np is None else _np.zeros(n, dtype=_np.intp)
+
+
+def count_groups(counts: list, ids, values=None) -> None:
+    """``counts[g] +=`` the rows of id ``g`` — of those whose entry in
+    ``values`` is not ``None``, when a value vector is given."""
+    if values is not None and _may_hold_null(values):
+        ids = [g for g, v in zip(to_list(ids), values) if v is not None]
+    if _numpy_mod is not None and isinstance(ids, _numpy_mod.ndarray):
+        found = enumerate(_numpy_mod.bincount(ids, minlength=len(counts)).tolist())
+    else:
+        found = Counter(ids).items()
+    for g, n in found:
+        counts[g] += n
+
+
+def sum_groups(sums: list, ids, values) -> None:
+    """``sums[g] +=`` every non-``None`` value of id ``g``, in row order.
+
+    The result is what Python's own ``+`` gives row by row, however the
+    rows were cut into calls: a typed int vector is summed in int64 (below
+    the overflow guard) and added to the running Python int; a typed float
+    vector is accumulated by ``np.add.at`` — sequential, like the loop —
+    *onto* the running sums, never summed apart and added later. Anything
+    else is the loop itself.
+    """
+    arr = as_ndarray(values)
+    if arr is not None and len(arr) and isinstance(ids, _np.ndarray):
+        n_groups = len(sums)
+        present = _np.flatnonzero(_np.bincount(ids, minlength=n_groups))
+        seeds = [sums[g] for g in present.tolist()]
+        if arr.dtype.kind == "f":
+            running = _np.zeros(n_groups)
+            running[present] = [float(seed) for seed in seeds]
+            with _np.errstate(all="ignore"):  # inf - inf is nan, silently
+                _np.add.at(running, ids, arr)
+            for g, total in zip(present.tolist(), running[present].tolist()):
+                sums[g] = total
+            return
+        reach = max(-arr.min().item(), arr.max().item()) * len(arr)
+        if reach < _INT64_SAFE and all(type(seed) is int for seed in seeds):
+            part = _np.zeros(n_groups, dtype=_np.int64)
+            _np.add.at(part, ids, arr)
+            ids, values = present, part[present]
+    for g, value in zip(to_list(ids), to_list(values)):
+        if value is not None:
+            sums[g] += value
+
+
+def extreme_groups(best: list, ids, values, largest: bool) -> None:
+    """``best[g]`` becomes the smallest (``largest``: the largest)
+    non-``None`` value of id ``g`` seen so far; ``None`` means none yet.
+
+    Among values that compare equal (``0.0`` and ``-0.0``, ``1`` and
+    ``1.0``) the *first* in row order stays: a later value replaces the
+    current one only when Python's own ``<`` / ``>`` says it beats it. A
+    typed NaN-free vector is first cut down to that one row per id.
+    """
+    arr = _nan_free_ndarray(values)
+    if arr is not None and len(arr) and isinstance(ids, _np.ndarray):
+        reduce = _np.maximum if largest else _np.minimum
+        bound = _np.full(len(best), arr.min() if largest else arr.max())
+        reduce.at(bound, ids, arr)
+        holders = _np.flatnonzero(arr == bound[ids])
+        first = _np.full(len(best), len(arr))
+        _np.minimum.at(first, ids[holders], holders)
+        first = first[first < len(arr)]
+        ids, values = ids[first], arr[first]
+    beats = operator.gt if largest else operator.lt
+    for g, value in zip(to_list(ids), to_list(values)):
+        if value is not None and (best[g] is None or beats(value, best[g])):
+            best[g] = value
+
+
+def group_rows(ids, n_groups: int):
+    """``(order, offsets)``: the row positions sorted by id — rows of one
+    id in row order — and, per id, where its rows start in ``order``
+    (``n_groups + 1`` entries, the last one ``len(ids)``)."""
+    if _numpy_mod is not None and isinstance(ids, _numpy_mod.ndarray):
+        sizes = _numpy_mod.bincount(ids, minlength=n_groups)
+        offsets = _numpy_mod.concatenate(([0], sizes.cumsum()))
+        return ids.argsort(kind="stable"), offsets
+    buckets: list[list[int]] = [[] for _ in range(n_groups)]
+    for row, g in enumerate(ids):
+        buckets[g].append(row)
+    offsets = list(accumulate(map(len, buckets), initial=0))
+    return list(chain.from_iterable(buckets)), offsets
+
+
+def match_rows(found, order, offsets):
+    """Pair every probe row with the build rows of its id: two parallel
+    index vectors ``(probe_rows, build_rows)``, probe rows ascending, the
+    build rows of one probe row in build order. ``found`` is the probe
+    side's :meth:`KeyTable.lookup` (``-1``: no partner), ``order`` and
+    ``offsets`` the build side's :func:`group_rows`."""
+    np_mod = _numpy_mod
+    if np_mod is not None and all(
+        isinstance(v, np_mod.ndarray) for v in (found, order, offsets)
+    ):
+        probe = np_mod.flatnonzero(found >= 0)
+        starts = offsets[found[probe]]
+        sizes = offsets[found[probe] + 1] - starts
+        ends = sizes.cumsum()
+        total = int(ends[-1]) if len(ends) else 0
+        within = np_mod.arange(total) - (ends - sizes).repeat(sizes)
+        return probe.repeat(sizes), order[starts.repeat(sizes) + within]
+    order, offsets = to_list(order), to_list(offsets)
+    probe_rows: list[int] = []
+    build_rows: list[int] = []
+    for row, g in enumerate(to_list(found)):
+        if g >= 0:
+            partners = order[offsets[g] : offsets[g + 1]]
+            build_rows.extend(partners)
+            probe_rows.extend(repeat(row, len(partners)))
+    return probe_rows, build_rows
