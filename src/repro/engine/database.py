@@ -63,8 +63,9 @@ from repro.storage.wal import (
     KIND_CATALOG,
     KIND_CHECKPOINT,
     KIND_COMMIT,
+    KIND_FRESH_PAGE,
     KIND_ROWS,
-    KIND_UPDATE,
+    PAGE_IMAGE_KINDS,
     WriteAheadLog,
 )
 from repro.types.schema import Schema
@@ -79,6 +80,13 @@ class _Mutation:
     commit, under the store's commit lock — so a concurrent checkpoint can
     never truncate half of a transaction's effect records, and recovery
     sees a transaction's effects all-or-nothing.
+
+    The pages the transaction supersedes wait here too (:meth:`retire`):
+    until its COMMIT record is durable the recoverable catalog still names
+    them, so nothing — not a later step of the same transaction either —
+    may be handed them to overwrite. An abort or a crash drops the list
+    with the transaction; the pages come back when the store next derives
+    its free map.
     """
 
     def __init__(self, store: "RodentStore", txn):
@@ -87,7 +95,8 @@ class _Mutation:
         self._touched: list[str] = []
         self._dropped: list[str] = []
         self._rows: list[tuple[str, list[list]]] = []
-        self._pages: list[int] = []
+        self._fresh: list[tuple[int, bytes | bytearray]] = []
+        self._retired: list[tuple[CatalogEntry, list[int]]] = []
 
     def lock(self, name: str) -> None:
         """Take the table's exclusive lock (strict 2PL; held to commit)."""
@@ -108,40 +117,38 @@ class _Mutation:
         if rows:
             self._rows.append((name, [list(r) for r in rows]))
 
-    def log_pages(self, page_ids: Sequence[int]) -> None:
-        """Log full after-images of freshly rendered pages at commit."""
-        self._pages.extend(page_ids)
+    def log_fresh_page(self, page_id: int, image: bytes | bytearray) -> None:
+        """Log, at commit, the image a render just wrote to a page it
+        allocated (the renderer is done with the buffer: it is kept, not
+        copied)."""
+        self._fresh.append((page_id, image))
 
-    def log_layout(self, layout: StoredLayout | None) -> None:
-        if layout is not None:
-            self._pages.extend(layout.page_ids())
+    def retire(self, entry: CatalogEntry, page_ids: Sequence[int]) -> None:
+        """Free ``page_ids`` of ``entry`` once this transaction's commit is
+        durable (and the last scan pinned before it has drained)."""
+        if page_ids:
+            self._retired.append((entry, list(page_ids)))
+
+    def release_retired(self) -> None:
+        """After the durable commit: hand the superseded pages on."""
+        for entry, page_ids in self._retired:
+            self.store._release_pages(entry, page_ids)
 
     def _append_effects(self) -> None:
         """Append every recorded effect to the WAL (commit time).
 
-        Runs under the store's commit lock. Page records carry the full
-        after-image with an all-zero before-image — valid because the
-        renderer only ever writes *freshly allocated* (zero-filled) pages,
-        so undoing a loser by writing zeros restores the true prior state.
+        Runs under the store's commit lock. A page record is the image the
+        renderer wrote — handed over as it was written, never read back —
+        and nothing else: a render only fills pages it allocated, which
+        nothing committed names, so a loser's pages are simply free.
         """
         store = self.store
         wal = store.wal
         txn_id = self.txn.txn_id
-        zero = bytes(store.disk.page_size)
         with store._commit_lock:
-            for page_id in self._pages:
-                frame = store.pool.fetch(page_id)
-                try:
-                    after = bytes(frame.data)
-                finally:
-                    store.pool.unpin(page_id)
+            for page_id, image in self._fresh:
                 wal.append(
-                    KIND_UPDATE,
-                    txn_id,
-                    page_id=page_id,
-                    offset=0,
-                    before=zero,
-                    after=after,
+                    KIND_FRESH_PAGE, txn_id, page_id=page_id, after=image
                 )
             for name, rows in self._rows:
                 payload = json.dumps({"table": name, "rows": rows})
@@ -260,6 +267,8 @@ class RodentStore:
         self.recovery_summary: dict | None = None
         self.catalog = Catalog()
         self.renderer = LayoutRenderer(self.pool)
+        if self.durable:
+            self.renderer.page_sink = self._note_rendered_page
         self.cost_model = cost_model or CostModel(page_size=page_size)
         #: Zone-map scan pruning (per-page/chunk/cell min-max synopses).
         #: Settable at runtime; benchmarks flip it for before/after runs.
@@ -363,13 +372,25 @@ class RodentStore:
             self._mutation_local.ctx = None
             if self.transactions.log:
                 m._append_effects()
-            txn.commit()
+            txn.commit()  # fsyncs: from here the old pages are garbage
+            m.release_retired()
+
+    def _note_rendered_page(
+        self, page_id: int, image: bytes | bytearray
+    ) -> None:
+        """The renderer's page sink: a page it allocated now holds
+        ``image``; the running transaction logs that at commit."""
+        m = getattr(self._mutation_local, "ctx", None)
+        if m is not None:
+            m.log_fresh_page(page_id, image)
 
     def checkpoint(self) -> None:
         """Fold all durable state into the page file + catalog, then
         truncate the WAL.
 
-        Protocol (crash-safe at every step): flush dirty frames, fsync the
+        Protocol (crash-safe at every step): flush dirty frames, give a
+        free tail of the page file back (no committed state names a free
+        page, so the file may shrink whichever catalog wins), fsync the
         page file, write the catalog to ``<catalog_path>.tmp``, append a
         CHECKPOINT record and sync it, atomically promote the tmp catalog,
         truncate the log. Recovery promotes a leftover tmp catalog only
@@ -380,6 +401,7 @@ class RodentStore:
         """
         if not self.durable:
             self.pool.flush_all()
+            self.disk.truncate_free_tail()
             return
         from repro.engine.persistence import save_catalog
 
@@ -387,6 +409,7 @@ class RodentStore:
         tmp_path = self.catalog_path + ".tmp"
         with self._commit_lock:
             self.pool.flush_all()
+            self.disk.truncate_free_tail()
             self.disk.fsync()
             save_catalog(self, tmp_path)
             self.wal.append(KIND_CHECKPOINT, 0)
@@ -427,25 +450,29 @@ class RodentStore:
         rewritten bit-for-bit. Pages folded into the page file by an
         earlier checkpoint have no WAL copy left — the checkpoint protocol
         fsynced them as the authoritative replica — so those stay
-        quarantined and ``None`` is returned.
+        quarantined and ``None`` is returned. The log streams by: only the
+        page's own images are held.
         """
+        images: list[tuple[int, bytes]] = []  # (txn, image), log order
+        committed: set[int] = set()
         try:
-            records = list(self.wal.records())
+            for r in self.wal.records():
+                if r.kind == KIND_COMMIT:
+                    committed.add(r.txn_id)
+                elif (
+                    r.kind in PAGE_IMAGE_KINDS
+                    and r.page_id == page_id
+                    and r.offset == 0
+                    and len(r.after) == self.disk.page_size
+                ):
+                    images.append((r.txn_id, r.after))
         except WALError:
             return None  # the log itself is damaged: no trusted source
-        committed = {
-            r.txn_id for r in records if r.kind == KIND_COMMIT
-        }
-        image = None
-        for r in records:
-            if (
-                r.kind == KIND_UPDATE
-                and r.page_id == page_id
-                and r.offset == 0
-                and len(r.after) == self.disk.page_size
-                and r.txn_id in committed
-            ):
-                image = r.after  # keep the *latest* committed image
+        # The *latest* committed image: the page id's last tenant.
+        image = next(
+            (after for txn, after in reversed(images) if txn in committed),
+            None,
+        )
         if image is None:
             return None
         self.disk.write_page(page_id, image)
@@ -459,8 +486,9 @@ class RodentStore:
         by a catalog layout (attempting WAL repair for failures when
         ``repair=True``), iterates the WAL (record CRCs + LSN continuity),
         re-verifies the catalog file checksum, and checks cross-structure
-        invariants — zone synopses against actual page contents and the
-        partition map against each region's rows. Returns a report dict
+        invariants — the free-page map against the referenced pages, zone
+        synopses against actual page contents and the partition map
+        against each region's rows. Returns a report dict
         (also kept as ``storage_stats()["integrity"]["last_scrub"]``);
         ``report["clean"]`` is True when nothing failed.
         """
@@ -480,13 +508,15 @@ class RodentStore:
             "row_count_mismatches": [],
         }
         self.pool.flush_all()
-        referenced: set[int] = set()
-        for entry in self.catalog:
-            for run in entry.runs():
-                referenced.update(run.layout.page_ids())
+        referenced = self._referenced_pages()
         report["pages_referenced"] = len(referenced)
         report["pages_allocated"] = self.disk.num_pages
-        report["pages_free"] = len(self.disk.free_page_ids())
+        report["pages_free"] = self.disk.free_pages
+        # A page both free and referenced would be handed to the next
+        # render while a run still reads it.
+        report["free_and_referenced"] = sorted(
+            referenced & self.disk.free_page_ids()
+        )
         for page_id in sorted(referenced):
             report["pages_checked"] += 1
             try:
@@ -525,6 +555,7 @@ class RodentStore:
         report["clean"] = (
             report["pages_failed"] == report["pages_repaired"]
             and not report["unrepairable"]
+            and not report["free_and_referenced"]
             and report["wal_ok"]
             and report["catalog_ok"]
             and not report["synopsis_mismatches"]
@@ -740,46 +771,74 @@ class RodentStore:
     def drop_table(self, name: str) -> None:
         entry = self.catalog.entry(name)
         with self.mutate(name) as m:
-            with entry.mvcc.lock:
-                # Regions keep their runs — a pinned scan may still be
-                # reading them; only the page frees are deferred.
-                entry.mvcc.retire(
-                    self._layout_freer(*(r.layout for r in entry.runs()))
-                )
+            # Regions keep their runs — a pinned scan may still be
+            # reading them; only the page frees are deferred.
+            self._drop_indexes(entry)
+            self._retire_runs(entry, list(entry.runs()))
             if entry.monitor is not None:
                 entry.monitor.forget_partitions([])
             self.catalog.drop(name)
             m.mark_dropped(name)
 
-    def _free_layout(self, layout: StoredLayout | None) -> None:
-        """Immediately free a layout's pages (caller must know no snapshot
-        can still reference them; writers use :meth:`_layout_freer` +
-        ``EntryMVCC.retire`` instead)."""
-        if layout is None:
-            return
-        for page_id in layout.page_ids():
-            self.pool.discard(page_id)
-            self.disk.free_page(page_id)
+    def _referenced_pages(self) -> set[int]:
+        """Every page some catalog run occupies."""
+        referenced: set[int] = set()
+        for entry in self.catalog:
+            for run in entry.runs():
+                referenced.update(run.layout.page_ids())
+        return referenced
 
-    def _layout_freer(self, *layouts: StoredLayout | None) -> Callable[[], None]:
-        """A deferred free over the pages of ``layouts``.
+    def derive_free_pages(self) -> None:
+        """Rebuild the disk's free map from the catalog: every allocated
+        page no run references is free. Only valid when nothing else owns
+        a page — just after the catalog loaded or recovery replayed,
+        before any secondary index is (re)built."""
+        self.disk.reset_free(self._referenced_pages())
 
-        The page-id list is captured eagerly (the layouts may be mutated
-        after retirement); the free itself — pool frame discard plus disk
-        free-list return — runs when the entry's MVCC machinery decides the
-        last pinned reader has drained.
-        """
-        pages: list[int] = []
-        for layout in layouts:
-            if layout is not None:
-                pages.extend(layout.page_ids())
+    def _retire_pages(
+        self, entry: CatalogEntry, page_ids: Sequence[int]
+    ) -> None:
+        """The one way a page of ``entry`` becomes free again. Inside a
+        transaction the pages wait for its durable commit (the recoverable
+        catalog names them until then); either way they then wait for the
+        last scan pinned before the swap."""
+        m = getattr(self._mutation_local, "ctx", None)
+        if m is not None:
+            m.retire(entry, page_ids)
+        elif page_ids:
+            self._release_pages(entry, page_ids)
+
+    def _retire_runs(self, entry: CatalogEntry, runs: "Sequence[Run]") -> None:
+        # The id list is captured eagerly: a layout may change after it
+        # was superseded.
+        self._retire_pages(
+            entry, [p for run in runs for p in run.layout.page_ids()]
+        )
+
+    def _release_pages(
+        self, entry: CatalogEntry, page_ids: Sequence[int]
+    ) -> None:
+        """Free ``page_ids`` — pool frame discard plus return to the disk's
+        free spans — when the entry's MVCC machinery decides the last
+        pinned reader has drained."""
 
         def free() -> None:
-            for page_id in pages:
+            for page_id in page_ids:
                 self.pool.discard(page_id)
                 self.disk.free_page(page_id)
 
-        return free
+        with entry.mvcc.lock:
+            entry.mvcc.retire(free)
+
+    def _drop_indexes(self, entry: CatalogEntry) -> None:
+        """Drop every secondary index of ``entry`` (positions indexed
+        before a rewrite mean nothing after it) and retire its nodes."""
+        indexes = [*entry.indexes.values(), *entry.spatial_indexes.values()]
+        entry.indexes.clear()
+        entry.spatial_indexes.clear()
+        self._retire_pages(
+            entry, [p for index in indexes for p in index.tree.page_ids()]
+        )
 
     # -- data loading ----------------------------------------------------------
 
@@ -887,7 +946,8 @@ class RodentStore:
         The plan and the new regions swap in together under the entry's
         MVCC lock (a pinned scan either sees the old plan+regions pair or
         the new one, never a mismatch), and every superseded run is
-        retired, not freed — the last draining reader frees its pages.
+        retired, not freed — its pages come back after the durable commit,
+        once the last draining reader lets go.
         Every derived structure describing the old design goes with it:
         secondary/spatial indexes, pending buffers and their zones, the
         partition map and its skew history (new regions reusing an old pid
@@ -895,13 +955,12 @@ class RodentStore:
         space.
         """
         with entry.mvcc.lock:
-            retired = [run.layout for run in entry.runs()]
+            self._retire_runs(entry, list(entry.runs()))
+            self._drop_indexes(entry)
             entry.plan = plan
             entry.stats = stats
             entry.regions = regions
             entry.loaded = True
-            entry.indexes.clear()
-            entry.spatial_indexes.clear()
             entry.region_index = {}
             # Allocators restart past what the render numbered: partition
             # ids 0..n-1; a levelled bulk load is run 0 at sequence 0.
@@ -912,13 +971,10 @@ class RodentStore:
             entry.level_tombstones = []
             entry.next_run_id = len(regions[0].runs) if levelled else 0
             entry.next_run_seq = int(levelled)
-            entry.mvcc.retire(self._layout_freer(*retired))
             for run in entry.runs():
                 self._wa_note(entry, run.layout, ingest=True)
         if entry.monitor is not None:
             entry.monitor.forget_partitions([])
-        for run in entry.runs():
-            m.log_layout(run.layout)
         m.touch(entry.name)
 
     # -- horizontal partitions ---------------------------------------------
@@ -1144,11 +1200,13 @@ class RodentStore:
         ``new`` was rendered from ``old`` plus — unless ``keep_pending`` —
         the pending buffer, which clears. The swap happens under the
         entry's MVCC lock, so a pinned scan sees either side of it, never
-        a mix; superseded pages are retired, not freed (the last draining
-        reader frees them), and positions indexed before a rewrite mean
-        nothing after it. Every render is charged to the
-        write-amplification ledger, logged page by page, and the new
-        catalog image is logged at commit.
+        a mix; superseded pages are retired, not freed (they wait for the
+        transaction's durable commit — a later merge of the same cascade
+        must not be handed a page the recoverable catalog still names —
+        and then for the last draining reader), and positions indexed
+        before a rewrite mean nothing after it. Every render is charged to
+        the write-amplification ledger; its pages were logged as they were
+        written and the new catalog image is logged at commit.
         """
         with entry.mvcc.lock:
             gone = {id(run) for run in old}
@@ -1158,15 +1216,10 @@ class RodentStore:
             if not keep_pending:
                 region.clear_pending()
             if old:
-                entry.indexes.clear()
-                entry.spatial_indexes.clear()
-                entry.mvcc.retire(
-                    self._layout_freer(*(run.layout for run in old))
-                )
+                self._drop_indexes(entry)
+                self._retire_runs(entry, old)
             for run in new:
                 self._wa_note(entry, run.layout, ingest, compaction)
-        for run in new:
-            m.log_layout(run.layout)
         m.touch(entry.name)
 
     # -- levelled (LSM) storage ---------------------------------------------
@@ -1511,6 +1564,7 @@ class RodentStore:
             # A durable store already loaded its catalog during recovery;
             # everything else loads it here.
             load_catalog(store, catalog_path)
+            store.derive_free_pages()
         return store
 
     # -- access ------------------------------------------------------------
@@ -1536,7 +1590,10 @@ class RodentStore:
         fits in memory; the disk counters are the paper's pages/seeks
         metric since store creation (use :meth:`run_cold` for per-query
         deltas). Pruned scans show up as fewer pool fetches (hits+misses)
-        and fewer disk ``page_reads``.
+        and fewer disk ``page_reads``. ``disk`` also says where the page
+        file stands: ``allocated_pages`` (its extent), ``free_pages`` (in
+        the reusable spans), ``live_pages`` (the difference) and
+        ``file_pages`` (frames actually written to the medium).
         """
         pool = self.pool.stats
         disk = self.disk.stats
@@ -1629,6 +1686,9 @@ class RodentStore:
                 "read_seeks": disk.read_seeks,
                 "write_seeks": disk.write_seeks,
                 "allocated_pages": self.disk.num_pages,
+                "free_pages": self.disk.free_pages,
+                "live_pages": self.disk.num_pages - self.disk.free_pages,
+                "file_pages": self.disk.file_pages,
             },
             "wal": {
                 "wal_bytes": self.wal.size_bytes,

@@ -13,17 +13,27 @@ RodentStore's copy-on-write engine:
    otherwise the tmp file is garbage (delete it). Records at or below the
    checkpoint LSN are already folded into the catalog and are ignored.
 2. **Redo.** Page after-images of committed transactions are replayed in
-   LSN order (full pages: the renderer writes freshly allocated pages, so
-   effect records carry whole-page images).
+   LSN order (whole pages: a render fills the pages it allocated, and its
+   ``FRESH_PAGE`` records carry exactly what it wrote). A page id may
+   have had several tenants since the checkpoint; the last committed
+   image wins, and a page only the dead name is simply unreferenced.
 3. **Undo.** Losers — transactions with effects but no COMMIT — are rolled
-   back in reverse LSN order by writing the before-images (all zeros:
-   fresh pages start zeroed, so this restores the true prior state).
+   back in reverse LSN order by writing the before-images of their
+   byte-range updates. A loser's fresh pages need no undo: nothing
+   committed names them, so they come back as free space (step 5).
 4. **Logical replay.** The *last* committed catalog image per table is
    applied (it supersedes older images and any page-level state), then
    committed row inserts newer than that image land back in the pending
    buffers through the same ``Table._add_pending`` an insert uses.
-5. **Re-checkpoint.** The recovered state is checkpointed, truncating the
-   log — recovery is idempotent and a crash during recovery just replays.
+5. **Free space, re-checkpoint.** The free-page map is derived from the
+   recovered catalog (every page no run references), then the recovered
+   state is checkpointed, truncating the log — recovery is idempotent and
+   a crash during recovery just replays.
+
+The log is streamed twice, never held: an *analysis* pass finds the last
+checkpoint, the commit set and the last committed catalog image per table;
+a *redo* pass applies page images as they go by and keeps only the losers'
+updates and the row inserts still to replay.
 """
 
 from __future__ import annotations
@@ -38,6 +48,8 @@ from repro.storage.wal import (
     KIND_COMMIT,
     KIND_ROWS,
     KIND_UPDATE,
+    PAGE_IMAGE_KINDS,
+    LogRecord,
     _apply_image,
 )
 
@@ -58,10 +70,36 @@ def recover_store(store: "RodentStore") -> dict:
     assert catalog_path is not None
     tmp_path = catalog_path + ".tmp"
 
-    records = list(wal.records())  # stops cleanly at a torn tail
-    checkpoint_lsn = max(
-        (r.lsn for r in records if r.kind == KIND_CHECKPOINT), default=0
-    )
+    # -- analysis pass (stops cleanly at a torn tail) -----------------------
+    # Everything at or below the last CHECKPOINT record is already folded
+    # into the catalog: the sets restart there.
+    records_scanned = 0
+    checkpoint_lsn = 0
+    committed: set[int] = set()
+    with_effects: set[int] = set()
+    # table -> (lsn, image) of its last committed catalog record; a
+    # transaction's images wait in ``uncommitted`` for its COMMIT.
+    catalogs: dict[str, tuple[int, dict]] = {}
+    uncommitted: dict[int, dict[str, tuple[int, dict]]] = {}
+    for r in wal.records():
+        records_scanned += 1
+        if r.kind == KIND_CHECKPOINT:
+            checkpoint_lsn = r.lsn
+            for held in (committed, with_effects, catalogs, uncommitted):
+                held.clear()
+        elif r.kind == KIND_COMMIT:
+            committed.add(r.txn_id)
+            for name, image in uncommitted.pop(r.txn_id, {}).items():
+                if image[0] > catalogs.get(name, (0, None))[0]:
+                    catalogs[name] = image
+        elif r.kind in PAGE_IMAGE_KINDS or r.kind == KIND_ROWS:
+            with_effects.add(r.txn_id)
+        elif r.kind == KIND_CATALOG:
+            with_effects.add(r.txn_id)
+            image = json.loads(r.payload.decode("utf-8"))
+            uncommitted.setdefault(r.txn_id, {})[image["name"]] = (r.lsn, image)
+    losers = with_effects - committed
+    del uncommitted
 
     # -- checkpoint resolution --------------------------------------------
     if os.path.exists(tmp_path):
@@ -74,37 +112,36 @@ def recover_store(store: "RodentStore") -> dict:
 
     unclean = wal.size_bytes > 0
     if not unclean:
+        store.derive_free_pages()
         return {"clean": True}
 
-    live = [r for r in records if r.lsn > checkpoint_lsn]
-    committed = {r.txn_id for r in live if r.kind == KIND_COMMIT}
-
-    # -- redo committed page images (LSN order) ---------------------------
+    # -- redo pass: committed page images in LSN order ---------------------
     redo = 0
-    for r in live:
-        if r.kind == KIND_UPDATE and r.txn_id in committed:
-            _apply_image(store.disk, r.page_id, r.offset, r.after)
-            redo += 1
+    to_undo: list[LogRecord] = []
+    inserts: list[tuple[str, list]] = []
+    for r in wal.records():
+        if r.lsn <= checkpoint_lsn:
+            continue
+        if r.kind in PAGE_IMAGE_KINDS:
+            if r.txn_id in committed:
+                _apply_image(store.disk, r.page_id, r.offset, r.after)
+                redo += 1
+            elif r.kind == KIND_UPDATE:
+                to_undo.append(r)
+        elif r.kind == KIND_ROWS and r.txn_id in committed:
+            payload = json.loads(r.payload.decode("utf-8"))
+            name = payload["table"]
+            # A newer catalog image already folds older rows in (they
+            # were in a pending buffer or a run when it was serialized).
+            if r.lsn > catalogs.get(name, (0, None))[0]:
+                inserts.append((name, payload["rows"]))
 
     # -- undo losers (reverse LSN order) ----------------------------------
-    effect_kinds = (KIND_UPDATE, KIND_ROWS, KIND_CATALOG)
-    losers = {
-        r.txn_id
-        for r in live
-        if r.kind in effect_kinds and r.txn_id not in committed
-    }
-    undo = 0
-    for r in reversed(live):
-        if r.kind == KIND_UPDATE and r.txn_id in losers:
-            _apply_image(store.disk, r.page_id, r.offset, r.before)
-            undo += 1
+    for r in reversed(to_undo):
+        _apply_image(store.disk, r.page_id, r.offset, r.before)
+    undo = len(to_undo)
 
     # -- logical replay: last committed catalog image per table -----------
-    catalogs: dict[str, tuple[int, dict]] = {}
-    for r in live:
-        if r.kind == KIND_CATALOG and r.txn_id in committed:
-            payload = json.loads(r.payload.decode("utf-8"))
-            catalogs[payload["name"]] = (r.lsn, payload)
     dropped = 0
     applied = 0
     for name, (_, payload) in catalogs.items():
@@ -120,28 +157,18 @@ def recover_store(store: "RodentStore") -> dict:
     from repro.engine.table import Table
 
     rows_replayed = 0
-    for r in live:
-        if r.kind != KIND_ROWS or r.txn_id not in committed:
-            continue
-        payload = json.loads(r.payload.decode("utf-8"))
-        name = payload["table"]
-        catalog_record_lsn = catalogs.get(name, (0, None))[0]
-        if r.lsn <= catalog_record_lsn:
-            # The newer catalog image already folds these rows in (they
-            # were in a pending buffer or a run when it was serialized).
-            continue
+    for name, rows in inserts:
         if not store.catalog.has(name):
             continue  # table dropped later in the log
         entry = store.catalog.entry(name)
         if entry.plan is None:
             continue
-        rows = [tuple(v) for v in payload["rows"]]
-        Table(store, entry)._add_pending(rows)
+        Table(store, entry)._add_pending([tuple(v) for v in rows])
         rows_replayed += len(rows)
 
     summary = {
         "clean": False,
-        "records_scanned": len(records),
+        "records_scanned": records_scanned,
         "committed_txns": len(committed),
         "loser_txns": len(losers),
         "pages_redone": redo,
@@ -152,6 +179,7 @@ def recover_store(store: "RodentStore") -> dict:
     }
     # Fold the recovered state into the page file + catalog and truncate
     # the log; a crash *during* recovery simply replays from the same WAL.
+    store.derive_free_pages()
     store.checkpoint()
     store.recoveries_run += 1
     return summary

@@ -1426,7 +1426,7 @@ class Table:
 
         self._require_flat("secondary")
         index = build_field_index(self, field_name)
-        self._entry.indexes[field_name] = index
+        self._swap_index(self._entry.indexes, field_name, index)
         return index
 
     def create_spatial_index(self, x_field: str, y_field: str):
@@ -1435,8 +1435,22 @@ class Table:
 
         self._require_flat("spatial")
         index = build_spatial_index(self, x_field, y_field)
-        self._entry.spatial_indexes[(x_field, y_field)] = index
+        self._swap_index(
+            self._entry.spatial_indexes, (x_field, y_field), index
+        )
         return index
+
+    def _swap_index(self, indexes: dict, key, index) -> None:
+        """Install ``index`` under ``key`` (``None`` drops it); the tree
+        it replaces is retired like a superseded run — a scan pinned on
+        it keeps its nodes until it drains."""
+        entry = self._entry
+        with entry.mvcc.lock:
+            old = indexes.pop(key, None)
+            if index is not None:
+                indexes[key] = index
+            if old is not None:
+                self._db._retire_pages(entry, old.tree.page_ids())
 
     def _require_flat(self, what: str) -> None:
         if self.is_partitioned or self.is_levelled:
@@ -1447,7 +1461,7 @@ class Table:
             )
 
     def drop_index(self, field_name: str) -> None:
-        self._entry.indexes.pop(field_name, None)
+        self._swap_index(self._entry.indexes, field_name, None)
 
     def _mark_indexes_stale(self) -> None:
         for index in self._entry.indexes.values():

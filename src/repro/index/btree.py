@@ -23,7 +23,6 @@ from repro.storage.serializer import VectorSerializer
 from repro.types.types import DataType, INT
 
 _HEADER = struct.Struct("<BHq")  # is_leaf, n_entries, next_leaf(page id)
-_I64 = struct.Struct("<q")
 _U32 = struct.Struct("<I")
 
 
@@ -66,6 +65,7 @@ class BPlusTree:
         if order < 4:
             raise IndexError_("B+Tree order must be at least 4")
         self.order = order
+        self._page_ids: list[int] = []
         root = self._new_node(is_leaf=True)
         self._write_node(root)
         self.root_page = root.page_id
@@ -77,20 +77,27 @@ class BPlusTree:
     def _new_node(self, is_leaf: bool) -> _Node:
         frame = self.pool.new_page()
         self.pool.unpin(frame.page_id, dirty=True)
+        self._page_ids.append(frame.page_id)
         return _Node(frame.page_id, is_leaf)
 
+    def page_ids(self) -> list[int]:
+        """Every page this tree allocated (whoever drops the tree frees
+        them: nodes a bulk load replaced are among them)."""
+        return list(self._page_ids)
+
     def _write_node(self, node: _Node) -> None:
-        parts = [
-            _HEADER.pack(1 if node.is_leaf else 0, len(node.keys), node.next_leaf)
-        ]
         key_bytes = self._key_ser.encode(node.keys)
-        parts.append(_U32.pack(len(key_bytes)))
-        parts.append(key_bytes)
-        if node.is_leaf:
-            parts.extend(_I64.pack(v) for v in node.values)
-        else:
-            parts.extend(_I64.pack(c) for c in node.children)
-        payload = b"".join(parts)
+        slots = node.values if node.is_leaf else node.children
+        payload = b"".join(
+            (
+                _HEADER.pack(
+                    1 if node.is_leaf else 0, len(node.keys), node.next_leaf
+                ),
+                _U32.pack(len(key_bytes)),
+                key_bytes,
+                struct.pack(f"<{len(slots)}q", *slots),
+            )
+        )
         frame = self.pool.fetch(node.page_id)
         try:
             page = BytePage(self.pool.disk.page_size)

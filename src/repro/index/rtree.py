@@ -104,6 +104,7 @@ class RTree:
             raise IndexError_("R-Tree fanout must be at least 4")
         self.max_entries = max_entries
         self.min_entries = max(2, max_entries // 3)
+        self._page_ids: list[int] = []
         root = self._new_node(is_leaf=True)
         self._write_node(root)
         self.root_page = root.page_id
@@ -115,7 +116,12 @@ class RTree:
     def _new_node(self, is_leaf: bool) -> _Node:
         frame = self.pool.new_page()
         self.pool.unpin(frame.page_id, dirty=True)
+        self._page_ids.append(frame.page_id)
         return _Node(frame.page_id, is_leaf)
+
+    def page_ids(self) -> list[int]:
+        """Every page this tree allocated (whoever drops it frees them)."""
+        return list(self._page_ids)
 
     def _write_node(self, node: _Node) -> None:
         if len(node.entries) > self.max_entries + 1:

@@ -724,6 +724,9 @@ class LayoutRenderer:
         self.pool = pool
         self.disk = pool.disk
         self.page_size = pool.disk.page_size
+        #: Optional ``(page_id, image)`` callable told of every page a
+        #: render writes; a durable store logs the images at commit.
+        self.page_sink = None
 
     # ==================================================================
     # Rendering (write path)
@@ -821,11 +824,20 @@ class LayoutRenderer:
     def _write_pages(
         self, pages: Sequence[SlottedPage | BytePage]
     ) -> Extent:
+        """Write ``pages`` as one extent: every page of the allocation is
+        written exactly once, here, cached as written (a reader of the new
+        run finds it warm; a frame of the page id's previous tenant is
+        replaced), and its image handed to :attr:`page_sink`. Pool and
+        sink keep the page's own buffer, which is not written again."""
         page_ids = self.disk.allocate_contiguous(len(pages))
+        sink = self.page_sink
         for i, page in enumerate(pages):
             next_id = page_ids[i + 1] if i + 1 < len(page_ids) else NO_PAGE
             page.set_next_page_id(next_id)
             self.disk.write_page(page_ids[i], page.buffer)
+            self.pool.install(page_ids[i], page.buffer)
+            if sink is not None:
+                sink(page_ids[i], page.buffer)
         return Extent(page_ids)
 
     # -- columns -----------------------------------------------------------

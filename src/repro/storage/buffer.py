@@ -138,6 +138,22 @@ class BufferPool:
             self._admit(frame)
             return frame
 
+    def install(self, page_id: int, data: bytearray) -> None:
+        """Cache ``data`` — just written to disk — as the page's clean,
+        unpinned frame, in place of whatever a previous tenant of the page
+        id left. A bulk writer that bypasses the pool calls this so its
+        pages are warm for the next reader and never shadowed by a stale
+        frame. The pool takes ``data`` itself, not a copy: the caller must
+        not write to it again."""
+        with self._lock:
+            stale = self._frames.get(page_id)
+            if stale is not None and stale.pin_count:
+                raise BufferPoolError(
+                    f"cannot replace page {page_id}: it is pinned"
+                )
+            self._frames.pop(page_id, None)
+            self._admit(Frame(page_id, data))
+
     def unpin(self, page_id: int, dirty: bool = False) -> None:
         """Release one pin; mark the frame dirty when it was modified."""
         with self._lock:

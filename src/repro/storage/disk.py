@@ -23,6 +23,13 @@ magic. Pre-checksum (v1) files — pages packed back to back with no trailer
 ``read_page_unchecked`` is the explicit allow-path for recovery: replaying a
 WAL image must be able to read a page it is about to overwrite even when
 that page is torn or truncated (it zero-pads short reads like v1 did).
+
+**Free space.** Freed page ids are kept as coalesced ``[start, stop)`` spans
+(:class:`FreeSpans`). An extent takes the smallest span that fits and the
+file grows only when none does; a checkpoint truncates a free tail. The map
+lives in memory only: at open it is *derived* — every page below
+``num_pages`` that no catalog run references (:meth:`DiskManager.reset_free`)
+— so it can never disagree with the catalog it would otherwise shadow.
 """
 
 from __future__ import annotations
@@ -30,8 +37,9 @@ from __future__ import annotations
 import os
 import threading
 import time
+from bisect import bisect_right
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Collection, Iterable, Iterator
 
 from repro.errors import CorruptPageError, StorageError
 from binascii import crc32
@@ -111,6 +119,100 @@ class IOStats:
         )
 
 
+class FreeSpans:
+    """Free page ids as sorted, coalesced ``[start, stop)`` spans."""
+
+    __slots__ = ("starts", "stops", "pages")
+
+    def __init__(self):
+        self.starts: list[int] = []
+        self.stops: list[int] = []  # parallel to ``starts``
+        self.pages = 0
+
+    def __contains__(self, page_id: int) -> bool:
+        i = bisect_right(self.starts, page_id) - 1
+        return i >= 0 and page_id < self.stops[i]
+
+    def spans(self) -> list[tuple[int, int]]:
+        return list(zip(self.starts, self.stops))
+
+    def page_ids(self) -> set[int]:
+        ids: set[int] = set()
+        for start, stop in zip(self.starts, self.stops):
+            ids.update(range(start, stop))
+        return ids
+
+    def add(self, page_id: int) -> None:
+        """Return one page, merging it into the spans it touches."""
+        starts, stops = self.starts, self.stops
+        i = bisect_right(starts, page_id)
+        joins_left = i > 0 and stops[i - 1] == page_id
+        joins_right = i < len(starts) and starts[i] == page_id + 1
+        if joins_left and joins_right:
+            stops[i - 1] = stops[i]
+            del starts[i], stops[i]
+        elif joins_left:
+            stops[i - 1] = page_id + 1
+        elif joins_right:
+            starts[i] = page_id
+        else:
+            starts.insert(i, page_id)
+            stops.insert(i, page_id + 1)
+        self.pages += 1
+
+    def take(self, count: int, blocked: Collection[int] = ()) -> int | None:
+        """Carve ``count`` pages off the front of the smallest span that
+        holds them (the lowest such span on ties) and return the first id,
+        or ``None`` when no span fits. Spans holding a ``blocked`` page are
+        passed over whole."""
+        best = -1
+        best_size = 0
+        for i, (start, stop) in enumerate(zip(self.starts, self.stops)):
+            size = stop - start
+            if size < count or (best >= 0 and size >= best_size):
+                continue
+            if blocked and any(start <= p < stop for p in blocked):
+                continue
+            best, best_size = i, size
+            if size == count:
+                break
+        if best < 0:
+            return None
+        first = self.starts[best]
+        if best_size == count:
+            del self.starts[best], self.stops[best]
+        else:
+            self.starts[best] = first + count
+        self.pages -= count
+        return first
+
+    def drop_tail(self, end: int) -> int:
+        """Remove the span that ends at ``end`` (the end of the file), if
+        there is one, and return the new end."""
+        if not self.stops or self.stops[-1] != end:
+            return end
+        start = self.starts.pop()
+        self.stops.pop()
+        self.pages -= end - start
+        return start
+
+    def reset(self, end: int, referenced: Iterable[int]) -> None:
+        """Every page in ``[0, end)`` that is not ``referenced`` is free."""
+        self.starts, self.stops, self.pages = [], [], 0
+        at = 0
+        for page_id in sorted(p for p in set(referenced) if p < end):
+            if page_id > at:
+                self._append(at, page_id)
+            at = page_id + 1
+        if at < end:
+            self._append(at, end)
+
+    def _append(self, start: int, stop: int) -> None:
+        self.starts.append(start)
+        self.stops.append(stop)
+        self.pages += stop - start
+
+
 class DiskManager:
     """Allocate, read, and write fixed-size pages with I/O accounting.
 
@@ -164,8 +266,7 @@ class DiskManager:
         self.migrated_pages = 0
         self._lock = threading.Lock()
         self._last_page: int | None = None  # disk head position
-        self._free_list: list[int] = []
-        self._free_set: set[int] = set()
+        self._free = FreeSpans()
         if path is None:
             self._pages: dict[int, bytearray] | None = {}
             self._file = None
@@ -177,6 +278,10 @@ class DiskManager:
             self._file.seek(0, os.SEEK_END)
             size = self._file.tell()
             self._num_pages = self._detect_format(size)
+        #: Frames the file holds. Pages at or past it were allocated and
+        #: never written (the file grows by being written, not by being
+        #: allocated); they read as zeros, like an unwritten in-memory page.
+        self._file_pages = self._num_pages
 
     def _detect_format(self, size: int) -> int:
         """Classify an existing file as v2 (framed) or v1 (legacy).
@@ -260,43 +365,105 @@ class DiskManager:
         """Number of allocated pages (including freed-then-reusable ones)."""
         return self._num_pages
 
+    @property
+    def free_pages(self) -> int:
+        """Pages below :attr:`num_pages` that the free-span map holds."""
+        return self._free.pages
+
+    @property
+    def file_pages(self) -> int:
+        """Frames the backing medium holds (allocated-and-never-written
+        pages at the end of the file are not among them)."""
+        if self._pages is not None:
+            return len(self._pages)
+        return self._file_pages
+
     def allocate_page(self) -> int:
         """Return a fresh (or recycled) page id, zero-filled."""
         with self._lock:
-            if self._free_list:
-                page_id = self._free_list.pop()
-                self._free_set.discard(page_id)
-            else:
-                page_id = self._num_pages
-                self._num_pages += 1
+            page_id = self._take(1)
             self._write_raw(page_id, bytearray(self.page_size))
             return page_id
 
     def allocate_contiguous(self, count: int) -> list[int]:
-        """Allocate ``count`` physically adjacent pages (for extents)."""
+        """Allocate ``count`` physically adjacent pages (an extent).
+
+        The smallest free span that fits is reused; the file grows only
+        when none does. Nothing is written: the caller fills every page
+        before anything can read it, and until then a reused page still
+        holds its previous tenant's bytes.
+        """
         if count < 1:
             raise StorageError("cannot allocate fewer than 1 page")
         with self._lock:
+            start = self._take(count)
+            return list(range(start, start + count))
+
+    def _take(self, count: int) -> int:
+        """First id of ``count`` adjacent pages (lock held). A span holding
+        a quarantined page is not reissued until a repair rewrote it."""
+        start = self._free.take(count, list(self.integrity.quarantined))
+        if start is None:
             start = self._num_pages
             self._num_pages += count
-            for page_id in range(start, start + count):
-                self._write_raw(page_id, bytearray(self.page_size))
-            return list(range(start, start + count))
+        return start
+
+    def grow_to(self, num_pages: int) -> None:
+        """Extend the allocated range to ``num_pages`` pages. Recovery
+        replays images of pages past the end of a file that lost them; the
+        pages in between stay unwritten (and unreferenced, hence free)."""
+        with self._lock:
+            self._num_pages = max(self._num_pages, num_pages)
 
     def free_page(self, page_id: int) -> None:
         with self._lock:
             self._check(page_id)
-            if page_id in self._free_set:
+            if page_id in self._free:
                 raise StorageError(
                     f"double free of page {page_id}: already on the free list"
                 )
-            self._free_list.append(page_id)
-            self._free_set.add(page_id)
+            self._free.add(page_id)
 
     def free_page_ids(self) -> set[int]:
-        """Page ids currently on the free list (scrub skips these)."""
+        """Page ids currently free (scrub skips these)."""
         with self._lock:
-            return set(self._free_set)
+            return self._free.page_ids()
+
+    def free_spans(self) -> list[tuple[int, int]]:
+        """The free map as sorted, coalesced ``[start, stop)`` spans."""
+        with self._lock:
+            return self._free.spans()
+
+    def reset_free(self, referenced: Iterable[int]) -> None:
+        """Derive the free map: every allocated page not in ``referenced``.
+
+        The caller names every page something still owns — after open and
+        after recovery that is exactly the pages of the catalog's runs
+        (secondary indexes are rebuilt, never reopened).
+        """
+        with self._lock:
+            self._free.reset(self._num_pages, referenced)
+
+    def truncate_free_tail(self) -> int:
+        """Give a free span at the end of the file back to the file system;
+        returns the number of pages dropped."""
+        with self._lock:
+            end = self._free.drop_tail(self._num_pages)
+            dropped = self._num_pages - end
+            if not dropped:
+                return 0
+            self._num_pages = end
+            self.integrity.forget_pages_from(end)
+            if self._last_page is not None and self._last_page >= end:
+                self._last_page = None
+            if self._pages is not None:
+                for page_id in [p for p in self._pages if p >= end]:
+                    del self._pages[page_id]
+            elif self._file_pages > end:
+                assert self._file is not None
+                self._file.truncate(end * self.frame_size)
+                self._file_pages = end
+            return dropped
 
     # -- I/O -----------------------------------------------------------------
 
@@ -372,7 +539,7 @@ class DiskManager:
                     f"{io_attempts} attempts: {exc}"
                 ) from exc
             if frame is None:
-                # In-memory page that was never written: all zeros.
+                # Allocated and never written: all zeros.
                 return bytearray(self.page_size)
             if not self.verify_checksums:
                 data = bytes(frame[: self.page_size])
@@ -451,13 +618,16 @@ class DiskManager:
     def _read_frame_raw(self, page_id: int) -> bytes | None:
         """Uncounted raw frame read; caller must hold the lock.
 
-        Returns ``None`` for an in-memory page that was never written, and
-        possibly *short* bytes for a truncated file — verification decides
-        what that means.
+        Returns ``None`` for a page that was allocated and never written
+        (absent in memory, at or past the end of the file), and possibly
+        *short* bytes for a truncated file — verification decides what
+        that means.
         """
         if self._pages is not None:
             frame = self._pages.get(page_id)
             return bytes(frame) if frame is not None else None
+        if page_id >= self._file_pages:
+            return None
         assert self._file is not None
         self._file.seek(page_id * self.frame_size)
         return self._file.read(self.frame_size)
@@ -471,8 +641,18 @@ class DiskManager:
             self._pages[page_id] = bytearray(frame)
             return
         assert self._file is not None
+        if page_id > self._file_pages:
+            # Allocated-and-unwritten pages below this one enter the file
+            # now: give them the zero frames they are read as.
+            zero = bytes(self.page_size)
+            self._file.seek(self._file_pages * self.frame_size)
+            self._file.write(
+                (zero + make_trailer(zero)) * (page_id - self._file_pages)
+            )
         self._file.seek(page_id * self.frame_size)
         self._file.write(frame)
+        if page_id >= self._file_pages:
+            self._file_pages = page_id + 1
 
     def _check(self, page_id: int) -> None:
         if not 0 <= page_id < self._num_pages:

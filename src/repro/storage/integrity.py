@@ -115,6 +115,13 @@ class IntegrityRegistry:
             self.page_repairs += 1
             self.quarantined.pop(page_id, None)
 
+    def forget_pages_from(self, first: int) -> None:
+        """Pages at or past ``first`` left the file (a free tail was
+        truncated): whatever was wrong with them went with them."""
+        with self._lock:
+            for page_id in [p for p in self.quarantined if p >= first]:
+                del self.quarantined[page_id]
+
     def record_reread_recovery(self) -> None:
         with self._lock:
             self.reread_recoveries += 1

@@ -270,19 +270,25 @@ class VectorSerializer:
             self._elem = None
 
     def encode(self, values: Sequence[Any]) -> bytes:
-        parts = [_U32.pack(len(values))]
+        n = len(values)
         if self._elem is not None:
+            # A chunk is one pack call, not one per value; a typed vector
+            # of the element type is already the packed bytes.
+            fmt = self.dtype.struct_format
+            packed = vector.packed_bytes(values, fmt)
+            if packed is not None:
+                return _U32.pack(n) + packed
             try:
-                parts.extend(self._elem.pack(v) for v in values)
+                return struct.pack(f"<I{n}{fmt}", n, *values)
             except struct.error as exc:
                 raise SerializationError(
                     f"cannot pack vector of {self.dtype.name}: {exc}"
                 ) from exc
-        else:
-            for v in values:
-                payload = _encode_var(self.dtype, v)
-                parts.append(_U32.pack(len(payload)))
-                parts.append(payload)
+        parts = [_U32.pack(n)]
+        for v in values:
+            payload = _encode_var(self.dtype, v)
+            parts.append(_U32.pack(len(payload)))
+            parts.append(payload)
         return b"".join(parts)
 
     def decode(self, data: bytes | memoryview) -> list:

@@ -3,7 +3,11 @@
 A deliberately small physiological WAL: update records carry page id, offset,
 and before/after images of the modified byte range. Recovery replays the log
 forward (redo for committed transactions) and backward (undo for transactions
-with no COMMIT record). Two *logical* record kinds ride on the same format:
+with no COMMIT record). A ``FRESH_PAGE`` record carries the after-image of a
+page its transaction allocated and filled, and nothing else: nothing
+committed names such a page until the transaction commits, so the undo of a
+loser is "the page is unreferenced, hence free" and needs no before-image.
+Two *logical* record kinds ride on the same format:
 ``ROWS`` (inserted rows, as a JSON blob) and ``CATALOG`` (one table's
 serialized catalog entry) — the engine-level recovery in
 :mod:`repro.engine.recovery` replays those on top of the page images.
@@ -56,6 +60,10 @@ KIND_CHECKPOINT = 5
 # Logical records (opaque payload bytes; interpreted by engine recovery).
 KIND_ROWS = 6
 KIND_CATALOG = 7
+#: After-image of a page the transaction allocated and wrote in full.
+KIND_FRESH_PAGE = 8
+#: The record kinds that carry a page after-image to redo.
+PAGE_IMAGE_KINDS = (KIND_UPDATE, KIND_FRESH_PAGE)
 
 #: High bit of the kind byte: this record carries a CRC32 (v2 format).
 KIND_CRC_FLAG = 0x80
@@ -66,11 +74,13 @@ _CRC = struct.Struct("<I")
 _UPDATE_META = struct.Struct("<qII")  # page_id, offset, image_len
 
 _PAYLOAD_KINDS = (KIND_ROWS, KIND_CATALOG)
-_KNOWN_KINDS = frozenset(range(KIND_BEGIN, KIND_CATALOG + 1))
+_KNOWN_KINDS = frozenset(range(KIND_BEGIN, KIND_FRESH_PAGE + 1))
 
 #: How far past an undecodable point records() searches for a valid record
 #: before classifying the damage as a torn tail rather than mid-log rot.
 _RESYNC_WINDOW = 1 << 16
+#: Bytes records() reads from the log file at a time.
+_READ_CHUNK = 1 << 20
 
 
 class LogRecord:
@@ -105,19 +115,34 @@ class LogRecord:
         if self.kind == KIND_UPDATE:
             if len(self.before) != len(self.after):
                 raise WALError("before/after images must have equal length")
-            payload = _UPDATE_META.pack(self.page_id, self.offset, len(self.before))
-            payload += self.before + self.after
+            parts = (
+                _UPDATE_META.pack(self.page_id, self.offset, len(self.after)),
+                self.before,
+                self.after,
+            )
+        elif self.kind == KIND_FRESH_PAGE:
+            parts = (
+                _UPDATE_META.pack(self.page_id, self.offset, len(self.after)),
+                self.after,
+            )
         elif self.kind in _PAYLOAD_KINDS:
-            payload = self.payload
+            parts = (self.payload,)
         else:
-            payload = b""
-        total = _HEADER.size + len(payload) + _CRC.size + _TRAILER.size
-        body = (
-            _HEADER.pack(total, self.kind | KIND_CRC_FLAG, self.lsn, self.txn_id)
-            + payload
+            parts = ()
+        total = (
+            _HEADER.size + sum(map(len, parts)) + _CRC.size + _TRAILER.size
         )
-        crc = zlib.crc32(body) & 0xFFFFFFFF
-        return body + _CRC.pack(crc) + _TRAILER.pack(total)
+        header = _HEADER.pack(
+            total, self.kind | KIND_CRC_FLAG, self.lsn, self.txn_id
+        )
+        # The CRC runs over the parts in place and the record is joined
+        # once: a page image is copied a single time on its way to the log.
+        crc = zlib.crc32(header)
+        for part in parts:
+            crc = zlib.crc32(part, crc)
+        return b"".join(
+            (header, *parts, _CRC.pack(crc & 0xFFFFFFFF), _TRAILER.pack(total))
+        )
 
     @classmethod
     def decode(cls, data: bytes, start: int) -> tuple["LogRecord", int]:
@@ -146,7 +171,7 @@ class LogRecord:
         if has_crc:
             payload_end -= _CRC.size
             (stored,) = _CRC.unpack_from(data, payload_end)
-            actual = zlib.crc32(data[start:payload_end]) & 0xFFFFFFFF
+            actual = zlib.crc32(memoryview(data)[start:payload_end]) & 0xFFFFFFFF
             if actual != stored:
                 raise CorruptWALError(
                     f"WAL record checksum mismatch at byte {start} "
@@ -154,18 +179,20 @@ class LogRecord:
                     f"computed {actual:#010x})"
                 )
         record = cls(kind, lsn, txn_id)
-        if kind == KIND_UPDATE:
+        if kind in PAGE_IMAGE_KINDS:
             meta_at = start + _HEADER.size
             if meta_at + _UPDATE_META.size > payload_end:
                 raise WALError("truncated update metadata")
             page_id, offset, image_len = _UPDATE_META.unpack_from(data, meta_at)
-            images_at = meta_at + _UPDATE_META.size
-            if images_at + 2 * image_len > payload_end:
+            after_at = meta_at + _UPDATE_META.size
+            if kind == KIND_UPDATE:
+                record.before = data[after_at : after_at + image_len]
+                after_at += image_len
+            if after_at + image_len > payload_end:
                 raise WALError("truncated update images")
             record.page_id = page_id
             record.offset = offset
-            record.before = data[images_at : images_at + image_len]
-            record.after = data[images_at + image_len : images_at + 2 * image_len]
+            record.after = data[after_at : after_at + image_len]
         elif kind in _PAYLOAD_KINDS:
             record.payload = data[start + _HEADER.size : payload_end]
         return record, end
@@ -322,41 +349,94 @@ class WriteAheadLog:
 
     # -- reading ----------------------------------------------------------
 
-    def _raw(self) -> bytes:
-        with self._lock:
-            if self._file is not None:
-                self._file.seek(0)
-                data = self._file.read()
-            else:
-                data = bytes(self._buffer)
-        if self.io_faults is not None:
-            attempts = 0
-            while True:
-                try:
-                    return self.io_faults.apply_read("wal", data)
-                except OSError as exc:
-                    attempts += 1
-                    if attempts <= 3:
-                        time.sleep(0.0005 * attempts)
-                        continue
-                    raise WALError(
-                        f"I/O error reading WAL after {attempts} "
-                        f"attempts: {exc}"
-                    ) from exc
-        return data
+    def _chunks(self) -> Iterator[bytes]:
+        """The log's bytes in append order, ``_READ_CHUNK`` at a time.
+
+        With a read-fault injector armed the whole log is one read (one
+        roll of the fault plan, damage positioned within the whole log).
+        """
+        if self._file is None or self.io_faults is not None:
+            with self._lock:
+                if self._file is not None:
+                    self._file.seek(0)
+                    data = self._file.read()
+                else:
+                    data = bytes(self._buffer)
+            yield self._through_read_faults(data)
+            return
+        at = 0
+        while True:
+            with self._lock:
+                if self._file is None:
+                    return
+                self._file.seek(at)
+                chunk = self._file.read(_READ_CHUNK)
+            if not chunk:
+                return
+            at += len(chunk)
+            yield chunk
+
+    def _through_read_faults(self, data: bytes) -> bytes:
+        if self.io_faults is None:
+            return data
+        attempts = 0
+        while True:
+            try:
+                return self.io_faults.apply_read("wal", data)
+            except OSError as exc:
+                attempts += 1
+                if attempts <= 3:
+                    time.sleep(0.0005 * attempts)
+                    continue
+                raise WALError(
+                    f"I/O error reading WAL after {attempts} "
+                    f"attempts: {exc}"
+                ) from exc
 
     def records(self) -> Iterator[LogRecord]:
         """Iterate all records in append order, stopping at torn tails.
+
+        The log is read a chunk at a time and decoded one record at a
+        time, so a pass over it holds one chunk and one record whatever the
+        log's size (damage is the exception: classifying it reads the rest
+        of the log, which after a crash is the torn record alone).
 
         Raises :class:`~repro.errors.CorruptWALError` for damage that a
         crash cannot explain: a CRC mismatch, undecodable bytes *followed
         by* decodable records (a torn write only ever truncates the tail),
         or a gap in the strictly sequential LSN sequence (a lost append).
         """
-        data = self._raw()
+        chunks = self._chunks()
+        data = b""
+        base = 0  # log offset of data[0], for error messages
         offset = 0
+
+        def fill(need: float) -> None:
+            """Slide the window to ``offset`` and read until it holds
+            ``need`` bytes (or the log ends)."""
+            nonlocal data, base, offset
+            parts = [data[offset:]]
+            have = len(parts[0])
+            while have < need:
+                chunk = next(chunks, None)
+                if chunk is None:
+                    break
+                parts.append(chunk)
+                have += len(chunk)
+            base += offset
+            data = b"".join(parts)
+            offset = 0
+
         prev_lsn: int | None = None
-        while offset < len(data):
+        while True:
+            if len(data) - offset < _HEADER.size:
+                fill(_HEADER.size)
+            if len(data) - offset >= _HEADER.size:
+                total = _HEADER.unpack_from(data, offset)[0]
+                if len(data) - offset < total:
+                    fill(total)
+            if offset >= len(data):
+                return
             try:
                 record, offset = LogRecord.decode(data, offset)
             except CorruptWALError:
@@ -364,11 +444,12 @@ class WriteAheadLog:
                     self.integrity.record_wal_failure()
                 raise
             except WALError:
-                if _resync_offset(data, offset) is not None:
+                fill(float("inf"))  # the rest of the log
+                if _resync_offset(data, 0) is not None:
                     if self.integrity is not None:
                         self.integrity.record_wal_failure()
                     raise CorruptWALError(
-                        f"mid-log corruption at byte {offset}: valid "
+                        f"mid-log corruption at byte {base}: valid "
                         "records follow an undecodable region"
                     )
                 return  # torn tail: everything after is discarded
@@ -417,29 +498,33 @@ def recover(wal: WriteAheadLog, disk: DiskManager) -> dict[str, int]:
     :func:`repro.engine.recovery.recover_store` builds on it and also
     replays logical ROWS/CATALOG records against the catalog.
     """
-    records = list(wal.records())
     committed: set[int] = set()
     aborted: set[int] = set()
     seen: set[int] = set()
-    for record in records:
+    for record in wal.records():
         seen.add(record.txn_id)
         if record.kind == KIND_COMMIT:
             committed.add(record.txn_id)
         elif record.kind == KIND_ABORT:
             aborted.add(record.txn_id)
 
+    # Second pass over the log: winners redo as they stream by, only the
+    # losers' byte-range updates are held for the backward undo.
     redo_count = 0
-    for record in records:
-        if record.kind == KIND_UPDATE and record.txn_id in committed:
+    losers = seen - committed
+    to_undo: list[LogRecord] = []
+    for record in wal.records():
+        if record.kind not in PAGE_IMAGE_KINDS:
+            continue
+        if record.txn_id in committed:
             _apply_image(disk, record.page_id, record.offset, record.after)
             redo_count += 1
+        elif record.kind == KIND_UPDATE:
+            to_undo.append(record)
 
-    undo_count = 0
-    losers = seen - committed
-    for record in reversed(records):
-        if record.kind == KIND_UPDATE and record.txn_id in losers:
-            _apply_image(disk, record.page_id, record.offset, record.before)
-            undo_count += 1
+    for record in reversed(to_undo):
+        _apply_image(disk, record.page_id, record.offset, record.before)
+    undo_count = len(to_undo)
 
     return {
         "committed": len(committed),
@@ -469,8 +554,10 @@ def _resync_offset(data: bytes, start: int) -> int | None:
 def _apply_image(disk: DiskManager, page_id: int, offset: int, image: bytes) -> None:
     # The unchecked read is deliberate: recovery overwrites pages that may
     # be torn or truncated, so verification must not block the replay.
-    while page_id >= disk.num_pages:
-        disk.allocate_page()
+    disk.grow_to(page_id + 1)
+    if offset == 0 and len(image) == disk.page_size:
+        disk.write_page(page_id, image)  # a whole page: nothing to read
+        return
     page = disk.read_page_unchecked(page_id)
     page[offset : offset + len(image)] = image
     disk.write_page(page_id, page)

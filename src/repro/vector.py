@@ -134,6 +134,23 @@ def from_records(data, offset: int, count: int, prefix: int, codes: str):
     return [list(column) for column in columns]
 
 
+def packed_bytes(vec, code: str) -> bytes | None:
+    """The little-endian packed elements of a typed vector whose element
+    type is ``code`` (the inverse of :func:`from_bytes`), or ``None`` for
+    anything else — a list, or a vector of another element type."""
+    if isinstance(vec, array):
+        if vec.typecode != code:
+            return None
+        if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
+            vec = array(code, vec)
+            vec.byteswap()
+        return vec.tobytes()
+    if _numpy_mod is not None and isinstance(vec, _numpy_mod.ndarray):
+        if vec.ndim == 1 and vec.dtype.str == _NP_DTYPES.get(code):
+            return vec.tobytes()
+    return None
+
+
 def from_values(values: Sequence, code: str):
     """A typed vector from already-decoded python scalars, or None when
     the values don't fit the typecode (e.g. a None snuck in)."""

@@ -270,3 +270,43 @@ class TestConcurrency:
             t.join()
         assert not errors, errors
         assert pool.pinned_pages() == []
+
+
+class TestInstall:
+    """A bulk writer that bypassed the pool hands it what it wrote."""
+
+    def test_installed_page_is_a_hit_and_clean(self):
+        disk = DiskManager(page_size=128)
+        pool = BufferPool(disk, capacity=2)
+        (a,) = disk.allocate_contiguous(1)
+        image = bytearray(b"\x07" * 128)
+        disk.write_page(a, image)
+        pool.install(a, image)
+        reads = disk.stats.page_reads
+        frame = pool.fetch(a)
+        assert bytes(frame.data) == image and not frame.dirty
+        pool.unpin(a)
+        assert disk.stats.page_reads == reads
+        assert (pool.stats.hits, pool.stats.misses) == (1, 0)
+
+    def test_install_replaces_a_previous_tenants_frame(self):
+        disk = DiskManager(page_size=128)
+        pool = BufferPool(disk, capacity=2)
+        a = disk.allocate_page()
+        pool.unpin(pool.fetch(a).page_id)  # the old tenant, cached
+        disk.write_page(a, b"\x09" * 128)
+        pool.install(a, bytearray(b"\x09" * 128))
+        frame = pool.fetch(a)
+        assert bytes(frame.data) == b"\x09" * 128
+        with pytest.raises(BufferPoolError):
+            pool.install(a, bytearray(128))  # pinned: someone is reading it
+        pool.unpin(a)
+        assert len(pool) == 1
+
+    def test_install_evicts_like_any_admission(self):
+        disk = DiskManager(page_size=128)
+        pool = BufferPool(disk, capacity=2)
+        ids = disk.allocate_contiguous(3)
+        for p in ids:
+            pool.install(p, bytearray(128))
+        assert len(pool) == 2 and not pool.contains(ids[0])

@@ -15,15 +15,20 @@ Environment knobs (the CI smoke uses small defaults):
 * ``CRASH_SEED`` — seed for the workload generator and crash-mode choice.
 """
 
+import json
 import os
 import random
 import shutil
 import tempfile
+from contextlib import contextmanager
 
-from repro.engine.database import RodentStore
+import pytest
+
+from repro.engine.database import RodentStore, _Mutation
 from repro.errors import CrashError, StorageError
 from repro.query.expressions import Range
 from repro.storage.faults import FaultInjector, lose_unsynced_wal
+from repro.storage.wal import KIND_FRESH_PAGE, KIND_UPDATE, WriteAheadLog
 from repro.types import Schema
 
 SCHEMA = Schema.of("id:int", "val:int")
@@ -162,6 +167,7 @@ def test_crash_recovery_matrix():
                     f"{completed}/{len(ops)} ops expected "
                     f"{len(want)} rows, got {len(got)}"
                 )
+            assert_pages_consistent(reopened)
             reopened.close()
         finally:
             shutil.rmtree(d)
@@ -295,6 +301,241 @@ def test_crash_recovery_levelled_matrix():
                     assert sorted(reopened.table("T").scan()) == sorted(
                         model.items()
                     )
+            assert_pages_consistent(reopened)
             reopened.close()
         finally:
             shutil.rmtree(d)
+
+
+# ---------------------------------------------------------------------------
+# Page reuse: a free waits for its durable commit, a fresh page is logged
+# once and from what was written (PR 19). Every leg ends with a clean scrub
+# and a free map that shares no page with the catalog.
+# ---------------------------------------------------------------------------
+
+LEVELS = "levels[2; 2](rows(T))"
+
+
+def open_small(path):
+    return RodentStore(
+        path, page_size=1024, pool_capacity=64, durable=True,
+        level_seal_rows=8,
+    )
+
+
+def abandon(store):
+    """Power loss: drop WAL bytes no fsync covered, skip the checkpoint."""
+    synced = store.wal.synced_size
+    try:
+        store.wal.close()
+    except StorageError:
+        pass
+    store.disk.close()
+    lose_unsynced_wal(store.wal.path, synced)
+
+
+def assert_pages_consistent(store):
+    report = store.scrub()
+    assert report["clean"], report
+    referenced = store._referenced_pages()
+    assert not referenced & store.disk.free_page_ids()
+    assert report["pages_free"] == store.disk.free_pages
+
+
+def page_images(store, pages):
+    return {p: bytes(store.disk.read_page(p)) for p in sorted(pages)}
+
+
+@contextmanager
+def reopened(path):
+    store = open_small(path)
+    try:
+        yield store
+        assert_pages_consistent(store)
+    finally:
+        store.close()
+
+
+def levelled_store(path, merged, held):
+    """A levelled table after ``merged`` seals with their merges done and
+    ``held`` more whose merges were held back: with 2 + 2 the next
+    ``compact_levels`` cascades 0 -> 1 then 1 -> 2 in one transaction."""
+    store = open_small(path)
+    store.create_table("T", SCHEMA, layout=LEVELS)
+    table = store.table("T")
+    for n in range(merged):
+        table.insert([(n * 8 + i, n) for i in range(8)])
+    store.compact_levels = lambda *a, **k: {}  # hold the merges back
+    for n in range(merged, merged + held):
+        table.insert([(n * 8 + i, n) for i in range(8)])
+    del store.compact_levels
+    return store, table
+
+
+def test_crash_between_the_swaps_of_one_cascade(tmp_path):
+    """Two level-0 runs beside a level-1 run cascade 0 -> 1, 1 -> 2 in ONE
+    transaction. Until its commit is durable no source page may be handed
+    out again — the second merge's output least of all — so a
+    crash before the commit must reopen to the pre-transaction state, every
+    source page bit for bit what it was."""
+    path = str(tmp_path / "db")
+    store, table = levelled_store(path, merged=2, held=2)
+    assert table.run_count == 3
+    want = sorted(table.scan())
+    sources = store._referenced_pages()
+    before = page_images(store, sources)
+    merges = []
+    merge_once = store._merge_runs_once
+
+    def watched(*args, **kwargs):
+        # Earlier swaps of this transaction retired pages; none is free.
+        assert not sources & store.disk.free_page_ids()
+        merges.append(store.disk.free_pages)
+        return merge_once(*args, **kwargs)
+
+    store._merge_runs_once = watched
+    # BEGIN goes through; the first effect record of the commit does not.
+    store.inject_faults(FaultInjector(1, mode="before", target="wal"))
+    with pytest.raises(CrashError):
+        store.compact_levels("T")
+    assert len(merges) == 2, "the cascade must swap more than once"
+    abandon(store)
+    with reopened(path) as again:
+        assert sorted(again.table("T").scan()) == want
+        assert again._referenced_pages() == sources
+        assert page_images(again, sources) == before
+
+
+def test_crash_after_the_commit_fsync_before_the_frees(tmp_path, monkeypatch):
+    path = str(tmp_path / "db")
+    store, table = levelled_store(path, merged=2, held=2)
+    want = sorted(table.scan())
+    sources = store._referenced_pages()
+
+    def power_loss(self):
+        raise CrashError("injected crash between commit and frees")
+
+    monkeypatch.setattr(_Mutation, "release_retired", power_loss)
+    with pytest.raises(CrashError):
+        store.compact_levels("T")
+    assert store.disk.free_pages == 0  # the list died with the process
+    monkeypatch.undo()
+    abandon(store)
+    with reopened(path) as again:
+        # The commit was durable: the merged state, and the sources —
+        # which no catalog names any more — derived free.
+        assert sorted(again.table("T").scan()) == want
+        assert again.table("T").run_count == 1
+        assert sources - again._referenced_pages() <= (
+            again.disk.free_page_ids()
+            | set(range(again.disk.num_pages, max(sources) + 1))
+        )
+
+
+def reusable_span(path):
+    """A flat table rewritten twice: the first run's pages are free and
+    the next render fits in them."""
+    store = open_small(path)
+    store.create_table("T", SCHEMA)
+    store.load("T", [(i, i) for i in range(300)])
+    store.table("T").update({"val": 1}, Range("id", 0, 9))
+    assert store.disk.free_pages >= 4
+    return store
+
+
+def test_crash_mid_render_onto_a_reused_span(tmp_path):
+    path = str(tmp_path / "db")
+    store = reusable_span(path)
+    want = sorted(store.table("T").scan())
+    num_pages = store.disk.num_pages
+    free = store.disk.free_page_ids()
+    store.inject_faults(FaultInjector(2, mode="torn", target="page"))
+    with pytest.raises(CrashError):
+        store.table("T").update({"val": 2}, Range("id", 0, 9))
+    assert store.disk.num_pages == num_pages, "the render must reuse a span"
+    assert store.disk.free_page_ids() < free
+    abandon(store)
+    with reopened(path) as again:
+        assert sorted(again.table("T").scan()) == want
+
+
+def test_torn_fresh_page_record_at_the_log_tail(tmp_path):
+    path = str(tmp_path / "db")
+    store = reusable_span(path)
+    want = sorted(store.table("T").scan())
+    # BEGIN and two FRESH_PAGE records land, the third is torn.
+    store.inject_faults(FaultInjector(3, mode="torn", target="wal"))
+    with pytest.raises(CrashError):
+        store.table("T").update({"val": 2}, Range("id", 0, 9))
+    kinds = [r.kind for r in store.wal.records()]
+    assert kinds[-2:] == [KIND_FRESH_PAGE] * 2  # the torn one ends the log
+    store.wal.sync()  # the tail reached the medium as it is
+    abandon(store)
+    with reopened(path) as again:
+        assert again.recovery_summary["loser_txns"] == 1
+        assert again.recovery_summary["pages_undone"] == 0
+        assert sorted(again.table("T").scan()) == want
+
+
+def test_pinned_scan_outlives_two_merges(tmp_path):
+    path = str(tmp_path / "db")
+    store, table = levelled_store(path, merged=0, held=2)
+    want = sorted(table.scan())
+    pinned = store._referenced_pages()
+    scan = table.scan()
+    first = next(scan)  # the snapshot is pinned from here
+    for n in range(2, 6):  # four more seals: 0 -> 1, then 0 -> 1 -> 2
+        table.insert([(n * 8 + i, n) for i in range(8)])
+    stats = store.storage_stats()["tables"]["T"]["write_amplification"]
+    assert stats["compactions"] >= 2
+    assert not pinned & store._referenced_pages()  # merged away, both
+    assert not pinned & store.disk.free_page_ids(), "pinned pages were freed"
+    assert sorted([first, *scan]) == want
+    # The last reader is gone: its runs' pages are free now.
+    assert pinned <= store.disk.free_page_ids()
+    assert len(list(table.scan())) == 48
+    assert_pages_consistent(store)
+    store.close()
+
+
+def test_parent_written_store_reopens(tmp_path):
+    """A store written by the parent commit (all three table shapes,
+    overflow + pending, an un-checkpointed WAL of zero-before-image
+    ``KIND_UPDATE`` page records) replays under this code to the same
+    scans — ``tests/data/parent_store/make_fixture.py`` wrote it."""
+    source = os.path.join(os.path.dirname(__file__), "data", "parent_store")
+    for name in os.listdir(source):
+        if name.startswith("db."):
+            shutil.copy(os.path.join(source, name), tmp_path)
+    with open(os.path.join(source, "expected.json")) as f:
+        expected = json.load(f)
+    store = RodentStore(
+        str(tmp_path / "db.pages"), durable=True, page_size=512,
+        pool_capacity=16, level_seal_rows=16,
+    )
+    summary = store.recovery_summary
+    assert summary["clean"] is False and summary["pages_redone"] > 0
+    for name, rows in expected.items():
+        assert sorted(map(list, store.table(name).scan())) == rows
+    assert_pages_consistent(store)
+    assert store.disk.free_pages > 0  # the parent's leaked pages came back
+    # And it keeps working, reusing them.
+    allocated = store.disk.num_pages
+    store.table("Flat").insert([(1000, 1, 0.5)])
+    store.table("Flat").flush_inserts()
+    assert store.disk.num_pages == allocated
+    store.close()
+
+
+def test_parent_log_is_all_legacy_page_records():
+    source = os.path.join(os.path.dirname(__file__), "data", "parent_store")
+    scratch = tempfile.mkdtemp()
+    try:
+        shutil.copy(os.path.join(source, "db.pages.wal"), scratch)
+        wal = WriteAheadLog(os.path.join(scratch, "db.pages.wal"))
+        pages = [r for r in wal.records() if r.page_id >= 0]
+        wal.close()
+    finally:
+        shutil.rmtree(scratch)
+    assert pages and all(r.kind == KIND_UPDATE for r in pages)
+    assert all(r.before == bytes(len(r.after)) for r in pages)

@@ -213,3 +213,28 @@ class TestModelBased:
             assert removed == expected
             model = [(mk, mv) for mk, mv in model if mk != k]
         assert sorted(tree.items()) == sorted(model)
+
+
+def test_node_payloads_are_pinned():
+    """``_write_node`` packs a node's slots in one call; the bytes are what
+    the per-value loop wrote (leaf, leaf with a 2**40 value, internal)."""
+    from repro.storage.page import BytePage
+
+    pool = BufferPool(DiskManager(page_size=256), capacity=8)
+    tree = BPlusTree(pool, order=4)
+    for key, value in [(5, 50), (1, -10), (9, 2**40), (7, 70), (3, 30)]:
+        tree.insert(key, value)
+    payloads = [
+        BytePage(256, pool.disk.read_page(p)).read().hex()
+        for p in range(pool.disk.num_pages)
+    ]
+    assert payloads == [
+        "0102000100000000000000140000000200000001000000000000000300000000"
+        "000000f6ffffffffffffff1e00000000000000",
+        "010300ffffffffffffffff1c0000000300000005000000000000000700000000"
+        "0000000900000000000000320000000000000046000000000000000000000000"
+        "010000",
+        "000100ffffffffffffffff0c0000000100000005000000000000000000000000"
+        "0000000100000000000000",
+    ]
+    assert tree.page_ids() == [0, 1, 2]

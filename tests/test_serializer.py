@@ -132,6 +132,61 @@ class TestVectorSerializer:
         v = VectorSerializer(INT)
         assert v.decode(v.encode([])) == []
 
+    # What the per-value ``Struct.pack`` loop wrote, for every fixed-size
+    # element type: three values, one value, none.
+    PINNED = {
+        "INT": ([1, -5, 2**40],
+                "030000000100000000000000fbffffffffffffff0000000000010000",
+                "010000000100000000000000"),
+        "FLOAT": ([1.5, -2.25, 0.0],
+                  "03000000000000000000f83f00000000000002c00000000000000000",
+                  "01000000000000000000f83f"),
+        "DOUBLE": ([1.5, -2.25, 0.0],
+                   "03000000000000000000f83f00000000000002c00000000000000000",
+                   "01000000000000000000f83f"),
+        "BOOL": ([True, False, True], "03000000010001", "0100000001"),
+        "TIMESTAMP": ([0, 1700000000, -1],
+                      "03000000000000000000000000f1536500000000ffffffffffffffff",
+                      "010000000000000000000000"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_chunk_pack_bytes_are_pinned(self, name):
+        from array import array
+
+        from repro import vector
+        from repro.types import types
+
+        values, three, one = self.PINNED[name]
+        v = VectorSerializer(getattr(types, name))
+        assert v.encode(values).hex() == three
+        assert v.encode(values[:1]).hex() == one
+        assert v.encode([]).hex() == "00000000"
+        assert v.encode(tuple(values)).hex() == three
+        code = vector.typecode_for(v.dtype)
+        if code is None:
+            return
+        # Typed vectors of the element type are already the packed bytes.
+        for typed in (array(code, values), vector.from_values(values, code)):
+            assert v.encode(typed).hex() == three
+            assert v.encode(typed[:1]).hex() == one
+            assert v.encode(typed[:0]).hex() == "00000000"
+        assert v.decode_bulk(v.encode(array(code, values))) == values
+
+    def test_typed_vector_of_another_type_is_converted_not_copied(self):
+        from array import array
+
+        ints_for_floats = VectorSerializer(FLOAT).encode(array("q", [1, 2]))
+        assert ints_for_floats.hex() == (
+            "02000000000000000000f03f0000000000000040"
+        )
+        assert ints_for_floats == VectorSerializer(FLOAT).encode([1, 2])
+
+    @pytest.mark.parametrize("bad", [[1, None], [1, 2**70], [1.5]])
+    def test_unpackable_value_is_a_serialization_error(self, bad):
+        with pytest.raises(SerializationError, match="cannot pack vector"):
+            VectorSerializer(INT).encode(bad)
+
     def test_encoded_size(self):
         v = VectorSerializer(INT)
         assert v.encoded_size([1, 2, 3]) == len(v.encode([1, 2, 3]))
