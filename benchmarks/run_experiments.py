@@ -473,111 +473,6 @@ def vector_bench(
     return result
 
 
-PRUNE_BENCH_LAYOUTS = {
-    "rows": "P",
-    "columns": "columns(P)",
-    "grid": "grid[x, y],[1, 1](P)",
-    # fold[nest; group]: grouped by g, so the predicate field t is nested —
-    # only the new per-record nest-vector zones can prune it.
-    "folded": "fold[t, v; g](P)",
-}
-
-PRUNE_BENCH_SELECTIVITIES = (0.001, 0.01, 0.1, 1.0)
-
-
-def prune_bench(
-    scale: dict, out_path: str = "BENCH_prune.json", seed: int = DEFAULT_SEED
-) -> dict:
-    """Selective-scan throughput with zone-map pruning on vs off.
-
-    Writes ``BENCH_prune.json`` — rows/sec and cold-cache pages read per
-    layout kind at selectivities 0.1% / 1% / 10% / 100% on a clustered
-    field, with ``store.zone_pruning`` toggled — so the pruning payoff is
-    visible across PRs. The predicate field (``t``) is *not* a grid
-    dimension or fold key, so grid/folded numbers isolate the new zone
-    maps from the pre-existing cell-directory and key-range pruning.
-    """
-    import random
-
-    from repro.engine.database import RodentStore
-    from repro.query.expressions import Range
-    from repro.types.schema import Schema
-
-    banner("Zone-map scan pruning — on vs off (BENCH_prune.json)")
-    n_records = scale["n_observations"] // 2
-    rng = random.Random(seed)
-    schema = Schema.of("t:int", "g:int", "x:int", "y:int", "v:int")
-    # t is clustered in storage order (timestamps, autoincrement ids);
-    # the grid dims tile it into contiguous 250-row cells.
-    records = [
-        (i, i // 500, (i // 250) % 20, i // 5000, rng.randrange(10_000))
-        for i in range(n_records)
-    ]
-    result: dict = {
-        "benchmark": "zone_map_scan_pruning",
-        "n_records": n_records,
-        "page_size": scale["page_size"],
-        "seed": seed,
-        "unit": "rows_per_sec",
-        "selectivities": list(PRUNE_BENCH_SELECTIVITIES),
-        "layouts": {},
-    }
-    print(
-        f"{'layout':<9}{'sel':>7}{'match':>8}{'off r/s':>12}{'on r/s':>12}"
-        f"{'speedup':>9}{'pages off':>11}{'pages on':>10}"
-    )
-    for name, layout in PRUNE_BENCH_LAYOUTS.items():
-        store = RodentStore(page_size=scale["page_size"], pool_capacity=256)
-        store.create_table("P", schema, layout=layout)
-        table = store.load("P", records)
-        per_sel: dict = {}
-        for selectivity in PRUNE_BENCH_SELECTIVITIES:
-            hi = max(0, int(n_records * selectivity) - 1)
-            predicate = Range("t", 0, hi)
-            timings = {}
-            counts = {}
-            pages = {}
-            for label, pruning in (("unpruned", False), ("pruned", True)):
-                store.zone_pruning = pruning
-                counts[label] = sum(1 for _ in table.scan(predicate=predicate))
-                best = float("inf")
-                for _ in range(3):
-                    start = time.perf_counter()
-                    sum(1 for _ in table.scan(predicate=predicate))
-                    best = min(best, time.perf_counter() - start)
-                timings[label] = n_records / best
-                _, io = store.run_cold(
-                    lambda: sum(1 for _ in table.scan(predicate=predicate))
-                )
-                pages[label] = io.page_reads
-            assert counts["pruned"] == counts["unpruned"], (
-                name, selectivity, counts,
-            )
-            store.zone_pruning = True
-            speedup = timings["pruned"] / timings["unpruned"]
-            per_sel[str(selectivity)] = {
-                "matching_rows": counts["pruned"],
-                "rows_per_sec_unpruned": round(timings["unpruned"], 1),
-                "rows_per_sec_pruned": round(timings["pruned"], 1),
-                "speedup": round(speedup, 2),
-                "pages_read_unpruned": pages["unpruned"],
-                "pages_read_pruned": pages["pruned"],
-                "pages_pruned_estimate": table.pruned_pages(predicate),
-            }
-            print(
-                f"{name:<9}{selectivity:>7.1%}{counts['pruned']:>8}"
-                f"{timings['unpruned']:>12,.0f}{timings['pruned']:>12,.0f}"
-                f"{speedup:>8.2f}x{pages['unpruned']:>11}{pages['pruned']:>10}"
-            )
-        result["layouts"][name] = per_sel
-    result["generated_unix"] = int(time.time())
-    with open(out_path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {os.path.abspath(out_path)}")
-    return result
-
-
 def adapt_bench(
     scale: dict, out_path: str = "BENCH_adapt.json", seed: int = DEFAULT_SEED
 ) -> dict:
@@ -1719,17 +1614,6 @@ def main() -> None:
         help="output path for the query benchmark JSON",
     )
     parser.add_argument(
-        "--prune-bench-only",
-        action="store_true",
-        help="run only the zone-map pruning benchmark and write "
-        "BENCH_prune.json",
-    )
-    parser.add_argument(
-        "--prune-bench-out",
-        default="BENCH_prune.json",
-        help="output path for the pruning benchmark JSON",
-    )
-    parser.add_argument(
         "--adapt-bench-only",
         action="store_true",
         help="run only the adaptive-loop benchmark and write "
@@ -1815,10 +1699,6 @@ def main() -> None:
         query_bench(scale, args.query_bench_out, seed=args.seed)
         print(f"\ntotal: {time.time() - start:.1f}s")
         return
-    if args.prune_bench_only:
-        prune_bench(scale, args.prune_bench_out, seed=args.seed)
-        print(f"\ntotal: {time.time() - start:.1f}s")
-        return
     if args.adapt_bench_only:
         adapt_bench(scale, args.adapt_bench_out, seed=args.seed)
         print(f"\ntotal: {time.time() - start:.1f}s")
@@ -1847,7 +1727,6 @@ def main() -> None:
     sales(scale)
     scan_bench(scale, args.scan_bench_out, seed=args.seed)
     query_bench(scale, args.query_bench_out, seed=args.seed)
-    prune_bench(scale, args.prune_bench_out, seed=args.seed)
     adapt_bench(scale, args.adapt_bench_out, seed=args.seed)
     partition_bench(scale, args.partition_bench_out, seed=args.seed)
     txn_bench(scale, args.txn_bench_out, seed=args.seed)

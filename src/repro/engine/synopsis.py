@@ -13,9 +13,10 @@ value vector (:func:`repro.vector.min_max_nulls`).
 At scan time, :mod:`repro.engine.table` extracts per-field intervals from the
 query predicate (:func:`predicate_intervals`, built on
 :meth:`repro.query.expressions.Predicate.ranges` — *necessary* conditions
-only, so pruning can never drop a matching record) and intersects them
-against a whole collection in one vector pass (:meth:`ZoneTable.keep_mask`)
-**before** any page is fetched or decoded:
+only, so pruning can never drop a matching record) and
+:func:`repro.engine.access.open_run` intersects them against a whole
+collection in one vector pass (:meth:`ZoneTable.keep_mask`) **before** any
+page is fetched or decoded:
 
 * row / array layouts — a per-page *skip set* (:func:`rows_page_skip`);
 * column layouts — surviving *row intervals* shared by every scanned group

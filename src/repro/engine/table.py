@@ -34,13 +34,16 @@ projection is a precomputed ``operator.itemgetter``, and overflow/pending
 records trail as extra batches. :meth:`Table.scan_reference` keeps the
 original tuple-at-a-time pipeline for equivalence testing and benchmarking;
 both paths produce byte-identical results in the same order.
+
+How one run is read under one predicate — what is pruned, what that costs —
+is decided in :mod:`repro.engine.access`; this module walks regions × runs
+over those decisions, for the scan, its cost and its explain fields alike.
 """
 
 from __future__ import annotations
 
 import operator
 import weakref
-from bisect import bisect_right
 from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
@@ -67,6 +70,7 @@ from repro.algebra.transforms import (
     undelta_records,
 )
 from repro.engine import synopsis as zonemaps
+from repro.engine.access import RunAccess, count_runs, index_access, open_run
 from repro.engine.catalog import CatalogEntry
 from repro.engine.cost import CostEstimate, CostModel, estimate
 from repro.errors import CorruptPageError, QueryError, StorageError
@@ -75,11 +79,12 @@ from repro.layout.renderer import (
     ColumnBatch,
     LayoutRenderer,
     StoredLayout,
-    select_cell_fields,
     select_column_groups,
     sort_batches,
 )
 from repro.query.expressions import Predicate
+from repro.storage.page import SlottedPage
+from repro.storage.serializer import RecordSerializer
 from repro.types.schema import Schema
 from repro.types.values import multisort
 
@@ -520,13 +525,7 @@ class Table:
         self._corruption_report = []
         self._entry.last_corruption_skipped = self._corruption_report
         needed = self._needed_fields(fieldlist, predicate, order_keys)
-        # An index probe is a batch per matched page, fetched as the scan
-        # pulls it: a pushed-down limit stops fetching pages early.
-        batches = self._index_path(predicate)
-        if batches is not None:
-            avail = self.plan.schema.names()
-        else:
-            batches, avail = self._table_source(needed, predicate)
+        batches, avail = self._table_source(needed, predicate)
         positions = {name: i for i, name in enumerate(avail)}
 
         row_filter = None
@@ -680,14 +679,7 @@ class Table:
         order_keys: tuple[tuple[str, bool], ...],
     ) -> Iterator[tuple]:
         needed = self._needed_fields(fieldlist, predicate, order_keys)
-        index_batches = self._index_path(predicate)
-        if index_batches is not None:
-            rows = chain.from_iterable(
-                map(ColumnBatch.iter_rows, index_batches)
-            )
-            avail = self.plan.schema.names()
-        else:
-            rows, avail = self._table_source(needed, predicate, reference=True)
+        rows, avail = self._table_source(needed, predicate, reference=True)
         positions = {name: i for i, name in enumerate(avail)}
 
         if predicate is not None:
@@ -767,13 +759,21 @@ class Table:
         predicate: Predicate | None,
         reference: bool = False,
     ) -> tuple[Iterator, list[str]]:
-        """``(source, fields)`` over every region a scan must read.
+        """``(source, fields)`` of a scan: the index probe when
+        :func:`~repro.engine.access.index_access` finds one worth making,
+        else every region the scan must read.
 
         The routing of the three table shapes, and nothing else: which
         regions, in which field order, resolved how, contained how. The
         reading is :meth:`_region_batches` — or, with ``reference``, its
         tuple-at-a-time oracle :meth:`_region_reference_rows`.
         """
+        via_index = index_access(self, predicate)
+        if via_index is not None:
+            batches = via_index.batches()
+            if reference:
+                batches = _iter_batch_rows(batches)
+            return batches, via_index.fields
         scan = (
             self._region_reference_rows if reference else self._region_batches
         )
@@ -901,9 +901,9 @@ class Table:
         Runs stream in stored order with the pending buffer trailing — or,
         under a ``resolver`` (levels), the pending buffer first and the
         runs newest-first through it. Every run prunes against
-        ``predicate`` by its own synopses (:meth:`_batch_stored`; overflow
-        runs are row-major renders with page zone maps), the pending
-        buffer by its incrementally maintained zone. Batches are projected
+        ``predicate`` by its own synopses (:func:`~repro.engine.access.open_run`;
+        overflow runs are row-major renders with page zone maps), the
+        pending buffer by its incrementally maintained zone. Batches are projected
         to ``target``; ``None`` keeps the first run's own field order (a
         flat table's main run: no reorder on its hot path). ``unit(i,
         run)`` names a run for degraded-read containment; ``None`` leaves
@@ -912,21 +912,25 @@ class Table:
         runs = list(region.runs)
         if resolver is not None:
             runs.reverse()
+        intervals = self._prune_intervals(predicate)
         opened = None
         if target is None:
-            opened = self._batch_stored(runs[0].layout, needed, predicate)
-            target = opened[1]
+            opened = self._open_run(
+                runs[0].layout, needed, predicate, intervals
+            )
+            target = opened.fields
         fields = tuple(target)
         scan_names = tuple(self.scan_schema().names())
-        intervals = self._prune_intervals(predicate)
 
         def run_batches(run, opened) -> Iterator[ColumnBatch]:
             if opened is None:
                 if not run.row_count:
                     return
-                opened = self._batch_stored(run.layout, needed, predicate)
-            source, avail = opened
-            reorder = _batch_reorderer(avail, fields)
+                opened = self._open_run(
+                    run.layout, needed, predicate, intervals
+                )
+            source = opened.batches()
+            reorder = _batch_reorderer(opened.fields, fields)
             if reorder is not None:
                 source = map(reorder, source)
             if resolver is None or not resolver.enter_run(run):
@@ -1031,98 +1035,21 @@ class Table:
         )
         return _batch_rows(batches)
 
-    def _batch_stored(
+    def _open_run(
         self,
         layout: StoredLayout,
         needed: Sequence[str] | None,
         predicate: Predicate | None,
-    ) -> tuple[Iterator[ColumnBatch], list[str]]:
-        """Batch-iterate one stored layout: (batches, available fields).
-
-        Mirrors :meth:`_iter_stored` — same pruning decisions (sorted-rows
-        page pruning, grid cell pruning, folded key pruning, mirror replica
-        choice) — but reads through the renderer's bulk batch path.
-        """
-        plan = layout.plan
-        renderer = self._db.renderer
-        batch_rows = getattr(self._db, "batch_rows", DEFAULT_BATCH_ROWS)
-        if plan.kind == LAYOUT_ROWS:
-            names = plan.schema.names()
-            pruned = self._iter_sorted_rows_range(layout, predicate)
-            if pruned is not None:
-                return pruned, names
-            if plan.delta_fields:
-                # Delta reconstruction needs every preceding record, so
-                # page skipping is disabled (zones exclude delta fields
-                # anyway — stored values are not the logical values).
-                batches = renderer.iter_row_batches(layout)
-                positions = {n: i for i, n in enumerate(names)}
-                idx = [positions[f] for f in plan.delta_fields]
-                return _undelta_batches(batches, idx, tuple(names)), names
-            intervals = self._prune_intervals(predicate)
-            skip = (
-                zonemaps.rows_page_skip(layout, intervals)
-                if intervals
-                else None
-            )
-            return renderer.iter_row_batches(layout, skip=skip), names
-        if plan.kind == LAYOUT_COLUMNS:
-            groups = select_column_groups(layout, needed)
-            avail = [f for _, g in groups for f in g.fields]
-            indexes = [i for i, _ in groups]
-            delta_here = [f for f in plan.delta_fields if f in avail]
-            keep = None
-            if not delta_here:
-                intervals = self._prune_intervals(predicate)
-                if intervals:
-                    keep = zonemaps.column_keep_intervals(
-                        layout, indexes, intervals
-                    )
-            if keep is not None:
-                return (
-                    renderer.iter_pruned_column_batches(
-                        layout, indexes, keep, batch_size=batch_rows
-                    ),
-                    avail,
-                )
-            batches = renderer.iter_column_batches(
-                layout, indexes, batch_size=batch_rows
-            )
-            if delta_here:
-                positions = {n: i for i, n in enumerate(avail)}
-                idx = [positions[f] for f in delta_here]
-                batches = _undelta_batches(batches, idx, tuple(avail))
-            return batches, avail
-        if plan.kind == LAYOUT_GRID:
-            names = plan.schema.names()
-            return (
-                renderer.iter_grid_batches(
-                    layout,
-                    self._grid_prune_entries(layout, predicate, zones=True),
-                    needed,
-                ),
-                [names[i] for i in select_cell_fields(plan.schema, needed)],
-            )
-        if plan.kind == LAYOUT_FOLDED:
-            indices = self._folded_indices(layout, predicate, zones=True)
-            return (
-                renderer.iter_batches(
-                    layout, batch_size=batch_rows, folded_indices=indices
-                ),
-                _scan_schema(plan).names(),
-            )
-        if plan.kind == LAYOUT_MIRROR:
-            chosen = self._cheaper_mirror(layout, needed, predicate)
-            return self._batch_stored(chosen, needed, predicate)
-        if plan.kind == LAYOUT_ARRAY:
-            intervals = self._prune_intervals(predicate)
-            skip = (
-                zonemaps.rows_page_skip(layout, intervals)
-                if intervals
-                else None
-            )
-            return renderer.iter_array_batches(layout, skip=skip), ["value"]
-        raise StorageError(f"cannot scan layout kind {plan.kind!r}")
+        intervals: dict[str, tuple[float, float]],
+    ) -> RunAccess:
+        """:func:`~repro.engine.access.open_run` with this store's renderer,
+        statistics, cost model and batch size."""
+        db = self._db
+        return open_run(
+            db.renderer, layout, needed, predicate, intervals,
+            self._entry.stats, db.cost_model,
+            getattr(db, "batch_rows", DEFAULT_BATCH_ROWS),
+        )
 
     def _iter_stored(
         self,
@@ -1130,120 +1057,65 @@ class Table:
         needed: Sequence[str] | None,
         predicate: Predicate | None,
     ) -> tuple[Iterator[tuple], list[str]]:
-        """Iterate one stored layout, returning (records, available fields)."""
+        """Iterate one stored layout tuple-at-a-time: (records, fields).
+
+        The oracle reads what ``open_run`` decides from *empty* intervals —
+        cell bounds, folded keys and the sorted-range probe, but no zone
+        map. Only which replica of a mirror is read is the scan's own
+        (zone-priced) choice, so both pipelines walk the same stored order.
+        """
+        if layout.plan.kind == LAYOUT_MIRROR:
+            layout = self._open_run(
+                layout, needed, predicate, self._prune_intervals(predicate)
+            ).layout
+        access = self._open_run(layout, needed, predicate, {})
         plan = layout.plan
         renderer = self._db.renderer
-        if plan.kind == LAYOUT_ROWS:
-            pruned = self._iter_sorted_rows_range(layout, predicate)
-            if pruned is not None:
-                rows = chain.from_iterable(map(ColumnBatch.iter_rows, pruned))
-                return rows, plan.schema.names()
-            rows = renderer.iter_rows(layout)
-            if plan.delta_fields:
-                positions = {n: i for i, n in enumerate(plan.schema.names())}
-                rows = iter(
-                    undelta_records(list(rows), positions, plan.delta_fields)
-                )
-            return rows, plan.schema.names()
-        if plan.kind == LAYOUT_COLUMNS:
-            return self._iter_columns(layout, needed)
         if plan.kind == LAYOUT_GRID:
-            return self._iter_grid(layout, predicate), plan.schema.names()
+            entries = access.verdict
+            if entries is None:
+                entries = layout.cell_directory
+            cells = (renderer.read_cell(layout, entry) for entry in entries)
+            return chain.from_iterable(cells), plan.schema.names()
         if plan.kind == LAYOUT_FOLDED:
-            indices = self._folded_indices(layout, predicate)
-            return (
-                self._iter_unnested(layout, indices),
-                _scan_schema(plan).names(),
-            )
-        if plan.kind == LAYOUT_MIRROR:
-            chosen = self._cheaper_mirror(layout, needed, predicate)
-            return self._iter_stored(chosen, needed, predicate)
+            return self._iter_unnested(layout, access.verdict), access.fields
         if plan.kind == LAYOUT_ARRAY:
             leaves = renderer.iter_array_leaves(layout)
-            return ((v,) for v in leaves), ["value"]
-        raise StorageError(f"cannot scan layout kind {plan.kind!r}")
+            return ((v,) for v in leaves), access.fields
+        if plan.kind == LAYOUT_COLUMNS:
+            rows = self._iter_columns(layout, needed)
+        elif plan.delta_fields:
+            rows = renderer.iter_rows(layout)
+        else:
+            return _iter_batch_rows(access.batches()), access.fields
+        delta_here = [f for f in plan.delta_fields if f in access.fields]
+        if delta_here:
+            positions = {n: i for i, n in enumerate(access.fields)}
+            rows = iter(undelta_records(list(rows), positions, delta_here))
+        return rows, access.fields
 
     def _iter_columns(
         self, layout: StoredLayout, needed: Sequence[str] | None
-    ) -> tuple[Iterator[tuple], list[str]]:
-        """Positional merge of the column groups a query touches."""
-        renderer = self._db.renderer
-        plan = layout.plan
-        groups = select_column_groups(layout, needed)
-        avail: list[str] = []
-        iterators: list[tuple[Iterator[Any], bool]] = []
-        for i, group in groups:
-            avail.extend(group.fields)
-            iterators.append(
-                (renderer.iter_column_group(layout, i), len(group.fields) > 1)
-            )
-
-        def merged() -> Iterator[tuple]:
-            while True:
-                row: list[Any] = []
-                try:
-                    for it, is_mini in iterators:
-                        value = next(it)
-                        if is_mini:
-                            row.extend(value)
-                        else:
-                            row.append(value)
-                except StopIteration:
-                    return
-                yield tuple(row)
-
-        rows: Iterator[tuple] = merged()
-        delta_here = [f for f in plan.delta_fields if f in avail]
-        if delta_here:
-            positions = {n: i for i, n in enumerate(avail)}
-            rows = iter(undelta_records(list(rows), positions, delta_here))
-        return rows, avail
-
-    def _grid_prune_entries(
-        self,
-        layout: StoredLayout,
-        predicate: Predicate | None,
-        zones: bool = False,
-    ):
-        """Cell-directory entries a predicate cannot rule out, or ``None``
-        when no pruning applies.
-
-        Cell-bound pruning on the grid dimensions is always on; ``zones``
-        additionally intersects each cell's zone map (min/max over *every*
-        stored field) against the predicate intervals — the batch-scan and
-        costing path. The tuple-at-a-time reference path keeps
-        ``zones=False`` so it stays a zone-map-free oracle.
-        """
-        if predicate is None:
-            return None
-        ranges = predicate.ranges()
-        dims = layout.plan.grid.dims if layout.plan.grid else ()
-        usable = {d: ranges[d] for d in dims if d in ranges}
-        keep = None
-        if zones:
-            intervals = self._prune_intervals(predicate)
-            if intervals:
-                keep = zonemaps.directory_keep(layout, intervals)
-        if not usable and keep is None:
-            return None
-        # The zone verdict (a mask parallel to the directory) narrowed by
-        # the bounds test, delegated so there is one cell-bound convention.
-        directory = layout.cell_directory
-        return [
-            directory[i]
-            for i in vector.mask_indexes(layout.cell_keep(usable, keep))
-        ]
-
-    def _iter_grid(
-        self, layout: StoredLayout, predicate: Predicate | None
     ) -> Iterator[tuple]:
-        """Cells overlapping the predicate ranges, in stored cell order."""
+        """Positional merge of the column groups a query touches (stored
+        values: delta fields not yet reconstructed)."""
         renderer = self._db.renderer
-        entries = self._grid_prune_entries(layout, predicate)
-        if entries is None:
-            entries = layout.cell_directory
-        for entry in entries:
-            yield from renderer.read_cell(layout, entry)
+        iterators = [
+            (renderer.iter_column_group(layout, i), len(group.fields) > 1)
+            for i, group in select_column_groups(layout, needed)
+        ]
+        while True:
+            row: list[Any] = []
+            try:
+                for it, is_mini in iterators:
+                    value = next(it)
+                    if is_mini:
+                        row.extend(value)
+                    else:
+                        row.append(value)
+            except StopIteration:
+                return
+            yield tuple(row)
 
     def _iter_unnested(
         self, layout: StoredLayout, indices: Sequence[int] | None = None
@@ -1258,128 +1130,6 @@ class Table:
                     yield key + (item,)
                 else:
                     yield key + tuple(item)
-
-    def _folded_indices(
-        self,
-        layout: StoredLayout,
-        predicate: Predicate | None,
-        zones: bool = False,
-    ) -> list[int] | None:
-        """Folded-record indices surviving group-key range pruning.
-
-        ``zones`` additionally intersects each record's zone map (min/max
-        of the *nested* vectors too, not just the group key) against the
-        predicate intervals; the reference path keeps ``zones=False`` so it
-        stays a zone-map-free oracle.
-        """
-        if predicate is None or not layout.folded_keys:
-            return None
-        ranges = predicate.ranges()
-        constrained = [
-            (position, ranges[name])
-            for position, name in enumerate(layout.plan.group_fields)
-            if name in ranges
-        ]
-        zone_keep = None
-        if zones:
-            intervals = self._prune_intervals(predicate)
-            if intervals:
-                zone_keep = zonemaps.directory_keep(layout, intervals)
-        if not constrained and zone_keep is None:
-            return None
-        if zone_keep is None:
-            candidates = range(len(layout.folded_keys))
-        else:
-            candidates = vector.mask_indexes(zone_keep)
-        out = []
-        for i in candidates:
-            key = layout.folded_keys[i]
-            keep = True
-            for position, (lo, hi) in constrained:
-                value = key[position]
-                if not (
-                    isinstance(value, (int, float))
-                    and lo <= value <= hi
-                ):
-                    keep = False
-                    break
-            if keep:
-                out.append(i)
-        return out
-
-    def _iter_sorted_rows_range(
-        self, layout: StoredLayout, predicate: Predicate | None
-    ) -> Iterator[ColumnBatch] | None:
-        """Page-pruned scan of a sorted rows layout, one batch per page.
-
-        When the stored order's leading key is range-constrained, binary
-        search over page boundaries finds the first page that can contain a
-        match and the scan stops once the key passes the upper bound —
-        touching O(log n + matching) pages instead of all of them.
-        """
-        plan = layout.plan
-        bounds = self._sorted_range_bounds(layout, predicate)
-        if bounds is None:
-            return None
-        lead, lo, hi = bounds
-        lead_pos = plan.schema.index_of(lead)
-        renderer = self._db.renderer
-
-        def first_key_of_page(page_index: int):
-            from repro.storage.page import SlottedPage
-            from repro.storage.serializer import RecordSerializer
-
-            page_id = layout.extent.page_ids[page_index]
-            frame = renderer.pool.fetch(page_id)
-            try:
-                page = SlottedPage(renderer.page_size, frame.data)
-                blob = page.get(0)
-            finally:
-                renderer.pool.unpin(page_id)
-            return RecordSerializer(plan.schema).decode(blob)[lead_pos]
-
-        n_pages = len(layout.extent.page_ids)
-        # Binary search: last page whose first key is <= lo (a match could
-        # start inside it); empty pages cannot occur mid-extent.
-        left, right = 0, n_pages - 1
-        start = 0
-        while left <= right:
-            mid = (left + right) // 2
-            if first_key_of_page(mid) <= lo:
-                start = mid
-                left = mid + 1
-            else:
-                right = mid - 1
-
-        def generate() -> Iterator[ColumnBatch]:
-            for batch in renderer.iter_row_batches(layout, start=start):
-                # Keys ascend within the page: everything past ``hi`` —
-                # here and on every later page — is out of range.
-                keys = vector.to_list(batch.columns()[lead_pos])
-                cut = bisect_right(keys, hi)
-                if cut < len(keys):
-                    if cut:
-                        yield batch.head(cut)
-                    return
-                yield batch
-
-        return generate()
-
-    def _cheaper_mirror(
-        self,
-        layout: StoredLayout,
-        needed: Sequence[str] | None,
-        predicate: Predicate | None,
-    ) -> StoredLayout:
-        """Fractured-mirrors read path: pick the cheaper replica."""
-        best = None
-        best_cost = None
-        for mirror in layout.mirrors:
-            cost = self._layout_scan_cost(mirror, needed, predicate)
-            if best_cost is None or cost.ms < best_cost.ms:
-                best, best_cost = mirror, cost
-        assert best is not None
-        return best
 
     def _order_satisfied(self, order_keys: tuple[tuple[str, bool], ...]) -> bool:
         """Does a scan serve ``order_keys`` without sorting?
@@ -1416,9 +1166,6 @@ class Table:
     # secondary indexes (paper §1: "B+Trees as well as a variety of
     # geo-spatial indices")
     # ==================================================================
-
-    #: Use an index only when the estimated matching fraction is below this.
-    INDEX_SELECTIVITY_THRESHOLD = 0.3
 
     def create_index(self, field_name: str):
         """Build (or rebuild) a B+Tree secondary index over ``field_name``."""
@@ -1476,84 +1223,6 @@ class Table:
             r.pending or r.overflow or len(r.runs) > 1 for r in self._regions
         )
 
-    def _index_path(
-        self, predicate: Predicate | None
-    ) -> Iterator[ColumnBatch] | None:
-        """Probe a fresh secondary index when it would beat the full scan."""
-        positions = self._index_positions(predicate)
-        if positions is None:
-            return None
-        from repro.engine.indexes import fetch_rows_by_position
-
-        return fetch_rows_by_position(self, positions)
-
-    def _index_candidate(
-        self, predicate: Predicate | None
-    ) -> tuple[str, tuple[str, ...]] | None:
-        """Which index (if any) a scan would probe — decision only, no I/O.
-
-        Returns ``("spatial", (x, y))`` or ``("field", (name,))``, mirroring
-        the gates :meth:`_index_positions` applies before probing; the
-        planner uses this to label the access path without paying the probe.
-        """
-        if (
-            predicate is None
-            or self.plan.kind != LAYOUT_ROWS
-            or self._unmerged()
-            or not self.layout.page_row_counts
-        ):
-            return None
-        ranges = predicate.ranges()
-        stats = self._entry.stats
-        for (x_field, y_field) in self._spatial_indexes:
-            index = self._spatial_indexes[(x_field, y_field)]
-            if index.stale or x_field not in ranges or y_field not in ranges:
-                continue
-            if not self._selective_enough(stats, ranges, (x_field, y_field)):
-                continue
-            return "spatial", (x_field, y_field)
-        for field_name, index in self._indexes.items():
-            if index.stale or field_name not in ranges:
-                continue
-            lo, hi = ranges[field_name]
-            if lo == float("-inf") or hi == float("inf"):
-                continue
-            if not self._selective_enough(stats, ranges, (field_name,)):
-                continue
-            return "field", (field_name,)
-        return None
-
-    def _index_positions(
-        self, predicate: Predicate | None
-    ) -> list[int] | None:
-        candidate = self._index_candidate(predicate)
-        if candidate is None:
-            return None
-        kind, fields = candidate
-        ranges = predicate.ranges()
-        if kind == "spatial":
-            x_field, y_field = fields
-            index = self._spatial_indexes[(x_field, y_field)]
-            x_lo, x_hi = ranges[x_field]
-            y_lo, y_hi = ranges[y_field]
-            return index.positions_in_box(x_lo, x_hi, y_lo, y_hi)
-        (field_name,) = fields
-        lo, hi = ranges[field_name]
-        return self._indexes[field_name].positions_in_range(lo, hi)
-
-    def _selective_enough(
-        self, stats, ranges: dict, fields: tuple[str, ...]
-    ) -> bool:
-        if stats is None:
-            return True
-        fraction = 1.0
-        for name in fields:
-            field_stats = stats.fields.get(name)
-            if field_stats is not None:
-                lo, hi = ranges[name]
-                fraction *= field_stats.selectivity(lo, hi)
-        return fraction <= self.INDEX_SELECTIVITY_THRESHOLD
-
     # ==================================================================
     # get_element / next
     # ==================================================================
@@ -1607,9 +1276,6 @@ class Table:
                     page_id = self.layout.extent.page_ids[page_pos]
                     frame = renderer.pool.fetch(page_id)
                     try:
-                        from repro.storage.page import SlottedPage
-                        from repro.storage.serializer import RecordSerializer
-
                         page = SlottedPage(renderer.page_size, frame.data)
                         blob = page.get(remaining)
                         record = RecordSerializer(plan.schema).decode(blob)
@@ -1621,10 +1287,8 @@ class Table:
                         break
                     return record
                 remaining -= count
-            else:
-                # fell through all pages; check overflow/pending below
-                pass
-        # Positional fallback walk — engine plumbing, not query workload.
+        # Past the main run (overflow, pending) or not directly addressable:
+        # a positional walk — engine plumbing, not query workload.
         with self._db.adaptivity.pause():
             for position, record in enumerate(self.scan()):
                 if position == index:
@@ -1696,37 +1360,43 @@ class Table:
         """Estimated cost of the scan, in milliseconds (§4.1 method 4)."""
         order_keys = normalize_order(order)
         needed = self._needed_fields(fieldlist, predicate, order_keys)
-        total = self._full_scan_estimate(needed, predicate)
-        via_index = self._index_cost(predicate)
-        if via_index is not None and via_index.ms < total.ms:
-            return via_index
+        total = self._scan_estimate(needed, predicate)
+        via_index = index_access(self, predicate)
+        if via_index is not None:
+            cost = via_index.cost(self._db.cost_model)
+            if cost.ms < total.ms:
+                return cost
         return total
 
-    def _full_scan_estimate(
+    def _run_accesses(
+        self,
+        needed: Sequence[str] | None,
+        predicate: Predicate | None,
+    ) -> Iterator[RunAccess]:
+        """THE metadata walk: the :class:`~repro.engine.access.RunAccess` of
+        every run a scan with these arguments reads — the very values
+        :meth:`_region_batches` reads through, so cost and explain fold
+        what the scan does. Overflow runs are rows runs like any other;
+        pending rows are memory-resident; partition pruning shows up
+        exactly as at runtime (only surviving regions are walked)."""
+        regions = self.partition_survivors(predicate)
+        needed, predicate = self._run_scan_args(needed, predicate)
+        intervals = self._prune_intervals(predicate)
+        for region in regions:
+            for run in region.runs:
+                yield self._open_run(run.layout, needed, predicate, intervals)
+
+    def _scan_estimate(
         self,
         needed: Sequence[str] | None,
         predicate: Predicate | None,
     ) -> CostEstimate:
-        """One independently costed pass per run of every region the scan
-        reads (the shared scan branch of :meth:`scan_cost` and
-        :meth:`access_path`); pending rows are memory-resident.
-
-        Partitioned tables sum the surviving regions only — partition
-        pruning shows up in the estimate exactly as it does at runtime.
-        """
+        """One independently costed pass per run the scan reads."""
         model = self._db.cost_model
-        regions = self.partition_survivors(predicate)
-        needed, predicate = self._run_scan_args(needed, predicate)
-        total = CostEstimate.zero()
-        for region in regions:
-            for run in region.runs:
-                if run.overflow:
-                    total = total + estimate(model, run.total_pages(), 1)
-                else:
-                    total = total + self._layout_scan_cost(
-                        run.layout, needed, predicate
-                    )
-        return total
+        return sum(
+            (a.cost(model) for a in self._run_accesses(needed, predicate)),
+            CostEstimate.zero(),
+        )
 
     def _run_scan_args(
         self, needed: Sequence[str] | None, predicate: Predicate | None
@@ -1752,236 +1422,38 @@ class Table:
 
         Returns ``("index", cost)`` or ``("scan", cost)``. Unlike
         :meth:`scan_cost` — which returns the cheaper of the two estimates —
-        this mirrors the runtime gate (:meth:`_index_candidate`: a fresh,
-        range-covered, selective-enough index), so ``Q.explain()`` reports
-        the path :meth:`scan_batches` will take, with its estimated cost.
+        this is the scan's own choice
+        (:func:`~repro.engine.access.index_access`: the cheapest fresh,
+        range-covered, selective-enough index, if any), so ``Q.explain()``
+        reports the path :meth:`scan_batches` will take, with its cost.
         """
+        via_index = index_access(self, predicate)
+        if via_index is not None:
+            return "index", via_index.cost(self._db.cost_model)
         order_keys = normalize_order(order)
         needed = self._needed_fields(fieldlist, predicate, order_keys)
-        if self._index_candidate(predicate) is not None:
-            via_index = self._index_cost(predicate)
-            if via_index is not None:
-                return "index", via_index
-        return "scan", self._full_scan_estimate(needed, predicate)
+        return "scan", self._scan_estimate(needed, predicate)
 
     def pruned_pages(
         self,
         predicate: Predicate | None = None,
         fieldlist: Sequence[str] | None = None,
     ) -> int:
-        """Exact number of data pages zone-map pruning will skip.
+        """Exact number of data pages the scan's pruning will skip.
 
         Computed purely from the layout synopses and the predicate's
-        per-field intervals — no data page is touched — and mirrors the
-        decisions :meth:`scan_batches` makes (including overflow regions),
-        so ``Q.explain()`` can report it per scan node before execution.
+        per-field intervals — no data page is touched — as the sum of the
+        scan's own per-run verdicts (overflow runs included) plus every
+        page of the partitions it rules out, so ``Q.explain()`` can report
+        it per scan node before execution.
         """
         if predicate is None or not self.is_loaded:
             return 0
         needed = self._needed_fields(fieldlist, predicate, ())
         survivors = {r.pid for r in self.partition_survivors(predicate)}
-        needed, predicate = self._run_scan_args(needed, predicate)
-        total = 0
-        for region in self._regions:
-            if region.pid not in survivors:
-                # The whole region is skipped: every one of its pages
-                # (main run and overflow) counts as pruned.
-                total += region.total_pages()
-                continue
-            for run in region.runs:
-                total += self._layout_pruned_pages(
-                    run.layout, needed, predicate
-                )
-        return total
-
-    def _layout_pruned_pages(
-        self,
-        layout: StoredLayout,
-        needed: Sequence[str] | None,
-        predicate: Predicate | None,
-    ) -> int:
-        """Pages of ``layout`` the batch scan will skip (metadata only)."""
-        intervals = self._prune_intervals(predicate)
-        if not intervals:
-            return 0
-        plan = layout.plan
-        if plan.kind == LAYOUT_ROWS:
-            if plan.delta_fields or self._sorted_prune_applies(
-                layout, predicate
-            ):
-                return 0
-            skip = zonemaps.rows_page_skip(layout, intervals)
-            return len(skip) if skip else 0
-        if plan.kind == LAYOUT_ARRAY:
-            skip = zonemaps.rows_page_skip(layout, intervals)
-            return len(skip) if skip else 0
-        if plan.kind == LAYOUT_COLUMNS:
-            groups = select_column_groups(layout, needed)
-            avail = [f for _, g in groups for f in g.fields]
-            if any(f in avail for f in plan.delta_fields):
-                return 0
-            indexes = [i for i, _ in groups]
-            keep = zonemaps.column_keep_intervals(layout, indexes, intervals)
-            if keep is None:
-                return 0
-            return zonemaps.column_pruned_pages(layout, indexes, keep)
-        if plan.kind == LAYOUT_GRID:
-            entries = self._grid_prune_entries(layout, predicate, zones=True)
-            if entries is None:
-                return 0
-            renderer = self._db.renderer
-            all_pages = renderer.pages_for_cells(
-                layout, layout.cell_directory
-            )
-            kept_pages = renderer.pages_for_cells(layout, entries)
-            return len(all_pages) - len(kept_pages)
-        if plan.kind == LAYOUT_FOLDED:
-            indices = self._folded_indices(layout, predicate, zones=True)
-            if indices is None or layout.extent is None:
-                return 0
-            touched = self._db.renderer.pages_for_stream_ranges(
-                layout, [layout.folded_directory[i] for i in indices]
-            )
-            return len(layout.extent.page_ids) - len(touched)
-        if plan.kind == LAYOUT_MIRROR:
-            chosen = self._cheaper_mirror(layout, needed, predicate)
-            return self._layout_pruned_pages(chosen, needed, predicate)
-        return 0
-
-    def _sorted_prune_applies(
-        self, layout: StoredLayout, predicate: Predicate | None
-    ) -> bool:
-        """Will :meth:`_iter_sorted_rows_range` handle this scan instead?
-
-        Shares that method's gate (:meth:`_sorted_range_bounds`) but does
-        no binary-search page fetches — pure metadata, usable from the
-        costing paths.
-        """
-        return self._sorted_range_bounds(layout, predicate) is not None
-
-    def _sorted_range_bounds(
-        self, layout: StoredLayout, predicate: Predicate | None
-    ) -> tuple[str, float, float] | None:
-        """The (leading key, lo, hi) a sorted-rows range scan can use, or
-        ``None`` — the single gate shared by the runtime path
-        (:meth:`_iter_sorted_rows_range`) and its metadata twin
-        (:meth:`_sorted_prune_applies`), so the two can never diverge."""
-        plan = layout.plan
-        if (
-            not plan.sort_keys
-            or plan.delta_fields
-            or predicate is None
-            or not layout.page_row_counts
-            or layout.extent is None
-        ):
-            return None
-        lead, ascending = plan.sort_keys[0]
-        if not ascending:
-            return None  # descending pruning omitted for clarity
-        ranges = predicate.ranges()
-        if lead not in ranges:
-            return None
-        lo, hi = ranges[lead]
-        if lo == float("-inf") and hi == float("inf"):
-            return None
-        return lead, lo, hi
-
-    def _index_cost(self, predicate: Predicate | None) -> CostEstimate | None:
-        """Estimated cost of the secondary-index path, from statistics."""
-        if (
-            predicate is None
-            or self.plan.kind != LAYOUT_ROWS
-            or self._unmerged()
-        ):
-            return None
-        stats = self._entry.stats
-        ranges = predicate.ranges()
-        model = self._db.cost_model
-        data_pages = self.layout.total_pages()
-        best: CostEstimate | None = None
-        candidates: list[tuple[tuple[str, ...], int]] = []
-        for (x, y), index in self._spatial_indexes.items():
-            if not index.stale and x in ranges and y in ranges:
-                candidates.append(((x, y), index.tree.height))
-        for name, index in self._indexes.items():
-            if not index.stale and name in ranges:
-                lo, hi = ranges[name]
-                if lo != float("-inf") and hi != float("inf"):
-                    candidates.append(((name,), index.tree.height))
-        for fields, height in candidates:
-            fraction = 1.0
-            if stats is not None:
-                for name in fields:
-                    field_stats = stats.fields.get(name)
-                    if field_stats is not None:
-                        lo, hi = ranges[name]
-                        fraction *= field_stats.selectivity(lo, hi)
-            pages = height + max(1.0, fraction * data_pages)
-            # Matching rows scatter across pages: roughly one seek per page.
-            cost = estimate(model, pages, pages)
-            if best is None or cost.ms < best.ms:
-                best = cost
-        return best
-
-    def _layout_scan_cost(
-        self,
-        layout: StoredLayout,
-        needed: Sequence[str] | None,
-        predicate: Predicate | None,
-    ) -> CostEstimate:
-        model = self._db.cost_model
-        plan = layout.plan
-        if plan.kind == LAYOUT_ROWS:
-            pages = layout.total_pages()
-            if predicate is not None and plan.sort_keys and not plan.delta_fields:
-                lead, ascending = plan.sort_keys[0]
-                ranges = predicate.ranges()
-                if ascending and lead in ranges and self._entry.stats:
-                    field_stats = self._entry.stats.fields.get(lead)
-                    if field_stats is not None:
-                        lo, hi = ranges[lead]
-                        fraction = field_stats.selectivity(lo, hi)
-                        import math
-
-                        pages = min(
-                            pages,
-                            math.ceil(math.log2(pages + 1))
-                            + max(1, math.ceil(pages * fraction)),
-                        )
-            pruned = self._layout_pruned_pages(layout, needed, predicate)
-            if pruned:
-                pages = min(pages, layout.total_pages() - pruned)
-            return estimate(model, pages, 1)
-        if plan.kind == LAYOUT_FOLDED:
-            indices = self._folded_indices(layout, predicate, zones=True)
-            if indices is not None and layout.extent is not None:
-                pages = self._db.renderer.pages_for_stream_ranges(
-                    layout, [layout.folded_directory[i] for i in indices]
-                )
-                return estimate(model, len(pages), _count_runs(pages))
-            return estimate(model, layout.total_pages(), 1)
-        if plan.kind == LAYOUT_ARRAY:
-            pages = layout.total_pages()
-            pages -= self._layout_pruned_pages(layout, needed, predicate)
-            return estimate(model, max(1, pages), 1)
-        if plan.kind == LAYOUT_COLUMNS:
-            groups = [g for _, g in select_column_groups(layout, needed)]
-            pages = sum(len(g.extent.page_ids) for g in groups)
-            pages -= self._layout_pruned_pages(layout, needed, predicate)
-            return estimate(model, max(1, pages), max(1, len(groups)))
-        if plan.kind == LAYOUT_GRID:
-            entries = self._grid_prune_entries(layout, predicate, zones=True)
-            if entries is None:
-                entries = layout.cell_directory
-            pages = self._db.renderer.pages_for_cells(layout, entries)
-            return estimate(model, len(pages), _count_runs(pages))
-        if plan.kind == LAYOUT_MIRROR:
-            costs = [
-                self._layout_scan_cost(m, needed, predicate)
-                for m in layout.mirrors
-            ]
-            return min(costs, key=lambda c: c.ms)
-        raise StorageError(f"cannot cost layout kind {plan.kind!r}")
+        return sum(
+            r.total_pages() for r in self._regions if r.pid not in survivors
+        ) + sum(a.pruned for a in self._run_accesses(needed, predicate))
 
     def get_element_cost(
         self,
@@ -1991,9 +1463,7 @@ class Table:
         """Estimated cost of ``get_element`` (§4.1 method 5)."""
         model = self._db.cost_model
         plan = self.plan
-        if plan.kind == LAYOUT_ROWS:
-            return estimate(model, 1, 1)
-        if plan.kind == LAYOUT_ARRAY:
+        if plan.kind in (LAYOUT_ROWS, LAYOUT_ARRAY):
             return estimate(model, 1, 1)
         if plan.kind == LAYOUT_GRID and not isinstance(index, int):
             try:
@@ -2001,20 +1471,14 @@ class Table:
             except QueryError:
                 return estimate(model, 0, 0)
             pages = self._db.renderer.pages_for_cells(self.layout, [entry])
-            return estimate(model, len(pages), _count_runs(pages))
+            return estimate(model, len(pages), count_runs(pages))
         if plan.kind == LAYOUT_COLUMNS:
-            needed = fieldlist if fieldlist is not None else plan.schema.names()
-            needed_set = set(needed)
-            groups = [
-                g
-                for g in self.layout.column_groups
-                if needed_set & set(g.fields)
-            ]
-            return estimate(model, max(1, len(groups)), max(1, len(groups)))
+            groups = len(select_column_groups(self.layout, fieldlist))
+            return estimate(model, groups, groups)
         # Everything else — folded and mirror layouts, the regions of a
         # partitioned table, the runs of a levelled one — is walked in
         # scan order: bounded by a full scan.
-        return self._full_scan_estimate(None, None)
+        return self._scan_estimate(None, None)
 
     def order_list(self) -> list[tuple[tuple[str, bool], ...]]:
         """Sort orders the current organization serves efficiently (§4.1
@@ -2596,35 +2060,10 @@ def _batch_projector(out_idx: Sequence[int] | None):
     return lambda rows: list(map(getter, rows))
 
 
+def _iter_batch_rows(batches: Iterable[ColumnBatch]) -> Iterator[tuple]:
+    """The rows of ``batches``, as native-python tuples."""
+    return chain.from_iterable(map(ColumnBatch.iter_rows, batches))
+
+
 def _batch_rows(batches: Iterable[ColumnBatch]) -> list[tuple]:
-    """Every row of ``batches`` as native-python tuples."""
-    return list(chain.from_iterable(map(ColumnBatch.iter_rows, batches)))
-
-
-def _undelta_batches(
-    batches: Iterable[ColumnBatch],
-    idx: Sequence[int],
-    fields: tuple[str, ...],
-) -> Iterator[ColumnBatch]:
-    """Reconstruct delta-encoded fields batch-wise: each one a running sum
-    (:func:`repro.vector.prefix_sum`) carried across batch boundaries."""
-    carry: list = [None] * len(idx)
-    for batch in batches:
-        if not batch.n_rows:
-            continue
-        columns = list(batch.columns())
-        for k, i in enumerate(idx):
-            columns[i] = vector.prefix_sum(columns[i], carry=carry[k])
-            (carry[k],) = vector.to_list(columns[i][-1:])
-        yield ColumnBatch.from_columns(fields, columns)
-
-
-def _count_runs(page_ids: Sequence[int]) -> int:
-    """Number of contiguous runs in a sorted page-id list (seek count)."""
-    if not page_ids:
-        return 0
-    runs = 1
-    for prev, current in zip(page_ids, page_ids[1:]):
-        if current != prev + 1:
-            runs += 1
-    return runs
+    return list(_iter_batch_rows(batches))

@@ -27,8 +27,9 @@ Read paths come in two granularities:
 * tuple-at-a-time iterators (``iter_rows``, ``iter_column_group``, ...) —
   the reference implementation, kept for equivalence testing and as the
   before-side of the scan benchmarks;
-* **batch-at-a-time** readers (:meth:`LayoutRenderer.iter_batches` and the
-  per-layout helpers it dispatches to) — the hot path. They yield
+* **batch-at-a-time** readers (``iter_row_batches``, ``iter_column_batches``,
+  ``iter_grid_batches``, ... — one per layout kind, chosen and parameterized
+  by :func:`repro.engine.access.open_run`) — the hot path. They yield
   :class:`ColumnBatch` objects: a page, a chunk or a run of grid cells
   worth of decoded values at once, produced by the codecs' vectorized
   ``decode_buffer``, so the per-value Python interpreter tax is paid once
@@ -1262,56 +1263,6 @@ class LayoutRenderer:
     # ==================================================================
     # Reading (batch-at-a-time scan path)
     # ==================================================================
-
-    def iter_batches(
-        self,
-        layout: StoredLayout,
-        needed: Sequence[str] | None = None,
-        *,
-        batch_size: int = DEFAULT_BATCH_ROWS,
-        folded_indices: Sequence[int] | None = None,
-        grid_entries: Sequence[CellEntry] | None = None,
-    ) -> Iterator[ColumnBatch]:
-        """Yield :class:`ColumnBatch` objects covering ``layout`` in storage
-        order — the batch-at-a-time scan entry point.
-
-        Args:
-            needed: fields the scan touches; column layouts decode only the
-                groups, and grid layouts only the cell fields, these live
-                in (``None`` = all fields).
-            batch_size: target rows per batch where the source's natural
-                unit (page, chunk, page of cell stream) doesn't dictate one.
-            folded_indices: directory positions to read for folded layouts
-                (the key-range pruning hook); ``None`` = all.
-            grid_entries: cell-directory entries to read for grid layouts
-                (the cell pruning hook); ``None`` = all cells.
-
-        Mirror layouts have no single storage order — the caller picks a
-        replica (cost-based) and passes it here.
-        """
-        kind = layout.plan.kind
-        if kind == LAYOUT_ROWS:
-            yield from self.iter_row_batches(layout)
-        elif kind == LAYOUT_COLUMNS:
-            indexes = [i for i, _ in select_column_groups(layout, needed)]
-            yield from self.iter_column_batches(
-                layout, indexes, batch_size=batch_size
-            )
-        elif kind == LAYOUT_GRID:
-            yield from self.iter_grid_batches(layout, grid_entries, needed)
-        elif kind == LAYOUT_FOLDED:
-            yield from self.iter_folded_batches(
-                layout, folded_indices, batch_size=batch_size
-            )
-        elif kind == LAYOUT_ARRAY:
-            yield from self.iter_array_batches(layout)
-        elif kind == LAYOUT_MIRROR:
-            raise StorageError(
-                "mirror layouts need a replica choice; batch-iterate the "
-                "chosen replica instead"
-            )
-        else:
-            raise StorageError(f"cannot batch-scan layout kind {kind!r}")
 
     def iter_row_batches(
         self,

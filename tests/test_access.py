@@ -1,0 +1,283 @@
+"""``engine/access.py``: one access decision per run.
+
+``open_run`` is tested kind by kind against what its reader actually does —
+the pages ``batches()`` fetches are the ``pages`` it prices, ``pages +
+pruned`` is the run, deciding and pricing touch no page — and the structure
+that keeps it the *only* such decision is pinned at the end (same style as
+``tests/test_numpy_boundary.py``).
+"""
+
+import ast
+import os
+import re
+
+import pytest
+
+from repro.engine import access
+from repro.engine.access import open_run
+from repro.engine.database import RodentStore
+from repro.errors import StorageError
+from repro.layout.renderer import LayoutRenderer
+from repro.query.expressions import And, Range, Rect
+from repro.types import Schema
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "repro"
+)
+
+SCHEMA = Schema.of("t:int", "x:int", "y:int", "g:int")
+RECORDS = [(i, (i * 7) % 53 - 26, (i * i) % 41, i // 150) for i in range(600)]
+
+LAYOUTS = {
+    "rows": "T",
+    "rows_sorted": "orderby[t](T)",
+    "rows_delta": "delta[t](T)",
+    "columns": "columns[[t, g], [x], [y]](T)",
+    "grid": "compress[varint; x, y](zorder(grid[x, y],[10, 10](T)))",
+    "folded": "fold[t, x, y; g](T)",
+    "mirror": "mirror(rows(T), columns(T))",
+}
+#: kind -> the type of a non-empty verdict (``None`` where nothing prunes).
+VERDICTS = {
+    "rows": set,
+    "rows_sorted": tuple,
+    "rows_delta": type(None),
+    "columns": list,
+    "grid": list,
+    "folded": list,
+    "mirror": set,
+}
+PREDICATE = And(Range("t", 100, 160), Range("x", -20, -12))
+
+
+def build(kind):
+    store = RodentStore(page_size=1024, pool_capacity=256)
+    store.create_table("T", SCHEMA, layout=LAYOUTS[kind])
+    return store, store.load("T", RECORDS)
+
+
+def opened(store, table, needed, predicate, zones=True):
+    intervals = access.zonemaps.predicate_intervals(predicate) if zones else {}
+    return open_run(
+        store.renderer, table.layout, needed, predicate, intervals,
+        table.stats, store.cost_model,
+    )
+
+
+def fetches(store, action):
+    """``(result, page ids fetched)`` of ``action`` on a cold pool."""
+    store.pool.clear()
+    store.table("T").layout.clear_caches()  # decoded column chunks too
+    seen = set()
+    pool_fetch = store.pool.fetch
+
+    def fetch(page_id, *args, **kwargs):
+        seen.add(page_id)
+        return pool_fetch(page_id, *args, **kwargs)
+
+    store.pool.fetch = fetch
+    try:
+        return action(), seen
+    finally:
+        del store.pool.fetch
+
+
+def rows_of(run_access):
+    return [row for batch in run_access.batches() for row in batch.rows()]
+
+
+@pytest.mark.parametrize("kind", sorted(LAYOUTS))
+def test_cost_prune_and_read_are_one_verdict(kind):
+    store, table = build(kind)
+    positions = {n: i for i, n in enumerate(SCHEMA.names())}
+    whole = opened(store, table, None, None)
+    assert whole.pruned == 0
+
+    def decide():
+        run = opened(store, table, None, PREDICATE)
+        return run, run.pages, run.seeks, run.pruned, run.cost(store.cost_model)
+
+    (run, pages, seeks, pruned, cost), touched = fetches(store, decide)
+    assert touched == set()  # deciding and pricing are metadata only
+    assert isinstance(run.verdict, VERDICTS[kind])
+    assert (cost.pages, cost.seeks) == (pages, seeks)
+
+    rows, touched = fetches(store, lambda: rows_of(run))
+    index = [run.fields.index(n) for n in SCHEMA.names()]
+    got = sorted(
+        r for r in (tuple(row[i] for i in index) for row in rows)
+        if PREDICATE.matches(r, positions)
+    )
+    assert got == sorted(r for r in RECORDS if PREDICATE.matches(r, positions))
+    if kind == "rows_sorted":  # priced from statistics: an estimate
+        assert pruned == 0 and pages <= whole.pages
+        assert len(touched) < whole.pages
+    else:
+        assert len(touched) == pages
+        assert pages + pruned == whole.pages
+        assert (pruned > 0) == (kind != "rows_delta")
+
+
+@pytest.mark.parametrize("kind", ["rows", "columns", "grid", "folded"])
+def test_empty_intervals_consult_no_zone_map(kind, monkeypatch):
+    """``intervals={}`` is the zone-map-free oracle's (and ``zone_pruning =
+    False``'s) verdict: cell bounds and folded keys still prune, zones never."""
+    store, table = build(kind)
+
+    def no_zone_table(*args, **kwargs):
+        raise AssertionError("zone map consulted")
+
+    monkeypatch.setattr(access.zonemaps.ZoneTable, "keep_mask", no_zone_table)
+    predicate = Rect({"x": (-20, -15), "g": (1, 2)})
+    run = opened(store, table, None, predicate, zones=False)
+    assert (run.verdict is not None) == (kind in ("grid", "folded"))
+    assert (run.pruned > 0) == (kind in ("grid", "folded"))
+
+
+def test_projection_selects_the_fields_and_groups_read():
+    store, table = build("columns")
+    run = opened(store, table, ["x"], Range("x", 0, 5))
+    assert run.fields == ["x"] and run.seeks == 1
+    assert run.pages < opened(store, table, None, Range("x", 0, 5)).pages
+    store, table = build("grid")
+    assert opened(store, table, ["y", "t"], None).fields == ["t", "y"]
+
+
+def test_sorted_probe_builds_one_serializer_per_scan(monkeypatch):
+    store, table = build("rows_sorted")
+    built = []
+    serializer = access.RecordSerializer
+    monkeypatch.setattr(
+        access,
+        "RecordSerializer",
+        lambda schema: built.append(schema) or serializer(schema),
+    )
+    run = opened(store, table, None, Range("t", 300, 330))
+    assert run.verdict == ("t", 300, 330)
+    rows = rows_of(run)  # from the page the range starts on, cut at ``hi``
+    assert rows[-1] == RECORDS[330] and RECORDS[300] in rows
+    assert rows == RECORDS[rows[0][0] : 331]
+    assert len(built) == 1  # not one per binary-search probe
+
+
+def test_a_scan_does_no_page_arithmetic(monkeypatch):
+    """``pages`` / ``seeks`` / ``pruned`` are lazy: the reader never pays
+    for ``pages_for_cells`` — only the planner, when it prices."""
+    store, table = build("grid")
+    calls = []
+    original = LayoutRenderer.pages_for_stream_ranges
+
+    def counted(self, layout, ranges):
+        calls.append(len(ranges))
+        return original(self, layout, ranges)
+
+    monkeypatch.setattr(LayoutRenderer, "pages_for_stream_ranges", counted)
+    predicate = Rect({"x": (-5, 5), "y": (0, 10)})
+    assert list(table.scan(predicate=predicate))
+    assert calls == []
+    table.scan_cost(predicate=predicate)
+    assert len(calls) == 1  # the kept cells, once; ``pruned`` not asked
+
+
+def test_mirror_is_the_cheapest_replica():
+    store, table = build("mirror")
+    model = store.cost_model
+    for needed, predicate in ((None, None), (["x"], Range("t", 0, 50))):
+        run = opened(store, table, needed, predicate)
+        intervals = access.zonemaps.predicate_intervals(predicate)
+        replicas = [
+            open_run(store.renderer, m, needed, predicate, intervals,
+                     table.stats, model)
+            for m in table.layout.mirrors
+        ]
+        assert run.layout in table.layout.mirrors
+        assert run.cost(model).ms == min(r.cost(model).ms for r in replicas)
+    assert opened(store, table, None, None).layout.plan.kind == "rows"
+    assert opened(store, table, ["x"], None).layout.plan.kind == "columns"
+
+
+def test_unscannable_kind_is_rejected():
+    store = RodentStore(page_size=1024)
+    store.create_table("T", SCHEMA, layout="partition[t; range, 200](T)")
+    table = store.load("T", RECORDS)
+    layout = table.partitions[0].main.layout
+    shell = type(layout)(plan=table.plan, row_count=0)  # kind: partitioned
+    with pytest.raises(StorageError):
+        open_run(store.renderer, shell, None, None, {}, None, store.cost_model)
+
+
+def test_overflow_runs_are_costed_like_they_are_read():
+    """An overflow run prunes by its page zone maps when scanned, so it is
+    priced by them too (the parent charged it every page: 50, not 2)."""
+    schema = Schema.of("t:int", "v:int")
+    store = RodentStore(page_size=1024, pool_capacity=256)
+    store.create_table("T", schema)
+    table = store.load("T", [(i, i % 13) for i in range(2000)])
+    table.insert([(10_000 + i, i % 13) for i in range(2000)])
+    table.flush_inserts()
+    predicate = Range("t", 10_000, 10_050)
+    total = sum(region.total_pages() for region in table.partitions)
+    pruned = table.pruned_pages(predicate)
+    assert 0 < pruned < total
+    assert table.scan_cost(predicate=predicate).pages == total - pruned
+    _, io = store.run_cold(lambda: list(table.scan(predicate=predicate)))
+    assert io.page_reads == total - pruned
+
+
+# -- structure ---------------------------------------------------------------
+
+_KIND_TEST = re.compile(r"kind\s*[!=]=\s*LAYOUT_")
+DELETED = (
+    "_batch_stored", "_layout_scan_cost", "_layout_pruned_pages",
+    "_full_scan_estimate", "_cheaper_mirror", "_grid_prune_entries",
+    "_folded_indices", "_iter_sorted_rows_range", "_sorted_prune_applies",
+    "_sorted_range_bounds", "_index_candidate", "_index_cost",
+    "_index_positions", "_index_path", "_selective_enough",
+)
+
+
+def _engine_sources():
+    folder = os.path.join(SRC, "engine")
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".py"):
+            with open(os.path.join(folder, name), encoding="utf-8") as f:
+                yield name, f.read()
+
+
+def test_table_walks_and_access_decides():
+    sources = dict(_engine_sources())
+    # 36 at the parent; the survivors are the two shape tests, the
+    # reference readers, get_element* and _scan_schema.
+    assert len(_KIND_TEST.findall(sources["table.py"])) <= 16
+    assert not hasattr(LayoutRenderer, "iter_batches")
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # A ``zones`` *switch* (the two in ``persistence.py`` are
+                # zone tables being serialized, positional and undefaulted).
+                args = node.args
+                positional = args.posonlyargs + args.args
+                optional = positional[len(positional) - len(args.defaults) :]
+                switches = [a.arg for a in optional + args.kwonlyargs]
+                assert "zones" not in switches, (name, node.name)
+
+
+def test_the_replaced_ladders_are_gone():
+    gone = re.compile(r"\b(" + "|".join(DELETED) + r")\b")
+    for folder, _, names in os.walk(SRC):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), encoding="utf-8") as f:
+                    assert not gone.search(f.read()), name
+
+
+def test_only_access_reads_the_prune_synopses():
+    """``open_run`` is the one caller of the per-layout prune functions and
+    of the scan-path page arithmetic (``get_element_cost`` prices one cell)."""
+    prune = re.compile(
+        r"\b(rows_page_skip|column_keep_intervals|directory_keep|"
+        r"column_pruned_pages|pages_for_stream_ranges)\("
+    )
+    for name, source in _engine_sources():
+        if name not in ("access.py", "synopsis.py"):
+            assert not prune.search(source), name

@@ -27,6 +27,7 @@ from repro.algebra.parser import parse
 from repro.algebra.transforms import undelta_records
 from repro.compression import CodecError, get_codec
 from repro.engine.database import RodentStore
+from repro.engine.access import index_access
 from repro.engine.indexes import fetch_rows_by_position, pages_for_positions
 from repro.errors import QueryError, StorageError
 from repro.layout.renderer import (
@@ -527,7 +528,7 @@ def test_duplicate_keys_spanning_leaves(numpy_leg):
 def test_limit_stops_the_probe_and_leaves_no_frame_pinned(numpy_leg):
     records = [(k, k, float(k)) for k in range(2000)]
     store, table = _indexed_table(PACKED_SCHEMA, records)
-    positions = table._index_positions(Range("k", 100, 400))
+    positions = table._indexes["k"].positions_in_range(100, 400)
     assert positions == list(range(100, 401))
     pages = table.layout.page_starts
     per_page = pages[1]
@@ -553,7 +554,7 @@ def test_limit_stops_the_probe_and_leaves_no_frame_pinned(numpy_leg):
     # A pushed-down limit reads the index and the pages holding the first
     # ``limit`` matches — what the record-at-a-time probe read — no more.
     limit = per_page // 2
-    probe_only = data_page_reads(lambda: table._index_positions(Range("k", 100, 400)))
+    probe_only = data_page_reads(index_access(table, Range("k", 100, 400)).batches)
     limited = data_page_reads(
         lambda: list(table.scan(predicate=Range("k", 100, 400), limit=limit))
     )

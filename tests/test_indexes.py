@@ -2,10 +2,15 @@
 
 import pytest
 
+from repro.engine.access import INDEX_SELECTIVITY_THRESHOLD, index_access
 from repro.engine.database import RodentStore
-from repro.engine.indexes import fetch_rows_by_position, pages_for_positions
+from repro.engine.indexes import (
+    FieldIndex,
+    fetch_rows_by_position,
+    pages_for_positions,
+)
 from repro.errors import IndexError_, QueryError
-from repro.query.expressions import Range, Rect
+from repro.query.expressions import And, Range, Rect
 from repro.types import Schema
 
 SCHEMA = Schema.of("t:int", "lat:int", "lon:int", "id:int")
@@ -48,7 +53,7 @@ class TestFieldIndex:
     def test_unbounded_range_not_indexed(self, setup):
         _, table = setup
         table.create_index("lat")
-        assert table._index_positions(Range("lat", lo=100)) is None
+        assert index_access(table, Range("lat", lo=100)) is None
 
     def test_projection_over_index_path(self, setup):
         _, table = setup
@@ -89,7 +94,7 @@ class TestFieldIndex:
         table.compact()
         index = table.create_index("lat")
         assert not index.stale
-        assert table._index_positions(Range("lat", 0, 10)) is not None
+        assert index_access(table, Range("lat", 0, 10)) is not None
 
     def test_load_drops_indexes(self, setup):
         store, table = setup
@@ -101,7 +106,7 @@ class TestFieldIndex:
         _, table = setup
         table.create_index("lat")
         table.drop_index("lat")
-        assert table._index_positions(Range("lat", 0, 10)) is None
+        assert index_access(table, Range("lat", 0, 10)) is None
 
     def test_scan_cost_considers_index(self, setup):
         _, table = setup
@@ -109,6 +114,42 @@ class TestFieldIndex:
         table.create_index("lat")
         indexed = table.scan_cost(predicate=Range("lat", 100, 110))
         assert indexed.ms <= full.ms
+
+
+def test_the_index_that_is_priced_is_the_index_that_is_probed(monkeypatch):
+    """With two eligible indexes the label, the cost and the probe are one
+    choice — the cheapest (the parent priced ``b`` and probed ``a``)."""
+    store = RodentStore(page_size=1024, pool_capacity=256)
+    store.create_table("T", Schema.of("a:int", "b:int"))
+    records = [(i, i % 1000) for i in range(5000)]
+    table = store.load("T", records)
+    table.create_index("a")
+    table.create_index("b")
+    ranges = {"a": (0, 1400), "b": (0, 5)}
+    predicate = And(*(Range(name, lo, hi) for name, (lo, hi) in ranges.items()))
+    probed = []
+    probe = FieldIndex.positions_in_range
+    monkeypatch.setattr(
+        FieldIndex,
+        "positions_in_range",
+        lambda self, lo, hi: probed.append(self.field_name) or probe(self, lo, hi),
+    )
+
+    def priced(name):  # pages of probing ``name``, from the same statistics
+        fraction = table.stats.fields[name].selectivity(*ranges[name])
+        assert fraction <= INDEX_SELECTIVITY_THRESHOLD  # both are eligible
+        height = table._indexes[name].tree.height
+        return height + max(1.0, fraction * table.layout.total_pages())
+
+    label, cost = table.access_path(predicate=predicate)
+    chosen = index_access(table, predicate)
+    assert label == "index" and chosen.verdict.field_name == "b"
+    assert cost == chosen.cost(store.cost_model)
+    assert cost.pages == priced("b") < priced("a")
+    assert probed == []  # pricing probes nothing
+    rows = list(table.scan(predicate=predicate))
+    assert probed == ["b"]
+    assert rows == [r for r in records if r[0] <= 1400 and r[1] <= 5]
 
 
 class TestSpatialIndex:
@@ -136,7 +177,7 @@ class TestSpatialIndex:
         _, table = setup
         table.create_spatial_index("lat", "lon")
         # Only one of the two dimensions bounded: spatial index skipped.
-        assert table._index_positions(Range("lat", 0, 10)) is None
+        assert index_access(table, Range("lat", 0, 10)) is None
 
     def test_stale_after_insert(self, setup):
         _, table = setup

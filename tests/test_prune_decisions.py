@@ -12,6 +12,12 @@ pruning change pass) with ``python tests/test_prune_decisions.py``.
 The ``levelled`` page ids were re-recorded when merged-away runs began to
 give their pages back (PR 19): merge outputs land in reused spans, so the
 ids moved; every pruned count and every fetched-page *count* is unchanged.
+
+Cost ≡ prune ≡ read: the same sweep asserts that ``scan_cost`` prices
+exactly the pages ``pruned_pages`` leaves, which are exactly the pages the
+scan fetched — the three are views of one ``RunAccess`` per run
+(``engine/access.py``). No layout here is sorted; the sorted-range probe,
+whose price is a statistics estimate (``<=``), is in ``tests/test_access.py``.
 """
 
 import random
@@ -111,7 +117,12 @@ def decisions(kind):
         finally:
             del store.pool.fetch
         assert rows == list(table.scan_reference(predicate=predicate))
-        out[name] = (table.pruned_pages(predicate), sorted(fetched))
+        pruned = table.pruned_pages(predicate)
+        # What an unpredicated scan reads is the whole table (of a mirror:
+        # the replica it picks); the verdict splits it, exactly.
+        priced = table.scan_cost(predicate=predicate).pages
+        assert priced == table.scan_cost().pages - pruned == len(fetched)
+        out[name] = (pruned, sorted(fetched))
     store.close()
     return out
 
@@ -227,6 +238,27 @@ def test_decisions_equal_parent_commit(kind):
     assert got == RECORDED[kind]
     # The pin is only meaningful if pruning actually happens.
     assert any(pruned for pruned, _ in got.values())
+
+
+def test_mirror_decides_each_replica_once(monkeypatch):
+    """One ``open_run`` of a mirror computes each replica's verdict once and
+    reads through the cheaper one (the parent costed every replica, then
+    recomputed the chosen one's verdict to read it)."""
+    from repro.engine import synopsis
+
+    store, table = build("mirror")
+    calls = []
+    for name in ("rows_page_skip", "column_keep_intervals"):
+        original = getattr(synopsis, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(synopsis, name, counted)
+    assert list(table.scan(predicate=PREDICATES["t_mid"]))
+    assert sorted(calls) == ["column_keep_intervals", "rows_page_skip"]
+    store.close()
 
 
 if __name__ == "__main__":
