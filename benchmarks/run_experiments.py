@@ -150,93 +150,6 @@ def scan_bench(
     return result
 
 
-def query_bench(
-    scale: dict, out_path: str = "BENCH_query.json", seed: int = DEFAULT_SEED
-) -> dict:
-    """Query-pipeline throughput: hash join + grouped aggregation per layout.
-
-    Writes ``BENCH_query.json`` — input rows/sec through the compiled
-    operator pipeline for (a) a group-by over the fact table and (b) a
-    hash join against a customer dimension followed by a grouped rollup —
-    so the query-stack performance trajectory is visible across PRs.
-    """
-    import random
-
-    from repro.engine.database import RodentStore
-    from repro.query import Q
-    from repro.types.schema import Schema
-    from repro.workloads import SALES_SCHEMA, generate_sales
-
-    banner("Query pipeline — join + group-by throughput (BENCH_query.json)")
-    n_records = scale["n_observations"] // 2
-    records = generate_sales(n_records, seed=seed)
-    n_customers = 2000
-    rng = random.Random(seed)
-    customer_schema = Schema.of("customerid:int", "region:int", "segment:int")
-    customers = [
-        (i, i % 50, rng.randrange(4)) for i in range(n_customers)
-    ]
-    result: dict = {
-        "benchmark": "query_pipeline",
-        "n_records": n_records,
-        "n_customers": n_customers,
-        "page_size": scale["page_size"],
-        "seed": seed,
-        "unit": "input_rows_per_sec",
-        "layouts": {},
-    }
-    print(f"{'layout':<10}{'group-by':>14}{'hash join':>14}")
-    for name, layout in SCAN_BENCH_LAYOUTS.items():
-        store = RodentStore(page_size=scale["page_size"], pool_capacity=96)
-        store.create_table("Sales", SALES_SCHEMA, layout=layout)
-        store.create_table("Customers", customer_schema)
-        store.load("Sales", records)
-        store.load("Customers", customers)
-
-        def run_groupby():
-            return (
-                Q(store, "Sales")
-                .group_by("productid")
-                .agg(n="*", qty="sum:quantity", revenue="sum:price")
-                .run()
-            )
-
-        def run_join():
-            return (
-                Q(store, "Sales")
-                .join("Customers", on="customerid")
-                .group_by("region")
-                .agg(revenue="sum:price")
-                .run()
-            )
-
-        timings = {}
-        for label, fn in (("groupby", run_groupby), ("join", run_join)):
-            rows = fn()  # warm + verify
-            assert rows, f"{label} produced no rows"
-            if label == "groupby":
-                assert sum(r[1] for r in rows) == n_records
-            best = float("inf")
-            for _ in range(3):
-                start = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - start)
-            timings[label] = n_records / best
-        result["layouts"][name] = {
-            "groupby_rows_per_sec": round(timings["groupby"], 1),
-            "join_rows_per_sec": round(timings["join"], 1),
-        }
-        print(
-            f"{name:<10}{timings['groupby']:>14,.0f}{timings['join']:>14,.0f}"
-        )
-    result["generated_unix"] = int(time.time())
-    with open(out_path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {os.path.abspath(out_path)}")
-    return result
-
-
 VECTOR_BATCH_ROWS_SWEEP = (256, 512, 1024, 2048, 4096, 8192)
 
 
@@ -1604,16 +1517,6 @@ def main() -> None:
         help="output path for the scan benchmark JSON",
     )
     parser.add_argument(
-        "--query-bench-only",
-        action="store_true",
-        help="run only the query-pipeline benchmark and write BENCH_query.json",
-    )
-    parser.add_argument(
-        "--query-bench-out",
-        default="BENCH_query.json",
-        help="output path for the query benchmark JSON",
-    )
-    parser.add_argument(
         "--adapt-bench-only",
         action="store_true",
         help="run only the adaptive-loop benchmark and write "
@@ -1695,10 +1598,6 @@ def main() -> None:
         scan_bench(scale, args.scan_bench_out, seed=args.seed)
         print(f"\ntotal: {time.time() - start:.1f}s")
         return
-    if args.query_bench_only:
-        query_bench(scale, args.query_bench_out, seed=args.seed)
-        print(f"\ntotal: {time.time() - start:.1f}s")
-        return
     if args.adapt_bench_only:
         adapt_bench(scale, args.adapt_bench_out, seed=args.seed)
         print(f"\ntotal: {time.time() - start:.1f}s")
@@ -1726,7 +1625,6 @@ def main() -> None:
     figure2(scale)
     sales(scale)
     scan_bench(scale, args.scan_bench_out, seed=args.seed)
-    query_bench(scale, args.query_bench_out, seed=args.seed)
     adapt_bench(scale, args.adapt_bench_out, seed=args.seed)
     partition_bench(scale, args.partition_bench_out, seed=args.seed)
     txn_bench(scale, args.txn_bench_out, seed=args.seed)

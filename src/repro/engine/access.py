@@ -15,6 +15,16 @@ and ``mirror``, which is the cheapest of its replicas' accesses) dispatched
 by :func:`open_run`, and the secondary-index probe (:func:`index_access`).
 :class:`~repro.engine.table.Table` only walks regions × runs over them.
 
+A scan node is decided **once per query**: :func:`decide_scan` makes one
+:class:`TableAccess` (the index probe, or the surviving regions with every
+run's ``RunAccess``) that the planner prices, then carries on the
+``TableScanOp`` to the scan, which reads through it. Staleness is by
+identity: runs are immutable, so a carried ``RunAccess`` is read only while
+the scan's pinned snapshot still holds that very ``Run``, the carried probe
+only while it holds the same fresh indexes and no unmerged rows; anything
+else (a run a flush, seal, merge or re-layout added, a ``zone_pruning``
+flip) is opened at scan time.
+
 The verdict is computed eagerly — a scan needs it before its first batch —
 while ``pages`` / ``seeks`` / ``pruned`` are page arithmetic computed when
 asked, so a scan never pays for numbers only the planner reads. Empty
@@ -27,7 +37,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro import vector
@@ -228,12 +238,13 @@ def _probe_sorted(
             renderer.pool.unpin(page_id)
         return serializer.decode(blob)[lead_pos]
 
-    # Last page whose first key is <= lo (a match could start inside it);
-    # empty pages cannot occur mid-extent.
+    # Last page whose first key is < lo: the first match is inside it or
+    # opens the next page (with ``<=``, a run of ``lo`` keys spanning pages
+    # would lose its head). Empty pages cannot occur mid-extent.
     left, right, start = 0, len(page_ids) - 1, 0
     while left <= right:
         mid = (left + right) // 2
-        if first_key(mid) <= lo:
+        if first_key(mid) < lo:
             start = mid
             left = mid + 1
         else:
@@ -456,22 +467,107 @@ def index_access(
     if best is None:
         return None
     pages, fields, index = best
+    bounds, renderer = [ranges[f] for f in fields], table.store.renderer
     return RunAccess(
         table.plan.schema.names(), layout, index,
-        lambda: _probe_index(table, index, [ranges[f] for f in fields]),
+        lambda: _probe_index(renderer, layout, index, bounds),
         lambda: (pages, pages, pages),
     )
 
 
-def _probe_index(table: "Table", index, bounds) -> Iterator[ColumnBatch]:
-    """Probe now; then a batch per matched page, fetched as the scan pulls
-    it — a pushed-down limit stops fetching pages early."""
+def _probe_index(renderer, layout, index, bounds) -> Iterator[ColumnBatch]:
+    """Probe now; then a batch per matched page of ``layout`` (the run the
+    index addresses), fetched as the scan pulls it — a pushed-down limit
+    stops fetching pages early."""
     if len(bounds) == 2:
         (x_lo, x_hi), (y_lo, y_hi) = bounds
         positions = index.positions_in_box(x_lo, x_hi, y_lo, y_hi)
     else:
         positions = index.positions_in_range(*bounds[0])
-    return fetch_rows_by_position(table, positions)
+    return fetch_rows_by_position(renderer, layout, positions)
+
+
+@dataclass
+class TableAccess:
+    """How one scan node reads its table (:func:`decide_scan`): ``index``,
+    the probe, or the ``survivors`` of ``regions`` with the
+    :class:`RunAccess` of every run they hold (``runs``: ``id(run) -> (run,
+    access)``, in scan order) — decided from ``needed``, ``predicate``,
+    ``zone_pruning`` and the table's ``indexes``."""
+
+    needed: list[str] | None
+    predicate: Predicate | None
+    zone_pruning: bool
+    indexes: tuple
+    index: RunAccess | None = None
+    regions: Sequence = ()
+    survivors: Sequence = ()
+    runs: dict = field(default_factory=dict)
+
+    def cost(self, model: CostModel) -> CostEstimate:
+        if self.index is not None:
+            return self.index.cost(model)
+        return sum(
+            (a.cost(model) for _, a in self.runs.values()), CostEstimate.zero()
+        )
+
+    @property
+    def pruned(self) -> float:
+        """Pages the scan skips: whole partitions ruled out plus every run's
+        pruned pages (nothing for a probe, which bypasses the runs)."""
+        if self.index is not None:
+            return 0
+        kept = {region.pid for region in self.survivors}
+        return sum(
+            r.total_pages() for r in self.regions if r.pid not in kept
+        ) + sum(a.pruned for _, a in self.runs.values())
+
+    def holds(self, table: "Table", needed, predicate) -> bool:
+        """Does this decision still describe a scan of ``table`` (a pinned
+        view) for ``needed`` under ``predicate`` — the same index objects
+        (by ``id``: this value holds them), a probe's index still fresh over
+        merged rows? Which runs still hold is :meth:`run_access`'s."""
+        if (
+            predicate is not self.predicate
+            or needed != self.needed
+            or self.zone_pruning != table.store.zone_pruning
+            or list(map(id, _indexes(table))) != list(map(id, self.indexes))
+        ):
+            return False
+        return self.index is None or (
+            not self.index.verdict.stale and not table._unmerged()
+        )
+
+    def run_access(self, run) -> RunAccess | None:
+        """The carried access of that very (immutable) ``run``, if any."""
+        carried = self.runs.get(id(run))
+        return None if carried is None else carried[1]
+
+
+def decide_scan(
+    table: "Table", needed: Sequence[str] | None, predicate: Predicate | None
+) -> TableAccess:
+    """The one access decision of a scan of ``table`` for ``needed`` fields
+    under ``predicate``: :func:`index_access`'s probe if it finds one, else
+    the partition survivors and ``Table._run_accesses`` over their runs."""
+    decided = TableAccess(
+        needed, predicate, table.store.zone_pruning, _indexes(table),
+        index_access(table, predicate),
+    )
+    if decided.index is None:
+        decided.regions = table._require_loaded()
+        decided.survivors = table.partition_survivors(predicate)
+        decided.runs = {
+            id(run): (run, access)
+            for run, access in table._run_accesses(
+                decided.survivors, needed, predicate
+            )
+        }
+    return decided
+
+
+def _indexes(table: "Table") -> tuple:
+    return (*table._indexes.values(), *table._spatial_indexes.values())
 
 
 def _undelta_batches(

@@ -33,6 +33,7 @@ from repro.storage.serializer import RecordSerializer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.table import Table
+    from repro.layout.renderer import LayoutRenderer, StoredLayout
 
 
 @dataclass
@@ -126,9 +127,12 @@ def _require_rows_layout(table: "Table", what: str) -> None:
 
 
 def fetch_rows_by_position(
-    table: "Table", positions: Sequence[int]
+    renderer: "LayoutRenderer",
+    layout: "StoredLayout",
+    positions: Sequence[int],
 ) -> Iterator[ColumnBatch]:
-    """Records at ``positions`` (ascending, distinct), a batch per data page.
+    """Records of the rows run ``layout`` at ``positions`` (ascending,
+    distinct), a batch per data page.
 
     Positions are grouped by page through the layout's ``page_starts``;
     each page is fetched and decoded once (``decode_page``) and its wanted
@@ -137,10 +141,8 @@ def fetch_rows_by_position(
     as the consumer pulls batches, so a limit-pushdown scan that stops
     early fetches no page it did not need, and none stays pinned.
     """
-    layout = table.layout
-    renderer = table._db.renderer
-    serializer = RecordSerializer(table.plan.schema)
-    fields = tuple(table.plan.schema.names())
+    serializer = RecordSerializer(layout.plan.schema)
+    fields = tuple(layout.plan.schema.names())
     page_starts = layout.page_starts
     if positions and not 0 <= positions[0] <= positions[-1] < page_starts[-1]:
         out_of_range = positions[0] if positions[0] < 0 else positions[-1]

@@ -8,7 +8,10 @@ record/cell counts.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Sequence
 
 from repro.types.schema import Schema
@@ -18,7 +21,11 @@ _HISTOGRAM_BUCKETS = 32
 
 @dataclass
 class FieldStats:
-    """Statistics of one (numeric or string) field."""
+    """Statistics of one (numeric or string) field.
+
+    Bounds and the histogram cover finite values only: NaN and ±inf are
+    counted (``count``, ``distinct``) but never bound a range.
+    """
 
     name: str
     count: int = 0
@@ -28,6 +35,28 @@ class FieldStats:
     distinct: int = 0
     histogram: list[int] = field(default_factory=list)  # numeric only
     avg_width: float = 0.0
+    # Derived from ``histogram`` (never persisted): bucket lower edges and
+    # the running count of rows below each edge, so a range is two bisects.
+    _edges: list[float] = field(
+        init=False, default_factory=list, repr=False, compare=False
+    )
+    _below: list[int] = field(
+        init=False, default_factory=list, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._index_histogram()
+
+    def _index_histogram(self) -> None:
+        """(Re)derive the bucket edges and cumulative counts."""
+        self._edges, self._below = [], []
+        if self.histogram and self.is_numeric:
+            lo, hi = float(self.min_value), float(self.max_value)
+            n = len(self.histogram)
+            width = (hi - lo) / n
+            if width > 0:
+                self._edges = [lo + i * width for i in range(n)]
+                self._below = list(accumulate(self.histogram, initial=0))
 
     @property
     def is_numeric(self) -> bool:
@@ -36,27 +65,46 @@ class FieldStats:
         )
 
     def selectivity(self, lo: float, hi: float) -> float:
-        """Estimated fraction of records with value in [lo, hi]."""
+        """Estimated fraction of records with value in [lo, hi].
+
+        A point range ``[v, v]`` inside the domain is System R's equality
+        rule, ``1 / distinct``. On an integer column (``int`` /
+        ``timestamp``) any other range counts the integer points it holds,
+        each one unit wide (``[lo − ½, hi + ½]``), so a range holding rows
+        is never 0. The rest is the histogram's mass between the two ends,
+        interpolated inside the end buckets.
+        """
         if self.count == 0 or not self.is_numeric:
             return 1.0
         span_lo, span_hi = float(self.min_value), float(self.max_value)
         if span_hi <= span_lo:
             return 1.0 if lo <= span_lo <= hi else 0.0
-        if not self.histogram:
-            overlap = max(0.0, min(hi, span_hi) - max(lo, span_lo))
-            return min(1.0, overlap / (span_hi - span_lo))
-        width = (span_hi - span_lo) / len(self.histogram)
-        total = sum(self.histogram)
-        if total == 0 or width == 0:
+        integral = type(self.min_value) is int  # int / timestamp columns
+        if integral:
+            lo = math.ceil(lo) if math.isfinite(lo) else lo
+            hi = math.floor(hi) if math.isfinite(hi) else hi
+        if lo == hi:
+            if span_lo <= lo <= span_hi:
+                return 1.0 / max(1, self.distinct)
+            return 0.0
+        if integral:
+            lo, hi = lo - 0.5, hi + 0.5
+        lo, hi = max(lo, span_lo), min(hi, span_hi)
+        if hi <= lo:
+            return 0.0
+        edges, below, histogram = self._edges, self._below, self.histogram
+        if not below:
+            return min(1.0, (hi - lo) / (span_hi - span_lo))
+        if below[-1] == 0:
             return 1.0
-        covered = 0.0
-        for i, bucket in enumerate(self.histogram):
-            b_lo = span_lo + i * width
-            b_hi = b_lo + width
-            overlap = max(0.0, min(hi, b_hi) - max(lo, b_lo))
-            if overlap > 0:
-                covered += bucket * (overlap / width)
-        return min(1.0, covered / total)
+        width = (span_hi - span_lo) / len(histogram)
+
+        def rows_below(x: float) -> float:
+            # Each bucket's rows spread evenly across its width.
+            i = bisect_right(edges, x) - 1
+            return below[i] + histogram[i] * (x - edges[i]) / width
+
+        return min(1.0, (rows_below(hi) - rows_below(lo)) / below[-1])
 
 
 @dataclass
@@ -86,15 +134,17 @@ class TableStats:
                 if value is None:
                     stats.nulls += 1
                     continue
+                if len(distincts[f.name]) < 100_000:
+                    distincts[f.name].add(value)
+                stats.avg_width += f.dtype.estimated_size(value)
+                if isinstance(value, float) and not math.isfinite(value):
+                    continue  # NaN / ±inf bound nothing
                 if stats.min_value is None or value < stats.min_value:
                     stats.min_value = value
                 if stats.max_value is None or value > stats.max_value:
                     stats.max_value = value
-                if len(distincts[f.name]) < 100_000:
-                    distincts[f.name].add(value)
                 if isinstance(value, (int, float)) and not isinstance(value, bool):
                     numeric_values[f.name].append(float(value))
-                stats.avg_width += f.dtype.estimated_size(value)
 
         for name, stats in field_stats.items():
             stats.distinct = len(distincts[name])
@@ -105,6 +155,7 @@ class TableStats:
                 stats.histogram = _build_histogram(
                     values, float(stats.min_value), float(stats.max_value)
                 )
+                stats._index_histogram()
         n = len(records)
         return cls(
             row_count=n,

@@ -70,7 +70,7 @@ from repro.algebra.transforms import (
     undelta_records,
 )
 from repro.engine import synopsis as zonemaps
-from repro.engine.access import RunAccess, count_runs, index_access, open_run
+from repro.engine.access import count_runs, decide_scan, index_access, open_run
 from repro.engine.catalog import CatalogEntry
 from repro.engine.cost import CostEstimate, CostModel, estimate
 from repro.errors import CorruptPageError, QueryError, StorageError
@@ -89,6 +89,7 @@ from repro.types.schema import Schema
 from repro.types.values import multisort
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.engine.access import RunAccess, TableAccess
     from repro.engine.database import RodentStore
 
 Order = Sequence[Any]  # field names or (field, ascending) pairs
@@ -194,23 +195,22 @@ class Table:
         return view
 
     @property
+    def _state(self):
+        """The pinned snapshot, else the live entry (same attribute names)."""
+        return self._entry if self._snap is None else self._snap
+
+    @property
     def _regions(self):
         """The table's regions (snapshot-frozen for pinned scans)."""
-        if self._snap is not None:
-            return self._snap.regions
-        return self._entry.regions
+        return self._state.regions
 
     @property
     def _indexes(self) -> dict:
-        if self._snap is not None:
-            return self._snap.indexes
-        return self._entry.indexes
+        return self._state.indexes
 
     @property
     def _spatial_indexes(self) -> dict:
-        if self._snap is not None:
-            return self._snap.spatial_indexes
-        return self._entry.spatial_indexes
+        return self._state.spatial_indexes
 
     # -- basic properties ---------------------------------------------------
 
@@ -229,16 +229,14 @@ class Table:
 
     @property
     def plan(self) -> PhysicalPlan:
-        plan = self._snap.plan if self._snap is not None else self._entry.plan
+        plan = self._state.plan
         if plan is None:
             raise StorageError(f"table {self.name!r} has no physical plan yet")
         return plan
 
     @property
     def is_loaded(self) -> bool:
-        if self._snap is not None:
-            return self._snap.loaded
-        return self._entry.loaded
+        return self._state.loaded
 
     def _require_loaded(self) -> list:
         """The regions of a scannable table."""
@@ -259,7 +257,7 @@ class Table:
 
     @property
     def is_partitioned(self) -> bool:
-        plan = self._snap.plan if self._snap is not None else self._entry.plan
+        plan = self._state.plan
         return plan is not None and plan.kind == LAYOUT_PARTITIONED
 
     @property
@@ -275,14 +273,12 @@ class Table:
 
     @property
     def is_levelled(self) -> bool:
-        plan = self._snap.plan if self._snap is not None else self._entry.plan
+        plan = self._state.plan
         return plan is not None and plan.kind == LAYOUT_LEVELLED
 
     @property
     def _level_tombstones(self):
-        if self._snap is not None:
-            return self._snap.level_tombstones
-        return self._entry.level_tombstones
+        return self._state.level_tombstones
 
     @property
     def run_count(self) -> int:
@@ -430,16 +426,19 @@ class Table:
         predicate: Predicate | None = None,
         order: Order | None = None,
         limit: int | None = None,
+        access: TableAccess | None = None,
     ) -> Iterator[ColumnBatch]:
         """Vectorized scan: yields :class:`ColumnBatch` objects directly.
 
         The physical operators consume this form — columnar batches keep
         their typed vectors (and any pending selection bitmap) all the way
         into joins and aggregates. Row contents and order match
-        :meth:`scan_batches` exactly.
+        :meth:`scan_batches` exactly. ``access`` is the planner's decision
+        for these arguments (:meth:`scan_access`), read through where it
+        still holds.
         """
         batches, mvcc, snap = self._open_scan(
-            fieldlist, predicate, order, limit
+            fieldlist, predicate, order, limit, access
         )
         return _release_when_done(batches, mvcc, snap)
 
@@ -449,6 +448,7 @@ class Table:
         predicate: Predicate | None,
         order: Order | None,
         limit: int | None,
+        access: TableAccess | None = None,
     ):
         """Shared scan setup: observation, MVCC pin, pinned batch pipeline.
 
@@ -469,7 +469,7 @@ class Table:
         try:
             view = self._pinned_view(snap)
             batches = view._scan_batches_pinned(
-                fieldlist, predicate, order_keys, limit, observation
+                fieldlist, predicate, order_keys, limit, observation, access
             )
         except BaseException:
             mvcc.release(snap)
@@ -512,6 +512,7 @@ class Table:
         order_keys: tuple[tuple[str, bool], ...],
         limit: int | None,
         observation,
+        access: TableAccess | None,
     ) -> Iterator[ColumnBatch]:
         """Body of every scan entry point, running on a pinned view (MVCC
         snapshot): every layout-bearing read below resolves against the
@@ -525,7 +526,7 @@ class Table:
         self._corruption_report = []
         self._entry.last_corruption_skipped = self._corruption_report
         needed = self._needed_fields(fieldlist, predicate, order_keys)
-        batches, avail = self._table_source(needed, predicate)
+        batches, avail = self._table_source(needed, predicate, access=access)
         positions = {name: i for i, name in enumerate(avail)}
 
         row_filter = None
@@ -758,6 +759,7 @@ class Table:
         needed: Sequence[str] | None,
         predicate: Predicate | None,
         reference: bool = False,
+        access: TableAccess | None = None,
     ) -> tuple[Iterator, list[str]]:
         """``(source, fields)`` of a scan: the index probe when
         :func:`~repro.engine.access.index_access` finds one worth making,
@@ -766,16 +768,21 @@ class Table:
         The routing of the three table shapes, and nothing else: which
         regions, in which field order, resolved how, contained how. The
         reading is :meth:`_region_batches` — or, with ``reference``, its
-        tuple-at-a-time oracle :meth:`_region_reference_rows`.
+        tuple-at-a-time oracle :meth:`_region_reference_rows`. A carried
+        ``access`` no longer holding for this snapshot is dropped.
         """
-        via_index = index_access(self, predicate)
+        if access is not None and not access.holds(self, needed, predicate):
+            access = None
+        via_index = access.index if access else index_access(self, predicate)
         if via_index is not None:
             batches = via_index.batches()
             if reference:
                 batches = _iter_batch_rows(batches)
             return batches, via_index.fields
         scan = (
-            self._region_reference_rows if reference else self._region_batches
+            self._region_reference_rows
+            if reference
+            else partial(self._region_batches, access=access)
         )
         regions = self._require_loaded()
         if self.is_levelled:
@@ -895,6 +902,7 @@ class Table:
         target: Sequence[str] | None = None,
         resolver: "_LevelResolver | None" = None,
         unit=None,
+        access: TableAccess | None = None,
     ) -> tuple[Iterator[ColumnBatch], list[str]]:
         """THE batch scan of one region: ``(batches, fields)``.
 
@@ -907,17 +915,23 @@ class Table:
         to ``target``; ``None`` keeps the first run's own field order (a
         flat table's main run: no reorder on its hot path). ``unit(i,
         run)`` names a run for degraded-read containment; ``None`` leaves
-        containment to the caller.
+        containment to the caller. A run ``access`` (the planner's
+        decision) holds is read through its carried verdict.
         """
         runs = list(region.runs)
         if resolver is not None:
             runs.reverse()
         intervals = self._prune_intervals(predicate)
+
+        def open_(run) -> RunAccess:
+            carried = access.run_access(run) if access else None
+            return carried or self._open_run(
+                run.layout, needed, predicate, intervals
+            )
+
         opened = None
         if target is None:
-            opened = self._open_run(
-                runs[0].layout, needed, predicate, intervals
-            )
+            opened = open_(runs[0])
             target = opened.fields
         fields = tuple(target)
         scan_names = tuple(self.scan_schema().names())
@@ -926,9 +940,7 @@ class Table:
             if opened is None:
                 if not run.row_count:
                     return
-                opened = self._open_run(
-                    run.layout, needed, predicate, intervals
-                )
+                opened = open_(run)
             source = opened.batches()
             reorder = _batch_reorderer(opened.fields, fields)
             if reorder is not None:
@@ -1351,52 +1363,55 @@ class Table:
     # cost API
     # ==================================================================
 
+    def scan_access(
+        self,
+        fieldlist: Sequence[str] | None = None,
+        predicate: Predicate | None = None,
+        order: Order | None = None,
+    ) -> TableAccess:
+        """The access decision a scan with these arguments makes
+        (:func:`~repro.engine.access.decide_scan`): the planner prices it
+        and hands it to :meth:`scan_column_batches` to read through."""
+        order_keys = normalize_order(order)
+        needed = self._needed_fields(fieldlist, predicate, order_keys)
+        return decide_scan(self, needed, predicate)
+
     def scan_cost(
         self,
         fieldlist: Sequence[str] | None = None,
         predicate: Predicate | None = None,
         order: Order | None = None,
     ) -> CostEstimate:
-        """Estimated cost of the scan, in milliseconds (§4.1 method 4)."""
-        order_keys = normalize_order(order)
-        needed = self._needed_fields(fieldlist, predicate, order_keys)
-        total = self._scan_estimate(needed, predicate)
-        via_index = index_access(self, predicate)
-        if via_index is not None:
-            cost = via_index.cost(self._db.cost_model)
-            if cost.ms < total.ms:
-                return cost
-        return total
+        """Estimated cost of the scan, in milliseconds (§4.1 method 4): the
+        cheaper of the index probe, if any, and the scan of the runs."""
+        model = self._db.cost_model
+        decided = self.scan_access(fieldlist, predicate, order)
+        if decided.index is None:
+            return decided.cost(model)
+        runs = self._run_accesses(
+            self.partition_survivors(predicate), decided.needed, predicate
+        )
+        total = sum((a.cost(model) for _, a in runs), CostEstimate.zero())
+        return min(total, decided.index.cost(model), key=lambda c: c.ms)
 
     def _run_accesses(
         self,
+        regions: Sequence,
         needed: Sequence[str] | None,
         predicate: Predicate | None,
-    ) -> Iterator[RunAccess]:
-        """THE metadata walk: the :class:`~repro.engine.access.RunAccess` of
-        every run a scan with these arguments reads — the very values
+    ) -> Iterator[tuple[Any, RunAccess]]:
+        """THE metadata walk: ``(run, RunAccess)`` for every run of
+        ``regions`` a scan with these arguments reads — the very values
         :meth:`_region_batches` reads through, so cost and explain fold
         what the scan does. Overflow runs are rows runs like any other;
-        pending rows are memory-resident; partition pruning shows up
-        exactly as at runtime (only surviving regions are walked)."""
-        regions = self.partition_survivors(predicate)
+        pending rows are memory-resident."""
         needed, predicate = self._run_scan_args(needed, predicate)
         intervals = self._prune_intervals(predicate)
         for region in regions:
             for run in region.runs:
-                yield self._open_run(run.layout, needed, predicate, intervals)
-
-    def _scan_estimate(
-        self,
-        needed: Sequence[str] | None,
-        predicate: Predicate | None,
-    ) -> CostEstimate:
-        """One independently costed pass per run the scan reads."""
-        model = self._db.cost_model
-        return sum(
-            (a.cost(model) for a in self._run_accesses(needed, predicate)),
-            CostEstimate.zero(),
-        )
+                yield run, self._open_run(
+                    run.layout, needed, predicate, intervals
+                )
 
     def _run_scan_args(
         self, needed: Sequence[str] | None, predicate: Predicate | None
@@ -1420,40 +1435,25 @@ class Table:
     ) -> tuple[str, CostEstimate]:
         """The access method a scan with these arguments will actually use.
 
-        Returns ``("index", cost)`` or ``("scan", cost)``. Unlike
-        :meth:`scan_cost` — which returns the cheaper of the two estimates —
-        this is the scan's own choice
-        (:func:`~repro.engine.access.index_access`: the cheapest fresh,
-        range-covered, selective-enough index, if any), so ``Q.explain()``
-        reports the path :meth:`scan_batches` will take, with its cost.
+        Returns ``("index", cost)`` or ``("scan", cost)``: unlike
+        :meth:`scan_cost` (the cheaper of the two) the scan's own choice,
+        :meth:`scan_access`.
         """
-        via_index = index_access(self, predicate)
-        if via_index is not None:
-            return "index", via_index.cost(self._db.cost_model)
-        order_keys = normalize_order(order)
-        needed = self._needed_fields(fieldlist, predicate, order_keys)
-        return "scan", self._scan_estimate(needed, predicate)
+        decided = self.scan_access(fieldlist, predicate, order)
+        path = "scan" if decided.index is None else "index"
+        return path, decided.cost(self._db.cost_model)
 
     def pruned_pages(
         self,
         predicate: Predicate | None = None,
         fieldlist: Sequence[str] | None = None,
     ) -> int:
-        """Exact number of data pages the scan's pruning will skip.
-
-        Computed purely from the layout synopses and the predicate's
-        per-field intervals — no data page is touched — as the sum of the
-        scan's own per-run verdicts (overflow runs included) plus every
-        page of the partitions it rules out, so ``Q.explain()`` can report
-        it per scan node before execution.
-        """
+        """Exact number of data pages the scan's pruning will skip, from
+        the layout synopses alone (:attr:`TableAccess.pruned`: every run's
+        verdict, overflow runs included, plus the partitions ruled out)."""
         if predicate is None or not self.is_loaded:
             return 0
-        needed = self._needed_fields(fieldlist, predicate, ())
-        survivors = {r.pid for r in self.partition_survivors(predicate)}
-        return sum(
-            r.total_pages() for r in self._regions if r.pid not in survivors
-        ) + sum(a.pruned for a in self._run_accesses(needed, predicate))
+        return self.scan_access(fieldlist, predicate).pruned
 
     def get_element_cost(
         self,
@@ -1478,7 +1478,7 @@ class Table:
         # Everything else — folded and mirror layouts, the regions of a
         # partitioned table, the runs of a levelled one — is walked in
         # scan order: bounded by a full scan.
-        return self._scan_estimate(None, None)
+        return self.scan_access().cost(model)
 
     def order_list(self) -> list[tuple[tuple[str, bool], ...]]:
         """Sort orders the current organization serves efficiently (§4.1

@@ -9,8 +9,9 @@ tree. Operators hold no cost logic themselves: the planner
 
 The leaf is :class:`TableScanOp`, a thin adapter over
 :meth:`Table.scan_column_batches` — predicate/projection/order/limit
-pushdown, grid-cell pruning, column-group selection, and the
-index-vs-scan choice all happen inside the access method. Above it sit
+pushdown, grid-cell pruning and column-group selection happen inside the
+access method, which reads through the index-vs-scan decision the planner
+made once and carried on the operator. Above it sit
 :class:`FilterOp` (residual predicates), :class:`ProjectOp`,
 :class:`HashJoinOp` (equi-join, key the estimated-smaller side),
 :class:`GroupByOp` (flat accumulators by group id, no member-row
@@ -55,6 +56,7 @@ from repro.layout.renderer import (
 from repro.query.expressions import Predicate
 
 if TYPE_CHECKING:  # pragma: no cover - circular import guard
+    from repro.engine.access import TableAccess
     from repro.engine.table import Table
     from repro.query.executor import Aggregate
 
@@ -64,9 +66,18 @@ class Operator:
 
     #: Output column names, parallel to every produced batch's fields.
     fields: tuple[str, ...] = ()
-    #: Planner annotations (cumulative cost of the subtree rooted here).
+    #: Planner annotations: estimated output rows, and this node's own
+    #: estimated work (CPU terms; a scan's I/O), which :attr:`est_cost`
+    #: adds to its inputs' when asked — only ``explain()`` reads costs, so
+    #: a query that is just run never prices its plan.
     est_rows: float = 0.0
-    est_cost: CostEstimate = CostEstimate.zero()
+    own_cost: CostEstimate = CostEstimate.zero()
+
+    @property
+    def est_cost(self) -> CostEstimate:
+        """Cumulative estimated cost of the subtree rooted here."""
+        inputs = (child.est_cost for child in self.inputs())
+        return sum(inputs, CostEstimate.zero()) + self.own_cost
 
     @property
     def name(self) -> str:
@@ -108,11 +119,16 @@ class RowsOp(Operator):
 class TableScanOp(Operator):
     """Leaf: one table access with everything pushed down.
 
-    ``access`` records the planner's access-path verdict (``"scan"`` or
-    ``"index"``, from :meth:`Table.access_path`) for display; the actual
-    choice is re-made inside :meth:`Table.scan_batches` with the same
-    inputs, so the two always agree.
+    ``access`` is the planner's access decision for exactly these arguments
+    (a :class:`~repro.engine.access.TableAccess` from
+    :meth:`Table.scan_access`, ``None`` for an unloaded table): ``explain()``
+    labels and counts from it, and :meth:`batches` hands it to
+    :meth:`Table.scan_column_batches`, which reads through it wherever the
+    pinned snapshot still holds the runs and indexes it was decided on.
     """
+
+    #: CPU of sorting the output when the stored order does not serve it.
+    sort_cost: CostEstimate = CostEstimate.zero()
 
     def __init__(
         self,
@@ -121,7 +137,7 @@ class TableScanOp(Operator):
         predicate: Predicate | None = None,
         order: Sequence[tuple[str, bool]] | None = None,
         limit: int | None = None,
-        access: str = "scan",
+        access: "TableAccess | None" = None,
     ):
         self.table = table
         self.fieldlist = list(fieldlist) if fieldlist is not None else None
@@ -129,7 +145,6 @@ class TableScanOp(Operator):
         self.order = list(order) if order else None
         self.limit = limit
         self.access = access
-        self._pages_pruned: int | None = None
         self._partitions_pruned: int | None = None
         if self.fieldlist is not None:
             self.fields = tuple(self.fieldlist)
@@ -137,23 +152,21 @@ class TableScanOp(Operator):
             self.fields = tuple(table.scan_schema().names())
 
     @property
+    def own_cost(self) -> CostEstimate:
+        """The carried decision's I/O, priced when asked, plus any sort."""
+        if self.access is None:  # unloaded table: no layout to cost yet
+            return self.sort_cost
+        return self.access.cost(self.table.store.cost_model) + self.sort_cost
+
+    @property
     def pages_pruned(self) -> int:
-        """Data pages zone-map/directory pruning will skip, from the layout
-        synopses alone (``Table.pruned_pages``). Computed lazily on first
-        access — only ``explain()`` renders it, so plain execution never
-        pays the metadata sweep — and 0 for index probes, which bypass the
-        scan path entirely."""
-        if self._pages_pruned is None:
-            pruned = 0
-            if self.access == "scan" and self.predicate is not None:
-                try:
-                    pruned = self.table.pruned_pages(
-                        self.predicate, self.fieldlist
-                    )
-                except StorageError:
-                    pruned = 0  # unloaded table: no layout metadata yet
-            self._pages_pruned = pruned
-        return self._pages_pruned
+        """Data pages zone-map/directory pruning will skip — the carried
+        decision's :attr:`~repro.engine.access.TableAccess.pruned`, page
+        arithmetic done only when ``explain()`` asks; 0 for index probes,
+        which bypass the scan path entirely."""
+        if self.access is None or self.predicate is None:
+            return 0
+        return self.access.pruned
 
     @property
     def partitions_pruned(self) -> int:
@@ -173,7 +186,8 @@ class TableScanOp(Operator):
 
     @property
     def name(self) -> str:
-        return "IndexScan" if self.access == "index" else "TableScan"
+        probe = self.access is not None and self.access.index is not None
+        return "IndexScan" if probe else "TableScan"
 
     def detail(self) -> str:
         parts = [self.table.name]
@@ -206,27 +220,22 @@ class TableScanOp(Operator):
 
     def batches(self) -> Iterator[ColumnBatch]:
         actual = 0
-        if getattr(self.table.store, "vectorized", True):
-            # Consume the access method's native ColumnBatch stream:
-            # columnar layouts arrive as typed vectors (plus any pending
-            # selection bitmap) and stay columnar through the plan tree.
-            for batch in self.table.scan_column_batches(
-                fieldlist=self.fieldlist,
-                predicate=self.predicate,
-                order=self.order,
-                limit=self.limit,
-            ):
-                actual += batch.n_rows
-                yield batch
-        else:
-            for rows in self.table.scan_batches(
-                fieldlist=self.fieldlist,
-                predicate=self.predicate,
-                order=self.order,
-                limit=self.limit,
-            ):
-                actual += len(rows)
-                yield ColumnBatch.from_rows(self.fields, rows)
+        # The access method's native ColumnBatch stream: columnar layouts
+        # arrive as typed vectors (plus any pending selection bitmap) and
+        # stay columnar through the plan tree — unless the store runs
+        # row-backed (``vectorized = False``).
+        vectorized = getattr(self.table.store, "vectorized", True)
+        for batch in self.table.scan_column_batches(
+            fieldlist=self.fieldlist,
+            predicate=self.predicate,
+            order=self.order,
+            limit=self.limit,
+            access=self.access,
+        ):
+            if not vectorized:
+                batch = ColumnBatch.from_rows(self.fields, batch.rows())
+            actual += batch.n_rows
+            yield batch
         # Completed scans report actual-vs-estimated cardinality into the
         # table's workload monitor (abandoned scans would compare a full
         # estimate against a partial count, so they stay silent).

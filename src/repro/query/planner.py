@@ -17,19 +17,22 @@ batch operators in :mod:`repro.query.operators`:
   the scan itself, where order-satisfied scans stop reading pages early;
   above a group-by or join, a Limit directly over a Sort lowers to one
   top-k :class:`~repro.query.operators.SortOp`.
-* **Access-path choice** — each scan is labelled index-vs-scan via
-  :meth:`Table.access_path`, the runtime-faithful version of the paper's
-  ``scan_cost`` (§4.1 method 4).
+* **Access-path choice** — each scan is decided once
+  (:meth:`Table.scan_access`: index probe or pruned runs, priced with the
+  paper's ``scan_cost`` terms, §4.1 method 4); the decision rides on the
+  :class:`~repro.query.operators.TableScanOp` to the scan, which reads
+  through it instead of deciding again.
 * **Join ordering** — 2+ table queries are joined left-deep in greedy
   ascending order of estimated input cardinality
   (:meth:`Table.estimated_row_count` over collected statistics), and each
   hash join builds on its estimated-smaller side
   (:func:`repro.engine.stats.join_cardinality` sizes join outputs).
 
-Every physical operator is annotated with estimated cardinality and
-cumulative cost — storage I/O from the access-method cost API plus the
-per-row CPU terms in :mod:`repro.optimizer.cost_model` — which is what
-``Q.explain()`` renders.
+Every physical operator is annotated with estimated cardinality and its
+own cost — a scan's storage I/O from the access-method cost API, the
+per-row CPU terms in :mod:`repro.optimizer.cost_model` — which
+``Q.explain()`` folds into cumulative per-node costs; cardinalities steer
+the plan, costs are only priced when explained.
 """
 
 from __future__ import annotations
@@ -443,9 +446,7 @@ def _lower(node: lp.LogicalNode, binder: _Binder) -> Operator:
         op: Operator = FilterOp(child, node.predicate)
         selectivity = _RESIDUAL_SELECTIVITY ** len(_conjuncts(node.predicate))
         op.est_rows = child.est_rows * selectivity
-        op.est_cost = child.est_cost + _cpu(
-            operator_cpu_ms("filter", child.est_rows)
-        )
+        op.own_cost = _cpu(operator_cpu_ms("filter", child.est_rows))
         return op
     if isinstance(node, lp.Project):
         child = _lower(node.child, binder)
@@ -453,9 +454,7 @@ def _lower(node: lp.LogicalNode, binder: _Binder) -> Operator:
             return child
         op = ProjectOp(child, node.fields)
         op.est_rows = child.est_rows
-        op.est_cost = child.est_cost + _cpu(
-            operator_cpu_ms("project", child.est_rows)
-        )
+        op.own_cost = _cpu(operator_cpu_ms("project", child.est_rows))
         return op
     if isinstance(node, lp.Join):
         return _lower_join(node, binder)
@@ -463,7 +462,7 @@ def _lower(node: lp.LogicalNode, binder: _Binder) -> Operator:
         child = _lower(node.child, binder)
         op = GroupByOp(child, node.keys, node.aggregates)
         op.est_rows = _group_cardinality(node.keys, child.est_rows, binder)
-        op.est_cost = child.est_cost + _cpu(
+        op.own_cost = _cpu(
             operator_cpu_ms("group", child.est_rows)
             + operator_cpu_ms("emit", op.est_rows)
         )
@@ -477,7 +476,6 @@ def _lower(node: lp.LogicalNode, binder: _Binder) -> Operator:
         child = _lower(node.child, binder)
         op = LimitOp(child, node.count)
         op.est_rows = min(child.est_rows, float(node.count))
-        op.est_cost = child.est_cost
         return op
     raise QueryError(f"cannot lower logical node {node!r}")
 
@@ -488,7 +486,7 @@ def _lower_sort(node: lp.Sort, limit: int | None, binder: _Binder) -> Operator:
     op.est_rows = (
         child.est_rows if limit is None else min(child.est_rows, float(limit))
     )
-    op.est_cost = child.est_cost + _cpu(sort_cpu_ms(child.est_rows, limit))
+    op.own_cost = _cpu(sort_cpu_ms(child.est_rows, limit))
     return op
 
 
@@ -500,14 +498,16 @@ def _lower_scan(node: lp.Scan, binder: _Binder) -> Operator:
     )
     table = bound.table
     try:
-        access, cost = table.access_path(
+        # The scan's one access decision: labelled (and, when explained,
+        # priced) here, then carried on the operator to the scan, which
+        # reads through it.
+        access = table.scan_access(
             fieldlist=list(node.fieldlist) if node.fieldlist else None,
             predicate=node.predicate,
             order=list(node.order) if node.order else None,
         )
     except StorageError:
-        # Unloaded table (pending rows only): no layout to cost yet.
-        access, cost = "scan", CostEstimate.zero()
+        access = None  # unloaded table (pending rows only): no layout yet
     # Partitioned tables with parallel workers enabled fan regions out to
     # the store's shared thread pool; the dedicated operator makes the
     # choice visible in the plan tree.
@@ -545,11 +545,10 @@ def _lower_scan(node: lp.Scan, binder: _Binder) -> Operator:
     if node.order and not _order_satisfied(table, node.order):
         # The ordering sees every row the predicate keeps; the limit only
         # makes it a selection instead of a sort.
-        cost = cost + _cpu(sort_cpu_ms(est, node.limit))
+        op.sort_cost = _cpu(sort_cpu_ms(est, node.limit))
     if node.limit is not None:
         est = min(est, float(node.limit))
     op.est_rows = est
-    op.est_cost = cost
     return op
 
 
@@ -588,7 +587,7 @@ def _lower_join(node: lp.Join, binder: _Binder) -> Operator:
         + operator_cpu_ms("hash_probe", probe_rows)
         + operator_cpu_ms("emit", op.est_rows)
     )
-    op.est_cost = left.est_cost + right.est_cost + _cpu(cpu)
+    op.own_cost = _cpu(cpu)
     return op
 
 

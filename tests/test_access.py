@@ -160,6 +160,23 @@ def test_sorted_probe_builds_one_serializer_per_scan(monkeypatch):
     assert len(built) == 1  # not one per binary-search probe
 
 
+def test_sorted_probe_keeps_a_key_run_spanning_pages():
+    """One key over many pages: the probe starts on the last page opening
+    *below* ``lo``. The parent started on the last page opening *at* ``lo``
+    and returned 6 of these 400 matches — and so did the oracle, which
+    reads through the same probe."""
+    keys = [3] * 40 + [7] * 400 + [9] * 40
+    records = [(k, i) for i, k in enumerate(keys)]
+    store = RodentStore(page_size=512, pool_capacity=64)
+    store.create_table("T", Schema.of("k:int", "v:int"), layout="orderby[k](T)")
+    table = store.load("T", records)
+    for lo, hi in ((7, 7), (5, 7), (7, 8), (3, 3), (9, 20)):
+        predicate = Range("k", lo, hi)
+        want = [r for r in records if lo <= r[0] <= hi]
+        assert list(table.scan(predicate=predicate)) == want
+        assert list(table.scan_reference(predicate=predicate)) == want
+
+
 def test_a_scan_does_no_page_arithmetic(monkeypatch):
     """``pages`` / ``seeks`` / ``pruned`` are lazy: the reader never pays
     for ``pages_for_cells`` — only the planner, when it prices."""

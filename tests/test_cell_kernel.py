@@ -475,6 +475,11 @@ def _indexed_table(schema, records):
     return store, table
 
 
+def fetch(table, positions):
+    """``fetch_rows_by_position`` over the table's one rows run."""
+    return fetch_rows_by_position(table.store.renderer, table.layout, positions)
+
+
 @numpy_legs
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -497,7 +502,7 @@ def test_page_batched_fetch_equals_slot_at_a_time(numpy_on, data):
         positions = sorted(
             data.draw(st.sets(st.integers(0, len(records) - 1), max_size=60))
         )
-        batches = list(fetch_rows_by_position(table, positions))
+        batches = list(fetch(table, positions))
         assert batch_rows(batches) == _slot_at_a_time(table, positions)
         assert len(batches) == pages_for_positions(table, positions)
         assert not store.pool.pinned_pages()
@@ -541,12 +546,12 @@ def test_limit_stops_the_probe_and_leaves_no_frame_pinned(numpy_leg):
         assert not store.pool.pinned_pages()
         return store.disk.stats.page_reads
 
-    everything = data_page_reads(lambda: list(fetch_rows_by_position(table, positions)))
-    first_only = data_page_reads(lambda: next(fetch_rows_by_position(table, positions)))
+    everything = data_page_reads(lambda: list(fetch(table, positions)))
+    first_only = data_page_reads(lambda: next(fetch(table, positions)))
     assert first_only == 1 < everything
 
     def abandoned():
-        batches = fetch_rows_by_position(table, positions)
+        batches = fetch(table, positions)
         next(batches)
         batches.close()
 
@@ -568,7 +573,7 @@ def test_limit_stops_the_probe_and_leaves_no_frame_pinned(numpy_leg):
 def test_fetch_rejects_positions_outside_the_layout():
     store, table = _indexed_table(PACKED_SCHEMA, [(k, k, 0.0) for k in range(50)])
     with pytest.raises(QueryError):
-        list(fetch_rows_by_position(table, [3, 50]))
+        list(fetch(table, [3, 50]))
     with pytest.raises(QueryError):
-        list(fetch_rows_by_position(table, [-1, 3]))
-    assert list(fetch_rows_by_position(table, [])) == []
+        list(fetch(table, [-1, 3]))
+    assert list(fetch(table, [])) == []

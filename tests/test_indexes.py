@@ -188,17 +188,23 @@ class TestSpatialIndex:
 
 class TestPositionHelpers:
     def test_fetch_rows_by_position(self, setup):
-        _, table = setup
+        store, table = setup
         positions = [0, 1, 5, 700, 1499]
-        batches = list(fetch_rows_by_position(table, positions))
+        batches = list(
+            fetch_rows_by_position(store.renderer, table.layout, positions)
+        )
         assert [b.n_rows for b in batches] == [3, 1, 1]  # one per page
         got = [row for batch in batches for row in batch.rows()]
         assert got == [RECORDS[p] for p in positions]
 
     def test_fetch_out_of_range(self, setup):
-        _, table = setup
+        store, table = setup
         with pytest.raises(QueryError):
-            list(fetch_rows_by_position(table, [len(RECORDS)]))
+            list(
+                fetch_rows_by_position(
+                    store.renderer, table.layout, [len(RECORDS)]
+                )
+            )
 
     def test_pages_for_positions(self, setup):
         _, table = setup
@@ -213,5 +219,5 @@ class TestPositionHelpers:
         positions = list(range(min(5, first_page_rows)))
         store.pool.clear()
         store.disk.stats.reset()
-        list(fetch_rows_by_position(table, positions))
+        list(fetch_rows_by_position(store.renderer, table.layout, positions))
         assert store.disk.stats.page_reads == 1

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import vector
 from repro.engine.cost import CostEstimate, CostModel, estimate
+from repro.engine.database import RodentStore
 from repro.engine.stats import FieldStats, TableStats
+from repro.query import Range
 from repro.storage.disk import IOStats
 from repro.types import Schema
 
@@ -101,6 +104,69 @@ class TestSelectivity:
         lo, hi = min(x, y), max(x, y)
         sel = stats.fields["a"].selectivity(lo, hi)
         assert 0.0 <= sel <= 1.0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _same_rows(got, want):
+    """Row equality where NaN equals NaN."""
+    return len(got) == len(want) and all(
+        all(a == b or (a != a and b != b) for a, b in zip(g, w))
+        for g, w in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize(
+    "numpy_on",
+    [
+        pytest.param(
+            True,
+            marks=pytest.mark.skipif(
+                not vector.numpy_enabled(), reason="numpy off"
+            ),
+        ),
+        False,
+    ],
+)
+@pytest.mark.parametrize("layout", ["T", "columns(T)"])
+def test_float_column_with_nan_and_inf_loads(tmp_path, numpy_on, layout):
+    """NaN / ±inf in a float column: bounds and histogram over the finite
+    values (the parent's histogram raised ``cannot convert float NaN to
+    integer``), selectivity within [0, 1], exact scans, and a round trip
+    through the catalog."""
+    previous = vector.set_numpy_enabled(numpy_on)
+    try:
+        path = str(tmp_path / "s.db")
+        store = RodentStore(path, durable=True, page_size=1024)
+        store.create_table("T", Schema.of("a:int", "b:float"), layout=layout)
+        rows = [(1, NAN), (2, 1.0), (3, 2.0), (4, INF), (5, -INF)] * 40
+        table = store.load("T", rows)
+        one = TableStats.collect(Schema.of("b:float"), [(1.0,), (INF,)])
+        assert one.fields["b"].max_value == 1.0
+        stats = table.stats.fields["b"]
+        assert (stats.min_value, stats.max_value) == (1.0, 2.0)
+        for lo, hi in ((0, 1.5), (1.0, 1.0), (-INF, INF), (3, INF), (NAN, 1)):
+            assert 0.0 <= stats.selectivity(lo, hi) <= 1.0
+        predicates = [Range("b", 0, 1.5), Range("b", 1.5, INF), None]
+        for predicate in predicates:
+            want = [
+                r for r in rows
+                if predicate is None or predicate.lo <= r[1] <= predicate.hi
+            ]
+            assert _same_rows(list(table.scan(predicate=predicate)), want)
+        store.close()
+        reopened = RodentStore.open(
+            path, path + ".catalog.json", page_size=1024, durable=True
+        )
+        table = reopened.table("T")
+        assert table.stats.fields["b"].selectivity(0, 1.5) == (
+            stats.selectivity(0, 1.5)
+        )
+        assert _same_rows(list(table.scan()), rows)
+        reopened.close()
+    finally:
+        vector.set_numpy_enabled(previous)
 
 
 class TestCostModel:
