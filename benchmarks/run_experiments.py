@@ -1013,286 +1013,6 @@ def txn_bench(
     return result
 
 
-def integrity_bench(
-    scale: dict, out_path: str = "BENCH_integrity.json", seed: int = DEFAULT_SEED
-) -> dict:
-    """Cost of the end-to-end integrity layer (checksums + scrub).
-
-    Writes ``BENCH_integrity.json``:
-
-    * ``scan`` — the BENCH_scan columns workload (warm batch scans on a
-      memory store) with page-checksum verification on vs off, plus the
-      overhead in percent (target: <= 5%).  Steady-state scans serve
-      from the buffer pool and layout decode caches, so each page is
-      verified once on first read and never re-verified — the headline
-      overhead is near zero by construction, and the JSON records the
-      verified-read counts that explain why.
-    * ``scan.cold_file_scan`` — the worst case: a file-backed cold scan
-      where every page is re-read and re-verified.  A single cold scan
-      here is ~10 ms, the same order as scheduler jitter on a one-core
-      host, so besides the direct A/B this also reports a *derived*
-      overhead: a stable per-page ``read_page`` microbenchmark (tight
-      loop, best-of-many, on/off interleaved) times pages-per-scan over
-      the cold-scan floor.  The floor is the CRC itself (~4 us per
-      16 KiB page at C speed) against ~75 us/page of decode.
-    * ``commit`` — durable single-row commit throughput with checksums
-      (page trailers + WAL record CRCs) on vs off.
-    * ``scrub`` — full-scrub wall time against store size.
-    """
-    import shutil
-    import tempfile
-
-    from repro.engine.database import RodentStore
-    from repro.workloads import SALES_SCHEMA, generate_sales
-
-    banner("Integrity — checksum overhead + scrub cost (BENCH_integrity.json)")
-    n_records = scale["n_observations"] // 2
-    records = generate_sales(n_records, seed=seed)
-    result: dict = {
-        "benchmark": "integrity",
-        "page_size": scale["page_size"],
-        "n_records": n_records,
-        "seed": seed,
-        "scan": {},
-        "commit": {},
-        "scrub": [],
-    }
-
-    import gc
-
-    # (a) The acceptance-target workload: BENCH_scan's columns scan —
-    # same store shape as scan_bench (memory backend, pool_capacity=96,
-    # warm batch scans).  The A/B toggles ``store.checksums`` between
-    # interleaved best-of rounds on the one store.
-    store = RodentStore(
-        page_size=scale["page_size"], pool_capacity=96, checksums=True
-    )
-    store.create_table("Sales", SALES_SCHEMA, layout="columns(Sales)")
-    table = store.load("Sales", records)
-
-    v0 = store.integrity.page_verifications
-    assert sum(1 for _ in table.scan()) == n_records  # warm + verify
-    first_scan_verified = store.integrity.page_verifications - v0
-    v0 = store.integrity.page_verifications
-    assert sum(1 for _ in table.scan()) == n_records
-    steady_state_verified = store.integrity.page_verifications - v0
-
-    # Alternate which config goes first each trial and collect between
-    # labels: allocator state drifts monotonically while the collector
-    # is off, so a fixed order hands the first label a systematic bias.
-    warm = {"on": float("inf"), "off": float("inf")}
-    configs = [("on", True), ("off", False)]
-    for trial in range(10):
-        for label, on in configs if trial % 2 == 0 else configs[::-1]:
-            store.checksums = on
-            gc.collect()
-            gc.disable()
-            try:
-                for _ in range(5):
-                    start = time.perf_counter()
-                    count = sum(1 for _ in table.scan())
-                    warm[label] = min(
-                        warm[label], time.perf_counter() - start
-                    )
-                assert count == n_records
-            finally:
-                gc.enable()
-    store.checksums = True
-    store.close()
-
-    # (b) Worst case: file-backed cold scans, every page re-verified.
-    workdir = tempfile.mkdtemp(prefix="rodent-integbench-")
-    store = RodentStore(
-        os.path.join(workdir, "db.pages"),
-        page_size=scale["page_size"],
-        pool_capacity=96,
-        checksums=True,
-    )
-    store.create_table("Sales", SALES_SCHEMA, layout="columns(Sales)")
-    table = store.load("Sales", records)
-
-    # Which pages does one cold scan read?  (Not timed.)
-    scanned_pids: list = []
-    orig_read = store.disk.read_page
-    store.disk.read_page = lambda pid: (scanned_pids.append(pid), orig_read(pid))[1]
-    store.run_cold(lambda: list(table.scan()))
-    store.disk.read_page = orig_read
-    pages_per_scan = len(scanned_pids)
-    pids = sorted(set(scanned_pids))
-
-    def read_loop_floor(rounds: int = 30) -> float:
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            for pid in pids:
-                store.disk.read_page(pid)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    def cold_scan_floor(rounds: int = 12) -> float:
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            store.run_cold(lambda: list(table.scan()))
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    read_us = {}
-    cold_ms = {}
-    for trial in range(4):  # interleave the A/B, alternate order
-        for label, on in configs if trial % 2 == 0 else configs[::-1]:
-            store.disk.verify_checksums = on
-            gc.collect()
-            gc.disable()
-            try:
-                floor = read_loop_floor() / len(pids) * 1e6
-                read_us[label] = min(read_us.get(label, floor), floor)
-                cold = cold_scan_floor() * 1e3
-                cold_ms[label] = min(cold_ms.get(label, cold), cold)
-            finally:
-                gc.enable()
-    store.disk.verify_checksums = True
-    store.close()
-    shutil.rmtree(workdir)
-
-    delta_us = read_us["on"] - read_us["off"]
-    cold_measured_pct = (
-        (cold_ms["on"] - cold_ms["off"]) / cold_ms["off"] * 100.0
-    )
-    cold_derived_pct = (
-        delta_us * pages_per_scan / 1e3 / cold_ms["off"] * 100.0
-    )
-    result["scan"]["workload"] = (
-        "BENCH_scan columns (warm batch scan, memory store)"
-    )
-    result["scan"]["verified_page_reads"] = {
-        "first_scan": first_scan_verified,
-        "steady_state": steady_state_verified,
-    }
-    result["scan"]["cold_file_scan"] = {
-        "pages_per_scan": pages_per_scan,
-        "read_us_per_page": {
-            "on": round(read_us["on"], 2),
-            "off": round(read_us["off"], 2),
-            "delta": round(delta_us, 2),
-        },
-        "scan_ms": {
-            "on": round(cold_ms["on"], 2),
-            "off": round(cold_ms["off"], 2),
-        },
-        "overhead_pct_measured": round(cold_measured_pct, 2),
-        "overhead_pct_derived": round(cold_derived_pct, 2),
-    }
-    print(
-        f"cold file scan: {pages_per_scan} pages, "
-        f"+{delta_us:.2f} us/page verified "
-        f"({cold_derived_pct:+.2f}% derived, "
-        f"{cold_measured_pct:+.2f}% measured)"
-    )
-
-    # Durable commits are fsync-bound, and fsync latency on a shared
-    # host swings by orders of magnitude — so run both stores side by
-    # side, alternate small batches between them, and keep each
-    # config's best batch rate as its clean-window floor.
-    commit_stores = {}
-    commit_tables = {}
-    workdirs = []
-    for label, on in configs:
-        workdir = tempfile.mkdtemp(prefix="rodent-integbench-")
-        workdirs.append(workdir)
-        commit_stores[label] = RodentStore(
-            os.path.join(workdir, "db.pages"),
-            page_size=scale["page_size"],
-            pool_capacity=96,
-            durable=True,
-            checksums=on,
-        )
-        commit_stores[label].create_table("T", SALES_SCHEMA)
-        commit_stores[label].load("T", records[:200])
-        commit_tables[label] = commit_stores[label].table("T")
-        for rec in records[200:205]:  # warm the insert/commit path
-            commit_tables[label].insert([rec])
-    n_commits = max(80, scale["n_queries"] * 8)
-    batch = 10
-    commit_floor = {"on": float("inf"), "off": float("inf")}
-    offset = 0
-    while offset < n_commits:
-        chunk = records[offset : offset + batch]
-        trial = offset // batch
-        for label, _ in configs if trial % 2 == 0 else configs[::-1]:
-            t = commit_tables[label]
-            for rec in chunk:
-                start = time.perf_counter()
-                t.insert([rec])
-                commit_floor[label] = min(
-                    commit_floor[label], time.perf_counter() - start
-                )
-        offset += batch
-    commit_best = {
-        label: 1.0 / floor for label, floor in commit_floor.items()
-    }
-    for label, _ in configs:
-        commit_stores[label].close()
-    for workdir in workdirs:
-        shutil.rmtree(workdir)
-
-    print(f"{'checksums':<12}{'scan rows/s':>14}{'commits/s':>12}")
-    for label, on in configs:
-        scan_rate = n_records / warm[label]
-        result["scan"][label] = round(scan_rate, 1)
-        result["commit"][label] = round(commit_best[label], 1)
-        print(f"{label:<12}{scan_rate:>14,.0f}{commit_best[label]:>12,.0f}")
-
-    scan_overhead = (
-        (result["scan"]["off"] - result["scan"]["on"])
-        / result["scan"]["off"] * 100.0
-    )
-    commit_overhead = (
-        (result["commit"]["off"] - result["commit"]["on"])
-        / result["commit"]["off"] * 100.0
-    )
-    result["scan"]["overhead_pct"] = round(scan_overhead, 2)
-    result["commit"]["overhead_pct"] = round(commit_overhead, 2)
-    print(f"scan overhead {scan_overhead:+.2f}%  "
-          f"commit overhead {commit_overhead:+.2f}%  (target <= 5% scan)")
-
-    print(f"\nscrub wall time vs store size")
-    print(f"{'rows':<10}{'pages':>8}{'scrub s':>10}{'clean':>7}")
-    for fraction in (4, 1):
-        subset = records[: n_records // fraction]
-        workdir = tempfile.mkdtemp(prefix="rodent-scrubbench-")
-        store = RodentStore(
-            os.path.join(workdir, "db.pages"),
-            page_size=scale["page_size"],
-            pool_capacity=96,
-            durable=True,
-        )
-        store.create_table("Sales", SALES_SCHEMA, layout="columns(Sales)")
-        store.load("Sales", subset)
-        start = time.perf_counter()
-        report = store.scrub()
-        scrub_s = time.perf_counter() - start
-        assert report["clean"], "clean store must scrub clean"
-        store.close()
-        shutil.rmtree(workdir)
-        result["scrub"].append({
-            "rows": len(subset),
-            "pages_checked": report["pages_checked"],
-            "wal_records_checked": report["wal_records_checked"],
-            "scrub_sec": round(scrub_s, 4),
-            "clean": report["clean"],
-        })
-        print(f"{len(subset):<10}{report['pages_checked']:>8}"
-              f"{scrub_s:>10.4f}{str(report['clean']):>7}")
-
-    result["generated_unix"] = int(time.time())
-    with open(out_path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {os.path.abspath(out_path)}")
-    return result
-
-
 def ingest_bench(
     scale: dict, out_path: str = "BENCH_ingest.json", seed: int = DEFAULT_SEED
 ) -> dict:
@@ -1561,17 +1281,6 @@ def main() -> None:
         help="output path for the vectorized-execution benchmark JSON",
     )
     parser.add_argument(
-        "--integrity-bench-only",
-        action="store_true",
-        help="run only the integrity-layer benchmark and write "
-        "BENCH_integrity.json",
-    )
-    parser.add_argument(
-        "--integrity-bench-out",
-        default="BENCH_integrity.json",
-        help="output path for the integrity benchmark JSON",
-    )
-    parser.add_argument(
         "--ingest-bench-only",
         action="store_true",
         help="run only the levelled-ingest benchmark and write "
@@ -1614,10 +1323,6 @@ def main() -> None:
         vector_bench(scale, args.vector_bench_out, seed=args.seed)
         print(f"\ntotal: {time.time() - start:.1f}s")
         return
-    if args.integrity_bench_only:
-        integrity_bench(scale, args.integrity_bench_out, seed=args.seed)
-        print(f"\ntotal: {time.time() - start:.1f}s")
-        return
     if args.ingest_bench_only:
         ingest_bench(scale, args.ingest_bench_out, seed=args.seed)
         print(f"\ntotal: {time.time() - start:.1f}s")
@@ -1629,7 +1334,6 @@ def main() -> None:
     partition_bench(scale, args.partition_bench_out, seed=args.seed)
     txn_bench(scale, args.txn_bench_out, seed=args.seed)
     vector_bench(scale, args.vector_bench_out, seed=args.seed)
-    integrity_bench(scale, args.integrity_bench_out, seed=args.seed)
     ingest_bench(scale, args.ingest_bench_out, seed=args.seed)
     optimizer(scale)
     compression(scale)

@@ -104,12 +104,19 @@ def test_bench_rtree_insert(benchmark):
     pool = BufferPool(disk, capacity=512)
     tree = RTree(pool)
     rng = random.Random(3)
+    inserted = []
 
     def run():
         x, y = rng.uniform(0, 1000), rng.uniform(0, 1000)
-        tree.insert(MBR(x, y, x + 1, y + 1), 0)
+        tree.insert(MBR(x, y, x + 1, y + 1), len(inserted))
+        inserted.append(x)
 
-    benchmark(run)
+    # A fixed number of inserts: calibrated rounds would grow the tree
+    # without bound.
+    benchmark.pedantic(run, rounds=2_000, iterations=1)
+    hits = tree.search(MBR(-1, -1, 1_002, 1_002))
+    assert len(inserted) == (1 if benchmark.disabled else 2_000)
+    assert sorted(payload for _, payload in hits) == list(range(len(inserted)))
 
 
 def test_bench_secondary_index_scan(benchmark):

@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro import vector
@@ -157,6 +158,7 @@ def _open_rows(
 ) -> RunAccess:
     plan = layout.plan
     names = plan.schema.names()
+    read = partial(renderer.iter_row_batches, batch_rows=batch_rows)
     bounds = _sorted_range(layout, predicate)
     if bounds is not None:
         lead, lo, hi = bounds
@@ -187,12 +189,10 @@ def _open_rows(
         idx = [names.index(f) for f in plan.delta_fields]
         return RunAccess(
             names, layout, None,
-            lambda: _undelta_batches(
-                renderer.iter_row_batches(layout), idx, tuple(names)
-            ),
+            lambda: _undelta_batches(read(layout), idx, tuple(names)),
             lambda: (layout.total_pages(), 1, layout.total_pages()),
         )
-    return _open_paged(layout, names, intervals, renderer.iter_row_batches)
+    return _open_paged(layout, names, intervals, read)
 
 
 def _sorted_range(
@@ -221,9 +221,9 @@ def _sorted_range(
 def _probe_sorted(
     renderer: LayoutRenderer, layout: StoredLayout, lead: str, lo, hi
 ) -> Iterator[ColumnBatch]:
-    """Sorted-range read, one batch per page: binary search over page
-    boundaries finds the first page that can hold a match and the scan stops
-    once the key passes ``hi`` — O(log n + matching) pages, not all."""
+    """Sorted-range read, page by page (``batch_rows=1``): binary search
+    finds the first page that can hold a match; no page after the first one
+    holding a key past ``hi`` is fetched — O(log n + matching) pages."""
     schema = layout.plan.schema
     lead_pos = schema.index_of(lead)
     serializer = RecordSerializer(schema)
@@ -249,7 +249,7 @@ def _probe_sorted(
             left = mid + 1
         else:
             right = mid - 1
-    for batch in renderer.iter_row_batches(layout, start=start):
+    for batch in renderer.iter_row_batches(layout, start=start, batch_rows=1):
         # Keys ascend within the page: everything past ``hi`` — here and on
         # every later page — is out of range.
         keys = vector.to_list(batch.columns()[lead_pos])

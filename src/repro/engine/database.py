@@ -445,14 +445,16 @@ class RodentStore:
     def _repair_page(self, page_id: int) -> bytearray | None:
         """Repair a corrupt page from its latest committed WAL after-image.
 
-        The renderer logs *full-page* after-images at commit, so any page
-        whose transaction is still in the (un-truncated) WAL can be
-        rewritten bit-for-bit. Pages folded into the page file by an
-        earlier checkpoint have no WAL copy left — the checkpoint protocol
-        fsynced them as the authoritative replica — so those stay
-        quarantined and ``None`` is returned. The log streams by: only the
-        page's own images are held.
+        The renderer logs *full-page* after-images of run pages at commit,
+        so a run page whose transaction is still in the WAL can be
+        rewritten bit-for-bit. Any other tenant — a B-tree or R-tree node,
+        never logged — would get the image of the page id's previous
+        tenant, so only pages a catalog run occupies are repaired. Pages a
+        checkpoint folded into the page file have no WAL copy left. Either
+        way the page stays quarantined and ``None`` is returned.
         """
+        if page_id not in self._referenced_pages():
+            return None
         images: list[tuple[int, bytes]] = []  # (txn, image), log order
         committed: set[int] = set()
         try:

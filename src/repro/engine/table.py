@@ -72,12 +72,10 @@ from repro.algebra.transforms import (
 from repro.engine import synopsis as zonemaps
 from repro.engine.access import count_runs, decide_scan, index_access, open_run
 from repro.engine.catalog import CatalogEntry
-from repro.engine.cost import CostEstimate, CostModel, estimate
+from repro.engine.cost import CostEstimate, estimate
 from repro.errors import CorruptPageError, QueryError, StorageError
 from repro.layout.renderer import (
-    DEFAULT_BATCH_ROWS,
     ColumnBatch,
-    LayoutRenderer,
     StoredLayout,
     select_column_groups,
     sort_batches,
@@ -1059,8 +1057,7 @@ class Table:
         db = self._db
         return open_run(
             db.renderer, layout, needed, predicate, intervals,
-            self._entry.stats, db.cost_model,
-            getattr(db, "batch_rows", DEFAULT_BATCH_ROWS),
+            self._entry.stats, db.cost_model, db.batch_rows,
         )
 
     def _iter_stored(

@@ -35,9 +35,10 @@ Read paths come in two granularities:
   ``decode_buffer``, so the per-value Python interpreter tax is paid once
   per batch instead of once per value.
 
-Slotted pages have a single reader, whichever granularity asks:
-:meth:`RecordSerializer.decode_page` turns a page into column vectors (typed
-ones, for fixed-width numeric schemas) and the row iterators transpose them.
+Slotted pages have a single decoder, whichever granularity asks:
+:class:`RecordSerializer` turns a page — or, for a rows run, the record heaps
+of a batch of packed pages at once — into column vectors (typed ones, for
+fixed-width numeric schemas) and the row iterators transpose them.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from repro.algebra.transforms import (
 from repro import vector
 from repro.compression import get_codec
 from repro.engine.synopsis import LayoutSynopsis, ZoneTable
-from repro.errors import StorageError
+from repro.errors import CorruptPageError, StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import (
     BYTES_HEADER_SIZE,
@@ -84,10 +85,11 @@ _U32 = struct.Struct("<I")
 _CELL_HEADER = struct.Struct("<IH")  # row count, field count
 
 #: Default rows per batch for batch-at-a-time readers whose natural unit
-#: (page, chunk, cell) is smaller than this; page-shaped sources keep their
-#: page granularity. ``RodentStore(batch_rows=...)`` overrides it per store.
-#: 1024 won a sweep across {256..8192} in BENCH_vector.json: large enough
-#: to amortize per-batch dispatch, small enough to stay cache-resident.
+#: (page, chunk, cell) is smaller than this; a rows run gathers packed pages
+#: up to it, other page-shaped sources keep their page granularity.
+#: ``RodentStore(batch_rows=...)`` overrides it per store. 1024 won a sweep
+#: across {256..8192} in BENCH_vector.json: large enough to amortize
+#: per-batch dispatch, small enough to stay cache-resident.
 DEFAULT_BATCH_ROWS = 1024
 
 #: Decoded-chunk cache entries kept per column group (FIFO). Chunks hold
@@ -1269,24 +1271,69 @@ class LayoutRenderer:
         layout: StoredLayout,
         skip: "set[int] | None" = None,
         start: int = 0,
+        batch_rows: int = DEFAULT_BATCH_ROWS,
     ) -> Iterator[ColumnBatch]:
-        """Row-layout records, one columnar batch per slotted page.
+        """Row-layout records as columnar batches, a batch of pages at a time.
 
         ``skip`` holds extent positions of pages zone-map pruning ruled out;
         skipped pages are never fetched from the buffer pool or decoded.
         ``start`` is the extent position to begin at (sorted-range scans).
+
+        Pages are fetched one by one, in extent order, and each is unpinned
+        before the next is fetched. The record heap of a *packed* page
+        (:meth:`RecordSerializer.packed_heap`) is copied into the batch
+        being gathered, which closes once it holds ``batch_rows`` rows or
+        the run ends and then becomes columns in one
+        :meth:`RecordSerializer.decode_heap` — typed vectors, or lists where
+        a record carries nulls. Any other non-empty page closes the current
+        batch and is decoded alone by :meth:`RecordSerializer.decode_page`.
+        A corrupt page first yields the rows gathered before it, so a scan
+        that contains the error keeps exactly the rows of the pages ahead.
         """
         if layout.extent is None:
             return
         serializer = RecordSerializer(layout.plan.schema)
         fields = tuple(layout.plan.schema.names())
         page_ids = layout.extent.page_ids
+        batch_bytes = batch_rows * serializer.record_size
+        gathered = bytearray()
+
+        def gathered_batch() -> ColumnBatch:
+            return ColumnBatch.from_columns(
+                fields, serializer.decode_heap(gathered)
+            )
+
         for page_index in range(start, len(page_ids)):
             if skip is not None and page_index in skip:
                 continue
-            columns = self._read_slotted(page_ids[page_index], serializer)
-            if columns and len(columns[0]):
+            page_id = page_ids[page_index]
+            try:
+                frame = self.pool.fetch(page_id)
+            except CorruptPageError:
+                if gathered:
+                    yield gathered_batch()
+                raise
+            try:
+                page = SlottedPage(self.page_size, frame.data)
+                heap = serializer.packed_heap(page)
+                if heap is None:
+                    columns = serializer.decode_page(frame.data, self.page_size)
+                else:
+                    gathered += heap
+                    heap.release()
+            finally:
+                self.pool.unpin(page_id)
+            if heap is not None:
+                if len(gathered) >= batch_bytes:
+                    yield gathered_batch()
+                    gathered = bytearray()
+            elif columns and len(columns[0]):
+                if gathered:
+                    yield gathered_batch()
+                    gathered = bytearray()
                 yield ColumnBatch.from_columns(fields, columns)
+        if gathered:
+            yield gathered_batch()
 
     def iter_column_batches(
         self,

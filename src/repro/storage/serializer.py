@@ -11,7 +11,12 @@ zero-length payload in the variable section, keeping offsets computable.
 
 Whole slotted pages of records go through :meth:`RecordSerializer.decode_page`
 and :meth:`RecordSerializer.encode_page` — the one place a row page is turned
-into column vectors, or a run of records into a page image.
+into column vectors, or a run of records into a page image. A *packed* page
+(fixed-width numeric records back to back, every slot live) is recognised by
+:meth:`RecordSerializer.packed_heap`; its record heap — or the heaps of
+several such pages laid end to end, which is how a rows run is read a batch
+of pages at a time — becomes columns in one
+:meth:`RecordSerializer.decode_heap`.
 
 Vector wire format (used by column chunks)::
 
@@ -57,7 +62,9 @@ class RecordSerializer:
         # shape of :class:`SlottedPage`); "" for every other schema.
         codes = [vector.typecode_for(f.dtype) or "" for f in schema.fields]
         self._packed_codes = "".join(codes) if all(codes) else ""
-        self._record_size = self._bitmap_size + self._fixed_struct.size
+        #: Bytes of one record's bitmap and fixed section — the whole record
+        #: of a packed page.
+        self.record_size = self._bitmap_size + self._fixed_struct.size
 
     # -- encoding ----------------------------------------------------------
 
@@ -131,40 +138,67 @@ class RecordSerializer:
         """Every live record of the slotted page in ``buffer``, in slot
         order, as one value vector per schema field.
 
-        A packed page of null-free records — what rendering a schema of
-        8-byte numeric fields always writes — is lifted out as typed
-        vectors by :func:`repro.vector.from_records`, with no per-record
-        Python. Any other page (variable-length or bool fields, nulls,
-        tombstoned or in-place-updated slots) is read in one walk of the
-        slot directory, straight off the page buffer, into plain lists
-        holding the same values, so callers never branch.
+        A packed page — what rendering a schema of 8-byte numeric fields
+        always writes — goes through :meth:`decode_heap`. Any other page
+        (variable-length or bool fields, tombstoned or in-place-updated
+        slots) is read in one walk of the slot directory, straight off the
+        page buffer, into plain lists holding the same values, so callers
+        never branch.
 
         Raises:
             PageError: when the header or a live slot is out of bounds.
             SerializationError: when a record does not parse.
         """
         page = SlottedPage(page_size, buffer)
-        if self._packed_codes:
-            count = page.packed_count(self._record_size)
-            if count:
-                columns = vector.from_records(
-                    buffer,
-                    SLOTTED_HEADER_SIZE,
-                    count,
-                    self._bitmap_size,
-                    self._packed_codes,
-                )
-                if columns is not None:
-                    return columns
+        heap = self.packed_heap(page)
+        if heap is not None:
+            return self.decode_heap(heap)
+        return self._decode_slots(
+            buffer, ((offset, length) for _, offset, length in page.live_slots())
+        )
+
+    def packed_heap(self, page: SlottedPage) -> memoryview | None:
+        """A view of ``page``'s record heap when the page is packed with
+        this schema's records, else ``None`` — the one packed-page test.
+        The view shares the page buffer: copy or decode it before the
+        buffer's frame is unpinned."""
+        if not self._packed_codes:
+            return None
+        count = page.packed_count(self.record_size)
+        if not count:
+            return None
+        end = SLOTTED_HEADER_SIZE + count * self.record_size
+        return memoryview(page.buffer)[SLOTTED_HEADER_SIZE:end]
+
+    def decode_heap(self, heap) -> list:
+        """Records of this (packed) schema laid back to back in ``heap`` —
+        one page's record heap or several concatenated — as one vector per
+        field. Null-free records are lifted out as typed vectors by
+        :func:`repro.vector.from_records`, with no per-record Python;
+        records carrying null flags are read record by record into lists."""
+        count = len(heap) // self.record_size
+        columns = vector.from_records(
+            heap, 0, count, self._bitmap_size, self._packed_codes
+        )
+        if columns is not None:
+            return columns
+        size = self.record_size
+        return self._decode_slots(
+            heap, ((offset, size) for offset in range(0, count * size, size))
+        )
+
+    def _decode_slots(self, buffer, slots) -> list:
+        """Records at the ``(offset, length)`` ``slots`` of ``buffer``, as
+        one list per field (``None`` where a record's null bit is set)."""
         unpack_head = self._head_struct.unpack_from
-        head_size = self._record_size
+        head_size = self.record_size
         no_nulls = bytes(self._bitmap_size)
         variable = [
             (dtype.name == "bytes", []) for _, dtype in self._var_fields
         ]
         heads: list[tuple] = []  # (null bitmap, *fixed values) per record
         nulls: list[tuple[int, bytes]] = []  # (row, bitmap) where one is set
-        for _, offset, length in page.live_slots():
+        for offset, length in slots:
             if length < head_size:
                 raise SerializationError(
                     f"record buffer too short ({length} bytes)"
@@ -210,10 +244,10 @@ class RecordSerializer:
         """
         page = SlottedPage(page_size)
         if self._packed_codes:
-            capacity = SlottedPage.packed_capacity(page_size, self._record_size)
+            capacity = SlottedPage.packed_capacity(page_size, self.record_size)
             chunk = records[start : start + capacity]
             if chunk and self._pack_records(page.buffer, chunk):
-                page.set_packed(len(chunk), self._record_size)
+                page.set_packed(len(chunk), self.record_size)
                 return page, len(chunk)
             page = SlottedPage(page_size)  # a failed pack leaves debris
         count = 0

@@ -413,6 +413,55 @@ class TestRepairAndDegradedReads:
         store.disk.read_page(pid)
         store.close()
 
+    def _recycled_ids_under_an_index(self, tmp_path):
+        """A rows table whose logged run pages were freed and then taken by
+        B-tree nodes, which are never logged: ``(store, node page ids,
+        current run page ids)``."""
+        store = make_store(tmp_path)
+        store.create_table("T", SCHEMA, layout="rows(T)")
+        rows = [(i, i * 2) for i in range(300)]
+        store.load("T", rows)
+        store.checkpoint()
+        logged = set(store.load("T", rows).layout.page_ids())
+        store.load("T", rows)  # frees the pages just logged
+        store.table("T").create_index("id")
+        store.pool.flush_all()
+        run_pages = store._referenced_pages()
+        nodes = (
+            set(range(store.disk.num_pages))
+            - run_pages
+            - store.disk.free_page_ids()
+        )
+        assert nodes & logged  # a node sits on a page id the WAL has an image of
+        return store, sorted(nodes & logged), sorted(run_pages)
+
+    def test_index_node_is_not_repaired_from_a_previous_tenant(self, tmp_path):
+        store, nodes, _ = self._recycled_ids_under_an_index(tmp_path)
+        path, frame_size = str(tmp_path / "db"), store.disk.frame_size
+        node = nodes[0]
+        flip_byte(path, node * frame_size + 20)
+        with open(path, "rb") as f:
+            f.seek(node * frame_size)
+            damaged = f.read(frame_size)
+        store.pool.discard(node)
+        with pytest.raises(CorruptPageError):
+            store.pool.fetch(node)
+        assert store.integrity.page_repairs == 0
+        assert node in store.integrity.quarantined
+        assert store.scrub(repair=True)["pages_repaired"] == 0
+        with open(path, "rb") as f:
+            f.seek(node * frame_size)
+            assert f.read(frame_size) == damaged  # left alone on disk
+        store.close()
+
+    def test_run_page_with_current_image_still_repairs(self, tmp_path):
+        store, _, run_pages = self._recycled_ids_under_an_index(tmp_path)
+        store.pool.clear()
+        flip_byte(str(tmp_path / "db"), run_pages[0] * store.disk.frame_size + 20)
+        assert sorted(store.table("T").scan()) == [(i, i * 2) for i in range(300)]
+        assert store.integrity.page_repairs == 1
+        store.close()
+
     def test_unrepairable_fails_loudly_by_default(self, tmp_path):
         store = make_store(tmp_path)
         store.create_table("T", SCHEMA, layout="columns(T)")
