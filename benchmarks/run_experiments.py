@@ -81,311 +81,6 @@ def sales(scale: dict) -> None:
         print(f"{name:<20}{pages / len(queries):>12.1f}")
 
 
-SCAN_BENCH_LAYOUTS = {
-    "rows": "Sales",
-    "columns": "columns(Sales)",
-    "grouped": "columns[[year, month, day], [zipcode], [customerid], "
-    "[productid], [quantity, price]](Sales)",
-    "mirror": "mirror(rows(Sales), columns(Sales))",
-}
-
-
-def scan_bench(
-    scale: dict, out_path: str = "BENCH_scan.json", seed: int = DEFAULT_SEED
-) -> dict:
-    """Full-table scan throughput, batch pipeline vs tuple-at-a-time.
-
-    Writes ``BENCH_scan.json`` — rows/sec per layout for the batch path
-    (``Table.scan``) and the reference path (``Table.scan_reference``),
-    i.e. after/before the batch pipeline — so the scan-path performance
-    trajectory is visible across PRs.
-    """
-    from repro.engine.database import RodentStore
-    from repro.workloads import SALES_SCHEMA, generate_sales
-
-    banner("Scan throughput — batch pipeline vs reference (BENCH_scan.json)")
-    n_records = scale["n_observations"] // 2
-    records = generate_sales(n_records, seed=seed)
-    result: dict = {
-        "benchmark": "full_table_scan",
-        "n_records": n_records,
-        "page_size": scale["page_size"],
-        "seed": seed,
-        "unit": "rows_per_sec",
-        "layouts": {},
-    }
-    print(f"{'layout':<10}{'reference':>14}{'batch':>14}{'speedup':>9}")
-    for name, layout in SCAN_BENCH_LAYOUTS.items():
-        store = RodentStore(page_size=scale["page_size"], pool_capacity=96)
-        store.create_table("Sales", SALES_SCHEMA, layout=layout)
-        table = store.load("Sales", records)
-        timings = {}
-        for label, scan in (
-            ("batch", table.scan),
-            ("reference", table.scan_reference),
-        ):
-            assert sum(1 for _ in scan()) == n_records  # warm + verify
-            best = float("inf")
-            for _ in range(3):
-                start = time.perf_counter()
-                count = sum(1 for _ in scan())
-                best = min(best, time.perf_counter() - start)
-            assert count == n_records
-            timings[label] = n_records / best
-        speedup = timings["batch"] / timings["reference"]
-        result["layouts"][name] = {
-            "rows_per_sec_reference": round(timings["reference"], 1),
-            "rows_per_sec_batch": round(timings["batch"], 1),
-            "speedup": round(speedup, 2),
-        }
-        print(
-            f"{name:<10}{timings['reference']:>14,.0f}"
-            f"{timings['batch']:>14,.0f}{speedup:>8.2f}x"
-        )
-    result["generated_unix"] = int(time.time())
-    with open(out_path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {os.path.abspath(out_path)}")
-    return result
-
-
-VECTOR_BATCH_ROWS_SWEEP = (256, 512, 1024, 2048, 4096, 8192)
-
-
-def vector_bench(
-    scale: dict, out_path: str = "BENCH_vector.json", seed: int = DEFAULT_SEED
-) -> dict:
-    """Vectorized execution core: before/after on the same machine.
-
-    Writes ``BENCH_vector.json`` — scan / order-by / top-k / group-by / join
-    throughput on the ``columns(Sales)`` layout against the tuple-at-a-time
-    oracle and with ``store.vectorized`` on vs off (the "off" mode runs
-    the identical batch pipeline transposed to row tuples at the leaf, so
-    the delta isolates the typed-buffer paths), a ``batch_rows``
-    sweep justifying the default granularity, and the pure-Python
-    ``array``-module fallback with numpy disabled. All modes are verified
-    against each other before timing.
-    """
-    from repro import vector
-    from repro.engine.database import RodentStore
-    from repro.query import Q
-    from repro.types.schema import Schema
-    from repro.workloads import SALES_SCHEMA, generate_sales
-
-    banner("Vectorized execution — typed buffers on/off (BENCH_vector.json)")
-    n_records = scale["n_observations"] // 2
-    records = generate_sales(n_records, seed=seed)
-    customer_schema = Schema.of("customerid:int", "region:int", "segment:int")
-    customers = [(i, i % 50, i % 4) for i in range(2000)]
-
-    def build(batch_rows=None):
-        kwargs = {} if batch_rows is None else {"batch_rows": batch_rows}
-        store = RodentStore(
-            page_size=scale["page_size"], pool_capacity=96, **kwargs
-        )
-        store.create_table("Sales", SALES_SCHEMA, layout="columns(Sales)")
-        store.create_table("Customers", customer_schema)
-        table = store.load("Sales", records)
-        store.load("Customers", customers)
-        return store, table
-
-    def best_of(fn, n=3):
-        best = float("inf")
-        for _ in range(n):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return n_records / best
-
-    def run_groupby(store):
-        return (
-            Q(store, "Sales")
-            .group_by("productid")
-            .agg(n="*", qty="sum:quantity", revenue="sum:price")
-            .run()
-        )
-
-    def run_join(store):
-        return (
-            Q(store, "Sales")
-            .join("Customers", on="customerid")
-            .group_by("region")
-            .agg(revenue="sum:price")
-            .run()
-        )
-
-    def run_filter(store):
-        from repro.query.expressions import Range
-
-        return (
-            Q(store, "Sales")
-            .select("quantity", "price")
-            .where(Range("quantity", 1, 3))
-            .run()
-        )
-
-    store, table = build()
-    result: dict = {
-        "benchmark": "vectorized_execution",
-        "n_records": n_records,
-        "page_size": scale["page_size"],
-        "seed": seed,
-        "numpy_available": vector.numpy_module() is not None,
-        "default_batch_rows": store.batch_rows,
-        "unit": "rows_per_sec",
-    }
-
-    # --- scan: batch pipeline vs the untouched tuple-at-a-time oracle ---
-    assert sum(1 for _ in table.scan()) == n_records  # warm + verify
-    result["scan"] = {
-        "rows_per_sec_reference": round(
-            best_of(lambda: sum(1 for _ in table.scan_reference())), 1
-        ),
-        "rows_per_sec_batch": round(
-            best_of(lambda: sum(1 for _ in table.scan())), 1
-        ),
-    }
-    result["scan"]["speedup"] = round(
-        result["scan"]["rows_per_sec_batch"]
-        / result["scan"]["rows_per_sec_reference"],
-        2,
-    )
-    print(
-        f"scan: reference {result['scan']['rows_per_sec_reference']:,.0f} "
-        f"rows/s, batch {result['scan']['rows_per_sec_batch']:,.0f} rows/s "
-        f"({result['scan']['speedup']:.1f}x)\n"
-    )
-
-    # --- order-by / top-k: the ordering kernel vs the row-tuple oracle ---
-    order = [("price", False), ("productid", True), ("customerid", True)]
-    reference_sorted = list(table.scan_reference(order=order))
-    assert list(table.scan(order=order)) == reference_sorted
-    assert list(table.scan(order=order, limit=10)) == reference_sorted[:10]
-    result["order"] = {
-        "sort_rows_per_sec_reference": round(
-            best_of(lambda: list(table.scan_reference(order=order))), 1
-        ),
-        "sort_rows_per_sec": round(
-            best_of(lambda: list(table.scan(order=order))), 1
-        ),
-        # The oracle has no limit: top-k there is the full sort, sliced.
-        "topk_rows_per_sec_reference": round(
-            best_of(lambda: list(table.scan_reference(order=order))[:10]), 1
-        ),
-        "topk_rows_per_sec": round(
-            best_of(lambda: list(table.scan(order=order, limit=10))), 1
-        ),
-    }
-    for metric in ("sort", "topk"):
-        result["order"][f"{metric}_speedup"] = round(
-            result["order"][f"{metric}_rows_per_sec"]
-            / result["order"][f"{metric}_rows_per_sec_reference"],
-            2,
-        )
-    print(
-        f"order by 3 keys: reference "
-        f"{result['order']['sort_rows_per_sec_reference']:,.0f} rows/s, kernel "
-        f"{result['order']['sort_rows_per_sec']:,.0f} rows/s "
-        f"({result['order']['sort_speedup']:.1f}x); top-10 "
-        f"{result['order']['topk_rows_per_sec']:,.0f} rows/s "
-        f"({result['order']['topk_speedup']:.1f}x)\n"
-    )
-
-    # --- operator pipeline, vectorized on vs off (row-backed leaves) ---
-    modes: dict = {}
-    answers: dict = {}
-    for mode, flag in (("vectorized", True), ("rowwise", False)):
-        store.vectorized = flag
-        answers[mode] = (
-            sorted(run_filter(store)),
-            sorted(run_groupby(store)),
-            sorted(run_join(store)),
-        )
-        modes[mode] = {
-            "filter_rows_per_sec": round(
-                best_of(lambda: run_filter(store)), 1
-            ),
-            "groupby_rows_per_sec": round(
-                best_of(lambda: run_groupby(store)), 1
-            ),
-            "join_rows_per_sec": round(best_of(lambda: run_join(store)), 1),
-        }
-    store.vectorized = True
-    assert answers["vectorized"] == answers["rowwise"], (
-        "vectorized mode changed query answers"
-    )
-    result["modes"] = modes
-    print(f"{'mode':<12}{'filter':>14}{'group-by':>14}{'join':>14}")
-    for mode, stats in modes.items():
-        print(
-            f"{mode:<12}"
-            + "".join(
-                f"{stats[k]:>14,.0f}"
-                for k in (
-                    "filter_rows_per_sec",
-                    "groupby_rows_per_sec",
-                    "join_rows_per_sec",
-                )
-            )
-        )
-    for metric in ("filter", "groupby", "join"):
-        result[f"{metric}_speedup"] = round(
-            modes["vectorized"][f"{metric}_rows_per_sec"]
-            / modes["rowwise"][f"{metric}_rows_per_sec"],
-            2,
-        )
-
-    # --- batch granularity sweep (justifies the default batch_rows) ---
-    sweep: dict = {}
-    print(f"\n{'batch_rows':<12}{'scan':>14}")
-    for batch_rows in VECTOR_BATCH_ROWS_SWEEP:
-        _, swept = build(batch_rows=batch_rows)
-        assert sum(1 for _ in swept.scan()) == n_records
-        sweep[str(batch_rows)] = round(
-            best_of(lambda: sum(1 for _ in swept.scan())), 1
-        )
-        print(f"{batch_rows:<12}{sweep[str(batch_rows)]:>14,.0f}")
-    result["batch_rows_sweep"] = sweep
-
-    # --- pure-Python fallback: same answers with numpy switched off ---
-    prev = vector.set_numpy_enabled(False)
-    try:
-        fb_store, fb_table = build()
-        assert sum(1 for _ in fb_table.scan()) == n_records
-        assert sorted(run_filter(fb_store)) == answers["vectorized"][0]
-        assert sorted(run_groupby(fb_store)) == answers["vectorized"][1]
-        assert list(fb_table.scan(order=order)) == reference_sorted
-        result["no_numpy"] = {
-            "scan_rows_per_sec": round(
-                best_of(lambda: sum(1 for _ in fb_table.scan())), 1
-            ),
-            "sort_rows_per_sec": round(
-                best_of(lambda: list(fb_table.scan(order=order))), 1
-            ),
-            "topk_rows_per_sec": round(
-                best_of(lambda: list(fb_table.scan(order=order, limit=10))), 1
-            ),
-            "groupby_rows_per_sec": round(
-                best_of(lambda: run_groupby(fb_store)), 1
-            ),
-        }
-    finally:
-        vector.set_numpy_enabled(prev)
-    print(
-        f"\nno-numpy fallback: scan "
-        f"{result['no_numpy']['scan_rows_per_sec']:,.0f} rows/s, group-by "
-        f"{result['no_numpy']['groupby_rows_per_sec']:,.0f} rows/s"
-    )
-
-    result["generated_unix"] = int(time.time())
-    with open(out_path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {os.path.abspath(out_path)}")
-    return result
-
-
 def adapt_bench(
     scale: dict, out_path: str = "BENCH_adapt.json", seed: int = DEFAULT_SEED
 ) -> dict:
@@ -1029,7 +724,7 @@ def ingest_bench(
       volume for ``levels[r; r]`` with size ratio r in 2 / 4 / 8.
     * ``scan_during_compaction`` — range-scan latency while background
       merges run on the worker pool vs after a final full compaction,
-      with every in-flight scan verified against ``scan_reference``.
+      with every in-flight scan verified against the inserted rows.
     * ``no_numpy`` — the headline comparison again on the stdlib
       fallback (typed buffers off), proving the win is structural.
     """
@@ -1170,9 +865,6 @@ def ingest_bench(
             got = sorted(table.scan(predicate=probe))
             live_ms.append((time.perf_counter() - start) * 1e3)
             assert got == probe_want, "scan diverged during compaction"
-            assert got == sorted(
-                table.scan_reference(predicate=probe)
-            ), "batch != reference during background compaction"
     table.compact()
     assert sorted(table.scan(predicate=probe)) == probe_want
     quiet = float("inf")
@@ -1227,16 +919,6 @@ def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--scale", choices=SCALES, default="default")
     parser.add_argument(
-        "--scan-bench-only",
-        action="store_true",
-        help="run only the scan-throughput benchmark and write BENCH_scan.json",
-    )
-    parser.add_argument(
-        "--scan-bench-out",
-        default="BENCH_scan.json",
-        help="output path for the scan benchmark JSON",
-    )
-    parser.add_argument(
         "--adapt-bench-only",
         action="store_true",
         help="run only the adaptive-loop benchmark and write "
@@ -1270,17 +952,6 @@ def main() -> None:
         help="output path for the transaction benchmark JSON",
     )
     parser.add_argument(
-        "--vector-bench-only",
-        action="store_true",
-        help="run only the vectorized-execution benchmark and write "
-        "BENCH_vector.json",
-    )
-    parser.add_argument(
-        "--vector-bench-out",
-        default="BENCH_vector.json",
-        help="output path for the vectorized-execution benchmark JSON",
-    )
-    parser.add_argument(
         "--ingest-bench-only",
         action="store_true",
         help="run only the levelled-ingest benchmark and write "
@@ -1303,10 +974,6 @@ def main() -> None:
     print(f"scale: {args.scale} {scale}  seed: {args.seed}")
 
     start = time.time()
-    if args.scan_bench_only:
-        scan_bench(scale, args.scan_bench_out, seed=args.seed)
-        print(f"\ntotal: {time.time() - start:.1f}s")
-        return
     if args.adapt_bench_only:
         adapt_bench(scale, args.adapt_bench_out, seed=args.seed)
         print(f"\ntotal: {time.time() - start:.1f}s")
@@ -1319,21 +986,15 @@ def main() -> None:
         txn_bench(scale, args.txn_bench_out, seed=args.seed)
         print(f"\ntotal: {time.time() - start:.1f}s")
         return
-    if args.vector_bench_only:
-        vector_bench(scale, args.vector_bench_out, seed=args.seed)
-        print(f"\ntotal: {time.time() - start:.1f}s")
-        return
     if args.ingest_bench_only:
         ingest_bench(scale, args.ingest_bench_out, seed=args.seed)
         print(f"\ntotal: {time.time() - start:.1f}s")
         return
     figure2(scale)
     sales(scale)
-    scan_bench(scale, args.scan_bench_out, seed=args.seed)
     adapt_bench(scale, args.adapt_bench_out, seed=args.seed)
     partition_bench(scale, args.partition_bench_out, seed=args.seed)
     txn_bench(scale, args.txn_bench_out, seed=args.seed)
-    vector_bench(scale, args.vector_bench_out, seed=args.seed)
     ingest_bench(scale, args.ingest_bench_out, seed=args.seed)
     optimizer(scale)
     compression(scale)

@@ -28,9 +28,11 @@ flip) is opened at scan time.
 The verdict is computed eagerly — a scan needs it before its first batch —
 while ``pages`` / ``seeks`` / ``pruned`` are page arithmetic computed when
 asked, so a scan never pays for numbers only the planner reads. Empty
-``intervals`` mean "no zone map is consulted" (``store.zone_pruning = False``,
-and the zone-map-free ``scan_reference``); cell-bound, folded-key and
-sorted-range pruning need no zone map and always apply.
+``intervals`` mean "no zone map is consulted" (``store.zone_pruning =
+False``); cell-bound, folded-key and sorted-range pruning need no zone map
+and always apply. Correctness is checked outside the engine: the test
+suites compare every scan with a naive model over the logical rows
+(``tests/oracle.py``), which shares no reader or verdict with it.
 """
 
 from __future__ import annotations

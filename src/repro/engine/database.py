@@ -206,7 +206,6 @@ class RodentStore:
         catalog_path: str | None = None,
         group_commit_window: float = 0.0,
         batch_rows: int = DEFAULT_BATCH_ROWS,
-        vectorized: bool = True,
         checksums: bool = True,
         degraded_reads: bool = False,
         level_seal_rows: int = 2048,
@@ -281,15 +280,10 @@ class RodentStore:
         #: Settable at runtime — the shared executor is (re)built lazily.
         self.scan_workers = scan_workers
         #: Target rows per scan batch (plumbed to every batch reader).
-        #: Settable at runtime; the default won the BENCH_vector sweep.
+        #: Settable at runtime.
         self.batch_rows = int(batch_rows)
         if self.batch_rows < 1:
             raise StorageError("batch_rows must be >= 1")
-        #: Vectorized execution: typed column buffers + selection bitmaps
-        #: + whole-column predicates. Settable at runtime (the fuzz suite
-        #: flips it per iteration); off = the per-row closure pipeline.
-        #: Answers are identical either way.
-        self.vectorized = bool(vectorized)
         #: Rows a levelled table's pending buffer accumulates before it
         #: seals into an immutable level-0 run. Settable at runtime (the
         #: ingest benchmark sweeps it).
@@ -577,7 +571,8 @@ class RodentStore:
             return
         table = Table(self, entry)
         try:
-            rows = list(table.scan_reference())
+            batches, _ = table._table_source(None, None)
+            rows = [row for batch in batches for row in batch.rows()]
         except RodentStoreError:
             return  # unreadable data: the page/WAL walk already said why
         if len(rows) != table.row_count:

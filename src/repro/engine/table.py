@@ -25,15 +25,14 @@ runs* (the "reorganize only new data" state of §5); scans transparently merge
 a region's main run with its overflow, and :meth:`Table.compact` folds the
 overflow back into the main representation.
 
-Scans execute **batch-at-a-time** internally while keeping the paper's
-per-tuple iterator API: the renderer yields page/chunk-sized
-:class:`~repro.layout.renderer.ColumnBatch` objects (bulk codec decode, bulk
-record deserialization), the predicate is compiled once into a closure /
-per-column selection masks (:meth:`repro.query.expressions.Predicate.compile`),
-projection is a precomputed ``operator.itemgetter``, and overflow/pending
-records trail as extra batches. :meth:`Table.scan_reference` keeps the
-original tuple-at-a-time pipeline for equivalence testing and benchmarking;
-both paths produce byte-identical results in the same order.
+There is one read path. Scans execute **batch-at-a-time** while keeping the
+paper's per-tuple iterator API: the renderer yields page/chunk-sized
+:class:`~repro.layout.renderer.ColumnBatch` objects, one selection step
+(:func:`_selector`: the whole-column bitmap, else the per-column mask, else
+the compiled row closure) filters them — for scans, updates and deletes
+alike — projection reorders column vectors, and overflow/pending records
+trail as extra batches. ``get_element`` / ``next`` are cursors over those
+batches, not a second reader.
 
 How one run is read under one predicate — what is pruned, what that costs —
 is decided in :mod:`repro.engine.access`; this module walks regions × runs
@@ -56,7 +55,6 @@ from repro.algebra.physical import (
     LAYOUT_FOLDED,
     LAYOUT_GRID,
     LAYOUT_LEVELLED,
-    LAYOUT_MIRROR,
     LAYOUT_PARTITIONED,
     LAYOUT_ROWS,
     PhysicalPlan,
@@ -67,7 +65,6 @@ from repro.algebra.transforms import (
     orderby_records,
     project_records,
     select_records,
-    undelta_records,
 )
 from repro.engine import synopsis as zonemaps
 from repro.engine.access import count_runs, decide_scan, index_access, open_run
@@ -84,7 +81,6 @@ from repro.query.expressions import Predicate
 from repro.storage.page import SlottedPage
 from repro.storage.serializer import RecordSerializer
 from repro.types.schema import Schema
-from repro.types.values import multisort
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.access import RunAccess, TableAccess
@@ -384,8 +380,7 @@ class Table:
                 has to sort keeps only the best ``limit`` rows as it reads.
 
         The iterator is produced batch-at-a-time internally (see
-        :meth:`scan_batches`); results are identical — values and order —
-        to the tuple-at-a-time :meth:`scan_reference`.
+        :meth:`scan_batches`).
         """
         batches, mvcc, snap = self._open_scan(
             fieldlist, predicate, order, limit
@@ -411,7 +406,7 @@ class Table:
         selection bitmaps / compiled predicate closures, columnar or
         ``operator.itemgetter`` projection — then applied per batch, so
         per-row Python overhead is amortized across each page/chunk.
-        Flattened, the batches equal :meth:`scan_reference` output exactly.
+        Flattened, the batches equal :meth:`scan` output exactly.
         """
         batches, mvcc, snap = self._open_scan(
             fieldlist, predicate, order, limit
@@ -527,20 +522,14 @@ class Table:
         batches, avail = self._table_source(needed, predicate, access=access)
         positions = {name: i for i, name in enumerate(avail)}
 
-        row_filter = None
-        use_mask = False
-        vectorized = getattr(self._db, "vectorized", True)
+        keep = None
         if predicate is not None:
             missing = predicate.fields_used() - set(avail)
             if missing:
                 raise QueryError(
                     f"predicate references unavailable field(s) {sorted(missing)}"
                 )
-            # Mask evaluation only helps predicates with a columnar
-            # override; the generic fallback would re-zip columns anyway.
-            use_mask = (
-                type(predicate).filter_batch is not Predicate.filter_batch
-            )
+            keep = _selector(predicate, positions)
 
         sort_idx: list[int] = []
         sort_desc: list[bool] = []
@@ -573,28 +562,7 @@ class Table:
         )
 
         def filtered(batch: ColumnBatch) -> ColumnBatch:
-            nonlocal row_filter
-            if predicate is None:
-                return batch
-            if batch.is_columnar:
-                if vectorized:
-                    bitmap = predicate.filter_vector(
-                        batch.column_map(), batch.n_rows
-                    )
-                    if bitmap is not None:
-                        return batch.select(bitmap)
-                if use_mask:
-                    mask = predicate.filter_batch(
-                        batch.column_map(), batch.n_rows
-                    )
-                    return batch.select(mask)
-            if row_filter is None:
-                # Compiled on first use: a scan whose batches all take a
-                # columnar path above never pays for the row closure.
-                row_filter = predicate.compile(positions)
-            return ColumnBatch.from_rows(
-                batch.fields, list(filter(row_filter, batch.rows()))
-            )
+            return batch if keep is None else batch.select(keep(batch))
 
         def projected(batch: ColumnBatch) -> ColumnBatch:
             if project is None:
@@ -643,81 +611,6 @@ class Table:
         # layout's pages) can never fire under a mid-iteration reader.
         return self._db.adaptivity.track_scan(batches_out)
 
-    def scan_reference(
-        self,
-        fieldlist: Sequence[str] | None = None,
-        predicate: Predicate | None = None,
-        order: Order | None = None,
-    ) -> Iterator[tuple]:
-        """Tuple-at-a-time scan — the original (pre-batch) pipeline.
-
-        Kept as the executable specification of :meth:`scan`: equivalence
-        tests assert both paths return identical tuples in identical order,
-        and the scan benchmarks report before/after against it.
-        """
-        order_keys = normalize_order(order)
-        # The reference path is workload too (same observation shape as the
-        # batch path, so either pipeline feeds the same model).
-        self._db.adaptivity.observe_scan(
-            self, fieldlist, predicate, order_keys
-        )
-        mvcc = self._entry.mvcc
-        snap = mvcc.pin(self._entry)
-        try:
-            view = self._pinned_view(snap)
-            rows = view._scan_reference_pinned(fieldlist, predicate, order_keys)
-        except BaseException:
-            mvcc.release(snap)
-            raise
-        return _release_when_done(rows, mvcc, snap)
-
-    def _scan_reference_pinned(
-        self,
-        fieldlist: Sequence[str] | None,
-        predicate: Predicate | None,
-        order_keys: tuple[tuple[str, bool], ...],
-    ) -> Iterator[tuple]:
-        needed = self._needed_fields(fieldlist, predicate, order_keys)
-        rows, avail = self._table_source(needed, predicate, reference=True)
-        positions = {name: i for i, name in enumerate(avail)}
-
-        if predicate is not None:
-            missing = predicate.fields_used() - set(avail)
-            if missing:
-                raise QueryError(
-                    f"predicate references unavailable field(s) {sorted(missing)}"
-                )
-            rows = (r for r in rows if predicate.matches(r, positions))
-
-        if order_keys and not self._order_satisfied(order_keys):
-            idx = []
-            desc = []
-            for name, ascending in order_keys:
-                if name not in positions:
-                    raise QueryError(f"unknown order field {name!r}")
-                idx.append(positions[name])
-                desc.append(not ascending)
-            rows = iter(multisort(list(rows), idx, desc))
-
-        if fieldlist is not None:
-            try:
-                out_idx = [positions[f] for f in fieldlist]
-            except KeyError as exc:
-                raise QueryError(
-                    f"unknown projection field {exc.args[0]!r}"
-                ) from None
-            if out_idx != list(range(len(avail))):
-                rows = map(_row_projector(out_idx), rows)
-        elif tuple(avail) != tuple(self.scan_schema().names()):
-            full = self.scan_schema().names()
-            out_idx = [positions[f] for f in full if f in positions]
-            rows = map(_row_projector(out_idx), rows)
-        # Unlike the batch path, no per-row cardinality wrapper (it would
-        # tax the reference pipeline, the benchmark baseline — avg_rows
-        # comes from scan_batches executions of the same shape); liveness
-        # tracking wraps the whole iterator, one hop per scan not per row.
-        return self._db.adaptivity.track_scan(rows)
-
     def _needed_fields(
         self,
         fieldlist: Sequence[str] | None,
@@ -756,32 +649,23 @@ class Table:
         self,
         needed: Sequence[str] | None,
         predicate: Predicate | None,
-        reference: bool = False,
         access: TableAccess | None = None,
-    ) -> tuple[Iterator, list[str]]:
+    ) -> tuple[Iterator[ColumnBatch], list[str]]:
         """``(source, fields)`` of a scan: the index probe when
         :func:`~repro.engine.access.index_access` finds one worth making,
         else every region the scan must read.
 
         The routing of the three table shapes, and nothing else: which
         regions, in which field order, resolved how, contained how. The
-        reading is :meth:`_region_batches` — or, with ``reference``, its
-        tuple-at-a-time oracle :meth:`_region_reference_rows`. A carried
-        ``access`` no longer holding for this snapshot is dropped.
+        reading is :meth:`_region_batches`. A carried ``access`` no longer
+        holding for this snapshot is dropped.
         """
         if access is not None and not access.holds(self, needed, predicate):
             access = None
         via_index = access.index if access else index_access(self, predicate)
         if via_index is not None:
-            batches = via_index.batches()
-            if reference:
-                batches = _iter_batch_rows(batches)
-            return batches, via_index.fields
-        scan = (
-            self._region_reference_rows
-            if reference
-            else partial(self._region_batches, access=access)
-        )
+            return via_index.batches(), via_index.fields
+        scan = partial(self._region_batches, access=access)
         regions = self._require_loaded()
         if self.is_levelled:
             # Multiset tables keep every pruning lever: tombstone
@@ -813,8 +697,6 @@ class Table:
 
         def source(region):
             batches, _ = scan(region, needed, predicate, target)
-            if reference:
-                return batches
             return self._corruption_guard(batches, f"partition[{region.pid}]")
 
         sources = [
@@ -822,7 +704,7 @@ class Table:
             for region in self._partitions_for_scan(predicate)
         ]
         workers = int(getattr(self._db, "scan_workers", 0) or 0)
-        if workers > 1 and len(sources) > 1 and not reference:
+        if workers > 1 and len(sources) > 1:
             # Regions fan out to the store's shared thread pool
             # morsel-style and merge back **in partition order**, so
             # parallel results are byte-identical to serial ones (the
@@ -983,60 +865,6 @@ class Table:
 
         return generate(), list(target)
 
-    def _region_reference_rows(
-        self,
-        region,
-        needed: Sequence[str] | None,
-        predicate: Predicate | None,
-        target: Sequence[str] | None = None,
-        resolver: "_LevelResolver | None" = None,
-        unit=None,
-    ) -> tuple[Iterator[tuple], list[str]]:
-        """Tuple-at-a-time twin of :meth:`_region_batches` — same order,
-        same resolution, but no zone map is consulted for any run or for
-        the pending buffer, so :meth:`scan_reference` stays the oracle the
-        batch scan is checked against."""
-        runs = list(region.runs)
-        if resolver is not None:
-            runs.reverse()
-        opened = None
-        if target is None:
-            opened = self._iter_stored(runs[0].layout, needed, predicate)
-            target = opened[1]
-        scan_names = self.scan_schema().names()
-
-        def run_rows(run, opened) -> Iterator[tuple]:
-            if opened is None:
-                if not run.row_count:
-                    return
-                opened = self._iter_stored(run.layout, needed, predicate)
-            source, avail = opened
-            projector = _row_fields_projector(avail, target)
-            if projector is not None:
-                source = map(projector, source)
-            if resolver is None or not resolver.enter_run(run):
-                yield from source
-                return
-            for row in source:
-                yield from resolver.resolve((row,))
-
-        def pending_rows() -> Iterator[tuple]:
-            rows = [tuple(r) for r in region.pending]
-            if resolver is not None:
-                rows = resolver.resolve_pending(rows)
-            projector = _row_fields_projector(scan_names, target)
-            return iter(rows) if projector is None else map(projector, rows)
-
-        def generate() -> Iterator[tuple]:
-            if resolver is not None:
-                yield from pending_rows()
-            for i, run in enumerate(runs):
-                yield from run_rows(run, opened if i == 0 else None)
-            if resolver is None:
-                yield from pending_rows()
-
-        return generate(), list(target)
-
     def _region_rows(self, region) -> list[tuple]:
         """Every stored-shape row of one region (runs + pending) in
         canonical scan order — the source of a region-granular rewrite."""
@@ -1059,86 +887,6 @@ class Table:
             db.renderer, layout, needed, predicate, intervals,
             self._entry.stats, db.cost_model, db.batch_rows,
         )
-
-    def _iter_stored(
-        self,
-        layout: StoredLayout,
-        needed: Sequence[str] | None,
-        predicate: Predicate | None,
-    ) -> tuple[Iterator[tuple], list[str]]:
-        """Iterate one stored layout tuple-at-a-time: (records, fields).
-
-        The oracle reads what ``open_run`` decides from *empty* intervals —
-        cell bounds, folded keys and the sorted-range probe, but no zone
-        map. Only which replica of a mirror is read is the scan's own
-        (zone-priced) choice, so both pipelines walk the same stored order.
-        """
-        if layout.plan.kind == LAYOUT_MIRROR:
-            layout = self._open_run(
-                layout, needed, predicate, self._prune_intervals(predicate)
-            ).layout
-        access = self._open_run(layout, needed, predicate, {})
-        plan = layout.plan
-        renderer = self._db.renderer
-        if plan.kind == LAYOUT_GRID:
-            entries = access.verdict
-            if entries is None:
-                entries = layout.cell_directory
-            cells = (renderer.read_cell(layout, entry) for entry in entries)
-            return chain.from_iterable(cells), plan.schema.names()
-        if plan.kind == LAYOUT_FOLDED:
-            return self._iter_unnested(layout, access.verdict), access.fields
-        if plan.kind == LAYOUT_ARRAY:
-            leaves = renderer.iter_array_leaves(layout)
-            return ((v,) for v in leaves), access.fields
-        if plan.kind == LAYOUT_COLUMNS:
-            rows = self._iter_columns(layout, needed)
-        elif plan.delta_fields:
-            rows = renderer.iter_rows(layout)
-        else:
-            return _iter_batch_rows(access.batches()), access.fields
-        delta_here = [f for f in plan.delta_fields if f in access.fields]
-        if delta_here:
-            positions = {n: i for i, n in enumerate(access.fields)}
-            rows = iter(undelta_records(list(rows), positions, delta_here))
-        return rows, access.fields
-
-    def _iter_columns(
-        self, layout: StoredLayout, needed: Sequence[str] | None
-    ) -> Iterator[tuple]:
-        """Positional merge of the column groups a query touches (stored
-        values: delta fields not yet reconstructed)."""
-        renderer = self._db.renderer
-        iterators = [
-            (renderer.iter_column_group(layout, i), len(group.fields) > 1)
-            for i, group in select_column_groups(layout, needed)
-        ]
-        while True:
-            row: list[Any] = []
-            try:
-                for it, is_mini in iterators:
-                    value = next(it)
-                    if is_mini:
-                        row.extend(value)
-                    else:
-                        row.append(value)
-            except StopIteration:
-                return
-            yield tuple(row)
-
-    def _iter_unnested(
-        self, layout: StoredLayout, indices: Sequence[int] | None = None
-    ) -> Iterator[tuple]:
-        """Fold layouts un-nest on scan: merge inner values with the parent."""
-        renderer = self._db.renderer
-        n_nest = len(layout.plan.nest_fields)
-        for row in renderer.iter_folded(layout, indices):
-            key = row[:-1]
-            for item in row[-1]:
-                if n_nest == 1:
-                    yield key + (item,)
-                else:
-                    yield key + tuple(item)
 
     def _order_satisfied(self, order_keys: tuple[tuple[str, bool], ...]) -> bool:
         """Does a scan serve ``order_keys`` without sorting?
@@ -1253,8 +1001,8 @@ class Table:
             return renderer.get_array_element(self.layout, index)
         if plan.kind == LAYOUT_GRID and not isinstance(index, int):
             entry = self._cell_at(tuple(index))
-            records = renderer.read_cell(self.layout, entry)
-            return self._project_records(records, fieldlist)
+            cell = renderer.iter_grid_batches(self.layout, [entry], None)
+            return self._project_records(_batch_rows(cell), fieldlist)
         if not isinstance(index, int):
             raise QueryError(
                 f"layout {plan.kind} requires a flat integer index"
@@ -1689,21 +1437,14 @@ class Table:
                 names, positions,
             )
 
-        vectorized = getattr(self._db, "vectorized", True)
+        keep = None if predicate is None else _selector(predicate, positions)
 
         def victims(batch: ColumnBatch) -> list | None:
             """Per-row verdicts of ``predicate`` on one batch (``None`` =
-            nothing matches): the vectorized bitmap when the batch and the
-            predicate support one, ``matches`` row by row otherwise."""
-            if predicate is None:
+            nothing matches), from the scan's own selection step."""
+            if keep is None:
                 return [True] * batch.n_rows
-            mask = None
-            if batch.is_columnar and vectorized:
-                mask = predicate.filter_vector(
-                    batch.column_map(), batch.n_rows
-                )
-            if mask is None:
-                mask = [predicate.matches(r, positions) for r in batch.rows()]
+            mask = keep(batch)
             return vector.to_list(mask) if vector.mask_count(mask) else None
 
         def transform(batches: list[ColumnBatch]) -> tuple[list[tuple], int]:
@@ -1765,13 +1506,11 @@ class Table:
         with self._db.mutate(self.name) as m:
             (region,) = entry.regions
             with self._db.adaptivity.pause():
-                visible = _batch_rows(self._table_source(None, None)[0])
-            if predicate is None:
-                matched = visible
-            else:
-                matched = [
-                    r for r in visible if predicate.matches(r, positions)
-                ]
+                batches, _ = self._table_source(None, None)
+                if predicate is not None:
+                    keep = _selector(predicate, positions)
+                    batches = (batch.select(keep(batch)) for batch in batches)
+                matched = _batch_rows(batches)
             if not matched:
                 return 0
             if predicate is None and updated is None:
@@ -2005,6 +1744,36 @@ def _region_may_match(spec, region, lo: float, hi: float) -> bool:
     return True
 
 
+def _selector(predicate: Predicate, positions: dict[str, int]):
+    """``batch -> selection mask`` of ``predicate`` over batches shaped by
+    ``positions``: the one filter chain of scans, updates and deletes.
+
+    A columnar batch takes the whole-column bitmap
+    (:meth:`Predicate.filter_vector`) when the predicate vectorizes, else
+    the per-column mask of a predicate that overrides
+    :meth:`Predicate.filter_batch`; anything else — row-backed batches, and
+    predicates with neither — runs the compiled row closure, built on first
+    use so a scan whose batches all take a columnar path never pays for it.
+    """
+    use_mask = type(predicate).filter_batch is not Predicate.filter_batch
+    row_filter = None
+
+    def keep(batch: ColumnBatch):
+        nonlocal row_filter
+        if batch.is_columnar:
+            columns = batch.column_map()
+            bitmap = predicate.filter_vector(columns, batch.n_rows)
+            if bitmap is not None:
+                return bitmap
+            if use_mask:
+                return predicate.filter_batch(columns, batch.n_rows)
+        if row_filter is None:
+            row_filter = predicate.compile(positions)
+        return list(map(row_filter, batch.rows()))
+
+    return keep
+
+
 def _batch_reorderer(avail: Sequence[str], target: Sequence[str]):
     """``ColumnBatch -> ColumnBatch`` re-ordering ``avail``-shaped batches to
     ``target`` (``None`` when the orders already agree). Columnar
@@ -2025,27 +1794,6 @@ def _batch_reorderer(avail: Sequence[str], target: Sequence[str]):
     return reorder
 
 
-def _row_fields_projector(avail: Sequence[str], target: Sequence[str]):
-    """Per-row projector re-ordering ``avail``-shaped rows to ``target``
-    (``None`` when the orders already agree)."""
-    if list(avail) == list(target):
-        return None
-    index = {f: i for i, f in enumerate(avail)}
-    return _row_projector([index[f] for f in target])
-
-
-def _row_projector(out_idx: Sequence[int]):
-    """Per-row projection callable (precomputed ``operator.itemgetter``).
-
-    ``itemgetter`` with one index returns a bare value, so the single-field
-    case wraps it into a 1-tuple to keep scan results uniform.
-    """
-    if len(out_idx) == 1:
-        i = out_idx[0]
-        return lambda row: (row[i],)
-    return operator.itemgetter(*out_idx)
-
-
 def _batch_projector(out_idx: Sequence[int] | None):
     """Batch projection: list of rows -> list of projected rows, or None."""
     if out_idx is None:
@@ -2057,10 +1805,6 @@ def _batch_projector(out_idx: Sequence[int] | None):
     return lambda rows: list(map(getter, rows))
 
 
-def _iter_batch_rows(batches: Iterable[ColumnBatch]) -> Iterator[tuple]:
-    """The rows of ``batches``, as native-python tuples."""
-    return chain.from_iterable(map(ColumnBatch.iter_rows, batches))
-
-
 def _batch_rows(batches: Iterable[ColumnBatch]) -> list[tuple]:
-    return list(_iter_batch_rows(batches))
+    """The rows of ``batches``, as native-python tuples."""
+    return list(chain.from_iterable(map(ColumnBatch.iter_rows, batches)))

@@ -22,23 +22,20 @@ Encodings:
 * array — fixed-width value vector with direct offsetting (supports
   multidimensional ``getElement``).
 
-Read paths come in two granularities:
+Every read is **batch-at-a-time**: one reader per layout kind
+(``iter_row_batches``, ``iter_column_batches``, ``iter_grid_batches``,
+``iter_folded_batches``, ``iter_array_batches``), chosen and parameterized
+by :func:`repro.engine.access.open_run`. They yield :class:`ColumnBatch`
+objects: a page, a chunk or a run of grid cells worth of decoded values at
+once, produced by the codecs' vectorized ``decode_buffer``, so the
+per-value Python interpreter tax is paid once per batch instead of once per
+value. Positional access (``get_element`` on a grid cell) reads through the
+same readers.
 
-* tuple-at-a-time iterators (``iter_rows``, ``iter_column_group``, ...) —
-  the reference implementation, kept for equivalence testing and as the
-  before-side of the scan benchmarks;
-* **batch-at-a-time** readers (``iter_row_batches``, ``iter_column_batches``,
-  ``iter_grid_batches``, ... — one per layout kind, chosen and parameterized
-  by :func:`repro.engine.access.open_run`) — the hot path. They yield
-  :class:`ColumnBatch` objects: a page, a chunk or a run of grid cells
-  worth of decoded values at once, produced by the codecs' vectorized
-  ``decode_buffer``, so the per-value Python interpreter tax is paid once
-  per batch instead of once per value.
-
-Slotted pages have a single decoder, whichever granularity asks:
-:class:`RecordSerializer` turns a page — or, for a rows run, the record heaps
-of a batch of packed pages at once — into column vectors (typed ones, for
-fixed-width numeric schemas) and the row iterators transpose them.
+Slotted pages have a single decoder: :class:`RecordSerializer` turns a page
+— or, for a rows run, the record heaps of a batch of packed pages at once —
+into column vectors (typed ones, for fixed-width numeric schemas), which
+:class:`ColumnBatch` transposes to rows only when a consumer asks.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Any, Iterator, Sequence
 
 from repro.algebra.physical import (
@@ -59,12 +56,7 @@ from repro.algebra.physical import (
     LAYOUT_ROWS,
     PhysicalPlan,
 )
-from repro.algebra.transforms import (
-    Evaluated,
-    Evaluator,
-    GridResult,
-    undelta_records,
-)
+from repro.algebra.transforms import Evaluated, Evaluator, GridResult
 from repro import vector
 from repro.compression import get_codec
 from repro.engine.synopsis import LayoutSynopsis, ZoneTable
@@ -87,9 +79,9 @@ _CELL_HEADER = struct.Struct("<IH")  # row count, field count
 #: Default rows per batch for batch-at-a-time readers whose natural unit
 #: (page, chunk, cell) is smaller than this; a rows run gathers packed pages
 #: up to it, other page-shaped sources keep their page granularity.
-#: ``RodentStore(batch_rows=...)`` overrides it per store. 1024 won a sweep
-#: across {256..8192} in BENCH_vector.json: large enough to amortize
-#: per-batch dispatch, small enough to stay cache-resident.
+#: ``RodentStore(batch_rows=...)`` overrides it per store. 1024 is large
+#: enough to amortize per-batch dispatch, small enough to stay
+#: cache-resident.
 DEFAULT_BATCH_ROWS = 1024
 
 #: Decoded-chunk cache entries kept per column group (FIFO). Chunks hold
@@ -201,20 +193,19 @@ class ColumnBatch:
         (``n_rows`` long). Columnar batches defer the gather: the new
         batch shares the underlying vectors and just records the bitmap.
         """
+        if self._columns is None:
+            rows = list(compress(self._rows, vector.to_list(mask)))
+            if len(rows) == self.n_rows:
+                return self
+            return ColumnBatch.from_rows(self.fields, rows)
         if count is None:
             count = vector.mask_count(mask)
         if count == self.n_rows:
             return self
-        if self._columns is not None:
-            cols = self.columns() if self._selection is not None else self._columns
-            if count == 0:
-                return ColumnBatch(self.fields, 0, rows=[])
-            return ColumnBatch(
-                self.fields, count, columns=cols, selection=mask
-            )
-        keep = vector.to_list(mask) if not isinstance(mask, list) else mask
-        rows = [r for r, k in zip(self._rows, keep) if k]
-        return ColumnBatch.from_rows(self.fields, rows)
+        cols = self.columns() if self._selection is not None else self._columns
+        if count == 0:
+            return ColumnBatch(self.fields, 0, rows=[])
+        return ColumnBatch(self.fields, count, columns=cols, selection=mask)
 
     def project_columns(
         self, idx: Sequence[int], fields: tuple[str, ...]
@@ -978,33 +969,6 @@ class LayoutRenderer:
             parts.append(encoded)
         return b"".join(parts)
 
-    def _decode_cell(self, plan: PhysicalPlan, blob: bytes) -> list[tuple]:
-        schema = plan.schema
-        (row_count,) = _U32.unpack_from(blob, 0)
-        (n_fields,) = _U16.unpack_from(blob, 4)
-        if n_fields != len(schema.fields):
-            raise StorageError(
-                f"cell has {n_fields} fields, schema expects "
-                f"{len(schema.fields)}"
-            )
-        offset = 6
-        columns: list[list] = []
-        for f in schema.fields:
-            (length,) = _U32.unpack_from(blob, offset)
-            offset += 4
-            codec = get_codec(plan.codec_for(f.name))
-            columns.append(
-                codec.decode(blob[offset : offset + length], f.dtype)
-            )
-            offset += length
-        records = [
-            tuple(col[i] for col in columns) for i in range(row_count)
-        ]
-        if plan.delta_fields:
-            positions = {name: i for i, name in enumerate(schema.names())}
-            records = undelta_records(records, positions, plan.delta_fields)
-        return records
-
     def _write_stream(self, stream: bytes) -> Extent:
         capacity = self.page_size - BYTES_HEADER_SIZE
         pages: list[BytePage] = []
@@ -1121,41 +1085,6 @@ class LayoutRenderer:
         finally:
             self.pool.unpin(page_id)
 
-    def iter_rows(self, layout: StoredLayout) -> Iterator[tuple]:
-        """Decoded records of a rows layout, in storage order."""
-        for batch in self.iter_row_batches(layout):
-            yield from batch.iter_rows()
-
-    def iter_column_group(
-        self, layout: StoredLayout, group_index: int
-    ) -> Iterator[Any]:
-        """Values (or mini-records) of one column group, in storage order."""
-        store = layout.column_groups[group_index]
-        plan = layout.plan
-        if len(store.fields) == 1:
-            dtype = plan.schema.field(store.fields[0]).dtype
-            codec = get_codec(plan.codec_for(store.fields[0]))
-            for page_index, _rows in store.chunks:
-                page_id = store.extent.page_ids[page_index]
-                frame = self.pool.fetch(page_id)
-                try:
-                    page = BytePage(self.page_size, frame.data)
-                    yield from codec.decode(page.read(), dtype)
-                finally:
-                    self.pool.unpin(page_id)
-        else:
-            serializer = RecordSerializer(plan.schema.project(store.fields))
-            for page_id in store.extent.page_ids:
-                columns = self._read_slotted(page_id, serializer)
-                yield from zip(*map(vector.to_list, columns))
-
-    def read_cell(self, layout: StoredLayout, entry: CellEntry) -> list[tuple]:
-        """Fetch and decode one grid cell (delta reconstruction included),
-        value at a time: ``get_element`` on a cell coordinate, and the
-        reference reader :meth:`iter_grid_batches` is checked against."""
-        blob = self._read_stream_range(layout, entry.offset, entry.length)
-        return self._decode_cell(layout.plan, blob)
-
     def _read_stream_range(
         self, layout: StoredLayout, offset: int, length: int
     ) -> bytes:
@@ -1206,13 +1135,11 @@ class LayoutRenderer:
         self,
         layout: StoredLayout,
         indices: Sequence[int] | None = None,
-        bulk: bool = False,
     ) -> Iterator[tuple]:
         """Folded records ``(key..., [nested...])`` in storage order.
 
         ``indices`` restricts the iteration to specific folded records (by
-        directory position) — the key-range pruning path. ``bulk`` selects
-        the codecs' ``decode_all`` fast path (batch scans).
+        directory position) — the key-range pruning path.
         """
         plan = layout.plan
         group_schema = plan.schema.project(plan.group_fields)
@@ -1237,8 +1164,9 @@ class LayoutRenderer:
             for codec, dtype in nest_codecs:
                 (length,) = _U32.unpack_from(blob, offset)
                 offset += 4
-                decode = codec.decode_all if bulk else codec.decode
-                vectors.append(decode(blob[offset : offset + length], dtype))
+                vectors.append(
+                    codec.decode_all(blob[offset : offset + length], dtype)
+                )
                 offset += length
             if single:
                 nested = list(vectors[0])
@@ -1247,20 +1175,6 @@ class LayoutRenderer:
                     tuple(vec[i] for vec in vectors) for i in range(count)
                 ]
             yield tuple(key) + (nested,)
-
-    def iter_array_leaves(self, layout: StoredLayout) -> Iterator[Any]:
-        """All array leaves in physical (flattened) order."""
-        if layout.extent is None:
-            return
-        dtype = layout.array_dtype or layout.plan.schema.fields[0].dtype
-        serializer = VectorSerializer(dtype)
-        for page_id in layout.extent.page_ids:
-            frame = self.pool.fetch(page_id)
-            try:
-                page = BytePage(self.page_size, frame.data)
-                yield from serializer.decode(page.read())
-            finally:
-                self.pool.unpin(page_id)
 
     # ==================================================================
     # Reading (batch-at-a-time scan path)
@@ -1344,7 +1258,7 @@ class LayoutRenderer:
     ) -> Iterator[ColumnBatch]:
         """Positionally aligned batches over the given column groups.
 
-        Each group's chunks decode whole (via the codec ``decode_all`` bulk
+        Each group's chunks decode whole (via the codec ``decode_buffer``
         path); a per-group cursor then serves aligned ``batch_size`` slices
         so groups with different chunk geometries merge without per-value
         round-trips.
@@ -1480,8 +1394,7 @@ class LayoutRenderer:
         field of *all* the batch's cells is then one
         :meth:`Codec.decode_buffer` call into one vector, and a delta field
         one :func:`repro.vector.prefix_sum` restarting at every cell. Rows
-        come out exactly as :meth:`read_cell` would give them, cell after
-        cell.
+        come out cell after cell, each cell's in stored order.
         """
         wanted = select_cell_fields(layout.plan.schema, needed)
         capacity = self.page_size - BYTES_HEADER_SIZE
@@ -1579,7 +1492,7 @@ class LayoutRenderer:
         fields = tuple(plan.group_fields) + tuple(plan.nest_fields)
         single = len(plan.nest_fields) == 1
         rows: list[tuple] = []
-        for row in self.iter_folded(layout, indices, bulk=True):
+        for row in self.iter_folded(layout, indices):
             key = row[:-1]
             nested = row[-1]
             if single:

@@ -4,10 +4,11 @@ The design optimizer consumes a :class:`~repro.optimizer.workload.Workload`
 — a weighted bag of (fieldlist, predicate, order) access templates. Offline,
 a designer hand-writes that bag; online, every access-method call *is* a
 template instance, so the :class:`WorkloadMonitor` materializes the workload
-for free: each ``Table.scan_batches`` / ``scan_reference`` call is folded
-into a pattern keyed by its access shape, weighted with exponential decay so
-the model tracks workload *shifts* (a pattern not seen for a while fades;
-yesterday's point-lookups stop outvoting today's analytics).
+for free: each ``Table.scan`` / ``scan_batches`` / ``scan_column_batches``
+call — the one read path — is folded into a pattern keyed by its access
+shape, weighted with exponential decay so the model tracks workload
+*shifts* (a pattern not seen for a while fades; yesterday's point-lookups
+stop outvoting today's analytics).
 
 Decay runs on a logical clock (one tick per observation), not wall time, so
 the math is deterministic and testable: observing a pattern at tick ``t``

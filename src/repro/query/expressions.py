@@ -33,6 +33,11 @@ Batch execution contract (the scan pipeline's hot path):
   vectorize *exactly* (non-numeric fields, division/modulo whose per-row
   errors must surface, int/float casts that would round); callers then fall
   back to the closure paths above, so answers never change.
+
+The engine tries the three in the order bitmap → mask → closure, in one
+place (``repro.engine.table._selector``) that scans, updates and deletes
+share. :meth:`Predicate.matches` is the protocol a user predicate
+implements; the engine reaches it only through the default ``compile``.
 """
 
 from __future__ import annotations

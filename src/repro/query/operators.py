@@ -17,10 +17,10 @@ made once and carried on the operator. Above it sit
 :class:`GroupByOp` (flat accumulators by group id, no member-row
 buffering), :class:`SortOp`, and :class:`LimitOp`.
 
-When the store's vectorized mode is on, columnar batches flow through the
-tree untransposed: filters evaluate selection bitmaps
-(:meth:`Predicate.filter_vector`) and defer the gather, projections
-reorder column vectors, and the two keyed operators run on one kernel —
+Columnar batches flow through the tree untransposed: filters evaluate
+selection bitmaps (:meth:`Predicate.filter_vector`) and defer the gather,
+projections reorder column vectors, and the two keyed operators run on one
+kernel —
 :class:`repro.vector.KeyTable` turns key columns into dense group ids a
 coalesced chunk at a time, group-by folds value vectors by id, the join
 gathers both sides by index vectors and emits columnar batches. The
@@ -222,9 +222,7 @@ class TableScanOp(Operator):
         actual = 0
         # The access method's native ColumnBatch stream: columnar layouts
         # arrive as typed vectors (plus any pending selection bitmap) and
-        # stay columnar through the plan tree — unless the store runs
-        # row-backed (``vectorized = False``).
-        vectorized = getattr(self.table.store, "vectorized", True)
+        # stay columnar through the plan tree.
         for batch in self.table.scan_column_batches(
             fieldlist=self.fieldlist,
             predicate=self.predicate,
@@ -232,8 +230,6 @@ class TableScanOp(Operator):
             limit=self.limit,
             access=self.access,
         ):
-            if not vectorized:
-                batch = ColumnBatch.from_rows(self.fields, batch.rows())
             actual += batch.n_rows
             yield batch
         # Completed scans report actual-vs-estimated cardinality into the
@@ -274,8 +270,8 @@ def fan_out_partitions(executor, sources, window: int):
     merged stream yields every partition's batches **in partition order**,
     so a parallel scan is indistinguishable from a serial one — order
     preservation is what lets sorted range-partitioned scans stay sorted
-    and keeps the differential suite's batch ≡ reference ≡ planned
-    equivalence intact with parallelism on.
+    and keeps the differential suite's answers identical with parallelism
+    on and off.
 
     On early close (a consumer abandoning the scan) the in-flight futures
     are drained before returning so no worker outlives the iterator —

@@ -8,11 +8,13 @@ that keeps it the *only* such decision is pinned at the end (same style as
 """
 
 import ast
+import inspect
 import os
 import re
 
 import pytest
 
+import oracle
 from repro.engine import access
 from repro.engine.access import open_run
 from repro.engine.database import RodentStore
@@ -120,8 +122,8 @@ def test_cost_prune_and_read_are_one_verdict(kind):
 
 @pytest.mark.parametrize("kind", ["rows", "columns", "grid", "folded"])
 def test_empty_intervals_consult_no_zone_map(kind, monkeypatch):
-    """``intervals={}`` is the zone-map-free oracle's (and ``zone_pruning =
-    False``'s) verdict: cell bounds and folded keys still prune, zones never."""
+    """``intervals={}`` is ``zone_pruning = False``'s verdict: cell bounds
+    and folded keys still prune, zones never."""
     store, table = build(kind)
 
     def no_zone_table(*args, **kwargs):
@@ -162,19 +164,20 @@ def test_sorted_probe_builds_one_serializer_per_scan(monkeypatch):
 
 def test_sorted_probe_keeps_a_key_run_spanning_pages():
     """One key over many pages: the probe starts on the last page opening
-    *below* ``lo``. The parent started on the last page opening *at* ``lo``
-    and returned 6 of these 400 matches — and so did the oracle, which
-    reads through the same probe."""
+    *below* ``lo``. Starting on the last page opening *at* ``lo`` returned
+    6 of these 400 matches — and so did the tuple-at-a-time reference
+    engine of the time, which read through the same probe; the model of
+    the loaded rows does not."""
     keys = [3] * 40 + [7] * 400 + [9] * 40
     records = [(k, i) for i, k in enumerate(keys)]
     store = RodentStore(page_size=512, pool_capacity=64)
     store.create_table("T", Schema.of("k:int", "v:int"), layout="orderby[k](T)")
     table = store.load("T", records)
+    model = oracle.Model(("k", "v"), records, "orderby[k](T)")
     for lo, hi in ((7, 7), (5, 7), (7, 8), (3, 3), (9, 20)):
         predicate = Range("k", lo, hi)
-        want = [r for r in records if lo <= r[0] <= hi]
-        assert list(table.scan(predicate=predicate)) == want
-        assert list(table.scan_reference(predicate=predicate)) == want
+        got = oracle.check_table(table, model, predicate=predicate)
+        assert got == [r for r in records if lo <= r[0] <= hi]
 
 
 def test_a_scan_does_no_page_arithmetic(monkeypatch):
@@ -263,9 +266,8 @@ def _engine_sources():
 
 def test_table_walks_and_access_decides():
     sources = dict(_engine_sources())
-    # 36 at the parent; the survivors are the two shape tests, the
-    # reference readers, get_element* and _scan_schema.
-    assert len(_KIND_TEST.findall(sources["table.py"])) <= 16
+    # The survivors: the two shape tests, get_element* and _scan_schema.
+    assert len(_KIND_TEST.findall(sources["table.py"])) <= 8
     assert not hasattr(LayoutRenderer, "iter_batches")
     for name, source in sources.items():
         for node in ast.walk(ast.parse(source)):
@@ -298,3 +300,78 @@ def test_only_access_reads_the_prune_synopses():
     for name, source in _engine_sources():
         if name not in ("access.py", "synopsis.py"):
             assert not prune.search(source), name
+
+
+#: The second read engine and its switch, named only here.
+ONE_PATH_DELETED = (
+    "scan_reference", "_scan_reference_pinned", "_region_reference_rows",
+    "_iter_stored", "_iter_columns", "_iter_unnested", "_row_projector",
+    "_row_fields_projector", "iter_column_group", "iter_array_leaves",
+    "read_cell", "_decode_cell", "vectorized",
+)
+
+
+def _sources():
+    for folder, _, names in os.walk(SRC):
+        for name in sorted(names):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as f:
+                    yield os.path.relpath(path, SRC), f.read()
+
+
+def test_one_read_path():
+    """No tuple-at-a-time reference engine and no ``vectorized`` switch:
+    scans, the planner, updates, deletes and scrub read one way. (The word
+    survives in prose; as a name, attribute, argument or string key it
+    does not.)"""
+    for name, source in _sources():
+        for node in ast.walk(ast.parse(source)):
+            for used in (
+                getattr(node, "name", None),  # def / class
+                getattr(node, "attr", None),
+                getattr(node, "id", None),
+                node.arg if isinstance(node, (ast.arg, ast.keyword)) else None,
+                node.value if isinstance(node, ast.Constant) else None,
+            ):
+                assert used not in ONE_PATH_DELETED, (name, used)
+    for reader in ("iter_rows", "iter_column_group", "iter_array_leaves",
+                   "read_cell", "_decode_cell"):
+        assert not hasattr(LayoutRenderer, reader), reader
+    assert "bulk" not in inspect.signature(LayoutRenderer.iter_folded).parameters
+    with pytest.raises(TypeError):
+        RodentStore(vectorized=True)
+    assert not hasattr(RodentStore(), "vectorized")
+
+
+def test_only_the_selector_filters_rows():
+    """Scans, updates and deletes select through one chain; outside the
+    predicate protocol itself only the Figure 2 experiment (which checks
+    answers record by record) calls ``matches``."""
+    calls = re.compile(r"\.matches\(")
+    for name, source in _sources():
+        if name in (os.path.join("query", "expressions.py"),
+                    os.path.join("experiments", "figure2.py")):
+            continue
+        assert not calls.search(source), name
+
+
+def test_oracle_shares_nothing_with_the_engine():
+    """``tests/oracle.py`` imports no module of the read path it checks."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracle.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{a.name}" for a in node.names)
+    forbidden = (
+        "repro.engine", "repro.layout", "repro.storage", "repro.compression",
+        "repro.query.operators", "repro.query.planner",
+    )
+    for module in imported:
+        assert not module.startswith(forbidden), module
+    assert imported & {"repro.algebra.transforms.eval_scalar"}

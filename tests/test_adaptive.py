@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+import oracle
 from repro.engine.database import RodentStore
 from repro.optimizer.monitor import WorkloadMonitor, access_signature
 from repro.optimizer.workload import Query, Workload
@@ -447,18 +448,17 @@ class TestEndToEnd:
         # The periodic check adopted a columnar design mid-workload...
         assert store.table("T").plan.kind == "columns"
         assert store.adaptivity.adaptations >= 1
-        # ...with zero behavioral diff between the batch, reference, and
-        # compiled-query paths after the switch.
+        # ...with zero behavioral diff between the scan, the model of the
+        # loaded rows, and the compiled query after the switch.
         fresh = store.table("T")
+        model = oracle.Model(SCHEMA.names(), make_records(4000))
+        model.relayout(fresh.plan.expr.to_text())
         predicate = Range("t", 100, 500)
-        batch = list(fresh.scan(fieldlist=["t", "v"], predicate=predicate))
-        reference = list(
-            fresh.scan_reference(fieldlist=["t", "v"], predicate=predicate)
-        )
+        batch = oracle.check_table(fresh, model, ["t", "v"], predicate)
         planned = (
             store.query("T").select("t", "v").where(predicate).run()
         )
-        assert batch == reference == planned
+        assert batch == planned
         report = store.storage_stats()["adaptivity"]
         assert report["adaptations"] >= 1
         # Post-switch checks keep confirming the new incumbent.

@@ -1,10 +1,10 @@
-"""Batch pipeline equivalence: ``scan`` (batch-at-a-time) == the reference.
+"""The batch scan against the naive model (``tests/oracle.py``).
 
-The batch scan pipeline (PR: columnar batches, compiled predicates, bulk
-codec decode) must be invisible to callers: for every layout kind ×
-projection × predicate × order combination, :meth:`Table.scan` and the
-tuple-at-a-time :meth:`Table.scan_reference` return byte-identical tuples in
-identical order — including overflow/pending merging and limit pushdown.
+The batch scan pipeline (columnar batches, compiled predicates, bulk codec
+decode) must be invisible to callers: for every layout kind × projection ×
+predicate × order combination, :meth:`Table.scan` returns what the model of
+the loaded rows answers — in exactly its order where the design fixes one —
+including overflow/pending merging and limit pushdown.
 
 Also here: round-trip properties for every codec's bulk ``decode_all``.
 """
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.compression import get_codec
 from repro.engine.database import RodentStore
 from repro.errors import QueryError
@@ -55,7 +56,10 @@ def tables():
     for name, layout in LAYOUTS.items():
         store = RodentStore(page_size=1024, pool_capacity=64)
         store.create_table("T", SCHEMA, layout=layout)
-        out[name] = (store, store.load("T", make_records()))
+        table = store.load("T", make_records())
+        model = oracle.Model(SCHEMA.names(), make_records(), layout)
+        assert model.fields == tuple(table.scan_schema().names())
+        out[name] = (model, table)
     return out
 
 
@@ -84,35 +88,29 @@ def field_cases(table):
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_batch_equals_reference(tables, layout):
-    _, table = tables[layout]
+    model, table = tables[layout]
     projections, predicates, orders = field_cases(table)
     checked = 0
     for fieldlist in projections:
         for predicate in predicates:
             for order in orders:
-                got = list(
-                    table.scan(fieldlist, predicate=predicate, order=order)
+                oracle.check_table(
+                    table, model, fieldlist, predicate, order, context=layout
                 )
-                ref = list(
-                    table.scan_reference(
-                        fieldlist, predicate=predicate, order=order
-                    )
-                )
-                assert got == ref, (layout, fieldlist, predicate, order)
                 checked += 1
     assert checked >= 4
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_limit_pushdown_equals_reference_prefix(tables, layout):
-    _, table = tables[layout]
+    model, table = tables[layout]
     projections, predicates, orders = field_cases(table)
     predicate = predicates[-1]
     order = orders[-1]
     for limit in (0, 1, 7, 10_000):
-        got = list(table.scan(predicate=predicate, order=order, limit=limit))
-        ref = list(table.scan_reference(predicate=predicate, order=order))
-        assert got == ref[:limit], (layout, limit)
+        oracle.check_table(
+            table, model, None, predicate, order, limit, context=layout
+        )
 
 
 @pytest.mark.parametrize("layout", ["rows", "columns", "grid", "folded"])
@@ -120,15 +118,19 @@ def test_batch_equals_reference_with_overflow(layout):
     store = RodentStore(page_size=1024, pool_capacity=64)
     store.create_table("T", SCHEMA, layout=LAYOUTS[layout])
     table = store.load("T", make_records(150))
-    table.insert([(1000 + i, i - 3, i, i % 5) for i in range(40)])
+    model = oracle.Model(SCHEMA.names(), make_records(150), LAYOUTS[layout])
+    overflow = [(1000 + i, i - 3, i, i % 5) for i in range(40)]
+    pending = [(2000 + i, -i, 2 * i, i % 5) for i in range(17)]
+    table.insert(overflow)
     table.flush_inserts()  # an on-disk overflow region ...
-    table.insert([(2000 + i, -i, 2 * i, i % 5) for i in range(17)])  # + pending
+    table.insert(pending)  # ... + pending
+    model.insert(overflow + pending)
     for fieldlist in (None, ["x", "t"]):
         for predicate in (None, Range("x", -10, 20)):
             for order in (None, ["t"]):
-                got = list(table.scan(fieldlist, predicate, order))
-                ref = list(table.scan_reference(fieldlist, predicate, order))
-                assert got == ref, (layout, fieldlist, predicate, order)
+                oracle.check_table(
+                    table, model, fieldlist, predicate, order, context=layout
+                )
 
 
 def test_scan_batches_flattens_to_scan(tables):
@@ -143,7 +145,7 @@ def test_scan_batches_flattens_to_scan(tables):
 
 def test_scan_validates_eagerly(tables):
     """Bad fieldlist/predicate/order raise at scan() call time, not on
-    first next() — same contract as the reference pipeline."""
+    first next()."""
     _, table = tables["rows"]
     with pytest.raises(QueryError):
         table.scan(fieldlist=["nope"])
@@ -159,21 +161,18 @@ def test_index_probe_path_equals_reference():
     table = store.load("T", make_records(300))
     table.create_index("t")
     predicate = Range("t", 10, 20)
-    got = list(table.scan(predicate=predicate))
-    ref = list(table.scan_reference(predicate=predicate))
-    assert got == ref
+    model = oracle.Model(SCHEMA.names(), make_records(300))
+    got = oracle.check_table(table, model, predicate=predicate)
     assert len(got) == 11
 
 
 def test_scalar_predicate_compiles_and_matches(tables):
     from repro.algebra.parser import parse_condition
 
-    _, table = tables["rows"]
+    model, table = tables["rows"]
     condition = parse_condition("r.x >= 0 and (r.g = 2 or r.y < 10)")
     predicate = from_scalar(condition)
-    got = list(table.scan(predicate=predicate))
-    ref = list(table.scan_reference(predicate=predicate))
-    assert got == ref
+    got = oracle.check_table(table, model, predicate=predicate)
     assert got  # the condition selects something
 
 
@@ -194,20 +193,14 @@ def test_grouped_aggregation_over_batches(tables):
     )
     got = execute(table, spec)
 
-    rows = list(table.scan_reference(["g", "x", "y", "t"], spec.predicate))
-    expected = {}
-    for g, x, y, t in rows:
-        s = expected.setdefault(g, [0, 0, None, None, 0])
-        s[0] += 1
-        s[1] += x
-        s[2] = y if s[2] is None else min(s[2], y)
-        s[3] = y if s[3] is None else max(s[3], y)
-        s[4] += t
-    want = [
-        (g, s[0], s[1], s[2], s[3], s[4] / s[0])
-        for g, s in sorted(expected.items())
+    rows = oracle.Model(SCHEMA.names(), make_records()).scan(
+        predicate=spec.predicate
+    )
+    aggregates = [
+        ("count", None), ("sum", "x"), ("min", "y"), ("max", "y"), ("avg", "t")
     ]
-    assert got == want
+    grouped = oracle.group(rows, SCHEMA.names(), ["g"], aggregates)
+    assert got == sorted(grouped)
 
 
 def test_aggregation_over_no_rows():

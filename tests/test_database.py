@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracle
 from repro.engine.database import RodentStore
 from repro.errors import CatalogError, StorageError
 from repro.query.expressions import Range
@@ -86,7 +87,8 @@ class TestLoad:
         assert table.row_count == 100
         assert table.overflow_row_count == 0
         assert sorted(table.scan()) == sorted(RECORDS[:100])
-        assert sorted(table.scan_reference()) == sorted(RECORDS[:100])
+        model = oracle.Model(SCHEMA.names(), RECORDS[:100], layout)
+        oracle.check_table(table, model, predicate=Range("lat", 0, 250))
 
     def test_unknown_table_load(self, store):
         with pytest.raises(CatalogError):

@@ -15,14 +15,16 @@ Each iteration builds a seeded random scenario:
   / negation predicates, orders, limits), each with an ``order_by`` +
   ``limit`` leg *above* a group-by and above a join (the top-k operator).
 
-For every query it asserts ``Table.scan_batches`` ≡ ``Table.scan_reference``
-≡ the compiled query pipeline (``Q.run()``), with zone-map + partition
-pruning on *and* off and with the parallel partition-scan executor on *and*
-off; then it re-layouts the table mid-stream (a random different design via
-``relayout()``, then the adaptive loop via ``store.adapt()`` — which for
-partitioned tables rewrites hot partitions individually) and asserts the
-whole equivalence again — automatic re-layouts must never change query
-answers.
+For every query it asserts ``Table.scan_batches`` ≡ the naive model of the
+logical rows (``tests/oracle.py``: exactly, in order, where the design fixes
+one, as a multiset otherwise) and ``Table.scan_batches`` ≡ the compiled
+query pipeline (``Q.run()``) exactly, with zone-map + partition pruning on
+*and* off and with the parallel partition-scan executor on *and* off — all
+four answers identical; then it re-layouts the table mid-stream (a random
+different design via ``relayout()``, then the adaptive loop via
+``store.adapt()`` — which for partitioned tables rewrites hot partitions
+individually) and asserts the whole equivalence again — automatic
+re-layouts must never change query answers.
 
 Iteration count / seed are environment-tunable so CI can run a capped,
 fixed-seed sweep::
@@ -37,6 +39,7 @@ import random
 
 import pytest
 
+import oracle
 from repro.engine.database import RodentStore
 from repro.query.expressions import And, Not, Or, Predicate, Range, Rect
 from repro.types.schema import Schema
@@ -209,19 +212,15 @@ def add_dim_table(store: RodentStore) -> None:
     store.load("D", DIM_ROWS)
 
 
-def stable_sorted(rows, names, order, top):
-    """``rows`` ordered by ``order`` the naive way: one stable sort per
-    key, least significant first; then the first ``top``."""
-    rows = list(rows)
-    for name, ascending in reversed(order):
-        rows.sort(key=lambda r, i=names.index(name): r[i], reverse=not ascending)
-    return rows[:top]
-
-
-def check_topk_above_operators(store: RodentStore, query: dict, predicate) -> None:
+def check_topk_above_operators(
+    store: RodentStore, model: oracle.Model, query: dict, predicate
+) -> None:
+    """Group-by and join, each under an order + limit, against the model's
+    operators over the scan's rows — the scan itself checked against the
+    model first (the group order is first-seen, so it follows the scan)."""
     table = store.table("T")
-    names = list(table.scan_schema().names())
-    rows = list(table.scan_reference(predicate=predicate))
+    names = list(model.fields)
+    rows = oracle.check_table(table, model, predicate=predicate)
     top = query["top"]
 
     def base():
@@ -229,31 +228,21 @@ def check_topk_above_operators(store: RodentStore, query: dict, predicate) -> No
         return q if predicate is None else q.where(predicate)
 
     key, source, order = query["group"]
-    groups: dict = {}  # first-seen order, like GroupByOp
-    for row in rows:
-        groups.setdefault(row[names.index(key)], []).append(
-            row[names.index(source)]
-        )
-    grouped = [(k, len(v), sum(v)) for k, v in groups.items()]
+    grouped = oracle.group(rows, names, [key], [("count", None), ("sum", source)])
     q = base().group_by(key).agg(n="*", s=f"sum:{source}").order_by(*order)
     got = (q if top is None else q.limit(top)).run()
-    assert got == stable_sorted(grouped, [key, "n", "s"], order, top), (
+    want = oracle.stable_sort(grouped, [key, "n", "s"], order)[:top]
+    assert got == want, (
         f"top-k above group-by (group={query['group']}, top={top}, "
         f"predicate={predicate!r}, layout={table.plan.expr.to_text()})"
     )
 
     on, order = query["join"]
-    matches: dict = {}
-    for dim_row in DIM_ROWS:
-        matches.setdefault(dim_row[0], []).append(dim_row)
-    joined = [
-        row + dim_row
-        for row in rows
-        for dim_row in matches.get(row[names.index(on)], ())
-    ]
+    joined = oracle.join(rows, DIM_ROWS, [(names.index(on), 0)])
     q = base().join("D", on=(on, "dk")).order_by(*order)
     got = (q if top is None else q.limit(top)).run()
-    assert got == stable_sorted(joined, names + list(DIM_NAMES), order, top), (
+    want = oracle.stable_sort(joined, names + list(DIM_NAMES), order)[:top]
+    assert got == want, (
         f"top-k above join (join={query['join']}, top={top}, "
         f"predicate={predicate!r}, layout={table.plan.expr.to_text()})"
     )
@@ -265,17 +254,11 @@ def check_topk_above_operators(store: RodentStore, query: dict, predicate) -> No
 
 
 def run_query_all_paths(
-    store: RodentStore, query: dict, predicate, vector_flip: bool = False
+    store: RodentStore, model: oracle.Model, query: dict, predicate
 ) -> None:
-    """Assert batch ≡ reference ≡ compiled pipeline across the pruning
-    (zone-map + partition), vectorized-execution, and parallel-executor
-    toggles.
-
-    ``store.vectorized`` rides the pruning loop so both engines —
-    selection bitmaps / typed-buffer operators vs the per-row closures —
-    run in every call; ``vector_flip`` (alternated per fuzz iteration)
-    inverts the pairing so all four pruning x vectorized combinations get
-    exercised across iterations without doubling the run count."""
+    """Assert batch ≡ model and batch ≡ compiled pipeline across the
+    pruning (zone-map + partition) and parallel-executor toggles, and every
+    toggle's answer identical."""
     table = store.table("T")
     # Parallelism only has a distinct code path on partitioned tables;
     # skip the redundant re-run otherwise.
@@ -284,7 +267,6 @@ def run_query_all_paths(
     for pruning in (True, False):
         store.zone_pruning = pruning
         store.partition_pruning = pruning
-        store.vectorized = pruning != vector_flip
         for workers in worker_settings:
             store.scan_workers = workers
             batch = [
@@ -297,20 +279,9 @@ def run_query_all_paths(
                 )
                 for row in rows
             ]
-            reference = list(
-                table.scan_reference(
-                    fieldlist=query["fieldlist"],
-                    predicate=predicate,
-                    order=query["order"],
-                )
-            )
-            if query["limit"] is not None:
-                reference = reference[: query["limit"]]
-            assert batch == reference, (
-                f"batch != reference (pruning={pruning}, "
-                f"workers={workers}, query={query}, "
-                f"predicate={predicate!r}, layout="
-                f"{table.plan.expr.to_text()})"
+            oracle.check_scan(
+                batch, model, query["fieldlist"], predicate, query["order"],
+                query["limit"], context=f"pruning={pruning} workers={workers}",
             )
             q = store.query("T")
             if query["fieldlist"] is not None:
@@ -329,31 +300,23 @@ def run_query_all_paths(
                 f"{table.plan.expr.to_text()})"
             )
             results[(pruning, workers)] = batch
-        # Once per engine pairing (with the parallel executor on, where
+        # Once per pruning setting (with the parallel executor on, where
         # there is one): the operators above the scan don't depend on it.
-        check_topk_above_operators(store, query, predicate)
+        check_topk_above_operators(store, model, query, predicate)
     store.zone_pruning = True
     store.partition_pruning = True
     store.scan_workers = 0
-    store.vectorized = True
     baseline = next(iter(results.values()))
     assert all(
         r == baseline for r in results.values()
-    ), "pruning/vectorized/parallel toggles changed query answers"
+    ), "pruning/parallel toggles changed query answers"
 
 
-def check_ground_truth(store: RodentStore, expected: list[tuple]) -> None:
-    """The full unprojected scan equals the logical relation (multiset)."""
+def check_ground_truth(store: RodentStore, model: oracle.Model) -> None:
+    """The full unprojected scan equals the model — the logical relation."""
     table = store.table("T")
-    scan_names = table.scan_schema().names()
-    logical_names = table.logical_schema.names()
-    idx = [logical_names.index(n) for n in scan_names]
-    want = sorted(tuple(rec[i] for i in idx) for rec in expected)
-    got = sorted(table.scan())
-    assert got == want, (
-        f"full scan lost/invented rows (layout="
-        f"{table.plan.expr.to_text()}): {len(got)} vs {len(want)}"
-    )
+    assert model.fields == tuple(table.scan_schema().names())
+    oracle.check_table(table, model, context="full scan")
 
 
 @pytest.mark.parametrize("iteration", range(FUZZ_ITERATIONS))
@@ -371,6 +334,7 @@ def test_fuzz_differential_equivalence(iteration: int):
     add_dim_table(store)
     n_loaded = rng.randint(len(expected) // 2, len(expected))
     table = store.load("T", expected[:n_loaded])
+    model = oracle.Model(names, expected[:n_loaded], layout)
 
     # Drive the table into the paper's reorganization states: a flushed
     # overflow region plus an unflushed pending buffer.
@@ -379,38 +343,43 @@ def test_fuzz_differential_equivalence(iteration: int):
     if remaining[:cut]:
         table.insert(remaining[:cut])
         table.flush_inserts()
+        model.insert(remaining[:cut])
     if remaining[cut:]:
         table.insert(remaining[cut:])
+        model.insert(remaining[cut:])
 
-    check_ground_truth(store, expected)
+    check_ground_truth(store, model)
     scan_names = list(store.table("T").scan_schema().names())
     queries = [
         (random_query(rng, scan_names), random_predicate(rng, names, domains))
         for _ in range(QUERIES_PER_SCENARIO)
     ]
-    vector_flip = bool(iteration % 2)
     for query, predicate in queries:
-        run_query_all_paths(store, query, predicate, vector_flip)
+        run_query_all_paths(store, model, query, predicate)
 
     # Mid-stream reorganization #1: an explicit relayout to a different
     # random design. Pending + overflow must be folded in, never lost.
     new_layout = random_layout(rng, names, domains)
     store.relayout("T", new_layout)
+    model.relayout(new_layout)
     assert store.table("T").overflow_row_count == 0
-    check_ground_truth(store, expected)
+    check_ground_truth(store, model)
     scan_names = list(store.table("T").scan_schema().names())
     for query, predicate in queries:
         if _query_valid(query, predicate, scan_names):
-            run_query_all_paths(store, query, predicate, vector_flip)
+            run_query_all_paths(store, model, query, predicate)
 
     # Mid-stream reorganization #2: the adaptive loop itself (forced check
-    # against the workload the queries above were observed into).
+    # against the workload the queries above were observed into). Whatever
+    # it chose, the order its re-render leaves is not the model's to know.
     store.adapt("T")
-    check_ground_truth(store, expected)
+    model.relayout(store.table("T").plan.expr.to_text())
+    model.exact = False
+    check_ground_truth(store, model)
     scan_names = list(store.table("T").scan_schema().names())
     for query, predicate in queries:
         if _query_valid(query, predicate, scan_names):
-            run_query_all_paths(store, query, predicate, vector_flip)
+            run_query_all_paths(store, model, query, predicate)
 
     # Deterministic teardown: joins any parallel-scan workers the
     # iteration spawned so threads never accumulate across fuzz cases.
@@ -438,8 +407,8 @@ def test_fuzz_levelled_equivalence(iteration: int):
     """Levelled layouts under an interleaved insert/delete/compact stream.
 
     Random ``levels[k; ratio](inner)`` designs over random run designs;
-    after every mutation batch the multiset ground truth and the full
-    batch ≡ reference ≡ planner equivalence must hold — including while
+    after every mutation batch the full batch ≡ model ≡ planner
+    equivalence must hold — including while
     the manifest holds many runs, straight after partial merges, and
     before/after an explicit full ``compact()``.
     """
@@ -461,49 +430,32 @@ def test_fuzz_levelled_equivalence(iteration: int):
 
     expected = random_records(rng, domains, rng.randint(60, 150))
     store.load("T", expected)
-    vector_flip = bool(iteration % 2)
-
-    def reference_delete(predicate) -> list[tuple]:
-        """Apply ``predicate`` to the model the way the store sees rows:
-        projected to the scan schema's field order."""
-        table = store.table("T")
-        scan_names = table.scan_schema().names()
-        logical_names = table.logical_schema.names()
-        idx = [logical_names.index(n) for n in scan_names]
-        positions = {n: i for i, n in enumerate(scan_names)}
-        return [
-            rec
-            for rec in expected
-            if not predicate.matches(
-                tuple(rec[i] for i in idx), positions
-            )
-        ]
+    model = oracle.Model(names, expected, layout)
 
     def check_round() -> None:
-        check_ground_truth(store, expected)
+        check_ground_truth(store, model)
         scan_names = list(store.table("T").scan_schema().names())
         query = random_query(rng, scan_names)
         predicate = random_predicate(rng, names, domains)
         if _query_valid(query, predicate, scan_names):
-            run_query_all_paths(store, query, predicate, vector_flip)
+            run_query_all_paths(store, model, query, predicate)
 
     for _ in range(rng.randint(4, 7)):
         op = rng.random()
         if op < 0.55:
             batch = random_records(rng, domains, rng.randint(10, 80))
             store.table("T").insert(batch)
-            expected = expected + batch
+            model.insert(batch)
         elif op < 0.75:
             predicate = random_predicate(rng, names, domains)
             if predicate is None:
                 continue
-            keep = reference_delete(predicate)
             removed = store.table("T").delete(predicate)
-            assert removed == len(expected) - len(keep), (
-                f"delete removed {removed}, model expected "
-                f"{len(expected) - len(keep)} (layout={layout})"
+            want = model.delete(predicate)
+            assert removed == want, (
+                f"delete removed {removed}, model expected {want} "
+                f"(layout={layout})"
             )
-            expected = keep
         elif op < 0.9:
             store.table("T").flush_inserts()  # force a seal mid-stream
         else:
@@ -519,12 +471,12 @@ def test_fuzz_levelled_equivalence(iteration: int):
         for _ in range(QUERIES_PER_SCENARIO)
     ]
     for query, predicate in queries:
-        run_query_all_paths(store, query, predicate, vector_flip)
+        run_query_all_paths(store, model, query, predicate)
     store.table("T").compact()
     assert store.table("T").run_count <= 1
-    check_ground_truth(store, expected)
+    check_ground_truth(store, model)
     for query, predicate in queries:
-        run_query_all_paths(store, query, predicate, vector_flip)
+        run_query_all_paths(store, model, query, predicate)
     store.close()
 
 

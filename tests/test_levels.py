@@ -28,6 +28,7 @@ import time
 
 import pytest
 
+import oracle
 from repro.algebra import ast
 from repro.algebra.parser import parse
 from repro.engine.database import RodentStore
@@ -98,7 +99,11 @@ def test_seal_on_threshold_and_fanout_merge():
     t.insert([(10 + i, i) for i in range(10)])
     entry = store.catalog.entry("T")
     assert [r.level for r in entry.regions[0].runs] == [1]
-    assert sorted(t.scan()) == sorted(t.scan_reference())
+    model = oracle.Model(SCHEMA.names(), [(i, i) for i in range(10)],
+                         "levels[2; 2](rows(T))")
+    model.insert([(10 + i, i) for i in range(10)])
+    oracle.check_table(t, model)
+    oracle.check_table(t, model, predicate=Range("id", 5, 14), order=["v"])
     assert t.row_count == 20
     store.close()
 
@@ -151,7 +156,6 @@ def test_multiset_delete_tombstones_until_merge():
     assert entry.level_tombstones, "sealed rows need tombstones"
     expected = sorted((i, i // 10) for i in range(30) if not 5 <= i <= 14)
     assert sorted(t.scan()) == expected
-    assert sorted(t.scan_reference()) == expected
     t.compact()
     # A full merge applies every tombstone physically and drops them all.
     assert entry.level_tombstones == []
@@ -174,7 +178,6 @@ def test_keyed_upsert_last_writer_wins():
             truth[k] = x
         kt.insert(batch)
         assert sorted(kt.scan()) == sorted(truth.items())
-        assert sorted(kt.scan_reference()) == sorted(truth.items())
     kt.compact()
     assert kt.run_count == 1
     assert sorted(kt.scan()) == sorted(truth.items())
@@ -285,7 +288,6 @@ def test_pending_zone_incremental_after_interleaved_insert_delete():
                     r for r in live if r[0] == row[0]
                 )
         assert sorted(t.scan()) == sorted(live)
-        assert sorted(t.scan_reference()) == sorted(live)
     store.close()
 
 
@@ -363,6 +365,7 @@ def test_every_render_is_charged_to_the_ledger(layout):
     store = make_store(level_seal_rows=10_000)
     store.create_table("T", SCHEMA, layout=layout)
     t = store.load("T", [(i, i % 4) for i in range(400)])
+    model = oracle.Model(SCHEMA.names(), [(i, i % 4) for i in range(400)], layout)
 
     def ledger():
         return store.storage_stats()["tables"]["T"]["write_amplification"]
@@ -371,18 +374,22 @@ def test_every_render_is_charged_to_the_ledger(layout):
     assert loaded["bytes_written"] == loaded["bytes_ingested"] > 0
     t.insert([(1000 + i, i % 4) for i in range(50)])
     t.flush_inserts()
+    model.insert([(1000 + i, i % 4) for i in range(50)])
     flushed = ledger()
     assert flushed["bytes_written"] > loaded["bytes_written"]
     assert flushed["bytes_written"] == flushed["bytes_ingested"]
     # A levelled update renders nothing (tombstone + pending row) until
     # the compaction below; everywhere else it re-renders a region.
     assert t.update({"id": 5000}, Range("id", 7, 7)) == 1
+    model.update({"id": 5000}, Range("id", 7, 7))
     t.compact()
+    model.compact()
     final = ledger()
     assert final["bytes_ingested"] == flushed["bytes_ingested"]
     assert final["bytes_written"] > flushed["bytes_written"]
     assert final["factor"] > 1.0
-    assert sorted(t.scan()) == sorted(t.scan_reference())
+    oracle.check_table(t, model)
+    oracle.check_table(t, model, predicate=Range("v", 1, 2), order=["id"])
     store.close()
 
 
@@ -426,7 +433,6 @@ def test_durable_reopen_preserves_levels():
         assert (entry2.next_run_id, entry2.next_run_seq) == next_ids
         t2 = reopened.table("T")
         assert sorted(t2.scan()) == expected
-        assert sorted(t2.scan_reference()) == expected
         # The reopened store keeps ingesting and merging correctly.
         t2.insert([(200 + i, 0) for i in range(8)])
         assert sorted(t2.scan()) == sorted(
@@ -499,7 +505,10 @@ def test_background_compaction_with_workers():
             break
         time.sleep(0.02)
     assert sorted(t.scan()) == rows
-    assert sorted(t.scan_reference()) == rows
+    oracle.check_table(
+        t, oracle.Model(SCHEMA.names(), rows, "levels[2; 2](rows(T))"),
+        predicate=Range("id", 100, 180),
+    )
     store.close()  # joins any in-flight merge
 
 

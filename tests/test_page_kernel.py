@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro import vector
 from repro.engine.database import RodentStore
 from repro.errors import PageError, SerializationError
@@ -363,11 +364,13 @@ def test_row_layout_scans_yield_columnar_batches(numpy_on):
         table = store.load("T", _rows())
         table.insert([(1000 + i, 0.5, 7) for i in range(30)])
         table.flush_inserts()  # an overflow region: row pages too
+        model = oracle.Model(ROWS_SCHEMA.names(), _rows())
+        model.insert([(1000 + i, 0.5, 7) for i in range(30)])
         predicate = And(Range("t", 100, 1010), Range("g", 1, 7))
         batches = list(table.scan_column_batches(["x", "t"], predicate))
         assert batches and all(b.is_columnar for b in batches)
         got = [row for b in batches for row in b.rows()]
-        assert got == list(table.scan_reference(["x", "t"], predicate))
+        oracle.check_scan(got, model, ["x", "t"], predicate)
         if numpy_on and vector.numpy_enabled():
             assert all(vector.is_typed(c) for c in batches[0].columns())
     finally:
@@ -378,11 +381,11 @@ def test_sorted_range_scan_stops_inside_the_page():
     store = RodentStore(page_size=PAGE_SIZE, pool_capacity=64)
     store.create_table("T", ROWS_SCHEMA, layout="orderby[t](T)")
     table = store.load("T", _rows())
+    model = oracle.Model(ROWS_SCHEMA.names(), _rows(), "orderby[t](T)")
     for lo, hi in [(0, 0), (5, 5), (17, 430), (880, 2000), (-9, -1), (899, 899)]:
         predicate = Range("t", lo, hi)
-        assert list(table.scan(predicate=predicate)) == list(
-            table.scan_reference(predicate=predicate)
-        ) == [r for r in _rows() if lo <= r[0] <= hi]
+        got = oracle.check_table(table, model, predicate=predicate)
+        assert got == [r for r in _rows() if lo <= r[0] <= hi]
 
 
 # ---------------------------------------------------------------------------

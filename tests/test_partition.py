@@ -8,7 +8,7 @@ Covers the partitioned storage stack end to end:
 * parallel partition scans — byte-identical to serial, workers joined on
   ``close()``;
 * per-partition adaptive re-layouts (hot partitions diverge, cold keep);
-* differential equivalence (batch ≡ reference ≡ planned) across all of it;
+* differential equivalence (batch ≡ model ≡ planned) across all of it;
 * the compaction ordering regression the partition work surfaced
   (``structural_residual`` must re-establish a sorted design's order).
 """
@@ -20,6 +20,7 @@ import threading
 
 import pytest
 
+import oracle
 from repro.engine.database import RodentStore
 from repro.errors import AlgebraError, StorageError
 from repro.layout.partitioning import PartitionRouter, stable_hash
@@ -43,9 +44,11 @@ def build(layout, records, **kwargs):
     return store, store.load("T", records)
 
 
-def assert_equivalent(store, predicate=None, fieldlist=None, order=None):
-    """batch ≡ reference ≡ planned, with partition pruning on and off."""
+def assert_equivalent(store, rows, predicate=None, fieldlist=None, order=None):
+    """batch ≡ the model of ``rows`` ≡ planned, with partition pruning on
+    and off."""
     table = store.table("T")
+    model = oracle.Model(SCHEMA.names(), rows, table.plan.expr.to_text())
     results = []
     for pruning in (True, False):
         store.partition_pruning = pruning
@@ -56,12 +59,7 @@ def assert_equivalent(store, predicate=None, fieldlist=None, order=None):
             )
             for row in rows
         ]
-        reference = list(
-            table.scan_reference(
-                fieldlist=fieldlist, predicate=predicate, order=order
-            )
-        )
-        assert batch == reference
+        oracle.check_scan(batch, model, fieldlist, predicate, order)
         q = store.query("T")
         if fieldlist:
             q = q.select(*fieldlist)
@@ -222,10 +220,11 @@ class TestPartitionedScans:
             Rect({"t": (0, 99), "x": (10, 60)}),
             And(Range("t", 120, 380), Range("g", 2, 5)),
         ]:
-            assert_equivalent(store, predicate)
-            assert_equivalent(store, predicate, fieldlist=["x", "g"])
+            rows = records + records[:60]
+            assert_equivalent(store, rows, predicate)
+            assert_equivalent(store, rows, predicate, fieldlist=["x", "g"])
             assert_equivalent(
-                store, predicate, order=[("x", False), ("t", True)]
+                store, rows, predicate, order=[("x", False), ("t", True)]
             )
         store.close()
 
@@ -304,7 +303,9 @@ class TestPartitionPruning:
         )
         table.insert([(50, 1, 1), (350, 2, 2)])
         for lo, hi in [(0, 79), (100, 110), (330, 400), (399, 399)]:
-            assert_equivalent(store, Range("t", lo, hi))
+            assert_equivalent(
+                store, records + [(50, 1, 1), (350, 2, 2)], Range("t", lo, hi)
+            )
         store.close()
 
     def test_counters_and_explain(self):
@@ -449,7 +450,7 @@ class TestPartitionMaintenance:
         assert table.partitions[1].plan.kind == "columns"
         assert {r.plan.kind for r in table.partitions} == {"rows", "columns"}
         assert sorted(table.scan()) == sorted(records)
-        assert_equivalent(store, Range("t", 50, 250))
+        assert_equivalent(store, records, Range("t", 50, 250))
         store.close()
 
     def test_relayout_partition_rejects_lossy_and_partitioned(self):
@@ -551,7 +552,7 @@ class TestPartitionAdaptivity:
         assert kinds[1] == kinds[2] == kinds[3]
         # Answers unchanged after the partial re-layout and re-check.
         assert sorted(table.scan()) == sorted(records)
-        assert_equivalent(store, Range("t", 500, 1500), fieldlist=["x"])
+        assert_equivalent(store, records, Range("t", 500, 1500), fieldlist=["x"])
         again = store.adapt("T")
         assert not again["adapted"]  # stable: no thrash on re-check
         store.close()
@@ -604,7 +605,11 @@ class TestPartitionPersistence:
         # Skew survives the reopen.
         monitor = reopened.catalog.entry("T").monitor
         assert monitor is not None and monitor.partition_weights()
-        assert_equivalent(reopened, Range("t", 120, 260))
+        assert_equivalent(
+            reopened,
+            records + [(50, 1, 1), (250, 2, 2), (150, 3, 3)],
+            Range("t", 120, 260),
+        )
         reopened.close()
 
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.engine import access
 from repro.engine import table as table_module
 from repro.engine.database import RodentStore
@@ -196,33 +197,36 @@ RECORDS = [(i, (i * 37) % 101, i % 5) for i in range(1500)]
 MORE = [(2000 + i, (i * 11) % 101, i % 5) for i in range(300)]
 
 
-def _insert(store, table):
+def _insert(store, table, model):
     table.insert(MORE)
+    model.insert(MORE)
 
 
-def _flush(store, table):
-    table.insert(MORE)
+def _flush(store, table, model):
+    _insert(store, table, model)
     table.flush_inserts()
 
 
-def _compact(store, table):
-    _flush(store, table)
+def _compact(store, table, model):
+    _flush(store, table, model)
     table.compact()
+    model.compact()
 
 
-def _relayout(store, table):
+def _relayout(store, table, model):
     store.relayout("T", "columns(T)")
+    model.relayout("columns(T)")
 
 
-def _zones_off(store, table):
+def _zones_off(store, table, model):
     store.zone_pruning = False
 
 
-def _create_index(store, table):
+def _create_index(store, table, model):
     table.create_index("x")
 
 
-def _drop_index(store, table):
+def _drop_index(store, table, model):
     table.drop_index("t")
 
 
@@ -266,19 +270,19 @@ def test_stale_plans_answer_like_fresh_ones(layout, mutation):
     store = RodentStore(page_size=1024, pool_capacity=64, level_seal_rows=128)
     store.create_table("T", SCHEMA, layout=STALE_LAYOUTS[layout])
     table = store.load("T", RECORDS)
+    model = oracle.Model(SCHEMA.names(), RECORDS, STALE_LAYOUTS[layout])
     if flat:
         table.create_index("t")
     plans = {}
     for name, predicate in PREDICATES.items():
         spec = Q(store, "T").select("t", "x").where(predicate).spec()
         plans[name] = (spec, compile_query(store.table("T"), spec))
-    MUTATIONS[mutation](store, table)
+    MUTATIONS[mutation](store, table, model)
     for name, (spec, stale) in plans.items():
         fresh = compile_query(store.table("T"), spec)
         got = stale.rows()
         assert got == fresh.rows(), name
-        want = store.table("T").scan_reference(["t", "x"], spec.predicate)
-        assert got == list(want), name
+        oracle.check_scan(got, model, ["t", "x"], spec.predicate, context=name)
 
 
 def test_adaptive_re_render_between_plan_and_scan(traces):

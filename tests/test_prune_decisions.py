@@ -13,9 +13,10 @@ The ``levelled`` page ids were re-recorded when merged-away runs began to
 give their pages back (PR 19): merge outputs land in reused spans, so the
 ids moved; every pruned count and every fetched-page *count* is unchanged.
 
-Cost ≡ prune ≡ read: the same sweep asserts that ``scan_cost`` prices
-exactly the pages ``pruned_pages`` leaves, which are exactly the pages the
-scan fetched — the three are views of one ``RunAccess`` per run
+Cost ≡ prune ≡ read: the same sweep asserts that every scan answers what
+the naive model of the inserted rows does (``tests/oracle.py``), and that
+``scan_cost`` prices exactly the pages ``pruned_pages`` leaves, which are
+exactly the pages the scan fetched — the three are views of one ``RunAccess`` per run
 (``engine/access.py``). No layout here is sorted; the sorted-range probe,
 whose price is a statistics estimate (``<=``), is in ``tests/test_access.py``.
 """
@@ -24,6 +25,7 @@ import random
 
 import pytest
 
+import oracle
 from repro.engine.database import RodentStore
 from repro.query.expressions import And, Or, Range, Rect
 from repro.types import Schema
@@ -84,21 +86,26 @@ def build(kind):
         page_size=1024, pool_capacity=64, level_seal_rows=64
     )
     store.create_table("T", SCHEMA, layout=LAYOUTS[kind])
+    model = oracle.Model(SCHEMA.names(), [], LAYOUTS[kind])
     if kind == "levelled":
         table = store.table("T")
         for start in range(0, 640, 40):
             table.insert(make_records(40, start))
-        return store, table
+            model.insert(make_records(40, start))
+        return store, table, model
     table = store.load("T", make_records(640))
+    model.load(make_records(640))
     if kind in ("rows", "columns", "partitioned"):
         table.insert(make_records(60, 1000))
         table.flush_inserts()  # an overflow region with its own zones
         table.insert(make_records(25, 2000))  # pending, zone kept in memory
-    return store, table
+        model.insert(make_records(60, 1000))
+        model.insert(make_records(25, 2000))
+    return store, table, model
 
 
 def decisions(kind):
-    store, table = build(kind)
+    store, table, model = build(kind)
     predicates = ARRAY_PREDICATES if kind == "array" else PREDICATES
     out = {}
     for name, predicate in predicates.items():
@@ -116,7 +123,7 @@ def decisions(kind):
             )
         finally:
             del store.pool.fetch
-        assert rows == list(table.scan_reference(predicate=predicate))
+        oracle.check_scan(rows, model, predicate=predicate, context=kind)
         pruned = table.pruned_pages(predicate)
         # What an unpredicated scan reads is the whole table (of a mirror:
         # the replica it picks); the verdict splits it, exactly.
@@ -246,7 +253,7 @@ def test_mirror_decides_each_replica_once(monkeypatch):
     recomputed the chosen one's verdict to read it)."""
     from repro.engine import synopsis
 
-    store, table = build("mirror")
+    store, table, model = build("mirror")
     calls = []
     for name in ("rows_page_skip", "column_keep_intervals"):
         original = getattr(synopsis, name)
@@ -256,7 +263,7 @@ def test_mirror_decides_each_replica_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(synopsis, name, counted)
-    assert list(table.scan(predicate=PREDICATES["t_mid"]))
+    assert oracle.check_table(table, model, predicate=PREDICATES["t_mid"])
     assert sorted(calls) == ["column_keep_intervals", "rows_page_skip"]
     store.close()
 

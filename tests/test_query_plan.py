@@ -1,14 +1,15 @@
-"""Plan-based query stack: planner-vs-reference equivalence + join oracle.
+"""Plan-based query stack: planner-vs-model equivalence + join oracle.
 
 Two safety nets for the query compiler (QuerySpec → logical plan →
 physical operators):
 
 * an **equivalence sweep**: for every layout kind the renderer supports,
-  planner-executed results must match a naive reference evaluation built
-  on :meth:`Table.scan_reference` (the tuple-at-a-time executable spec)
-  for projection / predicate / order / limit / aggregation combinations;
+  planner-executed results must match a naive evaluation by the model's
+  operators (``tests/oracle.py``) over the table's scan — itself checked
+  against the model of the loaded rows — for projection / predicate /
+  order / limit / aggregation combinations;
 * a **join oracle**: hash-join results must equal a nested-loop join over
-  the same scans, including multi-key joins, collision-qualified columns,
+  the loaded rows, including multi-key joins, collision-qualified columns,
   join reordering, and SQL null-key semantics.
 
 Also here: the `order_by` single-prefix fix, `count(field)` null
@@ -17,6 +18,7 @@ semantics, and `explain()` plan-tree rendering.
 
 import pytest
 
+import oracle
 from repro.engine.database import RodentStore
 from repro.errors import QueryError
 from repro.query import Q, QuerySpec, Range, Rect
@@ -68,62 +70,39 @@ def tables():
 
 
 # ---------------------------------------------------------------------------
-# reference evaluation (naive, tuple-at-a-time, buffers group members)
+# reference evaluation: the model's operators (tests/oracle.py)
 # ---------------------------------------------------------------------------
 
 
-def reference_eval(table, spec):
-    names = table.scan_schema().names()
+def model_of(table, records=None):
+    """The model of ``table`` loaded with ``records`` (its design's)."""
+    records = make_records() if records is None else records
+    model = oracle.Model(SCHEMA.names(), records, table.plan.expr.to_text())
+    assert model.fields == tuple(table.scan_schema().names())
+    return model
+
+
+def reference_eval(table, spec, model=None):
+    """``spec`` evaluated naively over the table's scan rows, after
+    checking the scan against the model (group order is first-seen, so it
+    follows the scan's row order)."""
+    model = model_of(table) if model is None else model
+    names = list(model.fields)
+    rows = oracle.check_table(table, model)
     pos = {n: i for i, n in enumerate(names)}
-    rows = list(table.scan_reference())
-    if spec.predicate is not None:
-        rows = [r for r in rows if spec.predicate.matches(r, pos)]
+    rows = [r for r in rows if oracle.matches(spec.predicate, r, pos)]
     limit = None if spec.limit is None else max(0, spec.limit)
     if spec.aggregates:
-        groups: dict[tuple, list] = {}
-        for r in rows:
-            key = tuple(r[pos[k]] for k in spec.group_by)
-            groups.setdefault(key, []).append(r)
-        if not spec.group_by and not groups:
-            groups[()] = []  # SQL: a group-less aggregate is always one row
-        out = []
-        for key, members in groups.items():
-            values = list(key)
-            for agg in spec.aggregates:
-                if agg.source is None:
-                    values.append(len(members))
-                    continue
-                data = [
-                    m[pos[agg.source]]
-                    for m in members
-                    if m[pos[agg.source]] is not None
-                ]
-                if agg.func == "count":
-                    values.append(len(data))
-                elif agg.func == "sum":
-                    values.append(sum(data) if data else None)
-                elif agg.func == "avg":
-                    values.append(sum(data) / len(data) if data else None)
-                elif agg.func == "min":
-                    values.append(min(data) if data else None)
-                else:
-                    values.append(max(data) if data else None)
-            out.append(tuple(values))
+        out = oracle.group(
+            rows, names, spec.group_by,
+            [(a.func, a.source) for a in spec.aggregates],
+        )
         out_names = list(spec.group_by) + [
             a.output_name for a in spec.aggregates
         ]
-        opos = {n: i for i, n in enumerate(out_names)}
-        for name, ascending in reversed(spec.order):
-            out.sort(key=lambda r: r[opos[name]], reverse=not ascending)
-        return out if limit is None else out[:limit]
-    for name, ascending in reversed(spec.order):
-        rows.sort(key=lambda r: r[pos[name]], reverse=not ascending)
-    if limit is not None:
-        rows = rows[:limit]
-    if spec.fieldlist:
-        idx = [pos[f] for f in spec.fieldlist]
-        rows = [tuple(r[i] for i in idx) for r in rows]
-    return rows
+        return oracle.stable_sort(out, out_names, spec.order)[:limit]
+    rows = oracle.stable_sort(rows, names, spec.order)[:limit]
+    return oracle.project(rows, names, spec.fieldlist or names)
 
 
 SPECS = {
@@ -265,22 +244,10 @@ def join_store():
     return store
 
 
-def nested_loop(left_rows, right_rows, pairs):
-    out = []
-    for l in left_rows:
-        for r in right_rows:
-            if all(
-                l[li] is not None and l[li] == r[ri] for li, ri in pairs
-            ):
-                out.append(l + r)
-    return out
-
-
 def test_join_matches_nested_loop_oracle(join_store):
     got = Q(join_store, "T").join("D", on="g").run()
-    t_rows = list(join_store.table("T").scan_reference())
-    d_rows = list(join_store.table("D").scan_reference())
-    want = nested_loop(t_rows, d_rows, [(3, 0)])
+    t_rows, d_rows = make_records(), DIM
+    want = oracle.join(t_rows, d_rows, [(3, 0)])
     assert sorted(got) == sorted(want)
     # Output schema: base fields then joined fields, collisions qualified.
     fields = Q(join_store, "T").join("D", on="g").explain().root.fields
@@ -295,11 +262,9 @@ def test_three_way_join_oracle(join_store):
         .select("t", "label", "code")
         .run()
     )
-    t_rows = list(join_store.table("T").scan_reference())
-    d_rows = list(join_store.table("D").scan_reference())
-    e_rows = list(join_store.table("E").scan_reference())
-    td = nested_loop(t_rows, d_rows, [(3, 0)])
-    tde = nested_loop(td, e_rows, [(5, 0)])
+    t_rows, d_rows, e_rows = make_records(), DIM, CODES
+    td = oracle.join(t_rows, d_rows, [(3, 0)])
+    tde = oracle.join(td, e_rows, [(5, 0)])
     want = [(r[0], r[5], r[7]) for r in tde]
     assert sorted(got) == sorted(want)
 
@@ -311,11 +276,10 @@ def test_join_with_predicate_pushdown_and_residual(join_store):
         .where(And(Range("x", -10, 15), Range("D.g", 1, 3)))
     )
     got = q.run()
-    t_rows = list(join_store.table("T").scan_reference())
-    d_rows = list(join_store.table("D").scan_reference())
+    t_rows, d_rows = make_records(), DIM
     want = [
         row
-        for row in nested_loop(t_rows, d_rows, [(3, 0)])
+        for row in oracle.join(t_rows, d_rows, [(3, 0)])
         if -10 <= row[1] <= 15 and 1 <= row[4] <= 3
     ]
     assert sorted(got) == sorted(want)
@@ -355,7 +319,7 @@ def test_join_composite_key(join_store):
         .select("t", "tag")
         .run()
     )
-    t_rows = list(store.table("T").scan_reference())
+    t_rows = make_records()
     want = [
         (t[0], p[2])
         for t in t_rows
@@ -568,6 +532,9 @@ def test_topk_above_group_by_and_join(kind):
     table.insert(records[150:200])
     table.flush_inserts()
     table.insert(records[200:])
+    model = model_of(table, records[:150])
+    model.insert(records[150:200])
+    model.insert(records[200:])
     store.create_table("D", DIM_SCHEMA)
     store.load("D", DIM + [(2, 999)])  # g=2 joins twice
 
@@ -583,7 +550,8 @@ def test_topk_above_group_by_and_join(kind):
             order=(("low", True), ("n", False)),
             limit=limit,
         )
-        assert execute(table, spec) == reference_eval(table, spec), (kind, limit)
+        want = reference_eval(table, spec, model)
+        assert execute(table, spec) == want, (kind, limit)
 
         q = (
             Q(store, "T")
@@ -595,10 +563,10 @@ def test_topk_above_group_by_and_join(kind):
         )
         root = q.explain().root
         assert isinstance(root.child, SortOp) and root.child.limit == limit
-        t_rows = [r for r in table.scan_reference() if -20 <= r[1] <= 20]
-        d_rows = list(store.table("D").scan_reference())
+        t_rows = [r for r in records if -20 <= r[1] <= 20]
+        d_rows = DIM + [(2, 999)]
         joined = [
-            (r[5], r[2], r[0]) for r in nested_loop(t_rows, d_rows, [(3, 0)])
+            (r[5], r[2], r[0]) for r in oracle.join(t_rows, d_rows, [(3, 0)])
         ]
         # (label, y, t) is unique per output row: one right answer.
         want = sorted(joined, key=lambda r: (-r[0], r[1], -r[2]))[:limit]

@@ -28,10 +28,30 @@ def render(expr_text, records=RECORDS, page_size=1024, schema=SCHEMA):
     return renderer, layout
 
 
+def rows_of(batches):
+    return [row for batch in batches for row in batch.rows()]
+
+
+def cell_rows(renderer, layout, entry):
+    """One grid cell's records, through the run kernel."""
+    return rows_of(renderer.iter_grid_batches(layout, [entry]))
+
+
+def folded_groups(batches, n_group=1):
+    """Un-nested folded rows regrouped: ``{key: [nested values]}``."""
+    groups: dict = {}
+    for row in rows_of(batches):
+        nested = row[n_group:]
+        groups.setdefault(row[:n_group], []).append(
+            nested[0] if len(nested) == 1 else nested
+        )
+    return groups
+
+
 class TestRowsRendering:
     def test_roundtrip(self):
         renderer, layout = render("T")
-        assert list(renderer.iter_rows(layout)) == RECORDS
+        assert rows_of(renderer.iter_row_batches(layout)) == RECORDS
 
     def test_extent_contiguous_and_chained(self):
         renderer, layout = render("T")
@@ -50,13 +70,13 @@ class TestRowsRendering:
 
     def test_empty_table(self):
         renderer, layout = render("T", records=[])
-        assert list(renderer.iter_rows(layout)) == []
+        assert rows_of(renderer.iter_row_batches(layout)) == []
         assert layout.row_count == 0
         assert layout.total_pages() == 1  # one empty page
 
     def test_ordered_layout_preserves_order(self):
         renderer, layout = render("orderby[lat](T)")
-        rows = list(renderer.iter_rows(layout))
+        rows = rows_of(renderer.iter_row_batches(layout))
         assert rows == sorted(RECORDS, key=lambda r: r[1])
 
     def test_record_exceeding_page_rejected(self):
@@ -69,13 +89,13 @@ class TestColumnsRendering:
     def test_single_field_groups(self):
         renderer, layout = render("columns(T)")
         assert len(layout.column_groups) == 4
-        assert list(renderer.iter_column_group(layout, 1)) == [
-            r[1] for r in RECORDS
+        assert rows_of(renderer.iter_column_batches(layout, [1])) == [
+            (r[1],) for r in RECORDS
         ]
 
     def test_multi_field_group(self):
         renderer, layout = render("columns[[lat, lon], [t], [id]](T)")
-        pairs = list(renderer.iter_column_group(layout, 0))
+        pairs = rows_of(renderer.iter_column_batches(layout, [0]))
         assert pairs == [(r[1], r[2]) for r in RECORDS]
 
     def test_chunks_cover_rows(self):
@@ -86,8 +106,8 @@ class TestColumnsRendering:
 
     def test_compressed_column(self):
         renderer, layout = render("compress[varint; t](columns(T))")
-        assert list(renderer.iter_column_group(layout, 0)) == [
-            r[0] for r in RECORDS
+        assert rows_of(renderer.iter_column_batches(layout, [0])) == [
+            (r[0],) for r in RECORDS
         ]
 
     def test_compressed_column_fewer_pages(self):
@@ -97,7 +117,7 @@ class TestColumnsRendering:
 
     def test_empty_columns(self):
         renderer, layout = render("columns(T)", records=[])
-        assert list(renderer.iter_column_group(layout, 0)) == []
+        assert rows_of(renderer.iter_column_batches(layout, [0])) == []
 
 
 class TestGridRendering:
@@ -107,14 +127,15 @@ class TestGridRendering:
         renderer, layout = render(self.EXPR)
         got = []
         for entry in layout.cell_directory:
-            got.extend(renderer.read_cell(layout, entry))
+            got.extend(cell_rows(renderer, layout, entry))
         assert sorted(got) == sorted(RECORDS)
+        assert rows_of(renderer.iter_grid_batches(layout)) == got
 
     def test_directory_bounds_contain_members(self):
         renderer, layout = render(self.EXPR)
         for entry in layout.cell_directory:
             (lat_lo, lat_hi), (lon_lo, lon_hi) = entry.bounds
-            for record in renderer.read_cell(layout, entry):
+            for record in cell_rows(renderer, layout, entry):
                 assert lat_lo <= record[1] < lat_hi
                 assert lon_lo <= record[2] < lon_hi
 
@@ -122,9 +143,7 @@ class TestGridRendering:
         renderer, layout = render(self.EXPR)
         hits = layout.cells_overlapping({"lat": (0, 49), "lon": (0, 49)})
         assert 0 < len(hits) < len(layout.cell_directory)
-        records = [
-            r for e in hits for r in renderer.read_cell(layout, e)
-        ]
+        records = rows_of(renderer.iter_grid_batches(layout, hits))
         expected = [r for r in RECORDS if r[1] < 50 and r[2] < 50]
         got = [r for r in records if r[1] < 50 and r[2] < 50]
         assert sorted(got) == sorted(expected)
@@ -139,9 +158,7 @@ class TestGridRendering:
         renderer, layout = render(
             "delta[lat, lon](grid[lat, lon],[50, 50](T))"
         )
-        got = []
-        for entry in layout.cell_directory:
-            got.extend(renderer.read_cell(layout, entry))
+        got = rows_of(renderer.iter_grid_batches(layout))
         assert sorted((r[1], r[2]) for r in got) == sorted(
             (r[1], r[2]) for r in RECORDS
         )
@@ -177,29 +194,32 @@ class TestGridRendering:
 class TestFoldedRendering:
     def test_roundtrip(self):
         renderer, layout = render("fold[lat, lon; id](T)")
-        folded = list(renderer.iter_folded(layout))
+        folded = folded_groups(renderer.iter_folded_batches(layout))
         assert len(folded) == 5  # distinct ids
-        total = sum(len(row[-1]) for row in folded)
-        assert total == len(RECORDS)
+        assert sorted(
+            (key[0], *nested) for key, values in folded.items()
+            for nested in values
+        ) == sorted((r[3], r[1], r[2]) for r in RECORDS)
 
     def test_single_nest_field(self):
         renderer, layout = render("fold[lat; id](T)")
-        folded = list(renderer.iter_folded(layout))
-        assert all(isinstance(row[-1][0], int) for row in folded if row[-1])
+        folded = folded_groups(renderer.iter_folded_batches(layout))
+        assert all(isinstance(v, int) for vs in folded.values() for v in vs)
 
     def test_large_groups_span_pages(self):
         # One giant group far larger than a page must still round-trip.
         records = [(i, i % 97, i % 89, 0) for i in range(2000)]
         renderer, layout = render("fold[lat, lon; id](T)", records=records)
-        folded = list(renderer.iter_folded(layout))
-        assert len(folded) == 1
-        assert len(folded[0][-1]) == 2000
+        folded = folded_groups(renderer.iter_folded_batches(layout))
+        assert list(folded) == [(0,)]
+        assert folded[(0,)] == [(r[1], r[2]) for r in records]
 
 
 class TestArrayRendering:
     def test_matrix_roundtrip(self):
         renderer, layout = render("[[1, 2, 3], [4, 5, 6]]")
-        assert list(renderer.iter_array_leaves(layout)) == [1, 2, 3, 4, 5, 6]
+        leaves = rows_of(renderer.iter_array_batches(layout))
+        assert leaves == [(v,) for v in [1, 2, 3, 4, 5, 6]]
         assert layout.array_shape == (2, 3)
 
     def test_get_element_multidim(self):
@@ -216,7 +236,7 @@ class TestArrayRendering:
 
     def test_float_leaves(self):
         renderer, layout = render("[[1.5, 2.5]]")
-        assert list(renderer.iter_array_leaves(layout)) == [1.5, 2.5]
+        assert rows_of(renderer.iter_array_batches(layout)) == [(1.5,), (2.5,)]
 
     def test_direct_offset_reads_one_page(self):
         records = [[float(i) for i in range(50)] for _ in range(40)]

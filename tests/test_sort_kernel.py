@@ -2,8 +2,7 @@
 
 The oracle is ``multisort`` — one stable ``list.sort`` per key over row
 tuples, which is what the scan path ran before the ordering became a
-vector kernel and what ``Table.scan_reference`` still runs. The
-properties: :func:`repro.vector.sort_indexes` produces the oracle's
+vector kernel. The properties: :func:`repro.vector.sort_indexes` produces the oracle's
 permutation (values *and* tie order) for every column shape, direction mix
 and limit; :func:`repro.layout.renderer.sort_batches` over any split of the
 rows into batches produces the head of the oracle's full sort; and both

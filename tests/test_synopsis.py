@@ -3,11 +3,13 @@
 The invariant under test: enabling zone-map pruning (``store.zone_pruning``)
 never changes what a scan returns — values and order — for any layout kind,
 including overflow regions and in-memory pending rows; it only changes how
-many pages the scan touches. ``Table.scan_reference`` stays entirely
-zone-map-free, so it doubles as the oracle.
+many pages the scan touches. Both are checked against the naive model of
+the loaded rows (``tests/oracle.py``), which has no zone maps at all.
 """
 
 import pytest
+
+import oracle
 
 from repro.engine.database import RodentStore
 from repro.engine.stats import zone_survival_fraction
@@ -70,18 +72,23 @@ def tables():
     return out
 
 
+def model_of(layout, records=None):
+    records = make_records() if records is None else records
+    return oracle.Model(SCHEMA.names(), records, LAYOUTS[layout])
+
+
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_pruned_scan_equals_unpruned_and_reference(tables, layout):
     store, table = tables[layout]
+    model = model_of(layout)
     for predicate in predicates_for(table):
         for fieldlist in (None, sorted(predicate.fields_used())):
-            ref = list(table.scan_reference(fieldlist, predicate=predicate))
             store.zone_pruning = True
-            pruned = list(table.scan(fieldlist, predicate=predicate))
+            pruned = oracle.check_table(table, model, fieldlist, predicate)
             store.zone_pruning = False
             unpruned = list(table.scan(fieldlist, predicate=predicate))
             store.zone_pruning = True
-            assert pruned == unpruned == ref, (layout, predicate, fieldlist)
+            assert pruned == unpruned, (layout, predicate, fieldlist)
 
 
 @pytest.mark.parametrize("layout", ["rows", "columns", "grid", "folded"])
@@ -89,9 +96,13 @@ def test_pruning_equivalence_with_overflow_and_pending(layout):
     store = RodentStore(page_size=1024, pool_capacity=64)
     store.create_table("T", SCHEMA, layout=LAYOUTS[layout])
     table = store.load("T", make_records(150))
-    table.insert([(1000 + i, i - 3, i, i % 5) for i in range(40)])
+    model = model_of(layout, make_records(150))
+    overflow = [(1000 + i, i - 3, i, i % 5) for i in range(40)]
+    pending = [(2000 + i, -i, 2 * i, i % 5) for i in range(17)]
+    table.insert(overflow)
     table.flush_inserts()  # an on-disk overflow region (with its own zones)
-    table.insert([(2000 + i, -i, 2 * i, i % 5) for i in range(17)])  # pending
+    table.insert(pending)
+    model.insert(overflow + pending)
     for predicate in (
         Range("t", 0, 20),
         Range("t", 1005, 1010),  # only overflow rows match
@@ -99,10 +110,8 @@ def test_pruning_equivalence_with_overflow_and_pending(layout):
         Range("t", 140, 1002),  # straddles main and overflow
         Range("x", -2, 2),
     ):
-        ref = list(table.scan_reference(predicate=predicate))
         store.zone_pruning = True
-        got = list(table.scan(predicate=predicate))
-        assert got == ref, (layout, predicate)
+        oracle.check_table(table, model, predicate=predicate, context=layout)
 
 
 @pytest.mark.parametrize("layout", ["rows", "columns", "grid", "folded"])
@@ -190,9 +199,10 @@ def test_pending_zone_skips_unmatching_pending_batch():
     store.create_table("T", SCHEMA)
     table = store.load("T", make_records(50))
     table.insert([(1000 + i, 0, 0, 0) for i in range(10)])
+    model = oracle.Model(SCHEMA.names(), make_records(50))
+    model.insert([(1000 + i, 0, 0, 0) for i in range(10)])
     # Predicate excludes every pending row; results must still be exact.
-    got = list(table.scan(predicate=Range("t", 0, 20)))
-    assert got == list(table.scan_reference(predicate=Range("t", 0, 20)))
+    oracle.check_table(table, model, predicate=Range("t", 0, 20))
     got = list(table.scan(predicate=Range("t", 1000, 1004)))
     assert [r[0] for r in got] == [1000, 1001, 1002, 1003, 1004]
 

@@ -151,6 +151,32 @@ class TestGridLayout:
         with pytest.raises(QueryError):
             table.get_element((999, 999))
 
+    def test_get_element_is_exactly_the_cell(self):
+        """On the N4 shape (delta + varint + zorder), every cell coordinate
+        answers exactly the loaded rows whose ``x`` / ``y`` fall in that
+        cell — through the run kernel, in any order."""
+        schema = Schema.of("x:int", "y:int", "t:int")
+        records = [((i * 37) % 200, (i * 53) % 200, i) for i in range(900)]
+        store = RodentStore(page_size=512, pool_capacity=64)
+        store.create_table(
+            "T", schema,
+            layout="compress[varint; x, y](delta[x, y](zorder("
+            "grid[x, y],[25, 25](T))))",
+        )
+        table = store.load("T", records)
+        (x0, y0), seen = table.layout.grid_origin, 0
+        for entry in table.layout.cell_directory:
+            want = sorted(
+                r for r in records
+                if ((r[0] - x0) // 25, (r[1] - y0) // 25) == entry.coord
+            )
+            assert sorted(table.get_element(entry.coord)) == want
+            assert sorted(table.get_element(entry.coord, ["t"])) == sorted(
+                (r[2],) for r in want
+            )
+            seen += len(want)
+        assert seen == len(records)
+
 
 class TestFoldedLayout:
     LAYOUT = "fold[lat, lon; id](T)"

@@ -11,14 +11,15 @@ Edge cases the differential fuzz suite is unlikely to hit by chance:
 * ``ColumnBatch`` selection-bitmap semantics (select/project/head);
 * ``Predicate.filter_vector`` ≡ ``filter_batch`` ≡ compiled closure,
   including the cases the vector path must *decline* (huge ints);
-* whole-pipeline equivalence with ``store.vectorized`` toggled, and the
-  ``RodentStore(batch_rows=...)`` knob.
+* whole-pipeline answers against the naive model (``tests/oracle.py``)
+  under the ``RodentStore(batch_rows=...)`` knob and with numpy absent.
 """
 
 import math
 
 import pytest
 
+import oracle
 from repro import vector
 from repro.compression import get_codec
 from repro.compression.base import CodecError
@@ -285,7 +286,7 @@ def test_filter_vector_huge_bounds_stay_correct():
 
 
 # ---------------------------------------------------------------------------
-# Whole-pipeline equivalence: store.vectorized on/off, batch_rows knob
+# Whole-pipeline answers: batch_rows knob, numpy absent
 
 
 SCHEMA = Schema.of("t:int", "x:int", "y:float", "g:int")
@@ -350,49 +351,43 @@ QUERIES = [
 ]
 
 
-@pytest.fixture(scope="module")
-def store():
-    return _build_store()
-
-
-@pytest.mark.parametrize("base", ["T", "G"])
-def test_vectorized_toggle_preserves_answers(store, base):
+def _check_against_model(store):
+    """Every table's scan, and each query's answer, against the model."""
+    models = {
+        "T": oracle.Model(SCHEMA.names(), _records(), "columns(T)"),
+        "G": oracle.Model(SCHEMA.names(), _records(), "columns[[t, g], [x, y]](G)"),
+    }
+    for name, model in models.items():
+        table = store.table(name)
+        oracle.check_table(table, model)
+        oracle.check_table(table, model, ["x", "t"], Range("x", 0, 20))
+        oracle.check_table(table, model, None, Range("y", 2.5, 11.0), limit=17)
     for spec in QUERIES:
-        spec = QuerySpec(**{**spec.__dict__, "table": base})
-        table = store.table(spec.table)
-        store.vectorized = True
-        vectorized = execute(table, spec)
-        store.vectorized = False
-        try:
-            rowwise = execute(table, spec)
-        finally:
-            store.vectorized = True
-        if spec.limit is None and not spec.order:
-            assert vectorized == rowwise, spec
-        else:
-            assert sorted(map(repr, vectorized)) == sorted(
-                map(repr, rowwise)
-            ), spec
+        assert execute(store.table("T"), spec) == _model_answer(spec), spec
 
 
-def test_vectorized_scan_matches_reference(store):
-    table = store.table("T")
-    expected = list(table.scan_reference())
-    assert list(table.scan()) == expected
-    store.vectorized = False
-    try:
-        assert list(table.scan()) == expected
-    finally:
-        store.vectorized = True
+def _model_answer(spec):
+    """``spec`` over the loaded rows. No query in QUERIES orders and only a
+    plain scan limits, so load order is every answer's order."""
+    names = list(SCHEMA.names())
+    positions = {n: i for i, n in enumerate(names)}
+    rows = [r for r in _records() if oracle.matches(spec.predicate, r, positions)]
+    if spec.joins:  # the one join: D on g
+        dim = [(i, f"group-{i}") for i in range(5)]
+        rows = oracle.join(rows, dim, [(names.index("g"), 0)])
+        names += ["D.g", "label"]
+    if spec.aggregates:
+        return oracle.group(
+            rows, names, spec.group_by,
+            [(a.func, a.source) for a in spec.aggregates],
+        )
+    rows = rows[: spec.limit]
+    return oracle.project(rows, names, spec.fieldlist or names[:4])
 
 
 @pytest.mark.parametrize("batch_rows", [1, 7, 256, 100_000])
 def test_batch_rows_knob_preserves_scans(batch_rows):
-    store = _build_store(batch_rows=batch_rows)
-    table = store.table("T")
-    assert list(table.scan()) == list(table.scan_reference())
-    spec = QUERIES[3]
-    assert execute(table, spec) == execute(_build_store().table("T"), spec)
+    _check_against_model(_build_store(batch_rows=batch_rows))
 
 
 def test_batch_rows_must_be_positive():
@@ -401,22 +396,10 @@ def test_batch_rows_must_be_positive():
 
 
 def test_pipeline_numpy_absent_parity():
-    """The whole stack answers identically with numpy unavailable."""
-    baseline_store = _build_store()
-    baseline = [
-        execute(baseline_store.table("T"), spec) for spec in QUERIES
-    ]
+    """The whole stack answers the model's answers with numpy unavailable."""
     prev = vector.set_numpy_enabled(False)
     try:
-        store = _build_store()
-        table = store.table("T")
-        assert list(table.scan()) == list(table.scan_reference())
-        for spec, expected in zip(QUERIES, baseline):
-            got = execute(table, spec)
-            if spec.limit is None and not spec.order:
-                assert got == expected, spec
-            else:
-                assert sorted(map(repr, got)) == sorted(map(repr, expected))
+        _check_against_model(_build_store())
     finally:
         vector.set_numpy_enabled(prev)
 
