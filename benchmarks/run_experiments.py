@@ -229,167 +229,6 @@ def adapt_bench(
     return result
 
 
-def partition_bench(
-    scale: dict,
-    out_path: str = "BENCH_partition.json",
-    seed: int = DEFAULT_SEED,
-) -> dict:
-    """Partition pruning + parallel partition scans.
-
-    Writes ``BENCH_partition.json``:
-
-    * **pruning sweep** — a range-partitioned table queried at decreasing
-      selectivities; records the fraction of partitions skipped via the
-      partition map and the cold page reads with pruning on vs fully off
-      (partition pruning *and* zone maps disabled);
-    * **parallel sweep** — wall-clock full scans of a multi-partition
-      table on a simulated-latency disk for increasing worker counts,
-      with the speedup over the single-threaded scan.
-
-    The acceptance gates this PR ships under: point/range queries at
-    ≤ 1% selectivity must skip ≥ 80% of partitions, and some parallel
-    worker count must beat the serial scan.
-    """
-    import random as _random
-
-    from repro.engine.database import RodentStore
-    from repro.query.expressions import Range
-    from repro.types.schema import Schema
-
-    banner(
-        "Partitioned tables — pruning + parallel scans "
-        "(BENCH_partition.json)"
-    )
-    rng = _random.Random(seed)
-    n_records = max(20_000, scale["n_observations"] // 2)
-    n_partitions = 25
-    domain = n_records  # t uniform in [0, domain)
-    records = [
-        (rng.randrange(domain), rng.randrange(1000), rng.randrange(100))
-        for _ in range(n_records)
-    ]
-    schema = Schema.of("t:int", "x:int", "g:int")
-    stride = domain // n_partitions
-    bounds = ", ".join(str(b) for b in range(stride, domain, stride))
-    layout = f"partition[r.t; range, {bounds}](T)"
-
-    result: dict = {
-        "benchmark": "partitioned_tables",
-        "n_records": n_records,
-        "n_partitions": n_partitions,
-        "page_size": scale["page_size"],
-        "seed": seed,
-        "pruning": [],
-        "parallel": {},
-    }
-
-    # -- (a) partition-pruning selectivity sweep ---------------------------
-    store = RodentStore(page_size=scale["page_size"], pool_capacity=256)
-    store.create_table("T", schema, layout=layout)
-    table = store.load("T", records)
-    assert table.partition_count == n_partitions
-    print(
-        f"{'selectivity':>12}{'partitions pruned':>19}"
-        f"{'pages (pruned)':>16}{'pages (full)':>14}"
-    )
-    for selectivity in (0.001, 0.005, 0.01, 0.05, 0.2):
-        width = max(1, int(domain * selectivity))
-        lo = rng.randrange(max(1, domain - width))
-        predicate = Range("t", lo, lo + width - 1)
-        pruned = table.partitions_pruned(predicate)
-        _, io_on = store.run_cold(
-            lambda p=predicate: sum(1 for _ in table.scan(predicate=p))
-        )
-        store.partition_pruning = False
-        store.zone_pruning = False
-        _, io_off = store.run_cold(
-            lambda p=predicate: sum(1 for _ in table.scan(predicate=p))
-        )
-        store.partition_pruning = True
-        store.zone_pruning = True
-        fraction = pruned / n_partitions
-        result["pruning"].append(
-            {
-                "selectivity": selectivity,
-                "partitions_pruned": pruned,
-                "partition_count": n_partitions,
-                "fraction_pruned": round(fraction, 4),
-                "pages_read_pruned": io_on.page_reads,
-                "pages_read_full": io_off.page_reads,
-            }
-        )
-        print(
-            f"{selectivity:>12.3%}{pruned:>10}/{n_partitions:<8}"
-            f"{io_on.page_reads:>16,}{io_off.page_reads:>14,}"
-        )
-    selective = [
-        e for e in result["pruning"] if e["selectivity"] <= 0.01
-    ]
-    prune_ok = bool(selective) and all(
-        e["fraction_pruned"] >= 0.8 for e in selective
-    )
-    result["prune_ok"] = prune_ok
-    store.close()
-
-    # -- (b) parallel-scan speedup vs worker count -------------------------
-    # A simulated per-page read latency models a device where I/O waits
-    # dominate; workers overlap those waits (the sleep is paid outside
-    # the disk/pool locks).
-    latency_s = 0.0002
-    store = RodentStore(
-        page_size=scale["page_size"],
-        pool_capacity=512,
-        read_latency_s=latency_s,
-    )
-    store.create_table("T", schema, layout=layout)
-    table = store.load("T", records)
-
-    def timed_scan() -> float:
-        store.pool.clear()
-        store.disk.reset_head()
-        start = time.perf_counter()
-        count = sum(len(rows) for rows in table.scan_batches())
-        elapsed = time.perf_counter() - start
-        assert count == n_records
-        return elapsed
-
-    serial_s = min(timed_scan() for _ in range(2))
-    result["parallel"] = {
-        "read_latency_s_per_page": latency_s,
-        "serial_ms": round(serial_s * 1000, 2),
-        "workers": {},
-    }
-    print(f"\n{'workers':>8}{'scan ms':>10}{'speedup':>9}")
-    print(f"{'serial':>8}{serial_s * 1000:>10.1f}{'1.00x':>9}")
-    best_parallel = float("inf")
-    for workers in (2, 4, 8):
-        store.scan_workers = workers
-        elapsed = min(timed_scan() for _ in range(2))
-        best_parallel = min(best_parallel, elapsed)
-        result["parallel"]["workers"][str(workers)] = {
-            "scan_ms": round(elapsed * 1000, 2),
-            "speedup": round(serial_s / elapsed, 2),
-        }
-        print(
-            f"{workers:>8}{elapsed * 1000:>10.1f}"
-            f"{serial_s / elapsed:>8.2f}x"
-        )
-    store.scan_workers = 0
-    result["parallel_ok"] = best_parallel < serial_s
-    store.close()
-
-    print(
-        f"\nacceptance: prune_ok={prune_ok} "
-        f"parallel_ok={result['parallel_ok']}"
-    )
-    result["generated_unix"] = int(time.time())
-    with open(out_path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {os.path.abspath(out_path)}")
-    return result
-
-
 def optimizer(scale: dict) -> None:
     from repro.engine.cost import CostModel
     from repro.engine.stats import TableStats
@@ -930,17 +769,6 @@ def main() -> None:
         help="output path for the adaptive-loop benchmark JSON",
     )
     parser.add_argument(
-        "--partition-bench-only",
-        action="store_true",
-        help="run only the partition pruning/parallel benchmark and write "
-        "BENCH_partition.json",
-    )
-    parser.add_argument(
-        "--partition-bench-out",
-        default="BENCH_partition.json",
-        help="output path for the partition benchmark JSON",
-    )
-    parser.add_argument(
         "--txn-bench-only",
         action="store_true",
         help="run only the durability/transaction benchmark and write "
@@ -978,10 +806,6 @@ def main() -> None:
         adapt_bench(scale, args.adapt_bench_out, seed=args.seed)
         print(f"\ntotal: {time.time() - start:.1f}s")
         return
-    if args.partition_bench_only:
-        partition_bench(scale, args.partition_bench_out, seed=args.seed)
-        print(f"\ntotal: {time.time() - start:.1f}s")
-        return
     if args.txn_bench_only:
         txn_bench(scale, args.txn_bench_out, seed=args.seed)
         print(f"\ntotal: {time.time() - start:.1f}s")
@@ -993,7 +817,6 @@ def main() -> None:
     figure2(scale)
     sales(scale)
     adapt_bench(scale, args.adapt_bench_out, seed=args.seed)
-    partition_bench(scale, args.partition_bench_out, seed=args.seed)
     txn_bench(scale, args.txn_bench_out, seed=args.seed)
     ingest_bench(scale, args.ingest_bench_out, seed=args.seed)
     optimizer(scale)

@@ -280,12 +280,8 @@ def _open_columns(
 
     def read() -> Iterator[ColumnBatch]:
         if keep is not None:
-            return renderer.iter_pruned_column_batches(
-                layout, indexes, keep, batch_size=batch_rows
-            )
-        batches = renderer.iter_column_batches(
-            layout, indexes, batch_size=batch_rows
-        )
+            return renderer.iter_pruned_column_batches(layout, indexes, keep)
+        batches = renderer.iter_column_batches(layout, indexes)
         if delta_here:
             idx = [fields.index(f) for f in delta_here]
             batches = _undelta_batches(batches, idx, tuple(fields))

@@ -279,8 +279,8 @@ class RodentStore:
         #: Worker threads for partition-parallel scans; 0/1 = serial.
         #: Settable at runtime — the shared executor is (re)built lazily.
         self.scan_workers = scan_workers
-        #: Target rows per scan batch (plumbed to every batch reader).
-        #: Settable at runtime.
+        #: Target rows per gathered scan batch (row pages, folded records;
+        #: column runs read a window at a time). Settable at runtime.
         self.batch_rows = int(batch_rows)
         if self.batch_rows < 1:
             raise StorageError("batch_rows must be >= 1")
@@ -1715,9 +1715,9 @@ class RodentStore:
         """Run ``query`` against a cold cache, returning (result, I/O delta).
 
         This is the measurement harness for the paper's "number of pages read
-        per query" metric: the buffer pool is emptied, decoded-chunk caches
-        are dropped, and the simulated disk head reset so each query pays
-        its true I/O.
+        per query" metric: the buffer pool is emptied, cached column
+        windows and chunks are dropped, and the simulated disk head reset
+        so each query pays its true I/O.
         """
         for entry in self.catalog:
             for run in entry.runs():

@@ -253,8 +253,9 @@ def rows_page_skip(
     return set(synopsis.page_zones.pruned_indexes(intervals)) or None
 
 
-def _group_chunk_rows(layout: "StoredLayout", group_index: int) -> list[int]:
-    """Row count per chunk (single-field) or per page (mini-record group)."""
+def group_chunk_rows(layout: "StoredLayout", group_index: int) -> list[int]:
+    """Row count per chunk (single-field) or per page (mini-record group,
+    from its zone table)."""
     store = layout.column_groups[group_index]
     if len(store.fields) == 1:
         return [rows for _, rows in store.chunks]
@@ -341,7 +342,7 @@ def column_pruned_pages(
     skipped = 0
     for gi in group_indexes:
         start = 0
-        for rows in _group_chunk_rows(layout, gi):
+        for rows in group_chunk_rows(layout, gi):
             end = start + rows
             if rows and not _overlaps_keep(keep, start, end):
                 skipped += 1

@@ -26,8 +26,8 @@ Every read is **batch-at-a-time**: one reader per layout kind
 (``iter_row_batches``, ``iter_column_batches``, ``iter_grid_batches``,
 ``iter_folded_batches``, ``iter_array_batches``), chosen and parameterized
 by :func:`repro.engine.access.open_run`. They yield :class:`ColumnBatch`
-objects: a page, a chunk or a run of grid cells worth of decoded values at
-once, produced by the codecs' vectorized ``decode_buffer``, so the
+objects: a page, a column window or a run of grid cells worth of decoded
+values at once, produced by the codecs' vectorized ``decode_buffer``, so the
 per-value Python interpreter tax is paid once per batch instead of once per
 value. Positional access (``get_element`` on a grid cell) reads through the
 same readers.
@@ -59,7 +59,7 @@ from repro.algebra.physical import (
 from repro.algebra.transforms import Evaluated, Evaluator, GridResult
 from repro import vector
 from repro.compression import get_codec
-from repro.engine.synopsis import LayoutSynopsis, ZoneTable
+from repro.engine.synopsis import LayoutSynopsis, ZoneTable, group_chunk_rows
 from repro.errors import CorruptPageError, StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import (
@@ -76,28 +76,24 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _CELL_HEADER = struct.Struct("<IH")  # row count, field count
 
-#: Default rows per batch for batch-at-a-time readers whose natural unit
-#: (page, chunk, cell) is smaller than this; a rows run gathers packed pages
-#: up to it, other page-shaped sources keep their page granularity.
-#: ``RodentStore(batch_rows=...)`` overrides it per store. 1024 is large
-#: enough to amortize per-batch dispatch, small enough to stay
-#: cache-resident.
+#: Rows per batch where a reader gathers its batches: a rows run gathers
+#: packed pages up to it, folded records un-nest into batches of about it.
+#: Column runs read a window at a time (:data:`WINDOW_ROWS`) instead, and
+#: other page-shaped sources keep their page granularity.
+#: ``RodentStore(batch_rows=...)`` overrides it per store.
 DEFAULT_BATCH_ROWS = 1024
 
-#: Decoded-chunk cache entries kept per column group (FIFO). Chunks hold
-#: roughly page-size worth of values, so the bound caps cache memory at a
-#: few MB per hot group. The cache lives on :class:`ColumnGroupStore`,
-#: which every rewrite replaces wholesale — invalidation is structural.
+#: Rows per column *window*: the unit a column group's decoded cache holds
+#: and a full column scan yields — batch k is rows ``[kW, (k+1)W)`` of every
+#: scanned group. The keyed operators fold the same number of rows per
+#: kernel call (:func:`repro.query.operators._chunks`).
+WINDOW_ROWS = 65_536
+
+#: Decoded rows kept per column group, in chunks' worth: the group's
+#: cache holds at most this many of its largest chunk's rows, evicting the
+#: oldest entry first. The cache lives on :class:`ColumnGroupStore`, which
+#: every rewrite replaces wholesale — invalidation is structural.
 _CHUNK_CACHE_LIMIT = 512
-
-
-def _cache_put(cache: dict, key, value) -> None:
-    if len(cache) >= _CHUNK_CACHE_LIMIT:
-        try:
-            cache.pop(next(iter(cache)), None)
-        except (StopIteration, RuntimeError):  # pragma: no cover - racing scan
-            cache.clear()
-    cache[key] = value
 
 
 class ColumnBatch:
@@ -169,8 +165,8 @@ class ColumnBatch:
 
     def columns(self) -> list:
         """Per-field value vectors parallel to ``fields``, with any pending
-        selection bitmap resolved (cached). Vectors may be shared with the
-        chunk cache and other batches — treat them as read-only."""
+        selection bitmap resolved (cached). Vectors may be shared with a
+        column group's cache and other batches — treat them as read-only."""
         if self._columns is None:
             if self._rows:
                 self._columns = list(zip(*self._rows))
@@ -351,168 +347,208 @@ def select_cell_fields(schema: Schema, needed: Sequence[str] | None) -> list[int
     return touched or [0]
 
 
-class _ColumnCursor:
-    """Buffered reader over one column group's chunk stream.
-
-    ``take(k)`` serves the next ``k`` rows of every field in the group
-    (fewer at end-of-stream, ``None`` when exhausted), regardless of how
-    the underlying chunks are sized — the alignment glue that lets groups
-    with different chunk geometries merge positionally.
-    """
-
-    __slots__ = ("_stream", "_columns", "_offset")
-
-    def __init__(self, stream: Iterator[list]):
-        self._stream = stream
-        self._columns: list | None = None
-        self._offset = 0
-
-    def take(self, k: int) -> list | None:
-        """Up to ``k`` rows' worth of column vectors, or ``None`` at EOF.
-
-        Batches never span chunks: a chunk no longer than ``k`` is handed
-        out whole (the vectors may be shared with the decoded-chunk cache,
-        so they are never copied or mutated), a longer one is served as
-        zero-copy slices, and a sub-``k`` tail simply becomes a short
-        batch. Downstream code treats batch sizes as advisory, and
-        chunk-aligned batches keep the warm-cache scan path allocation-free.
-        """
-        columns = self._columns
-        while columns is None:
-            chunk = next(self._stream, None)
-            if chunk is None:
-                return None
-            if not len(chunk[0]):
-                continue
-            if len(chunk[0]) <= k:
-                return list(chunk)
-            columns = self._columns = list(chunk)
-            self._offset = 0
-        offset = self._offset
-        end = min(offset + k, len(columns[0]))
-        out = [column[offset:end] for column in columns]
-        if end == len(columns[0]):
-            self._columns = None
-            self._offset = 0
-        else:
-            self._offset = end
-        return out
-
-    def take_exact(self, k: int) -> list | None:
-        """Exactly ``k`` rows (concatenating across chunks), fewer only at
-        EOF. Follower cursors in a multi-group merge use this to stay
-        positionally aligned with the lead group's chunk-aligned batches;
-        cached chunk vectors are never mutated — growth builds fresh
-        vectors via :func:`vector.concat`."""
-        columns = self._columns
-        while columns is None or len(columns[0]) - self._offset < k:
-            chunk = next(self._stream, None)
-            if chunk is None:
-                break
-            if columns is None:
-                columns = self._columns = list(chunk)
-                self._offset = 0
-            else:
-                offset = self._offset
-                columns = self._columns = [
-                    vector.concat([buf[offset:], values])
-                    for buf, values in zip(columns, chunk)
-                ]
-                self._offset = 0
-        if columns is None:
-            return None
-        offset = self._offset
-        end = min(offset + k, len(columns[0]))
-        if end == offset:
-            return None
-        out = [column[offset:end] for column in columns]
-        if end == len(columns[0]):
-            self._columns = None
-            self._offset = 0
-        else:
-            self._offset = end
-        return out
-
-
 class _GroupSlicer:
-    """Random-access reader over one column group's chunks by row range.
+    """One column group's rows by position, read through its decoded cache.
 
-    Used by the zone-map-pruned column scan: each scanned group serves
-    arbitrary (ascending) row intervals, decoding only the chunks those
-    rows live in. The most recently decoded chunk is cached, so a
-    sequential sweep over keep-intervals decodes each surviving chunk once.
+    A full scan takes :meth:`window`: rows ``[kW, (k+1)W)`` of every field,
+    assembled from the chunks the first time and cached whole, so the next
+    scan's batch *is* the cached window. A zone-pruned scan takes
+    :meth:`slice`: a cut of the cached window, or else of the chunks the
+    rows live in, each decoded once and cached. Assembling a window takes
+    over the chunk entries it uses, so no row is cached twice; a chunk
+    straddling the window's end is carried to the next window rather than
+    read again. Before either, the scanned groups decode what they lack
+    together, in row order (:meth:`load`).
+
+    Chunk row counts come from the catalog — ``chunks`` for a one-field
+    group, its zone table (else its page headers) for a mini-record group.
+    They must sum to the layout's rows and each decoded chunk must hold its
+    count: a mismatch raises :class:`StorageError`, so a group whose
+    metadata disagrees can neither drop nor misalign rows.
     """
 
     __slots__ = (
         "_renderer",
         "_store",
-        "_single",
+        "_rows",
         "_dtype",
         "_codec",
         "_serializer",
         "_starts",
-        "_counts",
+        "_limit",
+        "_carry",
+        "_staged",
     )
 
     def __init__(self, renderer: "LayoutRenderer", layout: "StoredLayout", group_index: int):
         self._renderer = renderer
-        store = layout.column_groups[group_index]
-        self._store = store
+        store = self._store = layout.column_groups[group_index]
+        self._rows = layout.row_count
         plan = layout.plan
-        self._single = len(store.fields) == 1
-        if self._single:
-            counts = [rows for _, rows in store.chunks]
+        if len(store.fields) == 1:
             self._dtype = plan.schema.field(store.fields[0]).dtype
             self._codec = get_codec(plan.codec_for(store.fields[0]))
             self._serializer = None
         else:
-            assert layout.synopsis is not None
-            counts = vector.to_list(
-                layout.synopsis.group_zones[group_index].row_counts
-            )
             self._dtype = self._codec = None
             self._serializer = RecordSerializer(
                 plan.schema.project(store.fields)
             )
-        self._counts = counts
-        starts: list[int] = []
-        total = 0
-        for count in counts:
-            starts.append(total)
-            total += count
-        self._starts = starts
+        if self._serializer is None or (
+            layout.synopsis is not None and layout.synopsis.group_zones
+        ):
+            counts = group_chunk_rows(layout, group_index)
+        else:
+            counts = self._page_rows(store.extent.page_ids)
+        self._starts = list(accumulate(counts, initial=0))
+        if self._starts[-1] != layout.row_count:
+            raise StorageError(
+                f"column group {store.fields}: chunks hold {self._starts[-1]} "
+                f"rows, the layout {layout.row_count}"
+            )
+        self._limit = _CHUNK_CACHE_LIMIT * max(counts, default=0)
+        self._carry: tuple = (None, None)
+        self._staged: dict[int, list] = {}  # decoded ahead by :meth:`load`
 
-    def _chunk_columns(self, chunk_index: int) -> list:
-        renderer = self._renderer
-        if self._single:
-            return [
-                renderer._single_group_chunk(
-                    self._store, self._dtype, self._codec, chunk_index
+    def _page_rows(self, page_ids: Sequence[int]) -> list[int]:
+        """Records per slotted page, from the page headers."""
+        pool, counts = self._renderer.pool, []
+        for page_id in page_ids:
+            frame = pool.fetch(page_id)
+            try:
+                page = SlottedPage(self._renderer.page_size, frame.data)
+                counts.append(page.slot_count)
+            finally:
+                pool.unpin(page_id)
+        return counts
+
+    def _decode(self, i: int) -> list:
+        """Chunk ``i`` read and decoded, checked against its row count."""
+        renderer, store = self._renderer, self._store
+        if self._serializer is None:
+            page_id = store.extent.page_ids[store.chunks[i][0]]
+            frame = renderer.pool.fetch(page_id)
+            try:
+                data = BytePage(renderer.page_size, frame.data).read()
+            finally:
+                renderer.pool.unpin(page_id)
+            columns = [self._codec.decode_buffer(data, self._dtype)]
+        else:
+            columns = renderer._read_slotted(
+                store.extent.page_ids[i], self._serializer
+            )
+        rows = self._starts[i + 1] - self._starts[i]
+        held = len(columns[0]) if columns else 0
+        if held != rows:
+            raise StorageError(
+                f"chunk {i} of column group {store.fields} holds {held} "
+                f"rows, the catalog says {rows}"
+            )
+        return columns
+
+    def _missing(self, start: int, end: int) -> list[tuple[int, int]]:
+        """``(first row wanted, chunk)`` for each chunk reading rows
+        ``[start, end)`` has to decode: neither their window nor the chunk
+        is cached, and the chunk is not carried over."""
+        cache, starts = self._store.cache, self._starts
+        origin = start - start % WINDOW_ROWS
+        if (origin, min(origin + WINDOW_ROWS, self._rows)) in cache:
+            return []
+        return [
+            (max(start, starts[i]), i)
+            for i, _, _ in self._overlaps(start, end)
+            if i != self._carry[0] and (starts[i], starts[i + 1]) not in cache
+        ]
+
+    def _overlaps(self, start: int, end: int) -> Iterator[tuple[int, int, int]]:
+        """``(chunk, lo, hi)`` for each non-empty chunk holding rows of
+        ``[start, end)``: rows ``[lo, hi)`` of the chunk are the ones."""
+        starts = self._starts
+        i = bisect_right(starts, start) - 1
+        while i + 1 < len(starts) and starts[i] < end:
+            if starts[i + 1] > starts[i]:
+                yield (
+                    i,
+                    max(start, starts[i]) - starts[i],
+                    min(end, starts[i + 1]) - starts[i],
                 )
-            ]
-        return renderer._multi_group_chunk(
-            self._store, self._serializer, chunk_index
-        )
+            i += 1
+
+    def window(self, start: int) -> list:
+        """Rows ``[start, start + W)`` of every field (``start`` a multiple
+        of :data:`WINDOW_ROWS`; the last window is short), as the cached
+        vectors — assembled and cached on first use."""
+        key = (start, min(start + WINDOW_ROWS, self._rows))
+        window = self._store.cache.get(key)
+        if window is not None:
+            return window
+        starts = self._starts
+        parts: list[list] = [[] for _ in self._store.fields]
+        for i, lo, hi in self._overlaps(*key):
+            carried, columns = self._carry
+            cached = self._store.cache.pop((starts[i], starts[i + 1]), None)
+            if carried != i:
+                columns = cached or self._staged.pop(i, None) or self._decode(i)
+            if starts[i + 1] > key[1]:  # its tail opens the next window
+                self._carry = (i, columns)
+            for part, column in zip(parts, columns):
+                part.append(column if hi - lo == len(column) else column[lo:hi])
+        window = [vector.concat(part) for part in parts]
+        self._put(key, window)
+        return window
 
     def slice(self, start: int, end: int) -> list:
-        """Per-field value vectors covering rows [start, end)."""
+        """Per-field value vectors of rows ``[start, end)``, which lie in
+        one window: cut from that window when it is cached, else from the
+        chunks the rows live in (chunks the range misses are never read)."""
+        origin = start - start % WINDOW_ROWS
+        cache = self._store.cache
+        window = cache.get((origin, min(origin + WINDOW_ROWS, self._rows)))
+        if window is not None:
+            return [column[start - origin : end - origin] for column in window]
         parts: list[list] = [[] for _ in self._store.fields]
-        i = max(0, bisect_right(self._starts, start) - 1)
-        while i < len(self._counts):
-            chunk_start = self._starts[i]
-            chunk_len = self._counts[i]
-            if chunk_start >= end:
-                break
-            if chunk_len == 0 or chunk_start + chunk_len <= start:
-                i += 1
-                continue
-            lo = max(0, start - chunk_start)
-            hi = min(end - chunk_start, chunk_len)
-            columns = self._chunk_columns(i)
+        for i, lo, hi in self._overlaps(start, end):
+            key = (self._starts[i], self._starts[i + 1])
+            columns = cache.get(key)
+            if columns is None:
+                columns = self._staged.pop(i, None) or self._decode(i)
+                self._put(key, columns)
             for part, column in zip(parts, columns):
                 part.append(column[lo:hi])
-            i += 1
         return [vector.concat(p) if p else [] for p in parts]
+
+    @staticmethod
+    def load(slicers: Sequence["_GroupSlicer"], start: int, end: int) -> None:
+        """Decode the chunks the groups are missing for rows ``[start, end)``
+        in row order across the groups, group order breaking ties — the
+        order a positional merge of the groups reaches them in. Which pages
+        an LRU pool keeps depends on the order they are asked for, so it is
+        this one whatever the window and chunk geometry."""
+        wanted = sorted(
+            (row, n, i)
+            for n, slicer in enumerate(slicers)
+            for row, i in slicer._missing(start, end)
+        )
+        for _, n, i in wanted:
+            slicers[n]._staged[i] = slicers[n]._decode(i)
+
+    def _put(self, key: tuple[int, int], value: list) -> None:
+        """Cache ``value`` as rows ``key``, evicting the oldest entries
+        past the group's bound; an entry the bound cannot hold is not
+        cached. Concurrent scans share the cache, so the rows held are
+        summed over a snapshot of its keys rather than kept in a counter."""
+        rows = key[1] - key[0]
+        if rows > self._limit:
+            return
+        cache = self._store.cache
+        entries = [entry for entry in list(cache) if entry != key]
+        held = sum(end - start for start, end in entries)
+        for start, end in entries:
+            if held + rows <= self._limit:
+                break
+            cache.pop((start, end), None)
+            held -= end - start
+        cache[key] = value
 
 
 @dataclass
@@ -548,9 +584,12 @@ class ColumnGroupStore:
     extent: Extent
     # For single-field groups: (page index in extent, row count) per chunk.
     chunks: list[tuple[int, int]] = field(default_factory=list)
-    # Decoded-chunk cache (chunk index -> decoded vectors). Stores are
-    # immutable once rendered — rewrites build new ColumnGroupStore
-    # objects — so entries never go stale; never persisted.
+    # Decoded rows, ``(start, end) -> per-field vectors``: a window a full
+    # scan assembled, or a chunk a pruned scan decoded — a window takes
+    # over the chunk entries it uses. FIFO within ``_CHUNK_CACHE_LIMIT``
+    # chunks' worth of rows. Stores are immutable once rendered — rewrites
+    # build new ColumnGroupStore objects — so entries never go stale;
+    # never persisted.
     cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -645,7 +684,8 @@ class StoredLayout:
         return pages
 
     def clear_caches(self) -> None:
-        """Drop every decoded-chunk cache in this layout (and mirrors).
+        """Drop every column group's cached windows and chunks in this
+        layout (and mirrors).
 
         Only the cold-measurement harness (``RodentStore.run_cold``) calls
         this: "cold" means the decoded vectors are gone too, so a scan pays
@@ -1250,115 +1290,13 @@ class LayoutRenderer:
             yield gathered_batch()
 
     def iter_column_batches(
-        self,
-        layout: StoredLayout,
-        group_indexes: Sequence[int],
-        *,
-        batch_size: int = DEFAULT_BATCH_ROWS,
+        self, layout: StoredLayout, group_indexes: Sequence[int]
     ) -> Iterator[ColumnBatch]:
-        """Positionally aligned batches over the given column groups.
-
-        Each group's chunks decode whole (via the codec ``decode_buffer``
-        path); a per-group cursor then serves aligned ``batch_size`` slices
-        so groups with different chunk geometries merge without per-value
-        round-trips.
-        """
-        fields = tuple(
-            f
-            for i in group_indexes
-            for f in layout.column_groups[i].fields
-        )
-        cursors = [
-            _ColumnCursor(self._iter_group_chunks(layout, i))
-            for i in group_indexes
-        ]
-        while True:
-            lead = cursors[0].take(batch_size)
-            if lead is None:
-                return
-            n = len(lead[0])
-            columns = list(lead)
-            for cursor in cursors[1:]:
-                more = cursor.take_exact(n)
-                if more is None or len(more[0]) != n:
-                    raise StorageError(
-                        "column groups disagree on row count"
-                    )
-                columns.extend(more)
-            yield ColumnBatch.from_columns(fields, columns)
-
-    def _iter_group_chunks(
-        self, layout: StoredLayout, group_index: int
-    ) -> Iterator[list]:
-        """One group's chunks as lists of per-field value vectors."""
-        store = layout.column_groups[group_index]
-        plan = layout.plan
-        if len(store.fields) == 1:
-            dtype = plan.schema.field(store.fields[0]).dtype
-            codec = get_codec(plan.codec_for(store.fields[0]))
-            for chunk_index in range(len(store.chunks)):
-                values = self._single_group_chunk(
-                    store, dtype, codec, chunk_index
-                )
-                if len(values):
-                    yield [values]
-        else:
-            serializer = RecordSerializer(plan.schema.project(store.fields))
-            for chunk_index in range(len(store.extent.page_ids)):
-                columns = self._multi_group_chunk(
-                    store, serializer, chunk_index
-                )
-                if columns and len(columns[0]):
-                    yield columns
-
-    def _single_group_chunk(
-        self, store: ColumnGroupStore, dtype, codec, chunk_index: int
-    ):
-        """One single-field chunk as a typed vector, via the store's
-        decoded-chunk cache. Cached vectors are shared across scans and
-        batches — callers must never mutate them."""
-        cached = store.cache.get(chunk_index)
-        if cached is not None:
-            return cached
-        page_index, _rows = store.chunks[chunk_index]
-        page_id = store.extent.page_ids[page_index]
-        frame = self.pool.fetch(page_id)
-        try:
-            data = BytePage(self.page_size, frame.data).read()
-        finally:
-            self.pool.unpin(page_id)
-        values = codec.decode_buffer(data, dtype)
-        _cache_put(store.cache, chunk_index, values)
-        return values
-
-    def _multi_group_chunk(
-        self, store: ColumnGroupStore, serializer: RecordSerializer, chunk_index: int
-    ) -> list:
-        """One multi-field chunk as per-field value vectors (cached)."""
-        cached = store.cache.get(chunk_index)
-        if cached is not None:
-            return cached
-        columns = self._read_slotted(
-            store.extent.page_ids[chunk_index], serializer
-        )
-        _cache_put(store.cache, chunk_index, columns)
-        return columns
-
-    def iter_pruned_column_batches(
-        self,
-        layout: StoredLayout,
-        group_indexes: Sequence[int],
-        keep: Sequence[tuple[int, int]],
-        *,
-        batch_size: int = DEFAULT_BATCH_ROWS,
-    ) -> Iterator[ColumnBatch]:
-        """Aligned column batches restricted to the ``keep`` row intervals.
-
-        ``keep`` comes from :func:`repro.engine.synopsis.column_keep_intervals`
-        (sorted, disjoint, ascending). Each group serves the same row ranges
-        regardless of its own chunk geometry, so groups stay positionally
-        aligned; chunks entirely outside ``keep`` are never fetched or
-        decoded.
+        """Positionally aligned batches over the given column groups, one
+        per window: batch k is rows ``[kW, (k+1)W)`` (:data:`WINDOW_ROWS`)
+        of every scanned group, so groups align by construction, and its
+        vectors *are* the groups' cached windows (:class:`_GroupSlicer`) —
+        a warm scan allocates no column vector.
         """
         fields = tuple(
             f
@@ -1366,14 +1304,45 @@ class LayoutRenderer:
             for f in layout.column_groups[i].fields
         )
         slicers = [_GroupSlicer(self, layout, i) for i in group_indexes]
+        for start in range(0, layout.row_count, WINDOW_ROWS):
+            _GroupSlicer.load(
+                slicers, start, min(start + WINDOW_ROWS, layout.row_count)
+            )
+            yield ColumnBatch.from_columns(
+                fields, [c for slicer in slicers for c in slicer.window(start)]
+            )
+
+    def iter_pruned_column_batches(
+        self,
+        layout: StoredLayout,
+        group_indexes: Sequence[int],
+        keep: Sequence[tuple[int, int]],
+    ) -> Iterator[ColumnBatch]:
+        """Aligned column batches restricted to the ``keep`` row intervals.
+
+        ``keep`` comes from :func:`repro.engine.synopsis.column_keep_intervals`
+        (sorted, disjoint, ascending). Each interval is cut at window
+        boundaries, and every group serves the same row ranges whatever its
+        own chunk geometry, so groups stay positionally aligned. A range is
+        cut from its cached window, or else from the chunks it lives in:
+        chunks entirely outside ``keep`` are never fetched or decoded.
+        """
+        if not keep:
+            return
+        fields = tuple(
+            f
+            for i in group_indexes
+            for f in layout.column_groups[i].fields
+        )
+        slicers = [_GroupSlicer(self, layout, i) for i in group_indexes]
         for start, end in keep:
-            for batch_start in range(start, end, batch_size):
-                batch_end = min(end, batch_start + batch_size)
-                columns: list = []
-                for slicer in slicers:
-                    columns.extend(slicer.slice(batch_start, batch_end))
+            while start < end:
+                cut = min(end, start - start % WINDOW_ROWS + WINDOW_ROWS)
+                _GroupSlicer.load(slicers, start, cut)
+                columns = [c for s in slicers for c in s.slice(start, cut)]
                 if columns and len(columns[0]):
                     yield ColumnBatch.from_columns(fields, columns)
+                start = cut
 
     def iter_grid_batches(
         self,

@@ -49,6 +49,7 @@ from repro.engine.cost import CostEstimate
 from repro.errors import QueryError, StorageError
 from repro.layout.renderer import (
     DEFAULT_BATCH_ROWS,
+    WINDOW_ROWS,
     ColumnBatch,
     merge_batches,
     sort_batches,
@@ -399,22 +400,19 @@ class ProjectOp(Operator):
             yield ColumnBatch.from_rows(self.fields, project(batch.rows()))
 
 
-#: Rows a keyed operator buffers before it makes one kernel call over
-#: them. The kernels cost a fixed few dozen microseconds per call whatever
-#: the row count, so a post-filter batch of a few hundred rows is far too
-#: small a unit; 64 batches amortize the call and still bound memory.
-_CHUNK_ROWS = 64 * DEFAULT_BATCH_ROWS
-
-
 def _chunks(
     batches: Iterator[ColumnBatch],
     fields: tuple[str, ...],
     idx: Sequence[int] | None = None,
 ) -> Iterator[ColumnBatch]:
     """Coalesce a batch stream into columnar batches of about
-    ``_CHUNK_ROWS`` rows each, in stream order, keeping only the columns
-    ``idx`` (named ``fields``) when given. At most one chunk plus one input
-    batch of rows is buffered."""
+    :data:`~repro.layout.renderer.WINDOW_ROWS` rows each, in stream order,
+    keeping only the columns ``idx`` (named ``fields``) when given — the
+    rows a keyed operator buffers before one kernel call. The kernels cost
+    a fixed few dozen microseconds per call whatever the row count, so a
+    post-filter batch is far too small a unit, and a column window, the
+    unit a column scan yields, is one call. At most one chunk plus one
+    input batch of rows is buffered."""
     held: list[ColumnBatch] = []
     rows = 0
     for batch in batches:
@@ -422,7 +420,7 @@ def _chunks(
             continue
         held.append(batch if idx is None else batch.project_columns(idx, fields))
         rows += batch.n_rows
-        if rows >= _CHUNK_ROWS:
+        if rows >= WINDOW_ROWS:
             yield merge_batches(fields, held)
             held, rows = [], 0
     if held:

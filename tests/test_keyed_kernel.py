@@ -46,11 +46,11 @@ def both_shapes(check):
 @contextmanager
 def chunk_rows(n):
     """Fold / probe ``n`` rows at a time instead of 65 536."""
-    previous, operators._CHUNK_ROWS = operators._CHUNK_ROWS, n
+    previous, operators.WINDOW_ROWS = operators.WINDOW_ROWS, n
     try:
         yield
     finally:
-        operators._CHUNK_ROWS = previous
+        operators.WINDOW_ROWS = previous
 
 
 def fresh(values):
@@ -352,7 +352,7 @@ def test_group_by_matches_the_row_loop(data):
 
 def group(batches, keys, aggregates, fields=("g", "v"), chunk=None):
     op = GroupByOp(StubOp(fields, lambda: batches), keys, aggregates)
-    with chunk_rows(chunk or operators._CHUNK_ROWS):
+    with chunk_rows(chunk or operators.WINDOW_ROWS):
         return op.rows()
 
 
@@ -444,7 +444,7 @@ def test_a_group_of_only_nulls_aggregates_to_null():
 
 
 def test_keyed_operators_buffer_at_most_a_chunk_and_a_batch(monkeypatch):
-    """The fold and the probe hold ``_CHUNK_ROWS`` rows plus at most the
+    """The fold and the probe hold ``WINDOW_ROWS`` rows plus at most the
     batch that crossed the line — whatever the length of the stream."""
     batch_rows, n_batches = 1000, 200
     g = vector.from_values([i % 5 for i in range(batch_rows)], "q")
@@ -464,13 +464,13 @@ def test_keyed_operators_buffer_at_most_a_chunk_and_a_batch(monkeypatch):
     rows = GroupByOp(stream, ("g",), (Aggregate("count"), Aggregate("sum", "v"))).rows()
     assert rows == [(k, 40_000, 40_000.0) for k in range(5)]
     assert len(held_rows) == 4  # 200 000 rows in chunks of ~65 536
-    assert max(held_rows) < operators._CHUNK_ROWS + batch_rows
+    assert max(held_rows) < operators.WINDOW_ROWS + batch_rows
 
     held_rows.clear()
     build = StubOp(("k",), lambda: [ColumnBatch.from_columns(("k",), [[0, 1, 2]])])
     join = HashJoinOp(build, stream, ("k",), ("g",), build_left=True)
     assert sum(batch.n_rows for batch in join.batches()) == 3 * 200 * batch_rows // 5
-    assert max(held_rows) < operators._CHUNK_ROWS + batch_rows
+    assert max(held_rows) < operators.WINDOW_ROWS + batch_rows
 
 
 # ---------------------------------------------------------------------------
