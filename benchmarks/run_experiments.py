@@ -417,136 +417,6 @@ def reorganization(scale: dict) -> None:
               f"{reads:>13}{store.table('Traces').plan.kind:>14}")
 
 
-def txn_bench(
-    scale: dict, out_path: str = "BENCH_txn.json", seed: int = DEFAULT_SEED
-) -> dict:
-    """Durability-layer costs: group commit and crash recovery.
-
-    Writes ``BENCH_txn.json``:
-
-    * ``group_commit`` — commit throughput of 4 concurrent writers vs the
-      group-commit window, plus fsyncs/commit (the batching the window
-      buys: followers piggyback on the leader's fsync).
-    * ``recovery`` — reopen-after-crash recovery time as the WAL grows
-      (more unsynced-at-checkpoint transactions to replay).
-    """
-    import shutil
-    import tempfile
-    import threading
-
-    from repro.engine.database import RodentStore
-    from repro.errors import StorageError
-    from repro.types import Schema
-
-    banner("Durability — group commit + crash recovery (BENCH_txn.json)")
-    schema = Schema.of("id:int", "val:int")
-    result: dict = {
-        "benchmark": "transactions",
-        "page_size": scale["page_size"],
-        "seed": seed,
-        "group_commit": {},
-        "recovery": [],
-    }
-
-    n_writers = 4
-    per_writer = max(10, scale["n_queries"])
-    print(f"group commit — {n_writers} writers x {per_writer} commits each")
-    print(f"{'window':<10}{'commits/s':>12}{'fsyncs':>9}{'fsyncs/commit':>15}")
-    for window in (0.0, 0.0005, 0.002):
-        workdir = tempfile.mkdtemp(prefix="rodent-txnbench-")
-        store = RodentStore(
-            os.path.join(workdir, "db.pages"),
-            page_size=scale["page_size"],
-            pool_capacity=128,
-            durable=True,
-            group_commit_window=window,
-        )
-        # One table per writer: per-table write locks don't serialize the
-        # workload, so commits overlap and the window can batch fsyncs.
-        tables = []
-        for w in range(n_writers):
-            store.create_table(f"T{w}", schema)
-            store.load(f"T{w}", [(i, i) for i in range(100)])
-            tables.append(store.table(f"T{w}"))
-
-        def writer(wid: int) -> None:
-            for j in range(per_writer):
-                tables[wid].insert([(10_000 + j, j)])
-
-        threads = [
-            threading.Thread(target=writer, args=(w,))
-            for w in range(n_writers)
-        ]
-        start = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        elapsed = time.perf_counter() - start
-        commits = n_writers * per_writer
-        fsyncs = store.wal.fsyncs
-        store.close()
-        shutil.rmtree(workdir)
-        rate = commits / elapsed
-        result["group_commit"][f"{window * 1000:g}ms"] = {
-            "window_s": window,
-            "commits": commits,
-            "commits_per_sec": round(rate, 1),
-            "fsyncs": fsyncs,
-            "fsyncs_per_commit": round(fsyncs / commits, 3),
-        }
-        print(f"{window * 1000:<10g}{rate:>12,.0f}{fsyncs:>9}"
-              f"{fsyncs / commits:>15.3f}")
-
-    print(f"\nrecovery time vs WAL length")
-    print(f"{'txns':<8}{'wal bytes':>12}{'recover s':>11}{'rows':>8}")
-    for n_txns in (10, 40, 120):
-        workdir = tempfile.mkdtemp(prefix="rodent-recbench-")
-        path = os.path.join(workdir, "db.pages")
-        store = RodentStore(
-            path, page_size=scale["page_size"], pool_capacity=128,
-            durable=True,
-        )
-        store.create_table("T", schema)
-        store.load("T", [(i, i) for i in range(100)])
-        table = store.table("T")
-        for j in range(n_txns):
-            table.insert([(1_000 + j * 5 + k, j) for k in range(5)])
-        wal_bytes = store.wal.size_bytes
-        try:
-            store.wal.close()
-        except StorageError:
-            pass
-        store.disk.close()  # unclean: no checkpoint
-
-        start = time.perf_counter()
-        reopened = RodentStore(
-            path, page_size=scale["page_size"], pool_capacity=128,
-            durable=True,
-        )
-        recover_s = time.perf_counter() - start
-        rows = len(list(reopened.table("T").scan()))
-        assert rows == 100 + n_txns * 5
-        summary = reopened.recovery_summary
-        reopened.close()
-        shutil.rmtree(workdir)
-        result["recovery"].append({
-            "txns": n_txns,
-            "wal_bytes": wal_bytes,
-            "records_scanned": summary["records_scanned"],
-            "recovery_sec": round(recover_s, 4),
-            "rows_after": rows,
-        })
-        print(f"{n_txns:<8}{wal_bytes:>12,}{recover_s:>11.4f}{rows:>8}")
-
-    result["generated_unix"] = int(time.time())
-    with open(out_path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {os.path.abspath(out_path)}")
-    return result
-
-
 def ingest_bench(
     scale: dict, out_path: str = "BENCH_ingest.json", seed: int = DEFAULT_SEED
 ) -> dict:
@@ -769,17 +639,6 @@ def main() -> None:
         help="output path for the adaptive-loop benchmark JSON",
     )
     parser.add_argument(
-        "--txn-bench-only",
-        action="store_true",
-        help="run only the durability/transaction benchmark and write "
-        "BENCH_txn.json",
-    )
-    parser.add_argument(
-        "--txn-bench-out",
-        default="BENCH_txn.json",
-        help="output path for the transaction benchmark JSON",
-    )
-    parser.add_argument(
         "--ingest-bench-only",
         action="store_true",
         help="run only the levelled-ingest benchmark and write "
@@ -806,10 +665,6 @@ def main() -> None:
         adapt_bench(scale, args.adapt_bench_out, seed=args.seed)
         print(f"\ntotal: {time.time() - start:.1f}s")
         return
-    if args.txn_bench_only:
-        txn_bench(scale, args.txn_bench_out, seed=args.seed)
-        print(f"\ntotal: {time.time() - start:.1f}s")
-        return
     if args.ingest_bench_only:
         ingest_bench(scale, args.ingest_bench_out, seed=args.seed)
         print(f"\ntotal: {time.time() - start:.1f}s")
@@ -817,7 +672,6 @@ def main() -> None:
     figure2(scale)
     sales(scale)
     adapt_bench(scale, args.adapt_bench_out, seed=args.seed)
-    txn_bench(scale, args.txn_bench_out, seed=args.seed)
     ingest_bench(scale, args.ingest_bench_out, seed=args.seed)
     optimizer(scale)
     compression(scale)

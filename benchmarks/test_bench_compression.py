@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro import vector
 from repro.compression import get_codec
 from repro.types import INT
 from repro.workloads import generate_timeseries, generate_traces, series_column
@@ -49,7 +50,7 @@ def ratio_table(columns):
             except Exception:
                 row[name] = None
                 continue
-            assert codec.decode(encoded, INT) == values
+            assert vector.to_list(codec.decode(encoded, INT)) == values
             row[name] = len(encoded) / baseline[name]
         out[codec_name] = row
     return out
@@ -86,4 +87,4 @@ def test_bench_decode_throughput(columns, codec_name, benchmark):
     encoded = codec.encode(values, INT)
 
     decoded = benchmark(lambda: codec.decode(encoded, INT))
-    assert decoded == values
+    assert vector.to_list(decoded) == values

@@ -15,6 +15,11 @@ for      frame of reference + bit packing
 lz       Lempel-Ziv (zlib)
 xor      byte-aligned Gorilla-style XOR for floats
 ======== ===========================================================
+
+Each is an ``encode`` / ``decode`` pair (:class:`Codec`); the module-level
+helpers exported here are the coding steps they share — bit packing
+(``pack_uints`` / ``unpack_uints``) and zigzag varints (``zigzag_encode``,
+``varint_encode``, ``zigzag_varint_decode_all``).
 """
 
 from repro.compression.base import (
@@ -30,7 +35,6 @@ from repro.compression.bitpack import (
     ForCodec,
     pack_uints,
     unpack_uints,
-    unpack_uints_bulk,
 )
 from repro.compression.delta import DeltaCodec
 from repro.compression.dictionary import DictionaryCodec
@@ -38,9 +42,7 @@ from repro.compression.lz import LzCodec
 from repro.compression.rle import RleCodec
 from repro.compression.varint import (
     VarintCodec,
-    varint_decode,
     varint_encode,
-    zigzag_decode,
     zigzag_encode,
     zigzag_varint_decode_all,
 )
@@ -63,10 +65,7 @@ __all__ = [
     "pack_uints",
     "register",
     "unpack_uints",
-    "unpack_uints_bulk",
-    "varint_decode",
     "varint_encode",
-    "zigzag_decode",
     "zigzag_encode",
     "zigzag_varint_decode_all",
 ]

@@ -6,30 +6,30 @@ Codecs plug into the algebra through ``compress[codec](N)`` and into the
 layout renderer, which encodes column chunks / cell columns with the codec
 named in the physical plan.
 
-Every codec is value-level and lossless: ``decode(encode(values)) == values``
-for any list of values valid for the declared type class.
+A codec is two functions, ``encode(values, dtype)`` and
+``decode(data, dtype)``, and is lossless: ``decode(encode(values))`` holds
+``values`` for any list valid for the declared type class. ``decode``
+returns one blob's values as a vector — a contiguous typed one (numpy
+``ndarray`` when importable, stdlib ``array`` otherwise; see
+:mod:`repro.vector`) when the element type allows, a plain list otherwise
+— and callers treat both shapes uniformly. A user codec that returns a
+list is a complete codec.
 
-Codecs expose three read paths:
+:meth:`Codec.decode_buffer` is the entry point for a *run* of blobs laid
+back to back (a run of grid cells): it decodes each with ``decode`` and
+returns their values as one vector; ``varint`` overrides it to decode the
+whole run in one pass.
 
-* :meth:`Codec.decode` — the canonical value-at-a-time implementation;
-* :meth:`Codec.decode_all` — the *bulk* path: it must return exactly what
-  ``decode`` returns; built-in codecs override it with implementations
-  that decode whole chunks in a few C-level calls (``struct.unpack`` of
-  entire vectors, word-at-a-time bit unpacking, inlined varint loops)
-  instead of per-value round-trips.
-* :meth:`Codec.decode_buffer` — the *vectorized* path the batch scan
-  pipeline reads through. For 8-byte numeric element types it lands
-  directly in a contiguous typed vector (numpy ``ndarray`` when
-  importable, stdlib ``array`` otherwise — see :mod:`repro.vector`); for
-  everything else it returns ``decode_all``'s plain list. Callers treat
-  both shapes uniformly. It also takes *several* blobs laid back to back
-  (a run of grid cells) and returns their values as one vector. A codec
-  speeds it up by overriding :meth:`Codec.decode_vector` (one blob), or
-  ``decode_buffer`` itself to decode a whole run in one pass (``varint``).
+A blob that does not decode — truncated, bit-flipped, extended — raises
+:class:`CodecError` (or :class:`~repro.errors.SerializationError` from the
+vector serializer underneath), never whatever exception the bytes happened
+to provoke.
 """
 
 from __future__ import annotations
 
+import functools
+import struct
 from typing import Any, Sequence
 
 from repro import vector
@@ -42,6 +42,32 @@ class CodecError(RodentStoreError):
     """A codec cannot encode/decode the given values."""
 
 
+def checked(decode):
+    """A built-in ``decode`` whose malformed-input failures — what the bytes
+    provoke in ``struct``, numpy or an index before a check of the codec's
+    own can — raise :class:`CodecError`."""
+
+    @functools.wraps(decode)
+    def checked_decode(self, data, dtype):
+        try:
+            return decode(self, data, dtype)
+        except (struct.error, IndexError, ValueError, OverflowError) as exc:
+            raise CodecError(f"corrupt {self.name} blob: {exc}") from exc
+
+    return checked_decode
+
+
+def typed(values: list, dtype: DataType):
+    """``values`` as a typed vector when ``dtype`` has a typecode and every
+    value fits it, else the list itself."""
+    code = vector.typecode_for(dtype)
+    if code is not None:
+        out = vector.from_values(values, code)
+        if out is not None:
+            return out
+    return values
+
+
 class Codec:
     """Base class for value-vector codecs."""
 
@@ -50,29 +76,9 @@ class Codec:
     def encode(self, values: Sequence[Any], dtype: DataType) -> bytes:
         raise NotImplementedError
 
-    def decode(self, data: bytes, dtype: DataType) -> list:
+    def decode(self, data: bytes, dtype: DataType):
+        """The values of one blob, as a typed vector or a list."""
         raise NotImplementedError
-
-    def decode_all(self, data: bytes, dtype: DataType) -> list:
-        """Bulk-decode an entire chunk (batch scan fast path).
-
-        Equivalent to :meth:`decode` — same bytes in, same list out — but
-        subclasses may use vectorized implementations. The default simply
-        delegates.
-        """
-        return self.decode(data, dtype)
-
-    def decode_vector(self, data: bytes, dtype: DataType):
-        """Bulk-decode one blob into a typed vector when the element type
-        allows.
-
-        Returns a contiguous typed vector (``numpy.ndarray`` or stdlib
-        ``array``) *or* a plain list — same values as :meth:`decode`
-        either way. The default delegates to :meth:`decode_all`;
-        subclasses override it to skip python-object materialization
-        entirely for numeric chunks.
-        """
-        return self.decode_all(data, dtype)
 
     def decode_buffer(
         self,
@@ -91,7 +97,7 @@ class Codec:
         after it.
         """
         if lengths is None:
-            return self.decode_vector(data, dtype)
+            return self.decode(data, dtype)
         if sum(lengths) != len(data):
             raise CodecError(
                 f"blob lengths add up to {sum(lengths)} bytes, "
@@ -100,7 +106,7 @@ class Codec:
         parts = []
         offset = 0
         for i, length in enumerate(lengths):
-            part = self.decode_vector(data[offset : offset + length], dtype)
+            part = self.decode(data[offset : offset + length], dtype)
             if counts is not None and len(part) != counts[i]:
                 raise CodecError(
                     f"blob {i} holds {len(part)} values, expected {counts[i]}"
@@ -121,13 +127,8 @@ class NoneCodec(Codec):
     def encode(self, values: Sequence[Any], dtype: DataType) -> bytes:
         return VectorSerializer(dtype).encode(values)
 
-    def decode(self, data: bytes, dtype: DataType) -> list:
-        return VectorSerializer(dtype).decode(data)
-
-    def decode_all(self, data: bytes, dtype: DataType) -> list:
-        return VectorSerializer(dtype).decode_bulk(data)
-
-    def decode_vector(self, data: bytes, dtype: DataType):
+    @checked
+    def decode(self, data: bytes, dtype: DataType):
         return VectorSerializer(dtype).decode_buffer(data)
 
 

@@ -11,7 +11,7 @@ import struct
 from typing import Any, Sequence
 
 from repro import vector
-from repro.compression.base import Codec, CodecError, register
+from repro.compression.base import Codec, CodecError, checked, register, typed
 from repro.types.types import DataType, IntType
 
 _U32 = struct.Struct("<I")
@@ -61,38 +61,10 @@ def pack_uints(values: Sequence[int]) -> bytes:
 
 
 def unpack_uints(data: bytes) -> list[int]:
-    """Invert :func:`pack_uints`."""
-    if len(data) < 5:
-        raise CodecError("truncated bit-packed vector")
-    (count,) = _U32.unpack_from(data, 0)
-    width = data[4]
-    if width == 0 or width > 64:
-        raise CodecError(f"invalid bit width {width}")
-    values: list[int] = []
-    acc = 0
-    bits = 0
-    offset = 5
-    mask = (1 << width) - 1
-    while len(values) < count:
-        while bits < width:
-            if offset >= len(data):
-                raise CodecError("truncated bit-packed payload")
-            acc |= data[offset] << bits
-            offset += 1
-            bits += 8
-        values.append(acc & mask)
-        acc >>= width
-        bits -= width
-    return values
-
-
-def unpack_uints_bulk(data: bytes) -> list[int]:
-    """Bulk counterpart of :func:`unpack_uints` (batch scan fast path).
+    """Invert :func:`pack_uints`.
 
     Consumes the payload 64 bits at a time (one ``struct`` unpack for the
-    whole vector) instead of byte-at-a-time, and emits byte-aligned widths
-    with a plain slice-free loop. Output is identical to
-    :func:`unpack_uints`.
+    whole vector) and emits byte-aligned widths with one slice or unpack.
     """
     if len(data) < 5:
         raise CodecError("truncated bit-packed vector")
@@ -152,21 +124,13 @@ class BitpackCodec(Codec):
             )
         return pack_uints(list(values))
 
-    def decode(self, data: bytes, dtype: DataType) -> list:
-        return unpack_uints(data)
-
-    def decode_all(self, data: bytes, dtype: DataType) -> list:
-        return unpack_uints_bulk(data)
-
-    def decode_vector(self, data: bytes, dtype: DataType):
+    @checked
+    def decode(self, data: bytes, dtype: DataType):
         if vector.typecode_for(dtype) == "q":
             out = _unpack_uints_ndarray(data)
             if out is not None:
                 return out
-            fallback = vector.from_values(unpack_uints_bulk(data), "q")
-            if fallback is not None:
-                return fallback
-        return unpack_uints_bulk(data)
+        return typed(unpack_uints(data), dtype)
 
 
 class ForCodec(Codec):
@@ -184,32 +148,19 @@ class ForCodec(Codec):
         packed = pack_uints([v - reference for v in values])
         return _I64.pack(reference) + packed
 
-    def decode(self, data: bytes, dtype: DataType) -> list:
+    @checked
+    def decode(self, data: bytes, dtype: DataType):
         if len(data) < 8:
             raise CodecError("truncated frame-of-reference vector")
         (reference,) = _I64.unpack_from(data, 0)
-        return [v + reference for v in unpack_uints(data[8:])]
-
-    def decode_all(self, data: bytes, dtype: DataType) -> list:
-        if len(data) < 8:
-            raise CodecError("truncated frame-of-reference vector")
-        (reference,) = _I64.unpack_from(data, 0)
-        if reference == 0:
-            return unpack_uints_bulk(data[8:])
-        return [v + reference for v in unpack_uints_bulk(data[8:])]
-
-    def decode_vector(self, data: bytes, dtype: DataType):
-        if len(data) < 8:
-            raise CodecError("truncated frame-of-reference vector")
         if vector.typecode_for(dtype) == "q":
-            (reference,) = _I64.unpack_from(data, 0)
             deltas = _unpack_uints_ndarray(data[8:])
             if deltas is not None:
                 return deltas + reference if reference else deltas
-            fallback = vector.from_values(self.decode_all(data, dtype), "q")
-            if fallback is not None:
-                return fallback
-        return self.decode_all(data, dtype)
+        values = unpack_uints(data[8:])
+        if reference:
+            values = [v + reference for v in values]
+        return typed(values, dtype)
 
 
 register(BitpackCodec())

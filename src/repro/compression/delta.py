@@ -12,11 +12,9 @@ import struct
 from typing import Any, Sequence
 
 from repro import vector
-from repro.compression.base import Codec, CodecError, register
+from repro.compression.base import Codec, CodecError, checked, register, typed
 from repro.compression.varint import (
-    varint_decode,
     varint_encode,
-    zigzag_decode,
     zigzag_encode,
     zigzag_varint_decode_all,
 )
@@ -40,27 +38,12 @@ class DeltaCodec(Codec):
             return self._encode_floats(values)
         raise CodecError(f"delta codec requires a numeric type, got {dtype.name}")
 
-    def decode(self, data: bytes, dtype: DataType) -> list:
+    @checked
+    def decode(self, data: bytes, dtype: DataType):
         base = getattr(dtype, "base", dtype)
         if isinstance(base, IntType):
-            return self._decode_ints(data)
-        if isinstance(base, FloatType):
-            return self._decode_floats(data)
-        raise CodecError(f"delta codec requires a numeric type, got {dtype.name}")
-
-    def decode_all(self, data: bytes, dtype: DataType) -> list:
-        base = getattr(dtype, "base", dtype)
-        if isinstance(base, IntType):
-            return self._decode_ints_bulk(data)
-        if isinstance(base, FloatType):
-            return self._decode_floats_bulk(data)
-        raise CodecError(f"delta codec requires a numeric type, got {dtype.name}")
-
-    def decode_vector(self, data: bytes, dtype: DataType):
-        base = getattr(dtype, "base", dtype)
-        if isinstance(base, IntType) and vector.typecode_for(dtype) == "q":
-            np = vector.numpy_module()
-            if np is not None and vector.numpy_enabled():
+            if vector.typecode_for(dtype) == "q" and vector.numpy_enabled():
+                np = vector.numpy_module()
                 count, offset = self._header(data, expected_tag=0)
                 diffs = zigzag_varint_decode_all(data, offset, count)
                 try:
@@ -69,17 +52,13 @@ class DeltaCodec(Codec):
                     # ints wider than 64 bits force the python loop.
                     return np.cumsum(np.array(diffs, dtype="<i8"))
                 except OverflowError:
-                    return self._decode_ints_bulk(data)
-            fallback = vector.from_values(self._decode_ints_bulk(data), "q")
-            if fallback is not None:
-                return fallback
-        elif isinstance(base, FloatType) and vector.typecode_for(dtype) == "d":
+                    return self._int_values(data)
+            return typed(self._int_values(data), dtype)
+        if isinstance(base, FloatType):
             # Raw-vs-diff accumulation must stay sequential for exactness;
             # wrap the decoded list so downstream stays typed.
-            fallback = vector.from_values(self._decode_floats_bulk(data), "d")
-            if fallback is not None:
-                return fallback
-        return self.decode_all(data, dtype)
+            return typed(self._float_values(data), dtype)
+        raise CodecError(f"delta codec requires a numeric type, got {dtype.name}")
 
     # -- integers ---------------------------------------------------------
 
@@ -95,18 +74,7 @@ class DeltaCodec(Codec):
             prev = v
         return bytes(out)
 
-    def _decode_ints(self, data: bytes) -> list[int]:
-        count, offset = self._header(data, expected_tag=0)
-        values: list[int] = []
-        acc = 0
-        for i in range(count):
-            raw, offset = varint_decode(data, offset)
-            diff = zigzag_decode(raw)
-            acc = diff if i == 0 else acc + diff
-            values.append(acc)
-        return values
-
-    def _decode_ints_bulk(self, data: bytes) -> list[int]:
+    def _int_values(self, data: bytes) -> list[int]:
         count, offset = self._header(data, expected_tag=0)
         diffs = zigzag_varint_decode_all(data, offset, count)
         acc = 0
@@ -137,23 +105,7 @@ class DeltaCodec(Codec):
             prev = v
         return bytes(out + bitmap + payload)
 
-    def _decode_floats(self, data: bytes) -> list[float]:
-        count, offset = self._header(data, expected_tag=1)
-        bitmap = data[offset : offset + (count + 7) // 8]
-        offset += (count + 7) // 8
-        values: list[float] = []
-        acc = 0.0
-        for i in range(count):
-            (stored,) = _F64.unpack_from(data, offset)
-            offset += 8
-            if bitmap[i // 8] & (1 << (i % 8)):
-                acc = stored
-            else:
-                acc = acc + stored
-            values.append(acc)
-        return values
-
-    def _decode_floats_bulk(self, data: bytes) -> list[float]:
+    def _float_values(self, data: bytes) -> list[float]:
         count, offset = self._header(data, expected_tag=1)
         bitmap = data[offset : offset + (count + 7) // 8]
         offset += (count + 7) // 8

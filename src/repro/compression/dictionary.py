@@ -10,17 +10,13 @@ import struct
 from typing import Any, Sequence
 
 from repro import vector
-from repro.compression.base import Codec, register
-from repro.compression.bitpack import (
-    _unpack_uints_ndarray,
-    pack_uints,
-    unpack_uints,
-    unpack_uints_bulk,
-)
+from repro.compression.base import Codec, CodecError, checked, register, typed
+from repro.compression.bitpack import _unpack_uints_ndarray, pack_uints, unpack_uints
 from repro.storage.serializer import VectorSerializer
 from repro.types.types import DataType
 
 _U32 = struct.Struct("<I")
+_HEADER = struct.Struct("<II")  # total values, dictionary bytes
 
 
 class DictionaryCodec(Codec):
@@ -48,40 +44,30 @@ class DictionaryCodec(Codec):
             + code_bytes
         )
 
-    def decode(self, data: bytes, dtype: DataType) -> list:
-        (total,) = _U32.unpack_from(data, 0)
-        (dict_len,) = _U32.unpack_from(data, 4)
-        dictionary = VectorSerializer(dtype).decode(data[8 : 8 + dict_len])
-        codes = unpack_uints(data[8 + dict_len :])
-        return [dictionary[c] for c in codes[:total]]
-
-    def decode_all(self, data: bytes, dtype: DataType) -> list:
-        (total,) = _U32.unpack_from(data, 0)
-        (dict_len,) = _U32.unpack_from(data, 4)
-        dictionary = VectorSerializer(dtype).decode_bulk(
-            data[8 : 8 + dict_len]
-        )
-        codes = unpack_uints_bulk(data[8 + dict_len :])
-        del codes[total:]
-        return list(map(dictionary.__getitem__, codes))
-
-    def decode_vector(self, data: bytes, dtype: DataType):
-        code = vector.typecode_for(dtype)
-        np = vector.numpy_module()
-        if code is not None and np is not None and vector.numpy_enabled():
-            (total,) = _U32.unpack_from(data, 0)
-            (dict_len,) = _U32.unpack_from(data, 4)
-            codes = _unpack_uints_ndarray(data[8 + dict_len :])
-            if codes is not None:
-                dictionary = VectorSerializer(dtype).decode_buffer(
-                    data[8 : 8 + dict_len]
-                )
-                return np.asarray(dictionary)[codes[:total]]
-        if code is not None:
-            out = vector.from_values(self.decode_all(data, dtype), code)
-            if out is not None:
-                return out
-        return self.decode_all(data, dtype)
+    @checked
+    def decode(self, data: bytes, dtype: DataType):
+        total, dict_len = _HEADER.unpack_from(data, 0)
+        dictionary = VectorSerializer(dtype).decode_buffer(data[8 : 8 + dict_len])
+        packed = data[8 + dict_len :]
+        codes = None
+        if vector.typecode_for(dtype) is not None:
+            codes = _unpack_uints_ndarray(packed)
+        if codes is not None:
+            top = int(codes.max()) if len(codes) else -1
+        else:
+            codes = unpack_uints(packed)
+            top = max(codes, default=-1)
+        # Checked before anything is gathered: a flipped code must not
+        # index past the dictionary (or wrap around it under numpy).
+        if len(codes) != total or top >= len(dictionary):
+            raise CodecError(
+                f"dict blob holds {len(codes)} codes up to {top} for "
+                f"{total} values over {len(dictionary)} entries"
+            )
+        if isinstance(codes, list):
+            lookup = vector.to_list(dictionary).__getitem__
+            return typed(list(map(lookup, codes)), dtype)
+        return vector.numpy_module().asarray(dictionary)[codes]
 
 
 register(DictionaryCodec())

@@ -11,7 +11,7 @@ from __future__ import annotations
 import zlib
 from typing import Any, Sequence
 
-from repro.compression.base import Codec, register
+from repro.compression.base import Codec, CodecError, checked, register
 from repro.storage.serializer import VectorSerializer
 from repro.types.types import DataType
 
@@ -28,13 +28,13 @@ class LzCodec(Codec):
         raw = VectorSerializer(dtype).encode(values)
         return zlib.compress(raw, self.level)
 
-    def decode(self, data: bytes, dtype: DataType) -> list:
-        raw = zlib.decompress(data)
+    @checked
+    def decode(self, data: bytes, dtype: DataType):
+        try:
+            raw = zlib.decompress(data)
+        except zlib.error as exc:
+            raise CodecError(f"corrupt lz blob: {exc}") from exc
         return VectorSerializer(dtype).decode(raw)
-
-    def decode_all(self, data: bytes, dtype: DataType) -> list:
-        raw = zlib.decompress(data)
-        return VectorSerializer(dtype).decode_bulk(raw)
 
 
 register(LzCodec())

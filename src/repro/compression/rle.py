@@ -10,11 +10,12 @@ import struct
 from typing import Any, Sequence
 
 from repro import vector
-from repro.compression.base import Codec, register
+from repro.compression.base import Codec, CodecError, checked, register, typed
 from repro.storage.serializer import VectorSerializer
 from repro.types.types import DataType
 
 _U32 = struct.Struct("<I")
+_HEADER = struct.Struct("<II")  # total values, runs
 
 
 class RleCodec(Codec):
@@ -36,45 +37,31 @@ class RleCodec(Codec):
         value_bytes = VectorSerializer(dtype).encode(distinct)
         return header + run_bytes + value_bytes
 
-    def decode(self, data: bytes, dtype: DataType) -> list:
-        (total,) = _U32.unpack_from(data, 0)
-        (n_runs,) = _U32.unpack_from(data, 4)
-        offset = 8
-        runs = [
-            _U32.unpack_from(data, offset + 4 * i)[0] for i in range(n_runs)
-        ]
-        offset += 4 * n_runs
-        distinct = VectorSerializer(dtype).decode(data[offset:])
-        values: list[Any] = []
-        for run, value in zip(runs, distinct):
-            values.extend([value] * run)
-        return values
-
-    def decode_all(self, data: bytes, dtype: DataType) -> list:
-        (n_runs,) = _U32.unpack_from(data, 4)
-        runs = struct.unpack_from(f"<{n_runs}I", data, 8)
-        distinct = VectorSerializer(dtype).decode_bulk(data[8 + 4 * n_runs :])
+    @checked
+    def decode(self, data: bytes, dtype: DataType):
+        total, n_runs = _HEADER.unpack_from(data, 0)
+        np = vector.numpy_module()
+        whole = vector.numpy_enabled() and vector.typecode_for(dtype) is not None
+        if whole:
+            runs = np.frombuffer(data, dtype="<u4", count=n_runs, offset=8)
+            held = int(runs.sum())
+        else:
+            runs = struct.unpack_from(f"<{n_runs}I", data, 8)
+            held = sum(runs)
+        # Checked before anything is expanded: a flipped run length would
+        # otherwise materialize billions of values.
+        if held != total:
+            raise CodecError(f"rle runs hold {held} values, header says {total}")
+        distinct = VectorSerializer(dtype).decode_buffer(data[8 + 4 * n_runs :])
+        if len(distinct) != n_runs:
+            raise CodecError(f"rle holds {len(distinct)} values for {n_runs} runs")
+        if whole:
+            return np.repeat(np.asarray(distinct), runs)
         values: list[Any] = []
         extend = values.extend
         for run, value in zip(runs, distinct):
             extend((value,) * run)
-        return values
-
-    def decode_vector(self, data: bytes, dtype: DataType):
-        np = vector.numpy_module()
-        code = vector.typecode_for(dtype)
-        if np is not None and vector.numpy_enabled() and code is not None:
-            (n_runs,) = _U32.unpack_from(data, 4)
-            runs = np.frombuffer(data, dtype="<u4", count=n_runs, offset=8)
-            distinct = VectorSerializer(dtype).decode_buffer(
-                data[8 + 4 * n_runs :]
-            )
-            return np.repeat(np.asarray(distinct), runs)
-        if code is not None:
-            out = vector.from_values(self.decode_all(data, dtype), code)
-            if out is not None:
-                return out
-        return self.decode_all(data, dtype)
+        return typed(values, dtype)
 
 
 register(RleCodec())

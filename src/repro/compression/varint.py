@@ -13,8 +13,8 @@ from typing import Any, Sequence
 import struct
 
 from repro import vector
-from repro.compression.base import Codec, CodecError, register
-from repro.types.types import DataType, FloatType, IntType
+from repro.compression.base import Codec, CodecError, checked, register
+from repro.types.types import DataType, IntType
 
 _U32 = struct.Struct("<I")
 
@@ -26,10 +26,6 @@ def zigzag_encode(value: int) -> int:
     ``delta`` hands this codec) need not fit 64 bits itself.
     """
     return value << 1 if value >= 0 else ((-value) << 1) - 1
-
-
-def zigzag_decode(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
 
 
 def varint_encode(value: int, out: bytearray) -> None:
@@ -44,23 +40,6 @@ def varint_encode(value: int, out: bytearray) -> None:
         else:
             out.append(byte)
             return
-
-
-def varint_decode(data: bytes, offset: int) -> tuple[int, int]:
-    """Decode one varint at ``offset``; returns (value, next_offset)."""
-    result = 0
-    shift = 0
-    while True:
-        if offset >= len(data):
-            raise CodecError("truncated varint")
-        byte = data[offset]
-        offset += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, offset
-        shift += 7
-        if shift > 70:
-            raise CodecError("varint too long")
 
 
 def _zigzag_varints_into(
@@ -90,8 +69,8 @@ def _zigzag_varints_into(
 def zigzag_varint_decode_all(
     data: bytes, offset: int, count: int
 ) -> list[int]:
-    """Decode ``count`` zigzag varints starting at ``offset`` in one pass:
-    the bulk counterpart of ``zigzag_decode(varint_decode(...))``."""
+    """Decode ``count`` zigzag varints starting at ``offset`` in one pass —
+    the inverse of ``varint_encode(zigzag_encode(v))`` per value."""
     values: list[int] = []
     _zigzag_varints_into(values.append, data, offset, count, len(data))
     return values
@@ -140,18 +119,8 @@ class VarintCodec(Codec):
             varint_encode(zigzag_encode(v), out)
         return bytes(out)
 
+    @checked
     def decode(self, data: bytes, dtype: DataType) -> list:
-        if len(data) < 4:
-            raise CodecError("truncated varint vector")
-        (count,) = _U32.unpack_from(data, 0)
-        offset = 4
-        values: list[int] = []
-        for _ in range(count):
-            raw, offset = varint_decode(data, offset)
-            values.append(zigzag_decode(raw))
-        return values
-
-    def decode_all(self, data: bytes, dtype: DataType) -> list:
         if len(data) < 4:
             raise CodecError("truncated varint vector")
         (count,) = _U32.unpack_from(data, 0)
@@ -163,7 +132,7 @@ class VarintCodec(Codec):
         int64 vector comes back), otherwise one byte loop (a list — the
         only shape that holds values wider than 64 bits)."""
         if lengths is None:
-            return super().decode_buffer(data, dtype)
+            return self.decode(data, dtype)
         values, found = vector.zigzag_varints(data, lengths) or _decode_blobs(
             data, lengths
         )

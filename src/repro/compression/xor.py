@@ -12,8 +12,7 @@ from __future__ import annotations
 import struct
 from typing import Any, Sequence
 
-from repro import vector
-from repro.compression.base import Codec, CodecError, register
+from repro.compression.base import Codec, CodecError, checked, register, typed
 from repro.types.types import DataType, FloatType
 
 _U32 = struct.Struct("<I")
@@ -43,30 +42,10 @@ class XorFloatCodec(Codec):
             prev_bits = bits
         return bytes(out)
 
-    def decode(self, data: bytes, dtype: DataType) -> list:
-        if len(data) < 4:
-            raise CodecError("truncated xor vector")
-        (count,) = _U32.unpack_from(data, 0)
-        offset = 4
-        values: list[float] = []
-        prev_bits = 0
-        for _ in range(count):
-            if offset >= len(data):
-                raise CodecError("truncated xor payload")
-            length = data[offset]
-            offset += 1
-            if length > 8 or offset + length > len(data):
-                raise CodecError("corrupt xor payload")
-            xored = int.from_bytes(data[offset : offset + length], "little")
-            offset += length
-            bits = xored ^ prev_bits
-            (value,) = _F64.unpack(_U64.pack(bits))
-            values.append(value)
-            prev_bits = bits
-        return values
-
-    def decode_all(self, data: bytes, dtype: DataType) -> list:
-        """Bulk decode: one tight loop with locals, ``struct`` calls hoisted."""
+    @checked
+    def decode(self, data: bytes, dtype: DataType):
+        """One tight loop with locals, ``struct`` calls hoisted; the values
+        come back typed, so downstream reductions see a typed vector."""
         if len(data) < 4:
             raise CodecError("truncated xor vector")
         (count,) = _U32.unpack_from(data, 0)
@@ -88,17 +67,7 @@ class XorFloatCodec(Codec):
             prev_bits ^= from_bytes(data[offset : offset + length], "little")
             offset += length
             append(unpack_f64(pack_u64(prev_bits))[0])
-        return values
-
-    def decode_vector(self, data: bytes, dtype: DataType):
-        # Variable-length records force the sequential decode; wrap the
-        # result so downstream reductions still see a typed vector.
-        values = self.decode_all(data, dtype)
-        if vector.typecode_for(dtype) == "d":
-            out = vector.from_values(values, "d")
-            if out is not None:
-                return out
-        return values
+        return typed(values, dtype)
 
 
 register(XorFloatCodec())

@@ -28,11 +28,11 @@ overflow back into the main representation.
 There is one read path. Scans execute **batch-at-a-time** while keeping the
 paper's per-tuple iterator API: the renderer yields page/chunk-sized
 :class:`~repro.layout.renderer.ColumnBatch` objects, one selection step
-(:func:`_selector`: the whole-column bitmap, else the per-column mask, else
-the compiled row closure) filters them — for scans, updates and deletes
-alike — projection reorders column vectors, and overflow/pending records
-trail as extra batches. ``get_element`` / ``next`` are cursors over those
-batches, not a second reader.
+(:func:`repro.query.expressions.selector`: the whole-column bitmap, else
+the compiled closure) filters them — for scans, updates, deletes and
+residual filters alike — projection reorders column vectors, and
+overflow/pending records trail as extra batches. ``get_element`` /
+``next`` are cursors over those batches, not a second reader.
 
 How one run is read under one predicate — what is pruned, what that costs —
 is decided in :mod:`repro.engine.access`; this module walks regions × runs
@@ -77,7 +77,7 @@ from repro.layout.renderer import (
     select_column_groups,
     sort_batches,
 )
-from repro.query.expressions import Predicate
+from repro.query.expressions import Predicate, selector
 from repro.storage.page import SlottedPage
 from repro.storage.serializer import RecordSerializer
 from repro.types.schema import Schema
@@ -529,7 +529,7 @@ class Table:
                 raise QueryError(
                     f"predicate references unavailable field(s) {sorted(missing)}"
                 )
-            keep = _selector(predicate, positions)
+            keep = selector(predicate, positions)
 
         sort_idx: list[int] = []
         sort_desc: list[bool] = []
@@ -1437,7 +1437,7 @@ class Table:
                 names, positions,
             )
 
-        keep = None if predicate is None else _selector(predicate, positions)
+        keep = None if predicate is None else selector(predicate, positions)
 
         def victims(batch: ColumnBatch) -> list | None:
             """Per-row verdicts of ``predicate`` on one batch (``None`` =
@@ -1508,7 +1508,7 @@ class Table:
             with self._db.adaptivity.pause():
                 batches, _ = self._table_source(None, None)
                 if predicate is not None:
-                    keep = _selector(predicate, positions)
+                    keep = selector(predicate, positions)
                     batches = (batch.select(keep(batch)) for batch in batches)
                 matched = _batch_rows(batches)
             if not matched:
@@ -1742,36 +1742,6 @@ def _region_may_match(spec, region, lo: float, hi: float) -> bool:
 
         return stable_hash(lo) % spec.buckets == region.key
     return True
-
-
-def _selector(predicate: Predicate, positions: dict[str, int]):
-    """``batch -> selection mask`` of ``predicate`` over batches shaped by
-    ``positions``: the one filter chain of scans, updates and deletes.
-
-    A columnar batch takes the whole-column bitmap
-    (:meth:`Predicate.filter_vector`) when the predicate vectorizes, else
-    the per-column mask of a predicate that overrides
-    :meth:`Predicate.filter_batch`; anything else — row-backed batches, and
-    predicates with neither — runs the compiled row closure, built on first
-    use so a scan whose batches all take a columnar path never pays for it.
-    """
-    use_mask = type(predicate).filter_batch is not Predicate.filter_batch
-    row_filter = None
-
-    def keep(batch: ColumnBatch):
-        nonlocal row_filter
-        if batch.is_columnar:
-            columns = batch.column_map()
-            bitmap = predicate.filter_vector(columns, batch.n_rows)
-            if bitmap is not None:
-                return bitmap
-            if use_mask:
-                return predicate.filter_batch(columns, batch.n_rows)
-        if row_filter is None:
-            row_filter = predicate.compile(positions)
-        return list(map(row_filter, batch.rows()))
-
-    return keep
 
 
 def _batch_reorderer(avail: Sequence[str], target: Sequence[str]):

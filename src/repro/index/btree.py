@@ -118,7 +118,7 @@ class BPlusTree:
         offset = _HEADER.size
         (key_len,) = _U32.unpack_from(payload, offset)
         offset += 4
-        keys = self._key_ser.decode_bulk(payload[offset : offset + key_len])
+        keys = self._key_ser.decode(payload[offset : offset + key_len])
         offset += key_len
         node = _Node(page_id, bool(is_leaf))
         node.keys = keys

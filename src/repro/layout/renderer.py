@@ -27,9 +27,9 @@ Every read is **batch-at-a-time**: one reader per layout kind
 ``iter_folded_batches``, ``iter_array_batches``), chosen and parameterized
 by :func:`repro.engine.access.open_run`. They yield :class:`ColumnBatch`
 objects: a page, a column window or a run of grid cells worth of decoded
-values at once, produced by the codecs' vectorized ``decode_buffer``, so the
-per-value Python interpreter tax is paid once per batch instead of once per
-value. Positional access (``get_element`` on a grid cell) reads through the
+values at once, decoded a blob (``Codec.decode``) or a run of cell blobs
+(``Codec.decode_buffer``) at a time into typed vectors, so the per-value
+Python interpreter tax is paid once per batch instead of once per value. Positional access (``get_element`` on a grid cell) reads through the
 same readers.
 
 Slotted pages have a single decoder: :class:`RecordSerializer` turns a page
@@ -432,7 +432,7 @@ class _GroupSlicer:
                 data = BytePage(renderer.page_size, frame.data).read()
             finally:
                 renderer.pool.unpin(page_id)
-            columns = [self._codec.decode_buffer(data, self._dtype)]
+            columns = [self._codec.decode(data, self._dtype)]
         else:
             columns = renderer._read_slotted(
                 store.extent.page_ids[i], self._serializer
@@ -1205,7 +1205,9 @@ class LayoutRenderer:
                 (length,) = _U32.unpack_from(blob, offset)
                 offset += 4
                 vectors.append(
-                    codec.decode_all(blob[offset : offset + length], dtype)
+                    vector.to_list(
+                        codec.decode(blob[offset : offset + length], dtype)
+                    )
                 )
                 offset += length
             if single:

@@ -22,22 +22,21 @@ Batch execution contract (the scan pipeline's hot path):
   are compiled into one generated expression, and scalar residuals are
   translated from the algebra AST into Python source. The closure must
   agree with :meth:`Predicate.matches` on every record.
-* :meth:`Predicate.filter_batch` evaluates the predicate against a batch's
-  ``field -> value vector`` mapping and returns a selection mask (one
-  truthy/falsy entry per row). Range-shaped predicates produce the mask
-  with per-column list comprehensions — no per-row method dispatch.
-* :meth:`Predicate.filter_vector` is the fully vectorized mode: whole-column
+* :meth:`Predicate.filter_vector` is the vectorized mode: whole-column
   comparisons over typed buffers produce a boolean selection bitmap in a
   handful of C-level calls, with And/Or/Not as bitwise ops. It returns
   ``None`` whenever the predicate — or a column it touches — can't
   vectorize *exactly* (non-numeric fields, division/modulo whose per-row
-  errors must surface, int/float casts that would round); callers then fall
-  back to the closure paths above, so answers never change.
+  errors must surface, int/float casts that would round).
 
-The engine tries the three in the order bitmap → mask → closure, in one
-place (``repro.engine.table._selector``) that scans, updates and deletes
-share. :meth:`Predicate.matches` is the protocol a user predicate
-implements; the engine reaches it only through the default ``compile``.
+:func:`selector` is the one filter chain — scans, updates, deletes and
+residual ``FilterOp`` predicates all select through it: the bitmap, else
+the compiled closure. The closure only ever sees native Python scalars
+(a columnar batch hands it just the :meth:`Predicate.fields_used`
+columns, through ``vector.to_list``), so a row raises or passes exactly
+as :meth:`Predicate.matches` would. :meth:`Predicate.matches` is the
+protocol a user predicate implements; the engine reaches it only through
+the default ``compile``.
 """
 
 from __future__ import annotations
@@ -89,31 +88,12 @@ class Predicate:
         frozen = dict(positions)
         return lambda record: matches(record, frozen)
 
-    def filter_batch(
-        self, columns: Mapping[str, Sequence[Any]], n_rows: int
-    ) -> list:
-        """Selection mask for one batch: a truthy/falsy entry per row.
-
-        ``columns`` maps every available field to its value vector (all
-        vectors ``n_rows`` long). The generic implementation zips only the
-        :meth:`fields_used` columns through the compiled closure, so
-        subclasses with accurate ``fields_used`` get batch evaluation for
-        free; range-shaped predicates override with per-column masks.
-        """
-        used = sorted(self.fields_used())
-        fn = self.compile({name: i for i, name in enumerate(used)})
-        if not used:
-            verdict = bool(fn(()))
-            return [verdict] * n_rows
-        vectors = [columns[name] for name in used]
-        return [fn(record) for record in zip(*vectors)]
-
     def filter_vector(
         self, columns: Mapping[str, Sequence[Any]], n_rows: int
     ):
         """Boolean ndarray selection bitmap, or ``None`` to fall back.
 
-        Must agree exactly with :meth:`filter_batch` on every batch it
+        Must agree exactly with the compiled closure on every batch it
         accepts; the default declines so arbitrary user predicates keep
         their per-row semantics (including evaluation-order side effects).
         """
@@ -160,20 +140,6 @@ class Range(Predicate):
         if hi == POS_INF:
             return lambda record: lo <= record[i]
         return lambda record: lo <= record[i] <= hi
-
-    def filter_batch(
-        self, columns: Mapping[str, Sequence[Any]], n_rows: int
-    ) -> list:
-        try:
-            column = columns[self.field]
-        except KeyError:
-            raise QueryError(f"unknown predicate field {self.field!r}") from None
-        lo, hi = self.lo, self.hi
-        if lo == NEG_INF:
-            return [value <= hi for value in column]
-        if hi == POS_INF:
-            return [lo <= value for value in column]
-        return [lo <= value <= hi for value in column]
 
     def filter_vector(
         self, columns: Mapping[str, Sequence[Any]], n_rows: int
@@ -229,13 +195,6 @@ class Rect(Predicate):
             list(self._ranges.values()), positions, " and "
         )
 
-    def filter_batch(
-        self, columns: Mapping[str, Sequence[Any]], n_rows: int
-    ) -> list:
-        return _mask_junction(
-            list(self._ranges.values()), columns, n_rows, all_of=True
-        )
-
     def filter_vector(
         self, columns: Mapping[str, Sequence[Any]], n_rows: int
     ):
@@ -283,11 +242,6 @@ class And(Predicate):
     ) -> Callable[[Sequence[Any]], Any]:
         return _compile_junction(list(self.parts), positions, " and ")
 
-    def filter_batch(
-        self, columns: Mapping[str, Sequence[Any]], n_rows: int
-    ) -> list:
-        return _mask_junction(list(self.parts), columns, n_rows, all_of=True)
-
     def filter_vector(
         self, columns: Mapping[str, Sequence[Any]], n_rows: int
     ):
@@ -330,11 +284,6 @@ class Or(Predicate):
     ) -> Callable[[Sequence[Any]], Any]:
         return _compile_junction(list(self.parts), positions, " or ")
 
-    def filter_batch(
-        self, columns: Mapping[str, Sequence[Any]], n_rows: int
-    ) -> list:
-        return _mask_junction(list(self.parts), columns, n_rows, all_of=False)
-
     def filter_vector(
         self, columns: Mapping[str, Sequence[Any]], n_rows: int
     ):
@@ -360,11 +309,6 @@ class Not(Predicate):
     ) -> Callable[[Sequence[Any]], Any]:
         inner = self.part.compile(positions)
         return lambda record: not inner(record)
-
-    def filter_batch(
-        self, columns: Mapping[str, Sequence[Any]], n_rows: int
-    ) -> list:
-        return [not kept for kept in self.part.filter_batch(columns, n_rows)]
 
     def filter_vector(
         self, columns: Mapping[str, Sequence[Any]], n_rows: int
@@ -400,14 +344,19 @@ class ScalarPredicate(Predicate):
 
         Comparisons, arithmetic, and logical connectives compile to native
         Python source (constants bound by name); anything the translator
-        does not recognize falls back to an ``eval_scalar`` closure.
+        does not recognize falls back to an ``eval_scalar`` closure. The
+        closure returns a bool: :func:`selector` counts a mask's rows.
         """
         bindings: dict[str, Any] = {}
         source = _scalar_source(self.condition, positions, bindings)
         if source is None:
             condition = self.condition
             frozen = dict(positions)
-            return lambda record: eval_scalar(condition, record, frozen)
+            return lambda record: bool(eval_scalar(condition, record, frozen))
+        if not isinstance(self.condition, ast.Comparison):
+            # A bare field, arithmetic or an and/or chain yields a value.
+            bindings["_bool"] = bool
+            source = f"_bool({source})"
         namespace = {"__builtins__": {}}
         namespace.update(bindings)
         return eval(  # noqa: S307 - source built from our own AST
@@ -439,6 +388,44 @@ class ScalarPredicate(Predicate):
 def from_scalar(condition: ast.Scalar) -> ScalarPredicate:
     """Convert a parsed algebra condition into a predicate."""
     return ScalarPredicate(condition)
+
+
+def selector(predicate: Predicate, positions: Mapping[str, int]):
+    """``batch -> selection mask`` of ``predicate`` over batches whose
+    records are shaped by ``positions``: the one filter chain.
+
+    A columnar batch takes the whole-column bitmap
+    (:meth:`Predicate.filter_vector`) when the predicate vectorizes.
+    Otherwise the compiled closure runs per row on native scalars: over
+    the :meth:`Predicate.fields_used` columns of a columnar batch, zipped
+    from ``vector.to_list`` (no whole-row transposition), or over a
+    row-backed batch's tuples (and whenever ``fields_used`` is empty or
+    names a field ``positions`` lacks, so ``compile`` reports it). Each
+    closure is built on first use.
+    """
+    used = sorted(predicate.fields_used())
+    narrow = bool(used) and set(used) <= set(positions)
+    column_filter = row_filter = None
+
+    def keep(batch):
+        nonlocal column_filter, row_filter
+        if batch.is_columnar:
+            columns = batch.column_map()
+            bitmap = predicate.filter_vector(columns, batch.n_rows)
+            if bitmap is not None:
+                return bitmap
+            if narrow:
+                if column_filter is None:
+                    column_filter = predicate.compile(
+                        {name: i for i, name in enumerate(used)}
+                    )
+                values = [vector.to_list(columns[name]) for name in used]
+                return list(map(column_filter, zip(*values)))
+        if row_filter is None:
+            row_filter = predicate.compile(positions)
+        return list(map(row_filter, batch.rows()))
+
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -531,23 +518,6 @@ def _compile_junction(
     return eval(  # noqa: S307 - source assembled from fixed templates
         f"lambda record: {joiner.join(terms)}", namespace
     )
-
-
-def _mask_junction(
-    parts: Sequence[Predicate],
-    columns: Mapping[str, Sequence[Any]],
-    n_rows: int,
-    all_of: bool,
-) -> list:
-    """Combine per-part selection masks column-wise (And/Rect/Or)."""
-    mask = parts[0].filter_batch(columns, n_rows)
-    for part in parts[1:]:
-        other = part.filter_batch(columns, n_rows)
-        if all_of:
-            mask = [a and b for a, b in zip(mask, other)]
-        else:
-            mask = [a or b for a, b in zip(mask, other)]
-    return mask
 
 
 def _vector_junction(

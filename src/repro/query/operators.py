@@ -17,10 +17,9 @@ made once and carried on the operator. Above it sit
 :class:`GroupByOp` (flat accumulators by group id, no member-row
 buffering), :class:`SortOp`, and :class:`LimitOp`.
 
-Columnar batches flow through the tree untransposed: filters evaluate
-selection bitmaps (:meth:`Predicate.filter_vector`) and defer the gather,
-projections reorder column vectors, and the two keyed operators run on one
-kernel —
+Columnar batches flow through the tree untransposed: filters select
+through the scans' filter chain and defer the gather, projections reorder
+column vectors, and the two keyed operators run on one kernel —
 :class:`repro.vector.KeyTable` turns key columns into dense group ids a
 coalesced chunk at a time, group-by folds value vectors by id, the join
 gathers both sides by index vectors and emits columnar batches. The
@@ -54,7 +53,7 @@ from repro.layout.renderer import (
     merge_batches,
     sort_batches,
 )
-from repro.query.expressions import Predicate
+from repro.query.expressions import Predicate, selector
 
 if TYPE_CHECKING:  # pragma: no cover - circular import guard
     from repro.engine.access import TableAccess
@@ -317,7 +316,10 @@ def fan_out_partitions(executor, sources, window: int):
 
 class FilterOp(Operator):
     """Residual predicate over the child's output (post-join predicates,
-    conjuncts that could not be pushed into any single scan)."""
+    conjuncts that could not be pushed into any single scan), applied
+    through the scans' own filter chain
+    (:func:`repro.query.expressions.selector`): a columnar batch keeps its
+    vectors and carries the mask as a deferred selection."""
 
     def __init__(self, child: Operator, predicate: Predicate):
         self.child = child
@@ -336,28 +338,13 @@ class FilterOp(Operator):
         return repr(self.predicate)
 
     def batches(self) -> Iterator[ColumnBatch]:
-        # Columnar batches (vectorized scans flowing up through joins are
-        # still per-table; residual predicates see them directly above a
-        # scan) take the bitmap path: evaluate the whole-column predicate
-        # into a selection mask and defer the gather. Row-backed batches —
-        # and any predicate that declines to vectorize — fall back to the
-        # compiled per-row closure.
-        positions = {name: i for i, name in enumerate(self.fields)}
-        row_filter = self.predicate.compile(positions)
-        predicate = self.predicate
+        keep = selector(
+            self.predicate, {name: i for i, name in enumerate(self.fields)}
+        )
         for batch in self.child.batches():
-            if batch.is_columnar:
-                bitmap = predicate.filter_vector(
-                    batch.column_map(), batch.n_rows
-                )
-                if bitmap is not None:
-                    selected = batch.select(bitmap)
-                    if selected.n_rows:
-                        yield selected
-                    continue
-            kept = list(filter(row_filter, batch.rows()))
-            if kept:
-                yield ColumnBatch.from_rows(self.fields, kept)
+            selected = batch.select(keep(batch))
+            if selected.n_rows:
+                yield selected
 
 
 class ProjectOp(Operator):

@@ -294,7 +294,12 @@ class RecordSerializer:
 
 
 class VectorSerializer:
-    """Encode/decode homogeneous value vectors (column chunks)."""
+    """Encode/decode homogeneous value vectors (column chunks).
+
+    Two decoders over the one wire format: :meth:`decode` returns a list
+    (B-tree keys, folded nests, array elements), :meth:`decode_buffer` a
+    typed vector where the element type allows (column chunks).
+    """
 
     def __init__(self, dtype: DataType):
         self.dtype = dtype
@@ -326,55 +331,39 @@ class VectorSerializer:
         return b"".join(parts)
 
     def decode(self, data: bytes | memoryview) -> list:
+        """The vector's values as a list: one ``struct`` call for a
+        fixed-size element type, one loop over the payloads otherwise."""
         data = bytes(data)
         if len(data) < 4:
             raise SerializationError("vector buffer too short")
         (count,) = _U32.unpack_from(data, 0)
-        offset = 4
-        values: list[Any] = []
         if self._elem is not None:
-            needed = offset + count * self._elem.size
-            if len(data) < needed:
+            if len(data) < 4 + count * self._elem.size:
                 raise SerializationError("truncated fixed-size vector")
-            for _ in range(count):
-                values.append(self._elem.unpack_from(data, offset)[0])
-                offset += self._elem.size
-        else:
-            for _ in range(count):
-                if offset + 4 > len(data):
-                    raise SerializationError("truncated vector header")
-                (length,) = _U32.unpack_from(data, offset)
-                offset += 4
-                if offset + length > len(data):
-                    raise SerializationError("truncated vector payload")
-                values.append(_decode_var(self.dtype, data[offset : offset + length]))
-                offset += length
+            fmt = self.dtype.struct_format
+            return list(struct.unpack_from(f"<{count}{fmt}", data, 4))
+        values: list[Any] = []
+        offset = 4
+        for _ in range(count):
+            if offset + 4 > len(data):
+                raise SerializationError("truncated vector header")
+            (length,) = _U32.unpack_from(data, offset)
+            offset += 4
+            if offset + length > len(data):
+                raise SerializationError("truncated vector payload")
+            values.append(_decode_var(self.dtype, data[offset : offset + length]))
+            offset += length
         return values
-
-    def decode_bulk(self, data: bytes | memoryview) -> list:
-        """Bulk decode (batch scan fast path): one ``struct`` call for
-        fixed-size element types instead of a per-value loop. Output is
-        identical to :meth:`decode`."""
-        data = bytes(data)
-        if len(data) < 4:
-            raise SerializationError("vector buffer too short")
-        (count,) = _U32.unpack_from(data, 0)
-        if self._elem is None:
-            return self.decode(data)
-        if len(data) < 4 + count * self._elem.size:
-            raise SerializationError("truncated fixed-size vector")
-        fmt = self.dtype.struct_format
-        return list(struct.unpack_from(f"<{count}{fmt}", data, 4))
 
     def decode_buffer(self, data: bytes | memoryview):
         """Decode into a contiguous typed vector (numpy ``ndarray`` or
         stdlib ``array``) for 8-byte numeric element types, falling back
-        to :meth:`decode_bulk`'s list for everything else. Same values
-        either way — callers treat both shapes uniformly via
+        to :meth:`decode`'s list for everything else. Same values either
+        way — callers treat both shapes uniformly via
         :mod:`repro.vector`."""
         code = vector.typecode_for(self.dtype)
         if code is None:
-            return self.decode_bulk(data)
+            return self.decode(data)
         data = bytes(data)
         if len(data) < 4:
             raise SerializationError("vector buffer too short")

@@ -15,11 +15,14 @@ import re
 import pytest
 
 import oracle
+from repro.compression import codec_names, get_codec
 from repro.engine import access
+from repro.engine import table as table_module
 from repro.engine.access import open_run
 from repro.engine.database import RodentStore
 from repro.errors import StorageError
 from repro.layout.renderer import LayoutRenderer
+from repro.query import expressions, operators
 from repro.query.expressions import And, Range, Rect
 from repro.types import Schema
 
@@ -320,11 +323,9 @@ def _sources():
                     yield os.path.relpath(path, SRC), f.read()
 
 
-def test_one_read_path():
-    """No tuple-at-a-time reference engine and no ``vectorized`` switch:
-    scans, the planner, updates, deletes and scrub read one way. (The word
-    survives in prose; as a name, attribute, argument or string key it
-    does not.)"""
+def _assert_absent_as_names(deleted):
+    """None of ``deleted`` is a name, attribute, argument or string key in
+    ``src/`` (a word may survive in prose)."""
     for name, source in _sources():
         for node in ast.walk(ast.parse(source)):
             for used in (
@@ -334,7 +335,13 @@ def test_one_read_path():
                 node.arg if isinstance(node, (ast.arg, ast.keyword)) else None,
                 node.value if isinstance(node, ast.Constant) else None,
             ):
-                assert used not in ONE_PATH_DELETED, (name, used)
+                assert used not in deleted, (name, used)
+
+
+def test_one_read_path():
+    """No tuple-at-a-time reference engine and no ``vectorized`` switch:
+    scans, the planner, updates, deletes and scrub read one way."""
+    _assert_absent_as_names(ONE_PATH_DELETED)
     for reader in ("iter_rows", "iter_column_group", "iter_array_leaves",
                    "read_cell", "_decode_cell"):
         assert not hasattr(LayoutRenderer, reader), reader
@@ -342,6 +349,46 @@ def test_one_read_path():
     with pytest.raises(TypeError):
         RodentStore(vectorized=True)
     assert not hasattr(RodentStore(), "vectorized")
+
+
+#: The slow twins of the one decode and the one filter chain.
+ONE_DECODE_DELETED = (
+    "decode_all", "decode_vector", "decode_bulk", "unpack_uints_bulk",
+    "varint_decode", "zigzag_decode", "filter_batch", "_mask_junction",
+    "_selector",
+)
+
+
+def test_one_decode_per_codec_one_filter_chain():
+    """A codec is ``encode`` + ``decode`` (``varint`` adds its one-pass
+    ``decode_buffer`` for runs of blobs); a predicate is ``compile`` +
+    ``filter_vector``, chained in one ``selector`` that scans, updates,
+    deletes and ``FilterOp`` share."""
+    _assert_absent_as_names(ONE_DECODE_DELETED)
+    for codec_name in codec_names():
+        cls = type(get_codec(codec_name))
+        if cls.__module__.startswith("repro.compression."):
+            public = {a for a in vars(cls) if not a.startswith("_")} - {"name"}
+            extra = {"decode_buffer"} if codec_name == "varint" else set()
+            assert public == {"encode", "decode"} | extra, codec_name
+    assert not any(
+        "filter_batch" in vars(cls) for cls in _predicate_classes()
+    )
+    assert table_module.selector is expressions.selector
+    assert operators.selector is expressions.selector
+    calls = re.compile(r"filter_vector\(")
+    for name, source in _sources():
+        if name != os.path.join("query", "expressions.py"):
+            assert not calls.search(source), name
+
+
+def _predicate_classes():
+    out, todo = [], [expressions.Predicate]
+    while todo:
+        cls = todo.pop()
+        out.append(cls)
+        todo.extend(cls.__subclasses__())
+    return out
 
 
 def test_only_the_selector_filters_rows():

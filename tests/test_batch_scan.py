@@ -6,7 +6,8 @@ predicate × order combination, :meth:`Table.scan` returns what the model of
 the loaded rows answers — in exactly its order where the design fixes one —
 including overflow/pending merging and limit pushdown.
 
-Also here: round-trip properties for every codec's bulk ``decode_all``.
+Also here: round-trip properties for every codec and element type it takes
+(through ``test_compression.round_trip``).
 """
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from repro.compression import get_codec
+from test_compression import round_trip
 from repro.engine.database import RodentStore
 from repro.errors import QueryError
 from repro.query.executor import Aggregate, QuerySpec, execute
@@ -222,7 +223,7 @@ def test_aggregation_over_no_rows():
 
 
 # ---------------------------------------------------------------------------
-# codec decode_all round-trips
+# codec round-trips
 # ---------------------------------------------------------------------------
 
 ints = st.lists(st.integers(-(2**40), 2**40), max_size=200)
@@ -264,8 +265,4 @@ CODEC_CASES = [
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_decode_all_round_trip(codec_name, strategy, dtype, data):
-    values = data.draw(strategy)
-    codec = get_codec(codec_name)
-    encoded = codec.encode(values, dtype)
-    assert codec.decode_all(encoded, dtype) == list(values)
-    assert codec.decode_all(encoded, dtype) == codec.decode(encoded, dtype)
+    round_trip(codec_name, dtype, data.draw(strategy))

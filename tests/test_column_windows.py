@@ -74,7 +74,7 @@ def loaded(layout, n, **kw):
 
 def spy(monkeypatch, store):
     """Page ids the pool is asked for, and one entry per codec
-    ``decode_buffer`` call, from now on."""
+    ``decode`` call, from now on."""
     fetched, decodes = [], []
     fetch = store.pool.fetch
 
@@ -85,14 +85,14 @@ def spy(monkeypatch, store):
     monkeypatch.setattr(store.pool, "fetch", counted_fetch)
     # Patched on the codec classes (the registry shares its instances).
     classes = {type(get_codec(name)) for name in codec_names()}
-    originals = {cls: cls.decode_buffer for cls in classes}
+    originals = {cls: cls.decode for cls in classes}
     for cls, original in originals.items():
 
         def counted(*args, _decode=original, **kwargs):
             decodes.append(1)
             return _decode(*args, **kwargs)
 
-        monkeypatch.setattr(cls, "decode_buffer", counted)
+        monkeypatch.setattr(cls, "decode", counted)
     return fetched, decodes
 
 

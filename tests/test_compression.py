@@ -1,9 +1,25 @@
-"""Tests for repro.compression (all codecs)."""
+"""Tests for repro.compression (all codecs).
+
+A codec is checked against the values it encoded, never against a second
+decoder: :func:`round_trip` asserts that ``vector.to_list(decode(encode(v)))``
+— and the same blob through the run entry point ``decode_buffer`` — equals
+``v``, with numpy on and off. Every codec round trip in the suite goes
+through it: the fixed cases of :data:`CODEC_CASES` (empty / single / run /
+mixed-sign / wide, run by ``test_vector_exec``), the degenerate chunks of
+:data:`EDGE_CASES`, and the hypothesis properties here and in
+``test_batch_scan``. A corrupt blob — truncated, bit-flipped, extended —
+decodes to values or raises a library error.
+"""
+
+import math
+import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import vector
 from repro.compression import (
     CodecError,
     codec_names,
@@ -11,12 +27,12 @@ from repro.compression import (
     pack_uints,
     register,
     unpack_uints,
-    varint_decode,
     varint_encode,
-    zigzag_decode,
     zigzag_encode,
+    zigzag_varint_decode_all,
 )
 from repro.compression.base import Codec
+from repro.errors import SerializationError
 from repro.types import FLOAT, INT, STRING
 
 ints = st.lists(st.integers(-(2**62), 2**62), max_size=200)
@@ -24,6 +40,87 @@ small_ints = st.lists(st.integers(-1000, 1000), max_size=200)
 floats = st.lists(
     st.floats(allow_nan=False, allow_infinity=False, width=64), max_size=100
 )
+
+#: The numpy settings this process can run: both, or only the fallback
+#: when numpy is absent or switched off (``REPRO_NO_NUMPY=1``).
+NUMPY_LEGS = (True, False) if vector.numpy_enabled() else (False,)
+
+
+@contextmanager
+def numpy_set(enabled):
+    previous = vector.set_numpy_enabled(enabled)
+    try:
+        yield
+    finally:
+        vector.set_numpy_enabled(previous)
+
+
+def round_trip(codec_name, dtype, values, legs=NUMPY_LEGS):
+    """``decode(encode(values))`` holds ``values`` under each numpy leg, as
+    one blob and as a run of one blob; the fallback never hands out an
+    ndarray."""
+    codec = get_codec(codec_name)
+    data = codec.encode(values, dtype)
+    expected = list(values)
+    np = vector.numpy_module()
+    for numpy_on in legs:
+        with numpy_set(numpy_on):
+            out = codec.decode(data, dtype)
+            run = codec.decode_buffer(data, dtype, [len(data)], [len(expected)])
+        if np is not None and not numpy_on:
+            assert not isinstance(out, np.ndarray)
+        assert vector.to_list(out) == expected, (codec_name, numpy_on)
+        assert vector.to_list(run) == expected, (codec_name, numpy_on)
+
+
+INT_CASES = {
+    "empty": [],
+    "single": [7],
+    "single_negative": [-9223372036854775000],
+    "run": [3] * 257,
+    "mixed_sign": [(-1) ** i * (i * i) for i in range(100)],
+    "wide": [0, 1, -1, 2**40, -(2**40), 2**62, -(2**62)],
+}
+
+FLOAT_CASES = {
+    "empty": [],
+    "single": [7.5],
+    "run": [-0.25] * 64,
+    "mixed_sign": [((-1) ** i) * i * 0.37 for i in range(100)],
+    "special": [0.0, -0.0, 1e300, -1e-300, math.pi, float("inf")],
+}
+
+#: codec name -> (dtype, fixed cases valid for that codec)
+CODEC_CASES = {
+    "none": (INT, INT_CASES),
+    "varint": (INT, INT_CASES),
+    "delta": (INT, INT_CASES),
+    "rle": (INT, INT_CASES),
+    "dict": (INT, INT_CASES),
+    "lz": (INT, INT_CASES),
+    "for": (INT, INT_CASES),
+    # bitpack stores non-negative ints only (frame-of-reference adds the
+    # sign handling on top of it).
+    "bitpack": (
+        INT,
+        {
+            "empty": [],
+            "single": [7],
+            "run": [3] * 257,
+            "zeros": [0] * 100,
+            "wide": [0, 1, 2**40, 2**62],
+        },
+    ),
+    "xor": (FLOAT, FLOAT_CASES),
+}
+
+
+def codec_case_params():
+    for codec_name, (dtype, cases) in CODEC_CASES.items():
+        for case_name, values in cases.items():
+            yield pytest.param(
+                codec_name, dtype, values, id=f"{codec_name}-{case_name}"
+            )
 
 
 class TestRegistry:
@@ -51,6 +148,10 @@ class TestRegistry:
         register(Reverse())
         codec = get_codec("reverse-test")
         assert codec.decode(codec.encode([1, 2, 3], INT), INT) == [1, 2, 3]
+        # A list-returning decode is a whole codec: runs of blobs work too.
+        blobs = [codec.encode(v, INT) for v in ([1, 2, 3], [4, 5])]
+        run = codec.decode_buffer(b"".join(blobs), INT, [24, 16], [3, 2])
+        assert vector.to_list(run) == [1, 2, 3, 4, 5]
 
 
 class TestZigzagVarint:
@@ -62,14 +163,18 @@ class TestZigzagVarint:
 
     @given(st.integers(-(2**62), 2**62))
     def test_zigzag_roundtrip(self, v):
-        assert zigzag_decode(zigzag_encode(v)) == v
+        buf = bytearray()
+        varint_encode(zigzag_encode(v), buf)
+        assert zigzag_varint_decode_all(bytes(buf), 0, 1) == [v]
 
     @given(st.integers(0, 2**63))
     def test_varint_roundtrip(self, v):
+        # zigzag is a bijection onto the unsigned ints, so every varint
+        # decodes to the signed value it encodes — and ends where it should.
         buf = bytearray()
         varint_encode(v, buf)
-        out, offset = varint_decode(bytes(buf), 0)
-        assert out == v and offset == len(buf)
+        decoded = zigzag_varint_decode_all(bytes(buf) * 2, 0, 2)
+        assert [zigzag_encode(d) for d in decoded] == [v, v]
 
     def test_varint_rejects_negative(self):
         with pytest.raises(CodecError):
@@ -77,7 +182,7 @@ class TestZigzagVarint:
 
     def test_varint_truncated(self):
         with pytest.raises(CodecError):
-            varint_decode(b"\x80", 0)
+            zigzag_varint_decode_all(b"\x80", 0, 1)
 
     def test_small_values_one_byte(self):
         buf = bytearray()
@@ -108,27 +213,23 @@ class TestBitpack:
 class TestIntCodecs:
     @given(values=st.lists(st.integers(0, 10**6), max_size=120))
     def test_roundtrip(self, name, values):
-        codec = get_codec(name)
-        assert codec.decode(codec.encode(values, INT), INT) == values
+        round_trip(name, INT, values)
 
     def test_empty(self, name):
-        codec = get_codec(name)
-        assert codec.decode(codec.encode([], INT), INT) == []
+        round_trip(name, INT, [])
 
 
 class TestSignedIntCodecs:
     @pytest.mark.parametrize("name", ["none", "varint", "delta", "for"])
     @given(values=small_ints)
     def test_negative_values(self, name, values):
-        codec = get_codec(name)
-        assert codec.decode(codec.encode(values, INT), INT) == values
+        round_trip(name, INT, values)
 
 
 class TestDeltaCodec:
     @given(floats)
     def test_float_roundtrip_exact(self, values):
-        codec = get_codec("delta")
-        assert codec.decode(codec.encode(values, FLOAT), FLOAT) == values
+        round_trip("delta", FLOAT, values)
 
     def test_sorted_ints_compress(self):
         codec = get_codec("delta")
@@ -149,13 +250,11 @@ class TestDeltaCodec:
 class TestRle:
     @given(st.lists(st.integers(0, 3), max_size=300))
     def test_roundtrip_ints(self, values):
-        codec = get_codec("rle")
-        assert codec.decode(codec.encode(values, INT), INT) == values
+        round_trip("rle", INT, values)
 
     @given(st.lists(st.sampled_from(["a", "b", "c"]), max_size=100))
     def test_roundtrip_strings(self, values):
-        codec = get_codec("rle")
-        assert codec.decode(codec.encode(values, STRING), STRING) == values
+        round_trip("rle", STRING, values)
 
     def test_long_runs_compress(self):
         codec = get_codec("rle")
@@ -166,13 +265,11 @@ class TestRle:
 class TestDictionary:
     @given(st.lists(st.sampled_from([10, 20, 30, 40]), max_size=300))
     def test_roundtrip(self, values):
-        codec = get_codec("dict")
-        assert codec.decode(codec.encode(values, INT), INT) == values
+        round_trip("dict", INT, values)
 
     @given(st.lists(st.text(min_size=0, max_size=8), max_size=80))
     def test_roundtrip_strings(self, values):
-        codec = get_codec("dict")
-        assert codec.decode(codec.encode(values, STRING), STRING) == values
+        round_trip("dict", STRING, values)
 
     def test_low_cardinality_compresses(self):
         codec = get_codec("dict")
@@ -184,8 +281,7 @@ class TestDictionary:
 class TestLz:
     @given(st.lists(st.integers(0, 100), max_size=200))
     def test_roundtrip(self, values):
-        codec = get_codec("lz")
-        assert codec.decode(codec.encode(values, INT), INT) == values
+        round_trip("lz", INT, values)
 
     def test_repetitive_compresses(self):
         codec = get_codec("lz")
@@ -197,8 +293,7 @@ class TestLz:
 class TestXor:
     @given(floats)
     def test_roundtrip_exact(self, values):
-        codec = get_codec("xor")
-        assert codec.decode(codec.encode(values, FLOAT), FLOAT) == values
+        round_trip("xor", FLOAT, values)
 
     def test_smooth_series_compress(self):
         codec = get_codec("xor")
@@ -222,8 +317,6 @@ class TestCompressionEffectiveness:
 
     def test_varint_on_deltas_beats_plain(self):
         # GPS-like microdegree walk: deltas are small.
-        import random
-
         rng = random.Random(1)
         values = [42_350_000]
         for _ in range(2000):
@@ -237,8 +330,8 @@ class TestCompressionEffectiveness:
 
 
 #: (codec, dtype, representative single value) for every valid pairing —
-#: the degenerate chunk shapes the batch scan's bulk path must handle.
-DECODE_ALL_EDGE_CASES = [
+#: the degenerate chunk shapes a column read must handle.
+EDGE_CASES = [
     ("none", INT, 7),
     ("none", FLOAT, 3.25),
     ("none", STRING, "x"),
@@ -256,34 +349,86 @@ DECODE_ALL_EDGE_CASES = [
     ("xor", FLOAT, 1.5),
 ]
 
-_EDGE_IDS = [f"{c}-{d.name}" for c, d, _ in DECODE_ALL_EDGE_CASES]
+_EDGE_IDS = [f"{c}-{d.name}" for c, d, _ in EDGE_CASES]
 
 
 class TestDecodeAllEdgeCases:
-    """Empty and single-value chunks through every codec's bulk path.
+    """Empty and single-value chunks through every codec and element type.
 
     Empty chunks occur for empty columns (which still own one page) and
-    single-value chunks whenever a value bisects down to one per page;
-    both previously reached ``decode_all`` only through scan-equivalence
-    suites, never directly.
+    single-value chunks whenever a value bisects down to one per page.
     """
 
     @pytest.mark.parametrize(
-        "codec_name,dtype,_value", DECODE_ALL_EDGE_CASES, ids=_EDGE_IDS
+        "codec_name,dtype,_value", EDGE_CASES, ids=_EDGE_IDS
     )
     def test_empty_input(self, codec_name, dtype, _value):
-        codec = get_codec(codec_name)
-        encoded = codec.encode([], dtype)
-        assert codec.decode_all(encoded, dtype) == []
-        assert codec.decode(encoded, dtype) == []
+        round_trip(codec_name, dtype, [])
 
     @pytest.mark.parametrize(
-        "codec_name,dtype,value", DECODE_ALL_EDGE_CASES, ids=_EDGE_IDS
+        "codec_name,dtype,value", EDGE_CASES, ids=_EDGE_IDS
     )
     def test_single_value(self, codec_name, dtype, value):
-        codec = get_codec(codec_name)
-        encoded = codec.encode([value], dtype)
-        assert codec.decode_all(encoded, dtype) == [value]
-        assert codec.decode_all(encoded, dtype) == codec.decode(
-            encoded, dtype
-        )
+        round_trip(codec_name, dtype, [value])
+
+
+# ---------------------------------------------------------------------------
+# corrupt blobs: values or a library error, never what the bytes provoke
+# ---------------------------------------------------------------------------
+
+#: One valid blob's values per codec and element type it takes — runs,
+#: repeats and wide values, so headers, run lengths, dictionary codes and
+#: bit widths all sit where a flip can reach them.
+CORRUPTIBLE = [
+    ("none", INT, [(-3) ** i for i in range(12)]),
+    ("none", STRING, ["alpha", "", "ünï", "z" * 9]),
+    ("varint", INT, [0, -1, 300, -(2**40), 2**62, 5]),
+    ("delta", INT, [10, 12, 9, 2**40, -7, -7, 0]),
+    ("delta", FLOAT, [1.5, 1.75, -0.25, 1e300, 2.0]),
+    ("rle", INT, [4] * 9 + [-2] * 3 + [2**50] * 5),
+    ("rle", STRING, ["a"] * 6 + ["bc"] * 4 + ["a"]),
+    ("dict", INT, [10, 20, 10, 30, 40, 20, 10] * 3),
+    ("dict", STRING, ["boston", "nyc", "boston", "sf"] * 3),
+    ("bitpack", INT, [0, 5, 7, 1, 6, 2, 3] * 3),
+    ("for", INT, [-100, -97, -90, -100, -55]),
+    ("lz", INT, [1, 2, 3, 4] * 10),
+    ("xor", FLOAT, [42.0 + i * 1e-4 for i in range(12)]),
+]
+
+
+def _mutants(data: bytes, rng: random.Random):
+    """A truncated, a one-bit-flipped and an extended copy of ``data``."""
+    flipped = bytearray(data)
+    bit = rng.randrange(len(data) * 8)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return [
+        data[: rng.randrange(len(data))],
+        bytes(flipped),
+        data + bytes([rng.randrange(256)]),
+    ]
+
+
+@pytest.mark.parametrize("numpy_on", NUMPY_LEGS)
+@pytest.mark.parametrize(
+    "codec_name,dtype,values",
+    CORRUPTIBLE,
+    ids=[f"{c}-{d.name}" for c, d, _ in CORRUPTIBLE],
+)
+def test_corrupt_blob_decodes_to_values_or_a_library_error(
+    codec_name, dtype, values, numpy_on
+):
+    codec = get_codec(codec_name)
+    data = codec.encode(values, dtype)
+    rng = random.Random(1)
+    with numpy_set(numpy_on):
+        for _ in range(40):
+            for blob in _mutants(data, rng):
+                for decode in (
+                    lambda b: codec.decode(b, dtype),
+                    lambda b: codec.decode_buffer(b, dtype, [len(b)], [len(values)]),
+                ):
+                    try:
+                        out = decode(blob)
+                    except (CodecError, SerializationError):
+                        continue
+                    assert len(vector.to_list(out)) == len(out)

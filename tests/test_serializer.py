@@ -171,7 +171,7 @@ class TestVectorSerializer:
             assert v.encode(typed).hex() == three
             assert v.encode(typed[:1]).hex() == one
             assert v.encode(typed[:0]).hex() == "00000000"
-        assert v.decode_bulk(v.encode(array(code, values))) == values
+        assert v.decode(v.encode(array(code, values))) == values
 
     def test_typed_vector_of_another_type_is_converted_not_copied(self):
         from array import array

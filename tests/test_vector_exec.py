@@ -2,116 +2,66 @@
 
 Edge cases the differential fuzz suite is unlikely to hit by chance:
 
-* codec ``decode_buffer``/``decode_all``/``decode`` agreement on empty
-  pages, single values, single-value runs, and mixed-sign integers;
-* numpy-present vs numpy-absent parity (``repro.vector`` falls back to
-  stdlib ``array`` — same values, only the container changes);
+* codec round trips on empty pages, single values, single-value runs and
+  mixed-sign integers (``test_compression.CODEC_CASES``), numpy present
+  and absent (``repro.vector`` falls back to stdlib ``array`` — same
+  values, only the container changes);
 * all-null columns (only representable through ``RecordSerializer`` null
   bitmaps; single-field vector chunks reject ``None`` outright);
 * ``ColumnBatch`` selection-bitmap semantics (select/project/head);
-* ``Predicate.filter_vector`` ≡ ``filter_batch`` ≡ compiled closure,
-  including the cases the vector path must *decline* (huge ints);
+* ``Predicate.filter_vector`` ≡ compiled closure through
+  ``expressions.selector``, including the cases the vector path must
+  *decline* (huge ints), and wrapped scalar conditions that must raise
+  exactly where the bare condition does;
 * whole-pipeline answers against the naive model (``tests/oracle.py``)
   under the ``RodentStore(batch_rows=...)`` knob and with numpy absent.
 """
 
-import math
-
 import pytest
 
 import oracle
+from test_compression import (
+    NUMPY_LEGS,
+    codec_case_params,
+    numpy_set,
+    round_trip,
+)
 from repro import vector
+from repro.algebra.parser import parse_condition
 from repro.compression import get_codec
 from repro.compression.base import CodecError
 from repro.engine.database import RodentStore
 from repro.errors import SerializationError, StorageError
 from repro.query.executor import Aggregate, QuerySpec, execute
-from repro.query.expressions import And, Not, Or, Range, Rect
+from repro.query.expressions import (
+    And,
+    Not,
+    Or,
+    Range,
+    Rect,
+    from_scalar,
+    selector,
+)
 from repro.query.plan import JoinClause
 from repro.storage.serializer import RecordSerializer, VectorSerializer
 from repro.types import Schema
-from repro.types.types import FLOAT, INT, STRING
+from repro.types.types import INT
 
 
 # ---------------------------------------------------------------------------
-# Codec decode paths: decode == decode_all == decode_buffer (as values)
+# Codec round trips: the fixed cases, numpy on and off
 
 
-INT_CASES = {
-    "empty": [],
-    "single": [7],
-    "single_negative": [-9223372036854775000],
-    "run": [3] * 257,
-    "mixed_sign": [(-1) ** i * (i * i) for i in range(100)],
-    "wide": [0, 1, -1, 2**40, -(2**40), 2**62, -(2**62)],
-}
-
-FLOAT_CASES = {
-    "empty": [],
-    "single": [7.5],
-    "run": [-0.25] * 64,
-    "mixed_sign": [((-1) ** i) * i * 0.37 for i in range(100)],
-    "special": [0.0, -0.0, 1e300, -1e-300, math.pi, float("inf")],
-}
-
-#: codec name -> (dtype, cases valid for that codec)
-CODEC_CASES = {
-    "none": (INT, INT_CASES),
-    "varint": (INT, INT_CASES),
-    "delta": (INT, INT_CASES),
-    "rle": (INT, INT_CASES),
-    "dict": (INT, INT_CASES),
-    "lz": (INT, INT_CASES),
-    "for": (INT, INT_CASES),
-    # bitpack stores non-negative ints only (frame-of-reference adds the
-    # sign handling on top of it).
-    "bitpack": (
-        INT,
-        {
-            "empty": [],
-            "single": [7],
-            "run": [3] * 257,
-            "zeros": [0] * 100,
-            "wide": [0, 1, 2**40, 2**62],
-        },
-    ),
-    "xor": (FLOAT, FLOAT_CASES),
-}
-
-
-def _codec_case_params():
-    for codec_name, (dtype, cases) in CODEC_CASES.items():
-        for case_name, values in cases.items():
-            yield pytest.param(
-                codec_name, dtype, values, id=f"{codec_name}-{case_name}"
-            )
-
-
-@pytest.mark.parametrize("codec_name,dtype,values", _codec_case_params())
+@pytest.mark.parametrize("codec_name,dtype,values", codec_case_params())
 def test_codec_decode_paths_agree(codec_name, dtype, values):
-    codec = get_codec(codec_name)
-    data = codec.encode(values, dtype)
-    reference = codec.decode(data, dtype)
-    assert reference == values
-    assert codec.decode_all(data, dtype) == values
-    assert vector.to_list(codec.decode_buffer(data, dtype)) == values
+    """``decode`` and the run entry point give back the encoded values."""
+    round_trip(codec_name, dtype, values, legs=NUMPY_LEGS[:1])
 
 
-@pytest.mark.parametrize("codec_name,dtype,values", _codec_case_params())
+@pytest.mark.parametrize("codec_name,dtype,values", codec_case_params())
 def test_codec_decode_buffer_numpy_absent_parity(codec_name, dtype, values):
-    """decode_buffer is behavior-identical with numpy switched off."""
-    codec = get_codec(codec_name)
-    data = codec.encode(values, dtype)
-    with_numpy = vector.to_list(codec.decode_buffer(data, dtype))
-    prev = vector.set_numpy_enabled(False)
-    try:
-        fallback = codec.decode_buffer(data, dtype)
-        np = vector.numpy_module()
-        if np is not None:
-            assert not isinstance(fallback, np.ndarray)
-        assert vector.to_list(fallback) == with_numpy == values
-    finally:
-        vector.set_numpy_enabled(prev)
+    """The same values with numpy switched off, in a non-numpy container."""
+    round_trip(codec_name, dtype, values, legs=(False,))
 
 
 def test_bitpack_rejects_negative_values():
@@ -128,7 +78,7 @@ def test_decoded_values_are_native_python():
     """numpy scalars must never leak out of the typed-buffer paths."""
     codec = get_codec("delta")
     data = codec.encode([5, 6, 7], INT)
-    for value in vector.to_list(codec.decode_buffer(data, INT)):
+    for value in vector.to_list(codec.decode(data, INT)):
         assert type(value) is int
 
 
@@ -225,7 +175,7 @@ def test_column_batch_from_rows_is_row_backed():
 
 
 # ---------------------------------------------------------------------------
-# Predicate.filter_vector ≡ filter_batch ≡ compiled closure
+# Predicate.filter_vector ≡ compiled closure, through the one selector
 
 
 PREDICATES = [
@@ -246,6 +196,14 @@ def _predicate_columns():
     return {"a": vector.from_values(a, "q"), "b": vector.from_values(b, "d")}
 
 
+def _selected(predicate, columns):
+    """The selector's verdicts on one columnar batch of ``columns``."""
+    fields = tuple(columns)
+    batch = ColumnBatch.from_columns(fields, [columns[f] for f in fields])
+    keep = selector(predicate, {f: i for i, f in enumerate(fields)})
+    return [bool(v) for v in vector.to_list(keep(batch))]
+
+
 @pytest.mark.parametrize(
     "predicate", PREDICATES, ids=[repr(p) for p in PREDICATES]
 )
@@ -258,8 +216,7 @@ def test_filter_vector_matches_row_paths(predicate):
         bool(fn(record))
         for record in zip(*(vector.to_list(columns[f]) for f in used))
     ]
-    batch_mask = [bool(v) for v in predicate.filter_batch(columns, n)]
-    assert batch_mask == expected
+    assert _selected(predicate, columns) == expected
     bitmap = predicate.filter_vector(columns, n)
     if bitmap is not None:
         assert [bool(v) for v in vector.to_list(bitmap)] == expected
@@ -269,7 +226,9 @@ def test_filter_vector_agrees_on_plain_lists():
     """Row-backed batches hand plain lists to the predicate layer."""
     columns = {"a": list(range(-3, 12)), "b": [i * 0.5 for i in range(15)]}
     predicate = And(Range("a", 0, 9), Range("b", 1.0, 5.0))
-    expected = [bool(v) for v in predicate.filter_batch(columns, 15)]
+    expected = [0 <= a <= 9 and 1.0 <= b <= 5.0
+                for a, b in zip(columns["a"], columns["b"])]
+    assert _selected(predicate, columns) == expected
     bitmap = predicate.filter_vector(columns, 15)
     if bitmap is not None:
         assert [bool(v) for v in vector.to_list(bitmap)] == expected
@@ -282,7 +241,98 @@ def test_filter_vector_huge_bounds_stay_correct():
     bitmap = predicate.filter_vector(columns, 3)
     if bitmap is not None:
         assert [bool(v) for v in vector.to_list(bitmap)] == [True] * 3
-    assert [bool(v) for v in predicate.filter_batch(columns, 3)] == [True] * 3
+    assert _selected(predicate, columns) == [True] * 3
+
+
+# ---------------------------------------------------------------------------
+# A wrapped scalar condition raises exactly where the bare one does
+
+
+#: ``(6, 0)`` divides by zero; every other row decides normally.
+SCALAR_ROWS = [(1, 1), (6, 0), (8, 2), (9, 3), (4, 4), (7, 2)]
+
+
+def _condition(text):
+    return from_scalar(parse_condition(text))
+
+
+#: name -> (bare condition, the same condition wrapped)
+WRAPPED = {
+    "and_range_div": ("a / b > 1", lambda c: And(Range("a", 0, 100), c)),
+    "not_mod": ("a % b = 0", Not),
+}
+
+
+@pytest.mark.parametrize("numpy_on", NUMPY_LEGS)
+@pytest.mark.parametrize("layout", ["T", "columns(T)"])
+@pytest.mark.parametrize("name", sorted(WRAPPED))
+def test_wrapped_scalar_condition_raises_like_the_bare_one(
+    name, layout, numpy_on
+):
+    text, wrap = WRAPPED[name]
+    with numpy_set(numpy_on):
+        store = RodentStore(page_size=1024, pool_capacity=32)
+        store.create_table("T", Schema.of("a:int", "b:int"), layout=layout)
+        table = store.load("T", SCALAR_ROWS)
+        for predicate in (_condition(text), wrap(_condition(text))):
+            with pytest.raises(ZeroDivisionError):
+                list(table.scan(predicate=predicate))
+        # Without the zero divisor the wrapped predicate answers the model's.
+        assert table.delete(Range("b", 0, 0)) == 1
+        model = oracle.Model(
+            ["a", "b"], [r for r in SCALAR_ROWS if r[1]], layout
+        )
+        oracle.check_table(table, model, None, wrap(_condition(text)))
+
+
+@pytest.mark.parametrize("layout", ["T", "columns(T)"])
+def test_valued_condition_selects_by_its_truth(layout):
+    """``a % 4`` keeps the rows where it is non-zero: a mask of values
+    must count its rows the way it selects them (here the values 1, 2, 0
+    add up to the batch's three rows)."""
+    rows = [(1, 1), (2, 1), (4, 1)]
+    store = RodentStore(page_size=1024, pool_capacity=32)
+    store.create_table("T", Schema.of("a:int", "b:int"), layout=layout)
+    table = store.load("T", rows)
+    model = oracle.Model(["a", "b"], rows, layout)
+    oracle.check_table(table, model, None, _condition("a % 4"))
+
+
+@pytest.mark.parametrize("numpy_on", NUMPY_LEGS)
+@pytest.mark.parametrize("layout", ["T", "columns(T)"])
+@pytest.mark.parametrize("name", sorted(WRAPPED))
+def test_wrapped_scalar_residual_above_a_join(name, layout, numpy_on):
+    """The same conditions over a join's output: a ``FilterOp`` residual,
+    through the scans' selector."""
+    text, wrap = WRAPPED[name]
+    left = [(1, 1), (6, 2), (8, 3), (9, 4)]  # (a, k)
+    right = [(1, 1), (2, 0), (3, 2), (4, 3)]  # (k, b): k = 2 carries b = 0
+    with numpy_set(numpy_on):
+        store = RodentStore(page_size=1024, pool_capacity=32)
+        store.create_table("T", Schema.of("a:int", "k:int"), layout=layout)
+        store.create_table(
+            "D", Schema.of("k:int", "b:int"), layout=layout.replace("T", "D")
+        )
+        store.load("T", left)
+        store.load("D", right)
+
+        def answer(predicate):
+            spec = QuerySpec(
+                table="T", joins=(JoinClause("D", (("k", "k"),)),),
+                predicate=predicate,
+            )
+            return execute(store.table("T"), spec)
+
+        for predicate in (_condition(text), wrap(_condition(text))):
+            with pytest.raises(ZeroDivisionError):
+                answer(predicate)
+        store.table("D").delete(Range("b", 0, 0))
+        joined = oracle.join(left, [r for r in right if r[1]], [(1, 0)])
+        positions = {"a": 0, "k": 1, "D.k": 2, "b": 3}
+        predicate = wrap(_condition(text))
+        assert answer(predicate) == [
+            r for r in joined if oracle.matches(predicate, r, positions)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,20 @@ class TestWriteAheadLog:
         assert wal2.append(KIND_BEGIN, 4) == 3
         wal2.close()
 
+    def test_one_fsync_covers_every_record_appended_before_it(self, tmp_path):
+        """Group commit: syncing the first record makes both durable, and
+        the second record's sync piggybacks on that fsync."""
+        wal = WriteAheadLog(str(tmp_path / "wal.log"))
+        first = wal.append(KIND_COMMIT, 1)
+        second = wal.append(KIND_COMMIT, 2)
+        wal.sync(first)
+        assert wal.fsyncs == 1
+        assert wal.flushed_lsn == second
+        assert wal.synced_size == wal.size_bytes
+        wal.sync(second)
+        assert wal.fsyncs == 1
+        wal.close()
+
 
 def _page_with(disk: DiskManager, content: bytes) -> int:
     page_id = disk.allocate_page()
