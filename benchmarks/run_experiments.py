@@ -417,213 +417,6 @@ def reorganization(scale: dict) -> None:
               f"{reads:>13}{store.table('Traces').plan.kind:>14}")
 
 
-def ingest_bench(
-    scale: dict, out_path: str = "BENCH_ingest.json", seed: int = DEFAULT_SEED
-) -> dict:
-    """Levelled (LSM) storage: streaming-ingest cost (BENCH_ingest.json).
-
-    * ``throughput`` — sustained insert rows/s at equal volume:
-      ``levels[4; 4](rows(T))`` (seal + size-tiered background merges)
-      vs the pending-buffer baseline that compacts the flat table
-      whenever the buffer fills (the full-rewrite pattern levelled
-      storage exists to avoid). Acceptance: ``speedup >= 3``.
-    * ``run_count_series`` — cumulative rows/s against the manifest's
-      run count as ingest proceeds (merge stalls show up here).
-    * ``write_amplification`` — bytes written / bytes ingested at equal
-      volume for ``levels[r; r]`` with size ratio r in 2 / 4 / 8.
-    * ``scan_during_compaction`` — range-scan latency while background
-      merges run on the worker pool vs after a final full compaction,
-      with every in-flight scan verified against the inserted rows.
-    * ``no_numpy`` — the headline comparison again on the stdlib
-      fallback (typed buffers off), proving the win is structural.
-    """
-    import random
-
-    from repro import vector
-    from repro.engine.database import RodentStore
-    from repro.query.expressions import Range
-    from repro.types.schema import Schema
-
-    banner("Levelled ingest — LSM vs pending+compact (BENCH_ingest.json)")
-    schema = Schema.of("id:int", "v:int")
-    n_rows = max(40_000, scale["n_observations"])
-    batch_rows = 256
-    seal_rows = 1_024
-    rng = random.Random(seed)
-    records = [(i, rng.randrange(10_000)) for i in range(n_rows)]
-    batches = [
-        records[i : i + batch_rows] for i in range(0, n_rows, batch_rows)
-    ]
-    result: dict = {
-        "benchmark": "levelled_ingest",
-        "n_rows": n_rows,
-        "batch_rows": batch_rows,
-        "level_seal_rows": seal_rows,
-        "page_size": scale["page_size"],
-        "seed": seed,
-        "unit": "rows_per_sec",
-    }
-
-    def baseline_ingest() -> float:
-        """Flat table: pending buffer, full compact whenever it fills."""
-        store = RodentStore(page_size=scale["page_size"], pool_capacity=96)
-        store.create_table("B", schema, layout="rows(B)")
-        store.load("B", [])
-        table = store.table("B")
-        start = time.perf_counter()
-        for chunk in batches:
-            table.insert(chunk)
-            if table.overflow_row_count >= seal_rows:
-                table.compact()
-        elapsed = time.perf_counter() - start
-        assert table.row_count == n_rows
-        store.close()
-        return n_rows / elapsed
-
-    def levelled_ingest(
-        k: int = 4, ratio: int = 4, series: list | None = None
-    ):
-        store = RodentStore(
-            page_size=scale["page_size"],
-            pool_capacity=96,
-            level_seal_rows=seal_rows,
-        )
-        store.create_table(
-            "L", schema, layout=f"levels[{k}; {ratio}](rows(L))"
-        )
-        table = store.table("L")
-        start = time.perf_counter()
-        done = 0
-        for chunk in batches:
-            table.insert(chunk)
-            done += len(chunk)
-            if series is not None and done % (batch_rows * 8) == 0:
-                series.append(
-                    {
-                        "rows_ingested": done,
-                        "run_count": table.run_count,
-                        "rows_per_sec": round(
-                            done / (time.perf_counter() - start), 1
-                        ),
-                    }
-                )
-        elapsed = time.perf_counter() - start
-        assert table.row_count == n_rows
-        stats = store.storage_stats()["tables"]["L"]
-        store.close()
-        return n_rows / elapsed, stats
-
-    # -- (a) sustained throughput at equal volume --------------------------
-    series: list = []
-    levelled_rate, _ = levelled_ingest(series=series)
-    baseline_rate = baseline_ingest()
-    speedup = levelled_rate / baseline_rate
-    result["throughput"] = {
-        "baseline_pending_compact_rows_per_sec": round(baseline_rate, 1),
-        "levelled_rows_per_sec": round(levelled_rate, 1),
-        "speedup": round(speedup, 2),
-    }
-    result["ingest_ok"] = speedup >= 3.0
-    result["run_count_series"] = series
-    print(
-        f"baseline (pending+compact) {baseline_rate:>12,.0f} rows/s\n"
-        f"levels[4; 4]               {levelled_rate:>12,.0f} rows/s "
-        f"({speedup:.1f}x, target >= 3x)"
-    )
-
-    # -- (b) write amplification vs size ratio -----------------------------
-    # Classic size-tiered coupling: the growth ratio between levels IS the
-    # merge fan-out, so ``levels[r; r]`` sweeps the real WA trade-off —
-    # small ratios merge often (low run count, high WA), large ratios
-    # rarely (more runs, low WA).
-    result["write_amplification"] = {}
-    print(f"\n{'ratio':<7}{'ingested MB':>13}{'written MB':>12}{'factor':>8}")
-    for ratio in (2, 4, 8):
-        _, stats = levelled_ingest(k=ratio, ratio=ratio)
-        wa = stats["write_amplification"]
-        result["write_amplification"][str(ratio)] = {
-            "bytes_ingested": wa["bytes_ingested"],
-            "bytes_written": wa["bytes_written"],
-            "pages_rewritten_by_compaction": wa[
-                "pages_rewritten_by_compaction"
-            ],
-            "compactions": wa["compactions"],
-            "factor": wa["factor"],
-        }
-        print(
-            f"{ratio:<7}{wa['bytes_ingested'] / 1e6:>13.2f}"
-            f"{wa['bytes_written'] / 1e6:>12.2f}{wa['factor']:>8.2f}"
-        )
-
-    # -- (c) scan latency while background merges run ----------------------
-    store = RodentStore(
-        page_size=scale["page_size"],
-        pool_capacity=96,
-        level_seal_rows=seal_rows,
-        scan_workers=3,
-    )
-    store.create_table("L", schema, layout="levels[2; 2](rows(L))")
-    table = store.table("L")
-    probe = Range("id", 0, batch_rows - 1)
-    probe_want = sorted(records[:batch_rows])
-    live_ms: list = []
-    for i, chunk in enumerate(batches):
-        table.insert(chunk)
-        if i % 4 == 0 and i > 0:
-            start = time.perf_counter()
-            got = sorted(table.scan(predicate=probe))
-            live_ms.append((time.perf_counter() - start) * 1e3)
-            assert got == probe_want, "scan diverged during compaction"
-    table.compact()
-    assert sorted(table.scan(predicate=probe)) == probe_want
-    quiet = float("inf")
-    for _ in range(5):
-        start = time.perf_counter()
-        sorted(table.scan(predicate=probe))
-        quiet = min(quiet, time.perf_counter() - start)
-    store.close()
-    live_ms.sort()
-    result["scan_during_compaction"] = {
-        "probe_rows": batch_rows,
-        "scans": len(live_ms),
-        "p50_ms": round(live_ms[len(live_ms) // 2], 3),
-        "max_ms": round(live_ms[-1], 3),
-        "quiescent_ms": round(quiet * 1e3, 3),
-    }
-    print(
-        f"\nscan during compaction: p50 "
-        f"{result['scan_during_compaction']['p50_ms']:.2f} ms, max "
-        f"{result['scan_during_compaction']['max_ms']:.2f} ms, "
-        f"quiescent {result['scan_during_compaction']['quiescent_ms']:.2f} ms"
-    )
-
-    # -- (d) stdlib fallback: same story without numpy ---------------------
-    prev = vector.set_numpy_enabled(False)
-    try:
-        fb_levelled, _ = levelled_ingest()
-        fb_baseline = baseline_ingest()
-    finally:
-        vector.set_numpy_enabled(prev)
-    result["no_numpy"] = {
-        "baseline_pending_compact_rows_per_sec": round(fb_baseline, 1),
-        "levelled_rows_per_sec": round(fb_levelled, 1),
-        "speedup": round(fb_levelled / fb_baseline, 2),
-    }
-    print(
-        f"no-numpy fallback: levelled {fb_levelled:,.0f} rows/s vs "
-        f"baseline {fb_baseline:,.0f} rows/s "
-        f"({fb_levelled / fb_baseline:.1f}x)"
-    )
-
-    print(f"\nacceptance: ingest_ok={result['ingest_ok']}")
-    result["generated_unix"] = int(time.time())
-    with open(out_path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {os.path.abspath(out_path)}")
-    return result
-
-
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--scale", choices=SCALES, default="default")
@@ -637,17 +430,6 @@ def main() -> None:
         "--adapt-bench-out",
         default="BENCH_adapt.json",
         help="output path for the adaptive-loop benchmark JSON",
-    )
-    parser.add_argument(
-        "--ingest-bench-only",
-        action="store_true",
-        help="run only the levelled-ingest benchmark and write "
-        "BENCH_ingest.json",
-    )
-    parser.add_argument(
-        "--ingest-bench-out",
-        default="BENCH_ingest.json",
-        help="output path for the levelled-ingest benchmark JSON",
     )
     parser.add_argument(
         "--seed",
@@ -665,14 +447,9 @@ def main() -> None:
         adapt_bench(scale, args.adapt_bench_out, seed=args.seed)
         print(f"\ntotal: {time.time() - start:.1f}s")
         return
-    if args.ingest_bench_only:
-        ingest_bench(scale, args.ingest_bench_out, seed=args.seed)
-        print(f"\ntotal: {time.time() - start:.1f}s")
-        return
     figure2(scale)
     sales(scale)
     adapt_bench(scale, args.adapt_bench_out, seed=args.seed)
-    ingest_bench(scale, args.ingest_bench_out, seed=args.seed)
     optimizer(scale)
     compression(scale)
     ablations(scale)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
+from repro import vector
 from repro.algebra import ast
 from repro.errors import AlgebraError
 from repro.curves.hilbert import hilbert_sort_key
@@ -611,6 +612,25 @@ def columns_records(
     return out
 
 
+def columns_vectors(
+    vectors: Sequence[Sequence[Any]],
+    fields: Sequence[str],
+    groups: Sequence[Sequence[str]],
+) -> list:
+    """:func:`columns_records` over value vectors parallel to ``fields``:
+    a single-field group *is* its field's vector; a multi-field group zips
+    the native values of its own fields into mini-records."""
+    positions = {f: i for i, f in enumerate(fields)}
+    out: list = []
+    for group in groups:
+        idx = [positions[f] for f in group]
+        if len(idx) == 1:
+            out.append(vectors[idx[0]])
+        else:
+            out.append(list(zip(*(vector.to_list(vectors[i]) for i in idx))))
+    return out
+
+
 def default_column_groups(fields: Sequence[str]) -> tuple[tuple[str, ...], ...]:
     """Pure DSM: one group per field."""
     return tuple((f,) for f in fields)
@@ -625,13 +645,19 @@ class Evaluator:
     """Evaluate algebra expressions over in-memory tables.
 
     Args:
-        tables: mapping of table name to ``(records, field_names)``.
+        tables: mapping of table name to ``(records, field_names)``, or to a
+            column batch (:class:`~repro.layout.renderer.ColumnBatch`: its
+            ``fields``, ``columns()`` and ``rows()``). A ``columns`` over a
+            batch — under any ``compress`` — takes the batch's vectors as its
+            columns; every other use of the table evaluates ``rows()``.
     """
 
-    def __init__(self, tables: dict[str, tuple[Sequence[Record], Sequence[str]]]):
+    def __init__(self, tables: dict[str, Any]):
         self.tables = {
-            name: (list(records), tuple(fields))
-            for name, (records, fields) in tables.items()
+            name: source if hasattr(source, "columns") else (
+                list(source[0]), tuple(source[1])
+            )
+            for name, source in tables.items()
         }
 
     def evaluate(self, node: ast.Node) -> Evaluated:
@@ -644,10 +670,13 @@ class Evaluator:
 
     def _eval_tableref(self, node: ast.TableRef) -> Evaluated:
         try:
-            records, fields = self.tables[node.name]
+            source = self.tables[node.name]
         except KeyError:
             raise AlgebraError(f"unknown table {node.name!r}") from None
-        return Evaluated(list(records), fields, KIND_RECORDS)
+        if isinstance(source, tuple):
+            records, fields = source
+            return Evaluated(list(records), fields, KIND_RECORDS)
+        return Evaluated(list(source.rows()), tuple(source.fields), KIND_RECORDS)
 
     def _eval_literal(self, node: ast.Literal) -> Evaluated:
         return Evaluated(node.thaw(), None, KIND_NESTING)
@@ -879,23 +908,39 @@ class Evaluator:
         return Evaluated(child.records(), child.fields, KIND_RECORDS)
 
     def _eval_columns(self, node: ast.Columns) -> Evaluated:
-        child = self.evaluate(node.child)
-        records = child.records()
-        groups = node.groups or default_column_groups(child.fields)
-        cols = columns_records(records, child.positions, groups)
+        stored = self._batch_columns(node.child)
+        if stored is None:
+            child = self.evaluate(node.child)
+            fields, meta = child.fields, child.meta
+            groups = node.groups or default_column_groups(fields)
+            cols = columns_records(child.records(), child.positions, groups)
+        else:
+            fields, vectors, meta = stored
+            groups = node.groups or default_column_groups(fields)
+            cols = columns_vectors(vectors, fields, groups)
         return Evaluated(
-            cols,
-            child.fields,
-            KIND_COLUMNS,
-            {**child.meta, "column_groups": groups},
+            cols, fields, KIND_COLUMNS, {**meta, "column_groups": groups}
         )
+
+    def _batch_columns(self, node: ast.Node):
+        """``(fields, vectors, meta)`` when ``node`` is a table bound to a
+        column batch, under any number of ``compress`` markers; else
+        ``None``."""
+        if isinstance(node, ast.Compress):
+            inner = self._batch_columns(node.child)
+            if inner is None:
+                return None
+            fields, vectors, meta = inner
+            return fields, vectors, _with_codec(meta, node)
+        if isinstance(node, ast.TableRef):
+            source = self.tables.get(node.name)
+            if source is not None and not isinstance(source, tuple):
+                return tuple(source.fields), source.columns(), {}
+        return None
 
     def _eval_compress(self, node: ast.Compress) -> Evaluated:
         child = self.evaluate(node.child)
-        codecs = dict(child.meta.get("codecs", {}))
-        key = tuple(node.fields) if node.fields else "*"
-        codecs[key] = node.codec
-        return child.copy_with(meta={**child.meta, "codecs": codecs})
+        return child.copy_with(meta=_with_codec(child.meta, node))
 
     def _eval_mirror(self, node: ast.Mirror) -> Evaluated:
         left = self.evaluate(node.left)
@@ -906,6 +951,13 @@ class Evaluator:
             KIND_MIRROR,
             {"left": left, "right": right},
         )
+
+
+def _with_codec(meta: dict, node: ast.Compress) -> dict:
+    """``meta`` with ``node``'s codec recorded for its fields (``*``: all)."""
+    codecs = dict(meta.get("codecs", {}))
+    codecs[tuple(node.fields) if node.fields else "*"] = node.codec
+    return {**meta, "codecs": codecs}
 
 
 def evaluate(

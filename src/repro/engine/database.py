@@ -52,8 +52,10 @@ from repro.errors import (
 from repro.layout.partitioning import Locator, PartitionRouter
 from repro.layout.renderer import (
     DEFAULT_BATCH_ROWS,
+    ColumnBatch,
     LayoutRenderer,
     StoredLayout,
+    merge_batches,
 )
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DEFAULT_PAGE_SIZE, DiskManager, IOStats
@@ -866,7 +868,7 @@ class RodentStore:
         """
         schema = entry.logical_schema
         with self.mutate(entry.name) as m:
-            coerced = [schema.coerce_record(r) for r in records]
+            coerced = schema.coerce_records(records)
             stats = TableStats.collect(schema, coerced)
             regions = self._render_regions(entry, plan, coerced)
             self._install(entry, plan, stats, regions, m)
@@ -900,6 +902,7 @@ class RodentStore:
             return [Region(plan=plan, runs=[Run(plan, layout)])]
         rows = Table(self, entry)._apply_record_pipeline(coerced, plan=plan)
         names = _scan_schema(plan).names()
+        fields = tuple(names)
         if plan.kind == LAYOUT_PARTITIONED:
             regions: list[Region] = []
             lookup: dict = {}
@@ -909,22 +912,20 @@ class RodentStore:
                 region, _ = _find_or_create_region(
                     plan, regions, lookup, len(regions), locator
                 )
-                region.runs = [
-                    Run(
-                        region.plan,
-                        self._render_region(plan, region.plan, part_rows),
-                    )
-                ]
+                batch = ColumnBatch.from_rows(fields, part_rows)
+                layout = self._render_region(plan, region.plan, batch)
+                region.runs = [Run(region.plan, layout)]
             return regions
         spec = plan.levels
         if spec.key is not None:
             rows = _LevelResolver(spec, names, []).resolve_pending(rows)
         region = Region(plan=plan.level_plans[0])
         if rows:
+            batch = ColumnBatch.from_rows(fields, rows)
             region.runs = [
                 Run(
                     region.plan,
-                    self._render_region(plan, region.plan, rows),
+                    self._render_region(plan, region.plan, batch),
                     level=spec.level_of(len(rows), self.level_seal_rows),
                 )
             ]
@@ -1011,9 +1012,10 @@ class RodentStore:
         self,
         table_plan: PhysicalPlan,
         plan: PhysicalPlan,
-        rows: Sequence[tuple],
+        batch: ColumnBatch,
     ) -> StoredLayout:
-        """Render one region's rows (stored shape) under ``plan``.
+        """Render one region's rows — a batch in the table plan's canonical
+        (stored-shape) field order — under ``plan``.
 
         Takes the table plan and region plan explicitly — not the entry or
         a region — so callers can render *before* mutating any shared
@@ -1026,14 +1028,13 @@ class RodentStore:
         region_fields = _scan_schema(plan).names()
         if list(region_fields) != list(canonical):
             index = {f: i for i, f in enumerate(canonical)}
-            order = [index[f] for f in region_fields]
-            rows = [tuple(r[i] for i in order) for r in rows]
+            batch = batch.project_columns(
+                [index[f] for f in region_fields], tuple(region_fields)
+            )
         residual = structural_residual(
             plan.expr, "__stored__", region_fields
         )
-        return self.renderer.render_region(
-            plan, residual, rows, region_fields
-        )
+        return self.renderer.render_region(plan, residual, batch)
 
     def relayout_partition(
         self, name: str, pid: int, layout: str | ast.Node
@@ -1070,8 +1071,8 @@ class RodentStore:
         table = Table(self, entry)
         with self.mutate(name) as m:
             with self.adaptivity.pause():  # maintenance read, not workload
-                rows = table._region_rows(region)
-            self._rewrite_region(entry, region, rows, m, plan=new_plan)
+                batch = table._region_batch(region)
+            self._rewrite_region(entry, region, batch, m, plan=new_plan)
         return table
 
     def _evaluate(
@@ -1150,28 +1151,28 @@ class RodentStore:
                 if not region.overflow and not region.pending:
                     continue
                 with self.adaptivity.pause():  # maintenance, not workload
-                    rows = table._region_rows(region)
-                self._rewrite_region(entry, region, rows, m, compaction=True)
+                    batch = table._region_batch(region)
+                self._rewrite_region(entry, region, batch, m, compaction=True)
 
     def _rewrite_region(
         self,
         entry: CatalogEntry,
         region: Region,
-        rows: Sequence[tuple],
+        batch: ColumnBatch,
         m: _Mutation,
         plan: PhysicalPlan | None = None,
         compaction: bool = False,
     ) -> None:
-        """Re-render one region from stored-shape ``rows`` (which already
-        fold its pending rows in) as a single main run — under ``plan``
-        when the region changes design. The copy-on-write core of
-        compaction, ``Table.delete``/``Table.update`` and
+        """Re-render one region from a ``batch`` of its stored-shape rows
+        (which already fold its pending rows in) as a single main run —
+        under ``plan`` when the region changes design. The copy-on-write
+        core of compaction, ``Table.delete``/``Table.update`` and
         :meth:`relayout_partition`. Renders first: a failed render leaves
         the region (plan, runs, pending rows) exactly as it was.
         """
         assert entry.plan is not None
         run_plan = plan or region.plan
-        layout = self._render_region(entry.plan, run_plan, rows)
+        layout = self._render_region(entry.plan, run_plan, batch)
         with entry.mvcc.lock:
             region.plan = run_plan
             self._replace_runs(
@@ -1290,12 +1291,11 @@ class RodentStore:
             rows = [tuple(r) for r in region.pending]
             if not rows:
                 return None
+            names = _scan_schema(plan).names()
             if plan.levels.key is not None:
-                resolver = _LevelResolver(
-                    plan.levels, _scan_schema(plan).names(), []
-                )
-                rows = resolver.resolve_pending(rows)
-            layout = self._render_region(plan, region.plan, rows)
+                rows = _LevelResolver(plan.levels, names, []).resolve_pending(rows)
+            batch = ColumnBatch.from_rows(tuple(names), rows)
+            layout = self._render_region(plan, region.plan, batch)
             with entry.mvcc.lock:
                 seq = entry.next_run_seq
                 entry.next_run_seq += 1
@@ -1376,11 +1376,22 @@ class RodentStore:
     ) -> None:
         """Merge ``sources`` (plus optionally the pending buffer) into one
         run, resolving tombstones and (keyed) duplicate keys exactly as a
-        scan would — the same :class:`_LevelResolver` drives both.
+        scan would: each source is read newest-first through the scan's own
+        levelled path (:meth:`Table._region_batches` under one shared
+        :class:`_LevelResolver`).
+
+        The merge passes column vectors from the pages it reads to the
+        pages it writes. A source that nothing can suppress yields the
+        batches its reader decoded; only a source the resolver must filter
+        turns into rows, batch by batch, as in a scan. The survivors join
+        in one :func:`merge_batches` — oldest source first, the pending
+        buffer last, the row order of every earlier merge, so the pages
+        are byte-identical — and :meth:`_render_region` hands the vectors
+        to a ``columns`` run design as they are.
 
         Resolution and row recovery happen under the *current* plan's
         canonical field order (tombstone values were recorded under it);
-        the merged rows are then reordered for ``plan`` — the target
+        the merged batch is then reordered for ``plan`` — the target
         design, which differs only during a levelled re-layout. The swap
         is atomic under the MVCC lock: sources out, merged run in, plan
         updated, applicable tombstones collected.
@@ -1389,6 +1400,7 @@ class RodentStore:
         spec = plan.levels
         (region,) = entry.regions
         old_names = list(_scan_schema(entry.plan).names())
+        fields = tuple(old_names)
         table = Table(self, entry)
         resolver = _LevelResolver(spec, old_names, entry.level_tombstones)
         pending_rows: list[tuple] = []
@@ -1397,32 +1409,32 @@ class RodentStore:
             # its keys shadow older copies in the sources. Tombstones never
             # apply to pending rows — they postdate every tombstone.
             pending_rows = resolver.resolve_pending(list(region.pending))
-        survivors: list[list[tuple]] = []
+        held: list[ColumnBatch] = []
         for run in sorted(sources, key=lambda r: r.max_seq, reverse=True):
-            resolver.enter_run(run)
-            survivors.append(
-                resolver.resolve(table._region_rows(Region(runs=[run])))
+            batches, _ = table._region_batches(
+                Region(runs=[run]), None, None, old_names, resolver=resolver
             )
-        merged_rows: list[tuple] = []
-        for rows in reversed(survivors):  # oldest source first
-            merged_rows.extend(rows)
-        merged_rows.extend(pending_rows)
+            held[:0] = batches  # oldest source first
+        if pending_rows:
+            held.append(ColumnBatch.from_rows(fields, pending_rows))
+        merged = merge_batches(fields, held)
         new_names = list(_scan_schema(plan).names())
         if new_names != old_names:
             idx = {f: i for i, f in enumerate(old_names)}
-            order = [idx[f] for f in new_names]
-            merged_rows = [tuple(r[i] for i in order) for r in merged_rows]
+            merged = merged.project_columns(
+                [idx[f] for f in new_names], tuple(new_names)
+            )
         run_plan = plan.level_plans[0]
         new_runs: list[Run] = []
-        if merged_rows:
+        if merged.n_rows:
             if target_level is None:
                 # Full compaction: one resulting run cannot interleave any
                 # other run's range, so its size class is safe to use.
                 target_level = max(
-                    [spec.level_of(len(merged_rows), self.level_seal_rows)]
+                    [spec.level_of(merged.n_rows, self.level_seal_rows)]
                     + [r.level for r in sources]
                 )
-            layout = self._render_region(plan, run_plan, merged_rows)
+            layout = self._render_region(plan, run_plan, merged)
             new_runs.append(Run(run_plan, layout, level=target_level))
         with entry.mvcc.lock:
             for run in new_runs:

@@ -74,6 +74,7 @@ from repro.errors import CorruptPageError, QueryError, StorageError
 from repro.layout.renderer import (
     ColumnBatch,
     StoredLayout,
+    merge_batches,
     select_column_groups,
     sort_batches,
 )
@@ -865,13 +866,17 @@ class Table:
 
         return generate(), list(target)
 
-    def _region_rows(self, region) -> list[tuple]:
+    def _region_batch(self, region) -> ColumnBatch:
         """Every stored-shape row of one region (runs + pending) in
-        canonical scan order — the source of a region-granular rewrite."""
-        batches, _ = self._region_batches(
-            region, None, None, self.scan_schema().names()
-        )
-        return _batch_rows(batches)
+        canonical scan order, as one batch — the source of a region-granular
+        rewrite."""
+        names = self.scan_schema().names()
+        batches, _ = self._region_batches(region, None, None, names)
+        return merge_batches(tuple(names), list(batches))
+
+    def _region_rows(self, region) -> list[tuple]:
+        """:meth:`_region_batch` as row tuples."""
+        return self._region_batch(region).rows()
 
     def _open_run(
         self,
@@ -1257,7 +1262,7 @@ class Table:
         Returns the number of records that survive the plan's record-level
         pipeline (a plan with a ``select`` drops non-matching records).
         """
-        coerced = [self.logical_schema.coerce_record(r) for r in records]
+        coerced = self.logical_schema.coerce_records(records)
         transformed = self._apply_record_pipeline(coerced)
         with self._db.mutate(self.name) as m:
             if transformed:
@@ -1481,7 +1486,8 @@ class Table:
                 new_rows, changed = transform(batches)
                 if changed:
                     total += changed
-                    self._db._rewrite_region(entry, region, new_rows, m)
+                    batch = ColumnBatch.from_rows(tuple(names), new_rows)
+                    self._db._rewrite_region(entry, region, batch, m)
         return total
 
     def _rewrite_levelled(

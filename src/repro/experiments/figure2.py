@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import vector
 from repro.engine.cost import CostModel
 from repro.engine.database import RodentStore
 from repro.index.rtree import MBR, RTree
-from repro.query.expressions import Rect
+from repro.query.expressions import Rect, selector
 from repro.workloads.cartel import (
     BOSTON,
     TRACE_SCHEMA,
@@ -294,11 +295,8 @@ def _run_rtree(
         batches = store.renderer.iter_row_batches(
             layout, skip=all_pages - wanted
         )
-        return sum(
-            query.matches(record, positions)
-            for batch in batches
-            for record in batch.iter_rows()
-        )
+        keep = selector(query, positions)
+        return sum(vector.mask_count(keep(batch)) for batch in batches)
 
     for query in queries:
         count, io = store.run_cold(lambda q=query: run_query(q))

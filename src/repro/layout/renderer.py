@@ -58,7 +58,7 @@ from repro.algebra.physical import (
 )
 from repro.algebra.transforms import Evaluated, Evaluator, GridResult
 from repro import vector
-from repro.compression import get_codec
+from repro.compression import NoneCodec, get_codec
 from repro.engine.synopsis import LayoutSynopsis, ZoneTable, group_chunk_rows
 from repro.errors import CorruptPageError, StorageError
 from repro.storage.buffer import BufferPool
@@ -791,22 +791,26 @@ class LayoutRenderer:
         raise StorageError(f"cannot render layout kind {plan.kind!r}")
 
     def render_region(
-        self,
-        plan: PhysicalPlan,
-        residual: Any,
-        rows: Sequence[tuple],
-        fields: Sequence[str],
+        self, plan: PhysicalPlan, residual: Any, batch: ColumnBatch
     ) -> StoredLayout:
-        """Render one partition region from stored-shape rows.
+        """Render one region's run from a batch of stored-shape rows.
 
         ``residual`` is the region plan's structural residual (the algebra
         expression with its record-level prefix replaced by a reference to
-        the already-transformed ``rows``); evaluating it re-applies the
-        structural operators (fold/grid/columns/orderby) for this region
-        only, so a single partition can be (re-)rendered without touching
-        its siblings.
+        the already-transformed rows, ``__stored__``); evaluating it
+        re-applies the structural operators (fold/grid/columns/orderby) for
+        this region only, so a single partition or run can be (re-)rendered
+        without touching its siblings.
+
+        ``__stored__`` is bound to ``batch`` itself. A ``columns`` residual
+        over it (under any ``compress``) takes the batch's vectors as they
+        are — a merge of column runs hands the vectors it decoded straight
+        to the chunk encoder; a multi-field group zips only its own fields.
+        Every other residual (``orderby``, ``delta``, ``grid``, ``fold``,
+        rows) evaluates ``batch.rows()``. Pages are byte-identical either
+        way.
         """
-        evaluator = Evaluator({"__stored__": (list(rows), tuple(fields))})
+        evaluator = Evaluator({"__stored__": batch})
         return self.render(plan, evaluator.evaluate(residual))
 
     # -- rows ---------------------------------------------------------------
@@ -909,10 +913,18 @@ class LayoutRenderer:
         )
 
     def _render_value_column(
-        self, plan: PhysicalPlan, field_name: str, values: list
+        self, plan: PhysicalPlan, field_name: str, values: Sequence[Any]
     ) -> tuple[ColumnGroupStore, ZoneTable]:
+        """One field's value vector (any :mod:`repro.vector` shape) as a
+        run of codec-encoded chunks, one per byte page, with a zone each.
+
+        Chunks are slices of the vector. The identity codec packs a typed
+        slice as it is; every other codec — a user's included — receives
+        the slice's native Python values, as a list."""
         dtype = plan.schema.field(field_name).dtype
         codec = get_codec(plan.codec_for(field_name))
+        if type(codec) is not NoneCodec:
+            values = list(vector.to_list(values))
         capacity = self.page_size - BYTES_HEADER_SIZE
         target_rows = self._target_rows(dtype, capacity)
         pages: list[BytePage] = []

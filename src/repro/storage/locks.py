@@ -10,6 +10,7 @@ cycle (the simplest victim policy).
 from __future__ import annotations
 
 import threading
+import time
 from collections import defaultdict
 from enum import Enum
 
@@ -32,11 +33,22 @@ def _compatible(held: set[LockMode], requested: LockMode) -> bool:
 class _LockState:
     """Holders and waiters of one resource."""
 
-    __slots__ = ("holders", "waiters")
+    __slots__ = ("holders", "waiters", "since")
 
     def __init__(self):
         self.holders: dict[int, LockMode] = {}
         self.waiters: list[tuple[int, LockMode]] = []
+        self.since: dict[int, float] = {}  # holder -> monotonic grant time
+
+    def describe(self) -> str:
+        """Holders with their mode and hold age, then the waiter queue."""
+        now = time.monotonic()
+        held = ", ".join(
+            f"txn {txn} {mode.value} for {now - self.since[txn]:.2f}s"
+            for txn, mode in self.holders.items()
+        )
+        queue = ", ".join(f"txn {txn} {mode.value}" for txn, mode in self.waiters)
+        return f"held by [{held}]; waiting [{queue}]"
 
     def held_modes(self, excluding: int | None = None) -> set[LockMode]:
         return {
@@ -90,11 +102,12 @@ class LockManager:
                     if not self._condition.wait(self.timeout):
                         raise TransactionError(
                             f"txn {txn_id} timed out waiting for "
-                            f"{mode.value} on {resource!r}"
+                            f"{mode.value} on {resource!r}: {state.describe()}"
                         )
             finally:
                 state.waiters.remove((txn_id, mode))
             state.holders[txn_id] = mode
+            state.since.setdefault(txn_id, time.monotonic())
             self._held_by_txn[txn_id].add(resource)
 
     def _grantable(self, state: _LockState, txn_id: int, mode: LockMode) -> bool:
@@ -130,6 +143,7 @@ class LockManager:
                 state = self._resources.get(resource)
                 if state is not None:
                     state.holders.pop(txn_id, None)
+                    state.since.pop(txn_id, None)
                     if not state.holders and not state.waiters:
                         del self._resources[resource]
             self._condition.notify_all()

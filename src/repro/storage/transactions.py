@@ -87,13 +87,17 @@ class Transaction:
     def commit(self) -> None:
         self._require_active()
         manager = self._manager
-        if manager.log:
-            lsn = manager.wal.append(KIND_COMMIT, self.txn_id)
-            # Group commit: sync outside any engine-level locks so
-            # concurrent committers batch into one fsync.
+        lsn = manager.wal.append(KIND_COMMIT, self.txn_id) if manager.log else None
+        # Early lock release: the fsync is most of a short writer's lock
+        # hold, and a waiter gains nothing by waiting it out. Whoever takes
+        # the locks next appends its COMMIT after ours, and the log is made
+        # durable as a prefix, so it can never be durable while we are not.
+        # The caller still returns only once its own commit is durable.
+        manager.locks.release_all(self.txn_id)
+        if lsn is not None:
+            # Group commit: concurrent committers batch into one fsync.
             manager.wal.sync(lsn, window_s=manager.group_window_s)
         self.status = TxnStatus.COMMITTED
-        manager.locks.release_all(self.txn_id)
         manager._finish(self.txn_id, committed=True)
 
     def abort(self) -> None:

@@ -202,8 +202,10 @@ class WriteAheadLog:
     """Append-only log, file-backed or in-memory.
 
     Appends are serialized under an internal lock (concurrent committers
-    share one log); fsyncs go through :meth:`sync`, which batches them
-    group-commit style. ``faults`` optionally holds a
+    share one log) and land in the file's write buffer: the file position
+    rests at the end of the log between calls (a read puts it back), so an
+    append neither seeks nor flushes. Fsyncs go through :meth:`sync`, which
+    batches them group-commit style. ``faults`` optionally holds a
     :class:`~repro.storage.faults.FaultInjector` that can tear or abort
     appends at a chosen write boundary.
     """
@@ -279,7 +281,6 @@ class WriteAheadLog:
                     raise WALError(f"WAL append failed: {exc}") from exc
             if not lost:
                 if self._file is not None:
-                    self._file.seek(0, os.SEEK_END)
                     self._file.write(encoded)
                 else:
                     self._buffer.extend(encoded)
@@ -359,7 +360,7 @@ class WriteAheadLog:
             with self._lock:
                 if self._file is not None:
                     self._file.seek(0)
-                    data = self._file.read()
+                    data = self._file.read()  # ends at the end of the log
                 else:
                     data = bytes(self._buffer)
             yield self._through_read_faults(data)
@@ -371,6 +372,7 @@ class WriteAheadLog:
                     return
                 self._file.seek(at)
                 chunk = self._file.read(_READ_CHUNK)
+                self._file.seek(0, os.SEEK_END)  # where appends write
             if not chunk:
                 return
             at += len(chunk)

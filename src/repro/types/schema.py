@@ -146,6 +146,35 @@ class Schema:
             f.dtype.coerce(v) for f, v in zip(self.fields, record)
         )
 
+    def coerce_records(self, records: Iterable[Sequence[Any]]) -> list[tuple]:
+        """``[coerce_record(r) for r in records]``, a column at a time.
+
+        The arity is checked once for the whole batch, then each field's
+        column goes through its type's bulk check
+        (:meth:`~repro.types.types.DataType.coerce_column`). When a record
+        has the wrong arity or any column fails its bulk check, the batch
+        is coerced record by record instead — so the values, their Python
+        types and the first error raised are always exactly those of the
+        per-record loop.
+        """
+        records = records if isinstance(records, list) else list(records)
+        if not records:
+            return []
+        try:
+            arity = set(map(len, records))
+        except TypeError:  # a record without a length: let the loop say so
+            arity = None
+        if arity == {len(self.fields)}:
+            columns = []
+            for f, column in zip(self.fields, zip(*records)):
+                coerced = f.dtype.coerce_column(column)
+                if coerced is None:
+                    break
+                columns.append(coerced)
+            else:
+                return list(zip(*columns))
+        return [self.coerce_record(r) for r in records]
+
     def record_from_dict(self, mapping: dict[str, Any]) -> tuple:
         """Build a record tuple from a field-name keyed dict."""
         missing = [f.name for f in self.fields if f.name not in mapping]

@@ -47,6 +47,12 @@ class DataType:
             raise TypeCheckError(f"value {value!r} is not a valid {self.name}")
         return value
 
+    def coerce_column(self, values: Sequence[Any]) -> Sequence[Any] | None:
+        """``values`` coerced in bulk, or ``None`` when a bulk check cannot
+        vouch for every one of them — the caller then coerces value by
+        value, so results and errors are always :meth:`coerce`'s."""
+        return None
+
     @property
     def is_fixed_size(self) -> bool:
         return self.fixed_size is not None
@@ -94,6 +100,13 @@ class IntType(DataType):
             raise TypeCheckError(f"value {value!r} is not a valid {self.name}")
         return value
 
+    def coerce_column(self, values: Sequence[Any]) -> Sequence[Any] | None:
+        if set(map(type, values)) != {int}:
+            return None
+        if min(values) < self._MIN or max(values) > self._MAX:
+            return None
+        return values
+
 
 class FloatType(DataType):
     """64-bit IEEE float (the paper's ``float``)."""
@@ -109,6 +122,17 @@ class FloatType(DataType):
         if not self.validate(value):
             raise TypeCheckError(f"value {value!r} is not a valid {self.name}")
         return float(value)
+
+    def coerce_column(self, values: Sequence[Any]) -> Sequence[Any] | None:
+        kinds = set(map(type, values))
+        if kinds == {float}:
+            return values
+        if not kinds <= {int, float}:
+            return None
+        try:
+            return list(map(float, values))
+        except OverflowError:  # an int beyond float range: coerce raises it
+            return None
 
 
 class DoubleType(FloatType):
@@ -128,6 +152,9 @@ class BoolType(DataType):
     def validate(self, value: Any) -> bool:
         return isinstance(value, bool)
 
+    def coerce_column(self, values: Sequence[Any]) -> Sequence[Any] | None:
+        return values if set(map(type, values)) == {bool} else None
+
 
 class TimestampType(IntType):
     """Timestamp stored as a 64-bit integer (e.g. epoch seconds)."""
@@ -145,6 +172,9 @@ class StringType(DataType):
 
     def validate(self, value: Any) -> bool:
         return isinstance(value, str)
+
+    def coerce_column(self, values: Sequence[Any]) -> Sequence[Any] | None:
+        return values if set(map(type, values)) == {str} else None
 
     def estimated_size(self, value: Any = None) -> int:
         if isinstance(value, str):
@@ -167,6 +197,9 @@ class BytesType(DataType):
         if not self.validate(value):
             raise TypeCheckError(f"value {value!r} is not a valid {self.name}")
         return bytes(value)
+
+    def coerce_column(self, values: Sequence[Any]) -> Sequence[Any] | None:
+        return values if set(map(type, values)) == {bytes} else None
 
     def estimated_size(self, value: Any = None) -> int:
         if isinstance(value, (bytes, bytearray)):
@@ -200,6 +233,9 @@ class NamedType(DataType):
 
     def coerce(self, value: Any) -> Any:
         return self.base.coerce(value)
+
+    def coerce_column(self, values: Sequence[Any]) -> Sequence[Any] | None:
+        return self.base.coerce_column(values)
 
     def estimated_size(self, value: Any = None) -> int:
         return self.base.estimated_size(value)

@@ -392,15 +392,22 @@ def _predicate_classes():
 
 
 def test_only_the_selector_filters_rows():
-    """Scans, updates and deletes select through one chain; outside the
-    predicate protocol itself only the Figure 2 experiment (which checks
-    answers record by record) calls ``matches``."""
+    """Scans, updates, deletes and the Figure 2 experiment select through
+    one chain: outside the predicate protocol itself nothing calls
+    ``matches``."""
     calls = re.compile(r"\.matches\(")
     for name, source in _sources():
-        if name in (os.path.join("query", "expressions.py"),
-                    os.path.join("experiments", "figure2.py")):
-            continue
-        assert not calls.search(source), name
+        if name != os.path.join("query", "expressions.py"):
+            assert not calls.search(source), name
+
+
+def test_a_merge_reads_its_sources_through_the_scan_path():
+    """``_merge_runs_once`` reads each source run through
+    ``_region_batches`` — the scan's own levelled path — and never turns a
+    region into row tuples with ``_region_rows``."""
+    source = inspect.getsource(RodentStore._merge_runs_once)
+    assert "_region_batches(" in source
+    assert "_region_rows" not in source
 
 
 def test_oracle_shares_nothing_with_the_engine():

@@ -393,6 +393,40 @@ def test_every_render_is_charged_to_the_ledger(layout):
     store.close()
 
 
+def test_levelled_ingest_writes_less_than_pending_and_compact():
+    """Why levelled storage exists: at equal volume, seals plus
+    size-tiered merges write fewer pages than a flat table that compacts
+    its pending rows whenever a seal's worth has gathered — a compaction
+    rewrites the whole table every time."""
+    rng = random.Random(7)
+    records = [(i, rng.randrange(10_000)) for i in range(6_000)]
+    seal = 600
+    flat = make_store(level_seal_rows=seal)
+    flat.create_table("B", SCHEMA, layout="rows(B)")
+    flat.load("B", [])
+    levelled = make_store(level_seal_rows=seal)
+    levelled.create_table("L", SCHEMA, layout="levels[4; 4](rows(L))")
+    b, lv = flat.table("B"), levelled.table("L")
+    for start in range(0, len(records), 200):
+        batch = records[start : start + 200]
+        b.insert(batch)
+        if b.overflow_row_count >= seal:
+            b.compact()
+        lv.insert(batch)
+    b.compact()
+    lv.compact()
+    assert sorted(b.scan()) == sorted(lv.scan()) == records
+
+    def written(store, name):
+        return store.storage_stats()["tables"][name]["write_amplification"][
+            "bytes_written"
+        ]
+
+    assert written(levelled, "L") < written(flat, "B")
+    flat.close()
+    levelled.close()
+
+
 # ---------------------------------------------------------------------------
 # persistence: durable reopen preserves the level structure
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for repro.storage.transactions and repro.storage.locks."""
 
+import os
 import threading
 
 import pytest
@@ -91,6 +92,15 @@ class TestLockManager:
         done.wait(2.0)
         thread.join(2.0)
 
+    def test_timeout_names_the_holders_and_the_queue(self):
+        lm = LockManager(timeout=0.05)
+        lm.acquire(1, "T", LockMode.EXCLUSIVE)
+        with pytest.raises(TransactionError) as err:
+            lm.acquire(2, "T", LockMode.SHARED)
+        message = str(err.value)
+        assert "held by [txn 1 X for " in message
+        assert message.endswith("waiting [txn 2 S]")
+
     def test_locks_of(self):
         lm = LockManager()
         lm.acquire(1, "A", LockMode.SHARED)
@@ -166,6 +176,40 @@ class TestTransactions:
         assert mgr.locks.holders("T")
         txn.commit()
         assert not mgr.locks.holders("T")
+
+    def test_commit_releases_locks_before_its_fsync(self, tmp_path, monkeypatch):
+        """A writer's lock hold ends at its COMMIT record, not its fsync: the
+        next writer is granted the lock while that fsync still runs, and the
+        first commit returns only once it is durable."""
+        disk = DiskManager(page_size=256)
+        wal = WriteAheadLog(str(tmp_path / "txn.wal"))
+        mgr = TransactionManager(
+            wal, BufferPool(disk, capacity=16), LockManager(timeout=0.5)
+        )
+        in_fsync, finish = threading.Event(), threading.Event()
+        real_fsync = os.fsync
+
+        def slow_fsync(fd):
+            in_fsync.set()
+            finish.wait(5.0)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", slow_fsync)
+        first = mgr.begin()
+        first.lock_exclusive("T")
+        committer = threading.Thread(target=first.commit, daemon=True)
+        committer.start()
+        assert in_fsync.wait(5.0)
+        second = mgr.begin()
+        second.lock_exclusive("T")  # would time out behind a held fsync
+        assert mgr.locks.holders("T") == {second.txn_id: LockMode.EXCLUSIVE}
+        assert first.status is TxnStatus.ACTIVE  # not durable yet
+        finish.set()
+        committer.join(5.0)
+        assert first.status is TxnStatus.COMMITTED
+        second.commit()
+        assert wal.flushed_lsn == wal.last_lsn
+        wal.close()
 
     def test_active_count(self):
         mgr, *_ = make_manager()

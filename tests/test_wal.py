@@ -97,6 +97,32 @@ class TestWriteAheadLog:
         assert wal.fsyncs == 1
         wal.close()
 
+    def test_appends_stay_in_the_write_buffer(self, tmp_path):
+        """An append neither seeks nor flushes — each would be a system
+        call, and a writer holding its table lock through a commit's page
+        images must not hand the interpreter to CPU-bound scanner threads
+        once per record. Reads leave the position at the end of the log."""
+        wal = WriteAheadLog(str(tmp_path / "wal.log"))
+        wal.append(KIND_BEGIN, 1)
+        assert len(list(wal.records())) == 1  # a read moves the position
+
+        class Spy:
+            def __init__(self, file):
+                self.file, self.calls = file, []
+
+            def __getattr__(self, name):
+                if name in ("seek", "flush"):
+                    self.calls.append(name)
+                return getattr(self.file, name)
+
+        spy = wal._file = Spy(wal._file)
+        for txn in range(2, 40):
+            wal.append(KIND_FRESH_PAGE, txn, page_id=txn, after=b"x" * 64)
+        assert spy.calls == []
+        wal._file = spy.file
+        assert [r.txn_id for r in wal.records()] == list(range(1, 40))
+        wal.close()
+
 
 def _page_with(disk: DiskManager, content: bytes) -> int:
     page_id = disk.allocate_page()
