@@ -12,7 +12,7 @@ from repro.engine.indexes import (
 )
 from repro.engine.persistence import load_catalog, save_catalog
 from repro.engine.stats import FieldStats, TableStats
-from repro.engine.table import Table, normalize_order, record_pipeline
+from repro.engine.table import Table, normalize_order, split_design
 
 __all__ = [
     "AdaptiveController",
@@ -31,6 +31,6 @@ __all__ = [
     "estimate",
     "load_catalog",
     "normalize_order",
-    "record_pipeline",
     "save_catalog",
+    "split_design",
 ]

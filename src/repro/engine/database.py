@@ -26,13 +26,11 @@ from repro.algebra.physical import (
     LAYOUT_PARTITIONED,
     PhysicalPlan,
 )
-from repro.algebra.transforms import Evaluated, Evaluator
 from repro.engine.catalog import (
     Catalog,
     CatalogEntry,
     Region,
     Run,
-    overflow_plan,
 )
 from repro.engine.cost import CostModel
 from repro.engine.stats import TableStats
@@ -40,7 +38,7 @@ from repro.engine.table import (
     Table,
     _LevelResolver,
     _scan_schema,
-    structural_residual,
+    split_design,
 )
 from repro.errors import (
     CatalogError,
@@ -879,57 +877,45 @@ class RodentStore:
     ) -> list[Region]:
         """Render logical records into the regions ``plan`` describes.
 
-        A flat design renders one region with one main run. The other two
-        work on the *stored-record shape* (the template's record-level
-        pipeline output), so bulk load and inserts route and resolve
-        identically:
+        The design's record pipeline (:func:`split_design`) maps them to
+        stored records once, as an insert would; each region's batch then
+        renders through :meth:`_render_region`, as a compaction would:
 
-        * ``partition[...]`` renders one region per partition. Fixed
-          splits (range/hash) render every region eagerly (empty ones
-          included: the partition map is part of the physical design);
-          value partitions appear in first-seen key order, which keeps
-          scan order identical to the pre-partitioned grouped rendering
-          of ``partition_C(N)``.
-        * ``levels[...]`` renders ONE run: a bulk load is already "fully
-          compacted" — the run lands at its size class directly and the
-          pending buffer starts empty. Keyed tables dedup to
-          last-writer-wins first, exactly like a seal.
+        * a flat design is one region with one main run;
+        * ``partition[...]`` is one region per partition of the router's
+          split. Fixed splits (range/hash) render every region eagerly
+          (empty ones included: the partition map is part of the physical
+          design); value partitions appear in first-seen key order.
+        * ``levels[...]`` is ONE run, rendered as a seal renders one: a
+          bulk load is already "fully compacted" — the run lands at its
+          size class directly and the pending buffer starts empty.
         """
-        name, schema = entry.name, entry.logical_schema
-        if plan.kind not in (LAYOUT_PARTITIONED, LAYOUT_LEVELLED):
-            evaluated = self._evaluate(plan, {name: (coerced, schema)})
-            layout = self.renderer.render(plan, evaluated)
-            return [Region(plan=plan, runs=[Run(plan, layout)])]
-        rows = Table(self, entry)._apply_record_pipeline(coerced, plan=plan)
-        names = _scan_schema(plan).names()
-        fields = tuple(names)
+        fields, rows = split_design(plan).apply(
+            entry.logical_schema.names(), coerced
+        )
         if plan.kind == LAYOUT_PARTITIONED:
             regions: list[Region] = []
             lookup: dict = {}
-            for locator, part_rows in PartitionRouter(
-                plan.partition, names
-            ).split(rows):
+            router = PartitionRouter(plan.partition, fields)
+            for locator, part in router.split(rows):
                 region, _ = _find_or_create_region(
                     plan, regions, lookup, len(regions), locator
                 )
-                batch = ColumnBatch.from_rows(fields, part_rows)
+                batch = ColumnBatch.from_rows(fields, part)
                 layout = self._render_region(plan, region.plan, batch)
                 region.runs = [Run(region.plan, layout)]
             return regions
-        spec = plan.levels
-        if spec.key is not None:
-            rows = _LevelResolver(spec, names, []).resolve_pending(rows)
-        region = Region(plan=plan.level_plans[0])
-        if rows:
-            batch = ColumnBatch.from_rows(fields, rows)
-            region.runs = [
-                Run(
-                    region.plan,
-                    self._render_region(plan, region.plan, batch),
-                    level=spec.level_of(len(rows), self.level_seal_rows),
-                )
-            ]
-        return [region]
+        if plan.kind == LAYOUT_LEVELLED:
+            region = Region(plan=plan.level_plans[0])
+            if rows:
+                layout = self._render_level_run(plan, region.plan, rows)
+                seal_rows = self.level_seal_rows
+                level = plan.levels.level_of(layout.row_count, seal_rows)
+                region.runs = [Run(region.plan, layout, level=level)]
+            return [region]
+        batch = ColumnBatch.from_rows(fields, rows)
+        layout = self._render_region(plan, plan, batch)
+        return [Region(plan=plan, runs=[Run(plan, layout)])]
 
     def _install(
         self,
@@ -1014,8 +1000,9 @@ class RodentStore:
         plan: PhysicalPlan,
         batch: ColumnBatch,
     ) -> StoredLayout:
-        """Render one region's rows — a batch in the table plan's canonical
-        (stored-shape) field order — under ``plan``.
+        """Render one region's rows — a batch of stored records in the table
+        plan's field order — through ``plan``'s structural residual
+        (:func:`split_design`): the one render of every write.
 
         Takes the table plan and region plan explicitly — not the entry or
         a region — so callers can render *before* mutating any shared
@@ -1024,17 +1011,14 @@ class RodentStore:
         a re-layout renders against the *new* table plan before swapping
         it in.
         """
-        canonical = _scan_schema(table_plan).names()
-        region_fields = _scan_schema(plan).names()
-        if list(region_fields) != list(canonical):
+        split = split_design(plan)
+        canonical = split_design(table_plan).fields
+        if split.fields != canonical:
             index = {f: i for i, f in enumerate(canonical)}
             batch = batch.project_columns(
-                [index[f] for f in region_fields], tuple(region_fields)
+                [index[f] for f in split.fields], split.fields
             )
-        residual = structural_residual(
-            plan.expr, "__stored__", region_fields
-        )
-        return self.renderer.render_region(plan, residual, batch)
+        return self.renderer.render_region(plan, split.residual, batch)
 
     def relayout_partition(
         self, name: str, pid: int, layout: str | ast.Node
@@ -1060,33 +1044,13 @@ class RodentStore:
                 "a partition's design is one layout: it cannot itself be "
                 "partitioned or levelled"
             )
-        canonical = set(_scan_schema(entry.plan).names())
-        produced = set(_scan_schema(new_plan).names())
-        if canonical != produced:
-            raise StorageError(
-                f"partition design must keep the stored fields "
-                f"{sorted(canonical)}; new design produces "
-                f"{sorted(produced)}"
-            )
+        _require_stored_fields(entry.plan, new_plan, "partition")
         table = Table(self, entry)
         with self.mutate(name) as m:
             with self.adaptivity.pause():  # maintenance read, not workload
                 batch = table._region_batch(region)
             self._rewrite_region(entry, region, batch, m, plan=new_plan)
         return table
-
-    def _evaluate(
-        self,
-        plan: PhysicalPlan,
-        tables: dict[str, tuple[list[tuple], Schema]],
-    ) -> Evaluated:
-        evaluator = Evaluator(
-            {
-                name: (records, tuple(schema.names()))
-                for name, (records, schema) in tables.items()
-            }
-        )
-        return evaluator.evaluate(plan.expr)
 
     # -- adaptivity: change a table's physical design ------------------------
 
@@ -1291,11 +1255,7 @@ class RodentStore:
             rows = [tuple(r) for r in region.pending]
             if not rows:
                 return None
-            names = _scan_schema(plan).names()
-            if plan.levels.key is not None:
-                rows = _LevelResolver(plan.levels, names, []).resolve_pending(rows)
-            batch = ColumnBatch.from_rows(tuple(names), rows)
-            layout = self._render_region(plan, region.plan, batch)
+            layout = self._render_level_run(plan, region.plan, rows)
             with entry.mvcc.lock:
                 seq = entry.next_run_seq
                 entry.next_run_seq += 1
@@ -1306,6 +1266,17 @@ class RodentStore:
                 entry.next_run_id += 1
                 self._replace_runs(entry, region, [], [run], m, ingest=True)
             return layout
+
+    def _render_level_run(
+        self, plan: PhysicalPlan, run_plan: PhysicalPlan, rows: list[tuple]
+    ) -> StoredLayout:
+        """Render stored records as one levelled run — a seal's or a bulk
+        load's — keeping the last row per key first when keyed."""
+        names = tuple(_scan_schema(plan).names())
+        if plan.levels.key is not None:
+            rows = _LevelResolver(plan.levels, names, []).resolve_pending(rows)
+        batch = ColumnBatch.from_rows(names, rows)
+        return self._render_region(plan, run_plan, batch)
 
     def compact_levels(
         self,
@@ -1391,8 +1362,8 @@ class RodentStore:
 
         Resolution and row recovery happen under the *current* plan's
         canonical field order (tombstone values were recorded under it);
-        the merged batch is then reordered for ``plan`` — the target
-        design, which differs only during a levelled re-layout. The swap
+        :meth:`_render_region` reorders the merged batch for ``plan`` — the
+        target design, which differs only during a levelled re-layout. The swap
         is atomic under the MVCC lock: sources out, merged run in, plan
         updated, applicable tombstones collected.
         """
@@ -1418,12 +1389,6 @@ class RodentStore:
         if pending_rows:
             held.append(ColumnBatch.from_rows(fields, pending_rows))
         merged = merge_batches(fields, held)
-        new_names = list(_scan_schema(plan).names())
-        if new_names != old_names:
-            idx = {f: i for i, f in enumerate(old_names)}
-            merged = merged.project_columns(
-                [idx[f] for f in new_names], tuple(new_names)
-            )
         run_plan = plan.level_plans[0]
         new_runs: list[Run] = []
         if merged.n_rows:
@@ -1434,7 +1399,7 @@ class RodentStore:
                     [spec.level_of(merged.n_rows, self.level_seal_rows)]
                     + [r.level for r in sources]
                 )
-            layout = self._render_region(plan, run_plan, merged)
+            layout = self._render_region(entry.plan, run_plan, merged)
             new_runs.append(Run(run_plan, layout, level=target_level))
         with entry.mvcc.lock:
             for run in new_runs:
@@ -1488,14 +1453,7 @@ class RodentStore:
                 f"table {entry.name!r}: levelled re-layout must stay "
                 f"levelled"
             )
-        canonical = set(_scan_schema(entry.plan).names())
-        produced = set(_scan_schema(new_plan).names())
-        if canonical != produced:
-            raise StorageError(
-                f"run design must keep the stored fields "
-                f"{sorted(canonical)}; new design produces "
-                f"{sorted(produced)}"
-            )
+        _require_stored_fields(entry.plan, new_plan, "run")
         return new_plan
 
     def _wa_note(
@@ -1520,14 +1478,6 @@ class RodentStore:
         if compaction:
             entry.wa_pages_compacted += pages
             entry.wa_compactions += 1
-
-    def render_overflow_run(
-        self, schema: Schema, records: Sequence[tuple]
-    ) -> Run:
-        """Render flushed inserts as a row-major overflow run."""
-        plan = overflow_plan(schema)
-        evaluated = Evaluated(list(records), tuple(schema.names()))
-        return Run(plan, self.renderer.render(plan, evaluated), overflow=True)
 
     def adapt(self, name: str | None = None) -> dict:
         """Run the adaptive loop now: advise on the observed workload and
@@ -1760,6 +1710,21 @@ def _levels_over_fanout(region: Region, k: int) -> list[int]:
     for run in region.runs:
         counts[run.level] = counts.get(run.level, 0) + 1
     return sorted(level for level, c in counts.items() if c >= k)
+
+
+def _require_stored_fields(
+    plan: PhysicalPlan, new_plan: PhysicalPlan, what: str
+) -> None:
+    """A partition's or a run's new design re-renders stored records: it
+    must keep every stored field of ``plan``."""
+    canonical, produced = (
+        sorted(_scan_schema(p).names()) for p in (plan, new_plan)
+    )
+    if canonical != produced:
+        raise StorageError(
+            f"{what} design must keep the stored fields {canonical}; "
+            f"new design produces {produced}"
+        )
 
 
 def _find_or_create_region(

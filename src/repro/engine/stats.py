@@ -100,9 +100,13 @@ class FieldStats:
         width = (span_hi - span_lo) / len(histogram)
 
         def rows_below(x: float) -> float:
-            # Each bucket's rows spread evenly across its width.
+            # Each bucket's rows spread evenly across its width. Width and
+            # edges round (badly on a subnormal span): the top end is exact
+            # and a share stops at 1 (a NaN stays NaN), so counts only grow.
+            if x >= span_hi:
+                return below[-1]
             i = bisect_right(edges, x) - 1
-            return below[i] + histogram[i] * (x - edges[i]) / width
+            return below[i] + histogram[i] * min((x - edges[i]) / width, 1.0)
 
         return min(1.0, (rows_below(hi) - rows_below(lo)) / below[-1])
 

@@ -25,6 +25,11 @@ runs* (the "reorganize only new data" state of §5); scans transparently merge
 a region's main run with its overflow, and :meth:`Table.compact` folds the
 overflow back into the main representation.
 
+There is one write path too: :func:`split_design` splits a design into a
+record pipeline, which a load and an insert apply to their rows, and a
+structural residual, through which every write renders a region's batch of
+stored records (:meth:`~repro.engine.database.RodentStore._render_region`).
+
 There is one read path. Scans execute **batch-at-a-time** while keeping the
 paper's per-tuple iterator API: the renderer yields page/chunk-sized
 :class:`~repro.layout.renderer.ColumnBatch` objects, one selection step
@@ -43,9 +48,9 @@ from __future__ import annotations
 
 import operator
 import weakref
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple, Sequence
 
 from repro import vector
 from repro.algebra import ast
@@ -54,7 +59,6 @@ from repro.algebra.physical import (
     LAYOUT_COLUMNS,
     LAYOUT_FOLDED,
     LAYOUT_GRID,
-    LAYOUT_LEVELLED,
     LAYOUT_PARTITIONED,
     LAYOUT_ROWS,
     PhysicalPlan,
@@ -62,13 +66,14 @@ from repro.algebra.physical import (
 from repro.algebra.transforms import (
     append_records,
     eval_scalar,
+    groupby_records,
     orderby_records,
     project_records,
     select_records,
 )
 from repro.engine import synopsis as zonemaps
 from repro.engine.access import count_runs, decide_scan, index_access, open_run
-from repro.engine.catalog import CatalogEntry
+from repro.engine.catalog import CatalogEntry, Run, overflow_plan
 from repro.engine.cost import CostEstimate, estimate
 from repro.errors import CorruptPageError, QueryError, StorageError
 from repro.layout.renderer import (
@@ -104,68 +109,103 @@ def normalize_order(order: Order | None) -> tuple[tuple[str, bool], ...]:
     return tuple(normalized)
 
 
-def record_pipeline(expr: ast.Node) -> list[ast.Node]:
-    """Record-level operators of ``expr`` in application (inner-first) order.
+#: The record-level operators, which map logical records to stored ones; the
+#: others are structural: they render stored records into pages.
+RECORD_OPS = (
+    ast.Project, ast.Select, ast.Append, ast.OrderBy, ast.GroupBy, ast.Limit,
+)
 
-    Used to transform freshly inserted logical records into the stored
-    record shape without applying structural layout operators.
+
+class DesignSplit(NamedTuple):
+    """A physical design split at its stored-record shape (paper §3).
+
+    ``pipeline`` (the record-level operators, inner-first) maps logical
+    records to stored records in ``fields`` order; ``residual`` renders
+    stored records, read as ``__stored__``, into pages. It keeps a sort or
+    regroup whose keys are stored: re-rendered rows may trail unsorted
+    overflow and pending rows. An array or a prejoin has no stored-record
+    shape: no pipeline or fields (``None``), and the whole expression as
+    residual, over the logical rows.
     """
-    chain: list[ast.Node] = []
-    node = expr
-    while True:
-        if isinstance(node, (ast.TableRef, ast.Literal)):
-            return list(reversed(chain))
-        if isinstance(node, (ast.Project, ast.Select, ast.Append, ast.OrderBy,
-                             ast.Limit)):
-            chain.append(node)
-        if isinstance(node, ast.Mirror):
-            node = node.left
-            continue
-        if isinstance(node, ast.Prejoin):
-            raise StorageError(
-                "cannot derive an insert pipeline for prejoined tables"
+
+    pipeline: tuple[ast.Node, ...] | None
+    residual: ast.Node
+    fields: tuple[str, ...] | None
+
+    def apply(
+        self, logical: Sequence[str], records: list[tuple]
+    ) -> tuple[tuple[str, ...], list[tuple]]:
+        """``(fields, rows)``: the stored records of logical ``records``.
+        After a ``groupby`` (a stable regroup) ``orderby`` sorts within each
+        group and ``limit`` keeps whole groups, as the algebra defines them,
+        until a ``project`` / ``select`` / ``append`` flattens the groups."""
+        if self.pipeline is None:
+            return tuple(logical), records
+        fields = list(logical)
+        groups, grouped = [records], False
+        for op in self.pipeline:
+            positions = {n: i for i, n in enumerate(fields)}
+            if isinstance(op, ast.OrderBy):
+                groups = [orderby_records(g, positions, op.keys)
+                          for g in groups]
+            elif isinstance(op, ast.Limit):
+                n = op.count
+                groups = groups[:n] if grouped else [groups[0][:n]]
+            else:
+                rows = list(chain.from_iterable(groups))
+                grouped = isinstance(op, ast.GroupBy)
+                if grouped:
+                    groups = groupby_records(rows, positions, op.fields)[0]
+                elif isinstance(op, ast.Project):
+                    groups = [project_records(rows, positions, op.fields)]
+                    fields = list(op.fields)
+                elif isinstance(op, ast.Select):
+                    groups = [select_records(rows, positions, op.condition)]
+                else:
+                    groups = [append_records(rows, positions, op.elements)]
+                    fields += [name for name, _ in op.elements]
+        rows = list(chain.from_iterable(groups))
+        if fields != list(self.fields):
+            positions = {n: i for i, n in enumerate(fields)}
+            rows = project_records(rows, positions, self.fields)
+        return self.fields, rows
+
+
+@lru_cache(maxsize=64)
+def split_design(plan: PhysicalPlan) -> DesignSplit:
+    """The one split of ``plan``'s design into record pipeline, structural
+    residual and stored field order (:class:`DesignSplit`) — the one place
+    that decides which operators are record-level. A ``mirror``'s pipeline
+    is its left side's; its residual keeps both sides. Plans and splits are
+    immutable, and every insert, seal and merge asks: memoized."""
+    pipeline: list[ast.Node] = []
+    node = plan.expr
+    while not isinstance(node, (ast.TableRef, ast.Literal, ast.Prejoin)):
+        if isinstance(node, RECORD_OPS):
+            pipeline.append(node)
+        node = node.left if isinstance(node, ast.Mirror) else node.child
+    records = plan.kind != LAYOUT_ARRAY and not isinstance(node, ast.Prejoin)
+    fields = tuple(_scan_schema(plan).names()) if records else None
+    stored = set(fields or ())
+
+    def over_stored(node: ast.Node) -> ast.Node:
+        if isinstance(node, ast.TableRef) or (
+            records and isinstance(node, ast.Literal)
+        ):
+            return ast.TableRef("__stored__")
+        if records and isinstance(node, RECORD_OPS):
+            keys = (
+                [k.name for k in node.keys] if isinstance(node, ast.OrderBy)
+                else node.fields if isinstance(node, ast.GroupBy) else None
             )
-        (node,) = node.children()
+            if keys is None or not stored.issuperset(keys):
+                return over_stored(node.child)
+        return node.with_children([over_stored(c) for c in node.children()])
 
-
-def structural_residual(
-    expr: ast.Node,
-    stored_ref: str,
-    stored_fields: Sequence[str] | None = None,
-) -> ast.Node:
-    """Rewrite ``expr`` so that its record-level prefix is replaced by a
-    reference to the stored records (used when compacting: stored records
-    already have the record-level transforms applied).
-
-    ``OrderBy`` is the one record-level operator that is *kept*: the stored
-    rows being re-rendered may interleave sorted main-layout records with
-    unsorted overflow/pending tails, and the new render claims the plan's
-    sort order — so the residual must re-establish it (re-sorting already
-    sorted data is a stable no-op). When ``stored_fields`` is given, an
-    ``OrderBy`` whose keys are no longer stored (a lossy design projected
-    them away) is dropped instead.
-    """
-    available = set(stored_fields) if stored_fields is not None else None
-
-    def rebuild(node: ast.Node) -> ast.Node:
-        if isinstance(node, (ast.TableRef, ast.Literal)):
-            return ast.TableRef(stored_ref)
-        if isinstance(node, (ast.Project, ast.Select, ast.Append, ast.Limit)):
-            return rebuild(node.children()[0])
-        if isinstance(node, ast.OrderBy):
-            if available is not None and any(
-                k.name not in available for k in node.keys
-            ):
-                return rebuild(node.child)
-            return ast.OrderBy(rebuild(node.child), node.keys)
-        if isinstance(node, ast.Mirror):
-            return ast.Mirror(rebuild(node.left), rebuild(node.right))
-        if isinstance(node, ast.Prejoin):
-            return ast.TableRef(stored_ref)
-        (child,) = node.children()
-        return node.with_children([rebuild(child)])
-
-    return rebuild(expr)
+    if not records:
+        return DesignSplit(None, over_stored(plan.expr), None)
+    pipeline.reverse()
+    return DesignSplit(tuple(pipeline), over_stored(plan.expr), fields)
 
 
 class Table:
@@ -269,7 +309,7 @@ class Table:
     @property
     def is_levelled(self) -> bool:
         plan = self._state.plan
-        return plan is not None and plan.kind == LAYOUT_LEVELLED
+        return plan is not None and plan.levels is not None
 
     @property
     def _level_tombstones(self):
@@ -1262,8 +1302,10 @@ class Table:
         Returns the number of records that survive the plan's record-level
         pipeline (a plan with a ``select`` drops non-matching records).
         """
-        coerced = self.logical_schema.coerce_records(records)
-        transformed = self._apply_record_pipeline(coerced)
+        _, transformed = self._stored_split().apply(
+            self.logical_schema.names(),
+            self.logical_schema.coerce_records(records),
+        )
         with self._db.mutate(self.name) as m:
             if transformed:
                 with self._entry.mvcc.lock:
@@ -1300,32 +1342,17 @@ class Table:
             region.add_pending(names, batch)
         self._mark_indexes_stale()
 
-    def _apply_record_pipeline(
-        self, records: list[tuple], plan: PhysicalPlan | None = None
-    ) -> list[tuple]:
-        if plan is None:
-            plan = self.plan
-        fields = list(self.logical_schema.names())
-        current = records
-        for op in record_pipeline(plan.expr):
-            positions = {n: i for i, n in enumerate(fields)}
-            if isinstance(op, ast.Project):
-                current = project_records(current, positions, op.fields)
-                fields = list(op.fields)
-            elif isinstance(op, ast.Select):
-                current = select_records(current, positions, op.condition)
-            elif isinstance(op, ast.Append):
-                current = append_records(current, positions, op.elements)
-                fields = fields + [name for name, _ in op.elements]
-            elif isinstance(op, ast.OrderBy):
-                current = orderby_records(current, positions, op.keys)
-            elif isinstance(op, ast.Limit):
-                current = current[: op.count]
-        target = _scan_schema(plan).names()
-        if fields != target:
-            positions = {n: i for i, n in enumerate(fields)}
-            current = project_records(current, positions, target)
-        return current
+    def _stored_split(self) -> DesignSplit:
+        """The table's design split; a design with no stored-record shape
+        (an array, a prejoin) takes no inserts, updates or deletes."""
+        split = split_design(self.plan)
+        if split.pipeline is None:
+            raise StorageError(
+                f"table {self.name!r} has an {self.plan.kind} design with no "
+                f"stored-record shape: it takes no inserts, updates or "
+                f"deletes; load it again instead"
+            )
+        return split
 
     def flush_inserts(self):
         """Render pending records into new on-disk runs.
@@ -1339,13 +1366,16 @@ class Table:
         if self.is_levelled:
             return self._db.seal_level_run(self.name)
         entry = self._entry
-        schema = self.scan_schema()
+        plan = overflow_plan(self.scan_schema())
+        fields = tuple(plan.schema.names())
         flushed = []
         with self._db.mutate(self.name) as m:
             for region in entry.regions:
                 if not region.pending:
                     continue
-                run = self._db.render_overflow_run(schema, region.pending)
+                batch = ColumnBatch.from_rows(fields, list(region.pending))
+                layout = self._db._render_region(plan, plan, batch)
+                run = Run(plan, layout, overflow=True)
                 self._db._replace_runs(
                     entry, region, [], [run], m, ingest=True
                 )
@@ -1405,7 +1435,7 @@ class Table:
         self, predicate: Predicate | None, assignments: dict | None
     ) -> int:
         entry = self._entry
-        names = self.scan_schema().names()
+        names = list(self._stored_split().fields)
         positions = {n: i for i, n in enumerate(names)}
         if assignments is not None:
             unknown = sorted(set(assignments) - set(names))

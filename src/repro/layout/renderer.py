@@ -1,12 +1,14 @@
 """Render physical plans onto disk pages, and read them back.
 
-The renderer is the paper's "storage backend" write path (§4.2): it takes the
-evaluated nesting (an :class:`repro.algebra.transforms.Evaluated`) plus the
-compiled :class:`repro.algebra.physical.PhysicalPlan` and lays bytes onto
-pages. Each storage object (row heap, column group, grid cell stream, folded
-heap, array vector) occupies one *contiguous extent* of pages, chained with
-``next_page_id``, so that scans are sequential and the paper's "store and
-walk each object in the same order" rule holds.
+The renderer is the paper's "storage backend" write path (§4.2): it takes a
+batch of stored records plus the compiled
+:class:`repro.algebra.physical.PhysicalPlan` and its structural residual
+(:meth:`LayoutRenderer.render_region`), evaluates the residual into a
+nesting and lays bytes onto pages. Each storage object (row heap, column
+group, grid cell stream, folded heap, array vector) occupies one
+*contiguous extent* of pages, chained with ``next_page_id``, so that scans
+are sequential and the paper's "store and walk each object in the same
+order" rule holds.
 
 Encodings:
 
@@ -52,7 +54,6 @@ from repro.algebra.physical import (
     LAYOUT_FOLDED,
     LAYOUT_GRID,
     LAYOUT_MIRROR,
-    LAYOUT_PARTITIONED,
     LAYOUT_ROWS,
     PhysicalPlan,
 )
@@ -780,27 +781,23 @@ class LayoutRenderer:
             return self._render_array(plan, evaluated)
         if plan.kind == LAYOUT_MIRROR:
             return self._render_mirror(plan, evaluated)
-        if plan.kind == LAYOUT_PARTITIONED:
-            # Partitioned tables are rendered region by region — routing
-            # needs catalog state (partition map, region plans), which
-            # lives above the renderer (RodentStore._render_region).
-            raise StorageError(
-                "partitioned plans render per region, not as one layout; "
-                "load the table through RodentStore"
-            )
-        raise StorageError(f"cannot render layout kind {plan.kind!r}")
+        # Partitioned and levelled tables render region by region, through
+        # catalog state (partition map, runs) above the renderer.
+        raise StorageError(f"cannot render a {plan.kind!r} plan as one layout")
 
     def render_region(
         self, plan: PhysicalPlan, residual: Any, batch: ColumnBatch
     ) -> StoredLayout:
-        """Render one region's run from a batch of stored-shape rows.
+        """Render one region's run from a batch of stored records — the
+        entry point of every write.
 
-        ``residual`` is the region plan's structural residual (the algebra
-        expression with its record-level prefix replaced by a reference to
-        the already-transformed rows, ``__stored__``); evaluating it
-        re-applies the structural operators (fold/grid/columns/orderby) for
-        this region only, so a single partition or run can be (re-)rendered
-        without touching its siblings.
+        ``residual`` is the region plan's structural residual
+        (:func:`repro.engine.table.split_design`: the design with its
+        record-level operators replaced by a reference to the stored
+        records, ``__stored__``); evaluating it applies the structural
+        operators for this region only, so a single partition or run can be
+        (re-)rendered without touching its siblings. An array's residual is
+        its whole expression, over the logical rows.
 
         ``__stored__`` is bound to ``batch`` itself. A ``columns`` residual
         over it (under any ``compress``) takes the batch's vectors as they

@@ -13,7 +13,9 @@ through its own ``matches``, the protocol a user predicate implements.
 A :class:`Model` also knows, from the layout expression, the order a scan
 returns its rows in where the design fixes one: load order with flushed and
 pending inserts trailing for ``T`` / ``rows(...)`` / ``columns(...)``, and a
-stable sort for ``orderby[...]``. :func:`check_scan` compares exactly there
+stable sort for ``orderby[...]``; a ``groupby``, grid or curve permutes
+the rows in an order the model does not fix. :func:`check_scan` compares
+exactly there
 (and, under a requested order, with a stable sort of that order), as a
 multiset everywhere else, and under a limit as a right-sized sub-multiset
 whose order keys, when the query orders, equal the model's first ``limit``.
@@ -165,9 +167,10 @@ def _design(node: ast.Node, fields: tuple[str, ...]):
         return ("value",), (
             lambda rows: [(v,) for column in zip(*shape(rows)) for v in column]
         ), order
-    if isinstance(
-        node, (ast.Grid, ast.ZOrder, ast.HilbertOrder, ast.Partition, ast.Levels)
-    ):
+    if isinstance(node, (
+        ast.Grid, ast.ZOrder, ast.HilbertOrder, ast.GroupBy, ast.Partition,
+        ast.Levels,
+    )):  # a permutation of the rows: no order the model fixes
         return names, shape, None
     raise NotImplementedError(f"no model for {node.op_name}")
 

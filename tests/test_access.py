@@ -429,3 +429,35 @@ def test_oracle_shares_nothing_with_the_engine():
     for module in imported:
         assert not module.startswith(forbidden), module
     assert imported & {"repro.algebra.transforms.eval_scalar"}
+
+
+#: The two walkers one design split replaced, and the load's own evaluator.
+ONE_SPLIT_DELETED = (
+    "record_pipeline", "structural_residual", "_apply_record_pipeline",
+    "_evaluate",
+)
+
+
+def test_one_design_split_one_render_path():
+    """A design splits one way — ``split_design`` alone names the
+    record-level operators — and every write renders a batch of stored
+    records through ``render_region``: ``database.py`` holds no evaluator,
+    nothing in ``engine/`` calls ``renderer.render(``, and the seams the
+    bench's tracer patches still resolve."""
+    _assert_absent_as_names(ONE_SPLIT_DELETED)
+    split = inspect.getsource(table_module.split_design)
+    for name, source in _sources():
+        defined = int(name == os.path.join("engine", "table.py"))
+        uses = source.count("RECORD_OPS") - defined * split.count("RECORD_OPS")
+        assert uses == defined, name
+    engine = dict(_engine_sources())
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(engine["database.py"]))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & {"Evaluator", "Evaluated"}
+    for name, source in engine.items():
+        assert "renderer.render(" not in source, name
+    assert {"render", "render_region"} <= set(vars(LayoutRenderer))

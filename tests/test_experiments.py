@@ -1,8 +1,16 @@
-"""Integration test: the Figure 2 case study reproduces the paper's shape."""
+"""Integration test: the Figure 2 case study reproduces the paper's shape,
+and its designs take writes."""
+
+import random
 
 import pytest
 
+import oracle
+from repro.engine.database import RodentStore
 from repro.experiments import run_figure2
+from repro.experiments.figure2 import N2_EXPR, n3_expr, n4_expr
+from repro.query.expressions import Range, Rect
+from repro.workloads.cartel import TRACE_SCHEMA
 
 
 @pytest.fixture(scope="module")
@@ -69,3 +77,59 @@ class TestFigure2Shape:
     def test_rows_accessor(self, figure2):
         rows = figure2.rows()
         assert [name for name, _ in rows] == ["N1", "N2", "N3", "N4", "rtree"]
+
+
+# -- N2–N4 take writes ---------------------------------------------------------
+
+#: The designs project the grouping key ``id`` (and the sort key ``t``)
+#: away: a re-render of stored rows must drop the regroup, not look for it.
+FIGURE2_DESIGNS = {
+    "N2": N2_EXPR,
+    "N3": n3_expr(50, 50),
+    "N4": n4_expr(50, 50),
+}
+
+
+def _traces(rng, n, start):
+    """``n`` observations: t, lat, lon, id, then the other fields."""
+    extra = len(TRACE_SCHEMA.fields) - 4
+    return [
+        (start + i, rng.randrange(500), rng.randrange(500), rng.randrange(9),
+         *(rng.randrange(100) for _ in range(extra)))
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE2_DESIGNS))
+def test_figure2_designs_take_writes(name):
+    """Insert + flush + compact, update and delete on N2–N4 answer like the
+    model of the logical rows."""
+    layout = FIGURE2_DESIGNS[name]
+    rng = random.Random(name)
+    names = TRACE_SCHEMA.names()
+    store = RodentStore(page_size=1024, pool_capacity=64)
+    store.create_table("Traces", TRACE_SCHEMA, layout=layout)
+    loaded = _traces(rng, 300, 0)
+    table = store.load("Traces", loaded)
+    model = oracle.Model(names, loaded, layout)
+    for rows, flush in ((_traces(rng, 40, 1000), True),
+                        (_traces(rng, 25, 2000), False)):
+        table.insert(rows)
+        model.insert(rows)
+        if flush:
+            table.flush_inserts()
+    oracle.check_table(table, model, context="overflow + pending")
+    table.compact()
+    model.compact()
+    oracle.check_table(table, model, context="compacted")
+    assert table.overflow_row_count == 0
+    box = Rect({"lat": (100, 300), "lon": (0, 250)})
+    bump = {"lat": lambda row: row["lat"] + 1}
+    assert table.update(bump, box) == model.update(bump, box) > 0
+    oracle.check_table(table, model, context="updated")
+    oracle.check_table(table, model, predicate=box, context="updated box")
+    assert table.delete(Range("lon", 0, 120)) == model.delete(Range("lon", 0, 120)) > 0
+    oracle.check_table(table, model, context="deleted")
+    assert table.delete(None) == model.delete(None) > 0
+    assert list(table.scan()) == []
+    store.close()

@@ -6,7 +6,8 @@ Each iteration builds a seeded random scenario:
 
 * a random schema (3–5 int fields with mixed cardinalities);
 * a random physical design across every layout family — rows (plain or
-  sorted), columns (pure or grouped), grid, folded, plus horizontally
+  sorted), columns (pure or grouped), grid, Figure 2's compressed z-ordered
+  grid over a sort and a regroup, folded, plus horizontally
   **partitioned** tables (range or hash, wrapping a random inner design) —
   plus inserted data in both reorganization states (a flushed *overflow*
   region and an unflushed *pending* buffer, per partition when
@@ -83,6 +84,7 @@ def random_layout(
             "columns",
             "grouped",
             "grid",
+            "figure2",
             "fold",
             "partition-range",
             "partition-hash",
@@ -129,6 +131,14 @@ def random_layout(
         expr = f"grid[{names[a]}, {names[b]}],[{stride_a}, {stride_b}](T)"
         order = rng.choice(["", "zorder", "hilbert"])
         return f"{order}({expr})" if order else expr
+    if kind == "figure2":
+        # Figure 2's N4 without its projection: a sort and a regroup under
+        # a compressed, delta-encoded, z-ordered grid.
+        a, b = rng.sample(names, 2)
+        cells = [max(1, domains[names.index(f)] // rng.choice([2, 4])) for f in (a, b)]
+        inner = f"groupby[{rng.choice(names)}](orderby[{rng.choice(names)}](T))"
+        grid = f"grid[{a}, {b}],[{cells[0]}, {cells[1]}]({inner})"
+        return f"compress[varint; {a}, {b}](delta[{a}, {b}](zorder({grid})))"
     # fold: group by the lowest-cardinality field, nest the rest.
     group_index = min(range(len(names)), key=lambda i: domains[i])
     nest = [n for i, n in enumerate(names) if i != group_index]

@@ -11,9 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import vector
 from repro.engine.database import RodentStore
 from repro.query.expressions import Range, Rect
 from repro.types import Schema
+from test_batch_scan import LAYOUTS as BATCH_SCAN_LAYOUTS
+from test_columnar_ingest import _zones as zone_maps
 
 SCHEMA = Schema.of("t:int", "x:int", "y:int", "g:int")
 
@@ -133,21 +136,54 @@ def test_grid_rect_query_equals_row_filter(records, data):
     assert got == want
 
 
+#: The page audit's designs: every record layout of the batch-scan suite
+#: (an array takes no inserts), Figure 2's N2–N4 over this schema, and a
+#: record operator above a grid.
+_N2 = "project[x, y](groupby[g](orderby[t](T)))"
+AUDITED_LAYOUTS = [
+    *(layout for layout in BATCH_SCAN_LAYOUTS.values()
+      if not layout.startswith("transpose")),
+    _N2,
+    f"grid[x, y],[25, 25]({_N2})",
+    f"compress[varint; x, y](delta[x, y](zorder(grid[x, y],[25, 25]({_N2}))))",
+    "limit[5](grid[x, y],[25, 25](T))",
+]
+
+
+def page_images(table):
+    """The main run's page images, the 8-byte next-page field at offset 4
+    masked (page ids differ between two renders), and its zone maps."""
+    layout = table.layout
+    disk = table.store.disk
+    images = [bytes(page[:4] + page[12:])
+              for page in map(disk.read_page, layout.page_ids())]
+    zones = [zone_maps(part) for part in (layout, *layout.mirrors)
+             if part.synopsis is not None]
+    return images, zones
+
+
 @given(records=records_strategy)
 @settings(
-    max_examples=10,
+    max_examples=5,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_insert_then_scan_matches_bulk_load(records):
-    """Loading everything at once equals loading half and inserting half."""
-    half = len(records) // 2
-    _, bulk = build("T", records)
-    store, incremental = build("T", records[:half] or [records[0]])
-    if half:
-        incremental.insert(records[half:])
-        incremental.flush_inserts()
-        expected = sorted(map(tuple, records))
-    else:
-        expected = sorted(map(tuple, [records[0]]))
-    assert sorted(incremental.scan()) == expected or not half
+    """Loading everything at once equals loading nothing, then inserting,
+    flushing and compacting everything: one render path, so the same page
+    images and the same zone maps, with numpy on and off."""
+    modes = [False] + ([True] if vector.numpy_module() is not None else [])
+    for numpy_on in modes:
+        previous = vector.set_numpy_enabled(numpy_on)
+        try:
+            for layout in AUDITED_LAYOUTS:
+                _, bulk = build(layout, records)
+                _, incremental = build(layout, [])
+                incremental.insert(records)
+                incremental.flush_inserts()
+                incremental.compact()
+                context = (layout, numpy_on)
+                assert page_images(incremental) == page_images(bulk), context
+                assert list(incremental.scan()) == list(bulk.scan()), context
+        finally:
+            vector.set_numpy_enabled(previous)

@@ -2,15 +2,20 @@
 
 import pytest
 
+from repro.algebra.interpreter import AlgebraInterpreter
 from repro.algebra.parser import parse
 from repro.engine.database import RodentStore
-from repro.engine.table import normalize_order, record_pipeline, structural_residual
+from repro.engine.table import normalize_order, split_design
 from repro.errors import QueryError, StorageError
 from repro.query.expressions import Range, Rect
 from repro.types import Schema
 
 SCHEMA = Schema.of("t:int", "lat:int", "lon:int", "id:int")
 RECORDS = [(i, (i * 37) % 500, (i * 53) % 500, i % 7) for i in range(600)]
+
+
+def compile_design(layout):
+    return AlgebraInterpreter({"T": SCHEMA}).compile(layout)
 
 
 def make(layout=None, records=RECORDS, page_size=1024):
@@ -356,6 +361,30 @@ class TestInsertOverflowCompact:
             table.insert([("not", "valid")])
 
 
+class TestArrayDesigns:
+    def test_writes_are_refused_by_design_kind(self):
+        """An array stores values, not records: an insert has no record
+        shape to land in, and a rewrite of the stored value column would
+        transpose it again (a (2, 4) array became (1, 7))."""
+        store = RodentStore(page_size=1024)
+        store.create_table(
+            "T", Schema.of("x:int", "y:int"), layout="transpose(project[x, y](T))"
+        )
+        table = store.load("T", [(i, 10 * i) for i in range(4)])
+        before = list(table.scan())
+        writes = [
+            lambda: table.insert([(1, 2)]),
+            lambda: table.update({"value": 0}),
+            lambda: table.delete(Range("value", 5, 100)),
+            lambda: table.delete(),
+        ]
+        for write in writes:
+            with pytest.raises(StorageError, match="array design"):
+                write()
+        assert list(table.scan()) == before
+        assert table.layout.array_shape == (2, 4)
+
+
 class TestHelpers:
     def test_normalize_order(self):
         assert normalize_order(None) == ()
@@ -364,25 +393,38 @@ class TestHelpers:
         )
 
     def test_record_pipeline_extracts_record_ops(self):
-        expr = parse(
+        split = split_design(compile_design(
             "zorder(grid[lat, lon],[10, 10](project[lat, lon]("
-            "select[r.id = 1](T))))"
-        )
-        ops = [type(n).__name__ for n in record_pipeline(expr)]
-        assert ops == ["Select", "Project"]
+            "select[r.id = 1](groupby[id](T)))))"
+        ))
+        ops = [type(n).__name__ for n in split.pipeline]
+        assert ops == ["GroupBy", "Select", "Project"]
+        assert split.fields == ("lat", "lon")
 
     def test_record_pipeline_rejects_prejoin(self):
-        with pytest.raises(StorageError):
-            record_pipeline(parse("prejoin[k](A, B)"))
+        """A prejoin has no stored-record shape: it loads, takes no writes."""
+        store = RodentStore(page_size=1024)
+        store.create_table(
+            "T", Schema.of("k:int", "a:int"), layout="prejoin[k](T, T)"
+        )
+        table = store.load("T", [(1, 2), (1, 3)])
+        assert split_design(table.plan).pipeline is None
+        assert len(list(table.scan())) == 4
+        with pytest.raises(StorageError, match="no stored-record shape"):
+            table.insert([(1, 4)])
 
     def test_structural_residual(self):
-        expr = parse(
-            "zorder(grid[lat, lon],[10, 10](project[lat, lon](T)))"
+        """A sort or regroup stays while its keys are stored; the other
+        record-level operators drop out."""
+        residual = split_design(compile_design(
+            "zorder(grid[lat, lon],[10, 10](project[lat, lon]("
+            "groupby[id](orderby[lat](T)))))"
+        )).residual
+        assert residual == parse(
+            "zorder(grid[lat, lon],[10, 10](orderby[lat](__stored__)))"
         )
-        residual = structural_residual(expr, "__stored__")
-        assert residual.to_text() == (
-            "zorder(grid[lat, lon],[10.0, 10.0](__stored__))"
-        )
+        kept = split_design(compile_design("groupby[id](orderby[t](T))"))
+        assert kept.residual == parse("groupby[id](orderby[t](__stored__))")
 
     def test_unloaded_table_raises(self):
         store = RodentStore(page_size=1024)
