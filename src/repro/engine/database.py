@@ -890,6 +890,9 @@ class RodentStore:
           bulk load is already "fully compacted" — the run lands at its
           size class directly and the pending buffer starts empty.
         """
+        others = sorted(plan.expr.table_names() - {entry.name})
+        if others:
+            raise StorageError(f"the design of {entry.name!r} reads {others}")
         fields, rows = split_design(plan).apply(
             entry.logical_schema.names(), coerced
         )

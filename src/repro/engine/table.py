@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import operator
 import weakref
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple, Sequence
 
@@ -59,6 +59,7 @@ from repro.algebra.physical import (
     LAYOUT_COLUMNS,
     LAYOUT_FOLDED,
     LAYOUT_GRID,
+    LAYOUT_LEVELLED,
     LAYOUT_PARTITIONED,
     LAYOUT_ROWS,
     PhysicalPlan,
@@ -171,13 +172,11 @@ class DesignSplit(NamedTuple):
         return self.fields, rows
 
 
-@lru_cache(maxsize=64)
 def split_design(plan: PhysicalPlan) -> DesignSplit:
     """The one split of ``plan``'s design into record pipeline, structural
     residual and stored field order (:class:`DesignSplit`) — the one place
     that decides which operators are record-level. A ``mirror``'s pipeline
-    is its left side's; its residual keeps both sides. Plans and splits are
-    immutable, and every insert, seal and merge asks: memoized."""
+    is its left side's; its residual keeps both sides."""
     pipeline: list[ast.Node] = []
     node = plan.expr
     while not isinstance(node, (ast.TableRef, ast.Literal, ast.Prejoin)):
@@ -309,7 +308,7 @@ class Table:
     @property
     def is_levelled(self) -> bool:
         plan = self._state.plan
-        return plan is not None and plan.levels is not None
+        return plan is not None and plan.kind == LAYOUT_LEVELLED
 
     @property
     def _level_tombstones(self):

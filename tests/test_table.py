@@ -413,6 +413,17 @@ class TestHelpers:
         with pytest.raises(StorageError, match="no stored-record shape"):
             table.insert([(1, 4)])
 
+    def test_design_over_another_table_refuses_load(self):
+        """A design renders its own table's rows: one that names another
+        table refuses ``load`` rather than reading its own rows in its
+        place."""
+        for layout in ("prejoin[k](T, U)", "columns(U)"):
+            store = RodentStore(page_size=1024)
+            store.create_table("U", Schema.of("k:int", "b:int"))
+            store.create_table("T", Schema.of("k:int", "a:int"), layout=layout)
+            with pytest.raises(StorageError, match=r"reads \['U'\]"):
+                store.load("T", [(1, 2), (1, 3)])
+
     def test_structural_residual(self):
         """A sort or regroup stays while its keys are stored; the other
         record-level operators drop out."""
