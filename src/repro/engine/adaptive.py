@@ -37,6 +37,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+from repro import vector
 from repro.algebra import ast
 from repro.algebra.interpreter import AlgebraInterpreter
 from repro.algebra.physical import LAYOUT_LEVELLED, LAYOUT_PARTITIONED
@@ -695,9 +696,10 @@ class AdaptiveController:
         """Current statistics; recollected when the row count drifted.
 
         Inserted (pending/overflow) rows are invisible to load-time stats,
-        so a check after sustained inserts re-scans the logical records —
-        but only once the drift exceeds :attr:`STATS_DRIFT_FRACTION` (the
-        rescan is a full O(table) pass, run synchronously inside a check).
+        so a check after sustained inserts re-scans the logical records, as
+        the column vectors of a batch scan — but only once the drift
+        exceeds :attr:`STATS_DRIFT_FRACTION` (the rescan is a full O(table)
+        pass, run synchronously inside a check).
         Falls back to the stale stats when the incumbent layout cannot
         re-derive them (lossy design installed by hand).
         """
@@ -709,12 +711,18 @@ class AdaptiveController:
             drift = abs(table.row_count - stats.row_count)
             if drift <= self.STATS_DRIFT_FRACTION * max(1, stats.row_count):
                 return stats
-        logical = list(entry.logical_schema.names())
+        schema = entry.logical_schema
         try:
-            records = list(table.scan(fieldlist=logical))
+            batches = [
+                batch.columns()
+                for batch in table.scan_column_batches(fieldlist=schema.names())
+            ]
         except Exception:
             return stats
-        entry.stats = TableStats.collect(entry.logical_schema, records)
+        columns = [vector.concat(list(parts)) for parts in zip(*batches)]
+        entry.stats = TableStats.from_columns(
+            schema, columns or [()] * len(schema.fields)
+        )
         return entry.stats
 
     def _choose_non_lossy(

@@ -866,8 +866,10 @@ class RodentStore:
         """
         schema = entry.logical_schema
         with self.mutate(entry.name) as m:
-            coerced = schema.coerce_records(records)
-            stats = TableStats.collect(schema, coerced)
+            columns = schema.coerce_columns(records)
+            stats = TableStats.from_columns(schema, columns)
+            coerced = list(zip(*columns))
+            del columns  # the rows hold the values: render without the copy
             regions = self._render_regions(entry, plan, coerced)
             self._install(entry, plan, stats, regions, m)
             return Table(self, entry)

@@ -4,6 +4,15 @@ The storage design optimizer costs candidate layouts without materializing
 them; it needs per-field minima/maxima, distinct-value estimates, and a
 small equi-width histogram to translate query predicates into expected
 record/cell counts.
+
+Statistics are collected a column at a time. A load hands
+:meth:`TableStats.from_columns` the coerced column vectors it already has;
+the adaptive loop's refresh hands it the column vectors of a scan; and
+each column is summarized by one call of :func:`repro.vector.column_stats`
+— numpy reductions and bucket arithmetic for int and float columns,
+Python's own ``set`` / ``min`` / ``max`` for the rest. The record-at-a-time
+definition the result must equal bit for bit is ``collect_stats`` in
+``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -14,9 +23,12 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Any, Sequence
 
+from repro import vector
 from repro.types.schema import Schema
 
 _HISTOGRAM_BUCKETS = 32
+#: Distinct values are counted exactly up to this many, then reported as it.
+_DISTINCT_CAP = 100_000
 
 
 @dataclass
@@ -123,48 +135,52 @@ class TableStats:
     def collect(
         cls, schema: Schema, records: Sequence[Sequence[Any]]
     ) -> "TableStats":
-        """Single pass over ``records`` computing all field statistics."""
-        field_stats = {f.name: FieldStats(f.name) for f in schema.fields}
-        distincts: dict[str, set] = {f.name: set() for f in schema.fields}
-        numeric_values: dict[str, list[float]] = {
-            f.name: [] for f in schema.fields
-        }
-        total_width = 0
-        for record in records:
-            total_width += schema.estimated_record_size(record)
-            for f, value in zip(schema.fields, record):
-                stats = field_stats[f.name]
-                stats.count += 1
-                if value is None:
-                    stats.nulls += 1
-                    continue
-                if len(distincts[f.name]) < 100_000:
-                    distincts[f.name].add(value)
-                stats.avg_width += f.dtype.estimated_size(value)
-                if isinstance(value, float) and not math.isfinite(value):
-                    continue  # NaN / ±inf bound nothing
-                if stats.min_value is None or value < stats.min_value:
-                    stats.min_value = value
-                if stats.max_value is None or value > stats.max_value:
-                    stats.max_value = value
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    numeric_values[f.name].append(float(value))
+        """Statistics of ``records``, row tuples in ``schema`` order."""
+        records = records if isinstance(records, list) else list(records)
+        if records:
+            return cls.from_columns(schema, list(zip(*records)))
+        return cls.from_columns(schema, [()] * len(schema.fields))
 
-        for name, stats in field_stats.items():
-            stats.distinct = len(distincts[name])
-            if stats.count:
-                stats.avg_width /= stats.count
-            values = numeric_values[name]
-            if values and stats.min_value != stats.max_value:
-                stats.histogram = _build_histogram(
-                    values, float(stats.min_value), float(stats.max_value)
-                )
-                stats._index_histogram()
-        n = len(records)
+    @classmethod
+    def from_columns(
+        cls, schema: Schema, columns: Sequence[Sequence[Any]]
+    ) -> "TableStats":
+        """Statistics of a table given as one value vector per field.
+
+        Each column is summarized once by :func:`repro.vector.column_stats`;
+        the widths come from its non-null values (a fixed-size type's width
+        times their number, one ``map`` of ``estimated_size`` otherwise)
+        and, for ``avg_record_width``, from its nulls at
+        ``estimated_size(None)``. ``avg_width`` divides by every row, nulls
+        included.
+        """
+        row_count = len(columns[0])
+        field_stats = {}
+        total_width = 0
+        for f, column in zip(schema.fields, columns):
+            present, nulls, distinct, low, high, histogram = vector.column_stats(
+                column, _HISTOGRAM_BUCKETS, _DISTINCT_CAP
+            )
+            size = f.dtype.fixed_size
+            if size is not None:
+                width = size * len(present)
+            else:
+                width = sum(map(f.dtype.estimated_size, present))
+            total_width += width + nulls * f.dtype.estimated_size(None)
+            field_stats[f.name] = FieldStats(
+                f.name,
+                count=row_count,
+                nulls=nulls,
+                min_value=low,
+                max_value=high,
+                distinct=distinct,
+                histogram=histogram,
+                avg_width=width / row_count if row_count else 0.0,
+            )
         return cls(
-            row_count=n,
+            row_count=row_count,
             fields=field_stats,
-            avg_record_width=(total_width / n) if n else 0.0,
+            avg_record_width=total_width / row_count if row_count else 0.0,
         )
 
     def field(self, name: str) -> FieldStats:
@@ -229,15 +245,3 @@ def join_cardinality(
         cardinality /= max(1, distinct)
     return cardinality
 
-
-def _build_histogram(
-    values: Sequence[float], lo: float, hi: float
-) -> list[int]:
-    buckets = [0] * _HISTOGRAM_BUCKETS
-    width = (hi - lo) / _HISTOGRAM_BUCKETS
-    if width <= 0:
-        return []
-    for v in values:
-        index = min(int((v - lo) / width), _HISTOGRAM_BUCKETS - 1)
-        buckets[index] += 1
-    return buckets

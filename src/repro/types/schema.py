@@ -147,7 +147,15 @@ class Schema:
         )
 
     def coerce_records(self, records: Iterable[Sequence[Any]]) -> list[tuple]:
-        """``[coerce_record(r) for r in records]``, a column at a time.
+        """``[coerce_record(r) for r in records]``, a column at a time
+        (the rows of :meth:`coerce_columns`)."""
+        return list(zip(*self.coerce_columns(records)))
+
+    def coerce_columns(
+        self, records: Iterable[Sequence[Any]]
+    ) -> list[Sequence[Any]]:
+        """The columns of ``[coerce_record(r) for r in records]``, one value
+        sequence per field.
 
         The arity is checked once for the whole batch, then each field's
         column goes through its type's bulk check
@@ -159,7 +167,7 @@ class Schema:
         """
         records = records if isinstance(records, list) else list(records)
         if not records:
-            return []
+            return [() for _ in self.fields]
         try:
             arity = set(map(len, records))
         except TypeError:  # a record without a length: let the loop say so
@@ -172,8 +180,8 @@ class Schema:
                     break
                 columns.append(coerced)
             else:
-                return list(zip(*columns))
-        return [self.coerce_record(r) for r in records]
+                return columns
+        return list(zip(*[self.coerce_record(r) for r in records]))
 
     def record_from_dict(self, mapping: dict[str, Any]) -> tuple:
         """Build a record tuple from a field-name keyed dict."""

@@ -27,7 +27,7 @@ import struct
 import sys
 from array import array
 from collections import Counter, defaultdict
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from typing import Any, Iterable, Sequence
 
 try:  # pragma: no cover - exercised via both CI legs
@@ -807,3 +807,101 @@ def match_rows(found, order, offsets):
             build_rows.extend(partners)
             probe_rows.extend(repeat(row, len(partners)))
     return probe_rows, build_rows
+
+
+# ---------------------------------------------------------------------------
+# column statistics kernel (the cost model's table statistics)
+# ---------------------------------------------------------------------------
+
+_NONE_TYPE = type(None)
+#: Value types that never bound a histogram and are never NaN or ±inf.
+_NO_HISTOGRAM = frozenset((bool, str, bytes))
+
+
+def column_stats(values, buckets: int, distinct_cap: int) -> tuple:
+    """``(present, nulls, distinct, low, high, histogram)`` of one column.
+
+    ``present`` holds the column's non-``None`` values as Python scalars
+    (typed vectors are read as their ``tolist``) and ``nulls`` counts the
+    ``None``. ``distinct`` is the number of distinct present values as a
+    ``set`` judges them (``1 == 1.0 == True``, ``-0.0 == 0.0``, a NaN
+    equals only itself as an object), at most ``distinct_cap``. ``low`` /
+    ``high`` are the smallest and the largest present value that is not a
+    float NaN or ±inf, by Python's ``<`` / ``>``: of equal values the first
+    seen stays, with its own type; ``None`` when there is none.
+    ``histogram`` counts the finite int and float values (never a bool) in
+    ``buckets`` equal-width buckets over ``[float(low), float(high)]``, a
+    value ``v`` in bucket ``min(int((v - lo) / width), buckets - 1)``;
+    it is ``[]`` when there is no such value, when ``low == high``, or when
+    the width rounds to 0 or overflows.
+
+    A column of ints within int64, or of floats, takes numpy's reductions
+    and its bucket arithmetic (the same IEEE operations, so the same
+    counts), the sign of a zero bound resolved to the first zero seen.
+    Every other column, and every column with numpy off, applies the rules
+    above value by value, with Python's own ``min`` / ``max``.
+    """
+    arr = as_ndarray(values)
+    values = to_list(values)
+    kinds = set(map(type, values))
+    nulls = 0
+    if _NONE_TYPE in kinds:
+        kinds.discard(_NONE_TYPE)
+        nulls = values.count(None)
+        values = list(compress(values, map(operator.is_not, values, repeat(None))))
+    distinct = min(len(set(values)), distinct_cap)
+    if _np is not None and (kinds == {int} or kinds == {float}):
+        if arr is None:
+            arr = from_values(values, "q" if int in kinds else "d")
+        if arr is not None:  # (None: an int beyond int64)
+            return (values, nulls, distinct, *_typed_stats(arr, buckets))
+    if kinds <= _NO_HISTOGRAM:
+        finite, numbers = values, ()
+    else:
+        finite = [
+            v for v in values if not (isinstance(v, float) and not math.isfinite(v))
+        ]
+        numbers = [float(v) for v in finite if _is_number(v)]
+    if not finite:
+        return values, nulls, distinct, None, None, []
+    low, high = min(finite), max(finite)
+    return values, nulls, distinct, low, high, _histogram(numbers, low, high, buckets)
+
+
+def _typed_stats(arr, buckets: int) -> tuple:
+    """``(low, high, histogram)`` of an int64 / float64 ndarray."""
+    if arr.dtype.kind == "f":
+        finite = _np.isfinite(arr)
+        if not finite.all():
+            arr = arr[finite]
+    if not len(arr):
+        return None, None, []
+    low = _first_seen(arr, arr.min())
+    high = _first_seen(arr, arr.max())
+    return low, high, _histogram(arr, low, high, buckets)
+
+
+def _first_seen(arr, extreme):
+    """``extreme`` of ``arr`` as a Python scalar. Equal floats are the same
+    value except ``0.0`` and ``-0.0``, so a zero is the first zero of
+    ``arr``, sign and all."""
+    if extreme == 0 and arr.dtype.kind == "f":
+        return arr[_np.argmax(arr == 0)].item()
+    return extreme.item()
+
+
+def _histogram(numbers, low, high, buckets: int) -> list[int]:
+    """Per-bucket counts of ``numbers`` (finite, within ``[low, high]``)."""
+    if not len(numbers) or low == high:
+        return []
+    lo, hi = float(low), float(high)
+    width = (hi - lo) / buckets
+    if not 0.0 < width < _INF:
+        return []
+    if _np is not None and isinstance(numbers, _np.ndarray):
+        ids = _np.minimum((numbers - lo) / width, buckets - 1).astype(_np.intp)
+    else:
+        ids = [min(int((v - lo) / width), buckets - 1) for v in numbers]
+    counts = [0] * buckets
+    count_groups(counts, ids)
+    return counts

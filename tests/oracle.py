@@ -19,11 +19,16 @@ exactly there
 (and, under a requested order, with a stable sort of that order), as a
 multiset everywhere else, and under a limit as a right-sized sub-multiset
 whose order keys, when the query orders, equal the model's first ``limit``.
+
+:func:`collect_stats` is the record-at-a-time definition of a table's
+statistics, which the store collects a column at a time.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from types import SimpleNamespace
 from typing import Any, Sequence
 
 from repro.algebra import ast
@@ -321,3 +326,75 @@ def check_table(table, model: Model, fieldlist=None, predicate=None, order=None,
         fieldlist, predicate, order, limit, context,
     )
 
+
+
+# ---------------------------------------------------------------------------
+# table statistics, one record at a time
+# ---------------------------------------------------------------------------
+
+
+def collect_stats(schema, records) -> SimpleNamespace:
+    """The statistics of ``records`` (row tuples in ``schema`` order), one
+    record and one value at a time: the definition the store's column
+    kernel must equal bit for bit.
+
+    The result has the attributes ``stats_to_dict`` reads: ``row_count``,
+    ``avg_record_width`` and ``fields``, a dict of per-field namespaces
+    with ``count`` (rows, nulls included), ``nulls``, ``min_value`` /
+    ``max_value`` (the first seen of equal values, NaN and ±inf skipped),
+    ``distinct`` (a ``set``'s count, stopped at 100 000), ``histogram`` (32
+    equal-width buckets over the finite ints and floats, not bools; none
+    when the bounds are equal or the bucket width rounds to 0 or overflows)
+    and ``avg_width`` (the non-null values' estimated sizes over ``count``).
+    """
+    fields = {
+        f.name: SimpleNamespace(
+            name=f.name, count=0, nulls=0, min_value=None, max_value=None,
+            distinct=0, histogram=[], avg_width=0.0,
+        )
+        for f in schema.fields
+    }
+    distincts: dict[str, set] = {f.name: set() for f in schema.fields}
+    numbers: dict[str, list[float]] = {f.name: [] for f in schema.fields}
+    total_width = 0
+    for record in records:
+        total_width += schema.estimated_record_size(record)
+        for f, value in zip(schema.fields, record):
+            stats = fields[f.name]
+            stats.count += 1
+            if value is None:
+                stats.nulls += 1
+                continue
+            if len(distincts[f.name]) < 100_000:
+                distincts[f.name].add(value)
+            stats.avg_width += f.dtype.estimated_size(value)
+            if isinstance(value, float) and not math.isfinite(value):
+                continue
+            if stats.min_value is None or value < stats.min_value:
+                stats.min_value = value
+            if stats.max_value is None or value > stats.max_value:
+                stats.max_value = value
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                numbers[f.name].append(float(value))
+    for name, stats in fields.items():
+        stats.distinct = len(distincts[name])
+        if stats.count:
+            stats.avg_width /= stats.count
+        if numbers[name] and stats.min_value != stats.max_value:
+            stats.histogram = _histogram(
+                numbers[name], float(stats.min_value), float(stats.max_value)
+            )
+    n = len(records)
+    return SimpleNamespace(
+        row_count=n, fields=fields, avg_record_width=total_width / n if n else 0.0
+    )
+
+
+def _histogram(values: list[float], lo: float, hi: float, n: int = 32) -> list[int]:
+    width = (hi - lo) / n
+    if not 0 < width < math.inf:
+        return []
+    buckets = [0] * n
+    for v in values:
+        buckets[min(int((v - lo) / width), n - 1)] += 1
+    return buckets

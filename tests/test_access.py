@@ -462,3 +462,34 @@ def test_one_design_split_one_render_path():
     for name, source in engine.items():
         assert "renderer.render(" not in source, name
     assert {"render", "render_region"} <= set(vars(LayoutRenderer))
+
+
+def test_stats_are_collected_a_column_at_a_time():
+    """``engine/stats.py`` holds no per-record loop: no ``for`` or
+    comprehension walks ``records``, nothing there sizes a record or builds
+    a histogram value by value, and the one loop of collection is over the
+    schema's fields and their columns — the value work is
+    :func:`repro.vector.column_stats`'s."""
+    source = dict(_engine_sources())["stats.py"]
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            walked = {n.id for n in ast.walk(node.iter) if isinstance(n, ast.Name)}
+            assert not walked & {"records", "record", "values"}, ast.unparse(node.iter)
+    assert "estimated_record_size" not in source
+    _assert_absent_as_names(("_build_histogram",))
+    table_stats = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "TableStats"
+    )
+    collecting = [
+        node for method in table_stats.body
+        if isinstance(method, ast.FunctionDef)
+        and method.name in ("collect", "from_columns")
+        for node in ast.walk(method)
+        if isinstance(node, (ast.For, ast.comprehension))
+    ]
+    assert [ast.unparse(loop.iter) for loop in collecting] == [
+        "zip(schema.fields, columns)"
+    ]
+    assert "vector.column_stats(" in source

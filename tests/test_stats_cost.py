@@ -1,12 +1,17 @@
 """Tests for repro.engine.stats and repro.engine.cost."""
 
+import os
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro import vector
 from repro.engine.cost import CostEstimate, CostModel, estimate
 from repro.engine.database import RodentStore
+from repro.engine.persistence import entry_to_dict, stats_to_dict
 from repro.engine.stats import FieldStats, TableStats
 from repro.query import Range
 from repro.storage.disk import IOStats
@@ -165,6 +170,197 @@ def test_float_column_with_nan_and_inf_loads(tmp_path, numpy_on, layout):
         )
         assert _same_rows(list(table.scan()), rows)
         reopened.close()
+    finally:
+        vector.set_numpy_enabled(previous)
+
+
+# ---------------------------------------------------------------------------
+# column-at-a-time statistics equal the record-at-a-time oracle
+# ---------------------------------------------------------------------------
+
+NUMPY_MODES = [
+    pytest.param(
+        True,
+        marks=pytest.mark.skipif(not vector.numpy_enabled(), reason="numpy off"),
+    ),
+    False,
+]
+
+
+def _exact(stats) -> dict:
+    """``stats_to_dict`` with each bound spelled ``(type, repr)``: ``1`` is
+    not ``1.0`` nor ``True``, ``-0.0`` is not ``0.0``."""
+    out = stats_to_dict(stats)
+    for f in out["fields"].values():
+        for key in ("min_value", "max_value"):
+            f[key] = (type(f[key]), repr(f[key]))
+    return out
+
+
+def _assert_collects_like_the_oracle(schema, records, numpy_on):
+    previous = vector.set_numpy_enabled(numpy_on)
+    try:
+        got = TableStats.collect(schema, records)
+    finally:
+        vector.set_numpy_enabled(previous)
+    assert _exact(got) == _exact(oracle.collect_stats(schema, records))
+
+
+_INT64 = st.one_of(
+    st.integers(-(2**63), -(2**63) + 4),
+    st.integers(2**63 - 5, 2**63 - 1),
+    st.integers(-1000, 1000),
+    st.integers(-(2**63), 2**63 - 1),
+)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, NAN, INF, -INF, 5e-324, -5e-324, 1e308]),
+)
+#: column kind -> (schema type, value strategy)
+_KINDS = {
+    "int": ("int", _INT64),
+    "float": ("float", _FLOATS),
+    "mixed": ("float", st.one_of(st.integers(-3, 3), _FLOATS)),
+    "string": ("string", st.text(max_size=6)),
+    "bytes": ("bytes", st.binary(max_size=6)),
+    "bool": ("bool", st.booleans()),
+    "null": ("int", st.none()),
+}
+
+
+@st.composite
+def _tables(draw):
+    """A two-field schema and records of any two column kinds, with or
+    without nulls, possibly empty."""
+    n = draw(st.integers(0, 40))
+    types, columns = [], []
+    for _ in range(2):
+        type_name, values = _KINDS[draw(st.sampled_from(sorted(_KINDS)))]
+        if draw(st.booleans()):
+            values = st.one_of(st.none(), values)
+        types.append(type_name)
+        columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+    schema = Schema.of(f"v:{types[0]}", f"w:{types[1]}")
+    return schema, list(zip(*columns))
+
+
+@pytest.mark.parametrize("numpy_on", NUMPY_MODES)
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_collect_is_the_record_loop(numpy_on, table):
+    schema, records = table
+    _assert_collects_like_the_oracle(schema, records, numpy_on)
+
+
+@pytest.mark.parametrize("numpy_on", NUMPY_MODES)
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.0, -0.0, 1.0, -0.0],
+        [-0.0, 0.0, -1.0, 0.0],
+        [NAN, INF, -INF, NAN],
+        [1, 1.0, 2.0, 2],
+        [True, 1, 0.5, False],
+        [-(2**63), 2**63 - 1, 0],
+        [-1e308, 1e308, 0.0],  # the span overflows: no histogram
+        [5e-324, 1e-323, 0.0],
+    ],
+)
+def test_collect_keeps_the_loops_edge_results(numpy_on, values):
+    schema = Schema.of("v:float", "s:string")
+    records = [(v, None if i % 2 else "x") for i, v in enumerate(values)]
+    _assert_collects_like_the_oracle(schema, records, numpy_on)
+
+
+@pytest.mark.parametrize("numpy_on", NUMPY_MODES)
+def test_distinct_stops_at_the_cap(numpy_on):
+    schema = Schema.of("v:int", "s:string")
+    records = [(i * 3 % 100_003, str(i % 7)) for i in range(100_010)]
+    _assert_collects_like_the_oracle(schema, records, numpy_on)
+    assert TableStats.collect(schema, records).fields["v"].distinct == 100_000
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _bench_workloads():
+    if ROOT not in sys.path:
+        sys.path.insert(0, ROOT)
+    from bench.workloads import WORKLOADS
+
+    return WORKLOADS
+
+
+@pytest.mark.parametrize("numpy_on", NUMPY_MODES)
+@pytest.mark.parametrize(
+    "workload",
+    ["cartel_spatial", "sales_olap", "timeseries_ingest", "sales_mixed"],
+)
+def test_loaded_stats_are_the_oracles(workload, numpy_on):
+    """Every bench workload's smoke tables: after ``load`` the catalog's
+    ``stats`` block is the oracle's over the coerced rows."""
+    wl = _bench_workloads()[workload]
+    data = wl.generate(7, wl.sizes["smoke"], 1)
+    previous = vector.set_numpy_enabled(numpy_on)
+    try:
+        store = RodentStore(page_size=16384)
+        for spec in data.tables:
+            store.create_table(spec.name, spec.schema, layout=spec.layout)
+            store.load(spec.name, spec.rows)
+            block = entry_to_dict(store.catalog.entry(spec.name))["stats"]
+            rows = spec.schema.coerce_records(spec.rows)
+            want = oracle.collect_stats(spec.schema, rows)
+            assert block == stats_to_dict(want), spec.name
+            assert _exact(store.table(spec.name).stats) == _exact(want)
+        store.close()
+    finally:
+        vector.set_numpy_enabled(previous)
+
+
+DRIFT_SCHEMA = Schema.of("t:int", "x:float", "s:string", "g:int")
+
+
+def _drift_rows(start, n):
+    return [
+        (i, (i * 37 % 101) / 4.0 - 10.0, f"s{i % 13}", i % 5)
+        for i in range(start, start + n)
+    ]
+
+
+@pytest.mark.parametrize("numpy_on", NUMPY_MODES)
+@pytest.mark.parametrize(
+    "layout", ["T", "columns(T)", "orderby[x](T)", "partition[g](T)"]
+)
+def test_refreshed_stats_are_the_oracles(layout, numpy_on):
+    """Inserts (flushed and pending) and deletes past the drift fraction:
+    the adaptive loop's refresh reads the table's column vectors and its
+    statistics are the oracle's over the model's rows."""
+    previous = vector.set_numpy_enabled(numpy_on)
+    try:
+        store = RodentStore(page_size=1024, pool_capacity=64)
+        store.create_table("T", DRIFT_SCHEMA, layout=layout)
+        table = store.load("T", _drift_rows(0, 400))
+        model = oracle.Model(DRIFT_SCHEMA.names(), _drift_rows(0, 400), layout)
+        entry = store.catalog.entry("T")
+        loaded = entry.stats
+        for start in (400, 500):
+            table.insert(_drift_rows(start, 100))
+            model.insert(_drift_rows(start, 100))
+            if start == 400:
+                table.flush_inserts()
+        gone = Range("t", 50, 89)
+        assert table.delete(gone) == model.delete(gone) == 40
+        controller = store.adaptivity
+        drift = abs(table.row_count - loaded.row_count)
+        assert drift > controller.STATS_DRIFT_FRACTION * loaded.row_count
+        refreshed = controller._fresh_stats(entry)
+        assert refreshed is entry.stats and refreshed is not loaded
+        assert refreshed.row_count == 560
+        assert _exact(refreshed) == _exact(
+            oracle.collect_stats(DRIFT_SCHEMA, model.rows)
+        )
+        store.close()
     finally:
         vector.set_numpy_enabled(previous)
 
