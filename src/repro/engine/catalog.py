@@ -18,31 +18,37 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.optimizer.monitor import WorkloadMonitor
 
 
+#: The expression of the overflow design (:func:`overflow_plan`).
+OVERFLOW = ast.TableRef("__overflow__")
+
+
 def overflow_plan(schema: Schema) -> PhysicalPlan:
-    """The design of every overflow run: plain row-major pages over the
-    table's stored-record shape."""
-    return PhysicalPlan(
-        expr=ast.TableRef("__overflow__"), kind=LAYOUT_ROWS, schema=schema
-    )
+    """The seal design of a flat table or a partition: plain row-major
+    pages over the table's stored-record shape."""
+    return PhysicalPlan(expr=OVERFLOW, kind=LAYOUT_ROWS, schema=schema)
+
+
+def is_overflow(run: "Run") -> bool:
+    """Was ``run`` sealed under :func:`overflow_plan` — a flush of a flat
+    table or a partition, not yet merged into the region's design?"""
+    return run.plan.expr == OVERFLOW
 
 
 @dataclass
 class Run:
     """One immutable rendered unit: a layout and the plan it was rendered
-    under. Rendered once — by a bulk load, a flush, a seal, a merge or a
-    copy-on-write rewrite — and never modified afterwards.
+    under — its design. Rendered once, by a bulk load, a seal or a merge
+    (:mod:`repro.engine.levels`), and never modified afterwards.
 
-    ``overflow`` marks the row-major renders of flushed inserts that trail
-    a flat table's or a partition's main run. ``rid``/``level`` and the
-    creation-sequence range ``min_seq``/``max_seq`` order the runs of a
-    levelled region: scans resolve them newest-first by ``max_seq``, and a
-    tombstone with sequence ``s`` suppresses matching rows in runs with
-    ``max_seq < s``.
+    ``rid`` and the creation-sequence range ``min_seq``/``max_seq`` order
+    the runs of a region: a levelled one is resolved newest-first by
+    ``max_seq``, and a tombstone with sequence ``s`` suppresses matching
+    rows in runs with ``max_seq < s``. ``level`` is a levelled run's size
+    class.
     """
 
     plan: PhysicalPlan
     layout: "StoredLayout"
-    overflow: bool = False
     rid: int = 0
     level: int = 0
     min_seq: int = 0
@@ -60,14 +66,16 @@ class Run:
 class Region:
     """A list of runs plus the not-yet-rendered inserts that trail them.
 
-    Every table is a list of these. A flat table is one region whose runs
-    are ``[main, *overflow]``; ``partition[...]`` is many regions routed by
-    ``key`` (``lower``/``upper`` are the range bounds partition pruning
-    intersects with predicate ranges, ``None`` = unbounded); ``levels[...]``
-    is one region whose runs are kept sorted by ``max_seq`` and read
-    newest-first. ``plan`` is the design the region's next render uses —
-    the table plan, the partition template (free to diverge through
-    single-partition re-layouts) or the run template.
+    Every table is a list of these. A flat table is one region;
+    ``partition[...]`` is many regions routed by key (``lower``/``upper``
+    are the range bounds partition pruning intersects with predicate
+    ranges, ``None`` = unbounded); ``levels[...]`` is one region read
+    newest-first. Runs are kept sorted by ``max_seq`` and change only by a
+    seal (the pending rows out, one run in) or a merge (runs out, one run
+    in). ``plan`` is the design a merge renders under — the table plan, the
+    partition template (free to diverge through single-partition
+    re-layouts) or the run template; a levelled region seals under it too,
+    a flat table or a partition under :func:`overflow_plan`.
 
     ``pending`` holds inserted records (stored-record shape) with an
     incrementally maintained zone map. It lives here — not on Table
@@ -86,13 +94,8 @@ class Region:
 
     @property
     def main(self) -> "Run | None":
-        """The region's merged representation (``None`` until a load or a
-        compaction renders one)."""
-        return next((r for r in self.runs if not r.overflow), None)
-
-    @property
-    def overflow(self) -> "list[Run]":
-        return [r for r in self.runs if r.overflow]
+        """The region's first run (``None`` before any)."""
+        return self.runs[0] if self.runs else None
 
     @property
     def row_count(self) -> int:

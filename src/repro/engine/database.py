@@ -10,6 +10,7 @@ design with a storage-algebra expression, loads data, and queries through the
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import threading
@@ -31,6 +32,8 @@ from repro.engine.catalog import (
     CatalogEntry,
     Region,
     Run,
+    is_overflow,
+    overflow_plan,
 )
 from repro.engine.cost import CostModel
 from repro.engine.stats import TableStats
@@ -87,6 +90,10 @@ class _Mutation:
     may be handed them to overwrite. An abort or a crash drops the list
     with the transaction; the pages come back when the store next derives
     its free map.
+
+    So does what each run swap replaced (:meth:`remember`): an abort puts
+    it back, newest swap first, and retires the runs the transaction
+    swapped in (:meth:`undo`).
     """
 
     def __init__(self, store: "RodentStore", txn):
@@ -97,6 +104,7 @@ class _Mutation:
         self._rows: list[tuple[str, list[list]]] = []
         self._fresh: list[tuple[int, bytes | bytearray]] = []
         self._retired: list[tuple[CatalogEntry, list[int]]] = []
+        self._undo: list[tuple[CatalogEntry, Region, tuple[dict, dict]]] = []
 
     def lock(self, name: str) -> None:
         """Take the table's exclusive lock (strict 2PL; held to commit)."""
@@ -128,6 +136,32 @@ class _Mutation:
         durable (and the last scan pinned before it has drained)."""
         if page_ids:
             self._retired.append((entry, list(page_ids)))
+
+    def remember(self, entry: CatalogEntry, region: Region) -> None:
+        """Note the state a run swap of ``region`` is about to replace.
+        Caller holds the entry's MVCC lock."""
+        entry_state = {name: _shallow(getattr(entry, name)) for name in _ENTRY_SWAP}
+        region_state = {
+            "plan": region.plan,
+            "runs": list(region.runs),
+            "pending": list(region.pending),
+            # A levelled delete extends the zone in place.
+            "pending_zone": copy.deepcopy(region.pending_zone),
+        }
+        self._undo.append((entry, region, (entry_state, region_state)))
+
+    def undo(self) -> None:
+        """Abort: restore every remembered state, newest first, and retire
+        the runs swapped in since — no committed catalog names them."""
+        for entry, region, states in reversed(self._undo):
+            with entry.mvcc.lock:
+                kept = set(map(id, states[1]["runs"]))
+                added = [run for run in region.runs if id(run) not in kept]
+                for obj, state in zip((entry, region), states):
+                    for name, value in state.items():
+                        setattr(obj, name, value)
+                self.store._retire_runs(entry, added)
+        self._undo = []
 
     def release_retired(self) -> None:
         """After the durable commit: hand the superseded pages on."""
@@ -163,6 +197,20 @@ class _Mutation:
             for name in self._dropped:
                 payload = json.dumps({"name": name, "dropped": True})
                 wal.append(KIND_CATALOG, txn_id, payload=payload.encode())
+
+
+#: What a run swap may change on the entry besides the region (restored as
+#: it was when the transaction aborts).
+_ENTRY_SWAP = (
+    "plan", "level_tombstones", "next_run_id", "next_run_seq", "indexes",
+    "spatial_indexes", "wa_bytes_ingested", "wa_bytes_written",
+    "wa_pages_compacted", "wa_compactions",
+)
+
+
+def _shallow(value):
+    """``value``, with a list or dict copied (a swap edits some in place)."""
+    return type(value)(value) if isinstance(value, (list, dict)) else value
 
 
 class RodentStore:
@@ -358,9 +406,12 @@ class RodentStore:
         except BaseException:
             self._mutation_local.ctx = None
             try:
-                txn.abort()
-            except StorageError:
-                pass  # crashed/poisoned store: abandon without a clean abort
+                m.undo()  # under the table lock, before abort releases it
+            finally:
+                try:
+                    txn.abort()
+                except StorageError:
+                    pass  # crashed/poisoned store: abandon without a clean abort
             raise
         else:
             self._mutation_local.ctx = None
@@ -888,9 +939,10 @@ class RodentStore:
           split. Fixed splits (range/hash) render every region eagerly
           (empty ones included: the partition map is part of the physical
           design); value partitions appear in first-seen key order.
-        * ``levels[...]`` is ONE run, rendered as a seal renders one: a
-          bulk load is already "fully compacted" — the run lands at its
-          size class directly and the pending buffer starts empty.
+        * ``levels[...]`` is ONE run, rendered as a seal renders one
+          (:func:`sealed_run`): a bulk load is already "fully compacted" —
+          the run lands at its size class directly and the pending buffer
+          starts empty.
         """
         others = sorted(plan.expr.table_names() - {entry.name})
         if others:
@@ -913,10 +965,11 @@ class RodentStore:
         if plan.kind == LAYOUT_LEVELLED:
             region = Region(plan=plan.level_plans[0])
             if rows:
-                layout = self._render_level_run(plan, region.plan, rows)
-                seal_rows = self.level_seal_rows
-                level = plan.levels.level_of(layout.row_count, seal_rows)
-                region.runs = [Run(region.plan, layout, level=level)]
+                run = sealed_run(self, plan, region, _scan_schema(plan), rows)
+                run.level = plan.levels.level_of(
+                    run.row_count, self.level_seal_rows
+                )
+                region.runs = [run]
             return [region]
         batch = ColumnBatch.from_rows(fields, rows)
         layout = self._render_region(plan, plan, batch)
@@ -1052,9 +1105,10 @@ class RodentStore:
         _require_stored_fields(entry.plan, new_plan, "partition")
         table = Table(self, entry)
         with self.mutate(name) as m:
-            with self.adaptivity.pause():  # maintenance read, not workload
-                batch = table._region_batch(region)
-            self._rewrite_region(entry, region, batch, m, plan=new_plan)
+            merge(
+                table, region, list(region.runs), m,
+                pending=True, plan=new_plan, compaction=False,
+            )
         return table
 
     # -- adaptivity: change a table's physical design ------------------------
@@ -1099,96 +1153,6 @@ class RodentStore:
         with self.adaptivity.pause():
             return list(table.scan(fieldlist=logical_fields))
 
-    def compact_table(self, name: str) -> None:
-        """Fold overflow runs and pending rows back into each region's
-        main representation.
-
-        One region at a time: only regions that actually accumulated
-        overflow/pending rows are re-rendered, the rest are untouched.
-        """
-        entry = self.catalog.entry(name)
-        if entry.plan is not None and entry.plan.kind == LAYOUT_LEVELLED:
-            # Levelled tables compact by merging every run (+ pending)
-            # into one — the LSM equivalent of folding overflow back in.
-            self.compact_levels(name, full=True)
-            return
-        if entry.plan is None or not entry.loaded:
-            raise StorageError(f"table {name!r} is not loaded")
-        table = Table(self, entry)
-        with self.mutate(name) as m:
-            for region in entry.regions:
-                if not region.overflow and not region.pending:
-                    continue
-                with self.adaptivity.pause():  # maintenance, not workload
-                    batch = table._region_batch(region)
-                self._rewrite_region(entry, region, batch, m, compaction=True)
-
-    def _rewrite_region(
-        self,
-        entry: CatalogEntry,
-        region: Region,
-        batch: ColumnBatch,
-        m: _Mutation,
-        plan: PhysicalPlan | None = None,
-        compaction: bool = False,
-    ) -> None:
-        """Re-render one region from a ``batch`` of its stored-shape rows
-        (which already fold its pending rows in) as a single main run —
-        under ``plan`` when the region changes design. The copy-on-write
-        core of compaction, ``Table.delete``/``Table.update`` and
-        :meth:`relayout_partition`. Renders first: a failed render leaves
-        the region (plan, runs, pending rows) exactly as it was.
-        """
-        assert entry.plan is not None
-        run_plan = plan or region.plan
-        layout = self._render_region(entry.plan, run_plan, batch)
-        with entry.mvcc.lock:
-            region.plan = run_plan
-            self._replace_runs(
-                entry, region, list(region.runs), [Run(run_plan, layout)], m,
-                compaction=compaction,
-            )
-
-    def _replace_runs(
-        self,
-        entry: CatalogEntry,
-        region: Region,
-        old: "list[Run]",
-        new: "list[Run]",
-        m: _Mutation,
-        ingest: bool = False,
-        compaction: bool = False,
-        keep_pending: bool = False,
-    ) -> None:
-        """THE structural write: ``old`` runs of ``region`` out, ``new``
-        runs in — flush and seal (nothing out), compaction, merge, rewrite
-        and re-layout (everything read out, one run in).
-
-        ``new`` was rendered from ``old`` plus — unless ``keep_pending`` —
-        the pending buffer, which clears. The swap happens under the
-        entry's MVCC lock, so a pinned scan sees either side of it, never
-        a mix; superseded pages are retired, not freed (they wait for the
-        transaction's durable commit — a later merge of the same cascade
-        must not be handed a page the recoverable catalog still names —
-        and then for the last draining reader), and positions indexed
-        before a rewrite mean nothing after it. Every render is charged to
-        the write-amplification ledger; its pages were logged as they were
-        written and the new catalog image is logged at commit.
-        """
-        with entry.mvcc.lock:
-            gone = {id(run) for run in old}
-            runs = [run for run in region.runs if id(run) not in gone] + new
-            runs.sort(key=lambda run: run.max_seq)
-            region.runs = runs
-            if not keep_pending:
-                region.clear_pending()
-            if old:
-                self._drop_indexes(entry)
-                self._retire_runs(entry, old)
-            for run in new:
-                self._wa_note(entry, run.layout, ingest, compaction)
-        m.touch(entry.name)
-
     # -- levelled (LSM) storage ---------------------------------------------
 
     def maintain_levels(self, name: str, rows_written: int = 0) -> None:
@@ -1200,88 +1164,19 @@ class RodentStore:
         shared worker pool when ``scan_workers > 1``, synchronously
         otherwise (deterministic for tests and single-threaded stores).
         """
-        entry = self.catalog.entry(name)
-        plan = entry.plan
-        if plan is None or plan.kind != LAYOUT_LEVELLED:
-            return
-        if rows_written:
-            self.adaptivity.note_write(name, rows_written)
-        if self._closed:
-            return
-        (region,) = entry.regions
-        if len(region.pending) >= self.level_seal_rows:
-            self.seal_level_run(name)
-        assert plan.levels is not None
-        if _levels_over_fanout(region, plan.levels.k):
-            self._schedule_level_compaction(name)
+        maintain_levels(Table(self, self.catalog.entry(name)), rows_written)
 
-    def _schedule_level_compaction(self, name: str) -> None:
-        if self.scan_workers > 1 and not self._closed:
-            with self._level_lock:
-                if name in self._compacting:
-                    return  # one in-flight merge per table
-                self._compacting.add(name)
-
-            def job() -> None:
-                try:
-                    self.compact_levels(name)
-                except RodentStoreError:
-                    # Lost a race (drop/close/fault); the next insert's
-                    # maintain_levels retries if the fan-out still holds.
-                    pass
-                finally:
-                    with self._level_lock:
-                        self._compacting.discard(name)
-
-            self.scan_executor().submit(job)
-        else:
-            self.compact_levels(name)
-
-    def _levelled(self, name: str) -> CatalogEntry:
+    def _levelled(self, name: str) -> Table:
         entry = self.catalog.entry(name)
         if entry.plan is None or entry.plan.kind != LAYOUT_LEVELLED:
             raise StorageError(f"table {name!r} is not levelled")
-        return entry
+        return Table(self, entry)
 
     def seal_level_run(self, name: str) -> StoredLayout | None:
-        """Seal the pending buffer into an immutable level-0 run.
-
-        Rendering happens before any shared state changes; the run then
-        joins the manifest under the MVCC lock while the pending buffer
-        clears — one transaction, so recovery sees the rows either as
-        pending (the insert's WAL row records) or as the sealed run (the
-        seal's catalog image), never both and never neither. Returns the
-        new run's layout, or ``None`` when nothing was pending.
-        """
-        entry = self._levelled(name)
-        with self.mutate(name) as m:
-            plan = entry.plan
-            (region,) = entry.regions
-            rows = [tuple(r) for r in region.pending]
-            if not rows:
-                return None
-            layout = self._render_level_run(plan, region.plan, rows)
-            with entry.mvcc.lock:
-                seq = entry.next_run_seq
-                entry.next_run_seq += 1
-                run = Run(
-                    region.plan, layout,
-                    rid=entry.next_run_id, min_seq=seq, max_seq=seq,
-                )
-                entry.next_run_id += 1
-                self._replace_runs(entry, region, [], [run], m, ingest=True)
-            return layout
-
-    def _render_level_run(
-        self, plan: PhysicalPlan, run_plan: PhysicalPlan, rows: list[tuple]
-    ) -> StoredLayout:
-        """Render stored records as one levelled run — a seal's or a bulk
-        load's — keeping the last row per key first when keyed."""
-        names = tuple(_scan_schema(plan).names())
-        if plan.levels.key is not None:
-            rows = _LevelResolver(plan.levels, names, []).resolve_pending(rows)
-        batch = ColumnBatch.from_rows(names, rows)
-        return self._render_region(plan, run_plan, batch)
+        """Seal the pending buffer into an immutable level-0 run, in one
+        transaction. Returns the new run's layout, or ``None`` when nothing
+        was pending."""
+        return seal_level_run(self._levelled(name))
 
     def compact_levels(
         self,
@@ -1299,143 +1194,7 @@ class RodentStore:
         loop's levelled re-organization; the design must keep the stored
         fields). Returns ``{"merges", "runs_merged", "relayout"}``.
         """
-        entry = self._levelled(name)
-        report = {"merges": 0, "runs_merged": 0, "relayout": False}
-        with self.mutate(name) as m:
-            (region,) = entry.regions
-            plan = entry.plan
-            assert plan is not None and plan.levels is not None
-            if inner is not None:
-                plan = self._relevel_plan(entry, inner)
-                full = True
-                report["relayout"] = True
-            if full:
-                sources = list(region.runs)
-                if sources or region.pending:
-                    self._merge_runs_once(
-                        entry, plan, sources, m,
-                        target_level=None, include_pending=True,
-                    )
-                    report["merges"] = 1
-                    report["runs_merged"] = len(sources)
-                else:
-                    # Nothing to merge: still swap in the new design so
-                    # future seals render under it.
-                    with entry.mvcc.lock:
-                        entry.plan = plan
-                        region.plan = plan.level_plans[0]
-                m.touch(name)
-                return report
-            while True:
-                over = _levels_over_fanout(region, plan.levels.k)
-                if not over:
-                    break
-                sources = [r for r in region.runs if r.level == over[0]]
-                # Merges target exactly level+1: size-based promotion
-                # could interleave another level's sequence range inside
-                # the merged run's, breaking newest-first resolution.
-                self._merge_runs_once(
-                    entry, plan, sources, m, target_level=over[0] + 1
-                )
-                report["merges"] += 1
-                report["runs_merged"] += len(sources)
-        return report
-
-    def _merge_runs_once(
-        self,
-        entry: CatalogEntry,
-        plan: PhysicalPlan,
-        sources: "list[Run]",
-        m: _Mutation,
-        target_level: int | None,
-        include_pending: bool = False,
-    ) -> None:
-        """Merge ``sources`` (plus optionally the pending buffer) into one
-        run, resolving tombstones and (keyed) duplicate keys exactly as a
-        scan would: each source is read newest-first through the scan's own
-        levelled path (:meth:`Table._region_batches` under one shared
-        :class:`_LevelResolver`).
-
-        The merge passes column vectors from the pages it reads to the
-        pages it writes. A source that nothing can suppress yields the
-        batches its reader decoded; only a source the resolver must filter
-        turns into rows, batch by batch, as in a scan. The survivors join
-        in one :func:`merge_batches` — oldest source first, the pending
-        buffer last, the row order of every earlier merge, so the pages
-        are byte-identical — and :meth:`_render_region` hands the vectors
-        to a ``columns`` run design as they are.
-
-        Resolution and row recovery happen under the *current* plan's
-        canonical field order (tombstone values were recorded under it);
-        :meth:`_render_region` reorders the merged batch for ``plan`` — the
-        target design, which differs only during a levelled re-layout. The swap
-        is atomic under the MVCC lock: sources out, merged run in, plan
-        updated, applicable tombstones collected.
-        """
-        assert plan.levels is not None and entry.plan is not None
-        spec = plan.levels
-        (region,) = entry.regions
-        old_names = list(_scan_schema(entry.plan).names())
-        fields = tuple(old_names)
-        table = Table(self, entry)
-        resolver = _LevelResolver(spec, old_names, entry.level_tombstones)
-        pending_rows: list[tuple] = []
-        if include_pending:
-            # Pending is the freshest segment: resolve it first so (keyed)
-            # its keys shadow older copies in the sources. Tombstones never
-            # apply to pending rows — they postdate every tombstone.
-            pending_rows = resolver.resolve_pending(list(region.pending))
-        held: list[ColumnBatch] = []
-        for run in sorted(sources, key=lambda r: r.max_seq, reverse=True):
-            batches, _ = table._region_batches(
-                Region(runs=[run]), None, None, old_names, resolver=resolver
-            )
-            held[:0] = batches  # oldest source first
-        if pending_rows:
-            held.append(ColumnBatch.from_rows(fields, pending_rows))
-        merged = merge_batches(fields, held)
-        run_plan = plan.level_plans[0]
-        new_runs: list[Run] = []
-        if merged.n_rows:
-            if target_level is None:
-                # Full compaction: one resulting run cannot interleave any
-                # other run's range, so its size class is safe to use.
-                target_level = max(
-                    [spec.level_of(merged.n_rows, self.level_seal_rows)]
-                    + [r.level for r in sources]
-                )
-            layout = self._render_region(entry.plan, run_plan, merged)
-            new_runs.append(Run(run_plan, layout, level=target_level))
-        with entry.mvcc.lock:
-            for run in new_runs:
-                if include_pending or not sources:
-                    # A full merge's output is the complete post-
-                    # resolution state: folded-in pending rows are newer
-                    # than every tombstone (an inherited seq would let a
-                    # surviving tombstone suppress them at scan), and
-                    # every tombstone has been applied to every source —
-                    # a fresh sequence lets the GC below drop them all.
-                    run.max_seq = entry.next_run_seq
-                    entry.next_run_seq += 1
-                else:
-                    run.max_seq = max(r.max_seq for r in sources)
-                run.min_seq = min(
-                    (r.min_seq for r in sources), default=run.max_seq
-                )
-                run.rid = entry.next_run_id
-                entry.next_run_id += 1
-            entry.plan = plan
-            region.plan = run_plan
-            self._replace_runs(
-                entry, region, sources, new_runs, m,
-                compaction=True, keep_pending=not include_pending,
-            )
-            # A tombstone still applies only to runs older than its seq;
-            # with none left it is garbage (a full merge drops them all).
-            entry.level_tombstones = [
-                t for t in entry.level_tombstones
-                if any(r.max_seq < t[0] for r in region.runs)
-            ]
+        return compact_levels(self._levelled(name), inner, full)
 
     def _relevel_plan(
         self, entry: CatalogEntry, inner: str | ast.Node
@@ -1581,7 +1340,9 @@ class RodentStore:
                                 "layout": region.plan.describe()
                                 if region.plan is not None
                                 else None,
-                                "overflow_regions": len(region.overflow),
+                                "overflow_regions": sum(
+                                    map(is_overflow, region.runs)
+                                ),
                                 "pending_rows": len(region.pending),
                             }
                             for region in entry.regions
@@ -1708,15 +1469,6 @@ def _unloaded_regions(plan: PhysicalPlan) -> tuple[list[Region], bool]:
     return [Region(plan=template)], plan.levels is not None
 
 
-def _levels_over_fanout(region: Region, k: int) -> list[int]:
-    """Levels of a levelled region holding at least ``k`` runs, shallowest
-    first."""
-    counts: dict[int, int] = {}
-    for run in region.runs:
-        counts[run.level] = counts.get(run.level, 0) + 1
-    return sorted(level for level, c in counts.items() if c >= k)
-
-
 def _require_stored_fields(
     plan: PhysicalPlan, new_plan: PhysicalPlan, what: str
 ) -> None:
@@ -1770,3 +1522,305 @@ def _find_or_create_region(
         regions.append(region)
     lookup[region.key] = region
     return region, next_pid
+
+
+# -- seal and merge: the only two ways a region's runs change --------------
+
+
+def sealed_run(
+    store: RodentStore,
+    plan: PhysicalPlan,
+    region: Region,
+    schema: Schema,
+    rows: list[tuple],
+) -> Run:
+    """Stored-shape ``rows`` (in ``schema`` order) rendered as one run under
+    ``region``'s seal design, not yet swapped in: a levelled region's run
+    design — keyed, the last row per key kept first — else the row-major
+    overflow design of a flat table's or a partition's flush. The render of
+    every seal, and of a levelled bulk load."""
+    names = tuple(schema.names())
+    spec = plan.levels
+    if spec is None:
+        design = overflow_plan(schema)
+    else:
+        design = region.plan
+        if spec.key is not None:
+            rows = _LevelResolver(spec, names, []).resolve_pending(rows)
+    batch = ColumnBatch.from_rows(names, rows)
+    return Run(design, store._render_region(plan, design, batch))
+
+
+def seal(table: Table, region: Region, m: _Mutation) -> Run | None:
+    """Seal ``region``'s pending rows into one new run (:func:`sealed_run`)
+    and swap it in, nothing out and the pending buffer cleared, as a step
+    of ``m``: recovery sees the rows either pending (the inserts' WAL row
+    records) or sealed (the seal's catalog image), never both and never
+    neither. ``None`` when nothing was pending."""
+    if not region.pending:
+        return None
+    db, entry = table._db, table._entry
+    rows = [tuple(r) for r in region.pending]
+    run = sealed_run(db, entry.plan, region, table.scan_schema(), rows)
+    replace_runs(db, entry, region, [], [run], m, ingest=True)
+    return run
+
+
+def merge(
+    table: Table,
+    region: Region,
+    sources: "list[Run]",
+    m: _Mutation,
+    *,
+    pending: bool = False,
+    edit: Callable[[list[ColumnBatch]], ColumnBatch | None] | None = None,
+    plan: PhysicalPlan | None = None,
+    table_plan: PhysicalPlan | None = None,
+    level: int | None = None,
+    compaction: bool = True,
+) -> Run | None:
+    """Merge ``sources`` — runs of ``region`` — and, with ``pending``, its
+    pending rows into one run, swapped in for them as a step of ``m``.
+
+    Every source is read through the scan's own region path
+    (:meth:`Table._region_batches`) under one resolver — for ``levels``,
+    tombstones and keyed last-writer-wins, so a merge drops exactly what a
+    scan would suppress — newest first, the pending rows (the newest
+    segment) before any run. A source nothing can suppress yields the
+    column batches its reader decoded. The survivors join oldest source
+    first, pending rows last — the row order of every earlier compaction,
+    so the pages are byte-identical — in one :func:`merge_batches`, or
+    through a batch ``edit`` that maps them to the region's new batch
+    (``None``: nothing changes, nothing renders).
+
+    The result renders under ``plan`` (default: the region's design; a
+    levelled re-layout also passes its new ``table_plan``) as one run of
+    ``level`` (levelled; default: its size class, and at least its
+    sources'). A levelled merge that resolves to nothing renders no run.
+    Resolution happens under the *current* plan's canonical field order
+    (tombstone values were recorded under it); the render reorders the
+    batch for ``plan``.
+    """
+    db, entry = table._db, table._entry
+    spec = entry.plan.levels
+    names = table.scan_schema().names()
+    fields = tuple(names)
+    resolver = None
+    if spec is not None:
+        resolver = _LevelResolver(spec, names, entry.level_tombstones)
+    rows = [tuple(r) for r in region.pending] if pending else []
+    if resolver is not None:
+        rows = resolver.resolve_pending(rows)
+    held: list[ColumnBatch] = []
+    for run in reversed(sorted(sources, key=lambda run: run.max_seq)):
+        batches, _ = table._region_batches(
+            Region(runs=[run]), None, None, names, resolver=resolver
+        )
+        held[:0] = batches  # oldest source first
+    if rows:
+        held.append(ColumnBatch.from_rows(fields, rows))
+    if edit is None:
+        merged = merge_batches(fields, held)
+    else:
+        merged = edit(held)
+        if merged is None:
+            return None
+    design = plan or region.plan
+    new: list[Run] = []
+    if spec is None or merged.n_rows:
+        if spec is not None and level is None:
+            # A full merge: one resulting run cannot interleave any other
+            # run's range, so its size class is safe to use.
+            level = max(
+                [spec.level_of(merged.n_rows, db.level_seal_rows)]
+                + [run.level for run in sources]
+            )
+        layout = db._render_region(entry.plan, design, merged)
+        new.append(Run(design, layout, level=level or 0))
+    replace_runs(
+        db, entry, region, sources, new, m, plan=design,
+        table_plan=table_plan, compaction=compaction, keep_pending=not pending,
+    )
+    return new[0] if new else None
+
+
+def replace_runs(
+    store: RodentStore,
+    entry: CatalogEntry,
+    region: Region,
+    old: "list[Run]",
+    new: "list[Run]",
+    m: _Mutation,
+    *,
+    plan: PhysicalPlan | None = None,
+    table_plan: PhysicalPlan | None = None,
+    ingest: bool = False,
+    compaction: bool = False,
+    keep_pending: bool = False,
+) -> None:
+    """THE run swap: ``old`` runs of ``region`` out, ``new`` runs in — a
+    seal takes nothing out, a merge its sources — and the region's design
+    (``plan``) and a levelled re-layout's table design (``table_plan``)
+    with them.
+
+    ``new`` was rendered from ``old`` plus — unless ``keep_pending`` — the
+    pending buffer, which clears. Each new run takes the next run id and a
+    fresh sequence number; a partial merge (pending kept) inherits its
+    sources' newest instead, so unmerged runs of other levels keep their
+    place in time. The swap happens under the entry's MVCC lock, so a
+    pinned scan sees either side of it, never a mix; superseded pages are
+    retired, not freed (they wait for the transaction's durable commit — a
+    later merge of the same cascade must not be handed a page the
+    recoverable catalog still names — and then for the last draining
+    reader), and positions indexed before a rewrite mean nothing after it.
+    Every render is charged to the write-amplification ledger; its pages
+    were logged as they were written and the new catalog image is logged at
+    commit. What the swap replaces is remembered on ``m``: an abort puts it
+    back.
+    """
+    with entry.mvcc.lock:
+        m.remember(entry, region)
+        for run in new:
+            if old and keep_pending:
+                run.max_seq = max(r.max_seq for r in old)
+            else:
+                # Folded-in pending rows are newer than every tombstone (an
+                # inherited seq would let a surviving tombstone suppress
+                # them at scan), and a full merge applied every tombstone
+                # to every source: a fresh sequence lets the GC below drop
+                # them all.
+                run.max_seq = entry.next_run_seq
+                entry.next_run_seq += 1
+            run.min_seq = min((r.min_seq for r in old), default=run.max_seq)
+            run.rid = entry.next_run_id
+            entry.next_run_id += 1
+        gone = set(map(id, old))
+        runs = [run for run in region.runs if id(run) not in gone] + new
+        region.runs = sorted(runs, key=lambda run: run.max_seq)
+        if plan is not None:
+            region.plan = plan
+        if table_plan is not None:
+            entry.plan = table_plan
+        if not keep_pending:
+            region.clear_pending()
+        if old:
+            store._drop_indexes(entry)
+            store._retire_runs(entry, old)
+            # A tombstone applies only to runs older than its seq; with
+            # none left it is garbage (a full merge drops them all).
+            entry.level_tombstones = [
+                t for t in entry.level_tombstones
+                if any(run.max_seq < t[0] for run in region.runs)
+            ]
+        for run in new:
+            store._wa_note(entry, run.layout, ingest, compaction)
+    m.touch(entry.name)
+
+
+def compact(table: Table) -> None:
+    """Fold the flushed runs and pending rows of each region of a flat or
+    partitioned table into one run under the region's design, in one
+    transaction: one :func:`merge` per region that has any, the rest are
+    untouched."""
+    with table._db.mutate(table.name) as m:
+        for region in table._require_loaded():
+            if region.pending or any(map(is_overflow, region.runs)):
+                merge(table, region, list(region.runs), m, pending=True)
+
+
+# -- the level cascade ------------------------------------------------------
+
+
+def maintain_levels(table: Table, rows_written: int) -> None:
+    """:meth:`RodentStore.maintain_levels`."""
+    db, plan = table._db, table._entry.plan
+    if plan is None or plan.kind != LAYOUT_LEVELLED:
+        return
+    if rows_written:
+        db.adaptivity.note_write(table.name, rows_written)
+    if db._closed:
+        return
+    (region,) = table._entry.regions
+    if len(region.pending) >= db.level_seal_rows:
+        db.seal_level_run(table.name)
+    if _levels_over_fanout(region, plan.levels.k):
+        _schedule_level_compaction(db, table.name)
+
+
+def _schedule_level_compaction(store: RodentStore, name: str) -> None:
+    if store.scan_workers > 1 and not store._closed:
+        with store._level_lock:
+            if name in store._compacting:
+                return  # one in-flight merge per table
+            store._compacting.add(name)
+
+        def job() -> None:
+            try:
+                store.compact_levels(name)
+            except RodentStoreError:
+                # Lost a race (drop/close/fault); the next insert's
+                # maintain_levels retries if the fan-out still holds.
+                pass
+            finally:
+                with store._level_lock:
+                    store._compacting.discard(name)
+
+        store.scan_executor().submit(job)
+    else:
+        store.compact_levels(name)
+
+
+def seal_level_run(table: Table) -> StoredLayout | None:
+    """:meth:`RodentStore.seal_level_run`: one :func:`seal`."""
+    with table._db.mutate(table.name) as m:
+        run = seal(table, table._entry.regions[0], m)
+    return None if run is None else run.layout
+
+
+def compact_levels(
+    table: Table, inner: str | ast.Node | None, full: bool
+) -> dict:
+    """:meth:`RodentStore.compact_levels`: one :func:`merge` of every run
+    and the pending rows (``full``, or a re-layout to ``inner``), else one
+    per level over fan-out, shallowest first, until none is."""
+    db, entry = table._db, table._entry
+    report = {"merges": 0, "runs_merged": 0, "relayout": False}
+    with db.mutate(table.name) as m:
+        (region,) = entry.regions
+        if inner is not None or full:
+            table_plan = None
+            if inner is not None:
+                table_plan = db._relevel_plan(entry, inner)
+                report["relayout"] = True
+            sources = list(region.runs)
+            if sources or region.pending:
+                report.update(merges=1, runs_merged=len(sources))
+            # With nothing to merge this still swaps in the new design, so
+            # future seals render under it.
+            merge(
+                table, region, sources, m, pending=True,
+                plan=table_plan and table_plan.level_plans[0],
+                table_plan=table_plan,
+            )
+            return report
+        while True:
+            over = _levels_over_fanout(region, entry.plan.levels.k)
+            if not over:
+                break
+            sources = [run for run in region.runs if run.level == over[0]]
+            # Merges target exactly level+1: size-based promotion could
+            # interleave another level's sequence range inside the merged
+            # run's, breaking newest-first resolution.
+            merge(table, region, sources, m, level=over[0] + 1)
+            report["merges"] += 1
+            report["runs_merged"] += len(sources)
+    return report
+
+
+def _levels_over_fanout(region: Region, k: int) -> list[int]:
+    """Levels of a levelled region holding at least ``k`` runs, shallowest
+    first."""
+    counts: dict[int, int] = {}
+    for run in region.runs:
+        counts[run.level] = counts.get(run.level, 0) + 1
+    return sorted(level for level, c in counts.items() if c >= k)

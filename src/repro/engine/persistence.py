@@ -23,7 +23,7 @@ from repro.algebra.physical import (
     LAYOUT_PARTITIONED,
     PhysicalPlan,
 )
-from repro.engine.catalog import Region, Run, overflow_plan
+from repro.engine.catalog import Region, Run, is_overflow, overflow_plan
 from repro.engine.stats import FieldStats, TableStats
 from repro.engine.synopsis import LayoutSynopsis, ZoneColumn, ZoneTable
 from repro.errors import CatalogError, CorruptCatalogError
@@ -251,11 +251,16 @@ def stats_from_dict(data: dict) -> TableStats:
 
 
 def _run_layouts(region) -> dict:
-    """A flat table's or a partition's runs under their catalog keys."""
-    main = region.main
+    """A flat table's or a partition's runs under their catalog keys: a
+    run sealed under the overflow design under ``overflow``, the one run
+    under the region's design under ``layout``."""
+    main = [run for run in region.runs if not is_overflow(run)]
     return {
-        "layout": layout_to_dict(main.layout) if main else None,
-        "overflow": [layout_to_dict(o.layout) for o in region.overflow],
+        "layout": layout_to_dict(main[0].layout) if main else None,
+        "overflow": [
+            layout_to_dict(run.layout)
+            for run in region.runs if is_overflow(run)
+        ],
         "pending": [list(r) for r in region.pending],
     }
 
@@ -462,7 +467,7 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
             main = layout_from_dict(data["layout"], plan)
             region.runs.append(Run(plan, main))
         region.runs += [
-            Run(spill_plan, layout_from_dict(o, spill_plan), overflow=True)
+            Run(spill_plan, layout_from_dict(o, spill_plan))
             for o in data.get("overflow", [])
         ]
         pending = [tuple(row) for row in data.get("pending", [])]

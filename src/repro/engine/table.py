@@ -74,13 +74,12 @@ from repro.algebra.transforms import (
 )
 from repro.engine import synopsis as zonemaps
 from repro.engine.access import count_runs, decide_scan, index_access, open_run
-from repro.engine.catalog import CatalogEntry, Run, overflow_plan
+from repro.engine.catalog import CatalogEntry, is_overflow
 from repro.engine.cost import CostEstimate, estimate
 from repro.errors import CorruptPageError, QueryError, StorageError
 from repro.layout.renderer import (
     ColumnBatch,
     StoredLayout,
-    merge_batches,
     select_column_groups,
     sort_batches,
 )
@@ -905,17 +904,11 @@ class Table:
 
         return generate(), list(target)
 
-    def _region_batch(self, region) -> ColumnBatch:
-        """Every stored-shape row of one region (runs + pending) in
-        canonical scan order, as one batch — the source of a region-granular
-        rewrite."""
-        names = self.scan_schema().names()
-        batches, _ = self._region_batches(region, None, None, names)
-        return merge_batches(tuple(names), list(batches))
-
     def _region_rows(self, region) -> list[tuple]:
-        """:meth:`_region_batch` as row tuples."""
-        return self._region_batch(region).rows()
+        """Every stored-shape row of one region (runs + pending) in
+        canonical scan order."""
+        names = self.scan_schema().names()
+        return _batch_rows(self._region_batches(region, None, None, names)[0])
 
     def _open_run(
         self,
@@ -1020,9 +1013,7 @@ class Table:
     def _unmerged(self) -> bool:
         """Does any region hold more than one merged run? Positions (and
         stored order) then no longer describe the whole table."""
-        return any(
-            r.pending or r.overflow or len(r.runs) > 1 for r in self._regions
-        )
+        return any(r.pending or len(r.runs) > 1 for r in self._regions)
 
     # ==================================================================
     # get_element / next
@@ -1354,52 +1345,49 @@ class Table:
         return split
 
     def flush_inserts(self):
-        """Render pending records into new on-disk runs.
+        """Seal pending records into new on-disk runs, one per region with
+        pending rows (:func:`~repro.engine.database.seal`).
 
-        Flat and partitioned tables gain a row-major overflow run per
-        region with pending rows; returns the overflow layout (or, for
-        partitioned tables, the list of per-partition overflow layouts),
-        ``None`` when nothing was pending. Levelled tables seal the pending
-        buffer into a new level-0 run (the returned layout is the run's).
+        A flat table or a partition seals a row-major overflow run; returns
+        its layout (for a partitioned table, the list of them), ``None``
+        when nothing was pending. A levelled table seals a level-0 run
+        (:meth:`~repro.engine.database.RodentStore.seal_level_run`).
         """
         if self.is_levelled:
             return self._db.seal_level_run(self.name)
-        entry = self._entry
-        plan = overflow_plan(self.scan_schema())
-        fields = tuple(plan.schema.names())
-        flushed = []
+        from repro.engine.database import seal
+
         with self._db.mutate(self.name) as m:
-            for region in entry.regions:
-                if not region.pending:
-                    continue
-                batch = ColumnBatch.from_rows(fields, list(region.pending))
-                layout = self._db._render_region(plan, plan, batch)
-                run = Run(plan, layout, overflow=True)
-                self._db._replace_runs(
-                    entry, region, [], [run], m, ingest=True
-                )
-                flushed.append(run.layout)
+            runs = [seal(self, region, m) for region in self._entry.regions]
+        flushed = [run.layout for run in runs if run is not None]
         if self.is_partitioned:
             return flushed or None
         return flushed[0] if flushed else None
 
     @property
     def overflow_row_count(self) -> int:
+        """Rows a compaction folds in: flushed overflow runs and pending."""
         return sum(
-            sum(run.row_count for run in region.overflow)
+            sum(run.row_count for run in region.runs if is_overflow(run))
             + len(region.pending)
             for region in self._regions
         )
 
     def compact(self) -> None:
         """Merge overflow runs and pending rows back into each region's
-        main representation.
+        main representation, one merge per region that has any
+        (:func:`~repro.engine.database.compact`).
 
         For levelled tables this is a *full* compaction: every run plus
         the pending buffer merges into a single run, applying tombstones
         and last-writer-wins resolution physically.
         """
-        self._db.compact_table(self.name)
+        if self.is_levelled:
+            self._db.compact_levels(self.name, full=True)
+            return
+        from repro.engine.database import compact
+
+        compact(self)
 
     # ==================================================================
     # deletes and updates (copy-on-write rewrites)
@@ -1409,10 +1397,11 @@ class Table:
         """Transactionally remove matching rows (all rows when ``predicate``
         is ``None``).
 
-        Deletes are copy-on-write: the surviving rows are re-rendered into
-        fresh pages (per-region for partitioned tables) and swapped in at
-        commit, so in-flight snapshot scans keep reading the old version.
-        Returns the number of rows removed.
+        Deletes are copy-on-write: each region holding a victim merges
+        into one run of its surviving rows (levelled tables record
+        tombstones instead), swapped in at commit, so in-flight snapshot
+        scans keep reading the old version. Returns the number of rows
+        removed.
         """
         return self._rewrite(predicate, None)
 
@@ -1466,12 +1455,14 @@ class Table:
             return tuple(values)
 
         if self.is_levelled:
-            return self._rewrite_levelled(
-                predicate, updated if assignments is not None else None,
+            return rewrite_levelled(
+                self, predicate, updated if assignments is not None else None,
                 names, positions,
             )
+        from repro.engine.database import merge
 
         keep = None if predicate is None else selector(predicate, positions)
+        total = 0
 
         def victims(batch: ColumnBatch) -> list | None:
             """Per-row verdicts of ``predicate`` on one batch (``None`` =
@@ -1481,13 +1472,13 @@ class Table:
             mask = keep(batch)
             return vector.to_list(mask) if vector.mask_count(mask) else None
 
-        def transform(batches: list[ColumnBatch]) -> tuple[list[tuple], int]:
-            """Rows of ``batches`` with the rewrite applied, and how many it
-            changed — (``[]``, 0) without materializing a row when none."""
+        def edit(batches: list[ColumnBatch]) -> ColumnBatch | None:
+            """One region's rows with the rewrite applied — ``None``, and
+            no row materialized, when no row matches."""
+            nonlocal total
             masks = [victims(batch) for batch in batches]
             if not any(masks):
-                return [], 0
-            changed = 0
+                return None
             out: list[tuple] = []
             for batch, mask in zip(batches, masks):
                 if mask is None:
@@ -1497,106 +1488,21 @@ class Table:
                     if not hit:
                         out.append(row)
                         continue
-                    changed += 1
+                    total += 1
                     if assignments is not None:  # a delete drops the row
                         out.append(updated(row))
-            return out, changed
+            return ColumnBatch.from_rows(tuple(names), out)
 
-        # Copy-on-write, one region at a time: only regions the predicate
+        # Copy-on-write, one merge per region: only regions the predicate
         # can reach are read at all, only regions holding a victim are
-        # re-rendered.
-        total = 0
+        # rendered.
         with self._db.mutate(self.name) as m:
             for region in self.partition_survivors(predicate):
-                with self._db.adaptivity.pause():
-                    batches = list(
-                        self._region_batches(region, None, None, names)[0]
-                    )
-                new_rows, changed = transform(batches)
-                if changed:
-                    total += changed
-                    batch = ColumnBatch.from_rows(tuple(names), new_rows)
-                    self._db._rewrite_region(entry, region, batch, m)
+                merge(
+                    self, region, list(region.runs), m,
+                    pending=True, edit=edit, compaction=False,
+                )
         return total
-
-    def _rewrite_levelled(
-        self,
-        predicate: Predicate | None,
-        updated,
-        names: list[str],
-        positions: dict[str, int],
-    ) -> int:
-        """Delete/update on a levelled table: no run is ever rewritten.
-
-        Matching *visible* rows are resolved once; pending rows are
-        filtered (and, for updates, re-appended through ``updated``) in
-        place, and one tombstone per distinct victim — merge key when
-        keyed, full row value otherwise — suppresses matches in the
-        immutable runs until a merge physically drops them. The pending
-        zone synopsis is rebuilt incrementally from the surviving rows,
-        never left stale.
-        """
-        entry = self._entry
-        key_expr = self.plan.levels.key
-        with self._db.mutate(self.name) as m:
-            (region,) = entry.regions
-            with self._db.adaptivity.pause():
-                batches, _ = self._table_source(None, None)
-                if predicate is not None:
-                    keep = selector(predicate, positions)
-                    batches = (batch.select(keep(batch)) for batch in batches)
-                matched = _batch_rows(batches)
-            if not matched:
-                return 0
-            if predicate is None and updated is None:
-                # Delete-all: drop every run outright, no tombstones.
-                with entry.mvcc.lock:
-                    entry.level_tombstones = []
-                    self._db._replace_runs(
-                        entry, region, list(region.runs), [], m
-                    )
-                return len(matched)
-            new_rows = [updated(r) for r in matched] if updated else []
-
-            def victim_of(row: tuple):
-                if key_expr is None:
-                    return tuple(row)
-                return eval_scalar(key_expr, row, positions)
-
-            # Distinct victims in first-match order: the merge key kills
-            # every older version of that key; a row value kills every
-            # equal copy (predicates are value-deterministic, so equal
-            # copies always match together).
-            victims = list(dict.fromkeys(map(victim_of, matched)))
-            victim_set = set(victims)
-            with entry.mvcc.lock:
-                survivors = [
-                    tuple(r)
-                    for r in region.pending
-                    if victim_of(r) not in victim_set
-                ]
-                # Incremental zone maintenance: the existing zone already
-                # covers every survivor (a subset of the rows it
-                # summarized), so only the update-produced rows fold in —
-                # O(changes), not O(pending). The bounds stay a sound
-                # over-approximation until the next seal renders an exact
-                # synopsis for the sealed run.
-                if region.pending_zone is None or not (survivors or new_rows):
-                    region.clear_pending()
-                    new_rows = survivors + new_rows
-                else:
-                    region.pending = survivors
-                if new_rows:
-                    region.add_pending(names, new_rows)
-                if region.runs:
-                    seq = entry.next_run_seq
-                    entry.next_run_seq += 1
-                    entry.level_tombstones.extend(
-                        (seq, v) for v in victims
-                    )
-                self._mark_indexes_stale()
-            m.touch(self.name)
-        return len(matched)
 
     # -- misc ---------------------------------------------------------------
 
@@ -1728,6 +1634,86 @@ class _LevelResolver:
         if not dead:
             return list(rows)
         return [row for row in rows if tuple(row) not in dead]
+
+
+def rewrite_levelled(
+    table: Table,
+    predicate: Predicate | None,
+    updated,
+    names: list[str],
+    positions: dict[str, int],
+) -> int:
+    """Delete/update on a levelled table: no run is ever rewritten.
+
+    Matching *visible* rows are resolved once; pending rows are
+    filtered (and, for updates, re-appended through ``updated``) in
+    place, and one tombstone per distinct victim — merge key when
+    keyed, full row value otherwise — suppresses matches in the
+    immutable runs until a merge physically drops them. The pending
+    zone synopsis is rebuilt incrementally from the surviving rows,
+    never left stale.
+    """
+    from repro.engine.database import replace_runs
+
+    entry = table._entry
+    key_expr = table.plan.levels.key
+    with table._db.mutate(table.name) as m:
+        (region,) = entry.regions
+        with table._db.adaptivity.pause():
+            batches, _ = table._table_source(None, None)
+            if predicate is not None:
+                keep = selector(predicate, positions)
+                batches = (batch.select(keep(batch)) for batch in batches)
+            matched = _batch_rows(batches)
+        if not matched:
+            return 0
+        if predicate is None and updated is None:
+            # Delete-all: drop every run outright (and with them every
+            # tombstone), no new ones.
+            replace_runs(table._db, entry, region, list(region.runs), [], m)
+            return len(matched)
+        new_rows = [updated(r) for r in matched] if updated else []
+
+        def victim_of(row: tuple):
+            if key_expr is None:
+                return tuple(row)
+            return eval_scalar(key_expr, row, positions)
+
+        # Distinct victims in first-match order: the merge key kills
+        # every older version of that key; a row value kills every
+        # equal copy (predicates are value-deterministic, so equal
+        # copies always match together).
+        victims = list(dict.fromkeys(map(victim_of, matched)))
+        victim_set = set(victims)
+        with entry.mvcc.lock:
+            m.remember(entry, region)
+            survivors = [
+                tuple(r)
+                for r in region.pending
+                if victim_of(r) not in victim_set
+            ]
+            # Incremental zone maintenance: the existing zone already
+            # covers every survivor (a subset of the rows it
+            # summarized), so only the update-produced rows fold in —
+            # O(changes), not O(pending). The bounds stay a sound
+            # over-approximation until the next seal renders an exact
+            # synopsis for the sealed run.
+            if region.pending_zone is None or not (survivors or new_rows):
+                region.clear_pending()
+                new_rows = survivors + new_rows
+            else:
+                region.pending = survivors
+            if new_rows:
+                region.add_pending(names, new_rows)
+            if region.runs:
+                seq = entry.next_run_seq
+                entry.next_run_seq += 1
+                entry.level_tombstones.extend(
+                    (seq, v) for v in victims
+                )
+            table._mark_indexes_stale()
+        m.touch(table.name)
+    return len(matched)
 
 
 def _scan_schema(plan: PhysicalPlan) -> Schema:

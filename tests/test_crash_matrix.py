@@ -25,6 +25,7 @@ from contextlib import contextmanager
 import pytest
 
 import oracle
+from repro.engine import database as write_path
 from repro.engine.database import RodentStore, _Mutation
 from repro.errors import CrashError, StorageError
 from repro.query.expressions import Range
@@ -374,7 +375,7 @@ def levelled_store(path, merged, held):
     return store, table
 
 
-def test_crash_between_the_swaps_of_one_cascade(tmp_path):
+def test_crash_between_the_swaps_of_one_cascade(tmp_path, monkeypatch):
     """Two level-0 runs beside a level-1 run cascade 0 -> 1, 1 -> 2 in ONE
     transaction. Until its commit is durable no source page may be handed
     out again — the second merge's output least of all — so a
@@ -387,7 +388,7 @@ def test_crash_between_the_swaps_of_one_cascade(tmp_path):
     sources = store._referenced_pages()
     before = page_images(store, sources)
     merges = []
-    merge_once = store._merge_runs_once
+    merge_once = write_path.merge
 
     def watched(*args, **kwargs):
         # Earlier swaps of this transaction retired pages; none is free.
@@ -395,7 +396,7 @@ def test_crash_between_the_swaps_of_one_cascade(tmp_path):
         merges.append(store.disk.free_pages)
         return merge_once(*args, **kwargs)
 
-    store._merge_runs_once = watched
+    monkeypatch.setattr(write_path, "merge", watched)
     # BEGIN goes through; the first effect record of the commit does not.
     store.inject_faults(FaultInjector(1, mode="before", target="wal"))
     with pytest.raises(CrashError):

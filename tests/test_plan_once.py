@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import oracle
 from repro.engine import access
 from repro.engine import table as table_module
+from repro.engine.catalog import is_overflow
 from repro.engine.database import RodentStore
 from repro.engine.stats import FieldStats, TableStats
 from repro.layout.renderer import LayoutRenderer
@@ -132,7 +133,7 @@ def _shapes(traces):
     partitioned.insert(fresh[:200])
     partitioned.flush_inserts()  # an overflow run per partition
     partitioned.insert(fresh[200:])  # pending
-    assert any(r.overflow for r in partitioned.partitions)
+    assert any(map(is_overflow, partitioned.partitions[0].runs))
     slice_ = Rect({"year": (2005, 2005), "zipcode": (10000, 10050)})
     yield "partitioned", mixed, Q(mixed, "Sales").where(
         slice_
