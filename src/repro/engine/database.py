@@ -33,13 +33,12 @@ from repro.engine.catalog import (
     Region,
     Run,
     is_overflow,
-    overflow_plan,
 )
 from repro.engine.cost import CostModel
 from repro.engine.stats import TableStats
+from repro.engine import levels
 from repro.engine.table import (
     Table,
-    _LevelResolver,
     _scan_schema,
     split_design,
 )
@@ -56,7 +55,6 @@ from repro.layout.renderer import (
     ColumnBatch,
     LayoutRenderer,
     StoredLayout,
-    merge_batches,
 )
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DEFAULT_PAGE_SIZE, DiskManager, IOStats
@@ -940,9 +938,9 @@ class RodentStore:
           (empty ones included: the partition map is part of the physical
           design); value partitions appear in first-seen key order.
         * ``levels[...]`` is ONE run, rendered as a seal renders one
-          (:func:`sealed_run`): a bulk load is already "fully compacted" —
-          the run lands at its size class directly and the pending buffer
-          starts empty.
+          (:func:`~repro.engine.levels.sealed_run`): a bulk load is
+          already "fully compacted" — the run lands at its size class
+          directly and the pending buffer starts empty.
         """
         others = sorted(plan.expr.table_names() - {entry.name})
         if others:
@@ -965,7 +963,9 @@ class RodentStore:
         if plan.kind == LAYOUT_LEVELLED:
             region = Region(plan=plan.level_plans[0])
             if rows:
-                run = sealed_run(self, plan, region, _scan_schema(plan), rows)
+                run = levels.sealed_run(
+                    self, plan, region, _scan_schema(plan), rows
+                )
                 run.level = plan.levels.level_of(
                     run.row_count, self.level_seal_rows
                 )
@@ -1105,7 +1105,7 @@ class RodentStore:
         _require_stored_fields(entry.plan, new_plan, "partition")
         table = Table(self, entry)
         with self.mutate(name) as m:
-            merge(
+            levels.merge(
                 table, region, list(region.runs), m,
                 pending=True, plan=new_plan, compaction=False,
             )
@@ -1164,7 +1164,9 @@ class RodentStore:
         shared worker pool when ``scan_workers > 1``, synchronously
         otherwise (deterministic for tests and single-threaded stores).
         """
-        maintain_levels(Table(self, self.catalog.entry(name)), rows_written)
+        levels.maintain_levels(
+            Table(self, self.catalog.entry(name)), rows_written
+        )
 
     def _levelled(self, name: str) -> Table:
         entry = self.catalog.entry(name)
@@ -1176,7 +1178,7 @@ class RodentStore:
         """Seal the pending buffer into an immutable level-0 run, in one
         transaction. Returns the new run's layout, or ``None`` when nothing
         was pending."""
-        return seal_level_run(self._levelled(name))
+        return levels.seal_level_run(self._levelled(name))
 
     def compact_levels(
         self,
@@ -1194,7 +1196,7 @@ class RodentStore:
         loop's levelled re-organization; the design must keep the stored
         fields). Returns ``{"merges", "runs_merged", "relayout"}``.
         """
-        return compact_levels(self._levelled(name), inner, full)
+        return levels.compact_levels(self._levelled(name), inner, full)
 
     def _relevel_plan(
         self, entry: CatalogEntry, inner: str | ast.Node
@@ -1522,305 +1524,3 @@ def _find_or_create_region(
         regions.append(region)
     lookup[region.key] = region
     return region, next_pid
-
-
-# -- seal and merge: the only two ways a region's runs change --------------
-
-
-def sealed_run(
-    store: RodentStore,
-    plan: PhysicalPlan,
-    region: Region,
-    schema: Schema,
-    rows: list[tuple],
-) -> Run:
-    """Stored-shape ``rows`` (in ``schema`` order) rendered as one run under
-    ``region``'s seal design, not yet swapped in: a levelled region's run
-    design — keyed, the last row per key kept first — else the row-major
-    overflow design of a flat table's or a partition's flush. The render of
-    every seal, and of a levelled bulk load."""
-    names = tuple(schema.names())
-    spec = plan.levels
-    if spec is None:
-        design = overflow_plan(schema)
-    else:
-        design = region.plan
-        if spec.key is not None:
-            rows = _LevelResolver(spec, names, []).resolve_pending(rows)
-    batch = ColumnBatch.from_rows(names, rows)
-    return Run(design, store._render_region(plan, design, batch))
-
-
-def seal(table: Table, region: Region, m: _Mutation) -> Run | None:
-    """Seal ``region``'s pending rows into one new run (:func:`sealed_run`)
-    and swap it in, nothing out and the pending buffer cleared, as a step
-    of ``m``: recovery sees the rows either pending (the inserts' WAL row
-    records) or sealed (the seal's catalog image), never both and never
-    neither. ``None`` when nothing was pending."""
-    if not region.pending:
-        return None
-    db, entry = table._db, table._entry
-    rows = [tuple(r) for r in region.pending]
-    run = sealed_run(db, entry.plan, region, table.scan_schema(), rows)
-    replace_runs(db, entry, region, [], [run], m, ingest=True)
-    return run
-
-
-def merge(
-    table: Table,
-    region: Region,
-    sources: "list[Run]",
-    m: _Mutation,
-    *,
-    pending: bool = False,
-    edit: Callable[[list[ColumnBatch]], ColumnBatch | None] | None = None,
-    plan: PhysicalPlan | None = None,
-    table_plan: PhysicalPlan | None = None,
-    level: int | None = None,
-    compaction: bool = True,
-) -> Run | None:
-    """Merge ``sources`` — runs of ``region`` — and, with ``pending``, its
-    pending rows into one run, swapped in for them as a step of ``m``.
-
-    Every source is read through the scan's own region path
-    (:meth:`Table._region_batches`) under one resolver — for ``levels``,
-    tombstones and keyed last-writer-wins, so a merge drops exactly what a
-    scan would suppress — newest first, the pending rows (the newest
-    segment) before any run. A source nothing can suppress yields the
-    column batches its reader decoded. The survivors join oldest source
-    first, pending rows last — the row order of every earlier compaction,
-    so the pages are byte-identical — in one :func:`merge_batches`, or
-    through a batch ``edit`` that maps them to the region's new batch
-    (``None``: nothing changes, nothing renders).
-
-    The result renders under ``plan`` (default: the region's design; a
-    levelled re-layout also passes its new ``table_plan``) as one run of
-    ``level`` (levelled; default: its size class, and at least its
-    sources'). A levelled merge that resolves to nothing renders no run.
-    Resolution happens under the *current* plan's canonical field order
-    (tombstone values were recorded under it); the render reorders the
-    batch for ``plan``.
-    """
-    db, entry = table._db, table._entry
-    spec = entry.plan.levels
-    names = table.scan_schema().names()
-    fields = tuple(names)
-    resolver = None
-    if spec is not None:
-        resolver = _LevelResolver(spec, names, entry.level_tombstones)
-    rows = [tuple(r) for r in region.pending] if pending else []
-    if resolver is not None:
-        rows = resolver.resolve_pending(rows)
-    held: list[ColumnBatch] = []
-    for run in reversed(sorted(sources, key=lambda run: run.max_seq)):
-        batches, _ = table._region_batches(
-            Region(runs=[run]), None, None, names, resolver=resolver
-        )
-        held[:0] = batches  # oldest source first
-    if rows:
-        held.append(ColumnBatch.from_rows(fields, rows))
-    if edit is None:
-        merged = merge_batches(fields, held)
-    else:
-        merged = edit(held)
-        if merged is None:
-            return None
-    design = plan or region.plan
-    new: list[Run] = []
-    if spec is None or merged.n_rows:
-        if spec is not None and level is None:
-            # A full merge: one resulting run cannot interleave any other
-            # run's range, so its size class is safe to use.
-            level = max(
-                [spec.level_of(merged.n_rows, db.level_seal_rows)]
-                + [run.level for run in sources]
-            )
-        layout = db._render_region(entry.plan, design, merged)
-        new.append(Run(design, layout, level=level or 0))
-    replace_runs(
-        db, entry, region, sources, new, m, plan=design,
-        table_plan=table_plan, compaction=compaction, keep_pending=not pending,
-    )
-    return new[0] if new else None
-
-
-def replace_runs(
-    store: RodentStore,
-    entry: CatalogEntry,
-    region: Region,
-    old: "list[Run]",
-    new: "list[Run]",
-    m: _Mutation,
-    *,
-    plan: PhysicalPlan | None = None,
-    table_plan: PhysicalPlan | None = None,
-    ingest: bool = False,
-    compaction: bool = False,
-    keep_pending: bool = False,
-) -> None:
-    """THE run swap: ``old`` runs of ``region`` out, ``new`` runs in — a
-    seal takes nothing out, a merge its sources — and the region's design
-    (``plan``) and a levelled re-layout's table design (``table_plan``)
-    with them.
-
-    ``new`` was rendered from ``old`` plus — unless ``keep_pending`` — the
-    pending buffer, which clears. Each new run takes the next run id and a
-    fresh sequence number; a partial merge (pending kept) inherits its
-    sources' newest instead, so unmerged runs of other levels keep their
-    place in time. The swap happens under the entry's MVCC lock, so a
-    pinned scan sees either side of it, never a mix; superseded pages are
-    retired, not freed (they wait for the transaction's durable commit — a
-    later merge of the same cascade must not be handed a page the
-    recoverable catalog still names — and then for the last draining
-    reader), and positions indexed before a rewrite mean nothing after it.
-    Every render is charged to the write-amplification ledger; its pages
-    were logged as they were written and the new catalog image is logged at
-    commit. What the swap replaces is remembered on ``m``: an abort puts it
-    back.
-    """
-    with entry.mvcc.lock:
-        m.remember(entry, region)
-        for run in new:
-            if old and keep_pending:
-                run.max_seq = max(r.max_seq for r in old)
-            else:
-                # Folded-in pending rows are newer than every tombstone (an
-                # inherited seq would let a surviving tombstone suppress
-                # them at scan), and a full merge applied every tombstone
-                # to every source: a fresh sequence lets the GC below drop
-                # them all.
-                run.max_seq = entry.next_run_seq
-                entry.next_run_seq += 1
-            run.min_seq = min((r.min_seq for r in old), default=run.max_seq)
-            run.rid = entry.next_run_id
-            entry.next_run_id += 1
-        gone = set(map(id, old))
-        runs = [run for run in region.runs if id(run) not in gone] + new
-        region.runs = sorted(runs, key=lambda run: run.max_seq)
-        if plan is not None:
-            region.plan = plan
-        if table_plan is not None:
-            entry.plan = table_plan
-        if not keep_pending:
-            region.clear_pending()
-        if old:
-            store._drop_indexes(entry)
-            store._retire_runs(entry, old)
-            # A tombstone applies only to runs older than its seq; with
-            # none left it is garbage (a full merge drops them all).
-            entry.level_tombstones = [
-                t for t in entry.level_tombstones
-                if any(run.max_seq < t[0] for run in region.runs)
-            ]
-        for run in new:
-            store._wa_note(entry, run.layout, ingest, compaction)
-    m.touch(entry.name)
-
-
-def compact(table: Table) -> None:
-    """Fold the flushed runs and pending rows of each region of a flat or
-    partitioned table into one run under the region's design, in one
-    transaction: one :func:`merge` per region that has any, the rest are
-    untouched."""
-    with table._db.mutate(table.name) as m:
-        for region in table._require_loaded():
-            if region.pending or any(map(is_overflow, region.runs)):
-                merge(table, region, list(region.runs), m, pending=True)
-
-
-# -- the level cascade ------------------------------------------------------
-
-
-def maintain_levels(table: Table, rows_written: int) -> None:
-    """:meth:`RodentStore.maintain_levels`."""
-    db, plan = table._db, table._entry.plan
-    if plan is None or plan.kind != LAYOUT_LEVELLED:
-        return
-    if rows_written:
-        db.adaptivity.note_write(table.name, rows_written)
-    if db._closed:
-        return
-    (region,) = table._entry.regions
-    if len(region.pending) >= db.level_seal_rows:
-        db.seal_level_run(table.name)
-    if _levels_over_fanout(region, plan.levels.k):
-        _schedule_level_compaction(db, table.name)
-
-
-def _schedule_level_compaction(store: RodentStore, name: str) -> None:
-    if store.scan_workers > 1 and not store._closed:
-        with store._level_lock:
-            if name in store._compacting:
-                return  # one in-flight merge per table
-            store._compacting.add(name)
-
-        def job() -> None:
-            try:
-                store.compact_levels(name)
-            except RodentStoreError:
-                # Lost a race (drop/close/fault); the next insert's
-                # maintain_levels retries if the fan-out still holds.
-                pass
-            finally:
-                with store._level_lock:
-                    store._compacting.discard(name)
-
-        store.scan_executor().submit(job)
-    else:
-        store.compact_levels(name)
-
-
-def seal_level_run(table: Table) -> StoredLayout | None:
-    """:meth:`RodentStore.seal_level_run`: one :func:`seal`."""
-    with table._db.mutate(table.name) as m:
-        run = seal(table, table._entry.regions[0], m)
-    return None if run is None else run.layout
-
-
-def compact_levels(
-    table: Table, inner: str | ast.Node | None, full: bool
-) -> dict:
-    """:meth:`RodentStore.compact_levels`: one :func:`merge` of every run
-    and the pending rows (``full``, or a re-layout to ``inner``), else one
-    per level over fan-out, shallowest first, until none is."""
-    db, entry = table._db, table._entry
-    report = {"merges": 0, "runs_merged": 0, "relayout": False}
-    with db.mutate(table.name) as m:
-        (region,) = entry.regions
-        if inner is not None or full:
-            table_plan = None
-            if inner is not None:
-                table_plan = db._relevel_plan(entry, inner)
-                report["relayout"] = True
-            sources = list(region.runs)
-            if sources or region.pending:
-                report.update(merges=1, runs_merged=len(sources))
-            # With nothing to merge this still swaps in the new design, so
-            # future seals render under it.
-            merge(
-                table, region, sources, m, pending=True,
-                plan=table_plan and table_plan.level_plans[0],
-                table_plan=table_plan,
-            )
-            return report
-        while True:
-            over = _levels_over_fanout(region, entry.plan.levels.k)
-            if not over:
-                break
-            sources = [run for run in region.runs if run.level == over[0]]
-            # Merges target exactly level+1: size-based promotion could
-            # interleave another level's sequence range inside the merged
-            # run's, breaking newest-first resolution.
-            merge(table, region, sources, m, level=over[0] + 1)
-            report["merges"] += 1
-            report["runs_merged"] += len(sources)
-    return report
-
-
-def _levels_over_fanout(region: Region, k: int) -> list[int]:
-    """Levels of a levelled region holding at least ``k`` runs, shallowest
-    first."""
-    counts: dict[int, int] = {}
-    for run in region.runs:
-        counts[run.level] = counts.get(run.level, 0) + 1
-    return sorted(level for level, c in counts.items() if c >= k)

@@ -66,7 +66,6 @@ from repro.algebra.physical import (
 )
 from repro.algebra.transforms import (
     append_records,
-    eval_scalar,
     groupby_records,
     orderby_records,
     project_records,
@@ -91,6 +90,7 @@ from repro.types.schema import Schema
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.access import RunAccess, TableAccess
     from repro.engine.database import RodentStore
+    from repro.engine.levels import _LevelResolver
 
 Order = Sequence[Any]  # field names or (field, ascending) pairs
 
@@ -715,6 +715,8 @@ class Table:
             # selection entirely to the downstream filter.
             needed, predicate = self._run_scan_args(needed, predicate)
             target = self._target_fields(needed)
+            from repro.engine.levels import _LevelResolver
+
             resolver = _LevelResolver(
                 self.plan.levels, target, self._level_tombstones
             )
@@ -1346,7 +1348,7 @@ class Table:
 
     def flush_inserts(self):
         """Seal pending records into new on-disk runs, one per region with
-        pending rows (:func:`~repro.engine.database.seal`).
+        pending rows (:func:`~repro.engine.levels.seal`).
 
         A flat table or a partition seals a row-major overflow run; returns
         its layout (for a partitioned table, the list of them), ``None``
@@ -1355,7 +1357,7 @@ class Table:
         """
         if self.is_levelled:
             return self._db.seal_level_run(self.name)
-        from repro.engine.database import seal
+        from repro.engine.levels import seal
 
         with self._db.mutate(self.name) as m:
             runs = [seal(self, region, m) for region in self._entry.regions]
@@ -1376,7 +1378,7 @@ class Table:
     def compact(self) -> None:
         """Merge overflow runs and pending rows back into each region's
         main representation, one merge per region that has any
-        (:func:`~repro.engine.database.compact`).
+        (:func:`~repro.engine.levels.compact`).
 
         For levelled tables this is a *full* compaction: every run plus
         the pending buffer merges into a single run, applying tombstones
@@ -1385,7 +1387,7 @@ class Table:
         if self.is_levelled:
             self._db.compact_levels(self.name, full=True)
             return
-        from repro.engine.database import compact
+        from repro.engine.levels import compact
 
         compact(self)
 
@@ -1454,13 +1456,13 @@ class Table:
                 values[positions[field]] = value
             return tuple(values)
 
+        from repro.engine.levels import merge, rewrite_levelled
+
         if self.is_levelled:
             return rewrite_levelled(
                 self, predicate, updated if assignments is not None else None,
                 names, positions,
             )
-        from repro.engine.database import merge
-
         keep = None if predicate is None else selector(predicate, positions)
         total = 0
 
@@ -1555,165 +1557,6 @@ def _release_when_done(source, mvcc, snap):
     wrapped = gen()
     weakref.finalize(wrapped, mvcc.release, snap)
     return wrapped
-
-
-class _LevelResolver:
-    """Newest-first resolution state shared by every levelled read path.
-
-    Segments are fed newest-first: the pending buffer, then runs by
-    descending ``max_seq``. Keyed (last-writer-wins) tables suppress any
-    row whose merge key was already emitted by a newer segment; multiset
-    tables suppress rows equal to an applicable tombstone value.
-    Tombstones activate monotonically as the walk reaches older runs — a
-    tombstone with sequence ``s`` applies to runs with ``max_seq < s`` and
-    never to the pending buffer, whose rows postdate every tombstone (a
-    levelled delete physically filters pending rows instead).
-
-    The compaction merge drives the same object, so what a merge
-    physically drops is exactly what a scan would have suppressed.
-    """
-
-    __slots__ = ("keyed", "key_of", "seen", "dead", "_inactive")
-
-    def __init__(self, spec, names: Sequence[str], tombstones):
-        self.keyed = spec.key is not None
-        if self.keyed:
-            positions = {n: i for i, n in enumerate(names)}
-            key_expr = spec.key
-            self.key_of = lambda row: eval_scalar(key_expr, row, positions)
-        else:
-            self.key_of = None
-        self.seen: set = set()  # merge keys emitted or tombstoned (keyed)
-        self.dead: set = set()  # active tombstone row values (multiset)
-        # Ascending by seq; popped from the tail as the walk gets older.
-        self._inactive = sorted(tombstones, key=lambda t: t[0])
-
-    def resolve_pending(self, rows: Sequence[tuple]) -> list[tuple]:
-        """Pending-buffer rows, resolved. Keyed: last write wins, keeping
-        each key's final occurrence in its insertion slot order."""
-        rows = [tuple(r) for r in rows]
-        if not self.keyed:
-            return rows
-        kept: list[tuple] = []
-        for row in reversed(rows):
-            key = self.key_of(row)
-            if key in self.seen:
-                continue
-            self.seen.add(key)
-            kept.append(row)
-        kept.reverse()
-        return kept
-
-    def enter_run(self, run) -> bool:
-        """Activate tombstones newer than ``run``; True when its rows must
-        pass through :meth:`resolve` (keyed runs always do — the seen-set
-        must grow even when nothing is suppressed yet)."""
-        inactive = self._inactive
-        while inactive and inactive[-1][0] > run.max_seq:
-            _, value = inactive.pop()
-            if self.keyed:
-                self.seen.add(value)
-            else:
-                self.dead.add(value)
-        return self.keyed or bool(self.dead)
-
-    def resolve(self, rows: Iterable[tuple]) -> list[tuple]:
-        """Surviving rows of one run segment, in stored order."""
-        if self.keyed:
-            seen = self.seen
-            key_of = self.key_of
-            out: list[tuple] = []
-            for row in rows:
-                key = key_of(row)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(row)
-            return out
-        dead = self.dead
-        if not dead:
-            return list(rows)
-        return [row for row in rows if tuple(row) not in dead]
-
-
-def rewrite_levelled(
-    table: Table,
-    predicate: Predicate | None,
-    updated,
-    names: list[str],
-    positions: dict[str, int],
-) -> int:
-    """Delete/update on a levelled table: no run is ever rewritten.
-
-    Matching *visible* rows are resolved once; pending rows are
-    filtered (and, for updates, re-appended through ``updated``) in
-    place, and one tombstone per distinct victim — merge key when
-    keyed, full row value otherwise — suppresses matches in the
-    immutable runs until a merge physically drops them. The pending
-    zone synopsis is rebuilt incrementally from the surviving rows,
-    never left stale.
-    """
-    from repro.engine.database import replace_runs
-
-    entry = table._entry
-    key_expr = table.plan.levels.key
-    with table._db.mutate(table.name) as m:
-        (region,) = entry.regions
-        with table._db.adaptivity.pause():
-            batches, _ = table._table_source(None, None)
-            if predicate is not None:
-                keep = selector(predicate, positions)
-                batches = (batch.select(keep(batch)) for batch in batches)
-            matched = _batch_rows(batches)
-        if not matched:
-            return 0
-        if predicate is None and updated is None:
-            # Delete-all: drop every run outright (and with them every
-            # tombstone), no new ones.
-            replace_runs(table._db, entry, region, list(region.runs), [], m)
-            return len(matched)
-        new_rows = [updated(r) for r in matched] if updated else []
-
-        def victim_of(row: tuple):
-            if key_expr is None:
-                return tuple(row)
-            return eval_scalar(key_expr, row, positions)
-
-        # Distinct victims in first-match order: the merge key kills
-        # every older version of that key; a row value kills every
-        # equal copy (predicates are value-deterministic, so equal
-        # copies always match together).
-        victims = list(dict.fromkeys(map(victim_of, matched)))
-        victim_set = set(victims)
-        with entry.mvcc.lock:
-            m.remember(entry, region)
-            survivors = [
-                tuple(r)
-                for r in region.pending
-                if victim_of(r) not in victim_set
-            ]
-            # Incremental zone maintenance: the existing zone already
-            # covers every survivor (a subset of the rows it
-            # summarized), so only the update-produced rows fold in —
-            # O(changes), not O(pending). The bounds stay a sound
-            # over-approximation until the next seal renders an exact
-            # synopsis for the sealed run.
-            if region.pending_zone is None or not (survivors or new_rows):
-                region.clear_pending()
-                new_rows = survivors + new_rows
-            else:
-                region.pending = survivors
-            if new_rows:
-                region.add_pending(names, new_rows)
-            if region.runs:
-                seq = entry.next_run_seq
-                entry.next_run_seq += 1
-                entry.level_tombstones.extend(
-                    (seq, v) for v in victims
-                )
-            table._mark_indexes_stale()
-        m.touch(table.name)
-    return len(matched)
 
 
 def _scan_schema(plan: PhysicalPlan) -> Schema:

@@ -17,7 +17,7 @@ import pytest
 import oracle
 from repro.compression import codec_names, get_codec
 from repro.engine import access
-from repro.engine import database as write_path
+from repro.engine import levels
 from repro.engine import table as table_module
 from repro.engine.access import open_run
 from repro.engine.database import RodentStore
@@ -407,7 +407,7 @@ def test_a_merge_reads_its_sources_through_the_scan_path():
     """``merge`` reads each source run through ``_region_batches`` — the
     scan's own levelled path — and never turns a region into row tuples
     with ``_region_rows``."""
-    source = inspect.getsource(write_path.merge)
+    source = inspect.getsource(levels.merge)
     assert "_region_batches(" in source
     assert "_region_rows" not in source
 

@@ -23,7 +23,7 @@ from repro import vector
 from repro.algebra.transforms import Evaluator
 from repro.compression import Codec, get_codec, register
 from repro.compression import base as compression_base
-from repro.engine import database as write_path
+from repro.engine import levels
 from repro.engine.database import RodentStore
 from repro.layout.renderer import ColumnBatch, LayoutRenderer
 from repro.query.expressions import Range
@@ -308,9 +308,9 @@ def test_a_merge_with_nothing_to_resolve_builds_no_rows(numpy_mode, monkeypatch)
         raise AssertionError("a row tuple was built")
 
     merges = []
-    real = write_path.merge
+    real = levels.merge
     monkeypatch.setattr(
-        write_path, "merge",
+        levels, "merge",
         lambda *a, **k: merges.append(1) or real(*a, **k),
     )
     monkeypatch.setattr(ColumnBatch, "rows", no_rows)

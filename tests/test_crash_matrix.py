@@ -25,7 +25,7 @@ from contextlib import contextmanager
 import pytest
 
 import oracle
-from repro.engine import database as write_path
+from repro.engine import levels
 from repro.engine.database import RodentStore, _Mutation
 from repro.errors import CrashError, StorageError
 from repro.query.expressions import Range
@@ -388,7 +388,7 @@ def test_crash_between_the_swaps_of_one_cascade(tmp_path, monkeypatch):
     sources = store._referenced_pages()
     before = page_images(store, sources)
     merges = []
-    merge_once = write_path.merge
+    merge_once = levels.merge
 
     def watched(*args, **kwargs):
         # Earlier swaps of this transaction retired pages; none is free.
@@ -396,7 +396,7 @@ def test_crash_between_the_swaps_of_one_cascade(tmp_path, monkeypatch):
         merges.append(store.disk.free_pages)
         return merge_once(*args, **kwargs)
 
-    monkeypatch.setattr(write_path, "merge", watched)
+    monkeypatch.setattr(levels, "merge", watched)
     # BEGIN goes through; the first effect record of the commit does not.
     store.inject_faults(FaultInjector(1, mode="before", target="wal"))
     with pytest.raises(CrashError):
