@@ -10,7 +10,6 @@ design with a storage-algebra expression, loads data, and queries through the
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import threading
@@ -27,6 +26,7 @@ from repro.algebra.physical import (
     LAYOUT_PARTITIONED,
     PhysicalPlan,
 )
+from repro.engine import levels
 from repro.engine.catalog import (
     Catalog,
     CatalogEntry,
@@ -36,7 +36,6 @@ from repro.engine.catalog import (
 )
 from repro.engine.cost import CostModel
 from repro.engine.stats import TableStats
-from repro.engine import levels
 from repro.engine.table import (
     Table,
     _scan_schema,
@@ -137,16 +136,13 @@ class _Mutation:
 
     def remember(self, entry: CatalogEntry, region: Region) -> None:
         """Note the state a run swap of ``region`` is about to replace.
-        Caller holds the entry's MVCC lock."""
-        entry_state = {name: _shallow(getattr(entry, name)) for name in _ENTRY_SWAP}
-        region_state = {
-            "plan": region.plan,
-            "runs": list(region.runs),
-            "pending": list(region.pending),
-            # A levelled delete extends the zone in place.
-            "pending_zone": copy.deepcopy(region.pending_zone),
-        }
-        self._undo.append((entry, region, (entry_state, region_state)))
+        Caller holds the entry's MVCC lock. The pending zone is kept by
+        reference: a levelled delete widens it in place, which leaves it a
+        sound bound of the pending rows an abort restores."""
+        self._undo.append((entry, region, tuple(
+            {name: _shallow(getattr(obj, name)) for name in names}
+            for obj, names in ((entry, _ENTRY_SWAP), (region, _REGION_SWAP))
+        )))
 
     def undo(self) -> None:
         """Abort: restore every remembered state, newest first, and retire
@@ -197,13 +193,14 @@ class _Mutation:
                 wal.append(KIND_CATALOG, txn_id, payload=payload.encode())
 
 
-#: What a run swap may change on the entry besides the region (restored as
-#: it was when the transaction aborts).
+#: What a run swap may change on the entry and on the region: restored as
+#: it was when the transaction aborts.
 _ENTRY_SWAP = (
     "plan", "level_tombstones", "next_run_id", "next_run_seq", "indexes",
     "spatial_indexes", "wa_bytes_ingested", "wa_bytes_written",
     "wa_pages_compacted", "wa_compactions",
 )
+_REGION_SWAP = ("plan", "runs", "pending", "pending_zone")
 
 
 def _shallow(value):
@@ -245,9 +242,7 @@ class RodentStore:
         cost_model: CostModel | None = None,
         adaptive: bool = False,
         adapt_interval: int = 64,
-        adapt_hysteresis: float = 0.15,
         scan_workers: int = 0,
-        read_latency_s: float = 0.0,
         durable: bool = False,
         catalog_path: str | None = None,
         group_commit_window: float = 0.0,
@@ -270,10 +265,7 @@ class RodentStore:
                 catalog_path = path + ".catalog.json"
         self.catalog_path = catalog_path
         self.disk = DiskManager(
-            path,
-            page_size=page_size,
-            read_latency_s=read_latency_s,
-            verify_checksums=checksums,
+            path, page_size=page_size, verify_checksums=checksums
         )
         self.pool = BufferPool(self.disk, capacity=pool_capacity, policy=eviction)
         self.wal = WriteAheadLog(wal_path)
@@ -347,10 +339,7 @@ class RodentStore:
         #: while :attr:`adaptive` is True (or on explicit :meth:`adapt`
         #: calls).
         self.adaptivity = AdaptiveController(
-            self,
-            enabled=adaptive,
-            check_interval=adapt_interval,
-            hysteresis=adapt_hysteresis,
+            self, enabled=adaptive, check_interval=adapt_interval
         )
         if self.durable:
             # A non-empty WAL means the last session did not close cleanly:
@@ -409,7 +398,7 @@ class RodentStore:
                 try:
                     txn.abort()
                 except StorageError:
-                    pass  # crashed/poisoned store: abandon without a clean abort
+                    pass  # crashed/poisoned store: abandon uncleanly
             raise
         else:
             self._mutation_local.ctx = None
@@ -1083,10 +1072,10 @@ class RodentStore:
     ) -> Table:
         """Re-organize ONE partition under a new (non-partitioned) design.
 
-        This is the adaptive loop's partition-granular rewrite: the region's
-        rows (main layout + overflow + pending) are recovered, re-rendered
-        under the new design, and swapped in — no other partition is read
-        or written. The new design must retain every stored field (same
+        This is the adaptive loop's partition-granular rewrite: one merge
+        (:func:`~repro.engine.levels.merge`) of the region's runs and
+        pending rows under the new design — no other partition is read or
+        written. The new design must retain every stored field (same
         non-lossy rule as whole-table re-layouts).
         """
         entry = self.catalog.entry(name)
@@ -1175,10 +1164,13 @@ class RodentStore:
         return Table(self, entry)
 
     def seal_level_run(self, name: str) -> StoredLayout | None:
-        """Seal the pending buffer into an immutable level-0 run, in one
-        transaction. Returns the new run's layout, or ``None`` when nothing
-        was pending."""
-        return levels.seal_level_run(self._levelled(name))
+        """Seal the pending buffer into an immutable level-0 run
+        (:func:`~repro.engine.levels.seal`), in one transaction. Returns
+        the new run's layout, or ``None`` when nothing was pending."""
+        table = self._levelled(name)
+        with self.mutate(name) as m:
+            run = levels.seal(table, table._entry.regions[0], m)
+        return None if run is None else run.layout
 
     def compact_levels(
         self,
@@ -1225,7 +1217,7 @@ class RodentStore:
     def _wa_note(
         self,
         entry: CatalogEntry,
-        layout: StoredLayout | None,
+        layout: StoredLayout,
         ingest: bool = False,
         compaction: bool = False,
     ) -> None:
@@ -1234,8 +1226,6 @@ class RodentStore:
         renders of freshly ingested rows also add to ``wa_bytes_ingested``;
         compaction renders count their rewritten pages. The ratio is
         surfaced by ``storage_stats()``."""
-        if layout is None:
-            return
         pages = layout.total_pages()
         nbytes = pages * self.disk.page_size
         entry.wa_bytes_written += nbytes

@@ -1,33 +1,28 @@
 """Seal and merge: the only two ways a region's runs change.
 
-Every table is a list of regions, each a list of immutable runs plus a
-pending insert buffer (:mod:`repro.engine.catalog`). Two operations write
-runs, for every table shape — as in CobbleDB, a flush and a compaction are
-compositions of one seal and one merge:
+A table is a list of regions, each a list of immutable runs plus a pending
+insert buffer (:mod:`repro.engine.catalog`). As in CobbleDB, a flush and a
+compaction are compositions of one seal and one merge, for every shape:
 
 * :func:`seal` renders a region's pending rows into one new run under the
-  region's seal design: a levelled region's run design (keyed: last writer
-  wins first), else the row-major overflow design. It serves
-  ``Table.flush_inserts``, the levelled auto-seal and, through
-  :func:`sealed_run`, a levelled bulk load.
-* :func:`merge` reads chosen runs, and the pending rows when asked, through
-  the scan's own region path under one resolver, oldest source first; it
-  may apply a batch edit or a new design, and renders one run. It serves
-  ``compact()`` of every shape, levelled partial merges and re-layouts,
-  copy-on-write ``update``/``delete`` and ``relayout_partition``.
+  region's seal design — ``Table.flush_inserts``, the levelled auto-seal
+  and (:func:`sealed_run`) a levelled bulk load;
+* :func:`merge` reads chosen runs, and the pending rows when asked, under
+  one resolver, may apply a batch edit or a new design, and renders one
+  run — ``compact()``, levelled merges and re-layouts, copy-on-write
+  ``update``/``delete`` and ``relayout_partition``.
 
-Both swap through :func:`replace_runs`, the one place a region's runs,
-pending rows, design, tombstones and run allocators change; it records
-what it replaced on the running transaction, which an abort restores.
-Tombstone deletes (:func:`rewrite_levelled`) and the level cascade
-(:func:`maintain_levels` → :func:`compact_levels`) live here too;
-``RodentStore`` and ``Table`` keep the public entry points.
+Both swap through :func:`replace_runs`, which an abort undoes. Tombstone
+deletes and the level cascade live here too; ``RodentStore`` and ``Table``
+keep the public entry points.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+from repro import vector
 from repro.algebra import ast
 from repro.algebra.physical import LAYOUT_LEVELLED, PhysicalPlan
 from repro.algebra.transforms import eval_scalar
@@ -35,12 +30,11 @@ from repro.engine.catalog import (
     CatalogEntry,
     Region,
     Run,
-    is_overflow,
     overflow_plan,
 )
 from repro.engine.table import Table, _batch_rows
 from repro.errors import RodentStoreError
-from repro.layout.renderer import ColumnBatch, StoredLayout, merge_batches
+from repro.layout.renderer import ColumnBatch, merge_batches
 from repro.query.expressions import Predicate, selector
 from repro.types.schema import Schema
 
@@ -55,11 +49,10 @@ def sealed_run(
     schema: Schema,
     rows: list[tuple],
 ) -> Run:
-    """Stored-shape ``rows`` (in ``schema`` order) rendered as one run under
-    ``region``'s seal design, not yet swapped in: a levelled region's run
-    design — keyed, the last row per key kept first — else the row-major
-    overflow design of a flat table's or a partition's flush. The render of
-    every seal, and of a levelled bulk load."""
+    """Stored-shape ``rows`` (in ``schema`` order) rendered as one run, not
+    yet swapped in, under ``region``'s seal design: a levelled region's run
+    design (keyed: the last row per key kept), else the row-major overflow
+    design. The render of every seal and of a levelled bulk load."""
     names = tuple(schema.names())
     spec = plan.levels
     if spec is None:
@@ -74,10 +67,9 @@ def sealed_run(
 
 def seal(table: Table, region: Region, m: _Mutation) -> Run | None:
     """Seal ``region``'s pending rows into one new run (:func:`sealed_run`)
-    and swap it in, nothing out and the pending buffer cleared, as a step
-    of ``m``: recovery sees the rows either pending (the inserts' WAL row
-    records) or sealed (the seal's catalog image), never both and never
-    neither. ``None`` when nothing was pending."""
+    swapped in as a step of ``m``: recovery sees the rows either pending or
+    sealed, never both and never neither. ``None`` when nothing was
+    pending."""
     if not region.pending:
         return None
     db, entry = table._db, table._entry
@@ -103,39 +95,28 @@ def merge(
     """Merge ``sources`` — runs of ``region`` — and, with ``pending``, its
     pending rows into one run, swapped in for them as a step of ``m``.
 
-    Every source is read through the scan's own region path
-    (:meth:`Table._region_batches`) under one resolver — for ``levels``,
-    tombstones and keyed last-writer-wins, so a merge drops exactly what a
-    scan would suppress — newest first, the pending rows (the newest
-    segment) before any run. A source nothing can suppress yields the
-    column batches its reader decoded. The survivors join oldest source
-    first, pending rows last — the row order of every earlier compaction,
-    so the pages are byte-identical — in one :func:`merge_batches`, or
-    through a batch ``edit`` that maps them to the region's new batch
-    (``None``: nothing changes, nothing renders).
-
-    The result renders under ``plan`` (default: the region's design; a
-    levelled re-layout also passes its new ``table_plan``) as one run of
-    ``level`` (levelled; default: its size class, and at least its
-    sources'). A levelled merge that resolves to nothing renders no run.
-    Resolution happens under the *current* plan's canonical field order
-    (tombstone values were recorded under it); the render reorders the
-    batch for ``plan``.
+    Sources are read newest first through the scan's own region path under
+    one resolver, so a levelled merge drops exactly what a scan suppresses.
+    The survivors join oldest first, pending rows last (pages stay
+    byte-identical), in one :func:`merge_batches` or through ``edit``, which
+    maps them to the region's new batch (``None``: nothing changes). The run
+    renders under ``plan`` (default: the region's design; a levelled
+    re-layout also passes ``table_plan``) at ``level`` (default: its size
+    class); a levelled merge that resolves to nothing renders none.
     """
     db, entry = table._db, table._entry
     spec = entry.plan.levels
-    names = table.scan_schema().names()
-    fields = tuple(names)
+    fields = tuple(table.scan_schema().names())
     resolver = None
     if spec is not None:
-        resolver = _LevelResolver(spec, names, entry.level_tombstones)
+        resolver = _LevelResolver(spec, fields, entry.level_tombstones)
     rows = [tuple(r) for r in region.pending] if pending else []
     if resolver is not None:
         rows = resolver.resolve_pending(rows)
     held: list[ColumnBatch] = []
     for run in reversed(sorted(sources, key=lambda run: run.max_seq)):
         batches, _ = table._region_batches(
-            Region(runs=[run]), None, None, names, resolver=resolver
+            Region(runs=[run]), None, None, fields, resolver=resolver
         )
         held[:0] = batches  # oldest source first
     if rows:
@@ -179,25 +160,18 @@ def replace_runs(
     compaction: bool = False,
     keep_pending: bool = False,
 ) -> None:
-    """THE run swap: ``old`` runs of ``region`` out, ``new`` runs in — a
-    seal takes nothing out, a merge its sources — and the region's design
-    (``plan``) and a levelled re-layout's table design (``table_plan``)
-    with them.
+    """THE run swap: ``old`` runs of ``region`` out (none for a seal),
+    ``new`` runs in — rendered from them plus, unless ``keep_pending``, the
+    pending rows, which clear — with the region's design (``plan``) and a
+    levelled re-layout's table design (``table_plan``).
 
-    ``new`` was rendered from ``old`` plus — unless ``keep_pending`` — the
-    pending buffer, which clears. Each new run takes the next run id and a
-    fresh sequence number; a partial merge (pending kept) inherits its
-    sources' newest instead, so unmerged runs of other levels keep their
-    place in time. The swap happens under the entry's MVCC lock, so a
-    pinned scan sees either side of it, never a mix; superseded pages are
-    retired, not freed (they wait for the transaction's durable commit — a
-    later merge of the same cascade must not be handed a page the
-    recoverable catalog still names — and then for the last draining
-    reader), and positions indexed before a rewrite mean nothing after it.
-    Every render is charged to the write-amplification ledger; its pages
-    were logged as they were written and the new catalog image is logged at
-    commit. What the swap replaces is remembered on ``m``: an abort puts it
-    back.
+    Each new run takes the next run id and a fresh sequence number; a
+    partial merge inherits its sources' newest, so other runs keep their
+    place in time. A pinned scan sees either side of the swap (MVCC lock);
+    superseded pages are retired, waiting for the durable commit and the
+    last draining reader; indexes are dropped; renders are charged to the
+    write-amplification ledger. ``m`` remembers what the swap replaced: an
+    abort puts it back.
     """
     with entry.mvcc.lock:
         m.remember(entry, region)
@@ -238,15 +212,129 @@ def replace_runs(
     m.touch(entry.name)
 
 
-def compact(table: Table) -> None:
-    """Fold the flushed runs and pending rows of each region of a flat or
-    partitioned table into one run under the region's design, in one
-    transaction: one :func:`merge` per region that has any, the rest are
-    untouched."""
+# -- updates and deletes ---------------------------------------------------
+
+
+def rewrite(
+    table: Table,
+    predicate: Predicate | None,
+    updated: Callable[[tuple], tuple] | None,
+    names: list[str],
+) -> int:
+    """Copy-on-write delete (``updated`` is ``None``) or update of a flat
+    or partitioned table: one :func:`merge` per region the predicate can
+    reach, whose ``edit`` applies the rewrite — nothing is rendered for a
+    region without a victim. Returns the number of rows changed."""
+    positions = {n: i for i, n in enumerate(names)}
+    keep = None if predicate is None else selector(predicate, positions)
+    total = 0
+
+    def victims(batch: ColumnBatch) -> list | None:
+        """Per-row verdicts of ``predicate`` on one batch (``None`` =
+        nothing matches), from the scan's own selection step."""
+        if keep is None:
+            return [True] * batch.n_rows
+        mask = keep(batch)
+        return vector.to_list(mask) if vector.mask_count(mask) else None
+
+    def edit(batches: list[ColumnBatch]) -> ColumnBatch | None:
+        nonlocal total
+        masks = [victims(batch) for batch in batches]
+        if not any(masks):
+            return None  # no row materialized
+        out: list[tuple] = []
+        for batch, mask in zip(batches, masks):
+            rows = batch.rows()
+            if mask is None:
+                out.extend(rows)
+                continue
+            total += sum(mask)
+            if updated is None:  # a delete drops the row
+                out.extend(row for row, hit in zip(rows, mask) if not hit)
+            else:
+                out.extend(
+                    updated(row) if hit else row
+                    for row, hit in zip(rows, mask)
+                )
+        return ColumnBatch.from_rows(tuple(names), out)
+
     with table._db.mutate(table.name) as m:
-        for region in table._require_loaded():
-            if region.pending or any(map(is_overflow, region.runs)):
-                merge(table, region, list(region.runs), m, pending=True)
+        for region in table.partition_survivors(predicate):
+            merge(
+                table, region, list(region.runs), m,
+                pending=True, edit=edit, compaction=False,
+            )
+    return total
+
+
+def rewrite_levelled(
+    table: Table,
+    predicate: Predicate | None,
+    updated: Callable[[tuple], tuple] | None,
+    names: list[str],
+) -> int:
+    """Delete (``updated`` is ``None``) or update of a levelled table: no
+    run is rewritten. Matching *visible* rows are resolved once; pending
+    rows are filtered (and updates re-appended) in place, and one tombstone
+    per distinct victim — merge key when keyed, the row otherwise —
+    suppresses matches in the runs until a merge drops them."""
+    entry = table._entry
+    key_expr = table.plan.levels.key
+    positions = {n: i for i, n in enumerate(names)}
+    with table._db.mutate(table.name) as m:
+        (region,) = entry.regions
+        with table._db.adaptivity.pause():
+            batches, _ = table._table_source(None, None)
+            if predicate is not None:
+                keep = selector(predicate, positions)
+                batches = (batch.select(keep(batch)) for batch in batches)
+            matched = _batch_rows(batches)
+        if not matched:
+            return 0
+        if predicate is None and updated is None:
+            # Delete-all: drop every run outright (and with them every
+            # tombstone), no new ones.
+            replace_runs(table._db, entry, region, list(region.runs), [], m)
+            return len(matched)
+        new_rows = [updated(r) for r in matched] if updated else []
+
+        def victim_of(row: tuple):
+            if key_expr is None:
+                return tuple(row)
+            return eval_scalar(key_expr, row, positions)
+
+        # Distinct victims in first-match order: the merge key kills
+        # every older version of that key; a row value kills every
+        # equal copy (predicates are value-deterministic, so equal
+        # copies always match together).
+        victims = list(dict.fromkeys(map(victim_of, matched)))
+        victim_set = set(victims)
+        with entry.mvcc.lock:
+            m.remember(entry, region)
+            survivors = [
+                tuple(r)
+                for r in region.pending
+                if victim_of(r) not in victim_set
+            ]
+            # The zone already covers every survivor: only the updated
+            # rows fold in — O(changes), not O(pending) — and the bounds
+            # stay a sound over-approximation until the next seal.
+            if region.pending_zone is None or not (survivors or new_rows):
+                region.clear_pending()
+                new_rows = survivors + new_rows
+            else:
+                region.pending = survivors
+            if new_rows:
+                region.add_pending(names, new_rows)
+            if region.runs:
+                seq = entry.next_run_seq
+                entry.next_run_seq += 1
+                entry.level_tombstones.extend(
+                    (seq, v) for v in victims
+                )
+            table._mark_indexes_stale()
+        m.touch(table.name)
+    return len(matched)
 
 
 # -- the level cascade ------------------------------------------------------
@@ -254,48 +342,38 @@ def compact(table: Table) -> None:
 
 def maintain_levels(table: Table, rows_written: int) -> None:
     """:meth:`RodentStore.maintain_levels`."""
-    db, plan = table._db, table._entry.plan
+    db, name, plan = table._db, table.name, table._entry.plan
     if plan is None or plan.kind != LAYOUT_LEVELLED:
         return
     if rows_written:
-        db.adaptivity.note_write(table.name, rows_written)
+        db.adaptivity.note_write(name, rows_written)
     if db._closed:
         return
     (region,) = table._entry.regions
     if len(region.pending) >= db.level_seal_rows:
-        db.seal_level_run(table.name)
-    if _levels_over_fanout(region, plan.levels.k):
-        _schedule_level_compaction(db, table.name)
+        db.seal_level_run(name)
+    if not _levels_over_fanout(region, plan.levels.k):
+        return
+    if db.scan_workers <= 1:
+        db.compact_levels(name)
+        return
+    with db._level_lock:
+        if name in db._compacting:
+            return  # one in-flight merge per table
+        db._compacting.add(name)
 
+    def job() -> None:
+        try:
+            db.compact_levels(name)
+        except RodentStoreError:
+            # Lost a race (drop/close/fault); the next insert's
+            # maintain_levels retries if the fan-out still holds.
+            pass
+        finally:
+            with db._level_lock:
+                db._compacting.discard(name)
 
-def _schedule_level_compaction(store: RodentStore, name: str) -> None:
-    if store.scan_workers > 1 and not store._closed:
-        with store._level_lock:
-            if name in store._compacting:
-                return  # one in-flight merge per table
-            store._compacting.add(name)
-
-        def job() -> None:
-            try:
-                store.compact_levels(name)
-            except RodentStoreError:
-                # Lost a race (drop/close/fault); the next insert's
-                # maintain_levels retries if the fan-out still holds.
-                pass
-            finally:
-                with store._level_lock:
-                    store._compacting.discard(name)
-
-        store.scan_executor().submit(job)
-    else:
-        store.compact_levels(name)
-
-
-def seal_level_run(table: Table) -> StoredLayout | None:
-    """:meth:`RodentStore.seal_level_run`: one :func:`seal`."""
-    with table._db.mutate(table.name) as m:
-        run = seal(table, table._entry.regions[0], m)
-    return None if run is None else run.layout
+    db.scan_executor().submit(job)
 
 
 def compact_levels(
@@ -341,29 +419,21 @@ def compact_levels(
 def _levels_over_fanout(region: Region, k: int) -> list[int]:
     """Levels of a levelled region holding at least ``k`` runs, shallowest
     first."""
-    counts: dict[int, int] = {}
-    for run in region.runs:
-        counts[run.level] = counts.get(run.level, 0) + 1
+    counts = Counter(run.level for run in region.runs)
     return sorted(level for level, c in counts.items() if c >= k)
 
 
-# -- levelled resolution and tombstone deletes -----------------------------
-
-
 class _LevelResolver:
-    """Newest-first resolution state shared by every levelled read path.
+    """Newest-first resolution state of one levelled scan or merge.
 
     Segments are fed newest-first: the pending buffer, then runs by
-    descending ``max_seq``. Keyed (last-writer-wins) tables suppress any
-    row whose merge key was already emitted by a newer segment; multiset
-    tables suppress rows equal to an applicable tombstone value.
-    Tombstones activate monotonically as the walk reaches older runs — a
-    tombstone with sequence ``s`` applies to runs with ``max_seq < s`` and
-    never to the pending buffer, whose rows postdate every tombstone (a
-    levelled delete physically filters pending rows instead).
-
-    The compaction merge drives the same object, so what a merge
-    physically drops is exactly what a scan would have suppressed.
+    descending ``max_seq``. Keyed (last-writer-wins) tables suppress a row
+    whose merge key a newer segment emitted; multiset tables suppress rows
+    equal to an active tombstone value. A tombstone with sequence ``s``
+    activates as the walk reaches a run with ``max_seq < s``, never for the
+    pending buffer, whose rows postdate every tombstone (a levelled delete
+    filters pending rows itself). A merge drives the same object, so it
+    drops exactly what a scan would suppress.
     """
 
     __slots__ = ("keyed", "key_of", "seen", "dead", "_inactive")
@@ -382,20 +452,10 @@ class _LevelResolver:
         self._inactive = sorted(tombstones, key=lambda t: t[0])
 
     def resolve_pending(self, rows: Sequence[tuple]) -> list[tuple]:
-        """Pending-buffer rows, resolved. Keyed: last write wins, keeping
-        each key's final occurrence in its insertion slot order."""
-        rows = [tuple(r) for r in rows]
-        if not self.keyed:
-            return rows
-        kept: list[tuple] = []
-        for row in reversed(rows):
-            key = self.key_of(row)
-            if key in self.seen:
-                continue
-            self.seen.add(key)
-            kept.append(row)
-        kept.reverse()
-        return kept
+        """Pending-buffer rows, resolved before any run (no tombstone is
+        active yet). Keyed: last write wins, keeping each key's final
+        occurrence in its insertion slot order."""
+        return self.resolve(map(tuple, reversed(rows)))[::-1]
 
     def enter_run(self, run) -> bool:
         """Activate tombstones newer than ``run``; True when its rows must
@@ -427,81 +487,3 @@ class _LevelResolver:
         if not dead:
             return list(rows)
         return [row for row in rows if tuple(row) not in dead]
-
-
-def rewrite_levelled(
-    table: Table,
-    predicate: Predicate | None,
-    updated,
-    names: list[str],
-    positions: dict[str, int],
-) -> int:
-    """Delete/update on a levelled table: no run is ever rewritten.
-
-    Matching *visible* rows are resolved once; pending rows are
-    filtered (and, for updates, re-appended through ``updated``) in
-    place, and one tombstone per distinct victim — merge key when
-    keyed, full row value otherwise — suppresses matches in the
-    immutable runs until a merge physically drops them. The pending
-    zone synopsis is rebuilt incrementally from the surviving rows,
-    never left stale.
-    """
-    entry = table._entry
-    key_expr = table.plan.levels.key
-    with table._db.mutate(table.name) as m:
-        (region,) = entry.regions
-        with table._db.adaptivity.pause():
-            batches, _ = table._table_source(None, None)
-            if predicate is not None:
-                keep = selector(predicate, positions)
-                batches = (batch.select(keep(batch)) for batch in batches)
-            matched = _batch_rows(batches)
-        if not matched:
-            return 0
-        if predicate is None and updated is None:
-            # Delete-all: drop every run outright (and with them every
-            # tombstone), no new ones.
-            replace_runs(table._db, entry, region, list(region.runs), [], m)
-            return len(matched)
-        new_rows = [updated(r) for r in matched] if updated else []
-
-        def victim_of(row: tuple):
-            if key_expr is None:
-                return tuple(row)
-            return eval_scalar(key_expr, row, positions)
-
-        # Distinct victims in first-match order: the merge key kills
-        # every older version of that key; a row value kills every
-        # equal copy (predicates are value-deterministic, so equal
-        # copies always match together).
-        victims = list(dict.fromkeys(map(victim_of, matched)))
-        victim_set = set(victims)
-        with entry.mvcc.lock:
-            m.remember(entry, region)
-            survivors = [
-                tuple(r)
-                for r in region.pending
-                if victim_of(r) not in victim_set
-            ]
-            # Incremental zone maintenance: the existing zone already
-            # covers every survivor (a subset of the rows it
-            # summarized), so only the update-produced rows fold in —
-            # O(changes), not O(pending). The bounds stay a sound
-            # over-approximation until the next seal renders an exact
-            # synopsis for the sealed run.
-            if region.pending_zone is None or not (survivors or new_rows):
-                region.clear_pending()
-                new_rows = survivors + new_rows
-            else:
-                region.pending = survivors
-            if new_rows:
-                region.add_pending(names, new_rows)
-            if region.runs:
-                seq = entry.next_run_seq
-                entry.next_run_seq += 1
-                entry.level_tombstones.extend(
-                    (seq, v) for v in victims
-                )
-            table._mark_indexes_stale()
-        m.touch(table.name)
-    return len(matched)

@@ -20,15 +20,18 @@ buffered and re-sorted on the fly.
 Every table is a list of *regions*, each a list of immutable *runs* plus a
 pending insert buffer (:mod:`repro.engine.catalog`): a flat table is one
 region, ``partition[...]`` is regions routed by key, ``levels[...]`` is one
-region read newest-first. Inserted records accumulate in row-major *overflow
-runs* (the "reorganize only new data" state of §5); scans transparently merge
-a region's main run with its overflow, and :meth:`Table.compact` folds the
-overflow back into the main representation.
+region read newest-first.
 
-There is one write path too: :func:`split_design` splits a design into a
+There is one write path too. :func:`split_design` splits a design into a
 record pipeline, which a load and an insert apply to their rows, and a
 structural residual, through which every write renders a region's batch of
 stored records (:meth:`~repro.engine.database.RodentStore._render_region`).
+After a load, a region's runs change only by a *seal* or a *merge*
+(:mod:`repro.engine.levels`): a flush seals a region's pending rows into a
+row-major *overflow* run (the "reorganize only new data" state of §5) or a
+levelled run, and a compaction, a copy-on-write update or delete and a
+partition re-layout each merge a region's runs into one. Scans read a
+region's runs and pending rows together.
 
 There is one read path. Scans execute **batch-at-a-time** while keeping the
 paper's per-tuple iterator API: the renderer yields page/chunk-sized
@@ -52,7 +55,6 @@ from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple, Sequence
 
-from repro import vector
 from repro.algebra import ast
 from repro.algebra.physical import (
     LAYOUT_ARRAY,
@@ -909,8 +911,10 @@ class Table:
     def _region_rows(self, region) -> list[tuple]:
         """Every stored-shape row of one region (runs + pending) in
         canonical scan order."""
-        names = self.scan_schema().names()
-        return _batch_rows(self._region_batches(region, None, None, names)[0])
+        batches, _ = self._region_batches(
+            region, None, None, self.scan_schema().names()
+        )
+        return _batch_rows(batches)
 
     def _open_run(
         self,
@@ -1376,9 +1380,9 @@ class Table:
         )
 
     def compact(self) -> None:
-        """Merge overflow runs and pending rows back into each region's
-        main representation, one merge per region that has any
-        (:func:`~repro.engine.levels.compact`).
+        """Merge each region's overflow runs and pending rows back into one
+        run under its design (:func:`~repro.engine.levels.merge`), in one
+        transaction; regions with neither are untouched.
 
         For levelled tables this is a *full* compaction: every run plus
         the pending buffer merges into a single run, applying tombstones
@@ -1387,9 +1391,12 @@ class Table:
         if self.is_levelled:
             self._db.compact_levels(self.name, full=True)
             return
-        from repro.engine.levels import compact
+        from repro.engine.levels import merge
 
-        compact(self)
+        with self._db.mutate(self.name) as m:
+            for region in self._require_loaded():
+                if region.pending or any(map(is_overflow, region.runs)):
+                    merge(self, region, list(region.runs), m, pending=True)
 
     # ==================================================================
     # deletes and updates (copy-on-write rewrites)
@@ -1424,7 +1431,6 @@ class Table:
     def _rewrite(
         self, predicate: Predicate | None, assignments: dict | None
     ) -> int:
-        entry = self._entry
         names = list(self._stored_split().fields)
         positions = {n: i for i, n in enumerate(names)}
         if assignments is not None:
@@ -1456,55 +1462,12 @@ class Table:
                 values[positions[field]] = value
             return tuple(values)
 
-        from repro.engine.levels import merge, rewrite_levelled
+        from repro.engine import levels
 
+        edit = None if assignments is None else updated
         if self.is_levelled:
-            return rewrite_levelled(
-                self, predicate, updated if assignments is not None else None,
-                names, positions,
-            )
-        keep = None if predicate is None else selector(predicate, positions)
-        total = 0
-
-        def victims(batch: ColumnBatch) -> list | None:
-            """Per-row verdicts of ``predicate`` on one batch (``None`` =
-            nothing matches), from the scan's own selection step."""
-            if keep is None:
-                return [True] * batch.n_rows
-            mask = keep(batch)
-            return vector.to_list(mask) if vector.mask_count(mask) else None
-
-        def edit(batches: list[ColumnBatch]) -> ColumnBatch | None:
-            """One region's rows with the rewrite applied — ``None``, and
-            no row materialized, when no row matches."""
-            nonlocal total
-            masks = [victims(batch) for batch in batches]
-            if not any(masks):
-                return None
-            out: list[tuple] = []
-            for batch, mask in zip(batches, masks):
-                if mask is None:
-                    out.extend(batch.rows())
-                    continue
-                for row, hit in zip(batch.rows(), mask):
-                    if not hit:
-                        out.append(row)
-                        continue
-                    total += 1
-                    if assignments is not None:  # a delete drops the row
-                        out.append(updated(row))
-            return ColumnBatch.from_rows(tuple(names), out)
-
-        # Copy-on-write, one merge per region: only regions the predicate
-        # can reach are read at all, only regions holding a victim are
-        # rendered.
-        with self._db.mutate(self.name) as m:
-            for region in self.partition_survivors(predicate):
-                merge(
-                    self, region, list(region.runs), m,
-                    pending=True, edit=edit, compaction=False,
-                )
-        return total
+            return levels.rewrite_levelled(self, predicate, edit, names)
+        return levels.rewrite(self, predicate, edit, names)
 
     # -- misc ---------------------------------------------------------------
 

@@ -7,9 +7,10 @@ data actually moves:
 * **new-data-only** — "reorganize only new data, leaving old data as it
   was"; cheap, but reads stay slow and scans must merge old + new;
 * **lazy** — "objects are rewritten in the background or when they are
-  accessed"; here: after the overflow (new data) exceeds a fraction of the
-  table, or after a configurable number of accesses, the next touch point
-  triggers the rewrite.
+  accessed"; here: after the rows a compaction would fold in — flushed
+  overflow runs and pending inserts, ``Table.overflow_row_count`` — exceed
+  a fraction of the table, or after a configurable number of accesses, the
+  next touch point triggers the rewrite.
 
 The manager tracks cumulative reorganization I/O so the reorganization
 benchmark can compare write amplification against read latency per policy.

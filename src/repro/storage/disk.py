@@ -218,17 +218,12 @@ class DiskManager:
 
     Reads and writes are serialized under an internal lock so concurrent
     scan workers (parallel partition scans) cannot interleave file
-    seek/read pairs or corrupt the counters; the simulated
-    ``read_latency_s`` is paid *outside* the lock, so overlapping readers
-    overlap their latency exactly like real disks overlap in-flight I/O.
+    seek/read pairs or corrupt the counters.
 
     Args:
         path: backing file path, or ``None`` for an in-memory store.
         page_size: page size in bytes; the paper's case study uses 1000 KB,
             scaled-down runs use smaller pages.
-        read_latency_s: optional simulated seconds per page read (0 =
-            off); used by the parallel-scan benchmark to model a device
-            where I/O waits dominate.
         verify_checksums: verify the frame trailer on every ``read_page``
             (on by default; turning it off restores the v1 trust-on-faith
             read path — used by the integrity benchmark to price the CRC).
@@ -242,7 +237,6 @@ class DiskManager:
         self,
         path: str | None = None,
         page_size: int = DEFAULT_PAGE_SIZE,
-        read_latency_s: float = 0.0,
         verify_checksums: bool = True,
         max_read_retries: int = 3,
         retry_backoff_s: float = 0.0005,
@@ -252,7 +246,6 @@ class DiskManager:
         self.page_size = page_size
         self.frame_size = page_size + PAGE_TRAILER_SIZE
         self.path = path
-        self.read_latency_s = read_latency_s
         self.verify_checksums = verify_checksums
         self.max_read_retries = max_read_retries
         self.retry_backoff_s = retry_backoff_s
@@ -481,11 +474,7 @@ class DiskManager:
             if self._last_page is None or page_id != self._last_page + 1:
                 self.stats.read_seeks += 1
             self._last_page = page_id
-            data = self._read_verified(page_id)
-        if self.read_latency_s:
-            # Outside the lock: concurrent readers overlap their waits.
-            time.sleep(self.read_latency_s)
-        return data
+            return self._read_verified(page_id)
 
     def read_page_unchecked(self, page_id: int) -> bytearray:
         """Allow-path read: no checksum verification, short reads zero-pad.
@@ -501,8 +490,6 @@ class DiskManager:
                 self.stats.read_seeks += 1
             self._last_page = page_id
             frame = self._read_frame_raw(page_id)
-        if self.read_latency_s:
-            time.sleep(self.read_latency_s)
         if frame is None:
             return bytearray(self.page_size)
         data = bytes(frame[: self.page_size])

@@ -8,9 +8,11 @@ that keeps it the *only* such decision is pinned at the end (same style as
 """
 
 import ast
+import dataclasses
 import inspect
 import os
 import re
+import sys
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.engine import access
 from repro.engine import levels
 from repro.engine import table as table_module
 from repro.engine.access import open_run
+from repro.engine.catalog import Region, Run
 from repro.engine.database import RodentStore
 from repro.errors import StorageError
 from repro.layout.renderer import LayoutRenderer
@@ -463,6 +466,67 @@ def test_one_design_split_one_render_path():
     for name, source in engine.items():
         assert "renderer.render(" not in source, name
     assert {"render", "render_region"} <= set(vars(LayoutRenderer))
+
+
+ONE_WRITE_DELETED = (
+    "compact_table", "_rewrite_region", "_render_level_run",
+    "_merge_runs_once", "_region_batch", "_rewrite_levelled",
+    "_schedule_level_compaction", "read_latency_s", "adapt_hysteresis",
+)
+
+#: Where a ``Run`` is built: the seal's render and the merge, the load,
+#: and the catalog loader.
+RUN_BUILDERS = {
+    (os.path.join("engine", "levels.py"), "sealed_run"),
+    (os.path.join("engine", "levels.py"), "merge"),
+    (os.path.join("engine", "database.py"), "_render_regions"),
+    (os.path.join("engine", "persistence.py"), "apply_entry_dict"),
+}
+
+
+def _functions(tree: ast.Module):
+    """Module-level functions and methods of ``tree``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from (n for n in node.body if isinstance(n, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            yield node
+
+
+def test_seal_and_merge_are_the_only_region_writes():
+    """A region's runs change only by a seal or a merge
+    (``engine/levels.py``): the flush and compaction loops, the region
+    rewrite, the run render and the two unused store options are gone, a
+    run's design is its ``plan`` (no overflow flag on ``Run`` or
+    ``Region``), ``Run(`` is built only by the seal, the merge, the load
+    and the catalog loader, and the seams the bench's tracer patches still
+    resolve."""
+    _assert_absent_as_names(ONE_WRITE_DELETED)
+    assert "overflow" not in {f.name for f in dataclasses.fields(Run)}
+    assert not hasattr(Region, "overflow")
+    builders = set()
+    for name, source in _sources():
+        tree = ast.parse(source)
+        calls = {
+            id(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "Run"
+        }
+        for fn in _functions(tree):
+            inside = {id(node) for node in ast.walk(fn)} & calls
+            if inside:
+                builders.add((name, fn.name))
+                calls -= inside
+        assert not calls, name  # no Run( outside a function
+    assert builders == RUN_BUILDERS
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from bench.trace import tracing
+
+    with tracing() as tracer:
+        pass
+    assert tracer.missing == []
 
 
 def test_stats_are_collected_a_column_at_a_time():

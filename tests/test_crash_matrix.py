@@ -29,7 +29,12 @@ from repro.engine import levels
 from repro.engine.database import RodentStore, _Mutation
 from repro.errors import CrashError, StorageError
 from repro.query.expressions import Range
-from repro.storage.faults import FaultInjector, lose_unsynced_wal
+from repro.storage.faults import (
+    FaultInjector,
+    IoFault,
+    IoFaultInjector,
+    lose_unsynced_wal,
+)
 from repro.storage.wal import KIND_FRESH_PAGE, KIND_UPDATE, WriteAheadLog
 from repro.types import Schema
 
@@ -55,6 +60,8 @@ def build_workload(seed):
         ("relayout", "partition[id; range, 128](T)"),
         ("update", (200, 229)),
         ("insert", [(400 + i, rng.randrange(1000)) for i in range(20)]),
+        ("flush", None),  # a seal per partition
+        ("compact", None),  # a merge per partition
     ]
 
     # Model the expected state after each op completes.
@@ -444,6 +451,106 @@ def reusable_span(path):
     store.table("T").update({"val": 1}, Range("id", 0, 9))
     assert store.disk.free_pages >= 4
     return store
+
+
+def open_partitioned(path):
+    return RodentStore(path, page_size=512, durable=True)
+
+
+def partitioned_store(path):
+    """Two range partitions of 64 rows; a copy-on-write rewrite of either
+    renders a few 512-byte pages."""
+    store = open_partitioned(path)
+    store.create_table(
+        "P", Schema.of("id:int", "val:int", "x:float"),
+        layout="partition[id; range, 64](P)",
+    )
+    store.load("P", [(i, i % 7, i * 0.5) for i in range(128)])
+    return store
+
+
+def assert_left_as_it_was(store, path, want, opener, manifest=None):
+    """An aborted call left no trace: the scan (and ``manifest`` of the
+    region runs) it found, now and after a clean close and reopen."""
+    name = store.catalog.names()[0]
+
+    def runs(store):
+        return [
+            (r.rid, r.level, r.min_seq, r.max_seq, r.row_count)
+            for r in store.catalog.entry(name).runs()
+        ]
+
+    assert sorted(store.table(name).scan()) == want
+    assert manifest is None or runs(store) == manifest
+    assert_pages_consistent(store)
+    store.inject_io_faults(None)
+    store.close()
+    again = opener(path)
+    try:
+        assert sorted(again.table(name).scan()) == want
+        assert manifest is None or runs(again) == manifest
+        assert_pages_consistent(again)
+    finally:
+        again.close()
+
+
+def test_an_aborted_partitioned_delete_leaves_no_trace(tmp_path):
+    """The delete's merge of partition 0 swaps in before partition 1's
+    render runs out of space: the abort swaps partition 0 back."""
+    path = str(tmp_path / "db")
+    store = partitioned_store(path)
+    want = sorted(store.table("P").scan())
+    store.inject_io_faults(
+        IoFaultInjector(IoFault("enospc", target="page", after=4))
+    )
+    with pytest.raises(StorageError):
+        store.table("P").delete(Range("val", 3, 3))
+    assert_left_as_it_was(store, path, want, open_partitioned)
+
+
+def test_an_aborted_partitioned_compaction_leaves_no_trace(tmp_path):
+    """Pending rows in both partitions; the second merge runs out of space
+    after the first swapped its runs in and cleared its pending rows."""
+    path = str(tmp_path / "db")
+    store = partitioned_store(path)
+    table = store.table("P")
+    table.insert([(i, 9, 0.25) for i in (1, 2, 3, 65, 66, 67)])
+    want = sorted(table.scan())
+    store.inject_io_faults(
+        IoFaultInjector(IoFault("enospc", target="page", after=6))
+    )
+    with pytest.raises(StorageError):
+        table.compact()
+    pending = [len(r.pending) for r in table.partitions]
+    assert pending == [3, 3]
+    assert_left_as_it_was(store, path, want, open_partitioned)
+
+
+def test_an_aborted_level_cascade_leaves_no_trace(tmp_path, monkeypatch):
+    """The cascade's first merge (0 -> 1) swaps in; its second (1 -> 2) runs
+    out of space: the abort restores the three-run manifest."""
+    path = str(tmp_path / "db")
+    store, table = levelled_store(path, merged=2, held=2)
+    want = sorted(table.scan())
+    entry = store.catalog.entry("T")
+    manifest = [
+        (r.rid, r.level, r.min_seq, r.max_seq, r.row_count)
+        for r in entry.runs()
+    ]
+    assert len(manifest) == 3
+    renders = []
+    render = RodentStore._render_region
+    monkeypatch.setattr(
+        RodentStore, "_render_region",
+        lambda *a, **k: renders.append(1) or render(*a, **k),
+    )
+    store.inject_io_faults(
+        IoFaultInjector(IoFault("enospc", target="page", after=1))
+    )
+    with pytest.raises(StorageError):
+        store.compact_levels("T")
+    assert len(renders) == 2, "the cascade must fail in its second merge"
+    assert_left_as_it_was(store, path, want, open_small, manifest)
 
 
 def test_crash_mid_render_onto_a_reused_span(tmp_path):
