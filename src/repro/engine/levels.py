@@ -387,9 +387,10 @@ def compact_levels(
     with db.mutate(table.name) as m:
         (region,) = entry.regions
         if inner is not None or full:
-            table_plan = None
+            table_plan = plan = None
             if inner is not None:
                 table_plan = db._relevel_plan(entry, inner)
+                plan = table_plan.level_plans[0]
                 report["relayout"] = True
             sources = list(region.runs)
             if sources or region.pending:
@@ -397,9 +398,8 @@ def compact_levels(
             # With nothing to merge this still swaps in the new design, so
             # future seals render under it.
             merge(
-                table, region, sources, m, pending=True,
-                plan=table_plan and table_plan.level_plans[0],
-                table_plan=table_plan,
+                table, region, sources, m,
+                pending=True, plan=plan, table_plan=table_plan,
             )
             return report
         while True:

@@ -12,7 +12,6 @@ import dataclasses
 import inspect
 import os
 import re
-import sys
 
 import pytest
 
@@ -498,9 +497,10 @@ def test_seal_and_merge_are_the_only_region_writes():
     (``engine/levels.py``): the flush and compaction loops, the region
     rewrite, the run render and the two unused store options are gone, a
     run's design is its ``plan`` (no overflow flag on ``Run`` or
-    ``Region``), ``Run(`` is built only by the seal, the merge, the load
-    and the catalog loader, and the seams the bench's tracer patches still
-    resolve."""
+    ``Region``), and ``Run(`` is built only by the seal, the merge, the
+    load and the catalog loader. (``tests/test_trace_seams.py`` checks that
+    the bench tracer's seams, ``seal_level_run`` and ``compact_levels``
+    among them, still resolve.)"""
     _assert_absent_as_names(ONE_WRITE_DELETED)
     assert "overflow" not in {f.name for f in dataclasses.fields(Run)}
     assert not hasattr(Region, "overflow")
@@ -519,14 +519,6 @@ def test_seal_and_merge_are_the_only_region_writes():
                 calls -= inside
         assert not calls, name  # no Run( outside a function
     assert builders == RUN_BUILDERS
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    if root not in sys.path:
-        sys.path.insert(0, root)
-    from bench.trace import tracing
-
-    with tracing() as tracer:
-        pass
-    assert tracer.missing == []
 
 
 def test_stats_are_collected_a_column_at_a_time():
