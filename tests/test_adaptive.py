@@ -3,6 +3,8 @@ persistence, and the end-to-end monitor → advise → reorganize cycle."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import oracle
@@ -331,6 +333,118 @@ class TestPolicyInteraction:
         assert decision["adapted"] is True
         assert decision["applied_immediately"] is True
         assert store.table("T").plan.kind == "columns"
+
+
+# ---------------------------------------------------------------------------
+# Decision outcomes for every table shape
+# ---------------------------------------------------------------------------
+
+WIDE = Schema.of("t:int", "x:int", "y:int", "z:int", "w:int")
+SHAPES = {
+    "flat": "T",
+    "partitioned": "partition[r.t; range, 2000](T)",
+    "levelled": "levels[8; 2](rows(T))",
+}
+
+
+def wide_store(shape: str, n: int = 4000):
+    """A 5-column table of ``n`` random rows under ``shape``, after 60
+    single-column projections — a workload every shape re-lays out to
+    ``columns(T)`` for."""
+    rng = random.Random(1)
+    rows = [
+        (i, *(rng.randrange(1000) for _ in range(4))) for i in range(n)
+    ]
+    store = RodentStore(page_size=1024, level_seal_rows=512)
+    store.create_table("T", WIDE, layout=SHAPES[shape])
+    store.load("T", rows)
+    for _ in range(60):
+        list(store.table("T").scan(fieldlist=["x"]))
+    return store, rows
+
+
+def region_designs(store: RodentStore) -> list[str]:
+    return [r.plan.expr.to_text() for r in store.catalog.entry("T").regions]
+
+
+class TestDecisionOutcomes:
+    def test_levelled_run_design_rechoice(self):
+        store, rows = wide_store("levelled")
+        decision = store.adapt("T")
+        assert decision["adapted"] is True
+        assert decision["relayout_runs"] is True
+        entry = store.catalog.entry("T")
+        assert entry.plan.expr.to_text() == "levels[8; 2](columns(T))"
+        table = store.table("T")
+        assert table.run_count == 1
+        # Future seals render the new run design too.
+        more = [(4000 + i, i, i, i, i) for i in range(512)]
+        table.insert(more)
+        assert table.run_count == 2
+        assert {run.plan.expr.to_text() for run in entry.regions[0].runs} == {
+            "columns(T)"
+        }
+        model = oracle.Model(WIDE.names(), rows + more, "levels[8; 2](columns(T))")
+        oracle.check_table(table, model, ["t", "x"], Range("t", 100, 4200))
+        oracle.check_table(table, model)
+        # The next check keeps the run design and merges the two runs (a
+        # forced check waives the ingest-hot hold); then nothing is left.
+        again = store.adapt("T")
+        assert again["adapted"] is True
+        assert "relayout_runs" not in again
+        assert table.run_count == 1
+        assert entry.plan.expr.to_text() == "levels[8; 2](columns(T))"
+        oracle.check_table(table, model, ["t", "x"], Range("t", 100, 4200))
+        assert store.adapt("T")["reason"] == "levelled structure already optimal"
+        store.close()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rewrite_cost_not_amortized(self, shape):
+        store, _ = wide_store(shape)
+        store.adaptivity.amortization_queries = 0.001
+        before = region_designs(store)
+        decision = store.adaptivity.check("T")
+        assert decision["adapted"] is False
+        assert decision["reason"].startswith("rewrite cost not amortized")
+        assert region_designs(store) == before
+        assert store.storage_stats()["adaptivity"]["reorganizations"] == 0
+        store.close()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_second_check_keeps_the_adopted_design(self, shape):
+        store, _ = wide_store(shape)
+        assert store.adapt("T")["adapted"] is True
+        after = region_designs(store)
+        decision = store.adapt("T")
+        assert decision["adapted"] is False
+        assert region_designs(store) == after
+        reason = {
+            "flat": "incumbent is optimal",
+            "levelled": "levelled structure already optimal",
+        }.get(shape)
+        if reason is not None:
+            assert decision["reason"] == reason
+        store.close()
+
+    def test_levelled_run_merge_not_amortized(self):
+        store = RodentStore(page_size=1024, level_seal_rows=8)
+        store.create_table("T", Schema.of("id:int", "v:int"), layout="levels[8; 2](rows(T))")
+        table = store.table("T")
+        for b in range(4):
+            table.insert([(b * 8 + i, b) for i in range(8)])
+        # Enough scans to drain the decayed write load: reads dominate.
+        for _ in range(400):
+            list(table.scan(predicate=Range("id", 0, 31)))
+        store.adaptivity.amortization_queries = 0.001
+        decision = store.adaptivity.check("T")
+        assert decision["adapted"] is False
+        assert "not amortized" in decision["reason"]
+        assert table.run_count == 4
+        store.adaptivity.amortization_queries = 200.0
+        decision = store.adaptivity.check("T")
+        assert decision["adapted"] is True
+        assert table.run_count == 1
+        store.close()
 
 
 # ---------------------------------------------------------------------------

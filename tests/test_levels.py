@@ -508,8 +508,10 @@ def test_adaptive_holds_merge_while_ingest_hot():
     for b in range(3):
         t.insert([(b * 8 + i, b) for i in range(8)])
     list(t.scan())  # one observation; write load still dominates
+    store.adaptivity.min_observations = 1
     decision = store.adaptivity.check("T")
     assert decision["adapted"] is False
+    assert decision["reason"].startswith("ingest-hot (write load 23.5 rows)")
     assert t.run_count == 3  # background cadence owns the merge
     store.close()
 
