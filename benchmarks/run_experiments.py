@@ -400,7 +400,8 @@ def reorganization(scale: dict) -> None:
         store = RodentStore(page_size=scale["page_size"] // 2, pool_capacity=64)
         store.create_table("Traces", TRACE_SCHEMA)
         store.load("Traces", records)
-        manager = ReorganizationManager(store, lazy_access_threshold=4)
+        manager = ReorganizationManager(store)
+        manager.lazy_access_threshold = 4
         manager.set_policy("Traces", policy)
         manager.apply_design("Traces", design, source_records=records)
         reads = 0

@@ -36,7 +36,8 @@ def run_policy(policy, records, queries):
     store = RodentStore(page_size=PAGE_SIZE, pool_capacity=64)
     store.create_table("Traces", TRACE_SCHEMA)
     store.load("Traces", records)
-    manager = ReorganizationManager(store, lazy_access_threshold=4)
+    manager = ReorganizationManager(store)
+    manager.lazy_access_threshold = 4
     manager.set_policy("Traces", policy)
     manager.apply_design("Traces", new_design(), source_records=records)
 

@@ -7,11 +7,14 @@ This module closes the loop *online*: every access-method call is observed
 by a per-table :class:`~repro.optimizer.monitor.WorkloadMonitor`, and the
 :class:`AdaptiveController` periodically (every ``check_interval`` observed
 scans, or on :meth:`RodentStore.adapt`) re-runs the advisor against fresh
-statistics, compares the incumbent design's predicted cost with the
-recommendation under a **hysteresis margin**, charges the one-time
-reorganization cost against the amortized benefit, and — when the switch
-clearly pays — drives the :class:`ReorganizationManager` under the table's
-configured policy (eager / new-data-only / lazy).
+statistics. One decision serves every table shape: it finds the regions the
+recommendation would rewrite (a flat table, its hot stale partitions, or a
+levelled table's runs), compares their predicted cost with the
+recommendation's under a **hysteresis margin**, charges the one-time
+rewrite of just those regions against the amortized benefit, and — when the
+switch clearly pays — hands it to :meth:`ReorganizationManager.reorganize`,
+which applies a flat table's design under its policy (eager /
+new-data-only / lazy) and a region's eagerly, charging every rewrite alike.
 
 Safety properties:
 
@@ -43,12 +46,13 @@ from repro.algebra.interpreter import AlgebraInterpreter
 from repro.algebra.physical import LAYOUT_LEVELLED, LAYOUT_PARTITIONED
 from repro.algebra.rewriter import structurally_equal
 from repro.engine.stats import TableStats
+from repro.errors import RodentStoreError
 from repro.optimizer.monitor import DEFAULT_DECAY, WorkloadMonitor
 from repro.optimizer.reorganize import Policy, ReorganizationManager
 from repro.optimizer.workload import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.catalog import CatalogEntry
+    from repro.engine.catalog import CatalogEntry, Region
     from repro.engine.database import RodentStore
     from repro.engine.table import Table
     from repro.query.expressions import Predicate
@@ -62,35 +66,34 @@ class AdaptiveController:
         enabled: when False (the default), scans are still monitored but
             reorganizations only happen through :meth:`RodentStore.adapt`.
         check_interval: observed scans per table between automatic checks.
-        hysteresis: minimum *relative* predicted improvement
-            (``benefit > hysteresis * incumbent_ms``) before a switch is
-            considered — two designs within the margin never thrash.
-        min_observations: observations required before the first check.
-        amortization_queries: workload repetitions over which the one-time
-            rewrite cost must be recovered by the per-execution benefit.
-        strategy: advisor search strategy for online checks.
-        decay: per-observation exponential decay of monitor weights.
+
+    The loop's tuning is class-level (an instance may override any of it
+    by assignment, as tests and examples do).
     """
+
+    #: Minimum *relative* predicted improvement (``benefit > hysteresis *
+    #: incumbent_ms``) before a switch is considered — two designs within
+    #: the margin never thrash.
+    hysteresis = 0.15
+    #: Observations required before the first automatic check.
+    min_observations = 8
+    #: Workload repetitions over which the one-time rewrite cost must be
+    #: recovered by the per-execution benefit.
+    amortization_queries = 200.0
+    #: Advisor search strategy for online checks.
+    strategy = "exhaustive"
+    #: Per-observation exponential decay of monitor weights.
+    decay = DEFAULT_DECAY
 
     def __init__(
         self,
         store: "RodentStore",
         enabled: bool = False,
         check_interval: int = 64,
-        hysteresis: float = 0.15,
-        min_observations: int = 8,
-        amortization_queries: float = 200.0,
-        strategy: str = "exhaustive",
-        decay: float = DEFAULT_DECAY,
     ):
         self.store = store
         self.enabled = enabled
         self.check_interval = check_interval
-        self.hysteresis = hysteresis
-        self.min_observations = min_observations
-        self.amortization_queries = amortization_queries
-        self.strategy = strategy
-        self.decay = decay
         self.reorganizer = ReorganizationManager(store)
         self.adaptations = 0
         self.checks = 0
@@ -260,6 +263,13 @@ class AdaptiveController:
     def check(self, name: str, force: bool = False) -> dict:
         """Run one adaptation cycle for ``name``; returns the decision.
 
+        One decision for every table shape: advise on the workload, find
+        the regions the chosen design would rewrite (:meth:`_stale_regions`),
+        gate them once (:meth:`_gain`, then :meth:`_amortized`), and apply
+        once through :meth:`ReorganizationManager.reorganize`. A levelled
+        table whose runs keep their design may still merge them
+        (:meth:`_merge_runs`).
+
         ``force`` (what :meth:`RodentStore.adapt` passes) waives the
         minimum-observation gate and the amortization charge — the operator
         asked, so the rewrite cost is accepted — but never the hysteresis
@@ -301,16 +311,7 @@ class AdaptiveController:
         if not workload.queries:
             decision["reason"] = "no live patterns"
             return decision
-        partitioned = entry.plan.kind == LAYOUT_PARTITIONED
-        levelled = entry.plan.kind == LAYOUT_LEVELLED
-        if partitioned:
-            incumbent_expr = self._hottest_region_expr(entry)
-        elif levelled:
-            # The incumbent a levelled check argues against is the run
-            # template — the design every future seal/merge renders.
-            incumbent_expr = entry.plan.level_plans[0].expr
-        else:
-            incumbent_expr = entry.plan.expr
+        incumbent_expr = self._incumbent_expr(entry)
         with self.pause():
             stats = self._fresh_stats(entry)
             if stats is None:
@@ -325,129 +326,159 @@ class AdaptiveController:
                 incumbent=incumbent_expr,
             )
 
-        incumbent_text = incumbent_expr.to_text()
-        decision["incumbent"] = incumbent_text
+        decision["incumbent"] = incumbent_expr.to_text()
         decision["incumbent_ms"] = recommendation.incumbent_ms
-        chosen = self._choose_non_lossy(
-            entry, recommendation, region_design=partitioned or levelled
-        )
+        chosen = self._choose_non_lossy(entry, recommendation)
         if chosen is None:
             decision["reason"] = "no non-lossy improvement"
             return decision
-        if partitioned:
-            return self._check_partitioned(
-                entry, decision, chosen, recommendation, workload, force
-            )
-        if levelled:
-            return self._check_levelled(
-                entry, decision, chosen, recommendation, workload, force
-            )
         expr, predicted_ms, storage_pages = chosen
         decision["recommended"] = expr.to_text()
         decision["predicted_ms"] = round(predicted_ms, 3)
 
-        if decision["recommended"] == incumbent_text:
-            decision["reason"] = "incumbent is optimal"
-            return decision
-        pending = self.reorganizer.pending(name)
-        if pending is not None and pending.to_text() == decision["recommended"]:
-            # A deferred policy already holds this exact design; re-applying
-            # would reset the lazy access counter and fake an adaptation.
-            decision["reason"] = "recommendation already pending under policy"
-            return decision
-        incumbent_ms = recommendation.incumbent_ms
-        if incumbent_ms is None:
-            decision["reason"] = "incumbent cost unknown"
-            return decision
-        benefit = incumbent_ms - predicted_ms
-        margin = self.hysteresis * incumbent_ms
-        if benefit <= margin:
-            decision["reason"] = (
-                f"within hysteresis margin "
-                f"(benefit {benefit:.2f} ms <= {margin:.2f} ms)"
-            )
+        stale = self._stale_regions(entry, expr, decision)
+        benefit = self._gain(
+            entry, stale, expr, recommendation.incumbent_ms, predicted_ms,
+            workload, decision,
+        )
+        if benefit is None:
+            if entry.plan.kind == LAYOUT_LEVELLED:
+                return self._merge_runs(entry, decision, force)
             return decision
         rewrite_ms = self.reorganizer.estimated_rewrite_ms(
-            name, storage_pages
+            name, storage_pages, stale
         )
         per_execution = benefit / max(1.0, workload.total_weight)
-        amortized = per_execution * self.amortization_queries
-        decision["rewrite_ms"] = round(rewrite_ms, 3)
-        decision["amortized_benefit_ms"] = round(amortized, 3)
-        if not force and amortized < rewrite_ms:
-            decision["reason"] = (
-                f"rewrite cost not amortized "
-                f"({amortized:.2f} ms benefit < {rewrite_ms:.2f} ms rewrite)"
-            )
+        if not self._amortized(decision, per_execution, rewrite_ms, force):
             return decision
 
+        pending = self.reorganizer.pending(name)
         if pending is not None:
             # A different design was pending under a deferred policy; it is
             # replaced, and the decision log keeps the trace.
             decision["superseded_pending"] = pending.to_text()
-        with self.pause():
-            self.reorganizer.apply_design(name, expr)
-        self._since_check[name] = 0
-        applied = self.reorganizer.pending(name) is None
-        if applied:
-            # ``adaptations`` counts layouts actually switched; a design
-            # merely *recorded* under lazy/new-data-only shows up as
-            # ``pending_design`` in the report (and as a reorganization
-            # once the deferred rewrite fires).
-            self.adaptations += 1
-        decision["adapted"] = True
+        if entry.plan.kind == LAYOUT_PARTITIONED:
+            # Cold partitions keep their current layout: a skewed workload
+            # re-optimizes the regions it touches without rewriting the
+            # whole table.
+            rewritten = decision["relayout_partitions"] = [r.pid for r in stale]
+            decision["kept_partitions"] = [
+                r.pid for r in entry.regions if r.pid not in rewritten
+            ]
+        elif entry.plan.kind == LAYOUT_LEVELLED:
+            decision["relayout_runs"] = True
+        self._apply(entry, expr, stale, decision)
         decision["reason"] = (
             f"predicted {benefit:.2f} ms/workload benefit over incumbent"
         )
-        decision["policy"] = self.reorganizer._state(name).policy.value
-        decision["applied_immediately"] = applied
         return decision
 
-    # -- partitioned tables: hot/cold per-partition designs ----------------
+    def _apply(
+        self,
+        entry: "CatalogEntry",
+        expr: ast.Node | None,
+        regions: Sequence["Region"],
+        decision: dict,
+    ) -> None:
+        """The one apply: hand the design to the reorganizer and record the
+        adaptation. ``adaptations`` counts layouts actually switched; a
+        design merely *recorded* under lazy/new-data-only shows up as
+        ``pending_design`` in the report (and as an adaptation once the
+        deferred rewrite fires)."""
+        with self.pause():
+            policy = self.reorganizer.reorganize(entry.name, expr, regions)
+        self._since_check[entry.name] = 0
+        applied = policy is Policy.EAGER
+        self.adaptations += applied
+        decision["adapted"] = True
+        decision["policy"] = policy.value
+        decision["applied_immediately"] = applied
+
+    def _gain(
+        self,
+        entry: "CatalogEntry",
+        stale: Sequence["Region"],
+        expr: ast.Node,
+        incumbent_ms: float | None,
+        predicted_ms: float,
+        workload: "Workload",
+        decision: dict,
+    ) -> float | None:
+        """The hysteresis gate: the predicted benefit per workload of
+        rewriting ``stale`` to ``expr``, or None (with the reason recorded)
+        when nothing is stale, a deferred policy already holds ``expr``,
+        or the benefit is within the margin.
+
+        The benefit is measured from the incumbent and, when that is within
+        the margin, from the costliest stale region: the hottest partition
+        may already run the recommended design while other newly-hot
+        partitions lag on an older one. (A table of one region has the
+        incumbent as its one stale region.)
+        """
+        from repro.optimizer.advisor import _cost_of
+
+        pending = self.reorganizer.pending(entry.name)
+        if not stale:
+            decision["reason"] = "incumbent is optimal"
+        elif pending is not None and structurally_equal(pending, expr):
+            # Re-applying would reset the lazy access counter and fake an
+            # adaptation.
+            decision["reason"] = "recommendation already pending under policy"
+        elif incumbent_ms is None:
+            decision["reason"] = "incumbent cost unknown"
+        else:
+            benefit = incumbent_ms - predicted_ms
+            margin = self.hysteresis * incumbent_ms
+            if benefit <= margin and entry.stats is not None:
+                estimator = self._estimator(entry)
+                costs = (
+                    _cost_of(r.plan.expr, entry.logical_schema, estimator, workload)
+                    for r in stale
+                )
+                lag_ms = max((ms for ms in costs if ms is not None), default=None)
+                if lag_ms is not None:
+                    benefit = max(benefit, lag_ms - predicted_ms)
+                    margin = self.hysteresis * max(incumbent_ms, lag_ms)
+            if benefit > margin:
+                return benefit
+            decision["reason"] = (
+                f"within hysteresis margin "
+                f"(benefit {benefit:.2f} ms <= {margin:.2f} ms)"
+            )
+        return None
+
+    def _amortized(
+        self, decision: dict, per_execution: float, rewrite_ms: float,
+        force: bool,
+    ) -> bool:
+        """The amortization charge: does ``per_execution`` ms saved, over
+        :attr:`amortization_queries` executions, pay for the one-time
+        rewrite? ``force`` waives it."""
+        amortized = per_execution * self.amortization_queries
+        decision["rewrite_ms"] = round(rewrite_ms, 3)
+        decision["amortized_benefit_ms"] = round(amortized, 3)
+        if force or amortized >= rewrite_ms:
+            return True
+        decision["reason"] = (
+            f"rewrite cost not amortized "
+            f"({amortized:.2f} ms benefit < {rewrite_ms:.2f} ms rewrite)"
+        )
+        return False
+
+    # -- which regions a design rewrites -----------------------------------
 
     #: A partition is "hot" when its decayed access weight reaches this
     #: multiple of the mean partition weight.
     HOT_PARTITION_FACTOR = 1.0
 
     def _partition_weights(self, entry: "CatalogEntry") -> dict[int, float]:
-        if entry.monitor is None:
-            return {}
-        return entry.monitor.partition_weights()
+        return entry.monitor.partition_weights() if entry.monitor else {}
 
-    def _worst_region_cost(
-        self, entry: "CatalogEntry", regions, workload: "Workload"
-    ) -> float | None:
-        """Predicted workload cost of the costliest of ``regions``' current
-        designs (None when statistics cannot price them)."""
-        from repro.optimizer.advisor import _cost_of
-        from repro.optimizer.cost_model import PlanCostEstimator
-
-        stats = entry.stats
-        if stats is None:
-            return None
-        estimator = PlanCostEstimator(
-            stats, self.store.cost_model, self.store.cost_model.page_size
-        )
-        worst = None
-        for region in regions:
-            if region.plan is None:
-                continue
-            try:
-                ms = _cost_of(
-                    region.plan.expr,
-                    entry.logical_schema,
-                    estimator,
-                    workload,
-                )
-            except Exception:
-                continue
-            if ms is not None and (worst is None or ms > worst):
-                worst = ms
-        return worst
-
-    def _hottest_region_expr(self, entry: "CatalogEntry") -> ast.Node:
-        """The incumbent design a partitioned check compares against: the
-        most-accessed region's plan (falling back to the template)."""
+    def _incumbent_expr(self, entry: "CatalogEntry") -> ast.Node:
+        """The design a check argues against: the most-accessed region's —
+        a flat table's design, a levelled table's run template, a
+        partitioned table's hottest partition (falling back to the
+        template before any partition exists)."""
         weights = self._partition_weights(entry)
         best = None
         for region in entry.regions:
@@ -461,222 +492,82 @@ class AdaptiveController:
         assert entry.plan is not None
         return entry.plan.partition_plans[0].expr
 
-    def _check_partitioned(
-        self,
-        entry: "CatalogEntry",
-        decision: dict,
-        chosen: tuple[ast.Node, float, int],
-        recommendation,
-        workload: "Workload",
-        force: bool,
-    ) -> dict:
-        """Partition-granular adaptation: apply the recommended design to
-        the *hot* partitions only, one region at a time.
-
-        Cold partitions keep their current layout — that is the point of
-        partition-scoped reorganization: a skewed workload re-optimizes the
-        regions it actually touches without rewriting the whole table, and
-        hot and cold partitions end up with different physical designs.
-        """
-        name = entry.name
-        expr, predicted_ms, storage_pages = chosen
-        decision["recommended"] = expr.to_text()
-        decision["predicted_ms"] = round(predicted_ms, 3)
-        incumbent_ms = recommendation.incumbent_ms
-        if incumbent_ms is None:
-            decision["reason"] = "incumbent cost unknown"
-            return decision
-
-        weights = self._partition_weights(entry)
-        total_weight = sum(weights.values())
-        mean = total_weight / max(1, len(entry.regions))
-        threshold = self.HOT_PARTITION_FACTOR * mean
-        hot = [
+    def _stale_regions(
+        self, entry: "CatalogEntry", expr: ast.Node, decision: dict
+    ) -> list["Region"]:
+        """The regions installing ``expr`` would rewrite: those whose design
+        differs from it — among the *hot* partitions of a partitioned
+        table, else the table's one region."""
+        regions = entry.regions
+        if entry.plan.kind == LAYOUT_PARTITIONED:
+            weights = self._partition_weights(entry)
+            total = sum(weights.values())
+            threshold = (
+                self.HOT_PARTITION_FACTOR * total / max(1, len(regions))
+            )
+            regions = [
+                region
+                for region in regions
+                if total == 0.0 or weights.get(region.pid, 0.0) >= threshold
+            ]
+            decision["hot_partitions"] = [r.pid for r in regions]
+            decision["partition_weights"] = {
+                r.pid: round(weights.get(r.pid, 0.0), 3)
+                for r in entry.regions
+            }
+        return [
             region
-            for region in entry.regions
-            if total_weight == 0.0
-            or weights.get(region.pid, 0.0) >= threshold
-        ]
-        decision["hot_partitions"] = [r.pid for r in hot]
-        decision["partition_weights"] = {
-            r.pid: round(weights.get(r.pid, 0.0), 3)
-            for r in entry.regions
-        }
-
-        stale = [
-            region
-            for region in hot
+            for region in regions
             if region.plan is not None
             and not structurally_equal(region.plan.expr, expr)
         ]
-        if not stale:
-            decision["reason"] = (
-                "hot partitions already use the recommended design"
-            )
-            return decision
 
-        benefit = incumbent_ms - predicted_ms
-        margin = self.hysteresis * incumbent_ms
-        if benefit <= margin:
-            # The hottest region may already run the recommended design
-            # while other newly-hot regions lag on an older one; measure
-            # the gap from the *worst* stale region instead.
-            lag_ms = self._worst_region_cost(entry, stale, workload)
-            if lag_ms is not None:
-                benefit = max(benefit, lag_ms - predicted_ms)
-                margin = self.hysteresis * max(incumbent_ms, lag_ms)
-        if benefit <= margin:
-            decision["reason"] = (
-                f"within hysteresis margin "
-                f"(benefit {benefit:.2f} ms <= {margin:.2f} ms)"
-            )
-            return decision
-        rewrite_ms = self.reorganizer.estimated_region_rewrite_ms(
-            stale, storage_pages
-        )
-        per_execution = benefit / max(1.0, workload.total_weight)
-        amortized = per_execution * self.amortization_queries
-        decision["rewrite_ms"] = round(rewrite_ms, 3)
-        decision["amortized_benefit_ms"] = round(amortized, 3)
-        if not force and amortized < rewrite_ms:
-            decision["reason"] = (
-                f"rewrite cost not amortized "
-                f"({amortized:.2f} ms benefit < {rewrite_ms:.2f} ms rewrite)"
-            )
-            return decision
-
-        rewritten = []
-        with self.pause():
-            for region in stale:
-                # One region at a time: each rewrite reads and writes only
-                # that partition's pages.
-                self.reorganizer.rewrite_partition(name, region.pid, expr)
-                rewritten.append(region.pid)
-        self._since_check[name] = 0
-        self.adaptations += 1
-        decision["adapted"] = True
-        decision["relayout_partitions"] = rewritten
-        decision["kept_partitions"] = [
-            r.pid for r in entry.regions if r.pid not in set(rewritten)
-        ]
-        decision["reason"] = (
-            f"re-laid out {len(rewritten)} hot partition(s) to "
-            f"{expr.to_text()} (predicted {benefit:.2f} ms/workload benefit)"
-        )
-        return decision
-
-    # -- levelled tables: run-design re-choice + read-heavy merges ---------
+    # -- levelled tables: read-mostly run merges ---------------------------
 
     #: Below this decayed write load (rows) a levelled table counts as
     #: read-mostly: the check may full-compact its runs for scan locality.
     LEVELLED_WRITE_LOAD_FLOOR = 1.0
 
-    def _check_levelled(
-        self,
-        entry: "CatalogEntry",
-        decision: dict,
-        chosen: tuple[ast.Node, float, int],
-        recommendation,
-        workload: "Workload",
-        force: bool,
+    def _merge_runs(
+        self, entry: "CatalogEntry", decision: dict, force: bool
     ) -> dict:
-        """Levelled adaptation, two triggers in priority order.
-
-        1. **Run-design re-choice**: when the advisor's non-lossy pick
-           beats the run template past hysteresis and the full-compaction
-           rewrite amortizes, every run merges into one re-rendered under
-           the new design (future seals render it too) — compaction is
-           exactly when re-choosing a hot run's layout is free-ish.
-        2. **Read-heavy merge**: a fragmented manifest costs one extra
-           seek per run per scan. Once the decayed ingest load has
-           drained (reads dominate) and the saved seeks amortize the
-           merge, the runs fold into one. While ingest is hot the check
-           leaves fan-out to the background merge cadence instead of
-           fighting it.
-        """
+        """The one shape-specific trigger, for a levelled table whose run
+        design stays: a fragmented manifest costs one extra seek per run
+        per scan. Once the decayed ingest load has drained (reads
+        dominate) and the saved seeks amortize the merge, the runs fold
+        into one. While ingest is hot the check leaves fan-out to the
+        background merge cadence instead of fighting it."""
         from repro.engine.cost import estimate
 
-        name = entry.name
-        expr, predicted_ms, storage_pages = chosen
-        decision["recommended"] = expr.to_text()
-        decision["predicted_ms"] = round(predicted_ms, 3)
         (region,) = entry.regions
-        decision["run_count"] = len(region.runs)
-        write_load = self._write_load.get(name, 0.0)
-        decision["write_load"] = round(write_load, 3)
-        assert entry.plan is not None and entry.plan.levels is not None
-        incumbent_expr = entry.plan.level_plans[0].expr
-        incumbent_ms = recommendation.incumbent_ms
-
-        if (
-            incumbent_ms is not None
-            and not structurally_equal(expr, incumbent_expr)
-        ):
-            benefit = incumbent_ms - predicted_ms
-            margin = self.hysteresis * incumbent_ms
-            if benefit > margin:
-                rewrite_ms = self.reorganizer.estimated_rewrite_ms(
-                    name, storage_pages
-                )
-                per_execution = benefit / max(1.0, workload.total_weight)
-                amortized = per_execution * self.amortization_queries
-                decision["rewrite_ms"] = round(rewrite_ms, 3)
-                decision["amortized_benefit_ms"] = round(amortized, 3)
-                if force or amortized >= rewrite_ms:
-                    with self.pause():
-                        self.store.compact_levels(name, inner=expr)
-                    self._since_check[name] = 0
-                    self.adaptations += 1
-                    decision["adapted"] = True
-                    decision["relayout_runs"] = True
-                    decision["reason"] = (
-                        f"re-chose run design {expr.to_text()} via full "
-                        f"compaction (predicted {benefit:.2f} ms/workload "
-                        f"benefit)"
-                    )
-                    return decision
-                decision["reason"] = (
-                    f"rewrite cost not amortized ({amortized:.2f} ms "
-                    f"benefit < {rewrite_ms:.2f} ms rewrite)"
-                )
-                return decision
-
         n_runs = len(region.runs)
-        if n_runs > 1:
-            if not force and write_load > self.LEVELLED_WRITE_LOAD_FLOOR:
-                decision["reason"] = (
-                    f"ingest-hot (write load {write_load:.1f} rows): run "
-                    f"merges stay with the background compaction cadence"
-                )
-                return decision
-            model = self.store.cost_model
-            pages = region.total_pages()
-            per_scan = (
-                estimate(model, pages, n_runs).ms
-                - estimate(model, pages, 1).ms
-            )
-            rewrite_ms = self.reorganizer.estimated_rewrite_ms(name, pages)
-            amortized = per_scan * self.amortization_queries
-            decision["merge_benefit_ms_per_scan"] = round(per_scan, 3)
-            decision["rewrite_ms"] = round(rewrite_ms, 3)
-            if per_scan > 0 and (force or amortized >= rewrite_ms):
-                with self.pause():
-                    report = self.store.compact_levels(name, full=True)
-                self._since_check[name] = 0
-                self.adaptations += 1
-                decision["adapted"] = True
-                decision["merged_runs"] = report["runs_merged"]
-                decision["reason"] = (
-                    f"read-mostly: merged {report['runs_merged']} runs "
-                    f"into one (saves {per_scan:.2f} ms/scan in seeks)"
-                )
-                return decision
+        write_load = self._write_load.get(entry.name, 0.0)
+        decision["run_count"] = n_runs
+        decision["write_load"] = round(write_load, 3)
+        model = self.store.cost_model
+        pages = region.total_pages()
+        per_scan = (
+            estimate(model, pages, n_runs).ms - estimate(model, pages, 1).ms
+        )
+        if n_runs <= 1 or per_scan <= 0:
+            decision["reason"] = "levelled structure already optimal"
+            return decision
+        if not force and write_load > self.LEVELLED_WRITE_LOAD_FLOOR:
             decision["reason"] = (
-                f"run merge not amortized ({amortized:.2f} ms benefit "
-                f"< {rewrite_ms:.2f} ms merge)"
+                f"ingest-hot (write load {write_load:.1f} rows): run "
+                f"merges stay with the background compaction cadence"
             )
             return decision
-        decision["reason"] = "levelled structure already optimal"
+        decision["merge_benefit_ms_per_scan"] = round(per_scan, 3)
+        rewrite_ms = self.reorganizer.estimated_rewrite_ms(entry.name, pages)
+        if not self._amortized(decision, per_scan, rewrite_ms, force):
+            return decision
+        self._apply(entry, None, entry.regions, decision)
+        decision["merged_runs"] = n_runs
+        decision["reason"] = (
+            f"read-mostly: merged {n_runs} runs into one "
+            f"(saves {per_scan:.2f} ms/scan in seeks)"
+        )
         return decision
 
     def check_all(self, force: bool = False) -> dict[str, dict]:
@@ -717,7 +608,7 @@ class AdaptiveController:
                 batch.columns()
                 for batch in table.scan_column_batches(fieldlist=schema.names())
             ]
-        except Exception:
+        except RodentStoreError:
             return stats
         columns = [vector.concat(list(parts)) for parts in zip(*batches)]
         entry.stats = TableStats.from_columns(
@@ -726,70 +617,59 @@ class AdaptiveController:
         return entry.stats
 
     def _choose_non_lossy(
-        self,
-        entry: "CatalogEntry",
-        recommendation,
-        region_design: bool = False,
+        self, entry: "CatalogEntry", recommendation
     ) -> tuple[ast.Node, float, int] | None:
-        """Best recommended design that retains every logical field.
+        """Best recommended design the table can install.
 
         A design that projects fields away cannot be auto-installed: the
         data it drops would be unrecoverable at the *next* adaptation. The
-        advisor ranks alternatives; walk them best-first until a non-lossy
-        one appears. Returns (expression, predicted ms, storage pages).
+        advisor ranks alternatives; walk them best-first until an
+        installable one appears. Returns (expression, predicted ms, storage
+        pages).
 
-        With ``region_design`` (partitioned tables) the bar is stricter:
-        the design becomes one *partition's* layout, so it must produce
-        exactly the table's stored field set (regions must stay mutually
-        projectable) and cannot itself be partitioned.
+        The design of a partitioned or levelled table becomes one region's
+        (a partition's, or every run's), so it must pass the region-design
+        rule, :meth:`RodentStore.region_plan`.
         """
         from repro.algebra.parser import parse
-
-        interpreter = AlgebraInterpreter(
-            {entry.name: entry.logical_schema}
-        )
-        candidates: list[tuple[ast.Node | str, float]] = [
-            (recommendation.expression, recommendation.predicted_ms)
-        ]
-        candidates.extend(recommendation.alternatives)
-        logical = set(entry.logical_schema.names())
         from repro.engine.table import _scan_schema
 
-        required = logical
-        if region_design and entry.plan is not None:
-            required = set(_scan_schema(entry.plan).names())
+        region_design = entry.plan.kind in (LAYOUT_PARTITIONED, LAYOUT_LEVELLED)
+        interpreter = AlgebraInterpreter({entry.name: entry.logical_schema})
+        logical = set(entry.logical_schema.names())
+        candidates = [
+            (recommendation.expression, recommendation.predicted_ms),
+            *recommendation.alternatives,
+        ]
         for expr, predicted_ms in candidates:
             try:
                 node = parse(expr) if isinstance(expr, str) else expr
-                plan = interpreter.compile(node)
-                produced = set(_scan_schema(plan).names())
-            except Exception:
+                if region_design:
+                    plan = self.store.region_plan(entry.name, node)
+                else:
+                    plan = interpreter.compile(node)
+                    if not logical <= set(_scan_schema(plan).names()):
+                        continue
+            except RodentStoreError:
                 continue
-            if region_design:
-                # The design becomes one region's/run's layout: it cannot
-                # itself split into regions or runs.
-                if plan.kind in (LAYOUT_PARTITIONED, LAYOUT_LEVELLED):
-                    continue
-                if produced != required:
-                    continue
-            elif not (logical <= produced):
-                continue
-            pages = self._storage_pages(entry, plan)
-            return node, predicted_ms, pages
+            return node, predicted_ms, self._storage_pages(entry, plan)
         return None
 
-    def _storage_pages(self, entry: "CatalogEntry", plan) -> int:
+    def _estimator(self, entry: "CatalogEntry"):
+        """A plan cost estimator over ``entry``'s statistics (None when it
+        has none)."""
         from repro.optimizer.cost_model import PlanCostEstimator
 
-        stats = entry.stats
-        if stats is None:
-            return 1
-        estimator = PlanCostEstimator(
-            stats, self.store.cost_model, self.store.cost_model.page_size
-        )
+        if entry.stats is None:
+            return None
+        model = self.store.cost_model
+        return PlanCostEstimator(entry.stats, model, model.page_size)
+
+    def _storage_pages(self, entry: "CatalogEntry", plan) -> int:
+        estimator = self._estimator(entry)
         try:
-            return estimator.storage_pages(plan)
-        except Exception:
+            return 1 if estimator is None else estimator.storage_pages(plan)
+        except RodentStoreError:
             return 1
 
     # -- reporting ---------------------------------------------------------

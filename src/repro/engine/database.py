@@ -1075,8 +1075,7 @@ class RodentStore:
         This is the adaptive loop's partition-granular rewrite: one merge
         (:func:`~repro.engine.levels.merge`) of the region's runs and
         pending rows under the new design — no other partition is read or
-        written. The new design must retain every stored field (same
-        non-lossy rule as whole-table re-layouts).
+        written. The design must pass :meth:`region_plan`.
         """
         entry = self.catalog.entry(name)
         if entry.plan is None or entry.plan.kind != LAYOUT_PARTITIONED:
@@ -1084,14 +1083,7 @@ class RodentStore:
         region = next((r for r in entry.regions if r.pid == pid), None)
         if region is None:
             raise StorageError(f"table {name!r} has no partition {pid}")
-        expr = self._resolve_expr(name, layout)
-        new_plan = self._interpreter().compile(expr)
-        if new_plan.partition_plans or new_plan.level_plans:
-            raise StorageError(
-                "a partition's design is one layout: it cannot itself be "
-                "partitioned or levelled"
-            )
-        _require_stored_fields(entry.plan, new_plan, "partition")
+        new_plan = self.region_plan(name, layout)
         table = Table(self, entry)
         with self.mutate(name) as m:
             levels.merge(
@@ -1099,6 +1091,34 @@ class RodentStore:
                 pending=True, plan=new_plan, compaction=False,
             )
         return table
+
+    def region_plan(self, name: str, layout: str | ast.Node) -> PhysicalPlan:
+        """Compile ``layout`` as the design of one region of ``name`` — a
+        partition, or the runs of a levelled table.
+
+        The rule every region re-layout shares (:meth:`relayout_partition`,
+        :meth:`compact_levels` with ``inner`` and the adaptive controller's
+        candidates): the design is one layout, neither partitioned nor
+        levelled, and it re-renders stored records, so it must produce
+        exactly the table's stored fields — regions stay mutually
+        projectable. Raises :class:`StorageError` otherwise.
+        """
+        entry = self.catalog.entry(name)
+        plan = self._interpreter().compile(self._resolve_expr(name, layout))
+        if plan.kind in (LAYOUT_PARTITIONED, LAYOUT_LEVELLED):
+            raise StorageError(
+                "a region's design is one layout: it cannot itself be "
+                "partitioned or levelled"
+            )
+        canonical, produced = (
+            sorted(_scan_schema(p).names()) for p in (entry.plan, plan)
+        )
+        if canonical != produced:
+            raise StorageError(
+                f"a region's design must keep the stored fields {canonical}; "
+                f"new design produces {produced}"
+            )
+        return plan
 
     # -- adaptivity: change a table's physical design ------------------------
 
@@ -1185,34 +1205,11 @@ class RodentStore:
         cascading until no level is over fan-out. ``full=True`` folds
         *every* run plus the pending buffer into a single run — and with
         ``inner`` re-renders it under a new run design (the adaptive
-        loop's levelled re-organization; the design must keep the stored
-        fields). Returns ``{"merges", "runs_merged", "relayout"}``.
+        loop's levelled re-organization; the design must pass
+        :meth:`region_plan`). Returns ``{"merges", "runs_merged",
+        "relayout"}``.
         """
         return levels.compact_levels(self._levelled(name), inner, full)
-
-    def _relevel_plan(
-        self, entry: CatalogEntry, inner: str | ast.Node
-    ) -> PhysicalPlan:
-        """Compile a new run design for a levelled table.
-
-        ``inner`` may be the run design alone (it is wrapped in the
-        table's current ``levels[k; ratio; key]`` parameters) or a full
-        ``levels(...)`` expression. The result must keep every stored
-        field — the same non-lossy rule as partition re-layouts.
-        """
-        assert entry.plan is not None and entry.plan.levels is not None
-        spec = entry.plan.levels
-        expr = self._resolve_expr(entry.name, inner)
-        if not isinstance(expr, ast.Levels):
-            expr = ast.Levels(expr, spec.k, spec.ratio, spec.key)
-        new_plan = self._interpreter().compile(expr)
-        if new_plan.kind != LAYOUT_LEVELLED:
-            raise StorageError(
-                f"table {entry.name!r}: levelled re-layout must stay "
-                f"levelled"
-            )
-        _require_stored_fields(entry.plan, new_plan, "run")
-        return new_plan
 
     def _wa_note(
         self,
@@ -1459,21 +1456,6 @@ def _unloaded_regions(plan: PhysicalPlan) -> tuple[list[Region], bool]:
         return [], False
     (template,) = plan.level_plans or (plan,)
     return [Region(plan=template)], plan.levels is not None
-
-
-def _require_stored_fields(
-    plan: PhysicalPlan, new_plan: PhysicalPlan, what: str
-) -> None:
-    """A partition's or a run's new design re-renders stored records: it
-    must keep every stored field of ``plan``."""
-    canonical, produced = (
-        sorted(_scan_schema(p).names()) for p in (plan, new_plan)
-    )
-    if canonical != produced:
-        raise StorageError(
-            f"{what} design must keep the stored fields {canonical}; "
-            f"new design produces {produced}"
-        )
 
 
 def _find_or_create_region(

@@ -389,7 +389,11 @@ def compact_levels(
         if inner is not None or full:
             table_plan = plan = None
             if inner is not None:
-                table_plan = db._relevel_plan(entry, inner)
+                spec = entry.plan.levels
+                inner = db.region_plan(table.name, inner).expr
+                table_plan = db._interpreter().compile(
+                    ast.Levels(inner, spec.k, spec.ratio, spec.key)
+                )
                 plan = table_plan.level_plans[0]
                 report["relayout"] = True
             sources = list(region.runs)

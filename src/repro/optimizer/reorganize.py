@@ -12,14 +12,18 @@ data actually moves:
   a fraction of the table, or after a configurable number of accesses, the
   next touch point triggers the rewrite.
 
-The manager tracks cumulative reorganization I/O so the reorganization
-benchmark can compare write amplification against read latency per policy.
+The policies govern a flat table's re-layout. A partition's re-layout
+touches only that partition, and a levelled table's is the merge of its
+runs, so both are always eager: :meth:`ReorganizationManager.reorganize` applies the design a
+check chose by the table's shape, and every action — eager, deferred or
+region — runs through the one rewrite that charges its I/O to the
+cumulative reorganization counters the benchmarks compare policies by.
 
-Every rewrite routes through :meth:`RodentStore.relayout` /
-:meth:`RodentStore.relayout_partition`, which are transactional: the new
-representation is rendered copy-on-write and swapped in at commit (WAL-
-logged on durable stores), so policies never observe — or leave behind —
-a half-reorganized table, even across a crash.
+Every rewrite routes through :meth:`RodentStore.relayout`,
+:meth:`RodentStore.relayout_partition` or :meth:`RodentStore.compact_levels`,
+which are transactional: the new representation is rendered copy-on-write
+and swapped in at commit (WAL-logged on durable stores), so policies never
+observe — or leave behind — a half-reorganized table, even across a crash.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from typing import Any, Sequence
 
 from repro.algebra import ast
 from repro.algebra.parser import parse
+from repro.algebra.physical import LAYOUT_LEVELLED, LAYOUT_PARTITIONED
+from repro.engine.catalog import Region
 from repro.engine.database import RodentStore
 from repro.storage.disk import IOStats
 
@@ -53,11 +59,14 @@ class ReorganizationManager:
     """Apply new designs to tables under a chosen policy."""
 
     store: RodentStore
-    lazy_overflow_fraction: float = 0.25
-    lazy_access_threshold: int = 8
     _states: dict[str, _TableState] = field(default_factory=dict)
     reorganization_io: IOStats = field(default_factory=IOStats)
     reorganizations: int = 0
+    #: The lazy rewrite fires once the rows a compaction would fold in
+    #: reach this fraction of the table...
+    lazy_overflow_fraction = 0.25
+    #: ...or after this many accesses since the design was recorded.
+    lazy_access_threshold = 8
 
     def set_policy(self, table: str, policy: Policy | str) -> None:
         policy = Policy(policy) if isinstance(policy, str) else policy
@@ -74,29 +83,30 @@ class ReorganizationManager:
 
     # -- costing -----------------------------------------------------------
 
-    def estimated_rewrite_ms(self, table: str, new_storage_pages: int) -> float:
-        """Predicted one-time cost of rewriting ``table`` into a design of
-        ``new_storage_pages`` pages: one sequential pass over the current
-        representation (every run of every region) and one
-        sequential write of the new one. The adaptive controller charges
-        this against a recommendation's predicted benefit before any data
-        moves — a cheap design switch that saves little must not thrash.
-        """
-        read_pages = self.store.catalog.entry(table).total_pages()
-        return self.store.cost_model.cost_ms(
-            read_pages + max(1, new_storage_pages), 2
-        )
-
-    def estimated_region_rewrite_ms(
-        self, regions: Sequence[Any], new_storage_pages: int
+    def estimated_rewrite_ms(
+        self,
+        table: str,
+        new_storage_pages: int,
+        regions: Sequence[Region] | None = None,
     ) -> float:
-        """Predicted cost of rewriting just these partition regions: one
-        pass over their pages plus a region-scaled share of the new
-        design's footprint. This is the number that makes partition-scoped
-        adaptation cheap — a hot 10% of the table amortizes ~10x faster
-        than a whole-table rewrite."""
+        """Predicted one-time cost of rewriting ``regions`` of ``table``
+        (default: every region) into a design of ``new_storage_pages``
+        pages for the whole table: one sequential pass over the regions'
+        current runs and one sequential write of their share of the new
+        design. The adaptive controller charges this against a
+        recommendation's predicted benefit before any data moves — a cheap
+        design switch that saves little must not thrash — and charging
+        only the regions a rewrite reads is what makes partition-scoped
+        adaptation cheap: a hot 10% of the table amortizes ~10x faster than
+        a whole-table rewrite.
+        """
+        entry = self.store.catalog.entry(table)
+        total = entry.total_pages()
+        if regions is None:
+            regions = entry.regions
         read_pages = sum(r.total_pages() for r in regions)
-        write_pages = max(1, min(new_storage_pages, read_pages or 1))
+        share = read_pages / total if total else 1.0
+        write_pages = max(1, new_storage_pages * share)
         return self.store.cost_model.cost_ms(read_pages + write_pages, 2)
 
     # -- design changes ---------------------------------------------------
@@ -116,34 +126,54 @@ class ReorganizationManager:
             [tuple(r) for r in source_records] if source_records else None
         )
         if state.policy == Policy.EAGER:
-            self._rewrite(table, expr, state)
-            state.pending_design = None
+            self._relayout(table, expr, state)
             return
         # Both deferred policies install the plan for *future* data by
         # recording it; new-data-only never rewrites old data.
         state.pending_design = expr
         state.accesses_since_design = 0
 
-    def _rewrite(self, table: str, expr: ast.Node, state: _TableState) -> None:
-        before = self.store.disk.stats.snapshot()
-        self.store.relayout(table, expr, source_records=state.source_records)
-        delta = self.store.disk.stats.delta(before)
-        self.reorganization_io.page_reads += delta.page_reads
-        self.reorganization_io.page_writes += delta.page_writes
-        self.reorganization_io.read_seeks += delta.read_seeks
-        self.reorganization_io.write_seeks += delta.write_seeks
-        self.reorganizations += 1
+    def reorganize(
+        self, table: str, expr: ast.Node | None, regions: Sequence[Region]
+    ) -> Policy:
+        """Apply the design the adaptive controller chose for ``regions``
+        of ``table``, by the table's shape, and return the policy it ran
+        under:
 
-    def rewrite_partition(
-        self, table: str, pid: int, expr: ast.Node | str
-    ) -> None:
-        """Rewrite one partition region under a new design (always eager —
-        the rewrite touches only that region's pages, so the deferred
-        policies' motivation does not apply), tracked in the same
-        reorganization I/O counters as whole-table rewrites."""
-        node = expr if isinstance(expr, ast.Node) else parse(expr)
+        * a flat table: :meth:`apply_design` under the table's policy;
+        * a partitioned table: one :meth:`RodentStore.relayout_partition`
+          per region, eager;
+        * a levelled table: one full :meth:`RodentStore.compact_levels`
+          that merges every run into one under ``expr`` (``None`` keeps
+          the run design), eager.
+        """
+        kind = self.store.catalog.entry(table).plan.kind
+        if kind == LAYOUT_PARTITIONED:
+            for region in regions:
+                self._rewrite(
+                    self.store.relayout_partition, table, region.pid, expr
+                )
+        elif kind == LAYOUT_LEVELLED:
+            self._rewrite(
+                self.store.compact_levels, table, inner=expr, full=True
+            )
+        else:
+            self.apply_design(table, expr)
+            return self._state(table).policy
+        return Policy.EAGER
+
+    def _relayout(self, table: str, expr: ast.Node, state: _TableState) -> None:
+        self._rewrite(
+            self.store.relayout, table, expr,
+            source_records=state.source_records,
+        )
+        state.pending_design = None
+
+    def _rewrite(self, action, table: str, *args, **kwargs) -> None:
+        """Run one rewrite of ``table`` and charge its I/O to the
+        reorganization counters."""
         before = self.store.disk.stats.snapshot()
-        self.store.relayout_partition(table, pid, node)
+        action(table, *args, **kwargs)
         delta = self.store.disk.stats.delta(before)
         self.reorganization_io.page_reads += delta.page_reads
         self.reorganization_io.page_writes += delta.page_writes
@@ -166,8 +196,7 @@ class ReorganizationManager:
         if state.policy == Policy.NEW_DATA_ONLY:
             return False
         if state.policy == Policy.LAZY and self._lazy_due(table, state):
-            self._rewrite(table, state.pending_design, state)
-            state.pending_design = None
+            self._relayout(table, state.pending_design, state)
             return True
         return False
 
@@ -177,15 +206,6 @@ class ReorganizationManager:
         t = self.store.table(table)
         total = max(1, t.row_count)
         return (t.overflow_row_count / total) >= self.lazy_overflow_fraction
-
-    def step_background(self, table: str) -> bool:
-        """Background rewrite opportunity (the lazy policy's other half)."""
-        state = self._state(table)
-        if state.policy == Policy.LAZY and state.pending_design is not None:
-            self._rewrite(table, state.pending_design, state)
-            state.pending_design = None
-            return True
-        return False
 
     def pending(self, table: str) -> ast.Node | None:
         return self._state(table).pending_design

@@ -18,6 +18,7 @@ import pytest
 import oracle
 from repro.compression import codec_names, get_codec
 from repro.engine import access
+from repro.engine import adaptive
 from repro.engine import levels
 from repro.engine import table as table_module
 from repro.engine.access import open_run
@@ -25,6 +26,7 @@ from repro.engine.catalog import Region, Run
 from repro.engine.database import RodentStore
 from repro.errors import StorageError
 from repro.layout.renderer import LayoutRenderer
+from repro.optimizer.reorganize import ReorganizationManager
 from repro.query import expressions, operators
 from repro.query.expressions import And, Range, Rect
 from repro.types import Schema
@@ -550,3 +552,72 @@ def test_stats_are_collected_a_column_at_a_time():
         "zip(schema.fields, columns)"
     ]
     assert "vector.column_stats(" in source
+
+
+ONE_DECISION_DELETED = (
+    "_check_partitioned", "_check_levelled", "step_background",
+    "estimated_region_rewrite_ms", "rewrite_partition", "_relevel_plan",
+    "_require_stored_fields", "_worst_region_cost", "_hottest_region_expr",
+)
+
+#: The region-design rule's callers: the controller's candidate filter, the
+#: partition re-layout and the levelled re-layout.
+REGION_RULE_CALLERS = {
+    (os.path.join("engine", "adaptive.py"), "_choose_non_lossy"),
+    (os.path.join("engine", "database.py"), "relayout_partition"),
+    (os.path.join("engine", "levels.py"), "compact_levels"),
+}
+
+
+def _callers(attr: str) -> set[tuple[str, str]]:
+    """``(module, function)`` pairs in ``src/`` that call ``.attr(...)``."""
+    found = set()
+    for name, source in _sources():
+        for fn in _functions(ast.parse(source)):
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == attr
+                ):
+                    found.add((name, fn.name))
+    return found
+
+
+def _scaling(tree: ast.Module, attr: str) -> set[str]:
+    """Functions of ``tree`` that multiply by ``self.<attr>``."""
+    return {
+        fn.name
+        for fn in _functions(tree)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        and any(
+            isinstance(side, ast.Attribute) and side.attr == attr
+            for side in (node.left, node.right)
+        )
+    }
+
+
+def test_one_adaptation_path_for_every_table_shape():
+    """``AdaptiveController.check`` is one decision for flat, partitioned
+    and levelled tables: the per-shape checks, the second rewrite estimate
+    and the unused background step are gone; the hysteresis margin and the
+    amortization charge are each computed in one function; the controller
+    moves data only through the reorganizer's ``reorganize``, from one
+    function; the region-design rule is one function its three callers
+    share; and the loop's tuning is not a constructor option."""
+    _assert_absent_as_names(ONE_DECISION_DELETED)
+    tree = ast.parse(inspect.getsource(adaptive))
+    assert _scaling(tree, "hysteresis") == {"_gain"}
+    assert _scaling(tree, "amortization_queries") == {"_amortized"}
+    adaptive_py = os.path.join("engine", "adaptive.py")
+    assert _callers("reorganize") == {(adaptive_py, "_apply")}
+    for action in ("relayout", "relayout_partition", "compact_levels", "apply_design"):
+        assert not {c for c in _callers(action) if c[0] == adaptive_py}, action
+    assert _callers("region_plan") == REGION_RULE_CALLERS
+    assert list(inspect.signature(adaptive.AdaptiveController).parameters) == [
+        "store", "enabled", "check_interval",
+    ]
+    assert not {"lazy_overflow_fraction", "lazy_access_threshold"} & set(
+        inspect.signature(ReorganizationManager).parameters
+    )

@@ -9,6 +9,7 @@ import pytest
 
 import oracle
 from repro.engine.database import RodentStore
+from repro.errors import RodentStoreError
 from repro.optimizer.monitor import WorkloadMonitor, access_signature
 from repro.optimizer.workload import Query, Workload
 from repro.query.expressions import Range, Rect
@@ -368,6 +369,18 @@ def region_designs(store: RodentStore) -> list[str]:
 
 
 class TestDecisionOutcomes:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_every_relayout_is_charged_as_a_reorganization(self, shape):
+        store, _ = wide_store(shape)
+        decision = store.adapt("T")
+        assert decision["adapted"] is True
+        assert set(region_designs(store)) == {"columns(T)"}
+        report = store.storage_stats()["adaptivity"]
+        # One rewrite per region it rewrites: both partitions are hot.
+        assert report["reorganizations"] == (2 if shape == "partitioned" else 1)
+        assert report["reorganization_io"]["page_writes"] > 0
+        store.close()
+
     def test_levelled_run_design_rechoice(self):
         store, rows = wide_store("levelled")
         decision = store.adapt("T")
@@ -424,6 +437,21 @@ class TestDecisionOutcomes:
         }.get(shape)
         if reason is not None:
             assert decision["reason"] == reason
+        store.close()
+
+    @pytest.mark.parametrize("design", ["project[t, x](T)", "partition[r.t; range, 10](T)"])
+    @pytest.mark.parametrize("shape", ["partitioned", "levelled"])
+    def test_a_region_design_is_one_layout_of_the_stored_fields(self, shape, design):
+        store = RodentStore(page_size=1024, level_seal_rows=512)
+        store.create_table("T", WIDE, layout=SHAPES[shape])
+        store.load("T", [(i, i, i, i, i) for i in range(100)])
+        before = region_designs(store)
+        with pytest.raises(RodentStoreError):
+            if shape == "partitioned":
+                store.relayout_partition("T", 0, design)
+            else:
+                store.compact_levels("T", inner=design)
+        assert region_designs(store) == before
         store.close()
 
     def test_levelled_run_merge_not_amortized(self):

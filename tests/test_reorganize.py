@@ -119,14 +119,6 @@ class TestLazy:
         assert manager.on_access("T") is True
         assert store.table("T").plan.kind == "grid"
 
-    def test_background_step(self, setup):
-        store, manager = setup
-        manager.set_policy("T", Policy.LAZY)
-        manager.apply_design("T", NEW_DESIGN, source_records=RECORDS)
-        assert manager.step_background("T") is True
-        assert store.table("T").plan.kind == "grid"
-        assert manager.step_background("T") is False
-
     def test_no_pending_no_trigger(self, setup):
         _, manager = setup
         manager.set_policy("T", Policy.LAZY)
