@@ -14,10 +14,11 @@ data actually moves:
 
 The policies govern a flat table's re-layout. A partition's re-layout
 touches only that partition, and a levelled table's is the merge of its
-runs, so both are always eager: :meth:`ReorganizationManager.reorganize` applies the design a
-check chose by the table's shape, and every action — eager, deferred or
-region — runs through the one rewrite that charges its I/O to the
-cumulative reorganization counters the benchmarks compare policies by.
+runs, so both are always eager. :meth:`ReorganizationManager.reorganize`
+applies the design a check chose by the table's shape, and every action —
+eager, deferred or region — runs through the one rewrite that charges its
+I/O to the cumulative reorganization counters the benchmarks compare
+policies by.
 
 Every rewrite routes through :meth:`RodentStore.relayout`,
 :meth:`RodentStore.relayout_partition` or :meth:`RodentStore.compact_levels`,
