@@ -393,9 +393,9 @@ def reorganization(scale: dict) -> None:
     records = generate_traces(scale["n_observations"] // 4, n_vehicles=10)
     queries = random_region_queries(5)
     lat, lon = grid_strides_for(BOSTON, 32)
-    design = f"grid[lat, lon],[{lat:g}, {lon:g}](project[lat, lon](Traces))"
+    design = f"grid[lat, lon],[{lat:g}, {lon:g}](Traces)"
     print(f"{'policy':<15}{'rewrite writes':>15}{'query reads':>13}"
-          f"{'final layout':>14}")
+          f"{'loaded run':>14}")
     for policy in (Policy.EAGER, Policy.NEW_DATA_ONLY, Policy.LAZY):
         store = RodentStore(page_size=scale["page_size"] // 2, pool_capacity=64)
         store.create_table("Traces", TRACE_SCHEMA)
@@ -403,7 +403,7 @@ def reorganization(scale: dict) -> None:
         manager = ReorganizationManager(store)
         manager.lazy_access_threshold = 4
         manager.set_policy("Traces", policy)
-        manager.apply_design("Traces", design, source_records=records)
+        manager.apply_design("Traces", design)
         reads = 0
         for i in range(10):
             manager.on_access("Traces")
@@ -415,7 +415,7 @@ def reorganization(scale: dict) -> None:
             reads += io.page_reads
         print(f"{policy.value:<15}"
               f"{manager.reorganization_io.page_writes:>15}"
-              f"{reads:>13}{store.table('Traces').plan.kind:>14}")
+              f"{reads:>13}{store.table('Traces').main_plan.kind:>14}")
 
 
 def main() -> None:

@@ -429,7 +429,7 @@ def index_access(
     """
     if (
         predicate is None
-        or table.plan.kind != LAYOUT_ROWS
+        or table.main_plan.kind != LAYOUT_ROWS
         or table._unmerged()
         or not table.layout.page_row_counts
     ):
@@ -467,7 +467,7 @@ def index_access(
     pages, fields, index = best
     bounds, renderer = [ranges[f] for f in fields], table.store.renderer
     return RunAccess(
-        table.plan.schema.names(), layout, index,
+        layout.plan.schema.names(), layout, index,
         lambda: _probe_index(renderer, layout, index, bounds),
         lambda: (pages, pages, pages),
     )

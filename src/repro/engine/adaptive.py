@@ -42,7 +42,6 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro import vector
 from repro.algebra import ast
-from repro.algebra.interpreter import AlgebraInterpreter
 from repro.algebra.physical import LAYOUT_LEVELLED, LAYOUT_PARTITIONED
 from repro.algebra.rewriter import structurally_equal
 from repro.engine.stats import TableStats
@@ -149,7 +148,7 @@ class AdaptiveController:
         predicate: "Predicate | None",
         order_keys: Sequence[tuple[str, bool]],
     ):
-        """Record one access-method call; may trigger a pending/lazy or
+        """Record one access-method call; may trigger a lazy rewrite or a
         periodic adaptation *before* the scan binds its layout.
 
         Returns ``(monitor, pattern key)`` for result-cardinality feedback,
@@ -165,10 +164,8 @@ class AdaptiveController:
         # the lazy-policy rewrite and the periodic check while any other
         # scan is mid-iteration (the observing scan itself has not started).
         if self._live_scans == 0:
-            if self.reorganizer.pending(table.name) is not None:
-                with self.pause():
-                    if self.reorganizer.on_access(table.name):
-                        self.adaptations += 1  # deferred rewrite fired
+            if self.reorganizer.on_access(table.name):
+                self.adaptations += 1  # deferred rewrite fired
             if self.enabled:
                 count = self._since_check.get(table.name, 0) + 1
                 if (
@@ -352,11 +349,6 @@ class AdaptiveController:
         if not self._amortized(decision, per_execution, rewrite_ms, force):
             return decision
 
-        pending = self.reorganizer.pending(name)
-        if pending is not None:
-            # A different design was pending under a deferred policy; it is
-            # replaced, and the decision log keeps the trace.
-            decision["superseded_pending"] = pending.to_text()
         if entry.plan.kind == LAYOUT_PARTITIONED:
             # Cold partitions keep their current layout: a skewed workload
             # re-optimizes the regions it touches without rewriting the
@@ -382,9 +374,9 @@ class AdaptiveController:
     ) -> None:
         """The one apply: hand the design to the reorganizer and record the
         adaptation. ``adaptations`` counts layouts actually switched; a
-        design merely *recorded* under lazy/new-data-only shows up as
-        ``pending_design`` in the report (and as an adaptation once the
-        deferred rewrite fires)."""
+        design installed for new data only under lazy / new-data-only shows
+        up as ``pending_design`` in the report while old runs keep their
+        design (and as an adaptation once the lazy rewrite fires)."""
         with self.pause():
             policy = self.reorganizer.reorganize(entry.name, expr, regions)
         self._since_check[entry.name] = 0
@@ -406,8 +398,7 @@ class AdaptiveController:
     ) -> float | None:
         """The hysteresis gate: the predicted benefit per workload of
         rewriting ``stale`` to ``expr``, or None (with the reason recorded)
-        when nothing is stale, a deferred policy already holds ``expr``,
-        or the benefit is within the margin.
+        when nothing is stale or the benefit is within the margin.
 
         The benefit is measured from the incumbent and, when that is within
         the margin, from the costliest stale region: the hottest partition
@@ -417,13 +408,8 @@ class AdaptiveController:
         """
         from repro.optimizer.advisor import _cost_of
 
-        pending = self.reorganizer.pending(entry.name)
         if not stale:
             decision["reason"] = "incumbent is optimal"
-        elif pending is not None and structurally_equal(pending, expr):
-            # Re-applying would reset the lazy access counter and fake an
-            # adaptation.
-            decision["reason"] = "recommendation already pending under policy"
         elif incumbent_ms is None:
             decision["reason"] = "incumbent cost unknown"
         else:
@@ -586,7 +572,7 @@ class AdaptiveController:
     def _fresh_stats(self, entry: "CatalogEntry") -> TableStats | None:
         """Current statistics; recollected when the row count drifted.
 
-        Inserted (pending/overflow) rows are invisible to load-time stats,
+        Inserted (pending or flushed) rows are invisible to load-time stats,
         so a check after sustained inserts re-scans the logical records, as
         the column vectors of a batch scan — but only once the drift
         exceeds :attr:`STATS_DRIFT_FRACTION` (the rescan is a full O(table)
@@ -621,22 +607,18 @@ class AdaptiveController:
     ) -> tuple[ast.Node, float, int] | None:
         """Best recommended design the table can install.
 
-        A design that projects fields away cannot be auto-installed: the
-        data it drops would be unrecoverable at the *next* adaptation. The
-        advisor ranks alternatives; walk them best-first until an
-        installable one appears. Returns (expression, predicted ms, storage
-        pages).
-
-        The design of a partitioned or levelled table becomes one region's
-        (a partition's, or every run's), so it must pass the region-design
-        rule, :meth:`RodentStore.region_plan`.
+        A design becomes the design of the table's regions (the table's
+        one, a partition's, every run's — or, under a deferred policy, a
+        flat table's over runs it does not re-render), so it must pass the
+        region-design rule, :meth:`RodentStore.region_plan`: one layout
+        keeping the stored fields. A design that projects fields away
+        fails it — the data it drops would be unrecoverable at the *next*
+        adaptation. The advisor ranks alternatives; walk them best-first
+        until an installable one appears. Returns (expression, predicted
+        ms, storage pages).
         """
         from repro.algebra.parser import parse
-        from repro.engine.table import _scan_schema
 
-        region_design = entry.plan.kind in (LAYOUT_PARTITIONED, LAYOUT_LEVELLED)
-        interpreter = AlgebraInterpreter({entry.name: entry.logical_schema})
-        logical = set(entry.logical_schema.names())
         candidates = [
             (recommendation.expression, recommendation.predicted_ms),
             *recommendation.alternatives,
@@ -644,12 +626,7 @@ class AdaptiveController:
         for expr, predicted_ms in candidates:
             try:
                 node = parse(expr) if isinstance(expr, str) else expr
-                if region_design:
-                    plan = self.store.region_plan(entry.name, node)
-                else:
-                    plan = interpreter.compile(node)
-                    if not logical <= set(_scan_schema(plan).names()):
-                        continue
+                plan = self.store.region_plan(entry.name, node)
             except RodentStoreError:
                 continue
             return node, predicted_ms, self._storage_pages(entry, plan)

@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.algebra import ast
-from repro.algebra.physical import LAYOUT_ROWS, PhysicalPlan
+from repro.algebra.physical import PhysicalPlan
 from repro.engine.mvcc import EntryMVCC
 from repro.engine.synopsis import ZoneTable
 from repro.errors import CatalogError
@@ -16,22 +15,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.engine.stats import TableStats
     from repro.layout.renderer import StoredLayout
     from repro.optimizer.monitor import WorkloadMonitor
-
-
-#: The expression of the overflow design (:func:`overflow_plan`).
-OVERFLOW = ast.TableRef("__overflow__")
-
-
-def overflow_plan(schema: Schema) -> PhysicalPlan:
-    """The seal design of a flat table or a partition: plain row-major
-    pages over the table's stored-record shape."""
-    return PhysicalPlan(expr=OVERFLOW, kind=LAYOUT_ROWS, schema=schema)
-
-
-def is_overflow(run: "Run") -> bool:
-    """Was ``run`` sealed under :func:`overflow_plan` — a flush of a flat
-    table or a partition, not yet merged into the region's design?"""
-    return run.plan.expr == OVERFLOW
 
 
 @dataclass
@@ -72,10 +55,12 @@ class Region:
     ranges, ``None`` = unbounded); ``levels[...]`` is one region read
     newest-first. Runs are kept sorted by ``max_seq`` and change only by a
     seal (the pending rows out, one run in) or a merge (runs out, one run
-    in). ``plan`` is the design a merge renders under — the table plan, the
-    partition template (free to diverge through single-partition
-    re-layouts) or the run template; a levelled region seals under it too,
-    a flat table or a partition under :func:`overflow_plan`.
+    in). ``plan`` is the region's design, which every seal and merge
+    renders under: the table plan of a flat table, the partition template
+    (free to diverge through single-partition re-layouts) or the run
+    template. A run keeps the design it was rendered under, so a region
+    whose design changed without a rewrite (the new-data-only and lazy
+    policies of §5) holds runs off it until the next merge.
 
     ``pending`` holds inserted records (stored-record shape) with an
     incrementally maintained zone map. It lives here — not on Table
@@ -103,6 +88,10 @@ class Region:
 
     def total_pages(self) -> int:
         return sum(r.total_pages() for r in self.runs)
+
+    def off_design(self) -> bool:
+        """Does a run keep a design other than the region's?"""
+        return any(run.plan.expr != self.plan.expr for run in self.runs)
 
     def add_pending(self, names: Sequence[str], rows: Sequence[tuple]) -> None:
         """Buffer ``rows``; the running zone extends instead of rescanning."""

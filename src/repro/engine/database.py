@@ -27,13 +27,7 @@ from repro.algebra.physical import (
     PhysicalPlan,
 )
 from repro.engine import levels
-from repro.engine.catalog import (
-    Catalog,
-    CatalogEntry,
-    Region,
-    Run,
-    is_overflow,
-)
+from repro.engine.catalog import Catalog, CatalogEntry, Region, Run
 from repro.engine.cost import CostModel
 from repro.engine.stats import TableStats
 from repro.engine.table import (
@@ -880,8 +874,8 @@ class RodentStore:
     def load(self, name: str, records: Sequence[Sequence[Any]]) -> Table:
         """Bulk-load logical records, rendering the table's physical design.
 
-        A load *replaces* the table's contents, whatever its shape: runs,
-        overflow and pending rows of an earlier load are superseded."""
+        A load *replaces* the table's contents, whatever its shape: the
+        runs and pending rows of an earlier load are superseded."""
         entry = self.catalog.entry(name)
         if entry.plan is None:
             raise CatalogError(f"table {name!r} has no physical plan")
@@ -994,15 +988,15 @@ class RodentStore:
             entry.loaded = True
             entry.region_index = {}
             # Allocators restart past what the render numbered: partition
-            # ids 0..n-1; a levelled bulk load is run 0 at sequence 0.
-            levelled = plan.levels is not None
+            # ids 0..n-1, runs 0..r-1, all at sequence 0.
             entry.next_partition_id = (
                 len(regions) if plan.partition is not None else 0
             )
             entry.level_tombstones = []
-            entry.next_run_id = len(regions[0].runs) if levelled else 0
-            entry.next_run_seq = int(levelled)
+            entry.next_run_id, entry.next_run_seq = 0, 1
             for run in entry.runs():
+                run.rid = entry.next_run_id
+                entry.next_run_id += 1
                 self._wa_note(entry, run.layout, ingest=True)
         if entry.monitor is not None:
             entry.monitor.forget_partitions([])
@@ -1141,8 +1135,8 @@ class RodentStore:
         with self.mutate(name):
             if source_records is None:
                 source_records = self._recover_logical_records(entry)
-            # One transaction: recover rows (overflow and pending folded
-            # in), render under the new plan, swap plan+regions together
+            # One transaction: recover rows (every run and the pending
+            # rows), render under the new plan, swap plan+regions together
             # (never a mismatch), retire every old run.
             return self._load_with_plan(entry, new_plan, source_records)
 
@@ -1156,9 +1150,9 @@ class RodentStore:
                 f"cannot re-derive logical records: current layout dropped "
                 f"field(s) {missing}; pass source_records"
             )
-        # Recovery reads overflow + pending too — they are part of the
-        # logical relation and must survive the re-layout. The scan is
-        # maintenance traffic: keep it out of the workload monitor.
+        # Recovery reads every run and the pending rows — they are all part
+        # of the logical relation and must survive the re-layout. The scan
+        # is maintenance traffic: keep it out of the workload monitor.
         with self.adaptivity.pause():
             return list(table.scan(fieldlist=logical_fields))
 
@@ -1329,9 +1323,7 @@ class RodentStore:
                                 "layout": region.plan.describe()
                                 if region.plan is not None
                                 else None,
-                                "overflow_regions": sum(
-                                    map(is_overflow, region.runs)
-                                ),
+                                "run_count": len(region.runs),
                                 "pending_rows": len(region.pending),
                             }
                             for region in entry.regions

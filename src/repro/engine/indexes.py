@@ -78,7 +78,7 @@ class SpatialIndex:
 def build_field_index(table: "Table", field_name: str) -> FieldIndex:
     """Build a B+Tree over ``field_name`` of a rows-layout table."""
     _require_rows_layout(table, "field index")
-    schema = table.plan.schema
+    schema = table.main_plan.schema
     if not schema.has_field(field_name):
         raise QueryError(f"unknown index field {field_name!r}")
     key_type = schema.field(field_name).dtype
@@ -106,7 +106,7 @@ def build_spatial_index(
 def _stored_columns(table: "Table", *field_names: str) -> list[list]:
     """Stored values of the named fields over the main layout, in storage
     order — read column-wise, so no record tuple is ever assembled."""
-    schema = table.plan.schema
+    schema = table.main_plan.schema
     positions = [schema.index_of(name) for name in field_names]
     values: list[list] = [[] for _ in positions]
     for batch in table._db.renderer.iter_row_batches(table.layout):
@@ -117,10 +117,10 @@ def _stored_columns(table: "Table", *field_names: str) -> list[list]:
 
 
 def _require_rows_layout(table: "Table", what: str) -> None:
-    if table.plan.kind != LAYOUT_ROWS:
+    if table.main_plan.kind != LAYOUT_ROWS:
         raise IndexError_(
             f"{what} requires a rows layout (table {table.name!r} is "
-            f"{table.plan.kind}); secondary indexes address rows by position"
+            f"{table.main_plan.kind}); secondary indexes address rows by position"
         )
     if not table.layout.page_row_counts:
         raise IndexError_("rows layout lacks per-page row counts")

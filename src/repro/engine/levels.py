@@ -2,19 +2,21 @@
 
 A table is a list of regions, each a list of immutable runs plus a pending
 insert buffer (:mod:`repro.engine.catalog`). As in CobbleDB, a flush and a
-compaction are compositions of one seal and one merge, for every shape:
+compaction are compositions of one seal and one merge, for every shape: a
+flat table is a level with unbounded fan-in.
 
 * :func:`seal` renders a region's pending rows into one new run under the
-  region's seal design — ``Table.flush_inserts``, the levelled auto-seal
-  and (:func:`sealed_run`) a levelled bulk load;
+  region's design — ``Table.flush_inserts``, the levelled auto-seal and
+  (:func:`sealed_run`) a levelled bulk load;
 * :func:`merge` reads chosen runs, and the pending rows when asked, under
   one resolver, may apply a batch edit or a new design, and renders one
   run — ``compact()``, levelled merges and re-layouts, copy-on-write
   ``update``/``delete`` and ``relayout_partition``.
 
-Both swap through :func:`replace_runs`, which an abort undoes. Tombstone
-deletes and the level cascade live here too; ``RodentStore`` and ``Table``
-keep the public entry points.
+Both swap through :func:`replace_runs`, which an abort undoes, and so does
+:func:`redesign`, which only changes the design later seals render under.
+Tombstone deletes and the level cascade live here too; ``RodentStore`` and
+``Table`` keep the public entry points.
 """
 
 from __future__ import annotations
@@ -26,13 +28,8 @@ from repro import vector
 from repro.algebra import ast
 from repro.algebra.physical import LAYOUT_LEVELLED, PhysicalPlan
 from repro.algebra.transforms import eval_scalar
-from repro.engine.catalog import (
-    CatalogEntry,
-    Region,
-    Run,
-    overflow_plan,
-)
-from repro.engine.table import Table, _batch_rows
+from repro.engine.catalog import CatalogEntry, Region, Run
+from repro.engine.table import Table, _batch_rows, _scan_schema
 from repro.errors import RodentStoreError
 from repro.layout.renderer import ColumnBatch, merge_batches
 from repro.query.expressions import Predicate, selector
@@ -50,19 +47,14 @@ def sealed_run(
     rows: list[tuple],
 ) -> Run:
     """Stored-shape ``rows`` (in ``schema`` order) rendered as one run, not
-    yet swapped in, under ``region``'s seal design: a levelled region's run
-    design (keyed: the last row per key kept), else the row-major overflow
-    design. The render of every seal and of a levelled bulk load."""
+    yet swapped in, under ``region``'s design (keyed levels: the last row
+    per key kept). The render of every seal and of a levelled bulk load."""
     names = tuple(schema.names())
     spec = plan.levels
-    if spec is None:
-        design = overflow_plan(schema)
-    else:
-        design = region.plan
-        if spec.key is not None:
-            rows = _LevelResolver(spec, names, []).resolve_pending(rows)
+    if spec is not None and spec.key is not None:
+        rows = _LevelResolver(spec, names, []).resolve_pending(rows)
     batch = ColumnBatch.from_rows(names, rows)
-    return Run(design, store._render_region(plan, design, batch))
+    return Run(region.plan, store._render_region(plan, region.plan, batch))
 
 
 def seal(table: Table, region: Region, m: _Mutation) -> Run | None:
@@ -210,6 +202,54 @@ def replace_runs(
         for run in new:
             store._wa_note(entry, run.layout, ingest, compaction)
     m.touch(entry.name)
+
+
+def redesigned(
+    store: RodentStore, name: str, layout: str | ast.Node
+) -> tuple[PhysicalPlan, PhysicalPlan]:
+    """``(table plan, region plan)`` of ``name`` with ``layout``, which must
+    pass :meth:`RodentStore.region_plan`, as its regions' design (under
+    the table's partitioning or levels, if any)."""
+    inner = store.region_plan(name, layout).expr
+    outer = store.catalog.entry(name).plan
+    if outer.partition is not None or outer.levels is not None:
+        inner = outer.expr.with_children([inner])
+    table_plan = store._interpreter().compile(inner)
+    templates = table_plan.partition_plans or table_plan.level_plans
+    return table_plan, templates[0] if templates else table_plan
+
+
+def redesign(table: Table, layout: str | ast.Node) -> None:
+    """Make ``layout`` the design of every region of ``table`` by one
+    :func:`replace_runs` per region that swaps no run: later seals and
+    merges render under it, old runs keep theirs (the new-data-only and
+    lazy policies of §5). Pending rows and row-valued tombstones follow a
+    new stored field order."""
+    db, entry = table._db, table._entry
+    table_plan, plan = redesigned(db, table.name, layout)
+    old = table.scan_schema().names()
+    new = _scan_schema(table_plan).names()
+    idx = [old.index(f) for f in new]
+
+    def reorder(row) -> tuple:
+        return tuple(row[i] for i in idx)
+
+    with db.mutate(table.name) as m, entry.mvcc.lock:
+        # (A table with no partition yet swaps through a detached region.)
+        for region in list(entry.regions) or [Region()]:
+            replace_runs(
+                db, entry, region, [], [], m,
+                plan=plan, table_plan=table_plan, keep_pending=True,
+            )
+            if old != new and region.pending:
+                rows = list(map(reorder, region.pending))
+                region.clear_pending()
+                region.add_pending(new, rows)
+        spec = table_plan.levels
+        if old != new and spec is not None and spec.key is None:
+            entry.level_tombstones = [
+                (seq, reorder(row)) for seq, row in entry.level_tombstones
+            ]
 
 
 # -- updates and deletes ---------------------------------------------------
@@ -389,12 +429,7 @@ def compact_levels(
         if inner is not None or full:
             table_plan = plan = None
             if inner is not None:
-                spec = entry.plan.levels
-                inner = db.region_plan(table.name, inner).expr
-                table_plan = db._interpreter().compile(
-                    ast.Levels(inner, spec.k, spec.ratio, spec.key)
-                )
-                plan = table_plan.level_plans[0]
+                table_plan, plan = redesigned(db, table.name, inner)
                 report["relayout"] = True
             sources = list(region.runs)
             if sources or region.pending:

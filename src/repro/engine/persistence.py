@@ -23,7 +23,7 @@ from repro.algebra.physical import (
     LAYOUT_PARTITIONED,
     PhysicalPlan,
 )
-from repro.engine.catalog import Region, Run, is_overflow, overflow_plan
+from repro.engine.catalog import Region, Run
 from repro.engine.stats import FieldStats, TableStats
 from repro.engine.synopsis import LayoutSynopsis, ZoneColumn, ZoneTable
 from repro.errors import CatalogError, CorruptCatalogError
@@ -250,59 +250,36 @@ def stats_from_dict(data: dict) -> TableStats:
 # -- catalog save/load --------------------------------------------------------
 
 
-def _run_layouts(region) -> dict:
-    """A flat table's or a partition's runs under their catalog keys: a
-    run sealed under the overflow design under ``overflow``, the one run
-    under the region's design under ``layout``."""
-    main = [run for run in region.runs if not is_overflow(run)]
-    return {
-        "layout": layout_to_dict(main[0].layout) if main else None,
-        "overflow": [
-            layout_to_dict(run.layout)
-            for run in region.runs if is_overflow(run)
-        ],
-        "pending": [list(r) for r in region.pending],
-    }
-
-
-def _region_to_dict(region) -> dict:
-    return {
-        "pid": region.pid,
-        "key": region.key,
-        "lower": region.lower,
-        "upper": region.upper,
-        "expr": region.plan.expr.to_text() if region.plan else None,
-        **_run_layouts(region),
-    }
-
-
 def _run_to_dict(run) -> dict:
+    """A run: its layout's keys, plus its place in the region and its
+    design (earlier catalogs nest the layout under ``layout``)."""
     return {
         "rid": run.rid,
         "level": run.level,
         "min_seq": run.min_seq,
         "max_seq": run.max_seq,
         "expr": run.plan.expr.to_text(),
-        "layout": layout_to_dict(run.layout),
+        **layout_to_dict(run.layout),
+    }
+
+
+def _region_runs(region) -> dict:
+    return {
+        "runs": [_run_to_dict(run) for run in region.runs],
+        "pending": [list(r) for r in region.pending],
     }
 
 
 def entry_to_dict(entry) -> dict:
     """Serialize one catalog entry (schema, design, layout metadata).
 
-    The one place that spells the three table shapes differently: a flat
-    table's single region is written as the entry-level ``layout`` /
-    ``overflow`` / ``pending`` keys, a partitioned table's regions as
-    ``partitions``, a levelled table's single region as ``runs`` +
+    Every region is written as its runs and pending rows: a partitioned
+    table's regions under ``partitions``, with their keys and designs, the
+    one region of any other table under the entry's ``runs`` and
     ``pending``.
     """
-    kind = entry.plan.kind if entry.plan else None
-    partitioned = kind == LAYOUT_PARTITIONED
-    levelled = kind == LAYOUT_LEVELLED
-    # The one region of a flat or levelled table (its runs are spelled
-    # ``runs`` when levelled, ``layout`` + ``overflow`` when flat).
+    partitioned = entry.plan is not None and entry.plan.partition is not None
     single = Region() if partitioned or not entry.regions else entry.regions[0]
-    own = _run_layouts(Region(pending=single.pending) if levelled else single)
     return {
         "name": entry.name,
         "schema": [
@@ -310,21 +287,26 @@ def entry_to_dict(entry) -> dict:
             for f in entry.logical_schema.fields
         ],
         "expr": entry.plan.expr.to_text() if entry.plan else None,
-        "layout": own["layout"],
-        "overflow": own["overflow"],
+        "loaded": entry.loaded,
         "stats": stats_to_dict(entry.stats) if entry.stats else None,
-        "pending": own["pending"],
         "monitor": entry.monitor.to_dict()
         if entry.monitor is not None
         else None,
         "partitions": [
-            _region_to_dict(r) for r in entry.regions if partitioned
+            {
+                "pid": r.pid,
+                "key": r.key,
+                "lower": r.lower,
+                "upper": r.upper,
+                "expr": r.plan.expr.to_text() if r.plan else None,
+                **_region_runs(r),
+            }
+            for r in entry.regions if partitioned
         ],
-        "partitions_loaded": partitioned and entry.loaded,
         "next_partition_id": entry.next_partition_id,
         "partition_scans": entry.partition_scans,
         "partitions_pruned": entry.partitions_pruned_total,
-        "runs": [_run_to_dict(r) for r in single.runs if levelled],
+        **_region_runs(single),
         "level_tombstones": [
             [seq, list(value) if isinstance(value, tuple) else value]
             for seq, value in entry.level_tombstones
@@ -455,24 +437,31 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
         from repro.optimizer.monitor import WorkloadMonitor
 
         entry.monitor = WorkloadMonitor.from_dict(t["monitor"])
-    scan_schema = _scan_schema_of(entry)
-    spill_plan = overflow_plan(scan_schema)
+    scan_names = _scan_schema_of(entry).names()
+    plans: dict[str, PhysicalPlan] = {}
+
+    def compiled(expr: str) -> PhysicalPlan:
+        if expr not in plans:
+            plans[expr] = interpreter.compile(expr)
+        return plans[expr]
 
     def region_from(data: dict, plan, **identity) -> Region:
-        """A flat table's or a partition's region from its catalog keys.
-        The pending zone map is derived data: rebuilt from the restored
-        rows so pruned scans keep skipping the buffer."""
+        """A region from its catalog keys: its runs, each under its own
+        design, and its pending rows. The pending zone map is derived data:
+        rebuilt from the restored rows so pruned scans keep skipping the
+        buffer."""
         region = Region(plan=plan, **identity)
-        if data.get("layout"):
-            main = layout_from_dict(data["layout"], plan)
-            region.runs.append(Run(plan, main))
-        region.runs += [
-            Run(spill_plan, layout_from_dict(o, spill_plan))
-            for o in data.get("overflow", [])
-        ]
+        runs = data.get("runs", [])
+        for r in runs + _legacy_runs(data, entry.name, scan_names):
+            run_plan = compiled(r["expr"]) if "expr" in r else plan
+            region.runs.append(Run(
+                run_plan,
+                layout_from_dict(r.get("layout", r), run_plan),
+                **{key: r.get(key, 0) for key in _RUN_ORDER},
+            ))
         pending = [tuple(row) for row in data.get("pending", [])]
         if pending:
-            region.add_pending(scan_schema.names(), pending)
+            region.add_pending(scan_names, pending)
         return region
 
     kind = entry.plan.kind if entry.plan is not None else None
@@ -481,7 +470,7 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
         entry.regions = [
             region_from(
                 r,
-                interpreter.compile(r["expr"]) if r.get("expr") else None,
+                compiled(r["expr"]) if r.get("expr") else None,
                 pid=r["pid"],
                 key=r.get("key"),
                 lower=r.get("lower"),
@@ -489,36 +478,23 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
             )
             for r in t.get("partitions", [])
         ]
-        entry.loaded = bool(
-            t.get("partitions_loaded", bool(entry.regions))
-        )
         entry.next_partition_id = t.get(
             "next_partition_id",
             max((r.pid for r in entry.regions), default=-1) + 1,
         )
         entry.partition_scans = t.get("partition_scans", 0)
         entry.partitions_pruned_total = t.get("partitions_pruned", 0)
-    elif kind == LAYOUT_LEVELLED:
-        region = region_from(
-            {"pending": t.get("pending", [])}, entry.plan.level_plans[0]
-        )
-        for r in t.get("runs", []):
-            run_plan = interpreter.compile(r["expr"])
-            region.runs.append(
-                Run(
-                    run_plan,
-                    layout_from_dict(r["layout"], run_plan),
-                    rid=r["rid"],
-                    level=r["level"],
-                    min_seq=r["min_seq"],
-                    max_seq=r["max_seq"],
-                )
-            )
-        entry.regions = [region]
-        entry.loaded = True
     else:
-        entry.regions = [region_from(t, entry.plan)]
-        entry.loaded = t["layout"] is not None
+        templates = entry.plan.level_plans if entry.plan else ()
+        entry.regions = [
+            region_from(t, templates[0] if templates else entry.plan)
+        ]
+    entry.loaded = t.get(
+        "loaded",
+        kind == LAYOUT_LEVELLED
+        or bool(t.get("partitions_loaded"))
+        or t.get("layout") is not None,
+    )
     runs = list(entry.runs())
     # Multiset tombstone values are full stored rows (JSON lists back to
     # the tuples scan resolution compares against); keyed values are the
@@ -547,6 +523,23 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
     entry.wa_bytes_written = t.get("wa_bytes_written", 0)
     entry.wa_pages_compacted = t.get("wa_pages_compacted", 0)
     entry.wa_compactions = t.get("wa_compactions", 0)
+
+
+#: The run fields that order a region's runs, 0 in a catalog without them.
+_RUN_ORDER = ("rid", "level", "min_seq", "max_seq")
+
+
+def _legacy_runs(data: dict, name: str, scan_names: list[str]) -> list[dict]:
+    """The runs of a flat table or a partition written before every region
+    was written as its runs: the first run, under the region's design, as
+    ``layout``, and each flush, rendered row-major over the stored fields,
+    in ``overflow``."""
+    runs = [{"layout": data["layout"]}] if data.get("layout") else []
+    if data.get("overflow"):
+        fields = ", ".join(scan_names)
+        rows = f"project[{fields}]({name})"
+        runs += [{"expr": rows, "layout": o} for o in data["overflow"]]
+    return runs
 
 
 def _scan_schema_of(entry) -> Schema:

@@ -27,19 +27,19 @@ record pipeline, which a load and an insert apply to their rows, and a
 structural residual, through which every write renders a region's batch of
 stored records (:meth:`~repro.engine.database.RodentStore._render_region`).
 After a load, a region's runs change only by a *seal* or a *merge*
-(:mod:`repro.engine.levels`): a flush seals a region's pending rows into a
-row-major *overflow* run (the "reorganize only new data" state of §5) or a
-levelled run, and a compaction, a copy-on-write update or delete and a
-partition re-layout each merge a region's runs into one. Scans read a
-region's runs and pending rows together.
+(:mod:`repro.engine.levels`), under the region's design: a flush seals a
+region's pending rows into one new run, and a compaction, a copy-on-write
+update or delete and a partition re-layout each merge a region's runs into
+one. Each run keeps the design it was rendered under. Scans read a region's
+runs and pending rows together.
 
 There is one read path. Scans execute **batch-at-a-time** while keeping the
 paper's per-tuple iterator API: the renderer yields page/chunk-sized
 :class:`~repro.layout.renderer.ColumnBatch` objects, one selection step
 (:func:`repro.query.expressions.selector`: the whole-column bitmap, else
 the compiled closure) filters them — for scans, updates, deletes and
-residual filters alike — projection reorders column vectors, and
-overflow/pending records trail as extra batches. ``get_element`` /
+residual filters alike — projection reorders column vectors, and later
+runs and pending records trail as extra batches. ``get_element`` /
 ``next`` are cursors over those batches, not a second reader.
 
 How one run is read under one predicate — what is pruned, what that costs —
@@ -75,7 +75,7 @@ from repro.algebra.transforms import (
 )
 from repro.engine import synopsis as zonemaps
 from repro.engine.access import count_runs, decide_scan, index_access, open_run
-from repro.engine.catalog import CatalogEntry, is_overflow
+from repro.engine.catalog import CatalogEntry
 from repro.engine.cost import CostEstimate, estimate
 from repro.errors import CorruptPageError, QueryError, StorageError
 from repro.layout.renderer import (
@@ -124,8 +124,8 @@ class DesignSplit(NamedTuple):
     ``pipeline`` (the record-level operators, inner-first) maps logical
     records to stored records in ``fields`` order; ``residual`` renders
     stored records, read as ``__stored__``, into pages. It keeps a sort or
-    regroup whose keys are stored: re-rendered rows may trail unsorted
-    overflow and pending rows. An array or a prejoin has no stored-record
+    regroup whose keys are stored, so every run is sorted by itself. An
+    array or a prejoin has no stored-record
     shape: no pipeline or fields (``None``), and the whole expression as
     residual, over the logical rows.
     """
@@ -289,6 +289,16 @@ class Table:
         if main is None:
             raise StorageError(f"table {self.name!r} has no single layout")
         return main.layout
+
+    @property
+    def main_plan(self) -> PhysicalPlan:
+        """The design of :attr:`layout` (positional access and indexes
+        address it), which a deferred design change leaves as it was; any
+        table but a flat one: :attr:`plan`."""
+        if self.is_partitioned or self.is_levelled:
+            return self.plan
+        main = self._regions[0].main
+        return self.plan if main is None else main.plan
 
     @property
     def is_partitioned(self) -> bool:
@@ -517,8 +527,8 @@ class Table:
 
         Default behavior re-raises :class:`~repro.errors.CorruptPageError`
         (the query fails loudly). Under ``store.degraded_reads = True`` the
-        remaining batches of the affected *unit* (main layout, one overflow
-        region, or one partition) are skipped instead, and the skip is
+        remaining batches of the affected *unit* (one run, or one
+        partition) are skipped instead, and the skip is
         recorded both on the per-scan report (``corruption_skipped`` in
         explain()) and in the store's integrity registry — degraded results
         are never silently complete.
@@ -708,34 +718,30 @@ class Table:
             return via_index.batches(), via_index.fields
         scan = partial(self._region_batches, access=access)
         regions = self._require_loaded()
-        if self.is_levelled:
-            # Multiset tables keep every pruning lever: tombstone
+        # Runs of different designs differ in field order: every scan
+        # normalizes to one target order.
+        if not self.is_partitioned:
+            # A levelled multiset table keeps every pruning lever: tombstone
             # suppression is by row value, independent of what pruning
-            # drops. Keyed tables scan un-pruned and un-projected instead —
+            # drops. A keyed one scans un-pruned and un-projected instead —
             # a newer version must shadow older versions of its key even
             # when the newer row itself fails the predicate — leaving
             # selection entirely to the downstream filter.
             needed, predicate = self._run_scan_args(needed, predicate)
             target = self._target_fields(needed)
-            from repro.engine.levels import _LevelResolver
+            resolver = None
+            if self.is_levelled:
+                from repro.engine.levels import _LevelResolver
 
-            resolver = _LevelResolver(
-                self.plan.levels, target, self._level_tombstones
-            )
+                resolver = _LevelResolver(
+                    self.plan.levels, target, self._level_tombstones
+                )
             return scan(
                 regions[0], needed, predicate, target, resolver,
-                lambda i, run: f"run[{run.rid}]",
+                lambda run: f"run[{run.rid}]",
             )
-        if not self.is_partitioned:
-            return scan(
-                regions[0],
-                needed,
-                predicate,
-                unit=lambda i, run: f"overflow[{i - 1}]" if i else "main",
-            )
-        # Regions may carry different designs (their field orders differ),
-        # so a partitioned scan normalizes to one target order. A corrupt
-        # region is contained whole, per the store's degraded-read policy.
+        # A corrupt partition is contained whole, per the store's
+        # degraded-read policy.
         target = self._target_fields(needed)
 
         def source(region):
@@ -822,7 +828,7 @@ class Table:
         region,
         needed: Sequence[str] | None,
         predicate: Predicate | None,
-        target: Sequence[str] | None = None,
+        target: Sequence[str],
         resolver: "_LevelResolver | None" = None,
         unit=None,
         access: TableAccess | None = None,
@@ -832,38 +838,29 @@ class Table:
         Runs stream in stored order with the pending buffer trailing — or,
         under a ``resolver`` (levels), the pending buffer first and the
         runs newest-first through it. Every run prunes against
-        ``predicate`` by its own synopses (:func:`~repro.engine.access.open_run`;
-        overflow runs are row-major renders with page zone maps), the
-        pending buffer by its incrementally maintained zone. Batches are projected
-        to ``target``; ``None`` keeps the first run's own field order (a
-        flat table's main run: no reorder on its hot path). ``unit(i,
-        run)`` names a run for degraded-read containment; ``None`` leaves
-        containment to the caller. A run ``access`` (the planner's
-        decision) holds is read through its carried verdict.
+        ``predicate`` by its own synopses, whatever its design
+        (:func:`~repro.engine.access.open_run`), the pending buffer by its
+        incrementally maintained zone. Batches are projected to
+        ``target``. ``unit(run)`` names a run for degraded-read
+        containment; ``None`` leaves containment to the caller. A run
+        ``access`` (the planner's decision) holds is read through its
+        carried verdict.
         """
         runs = list(region.runs)
         if resolver is not None:
             runs.reverse()
         intervals = self._prune_intervals(predicate)
-
-        def open_(run) -> RunAccess:
-            carried = access.run_access(run) if access else None
-            return carried or self._open_run(
-                run.layout, needed, predicate, intervals
-            )
-
-        opened = None
-        if target is None:
-            opened = open_(runs[0])
-            target = opened.fields
         fields = tuple(target)
         scan_names = tuple(self.scan_schema().names())
 
-        def run_batches(run, opened) -> Iterator[ColumnBatch]:
+        def run_batches(run) -> Iterator[ColumnBatch]:
+            if not run.row_count:
+                return
+            opened = access.run_access(run) if access else None
             if opened is None:
-                if not run.row_count:
-                    return
-                opened = open_(run)
+                opened = self._open_run(
+                    run.layout, needed, predicate, intervals
+                )
             source = opened.batches()
             reorder = _batch_reorderer(opened.fields, fields)
             if reorder is not None:
@@ -898,10 +895,10 @@ class Table:
         def generate() -> Iterator[ColumnBatch]:
             if resolver is not None:
                 yield from pending_batches()
-            for i, run in enumerate(runs):
-                source = run_batches(run, opened if i == 0 else None)
+            for run in runs:
+                source = run_batches(run)
                 if unit is not None:
-                    source = self._corruption_guard(source, unit(i, run))
+                    source = self._corruption_guard(source, unit(run))
                 yield from source
             if resolver is None:
                 yield from pending_batches()
@@ -934,8 +931,8 @@ class Table:
     def _order_satisfied(self, order_keys: tuple[tuple[str, bool], ...]) -> bool:
         """Does a scan serve ``order_keys`` without sorting?
 
-        Overflow runs and pending rows are unordered relative to a main
-        run, and the runs of a levelled region interleave. Otherwise every
+        Later runs and pending rows are unordered relative to a region's
+        first run, and the runs of a levelled region interleave. Otherwise every
         non-empty region must store that order itself (regions may have
         diverged designs, so each is checked), and — with multiple
         non-empty regions — the regions must concatenate in key order,
@@ -1036,7 +1033,7 @@ class Table:
         for grid layouts it addresses a cell (returning the cell's records);
         otherwise ``index`` is a flat position in storage order.
         """
-        plan = self.plan
+        plan = self.main_plan
         renderer = self._db.renderer
         if plan.kind == LAYOUT_ARRAY:
             return renderer.get_array_element(self.layout, index)
@@ -1065,7 +1062,7 @@ class Table:
     def _element_at(self, index: int) -> tuple:
         if index < 0:
             raise QueryError("element index must be non-negative")
-        plan = self.plan
+        plan = self.main_plan
         renderer = self._db.renderer
         if plan.kind == LAYOUT_ROWS and self.layout.page_row_counts:
             remaining = index
@@ -1248,7 +1245,7 @@ class Table:
     ) -> CostEstimate:
         """Estimated cost of ``get_element`` (§4.1 method 5)."""
         model = self._db.cost_model
-        plan = self.plan
+        plan = self.main_plan
         if plan.kind in (LAYOUT_ROWS, LAYOUT_ARRAY):
             return estimate(model, 1, 1)
         if plan.kind == LAYOUT_GRID and not isinstance(index, int):
@@ -1276,15 +1273,15 @@ class Table:
         """True when a scan with ``order`` will not buffer-and-sort.
 
         The public face of the runtime gate scans use: the stored sort keys
-        must prefix-cover ``order`` and no unordered overflow/pending rows
-        may trail the main layout. The query planner consults this (rather
+        must prefix-cover ``order`` and no later runs or pending rows may
+        trail the first run. The query planner consults this (rather
         than re-deriving it from :meth:`order_list`) so its sort-cost
         estimates track exactly what :meth:`scan_batches` will do.
         """
         return self._order_satisfied(normalize_order(order))
 
     # ==================================================================
-    # inserts, overflow, compaction (paper §5 reorganization states)
+    # inserts, flushes, compaction (paper §5 reorganization states)
     # ==================================================================
 
     def insert(self, records: Sequence[Sequence[Any]]) -> int:
@@ -1354,13 +1351,10 @@ class Table:
         """Seal pending records into new on-disk runs, one per region with
         pending rows (:func:`~repro.engine.levels.seal`).
 
-        A flat table or a partition seals a row-major overflow run; returns
-        its layout (for a partitioned table, the list of them), ``None``
-        when nothing was pending. A levelled table seals a level-0 run
-        (:meth:`~repro.engine.database.RodentStore.seal_level_run`).
+        Each run renders under its region's design (a levelled table's at
+        level 0). Returns its layout (for a partitioned table, the list of
+        them), ``None`` when nothing was pending.
         """
-        if self.is_levelled:
-            return self._db.seal_level_run(self.name)
         from repro.engine.levels import seal
 
         with self._db.mutate(self.name) as m:
@@ -1371,18 +1365,20 @@ class Table:
         return flushed[0] if flushed else None
 
     @property
-    def overflow_row_count(self) -> int:
-        """Rows a compaction folds in: flushed overflow runs and pending."""
+    def unmerged_row_count(self) -> int:
+        """Rows a compaction folds in: every run after a region's first,
+        and the pending rows."""
         return sum(
-            sum(run.row_count for run in region.runs if is_overflow(run))
+            sum(run.row_count for run in region.runs[1:])
             + len(region.pending)
             for region in self._regions
         )
 
     def compact(self) -> None:
-        """Merge each region's overflow runs and pending rows back into one
-        run under its design (:func:`~repro.engine.levels.merge`), in one
-        transaction; regions with neither are untouched.
+        """Merge each region's runs and pending rows into one run under its
+        design (:func:`~repro.engine.levels.merge`), in one transaction; a
+        region already one run on its design, with nothing pending, is
+        untouched.
 
         For levelled tables this is a *full* compaction: every run plus
         the pending buffer merges into a single run, applying tombstones
@@ -1395,7 +1391,11 @@ class Table:
 
         with self._db.mutate(self.name) as m:
             for region in self._require_loaded():
-                if region.pending or any(map(is_overflow, region.runs)):
+                if (
+                    region.pending
+                    or len(region.runs) > 1
+                    or region.off_design()
+                ):
                     merge(self, region, list(region.runs), m, pending=True)
 
     # ==================================================================

@@ -7,24 +7,26 @@ data actually moves:
 * **new-data-only** — "reorganize only new data, leaving old data as it
   was"; cheap, but reads stay slow and scans must merge old + new;
 * **lazy** — "objects are rewritten in the background or when they are
-  accessed"; here: after the rows a compaction would fold in — flushed
-  overflow runs and pending inserts, ``Table.overflow_row_count`` — exceed
-  a fraction of the table, or after a configurable number of accesses, the
-  next touch point triggers the rewrite.
+  accessed"; here: after the rows a compaction would fold in — every run
+  after a region's first and the pending rows,
+  ``Table.unmerged_row_count`` — exceed a fraction of the table, or after a
+  configurable number of accesses, the next touch point triggers the
+  rewrite.
 
-The policies govern a flat table's re-layout. A partition's re-layout
-touches only that partition, and a levelled table's is the merge of its
-runs, so both are always eager. :meth:`ReorganizationManager.reorganize`
-applies the design a check chose by the table's shape, and every action —
-eager, deferred or region — runs through the one rewrite that charges its
-I/O to the cumulative reorganization counters the benchmarks compare
-policies by.
+The three are one action and a schedule. Eager re-lays the table out now
+(:meth:`RodentStore.relayout`, the one path for a design that changes the
+table's shape, or drops fields given ``source_records``). The deferred
+policies make the design every region's (:func:`repro.engine.levels.redesign`):
+later flushes seal under it, old runs keep theirs — for good under
+new-data-only, until the lazy rewrite fires under lazy. The design lives in
+the catalog, so it survives a reopen; the policy is per-process.
 
-Every rewrite routes through :meth:`RodentStore.relayout`,
-:meth:`RodentStore.relayout_partition` or :meth:`RodentStore.compact_levels`,
-which are transactional: the new representation is rendered copy-on-write
-and swapped in at commit (WAL-logged on durable stores), so policies never
-observe — or leave behind — a half-reorganized table, even across a crash.
+A partition's re-layout touches only that partition, and a levelled
+table's is the merge of its runs, so both are always eager. Every rewrite
+charges its I/O to the reorganization counters the benchmarks compare
+policies by. Every action is one transaction, swapped in at commit
+(WAL-logged on durable stores), so policies never observe — or leave
+behind — a half-reorganized table, even across a crash.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from repro.algebra.parser import parse
 from repro.algebra.physical import LAYOUT_LEVELLED, LAYOUT_PARTITIONED
 from repro.engine.catalog import Region
 from repro.engine.database import RodentStore
+from repro.engine.levels import redesign
+from repro.errors import StorageError
 from repro.storage.disk import IOStats
 
 
@@ -50,9 +54,8 @@ class Policy(Enum):
 @dataclass
 class _TableState:
     policy: Policy
-    pending_design: ast.Node | None = None
-    accesses_since_design: int = 0
-    source_records: list[tuple] | None = None
+    #: Accesses since a deferred design; ``None``: none due (O(1) check).
+    accesses: int | None = None
 
 
 @dataclass
@@ -71,11 +74,8 @@ class ReorganizationManager:
 
     def set_policy(self, table: str, policy: Policy | str) -> None:
         policy = Policy(policy) if isinstance(policy, str) else policy
-        state = self._states.get(table)
-        if state is None:
-            self._states[table] = _TableState(policy=policy)
-        else:
-            state.policy = policy
+        # The first access looks for a deferred design (a reopen kept it).
+        self._states[table] = _TableState(policy, accesses=0)
 
     def _state(self, table: str) -> _TableState:
         if table not in self._states:
@@ -118,21 +118,23 @@ class ReorganizationManager:
         expression: ast.Node | str,
         source_records: Sequence[Sequence[Any]] | None = None,
     ) -> None:
-        """Install a new physical design under the table's policy."""
+        """Install a new physical design under the table's policy: eager
+        re-lays the table out (from ``source_records`` when given); the
+        deferred policies :func:`redesign` it, which raises unless the
+        design passes :meth:`RodentStore.region_plan`."""
         state = self._state(table)
         expr = (
             expression if isinstance(expression, ast.Node) else parse(expression)
         )
-        state.source_records = (
-            [tuple(r) for r in source_records] if source_records else None
-        )
         if state.policy == Policy.EAGER:
-            self._relayout(table, expr, state)
+            self._rewrite(
+                self.store.relayout, table, expr, source_records=source_records
+            )
             return
-        # Both deferred policies install the plan for *future* data by
-        # recording it; new-data-only never rewrites old data.
-        state.pending_design = expr
-        state.accesses_since_design = 0
+        if source_records is not None:
+            raise StorageError("source_records need the eager policy")
+        redesign(self.store.table(table), expr)
+        state.accesses = 0
 
     def reorganize(
         self, table: str, expr: ast.Node | None, regions: Sequence[Region]
@@ -163,13 +165,6 @@ class ReorganizationManager:
             return self._state(table).policy
         return Policy.EAGER
 
-    def _relayout(self, table: str, expr: ast.Node, state: _TableState) -> None:
-        self._rewrite(
-            self.store.relayout, table, expr,
-            source_records=state.source_records,
-        )
-        state.pending_design = None
-
     def _rewrite(self, action, table: str, *args, **kwargs) -> None:
         """Run one rewrite of ``table`` and charge its I/O to the
         reorganization counters."""
@@ -190,23 +185,33 @@ class ReorganizationManager:
         Under the lazy policy this may trigger the deferred rewrite; returns
         True when a reorganization happened.
         """
-        state = self._state(table)
-        if state.pending_design is None:
+        state = self._states.get(table)
+        lazy = state is not None and state.policy is Policy.LAZY
+        if not lazy or state.accesses is None:
             return False
-        state.accesses_since_design += 1
-        if state.policy == Policy.NEW_DATA_ONLY:
+        design = self.pending(table)
+        if design is None:
+            state.accesses = None  # nothing deferred (any more)
             return False
-        if state.policy == Policy.LAZY and self._lazy_due(table, state):
-            self._relayout(table, state.pending_design, state)
-            return True
-        return False
+        state.accesses += 1
+        if not self._lazy_due(table, state):
+            return False
+        self._rewrite(self.store.relayout, table, design)
+        state.accesses = None
+        return True
 
     def _lazy_due(self, table: str, state: _TableState) -> bool:
-        if state.accesses_since_design >= self.lazy_access_threshold:
+        if state.accesses >= self.lazy_access_threshold:
             return True
         t = self.store.table(table)
         total = max(1, t.row_count)
-        return (t.overflow_row_count / total) >= self.lazy_overflow_fraction
+        return (t.unmerged_row_count / total) >= self.lazy_overflow_fraction
 
     def pending(self, table: str) -> ast.Node | None:
-        return self._state(table).pending_design
+        """The design of ``table`` while some run is off its region's
+        design — one a deferred policy installed and no rewrite has
+        applied to the old runs yet — else ``None``."""
+        entry = self.store.catalog.entry(table)
+        if any(region.off_design() for region in entry.regions):
+            return entry.plan.expr
+        return None

@@ -475,13 +475,14 @@ ONE_WRITE_DELETED = (
     "_schedule_level_compaction", "read_latency_s", "adapt_hysteresis",
 )
 
-#: Where a ``Run`` is built: the seal's render and the merge, the load,
-#: and the catalog loader.
+#: Where a ``Run`` is built, and how many times: the seal's render and the
+#: merge, the load (a partition's and a flat table's run), and the catalog
+#: loader, once for every table shape.
 RUN_BUILDERS = {
-    (os.path.join("engine", "levels.py"), "sealed_run"),
-    (os.path.join("engine", "levels.py"), "merge"),
-    (os.path.join("engine", "database.py"), "_render_regions"),
-    (os.path.join("engine", "persistence.py"), "apply_entry_dict"),
+    (os.path.join("engine", "levels.py"), "sealed_run"): 1,
+    (os.path.join("engine", "levels.py"), "merge"): 1,
+    (os.path.join("engine", "database.py"), "_render_regions"): 2,
+    (os.path.join("engine", "persistence.py"), "apply_entry_dict"): 1,
 }
 
 
@@ -506,7 +507,7 @@ def test_seal_and_merge_are_the_only_region_writes():
     _assert_absent_as_names(ONE_WRITE_DELETED)
     assert "overflow" not in {f.name for f in dataclasses.fields(Run)}
     assert not hasattr(Region, "overflow")
-    builders = set()
+    builders = {}
     for name, source in _sources():
         tree = ast.parse(source)
         calls = {
@@ -517,10 +518,45 @@ def test_seal_and_merge_are_the_only_region_writes():
         for fn in _functions(tree):
             inside = {id(node) for node in ast.walk(fn)} & calls
             if inside:
-                builders.add((name, fn.name))
+                builders[(name, fn.name)] = len(inside)
                 calls -= inside
         assert not calls, name  # no Run( outside a function
     assert builders == RUN_BUILDERS
+
+
+#: The second seal design and the reorganizer's memory of a deferred one.
+ONE_SEAL_DESIGN_DELETED = (
+    "OVERFLOW", "overflow_plan", "is_overflow", "overflow_row_count",
+    "superseded_pending", "spill_plan", "_run_layouts",
+)
+
+
+def test_every_region_seals_under_its_own_design():
+    """A flat table or a partition seals under its region's design, as a
+    levelled region does: the row-major overflow design, its spill plan
+    and its catalog spelling are gone, and so is the reorganizer's private
+    copy of a deferred design (``pending_design`` survives only as the
+    report key derived from the catalog). ``sealed_run`` renders under
+    ``region.plan`` with no branch on the table's shape."""
+    _assert_absent_as_names(ONE_SEAL_DESIGN_DELETED)
+    for name, source in _sources():
+        for node in ast.walk(ast.parse(source)):
+            used = getattr(node, "attr", None) or getattr(node, "id", None)
+            assert used != "pending_design", name
+            if isinstance(node, (ast.FunctionDef, ast.arg)):
+                assert "pending_design" not in (
+                    getattr(node, "name", None), getattr(node, "arg", None)
+                ), name
+    sealed = ast.parse(inspect.getsource(levels.sealed_run)).body[0]
+    (run,) = [
+        node for node in ast.walk(sealed)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "Run"
+    ]
+    assert ast.unparse(run.args[0]) == "region.plan"
+    assert not any(
+        isinstance(node, ast.Name) and node.id == "design"
+        for node in ast.walk(sealed)
+    )
 
 
 def test_stats_are_collected_a_column_at_a_time():
@@ -561,11 +597,12 @@ ONE_DECISION_DELETED = (
 )
 
 #: The region-design rule's callers: the controller's candidate filter, the
-#: partition re-layout and the levelled re-layout.
+#: partition re-layout, and the one helper the levelled re-layout and the
+#: deferred design change share.
 REGION_RULE_CALLERS = {
     (os.path.join("engine", "adaptive.py"), "_choose_non_lossy"),
     (os.path.join("engine", "database.py"), "relayout_partition"),
-    (os.path.join("engine", "levels.py"), "compact_levels"),
+    (os.path.join("engine", "levels.py"), "redesigned"),
 }
 
 

@@ -286,9 +286,8 @@ class TestPolicyInteraction:
             list(store.table("T").scan(fieldlist=["v"]))
             decision = store.adapt("T")
             assert decision["adapted"] is False
-            assert decision["reason"] == (
-                "recommendation already pending under policy"
-            )
+            # The design is the table's: the incumbent already.
+            assert decision["reason"] == "incumbent is optimal"
         assert store.adaptivity.adaptations == 0  # no fake adaptations
 
     def test_lazy_policy_defers_until_access_threshold(self):
@@ -302,16 +301,17 @@ class TestPolicyInteraction:
         decision = store.adapt("T")
         assert decision["adapted"] is True
         assert decision["applied_immediately"] is False
-        assert store.table("T").plan.kind == "rows"  # deferred
+        # Deferred: the loaded run keeps its design.
+        assert store.table("T").main_plan.kind == "rows"
         report = store.storage_stats()["adaptivity"]
         assert report["tables"]["T"]["pending_design"] == "columns(T)"
         # Live accesses trigger the deferred rewrite at the threshold.
         list(store.table("T").scan(fieldlist=["v"]))
         list(store.table("T").scan(fieldlist=["v"]))
-        assert store.table("T").plan.kind == "rows"
+        assert store.table("T").main_plan.kind == "rows"
         assert store.adaptivity.adaptations == 0  # nothing moved yet
         list(store.table("T").scan(fieldlist=["v"]))
-        assert store.table("T").plan.kind == "columns"
+        assert store.table("T").main_plan.kind == "columns"
         assert store.adaptivity.adaptations == 1  # deferred rewrite fired
 
     def test_seed_workload_shapes_decisions_before_traffic(self):
@@ -519,7 +519,7 @@ class TestReorganizationStaleness:
         assert after.row_count == 105
         assert sum(1 for _ in after.scan()) == 105
         # Pending was folded into the main representation, not duplicated.
-        assert after.overflow_row_count == 0
+        assert after.unmerged_row_count == 0
 
     def test_compact_folds_pending_without_duplication(self):
         store = make_store(n=100)
@@ -531,7 +531,7 @@ class TestReorganizationStaleness:
         table.compact()
         fresh = store.table("T")
         assert fresh.row_count == 102
-        assert fresh.overflow_row_count == 0
+        assert fresh.unmerged_row_count == 0
         assert sum(1 for _ in fresh.scan()) == 102
 
 

@@ -315,7 +315,7 @@ def test_group_chunks_disagreeing_with_the_layout_raise(tmp_path, how):
 
     payload = json.loads(cat.read_text())
     del payload["crc32"]  # pre-integrity catalogs load as they are
-    _tamper(payload["tables"][0]["layout"]["column_groups"][1]["chunks"])[how]()
+    _tamper(payload["tables"][0]["runs"][0]["column_groups"][1]["chunks"])[how]()
     cat.write_text(json.dumps(payload))
 
     reopened = RodentStore.open(str(db), str(cat), page_size=PAGE_SIZE)

@@ -293,7 +293,7 @@ def test_truncated_synopsis_vector_scans_unpruned_and_scrub_reports(damage):
             payload = json.load(f)
         del payload[CATALOG_CRC_KEY]
         (table,) = payload["tables"]
-        for zones in table["layout"]["synopsis"]["group_zones"]:
+        for zones in table["runs"][0]["synopsis"]["group_zones"]:
             assert len(zones["rows"]) > 1, "workload too small to truncate"
             damage(zones)
         payload[CATALOG_CRC_KEY] = _catalog_crc(payload)
@@ -356,7 +356,7 @@ def test_grid_directory_off_by_one_never_returns_wrong_rows(
             payload = json.load(f)
         del payload[CATALOG_CRC_KEY]
         (table,) = payload["tables"]
-        directory = table["layout"]["cell_directory"]
+        directory = table["runs"][0]["cell_directory"]
         assert len(directory) > 4
         victim = directory[len(directory) // 2]
         victim[field] += step

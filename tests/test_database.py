@@ -85,7 +85,7 @@ class TestLoad:
         assert table.row_count == len(RECORDS) + 55
         table = store.load("T", RECORDS[:100])
         assert table.row_count == 100
-        assert table.overflow_row_count == 0
+        assert table.unmerged_row_count == 0
         assert sorted(table.scan()) == sorted(RECORDS[:100])
         model = oracle.Model(SCHEMA.names(), RECORDS[:100], layout)
         oracle.check_table(table, model, predicate=Range("lat", 0, 250))
@@ -131,7 +131,7 @@ class TestRelayout:
         table.insert(RECORDS[100:120])
         table.flush_inserts()
         store.relayout("T", "columns(T)", source_records=RECORDS[:100])
-        assert store.table("T").overflow_row_count == 0
+        assert store.table("T").unmerged_row_count == 0
 
 
 class TestRunCold:

@@ -122,7 +122,7 @@ def test_figure2_designs_take_writes(name):
     table.compact()
     model.compact()
     oracle.check_table(table, model, context="compacted")
-    assert table.overflow_row_count == 0
+    assert table.unmerged_row_count == 0
     box = Rect({"lat": (100, 300), "lon": (0, 250)})
     bump = {"lat": lambda row: row["lat"] + 1}
     assert table.update(bump, box) == model.update(bump, box) > 0

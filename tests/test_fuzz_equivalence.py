@@ -372,7 +372,7 @@ def test_fuzz_differential_equivalence(iteration: int):
     new_layout = random_layout(rng, names, domains)
     store.relayout("T", new_layout)
     model.relayout(new_layout)
-    assert store.table("T").overflow_row_count == 0
+    assert store.table("T").unmerged_row_count == 0
     check_ground_truth(store, model)
     scan_names = list(store.table("T").scan_schema().names())
     for query, predicate in queries:

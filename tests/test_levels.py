@@ -410,7 +410,7 @@ def test_levelled_ingest_writes_less_than_pending_and_compact():
     for start in range(0, len(records), 200):
         batch = records[start : start + 200]
         b.insert(batch)
-        if b.overflow_row_count >= seal:
+        if b.unmerged_row_count >= seal:
             b.compact()
         lv.insert(batch)
     b.compact()

@@ -414,7 +414,7 @@ class TestPartitionMaintenance:
         }
         table.flush_inserts()
         assert all(not r.pending for r in table.partitions)
-        assert table.overflow_row_count == 4
+        assert table.unmerged_row_count == 4
         store.close()
 
     def test_compact_touches_only_dirty_partitions(self):
@@ -431,7 +431,7 @@ class TestPartitionMaintenance:
             r.main.layout for r in table.partitions if r.lower == 100.0
         ]
         assert untouched == still  # same object: region was not re-rendered
-        assert table.overflow_row_count == 0
+        assert table.unmerged_row_count == 0
         store.close()
 
     def test_relayout_partition_single_region(self):

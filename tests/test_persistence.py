@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine.database import RodentStore
+from repro.engine.levels import redesign
 from repro.errors import CatalogError
 from repro.query.expressions import Range, Rect
 from repro.types import Schema
@@ -82,7 +83,7 @@ class TestRoundTrip:
         store.close()
         reopened = RodentStore.open(db_path, cat_path, page_size=1024)
         assert sorted(reopened.table("T").scan()) == sorted(RECORDS)
-        assert reopened.table("T").overflow_row_count == 100
+        assert reopened.table("T").unmerged_row_count == 100
 
     def test_multiple_tables(self, tmp_path):
         db_path = str(tmp_path / "db.pages")
@@ -140,3 +141,124 @@ class TestErrors:
 
         with pytest.raises(CatalogError):
             load_catalog(store, str(cat_path))
+
+
+# -- regions of many runs ---------------------------------------------------
+
+
+def fresh(lo: int, n: int = 40) -> list[tuple]:
+    return [(lo + i, (i * 7) % 500, (i * 11) % 500, i % 3) for i in range(n)]
+
+
+def runs_of(table) -> list[tuple]:
+    """Every run of ``table`` as ``(pid, design, rid, level, min_seq,
+    max_seq, rows)``, plus each region's pending row count."""
+    return [
+        (region.pid, run.plan.expr.to_text(), run.rid, run.level,
+         run.min_seq, run.max_seq, run.row_count)
+        for region in table.partitions for run in region.runs
+    ] + [len(region.pending) for region in table.partitions]
+
+
+def multi_run_store(path: str) -> RodentStore:
+    """A durable store with a flat table ``F`` and a range-partitioned
+    ``P``: each region keeps its loaded run, and the region the inserts
+    reach two flushed runs, a run flushed after the design changed to
+    ``columns`` without a rewrite, and pending rows."""
+    store = RodentStore(path, durable=True, page_size=1024, pool_capacity=64)
+    for name, layout in (("F", "F"), ("P", "partition[r.t; range, 200](P)")):
+        store.create_table(name, SCHEMA, layout=layout)
+        table = store.load(name, RECORDS)
+        for lo in (1000, 1100):
+            table.insert(fresh(lo))
+            table.flush_inserts()
+        redesign(table, f"columns({name})")
+        table.insert(fresh(1200))
+        table.flush_inserts()
+        table.insert(fresh(1300, 7))
+    return store
+
+
+@pytest.mark.parametrize("how", ["checkpoint", "wal"])
+def test_multi_run_regions_reopen_identically(tmp_path, how):
+    """Every run of every region comes back with its design, id and
+    sequence range, and every scan answers the same — from the
+    checkpointed catalog and from the log alone."""
+    path = str(tmp_path / "db.pages")
+    store = multi_run_store(path)
+    designs = [run[1] for run in runs_of(store.table("F"))[:4]]
+    assert designs == ["F", "F", "F", "columns(F)"]
+    want = {
+        name: (
+            runs_of(store.table(name)),
+            list(store.table(name).scan()),
+            list(store.table(name).scan(fieldlist=["id", "t"])),
+        )
+        for name in ("F", "P")
+    }
+    if how == "checkpoint":
+        store.close()
+    else:  # a crash: the log holds every change since the store was made
+        store.wal.close()
+        store.disk.close()
+    reopened = RodentStore(path, durable=True, page_size=1024, pool_capacity=64)
+    assert reopened.recovery_summary["clean"] is (how == "checkpoint")
+    for name, expected in want.items():
+        table = reopened.table(name)
+        got = (
+            runs_of(table),
+            list(table.scan()),
+            list(table.scan(fieldlist=["id", "t"])),
+        )
+        assert got == expected, name
+    reopened.close()
+
+
+def test_a_catalog_in_layout_and_overflow_spelling_loads(tmp_path):
+    """Catalogs written before every region was written as its runs spell
+    a region's first run ``layout``, under the region's design, and its
+    row-major flushes ``overflow``: they load, each flush under a
+    row-major design over the stored fields."""
+    import json
+
+    db_path, cat_path = str(tmp_path / "db.pages"), tmp_path / "catalog.json"
+    store = RodentStore(path=db_path, page_size=1024)
+    for name, layout in (("F", "columns(F)"), ("P", "partition[r.t; range, 200](P)")):
+        store.create_table(name, SCHEMA, layout=layout)
+        store.load(name, RECORDS)
+    redesign(store.table("F"), "F")  # flushes render row-major, as they did
+    for name in ("F", "P"):
+        store.table(name).insert(fresh(1000))
+        store.table(name).flush_inserts()
+    want = {name: sorted(store.table(name).scan()) for name in ("F", "P")}
+    store.save_catalog(str(cat_path))
+    store.close()
+
+    def legacy(region: dict) -> None:
+        layouts = [
+            {key: value for key, value in run.items() if key not in meta}
+            for run in region.pop("runs")
+        ]
+        region["layout"], region["overflow"] = layouts[0], layouts[1:]
+
+    meta = ("rid", "level", "min_seq", "max_seq", "expr")
+    payload = json.loads(cat_path.read_text())
+    del payload["crc32"]
+    flat, partitioned = payload["tables"]
+    flat["expr"] = "columns(F)"
+    legacy(flat)
+    del flat["loaded"]
+    partitioned["partitions_loaded"] = partitioned.pop("loaded")
+    for region in partitioned["partitions"]:
+        legacy(region)
+    cat_path.write_text(json.dumps(payload))
+
+    reopened = RodentStore.open(db_path, str(cat_path), page_size=1024)
+    for name in ("F", "P"):
+        table = reopened.table(name)
+        assert sorted(table.scan()) == want[name]
+        assert table.partitions[-1].runs[-1].plan.kind == "rows"
+    assert [run.plan.kind for run in reopened.table("F").partitions[0].runs] == [
+        "columns", "rows",
+    ]
+    reopened.close()

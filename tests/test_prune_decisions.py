@@ -12,6 +12,10 @@ pruning change pass) with ``python tests/test_prune_decisions.py``.
 The ``levelled`` page ids were re-recorded when merged-away runs began to
 give their pages back (PR 19): merge outputs land in reused spans, so the
 ids moved; every pruned count and every fetched-page *count* is unchanged.
+The ``columns`` values were re-recorded when a flush began to seal under the
+table's design: the flushed run is five one-chunk column pages (ids 30–34)
+where it was three row pages (30–32); every page of the loaded run is
+pruned and fetched as before.
 
 Cost ≡ prune ≡ read: the same sweep asserts that every scan answers what
 the naive model of the inserted rows does (``tests/oracle.py``), and that
@@ -97,7 +101,7 @@ def build(kind):
     model.load(make_records(640))
     if kind in ("rows", "columns", "partitioned"):
         table.insert(make_records(60, 1000))
-        table.flush_inserts()  # an overflow region with its own zones
+        table.flush_inserts()  # a second run, with its own zones
         table.insert(make_records(25, 2000))  # pending, zone kept in memory
         model.insert(make_records(60, 1000))
         model.insert(make_records(25, 2000))
@@ -136,19 +140,20 @@ def decisions(kind):
 
 # fmt: off
 RECORDED = {'array': {'value_low': (10, [0]), 'value_none': (11, [])},
- 'columns': {'and': (23, [1, 2, 7, 8, 13, 14, 19, 20, 25, 26]),
-             'f_band': (23, [1, 2, 7, 8, 13, 14, 19, 20, 25, 26]),
-             'or': (3,
+ 'columns': {'and': (25, [1, 2, 7, 8, 13, 14, 19, 20, 25, 26]),
+             'f_band': (25, [1, 2, 7, 8, 13, 14, 19, 20, 25, 26]),
+             'or': (5,
                     [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
                      22, 23, 24, 25, 26, 27, 28, 29]),
-             'overflow_only': (32, [30]),
-             'pending_only': (33, []),
-             'rect': (15, [1, 2, 3, 7, 8, 9, 13, 14, 15, 19, 20, 21, 25, 26, 27, 30, 31, 32]),
-             't_head': (28, [0, 6, 12, 18, 24]),
-             't_mid': (23, [2, 3, 8, 9, 14, 15, 20, 21, 26, 27]),
-             't_none': (33, []),
-             't_open': (20, [4, 5, 10, 11, 16, 17, 22, 23, 28, 29, 30, 31, 32]),
-             'x_band': (21, [1, 2, 7, 8, 13, 14, 19, 20, 25, 26, 30, 31])},
+             'overflow_only': (30, [30, 31, 32, 33, 34]),
+             'pending_only': (35, []),
+             'rect': (15,
+                      [1, 2, 3, 7, 8, 9, 13, 14, 15, 19, 20, 21, 25, 26, 27, 30, 31, 32, 33, 34]),
+             't_head': (30, [0, 6, 12, 18, 24]),
+             't_mid': (25, [2, 3, 8, 9, 14, 15, 20, 21, 26, 27]),
+             't_none': (35, []),
+             't_open': (20, [4, 5, 10, 11, 16, 17, 22, 23, 28, 29, 30, 31, 32, 33, 34]),
+             'x_band': (20, [1, 2, 7, 8, 13, 14, 19, 20, 25, 26, 30, 31, 32, 33, 34])},
  'folded': {'and': (14, [5, 6, 7, 8, 9, 10, 11]),
             'f_band': (14, [5, 6, 7, 8, 9, 10, 11]),
             'or': (0, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20]),

@@ -368,5 +368,5 @@ def test_corrupt_page_mid_batch_keeps_rows_ahead(tmp_path):
         f.write(bytes([byte[0] ^ 0x10]))
     assert list(table.scan()) == records[: corrupt * PER_PAGE]
     (event,) = store.catalog.entry("T").last_corruption_skipped
-    assert event["page_id"] == page_id and event["unit"] == "main"
+    assert event["page_id"] == page_id and event["unit"] == "run[0]"
     store.close()

@@ -266,7 +266,7 @@ def test_old_per_zone_catalog_loads_and_prunes_identically(tmp_path, layout):
 
     payload = json.loads(cat.read_text())
     del payload["crc32"]  # pre-integrity files carry no checksum either
-    synopsis = payload["tables"][0]["layout"]["synopsis"]
+    synopsis = payload["tables"][0]["runs"][0]["synopsis"]
     for key in ("page_zones", "cell_zones", "folded_zones"):
         synopsis[key] = _per_zone_shape(synopsis[key])
     synopsis["group_zones"] = [

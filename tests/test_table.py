@@ -298,7 +298,7 @@ class TestInsertOverflowCompact:
         table.insert(RECORDS[100:150])
         overflow = table.flush_inserts()
         assert overflow is not None
-        assert table.overflow_row_count == 50
+        assert table.unmerged_row_count == 50
         assert sorted(table.scan()) == sorted(RECORDS[:150])
 
     def test_flush_empty_is_noop(self):
@@ -321,7 +321,7 @@ class TestInsertOverflowCompact:
         table.insert(RECORDS[100:160])
         table.flush_inserts()
         table.compact()
-        assert table.overflow_row_count == 0
+        assert table.unmerged_row_count == 0
         assert list(table.scan()) == sorted(
             RECORDS[:160], key=lambda r: r[0]
         )
