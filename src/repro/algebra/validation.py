@@ -136,6 +136,14 @@ def check(expr: ast.Node, catalog: dict[str, Schema]) -> Checked:
     return _Checker(catalog).check(expr)
 
 
+#: A scan restores deltas in stored order, so a field ``delta`` may sit only
+#: under operators that keep the records in order with their stored values
+#: (``limit`` keeps a prefix), and in the regions, replicas and runs of the
+#: combinators, each of which holds its child design whole.
+_ORDER_KEEPING = (ast.Compress, ast.Columns, ast.Rows, ast.Limit)
+_DELTA_PARENTS = _ORDER_KEEPING + (ast.Partition, ast.Mirror, ast.Levels)
+
+
 class _Checker:
     def __init__(self, catalog: dict[str, Schema]):
         self.catalog = catalog
@@ -144,6 +152,16 @@ class _Checker:
         method = getattr(self, f"_check_{type(node).__name__.lower()}", None)
         if method is None:
             raise TypeCheckError(f"cannot check node {type(node).__name__}")
+        if not isinstance(node, _DELTA_PARENTS):
+            for child in node.children():
+                while isinstance(child, _ORDER_KEEPING):
+                    child = child.child
+                if isinstance(child, ast.Delta) and child.fields:
+                    raise TypeCheckError(
+                        "delta must sit above any operator that reorders or "
+                        f"regroups records: move delta[{', '.join(child.fields)}]"
+                        f" above {node.op_name}"
+                    )
         return method(node)
 
     # -- leaves ------------------------------------------------------------

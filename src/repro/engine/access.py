@@ -346,31 +346,33 @@ def _open_folded(
         )
         return len(pages), count_runs(pages), len(layout.extent.page_ids)
 
+    nest = [f for f in plan.nest_fields if needed is None or f in needed]
     return RunAccess(
-        [*plan.group_fields, *plan.nest_fields],  # un-nested on scan
+        [*plan.group_fields, *nest],  # un-nested on scan
         layout, indices,
-        lambda: renderer.iter_folded_batches(
-            layout, indices, batch_size=batch_rows
-        ),
-        io,
+        lambda: renderer.iter_folded_batches(layout, indices, needed), io,
     )
 
 
 def _folded_survivors(
     layout: StoredLayout, predicate: Predicate | None, intervals
 ) -> list[int] | None:
-    """Folded-record indices surviving group-key range pruning, narrowed by
-    each record's zone map (min/max of the *nested* vectors too) where zones
-    are consulted; ``None`` when nothing constrains the records."""
+    """Folded-record indices surviving group-key range pruning (which the
+    reader checks each key of), narrowed by each record's zone map of the
+    *nested* vectors where zones are consulted; ``None`` when nothing
+    constrains the records."""
     if predicate is None or not layout.folded_keys:
         return None
     ranges = predicate.ranges()
+    group = layout.plan.group_fields
     constrained = [
         (position, ranges[name])
-        for position, name in enumerate(layout.plan.group_fields)
+        for position, name in enumerate(group)
         if name in ranges
     ]
-    zone_keep = zonemaps.directory_keep(layout, intervals)
+    zone_keep = zonemaps.directory_keep(
+        layout, {f: iv for f, iv in intervals.items() if f not in group}
+    )
     if not constrained and zone_keep is None:
         return None
     if zone_keep is None:

@@ -311,8 +311,8 @@ class RodentStore:
         #: Worker threads for partition-parallel scans; 0/1 = serial.
         #: Settable at runtime — the shared executor is (re)built lazily.
         self.scan_workers = scan_workers
-        #: Target rows per gathered scan batch (row pages, folded records;
-        #: column runs read a window at a time). Settable at runtime.
+        #: Target rows per gathered batch of a rows run (other runs have
+        #: their own batch unit). Settable at runtime.
         self.batch_rows = int(batch_rows)
         if self.batch_rows < 1:
             raise StorageError("batch_rows must be >= 1")

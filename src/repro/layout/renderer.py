@@ -5,14 +5,14 @@ batch of stored records plus the compiled
 :class:`repro.algebra.physical.PhysicalPlan` and its structural residual
 (:meth:`LayoutRenderer.render_region`), evaluates the residual into a
 nesting and lays bytes onto pages. Each storage object (row heap, column
-group, grid cell stream, folded heap, array vector) occupies one
+group, grid cell stream, folded record stream, array vector) occupies one
 *contiguous extent* of pages, chained with ``next_page_id``, so that scans
 are sequential and the paper's "store and walk each object in the same
 order" rule holds.
 
 Encodings:
 
-* rows / folded — slotted pages of serialized records;
+* rows — slotted pages of serialized records;
 * column group (single field) — byte pages, each holding one codec-encoded
   value chunk;
 * column group (multiple fields) — slotted pages of mini-records (a PAX-like
@@ -21,6 +21,9 @@ Encodings:
   codec-encoded columns) packed across byte pages, plus an in-memory cell
   directory mapping cell coordinate -> (bounds, byte range) — the case
   study's "hash table that tracks the spatial boundaries of each cell";
+* folded — the same kind of stream, one blob per group (its key, its
+  count, per nest field a codec-encoded vector), plus a directory of byte
+  ranges and group keys;
 * array — fixed-width value vector with direct offsetting (supports
   multidimensional ``getElement``).
 
@@ -28,11 +31,12 @@ Every read is **batch-at-a-time**: one reader per layout kind
 (``iter_row_batches``, ``iter_column_batches``, ``iter_grid_batches``,
 ``iter_folded_batches``, ``iter_array_batches``), chosen and parameterized
 by :func:`repro.engine.access.open_run`. They yield :class:`ColumnBatch`
-objects: a page, a column window or a run of grid cells worth of decoded
-values at once, decoded a blob (``Codec.decode``) or a run of cell blobs
-(``Codec.decode_buffer``) at a time into typed vectors, so the per-value
-Python interpreter tax is paid once per batch instead of once per value. Positional access (``get_element`` on a grid cell) reads through the
-same readers.
+objects: a page, a column window or a page of cell or folded-record
+stream worth of decoded values at once, decoded a blob (``Codec.decode``)
+or a run of blobs (``Codec.decode_buffer``) at a time into typed vectors,
+so the per-value Python interpreter tax is paid once per batch instead of
+once per value. Positional access (``get_element`` on a grid cell) reads
+through the same readers.
 
 Slotted pages have a single decoder: :class:`RecordSerializer` turns a page
 — or, for a rows run, the record heaps of a batch of packed pages at once —
@@ -45,8 +49,8 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
-from typing import Any, Iterator, Sequence
+from itertools import accumulate, compress, repeat
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.algebra.physical import (
     LAYOUT_ARRAY,
@@ -77,11 +81,10 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _CELL_HEADER = struct.Struct("<IH")  # row count, field count
 
-#: Rows per batch where a reader gathers its batches: a rows run gathers
-#: packed pages up to it, folded records un-nest into batches of about it.
-#: Column runs read a window at a time (:data:`WINDOW_ROWS`) instead, and
-#: other page-shaped sources keep their page granularity.
-#: ``RodentStore(batch_rows=...)`` overrides it per store.
+#: Rows per batch of a rows run, which gathers packed pages up to it.
+#: Column runs read a window at a time (:data:`WINDOW_ROWS`), grid and
+#: folded streams about a page of stream at a time, and other page-shaped
+#: sources a page at a time. ``RodentStore(batch_rows=...)`` overrides it.
 DEFAULT_BATCH_ROWS = 1024
 
 #: Rows per column *window*: the unit a column group's decoded cache holds
@@ -100,12 +103,10 @@ _CHUNK_CACHE_LIMIT = 512
 class ColumnBatch:
     """A batch of decoded records, backed by rows or by typed columns.
 
-    Batches are produced in whichever orientation the layout yields
-    naturally — folded records decode to row tuples; column chunks, row
-    pages and runs of grid cells decode to per-field vectors (contiguous
-    typed ones for numeric fields, plain lists otherwise; see
-    :mod:`repro.vector`) — and transpose lazily when the consumer needs the
-    other orientation.
+    Every layout's reader decodes to per-field vectors (contiguous typed
+    ones for numeric fields, plain lists otherwise; see :mod:`repro.vector`);
+    batches built from rows (pending inserts, merges) hold tuples. Either
+    orientation transposes lazily when the consumer needs the other.
 
     Columnar batches may additionally carry a *selection bitmap*: a
     boolean mask over the underlying vectors recording which rows a
@@ -1180,53 +1181,6 @@ class LayoutRenderer:
             layout.extent.page_ids[i] for i in sorted(page_indexes)
         ]
 
-    def iter_folded(
-        self,
-        layout: StoredLayout,
-        indices: Sequence[int] | None = None,
-    ) -> Iterator[tuple]:
-        """Folded records ``(key..., [nested...])`` in storage order.
-
-        ``indices`` restricts the iteration to specific folded records (by
-        directory position) — the key-range pruning path.
-        """
-        plan = layout.plan
-        group_schema = plan.schema.project(plan.group_fields)
-        key_serializer = RecordSerializer(group_schema)
-        folded_field = plan.schema.field("__folded__")
-        nest_types = _nest_types(folded_field.dtype, len(plan.nest_fields))
-        nest_codecs = [
-            (get_codec(plan.codec_for(name)), dtype)
-            for name, dtype in zip(plan.nest_fields, nest_types)
-        ]
-        single = len(plan.nest_fields) == 1
-        entries = layout.folded_directory
-        if indices is not None:
-            entries = [layout.folded_directory[i] for i in indices]
-        for blob_offset, blob_length in entries:
-            blob = self._read_stream_range(layout, blob_offset, blob_length)
-            key = key_serializer.decode(blob)
-            offset = key_serializer.encoded_size(key)
-            (count,) = _U32.unpack_from(blob, offset)
-            offset += 4
-            vectors: list[list] = []
-            for codec, dtype in nest_codecs:
-                (length,) = _U32.unpack_from(blob, offset)
-                offset += 4
-                vectors.append(
-                    vector.to_list(
-                        codec.decode(blob[offset : offset + length], dtype)
-                    )
-                )
-                offset += length
-            if single:
-                nested = list(vectors[0])
-            else:
-                nested = [
-                    tuple(vec[i] for vec in vectors) for i in range(count)
-                ]
-            yield tuple(key) + (nested,)
-
     # ==================================================================
     # Reading (batch-at-a-time scan path)
     # ==================================================================
@@ -1361,129 +1315,154 @@ class LayoutRenderer:
         entries: Sequence[CellEntry] | None = None,
         needed: Sequence[str] | None = None,
     ) -> Iterator[ColumnBatch]:
-        """Grid cells a run at a time: columnar batches of the ``needed``
-        fields (:func:`select_cell_fields`) over ``entries`` — directory
-        entries in stream order, ``None`` = every cell. A batch is about a
-        page of cell stream: it closes at the first cell that brings its
-        encoded bytes to a page's worth.
+        """Grid cells a run at a time (:meth:`_read_stream`): batches of the
+        ``needed`` fields (:func:`select_cell_fields`) over ``entries`` —
+        directory entries in stream order, ``None`` = every cell — each
+        cell's ``(rows, fields)`` header checked against its entry."""
+        schema = layout.plan.schema
+        directory = layout.cell_directory if entries is None else entries
+        cells = [entry for entry in directory if entry.row_count]
 
-        Cells that follow each other in the stream, or start on a page the
-        range reaches anyway, are fetched as one range. Each cell's header
-        is walked once and checked against the directory; fields the scan
-        does not need are stepped over by their length prefix. Each needed
-        field of *all* the batch's cells is then one
-        :meth:`Codec.decode_buffer` call into one vector, and a delta field
-        one :func:`repro.vector.prefix_sum` restarting at every cell. Rows
-        come out cell after cell, each cell's in stored order.
-        """
-        wanted = select_cell_fields(layout.plan.schema, needed)
-        capacity = self.page_size - BYTES_HEADER_SIZE
-        pending: list[CellEntry] = []
-        size = 0
-        for entry in layout.cell_directory if entries is None else entries:
-            if not entry.row_count:
-                continue
-            pending.append(entry)
-            size += entry.length
-            if size >= capacity:
-                yield self._read_cells(layout, pending, wanted)
-                pending, size = [], 0
-        if pending:
-            yield self._read_cells(layout, pending, wanted)
-
-    def _read_cells(
-        self, layout: StoredLayout, entries: list[CellEntry], wanted: list[int]
-    ) -> ColumnBatch:
-        """One columnar batch of the ``wanted`` fields of ``entries``."""
-        plan = layout.plan
-        fields = plan.schema.fields
-        blobs: dict[int, list[bytes]] = {i: [] for i in wanted}
-        capacity = self.page_size - BYTES_HEADER_SIZE
-        start = 0
-        while start < len(entries):
-            # One stream range per run of cells: a cell joins the run when
-            # it starts on a page the range reaches anyway.
-            offset = entries[start].offset
-            end = offset + entries[start].length
-            stop = start + 1
-            while (
-                stop < len(entries)
-                and entries[stop].offset // capacity <= (end - 1) // capacity
-            ):
-                end = max(end, entries[stop].offset + entries[stop].length)
-                stop += 1
-            run = self._read_stream_range(layout, offset, end - offset)
-            if len(run) != end - offset:
+        def header(k: int, run: bytes, at: int, limit: int):
+            entry = cells[k]
+            expected = _CELL_HEADER.pack(entry.row_count, len(schema.fields))
+            if run[at : at + len(expected)] != expected:
                 raise StorageError(
-                    f"cell stream holds {len(run)} of the {end - offset} "
-                    f"bytes the directory places at offset {offset}"
+                    f"cell {entry.coord}: header disagrees with its entry"
                 )
-            for entry in entries[start:stop]:
-                at = entry.offset - offset
-                limit = at + entry.length
-                if entry.length < _CELL_HEADER.size:
-                    raise StorageError(f"cell {entry.coord} has no header")
-                row_count, n_fields = _CELL_HEADER.unpack_from(run, at)
-                if row_count != entry.row_count or n_fields != len(fields):
-                    raise StorageError(
-                        f"cell {entry.coord} stores {row_count} rows of "
-                        f"{n_fields} fields, the directory and schema say "
-                        f"{entry.row_count} of {len(fields)}"
-                    )
-                at += _CELL_HEADER.size
-                for i in range(n_fields):
-                    if at + 4 > limit:
-                        raise StorageError(
-                            f"cell {entry.coord} ends inside a field header"
-                        )
-                    (length,) = _U32.unpack_from(run, at)
-                    at += 4
-                    if i in blobs:  # others: stepped over by their length
-                        blobs[i].append(run[at : at + length])
-                    at += length
-                if at != limit:
-                    raise StorageError(
-                        f"cell {entry.coord}: fields take {at - limit:+d} "
-                        f"bytes over the cell's {entry.length}"
-                    )
-            start = stop
-        counts = [entry.row_count for entry in entries]
-        columns = []
-        for i, parts in blobs.items():
-            values = get_codec(plan.codec_for(fields[i].name)).decode_buffer(
-                b"".join(parts), fields[i].dtype, list(map(len, parts)), counts
-            )
-            if fields[i].name in plan.delta_fields:
-                values = vector.prefix_sum(values, counts)
-            columns.append(values)
-        return ColumnBatch.from_columns(
-            tuple(fields[i].name for i in wanted), columns
+            return entry.row_count, at + len(expected), ()
+
+        return self._read_stream(
+            layout,
+            [(entry.offset, entry.length) for entry in cells],
+            header,
+            [(f.name, f.dtype) for f in schema.fields],
+            select_cell_fields(schema, needed),
         )
 
     def iter_folded_batches(
         self,
         layout: StoredLayout,
         indices: Sequence[int] | None = None,
-        *,
-        batch_size: int = DEFAULT_BATCH_ROWS,
+        needed: Sequence[str] | None = None,
     ) -> Iterator[ColumnBatch]:
-        """Un-nested folded records, coalesced into ~``batch_size`` batches."""
+        """Folded records un-nested (:meth:`_read_stream`): batches of the
+        group fields and the ``needed`` nest fields (``None`` = every one)
+        over the records at ``indices`` — directory positions in stream
+        order, ``None`` = every record. Each record's key is checked against
+        ``folded_keys`` (old catalogs have none) and repeated by its count.
+        """
         plan = layout.plan
-        fields = tuple(plan.group_fields) + tuple(plan.nest_fields)
-        single = len(plan.nest_fields) == 1
-        rows: list[tuple] = []
-        for row in self.iter_folded(layout, indices):
-            key = row[:-1]
-            nested = row[-1]
-            if single:
-                rows.extend(key + (item,) for item in nested)
-            else:
-                rows.extend(key + tuple(item) for item in nested)
-            if len(rows) >= batch_size:
-                yield ColumnBatch.from_rows(fields, rows)
-                rows = []
-        if rows:
-            yield ColumnBatch.from_rows(fields, rows)
+        serializer = RecordSerializer(plan.schema.project(plan.group_fields))
+        if indices is None:
+            indices = range(len(layout.folded_directory))
+
+        def header(k: int, run: bytes, at: int, limit: int):
+            key = serializer.decode(run[at:limit])
+            end = at + serializer.encoded_size(key)
+            if end + 4 > limit or (
+                layout.folded_keys
+                and run[at:end] != serializer.encode(layout.folded_keys[indices[k]])
+            ):
+                raise StorageError(
+                    f"folded record {indices[k]}: header disagrees with its entry"
+                )
+            return _U32.unpack_from(run, end)[0], end + 4, key
+
+        nest = plan.nest_fields
+        types = _nest_types(plan.schema.field("__folded__").dtype, len(nest))
+        return self._read_stream(
+            layout,
+            [layout.folded_directory[i] for i in indices],
+            header,
+            list(zip(nest, types)),
+            [i for i, f in enumerate(nest) if needed is None or f in needed],
+            tuple(plan.group_fields),
+        )
+
+    def _read_stream(
+        self,
+        layout: StoredLayout,
+        spans: Sequence[tuple[int, int]],
+        header: Callable[[int, bytes, int, int], tuple[int, int, tuple]],
+        fields: Sequence[tuple[str, Any]],
+        wanted: Sequence[int],
+        key_fields: tuple[str, ...] = (),
+    ) -> Iterator[ColumnBatch]:
+        """Columnar batches of the stream records — grid cells, folded
+        records — at ``spans``, their ``(offset, length)`` in stream order.
+
+        A record is a header, which ``header(k, run, at, limit)`` checks
+        against record ``k``'s directory entry, returning ``(count, end of
+        header, key)``, then one length-prefixed codec blob per ``(name,
+        dtype)`` of ``fields``. A batch holds the ``key_fields`` (each key
+        repeated ``count`` times) and the ``wanted`` fields, and closes at
+        the first record that brings its bytes to a page's worth. Records
+        that start on a page the previous one's range reaches are fetched
+        as one range; unwanted fields are stepped over by their length
+        prefix; each wanted field of the batch is one
+        :meth:`Codec.decode_buffer` call, and a delta field one
+        :func:`repro.vector.prefix_sum` restarting at every record.
+        """
+        plan = layout.plan
+        capacity = self.page_size - BYTES_HEADER_SIZE
+        names = key_fields + tuple(fields[i][0] for i in wanted)
+        start = 0
+        while start < len(spans):
+            blobs: dict[int, list[bytes]] = {i: [] for i in wanted}
+            keys: list[list] = [[] for _ in key_fields]
+            counts: list[int] = []
+            size = 0
+            while start < len(spans) and size < capacity:
+                # One stream range per run of records: a record joins the
+                # run when it starts on a page the range reaches anyway.
+                offset, end = spans[start][0], sum(spans[start])
+                stop, size = start + 1, size + spans[start][1]
+                while (
+                    stop < len(spans)
+                    and size < capacity
+                    and spans[stop][0] // capacity <= (end - 1) // capacity
+                ):
+                    end = max(end, sum(spans[stop]))
+                    size += spans[stop][1]
+                    stop += 1
+                run = self._read_stream_range(layout, offset, end - offset)
+                if len(run) != end - offset:
+                    raise StorageError(
+                        f"stream holds {len(run)} of the {end - offset} "
+                        f"bytes the directory places at offset {offset}"
+                    )
+                for k in range(start, stop):
+                    at = spans[k][0] - offset
+                    limit = at + spans[k][1]
+                    count, at, key = header(k, run, at, limit)
+                    for i in range(len(fields)):
+                        if at + 4 > limit:  # a field header cut by the end
+                            at = -1
+                            break
+                        (length,) = _U32.unpack_from(run, at)
+                        if i in blobs:  # others: stepped over by their length
+                            blobs[i].append(run[at + 4 : at + 4 + length])
+                        at += 4 + length
+                    if at != limit:
+                        raise StorageError(
+                            f"record at stream offset {spans[k][0]}: its "
+                            f"fields do not fill its {spans[k][1]} bytes"
+                        )
+                    counts.append(count)
+                    for column, value in zip(keys, key):
+                        column.extend(repeat(value, count))
+                start = stop
+            columns = keys
+            for i, parts in blobs.items():
+                name, dtype = fields[i]
+                values = get_codec(plan.codec_for(name)).decode_buffer(
+                    b"".join(parts), dtype, list(map(len, parts)), counts
+                )
+                if name in plan.delta_fields:
+                    values = vector.prefix_sum(values, counts)
+                columns.append(values)
+            yield ColumnBatch.from_columns(names, columns)
 
     def iter_array_batches(
         self,

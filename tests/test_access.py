@@ -316,7 +316,7 @@ ONE_PATH_DELETED = (
     "scan_reference", "_scan_reference_pinned", "_region_reference_rows",
     "_iter_stored", "_iter_columns", "_iter_unnested", "_row_projector",
     "_row_fields_projector", "iter_column_group", "iter_array_leaves",
-    "read_cell", "_decode_cell", "vectorized",
+    "read_cell", "_decode_cell", "vectorized", "iter_folded", "_read_cells",
 )
 
 
@@ -346,12 +346,19 @@ def _assert_absent_as_names(deleted):
 
 def test_one_read_path():
     """No tuple-at-a-time reference engine and no ``vectorized`` switch:
-    scans, the planner, updates, deletes and scrub read one way."""
+    scans, the planner, updates, deletes and scrub read one way. Grid cells
+    and folded records share one stream reader, the only caller of
+    ``_read_stream_range``, and folded batches are not sized by rows."""
     _assert_absent_as_names(ONE_PATH_DELETED)
     for reader in ("iter_rows", "iter_column_group", "iter_array_leaves",
-                   "read_cell", "_decode_cell"):
+                   "read_cell", "_decode_cell", "iter_folded", "_read_cells"):
         assert not hasattr(LayoutRenderer, reader), reader
-    assert "bulk" not in inspect.signature(LayoutRenderer.iter_folded).parameters
+    assert _callers("_read_stream_range") == {
+        (os.path.join("layout", "renderer.py"), "_read_stream")
+    }
+    assert "batch_size" not in inspect.signature(
+        LayoutRenderer.iter_folded_batches
+    ).parameters
     with pytest.raises(TypeError):
         RodentStore(vectorized=True)
     assert not hasattr(RodentStore(), "vectorized")

@@ -10,10 +10,15 @@
   columns layouts;
 * the page-batched index fetch ≡ a slot-at-a-time fetch, on the packed and
   on the general ``decode_page`` path, lazily and without pinned frames;
+* :meth:`LayoutRenderer.iter_folded_batches` ≡ a record-at-a-time reader
+  of the folded stream, over one and several nest fields, string nests,
+  every fold codec, key-pruned records and projections — and numpy on ≡
+  off, a projected field decoded with one ``decode_buffer`` per batch;
 * the varint codec beyond int64, through ``compress[varint](delta[...])``;
-* a grid whose directory disagrees with its cells fails loudly.
+* a grid or folded directory that disagrees with its stream fails loudly.
 """
 
+import struct
 from contextlib import contextmanager
 from dataclasses import replace
 from itertools import accumulate
@@ -26,8 +31,9 @@ import oracle
 from repro import vector
 from repro.algebra.interpreter import AlgebraInterpreter
 from repro.algebra.parser import parse
-from repro.algebra.transforms import undelta_records
+from repro.algebra.transforms import evaluate, undelta_records
 from repro.compression import CodecError, get_codec
+from repro.compression.varint import VarintCodec
 from repro.engine.database import RodentStore
 from repro.engine.access import index_access
 from repro.engine.indexes import fetch_rows_by_position, pages_for_positions
@@ -36,12 +42,13 @@ from repro.layout.renderer import (
     CellEntry,
     LayoutRenderer,
     StoredLayout,
+    _nest_types,
     select_cell_fields,
 )
 from repro.query.expressions import Range, Rect
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
-from repro.storage.page import SlottedPage
+from repro.storage.page import BytePage, SlottedPage
 from repro.storage.serializer import RecordSerializer
 from repro.types import Schema
 from repro.types.types import INT
@@ -271,9 +278,33 @@ def _damaged(layout, index, **changes):
 @numpy_legs
 @pytest.mark.parametrize("index", [0, 2, 4])
 @pytest.mark.parametrize(
-    "field, step", [("row_count", 1), ("row_count", -1), ("length", 1), ("length", -1)]
+    "field, step",
+    [
+        ("row_count", 1), ("row_count", -1), ("length", 1), ("length", -1),
+        ("folded_length", 1), ("folded_length", -1), ("folded_key", 1),
+    ],
 )
 def test_directory_off_by_one_is_a_loud_error(numpy_leg, index, field, step):
+    if field.startswith("folded"):
+        records = [(g, "h", 7 * g + j, -j, "s") for g in range(5) for j in range(3 + g)]
+        renderer, layout = build_folded(
+            "compress[varint; a, b](fold[a, b, s; g](T))", records, 256
+        )
+        if field == "folded_key":  # record ``index`` claims its neighbour's key
+            keys = list(layout.folded_keys)
+            other = (index + 1) % len(keys)
+            keys[index], keys[other] = keys[other], keys[index]
+            bad = replace(layout, folded_keys=keys)
+        else:
+            directory = list(layout.folded_directory)
+            offset, length = directory[index]
+            directory[index] = (offset, length + step)
+            bad = replace(layout, folded_directory=directory)
+        with pytest.raises(StorageError):
+            list(renderer.iter_folded_batches(bad))
+        with pytest.raises(StorageError):
+            list(renderer.iter_folded_batches(bad, [index], ["a"]))
+        return
     plan = grid_plan("varint", delta=True)
     cells = [[(i, 0, 7 * i + j, -j, "s") for j in range(3 + i)] for i in range(5)]
     renderer, layout = build_grid(plan, cells, page_size=256)
@@ -310,6 +341,157 @@ def test_blob_with_the_wrong_value_count_is_a_loud_error(numpy_leg):
         ) == [1, 2, 3, 4, 5]
         with pytest.raises(CodecError):
             other.decode_buffer(data, INT, lengths, [2, 3])
+
+
+# ---------------------------------------------------------------------------
+# folded records, a run at a time
+# ---------------------------------------------------------------------------
+
+FOLD_SCHEMA = Schema.of("g:int", "h:string", "a:int", "b:int", "s:string")
+
+#: One and several nest fields, a string nest field, two group fields, and
+#: the fold codecs: none, varint, lz.
+FOLD_DESIGNS = [
+    "fold[a; g](T)",
+    "fold[a, b, s; g](T)",
+    "compress[varint; a, b](fold[a, b; g, h](T))",
+    "compress[lz; s, a](fold[s, a; g](T))",
+]
+
+
+def build_folded(design, records, page_size):
+    plan = AlgebraInterpreter({"T": FOLD_SCHEMA}).compile(parse(design))
+    renderer = LayoutRenderer(BufferPool(DiskManager(page_size=page_size), 64))
+    evaluated = evaluate(plan.expr, {"T": (records, tuple(FOLD_SCHEMA.names()))})
+    return renderer, renderer.render(plan, evaluated)
+
+
+def folded_at_a_time(renderer, layout, indices=None):
+    """The reader ``iter_folded_batches`` replaced: the stream a page at a
+    time, then one record at a time — its key, its count, and each nested
+    vector through ``Codec.decode`` into a list — un-nested into rows of
+    the group fields and every nest field."""
+    plan = layout.plan
+    keys = RecordSerializer(plan.schema.project(plan.group_fields))
+    nest_types = _nest_types(
+        plan.schema.field("__folded__").dtype, len(plan.nest_fields)
+    )
+    codecs = [
+        (get_codec(plan.codec_for(name)), dtype)
+        for name, dtype in zip(plan.nest_fields, nest_types)
+    ]
+    pages = []
+    for page_id in layout.extent.page_ids:
+        frame = renderer.pool.fetch(page_id)
+        try:
+            pages.append(BytePage(renderer.page_size, frame.data).read())
+        finally:
+            renderer.pool.unpin(page_id)
+    stream = b"".join(pages)
+    directory = layout.folded_directory
+    rows = []
+    for i in range(len(directory)) if indices is None else indices:
+        offset, length = directory[i]
+        blob = stream[offset : offset + length]
+        key = keys.decode(blob)
+        at = keys.encoded_size(key)
+        (count,) = struct.unpack_from("<I", blob, at)
+        at += 4
+        vectors = []
+        for codec, dtype in codecs:
+            (size,) = struct.unpack_from("<I", blob, at)
+            at += 4
+            vectors.append(vector.to_list(codec.decode(blob[at : at + size], dtype)))
+            at += size
+        assert at == length and all(len(v) == count for v in vectors)
+        rows.extend(tuple(key) + values for values in zip(*vectors))
+    return rows
+
+
+@st.composite
+def folds(draw):
+    ints = st.one_of(st.integers(-300, 300), st.integers(I64_MIN, I64_MAX))
+    record = st.tuples(
+        st.integers(0, 6),
+        st.sampled_from(["", "p", "quite a long group key"]),
+        ints,
+        ints,
+        st.text(max_size=5),
+    )
+    records = draw(st.lists(record, max_size=200))
+    keep = draw(st.one_of(st.none(), st.lists(st.booleans(), max_size=25)))
+    needed = draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.sampled_from(FOLD_SCHEMA.names() + ["nowhere"]), unique=True),
+        )
+    )
+    return (
+        draw(st.sampled_from(FOLD_DESIGNS)),
+        records,
+        keep,
+        needed,
+        draw(st.sampled_from([128, 256, 4096])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(folds())
+def test_folded_batches_equal_record_at_a_time_reader(case):
+    design, records, keep, needed, page_size = case
+    renderer, layout = build_folded(design, records, page_size)
+    plan = layout.plan
+    indices = None
+    if keep is not None:
+        indices = [i for i, k in zip(range(len(layout.folded_directory)), keep) if k]
+    fields = tuple(plan.group_fields) + tuple(
+        name for name in plan.nest_fields if needed is None or name in needed
+    )
+    every = plan.group_fields + plan.nest_fields
+    where = [every.index(name) for name in fields]
+    stored = folded_at_a_time(renderer, layout)
+    columns = [FOLD_SCHEMA.names().index(name) for name in every]
+    assert sorted(stored) == sorted(tuple(r[i] for i in columns) for r in records)
+    want = [
+        tuple(row[i] for i in where)
+        for row in folded_at_a_time(renderer, layout, indices)
+    ]
+    for numpy_on in (True, False):
+        with numpy_set(numpy_on):
+            batches = list(renderer.iter_folded_batches(layout, indices, needed))
+        assert all(b.n_rows and b.is_columnar for b in batches)
+        assert all(b.fields == fields for b in batches)
+        rows = batch_rows(batches)
+        assert {type(v) for row in rows for v in row} <= {int, str}
+        assert rows == want
+    assert not renderer.pool.pinned_pages()
+
+
+@numpy_legs
+def test_a_projected_nest_field_is_one_decode_buffer_per_batch(numpy_leg, monkeypatch):
+    """One group spanning several pages; a scan of one varint nest field
+    decodes it with one ``decode_buffer`` call per batch, and never calls
+    ``Codec.decode`` per record."""
+    records = [(0, "h", i * 7, -i, "s") for i in range(2000)]
+    design = "compress[varint; a, b](fold[a, b, s; g](T))"
+    renderer, layout = build_folded(design, records, 256)
+    assert len(layout.folded_directory) == 1
+    assert layout.folded_directory[0][1] > 4 * 256
+    calls = {"decode": 0, "decode_buffer": 0}
+    for name in calls:
+        original = getattr(VarintCodec, name)
+
+        def spy(self, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(VarintCodec, name, spy)
+    batches = list(renderer.iter_folded_batches(layout, None, ["a"]))
+    assert calls == {"decode": 0, "decode_buffer": len(batches)}
+    assert all(b.is_columnar and b.fields == ("g", "a") for b in batches)
+    assert batch_rows(batches) == [(0, i * 7) for i in range(2000)]
+    empty_renderer, empty = build_folded(design, [], 256)
+    assert list(empty_renderer.iter_folded_batches(empty)) == []
 
 
 # ---------------------------------------------------------------------------

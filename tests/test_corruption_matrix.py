@@ -389,3 +389,69 @@ def test_grid_directory_off_by_one_never_returns_wrong_rows(
             store.disk.close()
     finally:
         shutil.rmtree(base, ignore_errors=True)
+
+
+FOLDED_LAYOUT = "compress[varint; id](fold[id; val](T))"
+
+
+@pytest.mark.parametrize("degraded", [False, True])
+@pytest.mark.parametrize("damage", ["length+1", "length-1", "swapped key"])
+def test_folded_directory_off_by_one_never_returns_wrong_rows(damage, degraded):
+    """The folded twin of the grid case: every page CRC and the catalog
+    checksum are valid, but one record's directory length is off by one,
+    or two records' keys are swapped. The stream reader checks each
+    record's key against the directory and its fields against its length,
+    so every scan that reads a damaged record fails loudly — key pruning
+    would otherwise hand back another group's rows, or none."""
+    base = tempfile.mkdtemp()
+    try:
+        path = os.path.join(base, "db")
+        rng = random.Random(CORRUPT_SEED)
+        rows = [(i, rng.randrange(6)) for i in range(400)]
+        store = RodentStore(path, page_size=1024, pool_capacity=64, durable=True)
+        store.create_table("T", SCHEMA, layout=FOLDED_LAYOUT)
+        store.load("T", rows)
+        store.checkpoint()
+        store.close()
+
+        catalog = path + ".catalog.json"
+        with open(catalog, encoding="utf-8") as f:
+            payload = json.load(f)
+        del payload[CATALOG_CRC_KEY]
+        (table,) = payload["tables"]
+        run = table["runs"][0]
+        directory, keys = run["folded_directory"], run["folded_keys"]
+        assert len(directory) == 6
+        victim = 3
+        if damage == "swapped key":
+            keys[victim], keys[victim + 1] = keys[victim + 1], keys[victim]
+        else:
+            directory[victim][1] += 1 if damage == "length+1" else -1
+        (key,), (untouched,) = keys[victim], keys[0]
+        payload[CATALOG_CRC_KEY] = _catalog_crc(payload)
+        with open(catalog, "w", encoding="utf-8") as f:
+            json.dump(payload, f)
+
+        store = RodentStore(
+            path,
+            page_size=1024,
+            pool_capacity=64,
+            durable=True,
+            degraded_reads=degraded,
+        )
+        try:
+            table = store.table("T")
+            with pytest.raises(RodentStoreError):
+                list(table.scan())
+            with pytest.raises(RodentStoreError):
+                list(table.scan(predicate=Range("val", key, key)))
+            # Scans that prune the damaged records away never read them.
+            elsewhere = Range("val", untouched, untouched)
+            assert sorted(table.scan(["id", "val"], elsewhere)) == sorted(
+                r for r in rows if r[1] == untouched
+            )
+        finally:
+            store.wal.close()
+            store.disk.close()
+    finally:
+        shutil.rmtree(base, ignore_errors=True)

@@ -37,17 +37,6 @@ def cell_rows(renderer, layout, entry):
     return rows_of(renderer.iter_grid_batches(layout, [entry]))
 
 
-def folded_groups(batches, n_group=1):
-    """Un-nested folded rows regrouped: ``{key: [nested values]}``."""
-    groups: dict = {}
-    for row in rows_of(batches):
-        nested = row[n_group:]
-        groups.setdefault(row[:n_group], []).append(
-            nested[0] if len(nested) == 1 else nested
-        )
-    return groups
-
-
 class TestRowsRendering:
     def test_roundtrip(self):
         renderer, layout = render("T")
@@ -189,30 +178,6 @@ class TestGridRendering:
         _, layout = render("T")
         with pytest.raises(StorageError):
             layout.cells_overlapping({"lat": (0, 1)})
-
-
-class TestFoldedRendering:
-    def test_roundtrip(self):
-        renderer, layout = render("fold[lat, lon; id](T)")
-        folded = folded_groups(renderer.iter_folded_batches(layout))
-        assert len(folded) == 5  # distinct ids
-        assert sorted(
-            (key[0], *nested) for key, values in folded.items()
-            for nested in values
-        ) == sorted((r[3], r[1], r[2]) for r in RECORDS)
-
-    def test_single_nest_field(self):
-        renderer, layout = render("fold[lat; id](T)")
-        folded = folded_groups(renderer.iter_folded_batches(layout))
-        assert all(isinstance(v, int) for vs in folded.values() for v in vs)
-
-    def test_large_groups_span_pages(self):
-        # One giant group far larger than a page must still round-trip.
-        records = [(i, i % 97, i % 89, 0) for i in range(2000)]
-        renderer, layout = render("fold[lat, lon; id](T)", records=records)
-        folded = folded_groups(renderer.iter_folded_batches(layout))
-        assert list(folded) == [(0,)]
-        assert folded[(0,)] == [(r[1], r[2]) for r in records]
 
 
 class TestArrayRendering:

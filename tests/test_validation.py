@@ -2,10 +2,13 @@
 
 import pytest
 
+import oracle
 from repro.algebra import ast
 from repro.algebra.parser import parse
 from repro.algebra.validation import check, infer_scalar_type
+from repro.engine.database import RodentStore
 from repro.errors import TypeCheckError
+from repro.query.expressions import Range
 from repro.types import BOOL, FLOAT, INT, STRING, ListType, Schema
 
 SCHEMA = Schema.of("t:int", "lat:float", "lon:float", "id:int", "name:string")
@@ -219,3 +222,55 @@ class TestCheck:
     def test_chunk(self):
         out = check(parse("chunk[2, 2]([[1, 2], [3, 4]])"), {})
         assert out.meta["chunk_shape"] == (2, 2)
+
+
+DELTA_SCHEMA = Schema.of("t:int", "x:int", "y:int", "g:int")
+DELTA_ROWS = [((i * 37) % 100, (i * 53) % 100, (i * 71) % 100, i % 4) for i in range(300)]
+
+
+@pytest.mark.parametrize(
+    "design, refused",
+    [
+        ("grid[x, y],[25, 25](delta[t](orderby[t](T)))", True),
+        ("zorder(grid[x, y],[25, 25](delta[t](orderby[t](T))))", True),
+        ("hilbert(grid[x, y],[25, 25](delta[t](orderby[t](T))))", True),
+        ("orderby[x](delta[t](orderby[t](T)))", True),
+        ("fold[t, x; g](delta[t](orderby[t](T)))", True),
+        ("fold[t, x; g](delta[x](T))", True),
+        ("transpose(project[t](delta[t](orderby[t](T))))", True),
+        ("groupby[g](compress[varint; t](delta[t](T)))", True),
+        ("select[x < 50](delta[t](T))", True),
+        ("project[t, x](delta[t](T))", True),
+        ("delta[x](delta[t](T))", True),
+        # Equivalent to delta[x, y](zorder(...)), the spelling accepted.
+        ("zorder(delta[x, y](grid[x, y],[25, 25](T)))", True),
+        ("hilbert(delta[x, y](grid[x, y],[25, 25](T)))", True),
+        # Outermost, under layout markers, and inside a region, replica or
+        # run: restored in stored order.
+        ("delta[t](orderby[t](T))", False),
+        ("compress[varint; t](columns(delta[t](orderby[t](T))))", False),
+        ("delta[x, y](zorder(grid[x, y],[25, 25](T)))", False),
+        ("delta[x, y](hilbert(grid[x, y],[25, 25](T)))", False),
+        ("partition[g; hash, 2](delta[t](orderby[t](T)))", False),
+        ("mirror(delta[t](T), columns(T))", False),
+        ("levels[4; 4](compress[varint; t](delta[t](T)))", False),
+    ],
+)
+def test_delta_beneath_a_reordering_operator_is_refused(design, refused):
+    """A scan restores deltas in stored order. Were it not refused, each
+    refused design but the two curve spellings (which have an accepted
+    equivalent) would load and scan without error, returning stored deltas
+    or sums taken in the wrong order. Each accepted design scans like the
+    model."""
+    store = RodentStore(page_size=512, pool_capacity=64)
+    if refused:
+        with pytest.raises(TypeCheckError, match="delta must sit above"):
+            check(parse(design), {"T": DELTA_SCHEMA})
+        with pytest.raises(TypeCheckError):
+            store.create_table("T", DELTA_SCHEMA, layout=design)
+        return
+    store.create_table("T", DELTA_SCHEMA, layout=design)
+    table = store.load("T", DELTA_ROWS)
+    model = oracle.Model(DELTA_SCHEMA.names(), DELTA_ROWS, design)
+    oracle.check_table(table, model)
+    oracle.check_table(table, model, None, Range("t", 10, 15))
