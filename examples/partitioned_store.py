@@ -21,9 +21,13 @@ buys:
 Run with::
 
     python examples/partitioned_store.py
+
+It exits 1 unless every re-laid-out partition now has the recommended
+design and every kept partition still has its old one.
 """
 
 import random
+import sys
 
 from repro import RodentStore
 from repro.query.expressions import Range
@@ -93,19 +97,25 @@ def main() -> None:
                 predicate=Range("t", 6_000, 7_999),
             )
         )
+    before = {r.pid: r.plan.expr.to_text() for r in table.partitions}
     decision = store.adapt("Events")
     print(f"  adapt: {decision['reason']}")
     print("  partition designs now:")
+    hot = decision.get("relayout_partitions", [])
+    wrong = []
     for region in table.partitions:
-        heat = (
-            "HOT "
-            if region.pid in decision.get("relayout_partitions", [])
-            else "cold"
-        )
+        heat = "HOT " if region.pid in hot else "cold"
         print(
             f"  {heat} partition {region.pid} {region.describe_key():>14} "
             f"[{region.plan.describe()}]"
         )
+        want = before[region.pid]
+        if region.pid in hot:
+            want = decision["recommended"]
+        designs = {region.plan.expr.to_text()}
+        designs |= {run.plan.expr.to_text() for run in region.runs}
+        if designs != {want}:
+            wrong.append((region.pid, sorted(designs), want))
 
     stats = store.storage_stats()["tables"]["Events"]
     print(
@@ -113,6 +123,9 @@ def main() -> None:
         f"{stats['partitions_pruned']} partitions pruned cumulatively"
     )
     store.close()
+    if not hot or wrong:
+        print(f"FAIL: re-laid-out {hot}; partitions off their design: {wrong}")
+        sys.exit(1)
 
 
 if __name__ == "__main__":

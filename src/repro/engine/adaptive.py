@@ -13,15 +13,16 @@ levelled table's runs), compares their predicted cost with the
 recommendation's under a **hysteresis margin**, charges the one-time
 rewrite of just those regions against the amortized benefit, and — when the
 switch clearly pays — hands it to :meth:`ReorganizationManager.reorganize`,
-which applies a flat table's design under its policy (eager /
-new-data-only / lazy) and a region's eagerly, charging every rewrite alike.
+which gives those regions the design and merges their runs under the
+table's policy (eager / new-data-only / lazy), charging every rewrite alike.
 
 Safety properties:
 
-* a re-layout goes through :meth:`RodentStore.relayout` → ``load``, which
-  re-renders zone-map synopses for the new layout and clears secondary /
-  spatial indexes, so pruning and access-path choice can never consult
-  metadata describing the old physical design;
+* a re-layout is a merge of the regions' runs under the new design
+  (:func:`~repro.engine.levels.merge`), which renders zone-map synopses for
+  the new layout and drops secondary / spatial indexes, so pruning and
+  access-path choice can never consult metadata describing the old
+  physical design;
 * a re-layout is one transaction (``store.mutate``): it renders the new
   representation copy-on-write, swaps it in atomically at commit, and —
   on a durable store — WAL-logs it, so a crash mid-adaptation rolls back
@@ -373,18 +374,18 @@ class AdaptiveController:
         decision: dict,
     ) -> None:
         """The one apply: hand the design to the reorganizer and record the
-        adaptation. ``adaptations`` counts layouts actually switched; a
-        design installed for new data only under lazy / new-data-only shows
-        up as ``pending_design`` in the report while old runs keep their
-        design (and as an adaptation once the lazy rewrite fires)."""
+        adaptation under the table's policy. ``adaptations`` counts layouts
+        actually switched; a design installed for new data only under lazy
+        / new-data-only shows up as ``pending_design`` in the report while
+        old runs keep their design (and as an adaptation once the lazy
+        rewrite fires)."""
         with self.pause():
-            policy = self.reorganizer.reorganize(entry.name, expr, regions)
+            merged = self.reorganizer.reorganize(entry.name, expr, regions)
         self._since_check[entry.name] = 0
-        applied = policy is Policy.EAGER
-        self.adaptations += applied
+        self.adaptations += merged
         decision["adapted"] = True
-        decision["policy"] = policy.value
-        decision["applied_immediately"] = applied
+        decision["policy"] = entry.policy
+        decision["applied_immediately"] = merged
 
     def _gain(
         self,
@@ -608,8 +609,8 @@ class AdaptiveController:
         """Best recommended design the table can install.
 
         A design becomes the design of the table's regions (the table's
-        one, a partition's, every run's — or, under a deferred policy, a
-        flat table's over runs it does not re-render), so it must pass the
+        one, a partition's, every run's — under a deferred policy, over
+        runs it does not re-render yet), so it must pass the
         region-design rule, :meth:`RodentStore.region_plan`: one layout
         keeping the stored fields. A design that projects fields away
         fails it — the data it drops would be unrecoverable at the *next*

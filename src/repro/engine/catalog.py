@@ -141,6 +141,9 @@ class CatalogEntry:
     # Live workload observations feeding the adaptive loop (lazily created
     # by the AdaptiveController the first time the table is scanned).
     monitor: "WorkloadMonitor | None" = None
+    # The reorganization policy a new design reaches old runs under (a
+    # :class:`~repro.optimizer.reorganize.Policy` value).
+    policy: str = "eager"
     # Monotonic partition-id allocator for this table.
     next_partition_id: int = 0
     # Cumulative partition-pruning counters (exposed by storage_stats).

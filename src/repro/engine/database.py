@@ -1064,12 +1064,10 @@ class RodentStore:
     def relayout_partition(
         self, name: str, pid: int, layout: str | ast.Node
     ) -> Table:
-        """Re-organize ONE partition under a new (non-partitioned) design.
-
-        This is the adaptive loop's partition-granular rewrite: one merge
-        (:func:`~repro.engine.levels.merge`) of the region's runs and
-        pending rows under the new design — no other partition is read or
-        written. The design must pass :meth:`region_plan`.
+        """Re-organize ONE partition under a new (non-partitioned) design:
+        the eager schedule of one region
+        (:func:`~repro.engine.levels.merge_regions`) — no other partition
+        is read or written. The design must pass :meth:`region_plan`.
         """
         entry = self.catalog.entry(name)
         if entry.plan is None or entry.plan.kind != LAYOUT_PARTITIONED:
@@ -1077,25 +1075,20 @@ class RodentStore:
         region = next((r for r in entry.regions if r.pid == pid), None)
         if region is None:
             raise StorageError(f"table {name!r} has no partition {pid}")
-        new_plan = self.region_plan(name, layout)
         table = Table(self, entry)
-        with self.mutate(name) as m:
-            levels.merge(
-                table, region, list(region.runs), m,
-                pending=True, plan=new_plan, compaction=False,
-            )
+        levels.merge_regions(table, [region], layout)
         return table
 
     def region_plan(self, name: str, layout: str | ast.Node) -> PhysicalPlan:
         """Compile ``layout`` as the design of one region of ``name`` — a
-        partition, or the runs of a levelled table.
+        flat table, a partition, or the runs of a levelled table.
 
-        The rule every region re-layout shares (:meth:`relayout_partition`,
-        :meth:`compact_levels` with ``inner`` and the adaptive controller's
-        candidates): the design is one layout, neither partitioned nor
-        levelled, and it re-renders stored records, so it must produce
-        exactly the table's stored fields — regions stay mutually
-        projectable. Raises :class:`StorageError` otherwise.
+        The rule every region design shares (every redesign, and the
+        reorganizer's and the adaptive controller's choice of one): the
+        design is one layout, neither partitioned nor levelled, and it
+        re-renders stored records, so it must produce exactly the table's
+        stored fields — regions stay mutually projectable. Raises
+        :class:`StorageError` otherwise.
         """
         entry = self.catalog.entry(name)
         plan = self._interpreter().compile(self._resolve_expr(name, layout))
@@ -1122,7 +1115,11 @@ class RodentStore:
         layout: str | ast.Node,
         source_records: Sequence[Sequence[Any]] | None = None,
     ) -> Table:
-        """Re-organize ``name`` under a new algebra expression.
+        """Re-organize ``name`` under a new algebra expression by a reload
+        through its logical rows: the path for a design that changes the
+        table's shape (flat, partitioned, levelled) or drops fields. A new
+        design of the regions is a redesign plus a merge instead
+        (:func:`~repro.engine.levels.merge_regions`).
 
         When ``source_records`` is omitted the current representation must
         retain every logical field (a design that projected fields away is
@@ -1186,24 +1183,14 @@ class RodentStore:
             run = levels.seal(table, table._entry.regions[0], m)
         return None if run is None else run.layout
 
-    def compact_levels(
-        self,
-        name: str,
-        inner: str | ast.Node | None = None,
-        full: bool = False,
-    ) -> dict:
-        """Merge levelled runs (the LSM compaction).
-
-        Partial mode (the default) repeatedly merges the shallowest level
-        whose fan-out reached ``k`` into one run of the next level,
-        cascading until no level is over fan-out. ``full=True`` folds
-        *every* run plus the pending buffer into a single run — and with
-        ``inner`` re-renders it under a new run design (the adaptive
-        loop's levelled re-organization; the design must pass
-        :meth:`region_plan`). Returns ``{"merges", "runs_merged",
-        "relayout"}``.
+    def compact_levels(self, name: str) -> dict:
+        """Merge levelled runs (the LSM compaction): repeatedly merge the
+        shallowest level whose fan-out reached ``k`` into one run of the
+        next level, cascading until no level is over fan-out. Returns
+        ``{"merges", "runs_merged"}``. (``Table.compact`` is the full
+        merge, for every table shape.)
         """
-        return levels.compact_levels(self._levelled(name), inner, full)
+        return levels.compact_levels(self._levelled(name))
 
     def _wa_note(
         self,

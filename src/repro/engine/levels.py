@@ -9,12 +9,13 @@ flat table is a level with unbounded fan-in.
   region's design — ``Table.flush_inserts``, the levelled auto-seal and
   (:func:`sealed_run`) a levelled bulk load;
 * :func:`merge` reads chosen runs, and the pending rows when asked, under
-  one resolver, may apply a batch edit or a new design, and renders one
-  run — ``compact()``, levelled merges and re-layouts, copy-on-write
-  ``update``/``delete`` and ``relayout_partition``.
+  one resolver, may apply a batch edit, and renders one run under the
+  region's design — levelled merges, copy-on-write ``update``/``delete``
+  and (:func:`merge_regions`) ``compact()`` and every region re-layout.
 
 Both swap through :func:`replace_runs`, which an abort undoes, and so does
-:func:`redesign`, which only changes the design later seals render under.
+:func:`redesign`, which only changes the design later seals and merges
+render under: a re-layout of any table shape is a redesign plus a merge.
 Tombstone deletes and the level cascade live here too; ``RodentStore`` and
 ``Table`` keep the public entry points.
 """
@@ -79,8 +80,6 @@ def merge(
     *,
     pending: bool = False,
     edit: Callable[[list[ColumnBatch]], ColumnBatch | None] | None = None,
-    plan: PhysicalPlan | None = None,
-    table_plan: PhysicalPlan | None = None,
     level: int | None = None,
     compaction: bool = True,
 ) -> Run | None:
@@ -92,8 +91,7 @@ def merge(
     The survivors join oldest first, pending rows last (pages stay
     byte-identical), in one :func:`merge_batches` or through ``edit``, which
     maps them to the region's new batch (``None``: nothing changes). The run
-    renders under ``plan`` (default: the region's design; a levelled
-    re-layout also passes ``table_plan``) at ``level`` (default: its size
+    renders under the region's design at ``level`` (default: its size
     class); a levelled merge that resolves to nothing renders none.
     """
     db, entry = table._db, table._entry
@@ -119,7 +117,6 @@ def merge(
         merged = edit(held)
         if merged is None:
             return None
-    design = plan or region.plan
     new: list[Run] = []
     if spec is None or merged.n_rows:
         if spec is not None and level is None:
@@ -129,11 +126,11 @@ def merge(
                 [spec.level_of(merged.n_rows, db.level_seal_rows)]
                 + [run.level for run in sources]
             )
-        layout = db._render_region(entry.plan, design, merged)
-        new.append(Run(design, layout, level=level or 0))
+        layout = db._render_region(entry.plan, region.plan, merged)
+        new.append(Run(region.plan, layout, level=level or 0))
     replace_runs(
-        db, entry, region, sources, new, m, plan=design,
-        table_plan=table_plan, compaction=compaction, keep_pending=not pending,
+        db, entry, region, sources, new, m,
+        compaction=compaction, keep_pending=not pending,
     )
     return new[0] if new else None
 
@@ -204,31 +201,28 @@ def replace_runs(
     m.touch(entry.name)
 
 
-def redesigned(
-    store: RodentStore, name: str, layout: str | ast.Node
-) -> tuple[PhysicalPlan, PhysicalPlan]:
-    """``(table plan, region plan)`` of ``name`` with ``layout``, which must
-    pass :meth:`RodentStore.region_plan`, as its regions' design (under
-    the table's partitioning or levels, if any)."""
-    inner = store.region_plan(name, layout).expr
-    outer = store.catalog.entry(name).plan
-    if outer.partition is not None or outer.levels is not None:
-        inner = outer.expr.with_children([inner])
-    table_plan = store._interpreter().compile(inner)
-    templates = table_plan.partition_plans or table_plan.level_plans
-    return table_plan, templates[0] if templates else table_plan
-
-
-def redesign(table: Table, layout: str | ast.Node) -> None:
-    """Make ``layout`` the design of every region of ``table`` by one
-    :func:`replace_runs` per region that swaps no run: later seals and
-    merges render under it, old runs keep theirs (the new-data-only and
-    lazy policies of §5). Pending rows and row-valued tombstones follow a
-    new stored field order."""
+def redesign(
+    table: Table, layout: str | ast.Node, regions: Sequence[Region]
+) -> None:
+    """Make ``layout`` — one layout of the stored fields, as
+    :meth:`RodentStore.region_plan` checks — the design of ``regions`` of
+    ``table``, and the table's when every region takes it (under the
+    table's partitioning or levels, if any), by one :func:`replace_runs`
+    per region that swaps no run: later seals and merges render under it,
+    old runs keep theirs until a merge reaches them. Pending rows and
+    row-valued tombstones follow a new stored field order."""
     db, entry = table._db, table._entry
-    table_plan, plan = redesigned(db, table.name, layout)
+    plan = db.region_plan(table.name, layout)
+    table_plan = None
+    if set(map(id, entry.regions)) <= set(map(id, regions)):
+        outer, expr = entry.plan, plan.expr
+        if outer.partition is not None or outer.levels is not None:
+            expr = outer.expr.with_children([expr])
+        table_plan = db._interpreter().compile(expr)
+        templates = table_plan.partition_plans or table_plan.level_plans
+        plan = templates[0] if templates else table_plan
     old = table.scan_schema().names()
-    new = _scan_schema(table_plan).names()
+    new = old if table_plan is None else _scan_schema(table_plan).names()
     idx = [old.index(f) for f in new]
 
     def reorder(row) -> tuple:
@@ -236,7 +230,7 @@ def redesign(table: Table, layout: str | ast.Node) -> None:
 
     with db.mutate(table.name) as m, entry.mvcc.lock:
         # (A table with no partition yet swaps through a detached region.)
-        for region in list(entry.regions) or [Region()]:
+        for region in list(regions) or [Region()]:
             replace_runs(
                 db, entry, region, [], [], m,
                 plan=plan, table_plan=table_plan, keep_pending=True,
@@ -245,11 +239,29 @@ def redesign(table: Table, layout: str | ast.Node) -> None:
                 rows = list(map(reorder, region.pending))
                 region.clear_pending()
                 region.add_pending(new, rows)
-        spec = table_plan.levels
+        spec = entry.plan.levels
         if old != new and spec is not None and spec.key is None:
             entry.level_tombstones = [
                 (seq, reorder(row)) for seq, row in entry.level_tombstones
             ]
+
+
+def merge_regions(
+    table: Table,
+    regions: Sequence[Region],
+    layout: str | ast.Node | None = None,
+) -> None:
+    """The one full merge, and the one region re-layout, of every table
+    shape: :func:`redesign` ``regions`` to ``layout`` when given, then
+    :func:`merge` each one's runs and pending rows into one run under its
+    design, all in one transaction — ``Table.compact``,
+    ``relayout_partition`` and every reorganization that rewrites old
+    runs."""
+    with table._db.mutate(table.name) as m:
+        if layout is not None:
+            redesign(table, layout, regions)
+        for region in regions:
+            merge(table, region, list(region.runs), m, pending=True)
 
 
 # -- updates and deletes ---------------------------------------------------
@@ -416,31 +428,13 @@ def maintain_levels(table: Table, rows_written: int) -> None:
     db.scan_executor().submit(job)
 
 
-def compact_levels(
-    table: Table, inner: str | ast.Node | None, full: bool
-) -> dict:
-    """:meth:`RodentStore.compact_levels`: one :func:`merge` of every run
-    and the pending rows (``full``, or a re-layout to ``inner``), else one
-    per level over fan-out, shallowest first, until none is."""
+def compact_levels(table: Table) -> dict:
+    """:meth:`RodentStore.compact_levels`: one :func:`merge` per level over
+    fan-out, shallowest first, until none is."""
     db, entry = table._db, table._entry
-    report = {"merges": 0, "runs_merged": 0, "relayout": False}
+    report = {"merges": 0, "runs_merged": 0}
     with db.mutate(table.name) as m:
         (region,) = entry.regions
-        if inner is not None or full:
-            table_plan = plan = None
-            if inner is not None:
-                table_plan, plan = redesigned(db, table.name, inner)
-                report["relayout"] = True
-            sources = list(region.runs)
-            if sources or region.pending:
-                report.update(merges=1, runs_merged=len(sources))
-            # With nothing to merge this still swaps in the new design, so
-            # future seals render under it.
-            merge(
-                table, region, sources, m,
-                pending=True, plan=plan, table_plan=table_plan,
-            )
-            return report
         while True:
             over = _levels_over_fanout(region, entry.plan.levels.k)
             if not over:

@@ -292,6 +292,9 @@ def entry_to_dict(entry) -> dict:
         "monitor": entry.monitor.to_dict()
         if entry.monitor is not None
         else None,
+        # Written when not the default: an eager table's catalog is the
+        # one a store without policies wrote.
+        **({"policy": entry.policy} if entry.policy != "eager" else {}),
         "partitions": [
             {
                 "pid": r.pid,
@@ -437,6 +440,7 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
         from repro.optimizer.monitor import WorkloadMonitor
 
         entry.monitor = WorkloadMonitor.from_dict(t["monitor"])
+    entry.policy = t.get("policy", "eager")
     scan_names = _scan_schema_of(entry).names()
     plans: dict[str, PhysicalPlan] = {}
 

@@ -1375,28 +1375,22 @@ class Table:
         )
 
     def compact(self) -> None:
-        """Merge each region's runs and pending rows into one run under its
-        design (:func:`~repro.engine.levels.merge`), in one transaction; a
-        region already one run on its design, with nothing pending, is
-        untouched.
-
-        For levelled tables this is a *full* compaction: every run plus
-        the pending buffer merges into a single run, applying tombstones
-        and last-writer-wins resolution physically.
+        """The one full merge, for every table shape: each region's runs
+        and pending rows merge into one run under its design
+        (:func:`~repro.engine.levels.merge_regions`), in one transaction;
+        a levelled table's applies its tombstones and last-writer-wins
+        resolution physically. A region already one run on its design,
+        with nothing pending or tombstoned, is untouched.
         """
-        if self.is_levelled:
-            self._db.compact_levels(self.name, full=True)
-            return
-        from repro.engine.levels import merge
+        from repro.engine.levels import merge_regions
 
-        with self._db.mutate(self.name) as m:
-            for region in self._require_loaded():
-                if (
-                    region.pending
-                    or len(region.runs) > 1
-                    or region.off_design()
-                ):
-                    merge(self, region, list(region.runs), m, pending=True)
+        with self._db.mutate(self.name):  # choose under the table lock
+            tombstones = bool(self._entry.level_tombstones)
+            merge_regions(self, [
+                region for region in self._require_loaded()
+                if region.pending or len(region.runs) > 1
+                or region.off_design() or tombstones
+            ])
 
     # ==================================================================
     # deletes and updates (copy-on-write rewrites)

@@ -13,20 +13,22 @@ data actually moves:
   configurable number of accesses, the next touch point triggers the
   rewrite.
 
-The three are one action and a schedule. Eager re-lays the table out now
-(:meth:`RodentStore.relayout`, the one path for a design that changes the
-table's shape, or drops fields given ``source_records``). The deferred
-policies make the design every region's (:func:`repro.engine.levels.redesign`):
-later flushes seal under it, old runs keep theirs — for good under
-new-data-only, until the lazy rewrite fires under lazy. The design lives in
-the catalog, so it survives a reopen; the policy is per-process.
+The three are one action and a schedule, for every table shape. The action
+gives some regions — a flat table's one, some partitions, a levelled
+table's runs — the new design (:func:`repro.engine.levels.redesign`): later
+flushes seal under it. The schedule decides when the old runs merge into it
+(:func:`repro.engine.levels.merge_regions`): eager now, lazy when due,
+new-data-only never — though a levelled table's own cascade still merges
+old runs under the design it has then, as an LSM does. Only a design that
+changes the table's shape, or drops fields given ``source_records``, takes
+the eager whole-table reload, :meth:`RodentStore.relayout`. The design and
+the policy live in the catalog, so both survive a reopen.
 
-A partition's re-layout touches only that partition, and a levelled
-table's is the merge of its runs, so both are always eager. Every rewrite
-charges its I/O to the reorganization counters the benchmarks compare
-policies by. Every action is one transaction, swapped in at commit
-(WAL-logged on durable stores), so policies never observe — or leave
-behind — a half-reorganized table, even across a crash.
+Every rewrite charges its I/O to the reorganization counters the benchmarks
+compare policies by, one reorganization per region it rewrites. Every
+action is one transaction, swapped in at commit (WAL-logged on durable
+stores), so policies never observe — or leave behind — a half-reorganized
+table, even across a crash.
 """
 
 from __future__ import annotations
@@ -37,10 +39,9 @@ from typing import Any, Sequence
 
 from repro.algebra import ast
 from repro.algebra.parser import parse
-from repro.algebra.physical import LAYOUT_LEVELLED, LAYOUT_PARTITIONED
 from repro.engine.catalog import Region
 from repro.engine.database import RodentStore
-from repro.engine.levels import redesign
+from repro.engine.levels import merge_regions, redesign
 from repro.errors import StorageError
 from repro.storage.disk import IOStats
 
@@ -52,35 +53,32 @@ class Policy(Enum):
 
 
 @dataclass
-class _TableState:
-    policy: Policy
-    #: Accesses since a deferred design; ``None``: none due (O(1) check).
-    accesses: int | None = None
-
-
-@dataclass
 class ReorganizationManager:
-    """Apply new designs to tables under a chosen policy."""
+    """Apply new designs to tables under their policies."""
 
     store: RodentStore
-    _states: dict[str, _TableState] = field(default_factory=dict)
+    #: Accesses per table since a deferred design; ``None``: none due (an
+    #: O(1) check). A table's first access looks for one: a reopen keeps
+    #: a deferred design, and the policy.
+    _accesses: dict[str, int | None] = field(default_factory=dict)
     reorganization_io: IOStats = field(default_factory=IOStats)
     reorganizations: int = 0
     #: The lazy rewrite fires once the rows a compaction would fold in
     #: reach this fraction of the table...
-    lazy_overflow_fraction = 0.25
+    lazy_unmerged_fraction = 0.25
     #: ...or after this many accesses since the design was recorded.
     lazy_access_threshold = 8
 
     def set_policy(self, table: str, policy: Policy | str) -> None:
-        policy = Policy(policy) if isinstance(policy, str) else policy
-        # The first access looks for a deferred design (a reopen kept it).
-        self._states[table] = _TableState(policy, accesses=0)
+        """Record ``table``'s policy in its catalog entry (one transaction,
+        so it survives a reopen)."""
+        with self.store.mutate(table) as m:
+            self.store.catalog.entry(table).policy = Policy(policy).value
+            m.touch(table)
+        self._accesses[table] = 0
 
-    def _state(self, table: str) -> _TableState:
-        if table not in self._states:
-            self._states[table] = _TableState(policy=Policy.EAGER)
-        return self._states[table]
+    def policy(self, table: str) -> Policy:
+        return Policy(self.store.catalog.entry(table).policy)
 
     # -- costing -----------------------------------------------------------
 
@@ -118,100 +116,101 @@ class ReorganizationManager:
         expression: ast.Node | str,
         source_records: Sequence[Sequence[Any]] | None = None,
     ) -> None:
-        """Install a new physical design under the table's policy: eager
-        re-lays the table out (from ``source_records`` when given); the
-        deferred policies :func:`redesign` it, which raises unless the
-        design passes :meth:`RodentStore.region_plan`."""
-        state = self._state(table)
+        """Install a new physical design under the table's policy. A design
+        of the table's regions (:meth:`RodentStore.region_plan`) is one
+        :meth:`reorganize` of every region; any other — one that changes
+        the table's shape, or drops fields given ``source_records`` —
+        re-lays the table out eagerly, and raises under a deferred
+        policy."""
         expr = (
             expression if isinstance(expression, ast.Node) else parse(expression)
         )
-        if state.policy == Policy.EAGER:
-            self._rewrite(
-                self.store.relayout, table, expr, source_records=source_records
+        if source_records is None and self._is_region_design(table, expr):
+            regions = self.store.catalog.entry(table).regions
+            self.reorganize(table, expr, regions)
+        elif self.policy(table) is Policy.EAGER:
+            self._rewrite(1, self.store.relayout, table, expr, source_records)
+        else:
+            raise StorageError(
+                "a design that changes the table's shape or drops fields "
+                "needs the eager policy"
             )
-            return
-        if source_records is not None:
-            raise StorageError("source_records need the eager policy")
-        redesign(self.store.table(table), expr)
-        state.accesses = 0
+
+    def _is_region_design(self, table: str, expr: ast.Node) -> bool:
+        try:
+            self.store.region_plan(table, expr)
+        except StorageError:
+            return False
+        return True
 
     def reorganize(
         self, table: str, expr: ast.Node | None, regions: Sequence[Region]
-    ) -> Policy:
-        """Apply the design the adaptive controller chose for ``regions``
-        of ``table``, by the table's shape, and return the policy it ran
-        under:
+    ) -> bool:
+        """Give ``regions`` of ``table`` the design ``expr`` and schedule
+        their merge by the table's policy, whatever its shape: eager merges
+        them now, lazy once :meth:`on_access` finds it due, new-data-only
+        never. ``expr`` ``None`` keeps their designs: a merge of runs,
+        which runs now under every policy. Returns whether the regions
+        merged now."""
+        if expr is None or self.policy(table) is Policy.EAGER:
+            t = self.store.table(table)
+            self._rewrite(len(regions), merge_regions, t, regions, expr)
+            return True
+        redesign(self.store.table(table), expr, regions)
+        self._accesses[table] = 0
+        return False
 
-        * a flat table: :meth:`apply_design` under the table's policy;
-        * a partitioned table: one :meth:`RodentStore.relayout_partition`
-          per region, eager;
-        * a levelled table: one full :meth:`RodentStore.compact_levels`
-          that merges every run into one under ``expr`` (``None`` keeps
-          the run design), eager.
-        """
-        kind = self.store.catalog.entry(table).plan.kind
-        if kind == LAYOUT_PARTITIONED:
-            for region in regions:
-                self._rewrite(
-                    self.store.relayout_partition, table, region.pid, expr
-                )
-        elif kind == LAYOUT_LEVELLED:
-            self._rewrite(
-                self.store.compact_levels, table, inner=expr, full=True
-            )
-        else:
-            self.apply_design(table, expr)
-            return self._state(table).policy
-        return Policy.EAGER
-
-    def _rewrite(self, action, table: str, *args, **kwargs) -> None:
-        """Run one rewrite of ``table`` and charge its I/O to the
+    def _rewrite(self, count: int, action, *args) -> None:
+        """Run one rewrite of ``count`` regions and charge its I/O to the
         reorganization counters."""
         before = self.store.disk.stats.snapshot()
-        action(table, *args, **kwargs)
+        action(*args)
         delta = self.store.disk.stats.delta(before)
         self.reorganization_io.page_reads += delta.page_reads
         self.reorganization_io.page_writes += delta.page_writes
         self.reorganization_io.read_seeks += delta.read_seeks
         self.reorganization_io.write_seeks += delta.write_seeks
-        self.reorganizations += 1
+        self.reorganizations += count
 
     # -- access hook ---------------------------------------------------------
 
     def on_access(self, table: str) -> bool:
         """Notify the manager that ``table`` is being read.
 
-        Under the lazy policy this may trigger the deferred rewrite; returns
-        True when a reorganization happened.
+        Under the lazy policy this may trigger the deferred merge of every
+        region whose old runs are off its design; returns True when a
+        reorganization happened.
         """
-        state = self._states.get(table)
-        lazy = state is not None and state.policy is Policy.LAZY
-        if not lazy or state.accesses is None:
+        accesses = self._accesses.get(table, 0)
+        if accesses is None:
             return False
-        design = self.pending(table)
-        if design is None:
-            state.accesses = None  # nothing deferred (any more)
+        regions = self._off_design(table)
+        if not regions or self.policy(table) is not Policy.LAZY:
+            self._accesses[table] = None  # nothing deferred, or not lazy
             return False
-        state.accesses += 1
-        if not self._lazy_due(table, state):
+        self._accesses[table] = accesses + 1
+        if not self._lazy_due(table, accesses + 1):
             return False
-        self._rewrite(self.store.relayout, table, design)
-        state.accesses = None
+        t = self.store.table(table)
+        self._rewrite(len(regions), merge_regions, t, regions)
+        self._accesses[table] = None
         return True
 
-    def _lazy_due(self, table: str, state: _TableState) -> bool:
-        if state.accesses >= self.lazy_access_threshold:
+    def _lazy_due(self, table: str, accesses: int) -> bool:
+        if accesses >= self.lazy_access_threshold:
             return True
         t = self.store.table(table)
         total = max(1, t.row_count)
-        return (t.unmerged_row_count / total) >= self.lazy_overflow_fraction
+        return (t.unmerged_row_count / total) >= self.lazy_unmerged_fraction
+
+    def _off_design(self, table: str) -> list[Region]:
+        """The regions of ``table`` with a run off the region's design."""
+        regions = self.store.catalog.entry(table).regions
+        return [region for region in regions if region.off_design()]
 
     def pending(self, table: str) -> ast.Node | None:
-        """The design of ``table`` while some run is off its region's
-        design — one a deferred policy installed and no rewrite has
-        applied to the old runs yet — else ``None``."""
-        entry = self.store.catalog.entry(table)
-        if any(region.off_design() for region in entry.regions):
-            return entry.plan.expr
-        return None
+        """The design old runs of ``table`` wait for — one a deferred
+        policy installed that no merge has reached yet (the first such
+        region's) — else ``None``."""
+        regions = self._off_design(table)
+        return regions[0].plan.expr if regions else None

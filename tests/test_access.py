@@ -603,13 +603,13 @@ ONE_DECISION_DELETED = (
     "_require_stored_fields", "_worst_region_cost", "_hottest_region_expr",
 )
 
-#: The region-design rule's callers: the controller's candidate filter, the
-#: partition re-layout, and the one helper the levelled re-layout and the
-#: deferred design change share.
+#: The region-design rule's callers: the controller's candidate filter,
+#: the reorganizer's choice between a region design and a whole-table
+#: reload, and the one redesign every region re-layout goes through.
 REGION_RULE_CALLERS = {
     (os.path.join("engine", "adaptive.py"), "_choose_non_lossy"),
-    (os.path.join("engine", "database.py"), "relayout_partition"),
-    (os.path.join("engine", "levels.py"), "redesigned"),
+    (os.path.join("optimizer", "reorganize.py"), "_is_region_design"),
+    (os.path.join("engine", "levels.py"), "redesign"),
 }
 
 
@@ -648,20 +648,75 @@ def test_one_adaptation_path_for_every_table_shape():
     and the unused background step are gone; the hysteresis margin and the
     amortization charge are each computed in one function; the controller
     moves data only through the reorganizer's ``reorganize``, from one
-    function; the region-design rule is one function its three callers
-    share; and the loop's tuning is not a constructor option."""
+    function (as ``apply_design`` does for a region design); the
+    region-design rule is one function its three callers share; and the
+    loop's tuning is not a constructor option."""
     _assert_absent_as_names(ONE_DECISION_DELETED)
     tree = ast.parse(inspect.getsource(adaptive))
     assert _scaling(tree, "hysteresis") == {"_gain"}
     assert _scaling(tree, "amortization_queries") == {"_amortized"}
     adaptive_py = os.path.join("engine", "adaptive.py")
-    assert _callers("reorganize") == {(adaptive_py, "_apply")}
+    assert _callers("reorganize") == {
+        (adaptive_py, "_apply"),
+        (os.path.join("optimizer", "reorganize.py"), "apply_design"),
+    }
     for action in ("relayout", "relayout_partition", "compact_levels", "apply_design"):
         assert not {c for c in _callers(action) if c[0] == adaptive_py}, action
     assert _callers("region_plan") == REGION_RULE_CALLERS
     assert list(inspect.signature(adaptive.AdaptiveController).parameters) == [
         "store", "enabled", "check_interval",
     ]
-    assert not {"lazy_overflow_fraction", "lazy_access_threshold"} & set(
+    assert not {"lazy_unmerged_fraction", "lazy_access_threshold"} & set(
         inspect.signature(ReorganizationManager).parameters
     )
+
+
+#: The levelled re-layout's second spelling of a region design, and the
+#: parameters that made a compaction a re-layout.
+ONE_RELAYOUT_DELETED = ("redesigned", "inner", "full")
+
+
+def _users(name: str) -> set[tuple[str, str]]:
+    """``(module, function)`` pairs in ``src/`` that name ``name`` — call
+    it, or hand it on."""
+    return {
+        (module, fn.name)
+        for module, source in _sources()
+        for fn in _functions(ast.parse(source))
+        for node in ast.walk(fn)
+        if name in (getattr(node, "id", None), getattr(node, "attr", None))
+    }
+
+
+def test_one_region_relayout_for_every_table_shape():
+    """A re-layout of any table shape is a redesign plus a merge: a merge
+    renders only under its region's design, so the one function that
+    re-renders regions under a new design is ``merge_regions`` — the eager
+    schedule, ``Table.compact`` and ``relayout_partition`` — and the
+    reorganizer's deferred schedules only redesign. ``reorganize`` has no
+    shape fork, and ``compact_levels`` is only the level cascade."""
+    _assert_absent_as_names(ONE_RELAYOUT_DELETED[:1])
+    for fn in (levels.compact_levels, RodentStore.compact_levels, levels.merge):
+        params = set(inspect.signature(fn).parameters)
+        assert not params & set(ONE_RELAYOUT_DELETED[1:]), fn
+    assert list(inspect.signature(RodentStore.compact_levels).parameters) == [
+        "self", "name",
+    ]
+    assert not {"plan", "table_plan"} & set(
+        inspect.signature(levels.merge).parameters
+    )
+    reorganize_py = os.path.join("optimizer", "reorganize.py")
+    assert _users("redesign") == {
+        (os.path.join("engine", "levels.py"), "merge_regions"),
+        (reorganize_py, "reorganize"),
+    }
+    assert _users("merge_regions") == {
+        (os.path.join("engine", "table.py"), "compact"),
+        (os.path.join("engine", "database.py"), "relayout_partition"),
+        (reorganize_py, "reorganize"),
+        (reorganize_py, "on_access"),
+    }
+    reorganize = inspect.getsource(ReorganizationManager.reorganize)
+    assert "LAYOUT_" not in reorganize and ".kind" not in reorganize
+    with open(os.path.join(SRC, reorganize_py), encoding="utf-8") as f:
+        assert "LAYOUT_" not in f.read()

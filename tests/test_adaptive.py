@@ -9,8 +9,10 @@ import pytest
 
 import oracle
 from repro.engine.database import RodentStore
+from repro.engine.levels import merge_regions
 from repro.errors import RodentStoreError
 from repro.optimizer.monitor import WorkloadMonitor, access_signature
+from repro.optimizer.reorganize import Policy
 from repro.optimizer.workload import Query, Workload
 from repro.query.expressions import Range, Rect
 from repro.types.schema import Schema
@@ -294,7 +296,7 @@ class TestPolicyInteraction:
         store = make_store(n=4000)
         store.adaptivity.set_policy("T", "lazy")
         store.adaptivity.reorganizer.lazy_access_threshold = 3
-        store.adaptivity.reorganizer.lazy_overflow_fraction = 10.0
+        store.adaptivity.reorganizer.lazy_unmerged_fraction = 10.0
         table = store.table("T")
         for _ in range(20):
             list(table.scan(fieldlist=["v"]))
@@ -348,15 +350,15 @@ SHAPES = {
 }
 
 
-def wide_store(shape: str, n: int = 4000):
+def wide_store(shape: str, n: int = 4000, **options):
     """A 5-column table of ``n`` random rows under ``shape``, after 60
     single-column projections — a workload every shape re-lays out to
-    ``columns(T)`` for."""
+    ``columns(T)`` for. ``options`` go to the store."""
     rng = random.Random(1)
     rows = [
         (i, *(rng.randrange(1000) for _ in range(4))) for i in range(n)
     ]
-    store = RodentStore(page_size=1024, level_seal_rows=512)
+    store = RodentStore(page_size=1024, level_seal_rows=512, **options)
     store.create_table("T", WIDE, layout=SHAPES[shape])
     store.load("T", rows)
     for _ in range(60):
@@ -366,6 +368,13 @@ def wide_store(shape: str, n: int = 4000):
 
 def region_designs(store: RodentStore) -> list[str]:
     return [r.plan.expr.to_text() for r in store.catalog.entry("T").regions]
+
+
+def run_designs(store: RodentStore) -> list[str]:
+    return [
+        run.plan.expr.to_text()
+        for region in store.catalog.entry("T").regions for run in region.runs
+    ]
 
 
 class TestDecisionOutcomes:
@@ -440,17 +449,15 @@ class TestDecisionOutcomes:
         store.close()
 
     @pytest.mark.parametrize("design", ["project[t, x](T)", "partition[r.t; range, 10](T)"])
-    @pytest.mark.parametrize("shape", ["partitioned", "levelled"])
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_a_region_design_is_one_layout_of_the_stored_fields(self, shape, design):
         store = RodentStore(page_size=1024, level_seal_rows=512)
         store.create_table("T", WIDE, layout=SHAPES[shape])
         store.load("T", [(i, i, i, i, i) for i in range(100)])
         before = region_designs(store)
+        table = store.table("T")
         with pytest.raises(RodentStoreError):
-            if shape == "partitioned":
-                store.relayout_partition("T", 0, design)
-            else:
-                store.compact_levels("T", inner=design)
+            merge_regions(table, table.partitions[:1], design)
         assert region_designs(store) == before
         store.close()
 
@@ -473,6 +480,75 @@ class TestDecisionOutcomes:
         assert decision["adapted"] is True
         assert table.run_count == 1
         store.close()
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("shape", SHAPES)
+def test_every_shape_adapts_under_its_policy(tmp_path, shape, policy):
+    """The controller's reorganization is a redesign plus a merge that the
+    table's policy schedules, whatever the shape: the decision reports the
+    policy set, every region takes the new design, and every later seal
+    renders under it; eager merges the old runs now, lazy at its access
+    threshold, new-data-only never. Scans answer like the oracle before
+    and after a reopen, which keeps the policy."""
+    path = str(tmp_path / "db.pages")
+    store, rows = wide_store(shape, path=path, durable=True)
+    model = oracle.Model(WIDE.names(), rows, SHAPES[shape])
+    reorganizer = store.adaptivity.reorganizer
+    reorganizer.lazy_access_threshold = 3
+    reorganizer.lazy_unmerged_fraction = 10.0  # the access count alone fires
+    store.adaptivity.set_policy("T", policy)
+    old = run_designs(store)
+    decision = store.adapt("T")
+    assert decision["adapted"] is True
+    assert decision["policy"] == policy.value
+    eager = policy is Policy.EAGER
+    assert decision["applied_immediately"] is eager
+    assert set(region_designs(store)) == {"columns(T)"}
+    merged = reorganizer.reorganizations
+    assert merged == ({"partitioned": 2}.get(shape, 1) if eager else 0)
+
+    def check(table) -> None:
+        with table._db.adaptivity.pause():  # not an access the policy counts
+            oracle.check_table(table, model, context=(shape, policy))
+            oracle.check_table(
+                table, model, ["t", "x"], Range("t", 100, 4200),
+                context=(shape, policy),
+            )
+
+    table = store.table("T")
+    check(table)
+    more = [(4000 + i, i, i, i, i) for i in range(512)]
+    table.insert(more)
+    table.flush_inserts()
+    model.insert(more)
+    if not eager:
+        report = store.storage_stats()["adaptivity"]["tables"]["T"]
+        assert report["pending_design"] == "columns(T)"
+    fired = []
+    for _ in range(3):
+        list(table.scan(fieldlist=["x"]))
+        fired.append(reorganizer.reorganizations)
+    if policy is Policy.LAZY:
+        regions = len(region_designs(store))
+        assert fired == [0, 0, regions]
+        assert set(run_designs(store)) == {"columns(T)"}
+    elif policy is Policy.NEW_DATA_ONLY:
+        assert fired == [0, 0, 0]
+        assert run_designs(store) == old + ["columns(T)"]
+    else:
+        assert fired == [merged] * 3
+        assert set(run_designs(store)) == {"columns(T)"}
+    check(table)
+    runs = run_designs(store)
+    store.close()
+    reopened = RodentStore(
+        path, durable=True, page_size=1024, level_seal_rows=512
+    )
+    assert reopened.adaptivity.reorganizer.policy("T") is policy
+    assert run_designs(reopened) == runs
+    check(reopened.table("T"))
+    reopened.close()
 
 
 # ---------------------------------------------------------------------------

@@ -627,6 +627,7 @@ def test_parent_written_store_reopens(tmp_path):
     assert summary["clean"] is False and summary["pages_redone"] > 0
     for name, rows in expected.items():
         assert sorted(map(list, store.table(name).scan())) == rows
+        assert store.catalog.entry(name).policy == "eager"  # no key: eager
     assert_pages_consistent(store)
     assert store.disk.free_pages > 0  # the parent's leaked pages came back
     # And it keeps working, reusing them.

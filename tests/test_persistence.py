@@ -172,7 +172,7 @@ def multi_run_store(path: str) -> RodentStore:
         for lo in (1000, 1100):
             table.insert(fresh(lo))
             table.flush_inserts()
-        redesign(table, f"columns({name})")
+        redesign(table, f"columns({name})", table.partitions)
         table.insert(fresh(1200))
         table.flush_inserts()
         table.insert(fresh(1300, 7))
@@ -226,7 +226,8 @@ def test_a_catalog_in_layout_and_overflow_spelling_loads(tmp_path):
     for name, layout in (("F", "columns(F)"), ("P", "partition[r.t; range, 200](P)")):
         store.create_table(name, SCHEMA, layout=layout)
         store.load(name, RECORDS)
-    redesign(store.table("F"), "F")  # flushes render row-major, as they did
+    flat = store.table("F")
+    redesign(flat, "F", flat.partitions)  # flushes render row-major, as they did
     for name in ("F", "P"):
         store.table(name).insert(fresh(1000))
         store.table(name).flush_inserts()

@@ -135,7 +135,7 @@ class TestLazy:
 
     def test_rewrite_when_unmerged_rows_grow(self, setup):
         store, manager = setup
-        manager.lazy_overflow_fraction = 0.2
+        manager.lazy_unmerged_fraction = 0.2
         manager.lazy_access_threshold = 10_000
         manager.set_policy("T", Policy.LAZY)
         manager.apply_design("T", NEW_DESIGN)
@@ -156,14 +156,16 @@ class TestLazy:
 FRESH = [(1000 + i, (i * 11) % 500, (i * 13) % 500, i % 5) for i in range(150)]
 
 
-@pytest.mark.parametrize("layout", ["T", "partition[r.t; range, 200](T)"])
+@pytest.mark.parametrize(
+    "layout", ["T", "partition[r.t; range, 200](T)", "levels[2; 2](rows(T))"]
+)
 @pytest.mark.parametrize("policy", list(Policy))
 def test_policies_are_merge_schedules(tmp_path, policy, layout):
-    """One action and a schedule: the new design becomes the regions'
-    design, so every later flush seals under it under every policy; eager
-    re-lays the old runs out now, lazy at its access threshold, and
-    new-data-only never. Scans answer like the oracle throughout, and
-    after a reopen."""
+    """One action and a schedule, for every table shape: the new design
+    becomes the regions' design, so every later flush seals under it under
+    every policy; eager merges the old runs into it now, lazy at its access
+    threshold, and new-data-only never — one reorganization per region
+    merged. Scans answer like the oracle throughout, and after a reopen."""
     path = str(tmp_path / "db.pages")
     store = RodentStore(path, durable=True, page_size=1024, pool_capacity=64)
     store.create_table("T", SCHEMA, layout=layout)
@@ -171,8 +173,9 @@ def test_policies_are_merge_schedules(tmp_path, policy, layout):
     model = oracle.Model(SCHEMA.names(), RECORDS, layout)
     manager = store.adaptivity.reorganizer
     manager.lazy_access_threshold = 3
-    manager.lazy_overflow_fraction = 10.0  # the access count alone fires
+    manager.lazy_unmerged_fraction = 10.0  # the access count alone fires
     store.adaptivity.set_policy("T", policy)
+    (old,) = set(designs(store.table("T")))
     manager.apply_design("T", "columns(T)")
     table = store.table("T")
     loaded = designs(table)
@@ -180,16 +183,17 @@ def test_policies_are_merge_schedules(tmp_path, policy, layout):
     table.flush_inserts()
     model.insert(FRESH)
     assert designs(table) == loaded + ["columns(T)"]
+    regions = len(table.partitions)
     if policy is Policy.EAGER:
         assert set(loaded) == {"columns(T)"}
-        assert manager.reorganizations == 1
+        assert manager.reorganizations == regions
     else:
-        assert set(loaded) == {"T"}
+        assert set(loaded) == {old}
         assert manager.reorganizations == 0
         fired = [manager.on_access("T") for _ in range(3)]
         if policy is Policy.LAZY:
             assert fired == [False, False, True]
-            assert manager.reorganizations == 1
+            assert manager.reorganizations == regions
             assert set(designs(table)) == {"columns(T)"}
         else:
             assert fired == [False] * 3
@@ -231,6 +235,38 @@ def test_a_deferred_design_survives_reopen(tmp_path):
     reopened.close()
 
 
+@pytest.mark.parametrize("how", ["checkpoint", "wal"])
+def test_the_policy_survives_reopen(tmp_path, how):
+    """A table's policy lives in its catalog entry, checkpointed and
+    logged: a design deferred under lazy before a close — or a crash —
+    still merges once the reopened store's accesses reach the
+    threshold."""
+    path = str(tmp_path / "db.pages")
+    store = RodentStore(path, durable=True, page_size=1024, pool_capacity=64)
+    store.create_table("T", SCHEMA)
+    store.load("T", RECORDS)
+    store.adaptivity.set_policy("T", "lazy")
+    store.adaptivity.reorganizer.lazy_access_threshold = 3
+    store.adaptivity.reorganizer.apply_design("T", "columns(T)")
+    if how == "checkpoint":
+        store.close()
+    else:  # a crash: the log holds every change since the store was made
+        store.wal.close()
+        store.disk.close()
+    reopened = RodentStore(path, durable=True, page_size=1024, pool_capacity=64)
+    manager = reopened.adaptivity.reorganizer
+    manager.lazy_access_threshold = 3
+    assert manager.policy("T") is Policy.LAZY
+    assert manager.pending("T").to_text() == "columns(T)"
+    for _ in range(10):
+        list(reopened.table("T").scan())
+    assert manager.reorganizations == 1
+    assert manager.pending("T") is None
+    assert designs(reopened.table("T")) == ["columns(T)"]
+    assert sorted(reopened.table("T").scan()) == sorted(RECORDS)
+    reopened.close()
+
+
 class TestPolicyComparison:
     def test_eager_pays_more_write_io_than_lazy_unaccessed(self, setup):
         """The paper's trade-off: eager reorganization has up-front cost that
@@ -252,7 +288,7 @@ class TestPolicyComparison:
     def test_policy_string_coercion(self, setup):
         _, manager = setup
         manager.set_policy("T", "lazy")
-        assert manager._state("T").policy is Policy.LAZY
+        assert manager.policy("T") is Policy.LAZY
 
 
 def test_positional_access_and_indexes_address_the_loaded_run(setup):
