@@ -7,9 +7,11 @@ Run with::
 Opens a file-backed store in durable mode, mutates it transactionally,
 shows a scan surviving a concurrent re-layout via MVCC snapshots, then
 simulates a power loss with the fault injector and recovers from the WAL.
+It exits 1 unless the recovered table has all 1010 rows, as columns.
 """
 
 import os
+import sys
 import tempfile
 
 from repro import Range, RodentStore, Schema
@@ -59,10 +61,11 @@ def main() -> None:
           f"new scans use layout {accounts.plan.kind!r}")
 
     # 5. Simulate a power loss in the middle of a transaction: the fault
-    #    injector kills the store after two more WAL writes, so the
-    #    delete below never commits — while the committed re-layout above
-    #    is still only in the WAL.
-    store.inject_faults(FaultInjector(crash_after=2, mode="torn",
+    #    injector tears the delete's first WAL record (a page image; its
+    #    effect records and its COMMIT reach the log only at commit), so
+    #    the delete below never commits — while the committed re-layout
+    #    above is still only in the WAL.
+    store.inject_faults(FaultInjector(crash_after=0, mode="torn",
                                       target="wal"))
     try:
         accounts.delete(Range("id", 0, 499))
@@ -73,15 +76,18 @@ def main() -> None:
     store.disk.close()
     lose_unsynced_wal(path + ".wal", synced)  # drop never-fsynced bytes
 
-    # 6. Reopen: recovery replays committed work and rolls back the torn
-    #    delete — all 1010 rows are still there.
+    # 6. Reopen: recovery replays committed work and drops the torn
+    #    delete — all 1010 rows are still there, as columns.
     reopened = RodentStore(path, page_size=4096, pool_capacity=128,
                            durable=True)
     print(f"recovery: {reopened.recovery_summary}")
     survivors = len(list(reopened.table("Accounts").scan()))
-    print(f"after recovery: {survivors} rows "
-          f"(layout {reopened.table('Accounts').plan.kind!r})")
+    layout = reopened.table("Accounts").plan.kind
+    print(f"after recovery: {survivors} rows (layout {layout!r})")
     reopened.close()
+    if (survivors, layout) != (1010, "columns"):
+        print("FAIL: recovery lost the committed state or kept the delete")
+        sys.exit(1)
 
 
 if __name__ == "__main__":

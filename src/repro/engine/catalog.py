@@ -211,6 +211,16 @@ class Catalog:
     def has(self, name: str) -> bool:
         return name in self._entries
 
+    def get(self, name: str) -> CatalogEntry | None:
+        return self._entries.get(name)
+
+    def put_back(self, name: str, entry: CatalogEntry | None) -> None:
+        """Undo a create (``entry`` is ``None``) or a drop of ``name``."""
+        if entry is None:
+            self._entries.pop(name, None)
+        else:
+            self._entries[name] = entry
+
     def schemas(self) -> dict[str, Schema]:
         """Logical schemas keyed by table name (the interpreter's input)."""
         return {name: e.logical_schema for name, e in self._entries.items()}

@@ -82,9 +82,12 @@ class _Mutation:
     with the transaction; the pages come back when the store next derives
     its free map.
 
-    So does what each run swap replaced (:meth:`remember`): an abort puts
-    it back, newest swap first, and retires the runs the transaction
-    swapped in (:meth:`undo`).
+    So does every state the transaction replaces: a table's runs, regions
+    and design (:meth:`remember`), how far each pending buffer an insert
+    extends reached (:meth:`remember_pending`), and whether a created or
+    dropped table exists (:meth:`remember_member`). An abort puts it all
+    back, newest first, and retires the runs the transaction swapped in
+    (:meth:`undo`): the catalog is again the one the log last committed.
     """
 
     def __init__(self, store: "RodentStore", txn):
@@ -95,7 +98,7 @@ class _Mutation:
         self._rows: list[tuple[str, list[list]]] = []
         self._fresh: list[tuple[int, bytes | bytearray]] = []
         self._retired: list[tuple[CatalogEntry, list[int]]] = []
-        self._undo: list[tuple[CatalogEntry, Region, tuple[dict, dict]]] = []
+        self._undo: list[Callable[[], None]] = []
 
     def lock(self, name: str) -> None:
         """Take the table's exclusive lock (strict 2PL; held to commit)."""
@@ -128,27 +131,65 @@ class _Mutation:
         if page_ids:
             self._retired.append((entry, list(page_ids)))
 
-    def remember(self, entry: CatalogEntry, region: Region) -> None:
-        """Note the state a run swap of ``region`` is about to replace.
-        Caller holds the entry's MVCC lock. The pending zone is kept by
-        reference: a levelled delete widens it in place, which leaves it a
-        sound bound of the pending rows an abort restores."""
-        self._undo.append((entry, region, tuple(
-            {name: _shallow(getattr(obj, name)) for name in names}
-            for obj, names in ((entry, _ENTRY_SWAP), (region, _REGION_SWAP))
-        )))
+    def remember(
+        self, entry: CatalogEntry, region: Region | None = None
+    ) -> None:
+        """Note the state of ``entry`` (and of ``region``, which a run swap
+        is about to change) that the transaction may replace: an abort
+        puts it back and retires every run added since. Caller holds the
+        entry's MVCC lock. The pending zone is kept by reference: a
+        levelled delete widens it in place, which leaves it a sound bound
+        of the pending rows an abort restores."""
+        store = self.store  # not ``self``: the mutation holds the closure
+        pairs = [(entry, _ENTRY_STATE)]
+        if region is not None:
+            pairs.append((region, _REGION_STATE))
+        states = [
+            (obj, {name: _shallow(getattr(obj, name)) for name in names})
+            for obj, names in pairs
+        ]
+
+        def runs() -> dict[int, Run]:
+            regions = entry.regions if region is None else [
+                *entry.regions, region
+            ]
+            return {id(run): run for r in regions for run in r.runs}
+
+        kept = runs()
+
+        def restore() -> None:
+            added = [run for key, run in runs().items() if key not in kept]
+            for obj, state in states:
+                for name, value in state.items():
+                    setattr(obj, name, value)
+            store._retire_runs(entry, added)
+
+        self._undo.append(_under(entry, restore))
+
+    def remember_pending(self, entry: CatalogEntry, region: Region) -> None:
+        """Note how far ``region``'s pending rows reach before an insert
+        appends to them: an abort cuts them back. The zone, widened in
+        place, stays a sound bound of the rows that remain."""
+        kept, zone = len(region.pending), region.pending_zone
+
+        def restore() -> None:
+            del region.pending[kept:]
+            region.pending_zone = zone
+
+        self._undo.append(_under(entry, restore))
+
+    def remember_member(self, name: str) -> None:
+        """Note which entry, if any, the catalog holds under ``name``
+        before a create or a drop: an abort puts it back."""
+        catalog = self.store.catalog
+        entry = catalog.get(name)
+        self._undo.append(lambda: catalog.put_back(name, entry))
 
     def undo(self) -> None:
         """Abort: restore every remembered state, newest first, and retire
         the runs swapped in since — no committed catalog names them."""
-        for entry, region, states in reversed(self._undo):
-            with entry.mvcc.lock:
-                kept = set(map(id, states[1]["runs"]))
-                added = [run for run in region.runs if id(run) not in kept]
-                for obj, state in zip((entry, region), states):
-                    for name, value in state.items():
-                        setattr(obj, name, value)
-                self.store._retire_runs(entry, added)
+        for restore in reversed(self._undo):
+            restore()
         self._undo = []
 
     def release_retired(self) -> None:
@@ -187,19 +228,30 @@ class _Mutation:
                 wal.append(KIND_CATALOG, txn_id, payload=payload.encode())
 
 
-#: What a run swap may change on the entry and on the region: restored as
+#: What a transaction may change on an entry and on a region: restored as
 #: it was when the transaction aborts.
-_ENTRY_SWAP = (
-    "plan", "level_tombstones", "next_run_id", "next_run_seq", "indexes",
-    "spatial_indexes", "wa_bytes_ingested", "wa_bytes_written",
+_ENTRY_STATE = (
+    "plan", "stats", "regions", "loaded", "region_index", "policy",
+    "next_partition_id", "level_tombstones", "next_run_id", "next_run_seq",
+    "indexes", "spatial_indexes", "wa_bytes_ingested", "wa_bytes_written",
     "wa_pages_compacted", "wa_compactions",
 )
-_REGION_SWAP = ("plan", "runs", "pending", "pending_zone")
+_REGION_STATE = ("plan", "runs", "pending", "pending_zone")
 
 
 def _shallow(value):
     """``value``, with a list or dict copied (a swap edits some in place)."""
     return type(value)(value) if isinstance(value, (list, dict)) else value
+
+
+def _under(entry: CatalogEntry, restore: Callable[[], None]):
+    """``restore``, run under ``entry``'s MVCC lock."""
+
+    def locked() -> None:
+        with entry.mvcc.lock:
+            restore()
+
+    return locked
 
 
 class RodentStore:
@@ -281,7 +333,6 @@ class RodentStore:
         # in-memory WAL would grow without bound under a write workload.
         self.transactions = TransactionManager(
             self.wal,
-            self.pool,
             self.locks,
             log=self.durable,
             group_window_s=group_commit_window,
@@ -366,10 +417,12 @@ class RodentStore:
         Takes the table's exclusive lock (strict two-phase locking — writers
         on the same table serialize; readers never block, they pin MVCC
         snapshots instead), accumulates the mutation's effects, and at exit
-        appends them to the WAL and commits (group commit), or aborts on
-        error. Nested ``mutate`` calls on the same thread join the outer
-        transaction, so a re-layout that bulk-loads internally is one atomic
-        unit.
+        appends them to the WAL and commits (group commit). An error before
+        the COMMIT record is appended — in the body or in an append —
+        aborts: every state the body remembered (see :class:`_Mutation`)
+        is put back and the locks released. Nested
+        ``mutate`` calls on the same thread join the outer transaction, so
+        a re-layout that bulk-loads internally is one atomic unit.
         """
         outer = getattr(self._mutation_local, "ctx", None)
         if outer is not None:
@@ -384,22 +437,21 @@ class RodentStore:
             if name is not None:
                 m.lock(name)
             yield m
-        except BaseException:
-            self._mutation_local.ctx = None
-            try:
-                m.undo()  # under the table lock, before abort releases it
-            finally:
-                try:
-                    txn.abort()
-                except StorageError:
-                    pass  # crashed/poisoned store: abandon uncleanly
-            raise
-        else:
             self._mutation_local.ctx = None
             if self.transactions.log:
                 m._append_effects()
             txn.commit()  # fsyncs: from here the old pages are garbage
-            m.release_retired()
+        except BaseException:
+            self._mutation_local.ctx = None
+            # Past its COMMIT record only the fsync failed: the commit may
+            # be durable, so nothing is put back.
+            if not txn.commit_logged:
+                try:
+                    m.undo()  # under the table lock, before abort releases it
+                finally:
+                    txn.abort()  # writes nothing: the log may have failed
+            raise
+        m.release_retired()
 
     def _note_rendered_page(
         self, page_id: int, image: bytes | bytearray
@@ -776,6 +828,7 @@ class RodentStore:
         """
         expr = self._resolve_expr(name, layout)
         with self.mutate() as m:
+            m.remember_member(name)
             entry = self.catalog.create(name, schema)
             entry.plan = plan = self._interpreter().compile(expr)
             entry.regions, entry.loaded = _unloaded_regions(plan)
@@ -800,6 +853,9 @@ class RodentStore:
     def drop_table(self, name: str) -> None:
         entry = self.catalog.entry(name)
         with self.mutate(name) as m:
+            m.remember_member(name)
+            with entry.mvcc.lock:
+                m.remember(entry)
             # Regions keep their runs — a pinned scan may still be
             # reading them; only the page frees are deferred.
             self._drop_indexes(entry)
@@ -980,6 +1036,7 @@ class RodentStore:
         space.
         """
         with entry.mvcc.lock:
+            m.remember(entry)
             self._retire_runs(entry, list(entry.runs()))
             self._drop_indexes(entry)
             entry.plan = plan

@@ -4,8 +4,10 @@ A durable :class:`~repro.engine.database.RodentStore` runs this on open
 whenever its WAL is non-empty (a clean shutdown checkpoints and truncates
 the log, so any surviving bytes mean the last session died mid-flight).
 
-The protocol is the classic two-pass physiological replay, adapted to
-RodentStore's copy-on-write engine:
+A transaction's records reach the log only at its commit, all at once,
+under the commit lock; a page record is the image of a page the
+transaction allocated, which nothing committed names before it commits.
+So recovery is redo only:
 
 1. **Checkpoint resolution.** A crash between "catalog written to
    ``.tmp``" and "tmp promoted" is disambiguated by the CHECKPOINT record:
@@ -16,24 +18,24 @@ RodentStore's copy-on-write engine:
    LSN order (whole pages: a render fills the pages it allocated, and its
    ``FRESH_PAGE`` records carry exactly what it wrote). A page id may
    have had several tenants since the checkpoint; the last committed
-   image wins, and a page only the dead name is simply unreferenced.
-3. **Undo.** Losers — transactions with effects but no COMMIT — are rolled
-   back in reverse LSN order by writing the before-images of their
-   byte-range updates. A loser's fresh pages need no undo: nothing
-   committed names them, so they come back as free space (step 5).
-4. **Logical replay.** The *last* committed catalog image per table is
+   image wins. A loser's pages — a transaction with effects but no
+   COMMIT — are left alone: nothing committed names them, so they come
+   back as free space (step 4).
+3. **Logical replay.** The *last* committed catalog image per table is
    applied (it supersedes older images and any page-level state), then
    committed row inserts newer than that image land back in the pending
    buffers through the same ``Table._add_pending`` an insert uses.
-5. **Free space, re-checkpoint.** The free-page map is derived from the
+4. **Free space, re-checkpoint.** The free-page map is derived from the
    recovered catalog (every page no run references), then the recovered
    state is checkpointed, truncating the log — recovery is idempotent and
    a crash during recovery just replays.
 
 The log is streamed twice, never held: an *analysis* pass finds the last
 checkpoint, the commit set and the last committed catalog image per table;
-a *redo* pass applies page images as they go by and keeps only the losers'
-updates and the row inserts still to replay.
+a *redo* pass applies page images as they go by and keeps only the row
+inserts still to replay. Of the record kinds only old logs hold,
+``BEGIN`` and ``ABORT`` carry nothing to replay and an ``UPDATE`` decodes
+as a page image like any other (:mod:`repro.storage.wal`).
 """
 
 from __future__ import annotations
@@ -47,9 +49,7 @@ from repro.storage.wal import (
     KIND_CHECKPOINT,
     KIND_COMMIT,
     KIND_ROWS,
-    KIND_UPDATE,
     PAGE_IMAGE_KINDS,
-    LogRecord,
     _apply_image,
 )
 
@@ -117,29 +117,20 @@ def recover_store(store: "RodentStore") -> dict:
 
     # -- redo pass: committed page images in LSN order ---------------------
     redo = 0
-    to_undo: list[LogRecord] = []
     inserts: list[tuple[str, list]] = []
     for r in wal.records():
-        if r.lsn <= checkpoint_lsn:
+        if r.lsn <= checkpoint_lsn or r.txn_id not in committed:
             continue
         if r.kind in PAGE_IMAGE_KINDS:
-            if r.txn_id in committed:
-                _apply_image(store.disk, r.page_id, r.offset, r.after)
-                redo += 1
-            elif r.kind == KIND_UPDATE:
-                to_undo.append(r)
-        elif r.kind == KIND_ROWS and r.txn_id in committed:
+            _apply_image(store.disk, r.page_id, r.offset, r.after)
+            redo += 1
+        elif r.kind == KIND_ROWS:
             payload = json.loads(r.payload.decode("utf-8"))
             name = payload["table"]
             # A newer catalog image already folds older rows in (they
             # were in a pending buffer or a run when it was serialized).
             if r.lsn > catalogs.get(name, (0, None))[0]:
                 inserts.append((name, payload["rows"]))
-
-    # -- undo losers (reverse LSN order) ----------------------------------
-    for r in reversed(to_undo):
-        _apply_image(store.disk, r.page_id, r.offset, r.before)
-    undo = len(to_undo)
 
     # -- logical replay: last committed catalog image per table -----------
     dropped = 0
@@ -172,7 +163,6 @@ def recover_store(store: "RodentStore") -> dict:
         "committed_txns": len(committed),
         "loser_txns": len(losers),
         "pages_redone": redo,
-        "pages_undone": undo,
         "catalog_images_applied": applied,
         "tables_dropped": dropped,
         "rows_replayed": rows_replayed,

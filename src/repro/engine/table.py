@@ -1302,7 +1302,7 @@ class Table:
         with self._db.mutate(self.name) as m:
             if transformed:
                 with self._entry.mvcc.lock:
-                    self._add_pending(transformed)
+                    self._add_pending(transformed, m)
                 m.log_rows(self.name, transformed)
         if transformed:
             # After the insert transaction commits (a crash in between
@@ -1311,14 +1311,17 @@ class Table:
             self._db.maintain_levels(self.name, len(transformed))
         return len(transformed)
 
-    def _add_pending(self, rows: list[tuple]) -> None:
+    def _add_pending(self, rows: list[tuple], m=None) -> None:
         """Buffer stored-shape ``rows`` in their regions' pending buffers —
         the one landing path of :meth:`insert` and of WAL replay. A
         partitioned table routes each row to its owning partition
         (creating regions for unseen value-partition keys); every other
-        table has one region. Caller holds the entry's MVCC lock."""
+        table has one region. The insert's transaction ``m`` remembers
+        what an abort cuts back. Caller holds the entry's MVCC lock."""
         db, entry = self._db, self._entry
         if self.is_partitioned:
+            if m is not None:
+                m.remember(entry)  # routing may add regions
             router = db.router_for(entry)
             grouped: dict[int, tuple[Any, list[tuple]]] = {}
             for row in rows:
@@ -1332,6 +1335,8 @@ class Table:
             batches = [(entry.regions[0], rows)]
         names = self.scan_schema().names()
         for region, batch in batches:
+            if m is not None:
+                m.remember_pending(entry, region)
             region.add_pending(names, batch)
         self._mark_indexes_stale()
 

@@ -73,7 +73,10 @@ class ReorganizationManager:
         """Record ``table``'s policy in its catalog entry (one transaction,
         so it survives a reopen)."""
         with self.store.mutate(table) as m:
-            self.store.catalog.entry(table).policy = Policy(policy).value
+            entry = self.store.catalog.entry(table)
+            with entry.mvcc.lock:
+                m.remember(entry)
+            entry.policy = Policy(policy).value
             m.touch(table)
         self._accesses[table] = 0
 

@@ -10,7 +10,7 @@ from repro.storage.integrity import (
     make_trailer,
     verify_frame,
 )
-from repro.storage.locks import LockManager, LockMode
+from repro.storage.locks import LockManager
 from repro.storage.page import (
     NO_PAGE,
     BytePage,
@@ -20,24 +20,17 @@ from repro.storage.page import (
 from repro.storage.serializer import RecordSerializer, VectorSerializer
 from repro.storage.transactions import Transaction, TransactionManager, TxnStatus
 from repro.storage.wal import (
-    KIND_ABORT,
-    KIND_BEGIN,
     KIND_CHECKPOINT,
     KIND_COMMIT,
-    KIND_UPDATE,
     LogRecord,
     WriteAheadLog,
-    recover,
 )
 
 __all__ = [
     "DEFAULT_PAGE_SIZE",
     "NO_PAGE",
-    "KIND_ABORT",
-    "KIND_BEGIN",
     "KIND_CHECKPOINT",
     "KIND_COMMIT",
-    "KIND_UPDATE",
     "PAGE_TRAILER_SIZE",
     "BufferPool",
     "BufferPoolStats",
@@ -53,7 +46,6 @@ __all__ = [
     "make_trailer",
     "verify_frame",
     "LockManager",
-    "LockMode",
     "LogRecord",
     "RecordSerializer",
     "SlottedPage",
@@ -63,5 +55,4 @@ __all__ = [
     "VectorSerializer",
     "WriteAheadLog",
     "page_type_of",
-    "recover",
 ]

@@ -1,37 +1,32 @@
-"""Transactions: WAL-logged page updates under two-phase locking.
+"""Transactions: table locks, commit and abort over a shared WAL.
 
-The granularity is deliberately coarse (table-level locks, byte-range page
-updates): the paper's point is that this machinery should be *shared* across
-storage layouts rather than re-implemented per layout, so every layout
-renderer funnels its mutations through this one module.
+A transaction takes exclusive table locks as it goes (strict two-phase
+locking; readers take none, they pin MVCC snapshots) and releases them all
+at its end. It writes nothing to the log until it commits: the engine
+(:meth:`repro.engine.database.RodentStore.mutate`) appends the effects it
+recorded, then :meth:`Transaction.commit` appends the COMMIT record. An
+abort writes nothing at all — the caller puts its in-memory state back,
+and the locks go.
 
 Commits are durable via group commit: each committer appends its COMMIT
 record and then calls :meth:`~repro.storage.wal.WriteAheadLog.sync` with the
 manager's ``group_window_s``. The first committer in a burst becomes the
 group leader (one fsync covers the whole burst); the rest piggyback.
 
-An in-memory engine that wants the locking/snapshot machinery without
-durability constructs the manager with ``log=False``: transactions then skip
-all WAL appends (an in-memory log would otherwise grow without bound) while
-locks and commit/abort bookkeeping behave identically.
+An in-memory engine that wants the locking machinery without durability
+constructs the manager with ``log=False``: commits then skip the COMMIT
+append (an in-memory log would otherwise grow without bound) while locks
+and commit/abort bookkeeping behave identically.
 """
 
 from __future__ import annotations
 
 import threading
 from enum import Enum
-from typing import Callable
 
 from repro.errors import TransactionError
-from repro.storage.buffer import BufferPool
-from repro.storage.locks import LockManager, LockMode
-from repro.storage.wal import (
-    KIND_ABORT,
-    KIND_BEGIN,
-    KIND_COMMIT,
-    KIND_UPDATE,
-    WriteAheadLog,
-)
+from repro.storage.locks import LockManager
+from repro.storage.wal import KIND_COMMIT, WriteAheadLog
 
 
 class TxnStatus(Enum):
@@ -46,41 +41,14 @@ class Transaction:
     def __init__(self, txn_id: int, manager: "TransactionManager"):
         self.txn_id = txn_id
         self.status = TxnStatus.ACTIVE
+        #: Set once the COMMIT record is appended: from then on the commit
+        #: may be durable, and the transaction can no longer abort.
+        self.commit_logged = False
         self._manager = manager
-        self._undo: list[tuple[int, int, bytes]] = []
-
-    # -- locking ---------------------------------------------------------
-
-    def lock_shared(self, resource: str) -> None:
-        self._require_active()
-        self._manager.locks.acquire(self.txn_id, resource, LockMode.SHARED)
 
     def lock_exclusive(self, resource: str) -> None:
         self._require_active()
-        self._manager.locks.acquire(self.txn_id, resource, LockMode.EXCLUSIVE)
-
-    # -- page mutation ------------------------------------------------------
-
-    def update_page(self, page_id: int, offset: int, new_bytes: bytes) -> None:
-        """Apply a logged byte-range update to a page via the buffer pool."""
-        self._require_active()
-        pool = self._manager.pool
-        frame = pool.fetch(page_id)
-        try:
-            before = bytes(frame.data[offset : offset + len(new_bytes)])
-            if self._manager.log:
-                self._manager.wal.append(
-                    KIND_UPDATE,
-                    self.txn_id,
-                    page_id=page_id,
-                    offset=offset,
-                    before=before,
-                    after=new_bytes,
-                )
-            frame.data[offset : offset + len(new_bytes)] = new_bytes
-            self._undo.append((page_id, offset, before))
-        finally:
-            pool.unpin(page_id, dirty=True)
+        self._manager.locks.acquire(self.txn_id, resource)
 
     # -- outcome ----------------------------------------------------------
 
@@ -88,6 +56,7 @@ class Transaction:
         self._require_active()
         manager = self._manager
         lsn = manager.wal.append(KIND_COMMIT, self.txn_id) if manager.log else None
+        self.commit_logged = True
         # Early lock release: the fsync is most of a short writer's lock
         # hold, and a waiter gains nothing by waiting it out. Whoever takes
         # the locks next appends its COMMIT after ours, and the log is made
@@ -101,21 +70,12 @@ class Transaction:
         manager._finish(self.txn_id, committed=True)
 
     def abort(self) -> None:
+        """End the transaction without a trace in the log: release its
+        locks (the caller has put back what it changed)."""
         self._require_active()
-        manager = self._manager
-        pool = manager.pool
-        for page_id, offset, before in reversed(self._undo):
-            frame = pool.fetch(page_id)
-            try:
-                frame.data[offset : offset + len(before)] = before
-            finally:
-                pool.unpin(page_id, dirty=True)
-        if manager.log:
-            lsn = manager.wal.append(KIND_ABORT, self.txn_id)
-            manager.wal.sync(lsn)
         self.status = TxnStatus.ABORTED
-        manager.locks.release_all(self.txn_id)
-        manager._finish(self.txn_id, committed=False)
+        self._manager.locks.release_all(self.txn_id)
+        self._manager._finish(self.txn_id, committed=False)
 
     def _require_active(self) -> None:
         if self.status is not TxnStatus.ACTIVE:
@@ -138,13 +98,12 @@ class Transaction:
 
 
 class TransactionManager:
-    """Create transactions over a shared WAL, buffer pool, and lock manager.
+    """Create transactions over a shared WAL and lock manager.
 
     Args:
         wal: the shared write-ahead log.
-        pool: the shared buffer pool.
         locks: lock manager (a fresh one is created when omitted).
-        log: when False, transactions skip all WAL appends (locking-only
+        log: when False, commits skip the COMMIT append (locking-only
             mode for non-durable stores).
         group_window_s: group-commit window passed to ``wal.sync`` — how
             long a commit leader waits for followers before fsyncing.
@@ -153,13 +112,11 @@ class TransactionManager:
     def __init__(
         self,
         wal: WriteAheadLog,
-        pool: BufferPool,
         locks: LockManager | None = None,
         log: bool = True,
         group_window_s: float = 0.0,
     ):
         self.wal = wal
-        self.pool = pool
         self.locks = locks if locks is not None else LockManager()
         self.log = log
         self.group_window_s = group_window_s
@@ -175,8 +132,6 @@ class TransactionManager:
             self._next_txn_id += 1
             txn = Transaction(txn_id, self)
             self._active[txn_id] = txn
-        if self.log:
-            self.wal.append(KIND_BEGIN, txn_id)
         return txn
 
     def _finish(self, txn_id: int, committed: bool) -> None:
@@ -190,8 +145,3 @@ class TransactionManager:
     @property
     def active_count(self) -> int:
         return len(self._active)
-
-    def run(self, body: Callable[[Transaction], None]) -> None:
-        """Run ``body`` in a transaction, committing or aborting around it."""
-        with self.begin() as txn:
-            body(txn)

@@ -1,16 +1,20 @@
-"""Write-ahead log with redo/undo recovery and group commit.
+"""Write-ahead log of committed effects, with group commit.
 
-A deliberately small physiological WAL: update records carry page id, offset,
-and before/after images of the modified byte range. Recovery replays the log
-forward (redo for committed transactions) and backward (undo for transactions
-with no COMMIT record). A ``FRESH_PAGE`` record carries the after-image of a
-page its transaction allocated and filled, and nothing else: nothing
-committed names such a page until the transaction commits, so the undo of a
-loser is "the page is unreferenced, hence free" and needs no before-image.
-Two *logical* record kinds ride on the same format:
-``ROWS`` (inserted rows, as a JSON blob) and ``CATALOG`` (one table's
-serialized catalog entry) — the engine-level recovery in
-:mod:`repro.engine.recovery` replays those on top of the page images.
+A transaction's records reach the log only at its commit, all at once and
+followed by its ``COMMIT``: a ``FRESH_PAGE`` record carries the image of a
+page the transaction allocated and filled, and nothing else — nothing
+committed names such a page until the transaction commits, so a
+transaction that never commits leaves only unreferenced, hence free,
+pages. Two *logical* record kinds ride on the same format: ``ROWS``
+(inserted rows, as a JSON blob) and ``CATALOG`` (one table's serialized
+catalog entry). :mod:`repro.engine.recovery` replays the committed
+records.
+
+Logs written before every page write became copy-on-write also hold
+``BEGIN`` and ``ABORT`` records, which carry nothing to replay, and
+``UPDATE`` records: a page image preceded by the bytes it replaced. Those
+kinds still decode — an ``UPDATE`` as its page image alone, redone like a
+``FRESH_PAGE`` — and nothing writes them.
 
 Record wire format (v2, written since the integrity layer)::
 
@@ -52,16 +56,17 @@ from typing import Iterator
 from repro.errors import CorruptWALError, WALError
 from repro.storage.disk import DiskManager
 
-KIND_BEGIN = 1
-KIND_UPDATE = 2
 KIND_COMMIT = 3
-KIND_ABORT = 4
 KIND_CHECKPOINT = 5
 # Logical records (opaque payload bytes; interpreted by engine recovery).
 KIND_ROWS = 6
 KIND_CATALOG = 7
 #: After-image of a page the transaction allocated and wrote in full.
 KIND_FRESH_PAGE = 8
+#: Kinds only old logs hold: decoded, never written.
+KIND_BEGIN = 1
+KIND_UPDATE = 2
+KIND_ABORT = 4
 #: The record kinds that carry a page after-image to redo.
 PAGE_IMAGE_KINDS = (KIND_UPDATE, KIND_FRESH_PAGE)
 
@@ -87,8 +92,7 @@ class LogRecord:
     """One WAL entry."""
 
     __slots__ = (
-        "kind", "lsn", "txn_id", "page_id", "offset", "before", "after",
-        "payload",
+        "kind", "lsn", "txn_id", "page_id", "offset", "after", "payload",
     )
 
     def __init__(
@@ -98,7 +102,6 @@ class LogRecord:
         txn_id: int,
         page_id: int = -1,
         offset: int = 0,
-        before: bytes = b"",
         after: bytes = b"",
         payload: bytes = b"",
     ):
@@ -107,20 +110,11 @@ class LogRecord:
         self.txn_id = txn_id
         self.page_id = page_id
         self.offset = offset
-        self.before = before
         self.after = after
         self.payload = payload
 
     def encode(self) -> bytes:
-        if self.kind == KIND_UPDATE:
-            if len(self.before) != len(self.after):
-                raise WALError("before/after images must have equal length")
-            parts = (
-                _UPDATE_META.pack(self.page_id, self.offset, len(self.after)),
-                self.before,
-                self.after,
-            )
-        elif self.kind == KIND_FRESH_PAGE:
+        if self.kind == KIND_FRESH_PAGE:
             parts = (
                 _UPDATE_META.pack(self.page_id, self.offset, len(self.after)),
                 self.after,
@@ -186,8 +180,7 @@ class LogRecord:
             page_id, offset, image_len = _UPDATE_META.unpack_from(data, meta_at)
             after_at = meta_at + _UPDATE_META.size
             if kind == KIND_UPDATE:
-                record.before = data[after_at : after_at + image_len]
-                after_at += image_len
+                after_at += image_len  # the replaced bytes: never read
             if after_at + image_len > payload_end:
                 raise WALError("truncated update images")
             record.page_id = page_id
@@ -254,18 +247,19 @@ class WriteAheadLog:
         txn_id: int,
         page_id: int = -1,
         offset: int = 0,
-        before: bytes = b"",
         after: bytes = b"",
         payload: bytes = b"",
     ) -> int:
-        """Append a record and return its LSN."""
+        """Append a record and return its LSN.
+
+        An append that raises before its write leaves the log as it was —
+        no bytes, no LSN spent — so the next append follows without a gap.
+        """
         with self._lock:
             lsn = self._next_lsn
-            self._next_lsn += 1
-            record = LogRecord(
-                kind, lsn, txn_id, page_id, offset, before, after, payload
-            )
-            encoded = record.encode()
+            encoded = LogRecord(
+                kind, lsn, txn_id, page_id, offset, after, payload
+            ).encode()
             action = None
             if self.faults is not None:
                 action = self.faults.check("wal")
@@ -284,6 +278,7 @@ class WriteAheadLog:
                     self._file.write(encoded)
                 else:
                     self._buffer.extend(encoded)
+            self._next_lsn += 1
             self.appends += 1
         if action is not None:
             assert self.faults is not None
@@ -486,55 +481,6 @@ class WriteAheadLog:
                 self._buffer.clear()
             self.synced_size = 0
             self.flushed_lsn = self._next_lsn - 1
-
-
-def recover(wal: WriteAheadLog, disk: DiskManager) -> dict[str, int]:
-    """Redo committed work and undo uncommitted work.
-
-    Returns summary counters: committed/aborted/in-flight transaction counts
-    and redo/undo record counts. Standard two-pass recovery: an analysis pass
-    finds transaction outcomes; the redo pass replays updates of committed
-    transactions forward; the undo pass rolls back the rest backward.
-
-    This is the page-image half of recovery; the engine-level
-    :func:`repro.engine.recovery.recover_store` builds on it and also
-    replays logical ROWS/CATALOG records against the catalog.
-    """
-    committed: set[int] = set()
-    aborted: set[int] = set()
-    seen: set[int] = set()
-    for record in wal.records():
-        seen.add(record.txn_id)
-        if record.kind == KIND_COMMIT:
-            committed.add(record.txn_id)
-        elif record.kind == KIND_ABORT:
-            aborted.add(record.txn_id)
-
-    # Second pass over the log: winners redo as they stream by, only the
-    # losers' byte-range updates are held for the backward undo.
-    redo_count = 0
-    losers = seen - committed
-    to_undo: list[LogRecord] = []
-    for record in wal.records():
-        if record.kind not in PAGE_IMAGE_KINDS:
-            continue
-        if record.txn_id in committed:
-            _apply_image(disk, record.page_id, record.offset, record.after)
-            redo_count += 1
-        elif record.kind == KIND_UPDATE:
-            to_undo.append(record)
-
-    for record in reversed(to_undo):
-        _apply_image(disk, record.page_id, record.offset, record.before)
-    undo_count = len(to_undo)
-
-    return {
-        "committed": len(committed),
-        "aborted": len(aborted),
-        "in_flight": len(losers - aborted),
-        "redo": redo_count,
-        "undo": undo_count,
-    }
 
 
 def _resync_offset(data: bytes, start: int) -> int | None:

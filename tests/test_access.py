@@ -19,7 +19,7 @@ import oracle
 from repro.compression import codec_names, get_codec
 from repro.engine import access
 from repro.engine import adaptive
-from repro.engine import levels
+from repro.engine import levels, recovery
 from repro.engine import table as table_module
 from repro.engine.access import open_run
 from repro.engine.catalog import Region, Run
@@ -29,6 +29,8 @@ from repro.layout.renderer import LayoutRenderer
 from repro.optimizer.reorganize import ReorganizationManager
 from repro.query import expressions, operators
 from repro.query.expressions import And, Range, Rect
+from repro.storage import locks, wal
+from repro.storage.transactions import Transaction, TransactionManager
 from repro.types import Schema
 
 SRC = os.path.join(
@@ -720,3 +722,40 @@ def test_one_region_relayout_for_every_table_shape():
     assert "LAYOUT_" not in reorganize and ".kind" not in reorganize
     with open(os.path.join(SRC, reorganize_py), encoding="utf-8") as f:
         assert "LAYOUT_" not in f.read()
+
+
+#: The in-place transaction protocol beside the copy-on-write one: byte
+#: updates with before-images, their undo and recovery, shared locks.
+ONE_PROTOCOL_DELETED = (
+    (Transaction, "update_page"),
+    (Transaction, "lock_shared"),
+    (TransactionManager, "run"),
+    (wal, "recover"),
+    (locks, "LockMode"),
+)
+LEGACY_KINDS = {"KIND_UPDATE", "KIND_BEGIN", "KIND_ABORT"}
+
+
+def test_one_transaction_protocol():
+    """The engine writes one protocol: a transaction's effect records and
+    its COMMIT, at commit. Nothing in ``src/`` appends an ``UPDATE``,
+    ``BEGIN`` or ``ABORT`` record — only the log decoder names those kinds,
+    for old logs — a log record carries no before-image, and recovery has
+    no undo."""
+    for owner, name in ONE_PROTOCOL_DELETED:
+        assert not hasattr(owner, name), name
+    assert "before" not in wal.LogRecord.__slots__
+    _assert_absent_as_names(("update_page", "lock_shared", "pages_undone"))
+    for module, source in _sources():
+        for node in ast.walk(ast.parse(source)):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "append"
+                and node.args
+                and getattr(node.args[0], "id", None) in LEGACY_KINDS
+            ):
+                raise AssertionError((module, node.lineno))
+            if getattr(node, "id", None) in LEGACY_KINDS:
+                assert module == os.path.join("storage", "wal.py"), module
+    assert "KIND_UPDATE" not in inspect.getsource(recovery.recover_store)

@@ -35,7 +35,16 @@ from repro.storage.faults import (
     IoFaultInjector,
     lose_unsynced_wal,
 )
-from repro.storage.wal import KIND_FRESH_PAGE, KIND_UPDATE, WriteAheadLog
+from repro.storage import wal as wal_module
+from repro.storage.wal import (
+    KIND_BEGIN,
+    KIND_CATALOG,
+    KIND_COMMIT,
+    KIND_FRESH_PAGE,
+    KIND_ROWS,
+    KIND_UPDATE,
+    LogRecord,
+)
 from repro.types import Schema
 
 SCHEMA = Schema.of("id:int", "val:int")
@@ -404,8 +413,8 @@ def test_crash_between_the_swaps_of_one_cascade(tmp_path, monkeypatch):
         return merge_once(*args, **kwargs)
 
     monkeypatch.setattr(levels, "merge", watched)
-    # BEGIN goes through; the first effect record of the commit does not.
-    store.inject_faults(FaultInjector(1, mode="before", target="wal"))
+    # The first effect record of the commit does not land.
+    store.inject_faults(FaultInjector(0, mode="before", target="wal"))
     with pytest.raises(CrashError):
         store.compact_levels("T")
     assert len(merges) == 2, "the cascade must swap more than once"
@@ -573,8 +582,8 @@ def test_torn_fresh_page_record_at_the_log_tail(tmp_path):
     path = str(tmp_path / "db")
     store = reusable_span(path)
     want = sorted(store.table("T").scan())
-    # BEGIN and two FRESH_PAGE records land, the third is torn.
-    store.inject_faults(FaultInjector(3, mode="torn", target="wal"))
+    # Two FRESH_PAGE records land, the third is torn.
+    store.inject_faults(FaultInjector(2, mode="torn", target="wal"))
     with pytest.raises(CrashError):
         store.table("T").update({"val": 2}, Range("id", 0, 9))
     kinds = [r.kind for r in store.wal.records()]
@@ -583,7 +592,6 @@ def test_torn_fresh_page_record_at_the_log_tail(tmp_path):
     abandon(store)
     with reopened(path) as again:
         assert again.recovery_summary["loser_txns"] == 1
-        assert again.recovery_summary["pages_undone"] == 0
         assert sorted(again.table("T").scan()) == want
 
 
@@ -639,14 +647,25 @@ def test_parent_written_store_reopens(tmp_path):
 
 
 def test_parent_log_is_all_legacy_page_records():
+    """The fixture's log is the old protocol's: BEGIN / COMMIT around
+    every transaction, and every page record a whole-page ``UPDATE`` with
+    an all-zero before-image — which the decoder steps over."""
     source = os.path.join(os.path.dirname(__file__), "data", "parent_store")
-    scratch = tempfile.mkdtemp()
-    try:
-        shutil.copy(os.path.join(source, "db.pages.wal"), scratch)
-        wal = WriteAheadLog(os.path.join(scratch, "db.pages.wal"))
-        pages = [r for r in wal.records() if r.page_id >= 0]
-        wal.close()
-    finally:
-        shutil.rmtree(scratch)
-    assert pages and all(r.kind == KIND_UPDATE for r in pages)
-    assert all(r.before == bytes(len(r.after)) for r in pages)
+    with open(os.path.join(source, "db.pages.wal"), "rb") as f:
+        data = f.read()
+    meta = wal_module._HEADER.size + wal_module._UPDATE_META.size
+    kinds, pages, at = [], [], 0
+    while at < len(data):
+        record, end = LogRecord.decode(data, at)
+        kinds.append(record.kind)
+        if record.page_id >= 0:
+            before = data[at + meta : at + meta + len(record.after)]
+            pages.append((record, before))
+        at = end
+    assert {k: kinds.count(k) for k in set(kinds)} == {
+        KIND_BEGIN: 27, KIND_UPDATE: 49, KIND_COMMIT: 27, KIND_ROWS: 15,
+        KIND_CATALOG: 12,
+    }
+    assert all(r.kind == KIND_UPDATE for r, _ in pages)
+    assert all(r.offset == 0 and len(r.after) == 512 for r, _ in pages)
+    assert all(before == bytes(512) for _, before in pages)

@@ -180,8 +180,8 @@ class TestLifecycle:
 
     def test_transactions_available(self, store):
         txn = store.transactions.begin()
-        page_id = store.disk.allocate_page()
-        txn.update_page(page_id, 0, b"x")
+        txn.lock_exclusive("table:T")
+        assert store.locks.holder("table:T") == txn.txn_id
         txn.commit()
-        store.pool.flush_all()
-        assert bytes(store.disk.read_page(page_id)[:1]) == b"x"
+        assert store.locks.holder("table:T") is None
+        assert store.transactions.committed == 1

@@ -5,10 +5,23 @@ import os
 
 import pytest
 
+import oracle
 from repro.engine.database import RodentStore
-from repro.errors import CrashError, StorageError
+from repro.errors import CrashError, StorageError, WALError
 from repro.query.expressions import Range
-from repro.storage.faults import FaultInjector, lose_unsynced_wal
+from repro.storage.faults import (
+    FaultInjector,
+    IoFault,
+    IoFaultInjector,
+    lose_unsynced_wal,
+)
+from repro.storage.wal import (
+    KIND_CATALOG,
+    KIND_COMMIT,
+    KIND_FRESH_PAGE,
+    KIND_ROWS,
+    WriteAheadLog,
+)
 from repro.types import Schema
 
 SCHEMA = Schema.of("id:int", "val:int")
@@ -59,7 +72,9 @@ class TestWalGrowthAndStats:
         store.table("T").insert([(1000, 1), (1001, 2)])
         stats = store.storage_stats()
         assert stats["wal"]["wal_bytes"] > 0
-        assert stats["wal"]["appends"] >= 6  # 3 txns x (BEGIN..COMMIT)
+        # create: CATALOG, COMMIT; load: 8 FRESH_PAGE, CATALOG, COMMIT;
+        # insert: ROWS, COMMIT.
+        assert stats["wal"]["appends"] == 14
         assert stats["transactions"]["txns_committed"] == 3
         assert stats["transactions"]["txns_aborted"] == 0
         assert stats["recovery"]["recoveries_run"] == 0
@@ -357,5 +372,165 @@ def test_recovery_streams_a_large_log(tmp_path):
     assert sorted(reopened.table("T").scan()) == sorted(ROWS + [(9000, 1)])
     # The replayed pages belong to nobody: free, and truncated away.
     assert reopened.disk.num_pages < 64
+    assert reopened.scrub()["clean"]
+    reopened.close()
+
+
+def test_a_transaction_logs_its_effects_then_its_commit(tmp_path):
+    """One protocol: no BEGIN, no ABORT. An insert logs its rows and its
+    COMMIT, a delete its page images, its catalog image and its COMMIT; a
+    mutation that raises logs nothing and costs no fsync."""
+    store = open_store(tmp_path)
+    store.create_table("T", SCHEMA)
+    table = store.load("T", ROWS)
+
+    def logged(action):
+        lsn, fsyncs = store.wal.last_lsn, store.wal.fsyncs
+        action()
+        kinds = [r.kind for r in store.wal.records() if r.lsn > lsn]
+        return kinds, store.wal.fsyncs - fsyncs
+
+    assert logged(lambda: table.insert([(1000, 1)])) == (
+        [KIND_ROWS, KIND_COMMIT], 1
+    )
+    kinds, fsyncs = logged(lambda: table.delete(Range("id", 0, 9)))
+    pages = kinds.count(KIND_FRESH_PAGE)
+    assert pages >= 1 and fsyncs == 1
+    assert kinds == [KIND_FRESH_PAGE] * pages + [KIND_CATALOG, KIND_COMMIT]
+
+    def failing():
+        with pytest.raises(RuntimeError):
+            with store.mutate("T"):
+                raise RuntimeError("boom")
+
+    assert logged(failing) == ([], 0)
+    store.close()
+
+
+def fail_append(monkeypatch, kind=None):
+    """Make the next append of a ``kind`` record (``None``: of any kind)
+    fail with ENOSPC."""
+    append = WriteAheadLog.append
+
+    def append_failing_on_kind(wal, record_kind, *args, **kwargs):
+        if kind in (None, record_kind):
+            wal.io_faults = IoFaultInjector(IoFault("enospc", target="wal"))
+        try:
+            return append(wal, record_kind, *args, **kwargs)
+        finally:
+            wal.io_faults = None
+
+    monkeypatch.setattr(WriteAheadLog, "append", append_failing_on_kind)
+
+
+@pytest.mark.parametrize(
+    "kind", [KIND_ROWS, KIND_COMMIT], ids=["effects", "commit"]
+)
+def test_a_failed_commit_append_aborts(tmp_path, monkeypatch, kind):
+    """The insert's first effect record, or its COMMIT, fails to append
+    (ENOSPC): the insert aborts — its row is gone, no transaction stays
+    active, no lock stays held — the next insert commits, and after a
+    crash the store recovers equal to the model."""
+    store = open_store(tmp_path)
+    store.create_table("T", SCHEMA)
+    table = store.load("T", ROWS[:10])
+    model = oracle.Model(SCHEMA.names(), ROWS[:10])
+    fail_append(monkeypatch, kind)
+    with pytest.raises(WALError):
+        table.insert([(100, 100)])
+    monkeypatch.undo()
+    assert sorted(table.scan()) == ROWS[:10]
+    assert store.transactions.active_count == 0
+    assert store.transactions.aborted == 1
+    assert store.locks.holder("table:T") is None
+    table.insert([(101, 101)])
+    model.insert([(101, 101)])
+    oracle.check_table(table, model)
+    abandon(store)  # the reopen replays the log, a failed append and all
+    reopened = open_store(tmp_path)
+    assert reopened.recovery_summary["clean"] is False
+    oracle.check_table(reopened.table("T"), model)
+    reopened.close()
+
+
+#: Designs of the three tables a failing mutation may touch.
+DESIGNS = {
+    "T": "T",
+    "P": "partition[id; range, 64](P)",
+    "L": "levels[2; 2](rows(L))",
+    "V": "partition[val](V)",
+}
+#: One mutation of every kind the engine commits.
+MUTATIONS = {
+    "load": lambda s: s.load("T", ROWS[:40]),
+    "relayout": lambda s: s.relayout("T", "columns(T)"),
+    "relayout_partition": lambda s: s.relayout_partition("P", 0, "columns(P)"),
+    "create_table": lambda s: s.create_table("U", SCHEMA),
+    "drop_table": lambda s: s.drop_table("T"),
+    "set_policy": lambda s: s.adaptivity.set_policy("T", "lazy"),
+    "flush": lambda s: s.table("T").flush_inserts(),
+    "delete": lambda s: s.table("T").delete(Range("id", 0, 9)),
+    "update": lambda s: s.table("P").update({"val": 0}, Range("id", 0, 9)),
+    "compact": lambda s: s.table("P").compact(),
+    "new_partition": lambda s: s.table("V").insert([(900, 1)]),
+    "levelled_delete": lambda s: s.table("L").delete(Range("id", 0, 9)),
+    "levelled_compact": lambda s: s.table("L").compact(),
+}
+
+
+def catalog_image(store) -> dict:
+    """What a CATALOG record or a checkpoint would write of every table,
+    less the scan counters."""
+    from repro.engine.persistence import entry_to_dict
+
+    image = {}
+    for entry in store.catalog:
+        data = entry_to_dict(entry)
+        for key in ("monitor", "partition_scans", "partitions_pruned"):
+            data.pop(key, None)
+        image[entry.name] = data
+    return image
+
+
+@pytest.mark.parametrize(
+    "kind", [None, KIND_COMMIT], ids=["effects", "commit"]
+)
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_a_failed_commit_append_puts_the_catalog_back(
+    tmp_path, monkeypatch, mutation, kind
+):
+    """Whatever a mutation changed — runs, regions, the design, the set of
+    tables — an abort at its first append or at its COMMIT puts back: the
+    catalog image is the one before it, and a later committed write on
+    the same tables survives a power loss equal to the model."""
+    store = open_store(tmp_path)
+    models = {}
+    for name, design in DESIGNS.items():
+        store.create_table(name, SCHEMA, layout=design)
+        store.load(name, ROWS[:100])
+        store.table(name).insert([(500, 5), (501, 6)])
+        models[name] = oracle.Model(SCHEMA.names(), ROWS[:100], design)
+        models[name].insert([(500, 5), (501, 6)])
+    before = catalog_image(store)
+    fail_append(monkeypatch, kind)
+    with pytest.raises(WALError):
+        MUTATIONS[mutation](store)
+    monkeypatch.undo()
+    assert catalog_image(store) == before
+    assert store.transactions.active_count == 0
+    for name, model in models.items():
+        assert store.locks.holder(f"table:{name}") is None
+        oracle.check_table(store.table(name), model)
+    for name, model in models.items():
+        store.table(name).insert([(600, 7)])
+        store.table(name).flush_inserts()
+        model.insert([(600, 7)])
+    synced = store.wal.synced_size
+    abandon(store)
+    lose_unsynced_wal(str(tmp_path / "db.pages") + ".wal", synced)
+    reopened = open_store(tmp_path)
+    assert reopened.tables() == sorted(models)
+    for name, model in models.items():
+        oracle.check_table(reopened.table(name), model)
     assert reopened.scrub()["clean"]
     reopened.close()

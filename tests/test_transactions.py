@@ -5,59 +5,39 @@ import threading
 
 import pytest
 
+from repro.engine.database import RodentStore
 from repro.errors import DeadlockError, TransactionError
-from repro.storage.buffer import BufferPool
-from repro.storage.disk import DiskManager
-from repro.storage.locks import LockManager, LockMode
-from repro.storage.transactions import TransactionManager, TxnStatus
-from repro.storage.wal import WriteAheadLog, recover
+from repro.storage.locks import LockManager
+from repro.storage.transactions import Transaction, TransactionManager, TxnStatus
+from repro.storage.wal import WriteAheadLog
+from repro.types import Schema
 
 
 def make_manager():
-    disk = DiskManager(page_size=256)
-    pool = BufferPool(disk, capacity=16)
     wal = WriteAheadLog()
-    return TransactionManager(wal, pool), disk, pool, wal
+    return TransactionManager(wal), wal
 
 
 class TestLockManager:
-    def test_shared_locks_compatible(self):
-        lm = LockManager(timeout=0.2)
-        lm.acquire(1, "T", LockMode.SHARED)
-        lm.acquire(2, "T", LockMode.SHARED)
-        assert set(lm.holders("T")) == {1, 2}
-
     def test_exclusive_blocks(self):
         lm = LockManager(timeout=0.1)
-        lm.acquire(1, "T", LockMode.EXCLUSIVE)
+        lm.acquire(1, "T")
         with pytest.raises(TransactionError):
-            lm.acquire(2, "T", LockMode.SHARED)
+            lm.acquire(2, "T")
 
     def test_reacquire_is_noop(self):
         lm = LockManager(timeout=0.2)
-        lm.acquire(1, "T", LockMode.SHARED)
-        lm.acquire(1, "T", LockMode.SHARED)
-        assert lm.holders("T") == {1: LockMode.SHARED}
-
-    def test_exclusive_holder_can_read(self):
-        lm = LockManager(timeout=0.2)
-        lm.acquire(1, "T", LockMode.EXCLUSIVE)
-        lm.acquire(1, "T", LockMode.SHARED)  # already stronger
-        assert lm.holders("T") == {1: LockMode.EXCLUSIVE}
-
-    def test_upgrade_when_sole_holder(self):
-        lm = LockManager(timeout=0.2)
-        lm.acquire(1, "T", LockMode.SHARED)
-        lm.acquire(1, "T", LockMode.EXCLUSIVE)
-        assert lm.holders("T") == {1: LockMode.EXCLUSIVE}
+        lm.acquire(1, "T")
+        lm.acquire(1, "T")
+        assert lm.holder("T") == 1
 
     def test_release_all_wakes_waiters(self):
         lm = LockManager(timeout=2.0)
-        lm.acquire(1, "T", LockMode.EXCLUSIVE)
+        lm.acquire(1, "T")
         acquired = threading.Event()
 
         def waiter():
-            lm.acquire(2, "T", LockMode.SHARED)
+            lm.acquire(2, "T")
             acquired.set()
 
         thread = threading.Thread(target=waiter, daemon=True)
@@ -68,14 +48,14 @@ class TestLockManager:
 
     def test_deadlock_detected(self):
         lm = LockManager(timeout=5.0)
-        lm.acquire(1, "A", LockMode.EXCLUSIVE)
-        lm.acquire(2, "B", LockMode.EXCLUSIVE)
+        lm.acquire(1, "A")
+        lm.acquire(2, "B")
         failure: list = []
         done = threading.Event()
 
         def t1_wants_b():
             try:
-                lm.acquire(1, "B", LockMode.EXCLUSIVE)
+                lm.acquire(1, "B")
             except Exception as exc:  # pragma: no cover - either side may win
                 failure.append(exc)
             finally:
@@ -87,105 +67,71 @@ class TestLockManager:
 
         time.sleep(0.1)  # let t1 start waiting on B
         with pytest.raises(DeadlockError):
-            lm.acquire(2, "A", LockMode.EXCLUSIVE)
+            lm.acquire(2, "A")
         lm.release_all(2)
         done.wait(2.0)
         thread.join(2.0)
 
     def test_timeout_names_the_holders_and_the_queue(self):
         lm = LockManager(timeout=0.05)
-        lm.acquire(1, "T", LockMode.EXCLUSIVE)
+        lm.acquire(1, "T")
         with pytest.raises(TransactionError) as err:
-            lm.acquire(2, "T", LockMode.SHARED)
+            lm.acquire(2, "T")
         message = str(err.value)
-        assert "held by [txn 1 X for " in message
-        assert message.endswith("waiting [txn 2 S]")
+        assert "held by [txn 1 for " in message
+        assert message.endswith("waiting [txn 2]")
 
     def test_locks_of(self):
         lm = LockManager()
-        lm.acquire(1, "A", LockMode.SHARED)
-        lm.acquire(1, "B", LockMode.EXCLUSIVE)
+        lm.acquire(1, "A")
+        lm.acquire(1, "B")
         assert lm.locks_of(1) == {"A", "B"}
         lm.release_all(1)
         assert lm.locks_of(1) == set()
 
 
 class TestTransactions:
-    def test_commit_applies_update(self):
-        mgr, disk, pool, wal = make_manager()
-        page_id = disk.allocate_page()
-        txn = mgr.begin()
-        txn.update_page(page_id, 0, b"hello")
-        txn.commit()
-        pool.flush_all()
-        assert bytes(disk.read_page(page_id)[:5]) == b"hello"
-        assert txn.status is TxnStatus.COMMITTED
-
-    def test_abort_restores_before_image(self):
-        mgr, disk, pool, wal = make_manager()
-        page_id = disk.allocate_page()
-        with mgr.begin() as setup:
-            setup.update_page(page_id, 0, b"first")
-        txn = mgr.begin()
-        txn.update_page(page_id, 0, b"xxxxx")
-        txn.abort()
-        pool.flush_all()
-        assert bytes(disk.read_page(page_id)[:5]) == b"first"
-
-    def test_abort_reverses_multiple_updates(self):
-        mgr, disk, pool, wal = make_manager()
-        page_id = disk.allocate_page()
-        txn = mgr.begin()
-        txn.update_page(page_id, 0, b"aaaa")
-        txn.update_page(page_id, 2, b"bb")
-        txn.abort()
-        pool.flush_all()
-        assert bytes(disk.read_page(page_id)[:4]) == b"\x00" * 4
-
     def test_finished_transaction_rejects_use(self):
-        mgr, disk, pool, wal = make_manager()
+        mgr, wal = make_manager()
         txn = mgr.begin()
         txn.commit()
         with pytest.raises(TransactionError):
             txn.commit()
         with pytest.raises(TransactionError):
-            txn.update_page(0, 0, b"x")
+            txn.lock_exclusive("T")
 
     def test_context_manager_commits(self):
-        mgr, disk, pool, wal = make_manager()
-        page_id = disk.allocate_page()
+        mgr, wal = make_manager()
         with mgr.begin() as txn:
-            txn.update_page(page_id, 0, b"done")
+            txn.lock_exclusive("T")
         assert txn.status is TxnStatus.COMMITTED
+        assert mgr.locks.holder("T") is None
+        assert [r.txn_id for r in wal.records()] == [txn.txn_id]  # COMMIT
 
     def test_context_manager_aborts_on_error(self):
-        mgr, disk, pool, wal = make_manager()
-        page_id = disk.allocate_page()
+        mgr, wal = make_manager()
         with pytest.raises(ValueError):
             with mgr.begin() as txn:
-                txn.update_page(page_id, 0, b"oops!")
+                txn.lock_exclusive("T")
                 raise ValueError("boom")
         assert txn.status is TxnStatus.ABORTED
-        pool.flush_all()
-        assert bytes(disk.read_page(page_id)[:5]) == b"\x00" * 5
+        assert mgr.locks.holder("T") is None
+        assert list(wal.records()) == []  # an abort writes nothing
 
     def test_locks_released_at_commit(self):
-        mgr, disk, pool, wal = make_manager()
+        mgr, wal = make_manager()
         txn = mgr.begin()
         txn.lock_exclusive("T")
-        assert mgr.locks.holders("T")
+        assert mgr.locks.holder("T") is not None
         txn.commit()
-        assert not mgr.locks.holders("T")
+        assert mgr.locks.holder("T") is None
 
     def test_commit_releases_locks_before_its_fsync(self, tmp_path, monkeypatch):
         """A writer's lock hold ends at its COMMIT record, not its fsync: the
         next writer is granted the lock while that fsync still runs, and the
         first commit returns only once it is durable."""
-        disk = DiskManager(page_size=256)
         wal = WriteAheadLog(str(tmp_path / "txn.wal"))
-        mgr = TransactionManager(
-            wal, BufferPool(disk, capacity=16), LockManager(timeout=0.5)
-        )
+        mgr = TransactionManager(wal, LockManager(timeout=0.5))
         in_fsync, finish = threading.Event(), threading.Event()
         real_fsync = os.fsync
 
@@ -202,7 +148,7 @@ class TestTransactions:
         assert in_fsync.wait(5.0)
         second = mgr.begin()
         second.lock_exclusive("T")  # would time out behind a held fsync
-        assert mgr.locks.holders("T") == {second.txn_id: LockMode.EXCLUSIVE}
+        assert mgr.locks.holder("T") == second.txn_id
         assert first.status is TxnStatus.ACTIVE  # not durable yet
         finish.set()
         committer.join(5.0)
@@ -212,7 +158,7 @@ class TestTransactions:
         wal.close()
 
     def test_active_count(self):
-        mgr, *_ = make_manager()
+        mgr, _ = make_manager()
         t1 = mgr.begin()
         t2 = mgr.begin()
         assert mgr.active_count == 2
@@ -220,33 +166,55 @@ class TestTransactions:
         t2.abort()
         assert mgr.active_count == 0
 
-    def test_run_helper(self):
-        mgr, disk, pool, wal = make_manager()
-        page_id = disk.allocate_page()
-        mgr.run(lambda txn: txn.update_page(page_id, 0, b"ran"))
-        pool.flush_all()
-        assert bytes(disk.read_page(page_id)[:3]) == b"ran"
+
+SCHEMA = Schema.of("id:int", "val:int")
+ROWS = [(i, i * 3) for i in range(200)]
+
+
+def open_store(tmp_path):
+    return RodentStore(
+        str(tmp_path / "db.pages"), page_size=1024, pool_capacity=64,
+        durable=True,
+    )
+
+
+def crash(store):
+    """Power loss: the file handles go, no pool flush, no checkpoint."""
+    store.wal.close()
+    store.disk.close()
 
 
 class TestCrashRecovery:
-    def test_committed_work_survives_crash(self):
-        """Simulate a crash: dirty pages lost, WAL replayed onto old disk."""
-        mgr, disk, pool, wal = make_manager()
-        page_id = disk.allocate_page()
-        with mgr.begin() as txn:
-            txn.update_page(page_id, 0, b"keep")
-        # Crash before pool.flush_all(): on-disk page is still zeroes.
-        assert bytes(disk.read_page(page_id)[:4]) == b"\x00" * 4
-        summary = recover(wal, disk)
-        assert summary["redo"] >= 1
-        assert bytes(disk.read_page(page_id)[:4]) == b"keep"
+    def test_committed_work_survives_crash(self, tmp_path):
+        """Dirty pages lost: the committed load's page images are redone."""
+        store = open_store(tmp_path)
+        store.create_table("T", SCHEMA)
+        store.load("T", ROWS)
+        crash(store)
+        reopened = open_store(tmp_path)
+        assert reopened.recovery_summary["pages_redone"] >= 1
+        assert sorted(reopened.table("T").scan()) == ROWS
+        reopened.close()
 
-    def test_uncommitted_work_rolled_back_after_crash(self):
-        mgr, disk, pool, wal = make_manager()
-        page_id = disk.allocate_page()
-        txn = mgr.begin()
-        txn.update_page(page_id, 0, b"drop")
-        pool.flush_all()  # dirty page hit disk before the crash
-        assert bytes(disk.read_page(page_id)[:4]) == b"drop"
-        recover(wal, disk)
-        assert bytes(disk.read_page(page_id)[:4]) == b"\x00" * 4
+    def test_uncommitted_work_rolled_back_after_crash(self, tmp_path, monkeypatch):
+        """A re-layout's effect records and pages land, its COMMIT never
+        does: after the crash the table is as the last commit left it."""
+        store = open_store(tmp_path)
+        store.create_table("T", SCHEMA)
+        store.load("T", ROWS)
+
+        def power_loss(self):
+            raise OSError("power lost before the COMMIT record")
+
+        monkeypatch.setattr(Transaction, "commit", power_loss)
+        with pytest.raises(OSError):
+            store.relayout("T", "columns(T)")
+        monkeypatch.undo()
+        store.pool.flush_all()  # the loser's pages hit disk before the crash
+        crash(store)
+        reopened = open_store(tmp_path)
+        assert reopened.recovery_summary["loser_txns"] == 1
+        assert reopened.table("T").plan.expr.to_text() == "T"
+        assert sorted(reopened.table("T").scan()) == ROWS
+        assert reopened.scrub()["clean"]
+        reopened.close()

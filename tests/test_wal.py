@@ -1,40 +1,68 @@
-"""Tests for repro.storage.wal (logging and recovery)."""
+"""Tests for repro.storage.wal (logging) and the page replay of
+repro.engine.recovery."""
+
+import struct
+import zlib
 
 import pytest
 
+from repro.engine.database import RodentStore
+from repro.engine.recovery import recover_store
 from repro.errors import CorruptWALError, WALError
 from repro.storage import wal as wal_module
 from repro.storage.disk import DiskManager
+from repro.storage.faults import IoFault, IoFaultInjector
 from repro.storage.wal import (
-    KIND_ABORT,
     KIND_BEGIN,
     KIND_COMMIT,
+    KIND_CRC_FLAG,
     KIND_FRESH_PAGE,
+    KIND_ROWS,
     KIND_UPDATE,
     LogRecord,
     WriteAheadLog,
-    recover,
 )
+
+
+def legacy_update(lsn, txn_id, page_id, offset, before, after) -> bytes:
+    """An ``UPDATE`` record as logs written before copy-on-write hold it:
+    the page bytes it replaced, then the page image."""
+    body = struct.pack("<qII", page_id, offset, len(after)) + before + after
+    total = wal_module._HEADER.size + len(body) + 8
+    header = wal_module._HEADER.pack(
+        total, KIND_UPDATE | KIND_CRC_FLAG, lsn, txn_id
+    )
+    crc = zlib.crc32(header + body)
+    return header + body + struct.pack("<II", crc, total)
+
+
+def append_legacy_update(wal, txn_id, page_id, offset, before, after):
+    with wal._lock:
+        record = legacy_update(
+            wal._next_lsn, txn_id, page_id, offset, before, after
+        )
+        wal._next_lsn += 1
+        wal._file.write(record)
 
 
 class TestLogRecords:
     def test_encode_decode_update(self):
-        record = LogRecord(KIND_UPDATE, 5, 2, page_id=7, offset=16,
-                           before=b"aa", after=b"bb")
-        decoded, end = LogRecord.decode(record.encode(), 0)
+        """A legacy ``UPDATE`` decodes as its page image alone."""
+        data = legacy_update(5, 2, 7, 16, b"aa", b"bb")
+        decoded, end = LogRecord.decode(data, 0)
         assert decoded.kind == KIND_UPDATE
         assert decoded.lsn == 5
         assert decoded.txn_id == 2
         assert decoded.page_id == 7
         assert decoded.offset == 16
-        assert decoded.before == b"aa"
         assert decoded.after == b"bb"
-        assert end == len(record.encode())
+        assert end == len(data)
 
     def test_image_length_mismatch(self):
-        record = LogRecord(KIND_UPDATE, 1, 1, before=b"a", after=b"bb")
-        with pytest.raises(WALError):
-            record.encode()
+        """A legacy ``UPDATE`` whose images do not fit its record."""
+        data = legacy_update(1, 1, 0, 0, b"a", b"bb")
+        with pytest.raises(WALError, match="truncated update images"):
+            LogRecord.decode(data, 0)
 
     def test_torn_record_detected(self):
         record = LogRecord(KIND_COMMIT, 1, 1)
@@ -46,42 +74,61 @@ class TestLogRecords:
 class TestWriteAheadLog:
     def test_append_assigns_lsns(self):
         wal = WriteAheadLog()
-        assert wal.append(KIND_BEGIN, 1) == 1
+        assert wal.append(KIND_ROWS, 1) == 1
         assert wal.append(KIND_COMMIT, 1) == 2
 
     def test_records_iteration(self):
         wal = WriteAheadLog()
-        wal.append(KIND_BEGIN, 1)
-        wal.append(KIND_UPDATE, 1, page_id=0, offset=0, before=b"x", after=b"y")
+        wal.append(KIND_FRESH_PAGE, 1, page_id=0, after=b"y")
+        wal.append(KIND_ROWS, 1, payload=b"[]")
         wal.append(KIND_COMMIT, 1)
         kinds = [r.kind for r in wal.records()]
-        assert kinds == [KIND_BEGIN, KIND_UPDATE, KIND_COMMIT]
+        assert kinds == [KIND_FRESH_PAGE, KIND_ROWS, KIND_COMMIT]
 
     def test_torn_tail_ignored(self):
         wal = WriteAheadLog()
-        wal.append(KIND_BEGIN, 1)
+        wal.append(KIND_ROWS, 1)
         wal.append(KIND_COMMIT, 1)
         wal._buffer.extend(b"\x10\x00\x00\x00garbage")
         assert len(list(wal.records())) == 2
 
     def test_truncate(self):
         wal = WriteAheadLog()
-        wal.append(KIND_BEGIN, 1)
+        wal.append(KIND_ROWS, 1)
         wal.truncate()
         assert list(wal.records()) == []
 
     def test_file_backed_persistence(self, tmp_path):
         path = str(tmp_path / "wal.log")
         wal = WriteAheadLog(path)
-        wal.append(KIND_BEGIN, 3)
+        wal.append(KIND_ROWS, 3)
         wal.append(KIND_COMMIT, 3)
         wal.flush()
         wal.close()
         wal2 = WriteAheadLog(path)
         assert [r.txn_id for r in wal2.records()] == [3, 3]
         # LSNs continue after the existing maximum.
-        assert wal2.append(KIND_BEGIN, 4) == 3
+        assert wal2.append(KIND_ROWS, 4) == 3
         wal2.close()
+
+    def test_a_failed_append_spends_no_lsn(self, tmp_path):
+        """An append whose write raises leaves the log and its LSN counter
+        as they were: the next record follows without a gap, and the log
+        still opens."""
+        path = str(tmp_path / "wal.log")
+        wal = WriteAheadLog(path)
+        wal.append(KIND_ROWS, 1)
+        size = wal.size_bytes
+        wal.io_faults = IoFaultInjector(IoFault("enospc", target="wal"))
+        with pytest.raises(WALError):
+            wal.append(KIND_COMMIT, 1)
+        assert (wal.last_lsn, wal.size_bytes) == (1, size)
+        assert wal.append(KIND_COMMIT, 1) == 2
+        wal.sync()
+        wal.close()
+        reopened = WriteAheadLog(path)
+        assert [r.lsn for r in reopened.records()] == [1, 2]
+        reopened.close()
 
     def test_one_fsync_covers_every_record_appended_before_it(self, tmp_path):
         """Group commit: syncing the first record makes both durable, and
@@ -103,7 +150,7 @@ class TestWriteAheadLog:
         images must not hand the interpreter to CPU-bound scanner threads
         once per record. Reads leave the position at the end of the log."""
         wal = WriteAheadLog(str(tmp_path / "wal.log"))
-        wal.append(KIND_BEGIN, 1)
+        wal.append(KIND_ROWS, 1)
         assert len(list(wal.records())) == 1  # a read moves the position
 
         class Spy:
@@ -124,6 +171,22 @@ class TestWriteAheadLog:
         wal.close()
 
 
+PAGE = 128
+
+
+@pytest.fixture
+def store(tmp_path, monkeypatch):
+    """A fresh durable store whose log the test writes, for
+    ``recover_store`` to replay. The re-checkpoint that ends a recovery is
+    held back: it would truncate the replayed pages — named by no catalog —
+    off the file before the test reads them."""
+    store = RodentStore(str(tmp_path / "db.pages"), page_size=PAGE, durable=True)
+    monkeypatch.setattr(store, "checkpoint", lambda: None)
+    yield store
+    store.wal.close()
+    store.disk.close()
+
+
 def _page_with(disk: DiskManager, content: bytes) -> int:
     page_id = disk.allocate_page()
     page = disk.read_page(page_id)
@@ -133,88 +196,49 @@ def _page_with(disk: DiskManager, content: bytes) -> int:
 
 
 class TestRecovery:
-    def test_redo_committed(self):
-        disk = DiskManager(page_size=128)
+    def test_redo_committed(self, store):
+        disk = store.disk
         page_id = _page_with(disk, b"old!")
-        wal = WriteAheadLog()
-        wal.append(KIND_BEGIN, 1)
-        wal.append(KIND_UPDATE, 1, page_id=page_id, offset=0,
-                   before=b"old!", after=b"new!")
-        wal.append(KIND_COMMIT, 1)
-        summary = recover(wal, disk)
-        assert summary["committed"] == 1
-        assert summary["redo"] == 1
+        store.wal.append(
+            KIND_FRESH_PAGE, 1, page_id=page_id, after=b"new!" * (PAGE // 4)
+        )
+        store.wal.append(KIND_COMMIT, 1)
+        summary = recover_store(store)
+        assert summary["committed_txns"] == 1
+        assert summary["pages_redone"] == 1
         assert bytes(disk.read_page(page_id)[:4]) == b"new!"
 
-    def test_undo_uncommitted(self):
-        disk = DiskManager(page_size=128)
-        page_id = _page_with(disk, b"new!")  # crash left new bytes on disk
-        wal = WriteAheadLog()
-        wal.append(KIND_BEGIN, 1)
-        wal.append(KIND_UPDATE, 1, page_id=page_id, offset=0,
-                   before=b"old!", after=b"new!")
-        summary = recover(wal, disk)
-        assert summary["in_flight"] == 1
-        assert summary["undo"] == 1
-        assert bytes(disk.read_page(page_id)[:4]) == b"old!"
-
-    def test_aborted_transaction_undone(self):
-        disk = DiskManager(page_size=128)
-        page_id = _page_with(disk, b"mid!")
-        wal = WriteAheadLog()
-        wal.append(KIND_BEGIN, 1)
-        wal.append(KIND_UPDATE, 1, page_id=page_id, offset=0,
-                   before=b"old!", after=b"mid!")
-        wal.append(KIND_ABORT, 1)
-        summary = recover(wal, disk)
-        assert summary["aborted"] == 1
-        assert bytes(disk.read_page(page_id)[:4]) == b"old!"
-
-    def test_mixed_transactions(self):
-        disk = DiskManager(page_size=128)
+    def test_mixed_transactions(self, store):
+        """A legacy log: ``BEGIN`` is skipped, a committed byte-range
+        ``UPDATE`` is redone, an in-flight one is left alone."""
+        disk, wal = store.disk, store.wal
         p1 = _page_with(disk, b"aaaa")
         p2 = _page_with(disk, b"bbXX")  # txn2's partial write survived
-        wal = WriteAheadLog()
         wal.append(KIND_BEGIN, 1)
-        wal.append(KIND_UPDATE, 1, page_id=p1, offset=0,
-                   before=b"aaaa", after=b"AAAA")
+        append_legacy_update(wal, 1, p1, 0, b"aaaa", b"AAAA")
         wal.append(KIND_COMMIT, 1)
         wal.append(KIND_BEGIN, 2)
-        wal.append(KIND_UPDATE, 2, page_id=p2, offset=2,
-                   before=b"bb", after=b"XX")
-        summary = recover(wal, disk)
+        append_legacy_update(wal, 2, p2, 2, b"bb", b"XX")
+        summary = recover_store(store)
         assert bytes(disk.read_page(p1)[:4]) == b"AAAA"
-        assert bytes(disk.read_page(p2)[:4]) == b"bbbb"
-        assert summary["committed"] == 1
-        assert summary["in_flight"] == 1
+        assert bytes(disk.read_page(p2)[:4]) == b"bbXX"
+        assert summary["committed_txns"] == 1
+        assert summary["loser_txns"] == 1
 
-    def test_undo_applied_in_reverse_order(self):
-        disk = DiskManager(page_size=128)
-        page_id = _page_with(disk, b"cccc")
-        wal = WriteAheadLog()
-        wal.append(KIND_BEGIN, 1)
-        wal.append(KIND_UPDATE, 1, page_id=page_id, offset=0,
-                   before=b"aaaa", after=b"bbbb")
-        wal.append(KIND_UPDATE, 1, page_id=page_id, offset=0,
-                   before=b"bbbb", after=b"cccc")
-        recover(wal, disk)
-        assert bytes(disk.read_page(page_id)[:4]) == b"aaaa"
-
-    def test_recovery_allocates_missing_pages(self):
-        disk = DiskManager(page_size=128)
-        wal = WriteAheadLog()
-        wal.append(KIND_BEGIN, 1)
-        wal.append(KIND_UPDATE, 1, page_id=2, offset=0,
-                   before=b"\x00\x00", after=b"zz")
-        wal.append(KIND_COMMIT, 1)
-        recover(wal, disk)
-        assert disk.num_pages >= 3
-        assert bytes(disk.read_page(2)[:2]) == b"zz"
+    def test_recovery_allocates_missing_pages(self, store):
+        page_id = store.disk.num_pages + 2
+        store.wal.append(
+            KIND_FRESH_PAGE, 1, page_id=page_id, after=b"zz" * (PAGE // 2)
+        )
+        store.wal.append(KIND_COMMIT, 1)
+        recover_store(store)
+        assert store.disk.num_pages >= page_id + 1
+        assert bytes(store.disk.read_page(page_id)[:2]) == b"zz"
 
 
 class TestFreshPageRecords:
     """One after-image-only record kind for pages a transaction allocated
-    and filled; its undo is "the page is unreferenced, hence free"."""
+    and filled: a loser's pages are unreferenced, hence free."""
 
     def test_round_trip_carries_no_before_image(self):
         image = bytes(range(64))
@@ -224,38 +248,31 @@ class TestFreshPageRecords:
         assert (decoded.kind, decoded.page_id, decoded.offset) == (
             KIND_FRESH_PAGE, 3, 0,
         )
-        assert decoded.after == image and decoded.before == b""
+        assert decoded.after == image
         assert end == len(encoded)
-        legacy = LogRecord(
-            KIND_UPDATE, 9, 4, page_id=3, before=bytes(64), after=image
-        )
-        assert len(legacy.encode()) - len(encoded) == 64
+        legacy = legacy_update(9, 4, 3, 0, bytes(64), image)
+        assert len(legacy) - len(encoded) == 64
 
-    def test_committed_redone_loser_left_alone(self):
-        disk = DiskManager(page_size=64)
+    def test_committed_redone_loser_left_alone(self, store):
+        disk, wal = store.disk, store.wal
         ids = disk.allocate_contiguous(2)
-        disk.write_page(ids[1], b"\x05" * 64)  # the loser's render landed
-        wal = WriteAheadLog()
-        wal.append(KIND_BEGIN, 1)
-        wal.append(KIND_FRESH_PAGE, 1, page_id=ids[0], after=b"\x01" * 64)
+        disk.write_page(ids[1], b"\x05" * PAGE)  # the loser's render landed
+        wal.append(KIND_FRESH_PAGE, 1, page_id=ids[0], after=b"\x01" * PAGE)
         wal.append(KIND_COMMIT, 1)
-        wal.append(KIND_BEGIN, 2)
-        wal.append(KIND_FRESH_PAGE, 2, page_id=ids[1], after=b"\x05" * 64)
-        summary = recover(wal, disk)
-        assert summary["redo"] == 1 and summary["undo"] == 0
-        assert bytes(disk.read_page(ids[0])) == b"\x01" * 64
-        assert bytes(disk.read_page(ids[1])) == b"\x05" * 64  # not zeroed
+        wal.append(KIND_FRESH_PAGE, 2, page_id=ids[1], after=b"\x05" * PAGE)
+        summary = recover_store(store)
+        assert summary["pages_redone"] == 1 and summary["loser_txns"] == 1
+        assert bytes(disk.read_page(ids[0])) == b"\x01" * PAGE
+        assert bytes(disk.read_page(ids[1])) == b"\x05" * PAGE  # not zeroed
 
-    def test_last_tenant_of_a_reused_page_wins(self):
-        disk = DiskManager(page_size=64)
+    def test_last_tenant_of_a_reused_page_wins(self, store):
+        disk, wal = store.disk, store.wal
         (page,) = disk.allocate_contiguous(1)
-        wal = WriteAheadLog()
         for txn, fill in ((1, b"\x01"), (2, b"\x02")):
-            wal.append(KIND_BEGIN, txn)
-            wal.append(KIND_FRESH_PAGE, txn, page_id=page, after=fill * 64)
+            wal.append(KIND_FRESH_PAGE, txn, page_id=page, after=fill * PAGE)
             wal.append(KIND_COMMIT, txn)
-        recover(wal, disk)
-        assert bytes(disk.read_page(page)) == b"\x02" * 64
+        recover_store(store)
+        assert bytes(disk.read_page(page)) == b"\x02" * PAGE
 
 
 class TestStreamedReads:
