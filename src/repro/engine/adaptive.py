@@ -111,14 +111,6 @@ class AdaptiveController:
         #: dominate, a full compaction becomes eligible.
         self._write_load: dict[str, float] = {}
         self._suspended = 0
-        #: Scans currently being iterated. Automatic reorganization frees
-        #: the old layout's pages, so it must never fire while another
-        #: iterator still reads them — periodic checks and lazy rewrites
-        #: wait until no tracked scan is live. (A generator that was
-        #: created but never started is not tracked; the window between
-        #: creation and first ``next()`` remains the caller's to sequence,
-        #: exactly as with an explicit ``relayout()``.)
-        self._live_scans = 0
 
     # -- observation plumbing ----------------------------------------------
 
@@ -161,39 +153,22 @@ class AdaptiveController:
         key = monitor.observe(fieldlist, predicate, order_keys)
         if table.name in self._write_load:
             self._write_load[table.name] *= self.decay
-        # Reorganization swaps the layout and frees its pages: defer both
-        # the lazy-policy rewrite and the periodic check while any other
-        # scan is mid-iteration (the observing scan itself has not started).
-        if self._live_scans == 0:
-            if self.reorganizer.on_access(table.name):
-                self.adaptations += 1  # deferred rewrite fired
-            if self.enabled:
-                count = self._since_check.get(table.name, 0) + 1
-                if (
-                    count >= self.check_interval
-                    and monitor.ticks >= self.min_observations
-                ):
-                    self._since_check[table.name] = 0
-                    self.check(table.name)
-                else:
-                    self._since_check[table.name] = count
+        # A re-layout may land while other scans are mid-iteration: each
+        # reads its pinned snapshot, and the pages it supersedes wait for
+        # the last of those pins.
+        if self.reorganizer.on_access(table.name):
+            self.adaptations += 1  # deferred rewrite fired
+        if self.enabled:
+            count = self._since_check.get(table.name, 0) + 1
+            if (
+                count >= self.check_interval
+                and monitor.ticks >= self.min_observations
+            ):
+                self._since_check[table.name] = 0
+                self.check(table.name)
+            else:
+                self._since_check[table.name] = count
         return monitor, key
-
-    def track_scan(self, stream):
-        """Mark a scan live from first ``next()`` to exhaustion/close.
-
-        Works for batch and row iterators alike; while any tracked scan is
-        live, automatic reorganization is deferred (see ``_live_scans``).
-        """
-
-        def generate():
-            self._live_scans += 1
-            try:
-                yield from stream
-            finally:
-                self._live_scans -= 1
-
-        return generate()
 
     def count_batches(
         self, observation, batches: Iterator[list[tuple]]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.algebra.physical import PhysicalPlan
@@ -103,13 +103,6 @@ class Region:
     def clear_pending(self) -> None:
         self.pending = []
         self.pending_zone = None
-
-    def freeze(self) -> "Region":
-        """What a pinned scan sees: runs are immutable, so freezing the two
-        lists keeps it stable across concurrent inserts, flushes and merges."""
-        return replace(
-            self, runs=tuple(self.runs), pending=tuple(self.pending)
-        )
 
     def describe_key(self) -> str:
         if self.lower is not None or self.upper is not None:

@@ -29,6 +29,7 @@ from repro.algebra.physical import (
 from repro.engine import levels
 from repro.engine.catalog import Catalog, CatalogEntry, Region, Run
 from repro.engine.cost import CostModel
+from repro.engine.mvcc import TableSnapshot
 from repro.engine.stats import TableStats
 from repro.engine.table import (
     Table,
@@ -78,16 +79,17 @@ class _Mutation:
     The pages the transaction supersedes wait here too (:meth:`retire`):
     until its COMMIT record is durable the recoverable catalog still names
     them, so nothing — not a later step of the same transaction either —
-    may be handed them to overwrite. An abort or a crash drops the list
-    with the transaction; the pages come back when the store next derives
-    its free map.
+    may be handed them to overwrite. An abort frees only those the tables
+    it puts back no longer name (:meth:`undo`); after a crash they come
+    back when the store next derives its free map.
 
-    So does every state the transaction replaces: a table's runs, regions
-    and design (:meth:`remember`), how far each pending buffer an insert
-    extends reached (:meth:`remember_pending`), and whether a created or
-    dropped table exists (:meth:`remember_member`). An abort puts it all
-    back, newest first, and retires the runs the transaction swapped in
-    (:meth:`undo`): the catalog is again the one the log last committed.
+    And the state it may replace: the first time it locks a table
+    (:meth:`lock`) it takes the table's snapshot — the one a pinned scan
+    reads, :class:`~repro.engine.mvcc.TableSnapshot` — and whether the
+    catalog holds it. An abort puts each locked table back as that
+    snapshot found it and frees the runs rendered since (:meth:`undo`):
+    the catalog is again the one the log last committed, whatever the
+    body changed.
     """
 
     def __init__(self, store: "RodentStore", txn):
@@ -98,11 +100,22 @@ class _Mutation:
         self._rows: list[tuple[str, list[list]]] = []
         self._fresh: list[tuple[int, bytes | bytearray]] = []
         self._retired: list[tuple[CatalogEntry, list[int]]] = []
-        self._undo: list[Callable[[], None]] = []
+        #: Per locked table: its entry (``None``: none yet) and snapshot.
+        self._before: dict[
+            str, tuple[CatalogEntry | None, TableSnapshot | None]
+        ] = {}
 
     def lock(self, name: str) -> None:
-        """Take the table's exclusive lock (strict 2PL; held to commit)."""
+        """Take the table's exclusive lock (strict 2PL; held to commit)
+        and, the first time, its snapshot: what an abort puts back."""
         self.txn.lock_exclusive(f"table:{name}")
+        if name not in self._before:
+            entry = self.store.catalog.get(name)
+            snap = None
+            if entry is not None:
+                with entry.mvcc.lock:
+                    snap = TableSnapshot(entry)
+            self._before[name] = (entry, snap)
 
     def touch(self, name: str) -> None:
         """Log the table's full catalog image at commit (structural txns)."""
@@ -131,66 +144,24 @@ class _Mutation:
         if page_ids:
             self._retired.append((entry, list(page_ids)))
 
-    def remember(
-        self, entry: CatalogEntry, region: Region | None = None
-    ) -> None:
-        """Note the state of ``entry`` (and of ``region``, which a run swap
-        is about to change) that the transaction may replace: an abort
-        puts it back and retires every run added since. Caller holds the
-        entry's MVCC lock. The pending zone is kept by reference: a
-        levelled delete widens it in place, which leaves it a sound bound
-        of the pending rows an abort restores."""
-        store = self.store  # not ``self``: the mutation holds the closure
-        pairs = [(entry, _ENTRY_STATE)]
-        if region is not None:
-            pairs.append((region, _REGION_STATE))
-        states = [
-            (obj, {name: _shallow(getattr(obj, name)) for name in names})
-            for obj, names in pairs
-        ]
-
-        def runs() -> dict[int, Run]:
-            regions = entry.regions if region is None else [
-                *entry.regions, region
-            ]
-            return {id(run): run for r in regions for run in r.runs}
-
-        kept = runs()
-
-        def restore() -> None:
-            added = [run for key, run in runs().items() if key not in kept]
-            for obj, state in states:
-                for name, value in state.items():
-                    setattr(obj, name, value)
-            store._retire_runs(entry, added)
-
-        self._undo.append(_under(entry, restore))
-
-    def remember_pending(self, entry: CatalogEntry, region: Region) -> None:
-        """Note how far ``region``'s pending rows reach before an insert
-        appends to them: an abort cuts them back. The zone, widened in
-        place, stays a sound bound of the rows that remain."""
-        kept, zone = len(region.pending), region.pending_zone
-
-        def restore() -> None:
-            del region.pending[kept:]
-            region.pending_zone = zone
-
-        self._undo.append(_under(entry, restore))
-
-    def remember_member(self, name: str) -> None:
-        """Note which entry, if any, the catalog holds under ``name``
-        before a create or a drop: an abort puts it back."""
-        catalog = self.store.catalog
-        entry = catalog.get(name)
-        self._undo.append(lambda: catalog.put_back(name, entry))
-
     def undo(self) -> None:
-        """Abort: restore every remembered state, newest first, and retire
-        the runs swapped in since — no committed catalog names them."""
-        for restore in reversed(self._undo):
-            restore()
-        self._undo = []
+        """Abort: put every locked table back in the catalog as
+        :meth:`lock` found it, and free the pages of the runs and indexes
+        the transaction made since — no committed catalog names them."""
+        store = self.store
+        for name, (entry, snap) in reversed(self._before.items()):
+            store.catalog.put_back(name, entry)
+            if entry is None:
+                continue
+            made = {p for e, ids in self._retired if e is entry for p in ids}
+            with entry.mvcc.lock:
+                made.update(
+                    p for run in entry.runs() for p in run.layout.page_ids()
+                )
+                snap.restore(entry)
+                made -= snap.page_ids()
+            if made:
+                store._release_pages(entry, sorted(made))
 
     def release_retired(self) -> None:
         """After the durable commit: hand the superseded pages on."""
@@ -226,32 +197,6 @@ class _Mutation:
             for name in self._dropped:
                 payload = json.dumps({"name": name, "dropped": True})
                 wal.append(KIND_CATALOG, txn_id, payload=payload.encode())
-
-
-#: What a transaction may change on an entry and on a region: restored as
-#: it was when the transaction aborts.
-_ENTRY_STATE = (
-    "plan", "stats", "regions", "loaded", "region_index", "policy",
-    "next_partition_id", "level_tombstones", "next_run_id", "next_run_seq",
-    "indexes", "spatial_indexes", "wa_bytes_ingested", "wa_bytes_written",
-    "wa_pages_compacted", "wa_compactions",
-)
-_REGION_STATE = ("plan", "runs", "pending", "pending_zone")
-
-
-def _shallow(value):
-    """``value``, with a list or dict copied (a swap edits some in place)."""
-    return type(value)(value) if isinstance(value, (list, dict)) else value
-
-
-def _under(entry: CatalogEntry, restore: Callable[[], None]):
-    """``restore``, run under ``entry``'s MVCC lock."""
-
-    def locked() -> None:
-        with entry.mvcc.lock:
-            restore()
-
-    return locked
 
 
 class RodentStore:
@@ -355,10 +300,6 @@ class RodentStore:
         #: Zone-map scan pruning (per-page/chunk/cell min-max synopses).
         #: Settable at runtime; benchmarks flip it for before/after runs.
         self.zone_pruning = True
-        #: Whole-partition pruning: intersect predicate ranges with the
-        #: partition map before any region's zone maps even load.
-        #: Settable at runtime (benchmarks flip it for before/after runs).
-        self.partition_pruning = True
         #: Worker threads for partition-parallel scans; 0/1 = serial.
         #: Settable at runtime — the shared executor is (re)built lazily.
         self.scan_workers = scan_workers
@@ -411,7 +352,7 @@ class RodentStore:
     # -- transactions ------------------------------------------------------
 
     @contextmanager
-    def mutate(self, name: str | None = None) -> Iterator[_Mutation]:
+    def mutate(self, name: str) -> Iterator[_Mutation]:
         """Run an engine mutation as one transaction.
 
         Takes the table's exclusive lock (strict two-phase locking — writers
@@ -419,23 +360,21 @@ class RodentStore:
         snapshots instead), accumulates the mutation's effects, and at exit
         appends them to the WAL and commits (group commit). An error before
         the COMMIT record is appended — in the body or in an append —
-        aborts: every state the body remembered (see :class:`_Mutation`)
-        is put back and the locks released. Nested
+        aborts: every table it locked is put back as the lock found it
+        (see :class:`_Mutation`) and the locks are released. Nested
         ``mutate`` calls on the same thread join the outer transaction, so
         a re-layout that bulk-loads internally is one atomic unit.
         """
         outer = getattr(self._mutation_local, "ctx", None)
         if outer is not None:
-            if name is not None:
-                outer.lock(name)
+            outer.lock(name)
             yield outer
             return
         txn = self.transactions.begin()
         m = _Mutation(self, txn)
         self._mutation_local.ctx = m
         try:
-            if name is not None:
-                m.lock(name)
+            m.lock(name)
             yield m
             self._mutation_local.ctx = None
             if self.transactions.log:
@@ -827,8 +766,7 @@ class RodentStore:
         defaults to the canonical row-major representation ``rows(name)``.
         """
         expr = self._resolve_expr(name, layout)
-        with self.mutate() as m:
-            m.remember_member(name)
+        with self.mutate(name) as m:
             entry = self.catalog.create(name, schema)
             entry.plan = plan = self._interpreter().compile(expr)
             entry.regions, entry.loaded = _unloaded_regions(plan)
@@ -853,9 +791,6 @@ class RodentStore:
     def drop_table(self, name: str) -> None:
         entry = self.catalog.entry(name)
         with self.mutate(name) as m:
-            m.remember_member(name)
-            with entry.mvcc.lock:
-                m.remember(entry)
             # Regions keep their runs — a pinned scan may still be
             # reading them; only the page frees are deferred.
             self._drop_indexes(entry)
@@ -1036,7 +971,6 @@ class RodentStore:
         space.
         """
         with entry.mvcc.lock:
-            m.remember(entry)
             self._retire_runs(entry, list(entry.runs()))
             self._drop_indexes(entry)
             entry.plan = plan

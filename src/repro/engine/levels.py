@@ -159,11 +159,10 @@ def replace_runs(
     place in time. A pinned scan sees either side of the swap (MVCC lock);
     superseded pages are retired, waiting for the durable commit and the
     last draining reader; indexes are dropped; renders are charged to the
-    write-amplification ledger. ``m`` remembers what the swap replaced: an
-    abort puts it back.
+    write-amplification ledger. An abort of ``m`` puts back what the swap
+    replaced (the table's snapshot, taken when ``m`` locked it).
     """
     with entry.mvcc.lock:
-        m.remember(entry, region)
         for run in new:
             if old and keep_pending:
                 run.max_seq = max(r.max_seq for r in old)
@@ -362,7 +361,6 @@ def rewrite_levelled(
         victims = list(dict.fromkeys(map(victim_of, matched)))
         victim_set = set(victims)
         with entry.mvcc.lock:
-            m.remember(entry, region)
             survivors = [
                 tuple(r)
                 for r in region.pending

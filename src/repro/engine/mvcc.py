@@ -1,18 +1,22 @@
 """Snapshot isolation for catalog entries (MVCC, copy-on-write flavor).
 
-RodentStore writers never mutate a rendered layout in place: a structural
-change (flush, re-layout, compaction, partition rewrite) builds new pages
-copy-on-write and atomically swaps the new plan/layout into the catalog entry
-at commit. That makes snapshots nearly free — a scan *pins* the entry, which
-shallow-copies the handful of references it needs (plan, indexes, and each
-region's run list and pending buffer, frozen by ``Region.freeze``); unchanged
+One :class:`TableSnapshot` — a table's state at one moment — serves both
+readers and aborts. A scan *pins* one (:meth:`EntryMVCC.pin`) and reads
+only it, so it keeps seeing the version it opened while writers commit new
+ones. A transaction takes one when it first locks a table
+(``_Mutation.lock``) and, should it abort, puts the table back as the
+snapshot found it. Both are cheap because writers never mutate a rendered
+layout in place: a structural change (seal, merge, re-layout, partition
+rewrite) builds new runs copy-on-write and swaps new plans and run lists
+into the entry, so a snapshot copies a handful of references; unchanged
 pages are shared between versions, as in RStore's page-shared snapshots.
 
 The one thing pinning must also solve is reclamation: the pages of a
 superseded layout may still be read by in-flight scans that pinned the old
 version. Writers therefore hand the free operation to
 :meth:`EntryMVCC.retire` instead of freeing directly; the deferred free runs
-when the last pin at or below the retired version drains.
+when the last pin at or below the retired version drains. That is all a
+reader needs: a re-layout may land while a scan is mid-iteration.
 
 Locking discipline: ``EntryMVCC.lock`` (an RLock) guards all mutation of the
 entry's layout-bearing fields *and* all snapshot captures. Writers hold it
@@ -23,29 +27,89 @@ practice.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.catalog import CatalogEntry
 
+#: A catalog entry's state that a transaction may change: what a snapshot
+#: holds (and an abort restores). The regions' own state — each one's
+#: design, runs and pending rows — comes with ``regions``.
+ENTRY_FIELDS = (
+    "plan", "stats", "regions", "loaded", "region_index", "policy",
+    "next_partition_id", "level_tombstones", "next_run_id", "next_run_seq",
+    "indexes", "spatial_indexes", "wa_bytes_ingested", "wa_bytes_written",
+    "wa_pages_compacted", "wa_compactions",
+)
+
 
 class TableSnapshot:
-    """What one scan sees: the entry's layout-bearing state at pin time."""
+    """A table's state at one moment: every field of :data:`ENTRY_FIELDS`
+    under its own name (a list or dict copied: some change in place) and,
+    per region, its design, runs and pending rows. Pending rows only ever
+    grow in place — every other change replaces the list — so the list
+    and its length hold them without a copy.
 
-    __slots__ = (
-        "version", "plan", "regions", "loaded", "indexes", "spatial_indexes",
-        "level_tombstones", "released",
-    )
+    A reader's snapshot :meth:`freeze`\\ s its regions; a transaction's
+    :meth:`restore`\\ s them, and the entry, on abort.
+    """
 
-    def __init__(self, entry: "CatalogEntry", version: int):
+    __slots__ = (*ENTRY_FIELDS, "region_states", "version", "released")
+
+    def __init__(self, entry: "CatalogEntry", version: int = 0):
+        for name in ENTRY_FIELDS:
+            value = getattr(entry, name)
+            if isinstance(value, (list, dict)):
+                value = type(value)(value)
+            setattr(self, name, value)
+        self.region_states = [
+            (
+                region.plan, tuple(region.runs), region.pending,
+                len(region.pending), region.pending_zone,
+            )
+            for region in self.regions
+        ]
         self.version = version
-        self.plan = entry.plan
-        self.regions = [region.freeze() for region in entry.regions]
-        self.loaded = entry.loaded
-        self.indexes = dict(entry.indexes)
-        self.spatial_indexes = dict(entry.spatial_indexes)
-        self.level_tombstones = tuple(entry.level_tombstones)
         self.released = False
+
+    def freeze(self) -> None:
+        """Make ``regions`` copies that later writes leave alone: what a
+        pinned scan reads."""
+        self.regions = [
+            replace(
+                region, plan=plan, runs=runs, pending=tuple(pending[:count]),
+                pending_zone=zone,
+            )
+            for region, (plan, runs, pending, count, zone) in zip(
+                self.regions, self.region_states
+            )
+        ]
+
+    def restore(self, entry: "CatalogEntry") -> None:
+        """Put ``entry`` and its regions back as they were (an unfrozen
+        snapshot of ``entry``; caller holds its MVCC lock). A pending zone
+        a write widened in place stays a sound bound of the rows kept."""
+        for name in ENTRY_FIELDS:
+            setattr(entry, name, getattr(self, name))
+        for region, (plan, runs, pending, count, zone) in zip(
+            self.regions, self.region_states
+        ):
+            del pending[count:]
+            region.plan, region.runs = plan, list(runs)
+            region.pending, region.pending_zone = pending, zone
+
+    def page_ids(self) -> set[int]:
+        """Every page the snapshot's runs and indexes occupy."""
+        pages = {
+            page
+            for _, runs, *_ in self.region_states
+            for run in runs
+            for page in run.layout.page_ids()
+        }
+        for index in (*self.indexes.values(), *self.spatial_indexes.values()):
+            pages.update(index.tree.page_ids())
+        return pages
 
 
 class EntryMVCC:
@@ -65,6 +129,7 @@ class EntryMVCC:
         """Capture a snapshot and register it as an active reader."""
         with self.lock:
             snap = TableSnapshot(entry, self.version)
+            snap.freeze()
             self.pins[self.version] = self.pins.get(self.version, 0) + 1
             return snap
 

@@ -653,14 +653,8 @@ class Table:
             # Limited scans skip cardinality feedback: limit is not part of
             # the access signature, so a truncated count would corrupt the
             # pattern's avg_rows for its unlimited siblings.
-            batches_out = generate()
-        else:
-            batches_out = self._db.adaptivity.count_batches(
-                observation, generate()
-            )
-        # Track liveness so an automatic re-layout (which frees this
-        # layout's pages) can never fire under a mid-iteration reader.
-        return self._db.adaptivity.track_scan(batches_out)
+            return generate()
+        return self._db.adaptivity.count_batches(observation, generate())
 
     def _needed_fields(
         self,
@@ -787,11 +781,7 @@ class Table:
         regions = self._require_loaded()
         spec = self.plan.partition
         key_field = spec.key_field if spec is not None else None
-        if (
-            predicate is None
-            or key_field is None
-            or not getattr(self._db, "partition_pruning", True)
-        ):
+        if predicate is None or key_field is None:
             return list(regions)
         lo, hi = predicate.ranges().get(
             key_field, (float("-inf"), float("inf"))
@@ -1082,8 +1072,9 @@ class Table:
                         break
                     return record
                 remaining -= count
-        # Past the main run (overflow, pending) or not directly addressable:
-        # a positional walk — engine plumbing, not query workload.
+        # Past the main run (later runs, pending rows) or not directly
+        # addressable: a positional walk — engine plumbing, not query
+        # workload.
         with self._db.adaptivity.pause():
             for position, record in enumerate(self.scan()):
                 if position == index:
@@ -1186,8 +1177,7 @@ class Table:
         """THE metadata walk: ``(run, RunAccess)`` for every run of
         ``regions`` a scan with these arguments reads — the very values
         :meth:`_region_batches` reads through, so cost and explain fold
-        what the scan does. Overflow runs are rows runs like any other;
-        pending rows are memory-resident."""
+        what the scan does. Pending rows are memory-resident."""
         needed, predicate = self._run_scan_args(needed, predicate)
         intervals = self._prune_intervals(predicate)
         for region in regions:
@@ -1233,7 +1223,7 @@ class Table:
     ) -> int:
         """Exact number of data pages the scan's pruning will skip, from
         the layout synopses alone (:attr:`TableAccess.pruned`: every run's
-        verdict, overflow runs included, plus the partitions ruled out)."""
+        verdict plus the partitions ruled out)."""
         if predicate is None or not self.is_loaded:
             return 0
         return self.scan_access(fieldlist, predicate).pruned
@@ -1302,7 +1292,7 @@ class Table:
         with self._db.mutate(self.name) as m:
             if transformed:
                 with self._entry.mvcc.lock:
-                    self._add_pending(transformed, m)
+                    self._add_pending(transformed)
                 m.log_rows(self.name, transformed)
         if transformed:
             # After the insert transaction commits (a crash in between
@@ -1311,17 +1301,14 @@ class Table:
             self._db.maintain_levels(self.name, len(transformed))
         return len(transformed)
 
-    def _add_pending(self, rows: list[tuple], m=None) -> None:
+    def _add_pending(self, rows: list[tuple]) -> None:
         """Buffer stored-shape ``rows`` in their regions' pending buffers —
         the one landing path of :meth:`insert` and of WAL replay. A
         partitioned table routes each row to its owning partition
         (creating regions for unseen value-partition keys); every other
-        table has one region. The insert's transaction ``m`` remembers
-        what an abort cuts back. Caller holds the entry's MVCC lock."""
+        table has one region. Caller holds the entry's MVCC lock."""
         db, entry = self._db, self._entry
         if self.is_partitioned:
-            if m is not None:
-                m.remember(entry)  # routing may add regions
             router = db.router_for(entry)
             grouped: dict[int, tuple[Any, list[tuple]]] = {}
             for row in rows:
@@ -1335,8 +1322,6 @@ class Table:
             batches = [(entry.regions[0], rows)]
         names = self.scan_schema().names()
         for region, batch in batches:
-            if m is not None:
-                m.remember_pending(entry, region)
             region.add_pending(names, batch)
         self._mark_indexes_stale()
 

@@ -74,8 +74,6 @@ class ReorganizationManager:
         so it survives a reopen)."""
         with self.store.mutate(table) as m:
             entry = self.store.catalog.entry(table)
-            with entry.mvcc.lock:
-                m.remember(entry)
             entry.policy = Policy(policy).value
             m.touch(table)
         self._accesses[table] = 0

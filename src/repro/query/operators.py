@@ -198,6 +198,10 @@ class TableScanOp(Operator):
                 f"partitions={len(self.table.partitions)}"
                 f" partitions_pruned={self.partitions_pruned}"
             )
+            # The regions fan out to the store's shared thread pool.
+            workers = int(getattr(self.table.store, "scan_workers", 0) or 0)
+            if workers > 1 and len(self.table.partitions) > 1:
+                parts.append(f"workers={workers}")
         if self.predicate is not None:
             parts.append(f"predicate={self.predicate!r}")
             parts.append(f"pages_pruned={self.pages_pruned}")
@@ -236,29 +240,6 @@ class TableScanOp(Operator):
         # table's workload monitor (abandoned scans would compare a full
         # estimate against a partial count, so they stay silent).
         self.table.record_scan_feedback(self.est_rows, actual)
-
-
-class ParallelTableScanOp(TableScanOp):
-    """Partition-parallel leaf: morsel-style fan-out over a partitioned
-    table's surviving regions.
-
-    The fan-out itself lives inside :meth:`Table.scan_batches` (which
-    consults ``store.scan_workers`` and dispatches regions to the store's
-    shared thread pool through :func:`fan_out_partitions`), so direct
-    access-method calls and planned queries share one executor and one
-    merge discipline. This operator is the plan-tree face of that path:
-    the planner lowers a scan to it whenever the parallel path will
-    actually run, so ``explain()`` shows the worker fan-out next to the
-    partition-pruning counts.
-    """
-
-    @property
-    def name(self) -> str:
-        return "ParallelTableScan"
-
-    def detail(self) -> str:
-        workers = int(getattr(self.table.store, "scan_workers", 0) or 0)
-        return super().detail() + f" workers={workers}"
 
 
 def fan_out_partitions(executor, sources, window: int):

@@ -52,7 +52,6 @@ from repro.query.operators import (
     HashJoinOp,
     LimitOp,
     Operator,
-    ParallelTableScanOp,
     ProjectOp,
     SortOp,
     TableScanOp,
@@ -508,17 +507,7 @@ def _lower_scan(node: lp.Scan, binder: _Binder) -> Operator:
         )
     except StorageError:
         access = None  # unloaded table (pending rows only): no layout yet
-    # Partitioned tables with parallel workers enabled fan regions out to
-    # the store's shared thread pool; the dedicated operator makes the
-    # choice visible in the plan tree.
-    scan_cls = TableScanOp
-    if (
-        getattr(table, "is_partitioned", False)
-        and int(getattr(table.store, "scan_workers", 0) or 0) > 1
-        and len(table.partitions) > 1
-    ):
-        scan_cls = ParallelTableScanOp
-    op = scan_cls(
+    op = TableScanOp(
         table,
         fieldlist=node.fieldlist,
         predicate=node.predicate,

@@ -18,7 +18,7 @@ import pytest
 import oracle
 from repro.compression import codec_names, get_codec
 from repro.engine import access
-from repro.engine import adaptive
+from repro.engine import adaptive, database
 from repro.engine import levels, recovery
 from repro.engine import table as table_module
 from repro.engine.access import open_run
@@ -759,3 +759,49 @@ def test_one_transaction_protocol():
             if getattr(node, "id", None) in LEGACY_KINDS:
                 assert module == os.path.join("storage", "wal.py"), module
     assert "KIND_UPDATE" not in inspect.getsource(recovery.recover_store)
+
+
+#: The per-site abort ledger and the field lists it copied, the live-scan
+#: adaptation gate, the scan operator that only relabelled the node, and
+#: the partition-pruning switch.
+ONE_SNAPSHOT_DELETED = (
+    (database._Mutation, "remember"),
+    (database._Mutation, "remember_pending"),
+    (database._Mutation, "remember_member"),
+    (database, "_ENTRY_STATE"),
+    (database, "_REGION_STATE"),
+    (database, "_under"),
+    (adaptive.AdaptiveController, "track_scan"),
+    (adaptive.AdaptiveController, "_live_scans"),
+    (operators, "ParallelTableScanOp"),
+    (RodentStore, "partition_pruning"),
+)
+
+
+def test_one_table_snapshot():
+    """One snapshot serves a reader's pin and a transaction's abort: a
+    table's field list exists once, in ``engine/mvcc.py``, and the only
+    places a snapshot is taken are ``EntryMVCC.pin`` (a reader) and
+    ``_Mutation.lock`` (the abort capture)."""
+    for owner, name in ONE_SNAPSHOT_DELETED:
+        assert not hasattr(owner, name), name
+    _assert_absent_as_names({name for _, name in ONE_SNAPSHOT_DELETED})
+    takers, field_lists = [], []
+    for module, source in _sources():
+        for func in ast.walk(ast.parse(source)):
+            if isinstance(func, ast.FunctionDef):
+                takers.extend(
+                    (module, func.name)
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "TableSnapshot"
+                )
+            if isinstance(func, (ast.Tuple, ast.List)) and {
+                "next_run_seq", "wa_compactions"
+            } <= {getattr(e, "value", None) for e in func.elts}:
+                field_lists.append(module)
+    assert sorted(takers) == [
+        (os.path.join("engine", "database.py"), "lock"),
+        (os.path.join("engine", "mvcc.py"), "pin"),
+    ]
+    assert field_lists == [os.path.join("engine", "mvcc.py")]

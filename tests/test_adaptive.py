@@ -232,20 +232,29 @@ class TestHysteresis:
             list(store.table("T").scan(fieldlist=["v"]))
         assert store.table("T").plan.kind == "columns"
 
-    def test_automatic_adaptation_defers_while_a_scan_is_in_flight(self):
-        # An automatic re-layout frees the old layout's pages; it must
-        # never fire under a mid-iteration reader.
-        store = make_store(n=4000, adaptive=True, adapt_interval=5)
+    @pytest.mark.parametrize(
+        "durable", [False, True], ids=["memory", "durable"]
+    )
+    def test_automatic_adaptation_under_a_live_reader(self, tmp_path, durable):
+        # An automatic re-layout lands under a mid-iteration reader: the
+        # reader keeps reading its pinned snapshot, and the old layout's
+        # pages wait for its pin.
+        where = {"path": str(tmp_path / "db.pages"), "durable": True}
+        store = make_store(
+            adaptive=True, adapt_interval=5, **(where if durable else {})
+        )
+        mvcc = store.catalog.entry("T").mvcc
         reader = store.table("T").scan()
         first = next(reader)  # reader is now live on the row layout
         for _ in range(40):
             list(store.table("T").scan(fieldlist=["v"]))
-        assert store.table("T").plan.kind == "rows"  # deferred
-        rest = list(reader)  # completes correctly, then releases the gate
+        assert store.table("T").plan.kind == "columns"  # landed
+        assert mvcc.garbage  # the row layout waits for the reader
+        rest = list(reader)
         assert [first] + rest == make_records(4000)
-        for _ in range(10):
-            list(store.table("T").scan(fieldlist=["v"]))
-        assert store.table("T").plan.kind == "columns"  # now it adapts
+        assert not mvcc.garbage  # drained with the reader's pin
+        assert store.scrub()["clean"]
+        store.close()
 
     def test_amortization_blocks_rare_workloads(self):
         store = make_store(n=4000, adaptive=True, adapt_interval=4)

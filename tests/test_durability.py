@@ -241,8 +241,8 @@ class TestFaultInjection:
     ],
 )
 class TestSnapshotScans:
-    """Every shape pins through ``Region.freeze()``: a scan keeps seeing
-    the version it opened whatever replaces runs underneath it."""
+    """Every shape pins through ``TableSnapshot.freeze()``: a scan keeps
+    seeing the version it opened whatever replaces runs underneath it."""
 
     def test_scan_survives_concurrent_relayout(self, tmp_path, layout):
         store = open_store(tmp_path)
@@ -534,3 +534,72 @@ def test_a_failed_commit_append_puts_the_catalog_back(
         oracle.check_table(reopened.table(name), model)
     assert reopened.scrub()["clean"]
     reopened.close()
+
+
+def test_an_abort_restores_every_entry_change(tmp_path):
+    """A transaction takes its table's snapshot when it locks the table,
+    so an abort puts back every change the body made — engine mutation or
+    not: the entry's design, counters, policy, a region's design and its
+    pending rows."""
+    store = open_store(tmp_path)
+    store.create_table("T", SCHEMA)
+    table = store.load("T", ROWS[:100])
+    table.insert([(500, 5), (501, 6)])
+    model = oracle.Model(SCHEMA.names(), ROWS[:100])
+    model.insert([(500, 5), (501, 6)])
+    before = catalog_image(store)
+    entry = store.catalog.entry("T")
+    with pytest.raises(RuntimeError):
+        with store.mutate("T"):
+            (region,) = entry.regions
+            entry.stats = None
+            entry.policy = "lazy"
+            entry.next_run_seq += 5
+            region.plan = store.region_plan("T", "columns(T)")
+            region.add_pending(SCHEMA.names(), [(502, 7)])
+            raise RuntimeError("boom")
+    assert catalog_image(store) == before
+    assert store.locks.holder("table:T") is None
+    table.insert([(600, 7)])
+    model.insert([(600, 7)])
+    oracle.check_table(table, model)
+    store.close()
+    reopened = open_store(tmp_path)
+    oracle.check_table(reopened.table("T"), model)
+    reopened.close()
+
+
+def test_an_aborted_cascade_frees_the_runs_it_made(tmp_path, monkeypatch):
+    """A levelled compaction that cascades renders a run and merges it
+    away in the same transaction. When that transaction aborts, every
+    page it rendered is free again, the intermediate run's included: no
+    page is both unreferenced and not free."""
+    store = open_store(tmp_path, level_seal_rows=10**6)
+    store.create_table("L", SCHEMA, layout="levels[2; 2](rows(L))")
+    table = store.table("L")
+
+    def seal(lo: int) -> None:
+        table.insert(ROWS[lo:lo + 50])
+        store.seal_level_run("L")
+
+    seal(0)
+    seal(50)
+    store.compact_levels("L")  # one level-1 run
+    seal(100)
+    seal(150)  # two level-0 runs: a merge makes a second level-1 run
+
+    def leaked() -> set[int]:
+        pages = set(range(store.disk.num_pages))
+        return pages - store._referenced_pages() - store.disk.free_page_ids()
+
+    before = catalog_image(store)
+    assert not leaked()
+    fail_append(monkeypatch, KIND_COMMIT)
+    with pytest.raises(WALError):
+        store.compact_levels("L")
+    monkeypatch.undo()
+    assert catalog_image(store) == before
+    assert not leaked()
+    assert store.compact_levels("L") == {"merges": 2, "runs_merged": 4}
+    oracle.check_table(table, oracle.Model(SCHEMA.names(), ROWS[:200]))
+    store.close()

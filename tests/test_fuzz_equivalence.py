@@ -267,7 +267,7 @@ def run_query_all_paths(
     store: RodentStore, model: oracle.Model, query: dict, predicate
 ) -> None:
     """Assert batch ≡ model and batch ≡ compiled pipeline across the
-    pruning (zone-map + partition) and parallel-executor toggles, and every
+    zone-map pruning and parallel-executor toggles, and every
     toggle's answer identical."""
     table = store.table("T")
     # Parallelism only has a distinct code path on partitioned tables;
@@ -276,7 +276,6 @@ def run_query_all_paths(
     results = {}
     for pruning in (True, False):
         store.zone_pruning = pruning
-        store.partition_pruning = pruning
         for workers in worker_settings:
             store.scan_workers = workers
             batch = [
@@ -314,7 +313,6 @@ def run_query_all_paths(
         # there is one): the operators above the scan don't depend on it.
         check_topk_above_operators(store, model, query, predicate)
     store.zone_pruning = True
-    store.partition_pruning = True
     store.scan_workers = 0
     baseline = next(iter(results.values()))
     assert all(

@@ -10,15 +10,22 @@ Invariants checked while writers mutate the table as fast as they can:
   lands: the final value is exactly N x K.
 * **Durability** — after the storm, an unclean close + reopen recovers
   exactly the final committed state.
+* **Adaptation under live readers** — the adaptive loop is on, with a
+  seeded workload that makes ``columns(T)`` clearly better, so automatic
+  re-layouts land while scanners are mid-iteration; a reader opened
+  before the storm and drained after it still returns the rows it pinned.
 """
 
 import os
+import sys
 import threading
 
 import pytest
 
+from repro.engine.cost import CostModel
 from repro.engine.database import RodentStore
 from repro.errors import StorageError
+from repro.optimizer.workload import Query, Workload
 from repro.query.expressions import Range
 from repro.types import Schema
 
@@ -29,19 +36,27 @@ N_SCANNERS = int(os.environ.get("STRESS_SCANNERS", "3"))
 N_ROUNDS = int(os.environ.get("STRESS_ROUNDS", "12"))
 
 TOTAL = 1_000  # invariant sum of the two account rows (ids 1 and 2)
+# Enough rows (ids below the inserted ones) for a projection of one of
+# two fields to read clearly fewer pages.
 BASE_ROWS = [(0, 0), (1, TOTAL), (2, 0)] + [
-    (10 + i, i) for i in range(60)
+    (10 + i, i) for i in range(900)
 ]
 
 
 @pytest.fixture
 def stress_store(tmp_path):
+    # Pages, not seeks, dominate the cost (no seek charge): a column
+    # layout pays off for the seeded projections of ``val``.
     store = RodentStore(
         str(tmp_path / "db.pages"), page_size=1024, pool_capacity=128,
-        durable=True,
+        durable=True, adaptive=True, adapt_interval=4,
+        cost_model=CostModel(page_size=1024, seek_ms=0.0),
     )
     store.create_table("T", SCHEMA)
     store.load("T", BASE_ROWS)
+    seed = Workload("T")
+    seed.add(Query("projection", fieldlist=("val",), weight=50.0))
+    store.adaptivity.seed_workload(seed)
     yield store
     if not store._closed:
         store.close()
@@ -76,6 +91,10 @@ def test_writers_vs_scanners(stress_store):
         except Exception as exc:  # noqa: BLE001 - report into main thread
             errors.append(f"writer {wid}: {exc!r}")
 
+    # Open before the storm: re-layouts land while this reader is live.
+    reader = table.scan()
+    first = next(reader)
+
     def scanner(sid: int):
         try:
             while not stop.is_set():
@@ -104,15 +123,27 @@ def test_writers_vs_scanners(stress_store):
         threading.Thread(target=scanner, args=(s,))
         for s in range(N_SCANNERS)
     ]
-    for t in writers + scanners:
-        t.start()
-    for t in writers:
-        t.join(timeout=120)
-    stop.set()
-    for t in scanners:
-        t.join(timeout=30)
+    # Switch threads often, so re-layouts interleave with scans finely.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in writers + scanners:
+            t.start()
+        for t in writers:
+            t.join(timeout=120)
+        stop.set()
+        for t in scanners:
+            t.join(timeout=30)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
 
+    assert not any(t.is_alive() for t in writers + scanners)
     assert not errors, errors[:5]
+    # At least one automatic re-layout landed under the live reader, which
+    # still returns exactly the rows it pinned.
+    assert store.adaptivity.reorganizer.reorganizations >= 1
+    assert [first, *reader] == BASE_ROWS
 
     # no lost updates: every increment landed
     final = dict(table.scan(predicate=Range("id", 0, 2)))
