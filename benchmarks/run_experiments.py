@@ -1,8 +1,9 @@
 """Standalone experiment runner: prints every paper table/figure + ablation.
 
-The pytest-benchmark suite measures wall-clock; this script regenerates the
-*content* of each experiment (the rows/series the paper reports) in one go,
-for EXPERIMENTS.md. Run with::
+``tests/test_paper_shapes.py`` asserts the shape of each result; this script
+regenerates the *content* of each experiment (the rows/series the paper
+reports) in one go, and writes the adaptive-loop report ``BENCH_adapt.json``.
+Run with::
 
     python benchmarks/run_experiments.py [--scale small|default|large]
 """
@@ -12,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import sys
 import time
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_config import SEED as DEFAULT_SEED  # noqa: E402
+#: Master RNG seed for data/query generation. ``BENCH_adapt.json`` records
+#: the seed it ran with, so the report reproduces bit-for-bit with
+#: ``--seed <value>``.
+DEFAULT_SEED = 7
 
 SCALES = {
     "small": dict(n_observations=20_000, n_queries=15, page_size=8_192),

@@ -267,8 +267,8 @@ def fold_records_nested_loops(
 ) -> list[Record]:
     """Algorithm 1 from the paper: fold via nested for loops.
 
-    Quadratic; kept as the reference implementation and exercised by the
-    fold-rendering ablation benchmark.
+    Quadratic: one pass over ``records`` per distinct group. Kept as the
+    reference implementation that :func:`fold_records` is tested against.
     """
     group_idx = [positions[f] for f in group_fields]
     nest_idx = [positions[f] for f in nest_fields]

@@ -3,8 +3,8 @@
 Paper §5 anticipates "heavy reliance on heuristic search algorithms. For
 example, to find the best gridding, we could use gradient descent or
 simulated annealing to add dimensions until a low cost dimensionalization is
-achieved." Three strategies are provided; the optimizer benchmark (Ablation
-`bench_optimizer`) compares their cost/quality trade-off:
+achieved." Three strategies are provided; ``tests/test_paper_shapes.py``
+checks their cost/quality trade-off on the trace workload:
 
 * :func:`exhaustive_search` — cost every candidate, pick the minimum
   (optimal w.r.t. the candidate pool and the cost model);

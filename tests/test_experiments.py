@@ -42,9 +42,9 @@ class TestFigure2Shape:
     def test_grid_two_orders_of_magnitude_vs_scan(self, figure2):
         """'data isolation and gridding reduce the total number of pages by
         about two orders of magnitude versus a raw scan' — at reduced scale
-        we require at least ~20x."""
+        we require more than 30x."""
         pages = {k: v.pages_per_query for k, v in figure2.layouts.items()}
-        assert pages["N1"] / pages["N3"] > 20
+        assert pages["N1"] / pages["N3"] > 30
 
     def test_delta_compression_shrinks_n4(self, figure2):
         n3 = figure2.layouts["N3"]
@@ -52,12 +52,28 @@ class TestFigure2Shape:
         assert n4.storage_pages < n3.storage_pages
         assert n4.pages_per_query < n3.pages_per_query
 
+    def test_n3_to_n4_factor_near_the_paper(self, figure2):
+        """The paper's N3 -> N4 factor is 2.32x."""
+        pages = {k: v.pages_per_query for k, v in figure2.layouts.items()}
+        assert 1.2 < pages["N3"] / pages["N4"] < 6
+
     def test_latency_model_tracks_pages(self, figure2):
         """'the total query time is also about one hundred times faster' —
         the modelled latency must preserve the ordering."""
         ms = {k: v.est_ms_per_query for k, v in figure2.layouts.items()}
         assert ms["N1"] > ms["N3"] > ms["N4"]
         assert ms["N1"] / ms["N3"] > 5
+
+    def test_latency_model_orders_every_layout(self, figure2):
+        """'a few 10s of milliseconds vs five seconds' — the seek+bandwidth
+        model ranks every layout as its pages do, with a large N1/N4 gap."""
+        ms = {k: v.est_ms_per_query for k, v in figure2.layouts.items()}
+        assert ms["N1"] > ms["N2"] > ms["N3"] > ms["N4"]
+        assert ms["N1"] / ms["N4"] > 10
+
+    @pytest.mark.parametrize("name", ["N1", "N2", "N3", "N4"])
+    def test_every_layout_answers_the_queries(self, figure2, name):
+        assert figure2.layouts[name].records_per_query > 0
 
     def test_all_layouts_return_same_records(self, figure2):
         counts = {

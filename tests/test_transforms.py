@@ -34,6 +34,7 @@ from repro.algebra.transforms import (
     zorder_grid,
 )
 from repro.errors import AlgebraError
+from repro.workloads import SALES_SCHEMA, generate_sales
 
 T = [
     (2139, 617, "32 Vassar St"),
@@ -42,6 +43,8 @@ T = [
     (2139, 617, "77 Mass Ave"),
 ]
 POS = {"zip": 0, "area": 1, "addr": 2}
+SALES = generate_sales(4_000)
+SALES_POS = {name: i for i, name in enumerate(SALES_SCHEMA.names())}
 
 records_strategy = st.lists(
     st.tuples(
@@ -130,6 +133,39 @@ class TestFold:
         fast = fold_records(records, positions, ["c"], ["b"])
         slow = fold_records_nested_loops(records, positions, ["c"], ["b"])
         assert fast == slow
+
+    def test_fold_keeps_every_sale(self):
+        folded = fold_records(SALES, SALES_POS, ["quantity", "price"], ["zipcode"])
+        assert sum(len(row[-1]) for row in folded) == len(SALES)
+
+    def test_nested_loops_equals_hash_on_sales(self):
+        records = SALES[:800]
+        fields = ["quantity", "price"]
+        assert fold_records_nested_loops(
+            records, SALES_POS, fields, ["zipcode"]
+        ) == fold_records(records, SALES_POS, fields, ["zipcode"])
+
+    def test_hash_makes_one_pass_nested_loops_one_per_group(self):
+        """"Rather than using nested for loops, a hash-join like algorithm
+        could be used" (§4.2): on 800 sales grouped by zipcode, the hash
+        strategy reads its input once, Algorithm 1 once more per group. The
+        test above checks the two give the same folds."""
+
+        class PassCounter(list):
+            passes = 0
+
+            def __iter__(self):
+                self.passes += 1
+                return super().__iter__()
+
+        records = PassCounter(SALES[:800])
+        fast = fold_records(records, SALES_POS, ["quantity", "price"], ["zipcode"])
+        assert records.passes == 1
+        records.passes = 0
+        fold_records_nested_loops(
+            records, SALES_POS, ["quantity", "price"], ["zipcode"]
+        )
+        assert records.passes == 1 + len(fast)
 
     @given(records_strategy)
     def test_unfold_inverts_fold_up_to_grouping(self, records):
