@@ -16,14 +16,19 @@ buys:
    queried analytically, old ones barely touched) makes the adaptive
    loop re-layout only the *hot* partitions, one region at a time; cold
    partitions keep their original design, so the rewrite never touches
-   most of the table.
+   most of the table;
+4. **levelled partitions** — the router composes with a level policy:
+   ``partition[r.year](levels[2; 2](rows(Sales)))`` gives every year its
+   own run cascade, which a stream of inserts and deletes drives.
 
 Run with::
 
     python examples/partitioned_store.py
 
 It exits 1 unless every re-laid-out partition now has the recommended
-design and every kept partition still has its old one.
+design and every kept partition still has its old one, and unless the
+levelled partitions answer every query as a flat copy of the same rows
+does, with every year's cascade merged at least once.
 """
 
 import random
@@ -123,9 +128,55 @@ def main() -> None:
         f"{stats['partitions_pruned']} partitions pruned cumulatively"
     )
     store.close()
-    if not hot or wrong:
+    failures = levelled_partitions()
+    if not hot or wrong or failures:
         print(f"FAIL: re-laid-out {hot}; partitions off their design: {wrong}")
+        print(f"FAIL: levelled partitions disagree on {failures}")
         sys.exit(1)
+
+
+def levelled_partitions() -> list[str]:
+    """4. A year-partitioned levelled table streams inserts and deletes
+    through every year's cascade; returns the queries on which it and a
+    flat copy of the same rows disagree (and any year that never merged)."""
+    schema = Schema.of("year:int", "id:int", "amount:int")
+    rng = random.Random(11)
+    rows = [
+        (2020 + rng.randrange(4), i, rng.randrange(1000)) for i in range(2400)
+    ]
+    store = RodentStore(page_size=2048, level_seal_rows=64)
+    store.create_table(
+        "Sales", schema, layout="partition[r.year](levels[2; 2](rows(Sales)))"
+    )
+    store.create_table("Flat", schema)
+    tables = [store.load(name, rows[:400]) for name in ("Sales", "Flat")]
+    for start in range(400, len(rows), 200):
+        doomed = Range("amount", start % 1000, start % 1000 + 30)
+        for table in tables:
+            table.insert(rows[start:start + 200])
+            table.delete(doomed)
+    print("\nlevelled partitions after the insert/delete stream:")
+    failures = []
+    for region in tables[0].partitions:
+        levels = sorted(run.level for run in region.runs)
+        merged = any(run.min_seq < run.max_seq for run in region.runs)
+        print(
+            f"  year {region.key}: {region.row_count:>5,} rows stored, runs at "
+            f"levels {levels}, {len(region.level_tombstones)} tombstones"
+        )
+        if not merged:
+            failures.append(f"year {region.key} never merged")
+    for predicate in (
+        None, Range("year", 2021, 2021), Range("amount", 100, 400),
+        Range("id", 1000, 1999),
+    ):
+        answers = [sorted(table.scan(predicate=predicate)) for table in tables]
+        if answers[0] != answers[1]:
+            failures.append(repr(predicate))
+    print(f"  {tables[1].row_count:,} rows live, answers equal a flat "
+          f"copy's: {not failures}")
+    store.close()
+    return failures
 
 
 if __name__ == "__main__":

@@ -64,19 +64,6 @@ class AlgebraInterpreter:
 
             expr = parse(expr)
         normalized = normalize(expr)
-        for node in normalized.walk():
-            if isinstance(node, ast.Partition) and node is not normalized:
-                raise AlgebraError(
-                    "partition must be the outermost operator: the engine "
-                    "renders one region per partition, so nothing can wrap "
-                    "the partitioned result"
-                )
-            if isinstance(node, ast.Levels) and node is not normalized:
-                raise AlgebraError(
-                    "levels must be the outermost operator: the engine "
-                    "renders one region per run, so nothing can wrap the "
-                    "levelled result"
-                )
         checked = validation.check(normalized, self.catalog)
         return self._plan_from_checked(normalized, checked)
 
@@ -87,66 +74,42 @@ class AlgebraInterpreter:
         if layout is None:
             raise AlgebraError(f"no physical layout for kind {checked.kind!r}")
 
-        if layout == LAYOUT_PARTITIONED:
-            if not isinstance(expr, ast.Partition):
-                raise AlgebraError(
-                    "partitioned plans require a partition expression"
-                )
+        if layout in (LAYOUT_PARTITIONED, LAYOUT_LEVELLED):
+            # A router over regions with a level policy: the plan names
+            # both, and the design of every region under them.
             inner = self._plan_from_checked(
                 expr.child, checked.meta["child"]
             )
             if inner.kind == LAYOUT_ARRAY:
                 raise AlgebraError(
-                    "partitions require record-shaped regions, not arrays"
+                    f"{expr.op_name} requires record-shaped regions, not arrays"
                 )
-            spec = PartitionSpec(
-                key=expr.key,
-                method=expr.method,
-                bounds=expr.args if expr.method == "range" else (),
-                buckets=int(expr.args[0]) if expr.method == "hash" else 0,
-            )
-            # The table-level stored order: each region keeps the inner
-            # design's order, and regions concatenate in partition order —
-            # globally sorted only when the partitions themselves are
-            # ranges of the leading sort key.
-            sort_keys = ()
-            if (
-                spec.method == "range"
-                and inner.sort_keys
-                and spec.key_field is not None
-                and inner.sort_keys[0] == (spec.key_field, True)
-            ):
-                sort_keys = inner.sort_keys
+            partition, sort_keys = None, ()
+            if isinstance(expr, ast.Partition):
+                partition = PartitionSpec(
+                    key=expr.key,
+                    method=expr.method,
+                    bounds=expr.args if expr.method == "range" else (),
+                    buckets=int(expr.args[0]) if expr.method == "hash" else 0,
+                )
+                levels = inner.levels
+                # Each region keeps the inner design's order (none under a
+                # level policy: runs resolve newest-first), and regions
+                # concatenate in partition order — globally sorted only
+                # when the partitions are ranges of the leading sort key.
+                leading = ((partition.key_field, True),)
+                if partition.method == "range" and inner.sort_keys[:1] == leading:
+                    sort_keys = inner.sort_keys
+            else:
+                levels = LevelSpec(k=expr.k, ratio=expr.ratio, key=expr.key)
             return PhysicalPlan(
                 expr=expr,
-                kind=LAYOUT_PARTITIONED,
+                kind=layout,
                 schema=inner.schema,
                 sort_keys=tuple(sort_keys),
-                partition=spec,
-                partition_plans=(inner,),
-            )
-
-        if layout == LAYOUT_LEVELLED:
-            if not isinstance(expr, ast.Levels):
-                raise AlgebraError(
-                    "levelled plans require a levels expression"
-                )
-            inner = self._plan_from_checked(
-                expr.child, checked.meta["child"]
-            )
-            if inner.kind == LAYOUT_ARRAY:
-                raise AlgebraError(
-                    "levels require record-shaped runs, not arrays"
-                )
-            spec = LevelSpec(k=expr.k, ratio=expr.ratio, key=expr.key)
-            # Runs resolve newest-first at scan time, so no table-level
-            # stored order survives the run concatenation.
-            return PhysicalPlan(
-                expr=expr,
-                kind=LAYOUT_LEVELLED,
-                schema=inner.schema,
-                levels=spec,
-                level_plans=(inner,),
+                partition=partition,
+                levels=levels,
+                region_design=inner.region_template,
             )
 
         if layout == LAYOUT_MIRROR:

@@ -145,13 +145,15 @@ class PhysicalPlan:
         sort_keys: (field, ascending) pairs the stored order satisfies.
         group_fields / nest_fields: fold structure, for ``folded`` layouts.
         mirror_plans: the two sub-plans, for ``mirror`` layouts.
-        partition: how records split into partitions, for ``partitioned``
-            layouts.
-        partition_plans: the per-partition design template, for
-            ``partitioned`` layouts (individual partitions may later
-            diverge from it through single-partition re-layouts; the
-            authoritative per-partition plan lives on the catalog's
-            partition regions).
+        partition: the router — how records split into regions (``None``:
+            one region).
+        levels: the level policy of every region (``None``: unbounded
+            fan-in, a flat region).
+        region_design: the design template of every region under a router
+            or a level policy (``None``: the plan is itself one layout).
+            Individual regions may later diverge from it through
+            single-partition re-layouts; the authoritative design lives on
+            the catalog's regions.
     """
 
     expr: ast.Node
@@ -166,9 +168,13 @@ class PhysicalPlan:
     nest_fields: tuple[str, ...] = ()
     mirror_plans: tuple["PhysicalPlan", ...] = ()
     partition: PartitionSpec | None = None
-    partition_plans: tuple["PhysicalPlan", ...] = ()
     levels: LevelSpec | None = None
-    level_plans: tuple["PhysicalPlan", ...] = ()
+    region_design: "PhysicalPlan | None" = None
+
+    @property
+    def region_template(self) -> "PhysicalPlan":
+        """The design a new region of this plan starts with."""
+        return self.region_design or self
 
     def codec_for(self, field_name: str) -> str:
         """Codec assigned to ``field_name`` (field-specific beats ``"*"``)."""
@@ -185,12 +191,10 @@ class PhysicalPlan:
         parts = [self.kind]
         if self.partition is not None:
             parts.append(self.partition.describe())
-            if self.partition_plans:
-                parts.append(f"each=[{self.partition_plans[0].describe()}]")
         if self.levels is not None:
             parts.append(self.levels.describe())
-            if self.level_plans:
-                parts.append(f"run=[{self.level_plans[0].describe()}]")
+        if self.region_design is not None:
+            parts.append(f"each=[{self.region_design.describe()}]")
         if self.grid is not None:
             parts.append(self.grid.describe())
         if self.column_groups:

@@ -11,10 +11,9 @@ interpreter uses to build physical plans without evaluating any data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.algebra import ast
-from repro.errors import TypeCheckError
+from repro.errors import AlgebraError, TypeCheckError
 from repro.types.schema import Field, Schema
 from repro.types.types import (
     BOOL,
@@ -27,7 +26,6 @@ from repro.types.types import (
     IntType,
     ListType,
     NestedType,
-    StringType,
 )
 
 # Structural kinds, mirroring repro.algebra.transforms.KIND_*.
@@ -144,6 +142,21 @@ _ORDER_KEEPING = (ast.Compress, ast.Columns, ast.Rows, ast.Limit)
 _DELTA_PARENTS = _ORDER_KEEPING + (ast.Partition, ast.Mirror, ast.Levels)
 
 
+def _record_schema(checked: Checked, schema: Schema) -> Schema:
+    """The records a scan of the regions of ``checked`` produces, which a
+    partition or merge key is evaluated on: folded designs un-nest, so a key
+    may reference both group and nested fields."""
+    if checked.kind == KIND_LEVELLED:
+        checked = checked.meta["child"]
+    if checked.kind != KIND_FOLDED:
+        return schema
+    nest_schema: Schema = checked.meta["nest_schema"]
+    return Schema(
+        [schema.field(f) for f in checked.meta["group_fields"]]
+        + list(nest_schema.fields)
+    )
+
+
 class _Checker:
     def __init__(self, catalog: dict[str, Schema]):
         self.catalog = catalog
@@ -152,6 +165,18 @@ class _Checker:
         method = getattr(self, f"_check_{type(node).__name__.lower()}", None)
         if method is None:
             raise TypeCheckError(f"cannot check node {type(node).__name__}")
+        for child in node.children():
+            # The one nesting rule: a table is a router (partition) over
+            # regions with a level policy (levels), so only the router wraps
+            # the level policy and nothing wraps the router.
+            if isinstance(child, ast.Partition) or (
+                isinstance(child, ast.Levels)
+                and not isinstance(node, ast.Partition)
+            ):
+                raise AlgebraError(
+                    f"{node.op_name} cannot wrap {child.op_name}: only "
+                    "partition wraps levels, and nothing wraps partition"
+                )
         if not isinstance(node, _DELTA_PARENTS):
             for child in node.children():
                 while isinstance(child, _ORDER_KEEPING):
@@ -219,49 +244,34 @@ class _Checker:
 
     def _check_partition(self, node: ast.Partition) -> Checked:
         child = self.check(node.child)
-        if child.kind == KIND_PARTITIONED:
-            raise TypeCheckError("partitions cannot nest")
-        if child.kind == KIND_LEVELLED:
-            raise TypeCheckError("partition cannot wrap a levelled design")
         schema = child.require_schema("partition")
-        # The key is evaluated on the records a scan of the child design
-        # produces; folded designs un-nest, so the key may reference both
-        # group and nested fields.
-        if child.kind == KIND_FOLDED:
-            nest_schema: Schema = child.meta["nest_schema"]
-            key_schema = Schema(
-                [schema.field(f) for f in child.meta["group_fields"]]
-                + list(nest_schema.fields)
-            )
-        else:
-            key_schema = schema
-        key_type = infer_scalar_type(node.key, key_schema)
+        key_type = infer_scalar_type(node.key, _record_schema(child, schema))
         if node.method == "range" and not _is_numeric(key_type):
             raise TypeCheckError(
                 f"range partitioning requires a numeric key, got "
                 f"{key_type.name} in {node.key.to_text()}"
             )
+        merge_key = getattr(node.child, "key", None)  # keyed levels
+        if isinstance(node.child, ast.Levels) and merge_key is not None and (
+            not isinstance(node.key, ast.FieldRef) or node.key != merge_key
+        ):
+            # Every version of a merge key must land in one region, or an
+            # upsert routed elsewhere could not shadow the older version.
+            raise TypeCheckError(
+                f"keyed levels are partitioned by their merge key field "
+                f"{merge_key.to_text()}, not {node.key.to_text()}"
+            )
         return Checked(KIND_PARTITIONED, schema, {"child": child})
 
     def _check_levels(self, node: ast.Levels) -> Checked:
         child = self.check(node.child)
-        if child.kind in (KIND_LEVELLED, KIND_PARTITIONED, KIND_MIRROR):
-            raise TypeCheckError(
-                f"levels cannot wrap a {child.kind} design"
-            )
+        if child.kind == KIND_MIRROR:
+            raise TypeCheckError("levels cannot wrap a mirror design")
         schema = child.require_schema("levels")
         if node.key is not None:
             # The merge key is evaluated on the records a scan of the run
             # design produces (same record shape as partition keys).
-            if child.kind == KIND_FOLDED:
-                nest_schema: Schema = child.meta["nest_schema"]
-                key_schema = Schema(
-                    [schema.field(f) for f in child.meta["group_fields"]]
-                    + list(nest_schema.fields)
-                )
-            else:
-                key_schema = schema
-            infer_scalar_type(node.key, key_schema)
+            infer_scalar_type(node.key, _record_schema(child, schema))
         return Checked(KIND_LEVELLED, schema, {"child": child})
 
     def _check_groupby(self, node: ast.GroupBy) -> Checked:
@@ -389,12 +399,9 @@ class _Checker:
             meta = dict(child.meta)
             meta["cell_order"] = "zorder"
             return Checked(KIND_GRID, child.schema, meta)
-        if child.kind in (KIND_NESTING, KIND_GROUPED, KIND_PARTITIONED):
-            # zorder over a grouped/partitioned nesting flattens it along
-            # the curve into an array. Note the *interpreter* additionally
-            # requires partition to be outermost (a partitioned layout
-            # renders as separate regions, which nothing can wrap), so
-            # this branch only serves direct validation/evaluation users.
+        if child.kind in (KIND_NESTING, KIND_GROUPED):
+            # zorder over a grouped nesting flattens it along the curve
+            # into an array (nothing wraps a partition: see ``check``).
             return Checked(KIND_NESTING, None)
         raise TypeCheckError(
             f"zorder applies to grids or two-level nestings, not {child.kind}"

@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro import vector
 from repro.algebra import ast
-from repro.algebra.physical import LAYOUT_LEVELLED, LAYOUT_PARTITIONED
 from repro.algebra.rewriter import structurally_equal
 from repro.engine.stats import TableStats
 from repro.errors import RodentStoreError
@@ -153,6 +152,8 @@ class AdaptiveController:
         key = monitor.observe(fieldlist, predicate, order_keys)
         if table.name in self._write_load:
             self._write_load[table.name] *= self.decay
+        if self.store._stopped is not None:
+            return monitor, key  # reads go on; nothing may be rewritten
         # A re-layout may land while other scans are mid-iteration: each
         # reads its pinned snapshot, and the pages it supersedes wait for
         # the last of those pins.
@@ -315,7 +316,7 @@ class AdaptiveController:
             workload, decision,
         )
         if benefit is None:
-            if entry.plan.kind == LAYOUT_LEVELLED:
+            if entry.plan.levels is not None:
                 return self._merge_runs(entry, decision, force)
             return decision
         rewrite_ms = self.reorganizer.estimated_rewrite_ms(
@@ -325,7 +326,7 @@ class AdaptiveController:
         if not self._amortized(decision, per_execution, rewrite_ms, force):
             return decision
 
-        if entry.plan.kind == LAYOUT_PARTITIONED:
+        if entry.plan.partition is not None:
             # Cold partitions keep their current layout: a skewed workload
             # re-optimizes the regions it touches without rewriting the
             # whole table.
@@ -333,7 +334,7 @@ class AdaptiveController:
             decision["kept_partitions"] = [
                 r.pid for r in entry.regions if r.pid not in rewritten
             ]
-        elif entry.plan.kind == LAYOUT_LEVELLED:
+        if entry.plan.levels is not None:
             decision["relayout_runs"] = True
         self._apply(entry, expr, stale, decision)
         decision["reason"] = (
@@ -452,34 +453,31 @@ class AdaptiveController:
         if best is not None:
             return best[1]
         assert entry.plan is not None
-        return entry.plan.partition_plans[0].expr
+        return entry.plan.region_template.expr
 
     def _stale_regions(
         self, entry: "CatalogEntry", expr: ast.Node, decision: dict
     ) -> list["Region"]:
         """The regions installing ``expr`` would rewrite: those whose design
-        differs from it — among the *hot* partitions of a partitioned
-        table, else the table's one region."""
+        differs from it among the *hot* regions: a skewed workload
+        re-optimizes only the partitions it touches, and with no recorded
+        weights (a table without a router) every region is hot."""
         regions = entry.regions
-        if entry.plan.kind == LAYOUT_PARTITIONED:
-            weights = self._partition_weights(entry)
-            total = sum(weights.values())
-            threshold = (
-                self.HOT_PARTITION_FACTOR * total / max(1, len(regions))
-            )
-            regions = [
-                region
-                for region in regions
-                if total == 0.0 or weights.get(region.pid, 0.0) >= threshold
-            ]
-            decision["hot_partitions"] = [r.pid for r in regions]
-            decision["partition_weights"] = {
-                r.pid: round(weights.get(r.pid, 0.0), 3)
-                for r in entry.regions
-            }
-        return [
+        weights = self._partition_weights(entry)
+        total = sum(weights.values())
+        threshold = self.HOT_PARTITION_FACTOR * total / max(1, len(regions))
+        hot = [
             region
             for region in regions
+            if total == 0.0 or weights.get(region.pid, 0.0) >= threshold
+        ]
+        decision["hot_partitions"] = [r.pid for r in hot]
+        decision["partition_weights"] = {
+            r.pid: round(weights.get(r.pid, 0.0), 3) for r in regions
+        }
+        return [
+            region
+            for region in hot
             if region.plan is not None
             and not structurally_equal(region.plan.expr, expr)
         ]
@@ -493,25 +491,27 @@ class AdaptiveController:
     def _merge_runs(
         self, entry: "CatalogEntry", decision: dict, force: bool
     ) -> dict:
-        """The one shape-specific trigger, for a levelled table whose run
+        """The one level-policy trigger, for a levelled table whose run
         design stays: a fragmented manifest costs one extra seek per run
         per scan. Once the decayed ingest load has drained (reads
-        dominate) and the saved seeks amortize the merge, the runs fold
-        into one. While ingest is hot the check leaves fan-out to the
-        background merge cadence instead of fighting it."""
+        dominate) and the saved seeks amortize the merge, each region's
+        runs fold into one. While ingest is hot the check leaves fan-out
+        to the background merge cadence instead of fighting it."""
         from repro.engine.cost import estimate
 
-        (region,) = entry.regions
-        n_runs = len(region.runs)
+        n_runs = sum(len(region.runs) for region in entry.regions)
         write_load = self._write_load.get(entry.name, 0.0)
         decision["run_count"] = n_runs
         decision["write_load"] = round(write_load, 3)
         model = self.store.cost_model
-        pages = region.total_pages()
-        per_scan = (
-            estimate(model, pages, n_runs).ms - estimate(model, pages, 1).ms
+        pages = entry.total_pages()
+        per_scan = sum(
+            estimate(model, r.total_pages(), len(r.runs)).ms
+            - estimate(model, r.total_pages(), 1).ms
+            for r in entry.regions
+            if len(r.runs) > 1
         )
-        if n_runs <= 1 or per_scan <= 0:
+        if per_scan <= 0:
             decision["reason"] = "levelled structure already optimal"
             return decision
         if not force and write_load > self.LEVELLED_WRITE_LOAD_FLOOR:

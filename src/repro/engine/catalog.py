@@ -49,18 +49,24 @@ class Run:
 class Region:
     """A list of runs plus the not-yet-rendered inserts that trail them.
 
-    Every table is a list of these. A flat table is one region;
-    ``partition[...]`` is many regions routed by key (``lower``/``upper``
-    are the range bounds partition pruning intersects with predicate
-    ranges, ``None`` = unbounded); ``levels[...]`` is one region read
+    Every table is a list of these, shaped by two parameters of its plan:
+    a router — one region, or ``partition[...]``'s regions routed by key
+    (``lower``/``upper`` are the range bounds partition pruning intersects
+    with predicate ranges, ``None`` = unbounded) — and a level policy:
+    unbounded fan-in (flat), or ``levels[...]``, whose regions are read
     newest-first. Runs are kept sorted by ``max_seq`` and change only by a
     seal (the pending rows out, one run in) or a merge (runs out, one run
     in). ``plan`` is the region's design, which every seal and merge
-    renders under: the table plan of a flat table, the partition template
-    (free to diverge through single-partition re-layouts) or the run
-    template. A run keeps the design it was rendered under, so a region
+    renders under: the table plan of a flat table, else the plan's region
+    template (a partition's free to diverge through single-partition
+    re-layouts). A run keeps the design it was rendered under, so a region
     whose design changed without a rewrite (the new-data-only and lazy
     policies of §5) holds runs off it until the next merge.
+
+    ``level_tombstones`` are the (seq, value) deletes of a levelled region
+    — value is the merge key for keyed tables, the full stored row
+    otherwise — each suppressing matching rows in this region's runs older
+    than its seq. The list is replaced, never changed in place.
 
     ``pending`` holds inserted records (stored-record shape) with an
     incrementally maintained zone map. It lives here — not on Table
@@ -76,6 +82,7 @@ class Region:
     key: object = None
     lower: float | None = None
     upper: float | None = None
+    level_tombstones: list = field(default_factory=list)
 
     @property
     def main(self) -> "Run | None":
@@ -114,7 +121,8 @@ class Region:
 
 @dataclass
 class CatalogEntry:
-    """Everything the engine knows about one table."""
+    """Everything the engine knows about one table: its plan, and its data
+    as a list of :class:`Region` the plan's router and level policy shape."""
 
     name: str
     logical_schema: Schema
@@ -142,11 +150,8 @@ class CatalogEntry:
     # Cumulative partition-pruning counters (exposed by storage_stats).
     partition_scans: int = 0
     partitions_pruned_total: int = 0
-    # ``level_tombstones`` are (seq, value) pairs of a levelled table —
-    # value is the merge key for keyed tables, the full stored row
-    # otherwise — each suppressing matching rows in runs older than its seq.
-    level_tombstones: list = field(default_factory=list)
-    # Monotonic run-id / sequence allocators for this table.
+    # Monotonic run-id / sequence allocators for this table: runs are only
+    # compared within a region, so one table-wide counter orders them all.
     next_run_id: int = 0
     next_run_seq: int = 0
     # Write-amplification accounting (exposed by storage_stats): logical

@@ -14,6 +14,7 @@ import json
 import os
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
 
@@ -21,11 +22,7 @@ from repro import vector
 from repro.algebra import ast
 from repro.algebra.interpreter import AlgebraInterpreter
 from repro.algebra.parser import parse
-from repro.algebra.physical import (
-    LAYOUT_LEVELLED,
-    LAYOUT_PARTITIONED,
-    PhysicalPlan,
-)
+from repro.algebra.physical import PhysicalPlan
 from repro.engine import levels
 from repro.engine.catalog import Catalog, CatalogEntry, Region, Run
 from repro.engine.cost import CostModel
@@ -320,6 +317,11 @@ class RodentStore:
         self._compacting: set[str] = set()
         self._scan_executor = None
         self._closed = False
+        #: Why the store stopped taking writes, ``None`` while it takes
+        #: them. A commit whose fsync failed may or may not be durable:
+        #: every later mutation and checkpoint is refused, reads go on, and
+        #: a reopen lets recovery decide (fail-stop).
+        self._stopped: str | None = None
         #: The adaptive loop (monitor → advise → reorganize). Scans are
         #: always monitored; automatic periodic reorganization only runs
         #: while :attr:`adaptive` is True (or on explicit :meth:`adapt`
@@ -363,13 +365,15 @@ class RodentStore:
         aborts: every table it locked is put back as the lock found it
         (see :class:`_Mutation`) and the locks are released. Nested
         ``mutate`` calls on the same thread join the outer transaction, so
-        a re-layout that bulk-loads internally is one atomic unit.
+        a re-layout that bulk-loads internally is one atomic unit. A
+        failure past the COMMIT record (its fsync) stops the store.
         """
         outer = getattr(self._mutation_local, "ctx", None)
         if outer is not None:
             outer.lock(name)
             yield outer
             return
+        self._require_writable()
         txn = self.transactions.begin()
         m = _Mutation(self, txn)
         self._mutation_local.ctx = m
@@ -383,14 +387,25 @@ class RodentStore:
         except BaseException:
             self._mutation_local.ctx = None
             # Past its COMMIT record only the fsync failed: the commit may
-            # be durable, so nothing is put back.
-            if not txn.commit_logged:
+            # be durable, so nothing is put back and the store stops.
+            if txn.commit_logged:
+                self._stopped = (
+                    f"the commit of transaction {txn.txn_id} failed its fsync"
+                )
+            else:
                 try:
                     m.undo()  # under the table lock, before abort releases it
                 finally:
                     txn.abort()  # writes nothing: the log may have failed
             raise
         m.release_retired()
+
+    def _require_writable(self) -> None:
+        if self._stopped is not None:
+            raise StorageError(
+                f"the store stopped taking writes ({self._stopped}); "
+                "reopen it so recovery decides whether that commit happened"
+            )
 
     def _note_rendered_page(
         self, page_id: int, image: bytes | bytearray
@@ -416,6 +431,7 @@ class RodentStore:
         the commit lock keeps effect records whole but does not wait out
         transactions that are still mid-body.
         """
+        self._require_writable()
         if not self.durable:
             self.pool.flush_all()
             self.disk.truncate_free_tail()
@@ -715,8 +731,8 @@ class RodentStore:
         try:
             self.checkpoint()
         except StorageError:
-            # A poisoned (fault-injected) store cannot checkpoint; leave
-            # the WAL for recovery and release the stack.
+            # A poisoned (fault-injected) or stopped store does not
+            # checkpoint; leave the WAL for recovery and release the stack.
             pass
         self.wal.close()
         self.disk.close()
@@ -903,18 +919,16 @@ class RodentStore:
         """Render logical records into the regions ``plan`` describes.
 
         The design's record pipeline (:func:`split_design`) maps them to
-        stored records once, as an insert would; each region's batch then
-        renders through :meth:`_render_region`, as a compaction would:
-
-        * a flat design is one region with one main run;
-        * ``partition[...]`` is one region per partition of the router's
-          split. Fixed splits (range/hash) render every region eagerly
-          (empty ones included: the partition map is part of the physical
-          design); value partitions appear in first-seen key order.
-        * ``levels[...]`` is ONE run, rendered as a seal renders one
-          (:func:`~repro.engine.levels.sealed_run`): a bulk load is
-          already "fully compacted" — the run lands at its size class
-          directly and the pending buffer starts empty.
+        stored records once, as an insert would; the plan's router splits
+        them into regions — one for a trivial router; one per partition
+        otherwise, where fixed splits (range/hash) render every region
+        eagerly (empty ones included: the partition map is part of the
+        physical design) and value partitions appear in first-seen key
+        order. Each region's rows render as one run, as a seal renders one
+        (:func:`~repro.engine.levels.sealed_run`). Under a level policy a
+        bulk load is already "fully compacted": the run lands at its size
+        class directly, the pending buffer starts empty, and an empty
+        region holds no run.
         """
         others = sorted(plan.expr.table_names() - {entry.name})
         if others:
@@ -922,32 +936,22 @@ class RodentStore:
         fields, rows = split_design(plan).apply(
             entry.logical_schema.names(), coerced
         )
-        if plan.kind == LAYOUT_PARTITIONED:
-            regions: list[Region] = []
-            lookup: dict = {}
-            router = PartitionRouter(plan.partition, fields)
-            for locator, part in router.split(rows):
-                region, _ = _find_or_create_region(
-                    plan, regions, lookup, len(regions), locator
-                )
-                batch = ColumnBatch.from_rows(fields, part)
-                layout = self._render_region(plan, region.plan, batch)
-                region.runs = [Run(region.plan, layout)]
-            return regions
-        if plan.kind == LAYOUT_LEVELLED:
-            region = Region(plan=plan.level_plans[0])
-            if rows:
-                run = levels.sealed_run(
-                    self, plan, region, _scan_schema(plan), rows
-                )
-                run.level = plan.levels.level_of(
-                    run.row_count, self.level_seal_rows
-                )
+        router = PartitionRouter(plan.partition, fields)
+        spec = plan.levels
+        regions: list[Region] = []
+        lookup: dict = {}
+        for locator, part in router.split(rows):
+            region, _ = _find_or_create_region(
+                router, plan, regions, lookup, len(regions), locator
+            )
+            if part or spec is None:
+                run = levels.sealed_run(self, plan, region, fields, part)
+                if spec is not None:
+                    run.level = spec.level_of(
+                        run.row_count, self.level_seal_rows
+                    )
                 region.runs = [run]
-            return [region]
-        batch = ColumnBatch.from_rows(fields, rows)
-        layout = self._render_region(plan, plan, batch)
-        return [Region(plan=plan, runs=[Run(plan, layout)])]
+        return regions
 
     def _install(
         self,
@@ -967,8 +971,8 @@ class RodentStore:
         Every derived structure describing the old design goes with it:
         secondary/spatial indexes, pending buffers and their zones, the
         partition map and its skew history (new regions reusing an old pid
-        must not inherit its weight), tombstones and the run sequence
-        space.
+        must not inherit its weight), the old regions' tombstones and the
+        run sequence space.
         """
         with entry.mvcc.lock:
             self._retire_runs(entry, list(entry.runs()))
@@ -980,10 +984,7 @@ class RodentStore:
             entry.region_index = {}
             # Allocators restart past what the render numbered: partition
             # ids 0..n-1, runs 0..r-1, all at sequence 0.
-            entry.next_partition_id = (
-                len(regions) if plan.partition is not None else 0
-            )
-            entry.level_tombstones = []
+            entry.next_partition_id = len(regions)
             entry.next_run_id, entry.next_run_seq = 0, 1
             for run in entry.runs():
                 run.rid = entry.next_run_id
@@ -996,13 +997,15 @@ class RodentStore:
     # -- horizontal partitions ---------------------------------------------
 
     def router_for(self, entry: CatalogEntry) -> PartitionRouter:
-        """The entry's partition router, bound to its stored-record shape."""
-        assert entry.plan is not None and entry.plan.partition is not None
+        """The entry's router (trivial for a one-region table), bound to its
+        stored-record shape."""
         return PartitionRouter(
             entry.plan.partition, _scan_schema(entry.plan).names()
         )
 
-    def _region_for(self, entry: CatalogEntry, locator: Locator) -> Region:
+    def _region_for(
+        self, entry: CatalogEntry, router: PartitionRouter, locator: Locator
+    ) -> Region:
         """Find or create the region ``locator`` addresses.
 
         Lookups go through a per-entry ``key -> region`` index (rebuilt
@@ -1012,12 +1015,12 @@ class RodentStore:
         (the property that lets a range-partitioned scan serve ``ORDER BY
         key`` without sorting).
         """
-        assert entry.plan is not None and entry.plan.partition is not None
         lookup = entry.region_index
         if len(lookup) != len(entry.regions):
             lookup.clear()
             lookup.update({r.key: r for r in entry.regions})
         region, entry.next_partition_id = _find_or_create_region(
+            router,
             entry.plan,
             entry.regions,
             lookup,
@@ -1055,14 +1058,12 @@ class RodentStore:
     def relayout_partition(
         self, name: str, pid: int, layout: str | ast.Node
     ) -> Table:
-        """Re-organize ONE partition under a new (non-partitioned) design:
-        the eager schedule of one region
+        """Re-organize ONE region — a partition, or the one region of any
+        other table — under a new design: the eager schedule of one region
         (:func:`~repro.engine.levels.merge_regions`) — no other partition
         is read or written. The design must pass :meth:`region_plan`.
         """
         entry = self.catalog.entry(name)
-        if entry.plan is None or entry.plan.kind != LAYOUT_PARTITIONED:
-            raise StorageError(f"table {name!r} is not partitioned")
         region = next((r for r in entry.regions if r.pid == pid), None)
         if region is None:
             raise StorageError(f"table {name!r} has no partition {pid}")
@@ -1083,7 +1084,7 @@ class RodentStore:
         """
         entry = self.catalog.entry(name)
         plan = self._interpreter().compile(self._resolve_expr(name, layout))
-        if plan.kind in (LAYOUT_PARTITIONED, LAYOUT_LEVELLED):
+        if plan.region_design is not None:
             raise StorageError(
                 "a region's design is one layout: it cannot itself be "
                 "partitioned or levelled"
@@ -1149,9 +1150,10 @@ class RodentStore:
     def maintain_levels(self, name: str, rows_written: int = 0) -> None:
         """Post-insert maintenance for a levelled table (a no-op for any
         other): notes the write load the adaptive loop weighs run merges
-        against, seals the pending buffer into a level-0 run once it reaches
-        :attr:`level_seal_rows`, then kicks a merge when any level's
-        fan-out reached the design's ``k`` — in the background on the
+        against, seals each region's pending buffer into a level-0 run once
+        it reaches :attr:`level_seal_rows`, then kicks a merge when any
+        region's level fan-out reached the design's ``k`` — in the
+        background on the
         shared worker pool when ``scan_workers > 1``, synchronously
         otherwise (deterministic for tests and single-threaded stores).
         """
@@ -1161,23 +1163,27 @@ class RodentStore:
 
     def _levelled(self, name: str) -> Table:
         entry = self.catalog.entry(name)
-        if entry.plan is None or entry.plan.kind != LAYOUT_LEVELLED:
+        if entry.plan is None or entry.plan.levels is None:
             raise StorageError(f"table {name!r} is not levelled")
         return Table(self, entry)
 
     def seal_level_run(self, name: str) -> StoredLayout | None:
-        """Seal the pending buffer into an immutable level-0 run
-        (:func:`~repro.engine.levels.seal`), in one transaction. Returns
-        the new run's layout, or ``None`` when nothing was pending."""
+        """Seal the fullest region's pending buffer into an immutable
+        level-0 run (:func:`~repro.engine.levels.seal`), in one
+        transaction. Returns the new run's layout, or ``None`` when nothing
+        was pending."""
         table = self._levelled(name)
         with self.mutate(name) as m:
-            run = levels.seal(table, table._entry.regions[0], m)
+            regions = table._entry.regions or [Region()]
+            fullest = max(regions, key=lambda r: len(r.pending))
+            run = levels.seal(table, fullest, m)
         return None if run is None else run.layout
 
     def compact_levels(self, name: str) -> dict:
-        """Merge levelled runs (the LSM compaction): repeatedly merge the
-        shallowest level whose fan-out reached ``k`` into one run of the
-        next level, cascading until no level is over fan-out. Returns
+        """Merge levelled runs (the LSM compaction): in every region,
+        repeatedly merge the shallowest level whose fan-out reached ``k``
+        into one run of the next level, cascading until no level is over
+        fan-out. Returns
         ``{"merges", "runs_merged"}``. (``Table.compact`` is the full
         merge, for every table shape.)
         """
@@ -1284,8 +1290,8 @@ class RodentStore:
         tables: dict[str, dict] = {}
         for entry in self.catalog:
             info: dict[str, Any] = {}
-            kind = entry.plan.kind if entry.plan is not None else None
-            if kind == LAYOUT_PARTITIONED:
+            plan = entry.plan
+            if plan is not None and plan.partition is not None:
                 info.update(
                     {
                         "partitioned": True,
@@ -1308,20 +1314,23 @@ class RodentStore:
                         ],
                     }
                 )
-            if kind == LAYOUT_LEVELLED:
-                (region,) = entry.regions
-                levels: dict[int, int] = {}
-                for run in region.runs:
-                    levels[run.level] = levels.get(run.level, 0) + 1
+            if plan is not None and plan.levels is not None:
+                runs = list(entry.runs())
+                by_level = Counter(run.level for run in runs)
                 info.update(
                     {
                         "levelled": True,
-                        "run_count": len(region.runs),
+                        "run_count": len(runs),
                         "levels": {
-                            str(lvl): levels[lvl] for lvl in sorted(levels)
+                            str(lvl): by_level[lvl] for lvl in sorted(by_level)
                         },
-                        "pending_rows": len(region.pending),
-                        "tombstones": len(entry.level_tombstones),
+                        "pending_rows": sum(
+                            len(region.pending) for region in entry.regions
+                        ),
+                        "tombstones": sum(
+                            len(region.level_tombstones)
+                            for region in entry.regions
+                        ),
                         "runs": [
                             {
                                 "rid": run.rid,
@@ -1330,7 +1339,7 @@ class RodentStore:
                                 "pages": run.total_pages(),
                                 "seq": [run.min_seq, run.max_seq],
                             }
-                            for run in region.runs
+                            for run in runs
                         ],
                     }
                 )
@@ -1418,44 +1427,43 @@ class RodentStore:
 
 def _unloaded_regions(plan: PhysicalPlan) -> tuple[list[Region], bool]:
     """``(regions, loaded)`` of a table created under ``plan`` and not yet
-    bulk-loaded. A flat table has its one region from birth (inserts need
-    a pending buffer) but scans only once loaded; partitions appear as
-    rows route to them; a levelled table is born scannable — create,
-    insert, scan — with the first seal rendering run 0."""
-    if plan.partition is not None:
-        return [], False
-    (template,) = plan.level_plans or (plan,)
-    return [Region(plan=template)], plan.levels is not None
+    bulk-loaded. A one-region table has its region from birth (inserts
+    need a pending buffer), partitions appear as rows route to them; a
+    levelled table is born scannable — create, insert, scan — with the
+    first seal rendering run 0, any other scans only once loaded."""
+    one = [] if plan.partition is not None else [Region(plan=plan.region_template)]
+    return one, plan.levels is not None
 
 
 def _find_or_create_region(
+    router: PartitionRouter,
     plan: PhysicalPlan,
     regions: list[Region],
     lookup: dict,
     next_pid: int,
     locator: Locator,
 ) -> tuple[Region, int]:
-    """Find ``locator``'s region in ``regions`` or create it.
+    """Find ``locator``'s region in ``regions`` or create it under
+    ``plan``'s region template.
 
     Pure list/dict manipulation shared by live routing
     (:meth:`RodentStore._region_for`, against the entry's lists) and the
-    partitioned bulk load (against private lists that swap in atomically).
-    Range regions insert in bucket order so the region list stays sorted
-    by key range. Returns ``(region, next_pid)``.
+    bulk load (against private lists that swap in atomically). Range
+    regions insert in bucket order so the region list stays sorted by key
+    range. Returns ``(region, next_pid)``.
     """
-    assert plan.partition is not None
     found = lookup.get(locator.key)
     if found is not None:
         return found, next_pid
     region = Region(
-        plan=plan.partition_plans[0],
+        plan=plan.region_template,
         pid=next_pid,
         key=locator.key,
         lower=locator.lower,
         upper=locator.upper,
     )
     next_pid += 1
-    if plan.partition.method == "range":
+    if router.ordered:
         at = len(regions)
         for i, existing in enumerate(regions):
             if existing.key > region.key:

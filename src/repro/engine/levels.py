@@ -7,11 +7,12 @@ flat table is a level with unbounded fan-in.
 
 * :func:`seal` renders a region's pending rows into one new run under the
   region's design — ``Table.flush_inserts``, the levelled auto-seal and
-  (:func:`sealed_run`) a levelled bulk load;
+  (:func:`sealed_run`) every region of a bulk load;
 * :func:`merge` reads chosen runs, and the pending rows when asked, under
   one resolver, may apply a batch edit, and renders one run under the
   region's design — levelled merges, copy-on-write ``update``/``delete``
-  and (:func:`merge_regions`) ``compact()`` and every region re-layout.
+  of a region with unbounded fan-in and (:func:`merge_regions`)
+  ``compact()`` and every region re-layout.
 
 Both swap through :func:`replace_runs`, which an abort undoes, and so does
 :func:`redesign`, which only changes the design later seals and merges
@@ -27,14 +28,13 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro import vector
 from repro.algebra import ast
-from repro.algebra.physical import LAYOUT_LEVELLED, PhysicalPlan
+from repro.algebra.physical import PhysicalPlan
 from repro.algebra.transforms import eval_scalar
 from repro.engine.catalog import CatalogEntry, Region, Run
 from repro.engine.table import Table, _batch_rows, _scan_schema
 from repro.errors import RodentStoreError
 from repro.layout.renderer import ColumnBatch, merge_batches
 from repro.query.expressions import Predicate, selector
-from repro.types.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.database import RodentStore, _Mutation
@@ -44,13 +44,13 @@ def sealed_run(
     store: RodentStore,
     plan: PhysicalPlan,
     region: Region,
-    schema: Schema,
+    names: Sequence[str],
     rows: list[tuple],
 ) -> Run:
-    """Stored-shape ``rows`` (in ``schema`` order) rendered as one run, not
+    """Stored-shape ``rows`` (fields ``names``) rendered as one run, not
     yet swapped in, under ``region``'s design (keyed levels: the last row
-    per key kept). The render of every seal and of a levelled bulk load."""
-    names = tuple(schema.names())
+    per key kept). The render of every seal and of every bulk load."""
+    names = tuple(names)
     spec = plan.levels
     if spec is not None and spec.key is not None:
         rows = _LevelResolver(spec, names, []).resolve_pending(rows)
@@ -67,7 +67,9 @@ def seal(table: Table, region: Region, m: _Mutation) -> Run | None:
         return None
     db, entry = table._db, table._entry
     rows = [tuple(r) for r in region.pending]
-    run = sealed_run(db, entry.plan, region, table.scan_schema(), rows)
+    run = sealed_run(
+        db, entry.plan, region, table.scan_schema().names(), rows
+    )
     replace_runs(db, entry, region, [], [run], m, ingest=True)
     return run
 
@@ -97,9 +99,7 @@ def merge(
     db, entry = table._db, table._entry
     spec = entry.plan.levels
     fields = tuple(table.scan_schema().names())
-    resolver = None
-    if spec is not None:
-        resolver = _LevelResolver(spec, fields, entry.level_tombstones)
+    resolver = table._resolver(region, fields)
     rows = [tuple(r) for r in region.pending] if pending else []
     if resolver is not None:
         rows = resolver.resolve_pending(rows)
@@ -189,10 +189,10 @@ def replace_runs(
         if old:
             store._drop_indexes(entry)
             store._retire_runs(entry, old)
-            # A tombstone applies only to runs older than its seq; with
-            # none left it is garbage (a full merge drops them all).
-            entry.level_tombstones = [
-                t for t in entry.level_tombstones
+            # A tombstone applies only to the region's runs older than its
+            # seq; with none left it is garbage (a full merge drops them).
+            region.level_tombstones = [
+                t for t in region.level_tombstones
                 if any(run.max_seq < t[0] for run in region.runs)
             ]
         for run in new:
@@ -206,7 +206,7 @@ def redesign(
     """Make ``layout`` — one layout of the stored fields, as
     :meth:`RodentStore.region_plan` checks — the design of ``regions`` of
     ``table``, and the table's when every region takes it (under the
-    table's partitioning or levels, if any), by one :func:`replace_runs`
+    table's router and level policy, if any), by one :func:`replace_runs`
     per region that swaps no run: later seals and merges render under it,
     old runs keep theirs until a merge reaches them. Pending rows and
     row-valued tombstones follow a new stored field order."""
@@ -214,12 +214,10 @@ def redesign(
     plan = db.region_plan(table.name, layout)
     table_plan = None
     if set(map(id, entry.regions)) <= set(map(id, regions)):
-        outer, expr = entry.plan, plan.expr
-        if outer.partition is not None or outer.levels is not None:
-            expr = outer.expr.with_children([expr])
-        table_plan = db._interpreter().compile(expr)
-        templates = table_plan.partition_plans or table_plan.level_plans
-        plan = templates[0] if templates else table_plan
+        table_plan = db._interpreter().compile(
+            _around(entry.plan.expr, plan.expr)
+        )
+        plan = table_plan.region_template
     old = table.scan_schema().names()
     new = old if table_plan is None else _scan_schema(table_plan).names()
     idx = [old.index(f) for f in new]
@@ -238,11 +236,21 @@ def redesign(
                 rows = list(map(reorder, region.pending))
                 region.clear_pending()
                 region.add_pending(new, rows)
-        spec = entry.plan.levels
-        if old != new and spec is not None and spec.key is None:
-            entry.level_tombstones = [
-                (seq, reorder(row)) for seq, row in entry.level_tombstones
-            ]
+            if (
+                old != new and region.level_tombstones
+                and entry.plan.levels.key is None
+            ):
+                region.level_tombstones = [
+                    (seq, reorder(row))
+                    for seq, row in region.level_tombstones
+                ]
+
+
+def _around(table_expr: ast.Node, design: ast.Node) -> ast.Node:
+    """``design`` under the router and level policy of ``table_expr``."""
+    if isinstance(table_expr, (ast.Partition, ast.Levels)):
+        return table_expr.with_children([_around(table_expr.child, design)])
+    return design
 
 
 def merge_regions(
@@ -272,12 +280,14 @@ def rewrite(
     updated: Callable[[tuple], tuple] | None,
     names: list[str],
 ) -> int:
-    """Copy-on-write delete (``updated`` is ``None``) or update of a flat
-    or partitioned table: one :func:`merge` per region the predicate can
-    reach, whose ``edit`` applies the rewrite — nothing is rendered for a
+    """Delete (``updated`` is ``None``) or update, in every region the
+    predicate can reach, in one transaction. Under a level policy no run
+    is rewritten (:func:`_tombstone`); otherwise one :func:`merge` per
+    region whose ``edit`` applies the rewrite — nothing is rendered for a
     region without a victim. Returns the number of rows changed."""
     positions = {n: i for i, n in enumerate(names)}
     keep = None if predicate is None else selector(predicate, positions)
+    levelled = table.plan.levels is not None
     total = 0
 
     def victims(batch: ColumnBatch) -> list | None:
@@ -311,79 +321,82 @@ def rewrite(
 
     with table._db.mutate(table.name) as m:
         for region in table.partition_survivors(predicate):
-            merge(
-                table, region, list(region.runs), m,
-                pending=True, edit=edit, compaction=False,
-            )
+            if levelled:
+                total += _tombstone(table, region, keep, updated, names, m)
+            else:
+                merge(
+                    table, region, list(region.runs), m,
+                    pending=True, edit=edit, compaction=False,
+                )
     return total
 
 
-def rewrite_levelled(
+def _tombstone(
     table: Table,
-    predicate: Predicate | None,
+    region: Region,
+    keep,
     updated: Callable[[tuple], tuple] | None,
     names: list[str],
+    m: _Mutation,
 ) -> int:
-    """Delete (``updated`` is ``None``) or update of a levelled table: no
-    run is rewritten. Matching *visible* rows are resolved once; pending
-    rows are filtered (and updates re-appended) in place, and one tombstone
-    per distinct victim — merge key when keyed, the row otherwise —
-    suppresses matches in the runs until a merge drops them."""
-    entry = table._entry
+    """:func:`rewrite` of one levelled region: matching *visible* rows
+    (``keep``, ``None`` for all) are resolved once; pending rows are
+    filtered (and updates re-appended) in place, and one tombstone per
+    distinct victim — merge key when keyed, the row otherwise — suppresses
+    matches in the region's runs until a merge drops them. Returns the
+    number of rows matched."""
+    db, entry = table._db, table._entry
     key_expr = table.plan.levels.key
     positions = {n: i for i, n in enumerate(names)}
-    with table._db.mutate(table.name) as m:
-        (region,) = entry.regions
-        with table._db.adaptivity.pause():
-            batches, _ = table._table_source(None, None)
-            if predicate is not None:
-                keep = selector(predicate, positions)
-                batches = (batch.select(keep(batch)) for batch in batches)
-            matched = _batch_rows(batches)
-        if not matched:
-            return 0
-        if predicate is None and updated is None:
-            # Delete-all: drop every run outright (and with them every
-            # tombstone), no new ones.
-            replace_runs(table._db, entry, region, list(region.runs), [], m)
-            return len(matched)
-        new_rows = [updated(r) for r in matched] if updated else []
 
-        def victim_of(row: tuple):
-            if key_expr is None:
-                return tuple(row)
-            return eval_scalar(key_expr, row, positions)
+    def victim_of(row: tuple):
+        if key_expr is None:
+            return tuple(row)
+        return eval_scalar(key_expr, row, positions)
 
-        # Distinct victims in first-match order: the merge key kills
-        # every older version of that key; a row value kills every
-        # equal copy (predicates are value-deterministic, so equal
-        # copies always match together).
-        victims = list(dict.fromkeys(map(victim_of, matched)))
-        victim_set = set(victims)
-        with entry.mvcc.lock:
-            survivors = [
-                tuple(r)
-                for r in region.pending
-                if victim_of(r) not in victim_set
+    with db.adaptivity.pause():
+        batches, _ = table._region_batches(
+            region, None, None, names, table._resolver(region, names)
+        )
+        if keep is not None:
+            batches = (batch.select(keep(batch)) for batch in batches)
+        matched = _batch_rows(batches)
+    if not matched:
+        return 0
+    if keep is None and updated is None:
+        # Delete-all: drop every run outright (and with them every
+        # tombstone), no new ones.
+        replace_runs(db, entry, region, list(region.runs), [], m)
+        return len(matched)
+    new_rows = [updated(r) for r in matched] if updated else []
+    # Distinct victims in first-match order: the merge key kills every
+    # older version of that key; a row value kills every equal copy
+    # (predicates are value-deterministic, so equal copies always match
+    # together).
+    victims = list(dict.fromkeys(map(victim_of, matched)))
+    victim_set = set(victims)
+    with entry.mvcc.lock:
+        survivors = [
+            tuple(r) for r in region.pending if victim_of(r) not in victim_set
+        ]
+        # The zone already covers every survivor: only the updated rows
+        # fold in — O(changes), not O(pending) — and the bounds stay a
+        # sound over-approximation until the next seal.
+        if region.pending_zone is None or not (survivors or new_rows):
+            region.clear_pending()
+            new_rows = survivors + new_rows
+        else:
+            region.pending = survivors
+        if new_rows:
+            region.add_pending(names, new_rows)
+        if region.runs:
+            seq = entry.next_run_seq
+            entry.next_run_seq += 1
+            region.level_tombstones = region.level_tombstones + [
+                (seq, v) for v in victims
             ]
-            # The zone already covers every survivor: only the updated
-            # rows fold in — O(changes), not O(pending) — and the bounds
-            # stay a sound over-approximation until the next seal.
-            if region.pending_zone is None or not (survivors or new_rows):
-                region.clear_pending()
-                new_rows = survivors + new_rows
-            else:
-                region.pending = survivors
-            if new_rows:
-                region.add_pending(names, new_rows)
-            if region.runs:
-                seq = entry.next_run_seq
-                entry.next_run_seq += 1
-                entry.level_tombstones.extend(
-                    (seq, v) for v in victims
-                )
-            table._mark_indexes_stale()
-        m.touch(table.name)
+        table._mark_indexes_stale()
+    m.touch(table.name)
     return len(matched)
 
 
@@ -393,16 +406,16 @@ def rewrite_levelled(
 def maintain_levels(table: Table, rows_written: int) -> None:
     """:meth:`RodentStore.maintain_levels`."""
     db, name, plan = table._db, table.name, table._entry.plan
-    if plan is None or plan.kind != LAYOUT_LEVELLED:
+    if plan is None or plan.levels is None:
         return
     if rows_written:
         db.adaptivity.note_write(name, rows_written)
     if db._closed:
         return
-    (region,) = table._entry.regions
-    if len(region.pending) >= db.level_seal_rows:
-        db.seal_level_run(name)
-    if not _levels_over_fanout(region, plan.levels.k):
+    regions = table._entry.regions
+    while any(len(r.pending) >= db.level_seal_rows for r in regions):
+        db.seal_level_run(name)  # the fullest region's
+    if not any(_levels_over_fanout(r, plan.levels.k) for r in regions):
         return
     if db.scan_workers <= 1:
         db.compact_levels(name)
@@ -427,23 +440,24 @@ def maintain_levels(table: Table, rows_written: int) -> None:
 
 
 def compact_levels(table: Table) -> dict:
-    """:meth:`RodentStore.compact_levels`: one :func:`merge` per level over
-    fan-out, shallowest first, until none is."""
+    """:meth:`RodentStore.compact_levels`: in every region, one
+    :func:`merge` per level over fan-out, shallowest first, until none
+    is."""
     db, entry = table._db, table._entry
     report = {"merges": 0, "runs_merged": 0}
     with db.mutate(table.name) as m:
-        (region,) = entry.regions
-        while True:
-            over = _levels_over_fanout(region, entry.plan.levels.k)
-            if not over:
-                break
-            sources = [run for run in region.runs if run.level == over[0]]
-            # Merges target exactly level+1: size-based promotion could
-            # interleave another level's sequence range inside the merged
-            # run's, breaking newest-first resolution.
-            merge(table, region, sources, m, level=over[0] + 1)
-            report["merges"] += 1
-            report["runs_merged"] += len(sources)
+        for region in entry.regions:
+            while True:
+                over = _levels_over_fanout(region, entry.plan.levels.k)
+                if not over:
+                    break
+                sources = [run for run in region.runs if run.level == over[0]]
+                # Merges target exactly level+1: size-based promotion could
+                # interleave another level's sequence range inside the
+                # merged run's, breaking newest-first resolution.
+                merge(table, region, sources, m, level=over[0] + 1)
+                report["merges"] += 1
+                report["runs_merged"] += len(sources)
     return report
 
 

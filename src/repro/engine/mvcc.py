@@ -35,10 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: A catalog entry's state that a transaction may change: what a snapshot
 #: holds (and an abort restores). The regions' own state — each one's
-#: design, runs and pending rows — comes with ``regions``.
+#: design, runs, pending rows and tombstones — comes with ``regions``.
 ENTRY_FIELDS = (
     "plan", "stats", "regions", "loaded", "region_index", "policy",
-    "next_partition_id", "level_tombstones", "next_run_id", "next_run_seq",
+    "next_partition_id", "next_run_id", "next_run_seq",
     "indexes", "spatial_indexes", "wa_bytes_ingested", "wa_bytes_written",
     "wa_pages_compacted", "wa_compactions",
 )
@@ -47,9 +47,10 @@ ENTRY_FIELDS = (
 class TableSnapshot:
     """A table's state at one moment: every field of :data:`ENTRY_FIELDS`
     under its own name (a list or dict copied: some change in place) and,
-    per region, its design, runs and pending rows. Pending rows only ever
-    grow in place — every other change replaces the list — so the list
-    and its length hold them without a copy.
+    per region, its design, runs, pending rows and tombstones (a list only
+    ever replaced). Pending rows only ever grow in place — every other
+    change replaces the list — so the list and its length hold them
+    without a copy.
 
     A reader's snapshot :meth:`freeze`\\ s its regions; a transaction's
     :meth:`restore`\\ s them, and the entry, on abort.
@@ -67,6 +68,7 @@ class TableSnapshot:
             (
                 region.plan, tuple(region.runs), region.pending,
                 len(region.pending), region.pending_zone,
+                region.level_tombstones,
             )
             for region in self.regions
         ]
@@ -79,9 +81,9 @@ class TableSnapshot:
         self.regions = [
             replace(
                 region, plan=plan, runs=runs, pending=tuple(pending[:count]),
-                pending_zone=zone,
+                pending_zone=zone, level_tombstones=tombstones,
             )
-            for region, (plan, runs, pending, count, zone) in zip(
+            for region, (plan, runs, pending, count, zone, tombstones) in zip(
                 self.regions, self.region_states
             )
         ]
@@ -92,12 +94,13 @@ class TableSnapshot:
         a write widened in place stays a sound bound of the rows kept."""
         for name in ENTRY_FIELDS:
             setattr(entry, name, getattr(self, name))
-        for region, (plan, runs, pending, count, zone) in zip(
+        for region, (plan, runs, pending, count, zone, tombstones) in zip(
             self.regions, self.region_states
         ):
             del pending[count:]
             region.plan, region.runs = plan, list(runs)
             region.pending, region.pending_zone = pending, zone
+            region.level_tombstones = tombstones
 
     def page_ids(self) -> set[int]:
         """Every page the snapshot's runs and indexes occupy."""

@@ -18,11 +18,7 @@ import zlib
 from typing import TYPE_CHECKING, Any
 
 from repro import vector
-from repro.algebra.physical import (
-    LAYOUT_LEVELLED,
-    LAYOUT_PARTITIONED,
-    PhysicalPlan,
-)
+from repro.algebra.physical import PhysicalPlan
 from repro.engine.catalog import Region, Run
 from repro.engine.stats import FieldStats, TableStats
 from repro.engine.synopsis import LayoutSynopsis, ZoneColumn, ZoneTable
@@ -270,13 +266,20 @@ def _region_runs(region) -> dict:
     }
 
 
+def _tombstones(region) -> dict:
+    return {"level_tombstones": [
+        [seq, list(value) if isinstance(value, tuple) else value]
+        for seq, value in region.level_tombstones
+    ]}
+
+
 def entry_to_dict(entry) -> dict:
     """Serialize one catalog entry (schema, design, layout metadata).
 
-    Every region is written as its runs and pending rows: a partitioned
-    table's regions under ``partitions``, with their keys and designs, the
-    one region of any other table under the entry's ``runs`` and
-    ``pending``.
+    Every region is written as its runs, pending rows and tombstones (a
+    partition's only when it has any): a routed table's regions under
+    ``partitions``, with their keys and designs, the one region of any
+    other table at the entry's top level.
     """
     partitioned = entry.plan is not None and entry.plan.partition is not None
     single = Region() if partitioned or not entry.regions else entry.regions[0]
@@ -303,6 +306,7 @@ def entry_to_dict(entry) -> dict:
                 "upper": r.upper,
                 "expr": r.plan.expr.to_text() if r.plan else None,
                 **_region_runs(r),
+                **(_tombstones(r) if r.level_tombstones else {}),
             }
             for r in entry.regions if partitioned
         ],
@@ -310,10 +314,7 @@ def entry_to_dict(entry) -> dict:
         "partition_scans": entry.partition_scans,
         "partitions_pruned": entry.partitions_pruned_total,
         **_region_runs(single),
-        "level_tombstones": [
-            [seq, list(value) if isinstance(value, tuple) else value]
-            for seq, value in entry.level_tombstones
-        ],
+        **_tombstones(single),
         "next_run_id": entry.next_run_id,
         "next_run_seq": entry.next_run_seq,
         "wa_bytes_ingested": entry.wa_bytes_ingested,
@@ -442,6 +443,11 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
         entry.monitor = WorkloadMonitor.from_dict(t["monitor"])
     entry.policy = t.get("policy", "eager")
     scan_names = _scan_schema_of(entry).names()
+    # Multiset tombstone values are full stored rows (JSON lists back to
+    # the tuples scan resolution compares against); keyed values are the
+    # merge-key scalar and pass through.
+    spec = entry.plan.levels if entry.plan is not None else None
+    keyed = spec is not None and spec.key is not None
     plans: dict[str, PhysicalPlan] = {}
 
     def compiled(expr: str) -> PhysicalPlan:
@@ -451,9 +457,9 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
 
     def region_from(data: dict, plan, **identity) -> Region:
         """A region from its catalog keys: its runs, each under its own
-        design, and its pending rows. The pending zone map is derived data:
-        rebuilt from the restored rows so pruned scans keep skipping the
-        buffer."""
+        design, its pending rows and its tombstones. The pending zone map
+        is derived data: rebuilt from the restored rows so pruned scans
+        keep skipping the buffer."""
         region = Region(plan=plan, **identity)
         runs = data.get("runs", [])
         for r in runs + _legacy_runs(data, entry.name, scan_names):
@@ -466,11 +472,15 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
         pending = [tuple(row) for row in data.get("pending", [])]
         if pending:
             region.add_pending(scan_names, pending)
+        region.level_tombstones = [
+            (seq, value if keyed or not isinstance(value, list)
+             else tuple(value))
+            for seq, value in data.get("level_tombstones", [])
+        ]
         return region
 
-    kind = entry.plan.kind if entry.plan is not None else None
     entry.region_index = {}
-    if kind == LAYOUT_PARTITIONED:
+    if entry.plan is not None and entry.plan.partition is not None:
         entry.regions = [
             region_from(
                 r,
@@ -489,34 +499,16 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
         entry.partition_scans = t.get("partition_scans", 0)
         entry.partitions_pruned_total = t.get("partitions_pruned", 0)
     else:
-        templates = entry.plan.level_plans if entry.plan else ()
         entry.regions = [
-            region_from(t, templates[0] if templates else entry.plan)
+            region_from(t, entry.plan and entry.plan.region_template)
         ]
     entry.loaded = t.get(
         "loaded",
-        kind == LAYOUT_LEVELLED
+        (entry.plan is not None and entry.plan.levels is not None)
         or bool(t.get("partitions_loaded"))
         or t.get("layout") is not None,
     )
     runs = list(entry.runs())
-    # Multiset tombstone values are full stored rows (JSON lists back to
-    # the tuples scan resolution compares against); keyed values are the
-    # merge-key scalar and pass through.
-    keyed = (
-        entry.plan is not None
-        and entry.plan.levels is not None
-        and entry.plan.levels.key is not None
-    )
-    entry.level_tombstones = [
-        (
-            seq,
-            tuple(value)
-            if not keyed and isinstance(value, list)
-            else value,
-        )
-        for seq, value in t.get("level_tombstones", [])
-    ]
     entry.next_run_id = t.get(
         "next_run_id", max((r.rid for r in runs), default=-1) + 1
     )

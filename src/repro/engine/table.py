@@ -18,9 +18,11 @@ tuple, and when the requested order differs from the stored order the data is
 buffered and re-sorted on the fly.
 
 Every table is a list of *regions*, each a list of immutable *runs* plus a
-pending insert buffer (:mod:`repro.engine.catalog`): a flat table is one
-region, ``partition[...]`` is regions routed by key, ``levels[...]`` is one
-region read newest-first.
+pending insert buffer (:mod:`repro.engine.catalog`), shaped by two
+parameters of its plan: a router (one region, or ``partition[...]``'s
+regions routed by key) and a level policy (unbounded fan-in, or
+``levels[...]``, whose regions are read newest-first), which compose as
+``partition[k](levels[f; n](inner))``.
 
 There is one write path too. :func:`split_design` splits a design into a
 record pipeline, which a load and an insert apply to their rows, and a
@@ -61,8 +63,6 @@ from repro.algebra.physical import (
     LAYOUT_COLUMNS,
     LAYOUT_FOLDED,
     LAYOUT_GRID,
-    LAYOUT_LEVELLED,
-    LAYOUT_PARTITIONED,
     LAYOUT_ROWS,
     PhysicalPlan,
 )
@@ -294,16 +294,14 @@ class Table:
     def main_plan(self) -> PhysicalPlan:
         """The design of :attr:`layout` (positional access and indexes
         address it), which a deferred design change leaves as it was; any
-        table but a flat one: :attr:`plan`."""
-        if self.is_partitioned or self.is_levelled:
-            return self.plan
-        main = self._regions[0].main
-        return self.plan if main is None else main.plan
+        table whose plan is not one layout: :attr:`plan`."""
+        plan = self.plan
+        main = self._regions[0].main if plan.region_design is None else None
+        return plan if main is None else main.plan
 
     @property
     def is_partitioned(self) -> bool:
-        plan = self._state.plan
-        return plan is not None and plan.kind == LAYOUT_PARTITIONED
+        return self.plan.partition is not None
 
     @property
     def partitions(self):
@@ -317,18 +315,9 @@ class Table:
         return len(self._regions)
 
     @property
-    def is_levelled(self) -> bool:
-        plan = self._state.plan
-        return plan is not None and plan.kind == LAYOUT_LEVELLED
-
-    @property
-    def _level_tombstones(self):
-        return self._state.level_tombstones
-
-    @property
     def run_count(self) -> int:
-        """Runs in a levelled table's manifest."""
-        if not self.is_levelled:
+        """Runs in the manifests of a levelled table's regions."""
+        if self.plan.levels is None:
             return 0
         return sum(len(region.runs) for region in self._regions)
 
@@ -337,7 +326,8 @@ class Table:
         regions = self._regions
         spec = self.plan.levels if regions else None
         if spec is not None and (
-            spec.key is not None or self._level_tombstones
+            spec.key is not None
+            or any(region.level_tombstones for region in regions)
         ):
             # Shadowed versions and tombstoned rows are still stored:
             # count what a scan resolves.
@@ -700,52 +690,34 @@ class Table:
         :func:`~repro.engine.access.index_access` finds one worth making,
         else every region the scan must read.
 
-        The routing of the three table shapes, and nothing else: which
-        regions, in which field order, resolved how, contained how. The
-        reading is :meth:`_region_batches`. A carried ``access`` no longer
-        holding for this snapshot is dropped.
+        The router's survivors (:meth:`_partitions_for_scan`), each read by
+        :meth:`_region_batches` under its level policy's resolver, in one
+        target field order. A carried ``access`` no longer holding for this
+        snapshot is dropped.
         """
         if access is not None and not access.holds(self, needed, predicate):
             access = None
         via_index = access.index if access else index_access(self, predicate)
         if via_index is not None:
             return via_index.batches(), via_index.fields
-        scan = partial(self._region_batches, access=access)
-        regions = self._require_loaded()
+        regions = self._partitions_for_scan(predicate)
+        needed, predicate = self._run_scan_args(regions, needed, predicate)
         # Runs of different designs differ in field order: every scan
         # normalizes to one target order.
-        if not self.is_partitioned:
-            # A levelled multiset table keeps every pruning lever: tombstone
-            # suppression is by row value, independent of what pruning
-            # drops. A keyed one scans un-pruned and un-projected instead —
-            # a newer version must shadow older versions of its key even
-            # when the newer row itself fails the predicate — leaving
-            # selection entirely to the downstream filter.
-            needed, predicate = self._run_scan_args(needed, predicate)
-            target = self._target_fields(needed)
-            resolver = None
-            if self.is_levelled:
-                from repro.engine.levels import _LevelResolver
-
-                resolver = _LevelResolver(
-                    self.plan.levels, target, self._level_tombstones
-                )
-            return scan(
-                regions[0], needed, predicate, target, resolver,
-                lambda run: f"run[{run.rid}]",
-            )
-        # A corrupt partition is contained whole, per the store's
-        # degraded-read policy.
         target = self._target_fields(needed)
+        # A corrupt run is contained whole, per the store's degraded-read
+        # policy, and named by its partition when there is a router.
+        routed = self.plan.partition is not None
 
         def source(region):
-            batches, _ = scan(region, needed, predicate, target)
-            return self._corruption_guard(batches, f"partition[{region.pid}]")
+            prefix = f"partition[{region.pid}] " * routed
+            return self._region_batches(
+                region, needed, predicate, target,
+                self._resolver(region, target),
+                lambda run: f"{prefix}run[{run.rid}]", access,
+            )[0]
 
-        sources = [
-            partial(source, region)
-            for region in self._partitions_for_scan(predicate)
-        ]
+        sources = [partial(source, region) for region in regions]
         workers = int(getattr(self._db, "scan_workers", 0) or 0)
         if workers > 1 and len(sources) > 1:
             # Regions fan out to the store's shared thread pool
@@ -759,6 +731,18 @@ class Table:
                 target,
             )
         return chain.from_iterable(make() for make in sources), target
+
+    def _resolver(
+        self, region, fields: Sequence[str]
+    ) -> "_LevelResolver | None":
+        """The newest-first resolution of ``region``'s runs under the level
+        policy, over ``fields``-shaped rows (``None``: unbounded fan-in)."""
+        spec = self.plan.levels
+        if spec is None:
+            return None
+        from repro.engine.levels import _LevelResolver
+
+        return _LevelResolver(spec, fields, region.level_tombstones)
 
     def _target_fields(self, needed: Sequence[str] | None) -> list[str]:
         """The canonical scan-schema order restricted to the fields a scan
@@ -801,16 +785,17 @@ class Table:
         return len(self._regions) - len(self.partition_survivors(predicate))
 
     def _partitions_for_scan(self, predicate: Predicate | None) -> list:
-        """Survivors for an *executing* scan: updates the cumulative
-        pruning counters and feeds per-partition access skew to the
-        workload monitor."""
+        """Survivors for an *executing* scan: under a router, updates the
+        cumulative pruning counters and feeds per-partition access skew to
+        the workload monitor."""
         survivors = self.partition_survivors(predicate)
         entry = self._entry
-        entry.partition_scans += 1
-        entry.partitions_pruned_total += len(self._regions) - len(survivors)
-        self._db.adaptivity.observe_partitions(
-            self.name, [r.pid for r in survivors]
-        )
+        if self.plan.partition is not None:
+            entry.partition_scans += 1
+            entry.partitions_pruned_total += len(self._regions) - len(survivors)
+            self._db.adaptivity.observe_partitions(
+                self.name, [r.pid for r in survivors]
+            )
         return survivors
 
     def _region_batches(
@@ -987,7 +972,7 @@ class Table:
                 self._db._retire_pages(entry, old.tree.page_ids())
 
     def _require_flat(self, what: str) -> None:
-        if self.is_partitioned or self.is_levelled:
+        if self.plan.region_design is not None:
             raise StorageError(
                 f"{what} indexes address flat storage positions; "
                 "partitioned and levelled tables prune by region bounds "
@@ -1178,7 +1163,7 @@ class Table:
         ``regions`` a scan with these arguments reads — the very values
         :meth:`_region_batches` reads through, so cost and explain fold
         what the scan does. Pending rows are memory-resident."""
-        needed, predicate = self._run_scan_args(needed, predicate)
+        needed, predicate = self._run_scan_args(regions, needed, predicate)
         intervals = self._prune_intervals(predicate)
         for region in regions:
             for run in region.runs:
@@ -1187,17 +1172,22 @@ class Table:
                 )
 
     def _run_scan_args(
-        self, needed: Sequence[str] | None, predicate: Predicate | None
+        self,
+        regions: Sequence,
+        needed: Sequence[str] | None,
+        predicate: Predicate | None,
     ) -> tuple[Sequence[str] | None, Predicate | None]:
-        """The projection and predicate a scan hands each *run* — what the
-        costing and pruning estimates must assume too. Only a levelled
-        table narrows them: a keyed table scans un-pruned and un-projected
-        (see :meth:`_table_source`), and tombstones compare whole rows."""
+        """The projection and predicate a scan of ``regions`` hands each
+        *run* — what the costing and pruning estimates must assume too.
+        Only a level policy narrows them: tombstones compare whole rows,
+        and a keyed table scans un-pruned and un-projected (a newer version
+        must shadow older ones of its key even when it fails the
+        predicate), leaving selection to the downstream filter."""
         spec = self.plan.levels
         if spec is None:
             return needed, predicate
         keyed = spec.key is not None
-        plain = not keyed and not self._level_tombstones
+        plain = not keyed and not any(r.level_tombstones for r in regions)
         return (needed if plain else None), (None if keyed else predicate)
 
     def access_path(
@@ -1303,26 +1293,16 @@ class Table:
 
     def _add_pending(self, rows: list[tuple]) -> None:
         """Buffer stored-shape ``rows`` in their regions' pending buffers —
-        the one landing path of :meth:`insert` and of WAL replay. A
-        partitioned table routes each row to its owning partition
-        (creating regions for unseen value-partition keys); every other
-        table has one region. Caller holds the entry's MVCC lock."""
+        the one landing path of :meth:`insert` and of WAL replay. The
+        table's router sends each row to its region (creating regions for
+        unseen value-partition keys); a one-region table's router is
+        trivial. Caller holds the entry's MVCC lock."""
         db, entry = self._db, self._entry
-        if self.is_partitioned:
-            router = db.router_for(entry)
-            grouped: dict[int, tuple[Any, list[tuple]]] = {}
-            for row in rows:
-                region = db._region_for(entry, router.locate(row))
-                slot = grouped.get(region.pid)
-                if slot is None:
-                    slot = grouped[region.pid] = (region, [])
-                slot[1].append(row)
-            batches = list(grouped.values())
-        else:
-            batches = [(entry.regions[0], rows)]
         names = self.scan_schema().names()
-        for region, batch in batches:
-            region.add_pending(names, batch)
+        router = db.router_for(entry)
+        for locator, batch in router.split(rows):
+            if batch:
+                db._region_for(entry, router, locator).add_pending(names, batch)
         self._mark_indexes_stale()
 
     def _stored_split(self) -> DesignSplit:
@@ -1342,17 +1322,14 @@ class Table:
         pending rows (:func:`~repro.engine.levels.seal`).
 
         Each run renders under its region's design (a levelled table's at
-        level 0). Returns its layout (for a partitioned table, the list of
-        them), ``None`` when nothing was pending.
+        level 0). Returns the new runs' layouts, ``None`` when nothing was
+        pending.
         """
         from repro.engine.levels import seal
 
         with self._db.mutate(self.name) as m:
             runs = [seal(self, region, m) for region in self._entry.regions]
-        flushed = [run.layout for run in runs if run is not None]
-        if self.is_partitioned:
-            return flushed or None
-        return flushed[0] if flushed else None
+        return [run.layout for run in runs if run is not None] or None
 
     @property
     def unmerged_row_count(self) -> int:
@@ -1375,11 +1352,10 @@ class Table:
         from repro.engine.levels import merge_regions
 
         with self._db.mutate(self.name):  # choose under the table lock
-            tombstones = bool(self._entry.level_tombstones)
             merge_regions(self, [
                 region for region in self._require_loaded()
                 if region.pending or len(region.runs) > 1
-                or region.off_design() or tombstones
+                or region.off_design() or region.level_tombstones
             ])
 
     # ==================================================================
@@ -1449,8 +1425,6 @@ class Table:
         from repro.engine import levels
 
         edit = None if assignments is None else updated
-        if self.is_levelled:
-            return levels.rewrite_levelled(self, predicate, edit, names)
         return levels.rewrite(self, predicate, edit, names)
 
     # -- misc ---------------------------------------------------------------
@@ -1508,11 +1482,10 @@ def _release_when_done(source, mvcc, snap):
 
 def _scan_schema(plan: PhysicalPlan) -> Schema:
     """Schema of scan results: folded layouts un-nest to group+nest fields."""
-    templates = plan.partition_plans or plan.level_plans
-    if templates:
-        # Every partition / run projects to the template's scan shape,
-        # even when individual regions or runs carry diverged designs.
-        return _scan_schema(templates[0])
+    if plan.region_design is not None:
+        # Every region and run projects to the template's scan shape, even
+        # when individual regions or runs carry diverged designs.
+        return _scan_schema(plan.region_design)
     if plan.kind != LAYOUT_FOLDED:
         return plan.schema
     from repro.layout.renderer import _nest_types

@@ -66,13 +66,17 @@ class Locator:
 
 
 class PartitionRouter:
-    """Evaluate a :class:`PartitionSpec` over stored-shape records."""
+    """Evaluate a :class:`PartitionSpec` over stored-shape records.
 
-    def __init__(self, spec: PartitionSpec, fields: Sequence[str]):
+    ``spec`` ``None`` is the trivial router of a one-region table: every
+    record routes to the one region, keyed ``None``.
+    """
+
+    def __init__(self, spec: PartitionSpec | None, fields: Sequence[str]):
         self.spec = spec
         self._positions = {name: i for i, name in enumerate(fields)}
         # Fast path: a plain field reference skips eval_scalar entirely.
-        if isinstance(spec.key, ast.FieldRef):
+        if spec is not None and isinstance(spec.key, ast.FieldRef):
             self._key_index: int | None = self._positions.get(spec.key.name)
             if self._key_index is None:
                 raise StorageError(
@@ -81,6 +85,11 @@ class PartitionRouter:
                 )
         else:
             self._key_index = None
+
+    @property
+    def ordered(self) -> bool:
+        """Are regions kept sorted by key (range buckets)?"""
+        return self.spec is not None and self.spec.method == "range"
 
     def key_of(self, record: Sequence[Any]) -> Any:
         if self._key_index is not None:
@@ -109,9 +118,11 @@ class PartitionRouter:
 
     def all_locators(self) -> list[Locator] | None:
         """Every partition's locator when the split is fixed a priori
-        (range/hash); ``None`` for value partitioning (keys are only known
-        once data arrives)."""
+        (range/hash, and the one region of the trivial router); ``None``
+        for value partitioning (keys are only known once data arrives)."""
         spec = self.spec
+        if spec is None:
+            return [Locator(None, None, None)]
         if spec.method == "range":
             out = []
             for bucket in range(len(spec.bounds) + 1):
@@ -132,13 +143,15 @@ class PartitionRouter:
     ) -> list[tuple[Locator, list[tuple]]]:
         """Route records into (locator, rows) groups.
 
-        Fixed splits (range/hash) return every partition — including empty
-        ones — in bucket order; value partitioning returns observed keys in
-        first-seen order (which keeps the scan order of the paper's
-        ``partition_C(N)`` identical to the previous grouped-rows
-        rendering).
+        Fixed splits (range/hash, the trivial router) return every
+        partition — including empty ones — in bucket order; value
+        partitioning returns observed keys in first-seen order (which keeps
+        the scan order of the paper's ``partition_C(N)`` identical to the
+        previous grouped-rows rendering).
         """
         fixed = self.all_locators()
+        if self.spec is None:
+            return [(fixed[0], list(records))]
         groups: dict[Any, list[tuple]] = {}
         order: list[Locator] = []
         if fixed is not None:

@@ -171,16 +171,14 @@ class TableScanOp(Operator):
     @property
     def partitions_pruned(self) -> int:
         """Whole partitions this scan's predicate rules out via the
-        partition map (``Table.partitions_pruned``) — 0 for unpartitioned
-        tables. Lazy like :attr:`pages_pruned`: only ``explain()`` pays
+        partition map (``Table.partitions_pruned``) — 0 for a table of one
+        region. Lazy like :attr:`pages_pruned`: only ``explain()`` pays
         the metadata sweep."""
         if self._partitions_pruned is None:
-            pruned = 0
-            if getattr(self.table, "is_partitioned", False):
-                try:
-                    pruned = self.table.partitions_pruned(self.predicate)
-                except StorageError:
-                    pruned = 0
+            try:
+                pruned = self.table.partitions_pruned(self.predicate)
+            except StorageError:
+                pruned = 0
             self._partitions_pruned = pruned
         return self._partitions_pruned
 
@@ -193,7 +191,7 @@ class TableScanOp(Operator):
         parts = [self.table.name]
         if self.fieldlist is not None:
             parts.append(f"fields={self.fieldlist}")
-        if getattr(self.table, "is_partitioned", False):
+        if self.table.is_partitioned:
             parts.append(
                 f"partitions={len(self.table.partitions)}"
                 f" partitions_pruned={self.partitions_pruned}"

@@ -33,6 +33,7 @@ class TxnStatus(Enum):
     ACTIVE = "active"
     COMMITTED = "committed"
     ABORTED = "aborted"
+    IN_DOUBT = "in doubt"  # COMMIT appended, its fsync failed
 
 
 class Transaction:
@@ -65,7 +66,12 @@ class Transaction:
         manager.locks.release_all(self.txn_id)
         if lsn is not None:
             # Group commit: concurrent committers batch into one fsync.
-            manager.wal.sync(lsn, window_s=manager.group_window_s)
+            try:
+                manager.wal.sync(lsn, window_s=manager.group_window_s)
+            except BaseException:
+                self.status = TxnStatus.IN_DOUBT
+                manager._finish(self.txn_id, committed=None)
+                raise
         self.status = TxnStatus.COMMITTED
         manager._finish(self.txn_id, committed=True)
 
@@ -134,12 +140,13 @@ class TransactionManager:
             self._active[txn_id] = txn
         return txn
 
-    def _finish(self, txn_id: int, committed: bool) -> None:
+    def _finish(self, txn_id: int, committed: bool | None) -> None:
+        """Leave the active set (``None``: in doubt, counted as neither)."""
         with self._lock:
             self._active.pop(txn_id, None)
             if committed:
                 self.committed += 1
-            else:
+            elif committed is not None:
                 self.aborted += 1
 
     @property

@@ -276,9 +276,9 @@ def _engine_sources():
 
 def test_table_walks_and_access_decides():
     sources = dict(_engine_sources())
-    # The survivors: the two shape tests, get_element*, _scan_schema and
-    # split_design's array test (an array has no stored-record shape).
-    assert len(_KIND_TEST.findall(sources["table.py"])) <= 9
+    # The survivors: get_element*, _scan_schema and split_design's array
+    # test (an array has no stored-record shape) — no table shape test.
+    assert len(_KIND_TEST.findall(sources["table.py"])) <= 7
     assert not hasattr(LayoutRenderer, "iter_batches")
     for name, source in sources.items():
         for node in ast.walk(ast.parse(source)):
@@ -484,13 +484,12 @@ ONE_WRITE_DELETED = (
     "_schedule_level_compaction", "read_latency_s", "adapt_hysteresis",
 )
 
-#: Where a ``Run`` is built, and how many times: the seal's render and the
-#: merge, the load (a partition's and a flat table's run), and the catalog
+#: Where a ``Run`` is built, and how many times: the seal's render (which
+#: a load's render of every region reuses) and the merge, and the catalog
 #: loader, once for every table shape.
 RUN_BUILDERS = {
     (os.path.join("engine", "levels.py"), "sealed_run"): 1,
     (os.path.join("engine", "levels.py"), "merge"): 1,
-    (os.path.join("engine", "database.py"), "_render_regions"): 2,
     (os.path.join("engine", "persistence.py"), "apply_entry_dict"): 1,
 }
 
@@ -805,3 +804,45 @@ def test_one_table_snapshot():
         (os.path.join("engine", "mvcc.py"), "pin"),
     ]
     assert field_lists == [os.path.join("engine", "mvcc.py")]
+
+
+#: The per-shape template fields of a plan, and the table-shape questions
+#: the engine asked instead of its router and level policy.
+ONE_SHAPE_DELETED = (
+    "partition_plans", "level_plans", "is_levelled", "_level_tombstones",
+)
+
+
+def test_one_table_shape():
+    """Every table is a router over regions with a level policy, so the
+    engine and the query layer never ask which of three shapes a table is:
+    no module there names the partitioned or levelled layout kind, nothing
+    in the engine unpacks a table's one region, a plan keeps one region
+    design, tombstones live on the region, and the interpreter's
+    "outermost operator" walks are gone — the nesting rule is one check in
+    ``algebra/validation.py``."""
+    _assert_absent_as_names(ONE_SHAPE_DELETED)
+    for folder in ("engine", "query"):
+        for name, source in _sources():
+            if name.startswith(folder + os.sep):
+                assert "LAYOUT_PARTITIONED" not in source, name
+                assert "LAYOUT_LEVELLED" not in source, name
+                if folder == "engine":
+                    assert "(region,) =" not in source, name
+    assert "level_tombstones" in {f.name for f in dataclasses.fields(Region)}
+    assert "level_tombstones" not in {
+        f.name for f in dataclasses.fields(database.CatalogEntry)
+    }
+    from repro.algebra import interpreter, validation
+
+    compile_source = inspect.getsource(interpreter.AlgebraInterpreter.compile)
+    assert ".walk()" not in compile_source
+    assert "outermost" not in inspect.getsource(interpreter)
+    assert "outermost" not in inspect.getsource(validation)
+    # The one rule sits in the checker's per-node step, not in the two
+    # combinators' own checks.
+    nesting = inspect.getsource(validation._Checker.check)
+    assert "ast.Partition" in nesting and "ast.Levels" in nesting
+    for method in ("_check_partition", "_check_levels"):
+        body = inspect.getsource(getattr(validation._Checker, method))
+        assert "cannot nest" not in body and "levelled design" not in body

@@ -247,7 +247,7 @@ def test_sealed_and_merged_pages_equal_the_tuple_path(design, numpy_mode, monkey
     table.compact()
     oracle.check_table(table, model, context="after a full merge")
     entry = store.catalog.entry("T")
-    assert entry.level_tombstones == [] and table.run_count == 1
+    assert entry.regions[0].level_tombstones == [] and table.run_count == 1
     assert audit.renders > 10
     store.close()
 
@@ -270,7 +270,7 @@ def test_multiset_tombstones_survive_merges_as_rows(numpy_mode, monkeypatch):
             victims = Range("a", 10 * (step % 5), 10 * (step % 5) + 4)
             assert table.delete(victims) == model.delete(victims)
         oracle.check_table(table, model, context=f"step {step}")
-    assert store.catalog.entry("T").level_tombstones or table.run_count > 1
+    assert store.catalog.entry("T").regions[0].level_tombstones or table.run_count > 1
     table.compact()
     oracle.check_table(table, model)
     assert audit.renders > 10

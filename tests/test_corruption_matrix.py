@@ -46,16 +46,21 @@ SCHEMA = Schema.of("id:int", "val:int")
 CORRUPT_ITERATIONS = int(os.environ.get("CORRUPT_ITERATIONS", "12"))
 CORRUPT_SEED = int(os.environ.get("CORRUPT_SEED", "20260808"))
 
+#: A partition of levelled regions: seals, tombstones and a cascade per
+#: partition (``level_seal_rows=16``).
+COMPOSED = "partition[id; range, 200](levels[2; 2](rows(T)))"
 
-def build_workload(seed):
-    """Deterministic ops plus the expected row set after each op."""
+
+def build_workload(seed, layout="columns(T)"):
+    """Deterministic ops plus the expected row set after each op, the
+    table re-laid out to ``layout`` mid-way."""
     rng = random.Random(seed)
     initial = [(i, rng.randrange(1000)) for i in range(150)]
     ops = [
         ("create", None),
         ("load", list(initial)),
         ("insert", [(300 + i, rng.randrange(1000)) for i in range(40)]),
-        ("relayout", "columns(T)"),
+        ("relayout", layout),
         ("delete", (0, 29)),
         ("insert", [(400 + i, rng.randrange(1000)) for i in range(30)]),
         ("update", (300, 319)),
@@ -92,9 +97,12 @@ def apply_op(store, kind, arg):
         store.table("T").update({"val": 0}, Range("id", *arg))
 
 
-def run_workload(path, checkpoint):
-    ops, expected = build_workload(CORRUPT_SEED)
-    store = RodentStore(path, page_size=1024, pool_capacity=64, durable=True)
+def run_workload(path, checkpoint, layout="columns(T)"):
+    ops, expected = build_workload(CORRUPT_SEED, layout)
+    store = RodentStore(
+        path, page_size=1024, pool_capacity=64, durable=True,
+        level_seal_rows=16,
+    )
     for kind, arg in ops:
         apply_op(store, kind, arg)
     if checkpoint:
@@ -170,14 +178,16 @@ def _copy_store(src_dir, dst_dir):
     shutil.copytree(src_dir, dst_dir, dirs_exist_ok=True)
 
 
-def _matrix(target_suffix, checkpoint, degraded=False):
+def _matrix(target_suffix, checkpoint, degraded=False, layout="columns(T)"):
     """Run the flip matrix against one persistent structure."""
     rng = random.Random(CORRUPT_SEED ^ 0xC0A0)
     base = tempfile.mkdtemp()
     try:
         base_path = os.path.join(base, "clean")
         os.makedirs(base_path)
-        expected = run_workload(os.path.join(base_path, "db"), checkpoint)
+        expected = run_workload(
+            os.path.join(base_path, "db"), checkpoint, layout
+        )
         final = expected[-1]
         target = os.path.join(base_path, "db" + target_suffix)
         assert os.path.getsize(target) > 0
@@ -247,6 +257,13 @@ def test_page_flips_after_checkpoint_fail_loudly():
 def test_page_flips_degraded_reads_report_skips():
     outcomes = _matrix("", checkpoint=True, degraded=True)
     assert outcomes["degraded"] + outcomes["exact"] + outcomes["loud"] > 0
+    assert outcomes["degraded"] > 0, "no flip exercised the degraded path"
+
+
+def test_composed_page_flips_degraded_reads_report_skips():
+    """A corrupt run of one levelled partition is skipped and reported,
+    never misread."""
+    outcomes = _matrix("", checkpoint=True, degraded=True, layout=COMPOSED)
     assert outcomes["degraded"] > 0, "no flip exercised the degraded path"
 
 

@@ -191,18 +191,24 @@ def test_crash_recovery_matrix():
             shutil.rmtree(d)
 
 
-def build_levelled_workload(seed):
+#: The composed design of the levelled matrix: every partition carries its
+#: own level cascade.
+COMPOSED = "partition[id; range, 150](levels[2; 2](rows(T)))"
+
+
+def build_levelled_workload(seed, design="levels[2; 2](rows(T))"):
     """A deterministic levelled (LSM) op list plus expected states.
 
     With ``level_seal_rows=8`` and ``levels[2; 2]`` the inserts drive
     run seals and size-tiered merges, the deletes write tombstones, and
     the explicit compact forces a full merge — so the crash boundaries
     sampled below land inside run-seal and manifest-swap transactions.
+    Under :data:`COMPOSED` they do so in each partition.
     """
     rng = random.Random(seed)
     initial = [(i, rng.randrange(1000)) for i in range(40)]
     ops = [
-        ("create", "levels[2; 2](rows(T))"),
+        ("create", design),
         ("load", list(initial)),
         ("insert", [(100 + i, rng.randrange(1000)) for i in range(10)]),
         ("insert", [(200 + i, rng.randrange(1000)) for i in range(10)]),
@@ -231,16 +237,16 @@ def assert_level_structure_consistent(store, rows):
     """Structural invariants of a recovered levelled manifest holding
     ``rows``."""
     entry = store.catalog.entry("T")
-    (region,) = entry.regions
-    seqs = [r.max_seq for r in region.runs]
-    assert seqs == sorted(seqs), "manifest must stay oldest-first"
-    rids = [r.rid for r in region.runs]
+    for region in entry.regions:
+        seqs = [r.max_seq for r in region.runs]
+        assert seqs == sorted(seqs), "manifest must stay oldest-first"
+        assert all(
+            t[0] <= entry.next_run_seq for t in region.level_tombstones
+        )
+    rids = [r.rid for r in entry.runs()]
     assert len(rids) == len(set(rids)), "run ids must be unique"
-    assert all(r.rid < entry.next_run_id for r in region.runs)
-    assert all(r.max_seq < entry.next_run_seq for r in region.runs)
-    assert all(
-        t[0] <= entry.next_run_seq for t in entry.level_tombstones
-    )
+    assert all(r.rid < entry.next_run_id for r in entry.runs())
+    assert all(r.max_seq < entry.next_run_seq for r in entry.runs())
     model = oracle.Model(SCHEMA.names(), rows, store.table("T").plan.expr.to_text())
     oracle.check_table(store.table("T"), model, predicate=Range("id", 0, 250))
 
@@ -256,7 +262,17 @@ def test_crash_recovery_levelled_matrix():
     lost committed rows, no resurrected tombstoned rows. The reopened
     manifest must also be structurally sound and keep working.
     """
-    ops, expected = build_levelled_workload(CRASH_SEED)
+    run_levelled_matrix(build_levelled_workload(CRASH_SEED))
+
+
+def test_crash_recovery_composed_matrix():
+    """The levelled matrix under :data:`COMPOSED`: a partition of levelled
+    regions recovers as one."""
+    run_levelled_matrix(build_levelled_workload(CRASH_SEED, COMPOSED))
+
+
+def run_levelled_matrix(workload):
+    ops, expected = workload
     rng = random.Random(CRASH_SEED ^ 0x1E7E1)
 
     with tempfile.TemporaryDirectory() as d:
@@ -292,7 +308,9 @@ def test_crash_recovery_levelled_matrix():
                 assert not reopened.catalog.has("T")
             else:
                 entry = reopened.catalog.entry("T")
-                if entry.plan is None or not entry.regions[0].row_count:
+                if entry.plan is None or not any(
+                    region.row_count for region in entry.regions
+                ):
                     got = []
                 else:
                     got = sorted(reopened.table("T").scan())

@@ -1,6 +1,7 @@
 """Tests for the durability layer: WAL-backed mutations, MVCC snapshot
 scans, checkpointing, clean close, and reopen-after-crash recovery."""
 
+import errno
 import os
 
 import pytest
@@ -603,3 +604,61 @@ def test_an_aborted_cascade_frees_the_runs_it_made(tmp_path, monkeypatch):
     assert store.compact_levels("L") == {"merges": 2, "runs_merged": 4}
     oracle.check_table(table, oracle.Model(SCHEMA.names(), ROWS[:200]))
     store.close()
+
+
+def test_a_failed_commit_fsync_stops_the_store(tmp_path, monkeypatch):
+    """The fsync after a COMMIT record fails once: that commit may or may
+    not be durable. The transaction leaves the active set, every later
+    mutation (and checkpoint) is refused until a reopen, reads go on, and
+    ``close()`` checkpoints nothing — so recovery decides, and the reopened
+    table equals what the log holds."""
+    store = open_store(tmp_path)
+    store.create_table("T", SCHEMA)
+    table = store.load("T", ROWS[:100])
+    fsync, failed = os.fsync, []
+
+    def fsync_failing_once(fd):
+        if not failed:
+            failed.append(fd)
+            raise OSError(errno.EIO, "injected EIO")
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync_failing_once)
+    with pytest.raises(OSError):
+        table.insert([(1000, 1)])
+    monkeypatch.undo()
+    assert failed and "fsync" in store._stopped
+    assert store.transactions.active_count == 0
+    for write in (
+        lambda: table.insert([(1001, 2)]),
+        lambda: table.delete(Range("id", 0, 9)),
+        lambda: store.create_table("U", SCHEMA),
+        store.checkpoint,
+    ):
+        with pytest.raises(StorageError, match="reopen"):
+            write()
+    assert store.transactions.active_count == 0
+    # Reads go on, and see the in-doubt commit.
+    oracle.check_table(
+        table, oracle.Model(SCHEMA.names(), ROWS[:100] + [(1000, 1)])
+    )
+    wal_path = str(tmp_path / "db.pages.wal")
+    size = os.path.getsize(wal_path)
+    store.close()
+    assert os.path.getsize(wal_path) == size  # no checkpoint truncated it
+
+    log = WriteAheadLog(wal_path)
+    records = list(log.records())
+    log.close()
+    (insert,) = [r for r in records if r.kind == KIND_ROWS]
+    committed = any(
+        r.kind == KIND_COMMIT and r.txn_id == insert.txn_id for r in records
+    )
+    assert committed  # the record reached the file; only its fsync failed
+    want = ROWS[:100] + [(1000, 1)] * committed
+    reopened = open_store(tmp_path)
+    assert reopened._stopped is None
+    oracle.check_table(reopened.table("T"), oracle.Model(SCHEMA.names(), want))
+    reopened.table("T").insert([(1001, 2)])
+    assert reopened.table("T").row_count == len(want) + 1
+    reopened.close()

@@ -3,7 +3,8 @@
 Covers the full surface of the levelled physical design:
 
 * algebra — parse/round-trip/validation of ``levels`` (with and without a
-  merge key), outermost-only placement;
+  merge key), placement: a router over regions with a level policy, so
+  ``partition`` may wrap ``levels`` and nothing else wraps either;
 * mechanics — seal-on-threshold, size-tiered merges that respect the
   fan-out, laminar level structure (a merge never interleaves sequence
   ranges), immutable runs;
@@ -17,7 +18,10 @@ Covers the full surface of the levelled physical design:
   structure, tombstones, and sequence counters;
 * adaptation — the controller's read-heavy merge and run-design re-choice
   triggers;
-* background compaction on the shared worker pool.
+* background compaction on the shared worker pool;
+* composition — ``partition[k](levels[f; n](inner))`` takes every write,
+  cascades per region, adapts one partition and reopens, equal to the
+  oracle throughout.
 """
 
 import os
@@ -32,7 +36,7 @@ import oracle
 from repro.algebra import ast
 from repro.algebra.parser import parse
 from repro.engine.database import RodentStore
-from repro.errors import AlgebraError
+from repro.errors import AlgebraError, TypeCheckError
 from repro.query.expressions import Range
 from repro.types import Schema
 
@@ -71,11 +75,127 @@ def test_levels_builder_and_bounds():
 
 
 def test_levels_must_be_outermost():
+    """Nothing but a partition wraps a level policy."""
     store = make_store()
     with pytest.raises(AlgebraError):
         store.create_table(
             "T", SCHEMA, layout="columns(levels[2; 2](T))"
         )
+    store.close()
+
+
+KSCHEMA = Schema.of("id:int", "k:int", "v:int")
+COMPOSED = "partition[r.k; range, 50](levels[4; 4](T))"
+
+
+def test_partition_composes_over_levels():
+    """The router sits outside the level policy: a partition of levelled
+    regions compiles (keyed when the partition key is the merge key);
+    the reverse, a wrapped level policy and a keyed level policy routed
+    by another field do not."""
+    store = make_store()
+    store.create_table("T", KSCHEMA, layout=COMPOSED)
+    plan = store.table("T").plan
+    assert plan.partition.bounds == (50,) and plan.levels.k == 4
+    assert plan.region_design.expr.to_text() == "T"
+    store.create_table("U", KSCHEMA, layout="partition[r.id](levels[2; 2; r.id](U))")
+    assert store.table("U").plan.levels.key_field == "id"
+    for layout, error in (
+        ("levels[4; 4](partition[r.k; range, 50](V))", AlgebraError),
+        ("columns(levels[4; 4](V))", AlgebraError),
+        ("partition[r.k](levels[2; 2; r.id](V))", TypeCheckError),
+    ):
+        with pytest.raises(error):
+            store.create_table("V", KSCHEMA, layout=layout)
+        assert not store.catalog.has("V")
+    store.close()
+
+
+def test_partitioned_levels_take_every_write_and_reopen(tmp_path):
+    """``partition[r.k; range, 50](levels[4; 4](T))`` through a load,
+    inserts, a non-key update, a delete, one partition's cascade, a full
+    compaction, a re-layout of one levelled partition and a reopen — equal
+    to the oracle after every step, and scrubbed clean at the end."""
+    path = str(tmp_path / "db")
+
+    def open_store():
+        return make_store(path=path, durable=True, level_seal_rows=8)
+
+    store = open_store()
+    store.create_table("T", KSCHEMA, layout=COMPOSED)
+    rows = [(i, i % 100, i) for i in range(0, 200, 2)]
+    table = store.load("T", rows)
+    model = oracle.Model(KSCHEMA.names(), rows, COMPOSED)
+
+    def check(table):
+        oracle.check_table(table, model)
+        oracle.check_table(table, model, predicate=Range("k", 10, 40))
+        oracle.check_table(
+            table, model, ["v", "k"], Range("id", 50, 120), order=["id"]
+        )
+
+    check(table)
+    entry = store.catalog.entry("T")
+    low, high = entry.regions
+    assert [len(r.runs) for r in entry.regions] == [1, 1]
+
+    # A non-key update and a delete: tombstones only where they match.
+    update = ({"v": -1}, Range("id", 0, 30))
+    assert table.update(*update) == model.update(*update) > 0
+    assert table.delete(Range("k", 0, 20)) == model.delete(Range("k", 0, 20))
+    assert low.level_tombstones and not high.level_tombstones
+    check(table)
+
+    # Each region seals its own full buffer; inserts into one partition
+    # seal and cascade there alone.
+    low_runs, low_pending = list(low.runs), list(low.pending)
+    for b in range(4):
+        batch = [(1000 + 10 * b + j, 50 + j, b) for j in range(10)]
+        table.insert(batch)
+        model.insert(batch)
+    assert low.runs == low_runs and low.pending == low_pending
+    assert not high.pending
+    assert [run.level for run in high.runs if run.level < 2] == [1]
+    check(table)
+
+    table.compact()
+    model.compact()
+    assert [len(r.runs) for r in entry.regions] == [1, 1]
+    assert not low.level_tombstones and not low.pending
+    check(table)
+
+    # One levelled partition takes a new run design; the table keeps its
+    # router and level policy, and later seals render under the new one.
+    store.relayout_partition("T", low.pid, "columns(T)")
+    assert entry.regions[0].plan.kind == "columns"
+    assert entry.regions[1].plan.kind == "rows"
+    assert entry.plan.expr.to_text() == parse(COMPOSED).to_text()
+    batch = [(2000 + j, j, j) for j in range(12)]
+    table.insert(batch)
+    model.insert(batch)
+    assert table.delete(Range("id", 2000, 2003)) == model.delete(
+        Range("id", 2000, 2003)
+    )
+    check(table)
+    assert entry.regions[0].level_tombstones
+    manifest = [
+        ([(r.rid, r.level, r.plan.kind) for r in region.runs],
+         list(region.level_tombstones), len(region.pending))
+        for region in entry.regions
+    ]
+    store.close()
+
+    store = open_store()
+    table = store.table("T")
+    entry = store.catalog.entry("T")
+    assert [
+        ([(r.rid, r.level, r.plan.kind) for r in region.runs],
+         list(region.level_tombstones), len(region.pending))
+        for region in entry.regions
+    ] == manifest
+    assert entry.regions[0].plan.kind == "columns"
+    check(table)
+    assert store.scrub()["clean"]
     store.close()
 
 
@@ -134,7 +254,7 @@ def test_full_compaction_single_run():
     t.compact()
     entry = store.catalog.entry("T")
     assert t.run_count == 1
-    assert entry.regions[0].pending == [] and entry.level_tombstones == []
+    assert entry.regions[0].pending == [] and entry.regions[0].level_tombstones == []
     assert sorted(t.scan()) == sorted(rows + [(100, 1)])
     store.close()
 
@@ -153,12 +273,12 @@ def test_multiset_delete_tombstones_until_merge():
     entry = store.catalog.entry("T")
     n = t.delete(Range("id", 5, 14))  # straddles two sealed runs
     assert n == 10
-    assert entry.level_tombstones, "sealed rows need tombstones"
+    assert entry.regions[0].level_tombstones, "sealed rows need tombstones"
     expected = sorted((i, i // 10) for i in range(30) if not 5 <= i <= 14)
     assert sorted(t.scan()) == expected
     t.compact()
     # A full merge applies every tombstone physically and drops them all.
-    assert entry.level_tombstones == []
+    assert entry.regions[0].level_tombstones == []
     assert sorted(t.scan()) == expected
     store.close()
 
@@ -231,13 +351,13 @@ def test_tombstone_gc_after_partial_merge():
     t.insert([(i, 0) for i in range(5)])       # run 1
     t.delete(Range("id", 0, 1))                 # tombstones vs run 1
     entry = store.catalog.entry("T")
-    assert entry.level_tombstones
+    assert entry.regions[0].level_tombstones
     # Two more seals force merges; once no run predates a tombstone it
     # must be garbage-collected from the manifest.
     t.insert([(10 + i, 0) for i in range(5)])
     t.insert([(20 + i, 0) for i in range(5)])
     t.compact()
-    assert entry.level_tombstones == []
+    assert entry.regions[0].level_tombstones == []
     assert sorted(t.scan()) == sorted(
         [(i, 0) for i in range(2, 5)]
         + [(10 + i, 0) for i in range(5)]
@@ -450,7 +570,7 @@ def test_durable_reopen_preserves_levels():
         manifest = [
             (r.rid, r.level, r.max_seq) for r in entry.regions[0].runs
         ]
-        tombs = list(entry.level_tombstones)
+        tombs = list(entry.regions[0].level_tombstones)
         next_ids = (entry.next_run_id, entry.next_run_seq)
         expected = sorted(rows[5:] + [(100, 100)])
         assert sorted(t.scan()) == expected
@@ -463,7 +583,7 @@ def test_durable_reopen_preserves_levels():
         assert [
             (r.rid, r.level, r.max_seq) for r in entry2.regions[0].runs
         ] == manifest
-        assert list(entry2.level_tombstones) == tombs
+        assert list(entry2.regions[0].level_tombstones) == tombs
         assert (entry2.next_run_id, entry2.next_run_seq) == next_ids
         t2 = reopened.table("T")
         assert sorted(t2.scan()) == expected
@@ -556,10 +676,10 @@ def test_relayout_between_levelled_and_flat():
     t.insert(rows)
     store.relayout("T", "columns(T)")
     t = store.table("T")
-    assert not t.is_levelled
+    assert t.plan.levels is None
     assert sorted(t.scan()) == rows
     store.relayout("T", "levels[4; 4](columns(T))")
     t = store.table("T")
-    assert t.is_levelled and t.run_count == 1
+    assert t.plan.levels is not None and t.run_count == 1
     assert sorted(t.scan()) == rows
     store.close()
