@@ -63,10 +63,11 @@ class Region:
     whose design changed without a rewrite (the new-data-only and lazy
     policies of §5) holds runs off it until the next merge.
 
-    ``level_tombstones`` are the (seq, value) deletes of a levelled region
-    — value is the merge key for keyed tables, the full stored row
-    otherwise — each suppressing matching rows in this region's runs older
-    than its seq. The list is replaced, never changed in place.
+    ``level_tombstones`` are the (seq, value) deletes and updates of the
+    region — value is the merge key under a keyed level policy, the full
+    stored row otherwise — each suppressing matching rows in this region's
+    runs older than its seq, until a merge folds it in. The list is
+    replaced, never changed in place.
 
     ``pending`` holds inserted records (stored-record shape) with an
     incrementally maintained zone map. It lives here — not on Table
@@ -99,6 +100,14 @@ class Region:
     def off_design(self) -> bool:
         """Does a run keep a design other than the region's?"""
         return any(run.plan.expr != self.plan.expr for run in self.runs)
+
+    def merged(self) -> bool:
+        """Is the region what a full merge leaves — at most one run, on
+        its design, with nothing pending or tombstoned?"""
+        return not (
+            self.pending or len(self.runs) > 1 or self.off_design()
+            or self.level_tombstones
+        )
 
     def add_pending(self, names: Sequence[str], rows: Sequence[tuple]) -> None:
         """Buffer ``rows``; the running zone extends instead of rescanning."""

@@ -637,6 +637,7 @@ class RodentStore:
             if r.pending_zone is not None
         ]
         layouts = [run.layout for run in entry.runs()]
+        bounded = True  # does some zone cover every stored row?
         for layout in layouts:  # grows as it goes: mirrors hold the zones
             layouts.extend(layout.mirrors)
             if layout.synopsis_error is not None:
@@ -647,7 +648,9 @@ class RodentStore:
             if s is not None:
                 tables += [s.page_zones, *s.group_zones]
                 tables += [s.cell_zones, s.folded_zones]
-        if not rows:
+            elif not layout.mirrors:
+                bounded = False
+        if not rows or not bounded:
             return
         names = _scan_schema(entry.plan).names()
         for i, name in enumerate(names):
@@ -1190,23 +1193,19 @@ class RodentStore:
         return levels.compact_levels(self._levelled(name))
 
     def _wa_note(
-        self,
-        entry: CatalogEntry,
-        layout: StoredLayout,
-        ingest: bool = False,
-        compaction: bool = False,
+        self, entry: CatalogEntry, layout: StoredLayout, ingest: bool
     ) -> None:
         """Charge a rendered layout to the entry's write-amplification
         ledger: every render adds to ``wa_bytes_written``; first-time
-        renders of freshly ingested rows also add to ``wa_bytes_ingested``;
-        compaction renders count their rewritten pages. The ratio is
-        surfaced by ``storage_stats()``."""
+        renders of freshly ingested rows also add to ``wa_bytes_ingested``,
+        and every other render (a merge) counts its rewritten pages. The
+        ratio is surfaced by ``storage_stats()``."""
         pages = layout.total_pages()
         nbytes = pages * self.disk.page_size
         entry.wa_bytes_written += nbytes
         if ingest:
             entry.wa_bytes_ingested += nbytes
-        if compaction:
+        else:
             entry.wa_pages_compacted += pages
             entry.wa_compactions += 1
 
@@ -1289,7 +1288,11 @@ class RodentStore:
         disk = self.disk.stats
         tables: dict[str, dict] = {}
         for entry in self.catalog:
-            info: dict[str, Any] = {}
+            info: dict[str, Any] = {
+                "tombstones": sum(
+                    len(region.level_tombstones) for region in entry.regions
+                ),
+            }
             plan = entry.plan
             if plan is not None and plan.partition is not None:
                 info.update(
@@ -1309,6 +1312,7 @@ class RodentStore:
                                 else None,
                                 "run_count": len(region.runs),
                                 "pending_rows": len(region.pending),
+                                "tombstones": len(region.level_tombstones),
                             }
                             for region in entry.regions
                         ],
@@ -1326,10 +1330,6 @@ class RodentStore:
                         },
                         "pending_rows": sum(
                             len(region.pending) for region in entry.regions
-                        ),
-                        "tombstones": sum(
-                            len(region.level_tombstones)
-                            for region in entry.regions
                         ),
                         "runs": [
                             {

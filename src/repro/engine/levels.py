@@ -9,16 +9,17 @@ flat table is a level with unbounded fan-in.
   region's design — ``Table.flush_inserts``, the levelled auto-seal and
   (:func:`sealed_run`) every region of a bulk load;
 * :func:`merge` reads chosen runs, and the pending rows when asked, under
-  one resolver, may apply a batch edit, and renders one run under the
-  region's design — levelled merges, copy-on-write ``update``/``delete``
-  of a region with unbounded fan-in and (:func:`merge_regions`)
+  one resolver and renders one run under the region's design — levelled
+  merges and (:func:`merge_regions`, one region per transaction)
   ``compact()`` and every region re-layout.
 
 Both swap through :func:`replace_runs`, which an abort undoes, and so does
 :func:`redesign`, which only changes the design later seals and merges
 render under: a re-layout of any table shape is a redesign plus a merge.
-Tombstone deletes and the level cascade live here too; ``RodentStore`` and
-``Table`` keep the public entry points.
+An ``update`` or ``delete`` renders nothing, whatever the shape
+(:func:`rewrite`): it filters the pending rows and leaves tombstones that
+reads resolve and the next merge folds in. The level cascade lives here
+too; ``RodentStore`` and ``Table`` keep the public entry points.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from repro import vector
 from repro.algebra import ast
 from repro.algebra.physical import PhysicalPlan
 from repro.algebra.transforms import eval_scalar
@@ -53,7 +53,7 @@ def sealed_run(
     names = tuple(names)
     spec = plan.levels
     if spec is not None and spec.key is not None:
-        rows = _LevelResolver(spec, names, []).resolve_pending(rows)
+        rows = _LevelResolver(spec.key, names, []).resolve_pending(rows)
     batch = ColumnBatch.from_rows(names, rows)
     return Run(region.plan, store._render_region(plan, region.plan, batch))
 
@@ -81,20 +81,17 @@ def merge(
     m: _Mutation,
     *,
     pending: bool = False,
-    edit: Callable[[list[ColumnBatch]], ColumnBatch | None] | None = None,
     level: int | None = None,
-    compaction: bool = True,
 ) -> Run | None:
     """Merge ``sources`` — runs of ``region`` — and, with ``pending``, its
     pending rows into one run, swapped in for them as a step of ``m``.
 
     Sources are read newest first through the scan's own region path under
-    one resolver, so a levelled merge drops exactly what a scan suppresses.
-    The survivors join oldest first, pending rows last (pages stay
-    byte-identical), in one :func:`merge_batches` or through ``edit``, which
-    maps them to the region's new batch (``None``: nothing changes). The run
-    renders under the region's design at ``level`` (default: its size
-    class); a levelled merge that resolves to nothing renders none.
+    one resolver, so a merge drops exactly what a scan suppresses. The
+    survivors join oldest first, pending rows last (pages stay
+    byte-identical), in one :func:`merge_batches`. The run renders under
+    the region's design at ``level`` (default: its size class); a levelled
+    merge that resolves to nothing renders none.
     """
     db, entry = table._db, table._entry
     spec = entry.plan.levels
@@ -111,12 +108,7 @@ def merge(
         held[:0] = batches  # oldest source first
     if rows:
         held.append(ColumnBatch.from_rows(fields, rows))
-    if edit is None:
-        merged = merge_batches(fields, held)
-    else:
-        merged = edit(held)
-        if merged is None:
-            return None
+    merged = merge_batches(fields, held)
     new: list[Run] = []
     if spec is None or merged.n_rows:
         if spec is not None and level is None:
@@ -128,10 +120,7 @@ def merge(
             )
         layout = db._render_region(entry.plan, region.plan, merged)
         new.append(Run(region.plan, layout, level=level or 0))
-    replace_runs(
-        db, entry, region, sources, new, m,
-        compaction=compaction, keep_pending=not pending,
-    )
+    replace_runs(db, entry, region, sources, new, m, keep_pending=not pending)
     return new[0] if new else None
 
 
@@ -146,7 +135,6 @@ def replace_runs(
     plan: PhysicalPlan | None = None,
     table_plan: PhysicalPlan | None = None,
     ingest: bool = False,
-    compaction: bool = False,
     keep_pending: bool = False,
 ) -> None:
     """THE run swap: ``old`` runs of ``region`` out (none for a seal),
@@ -159,7 +147,8 @@ def replace_runs(
     place in time. A pinned scan sees either side of the swap (MVCC lock);
     superseded pages are retired, waiting for the durable commit and the
     last draining reader; indexes are dropped; renders are charged to the
-    write-amplification ledger. An abort of ``m`` puts back what the swap
+    write-amplification ledger (a seal's as ingest, a merge's as
+    compaction). An abort of ``m`` puts back what the swap
     replaced (the table's snapshot, taken when ``m`` locked it).
     """
     with entry.mvcc.lock:
@@ -196,7 +185,7 @@ def replace_runs(
                 if any(run.max_seq < t[0] for run in region.runs)
             ]
         for run in new:
-            store._wa_note(entry, run.layout, ingest, compaction)
+            store._wa_note(entry, run.layout, ingest)
     m.touch(entry.name)
 
 
@@ -212,6 +201,7 @@ def redesign(
     row-valued tombstones follow a new stored field order."""
     db, entry = table._db, table._entry
     plan = db.region_plan(table.name, layout)
+    keyed = entry.plan.levels is not None and entry.plan.levels.key is not None
     table_plan = None
     if set(map(id, entry.regions)) <= set(map(id, regions)):
         table_plan = db._interpreter().compile(
@@ -236,10 +226,7 @@ def redesign(
                 rows = list(map(reorder, region.pending))
                 region.clear_pending()
                 region.add_pending(new, rows)
-            if (
-                old != new and region.level_tombstones
-                and entry.plan.levels.key is None
-            ):
+            if old != new and region.level_tombstones and not keyed:
                 region.level_tombstones = [
                     (seq, reorder(row))
                     for seq, row in region.level_tombstones
@@ -259,19 +246,37 @@ def merge_regions(
     layout: str | ast.Node | None = None,
 ) -> None:
     """The one full merge, and the one region re-layout, of every table
-    shape: :func:`redesign` ``regions`` to ``layout`` when given, then
-    :func:`merge` each one's runs and pending rows into one run under its
-    design, all in one transaction — ``Table.compact``,
-    ``relayout_partition`` and every reorganization that rewrites old
-    runs."""
-    with table._db.mutate(table.name) as m:
-        if layout is not None:
-            redesign(table, layout, regions)
-        for region in regions:
+    shape (``Table.compact``, ``relayout_partition``, reorganizations): a
+    :func:`merge` of each region, after a :func:`redesign` to ``layout``
+    when given, one region per transaction — the whole table's redesign
+    rides in the first. Each step frees the pages it superseded before the
+    next renders, and checks its region again under its own lock (gone, or
+    with no ``layout`` already :meth:`Region.merged`: skipped). A failed
+    step leaves its region, and every later one, as it was."""
+    db, entry = table._db, table._entry
+    regions = list(regions)
+    whole = layout is not None and (
+        set(map(id, entry.regions)) <= set(map(id, regions))
+    )
+    if whole and not regions:
+        redesign(table, layout, [])  # a table with no region yet
+    for step, region in enumerate(regions):
+        with db.mutate(table.name) as m:
+            if not any(r is region for r in entry.regions):
+                continue
+            if layout is not None and (step == 0 or not whole):
+                redesign(table, layout, regions if whole else [region])
+            elif region.merged():
+                continue
             merge(table, region, list(region.runs), m, pending=True)
 
 
 # -- updates and deletes ---------------------------------------------------
+
+
+#: A region of unbounded fan-in whose tombstones reach this fraction of
+#: its runs' rows merges at once: its dead rows cannot pile up unmerged.
+RECLAIM_FRACTION = 0.1
 
 
 def rewrite(
@@ -281,82 +286,58 @@ def rewrite(
     names: list[str],
 ) -> int:
     """Delete (``updated`` is ``None``) or update, in every region the
-    predicate can reach, in one transaction. Under a level policy no run
-    is rewritten (:func:`_tombstone`); otherwise one :func:`merge` per
-    region whose ``edit`` applies the rewrite — nothing is rendered for a
-    region without a victim. Returns the number of rows changed."""
-    positions = {n: i for i, n in enumerate(names)}
-    keep = None if predicate is None else selector(predicate, positions)
-    levelled = table.plan.levels is not None
+    predicate can reach, in one transaction that renders no page unless a
+    region's tombstones (:func:`_tombstone`) are due a merge
+    (:func:`_reclaim`). Returns the number of rows changed."""
     total = 0
-
-    def victims(batch: ColumnBatch) -> list | None:
-        """Per-row verdicts of ``predicate`` on one batch (``None`` =
-        nothing matches), from the scan's own selection step."""
-        if keep is None:
-            return [True] * batch.n_rows
-        mask = keep(batch)
-        return vector.to_list(mask) if vector.mask_count(mask) else None
-
-    def edit(batches: list[ColumnBatch]) -> ColumnBatch | None:
-        nonlocal total
-        masks = [victims(batch) for batch in batches]
-        if not any(masks):
-            return None  # no row materialized
-        out: list[tuple] = []
-        for batch, mask in zip(batches, masks):
-            rows = batch.rows()
-            if mask is None:
-                out.extend(rows)
-                continue
-            total += sum(mask)
-            if updated is None:  # a delete drops the row
-                out.extend(row for row, hit in zip(rows, mask) if not hit)
-            else:
-                out.extend(
-                    updated(row) if hit else row
-                    for row, hit in zip(rows, mask)
-                )
-        return ColumnBatch.from_rows(tuple(names), out)
-
     with table._db.mutate(table.name) as m:
         for region in table.partition_survivors(predicate):
-            if levelled:
-                total += _tombstone(table, region, keep, updated, names, m)
-            else:
-                merge(
-                    table, region, list(region.runs), m,
-                    pending=True, edit=edit, compaction=False,
-                )
+            total += _tombstone(table, region, predicate, updated, names, m)
+            _reclaim(table, region, m)
     return total
+
+
+def _reclaim(table: Table, region: Region, m: _Mutation) -> None:
+    """Merge ``region`` as a step of ``m`` when its tombstones reach
+    :data:`RECLAIM_FRACTION` of its runs' rows and no level policy's
+    cascade is there to fold them in."""
+    stored = sum(run.row_count for run in region.runs)
+    if (
+        table.plan.levels is None
+        and len(region.level_tombstones) >= RECLAIM_FRACTION * stored > 0
+    ):
+        merge(table, region, list(region.runs), m, pending=True)
 
 
 def _tombstone(
     table: Table,
     region: Region,
-    keep,
+    predicate: Predicate | None,
     updated: Callable[[tuple], tuple] | None,
     names: list[str],
     m: _Mutation,
 ) -> int:
-    """:func:`rewrite` of one levelled region: matching *visible* rows
-    (``keep``, ``None`` for all) are resolved once; pending rows are
-    filtered (and updates re-appended) in place, and one tombstone per
-    distinct victim — merge key when keyed, the row otherwise — suppresses
-    matches in the region's runs until a merge drops them. Returns the
-    number of rows matched."""
+    """:func:`rewrite` of one region: the *visible* rows ``predicate``
+    matches (all for ``None``) are resolved once, from the pages it may
+    match; pending rows are filtered in place, updated rows appended, and
+    one tombstone per distinct victim in a run — the merge key under a
+    keyed level policy, the row otherwise — suppresses it until a merge
+    drops them. Returns the number of rows matched."""
     db, entry = table._db, table._entry
-    key_expr = table.plan.levels.key
+    spec = table.plan.levels
+    key_expr = None if spec is None else spec.key
     positions = {n: i for i, n in enumerate(names)}
+    keep = None if predicate is None else selector(predicate, positions)
 
     def victim_of(row: tuple):
         if key_expr is None:
             return tuple(row)
         return eval_scalar(key_expr, row, positions)
 
+    _, pruning = table._run_scan_args([region], None, predicate)
     with db.adaptivity.pause():
         batches, _ = table._region_batches(
-            region, None, None, names, table._resolver(region, names)
+            region, None, pruning, names, table._resolver(region, names)
         )
         if keep is not None:
             batches = (batch.select(keep(batch)) for batch in batches)
@@ -369,16 +350,20 @@ def _tombstone(
         replace_runs(db, entry, region, list(region.runs), [], m)
         return len(matched)
     new_rows = [updated(r) for r in matched] if updated else []
-    # Distinct victims in first-match order: the merge key kills every
-    # older version of that key; a row value kills every equal copy
-    # (predicates are value-deterministic, so equal copies always match
-    # together).
-    victims = list(dict.fromkeys(map(victim_of, matched)))
-    victim_set = set(victims)
+    # The merge key kills every older version of that key; a row value
+    # kills every equal copy (predicates are value-deterministic, so equal
+    # copies always match together).
+    victim_set = set(map(victim_of, matched))
     with entry.mvcc.lock:
         survivors = [
             tuple(r) for r in region.pending if victim_of(r) not in victim_set
         ]
+        # Distinct victims in first-match order. A multiset walk read the
+        # pending rows last: only the rows matched before, in runs, need one.
+        in_runs = len(matched) - len(region.pending) + len(survivors)
+        victims = list(dict.fromkeys(
+            map(victim_of, matched[:in_runs] if key_expr is None else matched)
+        ))
         # The zone already covers every survivor: only the updated rows
         # fold in — O(changes), not O(pending) — and the bounds stay a
         # sound over-approximation until the next seal.
@@ -389,13 +374,15 @@ def _tombstone(
             region.pending = survivors
         if new_rows:
             region.add_pending(names, new_rows)
-        if region.runs:
+        if region.runs and victims:
             seq = entry.next_run_seq
             entry.next_run_seq += 1
             region.level_tombstones = region.level_tombstones + [
                 (seq, v) for v in victims
             ]
-        table._mark_indexes_stale()
+        # Secondary indexes address the runs' rows by position, tombstoned
+        # ones included.
+        db._drop_indexes(entry)
     m.touch(table.name)
     return len(matched)
 
@@ -469,66 +456,73 @@ def _levels_over_fanout(region: Region, k: int) -> list[int]:
 
 
 class _LevelResolver:
-    """Newest-first resolution state of one levelled scan or merge.
+    """Resolution state of one scan or merge of a region that has a merge
+    key (a keyed level policy) or tombstones.
 
-    Segments are fed newest-first: the pending buffer, then runs by
-    descending ``max_seq``. Keyed (last-writer-wins) tables suppress a row
-    whose merge key a newer segment emitted; multiset tables suppress rows
-    equal to an active tombstone value. A tombstone with sequence ``s``
-    activates as the walk reaches a run with ``max_seq < s``, never for the
-    pending buffer, whose rows postdate every tombstone (a levelled delete
+    Keyed (last-writer-wins) regions are fed newest-first: the pending
+    buffer, then runs by descending ``max_seq``; a row is suppressed when a
+    newer segment emitted its merge key, or a tombstone newer than its run
+    names it. Multiset regions suppress, in each run, rows equal to a
+    tombstone newer than the run, in any walk order. No tombstone applies
+    to the pending buffer, whose rows postdate every tombstone (a delete
     filters pending rows itself). A merge drives the same object, so it
-    drops exactly what a scan would suppress.
+    drops exactly what a scan suppresses.
     """
 
-    __slots__ = ("keyed", "key_of", "seen", "dead", "_inactive")
+    __slots__ = ("keyed", "key_of", "seen", "dead", "_tombstones")
 
-    def __init__(self, spec, names: Sequence[str], tombstones):
-        self.keyed = spec.key is not None
+    def __init__(self, key_expr, names: Sequence[str], tombstones):
+        self.keyed = key_expr is not None
         if self.keyed:
             positions = {n: i for i, n in enumerate(names)}
-            key_expr = spec.key
             self.key_of = lambda row: eval_scalar(key_expr, row, positions)
         else:
             self.key_of = None
         self.seen: set = set()  # merge keys emitted or tombstoned (keyed)
-        self.dead: set = set()  # active tombstone row values (multiset)
-        # Ascending by seq; popped from the tail as the walk gets older.
-        self._inactive = sorted(tombstones, key=lambda t: t[0])
+        self.dead: set = set()  # tombstone row values of this run (multiset)
+        self._tombstones = tombstones
 
     def resolve_pending(self, rows: Sequence[tuple]) -> list[tuple]:
-        """Pending-buffer rows, resolved before any run (no tombstone is
-        active yet). Keyed: last write wins, keeping each key's final
+        """Pending-buffer rows, resolved before any run (no tombstone
+        applies). Keyed: last write wins, keeping each key's final
         occurrence in its insertion slot order."""
-        return self.resolve(map(tuple, reversed(rows)))[::-1]
+        if not self.keyed:
+            return list(rows)
+        return self._newest(map(tuple, reversed(rows)))[::-1]
 
     def enter_run(self, run) -> bool:
-        """Activate tombstones newer than ``run``; True when its rows must
-        pass through :meth:`resolve` (keyed runs always do — the seen-set
-        must grow even when nothing is suppressed yet)."""
-        inactive = self._inactive
-        while inactive and inactive[-1][0] > run.max_seq:
-            _, value = inactive.pop()
-            if self.keyed:
-                self.seen.add(value)
-            else:
-                self.dead.add(value)
-        return self.keyed or bool(self.dead)
-
-    def resolve(self, rows: Iterable[tuple]) -> list[tuple]:
-        """Surviving rows of one run segment, in stored order."""
+        """Apply the tombstones newer than ``run``; True when its rows
+        must pass through :meth:`survivors` (keyed runs always do — the
+        seen-set must grow even when nothing is suppressed yet)."""
+        newer = {value for seq, value in self._tombstones if seq > run.max_seq}
         if self.keyed:
-            seen = self.seen
-            key_of = self.key_of
-            out: list[tuple] = []
-            for row in rows:
-                key = key_of(row)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(row)
-            return out
-        dead = self.dead
-        if not dead:
-            return list(rows)
-        return [row for row in rows if tuple(row) not in dead]
+            self.seen |= newer
+            return True
+        self.dead = newer
+        return bool(newer)
+
+    def survivors(self, batch: ColumnBatch) -> ColumnBatch:
+        """The rows of ``batch``, one segment of the entered run in stored
+        order, that no newer key or tombstone suppresses."""
+        rows = batch.rows()
+        if self.keyed:
+            kept = self._newest(rows)
+        else:
+            kept = [row for row in rows if row not in self.dead]
+        if len(kept) == len(rows):
+            return batch
+        return ColumnBatch.from_rows(batch.fields, kept)
+
+    def _newest(self, rows: Iterable[tuple]) -> list[tuple]:
+        """Keyed: the rows of one segment whose key no newer segment
+        emitted or tombstoned, in stored order."""
+        seen = self.seen
+        key_of = self.key_of
+        out: list[tuple] = []
+        for row in rows:
+            key = key_of(row)
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(row)
+        return out

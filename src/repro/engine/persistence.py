@@ -512,8 +512,11 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
     entry.next_run_id = t.get(
         "next_run_id", max((r.rid for r in runs), default=-1) + 1
     )
-    entry.next_run_seq = t.get(
-        "next_run_seq", max((r.max_seq for r in runs), default=-1) + 1
+    # Past every run's, whatever the catalog says (older writers left a
+    # flat table's at 0): a tombstone must be newer than the runs it hits.
+    entry.next_run_seq = max(
+        t.get("next_run_seq", 0),
+        max((r.max_seq for r in runs), default=-1) + 1,
     )
     entry.wa_bytes_ingested = t.get("wa_bytes_ingested", 0)
     entry.wa_bytes_written = t.get("wa_bytes_written", 0)

@@ -30,10 +30,11 @@ structural residual, through which every write renders a region's batch of
 stored records (:meth:`~repro.engine.database.RodentStore._render_region`).
 After a load, a region's runs change only by a *seal* or a *merge*
 (:mod:`repro.engine.levels`), under the region's design: a flush seals a
-region's pending rows into one new run, and a compaction, a copy-on-write
-update or delete and a partition re-layout each merge a region's runs into
-one. Each run keeps the design it was rendered under. Scans read a region's
-runs and pending rows together.
+region's pending rows into one new run, and a compaction and a partition
+re-layout each merge a region's runs into one. An update or a delete
+renders nothing: it filters the pending rows and leaves tombstones, which
+scans resolve and the next merge folds in. Each run keeps the design it was
+rendered under. Scans read a region's runs and pending rows together.
 
 There is one read path. Scans execute **batch-at-a-time** while keeping the
 paper's per-tuple iterator API: the renderer yields page/chunk-sized
@@ -325,9 +326,8 @@ class Table:
     def row_count(self) -> int:
         regions = self._regions
         spec = self.plan.levels if regions else None
-        if spec is not None and (
-            spec.key is not None
-            or any(region.level_tombstones for region in regions)
+        if (spec is not None and spec.key is not None) or any(
+            region.level_tombstones for region in regions
         ):
             # Shadowed versions and tombstoned rows are still stored:
             # count what a scan resolves.
@@ -347,13 +347,14 @@ class Table:
     def estimated_row_count(self, predicate: Predicate | None = None) -> float:
         """Expected rows a scan with ``predicate`` produces.
 
-        The base count is the table's actual row count; the predicate's
-        prunable ranges scale it by histogram selectivity (independence
-        assumption). Residual conditions beyond the ranges are ignored, so
-        this is an upper-bound style estimate — what the planner needs for
-        join ordering and build-side choice.
+        The base count is the rows the table stores (dead ones included:
+        planning reads no page); the predicate's prunable ranges scale it
+        by histogram selectivity (independence assumption). Residual
+        conditions beyond the ranges are ignored, so this is an upper-bound
+        style estimate — what the planner needs for join ordering and
+        build-side choice.
         """
-        base = float(self.row_count)
+        base = float(sum(region.row_count for region in self._regions))
         if predicate is None or self._entry.stats is None:
             return base
         return base * self._entry.stats.predicate_selectivity(
@@ -735,14 +736,15 @@ class Table:
     def _resolver(
         self, region, fields: Sequence[str]
     ) -> "_LevelResolver | None":
-        """The newest-first resolution of ``region``'s runs under the level
-        policy, over ``fields``-shaped rows (``None``: unbounded fan-in)."""
+        """The resolution of ``region``'s runs over ``fields``-shaped rows:
+        a keyed level policy's, else its tombstones' (``None``: neither)."""
         spec = self.plan.levels
-        if spec is None:
+        key = None if spec is None else spec.key
+        if key is None and not region.level_tombstones:
             return None
         from repro.engine.levels import _LevelResolver
 
-        return _LevelResolver(spec, fields, region.level_tombstones)
+        return _LevelResolver(key, fields, region.level_tombstones)
 
     def _target_fields(self, needed: Sequence[str] | None) -> list[str]:
         """The canonical scan-schema order restricted to the fields a scan
@@ -811,22 +813,30 @@ class Table:
         """THE batch scan of one region: ``(batches, fields)``.
 
         Runs stream in stored order with the pending buffer trailing — or,
-        under a ``resolver`` (levels), the pending buffer first and the
-        runs newest-first through it. Every run prunes against
-        ``predicate`` by its own synopses, whatever its design
-        (:func:`~repro.engine.access.open_run`), the pending buffer by its
-        incrementally maintained zone. Batches are projected to
+        under a keyed ``resolver`` (last writer wins), the pending buffer
+        first and the runs newest-first through it; a run with tombstones
+        newer than it passes through the resolver's survivors. Every run
+        prunes against ``predicate`` by its own synopses, whatever its
+        design (:func:`~repro.engine.access.open_run`), the pending buffer
+        by its incrementally maintained zone. Batches are projected to
         ``target``. ``unit(run)`` names a run for degraded-read
         containment; ``None`` leaves containment to the caller. A run
         ``access`` (the planner's decision) holds is read through its
         carried verdict.
         """
         runs = list(region.runs)
-        if resolver is not None:
+        newest_first = resolver is not None and resolver.keyed
+        if newest_first:
             runs.reverse()
         intervals = self._prune_intervals(predicate)
         fields = tuple(target)
         scan_names = tuple(self.scan_schema().names())
+        # A verdict that cannot raise selects before the tombstones apply,
+        # so only the rows the scan keeps become tuples to resolve; one that
+        # can must never see a suppressed row.
+        keep = None
+        if predicate is not None and predicate.total:
+            keep = selector(predicate, {f: i for i, f in enumerate(fields)})
 
         def run_batches(run) -> Iterator[ColumnBatch]:
             if not run.row_count:
@@ -841,15 +851,16 @@ class Table:
             if reorder is not None:
                 source = map(reorder, source)
             if resolver is None or not resolver.enter_run(run):
-                # Fast path (flat, partitioned, and the ingest-heavy
-                # levelled case): no suppression can apply, batches pass
-                # through the vectorized pipeline.
+                # Fast path (no tombstone newer than the run, no merge
+                # key): no suppression can apply, batches pass through the
+                # vectorized pipeline.
                 yield from source
                 return
             for batch in source:
-                kept = resolver.resolve(batch.rows())
-                if kept:
-                    yield ColumnBatch.from_rows(fields, kept)
+                if keep is not None:
+                    batch = batch.select(keep(batch))
+                if batch.n_rows:
+                    yield resolver.survivors(batch)
 
         def pending_batches() -> Iterator[ColumnBatch]:
             zone = region.pending_zone
@@ -868,14 +879,14 @@ class Table:
                 yield batch if reorder is None else reorder(batch)
 
         def generate() -> Iterator[ColumnBatch]:
-            if resolver is not None:
+            if newest_first:
                 yield from pending_batches()
             for run in runs:
                 source = run_batches(run)
                 if unit is not None:
                     source = self._corruption_guard(source, unit(run))
                 yield from source
-            if resolver is None:
+            if not newest_first:
                 yield from pending_batches()
 
         return generate(), list(target)
@@ -989,9 +1000,13 @@ class Table:
             index.stale = True
 
     def _unmerged(self) -> bool:
-        """Does any region hold more than one merged run? Positions (and
-        stored order) then no longer describe the whole table."""
-        return any(r.pending or len(r.runs) > 1 for r in self._regions)
+        """Does any region hold more than one run, pending rows or
+        tombstones? Positions (and stored order) then no longer describe
+        the whole table."""
+        return any(
+            r.pending or len(r.runs) > 1 or r.level_tombstones
+            for r in self._regions
+        )
 
     # ==================================================================
     # get_element / next
@@ -1015,6 +1030,10 @@ class Table:
         if plan.kind == LAYOUT_GRID and not isinstance(index, int):
             entry = self._cell_at(tuple(index))
             cell = renderer.iter_grid_batches(self.layout, [entry], None)
+            region = self._regions[0]
+            resolver = self._resolver(region, self.scan_schema().names())
+            if resolver is not None and resolver.enter_run(region.main):
+                cell = map(resolver.survivors, cell)  # drop tombstoned rows
             return self._project_records(_batch_rows(cell), fieldlist)
         if not isinstance(index, int):
             raise QueryError(
@@ -1039,7 +1058,11 @@ class Table:
             raise QueryError("element index must be non-negative")
         plan = self.main_plan
         renderer = self._db.renderer
-        if plan.kind == LAYOUT_ROWS and self.layout.page_row_counts:
+        if (
+            plan.kind == LAYOUT_ROWS
+            and self.layout.page_row_counts
+            and not self._regions[0].level_tombstones
+        ):
             remaining = index
             for page_pos, count in enumerate(self.layout.page_row_counts):
                 if remaining < count:
@@ -1179,16 +1202,16 @@ class Table:
     ) -> tuple[Sequence[str] | None, Predicate | None]:
         """The projection and predicate a scan of ``regions`` hands each
         *run* — what the costing and pruning estimates must assume too.
-        Only a level policy narrows them: tombstones compare whole rows,
-        and a keyed table scans un-pruned and un-projected (a newer version
-        must shadow older ones of its key even when it fails the
-        predicate), leaving selection to the downstream filter."""
+        Only resolution widens them: a keyed level policy scans un-pruned
+        and un-projected (a newer version must shadow older ones of its key
+        even when it fails the predicate), leaving selection to the
+        downstream filter, and tombstones compare whole rows."""
         spec = self.plan.levels
-        if spec is None:
-            return needed, predicate
-        keyed = spec.key is not None
-        plain = not keyed and not any(r.level_tombstones for r in regions)
-        return (needed if plain else None), (None if keyed else predicate)
+        if spec is not None and spec.key is not None:
+            return None, None
+        if any(r.level_tombstones for r in regions):
+            return None, predicate
+        return needed, predicate
 
     def access_path(
         self,
@@ -1343,34 +1366,30 @@ class Table:
 
     def compact(self) -> None:
         """The one full merge, for every table shape: each region's runs
-        and pending rows merge into one run under its design
-        (:func:`~repro.engine.levels.merge_regions`), in one transaction;
-        a levelled table's applies its tombstones and last-writer-wins
-        resolution physically. A region already one run on its design,
-        with nothing pending or tombstoned, is untouched.
+        and pending rows merge into one run under its design, tombstones
+        and last-writer-wins resolution applied, one region per
+        transaction (:func:`~repro.engine.levels.merge_regions`). A region
+        already :meth:`~repro.engine.catalog.Region.merged` is untouched.
         """
         from repro.engine.levels import merge_regions
 
-        with self._db.mutate(self.name):  # choose under the table lock
-            merge_regions(self, [
-                region for region in self._require_loaded()
-                if region.pending or len(region.runs) > 1
-                or region.off_design() or region.level_tombstones
-            ])
+        merge_regions(self, [
+            region for region in self._require_loaded() if not region.merged()
+        ])
 
     # ==================================================================
-    # deletes and updates (copy-on-write rewrites)
+    # deletes and updates (tombstones)
     # ==================================================================
 
     def delete(self, predicate: Predicate | None = None) -> int:
         """Transactionally remove matching rows (all rows when ``predicate``
         is ``None``).
 
-        Deletes are copy-on-write: each region holding a victim merges
-        into one run of its surviving rows (levelled tables record
-        tombstones instead), swapped in at commit, so in-flight snapshot
-        scans keep reading the old version. Returns the number of rows
-        removed.
+        A delete renders no page (:func:`~repro.engine.levels.rewrite`):
+        it drops matching pending rows and leaves tombstones for the
+        matches in runs, which the next merge folds in; in-flight snapshot
+        scans keep reading the version they pinned. Returns the number of
+        rows removed.
         """
         return self._rewrite(predicate, None)
 
@@ -1381,8 +1400,8 @@ class Table:
 
         ``assignments`` maps field name -> new value, or field name -> a
         callable receiving the row as a dict and returning the new value.
-        Same copy-on-write mechanics as :meth:`delete`. Returns the number
-        of rows changed.
+        The matches are deleted as by :meth:`delete`, their new versions
+        appended to the pending rows. Returns the number of rows changed.
         """
         if not assignments:
             return 0

@@ -25,10 +25,11 @@ the eager whole-table reload, :meth:`RodentStore.relayout`. The design and
 the policy live in the catalog, so both survive a reopen.
 
 Every rewrite charges its I/O to the reorganization counters the benchmarks
-compare policies by, one reorganization per region it rewrites. Every
-action is one transaction, swapped in at commit (WAL-logged on durable
-stores), so policies never observe — or leave behind — a half-reorganized
-table, even across a crash.
+compare policies by, one reorganization per region it rewrites. A redesign
+is one transaction and a merge one per region, each swapped in at commit
+(WAL-logged on durable stores): a crash between two merges leaves some
+regions merged onto the new design and the rest holding runs off it — the
+state a lazy policy leaves — never a half-rewritten region.
 """
 
 from __future__ import annotations

@@ -58,6 +58,11 @@ POS_INF = math.inf
 class Predicate:
     """Protocol: record filter + prunable per-field ranges."""
 
+    #: Can its verdict be taken on any row of comparable values without
+    #: raising? Comparisons and their Boolean combinations can, so a scan
+    #: may apply them to rows a tombstone then suppresses.
+    total = False
+
     def matches(self, record: Sequence[Any], positions: Mapping[str, int]) -> bool:
         raise NotImplementedError
 
@@ -107,6 +112,7 @@ class Range(Predicate):
     field: str
     lo: float = NEG_INF
     hi: float = POS_INF
+    total = True
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -172,6 +178,8 @@ class Range(Predicate):
 class Rect(Predicate):
     """A conjunction of ranges — the case study's spatial rectangle."""
 
+    total = True
+
     def __init__(self, bounds: Mapping[str, tuple[float, float]]):
         if not bounds:
             raise QueryError("a rectangle needs at least one bounded field")
@@ -216,6 +224,7 @@ class And(Predicate):
         if not parts:
             raise QueryError("And requires at least one predicate")
         self.parts = parts
+        self.total = all(part.total for part in parts)
 
     def matches(self, record: Sequence[Any], positions: Mapping[str, int]) -> bool:
         return all(p.matches(record, positions) for p in self.parts)
@@ -255,6 +264,7 @@ class Or(Predicate):
         if len(parts) < 2:
             raise QueryError("Or requires at least two predicates")
         self.parts = parts
+        self.total = all(part.total for part in parts)
 
     def matches(self, record: Sequence[Any], positions: Mapping[str, int]) -> bool:
         return any(p.matches(record, positions) for p in self.parts)
@@ -297,6 +307,7 @@ class Not(Predicate):
 
     def __init__(self, part: Predicate):
         self.part = part
+        self.total = part.total
 
     def matches(self, record: Sequence[Any], positions: Mapping[str, int]) -> bool:
         return not self.part.matches(record, positions)

@@ -238,39 +238,33 @@ class Model:
         self.rows.extend(rows)
 
     def delete(self, predicate=None) -> int:
+        """Matching rows leave; the others keep their places."""
         positions = {name: i for i, name in enumerate(self.logical)}
         kept = [r for r in self.rows if not matches(predicate, r, positions)]
         removed = len(self.rows) - len(kept)
         self.rows = kept
-        if removed:
-            self._rewritten()
         return removed
 
     def update(self, assignments: dict, predicate=None) -> int:
         """``assignments`` map a field to a value, or to a callable of the
-        row as a dict (the store's convention)."""
+        row as a dict (the store's convention). Matching rows leave and
+        their new versions trail the others, in the order they matched: an
+        update is a delete plus an insert that no ``orderby`` sorts."""
         positions = {name: i for i, name in enumerate(self.logical)}
-        changed = 0
-        for n, row in enumerate(self.rows):
+        kept, changed = [], []
+        for row in self.rows:
             if not matches(predicate, row, positions):
+                kept.append(row)
                 continue
             values = list(row)
             for name, value in assignments.items():
                 if callable(value):
                     value = value(dict(zip(self.logical, row)))
                 values[positions[name]] = value
-            self.rows[n] = tuple(values)
-            changed += 1
-        if changed:
-            self._rewritten()
-        return changed
-
-    def _rewritten(self) -> None:
-        """A flat table re-renders the region a delete or update touched,
-        so its design's sort applies again (where the model knows the
-        order at all)."""
-        if self.exact:
-            self.rows = stable_sort(self.rows, self.logical, self._order)
+            changed.append(tuple(values))
+        self.rows = kept
+        self._add(changed)
+        return len(changed)
 
     def scan(self, fieldlist=None, predicate=None, order=None) -> list[Row]:
         """The model's answer to ``table.scan(...)``: exact in order when

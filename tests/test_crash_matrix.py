@@ -470,13 +470,16 @@ def test_crash_after_the_commit_fsync_before_the_frees(tmp_path, monkeypatch):
 
 
 def reusable_span(path):
-    """A flat table rewritten twice: the first run's pages are free and
-    the next render fits in them."""
+    """A flat table merged once, after an update, then updated again: the
+    first run's pages are free and the next merge's render fits in them.
+    (An update renders nothing; the merge folds it in.)"""
     store = open_small(path)
     store.create_table("T", SCHEMA)
     store.load("T", [(i, i) for i in range(300)])
     store.table("T").update({"val": 1}, Range("id", 0, 9))
+    store.table("T").compact()
     assert store.disk.free_pages >= 4
+    store.table("T").update({"val": 2}, Range("id", 0, 9))
     return store
 
 
@@ -485,8 +488,8 @@ def open_partitioned(path):
 
 
 def partitioned_store(path):
-    """Two range partitions of 64 rows; a copy-on-write rewrite of either
-    renders a few 512-byte pages."""
+    """Two range partitions of 64 rows; a merge of either renders a few
+    512-byte pages."""
     store = open_partitioned(path)
     store.create_table(
         "P", Schema.of("id:int", "val:int", "x:float"),
@@ -536,21 +539,98 @@ def test_an_aborted_partitioned_delete_leaves_no_trace(tmp_path):
 
 
 def test_an_aborted_partitioned_compaction_leaves_no_trace(tmp_path):
-    """Pending rows in both partitions; the second merge runs out of space
-    after the first swapped its runs in and cleared its pending rows."""
+    """Pending rows in both partitions; a compaction merges one partition
+    per transaction, and the second merge runs out of space after the
+    first committed: the first partition stays merged, the second keeps
+    its runs and pending rows, and a reopen agrees."""
     path = str(tmp_path / "db")
     store = partitioned_store(path)
     table = store.table("P")
     table.insert([(i, 9, 0.25) for i in (1, 2, 3, 65, 66, 67)])
     want = sorted(table.scan())
+    first, second = table.partitions
+    second_runs = list(second.runs)
     store.inject_io_faults(
         IoFaultInjector(IoFault("enospc", target="page", after=6))
     )
     with pytest.raises(StorageError):
         table.compact()
-    pending = [len(r.pending) for r in table.partitions]
-    assert pending == [3, 3]
-    assert_left_as_it_was(store, path, want, open_partitioned)
+    assert len(first.runs) == 1 and not first.pending
+    assert first.runs[0].max_seq > max(r.max_seq for r in second_runs)
+    assert second.runs == second_runs and len(second.pending) == 3
+    manifest = [
+        (r.rid, r.level, r.min_seq, r.max_seq, r.row_count)
+        for r in store.catalog.entry("P").runs()
+    ]
+    assert_left_as_it_was(store, path, want, open_partitioned, manifest)
+
+
+def test_crash_between_two_compaction_steps(tmp_path, monkeypatch):
+    """A compaction commits one partition per transaction: power fails
+    after the first step's commit, as the second begins. The reopen holds
+    the model's rows with the first partition merged (its tombstones and
+    pending rows folded in) and the second as it was, scrubs clean, and
+    keeps the page file within ``2 x live pages + largest run``."""
+    from test_free_space import Bound
+
+    path = str(tmp_path / "db")
+    store = partitioned_store(path)
+    table = store.table("P")
+    model = oracle.Model(
+        ["id", "val", "x"], [(i, i % 7, i * 0.5) for i in range(128)],
+        "partition[id; range, 64](P)",
+    )
+    table.insert([(i, 9, 0.25) for i in (1, 2, 3, 65, 66, 67)])
+    model.insert([(i, 9, 0.25) for i in (1, 2, 3, 65, 66, 67)])
+    for action in ("update", "delete"):
+        if action == "update":
+            args = ({"x": 7.5}, Range("id", 10, 12))
+        else:
+            args = (Range("id", 70, 72),)
+        assert getattr(table, action)(*args) == getattr(model, action)(*args)
+    bound = Bound()
+    bound.check(store)
+    first, second = table.partitions
+    assert first.level_tombstones and second.level_tombstones
+    second_state = (list(second.runs), list(second.pending),
+                    list(second.level_tombstones))
+    merges = []
+    merge_once = levels.merge
+
+    def power_loss_at_the_second_step(*args, **kwargs):
+        merges.append(args[1])
+        if len(merges) == 2:
+            raise CrashError("injected power loss between two steps")
+        return merge_once(*args, **kwargs)
+
+    monkeypatch.setattr(levels, "merge", power_loss_at_the_second_step)
+    with pytest.raises(CrashError):
+        table.compact()
+    assert merges == [first, second]
+    monkeypatch.undo()
+    abandon(store)
+    again = open_partitioned(path)
+    try:
+        oracle.check_table(again.table("P"), model)
+        first, second = again.table("P").partitions
+        assert len(first.runs) == 1 and not first.pending
+        assert not first.level_tombstones
+        assert (
+            [(r.rid, r.max_seq) for r in second.runs],
+            second.pending, second.level_tombstones,
+        ) == (
+            [(r.rid, r.max_seq) for r in second_state[0]],
+            *second_state[1:],
+        )
+        bound.check(again)
+        assert_pages_consistent(again)
+        again.table("P").compact()  # the rest of the merge, after recovery
+        oracle.check_table(again.table("P"), model)
+        assert all(r.merged() for r in again.table("P").partitions)
+        bound.check(again)
+        assert_pages_consistent(again)
+    finally:
+        again.close()
 
 
 def test_an_aborted_level_cascade_leaves_no_trace(tmp_path, monkeypatch):
@@ -588,7 +668,7 @@ def test_crash_mid_render_onto_a_reused_span(tmp_path):
     free = store.disk.free_page_ids()
     store.inject_faults(FaultInjector(2, mode="torn", target="page"))
     with pytest.raises(CrashError):
-        store.table("T").update({"val": 2}, Range("id", 0, 9))
+        store.table("T").compact()
     assert store.disk.num_pages == num_pages, "the render must reuse a span"
     assert store.disk.free_page_ids() < free
     abandon(store)
@@ -603,7 +683,7 @@ def test_torn_fresh_page_record_at_the_log_tail(tmp_path):
     # Two FRESH_PAGE records land, the third is torn.
     store.inject_faults(FaultInjector(2, mode="torn", target="wal"))
     with pytest.raises(CrashError):
-        store.table("T").update({"val": 2}, Range("id", 0, 9))
+        store.table("T").compact()
     kinds = [r.kind for r in store.wal.records()]
     assert kinds[-2:] == [KIND_FRESH_PAGE] * 2  # the torn one ends the log
     store.wal.sync()  # the tail reached the medium as it is
@@ -634,21 +714,32 @@ def test_pinned_scan_outlives_two_merges(tmp_path):
     store.close()
 
 
-def test_parent_written_store_reopens(tmp_path):
-    """A store written by the parent commit (all three table shapes,
-    overflow + pending, an un-checkpointed WAL of zero-before-image
-    ``KIND_UPDATE`` page records) replays under this code to the same
-    scans — ``tests/data/parent_store/make_fixture.py`` wrote it."""
+def parent_store(tmp_path):
+    """A copy of the store ``tests/data/parent_store/make_fixture.py``
+    wrote, its opener, and the scans it answered (``expected.json``)."""
     source = os.path.join(os.path.dirname(__file__), "data", "parent_store")
     for name in os.listdir(source):
         if name.startswith("db."):
             shutil.copy(os.path.join(source, name), tmp_path)
     with open(os.path.join(source, "expected.json")) as f:
         expected = json.load(f)
-    store = RodentStore(
-        str(tmp_path / "db.pages"), durable=True, page_size=512,
-        pool_capacity=16, level_seal_rows=16,
-    )
+
+    def opened():
+        return RodentStore(
+            str(tmp_path / "db.pages"), durable=True, page_size=512,
+            pool_capacity=16, level_seal_rows=16,
+        )
+
+    return opened, expected
+
+
+def test_parent_written_store_reopens(tmp_path):
+    """A store written by the parent commit (all three table shapes,
+    overflow + pending, an un-checkpointed WAL of zero-before-image
+    ``KIND_UPDATE`` page records) replays under this code to the same
+    scans."""
+    opened, expected = parent_store(tmp_path)
+    store = opened()
     summary = store.recovery_summary
     assert summary["clean"] is False and summary["pages_redone"] > 0
     for name, rows in expected.items():
@@ -661,6 +752,36 @@ def test_parent_written_store_reopens(tmp_path):
     store.table("Flat").insert([(1000, 1, 0.5)])
     store.table("Flat").flush_inserts()
     assert store.disk.num_pages == allocated
+    store.close()
+
+
+def test_parent_written_store_takes_tombstones(tmp_path):
+    """Every table of the parent-written store takes an update and a
+    delete as tombstones — no page rendered — that a compaction folds in
+    and a reopen keeps, equal to ``expected.json`` edited the same way."""
+    opened, expected = parent_store(tmp_path)
+    store = opened()
+    for name, rows in expected.items():
+        table = store.table(name)
+        written = store.storage_stats()["tables"][name][
+            "write_amplification"]["bytes_written"]
+        assert table.update({"val": -1}, Range("id", 2, 3)) == 2
+        assert table.delete(Range("id", 5, 5)) == 1
+        assert store.storage_stats()["tables"][name][
+            "write_amplification"]["bytes_written"] == written
+        expected[name] = sorted(
+            [r[0], -1 if 2 <= r[0] <= 3 else r[1], r[2]]
+            for r in rows if r[0] != 5
+        )
+        assert sorted(map(list, table.scan())) == expected[name]
+    store.close()
+    store = opened()
+    for name, rows in expected.items():
+        assert sorted(map(list, store.table(name).scan())) == rows
+        store.table(name).compact()
+        assert store.storage_stats()["tables"][name]["tombstones"] == 0
+        assert sorted(map(list, store.table(name).scan())) == rows
+    assert_pages_consistent(store)
     store.close()
 
 

@@ -479,9 +479,8 @@ def test_storage_stats_write_amplification():
 )
 def test_every_render_is_charged_to_the_ledger(layout):
     """One ledger for every shape: whatever replaces runs — a flush or a
-    seal, an update's copy-on-write, a compaction or a merge — moves
-    ``bytes_written``; only first renders of new rows move
-    ``bytes_ingested``."""
+    seal, a compaction or a merge — moves ``bytes_written``; only first
+    renders of new rows move ``bytes_ingested``; an update replaces none."""
     store = make_store(level_seal_rows=10_000)
     store.create_table("T", SCHEMA, layout=layout)
     t = store.load("T", [(i, i % 4) for i in range(400)])
@@ -498,10 +497,11 @@ def test_every_render_is_charged_to_the_ledger(layout):
     flushed = ledger()
     assert flushed["bytes_written"] > loaded["bytes_written"]
     assert flushed["bytes_written"] == flushed["bytes_ingested"]
-    # A levelled update renders nothing (tombstone + pending row) until
-    # the compaction below; everywhere else it re-renders a region.
+    # An update renders nothing (tombstone + pending row) until the
+    # compaction below, whatever the shape.
     assert t.update({"id": 5000}, Range("id", 7, 7)) == 1
     model.update({"id": 5000}, Range("id", 7, 7))
+    assert ledger() == flushed
     t.compact()
     model.compact()
     final = ledger()

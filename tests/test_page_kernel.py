@@ -405,29 +405,35 @@ def _page_ids(table) -> dict:
 
 
 def test_update_and_delete_rewrite_only_reachable_partitions():
+    """An update or a delete renders nothing: no partition's pages change,
+    and each reads just the pages a scan of its predicate reads, in the
+    one partition it can reach."""
     store, table = _partitioned()
     model = _rows()
     before = _page_ids(table)
-    reads_before = store.pool.stats.hits + store.pool.stats.misses
+    pages = sum(map(len, before.values()))
+
+    def fetches() -> int:
+        return store.pool.stats.hits + store.pool.stats.misses
 
     hit = And(Range("g", 1, 1), Range("t", 100, 130))
+    scanned, reads = pages - table.pruned_pages(hit), fetches()
     assert table.update({"x": 9.25}, hit) == 11
-    model = [
-        (t, 9.25, g) if g == 1 and 100 <= t <= 130 else (t, x, g)
-        for t, x, g in model
+    reads = fetches() - reads
+    model = [r for r in model if not (r[2] == 1 and 100 <= r[0] <= 130)] + [
+        (t, 9.25, g) for t, x, g in model if g == 1 and 100 <= t <= 130
     ]
-    after = _page_ids(table)
-    assert after[0] == before[0] and after[2] == before[2]
-    assert after[1] != before[1]
-    # Only partition g=1 was even read.
-    reads = store.pool.stats.hits + store.pool.stats.misses - reads_before
-    assert reads == len(before[1])
+    assert _page_ids(table) == before
+    # Only partition g=1 was even read, and only what a scan reads there.
+    assert 0 < reads == scanned < len(before[1])
 
-    assert table.delete(And(Range("g", 2, 2), Range("t", 0, 50))) == 17
+    hit = And(Range("g", 2, 2), Range("t", 0, 50))
+    scanned, reads = pages - table.pruned_pages(hit), fetches()
+    assert table.delete(hit) == 17
+    reads = fetches() - reads
     model = [r for r in model if not (r[2] == 2 and r[0] <= 50)]
-    final = _page_ids(table)
-    assert final[0] == before[0] and final[1] == after[1]
-    assert final[2] != before[2]
+    assert _page_ids(table) == before
+    assert 0 < reads == scanned < len(before[2])
     assert sorted(table.scan()) == sorted(model)
 
 
