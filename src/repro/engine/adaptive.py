@@ -546,7 +546,8 @@ class AdaptiveController:
     STATS_DRIFT_FRACTION = 0.1
 
     def _fresh_stats(self, entry: "CatalogEntry") -> TableStats | None:
-        """Current statistics; recollected when the row count drifted.
+        """Current statistics; recollected when the row count drifted
+        (:meth:`Table.estimated_row_count`: a check reads no page for it).
 
         Inserted (pending or flushed) rows are invisible to load-time stats,
         so a check after sustained inserts re-scans the logical records, as
@@ -561,7 +562,7 @@ class AdaptiveController:
         table = Table(self.store, entry)
         stats = entry.stats
         if stats is not None:
-            drift = abs(table.row_count - stats.row_count)
+            drift = abs(table.estimated_row_count() - stats.row_count)
             if drift <= self.STATS_DRIFT_FRACTION * max(1, stats.row_count):
                 return stats
         schema = entry.logical_schema

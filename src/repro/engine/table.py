@@ -347,14 +347,18 @@ class Table:
     def estimated_row_count(self, predicate: Predicate | None = None) -> float:
         """Expected rows a scan with ``predicate`` produces.
 
-        The base count is the rows the table stores (dead ones included:
-        planning reads no page); the predicate's prunable ranges scale it
-        by histogram selectivity (independence assumption). Residual
-        conditions beyond the ranges are ignored, so this is an upper-bound
-        style estimate — what the planner needs for join ordering and
-        build-side choice.
+        The base count is read from the catalog, not the pages: the rows
+        the table stores less one per tombstone, the row it hid when
+        written (shadowed versions of a keyed table still count). The
+        predicate's prunable ranges scale it by histogram selectivity
+        (independence assumption). Residual conditions beyond the ranges
+        are ignored, so this is an upper-bound style estimate — what the
+        planner, the adaptation checks and the lazy policy need.
         """
-        base = float(sum(region.row_count for region in self._regions))
+        base = float(sum(
+            max(0, region.row_count - len(region.level_tombstones))
+            for region in self._regions
+        ))
         if predicate is None or self._entry.stats is None:
             return base
         return base * self._entry.stats.predicate_selectivity(
@@ -809,6 +813,7 @@ class Table:
         resolver: "_LevelResolver | None" = None,
         unit=None,
         access: TableAccess | None = None,
+        select: Predicate | None = None,
     ) -> tuple[Iterator[ColumnBatch], list[str]]:
         """THE batch scan of one region: ``(batches, fields)``.
 
@@ -822,7 +827,8 @@ class Table:
         ``target``. ``unit(run)`` names a run for degraded-read
         containment; ``None`` leaves containment to the caller. A run
         ``access`` (the planner's decision) holds is read through its
-        carried verdict.
+        carried verdict. Every batch is filtered by ``select``, when given
+        (by ``predicate``, the caller's job, otherwise).
         """
         runs = list(region.runs)
         newest_first = resolver is not None and resolver.keyed
@@ -834,9 +840,13 @@ class Table:
         # A verdict that cannot raise selects before the tombstones apply,
         # so only the rows the scan keeps become tuples to resolve; one that
         # can must never see a suppressed row.
-        keep = None
+        positions = {f: i for i, f in enumerate(fields)}
+        keep = pick = None
         if predicate is not None and predicate.total:
-            keep = selector(predicate, {f: i for i, f in enumerate(fields)})
+            keep = selector(predicate, positions)
+        if select is not None:
+            same = select is predicate and keep is not None
+            pick = keep if same else selector(select, positions)
 
         def run_batches(run) -> Iterator[ColumnBatch]:
             if not run.row_count:
@@ -854,13 +864,18 @@ class Table:
                 # Fast path (no tombstone newer than the run, no merge
                 # key): no suppression can apply, batches pass through the
                 # vectorized pipeline.
-                yield from source
+                yield from source if pick is None else (
+                    batch.select(pick(batch)) for batch in source
+                )
                 return
             for batch in source:
                 if keep is not None:
                     batch = batch.select(keep(batch))
+                batch = resolver.survivors(batch)
+                if pick is not None and pick is not keep:
+                    batch = batch.select(pick(batch))
                 if batch.n_rows:
-                    yield resolver.survivors(batch)
+                    yield batch
 
         def pending_batches() -> Iterator[ColumnBatch]:
             zone = region.pending_zone
@@ -876,7 +891,8 @@ class Table:
             if rows:
                 batch = ColumnBatch.from_rows(scan_names, rows)
                 reorder = _batch_reorderer(scan_names, fields)
-                yield batch if reorder is None else reorder(batch)
+                batch = batch if reorder is None else reorder(batch)
+                yield batch if pick is None else batch.select(pick(batch))
 
         def generate() -> Iterator[ColumnBatch]:
             if newest_first:

@@ -202,7 +202,7 @@ class ReorganizationManager:
         if accesses >= self.lazy_access_threshold:
             return True
         t = self.store.table(table)
-        total = max(1, t.row_count)
+        total = max(1, t.estimated_row_count())
         return (t.unmerged_row_count / total) >= self.lazy_unmerged_fraction
 
     def _off_design(self, table: str) -> list[Region]:

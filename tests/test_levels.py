@@ -24,6 +24,7 @@ Covers the full surface of the levelled physical design:
   oracle throughout.
 """
 
+import math
 import os
 import random
 import shutil
@@ -35,6 +36,7 @@ import pytest
 import oracle
 from repro.algebra import ast
 from repro.algebra.parser import parse
+from repro.engine import levels
 from repro.engine.database import RodentStore
 from repro.errors import AlgebraError, TypeCheckError
 from repro.query.expressions import Range
@@ -111,6 +113,15 @@ def test_partition_composes_over_levels():
     store.close()
 
 
+@pytest.fixture
+def no_reclaim(monkeypatch):
+    """Tombstones wait for the cascade or ``compact()``: no delete merges
+    its region at once, however much of it the delete takes (the tables
+    here are a few runs of a few rows)."""
+    monkeypatch.setattr(levels, "RECLAIM_FRACTION", math.inf)
+
+
+@pytest.mark.usefixtures("no_reclaim")
 def test_partitioned_levels_take_every_write_and_reopen(tmp_path):
     """``partition[r.k; range, 50](levels[4; 4](T))`` through a load,
     inserts, a non-key update, a delete, one partition's cascade, a full
@@ -264,6 +275,7 @@ def test_full_compaction_single_run():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("no_reclaim")
 def test_multiset_delete_tombstones_until_merge():
     store = make_store(level_seal_rows=10)
     store.create_table("T", SCHEMA, layout="levels[8; 2](rows(T))")
@@ -344,6 +356,7 @@ def test_update_on_levelled_table():
     store.close()
 
 
+@pytest.mark.usefixtures("no_reclaim")
 def test_tombstone_gc_after_partial_merge():
     store = make_store(level_seal_rows=5)
     store.create_table("T", SCHEMA, layout="levels[2; 2](rows(T))")
