@@ -57,7 +57,6 @@ from repro.storage.wal import (
     KIND_COMMIT,
     KIND_FRESH_PAGE,
     KIND_ROWS,
-    PAGE_IMAGE_KINDS,
     WriteAheadLog,
 )
 from repro.types.schema import Schema
@@ -165,14 +164,17 @@ class _Mutation:
         for entry, page_ids in self._retired:
             self.store._release_pages(entry, page_ids)
 
-    def _append_effects(self) -> None:
-        """Append every recorded effect to the WAL (commit time).
+    def _append_effects(self) -> bool:
+        """Append every recorded effect to the WAL (commit time); returns
+        whether there was any.
 
         Runs under the store's commit lock. A page record is the image the
         renderer wrote — handed over as it was written, never read back —
         and nothing else: a render only fills pages it allocated, which
         nothing committed names, so a loser's pages are simply free.
         """
+        if not (self._fresh or self._rows or self._touched or self._dropped):
+            return False
         store = self.store
         wal = store.wal
         txn_id = self.txn.txn_id
@@ -194,6 +196,7 @@ class _Mutation:
             for name in self._dropped:
                 payload = json.dumps({"name": name, "dropped": True})
                 wal.append(KIND_CATALOG, txn_id, payload=payload.encode())
+        return True
 
 
 class RodentStore:
@@ -255,11 +258,18 @@ class RodentStore:
         self.disk = DiskManager(
             path, page_size=page_size, verify_checksums=checksums
         )
-        self.pool = BufferPool(self.disk, capacity=pool_capacity, policy=eviction)
-        self.wal = WriteAheadLog(wal_path)
         #: Shared corruption ledger (verifications, failures, repairs,
         #: quarantined pages) — surfaced via storage_stats()["integrity"].
         self.integrity = self.disk.integrity
+        from repro.engine.recovery import check_format, recover_store
+
+        try:
+            catalog = check_format(self, wal_path) if self.durable else None
+            self.wal = WriteAheadLog(wal_path)
+        except BaseException:
+            self.disk.close()  # a store refused at open keeps no file open
+            raise
+        self.pool = BufferPool(self.disk, capacity=pool_capacity, policy=eviction)
         self.wal.integrity = self.integrity
         #: A checksum mismatch on a pool miss tries the WAL repair ladder
         #: before surfacing as CorruptPageError.
@@ -332,9 +342,20 @@ class RodentStore:
         if self.durable:
             # A non-empty WAL means the last session did not close cleanly:
             # replay committed work, roll back losers, checkpoint.
-            from repro.engine.recovery import recover_store
+            try:
+                self.recovery_summary = recover_store(self, catalog)
+            except BaseException:
+                self.wal.close()
+                self.disk.close()
+                raise
+            if not os.path.exists(catalog_path):
+                # A new store: its catalog stamps the format from the start
+                # (all a checkpoint of it would write), so a log with no
+                # catalog beside it is an older engine's.
+                from repro.engine.persistence import save_catalog
 
-            self.recovery_summary = recover_store(self)
+                save_catalog(self, catalog_path + ".tmp")
+                os.replace(catalog_path + ".tmp", catalog_path)
 
     @property
     def adaptive(self) -> bool:
@@ -381,9 +402,10 @@ class RodentStore:
             m.lock(name)
             yield m
             self._mutation_local.ctx = None
-            if self.transactions.log:
-                m._append_effects()
-            txn.commit()  # fsyncs: from here the old pages are garbage
+            if self.transactions.log and m._append_effects():
+                txn.commit()  # fsyncs: from here the old pages are garbage
+            else:
+                txn.commit(effects=False)
         except BaseException:
             self._mutation_local.ctx = None
             # Past its COMMIT record only the fsync failed: the commit may
@@ -494,12 +516,7 @@ class RodentStore:
             for r in self.wal.records():
                 if r.kind == KIND_COMMIT:
                     committed.add(r.txn_id)
-                elif (
-                    r.kind in PAGE_IMAGE_KINDS
-                    and r.page_id == page_id
-                    and r.offset == 0
-                    and len(r.after) == self.disk.page_size
-                ):
+                elif r.kind == KIND_FRESH_PAGE and r.page_id == page_id:
                     images.append((r.txn_id, r.after))
         except WALError:
             return None  # the log itself is damaged: no trusted source

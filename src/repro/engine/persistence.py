@@ -9,6 +9,9 @@ metadata is always interpreted against a freshly type-checked plan.
 
 Secondary indexes are rebuilt on demand rather than persisted (they are
 derived data; `Table.create_index` reconstructs them from the base layout).
+
+Only :data:`FORMAT_VERSION` is read, every key its writer writes included;
+``python -m repro.migrate`` converts older stores.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from repro.algebra.physical import PhysicalPlan
 from repro.engine.catalog import Region, Run
 from repro.engine.stats import FieldStats, TableStats
 from repro.engine.synopsis import LayoutSynopsis, ZoneColumn, ZoneTable
-from repro.errors import CatalogError, CorruptCatalogError
+from repro.errors import CatalogError, CorruptCatalogError, StoreFormatError
 from repro.layout.renderer import (
     CellEntry,
     ColumnGroupStore,
@@ -35,10 +38,17 @@ from repro.types.types import type_from_name
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.database import RodentStore
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-#: JSON key holding the catalog checksum (absent in pre-integrity files).
+#: JSON key holding the catalog checksum; a catalog without it is corrupt.
 CATALOG_CRC_KEY = "crc32"
+
+
+def store_format_error(path: str | None, why: str) -> StoreFormatError:
+    return StoreFormatError(
+        f"{path} is not a version {FORMAT_VERSION} store ({why}); "
+        f"run: python -m repro.migrate {path}"
+    )
 
 
 def _catalog_crc(payload: dict) -> int:
@@ -71,28 +81,7 @@ def _zones_to_dict(zones: ZoneTable) -> dict:
     }
 
 
-def _columnar(zones: list[dict]) -> dict:
-    """The per-zone shape of earlier catalogs — one ``{"rows", "fields":
-    {name: [min, max, nulls, distinct]}}`` dict per zone — converted to the
-    columnar one. A field a zone lacks reads as unknown bounds, which never
-    prune."""
-    unknown = (None, None, 0)
-    names = dict.fromkeys(name for zone in zones for name in zone["fields"])
-    return {
-        "rows": [zone["rows"] for zone in zones],
-        "fields": {
-            name: [
-                [zone["fields"].get(name, unknown)[part] for zone in zones]
-                for part in range(3)
-            ]
-            for name in names
-        },
-    }
-
-
-def _zones_from_dict(data: dict | list) -> ZoneTable:
-    if isinstance(data, list):
-        data = _columnar(data)
+def _zones_from_dict(data: dict) -> ZoneTable:
     fields = {
         name: ZoneColumn(*parts) for name, parts in data["fields"].items()
     }
@@ -114,12 +103,10 @@ def synopsis_from_dict(data: dict | None) -> LayoutSynopsis | None:
     if data is None:
         return None
     return LayoutSynopsis(
-        page_zones=_zones_from_dict(data.get("page_zones", [])),
-        group_zones=[
-            _zones_from_dict(zones) for zones in data.get("group_zones", [])
-        ],
-        cell_zones=_zones_from_dict(data.get("cell_zones", [])),
-        folded_zones=_zones_from_dict(data.get("folded_zones", [])),
+        page_zones=_zones_from_dict(data["page_zones"]),
+        group_zones=[_zones_from_dict(zones) for zones in data["group_zones"]],
+        cell_zones=_zones_from_dict(data["cell_zones"]),
+        folded_zones=_zones_from_dict(data["folded_zones"]),
     )
 
 
@@ -160,9 +147,11 @@ def layout_to_dict(layout: StoredLayout) -> dict:
 
 
 def layout_from_dict(data: dict, plan: PhysicalPlan) -> StoredLayout:
-    mirrors = []
-    for sub_data, sub_plan in zip(data.get("mirrors", []), plan.mirror_plans):
-        mirrors.append(layout_from_dict(sub_data, sub_plan))
+    if len(data["folded_keys"]) != len(data["folded_directory"]):
+        raise CorruptCatalogError(
+            f"a folded run has {len(data['folded_keys'])} keys for "
+            f"{len(data['folded_directory'])} directory entries"
+        )
     return StoredLayout(
         plan=plan,
         row_count=data["row_count"],
@@ -173,7 +162,7 @@ def layout_from_dict(data: dict, plan: PhysicalPlan) -> StoredLayout:
                 extent=Extent(list(g["extent"])),
                 chunks=[tuple(c) for c in g["chunks"]],
             )
-            for g in data.get("column_groups", [])
+            for g in data["column_groups"]
         ],
         cell_directory=[
             CellEntry(
@@ -183,21 +172,24 @@ def layout_from_dict(data: dict, plan: PhysicalPlan) -> StoredLayout:
                 length=e["length"],
                 row_count=e["row_count"],
             )
-            for e in data.get("cell_directory", [])
+            for e in data["cell_directory"]
         ],
         array_shape=tuple(data["array_shape"])
-        if data.get("array_shape") is not None
+        if data["array_shape"] is not None
         else None,
-        array_values_per_page=data.get("array_values_per_page", 0),
+        array_values_per_page=data["array_values_per_page"],
         array_dtype=type_from_name(data["array_dtype"])
-        if data.get("array_dtype")
+        if data["array_dtype"]
         else None,
-        mirrors=mirrors,
-        grid_origin=tuple(data.get("grid_origin", [])),
-        folded_directory=[tuple(f) for f in data.get("folded_directory", [])],
-        folded_keys=[tuple(k) for k in data.get("folded_keys", [])],
-        page_row_counts=list(data.get("page_row_counts", [])),
-        synopsis=synopsis_from_dict(data.get("synopsis")),
+        mirrors=[
+            layout_from_dict(sub_data, sub_plan)
+            for sub_data, sub_plan in zip(data["mirrors"], plan.mirror_plans)
+        ],
+        grid_origin=tuple(data["grid_origin"]),
+        folded_directory=[tuple(f) for f in data["folded_directory"]],
+        folded_keys=[tuple(k) for k in data["folded_keys"]],
+        page_row_counts=list(data["page_row_counts"]),
+        synopsis=synopsis_from_dict(data["synopsis"]),
     )
 
 
@@ -248,7 +240,7 @@ def stats_from_dict(data: dict) -> TableStats:
 
 def _run_to_dict(run) -> dict:
     """A run: its layout's keys, plus its place in the region and its
-    design (earlier catalogs nest the layout under ``layout``)."""
+    design."""
     return {
         "rid": run.rid,
         "level": run.level,
@@ -341,11 +333,11 @@ def save_catalog(store: "RodentStore", path: str) -> None:
 def read_catalog_payload(store: "RodentStore", path: str) -> dict:
     """Read and checksum-verify the catalog file, returning its payload.
 
-    Raises :class:`~repro.errors.CorruptCatalogError` when the file cannot
-    be parsed or its checksum does not match; files written before the
-    integrity layer (no checksum key) are accepted as-is. Injected catalog
-    read faults (``store.inject_io_faults``) are applied here, with bounded
-    retries for transient errors.
+    Raises :class:`~repro.errors.StoreFormatError` when the catalog is not
+    :data:`FORMAT_VERSION`, and :class:`~repro.errors.CorruptCatalogError`
+    when the file cannot be parsed or its checksum is missing or does not
+    match. Injected catalog read faults (``store.inject_io_faults``) are
+    applied here, with bounded retries for transient errors.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -364,46 +356,45 @@ def read_catalog_payload(store: "RodentStore", path: str) -> dict:
                     f"I/O error reading catalog {path}: {exc}"
                 ) from exc
     registry = getattr(store, "integrity", None)
+
+    def corrupt(why: str) -> CorruptCatalogError:
+        if registry is not None:
+            registry.record_catalog_failure()
+        return CorruptCatalogError(f"catalog file {path} {why}")
+
     try:
         payload = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
-        if registry is not None:
-            registry.record_catalog_failure()
-        raise CorruptCatalogError(
-            f"catalog file {path} is unreadable: {exc}"
-        ) from exc
+        raise corrupt(f"is unreadable: {exc}") from exc
     if not isinstance(payload, dict):
-        if registry is not None:
-            registry.record_catalog_failure()
-        raise CorruptCatalogError(
-            f"catalog file {path} does not contain a JSON object"
-        )
+        raise corrupt("does not contain a JSON object")
     stored = payload.pop(CATALOG_CRC_KEY, None)
-    if stored is not None:
-        actual = _catalog_crc(payload)
-        if actual != stored:
-            if registry is not None:
-                registry.record_catalog_failure()
-            raise CorruptCatalogError(
-                f"catalog checksum mismatch for {path} "
-                f"(stored {stored:#010x}, computed {actual:#010x})"
-            )
-        if registry is not None:
-            registry.count_catalog_verification()
+    actual = _catalog_crc(payload)
+    if stored is not None and actual != stored:
+        raise corrupt(
+            f"fails its checksum (stored {stored!r}, computed {actual:#010x})"
+        )
+    if payload.get("version") != FORMAT_VERSION:
+        version = payload.get("version")
+        raise store_format_error(store.disk.path, f"catalog version {version!r}")
+    if stored is None:
+        raise corrupt("has no checksum")
+    if registry is not None:
+        registry.count_catalog_verification()
     return payload
 
 
 def load_catalog(store: "RodentStore", path: str) -> None:
-    """Restore a catalog previously written by :func:`save_catalog`.
+    """Restore a catalog previously written by :func:`save_catalog`."""
+    restore_catalog(store, read_catalog_payload(store, path))
+
+
+def restore_catalog(store: "RodentStore", payload: dict) -> None:
+    """Restore a verified catalog payload (:func:`read_catalog_payload`).
 
     The store must be backed by the same page file the catalog was saved
     against (checked via page size; page contents are trusted).
     """
-    payload = read_catalog_payload(store, path)
-    if payload.get("version") != FORMAT_VERSION:
-        raise CatalogError(
-            f"unsupported catalog version {payload.get('version')!r}"
-        )
     if payload["page_size"] != store.disk.page_size:
         raise CatalogError(
             f"catalog was saved with page size {payload['page_size']}, "
@@ -435,9 +426,9 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
     entry.plan = (
         interpreter.compile(t["expr"]) if t["expr"] is not None else None
     )
-    if t.get("stats"):
+    if t["stats"]:
         entry.stats = stats_from_dict(t["stats"])
-    if t.get("monitor"):
+    if t["monitor"]:
         from repro.optimizer.monitor import WorkloadMonitor
 
         entry.monitor = WorkloadMonitor.from_dict(t["monitor"])
@@ -461,17 +452,17 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
         is derived data: rebuilt from the restored rows so pruned scans
         keep skipping the buffer."""
         region = Region(plan=plan, **identity)
-        runs = data.get("runs", [])
-        for r in runs + _legacy_runs(data, entry.name, scan_names):
-            run_plan = compiled(r["expr"]) if "expr" in r else plan
+        for r in data["runs"]:
+            run_plan = compiled(r["expr"])
             region.runs.append(Run(
                 run_plan,
-                layout_from_dict(r.get("layout", r), run_plan),
-                **{key: r.get(key, 0) for key in _RUN_ORDER},
+                layout_from_dict(r, run_plan),
+                **{key: r[key] for key in _RUN_ORDER},
             ))
-        pending = [tuple(row) for row in data.get("pending", [])]
+        pending = [tuple(row) for row in data["pending"]]
         if pending:
             region.add_pending(scan_names, pending)
+        # A partition writes its tombstones only when it has any.
         region.level_tombstones = [
             (seq, value if keyed or not isinstance(value, list)
              else tuple(value))
@@ -484,61 +475,32 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
         entry.regions = [
             region_from(
                 r,
-                compiled(r["expr"]) if r.get("expr") else None,
+                compiled(r["expr"]) if r["expr"] else None,
                 pid=r["pid"],
-                key=r.get("key"),
-                lower=r.get("lower"),
-                upper=r.get("upper"),
+                key=r["key"],
+                lower=r["lower"],
+                upper=r["upper"],
             )
-            for r in t.get("partitions", [])
+            for r in t["partitions"]
         ]
-        entry.next_partition_id = t.get(
-            "next_partition_id",
-            max((r.pid for r in entry.regions), default=-1) + 1,
-        )
-        entry.partition_scans = t.get("partition_scans", 0)
-        entry.partitions_pruned_total = t.get("partitions_pruned", 0)
+        entry.next_partition_id = t["next_partition_id"]
+        entry.partition_scans = t["partition_scans"]
+        entry.partitions_pruned_total = t["partitions_pruned"]
     else:
         entry.regions = [
             region_from(t, entry.plan and entry.plan.region_template)
         ]
-    entry.loaded = t.get(
-        "loaded",
-        (entry.plan is not None and entry.plan.levels is not None)
-        or bool(t.get("partitions_loaded"))
-        or t.get("layout") is not None,
-    )
-    runs = list(entry.runs())
-    entry.next_run_id = t.get(
-        "next_run_id", max((r.rid for r in runs), default=-1) + 1
-    )
-    # Past every run's, whatever the catalog says (older writers left a
-    # flat table's at 0): a tombstone must be newer than the runs it hits.
-    entry.next_run_seq = max(
-        t.get("next_run_seq", 0),
-        max((r.max_seq for r in runs), default=-1) + 1,
-    )
-    entry.wa_bytes_ingested = t.get("wa_bytes_ingested", 0)
-    entry.wa_bytes_written = t.get("wa_bytes_written", 0)
-    entry.wa_pages_compacted = t.get("wa_pages_compacted", 0)
-    entry.wa_compactions = t.get("wa_compactions", 0)
+    entry.loaded = t["loaded"]
+    entry.next_run_id = t["next_run_id"]
+    entry.next_run_seq = t["next_run_seq"]
+    entry.wa_bytes_ingested = t["wa_bytes_ingested"]
+    entry.wa_bytes_written = t["wa_bytes_written"]
+    entry.wa_pages_compacted = t["wa_pages_compacted"]
+    entry.wa_compactions = t["wa_compactions"]
 
 
-#: The run fields that order a region's runs, 0 in a catalog without them.
+#: The run fields that order a region's runs.
 _RUN_ORDER = ("rid", "level", "min_seq", "max_seq")
-
-
-def _legacy_runs(data: dict, name: str, scan_names: list[str]) -> list[dict]:
-    """The runs of a flat table or a partition written before every region
-    was written as its runs: the first run, under the region's design, as
-    ``layout``, and each flush, rendered row-major over the stored fields,
-    in ``overflow``."""
-    runs = [{"layout": data["layout"]}] if data.get("layout") else []
-    if data.get("overflow"):
-        fields = ", ".join(scan_names)
-        rows = f"project[{fields}]({name})"
-        runs += [{"expr": rows, "layout": o} for o in data["overflow"]]
-    return runs
 
 
 def _scan_schema_of(entry) -> Schema:

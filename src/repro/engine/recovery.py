@@ -4,6 +4,9 @@ A durable :class:`~repro.engine.database.RodentStore` runs this on open
 whenever its WAL is non-empty (a clean shutdown checkpoints and truncates
 the log, so any surviving bytes mean the last session died mid-flight).
 
+Before the log is opened, :func:`check_format` refuses a store of another
+format (:class:`~repro.errors.StoreFormatError`).
+
 A transaction's records reach the log only at its commit, all at once,
 under the commit lock; a page record is the image of a page the
 transaction allocated, which nothing committed names before it commits.
@@ -33,9 +36,7 @@ So recovery is redo only:
 The log is streamed twice, never held: an *analysis* pass finds the last
 checkpoint, the commit set and the last committed catalog image per table;
 a *redo* pass applies page images as they go by and keeps only the row
-inserts still to replay. Of the record kinds only old logs hold,
-``BEGIN`` and ``ABORT`` carry nothing to replay and an ``UPDATE`` decodes
-as a page image like any other (:mod:`repro.storage.wal`).
+inserts still to replay.
 """
 
 from __future__ import annotations
@@ -48,22 +49,49 @@ from repro.storage.wal import (
     KIND_CATALOG,
     KIND_CHECKPOINT,
     KIND_COMMIT,
+    KIND_FRESH_PAGE,
     KIND_ROWS,
-    PAGE_IMAGE_KINDS,
-    _apply_image,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.database import RodentStore
 
 
-def recover_store(store: "RodentStore") -> dict:
-    """Recover ``store`` (durable, just-opened) to committed state.
+def check_format(store: "RodentStore", wal_path: str) -> dict | None:
+    """The store's verified catalog (``None``: none yet), read before a log
+    record is decoded. A catalog of another version is refused, and so is
+    a non-empty log with no catalog (or ``.tmp`` one to promote) beside
+    it: a durable store writes its catalog at creation."""
+    from repro.engine.persistence import (
+        read_catalog_payload,
+        store_format_error,
+    )
+
+    catalog_path = store.catalog_path
+    assert catalog_path is not None
+    if os.path.exists(catalog_path):
+        return read_catalog_payload(store, catalog_path)
+    if (
+        os.path.exists(wal_path)
+        and os.path.getsize(wal_path)
+        and not os.path.exists(catalog_path + ".tmp")
+    ):
+        raise store_format_error(store.disk.path, "a log with no catalog")
+    return None
+
+
+def recover_store(store: "RodentStore", payload: dict | None) -> dict:
+    """Recover ``store`` (durable, just-opened) to committed state, from
+    ``payload``, the catalog :func:`check_format` read, and the log.
 
     Returns a summary dict; ``{"clean": True}`` when the previous session
     shut down cleanly and there was nothing to do.
     """
-    from repro.engine.persistence import apply_entry_dict, load_catalog
+    from repro.engine.persistence import (
+        apply_entry_dict,
+        read_catalog_payload,
+        restore_catalog,
+    )
 
     wal = store.wal
     catalog_path = store.catalog_path
@@ -92,7 +120,7 @@ def recover_store(store: "RodentStore") -> dict:
             for name, image in uncommitted.pop(r.txn_id, {}).items():
                 if image[0] > catalogs.get(name, (0, None))[0]:
                     catalogs[name] = image
-        elif r.kind in PAGE_IMAGE_KINDS or r.kind == KIND_ROWS:
+        elif r.kind in (KIND_FRESH_PAGE, KIND_ROWS):
             with_effects.add(r.txn_id)
         elif r.kind == KIND_CATALOG:
             with_effects.add(r.txn_id)
@@ -105,10 +133,11 @@ def recover_store(store: "RodentStore") -> dict:
     if os.path.exists(tmp_path):
         if checkpoint_lsn:
             os.replace(tmp_path, catalog_path)
+            payload = read_catalog_payload(store, catalog_path)
         else:
             os.remove(tmp_path)
-    if os.path.exists(catalog_path):
-        load_catalog(store, catalog_path)
+    if payload is not None:
+        restore_catalog(store, payload)
 
     unclean = wal.size_bytes > 0
     if not unclean:
@@ -121,8 +150,11 @@ def recover_store(store: "RodentStore") -> dict:
     for r in wal.records():
         if r.lsn <= checkpoint_lsn or r.txn_id not in committed:
             continue
-        if r.kind in PAGE_IMAGE_KINDS:
-            _apply_image(store.disk, r.page_id, r.offset, r.after)
+        if r.kind == KIND_FRESH_PAGE:
+            # A whole page: nothing is read, so a torn or truncated page is
+            # simply overwritten.
+            store.disk.grow_to(r.page_id + 1)
+            store.disk.write_page(r.page_id, r.after)
             redo += 1
         elif r.kind == KIND_ROWS:
             payload = json.loads(r.payload.decode("utf-8"))

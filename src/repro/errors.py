@@ -112,6 +112,14 @@ class CorruptCatalogError(CorruptionError, CatalogError):
     """The catalog file failed its checksum or cannot be parsed."""
 
 
+class StoreFormatError(CatalogError):
+    """The store was written in another on-disk format than the engine's.
+
+    ``python -m repro.migrate PATH`` converts an older store; the message
+    ends with that command.
+    """
+
+
 class IndexError_(RodentStoreError):
     """An index (B+Tree / R-Tree) is corrupt or misused.
 

@@ -1350,7 +1350,7 @@ class LayoutRenderer:
         group fields and the ``needed`` nest fields (``None`` = every one)
         over the records at ``indices`` — directory positions in stream
         order, ``None`` = every record. Each record's key is checked against
-        ``folded_keys`` (old catalogs have none) and repeated by its count.
+        ``folded_keys`` and repeated by its count.
         """
         plan = layout.plan
         serializer = RecordSerializer(plan.schema.project(plan.group_fields))
@@ -1360,9 +1360,8 @@ class LayoutRenderer:
         def header(k: int, run: bytes, at: int, limit: int):
             key = serializer.decode(run[at:limit])
             end = at + serializer.encoded_size(key)
-            if end + 4 > limit or (
-                layout.folded_keys
-                and run[at:end] != serializer.encode(layout.folded_keys[indices[k]])
+            if end + 4 > limit or run[at:end] != serializer.encode(
+                layout.folded_keys[indices[k]]
             ):
                 raise StorageError(
                     f"folded record {indices[k]}: header disagrees with its entry"

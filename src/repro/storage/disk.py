@@ -17,12 +17,12 @@ format version, CRC32 of the data — see :mod:`repro.storage.integrity`).
 Frames live at ``page_id * frame_size`` offsets. Upper layers never see the
 trailer; ``read_page`` verifies it and raises
 :class:`~repro.errors.CorruptPageError` on mismatch, short read, or bad
-magic. Pre-checksum (v1) files — pages packed back to back with no trailer
-— are migrated in place the first time they are opened.
+magic. A file whose size is not a whole number of frames is refused at
+open (``python -m repro.migrate`` frames a pre-checksum file).
 
-``read_page_unchecked`` is the explicit allow-path for recovery: replaying a
-WAL image must be able to read a page it is about to overwrite even when
-that page is torn or truncated (it zero-pads short reads like v1 did).
+``read_page_unchecked`` is the explicit allow-path for reading a page that
+may be torn or truncated (it zero-pads short reads): the migrator lays an
+old log's byte-range images over such pages.
 
 **Free space.** Freed page ids are kept as coalesced ``[start, stop)`` spans
 (:class:`FreeSpans`). An extent takes the smallest span that fits and the
@@ -48,8 +48,6 @@ from repro.storage.integrity import (
     _CRC_FIELD,
     _TRAILER_PREFIX,
     PAGE_TRAILER_SIZE,
-    TRAILER,
-    TRAILER_MAGIC,
     IntegrityRegistry,
     make_trailer,
     verify_frame,
@@ -225,8 +223,8 @@ class DiskManager:
         page_size: page size in bytes; the paper's case study uses 1000 KB,
             scaled-down runs use smaller pages.
         verify_checksums: verify the frame trailer on every ``read_page``
-            (on by default; turning it off restores the v1 trust-on-faith
-            read path — used by the integrity benchmark to price the CRC).
+            (on by default; turning it off trusts every frame on faith —
+            used by the integrity benchmark to price the CRC).
         max_read_retries: bounded retries for transient read errors
             (``OSError`` from the medium, e.g. an injected EIO).
         retry_backoff_s: base backoff between transient-read retries;
@@ -255,8 +253,6 @@ class DiskManager:
         self.faults = None
         #: Optional IoFaultInjector damaging reads / dropping writes.
         self.io_faults = None
-        #: Pages rewritten by the one-shot v1 -> v2 migration at open.
-        self.migrated_pages = 0
         self._lock = threading.Lock()
         self._last_page: int | None = None  # disk head position
         self._free = FreeSpans()
@@ -270,61 +266,16 @@ class DiskManager:
             self._file = open(path, "r+b" if exists else "w+b")
             self._file.seek(0, os.SEEK_END)
             size = self._file.tell()
-            self._num_pages = self._detect_format(size)
+            if size % self.frame_size:
+                raise StorageError(
+                    f"file size {size} is not a multiple of the frame size "
+                    f"{self.frame_size}"
+                )
+            self._num_pages = size // self.frame_size
         #: Frames the file holds. Pages at or past it were allocated and
         #: never written (the file grows by being written, not by being
         #: allocated); they read as zeros, like an unwritten in-memory page.
         self._file_pages = self._num_pages
-
-    def _detect_format(self, size: int) -> int:
-        """Classify an existing file as v2 (framed) or v1 (legacy).
-
-        v1 files are migrated in place; a size matching neither format is
-        rejected. When the size divides both frame and page size the
-        trailer magic of frame 0 breaks the tie.
-        """
-        if size == 0:
-            return 0
-        framed = size % self.frame_size == 0
-        legacy = size % self.page_size == 0
-        if framed and legacy:
-            framed = self._frame_magic_ok(0)
-            legacy = not framed
-        if framed:
-            return size // self.frame_size
-        if legacy:
-            return self._migrate_legacy(size)
-        raise StorageError(
-            f"file size {size} matches neither the checksummed frame size "
-            f"{self.frame_size} nor the legacy page size {self.page_size}"
-        )
-
-    def _frame_magic_ok(self, page_id: int) -> bool:
-        assert self._file is not None
-        self._file.seek(page_id * self.frame_size + self.page_size)
-        raw = self._file.read(TRAILER.size)
-        if len(raw) < TRAILER.size:
-            return False
-        magic = TRAILER.unpack(raw)[0]
-        return magic == TRAILER_MAGIC
-
-    def _migrate_legacy(self, size: int) -> int:
-        """One-shot in-place rewrite of a v1 file into checksummed frames."""
-        assert self._file is not None
-        count = size // self.page_size
-        pages = []
-        for page_id in range(count):
-            self._file.seek(page_id * self.page_size)
-            pages.append(self._file.read(self.page_size))
-        self._file.seek(0)
-        self._file.truncate()
-        for page_id, data in enumerate(pages):
-            self._file.seek(page_id * self.frame_size)
-            self._file.write(data + make_trailer(data))
-        self._file.flush()
-        os.fsync(self._file.fileno())
-        self.migrated_pages = count
-        return count
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -479,9 +430,9 @@ class DiskManager:
     def read_page_unchecked(self, page_id: int) -> bytearray:
         """Allow-path read: no checksum verification, short reads zero-pad.
 
-        Recovery replays WAL images over pages it is about to overwrite —
-        including torn or truncated ones — so it must bypass verification.
-        Every other caller should use :meth:`read_page`.
+        The migrator lays an old log's byte-range images over pages that
+        may be torn or truncated, so it must bypass verification. Every
+        other caller should use :meth:`read_page`.
         """
         with self._lock:
             self._check(page_id)

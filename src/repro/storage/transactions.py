@@ -53,10 +53,15 @@ class Transaction:
 
     # -- outcome ----------------------------------------------------------
 
-    def commit(self) -> None:
+    def commit(self, effects: bool = True) -> None:
+        """Commit: append the COMMIT record and wait for it to be durable.
+        A transaction that logged no ``effects`` has nothing to recover,
+        and commits without a record or an fsync."""
         self._require_active()
         manager = self._manager
-        lsn = manager.wal.append(KIND_COMMIT, self.txn_id) if manager.log else None
+        lsn = None
+        if manager.log and effects:
+            lsn = manager.wal.append(KIND_COMMIT, self.txn_id)
         self.commit_logged = True
         # Early lock release: the fsync is most of a short writer's lock
         # hold, and a waiter gains nothing by waiting it out. Whoever takes

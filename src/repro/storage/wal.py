@@ -10,21 +10,15 @@ pages. Two *logical* record kinds ride on the same format: ``ROWS``
 catalog entry). :mod:`repro.engine.recovery` replays the committed
 records.
 
-Logs written before every page write became copy-on-write also hold
-``BEGIN`` and ``ABORT`` records, which carry nothing to replay, and
-``UPDATE`` records: a page image preceded by the bytes it replaced. Those
-kinds still decode — an ``UPDATE`` as its page image alone, redone like a
-``FRESH_PAGE`` — and nothing writes them.
-
-Record wire format (v2, written since the integrity layer)::
+Record wire format::
 
     u32 total_len | u8 kind|0x80 | u64 lsn | u64 txn_id | payload | u32 crc32 | u32 total_len
 
-The high bit of the kind byte marks a checksummed record; the CRC32 covers
-everything from the header through the payload, so bit rot *anywhere* in a
-record is detected — not just torn tails. Legacy (v1) records without the
-flag still decode (trailer-only check), giving an in-band migration path:
-old logs replay, new appends are checksummed.
+The high bit of the kind byte marks the record as checksummed, and every
+record carries it: a record without it is damage, like any other
+undecodable bytes. The CRC32 covers everything from the header through
+the payload, so bit rot *anywhere* in a record is detected — not just torn
+tails. (``python -m repro.migrate`` rewrites the logs of older engines.)
 
 The trailing length makes backward scans possible and doubles as a torn-write
 check. :meth:`WriteAheadLog.records` distinguishes two failure shapes:
@@ -54,7 +48,6 @@ import zlib
 from typing import Iterator
 
 from repro.errors import CorruptWALError, WALError
-from repro.storage.disk import DiskManager
 
 KIND_COMMIT = 3
 KIND_CHECKPOINT = 5
@@ -63,14 +56,8 @@ KIND_ROWS = 6
 KIND_CATALOG = 7
 #: After-image of a page the transaction allocated and wrote in full.
 KIND_FRESH_PAGE = 8
-#: Kinds only old logs hold: decoded, never written.
-KIND_BEGIN = 1
-KIND_UPDATE = 2
-KIND_ABORT = 4
-#: The record kinds that carry a page after-image to redo.
-PAGE_IMAGE_KINDS = (KIND_UPDATE, KIND_FRESH_PAGE)
 
-#: High bit of the kind byte: this record carries a CRC32 (v2 format).
+#: High bit of the kind byte: the record carries a CRC32.
 KIND_CRC_FLAG = 0x80
 
 _HEADER = struct.Struct("<IBQQ")
@@ -79,7 +66,9 @@ _CRC = struct.Struct("<I")
 _UPDATE_META = struct.Struct("<qII")  # page_id, offset, image_len
 
 _PAYLOAD_KINDS = (KIND_ROWS, KIND_CATALOG)
-_KNOWN_KINDS = frozenset(range(KIND_BEGIN, KIND_FRESH_PAGE + 1))
+_KNOWN_KINDS = frozenset(
+    (KIND_COMMIT, KIND_CHECKPOINT, KIND_FRESH_PAGE) + _PAYLOAD_KINDS
+)
 
 #: How far past an undecodable point records() searches for a valid record
 #: before classifying the damage as a torn tail rather than mid-log rot.
@@ -142,45 +131,39 @@ class LogRecord:
     def decode(cls, data: bytes, start: int) -> tuple["LogRecord", int]:
         """Decode one record at ``start``; returns (record, next_offset).
 
-        Structural damage (truncation, trailer mismatch, unknown kind)
-        raises :class:`WALError`; a failed CRC on a v2 record raises
+        Structural damage (truncation, trailer mismatch, unknown kind, no
+        checksum flag) raises :class:`WALError`; a failed CRC raises
         :class:`~repro.errors.CorruptWALError` — the record is intact in
         shape but rotten in content.
         """
         if start + _HEADER.size > len(data):
             raise WALError("truncated log header")
         total, kind_byte, lsn, txn_id = _HEADER.unpack_from(data, start)
-        has_crc = bool(kind_byte & KIND_CRC_FLAG)
-        kind = kind_byte & ~KIND_CRC_FLAG
-        overhead = _HEADER.size + _TRAILER.size + (_CRC.size if has_crc else 0)
         end = start + total
-        if total < overhead or end > len(data):
+        if total < _HEADER.size + _CRC.size + _TRAILER.size or end > len(data):
             raise WALError("truncated log record")
         (trailer,) = _TRAILER.unpack_from(data, end - _TRAILER.size)
         if trailer != total:
             raise WALError("torn log record (trailer mismatch)")
-        if kind not in _KNOWN_KINDS:
-            raise WALError(f"unknown log record kind {kind}")
-        payload_end = end - _TRAILER.size
-        if has_crc:
-            payload_end -= _CRC.size
-            (stored,) = _CRC.unpack_from(data, payload_end)
-            actual = zlib.crc32(memoryview(data)[start:payload_end]) & 0xFFFFFFFF
-            if actual != stored:
-                raise CorruptWALError(
-                    f"WAL record checksum mismatch at byte {start} "
-                    f"(lsn {lsn}, stored {stored:#010x}, "
-                    f"computed {actual:#010x})"
-                )
+        kind = kind_byte & ~KIND_CRC_FLAG
+        if not kind_byte & KIND_CRC_FLAG or kind not in _KNOWN_KINDS:
+            raise WALError(f"unknown log record kind {kind_byte:#04x}")
+        payload_end = end - _TRAILER.size - _CRC.size
+        (stored,) = _CRC.unpack_from(data, payload_end)
+        actual = zlib.crc32(memoryview(data)[start:payload_end]) & 0xFFFFFFFF
+        if actual != stored:
+            raise CorruptWALError(
+                f"WAL record checksum mismatch at byte {start} "
+                f"(lsn {lsn}, stored {stored:#010x}, "
+                f"computed {actual:#010x})"
+            )
         record = cls(kind, lsn, txn_id)
-        if kind in PAGE_IMAGE_KINDS:
+        if kind == KIND_FRESH_PAGE:
             meta_at = start + _HEADER.size
             if meta_at + _UPDATE_META.size > payload_end:
                 raise WALError("truncated update metadata")
             page_id, offset, image_len = _UPDATE_META.unpack_from(data, meta_at)
             after_at = meta_at + _UPDATE_META.size
-            if kind == KIND_UPDATE:
-                after_at += image_len  # the replaced bytes: never read
             if after_at + image_len > payload_end:
                 raise WALError("truncated update images")
             record.page_id = page_id
@@ -497,15 +480,3 @@ def _resync_offset(data: bytes, start: int) -> int | None:
             continue
         return offset
     return None
-
-
-def _apply_image(disk: DiskManager, page_id: int, offset: int, image: bytes) -> None:
-    # The unchecked read is deliberate: recovery overwrites pages that may
-    # be torn or truncated, so verification must not block the replay.
-    disk.grow_to(page_id + 1)
-    if offset == 0 and len(image) == disk.page_size:
-        disk.write_page(page_id, image)  # a whole page: nothing to read
-        return
-    page = disk.read_page_unchecked(page_id)
-    page[offset : offset + len(image)] = image
-    disk.write_page(page_id, page)

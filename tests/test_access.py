@@ -331,10 +331,12 @@ def _sources():
                     yield os.path.relpath(path, SRC), f.read()
 
 
-def _assert_absent_as_names(deleted):
+def _assert_absent_as_names(deleted, outside=()):
     """None of ``deleted`` is a name, attribute, argument or string key in
-    ``src/`` (a word may survive in prose)."""
+    ``src/`` but the modules ``outside`` (a word may survive in prose)."""
     for name, source in _sources():
+        if name in outside:
+            continue
         for node in ast.walk(ast.parse(source)):
             for used in (
                 getattr(node, "name", None),  # def / class
@@ -738,9 +740,9 @@ LEGACY_KINDS = {"KIND_UPDATE", "KIND_BEGIN", "KIND_ABORT"}
 def test_one_transaction_protocol():
     """The engine writes one protocol: a transaction's effect records and
     its COMMIT, at commit. Nothing in ``src/`` appends an ``UPDATE``,
-    ``BEGIN`` or ``ABORT`` record — only the log decoder names those kinds,
-    for old logs — a log record carries no before-image, and recovery has
-    no undo."""
+    ``BEGIN`` or ``ABORT`` record — only the migrator names those kinds,
+    to convert old logs — a log record carries no before-image, and
+    recovery has no undo."""
     for owner, name in ONE_PROTOCOL_DELETED:
         assert not hasattr(owner, name), name
     assert "before" not in wal.LogRecord.__slots__
@@ -756,8 +758,33 @@ def test_one_transaction_protocol():
             ):
                 raise AssertionError((module, node.lineno))
             if getattr(node, "id", None) in LEGACY_KINDS:
-                assert module == os.path.join("storage", "wal.py"), module
+                assert module == "migrate.py", module
     assert "KIND_UPDATE" not in inspect.getsource(recovery.recover_store)
+
+
+#: The engine's readers of retired formats, all moved to ``repro.migrate``.
+ONE_FORMAT_DELETED = (
+    "_detect_format", "_migrate_legacy", "_columnar", "_legacy_runs",
+    "migrated_pages",
+)
+
+
+def test_one_on_disk_format():
+    """The engine reads one format: the readers of the formats it retired
+    live in ``repro/migrate.py`` alone, and no engine module imports it —
+    the migrator uses the engine, never the other way round."""
+    _assert_absent_as_names(ONE_FORMAT_DELETED, outside={"migrate.py"})
+    for module, source in _sources():
+        if module == "migrate.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            names = []
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                names += [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            assert "repro.migrate" not in names, module
 
 
 #: The per-site abort ledger and the field lists it copied, the live-scan

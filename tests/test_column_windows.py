@@ -32,6 +32,7 @@ from repro import vector
 from repro.compression import codec_names, get_codec
 from repro.engine import synopsis as zonemaps
 from repro.engine.database import RodentStore
+from repro.engine.persistence import CATALOG_CRC_KEY, _catalog_crc
 from repro.errors import StorageError
 from repro.layout import renderer
 from repro.query.expressions import Range
@@ -314,8 +315,9 @@ def test_group_chunks_disagreeing_with_the_layout_raise(tmp_path, how):
     store.close()
 
     payload = json.loads(cat.read_text())
-    del payload["crc32"]  # pre-integrity catalogs load as they are
+    del payload[CATALOG_CRC_KEY]
     _tamper(payload["tables"][0]["runs"][0]["column_groups"][1]["chunks"])[how]()
+    payload[CATALOG_CRC_KEY] = _catalog_crc(payload)  # a writer bug, not rot
     cat.write_text(json.dumps(payload))
 
     reopened = RodentStore.open(str(db), str(cat), page_size=PAGE_SIZE)

@@ -472,3 +472,98 @@ def test_folded_directory_off_by_one_never_returns_wrong_rows(damage, degraded):
             store.disk.close()
     finally:
         shutil.rmtree(base, ignore_errors=True)
+
+
+# Damage that a missing marker once hid: each case is checked in full.
+
+
+def test_wal_record_without_its_checksum_flag_is_loud():
+    """A ``FRESH_PAGE`` record whose checksum flag is cleared and one bit
+    of whose image is flipped: every record carries the flag, so the
+    record is undecodable — with records after it, mid-log corruption —
+    not an unchecked image to redo."""
+    from repro.errors import CorruptWALError
+    from repro.storage import wal as wal_module
+
+    base = tempfile.mkdtemp()
+    try:
+        path = os.path.join(base, "db")
+        run_workload(path, checkpoint=False)
+        with open(path + ".wal", "rb") as f:
+            data = bytearray(f.read())
+        pages, at = [], 0
+        while at < len(data):
+            record, end = wal_module.LogRecord.decode(data, at)
+            if record.kind == wal_module.KIND_FRESH_PAGE:
+                pages.append(at)
+            at = end
+        at = pages[-1]  # the newest page image, its COMMIT after it
+        data[at + 4] &= ~wal_module.KIND_CRC_FLAG & 0xFF  # the kind byte
+        image = at + wal_module._HEADER.size + wal_module._UPDATE_META.size
+        data[image + 100] ^= 0x01
+        with open(path + ".wal", "wb") as f:
+            f.write(data)
+        with pytest.raises(CorruptWALError):
+            RodentStore(path, page_size=1024, pool_capacity=64, durable=True)
+    finally:
+        shutil.rmtree(base, ignore_errors=True)
+
+
+def _rewrite_catalog(path, edit):
+    with open(path, encoding="utf-8") as f:
+        payload = json.load(f)
+    edit(payload)
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f)
+
+
+def test_catalog_with_a_renamed_checksum_key_is_loud():
+    """A catalog whose ``crc32`` key is renamed and one of whose runs
+    claims another row count: a catalog without a checksum is corrupt,
+    not one to load unverified."""
+    from repro.errors import CorruptCatalogError
+
+    base = tempfile.mkdtemp()
+    try:
+        path = os.path.join(base, "db")
+        run_workload(path, checkpoint=True)
+
+        def damage(payload):
+            payload["crc33"] = payload.pop(CATALOG_CRC_KEY)
+            payload["tables"][0]["runs"][0]["row_count"] += 1
+
+        _rewrite_catalog(path + ".catalog.json", damage)
+        with pytest.raises(CorruptCatalogError):
+            RodentStore(path, page_size=1024, pool_capacity=64, durable=True)
+    finally:
+        shutil.rmtree(base, ignore_errors=True)
+
+
+@pytest.mark.parametrize("degraded", [False, True])
+def test_folded_run_without_its_keys_is_loud_at_load(degraded):
+    """A folded run whose ``folded_keys`` are dropped under a recomputed
+    checksum: the key check of every folded record needs them, so the
+    catalog is corrupt when it loads — not a run read unchecked."""
+    from repro.errors import CorruptCatalogError
+
+    base = tempfile.mkdtemp()
+    try:
+        path = os.path.join(base, "db")
+        store = RodentStore(path, page_size=1024, pool_capacity=64, durable=True)
+        store.create_table("T", SCHEMA, layout=FOLDED_LAYOUT)
+        store.load("T", [(i, i % 6) for i in range(400)])
+        store.close()
+
+        def damage(payload):
+            del payload[CATALOG_CRC_KEY]
+            payload["tables"][0]["runs"][0]["folded_keys"] = []
+            payload[CATALOG_CRC_KEY] = _catalog_crc(payload)
+
+        _rewrite_catalog(path + ".catalog.json", damage)
+        with pytest.raises(CorruptCatalogError):
+            RodentStore(
+                path, page_size=1024, pool_capacity=64, durable=True,
+                degraded_reads=degraded,
+            )
+    finally:
+        shutil.rmtree(base, ignore_errors=True)

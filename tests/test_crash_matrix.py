@@ -27,7 +27,8 @@ import pytest
 import oracle
 from repro.engine import levels
 from repro.engine.database import RodentStore, _Mutation
-from repro.errors import CrashError, StorageError
+from repro.errors import CrashError, StorageError, StoreFormatError
+from repro.migrate import KIND_BEGIN, KIND_UPDATE, decode_record, migrate
 from repro.query.expressions import Range
 from repro.storage.faults import (
     FaultInjector,
@@ -37,13 +38,10 @@ from repro.storage.faults import (
 )
 from repro.storage import wal as wal_module
 from repro.storage.wal import (
-    KIND_BEGIN,
     KIND_CATALOG,
     KIND_COMMIT,
     KIND_FRESH_PAGE,
     KIND_ROWS,
-    KIND_UPDATE,
-    LogRecord,
 )
 from repro.types import Schema
 
@@ -716,7 +714,9 @@ def test_pinned_scan_outlives_two_merges(tmp_path):
 
 def parent_store(tmp_path):
     """A copy of the store ``tests/data/parent_store/make_fixture.py``
-    wrote, its opener, and the scans it answered (``expected.json``)."""
+    wrote, its opener, and the scans it answered (``expected.json``). The
+    engine refuses the copy until ``python -m repro.migrate`` converted
+    it; ``migrated`` does, returning the migrator's summary."""
     source = os.path.join(os.path.dirname(__file__), "data", "parent_store")
     for name in os.listdir(source):
         if name.startswith("db."):
@@ -730,22 +730,28 @@ def parent_store(tmp_path):
             pool_capacity=16, level_seal_rows=16,
         )
 
-    return opened, expected
+    def migrated():
+        with pytest.raises(StoreFormatError, match="python -m repro.migrate"):
+            opened()
+        return migrate(str(tmp_path / "db.pages"))
+
+    return opened, migrated, expected
 
 
 def test_parent_written_store_reopens(tmp_path):
     """A store written by the parent commit (all three table shapes,
     overflow + pending, an un-checkpointed WAL of zero-before-image
-    ``KIND_UPDATE`` page records) replays under this code to the same
-    scans."""
-    opened, expected = parent_store(tmp_path)
-    store = opened()
-    summary = store.recovery_summary
+    ``KIND_UPDATE`` page records) is refused, then migrated: its replay
+    answers the same scans, and it scrubs clean."""
+    opened, migrated, expected = parent_store(tmp_path)
+    summary = migrated()["recovery"]
     assert summary["clean"] is False and summary["pages_redone"] > 0
+    store = opened()
     for name, rows in expected.items():
         assert sorted(map(list, store.table(name).scan())) == rows
         assert store.catalog.entry(name).policy == "eager"  # no key: eager
     assert_pages_consistent(store)
+    assert store.scrub()["clean"]
     assert store.disk.free_pages > 0  # the parent's leaked pages came back
     # And it keeps working, reusing them.
     allocated = store.disk.num_pages
@@ -756,10 +762,11 @@ def test_parent_written_store_reopens(tmp_path):
 
 
 def test_parent_written_store_takes_tombstones(tmp_path):
-    """Every table of the parent-written store takes an update and a
-    delete as tombstones — no page rendered — that a compaction folds in
+    """Every table of the migrated parent-written store takes an update and
+    a delete as tombstones — no page rendered — that a compaction folds in
     and a reopen keeps, equal to ``expected.json`` edited the same way."""
-    opened, expected = parent_store(tmp_path)
+    opened, migrated, expected = parent_store(tmp_path)
+    migrated()
     store = opened()
     for name, rows in expected.items():
         table = store.table(name)
@@ -788,14 +795,14 @@ def test_parent_written_store_takes_tombstones(tmp_path):
 def test_parent_log_is_all_legacy_page_records():
     """The fixture's log is the old protocol's: BEGIN / COMMIT around
     every transaction, and every page record a whole-page ``UPDATE`` with
-    an all-zero before-image — which the decoder steps over."""
+    an all-zero before-image — which the migrator's decoder steps over."""
     source = os.path.join(os.path.dirname(__file__), "data", "parent_store")
     with open(os.path.join(source, "db.pages.wal"), "rb") as f:
         data = f.read()
     meta = wal_module._HEADER.size + wal_module._UPDATE_META.size
     kinds, pages, at = [], [], 0
     while at < len(data):
-        record, end = LogRecord.decode(data, at)
+        record, end = decode_record(data, at)
         kinds.append(record.kind)
         if record.page_id >= 0:
             before = data[at + meta : at + meta + len(record.after)]

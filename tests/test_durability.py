@@ -333,7 +333,7 @@ def test_recovery_streams_a_large_log(tmp_path):
     page images stays under 8 MB of python allocations at the peak."""
     import tracemalloc
 
-    from repro.storage.wal import KIND_BEGIN, KIND_COMMIT, KIND_FRESH_PAGE
+    from repro.storage.wal import KIND_COMMIT, KIND_FRESH_PAGE
 
     page_size = 16384
 
@@ -352,7 +352,6 @@ def test_recovery_streams_a_large_log(tmp_path):
     image = bytes(range(256)) * (page_size // 256)
     wal = store.wal
     for txn in range(10_000, 10_030):
-        wal.append(KIND_BEGIN, txn)
         for page_id in range(64, 134):
             wal.append(KIND_FRESH_PAGE, txn, page_id=page_id, after=image)
         wal.append(KIND_COMMIT, txn)
@@ -369,7 +368,7 @@ def test_recovery_streams_a_large_log(tmp_path):
     assert peak < 8 << 20, f"recovery peaked at {peak / 2**20:.1f} MiB"
     summary = reopened.recovery_summary
     assert summary["pages_redone"] >= 30 * 70
-    assert summary["records_scanned"] >= 30 * 72
+    assert summary["records_scanned"] >= 30 * 71
     assert sorted(reopened.table("T").scan()) == sorted(ROWS + [(9000, 1)])
     # The replayed pages belong to nobody: free, and truncated away.
     assert reopened.disk.num_pages < 64

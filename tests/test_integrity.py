@@ -14,7 +14,9 @@ from repro.errors import (
     CorruptPageError,
     CorruptWALError,
     StorageError,
+    StoreFormatError,
 )
+from repro.migrate import migrate
 from repro.storage.disk import DiskManager
 from repro.storage.faults import FaultInjector, IoFault, IoFaultInjector
 from repro.storage.integrity import (
@@ -241,28 +243,33 @@ class TestDiskIntegrity:
 
 
 class TestLegacyMigration:
+    """Page files without checksum trailers: the engine refuses them,
+    ``python -m repro.migrate`` frames them."""
+
     def test_trailerless_file_migrated_in_place(self, tmp_path):
         path = str(tmp_path / "p.pages")
         pages = [bytes([i]) * 512 for i in range(4)]
         with open(path, "wb") as f:
             f.write(b"".join(pages))
+        with pytest.raises(StorageError, match="frame size"):
+            DiskManager(page_size=512, path=path)
+        assert migrate(path, page_size=512)["pages_framed"] == 4
         disk = DiskManager(page_size=512, path=path)
-        assert disk.migrated_pages == 4
         for i, page in enumerate(pages):
             assert bytes(disk.read_page(i)) == page
         disk.close()
         assert os.path.getsize(path) == 4 * (512 + PAGE_TRAILER_SIZE)
-        # second open: already framed, no re-migration
-        disk = DiskManager(page_size=512, path=path)
-        assert disk.migrated_pages == 0
-        disk.close()
+        # second run: already framed, no re-migration
+        assert migrate(path, page_size=512)["pages_framed"] == 0
 
     def test_unrecognized_size_rejected(self, tmp_path):
         path = str(tmp_path / "p.pages")
         with open(path, "wb") as f:
             f.write(b"x" * 777)
-        with pytest.raises(StorageError, match="neither"):
+        with pytest.raises(StorageError, match="frame size"):
             DiskManager(page_size=512, path=path)
+        with pytest.raises(StorageError, match="neither"):
+            migrate(path, page_size=512)
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +366,23 @@ class TestCatalogIntegrity:
             make_store(tmp_path)
 
     def test_legacy_catalog_without_crc_accepted(self, tmp_path):
+        """A catalog without a checksum is corrupt to the engine. One
+        written before the integrity layer (version 1) is an old store's:
+        the engine names the migrator, which accepts it."""
         cat = self._persisted(tmp_path)
         payload = json.load(open(cat))
         payload.pop("crc32")
         json.dump(payload, open(cat, "w"))
+        with pytest.raises(CorruptCatalogError, match="no checksum"):
+            make_store(tmp_path)
+        payload["version"] = 1
+        json.dump(payload, open(cat, "w"))
+        with pytest.raises(StoreFormatError, match="python -m repro.migrate"):
+            make_store(tmp_path)
+        migrate(str(tmp_path / "db"))
         store = make_store(tmp_path)
         assert len(list(store.table("T").scan())) == 80
+        assert store.scrub()["clean"]
         store.close()
 
     def test_crc_refreshed_on_save(self, tmp_path):

@@ -4,7 +4,8 @@ import pytest
 
 from repro.engine.database import RodentStore
 from repro.engine.levels import redesign
-from repro.errors import CatalogError
+from repro.errors import CatalogError, StoreFormatError
+from repro.migrate import migrate
 from repro.query.expressions import Range, Rect
 from repro.types import Schema
 
@@ -217,11 +218,12 @@ def test_multi_run_regions_reopen_identically(tmp_path, how):
 def test_a_catalog_in_layout_and_overflow_spelling_loads(tmp_path):
     """Catalogs written before every region was written as its runs spell
     a region's first run ``layout``, under the region's design, and its
-    row-major flushes ``overflow``: they load, each flush under a
-    row-major design over the stored fields."""
+    row-major flushes ``overflow``: the engine refuses them, and once
+    migrated they load, each flush under a row-major design over the
+    stored fields."""
     import json
 
-    db_path, cat_path = str(tmp_path / "db.pages"), tmp_path / "catalog.json"
+    db_path, cat_path = str(tmp_path / "db.pages"), tmp_path / "db.pages.catalog.json"
     store = RodentStore(path=db_path, page_size=1024)
     for name, layout in (("F", "columns(F)"), ("P", "partition[r.t; range, 200](P)")):
         store.create_table(name, SCHEMA, layout=layout)
@@ -245,6 +247,7 @@ def test_a_catalog_in_layout_and_overflow_spelling_loads(tmp_path):
     meta = ("rid", "level", "min_seq", "max_seq", "expr")
     payload = json.loads(cat_path.read_text())
     del payload["crc32"]
+    payload["version"] = 1
     flat, partitioned = payload["tables"]
     flat["expr"] = "columns(F)"
     legacy(flat)
@@ -254,6 +257,9 @@ def test_a_catalog_in_layout_and_overflow_spelling_loads(tmp_path):
         legacy(region)
     cat_path.write_text(json.dumps(payload))
 
+    with pytest.raises(StoreFormatError, match="python -m repro.migrate"):
+        RodentStore.open(db_path, str(cat_path), page_size=1024)
+    migrate(db_path)
     reopened = RodentStore.open(db_path, str(cat_path), page_size=1024)
     for name in ("F", "P"):
         table = reopened.table(name)

@@ -14,6 +14,8 @@ import oracle
 from repro.engine.database import RodentStore
 from repro.engine.stats import zone_survival_fraction
 from repro.engine.synopsis import predicate_intervals
+from repro.errors import StoreFormatError
+from repro.migrate import migrate
 from repro.query.expressions import And, Not, Or, Range, Rect
 from repro.types import Schema
 
@@ -251,7 +253,7 @@ def test_old_per_zone_catalog_loads_and_prunes_identically(tmp_path, layout):
     import json
 
     db = tmp_path / "db.pages"
-    cat = tmp_path / "catalog.json"
+    cat = tmp_path / "db.pages.catalog.json"
     store = RodentStore(path=str(db), page_size=1024, pool_capacity=64)
     store.create_table("T", SCHEMA, layout=LAYOUTS[layout])
     table = store.load("T", make_records(600))
@@ -266,6 +268,7 @@ def test_old_per_zone_catalog_loads_and_prunes_identically(tmp_path, layout):
 
     payload = json.loads(cat.read_text())
     del payload["crc32"]  # pre-integrity files carry no checksum either
+    payload["version"] = 1
     synopsis = payload["tables"][0]["runs"][0]["synopsis"]
     for key in ("page_zones", "cell_zones", "folded_zones"):
         synopsis[key] = _per_zone_shape(synopsis[key])
@@ -274,6 +277,9 @@ def test_old_per_zone_catalog_loads_and_prunes_identically(tmp_path, layout):
     ]
     cat.write_text(json.dumps(payload))
 
+    with pytest.raises(StoreFormatError, match="python -m repro.migrate"):
+        RodentStore.open(str(db), str(cat), page_size=1024)
+    migrate(str(db))
     reopened = RodentStore.open(str(db), str(cat), page_size=1024)
     table2 = reopened.table("T")
     assert table2.layout.synopsis is not None
@@ -286,11 +292,13 @@ def test_old_per_zone_catalog_loads_and_prunes_identically(tmp_path, layout):
 
 
 def test_hand_written_per_zone_synopsis_converts():
-    """The old shape, literally: a field one zone lacks reads as unknown
-    bounds (kept), the 4th ``distinct_hint`` entry is ignored."""
+    """The old shape, literally, through the migrator: a field one zone
+    lacks reads as unknown bounds (kept), the 4th ``distinct_hint`` entry
+    is ignored."""
     from repro.engine.persistence import synopsis_from_dict
+    from repro.migrate import upgrade_synopsis
 
-    synopsis = synopsis_from_dict(
+    synopsis = synopsis_from_dict(upgrade_synopsis(
         {
             "page_zones": [
                 {"rows": 4, "fields": {"t": [0, 9, 0, 4], "x": [1, 2, 0, 2]}},
@@ -302,7 +310,7 @@ def test_hand_written_per_zone_synopsis_converts():
             "cell_zones": [],
             "folded_zones": [],
         }
-    )
+    ))
     zones = synopsis.page_zones
     assert list(zones.row_counts) == [4, 4, 2, 0]
     assert list(zones.fields["x"].mins) == [1, None, 5, None]

@@ -218,3 +218,20 @@ class TestCrashRecovery:
         assert sorted(reopened.table("T").scan()) == ROWS
         assert reopened.scrub()["clean"]
         reopened.close()
+
+    def test_an_empty_transaction_logs_nothing(self, tmp_path):
+        """A mutation that records no effect has nothing to recover: it
+        commits without a COMMIT record or an fsync (``flush_inserts()``
+        with nothing pending), and a crash after it loses nothing."""
+        store = open_store(tmp_path)
+        store.create_table("T", SCHEMA)
+        store.load("T", ROWS)
+        committed = store.transactions.committed
+        appends, fsyncs = store.wal.appends, store.wal.fsyncs
+        store.table("T").flush_inserts()
+        assert (store.wal.appends, store.wal.fsyncs) == (appends, fsyncs)
+        assert store.transactions.committed == committed + 1
+        crash(store)
+        reopened = open_store(tmp_path)
+        assert sorted(reopened.table("T").scan()) == ROWS
+        reopened.close()

@@ -9,16 +9,15 @@ import pytest
 from repro.engine.database import RodentStore
 from repro.engine.recovery import recover_store
 from repro.errors import CorruptWALError, WALError
+from repro.migrate import KIND_BEGIN, KIND_UPDATE, decode_record, rewrite_log
 from repro.storage import wal as wal_module
 from repro.storage.disk import DiskManager
 from repro.storage.faults import IoFault, IoFaultInjector
 from repro.storage.wal import (
-    KIND_BEGIN,
     KIND_COMMIT,
     KIND_CRC_FLAG,
     KIND_FRESH_PAGE,
     KIND_ROWS,
-    KIND_UPDATE,
     LogRecord,
     WriteAheadLog,
 )
@@ -45,11 +44,25 @@ def append_legacy_update(wal, txn_id, page_id, offset, before, after):
         wal._file.write(record)
 
 
+def legacy_begin(wal, txn_id):
+    with wal._lock:
+        header = wal_module._HEADER.pack(
+            wal_module._HEADER.size + 8, KIND_BEGIN | KIND_CRC_FLAG,
+            wal._next_lsn, txn_id,
+        )
+        crc = struct.pack("<I", zlib.crc32(header))
+        wal._file.write(header + crc + struct.pack("<I", len(header) + 8))
+        wal._next_lsn += 1
+
+
 class TestLogRecords:
     def test_encode_decode_update(self):
-        """A legacy ``UPDATE`` decodes as its page image alone."""
+        """A legacy ``UPDATE`` is refused by the engine's decoder and
+        decodes, through the migrator's, as its page image alone."""
         data = legacy_update(5, 2, 7, 16, b"aa", b"bb")
-        decoded, end = LogRecord.decode(data, 0)
+        with pytest.raises(WALError, match="unknown log record kind"):
+            LogRecord.decode(data, 0)
+        decoded, end = decode_record(data, 0)
         assert decoded.kind == KIND_UPDATE
         assert decoded.lsn == 5
         assert decoded.txn_id == 2
@@ -62,7 +75,7 @@ class TestLogRecords:
         """A legacy ``UPDATE`` whose images do not fit its record."""
         data = legacy_update(1, 1, 0, 0, b"a", b"bb")
         with pytest.raises(WALError, match="truncated update images"):
-            LogRecord.decode(data, 0)
+            decode_record(data, 0)
 
     def test_torn_record_detected(self):
         record = LogRecord(KIND_COMMIT, 1, 1)
@@ -177,7 +190,8 @@ PAGE = 128
 @pytest.fixture
 def store(tmp_path, monkeypatch):
     """A fresh durable store whose log the test writes, for
-    ``recover_store`` to replay. The re-checkpoint that ends a recovery is
+    ``recover_store`` to replay from no catalog (a fresh store's holds no
+    table). The re-checkpoint that ends a recovery is
     held back: it would truncate the replayed pages — named by no catalog —
     off the file before the test reads them."""
     store = RodentStore(str(tmp_path / "db.pages"), page_size=PAGE, durable=True)
@@ -203,23 +217,30 @@ class TestRecovery:
             KIND_FRESH_PAGE, 1, page_id=page_id, after=b"new!" * (PAGE // 4)
         )
         store.wal.append(KIND_COMMIT, 1)
-        summary = recover_store(store)
+        summary = recover_store(store, None)
         assert summary["committed_txns"] == 1
         assert summary["pages_redone"] == 1
         assert bytes(disk.read_page(page_id)[:4]) == b"new!"
 
     def test_mixed_transactions(self, store):
-        """A legacy log: ``BEGIN`` is skipped, a committed byte-range
-        ``UPDATE`` is redone, an in-flight one is left alone."""
+        """A legacy log is damage to the engine. The migrator rewrites it:
+        ``BEGIN`` is dropped, and then a committed byte-range ``UPDATE`` is
+        redone, an in-flight one is left alone."""
         disk, wal = store.disk, store.wal
         p1 = _page_with(disk, b"aaaa")
         p2 = _page_with(disk, b"bbXX")  # txn2's partial write survived
-        wal.append(KIND_BEGIN, 1)
+        legacy_begin(wal, 1)
         append_legacy_update(wal, 1, p1, 0, b"aaaa", b"AAAA")
         wal.append(KIND_COMMIT, 1)
-        wal.append(KIND_BEGIN, 2)
+        legacy_begin(wal, 2)
         append_legacy_update(wal, 2, p2, 2, b"bb", b"XX")
-        summary = recover_store(store)
+        wal.sync()
+        with pytest.raises(CorruptWALError):
+            recover_store(store, None)
+        wal.close()
+        assert rewrite_log(wal.path, disk)["records_written"] == 3
+        store.wal = WriteAheadLog(wal.path)
+        summary = recover_store(store, None)
         assert bytes(disk.read_page(p1)[:4]) == b"AAAA"
         assert bytes(disk.read_page(p2)[:4]) == b"bbXX"
         assert summary["committed_txns"] == 1
@@ -231,7 +252,7 @@ class TestRecovery:
             KIND_FRESH_PAGE, 1, page_id=page_id, after=b"zz" * (PAGE // 2)
         )
         store.wal.append(KIND_COMMIT, 1)
-        recover_store(store)
+        recover_store(store, None)
         assert store.disk.num_pages >= page_id + 1
         assert bytes(store.disk.read_page(page_id)[:2]) == b"zz"
 
@@ -260,7 +281,7 @@ class TestFreshPageRecords:
         wal.append(KIND_FRESH_PAGE, 1, page_id=ids[0], after=b"\x01" * PAGE)
         wal.append(KIND_COMMIT, 1)
         wal.append(KIND_FRESH_PAGE, 2, page_id=ids[1], after=b"\x05" * PAGE)
-        summary = recover_store(store)
+        summary = recover_store(store, None)
         assert summary["pages_redone"] == 1 and summary["loser_txns"] == 1
         assert bytes(disk.read_page(ids[0])) == b"\x01" * PAGE
         assert bytes(disk.read_page(ids[1])) == b"\x05" * PAGE  # not zeroed
@@ -271,7 +292,7 @@ class TestFreshPageRecords:
         for txn, fill in ((1, b"\x01"), (2, b"\x02")):
             wal.append(KIND_FRESH_PAGE, txn, page_id=page, after=fill * PAGE)
             wal.append(KIND_COMMIT, txn)
-        recover_store(store)
+        recover_store(store, None)
         assert bytes(disk.read_page(page)) == b"\x02" * PAGE
 
 
@@ -283,7 +304,7 @@ class TestStreamedReads:
     def _log(tmp_path, n=40):
         wal = WriteAheadLog(str(tmp_path / "log"))
         for txn in range(1, n + 1):
-            wal.append(KIND_BEGIN, txn)
+            wal.append(KIND_ROWS, txn)
             wal.append(KIND_FRESH_PAGE, txn, page_id=txn,
                        after=bytes([txn]) * (50 + txn))
             wal.append(KIND_COMMIT, txn)
