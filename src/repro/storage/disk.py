@@ -11,7 +11,7 @@ therefore counts:
 Two backends share the same interface: a real file and an in-memory dict
 (fast, used by tests and benchmarks — the counters behave identically).
 
-**On-medium format (v2).** Each logical page is stored as a *frame*: the
+**On-medium format.** Each logical page is stored as a *frame*: the
 ``page_size`` bytes of page data followed by a 16-byte trailer (magic,
 format version, CRC32 of the data — see :mod:`repro.storage.integrity`).
 Frames live at ``page_id * frame_size`` offsets. Upper layers never see the
