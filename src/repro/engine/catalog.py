@@ -73,6 +73,11 @@ class Region:
     incrementally maintained zone map. It lives here — not on Table
     handles — so every handle sees the same rows and a re-layout can fold
     them into the new representation.
+
+    ``hidden`` counts the run rows tombstones suppress, so ``row_count``
+    (runs + pending − hidden) is what a scan returns — an upper bound
+    under a keyed level policy, whose shadowed versions are known only
+    when a merge drops them.
     """
 
     plan: PhysicalPlan | None = None
@@ -84,6 +89,7 @@ class Region:
     lower: float | None = None
     upper: float | None = None
     level_tombstones: list = field(default_factory=list)
+    hidden: int = 0
 
     @property
     def main(self) -> "Run | None":
@@ -92,7 +98,8 @@ class Region:
 
     @property
     def row_count(self) -> int:
-        return sum(r.row_count for r in self.runs) + len(self.pending)
+        runs = sum(r.row_count for r in self.runs)
+        return runs + len(self.pending) - self.hidden
 
     def total_pages(self) -> int:
         return sum(r.total_pages() for r in self.runs)

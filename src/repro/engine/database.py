@@ -539,8 +539,9 @@ class RodentStore:
         ``repair=True``), iterates the WAL (record CRCs + LSN continuity),
         re-verifies the catalog file checksum, and checks cross-structure
         invariants — the free-page map against the referenced pages, zone
-        synopses against actual page contents and the partition map
-        against each region's rows. Returns a report dict
+        synopses against actual page contents, the partition map against
+        each region's rows, and each region's stored row count against its
+        resolving scan (:meth:`_scrub_entry`). Returns a report dict
         (also kept as ``storage_stats()["integrity"]["last_scrub"]``);
         ``report["clean"]`` is True when nothing failed.
         """
@@ -620,27 +621,58 @@ class RodentStore:
     def _scrub_entry(self, entry: CatalogEntry, report: dict) -> None:
         """Cross-structure invariants for one table (best effort).
 
-        Skips tables whose pages are already reported corrupt — the scan
-        would just re-raise what the page walk recorded.
+        Each region's resolving scan must return its stored count — under a
+        keyed level policy, whose count is an upper bound, at most that
+        many rows and no key twice — and under a router, only rows that
+        route back to it. A scan that raises is a mismatch too, unless the
+        page walk already found a page of the table unrepairable: the scan
+        would only re-raise what it recorded.
         """
         if entry.plan is None:
             return
         table = Table(self, entry)
+        names = table.scan_schema().names()
         try:
-            batches, _ = table._table_source(None, None)
-            rows = [row for batch in batches for row in batch.rows()]
-        except RodentStoreError:
-            return  # unreadable data: the page/WAL walk already said why
-        if len(rows) != table.row_count:
-            report["row_count_mismatches"].append(
-                {
-                    "table": entry.name,
-                    "stored": table.row_count,
-                    "scanned": len(rows),
-                }
-            )
-        self._scrub_synopses(entry, rows, report)
-        self._scrub_partitions(entry, table, report)
+            scanned = [
+                (region, table._region_rows(region))
+                for region in entry.regions
+            ]
+        except RodentStoreError as exc:
+            lost = {u["page_id"] for u in report["unrepairable"]}
+            pages = {p for run in entry.runs() for p in run.layout.page_ids()}
+            if not lost & pages:
+                report["row_count_mismatches"].append(
+                    {"table": entry.name, "error": str(exc)}
+                )
+            return
+        routed = entry.plan.partition is not None
+        router = self.router_for(entry) if routed else None
+        for region, rows in scanned:
+            stored, resolver = region.row_count, table._resolver(region, names)
+            twice, bad = 0, len(rows) != stored
+            if resolver is not None and resolver.keyed:
+                twice = len(rows) - len(set(map(resolver.key_of, rows)))
+                bad = twice or len(rows) > stored
+            if bad:
+                report["row_count_mismatches"].append({
+                    "table": entry.name, "pid": region.pid,
+                    "stored": stored, "scanned": len(rows),
+                    **({"duplicate_keys": twice} if twice else {}),
+                })
+            for row in rows if routed else ():
+                try:
+                    key = router.locate(row).key
+                except RodentStoreError:
+                    break
+                if key != region.key:
+                    report["partition_mismatches"].append({
+                        "table": entry.name, "pid": region.pid,
+                        "expected_key": region.key, "routed_key": key,
+                    })
+                    break
+        self._scrub_synopses(
+            entry, [row for _, rows in scanned for row in rows], report
+        )
 
     def _scrub_synopses(
         self, entry: CatalogEntry, rows: list[tuple], report: dict
@@ -702,37 +734,6 @@ class RodentStore:
                         "actual_bounds": [actual_min, actual_max],
                     }
                 )
-
-    def _scrub_partitions(
-        self, entry: CatalogEntry, table: Table, report: dict
-    ) -> None:
-        """Every row stored in a region must route back to that region."""
-        if entry.plan.partition is None:
-            return
-        try:
-            router = self.router_for(entry)
-        except RodentStoreError:
-            return
-        for region in entry.regions:
-            try:
-                region_rows = table._region_rows(region)
-            except RodentStoreError:
-                continue  # unreadable region: already reported
-            for row in region_rows:
-                try:
-                    locator = router.locate(row)
-                except RodentStoreError:
-                    break
-                if locator.key != region.key:
-                    report["partition_mismatches"].append(
-                        {
-                            "table": entry.name,
-                            "pid": region.pid,
-                            "expected_key": region.key,
-                            "routed_key": locator.key,
-                        }
-                    )
-                    break
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -1299,7 +1300,9 @@ class RodentStore:
         and fewer disk ``page_reads``. ``disk`` also says where the page
         file stands: ``allocated_pages`` (its extent), ``free_pages`` (in
         the reusable spans), ``live_pages`` (the difference) and
-        ``file_pages`` (frames actually written to the medium).
+        ``file_pages`` (frames actually written to the medium). A
+        partition's ``rows`` are its live rows (:class:`Region`), a run's
+        the rows it stores.
         """
         pool = self.pool.stats
         disk = self.disk.stats

@@ -42,7 +42,6 @@ class FieldIndex:
 
     field_name: str
     tree: BPlusTree
-    row_count: int  # rows in the layout when the index was built
     stale: bool = False
 
     def positions_in_range(self, lo, hi) -> list[int]:
@@ -60,7 +59,6 @@ class SpatialIndex:
     x_field: str
     y_field: str
     tree: RTree
-    row_count: int
     stale: bool = False
 
     def positions_in_box(
@@ -86,7 +84,7 @@ def build_field_index(table: "Table", field_name: str) -> FieldIndex:
     (keys,) = _stored_columns(table, field_name)
     pairs = list(zip(keys, range(len(keys))))
     tree.bulk_load(pairs)
-    return FieldIndex(field_name, tree, row_count=len(pairs))
+    return FieldIndex(field_name, tree)
 
 
 def build_spatial_index(
@@ -100,7 +98,7 @@ def build_spatial_index(
         (MBR(x, y, x, y), row) for row, (x, y) in enumerate(zip(xs, ys))
     ]
     tree.bulk_load(entries)
-    return SpatialIndex(x_field, y_field, tree, row_count=len(entries))
+    return SpatialIndex(x_field, y_field, tree)
 
 
 def _stored_columns(table: "Table", *field_names: str) -> list[list]:

@@ -149,9 +149,11 @@ def replace_runs(
     superseded pages are retired, waiting for the durable commit and the
     last draining reader; indexes are dropped; renders are charged to the
     write-amplification ledger (a seal's as ingest, a merge's as
-    compaction). An abort of ``m`` puts back what the swap
-    replaced (the table's snapshot, taken when ``m`` locked it).
+    compaction); the rows it drops leave the region's ``hidden`` count. An
+    abort of ``m`` puts back what the swap replaced (the table's snapshot,
+    taken when ``m`` locked it).
     """
+    dropped = sum(r.row_count for r in old) - sum(r.row_count for r in new)
     with entry.mvcc.lock:
         for run in new:
             if old and keep_pending:
@@ -175,7 +177,10 @@ def replace_runs(
         if table_plan is not None:
             entry.plan = table_plan
         if not keep_pending:
+            dropped += len(region.pending)
             region.clear_pending()
+        # (Keyed, it may drop shadowed versions never counted as hidden.)
+        region.hidden = max(0, region.hidden - dropped)
         if old:
             store._drop_indexes(entry)
             store._retire_runs(entry, old)
@@ -379,6 +384,8 @@ def _tombstone(
             region.level_tombstones = region.level_tombstones + [
                 (seq, v) for v in victims
             ]
+            # (Keyed, one match may stand for several pending versions.)
+            region.hidden += max(0, in_runs)
         # Secondary indexes address the runs' rows by position, tombstoned
         # ones included.
         db._drop_indexes(entry)

@@ -27,15 +27,14 @@ practice.
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.catalog import CatalogEntry
 
 #: A catalog entry's state that a transaction may change: what a snapshot
-#: holds (and an abort restores). The regions' own state — each one's
-#: design, runs, pending rows and tombstones — comes with ``regions``.
+#: holds (and an abort restores). The regions' own state comes with
+#: ``regions``.
 ENTRY_FIELDS = (
     "plan", "stats", "regions", "loaded", "region_index", "policy",
     "next_partition_id", "next_run_id", "next_run_seq",
@@ -47,10 +46,10 @@ ENTRY_FIELDS = (
 class TableSnapshot:
     """A table's state at one moment: every field of :data:`ENTRY_FIELDS`
     under its own name (a list or dict copied: some change in place) and,
-    per region, its design, runs, pending rows and tombstones (a list only
-    ever replaced). Pending rows only ever grow in place — every other
-    change replaces the list — so the list and its length hold them
-    without a copy.
+    per region, a copy of its field dict, its runs as a tuple and its
+    pending length (the tombstone list is only ever replaced). Pending rows
+    only ever grow in place — every other change replaces the list — so
+    the list and its length hold them without a copy.
 
     A reader's snapshot :meth:`freeze`\\ s its regions; a transaction's
     :meth:`restore`\\ s them, and the entry, on abort.
@@ -65,11 +64,7 @@ class TableSnapshot:
                 value = type(value)(value)
             setattr(self, name, value)
         self.region_states = [
-            (
-                region.plan, tuple(region.runs), region.pending,
-                len(region.pending), region.pending_zone,
-                region.level_tombstones,
-            )
+            (vars(region).copy(), tuple(region.runs), len(region.pending))
             for region in self.regions
         ]
         self.version = version
@@ -77,16 +72,14 @@ class TableSnapshot:
 
     def freeze(self) -> None:
         """Make ``regions`` copies that later writes leave alone: what a
-        pinned scan reads."""
-        self.regions = [
-            replace(
-                region, plan=plan, runs=runs, pending=tuple(pending[:count]),
-                pending_zone=zone, level_tombstones=tombstones,
-            )
-            for region, (plan, runs, pending, count, zone, tombstones) in zip(
-                self.regions, self.region_states
-            )
-        ]
+        pinned scan reads (filled from the captured fields, no
+        ``__init__``: a pin is on every scan's path)."""
+        regions, self.regions = self.regions, []
+        for region, (fields, runs, count) in zip(regions, self.region_states):
+            copy = object.__new__(type(region))
+            pending = tuple(fields["pending"][:count])
+            vars(copy).update(fields, runs=runs, pending=pending)
+            self.regions.append(copy)
 
     def restore(self, entry: "CatalogEntry") -> None:
         """Put ``entry`` and its regions back as they were (an unfrozen
@@ -94,19 +87,17 @@ class TableSnapshot:
         a write widened in place stays a sound bound of the rows kept."""
         for name in ENTRY_FIELDS:
             setattr(entry, name, getattr(self, name))
-        for region, (plan, runs, pending, count, zone, tombstones) in zip(
+        for region, (fields, runs, count) in zip(
             self.regions, self.region_states
         ):
-            del pending[count:]
-            region.plan, region.runs = plan, list(runs)
-            region.pending, region.pending_zone = pending, zone
-            region.level_tombstones = tombstones
+            del fields["pending"][count:]
+            vars(region).update(fields, runs=list(runs))
 
     def page_ids(self) -> set[int]:
         """Every page the snapshot's runs and indexes occupy."""
         pages = {
             page
-            for _, runs, *_ in self.region_states
+            for _, runs, _ in self.region_states
             for run in runs
             for page in run.layout.page_ids()
         }

@@ -38,7 +38,7 @@ from repro.types.types import type_from_name
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.database import RodentStore
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: JSON key holding the catalog checksum; a catalog without it is corrupt.
 CATALOG_CRC_KEY = "crc32"
@@ -262,7 +262,7 @@ def _tombstones(region) -> dict:
     return {"level_tombstones": [
         [seq, list(value) if isinstance(value, tuple) else value]
         for seq, value in region.level_tombstones
-    ]}
+    ], "hidden": region.hidden}
 
 
 def entry_to_dict(entry) -> dict:
@@ -468,6 +468,7 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
              else tuple(value))
             for seq, value in data.get("level_tombstones", [])
         ]
+        region.hidden = data.get("hidden", 0)
         return region
 
     entry.region_index = {}

@@ -324,16 +324,14 @@ class Table:
 
     @property
     def row_count(self) -> int:
-        regions = self._regions
-        spec = self.plan.levels if regions else None
-        if (spec is not None and spec.key is not None) or any(
-            region.level_tombstones for region in regions
-        ):
-            # Shadowed versions and tombstoned rows are still stored:
-            # count what a scan resolves.
+        """The rows a scan returns: the regions' stored counts. A keyed
+        level policy's are an upper bound (shadowed versions are known only
+        at merge), so that table alone counts what a scan resolves."""
+        spec = self.plan.levels if self._regions else None
+        if spec is not None and spec.key is not None:
             batches, _ = self._table_source(None, None)
             return sum(batch.n_rows for batch in batches)
-        return sum(region.row_count for region in regions)
+        return sum(region.row_count for region in self._regions)
 
     def scan_schema(self) -> Schema:
         """Schema of the tuples a scan produces (folded layouts un-nest)."""
@@ -347,18 +345,14 @@ class Table:
     def estimated_row_count(self, predicate: Predicate | None = None) -> float:
         """Expected rows a scan with ``predicate`` produces.
 
-        The base count is read from the catalog, not the pages: the rows
-        the table stores less one per tombstone, the row it hid when
-        written (shadowed versions of a keyed table still count). The
-        predicate's prunable ranges scale it by histogram selectivity
-        (independence assumption). Residual conditions beyond the ranges
-        are ignored, so this is an upper-bound style estimate — what the
-        planner, the adaptation checks and the lazy policy need.
+        The base count is the regions' stored counts, read from the
+        catalog, not the pages: exact, but for a keyed table's shadowed
+        versions. The predicate's prunable ranges scale it by histogram
+        selectivity (independence assumption). Residual conditions beyond
+        the ranges are ignored, so this is an upper-bound style estimate —
+        what the planner, the adaptation checks and the lazy policy need.
         """
-        base = float(sum(
-            max(0, region.row_count - len(region.level_tombstones))
-            for region in self._regions
-        ))
+        base = float(sum(region.row_count for region in self._regions))
         if predicate is None or self._entry.stats is None:
             return base
         return base * self._entry.stats.predicate_selectivity(
@@ -908,10 +902,11 @@ class Table:
         return generate(), list(target)
 
     def _region_rows(self, region) -> list[tuple]:
-        """Every stored-shape row of one region (runs + pending) in
-        canonical scan order."""
+        """Every live stored-shape row of one region (runs + pending,
+        resolved) in canonical scan order."""
+        names = self.scan_schema().names()
         batches, _ = self._region_batches(
-            region, None, None, self.scan_schema().names()
+            region, None, None, names, self._resolver(region, names)
         )
         return _batch_rows(batches)
 

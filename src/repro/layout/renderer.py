@@ -600,6 +600,7 @@ class StoredLayout:
     """A rendered table: page extents plus directories, per layout kind."""
 
     plan: PhysicalPlan
+    # Rows a scan returns: a folded layout's un-nested rows, an array's leaves.
     row_count: int
     extent: Extent | None = None  # rows / folded / grid stream / array
     column_groups: list[ColumnGroupStore] = field(default_factory=list)
@@ -1075,7 +1076,7 @@ class LayoutRenderer:
         extent = self._write_stream(bytes(stream))
         return StoredLayout(
             plan=plan,
-            row_count=len(evaluated.value),
+            row_count=sum(folded_zones.row_counts),
             extent=extent,
             folded_directory=directory,
             folded_keys=keys,

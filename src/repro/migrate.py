@@ -9,8 +9,10 @@ log is rewritten record by record (``BEGIN`` and ``ABORT`` dropped,
 ``UPDATE`` turned into ``FRESH_PAGE``, each ``CATALOG`` payload upgraded,
 LSNs renumbered without gaps); every catalog entry goes through
 :func:`upgrade_entry`. The catalog is written at the current version with
-its checksum, then the store is opened with the engine, whose recovery and
-checkpoint write the rest. Logs older than record checksums are refused.
+its checksum, then the store is opened with the engine, which counts the
+rows each tombstoned region hides (:func:`count_hidden`), and whose
+recovery and checkpoint write the rest. Logs older than record checksums
+are refused.
 """
 
 from __future__ import annotations
@@ -52,8 +54,10 @@ from repro.storage.page import BytePage
 from repro.storage.serializer import RecordSerializer
 from repro.types.schema import Schema
 
-#: The catalog version of every store the previous engine opened.
-PREVIOUS_VERSION = 1
+#: The catalog versions of the stores earlier engines opened: 1 wrote no
+#: record checksums into its page file or log, 2 counted a folded run's
+#: records and no region's hidden rows.
+OLDER_VERSIONS = (1, 2)
 
 #: Record kinds of the in-place transaction protocol.
 KIND_BEGIN, KIND_UPDATE, KIND_ABORT = 1, 2, 4
@@ -205,8 +209,10 @@ def upgrade_entry(t: dict, read_page) -> dict:
     ``runs`` — a ``layout`` / ``overflow`` region's first run under its
     design, its flushes row-major over the stored fields — columnar zone
     maps, every key the engine reads, and each folded run's
-    ``folded_keys``, read from its records' key headers (``read_page``
-    returns a page's bytes). A current entry is left as it is."""
+    ``folded_keys`` and un-nested ``row_count``, read from its records'
+    headers (``read_page`` returns a page's bytes). Regions' ``hidden``
+    counts are left to :func:`count_hidden`. A current entry is left as it
+    is."""
     if t.get("dropped"):
         return t
     schema = Schema.of(*t["schema"])
@@ -259,8 +265,8 @@ def upgrade_entry(t: dict, read_page) -> dict:
 
 
 def _upgrade_layout(layout: dict, plan, read_page) -> None:
-    """Fill a layout's keys, convert its zone maps and key its folded
-    records; ``plan`` is the layout's design."""
+    """Fill a layout's keys, convert its zone maps, and key and count its
+    folded records; ``plan`` is the layout's design."""
     for key, value in layout_to_dict(StoredLayout(plan, 0)).items():
         layout.setdefault(key, value)
     if layout["synopsis"] is not None:
@@ -268,16 +274,21 @@ def _upgrade_layout(layout: dict, plan, read_page) -> None:
     for sub, sub_plan in zip(layout["mirrors"], plan.mirror_plans):
         _upgrade_layout(sub, sub_plan, read_page)
     directory = layout["folded_directory"]
-    if len(layout["folded_keys"]) != len(directory):
-        stream = b"".join(
-            BytePage(len(data), bytearray(data)).read()
-            for data in map(read_page, layout["extent"])
-        )
-        keys = RecordSerializer(plan.schema.project(plan.group_fields))
-        layout["folded_keys"] = [
-            list(keys.decode(stream[offset : offset + length]))
-            for offset, length in directory
-        ]
+    if not directory:
+        return
+    stream = b"".join(
+        BytePage(len(data), bytearray(data)).read()
+        for data in map(read_page, layout["extent"])
+    )
+    serializer = RecordSerializer(plan.schema.project(plan.group_fields))
+    keys, rows = [], 0
+    for offset, length in directory:
+        record = stream[offset : offset + length]  # key, then row count
+        key = serializer.decode(record)
+        end = serializer.encoded_size(key)
+        keys.append(list(key))
+        rows += int.from_bytes(record[end : end + 4], "little")
+    layout["folded_keys"], layout["row_count"] = keys, rows
 
 
 def upgrade_synopsis(synopsis: dict) -> dict:
@@ -316,7 +327,7 @@ def _read_catalog(path: str) -> dict:
     stored = payload.pop(CATALOG_CRC_KEY, None)  # none before checksums
     if stored is not None and stored != _catalog_crc(payload):
         raise CorruptCatalogError(f"catalog file {path} fails its checksum")
-    if payload.get("version") not in (PREVIOUS_VERSION, FORMAT_VERSION):
+    if payload.get("version") not in (*OLDER_VERSIONS, FORMAT_VERSION):
         raise StoreFormatError(f"catalog file {path} has an unknown version")
     return payload
 
@@ -365,8 +376,38 @@ def migrate(path: str, page_size: int = DEFAULT_PAGE_SIZE) -> dict:
         summary["recovery"] = store.recovery_summary
     else:
         store = RodentStore.open(path, catalog_path, page_size=page_size)
-    store.close()
+    try:
+        summary["regions_counted"] = count_hidden(store)
+        if not durable:  # a durable store's close checkpoints the counts
+            store.save_catalog(catalog_path + ".migrating")
+            os.replace(catalog_path + ".migrating", catalog_path)
+    finally:
+        store.close()
     return summary
+
+
+def count_hidden(store: RodentStore) -> int:
+    """Set the ``hidden`` count of every region holding tombstones: the
+    run rows its pages hold less those the engine's resolving scan of it
+    keeps. Both come from the pages, not from the catalog's run counts, so
+    a count the pages do not hold is left for ``scrub()`` to report.
+    Returns the regions counted."""
+    counted = 0
+    for name in store.tables():
+        table = store.table(name)
+        names = table.scan_schema().names()
+        for region in table.partitions:
+            if not region.level_tombstones:
+                continue
+            pending = table._resolver(region, names).resolve_pending(
+                region.pending
+            )
+            batches, _ = table._region_batches(region, None, None, names)
+            runs = sum(batch.n_rows for batch in batches) - len(region.pending)
+            live = len(table._region_rows(region)) - len(pending)  # in runs
+            region.hidden = runs - live
+            counted += 1
+    return counted
 
 
 def main(argv: list[str] | None = None) -> int:

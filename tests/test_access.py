@@ -9,6 +9,7 @@ that keeps it the *only* such decision is pinned at the end (same style as
 
 import ast
 import dataclasses
+import functools
 import inspect
 import os
 import re
@@ -266,12 +267,18 @@ DELETED = (
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _parse(source: str) -> ast.Module:
+    """``ast.parse``, once per distinct text for the whole session: the
+    pins only read the trees."""
+    return ast.parse(source)
+
+
 def _engine_sources():
-    folder = os.path.join(SRC, "engine")
-    for name in sorted(os.listdir(folder)):
-        if name.endswith(".py"):
-            with open(os.path.join(folder, name), encoding="utf-8") as f:
-                yield name, f.read()
+    prefix = "engine" + os.sep
+    for name, source in _sources():
+        if name.startswith(prefix) and os.sep not in name[len(prefix):]:
+            yield name[len(prefix):], source
 
 
 def test_table_walks_and_access_decides():
@@ -281,7 +288,7 @@ def test_table_walks_and_access_decides():
     assert len(_KIND_TEST.findall(sources["table.py"])) <= 7
     assert not hasattr(LayoutRenderer, "iter_batches")
     for name, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
+        for node in ast.walk(_parse(source)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 # A ``zones`` *switch* (the two in ``persistence.py`` are
                 # zone tables being serialized, positional and undefaulted).
@@ -294,11 +301,8 @@ def test_table_walks_and_access_decides():
 
 def test_the_replaced_ladders_are_gone():
     gone = re.compile(r"\b(" + "|".join(DELETED) + r")\b")
-    for folder, _, names in os.walk(SRC):
-        for name in names:
-            if name.endswith(".py"):
-                with open(os.path.join(folder, name), encoding="utf-8") as f:
-                    assert not gone.search(f.read()), name
+    for name, source in _sources():
+        assert not gone.search(source), name
 
 
 def test_only_access_reads_the_prune_synopses():
@@ -322,13 +326,17 @@ ONE_PATH_DELETED = (
 )
 
 
-def _sources():
+@functools.lru_cache(maxsize=None)
+def _sources() -> tuple[tuple[str, str], ...]:
+    """``(path under src/repro, text)`` of every module, read once."""
+    found = []
     for folder, _, names in os.walk(SRC):
         for name in sorted(names):
             if name.endswith(".py"):
                 path = os.path.join(folder, name)
                 with open(path, encoding="utf-8") as f:
-                    yield os.path.relpath(path, SRC), f.read()
+                    found.append((os.path.relpath(path, SRC), f.read()))
+    return tuple(found)
 
 
 def _assert_absent_as_names(deleted, outside=()):
@@ -337,7 +345,7 @@ def _assert_absent_as_names(deleted, outside=()):
     for name, source in _sources():
         if name in outside:
             continue
-        for node in ast.walk(ast.parse(source)):
+        for node in ast.walk(_parse(source)):
             for used in (
                 getattr(node, "name", None),  # def / class
                 getattr(node, "attr", None),
@@ -431,7 +439,7 @@ def test_oracle_shares_nothing_with_the_engine():
     """``tests/oracle.py`` imports no module of the read path it checks."""
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracle.py")
     with open(path, encoding="utf-8") as f:
-        tree = ast.parse(f.read())
+        tree = _parse(f.read())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -470,7 +478,7 @@ def test_one_design_split_one_render_path():
     engine = dict(_engine_sources())
     imported = {
         alias.name
-        for node in ast.walk(ast.parse(engine["database.py"]))
+        for node in ast.walk(_parse(engine["database.py"]))
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
@@ -519,7 +527,7 @@ def test_seal_and_merge_are_the_only_region_writes():
     assert not hasattr(Region, "overflow")
     builders = {}
     for name, source in _sources():
-        tree = ast.parse(source)
+        tree = _parse(source)
         calls = {
             id(node) for node in ast.walk(tree)
             if isinstance(node, ast.Call)
@@ -550,14 +558,14 @@ def test_every_region_seals_under_its_own_design():
     ``region.plan`` with no branch on the table's shape."""
     _assert_absent_as_names(ONE_SEAL_DESIGN_DELETED)
     for name, source in _sources():
-        for node in ast.walk(ast.parse(source)):
+        for node in ast.walk(_parse(source)):
             used = getattr(node, "attr", None) or getattr(node, "id", None)
             assert used != "pending_design", name
             if isinstance(node, (ast.FunctionDef, ast.arg)):
                 assert "pending_design" not in (
                     getattr(node, "name", None), getattr(node, "arg", None)
                 ), name
-    sealed = ast.parse(inspect.getsource(levels.sealed_run)).body[0]
+    sealed = _parse(inspect.getsource(levels.sealed_run)).body[0]
     (run,) = [
         node for node in ast.walk(sealed)
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "Run"
@@ -576,7 +584,7 @@ def test_stats_are_collected_a_column_at_a_time():
     schema's fields and their columns — the value work is
     :func:`repro.vector.column_stats`'s."""
     source = dict(_engine_sources())["stats.py"]
-    tree = ast.parse(source)
+    tree = _parse(source)
     for node in ast.walk(tree):
         if isinstance(node, (ast.For, ast.comprehension)):
             walked = {n.id for n in ast.walk(node.iter) if isinstance(n, ast.Name)}
@@ -620,7 +628,7 @@ def _callers(attr: str) -> set[tuple[str, str]]:
     """``(module, function)`` pairs in ``src/`` that call ``.attr(...)``."""
     found = set()
     for name, source in _sources():
-        for fn in _functions(ast.parse(source)):
+        for fn in _functions(_parse(source)):
             for node in ast.walk(fn):
                 if (
                     isinstance(node, ast.Call)
@@ -655,7 +663,7 @@ def test_one_adaptation_path_for_every_table_shape():
     region-design rule is one function its three callers share; and the
     loop's tuning is not a constructor option."""
     _assert_absent_as_names(ONE_DECISION_DELETED)
-    tree = ast.parse(inspect.getsource(adaptive))
+    tree = _parse(inspect.getsource(adaptive))
     assert _scaling(tree, "hysteresis") == {"_gain"}
     assert _scaling(tree, "amortization_queries") == {"_amortized"}
     adaptive_py = os.path.join("engine", "adaptive.py")
@@ -685,7 +693,7 @@ def _users(name: str) -> set[tuple[str, str]]:
     return {
         (module, fn.name)
         for module, source in _sources()
-        for fn in _functions(ast.parse(source))
+        for fn in _functions(_parse(source))
         for node in ast.walk(fn)
         if name in (getattr(node, "id", None), getattr(node, "attr", None))
     }
@@ -748,7 +756,7 @@ def test_one_transaction_protocol():
     assert "before" not in wal.LogRecord.__slots__
     _assert_absent_as_names(("update_page", "lock_shared", "pages_undone"))
     for module, source in _sources():
-        for node in ast.walk(ast.parse(source)):
+        for node in ast.walk(_parse(source)):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -777,7 +785,7 @@ def test_one_on_disk_format():
     for module, source in _sources():
         if module == "migrate.py":
             continue
-        for node in ast.walk(ast.parse(source)):
+        for node in ast.walk(_parse(source)):
             names = []
             if isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
@@ -814,7 +822,7 @@ def test_one_table_snapshot():
     _assert_absent_as_names({name for _, name in ONE_SNAPSHOT_DELETED})
     takers, field_lists = [], []
     for module, source in _sources():
-        for func in ast.walk(ast.parse(source)):
+        for func in ast.walk(_parse(source)):
             if isinstance(func, ast.FunctionDef):
                 takers.extend(
                     (module, func.name)

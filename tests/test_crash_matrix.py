@@ -499,7 +499,8 @@ def partitioned_store(path):
 
 def assert_left_as_it_was(store, path, want, opener, manifest=None):
     """An aborted call left no trace: the scan (and ``manifest`` of the
-    region runs) it found, now and after a clean close and reopen."""
+    region runs) it found, and a stored row count equal to it, now and
+    after a clean close and reopen."""
     name = store.catalog.names()[0]
 
     def runs(store):
@@ -509,6 +510,7 @@ def assert_left_as_it_was(store, path, want, opener, manifest=None):
         ]
 
     assert sorted(store.table(name).scan()) == want
+    assert store.table(name).row_count == len(want)
     assert manifest is None or runs(store) == manifest
     assert_pages_consistent(store)
     store.inject_io_faults(None)
@@ -516,6 +518,7 @@ def assert_left_as_it_was(store, path, want, opener, manifest=None):
     again = opener(path)
     try:
         assert sorted(again.table(name).scan()) == want
+        assert again.table(name).row_count == len(want)
         assert manifest is None or runs(again) == manifest
         assert_pages_consistent(again)
     finally:
@@ -533,6 +536,23 @@ def test_an_aborted_partitioned_delete_leaves_no_trace(tmp_path):
     )
     with pytest.raises(StorageError):
         store.table("P").delete(Range("val", 3, 3))
+    assert_left_as_it_was(store, path, want, open_partitioned)
+
+
+def test_an_aborted_delete_gives_back_the_rows_it_hid(tmp_path):
+    """Partition 0 takes four tombstones, then partition 1's reclaim runs
+    out of space: the abort takes the tombstones back, and with them the
+    rows they hid from partition 0's stored count."""
+    path = str(tmp_path / "db")
+    store = partitioned_store(path)
+    want = sorted(store.table("P").scan())
+    store.inject_io_faults(
+        IoFaultInjector(IoFault("enospc", target="page", after=0))
+    )
+    with pytest.raises(StorageError):
+        store.table("P").delete(Range("id", 60, 75))
+    first = store.table("P").partitions[0]
+    assert not first.level_tombstones and first.hidden == 0
     assert_left_as_it_was(store, path, want, open_partitioned)
 
 

@@ -9,6 +9,7 @@ import struct
 import pytest
 
 from repro.engine.database import RodentStore
+from repro.engine.persistence import CATALOG_CRC_KEY, _catalog_crc
 from repro.errors import (
     CorruptCatalogError,
     CorruptPageError,
@@ -17,6 +18,7 @@ from repro.errors import (
     StoreFormatError,
 )
 from repro.migrate import migrate
+from repro.query.expressions import Range
 from repro.storage.disk import DiskManager
 from repro.storage.faults import FaultInjector, IoFault, IoFaultInjector
 from repro.storage.integrity import (
@@ -622,6 +624,114 @@ class TestScrub:
         store.load("T", [(i, i) for i in range(100)])
         report = store.scrub()
         assert report["clean"] is True
+
+
+#: Every table shape scrub checks a stored row count of.
+LOST_ROW_SHAPES = [
+    "rows(T)",
+    "columns(T)",
+    "partition[id; range, 256](T)",
+    "levels[2; 2](rows(T))",
+    "fold[id; val](T)",
+]
+
+
+def _claim_rows(path, extra=1):
+    """The table's first run claims ``extra`` rows more than its pages
+    hold, under a recomputed catalog checksum."""
+    with open(path, encoding="utf-8") as f:
+        payload = json.load(f)
+    del payload[CATALOG_CRC_KEY]
+    (table,) = payload["tables"]
+    (table["partitions"] or [table])[0]["runs"][0]["row_count"] += extra
+    payload[CATALOG_CRC_KEY] = _catalog_crc(payload)
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f)
+
+
+@pytest.mark.parametrize("tombstone", [False, True])
+@pytest.mark.parametrize("layout", LOST_ROW_SHAPES)
+def test_scrub_reports_a_lost_row(tmp_path, layout, tombstone):
+    """A run whose catalog claims a row its pages do not hold is a
+    row-count mismatch on every shape — one holding a tombstone too, whose
+    count is the catalog's and not a second resolving scan."""
+    store = make_store(tmp_path)
+    store.create_table("T", SCHEMA, layout=layout)
+    table = store.load("T", [(i, i % 13) for i in range(1000)])
+    if tombstone:
+        assert table.delete(Range("id", 3, 3)) == 1
+    assert store.scrub()["clean"]
+    store.close()
+    _claim_rows(str(tmp_path / "db.catalog.json"))
+    store = make_store(tmp_path)
+    report = store.scrub()
+    assert report["pages_failed"] == 0 and report["catalog_ok"]
+    assert [m["table"] for m in report["row_count_mismatches"]] == ["T"]
+    assert report["clean"] is False
+    store.close()
+
+
+def test_scrub_holds_a_keyed_table_to_its_bound(tmp_path):
+    """A keyed region's stored count is an upper bound: shadowed versions
+    scrub clean, and so does a count above the rows, but not one below."""
+    store = make_store(tmp_path)
+    store.create_table("T", SCHEMA, layout="levels[2; 2; id](rows(T))")
+    table = store.load("T", [(i, i % 13) for i in range(1000)])
+    assert table.delete(Range("id", 3, 7)) == 5
+    (region,) = table.partitions
+    assert region.row_count == 995 == table.row_count
+    table.insert([(i, 99) for i in range(500, 520)])  # newer versions
+    table.flush_inserts()
+    assert region.row_count == 1015 and table.row_count == 995
+    assert store.scrub()["clean"]
+    table.compact()
+    assert region.row_count == 995
+    store.close()
+    # The claims add up: 996 rows, then 994.
+    for extra, reported in ((1, []), (-2, [("T", 994, 995)])):
+        _claim_rows(str(tmp_path / "db.catalog.json"), extra)
+        store = make_store(tmp_path)
+        report = store.scrub()
+        assert [
+            (m["table"], m["stored"], m["scanned"])
+            for m in report["row_count_mismatches"]
+        ] == reported
+        store.close()
+
+
+def test_scrub_flags_a_row_in_the_wrong_partition(tmp_path):
+    store = make_store(tmp_path)
+    store.create_table("T", SCHEMA, layout="partition[id; range, 256](T)")
+    table = store.load("T", [(i, i % 13) for i in range(1000)])
+    assert store.scrub()["partition_mismatches"] == []
+    first = table.partitions[0]
+    first.key = 9
+    report = store.scrub()
+    assert report["partition_mismatches"] == [{
+        "table": "T", "pid": first.pid, "expected_key": 9, "routed_key": 0,
+    }]
+    assert report["clean"] is False
+    store.close()
+
+
+def test_scrub_reports_a_table_whose_every_scan_raises(tmp_path):
+    """A catalog that disagrees with sound pages makes every scan raise: a
+    row-count mismatch naming the error, not a clean table."""
+    store = make_store(tmp_path)
+    store.create_table("T", SCHEMA, layout="columns(T)")
+    store.load("T", [(i, i % 13) for i in range(1000)])
+    store.close()
+    _claim_rows(str(tmp_path / "db.catalog.json"))
+    store = make_store(tmp_path)
+    with pytest.raises(StorageError, match="1000 rows, the layout 1001"):
+        list(store.table("T").scan())
+    report = store.scrub()
+    assert report["pages_failed"] == 0
+    (mismatch,) = report["row_count_mismatches"]
+    assert mismatch["table"] == "T"
+    assert "1000 rows, the layout 1001" in mismatch["error"]
+    assert report["clean"] is False
+    store.close()
 
 
 class TestIntegrityStats:

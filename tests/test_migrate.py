@@ -9,6 +9,7 @@ for the catalog's version — and what the migrator computes itself.
 
 import json
 import os
+import shutil
 import struct
 
 import pytest
@@ -85,15 +86,32 @@ def previous_version(payload):
     payload["version"] = 1
 
 
+def as_version_2(entry):
+    """A catalog entry as a version-2 engine wrote it: a folded run counts
+    its records, and no region counts the rows its tombstones hide."""
+    for region in [entry, *entry["partitions"]]:
+        region.pop("hidden", None)
+        for run in region["runs"]:
+            if run["folded_directory"]:
+                run["row_count"] = len(run["folded_directory"])
+
+
+def stored_counts(store):
+    """Per table, each region's run row counts and hidden count."""
+    return {
+        name: [
+            ([run.row_count for run in region.runs], region.hidden)
+            for region in store.table(name).partitions
+        ]
+        for name in LAYOUTS
+    }
+
+
 def assert_scrubs_clean(store):
-    """``scrub()`` finds nothing — but its row count of the folded table:
-    scrub compares a folded run's stored count, its records, with the rows
-    a scan un-nests, so a folded table never scrubs clean."""
+    """``scrub()`` finds nothing: every region's scan returns its stored
+    row count, the folded table's too."""
     report = store.scrub()
-    assert [m["table"] for m in report.pop("row_count_mismatches")] in (
-        [], ["Nest"],
-    )
-    report["row_count_mismatches"] = []
+    assert report["row_count_mismatches"] == []
     assert report["pages_failed"] == 0 and report["wal_ok"]
     assert report["catalog_ok"] and not report["synopsis_mismatches"]
     assert not report["partition_mismatches"] and not report["unrepairable"]
@@ -124,6 +142,81 @@ def test_a_store_of_the_previous_version_migrates_and_answers_alike(tmp_path):
     store = open_store(path)
     assert {name: sorted(store.table(name).scan()) for name in LAYOUTS} == want
     assert_scrubs_clean(store)
+    store.close()
+
+
+@pytest.mark.parametrize("checkpointed", [False, True])
+def test_a_version_2_store_migrates_and_answers_alike(tmp_path, checkpointed):
+    """A version-2 store — its tombstones only in the log, or checkpointed
+    into its catalog — is refused, then migrates: each folded run counts
+    its rows from its record headers, each tombstoned region the rows it
+    hides by one resolving scan: the counts this engine keeps for the same
+    store. Every table answers as before, its stored count equal to its
+    rows, and scrubs clean."""
+    path = str(tmp_path / "db")
+    want = written_store(path)
+    if checkpointed:
+        open_store(path).close()
+    (tmp_path / "ref").mkdir()
+    for name in os.listdir(tmp_path):
+        if name.startswith("db"):
+            shutil.copy(tmp_path / name, tmp_path / "ref" / name)
+    reference = open_store(str(tmp_path / "ref" / "db"))
+    counts = stored_counts(reference)
+    reference.close()
+
+    def downgrade(payload):
+        payload["version"] = 2
+        for entry in payload["tables"]:
+            as_version_2(entry)
+
+    edit_catalog(path + ".catalog.json", downgrade)
+    records = read_log(path + ".wal")
+    for record in records:
+        if record.kind == KIND_CATALOG:
+            entry = json.loads(record.payload)
+            as_version_2(entry)
+            record.payload = json.dumps(entry).encode()
+    assert any(r.kind == KIND_CATALOG for r in records) != checkpointed
+    with open(path + ".wal", "wb") as f:
+        f.write(b"".join(record.encode() for record in records))
+    with pytest.raises(StoreFormatError, match="not a version 3 store"):
+        open_store(path)
+
+    assert migrate(path)["regions_counted"] >= 3
+    store = open_store(path)
+    assert stored_counts(store) == counts
+    for name in LAYOUTS:
+        table = store.table(name)
+        assert sorted(table.scan()) == want[name]
+        assert table.row_count == table.estimated_row_count() == len(want[name])
+    assert store.storage_stats()["tables"]["Nest"]["tombstones"] > 0
+    assert_scrubs_clean(store)
+    store.close()
+
+
+def test_a_count_the_pages_do_not_hold_survives_migration(tmp_path):
+    """``hidden`` is counted from the pages, not from the catalog's run
+    counts: a version-2 run that claims a row more than its pages hold
+    still does once migrated, and ``scrub()`` reports it."""
+    path = str(tmp_path / "db")
+    store = open_store(path)
+    store.create_table("T", SCHEMA, layout="rows(T)")
+    assert store.load("T", ROWS).delete(Range("id", 3, 3)) == 1
+    store.close()
+
+    def claim_a_row(payload):
+        payload["version"] = 2
+        payload["tables"][0]["runs"][0]["row_count"] += 1
+
+    edit_catalog(path + ".catalog.json", claim_a_row)
+    assert migrate(path)["regions_counted"] == 1
+    store = open_store(path)
+    assert store.table("T").partitions[0].hidden == 1
+    report = store.scrub()
+    assert report["row_count_mismatches"] == [
+        {"table": "T", "pid": 0, "stored": 300, "scanned": 299}
+    ]
     store.close()
 
 

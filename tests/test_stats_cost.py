@@ -365,6 +365,66 @@ def test_refreshed_stats_are_the_oracles(layout, numpy_on):
         vector.set_numpy_enabled(previous)
 
 
+FOLD_SCHEMA = Schema.of("id:int", "val:int")
+FOLD_ROWS = [(i, i % 7) for i in range(1000)]  # seven folded records
+
+
+def test_a_folded_tables_estimate_is_its_live_rows():
+    """A folded run stores its un-nested row count: the estimate's base is
+    the rows a scan returns, not the seven records, before and after a
+    delete."""
+    store = RodentStore(page_size=1024)
+    store.create_table("T", FOLD_SCHEMA, layout="fold[id; val](T)")
+    table = store.load("T", FOLD_ROWS)
+    assert table.estimated_row_count() == 1000
+    assert table.delete(Range("id", 0, 9)) == 10
+    assert table.estimated_row_count() == 990 == len(list(table.scan()))
+    store.close()
+
+
+def test_an_adaptive_folded_table_keeps_its_statistics(monkeypatch):
+    """The drift check of every adaptation check compares the stored row
+    count with the collected one: on a folded table nothing drifted, so 30
+    checked scans recollect nothing after the load's collection."""
+    collected = []
+    collect = TableStats.from_columns.__func__
+
+    def spy(cls, *args, **kwargs):
+        collected.append(cls)
+        return collect(cls, *args, **kwargs)
+
+    monkeypatch.setattr(TableStats, "from_columns", classmethod(spy))
+    store = RodentStore(page_size=1024, adaptive=True, adapt_interval=1)
+    store.create_table("T", FOLD_SCHEMA, layout="fold[id; val](T)")
+    table = store.load("T", FOLD_ROWS)
+    assert len(collected) == 1
+    for n in range(30):
+        assert len(list(table.scan(predicate=Range("val", n % 7, n % 7)))) in (
+            142, 143,
+        )
+    assert len(collected) == 1
+    store.close()
+
+
+def test_a_multiset_delete_of_duplicated_rows_keeps_the_estimate_exact():
+    """A row-valued tombstone hides every equal row: 5 tombstones hide the
+    20 copies a delete matched, and the estimate counts them all, before
+    and after a compaction."""
+    rows = [(i % 250, 0) for i in range(1000)]  # each row four times
+    store = RodentStore(page_size=1024)
+    store.create_table("T", FOLD_SCHEMA)
+    table = store.load("T", rows)
+    assert table.delete(Range("id", 0, 4)) == 20
+    assert table.estimated_row_count() == 980 == len(list(table.scan()))
+    (region,) = table.partitions
+    assert len(region.level_tombstones) == 5 and region.hidden == 20
+    assert store.scrub()["clean"]
+    table.compact()
+    assert region.hidden == 0 and not region.level_tombstones
+    assert table.estimated_row_count() == 980 == len(list(table.scan()))
+    store.close()
+
+
 class TestCostModel:
     def test_cost_components(self):
         model = CostModel(page_size=1_000_000, seek_ms=4.0,
