@@ -280,12 +280,15 @@ def merge_regions(
 # -- updates and deletes ---------------------------------------------------
 
 
-#: A region whose tombstones reach this fraction of its runs' rows merges
-#: at once: its dead rows cannot pile up unmerged. It trades merge writes
-#: for resolution work on reads. 4 000 single-row deletes from a 20 000-row
-#: flat table (4 KiB pages, Xeon, one core) wrote 0.40 / 0.14 / 0.07 / 0
-#: pages per delete at 0.02 / 0.05 / 0.1 / 0.25, and a selective scan then
-#: took 2.7 / 2.8 / 3.0 / 9.0 ms: 0.1 is the most that keeps reads cheap.
+#: A region whose tombstones hide this fraction of its runs' rows (its
+#: ``hidden`` count: a row-valued tombstone hides every equal row), or
+#: number that many (a keyed tombstone may hide no run row, yet every scan
+#: resolves it), merges at once: its dead rows cannot pile up unmerged. It
+#: trades merge writes for resolution work on reads. 4 000 single-row
+#: deletes from a 20 000-row flat table (4 KiB pages, Xeon, one core) wrote
+#: 0.40 / 0.14 / 0.07 / 0 pages per delete at 0.02 / 0.05 / 0.1 / 0.25, and
+#: a selective scan then took 2.7 / 2.8 / 3.0 / 9.0 ms: 0.1 is the most
+#: that keeps reads cheap.
 RECLAIM_FRACTION = 0.1
 
 
@@ -308,10 +311,12 @@ def rewrite(
 
 
 def _reclaim(table: Table, region: Region, m: _Mutation) -> None:
-    """Merge ``region`` as a step of ``m`` when its tombstones reach
-    :data:`RECLAIM_FRACTION` of its runs' rows."""
+    """Merge ``region`` as a step of ``m`` when the rows its tombstones
+    hide, or the tombstones themselves, reach :data:`RECLAIM_FRACTION` of
+    its runs' rows."""
     stored = sum(run.row_count for run in region.runs)
-    if len(region.level_tombstones) >= RECLAIM_FRACTION * stored > 0:
+    dead = max(region.hidden, len(region.level_tombstones))
+    if dead >= RECLAIM_FRACTION * stored > 0:
         merge(table, region, list(region.runs), m, pending=True)
 
 

@@ -464,7 +464,7 @@ class Table:
         """Vectorized scan: yields :class:`ColumnBatch` objects directly.
 
         The physical operators consume this form — columnar batches keep
-        their typed vectors (and any pending selection bitmap) all the way
+        their typed vectors (and any pending selection) all the way
         into joins and aggregates. Row contents and order match
         :meth:`scan_batches` exactly. ``access`` is the planner's decision
         for these arguments (:meth:`scan_access`), read through where it
@@ -552,7 +552,7 @@ class Table:
         snapshot, so concurrent commits cannot change what this scan sees.
         Yields :class:`ColumnBatch` objects — filtered, projected, and
         limit-trimmed — that columnar sources keep as typed vectors plus a
-        selection bitmap all the way out."""
+        pending selection all the way out."""
         # Per-scan degraded-read ledger: corrupt units this scan skipped.
         # Published on the (shared) catalog entry so explain() can report
         # the most recent scan's skips.
@@ -1561,7 +1561,7 @@ def _region_may_match(spec, region, lo: float, hi: float) -> bool:
 def _batch_reorderer(avail: Sequence[str], target: Sequence[str]):
     """``ColumnBatch -> ColumnBatch`` re-ordering ``avail``-shaped batches to
     ``target`` (``None`` when the orders already agree). Columnar
-    batches keep their vectors and any pending selection bitmap; row-major
+    batches keep their vectors and any pending selection; row-major
     ones project their tuples."""
     if list(avail) == list(target):
         return None

@@ -108,12 +108,13 @@ class ColumnBatch:
     batches built from rows (pending inserts, merges) hold tuples. Either
     orientation transposes lazily when the consumer needs the other.
 
-    Columnar batches may additionally carry a *selection bitmap*: a
-    boolean mask over the underlying vectors recording which rows a
-    vectorized predicate kept. The mask is resolved lazily — projections
-    and further filters ride on top of it without materializing the
-    surviving rows; ``rows()`` stays the compatibility shim that always
-    yields native-python tuples in ``fields`` order.
+    Columnar batches may additionally carry a *selection*: the positions,
+    in the underlying vectors, of the rows vectorized predicates kept. It
+    is resolved lazily — projections ride on top of it and a further
+    filter composes positions, without materializing the surviving rows;
+    resolving it gathers every column by position once. ``rows()`` stays
+    the compatibility shim that always yields native-python tuples in
+    ``fields`` order.
     """
 
     __slots__ = ("fields", "n_rows", "_rows", "_columns", "_selection")
@@ -167,16 +168,16 @@ class ColumnBatch:
 
     def columns(self) -> list:
         """Per-field value vectors parallel to ``fields``, with any pending
-        selection bitmap resolved (cached). Vectors may be shared with a
-        column group's cache and other batches — treat them as read-only."""
+        selection resolved (cached). Vectors may be shared with a column
+        group's cache and other batches — treat them as read-only."""
         if self._columns is None:
             if self._rows:
                 self._columns = list(zip(*self._rows))
             else:
                 self._columns = [() for _ in self.fields]
         elif self._selection is not None:
-            mask = self._selection
-            self._columns = [vector.apply_mask(c, mask) for c in self._columns]
+            picks = self._selection
+            self._columns = [vector.take(c, picks) for c in self._columns]
             self._selection = None
         return self._columns
 
@@ -189,7 +190,8 @@ class ColumnBatch:
 
         ``mask`` is a boolean vector over this batch's *visible* rows
         (``n_rows`` long). Columnar batches defer the gather: the new
-        batch shares the underlying vectors and just records the bitmap.
+        batch shares the underlying vectors and records the positions the
+        mask keeps — composed with this batch's own selection, if any.
         """
         if self._columns is None:
             rows = list(compress(self._rows, vector.to_list(mask)))
@@ -200,16 +202,20 @@ class ColumnBatch:
             count = vector.mask_count(mask)
         if count == self.n_rows:
             return self
-        cols = self.columns() if self._selection is not None else self._columns
         if count == 0:
             return ColumnBatch(self.fields, 0, rows=[])
-        return ColumnBatch(self.fields, count, columns=cols, selection=mask)
+        picks = vector.mask_positions(mask)
+        if self._selection is not None:
+            picks = vector.take(self._selection, picks)
+        return ColumnBatch(
+            self.fields, count, columns=self._columns, selection=picks
+        )
 
     def project_columns(
         self, idx: Sequence[int], fields: tuple[str, ...]
     ) -> "ColumnBatch":
-        """Reorder/subset columns without touching the selection bitmap
-        (a row-backed batch is transposed first)."""
+        """Reorder/subset columns without touching the selection (a
+        row-backed batch is transposed first)."""
         cols = self._columns if self._columns is not None else self.columns()
         return ColumnBatch(
             fields,

@@ -223,7 +223,7 @@ class TableScanOp(Operator):
     def batches(self) -> Iterator[ColumnBatch]:
         actual = 0
         # The access method's native ColumnBatch stream: columnar layouts
-        # arrive as typed vectors (plus any pending selection bitmap) and
+        # arrive as typed vectors (plus any pending selection) and
         # stay columnar through the plan tree.
         for batch in self.table.scan_column_batches(
             fieldlist=self.fieldlist,
@@ -360,7 +360,7 @@ class ProjectOp(Operator):
         for batch in self.child.batches():
             if batch.is_columnar:
                 # Reorder column vectors in place of transposing; any
-                # pending selection bitmap rides along unresolved.
+                # pending selection rides along unresolved.
                 yield batch.project_columns(idx, self.fields)
                 continue
             yield ColumnBatch.from_rows(self.fields, project(batch.rows()))

@@ -123,6 +123,17 @@ class SlottedPage:
     def slot_count(self) -> int:
         return self._slot_count
 
+    @property
+    def directory_offset(self) -> int:
+        """Where the slot directory starts; it runs to the end of the page,
+        slot 0 last."""
+        return self.page_size - self._slot_count * _SLOT.size
+
+    @property
+    def heap_end(self) -> int:
+        """Where the record heap ends (it starts at ``SLOTTED_HEADER_SIZE``)."""
+        return self._free_offset
+
     def _slot_offset(self, slot_id: int) -> int:
         return self.page_size - (slot_id + 1) * _SLOT.size
 
@@ -220,7 +231,7 @@ class SlottedPage:
         """
         count = self._slot_count
         directory = struct.unpack_from(
-            f"<{2 * count}I", self.buffer, self.page_size - count * _SLOT.size
+            f"<{2 * count}I", self.buffer, self.directory_offset
         )
         # The directory grows backward: slot 0 is its last entry.
         slots = zip(directory[-2::-2], directory[-1::-2])

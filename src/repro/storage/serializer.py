@@ -62,6 +62,15 @@ class RecordSerializer:
         # shape of :class:`SlottedPage`); "" for every other schema.
         codes = [vector.typecode_for(f.dtype) or "" for f in schema.fields]
         self._packed_codes = "".join(codes) if all(codes) else ""
+        # Schemas whose fixed fields are all 8-byte numerics (the others
+        # being strings or bytes) decode a page in one vector pass
+        # (:func:`repro.vector.from_slots`); None for every other schema.
+        fixed = [vector.typecode_for(dtype) for _, dtype in self._fixed_fields]
+        self._slot_codes = None if None in fixed else "".join(fixed)
+        self._var_texts = [d.name != "bytes" for _, d in self._var_fields]
+        # Where each field lies among from_slots' columns (fixed ones first).
+        stored = [i for i, _ in self._fixed_fields + self._var_fields]
+        self._slot_order = sorted(range(len(stored)), key=stored.__getitem__)
         #: Bytes of one record's bitmap and fixed section — the whole record
         #: of a packed page.
         self.record_size = self._bitmap_size + self._fixed_struct.size
@@ -139,11 +148,14 @@ class RecordSerializer:
         order, as one value vector per schema field.
 
         A packed page — what rendering a schema of 8-byte numeric fields
-        always writes — goes through :meth:`decode_heap`. Any other page
-        (variable-length or bool fields, tombstoned or in-place-updated
-        slots) is read in one walk of the slot directory, straight off the
-        page buffer, into plain lists holding the same values, so callers
-        never branch.
+        always writes — goes through :meth:`decode_heap`. A null-free page
+        of a schema whose other fields are strings or bytes (tombstoned and
+        in-place-updated slots included) is one
+        :func:`repro.vector.from_slots` pass: typed vectors for the numeric
+        fields, lists for the others. Any other page (bool fields, nulls,
+        damage, numpy off) is read in one walk of the slot directory,
+        straight off the page buffer, into plain lists holding the same
+        values, so callers never branch.
 
         Raises:
             PageError: when the header or a live slot is out of bounds.
@@ -153,6 +165,18 @@ class RecordSerializer:
         heap = self.packed_heap(page)
         if heap is not None:
             return self.decode_heap(heap)
+        if self._slot_codes is not None:
+            columns = vector.from_slots(
+                page.buffer,
+                page.directory_offset,
+                page.slot_count,
+                (SLOTTED_HEADER_SIZE, page.heap_end),
+                self._bitmap_size,
+                self._slot_codes,
+                self._var_texts,
+            )
+            if columns is not None:
+                return [columns[i] for i in self._slot_order]
         return self._decode_slots(
             buffer, ((offset, length) for _, offset, length in page.live_slots())
         )

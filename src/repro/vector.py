@@ -120,18 +120,91 @@ def from_records(data, offset: int, count: int, prefix: int, codes: str):
         ).reshape(count, stride)
         if records[:, :prefix].any():
             return None
-        fields = _np.ascontiguousarray(records[:, prefix:]).view("<i8")
-        columns = _np.ascontiguousarray(fields.T)
-        return [
-            column if code == "q" else column.view("<f8")
-            for code, column in zip(codes, columns)
-        ]
+        return _word_columns(records[:, prefix:], codes)
     end = offset + count * stride
     unpacked = struct.iter_unpack(f"<{prefix}s{codes}", data[offset:end])
     flags, *columns = zip(*unpacked)
     if flags.count(bytes(prefix)) != count:
         return None
     return [list(column) for column in columns]
+
+
+def _word_columns(matrix, codes: str) -> list:
+    """The columns of a byte matrix whose rows are little-endian 8-byte
+    words, one typecode in ``codes`` per word: contiguous vectors that own
+    their memory."""
+    words = _np.ascontiguousarray(matrix).view("<i8")
+    columns = _np.ascontiguousarray(words.T)
+    return [
+        column if code == "q" else column.view("<f8")
+        for code, column in zip(codes, columns)
+    ]
+
+
+#: A slot directory entry's length for a deleted record.
+_DELETED_SLOT = 0xFFFFFFFF
+
+
+def from_slots(
+    data, directory: int, slots: int, heap: tuple[int, int],
+    prefix: int, codes: str, texts: Sequence[bool],
+):
+    """The live records of a slotted page as columns, in one vector pass.
+
+    ``data`` holds the page; its directory of ``slots`` ``(u32 offset,
+    u32 length)`` entries starts at ``directory`` and runs backward (slot 0
+    is its last entry), and a live record lies inside ``heap``
+    (``[start, end)``). A record is ``prefix`` null-flag bytes, one
+    little-endian 8-byte word per typecode in ``codes``, then one ``u32``
+    length and that many payload bytes per entry of ``texts`` (True: a
+    UTF-8 string, False: bytes).
+
+    The directory is read as an array, the record heads are gathered as
+    one byte matrix and viewed as typed columns, and each variable field's
+    lengths are gathered as one vector before its payloads are sliced.
+    Returns one vector per code, then one list per variable field, in slot
+    order — or ``None`` when numpy is off, the page has no live record, a
+    record carries a null flag, or a slot, a length or a string is not
+    what it should be: the caller's record loop then reads the page and
+    raises its own errors.
+    """
+    if _np is None or not slots:
+        return None
+    buf = _np.frombuffer(data, dtype=_np.uint8)
+    entries = _np.frombuffer(
+        data, dtype="<u4", count=2 * slots, offset=directory
+    ).reshape(slots, 2)[::-1].astype(_np.int64)
+    entries = entries[entries[:, 1] != _DELETED_SLOT]
+    starts, ends = entries[:, 0], entries.sum(axis=1)
+    at = starts + prefix + 8 * len(codes)
+    if (
+        not len(starts)
+        or starts.min() < heap[0]
+        or ends.max() > heap[1]
+        or (at > ends).any()
+        or buf[starts[:, None] + _np.arange(prefix)].any()
+    ):
+        return None
+    words = buf[(starts + prefix)[:, None] + _np.arange(8 * len(codes))]
+    columns = _word_columns(words, codes)
+    page = bytes(data)
+    for text in texts:
+        if (at + 4 > ends).any():
+            return None
+        sizes = buf[at[:, None] + _np.arange(4)].view("<u4").ravel()
+        at = at + 4
+        stops = at + sizes
+        if (stops > ends).any():
+            return None
+        payloads = [page[a:b] for a, b in zip(at.tolist(), stops.tolist())]
+        if text:
+            try:
+                payloads = list(map(bytes.decode, payloads))
+            except UnicodeDecodeError:
+                return None
+        columns.append(payloads)
+        at = stops
+    return columns
 
 
 def packed_bytes(vec, code: str) -> bytes | None:
@@ -210,17 +283,6 @@ def mask_count(mask) -> int:
     if _numpy_mod is not None and isinstance(mask, _numpy_mod.ndarray):
         return int(mask.sum())
     return sum(mask)
-
-
-def apply_mask(vec, mask) -> list | Any:
-    """Rows of ``vec`` where ``mask`` is true. ndarray×ndarray uses fancy
-    indexing (stays typed); every other combination compresses to a list."""
-    np_mod = _numpy_mod
-    if np_mod is not None and isinstance(mask, np_mod.ndarray):
-        if isinstance(vec, np_mod.ndarray):
-            return vec[mask]
-        mask = mask.tolist()
-    return [v for v, keep in zip(to_list(vec), mask) if keep]
 
 
 def as_ndarray(vec):
@@ -366,11 +428,17 @@ def mask_and_not(keep, drop):
     return [k and not d for k, d in zip(keep, drop)]
 
 
-def mask_indexes(mask) -> list[int]:
-    """Positions of the selected entries of a selection mask, ascending."""
+def mask_positions(mask):
+    """Positions of the selected entries of a selection mask, ascending:
+    an ``int64`` ndarray for an ndarray mask, a list otherwise."""
     if _numpy_mod is not None and isinstance(mask, _numpy_mod.ndarray):
-        return _numpy_mod.flatnonzero(mask).tolist()
-    return [i for i, selected in enumerate(mask) if selected]
+        return _numpy_mod.flatnonzero(mask)
+    return list(compress(count(), mask))
+
+
+def mask_indexes(mask) -> list[int]:
+    """:func:`mask_positions` as a list of python ints."""
+    return to_list(mask_positions(mask))
 
 
 # ---------------------------------------------------------------------------

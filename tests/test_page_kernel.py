@@ -7,6 +7,9 @@ per-record path for everything else. The properties below pin down that
 * both paths return exactly what decoding record by record returns;
 * ``encode_page`` writes exactly the bytes ``insert(encode(r))`` writes;
 * numpy on and off agree value for value, bit for bit;
+* a null-free page of 8-byte numerics plus strings or bytes is one vector
+  pass; a null, a damaged directory or a bad record sends it to the record
+  loop, which raises;
 * a damaged slot directory raises — never reads outside the record heap;
 * a partitioned update/delete leaves partitions it cannot touch unread and
   un-rendered.
@@ -342,6 +345,121 @@ def test_wrong_page_type_and_size_raise():
         serializer.decode_page(bytearray(PAGE_SIZE), PAGE_SIZE)
     with pytest.raises(PageError):
         serializer.decode_page(page.buffer[:-1], PAGE_SIZE)
+
+
+# ---------------------------------------------------------------------------
+# the vector pass over string- and bytes-bearing pages
+# ---------------------------------------------------------------------------
+
+_VAR_CASES = [
+    (
+        ("id:int", "name:string", "n:int"),
+        [(i, "é" * (i % 3) + str(i), -i) for i in range(60)],
+    ),
+    (
+        ("x:float", "blob:bytes"),
+        [(i / 3, bytes(range(i % 7))) for i in range(60)],
+    ),
+]
+
+
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """The record loop's calls, each still doing the loop's work."""
+    calls = []
+    original = RecordSerializer._decode_slots
+
+    def spy(self, buffer, slots):
+        calls.append(1)
+        return original(self, buffer, slots)
+
+    monkeypatch.setattr(RecordSerializer, "_decode_slots", spy)
+    return calls
+
+
+def _numpy_on():
+    if not vector.numpy_enabled():
+        pytest.skip("the vector pass needs numpy")
+
+
+@pytest.mark.parametrize("fields, records", _VAR_CASES)
+def test_null_free_var_pages_skip_the_record_loop(fields, records, monkeypatch):
+    """With numpy on, a null-free page whose fixed fields are 8-byte numerics
+    and whose others are strings or bytes — deleted slots included — is
+    decoded without the record loop, numeric fields as typed vectors."""
+    _numpy_on()
+    serializer = RecordSerializer(Schema.of(*fields))
+    page = insert_all(serializer, records)[0]
+    page.delete(2)
+    page.delete(page.slot_count - 1)
+    expected = [bits(c) for c in reference_columns(serializer, page)]
+
+    def record_loop(*args):
+        raise AssertionError("the record loop ran")
+
+    monkeypatch.setattr(RecordSerializer, "_decode_slots", record_loop)
+    columns = serializer.decode_page(page.buffer, PAGE_SIZE)
+    assert [bits(c) for c in columns] == expected
+    for field, column in zip(serializer.schema.fields, columns):
+        assert vector.is_typed(column) == (
+            vector.typecode_for(field.dtype) is not None
+        )
+
+
+def test_a_page_with_a_null_takes_the_record_loop(loop_calls):
+    fields, records = _VAR_CASES[0]
+    serializer = RecordSerializer(Schema.of(*fields))
+    for null_at in range(3):
+        record = tuple(None if i == null_at else v
+                       for i, v in enumerate(records[5]))
+        page = insert_all(serializer, records[:5] + [record])[0]
+        assert_decodes_like_reference(serializer, page)
+    assert loop_calls
+
+
+def _var_page():
+    fields, records = _VAR_CASES[0]
+    serializer = RecordSerializer(Schema.of(*fields))
+    return serializer, insert_all(serializer, records[:10])[0]
+
+
+@pytest.mark.parametrize(
+    "offset, length",
+    [
+        (PAGE_SIZE - 4, 17),  # runs off the end of the page
+        (4, 17),  # lands inside the page header
+        (SLOTTED_HEADER_SIZE, 900),  # longer than the heap
+    ],
+)
+def test_a_damaged_var_page_raises_from_the_record_loop(
+    offset, length, loop_calls
+):
+    serializer, page = _var_page()
+    _set_slot(page, 3, offset, length)
+    with pytest.raises(PageError):
+        serializer.decode_page(page.buffer, PAGE_SIZE)
+    assert loop_calls
+
+
+@pytest.mark.parametrize("cut", [1, 1 + 2 * 8 + 2, 1 + 2 * 8 + 4])
+def test_a_truncated_var_record_raises_from_the_record_loop(cut, loop_calls):
+    """A slot too short for the record's head, its length word or its
+    payload: the loop's ``SerializationError``, whichever comes first."""
+    serializer, page = _var_page()
+    offset, _ = struct.unpack_from("<II", page.buffer, PAGE_SIZE - 4 * 8)
+    _set_slot(page, 3, offset, cut)
+    with pytest.raises(SerializationError):
+        serializer.decode_page(page.buffer, PAGE_SIZE)
+    assert loop_calls
+
+
+def test_invalid_utf8_raises_from_the_record_loop(loop_calls):
+    serializer, page = _var_page()
+    offset, _ = struct.unpack_from("<II", page.buffer, PAGE_SIZE - 4 * 8)
+    page.buffer[offset + 1 + 2 * 8 + 4] = 0xFF  # the name's first byte
+    with pytest.raises(UnicodeDecodeError):
+        serializer.decode_page(page.buffer, PAGE_SIZE)
+    assert loop_calls
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Vectorized execution core: typed buffers, selection bitmaps, vector paths.
+"""Vectorized execution core: typed buffers, selections, vector paths.
 
 Edge cases the differential fuzz suite is unlikely to hit by chance:
 
@@ -8,7 +8,8 @@ Edge cases the differential fuzz suite is unlikely to hit by chance:
   values, only the container changes);
 * all-null columns (only representable through ``RecordSerializer`` null
   bitmaps; single-field vector chunks reject ``None`` outright);
-* ``ColumnBatch`` selection-bitmap semantics (select/project/head);
+* ``ColumnBatch`` selection semantics (select/project/head), and that a
+  selection resolves to a compress per column on every vector shape;
 * ``Predicate.filter_vector`` ≡ compiled closure through
   ``expressions.selector``, including the cases the vector path must
   *decline* (huge ints), and wrapped scalar conditions that must raise
@@ -17,7 +18,11 @@ Edge cases the differential fuzz suite is unlikely to hit by chance:
   under the ``RodentStore(batch_rows=...)`` knob and with numpy absent.
 """
 
+from itertools import compress
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from test_compression import (
@@ -166,6 +171,58 @@ def test_column_batch_iter_rows_matches_rows():
     assert list(batch.iter_rows()) == batch.rows()
     assert list(batch.column_map()) == ["a", "b"]
     assert vector.to_list(batch.column_map()["a"]) == [1, 4, 9]
+
+
+def _select_mask(data, n: int):
+    """A mask over ``n`` rows — all true, all false or random — as a list,
+    and as the shape ``select`` gets: an ndarray or the list itself."""
+    kind = data.draw(st.sampled_from(("all", "none", "random")))
+    if kind == "random":
+        mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        mask = [kind == "all"] * n
+    if vector.numpy_enabled() and data.draw(st.booleans()):
+        return mask, vector.numpy_module().asarray(mask, dtype=bool)
+    return mask, mask
+
+
+@pytest.mark.parametrize("numpy_on", NUMPY_LEGS)
+@pytest.mark.parametrize("shape", ["typed", "lists", "mixed"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_select_then_columns_is_a_compress_per_column(numpy_on, shape, data):
+    """``select(mask).columns()`` gathers every column by position: the
+    same values as compressing each column by the mask, typed columns
+    staying typed under numpy — also for a select on an already-selected
+    batch, resolved in between or not."""
+    with numpy_set(numpy_on):
+        n = data.draw(st.integers(0, 40))
+        ints = data.draw(st.lists(
+            st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
+        floats = data.draw(st.lists(
+            st.floats(allow_nan=False), min_size=n, max_size=n))
+        texts = data.draw(st.lists(st.text(max_size=3), min_size=n, max_size=n))
+        columns = {
+            "typed": [vector.from_values(ints, "q"), vector.from_values(floats, "d")],
+            "lists": [ints, texts],
+            "mixed": [vector.from_values(ints, "q"), texts, floats],
+        }[shape]
+        batch = ColumnBatch.from_columns(tuple("abc")[: len(columns)], columns)
+        expected = [list(vector.to_list(c)) for c in columns]
+        for _ in range(2):
+            plain, mask = _select_mask(data, batch.n_rows)
+            batch = batch.select(mask)
+            expected = [list(compress(c, plain)) for c in expected]
+            assert batch.n_rows == sum(plain)
+            if data.draw(st.booleans()):
+                got = batch.columns()
+                assert [list(vector.to_list(c)) for c in got] == expected
+        got = batch.columns()
+        assert [list(vector.to_list(c)) for c in got] == expected
+        if batch.n_rows:
+            for before, after in zip(columns, got):
+                if vector.as_ndarray(before) is not None and numpy_on:
+                    assert vector.as_ndarray(after) is not None
 
 
 def test_column_batch_from_rows_is_row_backed():
