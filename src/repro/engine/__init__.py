@@ -4,12 +4,7 @@ from repro.engine.catalog import Catalog, CatalogEntry
 from repro.engine.cost import CostEstimate, CostModel, estimate
 from repro.engine.database import RodentStore
 from repro.engine.adaptive import AdaptiveController
-from repro.engine.indexes import (
-    FieldIndex,
-    SpatialIndex,
-    build_field_index,
-    build_spatial_index,
-)
+from repro.engine.indexes import FieldIndex, SpatialIndex
 from repro.engine.persistence import load_catalog, save_catalog
 from repro.engine.stats import FieldStats, TableStats
 from repro.engine.table import Table, normalize_order, split_design
@@ -26,8 +21,6 @@ __all__ = [
     "SpatialIndex",
     "Table",
     "TableStats",
-    "build_field_index",
-    "build_spatial_index",
     "estimate",
     "load_catalog",
     "normalize_order",

@@ -12,18 +12,19 @@ that one value, so they cannot disagree.
 There are seven accesses: six layout kinds (``rows`` — with its sorted-range
 probe and its delta variant — ``columns``, ``grid``, ``folded``, ``array``,
 and ``mirror``, which is the cheapest of its replicas' accesses) dispatched
-by :func:`open_run`, and the secondary-index probe (:func:`index_access`).
-:class:`~repro.engine.table.Table` only walks regions × runs over them.
+by :func:`open_run`, and the probe of one of the run's secondary indexes
+(:func:`_open_probe`), which :func:`open_run` takes first where one is
+selective enough. :class:`~repro.engine.table.Table` only walks regions ×
+runs over them.
 
 A scan node is decided **once per query**: :func:`decide_scan` makes one
-:class:`TableAccess` (the index probe, or the surviving regions with every
-run's ``RunAccess``) that the planner prices, then carries on the
+:class:`TableAccess` (the surviving regions with every run's
+``RunAccess``) that the planner prices, then carries on the
 ``TableScanOp`` to the scan, which reads through it. Staleness is by
 identity: runs are immutable, so a carried ``RunAccess`` is read only while
-the scan's pinned snapshot still holds that very ``Run``, the carried probe
-only while it holds the same fresh indexes and no unmerged rows; anything
-else (a run a flush, seal, merge or re-layout added, a ``zone_pruning``
-flip) is opened at scan time.
+the scan's pinned snapshot still holds that very ``Run`` — a probe only
+while the run still holds its index; anything else (a run a flush, seal,
+merge or re-layout added, a ``zone_pruning`` flip) is opened at scan time.
 
 The verdict is computed eagerly — a scan needs it before its first batch —
 while ``pages`` / ``seeks`` / ``pruned`` are page arithmetic computed when
@@ -54,7 +55,11 @@ from repro.algebra.physical import (
 )
 from repro.engine import synopsis as zonemaps
 from repro.engine.cost import CostEstimate, CostModel, estimate
-from repro.engine.indexes import fetch_rows_by_position
+from repro.engine.indexes import (
+    FieldIndex,
+    SpatialIndex,
+    fetch_rows_by_position,
+)
 from repro.errors import StorageError
 from repro.layout.renderer import (
     DEFAULT_BATCH_ROWS,
@@ -83,9 +88,9 @@ class RunAccess:
     actually read (a mirror's chosen replica) and ``verdict`` what pruning
     left of it: a page skip set (rows, array), row keep-intervals (columns),
     surviving cell entries (grid), folded-record indices (folded), the
-    ``(lead, lo, hi)`` bounds of a sorted-range probe, or the chosen index —
-    ``None`` where nothing was pruned. ``_io`` answers ``(pages read, seeks,
-    pages of the run)`` when asked.
+    ``(lead, lo, hi)`` bounds of a sorted-range probe, or the probed index
+    (:attr:`probed`) — ``None`` where nothing was pruned. ``_io`` answers
+    ``(pages read, seeks, pages of the run)`` when asked.
     """
 
     fields: list[str]
@@ -117,6 +122,12 @@ class RunAccess:
         pages, seeks, _ = self._io()
         return estimate(model, pages, seeks)
 
+    @property
+    def probed(self) -> FieldIndex | SpatialIndex | None:
+        """The secondary index this access probes, if it is a probe."""
+        probe = isinstance(self.verdict, (FieldIndex, SpatialIndex))
+        return self.verdict if probe else None
+
 
 def open_run(
     renderer: LayoutRenderer,
@@ -127,15 +138,21 @@ def open_run(
     stats,
     model: CostModel,
     batch_rows: int = DEFAULT_BATCH_ROWS,
+    indexes: dict | None = None,
 ) -> RunAccess:
     """Decide how a scan for ``needed`` fields under ``predicate`` reads
     ``layout``. ``intervals`` are the predicate's prunable per-field
     intervals (empty = consult no zone map); ``stats`` (table statistics, or
-    ``None``) price the sorted-range probe; ``model`` ranks a mirror's
-    replicas."""
+    ``None``) price the two probes; ``model`` ranks a mirror's replicas;
+    ``indexes`` are the run's secondary indexes, one of which is probed
+    when it is selective enough (:func:`_open_probe`)."""
     opener = _OPENERS.get(layout.plan.kind)
     if opener is None:
         raise StorageError(f"cannot scan layout kind {layout.plan.kind!r}")
+    if indexes and predicate is not None:
+        probe = _open_probe(renderer, layout, indexes, predicate, stats)
+        if probe is not None:
+            return probe
     return opener(
         renderer, layout, needed, predicate, intervals, stats, model, batch_rows
     )
@@ -419,37 +436,26 @@ _OPENERS = {
 }
 
 
-def index_access(
-    table: "Table", predicate: Predicate | None
+def _open_probe(
+    renderer: LayoutRenderer,
+    layout: StoredLayout,
+    indexes: dict,
+    predicate: Predicate,
+    stats,
 ) -> RunAccess | None:
-    """The secondary-index probe a scan of ``table`` makes, or ``None``.
-
-    One walk over the table's fresh, range-covered, selective-enough
-    indexes (spatial first) prices each from statistics and keeps the
-    cheapest; the returned access is both what the planner prices and what
-    the scan probes. Indexes address merged flat rows positions only.
-    """
-    if (
-        predicate is None
-        or table.main_plan.kind != LAYOUT_ROWS
-        or table._unmerged()
-        or not table.layout.page_row_counts
-    ):
-        return None
-    layout, stats, ranges = table.layout, table.stats, predicate.ranges()
-    inf = float("inf")
-    covered = [
-        (fields, index)
-        for fields, index in table._spatial_indexes.items()
-        if all(name in ranges for name in fields)
-    ] + [
-        ((name,), index)
-        for name, index in table._indexes.items()
-        if name in ranges and ranges[name][0] != -inf and ranges[name][1] != inf
-    ]
+    """The probe of one of a run's ``indexes`` (``fields -> index``), or
+    ``None``: one walk over the indexes the predicate's ranges cover
+    (spatial first; a B+Tree only for a range bounded on both sides) that
+    are selective enough prices each from statistics and keeps the
+    cheapest. Its batches are the run's rows, which the region's resolver
+    resolves like any other."""
+    ranges, inf = predicate.ranges(), float("inf")
     best = None
-    for fields, index in covered:
-        if index.stale:
+    for fields, index in sorted(indexes.items(), key=lambda kv: -len(kv[0])):
+        bounds = [ranges.get(name) for name in fields]
+        if None in bounds or (
+            len(bounds) == 1 and (-inf in bounds[0] or inf in bounds[0])
+        ):
             continue
         fraction = 1.0
         if stats is not None:
@@ -463,11 +469,10 @@ def index_access(
         # so the probe touching the fewest pages is the cheapest.
         pages = index.tree.height + max(1.0, fraction * layout.total_pages())
         if best is None or pages < best[0]:
-            best = (pages, fields, index)
+            best = (pages, bounds, index)
     if best is None:
         return None
-    pages, fields, index = best
-    bounds, renderer = [ranges[f] for f in fields], table.store.renderer
+    pages, bounds, index = best
     return RunAccess(
         layout.plan.schema.names(), layout, index,
         lambda: _probe_index(renderer, layout, index, bounds),
@@ -489,24 +494,19 @@ def _probe_index(renderer, layout, index, bounds) -> Iterator[ColumnBatch]:
 
 @dataclass
 class TableAccess:
-    """How one scan node reads its table (:func:`decide_scan`): ``index``,
-    the probe, or the ``survivors`` of ``regions`` with the
-    :class:`RunAccess` of every run they hold (``runs``: ``id(run) -> (run,
-    access)``, in scan order) — decided from ``needed``, ``predicate``,
-    ``zone_pruning`` and the table's ``indexes``."""
+    """How one scan node reads its table (:func:`decide_scan`): the
+    ``survivors`` of ``regions`` with the :class:`RunAccess` of every run
+    they hold (``runs``: ``id(run) -> (run, access)``, in scan order) —
+    decided from ``needed``, ``predicate`` and ``zone_pruning``."""
 
     needed: list[str] | None
     predicate: Predicate | None
     zone_pruning: bool
-    indexes: tuple
-    index: RunAccess | None = None
     regions: Sequence = ()
     survivors: Sequence = ()
     runs: dict = field(default_factory=dict)
 
     def cost(self, model: CostModel) -> CostEstimate:
-        if self.index is not None:
-            return self.index.cost(model)
         return sum(
             (a.cost(model) for _, a in self.runs.values()), CostEstimate.zero()
         )
@@ -514,60 +514,56 @@ class TableAccess:
     @property
     def pruned(self) -> float:
         """Pages the scan skips: whole partitions ruled out plus every run's
-        pruned pages (nothing for a probe, which bypasses the runs)."""
-        if self.index is not None:
-            return 0
+        pruned pages (nothing for a probe's run: its pages are estimated)."""
         kept = {region.pid for region in self.survivors}
         return sum(
             r.total_pages() for r in self.regions if r.pid not in kept
         ) + sum(a.pruned for _, a in self.runs.values())
 
+    @property
+    def probes(self) -> int:
+        """Runs the scan reads through a secondary-index probe."""
+        return sum(a.probed is not None for _, a in self.runs.values())
+
     def holds(self, table: "Table", needed, predicate) -> bool:
         """Does this decision still describe a scan of ``table`` (a pinned
-        view) for ``needed`` under ``predicate`` — the same index objects
-        (by ``id``: this value holds them), a probe's index still fresh over
-        merged rows? Which runs still hold is :meth:`run_access`'s."""
-        if (
-            predicate is not self.predicate
-            or needed != self.needed
-            or self.zone_pruning != table.store.zone_pruning
-            or list(map(id, _indexes(table))) != list(map(id, self.indexes))
-        ):
-            return False
-        return self.index is None or (
-            not self.index.verdict.stale and not table._unmerged()
+        view) for ``needed`` under ``predicate``? Which runs still hold is
+        :meth:`run_access`'s."""
+        return (
+            predicate is self.predicate
+            and needed == self.needed
+            and self.zone_pruning == table.store.zone_pruning
         )
 
     def run_access(self, run) -> RunAccess | None:
-        """The carried access of that very (immutable) ``run``, if any."""
+        """The carried access of that very (immutable) ``run``, if any — a
+        probe only while the run still holds its index (a dropped one is
+        retired)."""
         carried = self.runs.get(id(run))
-        return None if carried is None else carried[1]
+        if carried is None or carried[1].probed not in (
+            None, *run.indexes.values()
+        ):
+            return None
+        return carried[1]
 
 
 def decide_scan(
     table: "Table", needed: Sequence[str] | None, predicate: Predicate | None
 ) -> TableAccess:
     """The one access decision of a scan of ``table`` for ``needed`` fields
-    under ``predicate``: :func:`index_access`'s probe if it finds one, else
-    the partition survivors and ``Table._run_accesses`` over their runs."""
-    decided = TableAccess(
-        needed, predicate, table.store.zone_pruning, _indexes(table),
-        index_access(table, predicate),
-    )
-    if decided.index is None:
-        decided.regions = table._require_loaded()
-        decided.survivors = table.partition_survivors(predicate)
-        decided.runs = {
+    under ``predicate``: the partition survivors and
+    ``Table._run_accesses`` over their runs."""
+    survivors = table.partition_survivors(predicate)
+    return TableAccess(
+        needed, predicate, table.store.zone_pruning,
+        table._require_loaded(), survivors,
+        {
             id(run): (run, access)
             for run, access in table._run_accesses(
-                decided.survivors, needed, predicate
+                survivors, needed, predicate
             )
-        }
-    return decided
-
-
-def _indexes(table: "Table") -> tuple:
-    return (*table._indexes.values(), *table._spatial_indexes.values())
+        },
+    )
 
 
 def _undelta_batches(

@@ -19,10 +19,10 @@ table's policy (eager / new-data-only / lazy), charging every rewrite alike.
 Safety properties:
 
 * a re-layout is a merge of the regions' runs under the new design
-  (:func:`~repro.engine.levels.merge`), which renders zone-map synopses for
-  the new layout and drops secondary / spatial indexes, so pruning and
-  access-path choice can never consult metadata describing the old
-  physical design;
+  (:func:`~repro.engine.levels.merge`), which renders zone-map synopses and
+  the declared secondary indexes for the new runs and retires the old runs
+  with theirs, so pruning and access-path choice can never consult
+  metadata describing the old physical design;
 * a re-layout is one transaction (``store.mutate``): it renders the new
   representation copy-on-write, swaps it in atomically at commit, and —
   on a durable store — WAL-logs it, so a crash mid-adaptation rolls back

@@ -28,6 +28,11 @@ class Run:
     ``max_seq``, and a tombstone with sequence ``s`` suppresses matching
     rows in runs with ``max_seq < s``. ``level`` is a levelled run's size
     class.
+
+    ``indexes`` are the run's secondary indexes (:mod:`repro.engine.indexes`),
+    keyed by the fields each covers: derived from its pages, never logged
+    or persisted, and retired with it. The dict is replaced, never changed
+    in place.
     """
 
     plan: PhysicalPlan
@@ -36,6 +41,7 @@ class Run:
     level: int = 0
     min_seq: int = 0
     max_seq: int = 0
+    indexes: dict = field(default_factory=dict)
 
     @property
     def row_count(self) -> int:
@@ -43,6 +49,13 @@ class Run:
 
     def total_pages(self) -> int:
         return self.layout.total_pages()
+
+    def page_ids(self) -> list[int]:
+        """Every page the run holds: its layout's and its indexes'."""
+        pages = self.layout.page_ids()
+        for index in self.indexes.values():
+            pages += index.tree.page_ids()
+        return pages
 
 
 @dataclass
@@ -151,10 +164,10 @@ class CatalogEntry:
     # may legitimately create zero value-partitions), and from birth for a
     # levelled table, whose first seal renders run 0.
     loaded: bool = False
-    # Secondary access paths: field name -> FieldIndex, and
-    # (x_field, y_field) -> SpatialIndex.
-    indexes: dict = field(default_factory=dict)
-    spatial_indexes: dict = field(default_factory=dict)
+    # Declared secondary indexes, by the fields each covers: (field,) for
+    # a B+Tree, (x, y) for an R-Tree. Every rows run holds one of each
+    # (``Run.indexes``); like them, never persisted.
+    indexes: tuple = ()
     # Live workload observations feeding the adaptive loop (lazily created
     # by the AdaptiveController the first time the table is scanned).
     monitor: "WorkloadMonitor | None" = None

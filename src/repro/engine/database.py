@@ -142,8 +142,9 @@ class _Mutation:
 
     def undo(self) -> None:
         """Abort: put every locked table back in the catalog as
-        :meth:`lock` found it, and free the pages of the runs and indexes
-        the transaction made since — no committed catalog names them."""
+        :meth:`lock` found it, and free the pages of the runs (and their
+        indexes) the transaction made since — no committed catalog names
+        them."""
         store = self.store
         for name, (entry, snap) in reversed(self._before.items()):
             store.catalog.put_back(name, entry)
@@ -152,7 +153,7 @@ class _Mutation:
             made = {p for e, ids in self._retired if e is entry for p in ids}
             with entry.mvcc.lock:
                 made.update(
-                    p for run in entry.runs() for p in run.layout.page_ids()
+                    p for run in entry.runs() for p in run.page_ids()
                 )
                 snap.restore(entry)
                 made -= snap.page_ids()
@@ -639,7 +640,7 @@ class RodentStore:
             ]
         except RodentStoreError as exc:
             lost = {u["page_id"] for u in report["unrepairable"]}
-            pages = {p for run in entry.runs() for p in run.layout.page_ids()}
+            pages = {p for run in entry.runs() for p in run.page_ids()}
             if not lost & pages:
                 report["row_count_mismatches"].append(
                     {"table": entry.name, "error": str(exc)}
@@ -830,7 +831,6 @@ class RodentStore:
         with self.mutate(name) as m:
             # Regions keep their runs — a pinned scan may still be
             # reading them; only the page frees are deferred.
-            self._drop_indexes(entry)
             self._retire_runs(entry, list(entry.runs()))
             if entry.monitor is not None:
                 entry.monitor.forget_partitions([])
@@ -838,7 +838,8 @@ class RodentStore:
             m.mark_dropped(name)
 
     def _referenced_pages(self) -> set[int]:
-        """Every page some catalog run occupies."""
+        """Every page some catalog run's layout occupies: what the catalog
+        names and the WAL logs (a run's indexes are derived, neither)."""
         referenced: set[int] = set()
         for entry in self.catalog:
             for run in entry.runs():
@@ -849,7 +850,7 @@ class RodentStore:
         """Rebuild the disk's free map from the catalog: every allocated
         page no run references is free. Only valid when nothing else owns
         a page — just after the catalog loaded or recovery replayed,
-        before any secondary index is (re)built."""
+        before any run holds an index again."""
         self.disk.reset_free(self._referenced_pages())
 
     def _retire_pages(
@@ -867,10 +868,8 @@ class RodentStore:
 
     def _retire_runs(self, entry: CatalogEntry, runs: "Sequence[Run]") -> None:
         # The id list is captured eagerly: a layout may change after it
-        # was superseded.
-        self._retire_pages(
-            entry, [p for run in runs for p in run.layout.page_ids()]
-        )
+        # was superseded. A run's indexes go with it.
+        self._retire_pages(entry, [p for run in runs for p in run.page_ids()])
 
     def _release_pages(
         self, entry: CatalogEntry, page_ids: Sequence[int]
@@ -886,16 +885,6 @@ class RodentStore:
 
         with entry.mvcc.lock:
             entry.mvcc.retire(free)
-
-    def _drop_indexes(self, entry: CatalogEntry) -> None:
-        """Drop every secondary index of ``entry`` (positions indexed
-        before a rewrite mean nothing after it) and retire its nodes."""
-        indexes = [*entry.indexes.values(), *entry.spatial_indexes.values()]
-        entry.indexes.clear()
-        entry.spatial_indexes.clear()
-        self._retire_pages(
-            entry, [p for index in indexes for p in index.tree.page_ids()]
-        )
 
     # -- data loading ----------------------------------------------------------
 
@@ -946,7 +935,8 @@ class RodentStore:
         eagerly (empty ones included: the partition map is part of the
         physical design) and value partitions appear in first-seen key
         order. Each region's rows render as one run, as a seal renders one
-        (:func:`~repro.engine.levels.sealed_run`). Under a level policy a
+        (:func:`~repro.engine.levels.sealed_run`, the table's declared
+        indexes built beside it). Under a level policy a
         bulk load is already "fully compacted": the run lands at its size
         class directly, the pending buffer starts empty, and an empty
         region holds no run.
@@ -966,7 +956,9 @@ class RodentStore:
                 router, plan, regions, lookup, len(regions), locator
             )
             if part or spec is None:
-                run = levels.sealed_run(self, plan, region, fields, part)
+                run = levels.sealed_run(
+                    self, plan, region, fields, part, entry.indexes
+                )
                 if spec is not None:
                     run.level = spec.level_of(
                         run.row_count, self.level_seal_rows
@@ -990,14 +982,13 @@ class RodentStore:
         retired, not freed — its pages come back after the durable commit,
         once the last draining reader lets go.
         Every derived structure describing the old design goes with it:
-        secondary/spatial indexes, pending buffers and their zones, the
+        the old runs' indexes, pending buffers and their zones, the
         partition map and its skew history (new regions reusing an old pid
         must not inherit its weight), the old regions' tombstones and the
         run sequence space.
         """
         with entry.mvcc.lock:
             self._retire_runs(entry, list(entry.runs()))
-            self._drop_indexes(entry)
             entry.plan = plan
             entry.stats = stats
             entry.regions = regions

@@ -1,27 +1,33 @@
-"""Secondary indexes over stored tables.
+"""Secondary indexes of stored runs.
 
 The paper: "RodentStore will include both B+Trees as well as a variety of
 geo-spatial indices, but we don't anticipate innovating in this regard"
 (§1). This module wires the page-backed :mod:`repro.index` structures into
-the engine as *secondary* access paths over row layouts:
+the engine as *secondary* access paths of one rows run each:
 
 * :class:`FieldIndex` — a B+Tree mapping one field's values to row positions;
 * :class:`SpatialIndex` — an R-Tree mapping (x, y) point fields to row
   positions.
 
-Index probes return row positions; the scan path groups positions by page so
-each data page is fetched and decoded once, in storage order, into one
-columnar batch. Indexes are built against
-the current main layout and become *stale* when rows are inserted afterwards
-— a stale index is never used silently (scans fall back to the base path)
-until it is rebuilt.
+A table declares an index by the fields it covers (``Table.create_index``,
+``Table.create_spatial_index``); every rows run then holds one, built from
+its pages when the run is sealed or merged (:func:`build_indexes`), or for
+the runs already there when the index is declared. A run is immutable, so
+its index is never rebuilt: it is retired with its run, and a probe's
+positions are that run's rows, which the region's tombstones resolve like
+any other batch. Index pages are derived data, neither logged nor
+persisted: a reopened store declares its indexes again.
+
+Index probes return row positions; :func:`fetch_rows_by_position` groups
+them by page so each data page is fetched and decoded once, in storage
+order, into one columnar batch.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro import vector
 from repro.algebra.physical import LAYOUT_ROWS
@@ -36,92 +42,90 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.layout.renderer import LayoutRenderer, StoredLayout
 
 
-@dataclass
+@dataclass(eq=False)
 class FieldIndex:
-    """A B+Tree secondary index over one field of a rows-layout table."""
+    """A B+Tree secondary index over one field of a rows run."""
 
     field_name: str
     tree: BPlusTree
-    stale: bool = False
 
     def positions_in_range(self, lo, hi) -> list[int]:
-        if self.stale:
-            raise IndexError_(
-                f"index on {self.field_name!r} is stale; rebuild it"
-            )
         return sorted(self.tree.range_values(lo, hi))
 
 
-@dataclass
+@dataclass(eq=False)
 class SpatialIndex:
-    """An R-Tree secondary index over two point fields (x, y)."""
+    """An R-Tree secondary index over two point fields (x, y) of a rows run."""
 
     x_field: str
     y_field: str
     tree: RTree
-    stale: bool = False
 
     def positions_in_box(
         self, x_lo: float, x_hi: float, y_lo: float, y_hi: float
     ) -> list[int]:
-        if self.stale:
-            raise IndexError_(
-                f"spatial index on ({self.x_field}, {self.y_field}) is "
-                "stale; rebuild it"
-            )
         query = MBR(x_lo, y_lo, x_hi, y_hi)
         return sorted(pos for _, pos in self.tree.iter_search(query))
 
 
-def build_field_index(table: "Table", field_name: str) -> FieldIndex:
-    """Build a B+Tree over ``field_name`` of a rows-layout table."""
-    _require_rows_layout(table, "field index")
-    schema = table.main_plan.schema
-    if not schema.has_field(field_name):
-        raise QueryError(f"unknown index field {field_name!r}")
-    key_type = schema.field(field_name).dtype
-    tree = BPlusTree(table._db.pool, key_type=key_type)
-    (keys,) = _stored_columns(table, field_name)
-    pairs = list(zip(keys, range(len(keys))))
-    tree.bulk_load(pairs)
-    return FieldIndex(field_name, tree)
+def check_declaration(table: "Table", fields: Sequence[str]) -> None:
+    """Refuse an index over unknown ``fields``, or one no run of ``table``
+    could hold: neither its design nor any run's is rows."""
+    unknown = [f for f in fields if not table.scan_schema().has_field(f)]
+    if unknown:
+        raise QueryError(f"unknown index field(s) {unknown}")
+    runs = table._entry.runs()
+    plans = [table.plan.region_template, *(run.plan for run in runs)]
+    if all(plan.kind != LAYOUT_ROWS for plan in plans):
+        raise IndexError_(
+            f"secondary indexes address rows by position: table "
+            f"{table.name!r} has no rows run or design"
+        )
 
 
-def build_spatial_index(
-    table: "Table", x_field: str, y_field: str
-) -> SpatialIndex:
-    """Build an R-Tree over two numeric point fields of a rows layout."""
-    _require_rows_layout(table, "spatial index")
-    xs, ys = _stored_columns(table, x_field, y_field)
-    tree = RTree(table._db.pool)
-    entries = [
-        (MBR(x, y, x, y), row) for row, (x, y) in enumerate(zip(xs, ys))
-    ]
-    tree.bulk_load(entries)
-    return SpatialIndex(x_field, y_field, tree)
+def build_indexes(
+    renderer: "LayoutRenderer",
+    layout: "StoredLayout",
+    declared: Iterable[tuple[str, ...]],
+) -> dict:
+    """The indexes of ``declared`` (field tuples: one field for a B+Tree,
+    two for an R-Tree) a run of ``layout`` can hold, built from its pages:
+    ``fields -> index``. Only a rows run whose pages count their records
+    and store every value as it is (no delta encoding) holds any: a
+    position then names one row, which one page read returns."""
+    plan = layout.plan
+    if (
+        plan.kind != LAYOUT_ROWS
+        or plan.delta_fields
+        or not layout.page_row_counts
+    ):
+        return {}
+    return {
+        fields: _build(renderer, layout, fields)
+        for fields in declared
+        if all(plan.schema.has_field(f) for f in fields)
+    }
 
 
-def _stored_columns(table: "Table", *field_names: str) -> list[list]:
-    """Stored values of the named fields over the main layout, in storage
-    order — read column-wise, so no record tuple is ever assembled."""
-    schema = table.main_plan.schema
-    positions = [schema.index_of(name) for name in field_names]
+def _build(renderer, layout, fields):
+    """One index over ``fields`` of the run ``layout``, its stored values
+    read column-wise in storage order (no record tuple is assembled)."""
+    schema = layout.plan.schema
+    positions = [schema.index_of(name) for name in fields]
     values: list[list] = [[] for _ in positions]
-    for batch in table._db.renderer.iter_row_batches(table.layout):
+    for batch in renderer.iter_row_batches(layout):
         columns = batch.columns()
         for out, position in zip(values, positions):
             out.extend(vector.to_list(columns[position]))
-    return values
-
-
-def _require_rows_layout(table: "Table", what: str) -> None:
-    if table.main_plan.kind != LAYOUT_ROWS:
-        raise IndexError_(
-            f"{what} requires a rows layout (table {table.name!r} is "
-            f"{table.main_plan.kind}); secondary indexes address rows by position"
-        )
-    if not table.layout.page_row_counts:
-        raise IndexError_("rows layout lacks per-page row counts")
+    if len(fields) == 1:
+        tree = BPlusTree(renderer.pool, key_type=schema.field(fields[0]).dtype)
+        tree.bulk_load(list(zip(values[0], range(len(values[0])))))
+        return FieldIndex(fields[0], tree)
+    tree = RTree(renderer.pool)
+    tree.bulk_load([
+        (MBR(x, y, x, y), row) for row, (x, y) in enumerate(zip(*values))
+    ])
+    return SpatialIndex(*fields, tree)
 
 
 def fetch_rows_by_position(
@@ -164,6 +168,6 @@ def fetch_rows_by_position(
 
 
 def pages_for_positions(table: "Table", positions: Sequence[int]) -> int:
-    """Distinct data pages covering ``positions`` (for cost estimation)."""
+    """Distinct data pages covering ``positions`` of a flat table's run."""
     page_starts = table.layout.page_starts
     return len({bisect_right(page_starts, p) for p in positions})

@@ -32,6 +32,8 @@ from repro.algebra import ast
 from repro.algebra.physical import PhysicalPlan
 from repro.algebra.transforms import eval_scalar
 from repro.engine.catalog import CatalogEntry, Region, Run
+from repro.engine.indexes import build_indexes
+from repro.engine.synopsis import may_hold
 from repro.engine.table import Table, _batch_rows, _scan_schema
 from repro.errors import RodentStoreError
 from repro.layout.renderer import ColumnBatch, merge_batches
@@ -47,16 +49,22 @@ def sealed_run(
     region: Region,
     names: Sequence[str],
     rows: list[tuple],
+    indexes: Sequence[tuple[str, ...]],
 ) -> Run:
     """Stored-shape ``rows`` (fields ``names``) rendered as one run, not
     yet swapped in, under ``region``'s design (keyed levels: the last row
-    per key kept). The render of every seal and of every bulk load."""
+    per key kept), with the declared ``indexes`` it can hold built beside
+    its zone maps. The render of every seal and of every bulk load."""
     names = tuple(names)
     spec = plan.levels
     if spec is not None and spec.key is not None:
         rows = _LevelResolver(spec.key, names, []).resolve_pending(rows)
     batch = ColumnBatch.from_rows(names, rows)
-    return Run(region.plan, store._render_region(plan, region.plan, batch))
+    layout = store._render_region(plan, region.plan, batch)
+    return Run(
+        region.plan, layout,
+        indexes=build_indexes(store.renderer, layout, indexes),
+    )
 
 
 def seal(table: Table, region: Region, m: _Mutation) -> Run | None:
@@ -69,7 +77,8 @@ def seal(table: Table, region: Region, m: _Mutation) -> Run | None:
     db, entry = table._db, table._entry
     rows = [tuple(r) for r in region.pending]
     run = sealed_run(
-        db, entry.plan, region, table.scan_schema().names(), rows
+        db, entry.plan, region, table.scan_schema().names(), rows,
+        entry.indexes,
     )
     replace_runs(db, entry, region, [], [run], m, ingest=True)
     return run
@@ -91,8 +100,9 @@ def merge(
     one resolver, so a merge drops exactly what a scan suppresses. The
     survivors join oldest first, pending rows last (pages stay
     byte-identical), in one :func:`merge_batches`. The run renders under
-    the region's design at ``level`` (default: its size class); a levelled
-    merge that resolves to nothing renders none.
+    the region's design at ``level`` (default: its size class), with the
+    table's declared indexes; a levelled merge that resolves to nothing
+    renders none.
     """
     db, entry = table._db, table._entry
     spec = entry.plan.levels
@@ -120,7 +130,10 @@ def merge(
                 + [run.level for run in sources]
             )
         layout = db._render_region(entry.plan, region.plan, merged)
-        new.append(Run(region.plan, layout, level=level or 0))
+        new.append(Run(
+            region.plan, layout, level=level or 0,
+            indexes=build_indexes(db.renderer, layout, entry.indexes),
+        ))
     replace_runs(db, entry, region, sources, new, m, keep_pending=not pending)
     return new[0] if new else None
 
@@ -146,8 +159,8 @@ def replace_runs(
     Each new run takes the next run id and a fresh sequence number; a
     partial merge inherits its sources' newest, so other runs keep their
     place in time. A pinned scan sees either side of the swap (MVCC lock);
-    superseded pages are retired, waiting for the durable commit and the
-    last draining reader; indexes are dropped; renders are charged to the
+    superseded runs are retired, their indexes with them, waiting for the
+    durable commit and the last draining reader; renders are charged to the
     write-amplification ledger (a seal's as ingest, a merge's as
     compaction); the rows it drops leave the region's ``hidden`` count. An
     abort of ``m`` puts back what the swap replaced (the table's snapshot,
@@ -182,7 +195,6 @@ def replace_runs(
         # (Keyed, it may drop shadowed versions never counted as hidden.)
         region.hidden = max(0, region.hidden - dropped)
         if old:
-            store._drop_indexes(entry)
             store._retire_runs(entry, old)
             # A tombstone applies only to the region's runs older than its
             # seq; with none left it is garbage (a full merge drops them).
@@ -373,6 +385,15 @@ def _tombstone(
         victims = list(dict.fromkeys(
             map(victim_of, matched[:in_runs] if key_expr is None else matched)
         ))
+        key = None if spec is None else spec.key_field
+        if key is not None:
+            # A key no run's zones can hold had only pending versions,
+            # which the filter above dropped: its tombstone would hide no
+            # row, yet count towards a merge.
+            victims = [
+                v for v in victims
+                if any(may_hold(run.layout, key, v) for run in region.runs)
+            ]
         # The zone already covers every survivor: only the updated rows
         # fold in — O(changes), not O(pending) — and the bounds stay a
         # sound over-approximation until the next seal.
@@ -391,9 +412,6 @@ def _tombstone(
             ]
             # (Keyed, one match may stand for several pending versions.)
             region.hidden += max(0, in_runs)
-        # Secondary indexes address the runs' rows by position, tombstoned
-        # ones included.
-        db._drop_indexes(entry)
     m.touch(table.name)
     return len(matched)
 

@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ENTRY_FIELDS = (
     "plan", "stats", "regions", "loaded", "region_index", "policy",
     "next_partition_id", "next_run_id", "next_run_seq",
-    "indexes", "spatial_indexes", "wa_bytes_ingested", "wa_bytes_written",
+    "indexes", "wa_bytes_ingested", "wa_bytes_written",
     "wa_pages_compacted", "wa_compactions",
 )
 
@@ -94,16 +94,13 @@ class TableSnapshot:
             vars(region).update(fields, runs=list(runs))
 
     def page_ids(self) -> set[int]:
-        """Every page the snapshot's runs and indexes occupy."""
-        pages = {
+        """Every page the snapshot's runs occupy, their indexes' included."""
+        return {
             page
             for _, runs, _ in self.region_states
             for run in runs
-            for page in run.layout.page_ids()
+            for page in run.page_ids()
         }
-        for index in (*self.indexes.values(), *self.spatial_indexes.values()):
-            pages.update(index.tree.page_ids())
-        return pages
 
 
 class EntryMVCC:

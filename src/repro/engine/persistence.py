@@ -7,8 +7,10 @@ chunk maps) — as JSON. Reopening compiles each expression back into a
 physical plan through the normal interpreter path, so the stored layout
 metadata is always interpreted against a freshly type-checked plan.
 
-Secondary indexes are rebuilt on demand rather than persisted (they are
-derived data; `Table.create_index` reconstructs them from the base layout).
+Secondary indexes are not persisted: a run's index is derived data, and
+neither its pages nor the table's declaration are in the catalog. A
+reopened store frees their pages with every unreferenced page
+(``derive_free_pages``); ``Table.create_index`` declares them again.
 
 Only :data:`FORMAT_VERSION` is read, every key its writer writes included;
 ``python -m repro.migrate`` converts older stores.

@@ -220,6 +220,22 @@ class LayoutSynopsis:
     folded_zones: ZoneTable = field(default_factory=ZoneTable)
 
 
+def may_hold(layout: "StoredLayout", name: str, value: Any) -> bool:
+    """Can a row of ``layout`` hold ``value`` in field ``name``, by its zone
+    maps? Conservative: true where no zone table summarizes the field or
+    the value is not a comparable number."""
+    synopsis = layout.synopsis
+    if synopsis is None or type(value) not in (int, float) or value != value:
+        return True
+    tables = [
+        zones for zones in (synopsis.page_zones, synopsis.cell_zones,
+                            synopsis.folded_zones, *synopsis.group_zones)
+        if name in zones.fields
+    ]
+    point = {name: (value, value)}
+    return not tables or any(zones.may_match(point) for zones in tables)
+
+
 def predicate_intervals(
     predicate: "Predicate | None",
 ) -> dict[str, tuple[float, float]]:

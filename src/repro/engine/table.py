@@ -75,7 +75,7 @@ from repro.algebra.transforms import (
     select_records,
 )
 from repro.engine import synopsis as zonemaps
-from repro.engine.access import count_runs, decide_scan, index_access, open_run
+from repro.engine.access import count_runs, decide_scan, open_run
 from repro.engine.catalog import CatalogEntry
 from repro.engine.cost import CostEstimate, estimate
 from repro.errors import CorruptPageError, QueryError, StorageError
@@ -240,14 +240,6 @@ class Table:
         """The table's regions (snapshot-frozen for pinned scans)."""
         return self._state.regions
 
-    @property
-    def _indexes(self) -> dict:
-        return self._state.indexes
-
-    @property
-    def _spatial_indexes(self) -> dict:
-        return self._state.spatial_indexes
-
     # -- basic properties ---------------------------------------------------
 
     @property
@@ -293,9 +285,9 @@ class Table:
 
     @property
     def main_plan(self) -> PhysicalPlan:
-        """The design of :attr:`layout` (positional access and indexes
-        address it), which a deferred design change leaves as it was; any
-        table whose plan is not one layout: :attr:`plan`."""
+        """The design of :attr:`layout` (positional access addresses it),
+        which a deferred design change leaves as it was; any table whose
+        plan is not one layout: :attr:`plan`."""
         plan = self.plan
         main = self._regions[0].main if plan.region_design is None else None
         return plan if main is None else main.plan
@@ -408,9 +400,9 @@ class Table:
             fieldlist: optional projection (output tuple order follows it).
             predicate: optional range predicate; grid layouts use its
                 per-field ranges to skip cells via the cell directory, column
-                layouts read only the groups the query touches, and row
-                layouts with a fresh secondary index probe it instead of
-                scanning when the predicate is selective.
+                layouts read only the groups the query touches, and a rows
+                run holding a secondary index probes it instead of being
+                scanned when the predicate is selective.
             order: optional sort order; when the stored order does not
                 satisfy it, the scan sorts on the fly, over the key
                 columns of its batches (``sort_batches``).
@@ -685,9 +677,7 @@ class Table:
         predicate: Predicate | None,
         access: TableAccess | None = None,
     ) -> tuple[Iterator[ColumnBatch], list[str]]:
-        """``(source, fields)`` of a scan: the index probe when
-        :func:`~repro.engine.access.index_access` finds one worth making,
-        else every region the scan must read.
+        """``(source, fields)`` of a scan: every region it must read.
 
         The router's survivors (:meth:`_partitions_for_scan`), each read by
         :meth:`_region_batches` under its level policy's resolver, in one
@@ -696,9 +686,6 @@ class Table:
         """
         if access is not None and not access.holds(self, needed, predicate):
             access = None
-        via_index = access.index if access else index_access(self, predicate)
-        if via_index is not None:
-            return via_index.batches(), via_index.fields
         regions = self._partitions_for_scan(predicate)
         needed, predicate = self._run_scan_args(regions, needed, predicate)
         # Runs of different designs differ in field order: every scan
@@ -817,7 +804,8 @@ class Table:
         newer than it passes through the resolver's survivors. Every run
         prunes against ``predicate`` by its own synopses, whatever its
         design (:func:`~repro.engine.access.open_run`), the pending buffer
-        by its incrementally maintained zone. Batches are projected to
+        by its incrementally maintained zone; a run's secondary-index probe
+        is one more such access. Batches are projected to
         ``target``. ``unit(run)`` names a run for degraded-read
         containment; ``None`` leaves containment to the caller. A run
         ``access`` (the planner's decision) holds is read through its
@@ -847,9 +835,7 @@ class Table:
                 return
             opened = access.run_access(run) if access else None
             if opened is None:
-                opened = self._open_run(
-                    run.layout, needed, predicate, intervals
-                )
+                opened = self._open_run(run, needed, predicate, intervals)
             source = opened.batches()
             reorder = _batch_reorderer(opened.fields, fields)
             if reorder is not None:
@@ -912,17 +898,18 @@ class Table:
 
     def _open_run(
         self,
-        layout: StoredLayout,
+        run,
         needed: Sequence[str] | None,
         predicate: Predicate | None,
         intervals: dict[str, tuple[float, float]],
     ) -> RunAccess:
-        """:func:`~repro.engine.access.open_run` with this store's renderer,
-        statistics, cost model and batch size."""
+        """:func:`~repro.engine.access.open_run` of ``run`` (its indexes
+        too) with this store's renderer, statistics, cost model and batch
+        size."""
         db = self._db
         return open_run(
-            db.renderer, layout, needed, predicate, intervals,
-            self._entry.stats, db.cost_model, db.batch_rows,
+            db.renderer, run.layout, needed, predicate, intervals,
+            self._entry.stats, db.cost_model, db.batch_rows, run.indexes,
         )
 
     def _order_satisfied(self, order_keys: tuple[tuple[str, bool], ...]) -> bool:
@@ -939,7 +926,9 @@ class Table:
         if not order_keys:
             return True
         regions = self._regions
-        if self._unmerged():
+        if any(
+            r.pending or len(r.runs) > 1 or r.level_tombstones for r in regions
+        ):
             return False
         live = [r for r in regions if r.row_count]
         for region in live:
@@ -961,63 +950,49 @@ class Table:
     # geo-spatial indices")
     # ==================================================================
 
-    def create_index(self, field_name: str):
-        """Build (or rebuild) a B+Tree secondary index over ``field_name``."""
-        from repro.engine.indexes import build_field_index
+    def create_index(self, field_name: str) -> None:
+        """Declare a B+Tree secondary index over ``field_name``: every rows
+        run of the table holds one (:mod:`repro.engine.indexes`)."""
+        self._declare_index((field_name,))
 
-        self._require_flat("secondary")
-        index = build_field_index(self, field_name)
-        self._swap_index(self._entry.indexes, field_name, index)
-        return index
+    def create_spatial_index(self, x_field: str, y_field: str) -> None:
+        """Declare an R-Tree over two numeric point fields, held by every
+        rows run of the table."""
+        self._declare_index((x_field, y_field))
 
-    def create_spatial_index(self, x_field: str, y_field: str):
-        """Build (or rebuild) an R-Tree over two numeric point fields."""
-        from repro.engine.indexes import build_spatial_index
+    def _declare_index(self, fields: tuple[str, ...]) -> None:
+        """Declare the index over ``fields`` and build it for every run
+        that can hold it and lacks it, as one mutation of the table (no
+        seal or merge interleaves; later ones build their runs' own).
+        Derived data: nothing is logged."""
+        from repro.engine.indexes import build_indexes, check_declaration
 
-        self._require_flat("spatial")
-        index = build_spatial_index(self, x_field, y_field)
-        self._swap_index(
-            self._entry.spatial_indexes, (x_field, y_field), index
-        )
-        return index
-
-    def _swap_index(self, indexes: dict, key, index) -> None:
-        """Install ``index`` under ``key`` (``None`` drops it); the tree
-        it replaces is retired like a superseded run — a scan pinned on
-        it keeps its nodes until it drains."""
-        entry = self._entry
-        with entry.mvcc.lock:
-            old = indexes.pop(key, None)
-            if index is not None:
-                indexes[key] = index
-            if old is not None:
-                self._db._retire_pages(entry, old.tree.page_ids())
-
-    def _require_flat(self, what: str) -> None:
-        if self.plan.region_design is not None:
-            raise StorageError(
-                f"{what} indexes address flat storage positions; "
-                "partitioned and levelled tables prune by region bounds "
-                "and per-run zone maps instead"
-            )
+        entry, renderer = self._entry, self._db.renderer
+        with self._db.mutate(self.name):
+            check_declaration(self, fields)
+            built = [
+                (run, build_indexes(renderer, run.layout, [fields]))
+                for run in entry.runs()
+                if fields not in run.indexes
+            ]
+            with entry.mvcc.lock:
+                if fields not in entry.indexes:
+                    entry.indexes += (fields,)
+                for run, index in built:
+                    run.indexes = {**run.indexes, **index}
 
     def drop_index(self, field_name: str) -> None:
-        self._swap_index(self._entry.indexes, field_name, None)
-
-    def _mark_indexes_stale(self) -> None:
-        for index in self._entry.indexes.values():
-            index.stale = True
-        for index in self._entry.spatial_indexes.values():
-            index.stale = True
-
-    def _unmerged(self) -> bool:
-        """Does any region hold more than one run, pending rows or
-        tombstones? Positions (and stored order) then no longer describe
-        the whole table."""
-        return any(
-            r.pending or len(r.runs) > 1 or r.level_tombstones
-            for r in self._regions
-        )
+        """Drop the B+Tree over ``field_name``: every run's tree retires
+        (a scan pinned on it keeps its nodes until it drains)."""
+        fields, entry = (field_name,), self._entry
+        with self._db.mutate(self.name), entry.mvcc.lock:
+            entry.indexes = tuple(f for f in entry.indexes if f != fields)
+            for run in entry.runs():
+                if fields in run.indexes:
+                    indexes = dict(run.indexes)
+                    tree = indexes.pop(fields).tree
+                    self._db._retire_pages(entry, tree.page_ids())
+                    run.indexes = indexes
 
     # ==================================================================
     # get_element / next
@@ -1176,16 +1151,10 @@ class Table:
         order: Order | None = None,
     ) -> CostEstimate:
         """Estimated cost of the scan, in milliseconds (§4.1 method 4): the
-        cheaper of the index probe, if any, and the scan of the runs."""
-        model = self._db.cost_model
+        runs it reads, each as its access decided — an index probe or the
+        run's pruned pages."""
         decided = self.scan_access(fieldlist, predicate, order)
-        if decided.index is None:
-            return decided.cost(model)
-        runs = self._run_accesses(
-            self.partition_survivors(predicate), decided.needed, predicate
-        )
-        total = sum((a.cost(model) for _, a in runs), CostEstimate.zero())
-        return min(total, decided.index.cost(model), key=lambda c: c.ms)
+        return decided.cost(self._db.cost_model)
 
     def _run_accesses(
         self,
@@ -1201,9 +1170,7 @@ class Table:
         intervals = self._prune_intervals(predicate)
         for region in regions:
             for run in region.runs:
-                yield run, self._open_run(
-                    run.layout, needed, predicate, intervals
-                )
+                yield run, self._open_run(run, needed, predicate, intervals)
 
     def _run_scan_args(
         self,
@@ -1232,12 +1199,11 @@ class Table:
     ) -> tuple[str, CostEstimate]:
         """The access method a scan with these arguments will actually use.
 
-        Returns ``("index", cost)`` or ``("scan", cost)``: unlike
-        :meth:`scan_cost` (the cheaper of the two) the scan's own choice,
-        :meth:`scan_access`.
+        Returns ``("index", cost)`` when some run is read through an index
+        probe, else ``("scan", cost)`` — the cost is :meth:`scan_cost`.
         """
         decided = self.scan_access(fieldlist, predicate, order)
-        path = "scan" if decided.index is None else "index"
+        path = "index" if decided.probes else "scan"
         return path, decided.cost(self._db.cost_model)
 
     def pruned_pages(
@@ -1337,7 +1303,6 @@ class Table:
         for locator, batch in router.split(rows):
             if batch:
                 db._region_for(entry, router, locator).add_pending(names, batch)
-        self._mark_indexes_stale()
 
     def _stored_split(self) -> DesignSplit:
         """The table's design split; a design with no stored-record shape

@@ -162,8 +162,8 @@ class TableScanOp(Operator):
     def pages_pruned(self) -> int:
         """Data pages zone-map/directory pruning will skip — the carried
         decision's :attr:`~repro.engine.access.TableAccess.pruned`, page
-        arithmetic done only when ``explain()`` asks; 0 for index probes,
-        which bypass the scan path entirely."""
+        arithmetic done only when ``explain()`` asks (a run read by an index
+        probe prunes nothing: its pages are estimated)."""
         if self.access is None or self.predicate is None:
             return 0
         return self.access.pruned
@@ -184,7 +184,7 @@ class TableScanOp(Operator):
 
     @property
     def name(self) -> str:
-        probe = self.access is not None and self.access.index is not None
+        probe = self.access is not None and self.access.probes
         return "IndexScan" if probe else "TableScan"
 
     def detail(self) -> str:

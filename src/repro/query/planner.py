@@ -18,10 +18,10 @@ batch operators in :mod:`repro.query.operators`:
   above a group-by or join, a Limit directly over a Sort lowers to one
   top-k :class:`~repro.query.operators.SortOp`.
 * **Access-path choice** — each scan is decided once
-  (:meth:`Table.scan_access`: index probe or pruned runs, priced with the
-  paper's ``scan_cost`` terms, §4.1 method 4); the decision rides on the
-  :class:`~repro.query.operators.TableScanOp` to the scan, which reads
-  through it instead of deciding again.
+  (:meth:`Table.scan_access`: each run's index probe or pruned pages,
+  priced with the paper's ``scan_cost`` terms, §4.1 method 4); the
+  decision rides on the :class:`~repro.query.operators.TableScanOp` to
+  the scan, which reads through it instead of deciding again.
 * **Join ordering** — 2+ table queries are joined left-deep in greedy
   ascending order of estimated input cardinality
   (:meth:`Table.estimated_row_count` over collected statistics), and each

@@ -382,8 +382,8 @@ class DiskManager:
         """Derive the free map: every allocated page not in ``referenced``.
 
         The caller names every page something still owns — after open and
-        after recovery that is exactly the pages of the catalog's runs
-        (secondary indexes are rebuilt, never reopened).
+        after recovery that is exactly the pages of the catalog's runs (a
+        run's secondary indexes are declared again, never reopened).
         """
         with self._lock:
             self._free.reset(self._num_pages, referenced)

@@ -264,6 +264,12 @@ DELETED = (
     "_folded_indices", "_iter_sorted_rows_range", "_sorted_prune_applies",
     "_sorted_range_bounds", "_index_candidate", "_index_cost",
     "_index_positions", "_index_path", "_selective_enough",
+    # The table-wide index: its bypass of the runs, its staleness and its
+    # drops (an index now belongs to one run).
+    "index_access", "_mark_indexes_stale", "_drop_indexes", "_require_flat",
+    "_swap_index", "build_field_index", "build_spatial_index",
+    "_stored_columns", "_require_rows_layout", "spatial_indexes",
+    "_unmerged",
 )
 
 
@@ -297,6 +303,23 @@ def test_table_walks_and_access_decides():
                 optional = positional[len(positional) - len(args.defaults) :]
                 switches = [a.arg for a in optional + args.kwonlyargs]
                 assert "zones" not in switches, (name, node.name)
+
+
+def test_an_index_belongs_to_one_run():
+    """A secondary index is one run's access, opened by ``open_run``: no
+    index carries a staleness flag, the table's scan decision holds no
+    index of its own, and the catalog entry keeps only the declaration."""
+    from repro.engine.indexes import FieldIndex, SpatialIndex
+
+    for cls in (FieldIndex, SpatialIndex):
+        assert "stale" not in {f.name for f in dataclasses.fields(cls)}
+    assert not {"index", "indexes"} & {
+        f.name for f in dataclasses.fields(access.TableAccess)
+    }
+    assert "indexes" in {f.name for f in dataclasses.fields(Run)}
+    declared = {f.name: f for f in dataclasses.fields(database.CatalogEntry)}
+    assert declared["indexes"].default == ()
+    assert "indexes" in inspect.signature(open_run).parameters
 
 
 def test_the_replaced_ladders_are_gone():

@@ -35,7 +35,6 @@ from repro.algebra.transforms import evaluate, undelta_records
 from repro.compression import CodecError, get_codec
 from repro.compression.varint import VarintCodec
 from repro.engine.database import RodentStore
-from repro.engine.access import index_access
 from repro.engine.indexes import fetch_rows_by_position, pages_for_positions
 from repro.errors import QueryError, StorageError
 from repro.layout.renderer import (
@@ -665,6 +664,12 @@ def _indexed_table(schema, records):
     return store, table
 
 
+def index_of(table):
+    """The B+Tree over ``k`` of the table's one run."""
+    (run,) = table._entry.runs()
+    return run.indexes[("k",)]
+
+
 def fetch(table, positions):
     """``fetch_rows_by_position`` over the table's one rows run."""
     return fetch_rows_by_position(table.store.renderer, table.layout, positions)
@@ -709,7 +714,7 @@ def test_page_batched_fetch_equals_slot_at_a_time(numpy_on, data):
 def test_duplicate_keys_spanning_leaves(numpy_leg):
     records = [(k, i, float(i)) for i, k in enumerate([3] * 40 + [7] * 400 + [9] * 40)]
     store, table = _indexed_table(PACKED_SCHEMA, records)
-    index = table._indexes["k"]
+    index = index_of(table)
     assert index.tree.height > 1
     assert index.positions_in_range(7, 7) == list(range(40, 440))
     assert index.tree.search(7) == list(range(40, 440))
@@ -723,7 +728,7 @@ def test_duplicate_keys_spanning_leaves(numpy_leg):
 def test_limit_stops_the_probe_and_leaves_no_frame_pinned(numpy_leg):
     records = [(k, k, float(k)) for k in range(2000)]
     store, table = _indexed_table(PACKED_SCHEMA, records)
-    positions = table._indexes["k"].positions_in_range(100, 400)
+    positions = index_of(table).positions_in_range(100, 400)
     assert positions == list(range(100, 401))
     pages = table.layout.page_starts
     per_page = pages[1]
@@ -749,7 +754,10 @@ def test_limit_stops_the_probe_and_leaves_no_frame_pinned(numpy_leg):
     # A pushed-down limit reads the index and the pages holding the first
     # ``limit`` matches — what the record-at-a-time probe read — no more.
     limit = per_page // 2
-    probe_only = data_page_reads(index_access(table, Range("k", 100, 400)).batches)
+    decided = table.scan_access(predicate=Range("k", 100, 400))
+    ((_, access),) = decided.runs.values()
+    assert access.probed is index_of(table)
+    probe_only = data_page_reads(access.batches)
     limited = data_page_reads(
         lambda: list(table.scan(predicate=Range("k", 100, 400), limit=limit))
     )

@@ -44,6 +44,7 @@ from repro.storage.wal import (
     KIND_ROWS,
 )
 from repro.types import Schema
+from test_free_space import held_pages
 
 SCHEMA = Schema.of("id:int", "val:int")
 
@@ -646,6 +647,62 @@ def test_crash_between_two_compaction_steps(tmp_path, monkeypatch):
         oracle.check_table(again.table("P"), model)
         assert all(r.merged() for r in again.table("P").partitions)
         bound.check(again)
+        assert_pages_consistent(again)
+    finally:
+        again.close()
+
+
+def test_crash_inside_a_seal_of_an_indexed_partitioned_table(
+    tmp_path, monkeypatch
+):
+    """A flush seals each partition's pending rows into a run with its
+    declared index built beside it; power fails inside the second seal.
+    The abort gives back the first seal's run and its tree; the reopen
+    holds the model's rows (the flush never happened), every page is a
+    run's or free, and once the index is declared again every run's tree
+    is probed and every page is a run's, a tree's or free."""
+    path = str(tmp_path / "db")
+    store = partitioned_store(path)
+    table = store.table("P")
+    table.create_index("id")
+    model = oracle.Model(
+        ["id", "val", "x"], [(i, i % 7, i * 0.5) for i in range(128)],
+        "partition[id; range, 64](P)",
+    )
+    fresh = [(i, 9, 0.25) for i in (1, 2, 3, 65, 66, 67)]
+    table.insert(fresh)
+    model.insert(fresh)
+    before = held_pages(store)
+    built = []
+    build = levels.build_indexes
+
+    def power_loss_in_the_second_seal(*args, **kwargs):
+        if built:
+            raise CrashError("injected power loss inside a seal")
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(levels, "build_indexes", power_loss_in_the_second_seal)
+    with pytest.raises(CrashError):
+        table.flush_inserts()
+    monkeypatch.undo()
+    (first,) = built[0].values()
+    assert set(first.tree.page_ids()) <= store.disk.free_page_ids()
+    assert held_pages(store) == before
+    abandon(store)
+    again = open_partitioned(path)
+    try:
+        every = set(range(again.disk.num_pages))
+        assert every == again._referenced_pages() | again.disk.free_page_ids()
+        table = again.table("P")
+        assert [len(r.pending) for r in table.partitions] == [3, 3]
+        table.create_index("id")
+        predicate = Range("id", 60, 70)
+        assert table.scan_access(predicate=predicate).probes == 2
+        oracle.check_table(table, model, predicate=predicate)
+        oracle.check_table(table, model)
+        every = set(range(again.disk.num_pages))
+        assert every == held_pages(again) | again.disk.free_page_ids()
         assert_pages_consistent(again)
     finally:
         again.close()

@@ -374,23 +374,50 @@ def test_checkpoint_truncates_a_free_tail(tmp_path):
 # -- secondary indexes give their nodes back ----------------------------------
 
 
+def held_pages(store) -> set[int]:
+    """Every page the store holds: its runs', their index nodes included."""
+    runs = (run for entry in store.catalog for run in entry.runs())
+    return {page for run in runs for page in run.page_ids()}
+
+
 def test_index_rebuilds_do_not_leak_pages():
-    store = RodentStore(page_size=512, pool_capacity=64)
-    store.create_table("T", SCHEMA)
-    store.load("T", rows(0, 400, 0))
-    table = store.table("T")
-    allocated = []
-    for n in range(20):
-        table.create_index("id")
-        table.create_spatial_index("val", "w")
-        # A rewrite drops both trees; the second create replaces a tree.
-        table.update({"val": n}, Range("id", 0, 9))
-        table.create_index("id")
-        table.create_index("id")
-        allocated.append(store.storage_stats()["disk"]["allocated_pages"])
-    assert len(set(allocated[1:])) == 1, allocated
-    table.drop_index("id")
-    assert not store._referenced_pages() & store.disk.free_page_ids()
-    live = len(store._referenced_pages())
-    assert store.storage_stats()["disk"]["live_pages"] == live
-    store.close()
+    """Declared indexes live and die with their runs. On a flat table and
+    on a partitioned, levelled one whose indexed runs seal, merge and
+    retire, the page file stops growing, no page a run holds is free, and
+    the live pages are exactly the runs' and their trees' — before and
+    after the indexes are dropped."""
+    layouts = ("T", "partition[id; range, 200](levels[2; 2](rows(T)))")
+    for layout in layouts:
+        store = RodentStore(
+            page_size=512, pool_capacity=64, level_seal_rows=32
+        )
+        store.create_table("T", SCHEMA, layout=layout)
+        store.load("T", rows(0, 400, 0))
+        table = store.table("T")
+        retired, allocated = set(), []
+        for n in range(40):
+            table.create_index("id")
+            table.create_spatial_index("val", "w")
+            before = held_pages(store)
+            # Tombstones, a seal of the new versions, now and then a merge.
+            table.update({"val": n}, Range("id", 0, 9))
+            if n % 3 == 2:
+                table.flush_inserts()
+            table.create_index("id")  # declared already: builds nothing
+            retired |= before - held_pages(store)
+            allocated.append(store.storage_stats()["disk"]["allocated_pages"])
+            held = held_pages(store)
+            assert not held & store.disk.free_page_ids(), (layout, n)
+            assert store.storage_stats()["disk"]["live_pages"] == len(held)
+        assert retired, layout  # indexed runs merged away
+        assert max(allocated[20:]) <= max(allocated[:20]), (layout, allocated)
+        table.drop_index("id")
+        assert not held_pages(store) & store.disk.free_page_ids()
+        assert store.storage_stats()["disk"]["live_pages"] == len(
+            held_pages(store)
+        )
+        assert all(
+            list(run.indexes) == [("val", "w")]
+            for run in store.catalog.entry("T").runs()
+        )
+        store.close()

@@ -236,14 +236,20 @@ class TestPartitionedScans:
         assert table.order_satisfied(["t"])
         store.close()
 
-    def test_secondary_indexes_rejected(self):
-        store, table = build(
-            "partition[r.g; hash, 2](T)", make_records(100)
-        )
-        with pytest.raises(StorageError):
-            table.create_index("t")
-        with pytest.raises(StorageError):
-            table.create_spatial_index("t", "x")
+    def test_secondary_indexes_per_partition(self):
+        """Every partition's run holds its own trees, and a scan probes
+        each (equal to the model of the rows)."""
+        records = make_records(400)
+        store, table = build("partition[r.g; hash, 2](T)", records)
+        table.create_index("t")
+        table.create_spatial_index("t", "x")
+        assert [list(r.indexes) for r in table._entry.runs()] == [
+            [("t",), ("t", "x")]
+        ] * 2
+        box = Rect({"t": (0, 90), "x": (0, 9)})
+        for predicate in (Range("t", 20, 40), box):
+            assert table.access_path(predicate=predicate)[0] == "index"
+            assert_equivalent(store, records, predicate)
         store.close()
 
 

@@ -1,13 +1,14 @@
 """Plan once, decide once: the planner's access decision is the scan's.
 
 ``Table.scan_access`` (``engine/access.py::decide_scan``) decides a scan node
-once — the index probe, or the surviving regions with every run's
-``RunAccess`` — and ``TableScanOp`` carries that value to the scan, which
-reads through it while its pinned snapshot still holds the very runs and
-indexes it was decided on. Pinned here: one ``open_run`` per run and at most
-one ``index_access`` per scan node on every bench layout shape (the parent
-made both twice), exact answers when the plan goes stale between compile and
-run, and the bisect selectivity against the linear walk it replaced.
+once — the surviving regions with every run's ``RunAccess``, an index probe
+where a run holds a selective index — and ``TableScanOp`` carries that value
+to the scan, which reads through it while its pinned snapshot still holds
+the very runs (and a probe's index) it was decided on. Pinned here: one
+``open_run`` per run, and one index lookup per probed run, per scan node on
+every bench layout shape (an earlier engine made every decision twice),
+exact answers when the plan goes stale between compile and run, and the
+bisect selectivity against the linear walk it replaced.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import oracle
 from repro.engine import access
 from repro.engine import table as table_module
 from repro.engine.database import RodentStore
+from repro.engine.indexes import FieldIndex
 from repro.engine.stats import FieldStats, TableStats
 from repro.layout.renderer import LayoutRenderer
 from repro.query import Q, Range, Rect
@@ -68,18 +70,22 @@ def cartel_store(traces, grid=N4, **kwargs):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count ``open_run`` / ``index_access`` wherever the engine calls them."""
-    counted = {"open_run": 0, "index_access": 0}
-    for name in counted:
-        original = getattr(access, name)
+    """Count ``open_run`` wherever the engine calls it, and the B+Tree
+    lookups of index probes."""
+    counted = {"open_run": 0, "lookups": 0}
+    open_run, lookup = access.open_run, FieldIndex.positions_in_range
 
-        def spy(*args, _name=name, _original=original, **kwargs):
-            counted[_name] += 1
-            return _original(*args, **kwargs)
+    def open_spy(*args, **kwargs):
+        counted["open_run"] += 1
+        return open_run(*args, **kwargs)
 
-        for module in (access, table_module):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, spy)
+    def lookup_spy(*args, **kwargs):
+        counted["lookups"] += 1
+        return lookup(*args, **kwargs)
+
+    for module in (access, table_module):
+        monkeypatch.setattr(module, "open_run", open_spy)
+    monkeypatch.setattr(FieldIndex, "positions_in_range", lookup_spy)
     return counted
 
 
@@ -147,10 +153,11 @@ def test_one_open_run_per_run_and_one_probe_per_scan(traces, calls):
         for key in calls:
             calls[key] = 0
         assert query.run() == expected, name
-        assert calls["index_access"] <= 1, name
-        runs = 0 if probe else _runs_read(table, predicate)
-        assert calls["open_run"] == runs, (name, calls)
-        assert runs or probe, name
+        runs = _runs_read(table, predicate)
+        assert calls == {
+            "open_run": runs, "lookups": runs if probe else 0
+        }, (name, calls)
+        assert runs, name
 
 
 def test_join_decides_each_scan_node_once(calls):
@@ -170,7 +177,7 @@ def test_join_decides_each_scan_node_once(calls):
     for key in calls:
         calls[key] = 0
     query.run()
-    assert calls == {"open_run": 2, "index_access": 2}
+    assert calls == {"open_run": 2, "lookups": 0}
 
 
 def test_a_query_that_is_only_run_prices_nothing(traces, monkeypatch):
@@ -253,7 +260,7 @@ PREDICATES = {
 }
 
 
-FLAT = ("rows", "sorted")  # secondary indexes address flat tables only
+ROWS = ("rows", "sorted", "partitioned")  # secondary indexes: rows runs
 
 
 @pytest.mark.parametrize(
@@ -262,16 +269,16 @@ FLAT = ("rows", "sorted")  # secondary indexes address flat tables only
         (layout, mutation)
         for layout in sorted(STALE_LAYOUTS)
         for mutation in sorted(MUTATIONS)
-        if layout in FLAT or not mutation.endswith("index")
+        if layout in ROWS or not mutation.endswith("index")
     ],
 )
 def test_stale_plans_answer_like_fresh_ones(layout, mutation):
-    flat = layout in FLAT
+    indexed = layout in ROWS
     store = RodentStore(page_size=1024, pool_capacity=64, level_seal_rows=128)
     store.create_table("T", SCHEMA, layout=STALE_LAYOUTS[layout])
     table = store.load("T", RECORDS)
     model = oracle.Model(SCHEMA.names(), RECORDS, STALE_LAYOUTS[layout])
-    if flat:
+    if indexed:
         table.create_index("t")
     plans = {}
     for name, predicate in PREDICATES.items():

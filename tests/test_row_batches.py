@@ -338,11 +338,11 @@ def test_index_build_positions(numpy_leg):
     _, table = loaded(records)
     table.create_index("a")
     table.create_spatial_index("a", "g")
-    index = table._indexes["a"]
+    (run,) = table._entry.runs()
+    index, spatial = run.indexes[("a",)], run.indexes[("a", "g")]
     assert sorted(index.positions_in_range(100, 300)) == [
         i for i, r in enumerate(records) if 100 <= r[0] <= 300
     ]
-    (spatial,) = table._spatial_indexes.values()
     assert sorted(spatial.positions_in_box(0, 500, 1, 2)) == [
         i for i, r in enumerate(records) if r[0] <= 500 and 1 <= r[2] <= 2
     ]

@@ -221,10 +221,14 @@ def test_positional_access_and_indexes_skip_deleted_rows():
     store.create_table("T", SCHEMA)
     table = store.load("T", ROWS)
     table.create_index("id")
+    (run,) = table.partitions[0].runs
+    index = run.indexes[("id",)]
     table.delete(Range("id", 0, 4))
-    assert not store.catalog.entry("T").indexes  # a rewrite drops them
+    assert table.partitions[0].runs == [run]  # the index survives the rewrite
     assert table.get_element(0) == ROWS[5]
     assert [table.next() for _ in range(2)] == ROWS[6:8]
+    (access,) = table.scan_access(predicate=Range("id", 0, 6)).runs.values()
+    assert access[1].probed is index  # probed; the tombstones resolve it
     assert list(table.scan(predicate=Range("id", 0, 6))) == ROWS[5:7]
     store.close()
 
@@ -411,4 +415,35 @@ def test_adaptation_checks_open_no_table_source(monkeypatch):
     assert decision["adapted"] is False, decision
     store.adaptivity.reorganizer._lazy_due("T", 1)
     assert opened == []
+    store.close()
+
+
+KEYED = "levels[2; 2; r.id](rows(T))"
+
+
+def test_a_key_only_pending_rows_hold_leaves_no_tombstone():
+    """A keyed delete of a key no run's zones can hold removes pending rows
+    only, and writes no tombstone: 40 insert-then-delete pairs of new keys
+    leave the loaded run as it was (one tombstone per key made the region
+    merge again and again). A key a run does hold, its newer version
+    pending, still takes one."""
+    store = make_store()
+    store.create_table("T", SCHEMA, layout=KEYED)
+    table = store.load("T", ROWS[:100])
+    model = oracle.Model(SCHEMA.names(), ROWS[:100], KEYED)
+    (region,) = table.partitions
+    for key in range(1000, 1040):
+        row = [(key, key % 4, key)]
+        table.insert(row)
+        model.insert(row)
+        assert table.delete(Range("id", key, key)) == 1
+        model.delete(Range("id", key, key))
+    assert [run.rid for run in region.runs] == [0]
+    assert not region.level_tombstones and not region.pending
+    oracle.check_table(table, model)
+    table.update({"w": -1}, Range("id", 5, 5))
+    model.update({"w": -1}, Range("id", 5, 5))
+    assert table.delete(Range("id", 5, 5)) == model.delete(Range("id", 5, 5))
+    assert {key for _, key in region.level_tombstones} == {5}
+    oracle.check_table(table, model)
     store.close()
