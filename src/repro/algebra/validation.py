@@ -265,8 +265,6 @@ class _Checker:
 
     def _check_levels(self, node: ast.Levels) -> Checked:
         child = self.check(node.child)
-        if child.kind == KIND_MIRROR:
-            raise TypeCheckError("levels cannot wrap a mirror design")
         schema = child.require_schema("levels")
         if node.key is not None:
             # The merge key is evaluated on the records a scan of the run

@@ -16,9 +16,10 @@ returns one blob's values as a vector — a contiguous typed one (numpy
 list is a complete codec.
 
 :meth:`Codec.decode_buffer` is the entry point for a *run* of blobs laid
-back to back (a run of grid cells): it decodes each with ``decode`` and
-returns their values as one vector; ``varint`` overrides it to decode the
-whole run in one pass.
+back to back — a batch of grid cells or folded records, possibly of
+several fields of one type (every blob of the first field, then of the
+next): it decodes each with ``decode`` and returns their values as one
+vector; ``varint`` overrides it to decode the whole run in one pass.
 
 A blob that does not decode — truncated, bit-flipped, extended — raises
 :class:`CodecError` (or :class:`~repro.errors.SerializationError` from the
@@ -91,10 +92,12 @@ class Codec:
 
         ``data`` is one encoded blob, or — with ``lengths`` — several laid
         back to back, blob ``i`` taking ``lengths[i]`` bytes; their values
-        come back concatenated, in order. ``counts`` states how many
-        values each blob must hold: a blob that decodes to any other
+        come back concatenated, in order. The blobs may belong to several
+        fields of ``dtype`` (a stream reader hands over all of a batch's
+        fields that decode alike in one run), so ``counts`` states how
+        many values each blob must hold: a blob that decodes to any other
         number raises :class:`CodecError` rather than shift every value
-        after it.
+        after it — into the next record, or into the next field.
         """
         if lengths is None:
             return self.decode(data, dtype)

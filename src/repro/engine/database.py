@@ -36,6 +36,7 @@ from repro.engine.table import (
 from repro.errors import (
     CatalogError,
     CorruptPageError,
+    CrashError,
     RodentStoreError,
     StorageError,
     WALError,
@@ -951,19 +952,31 @@ class RodentStore:
         spec = plan.levels
         regions: list[Region] = []
         lookup: dict = {}
-        for locator, part in router.split(rows):
-            region, _ = _find_or_create_region(
-                router, plan, regions, lookup, len(regions), locator
-            )
-            if part or spec is None:
-                run = levels.sealed_run(
-                    self, plan, region, fields, part, entry.indexes
+        try:
+            for locator, part in router.split(rows):
+                region, _ = _find_or_create_region(
+                    router, plan, regions, lookup, len(regions), locator
                 )
-                if spec is not None:
-                    run.level = spec.level_of(
-                        run.row_count, self.level_seal_rows
+                if part or spec is None:
+                    run = levels.sealed_run(
+                        self, plan, region, fields, part, entry.indexes
                     )
-                region.runs = [run]
+                    if spec is not None:
+                        run.level = spec.level_of(
+                            run.row_count, self.level_seal_rows
+                        )
+                    region.runs = [run]
+        except CrashError:
+            raise
+        except Exception:
+            # Nothing names the runs rendered before the failure (the failed
+            # render gave back its own extents): free them. A crash leaves
+            # them to the next open.
+            rendered = [run for region in regions for run in region.runs]
+            self._release_pages(
+                entry, [p for run in rendered for p in run.page_ids()]
+            )
+            raise
         return regions
 
     def _install(

@@ -47,6 +47,7 @@ into column vectors (typed ones, for fixed-width numeric schemas), which
 from __future__ import annotations
 
 import struct
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, repeat
@@ -65,7 +66,7 @@ from repro.algebra.transforms import Evaluated, Evaluator, GridResult
 from repro import vector
 from repro.compression import NoneCodec, get_codec
 from repro.engine.synopsis import LayoutSynopsis, ZoneTable, group_chunk_rows
-from repro.errors import CorruptPageError, StorageError
+from repro.errors import CorruptPageError, CrashError, StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import (
     BYTES_HEADER_SIZE,
@@ -770,13 +771,38 @@ class LayoutRenderer:
         #: Optional ``(page_id, image)`` callable told of every page a
         #: render writes; a durable store logs the images at commit.
         self.page_sink = None
+        #: Per thread, the extents of the render under way (``extents``:
+        #: their page id lists; ``None`` outside a render).
+        self._rendering = threading.local()
 
     # ==================================================================
     # Rendering (write path)
     # ==================================================================
 
     def render(self, plan: PhysicalPlan, evaluated: Evaluated) -> StoredLayout:
-        """Materialize ``evaluated`` on disk according to ``plan``."""
+        """Materialize ``evaluated`` on disk according to ``plan``.
+
+        A render that raises gives back every extent it allocated — all
+        of a multi-extent layout's, the one being written included: their
+        pages are freed and their frames discarded, so an aborted write
+        leaves no page that is neither free nor a run's. A
+        :class:`CrashError` (power loss) leaves them to the next open.
+        """
+        self._rendering.extents = extents = []
+        try:
+            return self._render(plan, evaluated)
+        except CrashError:
+            raise
+        except Exception:
+            for page_ids in extents:
+                for page_id in page_ids:
+                    self.pool.discard(page_id)
+                    self.disk.free_page(page_id)
+            raise
+        finally:
+            self._rendering.extents = None
+
+    def _render(self, plan: PhysicalPlan, evaluated: Evaluated) -> StoredLayout:
         if plan.kind == LAYOUT_ROWS:
             return self._render_rows(plan, evaluated)
         if plan.kind == LAYOUT_COLUMNS:
@@ -873,6 +899,9 @@ class LayoutRenderer:
         replaced), and its image handed to :attr:`page_sink`. Pool and
         sink keep the page's own buffer, which is not written again."""
         page_ids = self.disk.allocate_contiguous(len(pages))
+        extents = getattr(self._rendering, "extents", None)
+        if extents is not None:  # what an aborted render gives back
+            extents.append(page_ids)
         sink = self.page_sink
         for i, page in enumerate(pages):
             next_id = page_ids[i + 1] if i + 1 < len(page_ids) else NO_PAGE
@@ -1122,8 +1151,8 @@ class LayoutRenderer:
 
     def _render_mirror(self, plan: PhysicalPlan, evaluated: Evaluated) -> StoredLayout:
         left_plan, right_plan = plan.mirror_plans
-        left = self.render(left_plan, evaluated.meta["left"])
-        right = self.render(right_plan, evaluated.meta["right"])
+        left = self._render(left_plan, evaluated.meta["left"])
+        right = self._render(right_plan, evaluated.meta["right"])
         return StoredLayout(
             plan=plan,
             row_count=left.row_count,
@@ -1330,14 +1359,17 @@ class LayoutRenderer:
         directory = layout.cell_directory if entries is None else entries
         cells = [entry for entry in directory if entry.row_count]
 
+        n_fields = len(schema.fields)
+
         def header(k: int, run: bytes, at: int, limit: int):
             entry = cells[k]
-            expected = _CELL_HEADER.pack(entry.row_count, len(schema.fields))
-            if run[at : at + len(expected)] != expected:
+            if at + _CELL_HEADER.size > limit or _CELL_HEADER.unpack_from(
+                run, at
+            ) != (entry.row_count, n_fields):
                 raise StorageError(
                     f"cell {entry.coord}: header disagrees with its entry"
                 )
-            return entry.row_count, at + len(expected), ()
+            return entry.row_count, at + _CELL_HEADER.size, ()
 
         return self._read_stream(
             layout,
@@ -1406,16 +1438,29 @@ class LayoutRenderer:
         the first record that brings its bytes to a page's worth. Records
         that start on a page the previous one's range reaches are fetched
         as one range; unwanted fields are stepped over by their length
-        prefix; each wanted field of the batch is one
-        :meth:`Codec.decode_buffer` call, and a delta field one
-        :func:`repro.vector.prefix_sum` restarting at every record.
+        prefix.
+
+        Wanted fields that decode alike — same codec, same type, delta or
+        not — decode together: the batch's blobs of all of them are one
+        :meth:`Codec.decode_buffer` call, every record's count repeated
+        per field, and for delta fields one :func:`repro.vector.prefix_sum`
+        restarting at every blob; the result is cut back into fields by
+        the batch's row count.
         """
         plan = layout.plan
         capacity = self.page_size - BYTES_HEADER_SIZE
         names = key_fields + tuple(fields[i][0] for i in wanted)
+        groups: dict[tuple, list[int]] = {}
+        for i in wanted:
+            name, dtype = fields[i]
+            decode = (plan.codec_for(name), dtype, name in plan.delta_fields)
+            groups.setdefault(decode, []).append(i)
+        take = set(wanted)
+        unpack = _U32.unpack_from
         start = 0
         while start < len(spans):
-            blobs: dict[int, list[bytes]] = {i: [] for i in wanted}
+            # Per field, its blobs in this batch (None: stepped over).
+            blobs = [[] if i in take else None for i in range(len(fields))]
             keys: list[list] = [[] for _ in key_fields]
             counts: list[int] = []
             size = 0
@@ -1439,36 +1484,44 @@ class LayoutRenderer:
                         f"bytes the directory places at offset {offset}"
                     )
                 for k in range(start, stop):
-                    at = spans[k][0] - offset
-                    limit = at + spans[k][1]
+                    at, limit = spans[k]
+                    at -= offset
+                    limit += at
                     count, at, key = header(k, run, at, limit)
-                    for i in range(len(fields)):
+                    for parts in blobs:
                         if at + 4 > limit:  # a field header cut by the end
                             at = -1
                             break
-                        (length,) = _U32.unpack_from(run, at)
-                        if i in blobs:  # others: stepped over by their length
-                            blobs[i].append(run[at + 4 : at + 4 + length])
-                        at += 4 + length
+                        (length,) = unpack(run, at)
+                        at += 4
+                        if parts is not None:
+                            parts.append(run[at : at + length])
+                        at += length
                     if at != limit:
                         raise StorageError(
                             f"record at stream offset {spans[k][0]}: its "
                             f"fields do not fill its {spans[k][1]} bytes"
                         )
                     counts.append(count)
-                    for column, value in zip(keys, key):
-                        column.extend(repeat(value, count))
+                    if key:
+                        for column, value in zip(keys, key):
+                            column.extend(repeat(value, count))
                 start = stop
-            columns = keys
-            for i, parts in blobs.items():
-                name, dtype = fields[i]
-                values = get_codec(plan.codec_for(name)).decode_buffer(
-                    b"".join(parts), dtype, list(map(len, parts)), counts
+            n_rows = sum(counts)
+            decoded = {}
+            for (codec, dtype, delta), members in groups.items():
+                parts = [blob for i in members for blob in blobs[i]]
+                repeated = counts * len(members)
+                values = get_codec(codec).decode_buffer(
+                    b"".join(parts), dtype, list(map(len, parts)), repeated
                 )
-                if name in plan.delta_fields:
-                    values = vector.prefix_sum(values, counts)
-                columns.append(values)
-            yield ColumnBatch.from_columns(names, columns)
+                if delta:
+                    values = vector.prefix_sum(values, repeated)
+                for j, i in enumerate(members):
+                    decoded[i] = values[j * n_rows : (j + 1) * n_rows]
+            yield ColumnBatch.from_columns(
+                names, keys + [decoded[i] for i in wanted]
+            )
 
     def iter_array_batches(
         self,

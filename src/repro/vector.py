@@ -45,6 +45,8 @@ _NUMERIC_TYPECODES = frozenset("qd")
 
 _NP_DTYPES = {"q": "<i8", "d": "<f8"}
 
+_U32 = struct.Struct("<I")
+
 
 def numpy_module():
     """The numpy module if importable, regardless of the runtime toggle."""
@@ -563,34 +565,39 @@ def zigzag_varints(data, lengths: Sequence[int]):
         or sum(lengths) != len(data)
     ):
         return None
-    buf = _np.frombuffer(data, dtype=_np.uint8)
-    sizes = _np.asarray(lengths, dtype=_np.int64)
-    ends = sizes.cumsum()
-    header = (ends - sizes)[:, None] + _np.arange(4)
-    declared = buf[header].view("<u4").ravel()
-    in_body = _np.ones(len(buf), dtype=bool)
-    in_body[header.ravel()] = False
-    body = buf[in_body]
-    body_ends = ends - _np.arange(4, 4 * len(sizes) + 4, 4)
-    (stops,) = (body < 0x80).nonzero()  # the last byte of each varint
-    found = stops.searchsorted(body_ends)
-    found[1:] -= found[:-1].copy()
-    whole = body_ends[sizes > 4] - 1  # the last byte of each non-empty body
-    if (found != declared).any() or (body[whole] >= 0x80).any():
+    # Each blob's count word, and the varints of all of them as one body.
+    blobs = list(zip(accumulate(lengths), lengths))
+    declared = [_U32.unpack_from(data, end - size)[0] for end, size in blobs]
+    body = _np.frombuffer(
+        b"".join([data[end - size + 4 : end] for end, size in blobs]),
+        dtype=_np.uint8,
+    )
+    stop = body < 0x80  # the last byte of each varint
+    (stops,) = stop.nonzero()
+    body_ends = [end - 4 * i for i, (end, _) in enumerate(blobs, 1)]
+    lasts = [end - 1 for end, size in zip(body_ends, lengths) if size > 4]
+    if (
+        stops.searchsorted(body_ends).tolist() != list(accumulate(declared))
+        or not stop[lasts].all()
+    ):
         return None
-    counts = found.tolist()
     if not len(stops):
-        return _np.empty(0, dtype="<i8"), counts
+        return _np.empty(0, dtype="<i8"), declared
     first = _np.empty_like(stops)
     first[0] = 0
     first[1:] = stops[:-1] + 1
     widths = stops - first + 1
     if widths.max() > 9:
         return None
-    # Nine 7-bit groups are 63 bits: every step below fits a signed word.
+    # Each byte's 7 bits, shifted to its place in its varint; a varint is
+    # the difference of the running sum at its last byte and at the one
+    # before it. Nine 7-bit groups are 63 bits, so each varint fits a
+    # signed word, and the running sum's wrap-around (modulo 2**64)
+    # cancels in the difference.
     shift = (_np.arange(len(body)) - first.repeat(widths)) * 7
-    raw = _np.add.reduceat((body & 0x7F).astype("<i8") << shift, first)
-    return (raw >> 1) ^ -(raw & 1), counts
+    raw = ((body & 0x7F).astype("<i8") << shift).cumsum()[stops]
+    raw[1:] -= raw[:-1].copy()
+    return (raw >> 1) ^ -(raw & 1), declared
 
 
 def prefix_sum(values, counts: Sequence[int] | None = None, carry=None):
@@ -617,12 +624,15 @@ def prefix_sum(values, counts: Sequence[int] | None = None, carry=None):
         reach = max(-values.min().item(), values.max().item(), 0) * max(counts)
         seed = carry or 0
         if isinstance(seed, int) and reach + abs(seed) <= _I64_MAX:
-            sums = values.cumsum()
             if len(counts) > 1:
-                sizes = np_mod.asarray(counts, dtype=np_mod.int64)
-                starts = sizes.cumsum() - sizes
-                before = np_mod.concatenate(([0], sums))[starts]
-                sums -= before.repeat(sizes)
+                # running[i] is the sum of the values before position i
+                running = np_mod.empty(len(values) + 1, dtype=np_mod.int64)
+                running[0] = 0
+                sums = values.cumsum(out=running[1:])
+                starts = list(accumulate(counts, initial=0))[:-1]
+                sums -= running[starts].repeat(counts)
+            else:
+                sums = values.cumsum()
             if seed:
                 sums[: counts[0]] += seed
             return sums

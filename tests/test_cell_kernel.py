@@ -4,7 +4,9 @@
   from (the algebra's ``undelta_records`` of its stored records), cell by
   cell, over hand-built grids (empty, one-row and
   page-straddling cells, any subset of survivors and of fields, every grid
-  codec, delta on and off, values beyond 64 bits) — and numpy on ≡ off;
+  codec, delta on none, one or both codec fields, values beyond 64 bits)
+  — and numpy on ≡ off; fields that decode alike in one ``decode_buffer``
+  per batch, a blob with a value too many failing loudly;
 * :func:`repro.vector.prefix_sum` ≡ ``undelta_records``, segmented and
   carried across arbitrary batch splits, and through ``delta`` on rows and
   columns layouts;
@@ -109,10 +111,15 @@ CODEC_VALUES = {
 }
 
 
-def grid_plan(codec: str, delta: bool):
+#: The fields ``grid_plan`` delta-encodes: with ``a`` alone, a delta and
+#: a plain field of one codec decode in the same batch.
+DELTAS = [(), ("a",), ("a", "b")]
+
+
+def grid_plan(codec: str, delta: tuple[str, ...] = ("a", "b")):
     expr = "grid[x, y],[10, 10](T)"
     if delta:
-        expr = f"delta[a, b]({expr})"
+        expr = f"delta[{', '.join(delta)}]({expr})"
     if codec != "none":
         expr = f"compress[{codec}; a, b]({expr})"
     return AlgebraInterpreter({"T": GRID_SCHEMA}).compile(parse(expr))
@@ -182,7 +189,7 @@ def grids(draw):
     )
     return (
         codec,
-        draw(st.booleans()),
+        draw(st.sampled_from(DELTAS)),
         cells,
         keep,
         needed,
@@ -223,7 +230,7 @@ def test_grid_batches_equal_cell_at_a_time_reader(case):
 
 @numpy_legs
 def test_grid_batches_close_at_a_page_of_cell_stream(numpy_leg):
-    plan = grid_plan("varint", delta=True)
+    plan = grid_plan("varint")
     cells = [[(i, 0, i, -i, "s")] * 20 for i in range(30)]
     renderer, layout = build_grid(plan, cells, page_size=512)
     batches = list(renderer.iter_grid_batches(layout, None, ["a"]))
@@ -261,6 +268,125 @@ def test_scan_filters_grid_batches_as_vectors(numpy_leg, monkeypatch):
     got = oracle.check_table(table, model, ["lat", "lon"], box)
     assert got and calls and all(calls) == numpy_leg
     oracle.check_table(table, model)
+
+
+#: Four varint fields, plain or with a delta on two of them.
+VARINT4 = "compress[varint; x, y, a, b]({})"
+PLAIN_GRID, DELTA_GRID = "grid[x, y],[10, 10](T)", "delta[a, b](grid[x, y],[10, 10](T))"
+
+
+@numpy_legs
+@pytest.mark.parametrize(
+    "design, needed, calls",
+    [
+        (VARINT4.format(PLAIN_GRID), None, 1),
+        (VARINT4.format(PLAIN_GRID), ["b", "y", "a"], 1),
+        (VARINT4.format(DELTA_GRID), None, 2),
+        (VARINT4.format(DELTA_GRID), ["a", "b"], 1),
+    ],
+)
+def test_fields_that_decode_alike_are_one_decode_buffer_per_batch(
+    numpy_leg, monkeypatch, design, needed, calls
+):
+    """A batch's wanted fields of one codec, type and delta-ness are one
+    ``decode_buffer`` call, whatever their number, and a delta group is
+    one ``prefix_sum`` restarting at each of its blobs."""
+    plan = AlgebraInterpreter({"T": GRID_SCHEMA}).compile(parse(design))
+    cells = [
+        [(10 * i + j % 10, j % 10, 7 * i + j, -j, "s") for j in range(3 + i)]
+        for i in range(6)
+    ]
+    renderer, layout = build_grid(plan, cells, page_size=4096)
+    counted = {"decode": 0, "decode_buffer": 0}
+    for name in counted:
+        original = getattr(VarintCodec, name)
+
+        def spy(self, *args, _name=name, _original=original, **kwargs):
+            counted[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(VarintCodec, name, spy)
+    segments = []
+    prefix_sum = vector.prefix_sum
+
+    def summed(values, counts=None, carry=None):
+        segments.append(list(counts))
+        return prefix_sum(values, counts, carry)
+
+    monkeypatch.setattr(vector, "prefix_sum", summed)
+    batches = list(renderer.iter_grid_batches(layout, None, needed))
+    assert len(batches) == 1
+    assert counted == {"decode": 0, "decode_buffer": calls}
+    sizes = [len(cell) for cell in cells]
+    deltas = [f for f in ("a", "b") if f in plan.delta_fields]
+    if needed is not None:
+        deltas = [f for f in deltas if f in needed]
+    assert segments == ([sizes * len(deltas)] if deltas else [])
+    wanted = select_cell_fields(plan.schema, needed)
+    positions = {name: i for i, name in enumerate(FIELDS)}
+    assert batch_rows(batches) == [
+        tuple(row[i] for i in wanted)
+        for cell in cells
+        for row in undelta_records(cell, positions, plan.delta_fields)
+    ]
+
+
+def _cell_with_blobs(cell, blobs):
+    """A cell's bytes as ``_encode_cell`` lays them, with ``blobs`` (one
+    per field) in place of the encoded columns."""
+    parts = [struct.pack("<IH", len(cell), len(blobs))]
+    for blob in blobs:
+        parts += [struct.pack("<I", len(blob)), blob]
+    return b"".join(parts)
+
+
+@numpy_legs
+@pytest.mark.parametrize(
+    "codec, damage",
+    [
+        ("varint", "extra value"),
+        ("varint", "count only"),  # a varint blob leads with its count
+        ("none", "extra value"),
+        ("for", "extra value"),
+    ],
+)
+def test_a_blob_with_a_value_too_many_never_shifts_rows(numpy_leg, codec, damage):
+    """The second cell's ``b`` blob declares one value more than its cell
+    holds — a whole extra value, or only its count word: the batch that
+    decodes ``a`` and ``b`` together fails loudly instead of moving a
+    value of ``b`` into the rows of ``a`` or of the next cell."""
+    plan = grid_plan(codec, ())
+    cells = [[(i, 0, 10 * i + j, -j, "s") for j in range(4)] for i in range(3)]
+    renderer, good = build_grid(plan, cells, page_size=4096)
+    stream = bytearray()
+    directory = []
+    for i, (cell, entry) in enumerate(zip(cells, good.cell_directory)):
+        blobs = [
+            get_codec(plan.codec_for(f.name)).encode(
+                [row[k] for row in cell], f.dtype
+            )
+            for k, f in enumerate(plan.schema.fields)
+        ]
+        if i == 1:
+            b = [row[3] for row in cell]
+            if damage == "extra value":
+                blobs[3] = get_codec(codec).encode(b + [99], INT)
+            else:
+                blobs[3] = struct.pack("<I", len(b) + 1) + blobs[3][4:]
+        blob = _cell_with_blobs(cell, blobs)
+        directory.append(replace(entry, offset=len(stream), length=len(blob)))
+        stream += blob
+    bad = replace(
+        good,
+        extent=renderer._write_stream(bytes(stream)),
+        cell_directory=directory,
+    )
+    assert batch_rows(renderer.iter_grid_batches(good, None, ["a", "b"])) == [
+        (row[2], row[3]) for cell in cells for row in cell
+    ]
+    with pytest.raises((CodecError, StorageError)):
+        list(renderer.iter_grid_batches(bad, None, ["a", "b"]))
+    assert not renderer.pool.pinned_pages()
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +430,7 @@ def test_directory_off_by_one_is_a_loud_error(numpy_leg, index, field, step):
         with pytest.raises(StorageError):
             list(renderer.iter_folded_batches(bad, [index], ["a"]))
         return
-    plan = grid_plan("varint", delta=True)
+    plan = grid_plan("varint")
     cells = [[(i, 0, 7 * i + j, -j, "s") for j in range(3 + i)] for i in range(5)]
     renderer, layout = build_grid(plan, cells, page_size=256)
     entry = layout.cell_directory[index]

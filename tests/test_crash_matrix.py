@@ -27,6 +27,7 @@ import pytest
 import oracle
 from repro.engine import levels
 from repro.engine.database import RodentStore, _Mutation
+from repro.layout.renderer import LayoutRenderer
 from repro.errors import CrashError, StorageError, StoreFormatError
 from repro.migrate import KIND_BEGIN, KIND_UPDATE, decode_record, migrate
 from repro.query.expressions import Range
@@ -371,11 +372,21 @@ def abandon(store):
 
 
 def assert_pages_consistent(store):
+    """Scrub is clean, no referenced page is free, and every page of the
+    file is either free or one of some run's (its layout's or its
+    indexes'): nothing an aborted write allocated is left stranded."""
     report = store.scrub()
     assert report["clean"], report
     referenced = store._referenced_pages()
-    assert not referenced & store.disk.free_page_ids()
+    free = store.disk.free_page_ids()
+    assert not referenced & free
     assert report["pages_free"] == store.disk.free_pages
+    owned = {
+        p for entry in store.catalog for run in entry.runs()
+        for p in run.page_ids()
+    }
+    stranded = set(range(store.disk.num_pages)) - owned - free
+    assert not stranded, f"pages neither free nor a run's: {sorted(stranded)}"
 
 
 def page_images(store, pages):
@@ -582,6 +593,51 @@ def test_an_aborted_partitioned_compaction_leaves_no_trace(tmp_path):
         for r in store.catalog.entry("P").runs()
     ]
     assert_left_as_it_was(store, path, want, open_partitioned, manifest)
+
+
+def test_an_aborted_partitioned_load_leaves_no_trace(tmp_path):
+    """A load renders every partition's run before it installs any: the
+    second partition's render runs out of space, and the first one's run,
+    which nothing names, goes back with the failed render's pages."""
+    path = str(tmp_path / "db")
+    store = partitioned_store(path)
+    want = sorted(store.table("P").scan())
+    pages = store.disk.num_pages
+    store.inject_io_faults(
+        IoFaultInjector(IoFault("enospc", target="page", after=5))
+    )
+    with pytest.raises(StorageError):
+        store.load("P", [(i, i % 5, i * 0.25) for i in range(128)])
+    assert store.disk.num_pages > pages + 5, "the load must fail in its second run"
+    assert_left_as_it_was(store, path, want, open_partitioned)
+
+
+def test_an_aborted_column_render_gives_back_every_group(tmp_path, monkeypatch):
+    """A column run is one extent per group: the merge's second group
+    runs out of space, and the first group's extent goes back with the
+    one whose write failed."""
+    path = str(tmp_path / "db")
+    store = open_small(path)
+    store.create_table(
+        "C", Schema.of("id:int", "val:int", "x:double"), layout="columns(C)"
+    )
+    store.load("C", [(i, i % 7, i * 0.5) for i in range(300)])
+    table = store.table("C")
+    table.update({"val": 1}, Range("id", 0, 9))
+    want = sorted(table.scan())
+    extents = []
+    write_pages = LayoutRenderer._write_pages
+    monkeypatch.setattr(
+        LayoutRenderer, "_write_pages",
+        lambda self, pages: extents.append(len(pages)) or write_pages(self, pages),
+    )
+    store.inject_io_faults(
+        IoFaultInjector(IoFault("enospc", target="page", after=4))
+    )
+    with pytest.raises(StorageError):
+        table.compact()
+    assert extents == [3, 3], "the render must fail in its second group"
+    assert_left_as_it_was(store, path, want, open_small)
 
 
 def test_crash_between_two_compaction_steps(tmp_path, monkeypatch):

@@ -4,7 +4,8 @@ Covers the full surface of the levelled physical design:
 
 * algebra — parse/round-trip/validation of ``levels`` (with and without a
   merge key), placement: a router over regions with a level policy, so
-  ``partition`` may wrap ``levels`` and nothing else wraps either;
+  ``partition`` may wrap ``levels`` and nothing else wraps either, and a
+  level policy may hold any run design, a mirror's included;
 * mechanics — seal-on-threshold, size-tiered merges that respect the
   fan-out, laminar level structure (a merge never interleaves sequence
   ranges), immutable runs;
@@ -110,6 +111,55 @@ def test_partition_composes_over_levels():
         with pytest.raises(error):
             store.create_table("V", KSCHEMA, layout=layout)
         assert not store.catalog.has("V")
+    store.close()
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        "levels[2; 2](mirror(rows(T), columns(T)))",
+        "levels[2; 2; r.id](mirror(orderby[id](T), columns(T)))",
+        "partition[r.k; range, 50](levels[2; 2](mirror(delta[v](T), columns(T))))",
+    ],
+)
+def test_levels_over_a_mirror_take_every_write_and_reopen(tmp_path, layout):
+    """Every run of a levelled mirror holds both replicas: inserts that
+    seal, a delete, an update, the cascade and a full compaction read the
+    cheaper replica and render both, equal to the oracle after each step,
+    scrubbed clean, and again after a reopen."""
+    path = str(tmp_path / "db")
+    store = make_store(path=path, durable=True, level_seal_rows=8)
+    store.create_table("T", KSCHEMA, layout=layout)
+    table = store.table("T")
+    model = oracle.Model(KSCHEMA.names(), [], layout)
+
+    def check(table):
+        oracle.check_table(table, model)
+        oracle.check_table(table, model, ["v", "id"], Range("k", 10, 40))
+
+    for start in range(0, 120, 20):
+        rows = [(i, i % 100, i) for i in range(start, start + 20)]
+        table.insert(rows)
+        model.insert(rows)
+    check(table)
+    assert all(
+        len(run.layout.mirrors) == 2 for run in store.catalog.entry("T").runs()
+    )
+    for change in (
+        lambda t: t.delete(Range("id", 3, 9)),
+        lambda t: t.update({"v": -1}, Range("id", 30, 45)),
+    ):
+        assert change(table) == change(model) > 0
+        check(table)
+    store.compact_levels("T")
+    check(table)
+    table.compact()
+    check(table)
+    assert store.scrub()["clean"]
+    store.close()
+    store = make_store(path=path, durable=True, level_seal_rows=8)
+    check(store.table("T"))
+    assert store.scrub()["clean"]
     store.close()
 
 

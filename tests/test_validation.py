@@ -201,6 +201,10 @@ class TestCheck:
         out = check(parse("mirror(rows(T), columns(T))"), CATALOG)
         assert out.kind == "mirror"
         assert out.meta["left"].kind == "records"
+        # A level policy holds a mirror run design like any other.
+        out = check(parse("levels[2; 2](mirror(rows(T), columns(T)))"), CATALOG)
+        assert out.kind == "levelled"
+        assert out.meta["child"].kind == "mirror"
 
     def test_groupby_grouped_kind(self):
         out = check(parse("groupby[id](T)"), CATALOG)
