@@ -3,9 +3,10 @@
 The paper's access-method API (§4.1) pairs every ``scan`` with a
 ``scan_cost`` describing the same physical read. :func:`open_run` is that
 pairing for one stored run: it intersects the predicate with the run's own
-synopses — page zone maps, chunk zone maps, the cell directory, the folded
-keys — **once**, and returns a :class:`RunAccess` holding the verdict. The
-reader (:meth:`RunAccess.batches`), the cost (:meth:`RunAccess.cost`) and the
+synopses — its run bound first, then page zone maps, chunk zone maps, the
+cell directory, the folded keys — **once**, and returns a
+:class:`RunAccess` holding the verdict. The reader
+(:meth:`RunAccess.batches`), the cost (:meth:`RunAccess.cost`) and the
 page counts ``explain()`` prints (:attr:`RunAccess.pruned`) are all views of
 that one value, so they cannot disagree.
 
@@ -89,8 +90,9 @@ class RunAccess:
     left of it: a page skip set (rows, array), row keep-intervals (columns),
     surviving cell entries (grid), folded-record indices (folded), the
     ``(lead, lo, hi)`` bounds of a sorted-range probe, or the probed index
-    (:attr:`probed`) — ``None`` where nothing was pruned. ``_io`` answers
-    ``(pages read, seeks, pages of the run)`` when asked.
+    (:attr:`probed`) — ``None`` where nothing was pruned, ``()`` where the
+    run's bound ruled the whole run out. ``_io`` answers ``(pages read,
+    seeks, pages of the run)`` when asked.
     """
 
     fields: list[str]
@@ -145,10 +147,16 @@ def open_run(
     intervals (empty = consult no zone map); ``stats`` (table statistics, or
     ``None``) price the two probes; ``model`` ranks a mirror's replicas;
     ``indexes`` are the run's secondary indexes, one of which is probed
-    when it is selective enough (:func:`_open_probe`)."""
+    when it is selective enough (:func:`_open_probe`).
+
+    The run's bound (:attr:`StoredLayout.run_bounds`) is asked first: a run
+    no row of which can fall in some interval decides to an empty access
+    (:func:`_open_missed`) — no probe, no zone, cell or folded-key walk."""
     opener = _OPENERS.get(layout.plan.kind)
     if opener is None:
         raise StorageError(f"cannot scan layout kind {layout.plan.kind!r}")
+    if intervals and zonemaps.bounds_miss(layout.run_bounds, intervals):
+        return _open_missed(layout, needed)
     if indexes and predicate is not None:
         probe = _open_probe(renderer, layout, indexes, predicate, stats)
         if probe is not None:
@@ -156,6 +164,34 @@ def open_run(
     return opener(
         renderer, layout, needed, predicate, intervals, stats, model, batch_rows
     )
+
+
+def _open_missed(layout: StoredLayout, needed) -> RunAccess:
+    """A run whose bound misses the predicate: no batch, and every page its
+    kind's opener counts as the run (a column scan's groups) pruned."""
+    if layout.plan.kind == LAYOUT_COLUMNS:
+        groups = [g for _, g in select_column_groups(layout, needed)]
+        fields = [f for g in groups for f in g.fields]
+        total = sum(len(g.extent.page_ids) for g in groups)
+    else:
+        fields, total = _scan_fields(layout, needed), layout.total_pages()
+    return RunAccess(
+        fields, layout, (), lambda: iter(()), lambda: (0, 0, total)
+    )
+
+
+def _scan_fields(layout: StoredLayout, needed) -> list[str]:
+    """The fields a scan of a rows, grid, folded or array run carries."""
+    plan = layout.plan
+    if plan.kind == LAYOUT_GRID:
+        names = plan.schema.names()
+        return [names[i] for i in select_cell_fields(plan.schema, needed)]
+    if plan.kind == LAYOUT_FOLDED:
+        nest = [f for f in plan.nest_fields if needed is None or f in needed]
+        return [*plan.group_fields, *nest]  # un-nested on scan
+    if plan.kind == LAYOUT_ARRAY:
+        return ["value"]
+    return plan.schema.names()
 
 
 def _open_paged(layout, fields, intervals, read) -> RunAccess:
@@ -318,7 +354,6 @@ def _open_grid(
     renderer, layout, needed, predicate, intervals, stats, model, batch_rows
 ) -> RunAccess:
     plan = layout.plan
-    names = plan.schema.names()
     entries = None  # every cell
     if predicate is not None:
         # Cell bounds on the grid dimensions, narrowed by each cell's zone
@@ -343,8 +378,7 @@ def _open_grid(
         return len(pages), count_runs(pages), total
 
     return RunAccess(
-        [names[i] for i in select_cell_fields(plan.schema, needed)],
-        layout, entries,
+        _scan_fields(layout, needed), layout, entries,
         lambda: renderer.iter_grid_batches(layout, entries, needed), io,
     )
 
@@ -352,7 +386,6 @@ def _open_grid(
 def _open_folded(
     renderer, layout, needed, predicate, intervals, stats, model, batch_rows
 ) -> RunAccess:
-    plan = layout.plan
     indices = _folded_survivors(layout, predicate, intervals)
 
     def io() -> tuple[float, float, float]:
@@ -363,10 +396,8 @@ def _open_folded(
         )
         return len(pages), count_runs(pages), len(layout.extent.page_ids)
 
-    nest = [f for f in plan.nest_fields if needed is None or f in needed]
     return RunAccess(
-        [*plan.group_fields, *nest],  # un-nested on scan
-        layout, indices,
+        _scan_fields(layout, needed), layout, indices,
         lambda: renderer.iter_folded_batches(layout, indices, needed), io,
     )
 

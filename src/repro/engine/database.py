@@ -31,7 +31,7 @@ from repro.engine.stats import TableStats
 from repro.engine.table import (
     Table,
     _scan_schema,
-    split_design,
+    stored_split,
 )
 from repro.errors import (
     CatalogError,
@@ -945,7 +945,7 @@ class RodentStore:
         others = sorted(plan.expr.table_names() - {entry.name})
         if others:
             raise StorageError(f"the design of {entry.name!r} reads {others}")
-        fields, rows = split_design(plan).apply(
+        fields, rows = stored_split(plan).apply(
             entry.logical_schema.names(), coerced
         )
         router = PartitionRouter(plan.partition, fields)
@@ -1071,8 +1071,8 @@ class RodentStore:
         a re-layout renders against the *new* table plan before swapping
         it in.
         """
-        split = split_design(plan)
-        canonical = split_design(table_plan).fields
+        split = stored_split(plan)
+        canonical = stored_split(table_plan).fields
         if split.fields != canonical:
             index = {f: i for i, f in enumerate(canonical)}
             batch = batch.project_columns(

@@ -14,9 +14,14 @@ At scan time, :mod:`repro.engine.table` extracts per-field intervals from the
 query predicate (:func:`predicate_intervals`, built on
 :meth:`repro.query.expressions.Predicate.ranges` — *necessary* conditions
 only, so pruning can never drop a matching record) and
-:func:`repro.engine.access.open_run` intersects them against a whole
-collection in one vector pass (:meth:`ZoneTable.keep_mask`) **before** any
-page is fetched or decoded:
+:func:`repro.engine.access.open_run` checks them **before** any page is
+fetched or decoded. First against the run's bound — per field, the min and
+max over all its zones (:meth:`LayoutSynopsis.run_bounds`), derived once
+where the layout is built: a run whose bound misses an interval
+(:func:`bounds_miss`) is decided empty without walking a single zone. The
+same bound answers "can this run hold that key?" (:func:`may_hold`). A run
+that survives intersects the intervals against a whole collection in one
+vector pass (:meth:`ZoneTable.keep_mask`):
 
 * row / array layouts — a per-page *skip set* (:func:`rows_page_skip`);
 * column layouts — surviving *row intervals* shared by every scanned group
@@ -35,6 +40,8 @@ sets' sizes), which is what ``Q.explain()`` reports as ``pages_pruned``.
 Pruning is always conservative: zones whose min/max are unknown (non-numeric
 or bool against numeric bounds, or fields excluded because they are stored
 delta-encoded) are kept; only empty and all-null zones are always skipped.
+A run bound is as conservative: a field with such a zone, or with a NaN
+bound, gets none, and bounds are compared as Python scalars, exactly.
 """
 
 from __future__ import annotations
@@ -219,21 +226,63 @@ class LayoutSynopsis:
     cell_zones: ZoneTable = field(default_factory=ZoneTable)
     folded_zones: ZoneTable = field(default_factory=ZoneTable)
 
+    def run_bounds(self) -> dict[str, tuple[Any, Any]]:
+        """The run bound: per summarized field, ``(min, max)`` over every
+        zone as Python scalars; ``(inf, -inf)``, which every interval
+        misses, where each zone is one :meth:`ZoneTable.keep_mask` always
+        drops (empty or all-null). A field with a zone bound that is not an
+        int or float (``None`` beside non-null rows, a string, a bool) or
+        is NaN gets none: a NaN reduction hides the finite values beside
+        it, so a min over the other zones could drop a row."""
+        ends: dict[str, list[tuple[Any, Any]]] = {}
+        for zones in (self.page_zones, self.cell_zones, self.folded_zones,
+                      *self.group_zones):
+            rows = vector.to_list(zones.row_counts)
+            for name, column in zones.fields.items():
+                ends.setdefault(name, []).extend(
+                    (low, high)
+                    for low, high, nulls, count in zip(
+                        vector.to_list(column.mins),
+                        vector.to_list(column.maxs),
+                        column.null_counts,
+                        rows,
+                    )
+                    if count
+                    and not ((low is None or high is None) and nulls >= count)
+                )
+        return {
+            name: (
+                min((low for low, _ in pairs), default=float("inf")),
+                max((high for _, high in pairs), default=float("-inf")),
+            )
+            for name, pairs in ends.items()
+            if all(
+                type(v) in (int, float) and v == v
+                for pair in pairs for v in pair
+            )
+        }
+
+
+def bounds_miss(
+    bounds: Mapping[str, tuple[Any, Any]], intervals: Intervals
+) -> bool:
+    """Is some interval disjoint from a run's bound on its field (so no row
+    of the run can match)? Exact: Python scalars on both sides."""
+    for name, (lo, hi) in intervals.items():
+        bound = bounds.get(name)
+        if bound is not None and (bound[1] < lo or bound[0] > hi):
+            return True
+    return False
+
 
 def may_hold(layout: "StoredLayout", name: str, value: Any) -> bool:
-    """Can a row of ``layout`` hold ``value`` in field ``name``, by its zone
-    maps? Conservative: true where no zone table summarizes the field or
-    the value is not a comparable number."""
-    synopsis = layout.synopsis
-    if synopsis is None or type(value) not in (int, float) or value != value:
+    """Can a row of ``layout`` hold ``value`` in field ``name``, by its run
+    bound? Conservative: true where the field has no bound or the value is
+    not a comparable number."""
+    bound = layout.run_bounds.get(name)
+    if bound is None or type(value) not in (int, float) or value != value:
         return True
-    tables = [
-        zones for zones in (synopsis.page_zones, synopsis.cell_zones,
-                            synopsis.folded_zones, *synopsis.group_zones)
-        if name in zones.fields
-    ]
-    point = {name: (value, value)}
-    return not tables or any(zones.may_match(point) for zones in tables)
+    return bound[0] <= value <= bound[1]
 
 
 def predicate_intervals(

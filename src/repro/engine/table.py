@@ -209,6 +209,17 @@ def split_design(plan: PhysicalPlan) -> DesignSplit:
     return DesignSplit(tuple(pipeline), over_stored(plan.expr), fields)
 
 
+def stored_split(plan: PhysicalPlan) -> DesignSplit:
+    """:func:`split_design` of ``plan``, worked out once per plan object and
+    kept in its ``__dict__`` (as :func:`functools.cached_property` keeps a
+    value): a plan is frozen, and a re-layout replaces it."""
+    memo = vars(plan)
+    split = memo.get("_design_split")
+    if split is None:
+        split = memo["_design_split"] = split_design(plan)
+    return split
+
+
 class Table:
     """One stored table; created through :class:`repro.engine.database.RodentStore`."""
 
@@ -1307,7 +1318,7 @@ class Table:
     def _stored_split(self) -> DesignSplit:
         """The table's design split; a design with no stored-record shape
         (an array, a prejoin) takes no inserts, updates or deletes."""
-        split = split_design(self.plan)
+        split = stored_split(self.plan)
         if split.pipeline is None:
             raise StorageError(
                 f"table {self.name!r} has an {self.plan.kind} design with no "

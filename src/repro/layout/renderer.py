@@ -634,6 +634,10 @@ class StoredLayout:
     # (``synopsis_error`` then says why, and scans run unpruned).
     synopsis: LayoutSynopsis | None = None
     synopsis_error: str | None = field(init=False, default=None)
+    # The run-level bound per field (:meth:`LayoutSynopsis.run_bounds`),
+    # derived once from ``synopsis``; empty when there is none (a mirror's
+    # parent: each replica has its own).
+    run_bounds: dict = field(init=False, default_factory=dict)
     # (lows, highs) bound vectors per grid dimension, parallel to
     # ``cell_directory`` (struct-of-arrays twin of ``CellEntry.bounds``).
     cell_bounds: list[tuple] = field(init=False, default_factory=list)
@@ -644,6 +648,8 @@ class StoredLayout:
             self.synopsis_error = self._synopsis_shape_error(self.synopsis)
             if self.synopsis_error is not None:
                 self.synopsis = None
+            else:
+                self.run_bounds = self.synopsis.run_bounds()
         if self.cell_directory:
             bounds = [entry.bounds for entry in self.cell_directory]
             self.cell_bounds = [

@@ -298,9 +298,12 @@ def test_no_frame_pinned_between_batches():
 
 
 def _parent_probe_fetches(keys_per_page, lo, hi):
-    """Extent positions the sorted-range probe fetches, in order: a binary
-    search over first keys, then pages from the last one whose first key is
-    below ``lo`` up to the first holding a key above ``hi``."""
+    """Extent positions the sorted-range probe fetches, in order: none when
+    ``[lo, hi]`` misses the run's keys (the run's bound decides that), else
+    a binary search over first keys, then pages from the last one whose
+    first key is below ``lo`` up to the first holding a key above ``hi``."""
+    if hi < keys_per_page[0][0] or lo > keys_per_page[-1][-1]:
+        return []
     fetched, left, right, start = [], 0, len(keys_per_page) - 1, 0
     while left <= right:
         mid = (left + right) // 2
