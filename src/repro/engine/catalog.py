@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+from repro import vector
 from repro.algebra.physical import PhysicalPlan
 from repro.engine.mvcc import EntryMVCC
 from repro.engine.synopsis import ZoneTable
@@ -58,6 +59,67 @@ class Run:
         return pages
 
 
+class PendingBuffer:
+    """A region's inserted rows not yet sealed, held as columns: one
+    append-only vector per stored field (:func:`repro.vector.extend`: an
+    ``array`` where every value fits a typecode, else a list) and the
+    number of rows.
+
+    Positions below ``len`` never change. An insert appends in place; every
+    other change — a seal or merge, a delete's filter, a re-layout's
+    reorder, an abort — installs a new buffer. So a :meth:`view` (the same
+    vectors, the count it was taken at) is a snapshot, and :meth:`columns`
+    reads one: a C-level slice per field (an ``ndarray`` under numpy),
+    which later appends never reach. :meth:`rows` is the tuple view of the
+    rare paths (keyed resolution, updates and deletes, the catalog image);
+    iterating and ``==`` go through it, as on a list of rows.
+    """
+
+    __slots__ = ("vectors", "count")
+
+    def __init__(self, vectors: Sequence = (), count: int = 0):
+        self.vectors = list(vectors)
+        self.count = count
+
+    def append(self, columns: Sequence[Sequence]) -> None:
+        """Append rows given as ``columns``, one value sequence per field."""
+        if not columns or not len(columns[0]):
+            return
+        olds = self.vectors or [None] * len(columns)
+        self.vectors = [vector.extend(v, c) for v, c in zip(olds, columns)]
+        self.count += len(columns[0])
+
+    def view(self, count: int) -> "PendingBuffer":
+        """The first ``count`` rows, sharing the vectors: later appends
+        never reach them."""
+        return PendingBuffer(self.vectors, count)
+
+    def prefix(self, count: int) -> "PendingBuffer":
+        """The first ``count`` rows in vectors of their own."""
+        return PendingBuffer([v[:count] for v in self.vectors], count)
+
+    def columns(self) -> list:
+        """One vector per field, independent of the buffer."""
+        return [vector.head(v, self.count) for v in self.vectors]
+
+    def rows(self) -> list[tuple]:
+        return list(zip(*(vector.to_list(v[: self.count]) for v in self.vectors)))
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self.rows())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (PendingBuffer, list, tuple)):
+            return NotImplemented
+        return self.rows() == list(other)
+
+    def __repr__(self) -> str:
+        return f"PendingBuffer({self.rows()!r})"
+
+
 @dataclass
 class Region:
     """A list of runs plus the not-yet-rendered inserts that trail them.
@@ -82,10 +144,10 @@ class Region:
     runs older than its seq, until a merge folds it in. The list is
     replaced, never changed in place.
 
-    ``pending`` holds inserted records (stored-record shape) with an
-    incrementally maintained zone map. It lives here — not on Table
-    handles — so every handle sees the same rows and a re-layout can fold
-    them into the new representation.
+    ``pending`` holds inserted records (stored-record shape) as columns
+    (:class:`PendingBuffer`), with an incrementally maintained zone map.
+    It lives here — not on Table handles — so every handle sees the same
+    rows and a re-layout can fold them into the new representation.
 
     ``hidden`` counts the run rows tombstones suppress, so ``row_count``
     (runs + pending − hidden) is what a scan returns — an upper bound
@@ -95,7 +157,7 @@ class Region:
 
     plan: PhysicalPlan | None = None
     runs: list = field(default_factory=list)
-    pending: list = field(default_factory=list)
+    pending: PendingBuffer = field(default_factory=PendingBuffer)
     pending_zone: "ZoneTable | None" = None
     pid: int = 0
     key: object = None
@@ -130,14 +192,16 @@ class Region:
         )
 
     def add_pending(self, names: Sequence[str], rows: Sequence[tuple]) -> None:
-        """Buffer ``rows``; the running zone extends instead of rescanning."""
-        self.pending.extend(rows)
+        """Buffer ``rows``, transposed once: the columns append to the
+        buffer and fold into the running zone (no rescan)."""
+        columns = list(zip(*rows))
+        self.pending.append(columns)
         if self.pending_zone is None:
             self.pending_zone = ZoneTable()
-        self.pending_zone.merge_rows(names, rows)
+        self.pending_zone.merge(len(rows), names, columns)
 
     def clear_pending(self) -> None:
-        self.pending = []
+        self.pending = PendingBuffer()
         self.pending_zone = None
 
     def describe_key(self) -> str:

@@ -959,7 +959,9 @@ class RodentStore:
                 )
                 if part or spec is None:
                     run = levels.sealed_run(
-                        self, plan, region, fields, part, entry.indexes
+                        self, plan, region,
+                        ColumnBatch.from_rows(tuple(fields), part),
+                        entry.indexes,
                     )
                     if spec is not None:
                         run.level = spec.level_of(

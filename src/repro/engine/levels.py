@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from repro.algebra import ast
 from repro.algebra.physical import PhysicalPlan
 from repro.algebra.transforms import eval_scalar
-from repro.engine.catalog import CatalogEntry, Region, Run
+from repro.engine.catalog import CatalogEntry, PendingBuffer, Region, Run
 from repro.engine.indexes import build_indexes
 from repro.engine.synopsis import may_hold
 from repro.engine.table import Table, _batch_rows, _scan_schema
@@ -47,19 +47,16 @@ def sealed_run(
     store: RodentStore,
     plan: PhysicalPlan,
     region: Region,
-    names: Sequence[str],
-    rows: list[tuple],
+    batch: ColumnBatch,
     indexes: Sequence[tuple[str, ...]],
 ) -> Run:
-    """Stored-shape ``rows`` (fields ``names``) rendered as one run, not
-    yet swapped in, under ``region``'s design (keyed levels: the last row
-    per key kept), with the declared ``indexes`` it can hold built beside
-    its zone maps. The render of every seal and of every bulk load."""
-    names = tuple(names)
+    """A ``batch`` of stored-shape rows rendered as one run, not yet
+    swapped in, under ``region``'s design (keyed levels: the last row per
+    key kept), with the declared ``indexes`` it can hold built beside its
+    zone maps. The render of every seal and of every bulk load."""
     spec = plan.levels
     if spec is not None and spec.key is not None:
-        rows = _LevelResolver(spec.key, names, []).resolve_pending(rows)
-    batch = ColumnBatch.from_rows(names, rows)
+        batch = _LevelResolver(spec.key, batch.fields, []).resolve_pending(batch)
     layout = store._render_region(plan, region.plan, batch)
     return Run(
         region.plan, layout,
@@ -71,15 +68,14 @@ def seal(table: Table, region: Region, m: _Mutation) -> Run | None:
     """Seal ``region``'s pending rows into one new run (:func:`sealed_run`)
     swapped in as a step of ``m``: recovery sees the rows either pending or
     sealed, never both and never neither. ``None`` when nothing was
-    pending."""
+    pending. The buffer's columns render as they are."""
     if not region.pending:
         return None
     db, entry = table._db, table._entry
-    rows = [tuple(r) for r in region.pending]
-    run = sealed_run(
-        db, entry.plan, region, table.scan_schema().names(), rows,
-        entry.indexes,
+    batch = ColumnBatch.from_columns(
+        tuple(table.scan_schema().names()), region.pending.columns()
     )
+    run = sealed_run(db, entry.plan, region, batch, entry.indexes)
     replace_runs(db, entry, region, [], [run], m, ingest=True)
     return run
 
@@ -108,17 +104,17 @@ def merge(
     spec = entry.plan.levels
     fields = tuple(table.scan_schema().names())
     resolver = table._resolver(region, fields)
-    rows = [tuple(r) for r in region.pending] if pending else []
-    if resolver is not None:
-        rows = resolver.resolve_pending(rows)
     held: list[ColumnBatch] = []
+    if pending and region.pending:
+        newest = ColumnBatch.from_columns(fields, region.pending.columns())
+        if resolver is not None:
+            newest = resolver.resolve_pending(newest)
+        held.append(newest)
     for run in reversed(sorted(sources, key=lambda run: run.max_seq)):
         batches, _ = table._region_batches(
             Region(runs=[run]), None, None, fields, resolver=resolver
         )
-        held[:0] = batches  # oldest source first
-    if rows:
-        held.append(ColumnBatch.from_rows(fields, rows))
+        held[:0] = batches  # oldest source first, pending rows last
     merged = merge_batches(fields, held)
     new: list[Run] = []
     if spec is None or merged.n_rows:
@@ -241,7 +237,7 @@ def redesign(
                 plan=plan, table_plan=table_plan, keep_pending=True,
             )
             if old != new and region.pending:
-                rows = list(map(reorder, region.pending))
+                rows = list(map(reorder, region.pending.rows()))
                 region.clear_pending()
                 region.add_pending(new, rows)
             if old != new and region.level_tombstones and not keyed:
@@ -376,12 +372,11 @@ def _tombstone(
     # value-deterministic, so equal copies always match together).
     victim_set = set(map(victim_of, matched))
     with entry.mvcc.lock:
-        survivors = [
-            tuple(r) for r in region.pending if victim_of(r) not in victim_set
-        ]
+        pending = region.pending.rows()
+        survivors = [r for r in pending if victim_of(r) not in victim_set]
         # Distinct victims in first-match order. A multiset walk read the
         # pending rows last: only the rows matched before, in runs, need one.
-        in_runs = len(matched) - len(region.pending) + len(survivors)
+        in_runs = len(matched) - len(pending) + len(survivors)
         victims = list(dict.fromkeys(
             map(victim_of, matched[:in_runs] if key_expr is None else matched)
         ))
@@ -401,7 +396,8 @@ def _tombstone(
             region.clear_pending()
             new_rows = survivors + new_rows
         else:
-            region.pending = survivors
+            region.pending = PendingBuffer()
+            region.pending.append(list(zip(*survivors)))
         if new_rows:
             region.add_pending(names, new_rows)
         if region.runs and victims:
@@ -512,13 +508,16 @@ class _LevelResolver:
         self.nan = False  # does one hold a NaN? (rows then need _identity())
         self._tombstones = tombstones
 
-    def resolve_pending(self, rows: Sequence[tuple]) -> list[tuple]:
-        """Pending-buffer rows, resolved before any run (no tombstone
-        applies). Keyed: last write wins, keeping each key's final
-        occurrence in its insertion slot order."""
+    def resolve_pending(self, batch: ColumnBatch) -> ColumnBatch:
+        """The pending buffer's rows, resolved before any run (no
+        tombstone applies). Keyed: last write wins, keeping each key's
+        final occurrence in its insertion slot order (through the rows
+        view)."""
         if not self.keyed:
-            return list(rows)
-        return self._newest(map(tuple, reversed(rows)))[::-1]
+            return batch
+        rows = batch.rows()
+        kept = self._newest(rows, range(len(rows) - 1, -1, -1))[::-1]
+        return batch if len(kept) == len(rows) else batch.take(kept)
 
     def enter_run(self, run) -> bool:
         """Apply the tombstones newer than ``run``; True when its rows
@@ -537,7 +536,7 @@ class _LevelResolver:
         order, that no newer key or tombstone suppresses."""
         rows = batch.rows()
         if self.keyed:
-            kept = self._newest(rows)
+            kept = list(map(rows.__getitem__, self._newest(rows, range(len(rows)))))
         else:
             dead = self.dead
             if self.nan:
@@ -548,18 +547,19 @@ class _LevelResolver:
             return batch
         return ColumnBatch.from_rows(batch.fields, kept)
 
-    def _newest(self, rows: Iterable[tuple]) -> list[tuple]:
-        """Keyed: the rows of one segment whose key no newer segment
-        emitted or tombstoned, in stored order."""
+    def _newest(self, rows: Sequence[tuple], walk: Iterable[int]) -> list[int]:
+        """Keyed: the positions, in ``walk`` order, of the rows of one
+        segment whose key no newer segment (or earlier position of
+        ``walk``) emitted or tombstoned."""
         seen = self.seen
         key_of = self.key_of
-        out: list[tuple] = []
-        for row in rows:
-            key = key_of(row)
+        out: list[int] = []
+        for i in walk:
+            key = key_of(rows[i])
             if key in seen:
                 continue
             seen.add(key)
-            out.append(row)
+            out.append(i)
         return out
 
 

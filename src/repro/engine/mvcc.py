@@ -47,9 +47,9 @@ class TableSnapshot:
     """A table's state at one moment: every field of :data:`ENTRY_FIELDS`
     under its own name (a list or dict copied: some change in place) and,
     per region, a copy of its field dict, its runs as a tuple and its
-    pending length (the tombstone list is only ever replaced). Pending rows
-    only ever grow in place — every other change replaces the list — so
-    the list and its length hold them without a copy.
+    pending count (the tombstone list is only ever replaced). The pending
+    buffer and that count hold its rows without a copy: an insert only
+    appends to the buffer, every other change installs a new one.
 
     A reader's snapshot :meth:`freeze`\\ s its regions; a transaction's
     :meth:`restore`\\ s them, and the entry, on abort.
@@ -73,24 +73,30 @@ class TableSnapshot:
     def freeze(self) -> None:
         """Make ``regions`` copies that later writes leave alone: what a
         pinned scan reads (filled from the captured fields, no
-        ``__init__``: a pin is on every scan's path)."""
+        ``__init__``: a pin is on every scan's path). A region's pending
+        buffer becomes a view of the rows counted (no row is copied)."""
         regions, self.regions = self.regions, []
         for region, (fields, runs, count) in zip(regions, self.region_states):
             copy = object.__new__(type(region))
-            pending = tuple(fields["pending"][:count])
+            pending = fields["pending"].view(count)
             vars(copy).update(fields, runs=runs, pending=pending)
             self.regions.append(copy)
 
     def restore(self, entry: "CatalogEntry") -> None:
         """Put ``entry`` and its regions back as they were (an unfrozen
-        snapshot of ``entry``; caller holds its MVCC lock). A pending zone
-        a write widened in place stays a sound bound of the rows kept."""
+        snapshot of ``entry``; caller holds its MVCC lock). A pending buffer
+        the transaction appended to is replaced by a copy of the rows
+        counted, never cut short in place: a reader pinned before the abort
+        keeps the rows it saw, and a later insert writes into new vectors.
+        A pending zone a write widened in place stays a sound bound of the
+        rows kept."""
         for name in ENTRY_FIELDS:
             setattr(entry, name, getattr(self, name))
         for region, (fields, runs, count) in zip(
             self.regions, self.region_states
         ):
-            del fields["pending"][count:]
+            if len(fields["pending"]) != count:
+                fields["pending"] = fields["pending"].prefix(count)
             vars(region).update(fields, runs=list(runs))
 
     def page_ids(self) -> set[int]:

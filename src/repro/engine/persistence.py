@@ -256,7 +256,7 @@ def _run_to_dict(run) -> dict:
 def _region_runs(region) -> dict:
     return {
         "runs": [_run_to_dict(run) for run in region.runs],
-        "pending": [list(r) for r in region.pending],
+        "pending": [list(r) for r in region.pending.rows()],
     }
 
 

@@ -31,7 +31,7 @@ vector pass (:meth:`ZoneTable.keep_mask`):
   (:func:`directory_keep`) that refine the existing
   cell-directory and key-range pruning with min/max over *all* fields;
 * pending buffers — a one-zone table kept current by merging each batch's
-  bounds into the running ones (:meth:`ZoneTable.merge_rows`).
+  bounds into the running ones (:meth:`ZoneTable.merge`).
 
 The same metadata answers the planner's question "how many pages will this
 scan skip?" exactly and without I/O (:func:`column_pruned_pages`, the skip
@@ -131,13 +131,14 @@ class ZoneTable:
         columns = zip(*rows) if rows else ((),) * len(names)
         self.add(len(rows), names, columns, skip_fields)
 
-    def merge_rows(
-        self, names: Sequence[str], rows: Sequence[Sequence[Any]]
+    def merge(
+        self, row_count: int, names: Sequence[str], columns: Sequence[Sequence[Any]]
     ) -> None:
-        """Fold records into the single running zone of a pending buffer:
-        the batch is reduced once and its bounds merged in — O(batch)."""
+        """Fold rows, given as parallel value vectors, into the single
+        running zone of a pending buffer: the batch is reduced once and its
+        bounds merged in — O(batch)."""
         batch = ZoneTable()
-        batch.add_rows(names, rows)
+        batch.add(row_count, names, columns)
         if not self.row_counts:
             self.row_counts, self.fields = batch.row_counts, batch.fields
             return

@@ -876,14 +876,14 @@ class Table:
                 and not zone.may_match(intervals)
             ):
                 return
-            rows = [tuple(r) for r in region.pending]
+            if not region.pending:
+                return
+            batch = ColumnBatch.from_columns(scan_names, region.pending.columns())
             if resolver is not None:
-                rows = resolver.resolve_pending(rows)
-            if rows:
-                batch = ColumnBatch.from_rows(scan_names, rows)
-                reorder = _batch_reorderer(scan_names, fields)
-                batch = batch if reorder is None else reorder(batch)
-                yield batch if pick is None else batch.select(pick(batch))
+                batch = resolver.resolve_pending(batch)
+            reorder = _batch_reorderer(scan_names, fields)
+            batch = batch if reorder is None else reorder(batch)
+            yield batch if pick is None else batch.select(pick(batch))
 
         def generate() -> Iterator[ColumnBatch]:
             if newest_first:

@@ -41,7 +41,7 @@ from repro.errors import (
     StoreFormatError,
     WALError,
 )
-from repro.layout.renderer import StoredLayout
+from repro.layout.renderer import ColumnBatch, StoredLayout
 from repro.storage import wal
 from repro.storage.disk import DEFAULT_PAGE_SIZE, DiskManager
 from repro.storage.integrity import (
@@ -400,7 +400,7 @@ def count_hidden(store: RodentStore) -> int:
             if not region.level_tombstones:
                 continue
             pending = table._resolver(region, names).resolve_pending(
-                region.pending
+                ColumnBatch.from_columns(tuple(names), region.pending.columns())
             )
             batches, _ = table._region_batches(region, None, None, names)
             runs = sum(batch.n_rows for batch in batches) - len(region.pending)

@@ -240,6 +240,44 @@ def from_values(values: Sequence, code: str):
         return None
 
 
+def extend(vec, values: Sequence):
+    """``vec`` — an append-only column: an ``array``, a list, or ``None``
+    for a new one — with ``values`` appended, in place while they fit it.
+
+    A new column is an ``array`` when every value is exactly an ``int``
+    (``"q"``) or exactly a ``float`` (``"d"``), else a list. Values that do
+    not fit a typed column's typecode exactly (a bool, an int in a float
+    column, an int beyond int64) turn it into a new list, so a column
+    always reads back the values appended, Python types included.
+    """
+    if isinstance(vec, list):
+        vec.extend(values)
+        return vec
+    kinds = set(map(type, values))
+    if vec is None:
+        code = "q" if kinds == {int} else "d" if kinds == {float} else None
+        if code is None:
+            return list(values)
+        vec = array(code)
+    if kinds <= {int if vec.typecode == "q" else float}:
+        try:
+            vec.frombytes(struct.pack(f"{len(values)}{vec.typecode}", *values))
+            return vec
+        except struct.error:  # an int beyond int64
+            pass
+    return vec.tolist() + list(values)
+
+
+def head(vec, count: int):
+    """The first ``count`` entries of an append-only column as a vector of
+    their own, in the active shape: one C-level slice — under numpy an
+    ``ndarray`` over it — so later appends to ``vec`` never show
+    through, and no view of ``vec`` itself blocks them."""
+    part = vec[:count]
+    typed = as_ndarray(part) if isinstance(part, array) else None
+    return part if typed is None else typed
+
+
 def is_typed(vec) -> bool:
     """True when the vector is a contiguous typed buffer (not a list)."""
     return not isinstance(vec, list)

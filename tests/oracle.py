@@ -275,6 +275,23 @@ class Model:
         return project(rows, self.fields, fieldlist or self.fields)
 
 
+#: What every NaN compares as in :func:`comparable` rows: one object,
+#: which tuples compare (and ``Counter`` hashes) by identity.
+_NAN = float("nan")
+
+
+def comparable(rows) -> list[Row]:
+    """``rows`` with every NaN value made one and the same NaN, so rows
+    compare with ``==`` as values: a NaN equals a NaN in the same field,
+    and nothing else. (Two NaN objects are never equal, so a correct row
+    holding one would otherwise equal no copy of itself.)"""
+    return [
+        row if all(v == v for v in row)
+        else tuple(_NAN if v != v else v for v in row)
+        for row in rows
+    ]
+
+
 def check_scan(
     got, model: Model, fieldlist=None, predicate=None, order=None, limit=None,
     context: Any = "",
@@ -285,28 +302,29 @@ def check_scan(
     Exact where the model's order is (:attr:`Model.exact`); otherwise the
     same multiset — and with ``order``, the same sequence of order keys
     whenever the output carries them — and under a limit a sub-multiset of
-    the right size.
+    the right size. Rows compare as :func:`comparable` rows.
     """
     got = list(got)
+    rows = comparable(got)
     out = list(fieldlist or model.fields)
-    want = model.scan(None, predicate, order)
+    want = comparable(model.scan(None, predicate, order))
     size = len(want) if limit is None else min(max(0, limit), len(want))
     label = (
         f"{context} fieldlist={fieldlist} predicate={predicate!r} "
         f"order={order} limit={limit} layout={model.layout}"
     )
     if model.exact:
-        assert got == project(want[:size], model.fields, out), label
+        assert rows == project(want[:size], model.fields, out), label
         return got
     assert len(got) == size, f"{len(got)} rows, model has {size}: {label}"
     full = Counter(project(want, model.fields, out))
     if limit is None:
-        assert Counter(got) == full, label
+        assert Counter(rows) == full, label
     else:
-        assert not Counter(got) - full, f"rows the model lacks: {label}"
+        assert not Counter(rows) - full, f"rows the model lacks: {label}"
     keys = [name for name, _ in normalize_order(order)]
     if keys and set(keys) <= set(out):
-        assert project(got, out, keys) == project(
+        assert project(rows, out, keys) == project(
             want[:size], model.fields, keys
         ), f"order keys differ: {label}"
     return got

@@ -23,7 +23,7 @@ from repro.engine import adaptive, database
 from repro.engine import levels, recovery
 from repro.engine import table as table_module
 from repro.engine.access import open_run
-from repro.engine.catalog import Region, Run
+from repro.engine.catalog import PendingBuffer, Region, Run
 from repro.engine.database import RodentStore
 from repro.errors import StorageError
 from repro.layout.renderer import LayoutRenderer
@@ -862,6 +862,34 @@ def test_one_table_snapshot():
         (os.path.join("engine", "mvcc.py"), "pin"),
     ]
     assert field_lists == [os.path.join("engine", "mvcc.py")]
+
+
+def test_one_pending_representation():
+    """A region's pending rows are one columnar buffer, with no row list
+    kept beside it: nothing in the engine iterates the buffer (a row copy,
+    ``tuple(r) for r in region.pending``) — the rare paths ask for its
+    ``rows()`` view — and the scan, the seal and the merge hand its
+    columns on, building no ``ColumnBatch.from_rows``."""
+    assert PendingBuffer.__slots__ == ("vectors", "count")
+    assert dataclasses.fields(Region)[
+        [f.name for f in dataclasses.fields(Region)].index("pending")
+    ].type == "PendingBuffer"
+    copies = {"list", "tuple", "map", "zip", "sorted", "reversed"}
+    for name, source in _engine_sources():
+        assert not re.search(r"tuple\(\w+\) for \w+ in [\w.]*pending", source), name
+        for node in ast.walk(_parse(source)):
+            walked = []
+            if isinstance(node, (ast.For, ast.comprehension)):
+                walked = [node.iter]
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) in copies:
+                walked = node.args
+            for it in walked:
+                assert getattr(it, "attr", None) != "pending", (name, ast.unparse(it))
+    for fn in (
+        table_module.Table._region_batches, levels.seal, levels.merge,
+        levels.sealed_run, levels._LevelResolver.resolve_pending,
+    ):
+        assert "from_rows" not in inspect.getsource(fn), fn.__qualname__
 
 
 #: The per-shape template fields of a plan, and the table-shape questions

@@ -333,7 +333,7 @@ def test_merge_rows_equals_one_zone_over_all_rows(batches):
     running = ZoneTable()
     for batch in batches:
         if batch:
-            running.merge_rows(("a", "b"), batch)
+            running.merge(len(batch), ("a", "b"), list(zip(*batch)))
     rows = [row for batch in batches for row in batch]
     if not rows:
         assert len(running) == 0
