@@ -92,7 +92,10 @@ def build_indexes(
     two for an R-Tree) a run of ``layout`` can hold, built from its pages:
     ``fields -> index``. Only a rows run whose pages count their records
     and store every value as it is (no delta encoding) holds any: a
-    position then names one row, which one page read returns."""
+    position then names one row, which one page read returns. Nor does a
+    run with a key too long for a tree node hold one over that field: its
+    probes fall back to the run scan, and a seal never fails for an
+    index."""
     plan = layout.plan
     if (
         plan.kind != LAYOUT_ROWS
@@ -100,11 +103,14 @@ def build_indexes(
         or not layout.page_row_counts
     ):
         return {}
-    return {
-        fields: _build(renderer, layout, fields)
-        for fields in declared
-        if all(plan.schema.has_field(f) for f in fields)
-    }
+    built = {}
+    for fields in declared:
+        if all(plan.schema.has_field(f) for f in fields):
+            try:
+                built[fields] = _build(renderer, layout, fields)
+            except IndexError_:  # refused before any page was written
+                continue
+    return built
 
 
 def _build(renderer, layout, fields):
@@ -118,13 +124,14 @@ def _build(renderer, layout, fields):
         for out, position in zip(values, positions):
             out.extend(vector.to_list(columns[position]))
     if len(fields) == 1:
-        tree = BPlusTree(renderer.pool, key_type=schema.field(fields[0]).dtype)
-        tree.bulk_load(list(zip(values[0], range(len(values[0])))))
+        # A NaN matches no range and has no place in key order (its
+        # comparisons would unsort the leaves): it stays out of the tree.
+        pairs = [(key, row) for row, key in enumerate(values[0]) if key == key]
+        tree = BPlusTree(renderer.pool, schema.field(fields[0]).dtype, pairs)
         return FieldIndex(fields[0], tree)
-    tree = RTree(renderer.pool)
-    tree.bulk_load([
+    tree = RTree(renderer.pool, (
         (MBR(x, y, x, y), row) for row, (x, y) in enumerate(zip(*values))
-    ])
+    ))
     return SpatialIndex(*fields, tree)
 
 

@@ -350,7 +350,7 @@ def _tombstone(
     def victim_of(row: tuple):
         if key_expr is None:
             return _identity(tuple(row))
-        return eval_scalar(key_expr, row, positions)
+        return _one_nan(eval_scalar(key_expr, row, positions))
 
     _, pruning = table._run_scan_args([region], None, predicate)
     with db.adaptivity.pause():
@@ -500,7 +500,9 @@ class _LevelResolver:
         self.keyed = key_expr is not None
         if self.keyed:
             positions = {n: i for i, n in enumerate(names)}
-            self.key_of = lambda row: eval_scalar(key_expr, row, positions)
+            self.key_of = lambda row: _one_nan(
+                eval_scalar(key_expr, row, positions)
+            )
         else:
             self.key_of = None
         self.seen: set = set()  # merge keys emitted or tombstoned (keyed)
@@ -561,6 +563,13 @@ class _LevelResolver:
             seen.add(key)
             out.append(i)
         return out
+
+
+def _one_nan(key):
+    """A merge key as the seen-set and tombstones hold it: a NaN made the
+    one ``math.nan`` object, so a NaN key is one key, as a NaN row value
+    is one value (:func:`_identity`)."""
+    return math.nan if key != key else key
 
 
 def _identity(row: tuple) -> tuple:

@@ -135,22 +135,25 @@ class ZoneTable:
         self, row_count: int, names: Sequence[str], columns: Sequence[Sequence[Any]]
     ) -> None:
         """Fold rows, given as parallel value vectors, into the single
-        running zone of a pending buffer: the batch is reduced once and its
-        bounds merged in — O(batch)."""
-        batch = ZoneTable()
-        batch.add(row_count, names, columns)
+        running zone of a pending buffer: each column is reduced once and
+        folded into the zone's bounds — O(batch). The bounds equal one
+        reduction over all the rows: NaN only while every value was."""
         if not self.row_counts:
-            self.row_counts, self.fields = batch.row_counts, batch.fields
+            self.add(row_count, names, columns)
             return
-        self.row_counts[0] += batch.row_counts[0]
-        for name, new in batch.fields.items():
-            old = self.fields[name]
-            old.null_counts[0] += new.null_counts[0]
-            if old.mins[0] is None:
-                old.mins[0], old.maxs[0] = new.mins[0], new.maxs[0]
-            elif new.mins[0] is not None:
-                old.mins[0] = min(old.mins[0], new.mins[0])
-                old.maxs[0] = max(old.maxs[0], new.maxs[0])
+        self.row_counts[0] += row_count
+        for name, values in zip(names, columns):
+            column = self.fields[name]
+            low, high, nulls = vector.min_max_nulls(values)
+            column.null_counts[0] += nulls
+            old = column.mins[0]
+            if low is None or (old is not None and low != low):
+                continue  # nothing to fold in: nulls, or NaN beside bounds
+            if old is None or old != old:
+                column.mins[0], column.maxs[0] = low, high
+            else:
+                column.mins[0] = min(old, low)
+                column.maxs[0] = max(column.maxs[0], high)
 
     def pack(self) -> "ZoneTable":
         """Freeze a finished table into typed vectors (no more ``add``)."""
@@ -233,8 +236,9 @@ class LayoutSynopsis:
         misses, where each zone is one :meth:`ZoneTable.keep_mask` always
         drops (empty or all-null). A field with a zone bound that is not an
         int or float (``None`` beside non-null rows, a string, a bool) or
-        is NaN gets none: a NaN reduction hides the finite values beside
-        it, so a min over the other zones could drop a row."""
+        is NaN gets none. A zone's bounds skip a NaN beside other values
+        (:func:`repro.vector.min_max_nulls`), so they are NaN only where
+        every value is; such a field keeps no run bound, conservatively."""
         ends: dict[str, list[tuple[Any, Any]]] = {}
         for zones in (self.page_zones, self.cell_zones, self.folded_zones,
                       *self.group_zones):

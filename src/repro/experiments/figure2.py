@@ -272,12 +272,12 @@ def _run_rtree(
             box[3] = max(box[3], record[2])
         row += 1
 
-    rtree = RTree(store.pool)
-    rtree.bulk_load(
+    rtree = RTree(
+        store.pool,
         [
             (MBR(box[0], box[2], box[1], box[3]), trip)
             for trip, box in trip_boxes.items()
-        ]
+        ],
     )
 
     pages = seeks = found = 0.0

@@ -350,17 +350,24 @@ _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 def min_max_nulls(values) -> tuple[Any, Any, int]:
     """``(min, max, null count)`` of a value vector in one reduction each;
-    ``(None, None, nulls)`` when it holds no non-null value."""
+    ``(None, None, nulls)`` when it holds no non-null value. A NaN is
+    skipped whatever the vector's shape (it matches no range); only a
+    vector of NaNs alone reduces to NaN bounds."""
     if not len(values):
         return None, None, 0
     if _numpy_mod is not None and isinstance(values, _numpy_mod.ndarray):
-        return values.min().item(), values.max().item(), 0
+        low, high = values.min(), values.max()
+        if low != low or high != high:  # NaN propagates through numpy
+            present = values[values == values]
+            if len(present):
+                low, high = present.min(), present.max()
+        return low.item(), high.item(), 0
     try:
         low, high = min(values), max(values)
     except TypeError:  # a None among the values: not orderable
         low = None
     if low is not None:
-        return low, high, 0
+        return (*_skip_nan(values, low, high), 0)
     # Nulls are rare, so they are looked for only now (a lone None, the
     # one case the reductions accept, lands here through ``low``). Values
     # of genuinely unorderable types raise again below.
@@ -368,7 +375,17 @@ def min_max_nulls(values) -> tuple[Any, Any, int]:
     nulls = len(values) - len(present)
     if not present:
         return None, None, nulls
-    return min(present), max(present), nulls
+    return (*_skip_nan(present, min(present), max(present)), nulls)
+
+
+def _skip_nan(values, low, high) -> tuple[Any, Any]:
+    """``low``/``high`` of Python's reductions, re-reduced without NaN
+    when they are NaN (which they are exactly when the first value is)."""
+    if low != low or high != high:
+        present = [v for v in values if v == v]
+        if present:
+            return min(present), max(present)
+    return low, high
 
 
 def pack(values: list):

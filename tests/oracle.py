@@ -229,11 +229,13 @@ class Model:
         rows = [tuple(r) for r in rows]
         if self._key is not None:
             positions = {name: i for i, name in enumerate(self.logical)}
-            newest = {eval_scalar(self._key, r, positions): r for r in rows}
-            self.rows = [
-                r for r in self.rows
-                if eval_scalar(self._key, r, positions) not in newest
-            ]
+
+            def key(row):  # a NaN key is one key
+                value = eval_scalar(self._key, row, positions)
+                return _NAN if value != value else value
+
+            newest = {key(r): r for r in rows}
+            self.rows = [r for r in self.rows if key(r) not in newest]
             rows = list(newest.values())
         self.rows.extend(rows)
 

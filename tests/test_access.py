@@ -322,6 +322,56 @@ def test_an_index_belongs_to_one_run():
     assert "indexes" in inspect.signature(open_run).parameters
 
 
+def test_index_trees_are_built_once():
+    """A tree is one build over its entries (runs are immutable, and so
+    are their indexes): neither tree keeps a mutation path, a bulk load
+    into an empty tree or a capacity option — a node holds what its page
+    holds — and a build abandons no page: every page it allocates is a
+    node reached from its root."""
+    from repro.index import btree, rtree
+    from repro.index.btree import BPlusTree
+    from repro.index.rtree import MBR, RTree
+    from repro.storage.buffer import BufferPool
+    from repro.storage.disk import DiskManager
+
+    gone = {
+        "insert", "delete", "bulk_load", "_split", "_descend",
+        "_choose_path", "_propagate", "node_pages_touched",
+        "order", "max_entries", "min_entries",
+    }
+    pool = BufferPool(DiskManager(page_size=256), capacity=64)
+    boxes = [(MBR(i, i, i + 1, i + 1), i) for i in range(60)]
+    trees = {
+        BPlusTree: BPlusTree(pool, pairs=[(k % 40, k) for k in range(200)]),
+        RTree: RTree(pool, boxes),
+    }
+    for cls, tree in trees.items():
+        assert not gone & (set(dir(cls)) | set(vars(tree))), cls
+        assert not {"order", "max_entries"} & set(
+            inspect.signature(cls).parameters
+        ), cls
+    assert not {"_quadratic_split", "_subtree_min"} & (
+        set(vars(btree)) | set(vars(rtree))
+    )
+    assert not {"area", "enlargement"} & set(dir(MBR))
+    reached = []
+    for tree in trees.values():
+        stack = [tree.root_page]
+        while stack:
+            page = stack.pop()
+            reached.append(page)
+            if isinstance(tree, BPlusTree):
+                node = tree._read_node(page)
+                stack += [] if node.is_leaf else node.slots
+            else:
+                is_leaf, entries = tree._read_node(page)
+                stack += [] if is_leaf else [child for _, child in entries]
+    allocated = [p for tree in trees.values() for p in tree.page_ids()]
+    assert sorted(reached) == sorted(allocated) == list(
+        range(pool.disk.num_pages)
+    )
+
+
 def test_the_replaced_ladders_are_gone():
     gone = re.compile(r"\b(" + "|".join(DELETED) + r")\b")
     for name, source in _sources():

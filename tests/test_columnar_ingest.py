@@ -155,12 +155,10 @@ class PageAudit:
     """Checks every ``render_region`` call against the tuple path: the page
     images it writes must equal, byte for byte, those of rendering
     ``batch.rows()`` through ``Evaluator`` records on a scratch renderer,
-    and so must its zone maps (unless ``zones`` is false: a zone holding a
-    NaN reduces to NaN from a numpy vector, to an order-dependent bound
-    from tuples). Images are taken before a run's pages are chained (page
-    ids differ between the two renders; nothing else may)."""
+    and so must its zone maps. Images are taken before a run's pages are
+    chained (page ids differ between the two renders; nothing else may)."""
 
-    def __init__(self, monkeypatch, zones: bool = True):
+    def __init__(self, monkeypatch):
         self.renders = 0
         self._written: list[bytes] = []
         self._scratch = LayoutRenderer(
@@ -184,8 +182,7 @@ class PageAudit:
             want = written[start + len(got):]
             del written[start:]
             assert got == want, f"pages differ from the tuple path: {plan.describe()}"
-            if zones:
-                assert _zones(layout) == _zones(reference), plan.describe()
+            assert _zones(layout) == _zones(reference), plan.describe()
             self.renders += 1
             return layout
 

@@ -17,6 +17,7 @@ from repro.query.expressions import And, Range, Rect
 from repro.types import Schema
 
 SCHEMA = Schema.of("t:int", "lat:int", "lon:int", "id:int")
+NAN = float("nan")
 RECORDS = [(i, (i * 37) % 1000, (i * 53) % 1000, i % 7) for i in range(1500)]
 
 
@@ -279,6 +280,97 @@ def test_a_delta_run_holds_no_index():
         assert list(table.scan(predicate=Range(name, lo, hi))) == [
             r for r in rows if lo <= r[name == "x"] <= hi
         ]
+
+
+STRINGS = Schema.of("t:int", "s:string")
+
+
+@pytest.mark.parametrize("width", [60, 200])
+def test_long_string_keys_build_and_answer(width):
+    """A B+Tree over 60- and 200-character strings at page size 4 096
+    builds (a node holds as many keys as fit its bytes, not a count
+    sized from an estimated width) and answers like the oracle: its
+    probe returns the positions of the matching rows, and scans equal
+    the model."""
+    store = RodentStore(page_size=4096, pool_capacity=64)
+    store.create_table("T", STRINGS)
+    rows = [(i, f"{(i * 7919) % 3000:0{width}d}") for i in range(3000)]
+    table = store.load("T", rows)
+    table.create_index("s")
+    index = run_index(table, "s")
+    assert index.tree.height >= 2 and len(index.tree) == 3000
+    model = oracle.Model(["t", "s"], rows, "T")
+    for lo, hi in ((10, 20), (0, 0), (2990, 4000)):
+        lo, hi = f"{lo:0{width}d}", f"{hi:0{width}d}"
+        assert index.positions_in_range(lo, hi) == [
+            i for i, row in enumerate(rows) if lo <= row[1] <= hi
+        ]
+        oracle.check_table(table, model, predicate=Range("s", lo, hi))
+
+
+def test_a_levelled_table_with_long_string_keys_keeps_taking_inserts():
+    """``levels[4; 4](T)`` with an index over ``s``: 5 000 rows of
+    100-character strings seal and merge with their runs indexed, and
+    every later insert succeeds (a node overflow used to fail the seal,
+    and every insert after it)."""
+    store = RodentStore(page_size=4096, pool_capacity=64)
+    store.create_table("T", STRINGS, layout="levels[4; 4](T)")
+    table = store.table("T")
+    table.create_index("s")
+    model = oracle.Model(["t", "s"], [], "levels[4; 4](T)")
+    rows = [(i, f"{i:0100d}") for i in range(5000)]
+    for start in range(0, 5000, 500):
+        table.insert(rows[start : start + 500])
+        model.insert(rows[start : start + 500])
+    runs = list(table._entry.runs())
+    assert runs and all(("s",) in run.indexes for run in runs)
+    for i in range(3):
+        more = [(9000 + i, "x" * 100)]
+        table.insert(more)
+        model.insert(more)
+    table.flush_inserts()
+    predicate = Range("s", f"{4100:0100d}", f"{4120:0100d}")
+    assert probe(table, predicate) is not None
+    oracle.check_table(table, model, predicate=predicate)
+    oracle.check_table(table, model, predicate=Range("s", "x", "y"))
+
+
+def test_a_key_too_long_for_a_node_leaves_its_run_unindexed():
+    """At page size 1 024 a 980-character key fits a row page but no tree node: the run
+    holding it gets no index over ``s`` (its probes fall back to the run
+    scan), a run without one does, and scans equal the oracle."""
+    store = RodentStore(page_size=1024, pool_capacity=64, level_seal_rows=64)
+    store.create_table("T", STRINGS, layout="levels[4; 4](T)")
+    table = store.table("T")
+    table.create_index("s")
+    model = oracle.Model(["t", "s"], [], "levels[4; 4](T)")
+    for batch in (
+        [(i, f"{i:08d}") for i in range(64)],
+        [(64, "y" * 980)] + [(i, f"{i:08d}") for i in range(65, 128)],
+    ):
+        table.insert(batch)
+        model.insert(batch)
+    first, second = sorted(table._entry.runs(), key=lambda run: run.min_seq)
+    assert ("s",) in first.indexes and ("s",) not in second.indexes
+    for lo, hi in (("00000010", "00000012"), ("00000100", "00000101"), ("y", "z")):
+        oracle.check_table(table, model, predicate=Range("s", lo, hi))
+
+
+def test_a_nan_key_stays_out_of_the_tree():
+    """A NaN matches no range and has no place in key order: a tree over a
+    float field holding NaN keeps its other keys sorted and answers like
+    the oracle (NaN keys in the tree returned 2 of 64 rows)."""
+    store = RodentStore(page_size=1024)
+    store.create_table("T", Schema.of("t:int", "f:float"))
+    rows = [(i, NAN if i % 5 == 0 else float((i * 37) % 101)) for i in range(2000)]
+    table = store.load("T", rows)
+    table.create_index("f")
+    assert len(run_index(table, "f").tree) == 1600
+    model = oracle.Model(["t", "f"], rows, "T")
+    for lo in (0, 10, 50, 90):
+        predicate = Range("f", lo, lo + 3)
+        assert probe(table, predicate) is not None
+        oracle.check_table(table, model, predicate=predicate)
 
 
 # -- every table shape -------------------------------------------------------

@@ -365,13 +365,12 @@ def test_rtree_window_query():
     """A 50 x 50 window over 20 000 STR-packed boxes in a 1000 x 1000 space
     reads under a fifth of the tree's pages."""
     disk = DiskManager(page_size=4_096)
-    tree = RTree(BufferPool(disk, capacity=512))
     rng = random.Random(5)
     boxes = []
     for i in range(20_000):
         x, y = rng.uniform(0, 1000), rng.uniform(0, 1000)
         boxes.append((MBR(x, y, x + rng.uniform(0, 5), y + rng.uniform(0, 5)), i))
-    tree.bulk_load(boxes)
+    tree = RTree(BufferPool(disk, capacity=512), boxes)
     tree.pool.clear()
     disk.stats.reset()
     tree.search(MBR(500, 500, 550, 550))

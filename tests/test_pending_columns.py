@@ -147,7 +147,7 @@ DESIGNS = {
 def test_scans_of_pending_rows_equal_the_model(design, numpy_leg, monkeypatch):
     assert type(PREDICATES[-1]) is ScalarPredicate  # filtered row by row
     layout = DESIGNS[design]
-    audit = PageAudit(monkeypatch, zones=False)
+    audit = PageAudit(monkeypatch)
     store = RodentStore(page_size=1024, pool_capacity=32, level_seal_rows=24)
     store.create_table("T", SCHEMA, layout=layout)
     table = store.load("T", batch(0, 30))
@@ -175,6 +175,48 @@ def test_scans_of_pending_rows_equal_the_model(design, numpy_leg, monkeypatch):
     check(table, model, "merged")
     assert audit.renders >= 2
     store.close()
+
+
+def test_a_sealed_nan_is_skipped_by_its_zone_on_both_legs(
+    numpy_leg, monkeypatch
+):
+    """A 30-row seal holding one NaN bounds its ``f`` chunk by the other
+    values on both numpy legs, as the tuple path does (``PageAudit``), so
+    a ``Range`` on ``f`` outside them reads no page. Under a level policy
+    keyed on ``f``, a delete of the NaN key still removes its row:
+    ``may_hold`` stays true for NaN."""
+    audit = PageAudit(monkeypatch)
+    rows = [(i, 0, NAN if i == 7 else i / 4, "a") for i in range(30)]
+    for layout in "levels[2; 4](columns(T))", "levels[2; 4; r.f](columns(T))":
+        store = RodentStore(page_size=1024, pool_capacity=32, level_seal_rows=30)
+        store.create_table("T", SCHEMA, layout=layout)
+        table = store.table("T")
+        table.insert(rows)
+        (run,) = table._entry.runs()
+        assert not any(r.pending for r in table.partitions)
+        (zones,) = [
+            zones for zones, group in zip(
+                run.layout.synopsis.group_zones, run.layout.column_groups
+            )
+            if "f" in group.fields
+        ]
+        f = zones.fields["f"]
+        assert (vector.to_list(f.mins), vector.to_list(f.maxs)) == ([0.0], [7.25])
+        assert run.layout.run_bounds["f"] == (0.0, 7.25)
+        model = oracle.Model(NAMES, [], layout)
+        model.insert(rows)
+        if "r.f" not in layout:
+            got, io = store.run_cold(
+                lambda: list(table.scan(predicate=Range("f", 10.0, 20.0)))
+            )
+            assert got == [] and io.page_reads == 0
+            continue
+        victim = from_scalar(parse_condition("r.t = 7"))
+        assert table.delete(victim) == model.delete(victim) == 1
+        check(table, model, "the NaN key deleted")
+        assert all(r[0] != 7 for r in table.scan())
+        store.close()
+    assert audit.renders == 2
 
 
 def test_a_pinned_scan_sees_no_later_insert(numpy_leg):

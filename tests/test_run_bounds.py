@@ -341,31 +341,37 @@ def test_a_missed_bound_is_a_skip_of_every_zone(table, intervals):
 
 
 def test_a_nan_zone_leaves_its_field_unbounded():
-    """A chunk whose first value is NaN reduces to a NaN min and max, which
-    hide the 20.0 beside it. A min of the other chunks' mins and a max of
-    their maxes would bound ``f`` to [0, 9.5] and skip the run under
-    ``f`` in [15, 25]; the field gets no bound instead, and the row is
-    found."""
-    zones = ZoneTable()
-    zones.add(2, ("f",), [[NAN, 20.0]])
-    zones.add(2, ("f",), [[0.0, 9.5]])
-    assert "f" not in LayoutSynopsis(group_zones=[zones.pack()]).run_bounds()
+    """A zone's reduction skips NaN whatever its position: a chunk whose
+    first value is NaN is bounded by the 20.0 beside it, so the run bound
+    of ``f`` is [0, 20] and the run is read under ``f`` in [15, 25]. Only
+    a chunk of NaNs alone reduces to NaN; its field gets no bound (a min
+    of the other chunks' mins would be as sound, but none is taken), and
+    the row is found either way."""
+    def synopsis_of(first):
+        zones = ZoneTable()
+        zones.add(2, ("f",), [first])
+        zones.add(2, ("f",), [[0.0, 9.5]])
+        return LayoutSynopsis(group_zones=[zones.pack()])
 
-    store = RodentStore(page_size=256, pool_capacity=64)
-    store.create_table("T", SCHEMA, layout="columns(T)")
-    rows = [(i, 0, i % 20 * 0.5, 0) for i in range(200)]
-    rows[:2] = [(0, 0, NAN, 0), (1, 0, 20.0, 0)]  # the first chunk's head
-    table = store.load("T", rows)
-    (chunks,) = [
-        zones for zones, group in zip(
-            table.layout.synopsis.group_zones, table.layout.column_groups
-        )
-        if group.fields == ("f",)
-    ]
-    maxs = list(chunks.fields["f"].maxs)
-    assert math.isnan(maxs[0]) and max(maxs[1:]) < 15
-    assert "f" not in table.layout.run_bounds
-    assert "t" in table.layout.run_bounds
-    model = oracle.Model(SCHEMA.names(), rows, "columns(T)")
-    got = oracle.check_table(table, model, predicate=Range("f", 15, 25))
-    assert got == [(1, 0, 20.0, 0)]
+    assert synopsis_of([NAN, 20.0]).run_bounds()["f"] == (0.0, 20.0)
+    assert "f" not in synopsis_of([NAN, NAN]).run_bounds()
+
+    for nans, bound in ((1, (0.0, 20.0)), (100, None)):
+        store = RodentStore(page_size=256, pool_capacity=64)
+        store.create_table("T", SCHEMA, layout="columns(T)")
+        rows = [(i, 0, NAN if i < nans else i % 20 * 0.5, 0) for i in range(200)]
+        rows[nans] = (nans, 0, 20.0, 0)  # right after the NaNs
+        table = store.load("T", rows)
+        (chunks,) = [
+            zones for zones, group in zip(
+                table.layout.synopsis.group_zones, table.layout.column_groups
+            )
+            if group.fields == ("f",)
+        ]
+        maxs = list(chunks.fields["f"].maxs)
+        assert math.isnan(maxs[0]) == (bound is None)
+        assert table.layout.run_bounds.get("f") == bound
+        assert "t" in table.layout.run_bounds
+        model = oracle.Model(SCHEMA.names(), rows, "columns(T)")
+        got = oracle.check_table(table, model, predicate=Range("f", 15, 25))
+        assert got == [(nans, 0, 20.0, 0)]
