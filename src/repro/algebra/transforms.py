@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro import vector
 from repro.algebra import ast
 from repro.errors import AlgebraError
 from repro.curves.hilbert import hilbert_sort_key
@@ -439,18 +438,17 @@ def transpose_matrix(matrix: Sequence[Sequence[Any]]) -> list[list[Any]]:
 
 
 @dataclass
-class GridResult:
-    """A gridded nesting: cells plus geometry.
+class CellGrid:
+    """A grid's geometry.
 
     Attributes:
-        cells: list of cells (each a list of records), parallel to ``coords``.
-        coords: integer cell coordinates along each dimension.
+        coords: integer cell coordinates along each dimension, one entry
+            per cell.
         dims: the gridded field names.
         strides: cell extent along each dimension.
         origin: minimum attribute value along each dimension.
     """
 
-    cells: list[list[Record]]
     coords: list[tuple[int, ...]]
     dims: tuple[str, ...]
     strides: tuple[float, ...]
@@ -469,6 +467,14 @@ class GridResult:
             int((record[i] - o) // s)
             for i, o, s in zip(idx, self.origin, self.strides)
         )
+
+
+@dataclass
+class GridResult(CellGrid):
+    """A gridded nesting: its geometry plus ``cells`` (each a list of
+    records), parallel to ``coords``."""
+
+    cells: list[list[Record]] = field(default_factory=list)
 
 
 def grid_records(
@@ -612,25 +618,6 @@ def columns_records(
     return out
 
 
-def columns_vectors(
-    vectors: Sequence[Sequence[Any]],
-    fields: Sequence[str],
-    groups: Sequence[Sequence[str]],
-) -> list:
-    """:func:`columns_records` over value vectors parallel to ``fields``:
-    a single-field group *is* its field's vector; a multi-field group zips
-    the native values of its own fields into mini-records."""
-    positions = {f: i for i, f in enumerate(fields)}
-    out: list = []
-    for group in groups:
-        idx = [positions[f] for f in group]
-        if len(idx) == 1:
-            out.append(vectors[idx[0]])
-        else:
-            out.append(list(zip(*(vector.to_list(vectors[i]) for i in idx))))
-    return out
-
-
 def default_column_groups(fields: Sequence[str]) -> tuple[tuple[str, ...], ...]:
     """Pure DSM: one group per field."""
     return tuple((f,) for f in fields)
@@ -644,20 +631,18 @@ def default_column_groups(fields: Sequence[str]) -> tuple[tuple[str, ...], ...]:
 class Evaluator:
     """Evaluate algebra expressions over in-memory tables.
 
+    The algebra's reference interpreter: the engine's writes run the same
+    operators over columns (:mod:`repro.layout.columnar`), and tests
+    compare the two.
+
     Args:
-        tables: mapping of table name to ``(records, field_names)``, or to a
-            column batch (:class:`~repro.layout.renderer.ColumnBatch`: its
-            ``fields``, ``columns()`` and ``rows()``). A ``columns`` over a
-            batch — under any ``compress`` — takes the batch's vectors as its
-            columns; every other use of the table evaluates ``rows()``.
+        tables: mapping of table name to ``(records, field_names)``.
     """
 
-    def __init__(self, tables: dict[str, Any]):
+    def __init__(self, tables: dict[str, tuple[Sequence[Record], Sequence[str]]]):
         self.tables = {
-            name: source if hasattr(source, "columns") else (
-                list(source[0]), tuple(source[1])
-            )
-            for name, source in tables.items()
+            name: (list(records), tuple(fields))
+            for name, (records, fields) in tables.items()
         }
 
     def evaluate(self, node: ast.Node) -> Evaluated:
@@ -670,13 +655,10 @@ class Evaluator:
 
     def _eval_tableref(self, node: ast.TableRef) -> Evaluated:
         try:
-            source = self.tables[node.name]
+            records, fields = self.tables[node.name]
         except KeyError:
             raise AlgebraError(f"unknown table {node.name!r}") from None
-        if isinstance(source, tuple):
-            records, fields = source
-            return Evaluated(list(records), fields, KIND_RECORDS)
-        return Evaluated(list(source.rows()), tuple(source.fields), KIND_RECORDS)
+        return Evaluated(list(records), fields, KIND_RECORDS)
 
     def _eval_literal(self, node: ast.Literal) -> Evaluated:
         return Evaluated(node.thaw(), None, KIND_NESTING)
@@ -694,7 +676,7 @@ class Evaluator:
             ]
             new_positions = {f: i for i, f in enumerate(node.fields)}
             new_grid = GridResult(
-                new_cells, list(grid.coords), grid.dims, grid.strides, grid.origin
+                list(grid.coords), grid.dims, grid.strides, grid.origin, new_cells
             )
             if any(d not in new_positions for d in grid.dims):
                 raise AlgebraError(
@@ -821,7 +803,7 @@ class Evaluator:
                 for cell in grid.cells
             ]
             new_grid = GridResult(
-                new_cells, list(grid.coords), grid.dims, grid.strides, grid.origin
+                list(grid.coords), grid.dims, grid.strides, grid.origin, new_cells
             )
             meta = {**child.meta, "grid": new_grid,
                     "delta_fields": tuple(node.fields)}
@@ -908,35 +890,13 @@ class Evaluator:
         return Evaluated(child.records(), child.fields, KIND_RECORDS)
 
     def _eval_columns(self, node: ast.Columns) -> Evaluated:
-        stored = self._batch_columns(node.child)
-        if stored is None:
-            child = self.evaluate(node.child)
-            fields, meta = child.fields, child.meta
-            groups = node.groups or default_column_groups(fields)
-            cols = columns_records(child.records(), child.positions, groups)
-        else:
-            fields, vectors, meta = stored
-            groups = node.groups or default_column_groups(fields)
-            cols = columns_vectors(vectors, fields, groups)
+        child = self.evaluate(node.child)
+        groups = node.groups or default_column_groups(child.fields)
+        cols = columns_records(child.records(), child.positions, groups)
         return Evaluated(
-            cols, fields, KIND_COLUMNS, {**meta, "column_groups": groups}
+            cols, child.fields, KIND_COLUMNS,
+            {**child.meta, "column_groups": groups},
         )
-
-    def _batch_columns(self, node: ast.Node):
-        """``(fields, vectors, meta)`` when ``node`` is a table bound to a
-        column batch, under any number of ``compress`` markers; else
-        ``None``."""
-        if isinstance(node, ast.Compress):
-            inner = self._batch_columns(node.child)
-            if inner is None:
-                return None
-            fields, vectors, meta = inner
-            return fields, vectors, _with_codec(meta, node)
-        if isinstance(node, ast.TableRef):
-            source = self.tables.get(node.name)
-            if source is not None and not isinstance(source, tuple):
-                return tuple(source.fields), source.columns(), {}
-        return None
 
     def _eval_compress(self, node: ast.Compress) -> Evaluated:
         child = self.evaluate(node.child)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import struct
+from itertools import accumulate
 from typing import Any, Sequence
 
 from repro import vector
@@ -73,9 +74,37 @@ class Codec:
     """Base class for value-vector codecs."""
 
     name: str = "codec"
+    #: Does :meth:`encode` take typed vectors (:mod:`repro.vector`) as
+    #: they are? Every other codec is handed lists of Python values.
+    _typed_input: bool = False
 
     def encode(self, values: Sequence[Any], dtype: DataType) -> bytes:
         raise NotImplementedError
+
+    def encode_input(self, values: Sequence[Any]) -> Sequence[Any]:
+        """``values`` in the shape :meth:`encode` takes: a typed vector as
+        it is for the built-in codecs that read one (identity, varint), the
+        native Python values as a list for every other codec — a user's
+        included."""
+        return values if self._typed_input else list(vector.to_list(values))
+
+    def encode_segments(
+        self, values: Sequence[Any], counts: Sequence[int], dtype: DataType
+    ) -> list[bytes]:
+        """One :meth:`encode` blob per segment of ``values`` (segments of
+        ``counts`` values, back to back) — the grid cells or folded records
+        of one field, from slices of :meth:`encode_input`'s vector. A codec
+        with a one-pass encoding of a whole run (varint) supplies it as
+        ``_encode_run``."""
+        blobs = self._encode_run(values, counts, dtype)
+        if blobs is not None:
+            return blobs
+        values = self.encode_input(values)
+        starts = list(accumulate(counts, initial=0))
+        return [self.encode(values[a:b], dtype) for a, b in zip(starts, starts[1:])]
+
+    def _encode_run(self, values, counts, dtype) -> list[bytes] | None:
+        return None
 
     def decode(self, data: bytes, dtype: DataType):
         """The values of one blob, as a typed vector or a list."""
@@ -126,6 +155,7 @@ class NoneCodec(Codec):
     """Identity codec: plain vector serialization."""
 
     name = "none"
+    _typed_input = True
 
     def encode(self, values: Sequence[Any], dtype: DataType) -> bytes:
         return VectorSerializer(dtype).encode(values)

@@ -8,9 +8,9 @@ grid layout.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
-
 import struct
+from itertools import accumulate
+from typing import Any, Sequence
 
 from repro import vector
 from repro.compression.base import Codec, CodecError, checked, register
@@ -105,13 +105,29 @@ class VarintCodec(Codec):
     """Zigzag-varint coding of signed integer vectors."""
 
     name = "varint"
+    _typed_input = True
 
     def encode(self, values: Sequence[Any], dtype: DataType) -> bytes:
+        return self.encode_segments(values, (len(values),), dtype)[0]
+
+    def _encode_run(self, values, counts, dtype) -> list[bytes]:
+        """Every segment in one vector pass when ``values`` is a typed int
+        vector (:func:`repro.vector.zigzag_varint_blobs`), else value by
+        value."""
         base = getattr(dtype, "base", dtype)
         if not isinstance(base, IntType):
             raise CodecError(
                 f"varint codec requires an integer type, got {dtype.name}"
             )
+        blobs = vector.zigzag_varint_blobs(values, counts)
+        if blobs is not None:
+            return blobs
+        values = vector.to_list(values)
+        starts = list(accumulate(counts, initial=0))
+        return [self._encode(values[a:b]) for a, b in zip(starts, starts[1:])]
+
+    @staticmethod
+    def _encode(values: Sequence[Any]) -> bytes:
         out = bytearray(_U32.pack(len(values)))
         for v in values:
             if not isinstance(v, int):

@@ -192,13 +192,17 @@ class Region:
         )
 
     def add_pending(self, names: Sequence[str], rows: Sequence[tuple]) -> None:
-        """Buffer ``rows``, transposed once: the columns append to the
-        buffer and fold into the running zone (no rescan)."""
-        columns = list(zip(*rows))
+        """Buffer ``rows``, transposed once (:meth:`add_columns`)."""
+        self.add_columns(names, list(zip(*rows)))
+
+    def add_columns(self, names: Sequence[str], columns: Sequence) -> None:
+        """Buffer rows given as ``columns`` (one value sequence per field):
+        they append to the buffer and fold into the running zone (no
+        rescan)."""
         self.pending.append(columns)
         if self.pending_zone is None:
             self.pending_zone = ZoneTable()
-        self.pending_zone.merge(len(rows), names, columns)
+        self.pending_zone.merge(len(columns[0]) if columns else 0, names, columns)
 
     def clear_pending(self) -> None:
         self.pending = PendingBuffer()

@@ -916,22 +916,26 @@ class RodentStore:
         """
         schema = entry.logical_schema
         with self.mutate(entry.name) as m:
-            columns = schema.coerce_columns(records)
+            columns = [
+                vector.typed_column(column, vector.typecode_for(f.dtype))
+                for f, column in zip(schema.fields, schema.coerce_columns(records))
+            ]
             stats = TableStats.from_columns(schema, columns)
-            coerced = list(zip(*columns))
-            del columns  # the rows hold the values: render without the copy
-            regions = self._render_regions(entry, plan, coerced)
+            batch = ColumnBatch.from_columns(tuple(schema.names()), columns)
+            regions = self._render_regions(entry, plan, batch)
             self._install(entry, plan, stats, regions, m)
             return Table(self, entry)
 
     def _render_regions(
-        self, entry: CatalogEntry, plan: PhysicalPlan, coerced: list[tuple]
+        self, entry: CatalogEntry, plan: PhysicalPlan, batch: ColumnBatch
     ) -> list[Region]:
-        """Render logical records into the regions ``plan`` describes.
+        """Render a batch of logical records into the regions ``plan``
+        describes.
 
         The design's record pipeline (:func:`split_design`) maps them to
-        stored records once, as an insert would; the plan's router splits
-        them into regions — one for a trivial router; one per partition
+        stored records once, as an insert would, as one permutation of the
+        batch's columns; the plan's router splits them into regions — one
+        for a trivial router; one per partition
         otherwise, where fixed splits (range/hash) render every region
         eagerly (empty ones included: the partition map is part of the
         physical design) and value partitions appear in first-seen key
@@ -945,23 +949,19 @@ class RodentStore:
         others = sorted(plan.expr.table_names() - {entry.name})
         if others:
             raise StorageError(f"the design of {entry.name!r} reads {others}")
-        fields, rows = stored_split(plan).apply(
-            entry.logical_schema.names(), coerced
-        )
-        router = PartitionRouter(plan.partition, fields)
+        stored = stored_split(plan).apply(batch)
+        router = PartitionRouter(plan.partition, stored.fields)
         spec = plan.levels
         regions: list[Region] = []
         lookup: dict = {}
         try:
-            for locator, part in router.split(rows):
+            for locator, part in router.split(stored):
                 region, _ = _find_or_create_region(
                     router, plan, regions, lookup, len(regions), locator
                 )
-                if part or spec is None:
+                if part.n_rows or spec is None:
                     run = levels.sealed_run(
-                        self, plan, region,
-                        ColumnBatch.from_rows(tuple(fields), part),
-                        entry.indexes,
+                        self, plan, region, part, entry.indexes
                     )
                     if spec is not None:
                         run.level = spec.level_of(

@@ -56,8 +56,8 @@ def store_format_error(path: str | None, why: str) -> StoreFormatError:
 def _catalog_crc(payload: dict) -> int:
     """CRC32 over the canonical JSON serialization of ``payload``.
 
-    The canonical form (sorted keys, no whitespace) survives the
-    pretty-printed round trip through :func:`save_catalog` /
+    The canonical form (sorted keys, no whitespace) survives the round
+    trip through :func:`save_catalog` (compact, in insertion order) /
     :func:`load_catalog`, so the checksum verifies content, not formatting.
     """
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -328,8 +328,10 @@ def save_catalog(store: "RodentStore", path: str) -> None:
         "tables": tables,
     }
     payload[CATALOG_CRC_KEY] = _catalog_crc(payload)
+    # Compact: one call of the C encoder (``indent`` runs the Python one).
+    text = json.dumps(payload, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=1)
+        f.write(text)
 
 
 def read_catalog_payload(store: "RodentStore", path: str) -> dict:

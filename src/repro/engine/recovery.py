@@ -178,6 +178,7 @@ def recover_store(store: "RodentStore", payload: dict | None) -> dict:
 
     # -- logical replay: committed row inserts ----------------------------
     from repro.engine.table import Table
+    from repro.layout.renderer import ColumnBatch
 
     rows_replayed = 0
     for name, rows in inserts:
@@ -186,7 +187,10 @@ def recover_store(store: "RodentStore", payload: dict | None) -> dict:
         entry = store.catalog.entry(name)
         if entry.plan is None:
             continue
-        Table(store, entry)._add_pending([tuple(v) for v in rows])
+        table = Table(store, entry)
+        table._add_pending(ColumnBatch.from_rows(
+            tuple(table.scan_schema().names()), [tuple(v) for v in rows]
+        ))
         rows_replayed += len(rows)
 
     summary = {

@@ -80,13 +80,20 @@ class FieldStats:
         """Estimated fraction of records with value in [lo, hi].
 
         A point range ``[v, v]`` inside the domain is System R's equality
-        rule, ``1 / distinct``. On an integer column (``int`` /
-        ``timestamp``) any other range counts the integer points it holds,
-        each one unit wide (``[lo − ½, hi + ½]``), so a range holding rows
-        is never 0. The rest is the histogram's mass between the two ends,
-        interpolated inside the end buckets.
+        rule, ``1 / distinct``, and 0 outside it — on a string (or other
+        non-numeric) field too, when ``v`` has the bounds' type. On an
+        integer column (``int`` / ``timestamp``) any other range counts the
+        integer points it holds, each one unit wide (``[lo − ½, hi + ½]``),
+        so a range holding rows is never 0. The rest is the histogram's
+        mass between the two ends, interpolated inside the end buckets. A
+        non-point range over a non-numeric field is not estimated: 1.0.
         """
-        if self.count == 0 or not self.is_numeric:
+        if self.count == 0:
+            return 1.0
+        if not self.is_numeric:
+            low, high = self.min_value, self.max_value
+            if lo == hi and low is not None and type(lo) is type(low):
+                return 1.0 / max(1, self.distinct) if low <= lo <= high else 0.0
             return 1.0
         span_lo, span_hi = float(self.min_value), float(self.max_value)
         if span_hi <= span_lo:

@@ -121,15 +121,32 @@ class ZoneTable:
             column.maxs.append(high)
             column.null_counts.append(nulls)
 
-    def add_rows(
+    def add_segments(
         self,
-        names: Sequence[str],
-        rows: Sequence[Sequence[Any]],
+        counts: Sequence[int],
+        names: Iterable[str],
+        columns: Iterable[Sequence[Any]],
         skip_fields: Sequence[str] = (),
     ) -> None:
-        """Append one zone summarizing record tuples."""
-        columns = zip(*rows) if rows else ((),) * len(names)
-        self.add(len(rows), names, columns, skip_fields)
+        """Append one zone per segment of parallel value vectors (segments
+        of ``counts`` rows, back to back) — :meth:`add` of each segment,
+        each field's bounds in one :func:`repro.vector.segment_bounds`."""
+        self.row_counts.extend(counts)
+        if not counts:
+            return
+        for name, values in zip(names, columns):
+            if name not in skip_fields:
+                self.add_bounds(name, *vector.segment_bounds(values, counts))
+
+    def add_bounds(self, name: str, mins, maxs, null_counts) -> None:
+        """Append ``name``'s bounds for zones whose row counts are (or are
+        about to be) appended."""
+        column = self.fields.get(name)
+        if column is None:
+            column = self.fields[name] = ZoneColumn()
+        column.mins.extend(mins)
+        column.maxs.extend(maxs)
+        column.null_counts.extend(null_counts)
 
     def merge(
         self, row_count: int, names: Sequence[str], columns: Sequence[Sequence[Any]]

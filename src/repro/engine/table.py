@@ -67,18 +67,12 @@ from repro.algebra.physical import (
     LAYOUT_ROWS,
     PhysicalPlan,
 )
-from repro.algebra.transforms import (
-    append_records,
-    groupby_records,
-    orderby_records,
-    project_records,
-    select_records,
-)
 from repro.engine import synopsis as zonemaps
 from repro.engine.access import count_runs, decide_scan, open_run
 from repro.engine.catalog import CatalogEntry
 from repro.engine.cost import CostEstimate, estimate
 from repro.errors import CorruptPageError, QueryError, StorageError
+from repro.layout.columnar import apply_pipeline
 from repro.layout.renderer import (
     ColumnBatch,
     StoredLayout,
@@ -135,43 +129,18 @@ class DesignSplit(NamedTuple):
     residual: ast.Node
     fields: tuple[str, ...] | None
 
-    def apply(
-        self, logical: Sequence[str], records: list[tuple]
-    ) -> tuple[tuple[str, ...], list[tuple]]:
-        """``(fields, rows)``: the stored records of logical ``records``.
-        After a ``groupby`` (a stable regroup) ``orderby`` sorts within each
-        group and ``limit`` keeps whole groups, as the algebra defines them,
-        until a ``project`` / ``select`` / ``append`` flattens the groups."""
-        if self.pipeline is None:
-            return tuple(logical), records
-        fields = list(logical)
-        groups, grouped = [records], False
-        for op in self.pipeline:
-            positions = {n: i for i, n in enumerate(fields)}
-            if isinstance(op, ast.OrderBy):
-                groups = [orderby_records(g, positions, op.keys)
-                          for g in groups]
-            elif isinstance(op, ast.Limit):
-                n = op.count
-                groups = groups[:n] if grouped else [groups[0][:n]]
-            else:
-                rows = list(chain.from_iterable(groups))
-                grouped = isinstance(op, ast.GroupBy)
-                if grouped:
-                    groups = groupby_records(rows, positions, op.fields)[0]
-                elif isinstance(op, ast.Project):
-                    groups = [project_records(rows, positions, op.fields)]
-                    fields = list(op.fields)
-                elif isinstance(op, ast.Select):
-                    groups = [select_records(rows, positions, op.condition)]
-                else:
-                    groups = [append_records(rows, positions, op.elements)]
-                    fields += [name for name, _ in op.elements]
-        rows = list(chain.from_iterable(groups))
-        if fields != list(self.fields):
-            positions = {n: i for i, n in enumerate(fields)}
-            rows = project_records(rows, positions, self.fields)
-        return self.fields, rows
+    def apply(self, batch: ColumnBatch) -> ColumnBatch:
+        """The stored records of the logical records ``batch`` holds, as a
+        columnar batch in ``fields`` order: the pipeline is one permutation
+        and selection of the columns
+        (:func:`repro.layout.columnar.apply_pipeline`)."""
+        if self.pipeline is None or (
+            not self.pipeline and batch.fields == self.fields
+        ):
+            return batch
+        return ColumnBatch.from_columns(self.fields, apply_pipeline(
+            self.pipeline, batch.fields, batch.columns(), self.fields
+        ))
 
 
 def split_design(plan: PhysicalPlan) -> DesignSplit:
@@ -1286,34 +1255,36 @@ class Table:
         Returns the number of records that survive the plan's record-level
         pipeline (a plan with a ``select`` drops non-matching records).
         """
-        _, transformed = self._stored_split().apply(
-            self.logical_schema.names(),
-            self.logical_schema.coerce_records(records),
-        )
+        schema = self.logical_schema
+        transformed = self._stored_split().apply(ColumnBatch.from_columns(
+            tuple(schema.names()), schema.coerce_columns(records)
+        ))
         with self._db.mutate(self.name) as m:
-            if transformed:
+            if transformed.n_rows:
                 with self._entry.mvcc.lock:
                     self._add_pending(transformed)
-                m.log_rows(self.name, transformed)
-        if transformed:
+                m.log_rows(self.name, list(zip(*transformed.columns())))
+        if transformed.n_rows:
             # After the insert transaction commits (a crash in between
             # simply leaves the rows in pending for the next seal — WAL
             # replay restores them from the insert's KIND_ROWS record).
-            self._db.maintain_levels(self.name, len(transformed))
-        return len(transformed)
+            self._db.maintain_levels(self.name, transformed.n_rows)
+        return transformed.n_rows
 
-    def _add_pending(self, rows: list[tuple]) -> None:
-        """Buffer stored-shape ``rows`` in their regions' pending buffers —
-        the one landing path of :meth:`insert` and of WAL replay. The
-        table's router sends each row to its region (creating regions for
-        unseen value-partition keys); a one-region table's router is
-        trivial. Caller holds the entry's MVCC lock."""
+    def _add_pending(self, batch: ColumnBatch) -> None:
+        """Buffer a ``batch`` of stored-shape records in their regions'
+        pending buffers — the one landing path of :meth:`insert` and of WAL
+        replay. The table's router sends each row to its region (creating
+        regions for unseen value-partition keys); a one-region table's
+        router is trivial. Caller holds the entry's MVCC lock."""
         db, entry = self._db, self._entry
         names = self.scan_schema().names()
         router = db.router_for(entry)
-        for locator, batch in router.split(rows):
-            if batch:
-                db._region_for(entry, router, locator).add_pending(names, batch)
+        for locator, part in router.split(batch):
+            if part.n_rows:
+                db._region_for(entry, router, locator).add_columns(
+                    names, part.columns()
+                )
 
     def _stored_split(self) -> DesignSplit:
         """The table's design split; a design with no stored-record shape

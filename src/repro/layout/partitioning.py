@@ -23,13 +23,15 @@ integers.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 from zlib import crc32
 
+from repro import vector
 from repro.algebra import ast
 from repro.algebra.physical import PartitionSpec
 from repro.algebra.transforms import eval_scalar
 from repro.errors import StorageError
+from repro.layout.renderer import ColumnBatch
 
 
 def stable_hash(value: Any) -> int:
@@ -138,30 +140,45 @@ class PartitionRouter:
             return [Locator(b, None, None) for b in range(spec.buckets)]
         return None
 
-    def split(
-        self, records: Iterable[Sequence[Any]]
-    ) -> list[tuple[Locator, list[tuple]]]:
-        """Route records into (locator, rows) groups.
+    def split(self, batch: ColumnBatch) -> list[tuple[Locator, ColumnBatch]]:
+        """Route a batch of stored records into ``(locator, batch)`` groups,
+        each group's rows in batch order.
 
         Fixed splits (range/hash, the trivial router) return every
         partition — including empty ones — in bucket order; value
         partitioning returns observed keys in first-seen order (which keeps
         the scan order of the paper's ``partition_C(N)`` identical to the
-        previous grouped-rows rendering).
+        previous grouped-rows rendering). The key vector is routed once per
+        distinct key (:class:`repro.vector.KeyTable`: keys equal as a
+        ``dict`` judges them), and each group is one gather per column.
         """
         fixed = self.all_locators()
         if self.spec is None:
-            return [(fixed[0], list(records))]
-        groups: dict[Any, list[tuple]] = {}
-        order: list[Locator] = []
-        if fixed is not None:
-            for locator in fixed:
-                groups[locator.key] = []
-            order = fixed
-        for record in records:
-            locator = self.locate(record)
-            if locator.key not in groups:
-                groups[locator.key] = []
+            return [(fixed[0], batch)]
+        columns = batch.columns()
+        if self._key_index is not None:
+            keys = columns[self._key_index]
+        else:
+            rows = zip(*map(vector.to_list, columns))
+            keys = [eval_scalar(self.spec.key, r, self._positions) for r in rows]
+        table = vector.KeyTable()
+        ids = table.ids([keys])
+        order: list[Locator] = list(fixed or ())
+        slots = {locator.key: i for i, locator in enumerate(order)}
+        routed = []
+        for (key,) in table.keys():
+            locator = self.locator_of_key(key)
+            if locator.key not in slots:
+                slots[locator.key] = len(order)
                 order.append(locator)
-            groups[locator.key].append(tuple(record))
-        return [(locator, groups[locator.key]) for locator in order]
+            routed.append(slots[locator.key])
+        rows, offsets = vector.group_rows(
+            vector.take(routed, ids), len(order)
+        )
+        offsets = vector.to_list(offsets)
+        return [
+            (locator, ColumnBatch.from_columns(batch.fields, [
+                vector.take(c, rows[offsets[i] : offsets[i + 1]]) for c in columns
+            ]))
+            for i, locator in enumerate(order)
+        ]

@@ -3,8 +3,12 @@
 The renderer is the paper's "storage backend" write path (§4.2): it takes a
 batch of stored records plus the compiled
 :class:`repro.algebra.physical.PhysicalPlan` and its structural residual
-(:meth:`LayoutRenderer.render_region`), evaluates the residual into a
-nesting and lays bytes onto pages. Each storage object (row heap, column
+(:meth:`LayoutRenderer.render_region`), evaluates the residual over the
+batch's columns (:mod:`repro.layout.columnar`) and encodes pages straight
+from the column slices that leaves: slotted pages of 8-byte numeric fields
+pack from the columns, a field's grid cells or folded records encode in one
+codec call, and zone maps are one reduction per field over all the zones
+(:func:`repro.vector.segment_bounds`). Each storage object (row heap, column
 group, grid cell stream, folded record stream, array vector) occupies one
 *contiguous extent* of pages, chained with ``next_page_id``, so that scans
 are sequential and the paper's "store and walk each object in the same
@@ -62,9 +66,12 @@ from repro.algebra.physical import (
     LAYOUT_ROWS,
     PhysicalPlan,
 )
-from repro.algebra.transforms import Evaluated, Evaluator, GridResult
+from repro.algebra import ast
+from repro.algebra.transforms import Evaluated, Evaluator
 from repro import vector
-from repro.compression import NoneCodec, get_codec
+from repro.layout import columnar
+from repro.layout.columnar import Shaped
+from repro.compression import get_codec
 from repro.engine.synopsis import LayoutSynopsis, ZoneTable, group_chunk_rows
 from repro.errors import CorruptPageError, CrashError, StorageError
 from repro.storage.buffer import BufferPool
@@ -785,8 +792,15 @@ class LayoutRenderer:
     # Rendering (write path)
     # ==================================================================
 
-    def render(self, plan: PhysicalPlan, evaluated: Evaluated) -> StoredLayout:
+    def render(
+        self, plan: PhysicalPlan, evaluated: "Shaped | Evaluated"
+    ) -> StoredLayout:
         """Materialize ``evaluated`` on disk according to ``plan``.
+
+        ``evaluated`` is a record design's residual over columns
+        (:class:`~repro.layout.columnar.Shaped`), or the tuple
+        evaluator's result (an array's nesting; for any other design, the
+        reference render the columnar one is tested against).
 
         A render that raises gives back every extent it allocated — all
         of a multi-extent layout's, the one being written included: their
@@ -794,6 +808,8 @@ class LayoutRenderer:
         leaves no page that is neither free nor a run's. A
         :class:`CrashError` (power loss) leaves them to the next open.
         """
+        if isinstance(evaluated, Evaluated) and plan.kind != LAYOUT_ARRAY:
+            evaluated = Shaped.from_evaluated(evaluated)
         self._rendering.extents = extents = []
         try:
             return self._render(plan, evaluated)
@@ -808,19 +824,19 @@ class LayoutRenderer:
         finally:
             self._rendering.extents = None
 
-    def _render(self, plan: PhysicalPlan, evaluated: Evaluated) -> StoredLayout:
+    def _render(self, plan: PhysicalPlan, shaped) -> StoredLayout:
         if plan.kind == LAYOUT_ROWS:
-            return self._render_rows(plan, evaluated)
+            return self._render_rows(plan, shaped)
         if plan.kind == LAYOUT_COLUMNS:
-            return self._render_columns(plan, evaluated)
+            return self._render_columns(plan, shaped)
         if plan.kind == LAYOUT_GRID:
-            return self._render_grid(plan, evaluated)
+            return self._render_grid(plan, shaped)
         if plan.kind == LAYOUT_FOLDED:
-            return self._render_folded(plan, evaluated)
+            return self._render_folded(plan, shaped)
         if plan.kind == LAYOUT_ARRAY:
-            return self._render_array(plan, evaluated)
+            return self._render_array(plan, shaped)
         if plan.kind == LAYOUT_MIRROR:
-            return self._render_mirror(plan, evaluated)
+            return self._render_mirror(plan, shaped)
         # Partitioned and levelled tables render region by region, through
         # catalog state (partition map, runs) above the renderer.
         raise StorageError(f"cannot render a {plan.kind!r} plan as one layout")
@@ -836,32 +852,35 @@ class LayoutRenderer:
         record-level operators replaced by a reference to the stored
         records, ``__stored__``); evaluating it applies the structural
         operators for this region only, so a single partition or run can be
-        (re-)rendered without touching its siblings. An array's residual is
-        its whole expression, over the logical rows.
+        (re-)rendered without touching its siblings.
 
-        ``__stored__`` is bound to ``batch`` itself. A ``columns`` residual
-        over it (under any ``compress``) takes the batch's vectors as they
-        are — a merge of column runs hands the vectors it decoded straight
-        to the chunk encoder; a multi-field group zips only its own fields.
-        Every other residual (``orderby``, ``delta``, ``grid``, ``fold``,
-        rows) evaluates ``batch.rows()``. Pages are byte-identical either
-        way.
+        A record design's residual runs over the batch's columns
+        (:func:`repro.layout.columnar.evaluate`) and the pages are encoded
+        from the column slices it leaves, so no row is built from coercion
+        to pages. An array's (or a prejoin's) residual is its whole
+        expression over the logical rows, through the tuple evaluator.
         """
-        evaluator = Evaluator({"__stored__": batch})
-        return self.render(plan, evaluator.evaluate(residual))
+        if plan.kind == LAYOUT_ARRAY or any(
+            isinstance(node, ast.Prejoin) for node in residual.walk()
+        ):
+            evaluator = Evaluator({"__stored__": (batch.rows(), batch.fields)})
+            return self.render(plan, evaluator.evaluate(residual))
+        shaped = columnar.evaluate(residual, batch.fields, batch.columns())
+        return self.render(plan, shaped)
 
     # -- rows ---------------------------------------------------------------
 
-    def _render_rows(self, plan: PhysicalPlan, evaluated: Evaluated) -> StoredLayout:
-        records = evaluated.records()
-        pages = self._pack_slotted(RecordSerializer(plan.schema), records)
+    def _render_rows(self, plan: PhysicalPlan, shaped: Shaped) -> StoredLayout:
+        pages = RecordSerializer(plan.schema).encode_pages(
+            shaped.columns, self.page_size
+        )
         extent = self._write_pages(pages)
         zones = self._slotted_zones(
-            tuple(plan.schema.names()), records, pages, plan.delta_fields
+            tuple(plan.schema.names()), shaped.columns, pages, plan.delta_fields
         )
         return StoredLayout(
             plan=plan,
-            row_count=len(records),
+            row_count=shaped.n_rows,
             extent=extent,
             page_row_counts=[p.slot_count for p in pages],
             synopsis=LayoutSynopsis(page_zones=zones),
@@ -870,31 +889,17 @@ class LayoutRenderer:
     @staticmethod
     def _slotted_zones(
         names: tuple[str, ...],
-        records: Sequence[Sequence[Any]],
+        columns: Sequence,
         pages: Sequence[SlottedPage],
         skip_fields: Sequence[str],
     ) -> ZoneTable:
-        """One zone per slotted page of ``records`` (in page order)."""
+        """One zone per slotted page of the records ``columns`` hold (in
+        page order)."""
         zones = ZoneTable()
-        start = 0
-        for page in pages:
-            end = start + page.slot_count
-            zones.add_rows(names, records[start:end], skip_fields)
-            start = end
+        zones.add_segments(
+            [page.slot_count for page in pages], names, columns, skip_fields
+        )
         return zones.pack()
-
-    def _pack_slotted(
-        self, serializer: RecordSerializer, records: Sequence[Sequence[Any]]
-    ) -> list[SlottedPage]:
-        """``records`` as a run of slotted pages (one empty page for none)."""
-        pages: list[SlottedPage] = []
-        start = 0
-        while True:
-            page, count = serializer.encode_page(records, start, self.page_size)
-            pages.append(page)
-            start += count
-            if start >= len(records):
-                return pages
 
     def _write_pages(
         self, pages: Sequence[SlottedPage | BytePage]
@@ -920,24 +925,17 @@ class LayoutRenderer:
 
     # -- columns -----------------------------------------------------------
 
-    def _render_columns(
-        self, plan: PhysicalPlan, evaluated: Evaluated
-    ) -> StoredLayout:
+    def _render_columns(self, plan: PhysicalPlan, shaped: Shaped) -> StoredLayout:
         groups = plan.column_groups or tuple(
             (f,) for f in plan.schema.names()
         )
-        values_by_group = evaluated.value  # parallel to groups
         stores: list[ColumnGroupStore] = []
         group_zones: list[ZoneTable] = []
-        row_count = None
-        for group_fields, values in zip(groups, values_by_group):
-            if row_count is None:
-                row_count = len(values)
-            elif row_count != len(values):
-                raise StorageError("column groups disagree on row count")
+        for group_fields in groups:
+            values = [shaped.column(f) for f in group_fields]
             if len(group_fields) == 1:
                 store, zones = self._render_value_column(
-                    plan, group_fields[0], values
+                    plan, group_fields[0], values[0]
                 )
             else:
                 store, zones = self._render_minirecord_group(
@@ -947,7 +945,7 @@ class LayoutRenderer:
             group_zones.append(zones)
         return StoredLayout(
             plan=plan,
-            row_count=row_count or 0,
+            row_count=shaped.n_rows,
             column_groups=stores,
             synopsis=LayoutSynopsis(group_zones=group_zones),
         )
@@ -958,19 +956,17 @@ class LayoutRenderer:
         """One field's value vector (any :mod:`repro.vector` shape) as a
         run of codec-encoded chunks, one per byte page, with a zone each.
 
-        Chunks are slices of the vector. The identity codec packs a typed
-        slice as it is; every other codec — a user's included — receives
-        the slice's native Python values, as a list."""
+        Chunks are slices of :meth:`Codec.encode_input`'s vector: a typed
+        slice as it is for the identity and varint codecs, the slice's
+        native Python values, as a list, for every other codec — a user's
+        included."""
         dtype = plan.schema.field(field_name).dtype
         codec = get_codec(plan.codec_for(field_name))
-        if type(codec) is not NoneCodec:
-            values = list(vector.to_list(values))
+        values = codec.encode_input(values)
         capacity = self.page_size - BYTES_HEADER_SIZE
         target_rows = self._target_rows(dtype, capacity)
         pages: list[BytePage] = []
         chunks: list[tuple[int, int]] = []
-        zones = ZoneTable()
-        names = (field_name,)
         start = 0
         while start < len(values):
             rows = min(target_rows, len(values) - start)
@@ -985,17 +981,19 @@ class LayoutRenderer:
             page = BytePage(self.page_size)
             page.write(encoded)
             chunks.append((len(pages), rows))
-            zones.add(
-                rows, names, [values[start : start + rows]], plan.delta_fields
-            )
             pages.append(page)
             start += rows
         if not pages:  # empty column still owns one (empty) page
             page = BytePage(self.page_size)
             page.write(codec.encode([], dtype))
             chunks.append((0, 0))
-            zones.add(0, names, [[]])
             pages.append(page)
+        # (An empty column's one zone summarizes even a delta field.)
+        zones = ZoneTable()
+        zones.add_segments(
+            [rows for _, rows in chunks], (field_name,), [values],
+            plan.delta_fields if len(values) else (),
+        )
         extent = self._write_pages(pages)
         return ColumnGroupStore((field_name,), extent, chunks), zones.pack()
 
@@ -1004,62 +1002,75 @@ class LayoutRenderer:
         return max(1, (capacity - 16) // max(1, width))
 
     def _render_minirecord_group(
-        self, plan: PhysicalPlan, group_fields: tuple[str, ...], values: list
+        self, plan: PhysicalPlan, group_fields: tuple[str, ...], columns: list
     ) -> tuple[ColumnGroupStore, ZoneTable]:
         sub_schema = plan.schema.project(group_fields)
-        pages = self._pack_slotted(RecordSerializer(sub_schema), values)
+        pages = RecordSerializer(sub_schema).encode_pages(columns, self.page_size)
         extent = self._write_pages(pages)
         zones = self._slotted_zones(
-            tuple(group_fields), values, pages, plan.delta_fields
+            tuple(group_fields), columns, pages, plan.delta_fields
         )
         return ColumnGroupStore(tuple(group_fields), extent), zones
 
     # -- grid -------------------------------------------------------------
 
-    def _render_grid(self, plan: PhysicalPlan, evaluated: Evaluated) -> StoredLayout:
-        grid: GridResult = evaluated.meta["grid"]
+    def _render_grid(self, plan: PhysicalPlan, shaped: Shaped) -> StoredLayout:
+        grid = shaped.grid
         schema = plan.schema
-        positions = {name: i for i, name in enumerate(schema.names())}
+        counts = shaped.counts
+        columns = [shaped.column(name) for name in schema.names()]
         stream = bytearray()
         directory: list[CellEntry] = []
-        cell_zones = ZoneTable()
-        names = tuple(schema.names())
-        total_rows = 0
-        for coord, cell in zip(grid.coords, grid.cells):
-            blob = self._encode_cell(plan, schema, cell)
+        for coord, rows, blob in zip(
+            grid.coords, counts, self._encode_cells(plan, schema, columns, counts)
+        ):
             directory.append(
                 CellEntry(
                     coord=tuple(coord),
                     bounds=tuple(grid.cell_bounds(coord)),
                     offset=len(stream),
                     length=len(blob),
-                    row_count=len(cell),
+                    row_count=rows,
                 )
             )
-            cell_zones.add_rows(names, cell, plan.delta_fields)
             stream += blob
-            total_rows += len(cell)
+        cell_zones = ZoneTable()
+        cell_zones.add_segments(
+            counts, tuple(schema.names()), columns, plan.delta_fields
+        )
         extent = self._write_stream(bytes(stream))
         return StoredLayout(
             plan=plan,
-            row_count=total_rows,
+            row_count=shaped.n_rows,
             extent=extent,
             cell_directory=directory,
             grid_origin=tuple(grid.origin),
             synopsis=LayoutSynopsis(cell_zones=cell_zones.pack()),
         )
 
-    def _encode_cell(
-        self, plan: PhysicalPlan, schema: Schema, cell: list
-    ) -> bytes:
-        parts = [_U32.pack(len(cell)), _U16.pack(len(schema.fields))]
-        for i, f in enumerate(schema.fields):
-            codec = get_codec(plan.codec_for(f.name))
-            column = [record[i] for record in cell]
-            encoded = codec.encode(column, f.dtype)
-            parts.append(_U32.pack(len(encoded)))
-            parts.append(encoded)
-        return b"".join(parts)
+    def _encode_cells(
+        self,
+        plan: PhysicalPlan,
+        schema: Schema,
+        columns: list,
+        counts: Sequence[int],
+    ) -> list[bytes]:
+        """The blob of each cell — ``counts`` rows of ``columns`` (parallel
+        to ``schema``'s fields), back to back: its row and field counts,
+        then one length-prefixed codec blob per field, each field's blobs
+        encoded in one :meth:`Codec.encode_segments` call."""
+        fields = [
+            get_codec(plan.codec_for(f.name)).encode_segments(column, counts, f.dtype)
+            for f, column in zip(schema.fields, columns)
+        ]
+        header = _U16.pack(len(schema.fields))
+        cells = []
+        for k, rows in enumerate(counts):
+            parts = [_U32.pack(rows), header]
+            for blobs in fields:
+                parts += (_U32.pack(len(blobs[k])), blobs[k])
+            cells.append(b"".join(parts))
+        return cells
 
     def _write_stream(self, stream: bytes) -> Extent:
         capacity = self.page_size - BYTES_HEADER_SIZE
@@ -1072,52 +1083,51 @@ class LayoutRenderer:
 
     # -- folded ------------------------------------------------------------
 
-    def _render_folded(self, plan: PhysicalPlan, evaluated: Evaluated) -> StoredLayout:
+    def _render_folded(self, plan: PhysicalPlan, shaped: Shaped) -> StoredLayout:
         group_schema = plan.schema.project(plan.group_fields)
         key_serializer = RecordSerializer(group_schema)
         nest_types = _nest_types(
             plan.schema.field("__folded__").dtype, len(plan.nest_fields)
         )
-        nest_codecs = [
-            (get_codec(plan.codec_for(name)), dtype)
-            for name, dtype in zip(plan.nest_fields, nest_types)
+        counts = shaped.counts
+        firsts = list(accumulate(counts, initial=0))[:-1]
+        key_columns = [
+            vector.to_list(vector.take(shaped.column(name), firsts))
+            for name in plan.group_fields
         ]
-        single = len(plan.nest_fields) == 1
-
+        keys = list(zip(*key_columns)) if key_columns else [()] * len(counts)
+        nests = [shaped.column(name) for name in plan.nest_fields]
+        blobs = [
+            get_codec(plan.codec_for(name)).encode_segments(column, counts, dtype)
+            for name, column, dtype in zip(plan.nest_fields, nests, nest_types)
+        ]
         stream = bytearray()
         directory: list[tuple[int, int]] = []
-        keys: list[tuple] = []
-        folded_zones = ZoneTable()
-        skip = set(plan.delta_fields)
-        for row in evaluated.value:
-            key = tuple(row[: len(plan.group_fields)])
-            nested = row[len(plan.group_fields)]
-            parts = [key_serializer.encode(key), _U32.pack(len(nested))]
-            zone_parts: dict[str, list] = {
-                name: [value]
-                for name, value in zip(plan.group_fields, key)
-                if name not in skip
-            }
-            for j, (codec, dtype) in enumerate(nest_codecs):
-                if single:
-                    vector = list(nested)
-                else:
-                    vector = [item[j] for item in nested]
-                name = plan.nest_fields[j]
-                if name not in skip:
-                    zone_parts[name] = vector
-                encoded = codec.encode(vector, dtype)
-                parts.append(_U32.pack(len(encoded)))
-                parts.append(encoded)
+        for k, (key, rows) in enumerate(zip(keys, counts)):
+            parts = [key_serializer.encode(key), _U32.pack(rows)]
+            for field_blobs in blobs:
+                parts += (_U32.pack(len(field_blobs[k])), field_blobs[k])
             blob = b"".join(parts)
             directory.append((len(stream), len(blob)))
-            keys.append(key)
-            folded_zones.add(len(nested), zone_parts, zone_parts.values())
             stream += blob
+        # A key field's zone is its one value; a nest field's its vector.
+        folded_zones = ZoneTable()
+        skip = set(plan.delta_fields)
+        if counts:
+            folded_zones.row_counts.extend(counts)
+            ones = [1] * len(counts)
+            parts = [(column, ones) for column in key_columns]
+            parts += [(column, counts) for column in nests]
+            names = plan.group_fields + plan.nest_fields
+            for name, (column, sizes) in zip(names, parts):
+                if name not in skip:
+                    folded_zones.add_bounds(
+                        name, *vector.segment_bounds(column, sizes)
+                    )
         extent = self._write_stream(bytes(stream))
         return StoredLayout(
             plan=plan,
-            row_count=sum(folded_zones.row_counts),
+            row_count=shaped.n_rows,
             extent=extent,
             folded_directory=directory,
             folded_keys=keys,
@@ -1155,10 +1165,10 @@ class LayoutRenderer:
 
     # -- mirror ------------------------------------------------------------
 
-    def _render_mirror(self, plan: PhysicalPlan, evaluated: Evaluated) -> StoredLayout:
+    def _render_mirror(self, plan: PhysicalPlan, shaped: Shaped) -> StoredLayout:
         left_plan, right_plan = plan.mirror_plans
-        left = self._render(left_plan, evaluated.meta["left"])
-        right = self._render(right_plan, evaluated.meta["right"])
+        left = self._render(left_plan, shaped.sides[0])
+        right = self._render(right_plan, shaped.sides[1])
         return StoredLayout(
             plan=plan,
             row_count=left.row_count,

@@ -283,6 +283,42 @@ class RecordSerializer:
             count += 1
         return page, count
 
+    def encode_pages(self, columns: Sequence, page_size: int) -> list[SlottedPage]:
+        """The records ``columns`` hold (one vector per field) as a run of
+        slotted pages (one empty page for none), each image byte-identical
+        to :meth:`encode_page`'s. Schemas of 8-byte numeric fields whose
+        columns are typed vectors of their fields' types pack from the
+        columns (:func:`repro.vector.pack_records`) a page's worth of
+        record bytes at a time; any other run encodes its rows."""
+        n = len(columns[0]) if columns else 0
+        heap = None
+        if self._packed_codes and n:
+            heap = vector.pack_records(
+                columns, self._packed_codes, self._bitmap_size
+            )
+        pages: list[SlottedPage] = []
+        if heap is not None:
+            size = self.record_size
+            capacity = SlottedPage.packed_capacity(page_size, size)
+            for start in range(0, n, capacity):
+                count = min(capacity, n - start)
+                page = SlottedPage(page_size)
+                at = SLOTTED_HEADER_SIZE
+                page.buffer[at : at + count * size] = heap[
+                    start * size : (start + count) * size
+                ]
+                page.set_packed(count, size)
+                pages.append(page)
+            return pages
+        records = list(zip(*map(vector.to_list, columns)))
+        start = 0
+        while True:
+            page, count = self.encode_page(records, start, page_size)
+            pages.append(page)
+            start += count
+            if start >= len(records):
+                return pages
+
     def _pack_records(self, buffer: bytearray, chunk: Sequence) -> bool:
         """Pack null-free ``chunk`` back to back into ``buffer`` from
         ``SLOTTED_HEADER_SIZE``; False when any record needs :meth:`encode`

@@ -360,8 +360,10 @@ def min_max_nulls(values) -> tuple[Any, Any, int]:
         if low != low or high != high:  # NaN propagates through numpy
             present = values[values == values]
             if len(present):
+                values = present
                 low, high = present.min(), present.max()
-        return low.item(), high.item(), 0
+        # Of 0.0 and -0.0 Python's reductions keep the first seen.
+        return _first_seen(values, low), _first_seen(values, high), 0
     try:
         low, high = min(values), max(values)
     except TypeError:  # a None among the values: not orderable
@@ -1019,7 +1021,7 @@ def _first_seen(arr, extreme):
     value except ``0.0`` and ``-0.0``, so a zero is the first zero of
     ``arr``, sign and all."""
     if extreme == 0 and arr.dtype.kind == "f":
-        return arr[_np.argmax(arr == 0)].item()
+        return arr[(arr == 0).argmax()].item()
     return extreme.item()
 
 
@@ -1038,3 +1040,273 @@ def _histogram(numbers, low, high, buckets: int) -> list[int]:
     counts = [0] * buckets
     count_groups(counts, ids)
     return counts
+
+
+# ---------------------------------------------------------------------------
+# render kernels (the write side: record pipeline, grid cells, deltas, zones,
+# page encoders)
+# ---------------------------------------------------------------------------
+#
+# Each kernel's fallback is the tuple evaluator's own algorithm, value by
+# value; the typed path runs only where it provably gives the same values
+# (int64 vectors, and float64 vectors without a NaN), so a design renders
+# the same bytes whichever path its columns take.
+
+
+def typed_column(values, code: str | None):
+    """A column of coerced Python scalars as the typed vector of typecode
+    ``code`` (``"q"`` / ``"d"``) while numpy is on — what the render
+    kernels take their fast path on — else ``values`` itself.
+
+    A float column holding a NaN stays as it is: a NaN equals only itself
+    as an object, so grouping and dedup must see the very objects given.
+    """
+    if _np is None or code is None or not len(values):
+        return values
+    typed = from_values(values, code)
+    if typed is None or (code == "d" and _np.isnan(typed).any()):
+        return values
+    return typed
+
+
+def _segment_starts(counts: Sequence[int]) -> list[int]:
+    return list(accumulate(counts, initial=0))
+
+
+def segment_ids(counts: Sequence[int]):
+    """Each row's segment number, for segments of ``counts`` rows."""
+    if _np is not None:
+        return _np.repeat(_np.arange(len(counts), dtype="<i8"), counts)
+    return list(chain.from_iterable(repeat(i, n) for i, n in enumerate(counts)))
+
+
+def segment_order(counts: Sequence[int], order: Sequence[int]):
+    """Row positions that lay segments (of ``counts`` rows, back to back)
+    out in the segment order ``order``, each segment's rows in place."""
+    starts = _segment_starts(counts)
+    if _np is not None:
+        sizes = _np.asarray([counts[i] for i in order], dtype="<i8")
+        firsts = _np.asarray([starts[i] for i in order], dtype="<i8")
+        ends = sizes.cumsum()
+        return _np.arange(int(ends[-1]) if len(ends) else 0) + (
+            firsts - (ends - sizes)
+        ).repeat(sizes)
+    return [
+        row for i in order for row in range(starts[i], starts[i] + counts[i])
+    ]
+
+
+def stable_order(
+    keys: Sequence, descending: Sequence[bool], counts: Sequence[int] | None = None
+):
+    """Row positions that sort parallel ``keys`` vectors (most significant
+    first, each descending where ``descending`` says so), rows equal on
+    every key in input order — within each segment of ``counts`` rows when
+    given, the segments staying in place.
+
+    Typed NaN-free keys take one :func:`sort_indexes` (a segment number as
+    leading key). Any other key sorts the positions of each segment as
+    :func:`repro.types.values.multisort` sorts rows: one sort on the key
+    tuple when every key ascends, else one stable sort per key, least
+    significant first — the same comparisons, so the same order and the
+    same errors for values that do not compare.
+    """
+    n = len(keys[0]) if keys else 0
+    if counts is None:
+        counts = [n]
+    arrays = [_nan_free_ndarray(vec) for vec in keys]
+    if n and all(arr is not None for arr in arrays):
+        if len(counts) > 1:
+            return sort_indexes([segment_ids(counts), *arrays], [False, *descending])
+        return sort_indexes(arrays, descending)
+    columns = [to_list(vec) for vec in keys]
+    if not any(descending):
+        composite = columns[0] if len(columns) == 1 else list(zip(*columns))
+        passes = [(composite, False)]
+    else:
+        passes = list(reversed(list(zip(columns, descending))))
+    out: list[int] = []
+    starts = _segment_starts(counts)
+    for start, stop in zip(starts, starts[1:]):
+        segment = list(range(start, stop))
+        for column, desc in passes:
+            segment.sort(key=column.__getitem__, reverse=desc)
+        out.extend(segment)
+    return out
+
+
+def first_seen_groups(keys: Sequence):
+    """``(order, counts)``: the row positions grouped by their key (a row
+    of parallel ``keys`` vectors), groups in first-seen order and rows of
+    one group in input order, and the rows per group — keys equal as
+    :class:`KeyTable` judges them, which is as a ``dict`` does."""
+    table = KeyTable()
+    ids = table.ids(keys)
+    order, offsets = group_rows(ids, len(table))
+    offsets = to_list(offsets)
+    return order, [b - a for a, b in zip(offsets, offsets[1:])]
+
+
+def segment_bounds(values, counts: Sequence[int]) -> tuple[list, list, list]:
+    """``(mins, maxs, null counts)``: :func:`min_max_nulls` of each segment
+    of ``values`` (segments of ``counts`` rows, back to back).
+
+    An int64 vector, or a float64 one without a NaN, takes one
+    ``reduceat`` per bound; of a float segment whose bound is a zero, the
+    first zero is kept, as Python's reductions keep it. Every other vector
+    is reduced segment by segment through :func:`min_max_nulls`.
+    """
+    arr = _nan_free_ndarray(values)
+    starts = _segment_starts(counts)
+    if arr is None or not len(arr):
+        if isinstance(values, array):
+            values = values.tolist()
+        bounds = [min_max_nulls(values[a:b]) for a, b in zip(starts, starts[1:])]
+        return (
+            [b[0] for b in bounds], [b[1] for b in bounds], [b[2] for b in bounds]
+        )
+    held = [(a, n) for a, n in zip(starts, counts) if n]
+    cuts = [a for a, _ in held]
+    lows = _np.minimum.reduceat(arr, cuts).tolist()
+    highs = _np.maximum.reduceat(arr, cuts).tolist()
+    if arr.dtype.kind == "f" and (0.0 in lows or 0.0 in highs):
+        for k, (a, n) in enumerate(held):
+            if lows[k] == 0 or highs[k] == 0:
+                lows[k], highs[k], _ = min_max_nulls(arr[a : a + n])
+    mins, maxs = iter(lows), iter(highs)
+    return (
+        [next(mins) if n else None for n in counts],
+        [next(maxs) if n else None for n in counts],
+        [0] * len(counts),
+    )
+
+
+def segment_delta(values, counts: Sequence[int]):
+    """The algebra's ``∆`` of ``values`` restarting at every segment (of
+    ``counts`` rows, back to back): a segment's first value as it is, then
+    each value minus the one before it.
+
+    An int64 vector whose differences all fit 64 bits, or a float64 one,
+    takes one vector subtraction (the same IEEE operations); every other
+    vector — and ints whose difference needs more bits — is Python's own
+    ``-`` value by value, into a list.
+    """
+    arr = as_ndarray(values)
+    starts = _segment_starts(counts)
+    if arr is not None and len(arr) and arr.dtype.kind == "i":
+        if arr.max().item() - arr.min().item() > _I64_MAX:
+            arr = None
+    if arr is None or not len(arr):
+        values = to_list(values)
+        out: list = []
+        for a, b in zip(starts, starts[1:]):
+            out.extend(values[a : min(a + 1, b)])
+            out.extend(map(operator.sub, values[a + 1 : b], values[a : b - 1]))
+        return out
+    out = arr.copy()
+    out[1:] -= arr[:-1]
+    firsts = [a for a in starts[1:] if a < len(arr)]
+    out[firsts] = arr[firsts]
+    return out
+
+
+def grid_cells(dims: Sequence, strides: Sequence[float]):
+    """The ``grid`` transform over dimension vectors: ``(origin, order,
+    coords, counts)`` — the minimum of each dimension, the row positions
+    cell by cell, the cells' integer coordinates in row-major order and
+    their row counts. A row's coordinate along a dimension is
+    ``int((value - origin) // stride)``; rows of a cell stay in input
+    order.
+
+    Dimensions that are int64 vectors whose span fits 64 bits, or finite
+    float64 vectors, with non-zero strides and coordinates inside int64,
+    take one ``floor_divide`` (the same operation as Python's) and one
+    stable ``lexsort``; anything else is the tuple evaluator's dict of
+    cells, value by value.
+    """
+    strides = tuple(float(s) for s in strides)
+    n = len(dims[0]) if dims else 0
+    if not n:
+        return tuple(0.0 for _ in dims), [], [], []
+    arrays = [_nan_free_ndarray(d) for d in dims]
+    if _np is not None and all(a is not None for a in arrays) and all(strides):
+        origin, ids = [], []
+        for arr, stride in zip(arrays, strides):
+            low = _first_seen(arr, arr.min())
+            if arr.dtype.kind == "i" and arr.max().item() - low > _I64_MAX:
+                break
+            # (An infinite value makes a quotient that is not finite.)
+            quotient = _np.floor_divide(arr - low, stride)
+            if not _np.isfinite(quotient).all() or abs(quotient).max() >= 2.0**63:
+                break
+            origin.append(low)
+            ids.append(quotient.astype("<i8"))
+        else:
+            order = _np.lexsort(ids[::-1])
+            grid = _np.stack([i[order] for i in ids], axis=1)
+            change = _np.flatnonzero((grid[1:] != grid[:-1]).any(axis=1)) + 1
+            firsts = _np.concatenate(([0], change))
+            counts = _np.diff(_np.concatenate((firsts, [n]))).tolist()
+            return tuple(origin), order, list(map(tuple, grid[firsts].tolist())), counts
+    columns = [to_list(d) for d in dims]
+    origin = tuple(min(column) for column in columns)
+    cells: dict = {}
+    for row, point in enumerate(zip(*columns)):
+        coord = tuple(int((v - o) // s) for v, o, s in zip(point, origin, strides))
+        cells.setdefault(coord, []).append(row)
+    coords = sorted(cells)
+    order = [row for coord in coords for row in cells[coord]]
+    return origin, order, coords, [len(cells[c]) for c in coords]
+
+
+def zigzag_varint_blobs(values, counts: Sequence[int]) -> list[bytes] | None:
+    """The zigzag-LEB128 encoding of each segment of an int64 vector (of
+    ``counts`` values, back to back), each blob a little-endian ``u32``
+    value count then its varints — the inverse of
+    :func:`zigzag_varints`, in one pass over all of them. ``None`` for a
+    vector that is not a typed int one (the caller then encodes value by
+    value)."""
+    arr = as_ndarray(values)
+    if arr is None or arr.dtype.kind != "i":
+        return None
+    signed = arr.astype("<i8", copy=False)
+    zigzag = (signed << 1).view("<u8") ^ (signed >> 63).view("<u8")
+    widths = _np.ones(len(zigzag), dtype="<i8")
+    for k in range(1, 10):
+        widths += zigzag >= _np.uint64(1 << (7 * k))
+    ends = widths.cumsum()
+    body = _np.empty(int(ends[-1]) if len(ends) else 0, dtype=_np.uint8)
+    starts = ends - widths
+    for k in range(int(widths.max()) if len(widths) else 0):
+        held = _np.flatnonzero(widths > k)
+        byte = (zigzag[held] >> _np.uint64(7 * k)) & _np.uint64(0x7F)
+        byte |= (widths[held] > k + 1).astype("<u8") << _np.uint64(7)
+        body[starts[held] + k] = byte
+    data = body.tobytes()
+    cuts = [0, *ends.tolist()]
+    at = _segment_starts(counts)
+    return [
+        _U32.pack(b - a) + data[cuts[a] : cuts[b]] for a, b in zip(at, at[1:])
+    ]
+
+
+def pack_records(columns: Sequence, codes: str, prefix: int) -> bytes | None:
+    """Null-free fixed-width records laid back to back, built straight
+    from their columns: per row ``prefix`` zero flag bytes, then one
+    little-endian 8-byte word per typecode in ``codes`` — the bytes
+    ``struct`` packs from the rows. ``None`` unless numpy is on and every
+    column is a typed vector of exactly its field's typecode (the caller
+    then packs rows)."""
+    if _np is None:
+        return None
+    words = []
+    for vec, code in zip(columns, codes):
+        arr = as_ndarray(vec)
+        if arr is None or arr.dtype.str != _NP_DTYPES[code]:
+            return None
+        words.append(_np.ascontiguousarray(arr).view(_np.uint8).reshape(-1, 8))
+    n = len(words[0]) if words else 0
+    matrix = _np.zeros((n, prefix + 8 * len(codes)), dtype=_np.uint8)
+    for j, word in enumerate(words):
+        matrix[:, prefix + 8 * j : prefix + 8 * (j + 1)] = word
+    return matrix.tobytes()

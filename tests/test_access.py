@@ -13,6 +13,7 @@ import functools
 import inspect
 import os
 import re
+import sys
 
 import pytest
 
@@ -26,7 +27,7 @@ from repro.engine.access import open_run
 from repro.engine.catalog import PendingBuffer, Region, Run
 from repro.engine.database import RodentStore
 from repro.errors import StorageError
-from repro.layout.renderer import LayoutRenderer
+from repro.layout.renderer import ColumnBatch, LayoutRenderer
 from repro.optimizer.reorganize import ReorganizationManager
 from repro.query import expressions, operators
 from repro.query.expressions import And, Range, Rect
@@ -559,6 +560,79 @@ def test_one_design_split_one_render_path():
     for name, source in engine.items():
         assert "renderer.render(" not in source, name
     assert {"render", "render_region"} <= set(vars(LayoutRenderer))
+
+
+#: The tuple operators of ``algebra/transforms.py`` no write may reach.
+TUPLE_OPERATORS = (
+    "orderby_records", "groupby_records", "project_records", "grid_records",
+    "delta_records",
+)
+
+
+def _bench_designs():
+    """The benchmark's designs at smoke scale, each with what it runs:
+    ``(table, schema, design, rows, extra rows, flush, compact)``."""
+    from repro.experiments.figure2 import n4_expr
+    from repro.workloads.cartel import BOSTON, TRACE_SCHEMA, generate_traces
+    from repro.workloads.sales import SALES_SCHEMA, generate_sales
+    from repro.workloads.timeseries import TIMESERIES_SCHEMA, generate_timeseries
+
+    traces = generate_traces(600, n_vehicles=6, seed=3)
+    sales = generate_sales(800, seed=3)
+    series = generate_timeseries(1200, seed=3)
+    n4 = n4_expr(BOSTON.lat_span / 8, BOSTON.lon_span / 8)
+    return [
+        ("Traces", TRACE_SCHEMA, n4, traces, [], False, False),
+        ("Traces", TRACE_SCHEMA, "orderby[id](Traces)", traces, [], False, False),
+        ("Sales", SALES_SCHEMA, "columns(Sales)", sales, [], False, False),
+        ("Sales", SALES_SCHEMA, "partition[r.year](Sales)", sales[:600],
+         sales[600:], True, False),
+        ("Series", TIMESERIES_SCHEMA, "levels[4; 4](columns(Series))",
+         series[:300], series[300:], True, True),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_a_write_reaches_pages_through_columns(case, monkeypatch):
+    """A load, a seal and a merge of every bench design render from
+    columns: none calls ``ColumnBatch.rows()`` or a tuple operator of
+    ``algebra/transforms.py`` (patched to raise, wherever they are bound),
+    and each leaves what the unpatched store leaves."""
+    name, schema, design, rows, more, flush, compact = _bench_designs()[case]
+
+    def run():
+        store = RodentStore(page_size=1024, pool_capacity=256, level_seal_rows=128)
+        store.create_table(name, schema, layout=design)
+        table = store.load(name, rows)
+        for start in range(0, len(more), 100):
+            table.insert(more[start : start + 100])
+        if flush:
+            table.flush_inserts()
+        if compact:
+            table.compact()
+        return store, table
+
+    _, reference = run()
+    want = sorted(reference.scan())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a write reached the tuple path")
+
+    monkeypatch.setattr(ColumnBatch, "rows", refuse)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro."):
+            for attr in TUPLE_OPERATORS:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    _, table = run()
+    regions = table.partitions
+    assert sum(len(region.runs) for region in regions) >= 1
+    if flush:
+        assert not any(region.pending for region in regions)
+    if compact:
+        assert [len(region.runs) for region in regions] == [1]
+    monkeypatch.undo()
+    assert sorted(table.scan()) == want
 
 
 ONE_WRITE_DELETED = (

@@ -132,7 +132,8 @@ def build_grid(plan, cells, page_size):
     stream = bytearray()
     directory = []
     for i, cell in enumerate(cells):
-        blob = renderer._encode_cell(plan, plan.schema, cell)
+        columns = [list(c) for c in zip(*cell)] or [[] for _ in plan.schema.fields]
+        (blob,) = renderer._encode_cells(plan, plan.schema, columns, [len(cell)])
         directory.append(
             CellEntry(
                 coord=(i, 0),
@@ -332,7 +333,7 @@ def test_fields_that_decode_alike_are_one_decode_buffer_per_batch(
 
 
 def _cell_with_blobs(cell, blobs):
-    """A cell's bytes as ``_encode_cell`` lays them, with ``blobs`` (one
+    """A cell's bytes as ``_encode_cells`` lays them, with ``blobs`` (one
     per field) in place of the encoded columns."""
     parts = [struct.pack("<IH", len(cell), len(blobs))]
     for blob in blobs:

@@ -308,6 +308,26 @@ def test_long_string_keys_build_and_answer(width):
         oracle.check_table(table, model, predicate=Range("s", lo, hi))
 
 
+def test_an_equality_on_a_string_field_takes_its_index():
+    """A point ``Range`` on an indexed string field is estimated as System
+    R's ``1 / distinct`` (not the 1.0 of an unestimated range), so the scan
+    probes the B+Tree, and answers like the oracle — a key outside the
+    field's bounds too."""
+    store = RodentStore(page_size=4096, pool_capacity=64)
+    store.create_table("T", STRINGS)
+    rows = [(i, f"{(i * 7919) % 3000:060d}") for i in range(3000)]
+    table = store.load("T", rows)
+    table.create_index("s")
+    model = oracle.Model(["t", "s"], rows, "T")
+    for k in (0, 1234, 2999, 5000):
+        key = f"{k:060d}"
+        predicate = Range("s", key, key)
+        assert table.access_path(predicate=predicate)[0] == "index"
+        oracle.check_table(table, model, predicate=predicate)
+    wide = Range("s", f"{10:060d}", f"{2000:060d}")
+    assert table.stats.fields["s"].selectivity(wide.lo, wide.hi) == 1.0
+
+
 def test_a_levelled_table_with_long_string_keys_keeps_taking_inserts():
     """``levels[4; 4](T)`` with an index over ``s``: 5 000 rows of
     100-character strings seal and merge with their runs indexed, and
