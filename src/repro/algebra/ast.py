@@ -3,8 +3,8 @@
 Expressions describe *transformations of the canonical row-major layout* of a
 logical table (paper Section 3). Nodes are immutable values: they can be
 hashed, compared, rewritten, pretty-printed back to the paper's syntax
-(:meth:`Node.to_text`), evaluated over in-memory nestings
-(:mod:`repro.algebra.transforms`), type-checked
+(:meth:`Node.to_text`), evaluated over columns
+(:mod:`repro.layout.columnar`), type-checked
 (:mod:`repro.algebra.validation`), and compiled to physical storage plans
 (:mod:`repro.algebra.interpreter`).
 

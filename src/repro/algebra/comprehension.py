@@ -11,9 +11,11 @@ nestings, boolean conditions, and SQL-flavoured clauses — ``limit``,
 (number of elements in a nesting).
 
 This module evaluates such comprehensions over in-memory nestings. It is the
-*definitional* engine: every transform in :mod:`repro.algebra.transforms` has
-an equivalent comprehension, and the test suite checks that the direct
-implementations agree with the comprehensions given in the paper.
+*definitional* engine: every transform of the algebra has an equivalent
+comprehension, and the test suite checks that its direct implementations
+(the nesting operations of :mod:`repro.algebra.transforms` and the tuple
+reference interpreter the tests keep) agree with the comprehensions given
+in the paper.
 
 Environments are plain dicts mapping variable names to bound values;
 positions are tracked alongside under ``("pos", var)`` keys so that

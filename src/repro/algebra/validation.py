@@ -11,6 +11,7 @@ interpreter uses to build physical plans without evaluating any data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.algebra import ast
 from repro.errors import AlgebraError, TypeCheckError
@@ -28,7 +29,8 @@ from repro.types.types import (
     NestedType,
 )
 
-# Structural kinds, mirroring repro.algebra.transforms.KIND_*.
+# Structural kinds of an expression's result (a checked one, and one the
+# renderer lays out: repro.layout.columnar.Shaped).
 KIND_RECORDS = "records"
 KIND_GROUPED = "grouped"
 KIND_GRID = "grid"
@@ -342,8 +344,6 @@ class _Checker:
                 raise TypeCheckError(
                     f"prejoin attribute {node.join_attr!r} missing on {side} input"
                 )
-        from repro.algebra.transforms import prejoined_fields
-
         names = prejoined_fields(left_schema.names(), right_schema.names())
         types = left_schema.types() + right_schema.types()
         out = Schema([Field(n, t) for n, t in zip(names, types)])
@@ -479,3 +479,24 @@ class _Checker:
         return Checked(
             KIND_MIRROR, left_schema, {"left": left, "right": right}
         )
+
+
+def prejoined_fields(
+    left_fields: Sequence[str], right_fields: Sequence[str]
+) -> tuple[str, ...]:
+    """Output field names for prejoin, suffixing right-side duplicates."""
+    taken = set(left_fields)
+    renamed: list[str] = []
+    for name in right_fields:
+        if name in taken:
+            candidate = f"{name}_2"
+            counter = 2
+            while candidate in taken:
+                counter += 1
+                candidate = f"{name}_{counter}"
+            renamed.append(candidate)
+            taken.add(candidate)
+        else:
+            renamed.append(name)
+            taken.add(name)
+    return tuple(left_fields) + tuple(renamed)

@@ -803,11 +803,12 @@ class RodentStore:
 
         ``layout`` is a storage-algebra expression (text or AST); omitted, it
         defaults to the canonical row-major representation ``rows(name)``.
+        A design the store cannot hold raises :class:`StorageError` here
+        (:func:`split_design`).
         """
-        expr = self._resolve_expr(name, layout)
         with self.mutate(name) as m:
             entry = self.catalog.create(name, schema)
-            entry.plan = plan = self._interpreter().compile(expr)
+            entry.plan = plan = self._compile(name, layout)
             entry.regions, entry.loaded = _unloaded_regions(plan)
             # Log the (empty) catalog entry so a table created after the
             # last checkpoint exists again at recovery — otherwise its
@@ -824,8 +825,14 @@ class RodentStore:
             return parse(layout)
         return layout
 
-    def _interpreter(self) -> AlgebraInterpreter:
-        return AlgebraInterpreter(self.catalog.schemas())
+    def _compile(self, name: str, layout: str | ast.Node | None) -> PhysicalPlan:
+        """``layout`` compiled as a design of ``name``, and split once
+        (:func:`stored_split`): a design with no faithful split is refused
+        before anything renders."""
+        expr = self._resolve_expr(name, layout)
+        plan = AlgebraInterpreter(self.catalog.schemas()).compile(expr)
+        stored_split(plan)
+        return plan
 
     def drop_table(self, name: str) -> None:
         entry = self.catalog.entry(name)
@@ -1110,7 +1117,7 @@ class RodentStore:
         :class:`StorageError` otherwise.
         """
         entry = self.catalog.entry(name)
-        plan = self._interpreter().compile(self._resolve_expr(name, layout))
+        plan = self._compile(name, layout)
         if plan.region_design is not None:
             raise StorageError(
                 "a region's design is one layout: it cannot itself be "
@@ -1146,8 +1153,7 @@ class RodentStore:
         tools would keep the base table for exactly this reason).
         """
         entry = self.catalog.entry(name)
-        expr = self._resolve_expr(name, layout)
-        new_plan = self._interpreter().compile(expr)
+        new_plan = self._compile(name, layout)
         with self.mutate(name):
             if source_records is None:
                 source_records = self._recover_logical_records(entry)

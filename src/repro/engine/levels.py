@@ -218,9 +218,7 @@ def redesign(
     keyed = entry.plan.levels is not None and entry.plan.levels.key is not None
     table_plan = None
     if set(map(id, entry.regions)) <= set(map(id, regions)):
-        table_plan = db._interpreter().compile(
-            _around(entry.plan.expr, plan.expr)
-        )
+        table_plan = db._compile(table.name, _around(entry.plan.expr, plan.expr))
         plan = table_plan.region_template
     old = table.scan_schema().names()
     new = old if table_plan is None else _scan_schema(table_plan).names()

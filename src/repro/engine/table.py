@@ -120,9 +120,8 @@ class DesignSplit(NamedTuple):
     records to stored records in ``fields`` order; ``residual`` renders
     stored records, read as ``__stored__``, into pages. It keeps a sort or
     regroup whose keys are stored, so every run is sorted by itself. An
-    array or a prejoin has no stored-record
-    shape: no pipeline or fields (``None``), and the whole expression as
-    residual, over the logical rows.
+    array has no stored-record shape: no pipeline or fields (``None``),
+    and the whole expression as residual, over the logical rows.
     """
 
     pipeline: tuple[ast.Node, ...] | None
@@ -147,35 +146,72 @@ def split_design(plan: PhysicalPlan) -> DesignSplit:
     """The one split of ``plan``'s design into record pipeline, structural
     residual and stored field order (:class:`DesignSplit`) — the one place
     that decides which operators are record-level. A ``mirror``'s pipeline
-    is its left side's; its residual keeps both sides."""
-    pipeline: list[ast.Node] = []
-    node = plan.expr
-    while not isinstance(node, (ast.TableRef, ast.Literal, ast.Prejoin)):
-        if isinstance(node, RECORD_OPS):
-            pipeline.append(node)
-        node = node.left if isinstance(node, ast.Mirror) else node.child
-    records = plan.kind != LAYOUT_ARRAY and not isinstance(node, ast.Prejoin)
+    is its left side's; its residual keeps both sides. Raises
+    :class:`StorageError` for a design with no faithful split: a
+    ``prejoin``, or a ``mirror`` whose sides store different records."""
+    if any(isinstance(node, ast.Prejoin) for node in plan.expr.walk()):
+        raise StorageError(
+            f"{plan.expr.to_text()}: a prejoin design cannot be stored; "
+            "join the tables in a query instead"
+        )
+    records = plan.kind != LAYOUT_ARRAY
     fields = tuple(_scan_schema(plan).names()) if records else None
     stored = set(fields or ())
+
+    def record_ops(node: ast.Node) -> list[ast.Node]:
+        """The record-level operators from ``node`` down to its table,
+        outer-first (a ``mirror``'s left side)."""
+        ops = []
+        while not isinstance(node, (ast.TableRef, ast.Literal)):
+            if isinstance(node, RECORD_OPS):
+                ops.append(node)
+            node = node.left if isinstance(node, ast.Mirror) else node.child
+        return ops
+
+    def kept(node: ast.Node) -> bool:
+        """A sort or regroup on stored keys stays in the residual."""
+        keys = (
+            [k.name for k in node.keys] if isinstance(node, ast.OrderBy)
+            else node.fields if isinstance(node, ast.GroupBy) else None
+        )
+        return keys is not None and stored.issuperset(keys)
+
+    def stores(side: ast.Node) -> list[ast.Node]:
+        """The operators that decide which records a mirror side stores,
+        without their children: all but a kept sort or regroup with no
+        ``limit`` above it."""
+        ops, limited = [], False
+        for op in record_ops(side):
+            limited = limited or isinstance(op, ast.Limit)
+            if limited or not kept(op):
+                ops.append(op.with_children([ast.TableRef("")]))
+        return ops
+
+    for node in plan.expr.walk():
+        if not isinstance(node, ast.Mirror):
+            continue
+        if any(isinstance(n, ast.Chunk) for n in node.walk()):
+            raise StorageError(f"{node.to_text()}: a mirror side cannot be an array")
+        if stores(node.left) != stores(node.right):
+            raise StorageError(
+                f"mirror sides {node.left.to_text()} and {node.right.to_text()} "
+                "store different records: give them the same record operators "
+                "(only a sort or regroup on stored fields may differ)"
+            )
 
     def over_stored(node: ast.Node) -> ast.Node:
         if isinstance(node, ast.TableRef) or (
             records and isinstance(node, ast.Literal)
         ):
             return ast.TableRef("__stored__")
-        if records and isinstance(node, RECORD_OPS):
-            keys = (
-                [k.name for k in node.keys] if isinstance(node, ast.OrderBy)
-                else node.fields if isinstance(node, ast.GroupBy) else None
-            )
-            if keys is None or not stored.issuperset(keys):
-                return over_stored(node.child)
+        if records and isinstance(node, RECORD_OPS) and not kept(node):
+            return over_stored(node.child)
         return node.with_children([over_stored(c) for c in node.children()])
 
     if not records:
         return DesignSplit(None, over_stored(plan.expr), None)
-    pipeline.reverse()
-    return DesignSplit(tuple(pipeline), over_stored(plan.expr), fields)
+    pipeline = tuple(reversed(record_ops(plan.expr)))
+    return DesignSplit(pipeline, over_stored(plan.expr), fields)
 
 
 def stored_split(plan: PhysicalPlan) -> DesignSplit:
@@ -1288,7 +1324,7 @@ class Table:
 
     def _stored_split(self) -> DesignSplit:
         """The table's design split; a design with no stored-record shape
-        (an array, a prejoin) takes no inserts, updates or deletes."""
+        (an array) takes no inserts, updates or deletes."""
         split = stored_split(self.plan)
         if split.pipeline is None:
             raise StorageError(

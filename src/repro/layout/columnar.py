@@ -1,4 +1,4 @@
-"""A design's operators over columns: the write side's interpreter.
+"""A design's operators over columns: the engine's one interpreter.
 
 A load, a seal and a merge hand the renderer a batch of records as columns
 (:class:`~repro.layout.renderer.ColumnBatch`). This module applies a
@@ -12,43 +12,50 @@ design's operators to those columns without building a row:
   stored keys, ``delta``, ``grid``, ``zorder``, ``hilbert``, ``fold``,
   ``unfold``, ``columns``, ``compress``, ``rows``, ``mirror``) as a
   :class:`Shaped`: the columns in storage order plus the segments (groups,
-  grid cells, folded records) the renderer lays out.
+  grid cells, folded records) the renderer lays out. An array design's
+  residual is its whole expression: its record operators run as the
+  pipeline's do, and its nesting operators (``transpose``, ``chunk``, a
+  literal, ``zorder`` / ``delta`` of a nesting) build the nesting the
+  renderer stores; ``transpose`` of records is their columns.
 
 Every step is a :mod:`repro.vector` kernel — ``orderby`` a
 :func:`~repro.vector.stable_order`, ``groupby`` and ``fold``
 :func:`~repro.vector.first_seen_groups`, ``grid``
 :func:`~repro.vector.grid_cells`, ``delta``
 :func:`~repro.vector.segment_delta`, ``zorder`` / ``hilbert`` a
-permutation of the cells — whose fallback is the tuple evaluator's own
-algorithm, so the result is the one :class:`repro.algebra.transforms.
-Evaluator` computes, value for value. That evaluator stays the algebra's
-reference interpreter: :meth:`Shaped.from_evaluated` turns its result into
-this shape, which is how the renderer takes it.
+permutation of the cells — whose fallback is the algebra's own tuple
+algorithm, so a render equals, page for page, the render of the reference
+interpreter the tests keep (``tests/reference.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import compress
-from typing import Any, Sequence
+from dataclasses import dataclass, replace
+from itertools import accumulate, compress
+from typing import Sequence
 
 from repro import vector
 from repro.algebra import ast
 from repro.algebra.transforms import (
+    CellGrid,
+    _normalized_coords,
+    chunk_nesting,
+    default_column_groups,
+    delta_list,
+    eval_scalar,
+    transpose_matrix,
+)
+from repro.algebra.validation import (
     KIND_COLUMNS,
     KIND_FOLDED,
     KIND_GRID,
     KIND_GROUPED,
     KIND_MIRROR,
+    KIND_NESTING,
     KIND_RECORDS,
-    CellGrid,
-    Evaluated,
-    _normalized_coords,
-    default_column_groups,
-    eval_scalar,
 )
 from repro.curves.hilbert import hilbert_sort_key
-from repro.curves.zorder import zorder_sort_key
+from repro.curves.zorder import zorder_matrix, zorder_sort_key
 from repro.errors import AlgebraError
 
 
@@ -59,7 +66,8 @@ class Shaped:
     ``columns`` (parallel to ``fields``) hold the rows in storage order;
     ``counts`` the rows of each segment — a group, a grid cell, a folded
     record — back to back (``None``: no segments). ``grid`` is a gridded
-    result's geometry, ``sides`` a mirror's two results.
+    result's geometry, ``sides`` a mirror's two results, ``nesting`` an
+    array design's value (a :data:`KIND_NESTING` result has no fields).
     """
 
     fields: tuple[str, ...]
@@ -68,6 +76,7 @@ class Shaped:
     counts: list[int] | None = None
     grid: CellGrid | None = None
     sides: tuple["Shaped", "Shaped"] | None = None
+    nesting: list | None = None
 
     @property
     def n_rows(self) -> int:
@@ -86,8 +95,8 @@ class Shaped:
         return [self.n_rows] if self.counts is None else self.counts
 
     def flat(self) -> "Shaped":
-        """The rows as flat records (the tuple evaluator's ``records()``):
-        groups and cells are already back to back."""
+        """The rows as flat records: groups and cells are already back to
+        back."""
         if self.kind in (KIND_RECORDS, KIND_GROUPED, KIND_GRID):
             return Shaped(self.fields, self.columns)
         if self.kind == KIND_MIRROR:
@@ -99,50 +108,6 @@ class Shaped:
 
     def take(self, order) -> list:
         return [vector.take(c, order) for c in self.columns]
-
-    @classmethod
-    def from_evaluated(cls, evaluated: Evaluated) -> "Shaped":
-        """The tuple evaluator's result in this shape: its records become
-        list columns (which the render kernels take value by value)."""
-        kind, meta = evaluated.kind, evaluated.meta
-        if kind == KIND_MIRROR:
-            left = cls.from_evaluated(meta["left"])
-            right = cls.from_evaluated(meta["right"])
-            return cls(left.fields, left.columns, KIND_MIRROR, sides=(left, right))
-        if kind == KIND_COLUMNS:
-            groups = tuple(meta["column_groups"])
-            columns = []
-            for group, values in zip(groups, evaluated.value):
-                if len(group) == 1:
-                    columns.append(list(values))
-                else:
-                    columns.extend(_list_columns(values, len(group)))
-            fields = tuple(f for group in groups for f in group)
-            return cls(fields, columns, KIND_COLUMNS)
-        if kind == KIND_FOLDED:
-            n_keys = len(meta["group_fields"])
-            single = len(meta["nest_fields"]) == 1
-            rows, counts = [], []
-            for row in evaluated.value:
-                key, nested = tuple(row[:n_keys]), row[n_keys]
-                counts.append(len(nested))
-                rows.extend(key + ((v,) if single else tuple(v)) for v in nested)
-            fields = tuple(meta["group_fields"]) + tuple(meta["nest_fields"])
-            return cls(fields, _list_columns(rows, len(fields)), KIND_FOLDED, counts)
-        records = evaluated.records()
-        counts = None
-        if kind in (KIND_GROUPED, KIND_GRID):
-            counts = [len(part) for part in evaluated.value]
-        grid = meta["grid"] if kind == KIND_GRID else None
-        fields = tuple(evaluated.fields)
-        columns = _list_columns(records, len(fields))
-        return cls(fields, columns, kind, counts, grid)
-
-
-def _list_columns(rows: Sequence[Sequence[Any]], width: int) -> list[list]:
-    if not rows:
-        return [[] for _ in range(width)]
-    return [list(column) for column in zip(*rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +137,56 @@ def _rows(columns: Sequence) -> list[tuple]:
     return list(zip(*[vector.to_list(c) for c in columns]))
 
 
+def apply_record_op(shaped: Shaped, op: ast.Node) -> Shaped:
+    """One record-level operator over ``shaped``, as the algebra defines
+    it. After a ``groupby`` (a stable regroup) ``orderby`` sorts within
+    each group and ``limit`` keeps whole segments, until a ``project`` /
+    ``select`` / ``append`` flattens them; a grid stays one under a
+    ``project``. ``select`` and ``append`` evaluate their scalar
+    expressions row by row."""
+    if isinstance(op, ast.OrderBy):
+        if shaped.kind == KIND_GROUPED:
+            return replace(shaped, columns=sort_rows(shaped, op.keys))
+        flat = shaped.flat()
+        return Shaped(flat.fields, sort_rows(flat, op.keys))
+    if isinstance(op, ast.Limit):
+        if shaped.kind == KIND_NESTING:
+            return replace(shaped, nesting=shaped.nesting[: op.count])
+        n, counts, grid = op.count, shaped.counts, shaped.grid
+        if counts is not None:
+            counts = counts[: op.count]
+            n = sum(counts)
+        if grid is not None:
+            grid = replace(grid, coords=grid.coords[: op.count])
+        return replace(
+            shaped, columns=[c[:n] for c in shaped.columns], counts=counts, grid=grid
+        )
+    if isinstance(op, ast.GroupBy):
+        return group_rows(shaped.flat(), op.fields)
+    if isinstance(op, ast.Project):
+        if shaped.kind != KIND_GRID:
+            shaped = shaped.flat()
+        columns = [shaped.column(f) for f in op.fields]
+        return replace(shaped, fields=tuple(op.fields), columns=columns)
+    shaped = shaped.flat()
+    positions = {n: i for i, n in enumerate(shaped.fields)}
+    rows = _rows(shaped.columns)
+    if isinstance(op, ast.Select):
+        keep = [bool(eval_scalar(op.condition, row, positions)) for row in rows]
+        return Shaped(
+            shaped.fields,
+            [list(compress(vector.to_list(c), keep)) for c in shaped.columns],
+        )
+    added = [  # ast.Append
+        [eval_scalar(expr, row, positions) for row in rows]
+        for _, expr in op.elements
+    ]
+    return Shaped(
+        shaped.fields + tuple(name for name, _ in op.elements),
+        list(shaped.columns) + added,
+    )
+
+
 def apply_pipeline(
     pipeline: Sequence[ast.Node],
     fields: Sequence[str],
@@ -180,49 +195,10 @@ def apply_pipeline(
 ) -> list:
     """The columns, in ``stored`` order, of the stored records a record
     pipeline (inner-first) maps logical records — ``columns`` parallel to
-    ``fields`` — to. After a ``groupby`` (a stable regroup) ``orderby``
-    sorts within each group and ``limit`` keeps whole groups, as the
-    algebra defines them, until a ``project`` / ``select`` / ``append``
-    flattens the groups. ``select`` and ``append`` evaluate their scalar
-    expressions row by row."""
+    ``fields`` — to (:func:`apply_record_op`, one operator at a time)."""
     shaped = Shaped(tuple(fields), list(columns))
     for op in pipeline:
-        if isinstance(op, ast.OrderBy):
-            shaped.columns = sort_rows(shaped, op.keys)
-        elif isinstance(op, ast.Limit):
-            if shaped.kind == KIND_GROUPED:
-                shaped.counts = shaped.counts[: op.count]
-                n = sum(shaped.counts)
-            else:
-                n = op.count
-            shaped.columns = [c[:n] for c in shaped.columns]
-        elif isinstance(op, ast.GroupBy):
-            shaped = group_rows(shaped.flat(), op.fields)
-        elif isinstance(op, ast.Project):
-            shaped = Shaped(
-                tuple(op.fields), [shaped.column(f) for f in op.fields]
-            )
-        elif isinstance(op, ast.Select):
-            positions = {n: i for i, n in enumerate(shaped.fields)}
-            keep = [
-                bool(eval_scalar(op.condition, row, positions))
-                for row in _rows(shaped.columns)
-            ]
-            shaped = Shaped(
-                shaped.fields,
-                [list(compress(vector.to_list(c), keep)) for c in shaped.columns],
-            )
-        else:  # ast.Append
-            positions = {n: i for i, n in enumerate(shaped.fields)}
-            rows = _rows(shaped.columns)
-            added = [
-                [eval_scalar(expr, row, positions) for row in rows]
-                for _, expr in op.elements
-            ]
-            shaped = Shaped(
-                shaped.fields + tuple(name for name, _ in op.elements),
-                list(shaped.columns) + added,
-            )
+        shaped = apply_record_op(shaped, op)
     return [shaped.column(f) for f in stored]
 
 
@@ -232,10 +208,14 @@ def apply_pipeline(
 
 
 def evaluate(node: ast.Node, fields: Sequence[str], columns: list) -> Shaped:
-    """``node`` — a record design's structural residual, reading the
-    stored records as ``__stored__`` — over the stored ``columns``
-    (parallel to ``fields``)."""
+    """``node`` — a design's structural residual, reading the stored
+    records as ``__stored__`` — over the stored ``columns`` (parallel to
+    ``fields``)."""
     return _Interpreter(tuple(fields), list(columns)).evaluate(node)
+
+
+def _nesting(value: list) -> Shaped:
+    return Shaped((), [], KIND_NESTING, nesting=value)
 
 
 class _Interpreter:
@@ -246,10 +226,7 @@ class _Interpreter:
     def evaluate(self, node: ast.Node) -> Shaped:
         method = getattr(self, f"_eval_{type(node).__name__.lower()}", None)
         if method is None:
-            raise AlgebraError(
-                f"{type(node).__name__} is not a structural operator of a "
-                "record design"
-            )
+            raise AlgebraError(f"cannot store a {type(node).__name__} design")
         return method(node)
 
     def _eval_tableref(self, node: ast.TableRef) -> Shaped:
@@ -257,22 +234,23 @@ class _Interpreter:
             raise AlgebraError(f"unknown table {node.name!r}")
         return Shaped(self.fields, list(self.columns))
 
-    def _eval_orderby(self, node: ast.OrderBy) -> Shaped:
-        child = self.evaluate(node.child)
-        if child.kind == KIND_GROUPED:
-            return Shaped(
-                child.fields, sort_rows(child, node.keys), KIND_GROUPED, child.counts
-            )
-        child = child.flat()
-        return Shaped(child.fields, sort_rows(child, node.keys))
+    def _eval_literal(self, node: ast.Literal) -> Shaped:
+        return _nesting(node.thaw())
 
-    def _eval_groupby(self, node: ast.GroupBy) -> Shaped:
-        return group_rows(self.evaluate(node.child).flat(), node.fields)
+    def _record_op(self, node: ast.Node) -> Shaped:
+        return apply_record_op(self.evaluate(node.child), node)
+
+    _eval_orderby = _eval_groupby = _eval_limit = _record_op
+    _eval_project = _eval_select = _eval_append = _record_op
 
     def _eval_delta(self, node: ast.Delta) -> Shaped:
         child = self.evaluate(node.child)
         if not node.fields:
-            raise AlgebraError("delta without fields applies to flat value nestings")
+            if child.kind != KIND_NESTING:
+                raise AlgebraError(
+                    "delta without fields applies to flat value nestings"
+                )
+            return _nesting(delta_list(child.nesting))
         if child.kind not in (KIND_GRID, KIND_GROUPED):
             child = child.flat()
         counts = child.segments()
@@ -311,11 +289,18 @@ class _Interpreter:
 
     def _eval_zorder(self, node: ast.ZOrder) -> Shaped:
         child = self.evaluate(node.child)
-        if child.kind != KIND_GRID:
-            raise AlgebraError(
-                f"zorder of a {child.kind} result is an array design"
-            )
-        return self._reorder_cells(child, zorder_sort_key)
+        if child.kind == KIND_GRID:
+            return self._reorder_cells(child, zorder_sort_key)
+        if child.kind == KIND_NESTING:
+            return _nesting(zorder_matrix(child.nesting))
+        if child.kind == KIND_GROUPED:
+            rows = _rows(child.columns)
+            starts = list(accumulate(child.counts, initial=0))
+            groups = [rows[a:b] for a, b in zip(starts, starts[1:])]
+            return _nesting(zorder_matrix(groups))
+        raise AlgebraError(
+            f"zorder applies to grids or two-level nestings, not {child.kind}"
+        )
 
     def _eval_hilbertorder(self, node: ast.HilbertOrder) -> Shaped:
         child = self.evaluate(node.child)
@@ -358,3 +343,17 @@ class _Interpreter:
         left = self.evaluate(node.left)
         right = self.evaluate(node.right)
         return Shaped(left.fields, left.columns, KIND_MIRROR, sides=(left, right))
+
+    def _eval_transpose(self, node: ast.Transpose) -> Shaped:
+        child = self.evaluate(node.child)
+        if child.kind == KIND_NESTING:
+            return _nesting(transpose_matrix(child.nesting))
+        child = child.flat()  # a record's fields become its rows
+        columns = child.columns if child.n_rows else []
+        return _nesting([list(vector.to_list(c)) for c in columns])
+
+    def _eval_chunk(self, node: ast.Chunk) -> Shaped:
+        child = self.evaluate(node.child)
+        if child.kind == KIND_NESTING:
+            return _nesting(chunk_nesting(child.nesting, node.shape))
+        return _nesting(chunk_nesting(_rows(child.flat().columns), node.shape))

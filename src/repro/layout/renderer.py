@@ -66,8 +66,6 @@ from repro.algebra.physical import (
     LAYOUT_ROWS,
     PhysicalPlan,
 )
-from repro.algebra import ast
-from repro.algebra.transforms import Evaluated, Evaluator
 from repro import vector
 from repro.layout import columnar
 from repro.layout.columnar import Shaped
@@ -792,15 +790,10 @@ class LayoutRenderer:
     # Rendering (write path)
     # ==================================================================
 
-    def render(
-        self, plan: PhysicalPlan, evaluated: "Shaped | Evaluated"
-    ) -> StoredLayout:
-        """Materialize ``evaluated`` on disk according to ``plan``.
-
-        ``evaluated`` is a record design's residual over columns
-        (:class:`~repro.layout.columnar.Shaped`), or the tuple
-        evaluator's result (an array's nesting; for any other design, the
-        reference render the columnar one is tested against).
+    def render(self, plan: PhysicalPlan, shaped: Shaped) -> StoredLayout:
+        """Materialize ``shaped`` — a design's residual evaluated over
+        columns (:func:`repro.layout.columnar.evaluate`) — on disk
+        according to ``plan``.
 
         A render that raises gives back every extent it allocated — all
         of a multi-extent layout's, the one being written included: their
@@ -808,11 +801,9 @@ class LayoutRenderer:
         leaves no page that is neither free nor a run's. A
         :class:`CrashError` (power loss) leaves them to the next open.
         """
-        if isinstance(evaluated, Evaluated) and plan.kind != LAYOUT_ARRAY:
-            evaluated = Shaped.from_evaluated(evaluated)
         self._rendering.extents = extents = []
         try:
-            return self._render(plan, evaluated)
+            return self._render(plan, shaped)
         except CrashError:
             raise
         except Exception:
@@ -824,7 +815,7 @@ class LayoutRenderer:
         finally:
             self._rendering.extents = None
 
-    def _render(self, plan: PhysicalPlan, shaped) -> StoredLayout:
+    def _render(self, plan: PhysicalPlan, shaped: Shaped) -> StoredLayout:
         if plan.kind == LAYOUT_ROWS:
             return self._render_rows(plan, shaped)
         if plan.kind == LAYOUT_COLUMNS:
@@ -854,17 +845,12 @@ class LayoutRenderer:
         operators for this region only, so a single partition or run can be
         (re-)rendered without touching its siblings.
 
-        A record design's residual runs over the batch's columns
+        The residual runs over the batch's columns
         (:func:`repro.layout.columnar.evaluate`) and the pages are encoded
         from the column slices it leaves, so no row is built from coercion
-        to pages. An array's (or a prejoin's) residual is its whole
-        expression over the logical rows, through the tuple evaluator.
+        to pages. An array's residual is its whole expression over the
+        logical rows, and leaves the nesting the array stores.
         """
-        if plan.kind == LAYOUT_ARRAY or any(
-            isinstance(node, ast.Prejoin) for node in residual.walk()
-        ):
-            evaluator = Evaluator({"__stored__": (batch.rows(), batch.fields)})
-            return self.render(plan, evaluator.evaluate(residual))
         shaped = columnar.evaluate(residual, batch.fields, batch.columns())
         return self.render(plan, shaped)
 
@@ -1136,9 +1122,9 @@ class LayoutRenderer:
 
     # -- array -------------------------------------------------------------
 
-    def _render_array(self, plan: PhysicalPlan, evaluated: Evaluated) -> StoredLayout:
-        leaves = flatten(evaluated.value)
-        array_shape = nesting_shape(evaluated.value)
+    def _render_array(self, plan: PhysicalPlan, shaped: Shaped) -> StoredLayout:
+        leaves = flatten(shaped.nesting)
+        array_shape = nesting_shape(shaped.nesting)
         dtype = _leaf_dtype(leaves)
         serializer = VectorSerializer(dtype)
         capacity = self.page_size - BYTES_HEADER_SIZE

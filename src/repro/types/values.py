@@ -1,40 +1,16 @@
 """Value helpers shared across the library.
 
 Records are plain tuples; nestings are (possibly recursive) lists/tuples of
-records or scalars. This module provides ordering keys, flattening (the
-paper's physical representation φ), and depth/shape inspection for nestings.
+records or scalars. This module provides flattening (the paper's physical
+representation φ) and depth/shape inspection for nestings.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 Record = tuple
 Nesting = list
-
-
-def multisort(
-    records: Iterable[Sequence[Any]],
-    positions: Sequence[int],
-    descending: Sequence[bool] | None = None,
-) -> list:
-    """Sort records on multiple positions with per-position direction.
-
-    All-ascending orders take one sort on the tuple of key positions.
-    Mixed directions apply stable sorts from the least-significant key to
-    the most-significant one, which handles descending non-numeric
-    attributes correctly.
-    """
-    result = list(records)
-    if not positions:
-        return result
-    if descending is None or not any(descending):
-        result.sort(key=itemgetter(*positions))
-        return result
-    for pos, desc in reversed(list(zip(positions, descending))):
-        result.sort(key=itemgetter(pos), reverse=desc)
-    return result
 
 
 def flatten(nesting: Any) -> list:

@@ -1106,10 +1106,10 @@ def stable_order(
 
     Typed NaN-free keys take one :func:`sort_indexes` (a segment number as
     leading key). Any other key sorts the positions of each segment as
-    :func:`repro.types.values.multisort` sorts rows: one sort on the key
-    tuple when every key ascends, else one stable sort per key, least
-    significant first — the same comparisons, so the same order and the
-    same errors for values that do not compare.
+    the algebra's reference sort (``multisort``) sorts rows: one sort on
+    the key tuple when every key ascends, else one stable sort per key,
+    least significant first — the same comparisons, so the same order and
+    the same errors for values that do not compare.
     """
     n = len(keys[0]) if keys else 0
     if counts is None:

@@ -13,7 +13,7 @@ import functools
 import inspect
 import os
 import re
-import sys
+import textwrap
 
 import pytest
 
@@ -557,16 +557,37 @@ def test_one_design_split_one_render_path():
         for alias in node.names
     }
     assert not imported & {"Evaluator", "Evaluated"}
+    assert "Evaluated" not in dict(_sources())[os.path.join("layout", "renderer.py")]
     for name, source in engine.items():
         assert "renderer.render(" not in source, name
     assert {"render", "render_region"} <= set(vars(LayoutRenderer))
 
 
-#: The tuple operators of ``algebra/transforms.py`` no write may reach.
-TUPLE_OPERATORS = (
-    "orderby_records", "groupby_records", "project_records", "grid_records",
-    "delta_records",
+#: The tuple interpreter — its evaluator, result type and row-list
+#: operators, and the sort only its ``orderby`` used — which now lives
+#: beside the oracle, in ``tests/reference.py``.
+ONE_INTERPRETER_MOVED = (
+    "Evaluator", "Evaluated", "from_evaluated", "multisort", "GridResult",
+    "project_records", "select_records", "append_records",
+    "partition_records", "groupby_records", "orderby_records", "fold_records",
+    "fold_records_nested_loops", "unfold_records", "prejoin_records",
+    "delta_records", "undelta_records", "grid_records", "zorder_grid",
+    "hilbert_grid", "columns_records",
 )
+
+
+def test_one_interpreter_in_src():
+    """``src/`` renders every design, arrays included, through one
+    interpreter over columns: the tuple one is gone from it,
+    ``LayoutRenderer.render`` takes a ``Shaped`` alone, and
+    ``render_region`` evaluates every residual one way (no branch)."""
+    _assert_absent_as_names(ONE_INTERPRETER_MOVED)
+    render = inspect.signature(LayoutRenderer.render).parameters
+    assert list(render) == ["self", "plan", "shaped"]
+    assert render["shaped"].annotation == "Shaped"
+    source = textwrap.dedent(inspect.getsource(LayoutRenderer.render_region))
+    branches = (ast.If, ast.IfExp, ast.BoolOp)
+    assert not any(isinstance(node, branches) for node in ast.walk(_parse(source)))
 
 
 def _bench_designs():
@@ -595,9 +616,9 @@ def _bench_designs():
 @pytest.mark.parametrize("case", range(5))
 def test_a_write_reaches_pages_through_columns(case, monkeypatch):
     """A load, a seal and a merge of every bench design render from
-    columns: none calls ``ColumnBatch.rows()`` or a tuple operator of
-    ``algebra/transforms.py`` (patched to raise, wherever they are bound),
-    and each leaves what the unpatched store leaves."""
+    columns: none calls ``ColumnBatch.rows()`` (patched to raise; no tuple
+    operator is left in ``src/``: :func:`test_one_interpreter_in_src`), and
+    each leaves what the unpatched store leaves."""
     name, schema, design, rows, more, flush, compact = _bench_designs()[case]
 
     def run():
@@ -619,11 +640,6 @@ def test_a_write_reaches_pages_through_columns(case, monkeypatch):
         raise AssertionError("a write reached the tuple path")
 
     monkeypatch.setattr(ColumnBatch, "rows", refuse)
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("repro."):
-            for attr in TUPLE_OPERATORS:
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, refuse)
     _, table = run()
     regions = table.partitions
     assert sum(len(region.runs) for region in regions) >= 1

@@ -11,11 +11,11 @@ schema; the properties are the library's structural contracts:
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference import evaluate
 from repro.algebra import ast
 from repro.algebra.interpreter import AlgebraInterpreter
 from repro.algebra.parser import parse
 from repro.algebra.rewriter import normalize
-from repro.algebra.transforms import evaluate
 from repro.types import Schema
 
 SCHEMA = Schema.of("a:int", "b:int", "c:int", "d:int")

@@ -30,10 +30,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from reference import evaluate, from_evaluated, undelta_records
 from repro import vector
 from repro.algebra.interpreter import AlgebraInterpreter
 from repro.algebra.parser import parse
-from repro.algebra.transforms import evaluate, undelta_records
 from repro.compression import CodecError, get_codec
 from repro.compression.varint import VarintCodec
 from repro.engine.database import RodentStore
@@ -489,7 +489,7 @@ def build_folded(design, records, page_size):
     plan = AlgebraInterpreter({"T": FOLD_SCHEMA}).compile(parse(design))
     renderer = LayoutRenderer(BufferPool(DiskManager(page_size=page_size), 64))
     evaluated = evaluate(plan.expr, {"T": (records, tuple(FOLD_SCHEMA.names()))})
-    return renderer, renderer.render(plan, evaluated)
+    return renderer, renderer.render(plan, from_evaluated(evaluated))
 
 
 def folded_at_a_time(renderer, layout, indices=None):

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
+from reference import Evaluator, from_evaluated
 from repro import vector
-from repro.algebra.transforms import Evaluator
 from repro.compression import Codec, get_codec, register
 from repro.compression import base as compression_base
 from repro.engine import levels
@@ -154,7 +154,7 @@ NAMES = tuple(SCHEMA.names())
 class PageAudit:
     """Checks every ``render_region`` call against the tuple path: the page
     images it writes must equal, byte for byte, those of rendering
-    ``batch.rows()`` through ``Evaluator`` records on a scratch renderer,
+    ``batch.rows()`` through the reference ``Evaluator`` on a scratch renderer,
     and so must its zone maps. Images are taken before a run's pages are
     chained (page ids differ between the two renders; nothing else may)."""
 
@@ -178,7 +178,9 @@ class PageAudit:
             layout = render_region(renderer, plan, residual, batch)
             got = written[start:]
             rows = Evaluator({"__stored__": (batch.rows(), batch.fields)})
-            reference = self._scratch.render(plan, rows.evaluate(residual))
+            reference = self._scratch.render(
+                plan, from_evaluated(rows.evaluate(residual))
+            )
             want = written[start + len(got):]
             del written[start:]
             assert got == want, f"pages differ from the tuple path: {plan.describe()}"

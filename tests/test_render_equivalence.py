@@ -1,14 +1,15 @@
-"""The columnar write path renders what the tuple evaluator renders.
+"""The columnar write path renders what the reference interpreter renders.
 
 A load, a seal and a merge run a design's record pipeline
 (``DesignSplit.apply``), its router (``PartitionRouter.split``) and its
 structural residual (``LayoutRenderer.render_region``) over columns. Here
-generated rows go through every record design those paths render, once
-that way and once the way the algebra defines it: the pipeline as the
-tuple functions of ``repro.algebra.transforms``, routing row by row, and
-the residual through the tuple ``Evaluator``. Page images, zone tables,
-cell and folded directories and row counts must be equal — or both sides
-must raise the same error — on both numpy legs.
+generated rows go through every record design those paths render, and
+through array designs, once that way and once the way the algebra defines
+it: the pipeline as the tuple functions of ``tests/reference.py``, routing
+row by row, and the residual (an array's whole expression) through its
+``Evaluator``. Page images, zone tables, cell and folded directories, array
+shapes and row counts must be equal — or both sides must raise the same
+error — on both numpy legs.
 
 Inputs include ``None``, NaN, ``-0.0``, the int64 bounds and ints beyond
 them, values on cell boundaries, negative coordinates, and empty and
@@ -23,18 +24,19 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro import vector
-from repro.algebra import ast
-from repro.algebra.interpreter import AlgebraInterpreter
-from repro.algebra.parser import parse
-from repro.algebra.transforms import (
+from reference import (
     Evaluator,
     append_records,
+    from_evaluated,
     groupby_records,
     orderby_records,
     project_records,
     select_records,
 )
+from repro import vector
+from repro.algebra import ast
+from repro.algebra.interpreter import AlgebraInterpreter
+from repro.algebra.parser import parse
 from repro.engine.table import split_design
 from repro.layout.partitioning import PartitionRouter
 from repro.layout.renderer import ColumnBatch, LayoutRenderer
@@ -86,6 +88,15 @@ DESIGNS = [
     "compress[varint; a, b](grid[a, b],[10, 10](T))",
     "compress[xor; f](delta[f](grid[a],[10](T)))",
     "compress[rle; g](orderby[g](T))",
+    # arrays: the whole expression renders one nesting
+    "transpose(project[a, f](T))",
+    "transpose(orderby[b desc](project[b, g](T)))",
+    "chunk[3](project[a, g](T))",
+    "chunk[2, 2](transpose(project[a, b](T)))",
+    "[[1, 2, 3], [4, 5, 6]]",
+    "delta([3, 5, 6, 2])",
+    "zorder(groupby[g](project[g, a](T)))",
+    "zorder(chunk[2](transpose(project[a, b](T))))",
 ]
 
 INTS = st.one_of(
@@ -147,7 +158,7 @@ def render_columnar(plan, rows):
     for locator, part in router.split(stored):
         region_plan = plan.region_template
         region = split_design(region_plan)
-        if region.fields != stored.fields:
+        if region.fields != split.fields:
             index = [stored.fields.index(f) for f in region.fields]
             part = part.project_columns(index, region.fields)
         renderer = _renderer()
@@ -159,7 +170,9 @@ def render_columnar(plan, rows):
 def _tuple_pipeline(split, rows):
     """A design's record pipeline the way the algebra defines it: the tuple
     functions over row lists (groups after a ``groupby`` kept apart until a
-    flattening operator)."""
+    flattening operator); an array's logical rows as they are."""
+    if split.pipeline is None:
+        return rows
     fields = list(NAMES)
     groups, grouped = [rows], False
     for op in split.pipeline:
@@ -191,7 +204,7 @@ def render_tuples(plan, rows):
     ``Evaluator`` over each region's rows."""
     split = split_design(plan)
     stored = _tuple_pipeline(split, rows)
-    router = PartitionRouter(plan.partition, split.fields)
+    router = PartitionRouter(plan.partition, split.fields or NAMES)
     parts: dict = {}
     if plan.partition is None:
         parts[None] = stored
@@ -205,11 +218,12 @@ def render_tuples(plan, rows):
         if region.fields != split.fields:
             index = [split.fields.index(f) for f in region.fields]
             part = [tuple(r[i] for i in index) for r in part]
-        evaluated = Evaluator({"__stored__": (part, region.fields)}).evaluate(
-            region.residual
-        )
+        evaluated = Evaluator(
+            {"__stored__": (part, region.fields or NAMES)}
+        ).evaluate(region.residual)
         renderer = _renderer()
-        out.append((key, renderer, renderer.render(region_plan, evaluated)))
+        out.append((key, renderer,
+                    renderer.render(region_plan, from_evaluated(evaluated))))
     return out
 
 
@@ -242,6 +256,8 @@ def describe(renderer, layout):
         "folded": layout.folded_directory,
         "keys": repr(layout.folded_keys),
         "chunks": [g.chunks for g in layout.column_groups],
+        "array": repr((layout.array_shape, layout.array_values_per_page,
+                       layout.array_dtype)),
         "zones": zones,
         "mirrors": [describe(renderer, m) for m in layout.mirrors],
     }

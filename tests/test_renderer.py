@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import evaluate, from_evaluated
 from repro.algebra.interpreter import AlgebraInterpreter
 from repro.algebra.parser import parse
-from repro.algebra.transforms import evaluate
 from repro.errors import StorageError
 from repro.layout.renderer import LayoutRenderer
 from repro.storage.buffer import BufferPool
@@ -24,7 +24,7 @@ def render(expr_text, records=RECORDS, page_size=1024, schema=SCHEMA):
     pool = BufferPool(disk, capacity=128)
     renderer = LayoutRenderer(pool)
     evaluated = evaluate(plan.expr, {"T": (records, tuple(schema.names()))})
-    layout = renderer.render(plan, evaluated)
+    layout = renderer.render(plan, from_evaluated(evaluated))
     return renderer, layout
 
 

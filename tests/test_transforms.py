@@ -1,4 +1,6 @@
-"""Tests for repro.algebra.transforms.
+"""Tests for the algebra's transforms: the reference interpreter's
+(``tests/reference.py``) and the nesting operations of
+``repro.algebra.transforms``.
 
 Each transform is checked against the definitional comprehension the paper
 gives for it (§3.5), plus inverse/idempotence properties via hypothesis.
@@ -8,31 +10,33 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.algebra import ast
-from repro.algebra.comprehension import OrderByClause, comprehend
-from repro.algebra.parser import parse, parse_condition
-from repro.algebra.transforms import (
+from reference import (
     Evaluator,
-    chunk_nesting,
     columns_records,
-    delta_list,
     delta_records,
-    eval_scalar,
     evaluate,
     fold_records,
     fold_records_nested_loops,
     grid_records,
     hilbert_grid,
     prejoin_records,
-    prejoined_fields,
     project_records,
     select_records,
-    transpose_matrix,
-    undelta_list,
     undelta_records,
     unfold_records,
     zorder_grid,
 )
+from repro.algebra import ast
+from repro.algebra.comprehension import OrderByClause, comprehend
+from repro.algebra.parser import parse, parse_condition
+from repro.algebra.transforms import (
+    chunk_nesting,
+    delta_list,
+    eval_scalar,
+    transpose_matrix,
+    undelta_list,
+)
+from repro.algebra.validation import prejoined_fields
 from repro.errors import AlgebraError
 from repro.workloads import SALES_SCHEMA, generate_sales
 

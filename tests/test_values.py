@@ -1,14 +1,15 @@
-"""Tests for repro.types.values (φ flattening, shapes, sorting)."""
+"""Tests for repro.types.values (φ flattening, shapes) and the reference
+interpreter's ``multisort``."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import multisort
 from repro.types.values import (
     count_leaves,
     depth,
     flatten,
     iter_leaves,
-    multisort,
     normalize,
     records_equal,
     shape,

@@ -1,6 +1,6 @@
 """Tests for repro.workloads (synthetic data generators)."""
 
-from repro.types.values import multisort
+from reference import multisort
 from repro.workloads import (
     BOSTON,
     SALES_SCHEMA,
