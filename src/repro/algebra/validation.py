@@ -421,10 +421,9 @@ class _Checker:
         return Checked(KIND_NESTING, None)
 
     def _check_chunk(self, node: ast.Chunk) -> Checked:
-        child = self.check(node.child)
-        return Checked(
-            KIND_NESTING, child.schema, {"chunk_shape": node.shape}
-        )
+        # An array of the child's leaves: its records' schema is gone.
+        self.check(node.child)
+        return Checked(KIND_NESTING, None, {"chunk_shape": node.shape})
 
     # -- layout markers ---------------------------------------------------
 

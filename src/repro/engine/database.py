@@ -180,24 +180,28 @@ class _Mutation:
         store = self.store
         wal = store.wal
         txn_id = self.txn.txn_id
+
+        def compact(obj) -> bytes:  # recovery parses any JSON spacing
+            return json.dumps(obj, separators=(",", ":")).encode()
+
         with store._commit_lock:
             for page_id, image in self._fresh:
                 wal.append(
                     KIND_FRESH_PAGE, txn_id, page_id=page_id, after=image
                 )
             for name, rows in self._rows:
-                payload = json.dumps({"table": name, "rows": rows})
-                wal.append(KIND_ROWS, txn_id, payload=payload.encode())
+                payload = compact({"table": name, "rows": rows})
+                wal.append(KIND_ROWS, txn_id, payload=payload)
             for name in self._touched:
                 if not store.catalog.has(name):
                     continue
                 from repro.engine.persistence import entry_to_dict
 
-                payload = json.dumps(entry_to_dict(store.catalog.entry(name)))
-                wal.append(KIND_CATALOG, txn_id, payload=payload.encode())
+                payload = compact(entry_to_dict(store.catalog.entry(name)))
+                wal.append(KIND_CATALOG, txn_id, payload=payload)
             for name in self._dropped:
-                payload = json.dumps({"name": name, "dropped": True})
-                wal.append(KIND_CATALOG, txn_id, payload=payload.encode())
+                payload = compact({"name": name, "dropped": True})
+                wal.append(KIND_CATALOG, txn_id, payload=payload)
         return True
 
 
@@ -887,6 +891,7 @@ class RodentStore:
         pinned reader has drained."""
 
         def free() -> None:
+            self.renderer.cache.forget_pages(page_ids)
             for page_id in page_ids:
                 self.pool.discard(page_id)
                 self.disk.free_page(page_id)
@@ -1303,7 +1308,8 @@ class RodentStore:
     # -- measurement ---------------------------------------------------------
 
     def storage_stats(self) -> dict:
-        """Cumulative storage-layer counters: buffer pool and disk.
+        """Cumulative storage-layer counters: buffer pool, decoded cache
+        (:class:`~repro.layout.cache.DecodedCache`) and disk.
 
         Buffer-pool hit rate and eviction counts expose whether a workload
         fits in memory; the disk counters are the paper's pages/seeks
@@ -1405,6 +1411,7 @@ class RodentStore:
                 "flushes": pool.flushes,
                 "hit_rate": pool.hit_rate,
             },
+            "decoded_cache": self.renderer.cache.stats(),
             "disk": {
                 "page_reads": disk.page_reads,
                 "page_writes": disk.page_writes,
@@ -1443,13 +1450,11 @@ class RodentStore:
         """Run ``query`` against a cold cache, returning (result, I/O delta).
 
         This is the measurement harness for the paper's "number of pages read
-        per query" metric: the buffer pool is emptied, cached column
-        windows and chunks are dropped, and the simulated disk head reset
-        so each query pays its true I/O.
+        per query" metric: the buffer pool and the decoded cache are
+        emptied, and the simulated disk head reset, so each query pays its
+        true I/O.
         """
-        for entry in self.catalog:
-            for run in entry.runs():
-                run.layout.clear_caches()
+        self.renderer.cache.clear()
         self.pool.clear()
         self.disk.reset_head()
         with self.disk.measure() as io:

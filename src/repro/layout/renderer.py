@@ -68,6 +68,7 @@ from repro.algebra.physical import (
 )
 from repro import vector
 from repro.layout import columnar
+from repro.layout.cache import DecodedCache
 from repro.layout.columnar import Shaped
 from repro.compression import get_codec
 from repro.engine.synopsis import LayoutSynopsis, ZoneTable, group_chunk_rows
@@ -93,17 +94,12 @@ _CELL_HEADER = struct.Struct("<IH")  # row count, field count
 #: sources a page at a time. ``RodentStore(batch_rows=...)`` overrides it.
 DEFAULT_BATCH_ROWS = 1024
 
-#: Rows per column *window*: the unit a column group's decoded cache holds
-#: and a full column scan yields — batch k is rows ``[kW, (k+1)W)`` of every
-#: scanned group. The keyed operators fold the same number of rows per
-#: kernel call (:func:`repro.query.operators._chunks`).
+#: Rows per column *window*: the unit a full column scan yields and the
+#: store's decoded cache (:mod:`repro.layout.cache`) keeps of it — batch k
+#: is rows ``[kW, (k+1)W)`` of every scanned group. The keyed operators
+#: fold the same number of rows per kernel call
+#: (:func:`repro.query.operators._chunks`).
 WINDOW_ROWS = 65_536
-
-#: Decoded rows kept per column group, in chunks' worth: the group's
-#: cache holds at most this many of its largest chunk's rows, evicting the
-#: oldest entry first. The cache lives on :class:`ColumnGroupStore`, which
-#: every rewrite replaces wholesale — invalidation is structural.
-_CHUNK_CACHE_LIMIT = 512
 
 
 class ColumnBatch:
@@ -174,8 +170,8 @@ class ColumnBatch:
 
     def columns(self) -> list:
         """Per-field value vectors parallel to ``fields``, with any pending
-        selection resolved (cached). Vectors may be shared with a column
-        group's cache and other batches — treat them as read-only."""
+        selection resolved (cached). Vectors may be shared with the store's
+        decoded cache and other batches — treat them as read-only."""
         if self._columns is None:
             if self._rows:
                 self._columns = list(zip(*self._rows))
@@ -362,7 +358,8 @@ def select_cell_fields(schema: Schema, needed: Sequence[str] | None) -> list[int
 
 
 class _GroupSlicer:
-    """One column group's rows by position, read through its decoded cache.
+    """One column group's rows by position, read through the store's
+    decoded cache (:class:`repro.layout.cache.DecodedCache`).
 
     A full scan takes :meth:`window`: rows ``[kW, (k+1)W)`` of every field,
     assembled from the chunks the first time and cached whole, so the next
@@ -372,7 +369,8 @@ class _GroupSlicer:
     over the chunk entries it uses, so no row is cached twice; a chunk
     straddling the window's end is carried to the next window rather than
     read again. Before either, the scanned groups decode what they lack
-    together, in row order (:meth:`load`).
+    together, in row order (:meth:`load`). A unit is ``(group index, first
+    row, end row)`` of the layout.
 
     Chunk row counts come from the catalog — ``chunks`` for a one-field
     group, its zone table (else its page headers) for a mini-record group.
@@ -383,19 +381,22 @@ class _GroupSlicer:
 
     __slots__ = (
         "_renderer",
+        "_layout",
+        "_group",
         "_store",
         "_rows",
         "_dtype",
         "_codec",
         "_serializer",
         "_starts",
-        "_limit",
         "_carry",
         "_staged",
     )
 
     def __init__(self, renderer: "LayoutRenderer", layout: "StoredLayout", group_index: int):
         self._renderer = renderer
+        self._layout = layout
+        self._group = group_index
         store = self._store = layout.column_groups[group_index]
         self._rows = layout.row_count
         plan = layout.plan
@@ -420,7 +421,6 @@ class _GroupSlicer:
                 f"column group {store.fields}: chunks hold {self._starts[-1]} "
                 f"rows, the layout {layout.row_count}"
             )
-        self._limit = _CHUNK_CACHE_LIMIT * max(counts, default=0)
         self._carry: tuple = (None, None)
         self._staged: dict[int, list] = {}  # decoded ahead by :meth:`load`
 
@@ -460,18 +460,26 @@ class _GroupSlicer:
             )
         return columns
 
+    def _unit(self, start: int, end: int) -> tuple[int, int, int]:
+        return (self._group, start, min(end, self._rows))
+
+    def _keep(self, unit: tuple, columns: list) -> None:
+        nbytes = sum(map(vector.nbytes, columns))
+        self._renderer.cache.put(self._layout, unit, columns, nbytes)
+
     def _missing(self, start: int, end: int) -> list[tuple[int, int]]:
         """``(first row wanted, chunk)`` for each chunk reading rows
         ``[start, end)`` has to decode: neither their window nor the chunk
         is cached, and the chunk is not carried over."""
-        cache, starts = self._store.cache, self._starts
+        cache, layout, starts = self._renderer.cache, self._layout, self._starts
         origin = start - start % WINDOW_ROWS
-        if (origin, min(origin + WINDOW_ROWS, self._rows)) in cache:
+        if cache.has(layout, self._unit(origin, origin + WINDOW_ROWS)):
             return []
         return [
             (max(start, starts[i]), i)
             for i, _, _ in self._overlaps(start, end)
-            if i != self._carry[0] and (starts[i], starts[i + 1]) not in cache
+            if i != self._carry[0]
+            and not cache.has(layout, self._unit(starts[i], starts[i + 1]))
         ]
 
     def _overlaps(self, start: int, end: int) -> Iterator[tuple[int, int, int]]:
@@ -492,41 +500,41 @@ class _GroupSlicer:
         """Rows ``[start, start + W)`` of every field (``start`` a multiple
         of :data:`WINDOW_ROWS`; the last window is short), as the cached
         vectors — assembled and cached on first use."""
-        key = (start, min(start + WINDOW_ROWS, self._rows))
-        window = self._store.cache.get(key)
+        cache, layout, starts = self._renderer.cache, self._layout, self._starts
+        unit = self._unit(start, start + WINDOW_ROWS)
+        window = cache.get(layout, unit)
         if window is not None:
             return window
-        starts = self._starts
         parts: list[list] = [[] for _ in self._store.fields]
-        for i, lo, hi in self._overlaps(*key):
+        for i, lo, hi in self._overlaps(*unit[1:]):
             carried, columns = self._carry
-            cached = self._store.cache.pop((starts[i], starts[i + 1]), None)
+            cached = cache.pop(layout, self._unit(starts[i], starts[i + 1]))
             if carried != i:
                 columns = cached or self._staged.pop(i, None) or self._decode(i)
-            if starts[i + 1] > key[1]:  # its tail opens the next window
+            if starts[i + 1] > unit[2]:  # its tail opens the next window
                 self._carry = (i, columns)
             for part, column in zip(parts, columns):
                 part.append(column if hi - lo == len(column) else column[lo:hi])
         window = [vector.concat(part) for part in parts]
-        self._put(key, window)
+        self._keep(unit, window)
         return window
 
     def slice(self, start: int, end: int) -> list:
         """Per-field value vectors of rows ``[start, end)``, which lie in
         one window: cut from that window when it is cached, else from the
         chunks the rows live in (chunks the range misses are never read)."""
+        cache, layout = self._renderer.cache, self._layout
         origin = start - start % WINDOW_ROWS
-        cache = self._store.cache
-        window = cache.get((origin, min(origin + WINDOW_ROWS, self._rows)))
+        window = cache.get(layout, self._unit(origin, origin + WINDOW_ROWS))
         if window is not None:
             return [column[start - origin : end - origin] for column in window]
         parts: list[list] = [[] for _ in self._store.fields]
         for i, lo, hi in self._overlaps(start, end):
-            key = (self._starts[i], self._starts[i + 1])
-            columns = cache.get(key)
+            unit = self._unit(self._starts[i], self._starts[i + 1])
+            columns = cache.get(layout, unit)
             if columns is None:
                 columns = self._staged.pop(i, None) or self._decode(i)
-                self._put(key, columns)
+                self._keep(unit, columns)
             for part, column in zip(parts, columns):
                 part.append(column[lo:hi])
         return [vector.concat(p) if p else [] for p in parts]
@@ -545,24 +553,6 @@ class _GroupSlicer:
         )
         for _, n, i in wanted:
             slicers[n]._staged[i] = slicers[n]._decode(i)
-
-    def _put(self, key: tuple[int, int], value: list) -> None:
-        """Cache ``value`` as rows ``key``, evicting the oldest entries
-        past the group's bound; an entry the bound cannot hold is not
-        cached. Concurrent scans share the cache, so the rows held are
-        summed over a snapshot of its keys rather than kept in a counter."""
-        rows = key[1] - key[0]
-        if rows > self._limit:
-            return
-        cache = self._store.cache
-        entries = [entry for entry in list(cache) if entry != key]
-        held = sum(end - start for start, end in entries)
-        for start, end in entries:
-            if held + rows <= self._limit:
-                break
-            cache.pop((start, end), None)
-            held -= end - start
-        cache[key] = value
 
 
 @dataclass
@@ -592,19 +582,14 @@ class CellEntry:
 
 @dataclass
 class ColumnGroupStore:
-    """Stored form of one vertical partition."""
+    """Stored form of one vertical partition: its pages and, for a
+    one-field group, its chunks. What it decodes to lives in the store's
+    decoded cache, keyed by the layout and the group's position."""
 
     fields: tuple[str, ...]
     extent: Extent
     # For single-field groups: (page index in extent, row count) per chunk.
     chunks: list[tuple[int, int]] = field(default_factory=list)
-    # Decoded rows, ``(start, end) -> per-field vectors``: a window a full
-    # scan assembled, or a chunk a pruned scan decoded — a window takes
-    # over the chunk entries it uses. FIFO within ``_CHUNK_CACHE_LIMIT``
-    # chunks' worth of rows. Stores are immutable once rendered — rewrites
-    # build new ColumnGroupStore objects — so entries never go stale;
-    # never persisted.
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -704,18 +689,6 @@ class StoredLayout:
         pages += sum(m.total_pages() for m in self.mirrors)
         return pages
 
-    def clear_caches(self) -> None:
-        """Drop every column group's cached windows and chunks in this
-        layout (and mirrors).
-
-        Only the cold-measurement harness (``RodentStore.run_cold``) calls
-        this: "cold" means the decoded vectors are gone too, so a scan pays
-        its true page reads again."""
-        for group in self.column_groups:
-            group.cache.clear()
-        for mirror in self.mirrors:
-            mirror.clear_caches()
-
     def page_ids(self) -> list[int]:
         """Every page id this layout occupies (main extent, groups, mirrors).
 
@@ -785,6 +758,8 @@ class LayoutRenderer:
         #: Per thread, the extents of the render under way (``extents``:
         #: their page id lists; ``None`` outside a render).
         self._rendering = threading.local()
+        #: What column, grid and folded reads decoded, store-wide.
+        self.cache = DecodedCache()
 
     # ==================================================================
     # Rendering (write path)
@@ -1437,19 +1412,23 @@ class LayoutRenderer:
         header, key)``, then one length-prefixed codec blob per ``(name,
         dtype)`` of ``fields``. A batch holds the ``key_fields`` (each key
         repeated ``count`` times) and the ``wanted`` fields, and closes at
-        the first record that brings its bytes to a page's worth. Records
-        that start on a page the previous one's range reaches are fetched
-        as one range; unwanted fields are stepped over by their length
-        prefix.
+        the first record that brings its bytes to a page's worth.
 
-        Wanted fields that decode alike — same codec, same type, delta or
-        not — decode together: the batch's blobs of all of them are one
-        :meth:`Codec.decode_buffer` call, every record's count repeated
-        per field, and for delta fields one :func:`repro.vector.prefix_sum`
-        restarting at every blob; the result is cut back into fields by
-        the batch's row count.
+        A record decodes once: its ``(count, key, {field: vector})`` is
+        kept in the store's decoded cache under its stream offset, and a
+        record held there with every wanted field is not read again. The
+        others are: records that start on a page the previous one's range
+        reaches are fetched as one range, every header and length prefix
+        is checked, and fields unwanted or already held are stepped over.
+        Fields that decode alike — same codec, same type, delta or not —
+        decode together: the batch's blobs of all of them are one
+        :meth:`Codec.decode_buffer` call, each blob's count given, and for
+        delta fields one :func:`repro.vector.prefix_sum` restarting at
+        every blob; the result is cut back into records, each record's
+        piece a vector of its own.
         """
         plan = layout.plan
+        cache = self.cache
         capacity = self.page_size - BYTES_HEADER_SIZE
         names = key_fields + tuple(fields[i][0] for i in wanted)
         groups: dict[tuple, list[int]] = {}
@@ -1461,69 +1440,87 @@ class LayoutRenderer:
         unpack = _U32.unpack_from
         start = 0
         while start < len(spans):
-            # Per field, its blobs in this batch (None: stepped over).
-            blobs = [[] if i in take else None for i in range(len(fields))]
-            keys: list[list] = [[] for _ in key_fields]
-            counts: list[int] = []
-            size = 0
-            while start < len(spans) and size < capacity:
+            stop, size = start, 0
+            while stop < len(spans) and size < capacity:
+                size += spans[stop][1]
+                stop += 1
+            records = [cache.get(layout, spans[k][0]) for k in range(start, stop)]
+            read = [
+                k
+                for k, record in enumerate(records, start)
+                if record is None or not take <= record[2].keys()
+            ]
+            # Per wanted field, ``(record, blob)`` of each blob to decode.
+            blobs: dict[int, list[tuple[int, bytes]]] = {i: [] for i in take}
+            r = 0
+            while r < len(read):
                 # One stream range per run of records: a record joins the
                 # run when it starts on a page the range reaches anyway.
-                offset, end = spans[start][0], sum(spans[start])
-                stop, size = start + 1, size + spans[start][1]
+                offset, end = spans[read[r]][0], sum(spans[read[r]])
+                stop_r = r + 1
                 while (
-                    stop < len(spans)
-                    and size < capacity
-                    and spans[stop][0] // capacity <= (end - 1) // capacity
+                    stop_r < len(read)
+                    and spans[read[stop_r]][0] // capacity <= (end - 1) // capacity
                 ):
-                    end = max(end, sum(spans[stop]))
-                    size += spans[stop][1]
-                    stop += 1
+                    end = max(end, sum(spans[read[stop_r]]))
+                    stop_r += 1
                 run = self._read_stream_range(layout, offset, end - offset)
                 if len(run) != end - offset:
                     raise StorageError(
                         f"stream holds {len(run)} of the {end - offset} "
                         f"bytes the directory places at offset {offset}"
                     )
-                for k in range(start, stop):
+                for k in read[r:stop_r]:
+                    held = records[k - start]
+                    held = {} if held is None else held[2]
                     at, limit = spans[k]
                     at -= offset
                     limit += at
                     count, at, key = header(k, run, at, limit)
-                    for parts in blobs:
+                    for i in range(len(fields)):
                         if at + 4 > limit:  # a field header cut by the end
                             at = -1
                             break
                         (length,) = unpack(run, at)
                         at += 4
-                        if parts is not None:
-                            parts.append(run[at : at + length])
+                        if i in take and i not in held:
+                            blobs[i].append((k, run[at : at + length]))
                         at += length
                     if at != limit:
                         raise StorageError(
                             f"record at stream offset {spans[k][0]}: its "
                             f"fields do not fill its {spans[k][1]} bytes"
                         )
-                    counts.append(count)
-                    if key:
-                        for column, value in zip(keys, key):
-                            column.extend(repeat(value, count))
-                start = stop
-            n_rows = sum(counts)
-            decoded = {}
+                    records[k - start] = (count, key, dict(held))
+                r = stop_r
             for (codec, dtype, delta), members in groups.items():
-                parts = [blob for i in members for blob in blobs[i]]
-                repeated = counts * len(members)
+                parts = [(i, k, blob) for i in members for k, blob in blobs[i]]
+                if not parts:
+                    continue
+                repeated = [records[k - start][0] for _, k, _ in parts]
                 values = get_codec(codec).decode_buffer(
-                    b"".join(parts), dtype, list(map(len, parts)), repeated
+                    b"".join(blob for _, _, blob in parts),
+                    dtype,
+                    [len(blob) for _, _, blob in parts],
+                    repeated,
                 )
                 if delta:
                     values = vector.prefix_sum(values, repeated)
-                for j, i in enumerate(members):
-                    decoded[i] = values[j * n_rows : (j + 1) * n_rows]
-            yield ColumnBatch.from_columns(
-                names, keys + [decoded[i] for i in wanted]
-            )
+                cuts = accumulate(repeated, initial=0)
+                for (i, k, _), at, count in zip(parts, cuts, repeated):
+                    piece = values[at : at + count]
+                    records[k - start][2][i] = vector.owned(piece)
+            for k in read:
+                record = records[k - start]
+                nbytes = sum(map(vector.nbytes, record[2].values()))
+                cache.put(layout, spans[k][0], record, nbytes)
+            keys: list[list] = [[] for _ in key_fields]
+            for count, key, _ in records:
+                for column, value in zip(keys, key):
+                    column.extend(repeat(value, count))
+            columns = [vector.concat([rec[2][i] for rec in records]) for i in wanted]
+            yield ColumnBatch.from_columns(names, keys + columns)
+            start = stop
 
     def iter_array_batches(
         self,

@@ -278,6 +278,19 @@ def head(vec, count: int):
     return part if typed is None else typed
 
 
+def owned(vec):
+    """``vec`` with a buffer of its own: an ndarray view (a slice of a
+    batch's vector) is copied, so keeping it does not keep its base."""
+    return vec.copy() if getattr(vec, "base", None) is not None else vec
+
+
+def nbytes(vec) -> int:
+    """Bytes a vector's values take: a typed buffer's, 8 a list slot."""
+    if isinstance(vec, array):
+        return vec.itemsize * len(vec)
+    return getattr(vec, "nbytes", 8 * len(vec))
+
+
 def is_typed(vec) -> bool:
     """True when the vector is a contiguous typed buffer (not a list)."""
     return not isinstance(vec, list)

@@ -81,7 +81,7 @@ def opened(store, table, needed, predicate, zones=True):
 def fetches(store, action):
     """``(result, page ids fetched)`` of ``action`` on a cold pool."""
     store.pool.clear()
-    store.table("T").layout.clear_caches()  # decoded column chunks too
+    store.renderer.cache.clear()  # decoded chunks, cells and records too
     seen = set()
     pool_fetch = store.pool.fetch
 

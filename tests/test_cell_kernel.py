@@ -35,6 +35,7 @@ from repro import vector
 from repro.algebra.interpreter import AlgebraInterpreter
 from repro.algebra.parser import parse
 from repro.compression import CodecError, get_codec
+from repro.compression.base import Codec
 from repro.compression.varint import VarintCodec
 from repro.engine.database import RodentStore
 from repro.engine.indexes import fetch_rows_by_position, pages_for_positions
@@ -77,6 +78,25 @@ def numpy_set(enabled):
         yield
     finally:
         vector.set_numpy_enabled(previous)
+
+
+@contextmanager
+def decode_buffer_calls():
+    """One entry per ``Codec.decode_buffer`` call, any codec's, inside."""
+    calls = []
+    originals = {cls: cls.__dict__["decode_buffer"] for cls in (Codec, VarintCodec)}
+    for cls, original in originals.items():
+
+        def spy(self, *args, _original=original, **kwargs):
+            calls.append(type(self).__name__)
+            return _original(self, *args, **kwargs)
+
+        setattr(cls, "decode_buffer", spy)
+    try:
+        yield calls
+    finally:
+        for cls, original in originals.items():
+            setattr(cls, "decode_buffer", original)
 
 
 @pytest.fixture
@@ -217,8 +237,12 @@ def test_grid_batches_equal_cell_at_a_time_reader(case):
     ]
     results = []
     for numpy_on in (True, False):
-        with numpy_set(numpy_on):
+        # Each leg decodes for itself: nothing left in the decoded cache.
+        renderer.cache.clear()
+        with numpy_set(numpy_on), decode_buffer_calls() as calls:
             batches = list(renderer.iter_grid_batches(layout, entries, needed))
+        assert len(calls) >= len(batches)
+        assert bool(calls) == bool(batches) == bool(loaded)
         assert all(b.n_rows and b.is_columnar for b in batches)
         assert all(b.fields == tuple(FIELDS[i] for i in wanted) for b in batches)
         rows = batch_rows(batches)
@@ -582,9 +606,14 @@ def test_folded_batches_equal_record_at_a_time_reader(case):
         tuple(row[i] for i in where)
         for row in folded_at_a_time(renderer, layout, indices)
     ]
+    decodes = len(fields) > len(plan.group_fields)  # a nest field is read
     for numpy_on in (True, False):
-        with numpy_set(numpy_on):
+        # Each leg decodes for itself: nothing left in the decoded cache.
+        renderer.cache.clear()
+        with numpy_set(numpy_on), decode_buffer_calls() as calls:
             batches = list(renderer.iter_folded_batches(layout, indices, needed))
+        assert len(calls) >= len(batches) or not decodes
+        assert bool(calls) == (decodes and bool(batches))
         assert all(b.n_rows and b.is_columnar for b in batches)
         assert all(b.fields == fields for b in batches)
         rows = batch_rows(batches)

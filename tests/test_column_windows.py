@@ -1,8 +1,9 @@
 """Column runs read a window at a time.
 
-A column group's decoded cache unit is a *window* — rows ``[kW, (k+1)W)``
-of the group, one vector per field (``repro.layout.renderer.WINDOW_ROWS``)
-— and a full column scan yields window k of every scanned group as batch k.
+A column group's unit in the store's decoded cache is a *window* — rows
+``[kW, (k+1)W)`` of the group, one vector per field
+(``repro.layout.renderer.WINDOW_ROWS``) — or a chunk a pruned scan decoded,
+and a full column scan yields window k of every scanned group as batch k.
 Every test shrinks ``W`` to 64 rows and uses 256-byte pages, so chunks
 (~28 values, or ~10 mini-records) straddle window boundaries. The
 properties:
@@ -15,7 +16,7 @@ properties:
   cached windows, and fetches no page and decodes nothing;
 * a cold zone-pruned scan fetches exactly the pages of the chunks pruning
   leaves, and a cold full scan every page once;
-* a group's cache stays within its row bound, and no chunk entry lives on
+* the cache stays within its byte budget, and no chunk entry lives on
   beside a window that covers it;
 * chunk counts in the catalog that disagree with the layout raise.
 """
@@ -34,6 +35,7 @@ from repro.engine import synopsis as zonemaps
 from repro.engine.database import RodentStore
 from repro.engine.persistence import CATALOG_CRC_KEY, _catalog_crc
 from repro.errors import StorageError
+from repro.layout import cache as decoded_cache
 from repro.layout import renderer
 from repro.query.expressions import Range
 from repro.types.schema import Schema
@@ -105,6 +107,11 @@ def is_window(layout, key):
     return key[0] % W == 0 and key == window_key(layout, key[0])
 
 
+def group_units(store, layout, gi):
+    """``(start, end)`` of each unit group ``gi`` holds in the decoded cache."""
+    return [u[1:] for u in store.renderer.cache.units(layout) if u[0] == gi]
+
+
 # ---------------------------------------------------------------------------
 # equivalence with the model
 # ---------------------------------------------------------------------------
@@ -113,7 +120,7 @@ def is_window(layout, key):
 @pytest.mark.parametrize("n", ROW_COUNTS)
 @pytest.mark.parametrize("design", sorted(LAYOUTS))
 def test_scans_match_the_model(numpy_leg, design, n):
-    _, table, model = loaded(LAYOUTS[design], n)
+    store, table, model = loaded(LAYOUTS[design], n)
     narrow = Range("a", n // 3, n // 3 + W // 2)
     cases = [
         dict(),
@@ -128,7 +135,7 @@ def test_scans_match_the_model(numpy_leg, design, n):
     for _ in range(2):  # cold, then from the cached windows and chunks
         for case in cases:
             check_table(table, model, **case, context=design)
-        table.layout.clear_caches()
+        store.renderer.cache.clear()
         for case in reversed(cases):  # pruned reads before full ones
             check_table(table, model, **case, context=design)
     if design != "delta":  # a delta field turns pruning off
@@ -161,8 +168,10 @@ def test_warm_full_scan_yields_the_cached_windows(numpy_leg, monkeypatch, design
     for k, batch in enumerate(batches):
         cached = [
             column
-            for group in layout.column_groups
-            for column in group.cache[window_key(layout, k * W)]
+            for gi in groups
+            for column in store.renderer.cache.get(
+                layout, (gi, *window_key(layout, k * W))
+            )
         ]
         columns = batch.columns()
         assert len(columns) == len(cached)
@@ -212,7 +221,7 @@ def test_cold_pruned_scan_fetches_the_surviving_chunks(numpy_leg, monkeypatch, d
         if any(lo < end and start < hi for lo, hi in keep)
     )
     assert len(expected) < layout.total_pages()
-    layout.clear_caches()
+    store.renderer.cache.clear()
     fetched, _ = spy(monkeypatch, store)
     check_table(table, model, predicate=predicate)
     assert fetched == [page for _, _, page in expected]
@@ -225,7 +234,7 @@ def test_cold_full_scan_fetches_every_page_once(numpy_leg, monkeypatch, design):
     store, table, model = loaded(LAYOUTS[design], 2 * W + 3)
     check_table(table, model)
     layout = table.layout
-    layout.clear_caches()
+    store.renderer.cache.clear()
     fetched, _ = spy(monkeypatch, store)
     check_table(table, model)
     assert sorted(fetched) == sorted(layout.page_ids())
@@ -241,47 +250,74 @@ def test_cold_full_scan_fetches_every_page_once(numpy_leg, monkeypatch, design):
 
 
 def test_clear_caches_makes_run_cold_pay_every_page(numpy_leg):
-    store, table, model = loaded(LAYOUTS["multi"], 2 * W + 3)
-    check_table(table, model)
-    assert all(group.cache for group in table.layout.column_groups)
-    _, io = store.run_cold(lambda: check_table(table, model))
-    assert io.page_reads == table.layout.total_pages()
-    _, io = store.run_cold(lambda: check_table(table, model))
-    assert io.page_reads == table.layout.total_pages()
+    """A column run and a grid run: once read, the decoded cache holds
+    them, and ``run_cold`` still pays every page of each."""
+    for design in (LAYOUTS["multi"], "grid[a, c],[40, 6](T)"):
+        store, table, model = loaded(design, 2 * W + 3)
+        check_table(table, model)
+        units = store.renderer.cache.units(table.layout)
+        if table.layout.column_groups:
+            groups = range(len(table.layout.column_groups))
+            assert {unit[0] for unit in units} == set(groups)
+        else:
+            assert len(units) == len(table.layout.cell_directory) > 1
+        for _ in range(2):
+            _, io = store.run_cold(lambda: check_table(table, model))
+            assert io.page_reads == table.layout.total_pages(), design
 
 
 # ---------------------------------------------------------------------------
-# the cache bound, and no row cached twice
+# the cache budget, and no row cached twice
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("design", ["single", "multi"])
 def test_cache_stays_within_its_row_bound(numpy_leg, monkeypatch, design):
-    monkeypatch.setattr(renderer, "_CHUNK_CACHE_LIMIT", 3)
-    _, table, model = loaded(LAYOUTS[design], 5 * W + 3)
+    """The bound is the store's decoded budget, in bytes: reads of many
+    runs (every region of a partitioned table) keep the bytes held within
+    it, while windows still take over their chunks."""
+    budget = 4 * W * 8 + 2 * decoded_cache.ENTRY_OVERHEAD
+    monkeypatch.setattr(decoded_cache, "DECODED_CACHE_BYTES", budget)
+    store, table, model = loaded(LAYOUTS[design], 5 * W + 3)
+    cache = store.renderer.cache
+    assert cache.budget == budget
     layout = table.layout
     for predicate in (Range("a", 100, 160), None, Range("a", 200, 260), None):
         check_table(table, model, predicate=predicate)
-    for gi, group in enumerate(layout.column_groups):
-        bound = 3 * max(zonemaps.group_chunk_rows(layout, gi))
-        held = sum(end - start for start, end in group.cache)
-        assert held <= bound
-        assert any(is_window(layout, key) for key in group.cache)
-        windows = [key for key in group.cache if is_window(layout, key)]
-        for start, end in group.cache:
+        assert cache.held <= budget
+    for gi in range(len(layout.column_groups)):
+        held = group_units(store, layout, gi)
+        windows = [key for key in held if is_window(layout, key)]
+        for start, end in held:
             assert not any(
                 lo <= start and end <= hi and (start, end) != (lo, hi)
                 for lo, hi in windows
             ), (start, end, windows)
+    assert any(
+        is_window(layout, key)
+        for gi in range(len(layout.column_groups))
+        for key in group_units(store, layout, gi)
+    )
+    design = "partition[r.c; hash, 4](" + LAYOUTS[design] + ")"
+    store.create_table("P", SCHEMA, layout=design.replace("(T)", "(P)"))
+    parts = store.load("P", make_rows(5 * W + 3))
+    assert len(store.catalog.entry("P").regions) == 4
+    for predicate in (None, Range("a", 0, 90), None):
+        list(parts.scan(predicate=predicate))
+        check_table(table, model, predicate=predicate)
+        assert 0 < cache.held <= budget
+    stats = store.storage_stats()["decoded_cache"]
+    assert stats["evictions"] > 0 and stats["held_bytes"] == cache.held
+    assert stats["budget_bytes"] == budget
 
 
 def test_full_scan_takes_over_the_chunks_a_pruned_scan_cached(numpy_leg):
-    _, table, model = loaded(LAYOUTS["single"], 2 * W + 3)
+    store, table, model = loaded(LAYOUTS["single"], 2 * W + 3)
     check_table(table, model, predicate=Range("a", 10, 100))
-    group = table.layout.column_groups[0]
-    assert not any(is_window(table.layout, key) for key in group.cache)
+    held = group_units(store, table.layout, 0)
+    assert held and not any(is_window(table.layout, key) for key in held)
     check_table(table, model)
-    assert sorted(group.cache) == [
+    assert sorted(group_units(store, table.layout, 0)) == [
         window_key(table.layout, start) for start in range(0, 2 * W + 3, W)
     ]
 

@@ -2,6 +2,7 @@
 scans, checkpointing, clean close, and reopen-after-crash recovery."""
 
 import errno
+import json
 import os
 
 import pytest
@@ -659,4 +660,40 @@ def test_a_failed_commit_fsync_stops_the_store(tmp_path, monkeypatch):
     oracle.check_table(reopened.table("T"), oracle.Model(SCHEMA.names(), want))
     reopened.table("T").insert([(1001, 2)])
     assert reopened.table("T").row_count == len(want) + 1
+    reopened.close()
+
+
+def test_recovery_replays_compact_and_spaced_payloads(tmp_path, monkeypatch):
+    """``ROWS`` and ``CATALOG`` payloads are written without spaces; a WAL
+    from before, whose payloads carry ``json.dumps``' default separators,
+    replays all the same — both forms in one log."""
+    from repro.engine import database
+
+    class Spaced:  # the payloads as they were written with default spacing
+        @staticmethod
+        def dumps(obj, **kwargs):
+            return json.dumps(obj)
+
+    store = open_store(tmp_path)
+    store.create_table("T", SCHEMA)
+    table = store.load("T", ROWS[:50])
+    monkeypatch.setattr(database, "json", Spaced)
+    table.insert([(1000, 1)])
+    table.delete(Range("id", 0, 4))
+    monkeypatch.undo()
+    table.insert([(1001, 2)])
+    table.delete(Range("id", 5, 9))
+    payloads = [
+        r.payload for r in store.wal.records() if r.kind in (KIND_ROWS, KIND_CATALOG)
+    ]
+    spaced = [p for p in payloads if b'", "' in p or b'": ' in p]
+    assert len(spaced) == 2 and len(payloads) > len(spaced)
+    compact = [p for p in payloads if p not in spaced]
+    assert [json.loads(p) for p in compact] and not any(b", " in p for p in compact)
+    abandon(store)
+
+    reopened = open_store(tmp_path)
+    assert reopened.recovery_summary["records_scanned"] >= len(payloads)
+    want = ROWS[10:50] + [(1000, 1), (1001, 2)]
+    oracle.check_table(reopened.table("T"), oracle.Model(SCHEMA.names(), want))
     reopened.close()

@@ -128,8 +128,7 @@ def test_a_missed_run_walks_no_zone_and_reads_no_page(build, monkeypatch):
     asked = counted_keep_masks(monkeypatch)
     fetched = fetched_pages(store, monkeypatch)
     store.pool.clear()
-    for run in runs:
-        run.layout.clear_caches()
+    store.renderer.cache.clear()
     oracle.check_table(table, model, predicate=predicate)
     assert asked and fetched  # the kept runs were walked and read
     assert not {id(z) for z in asked} & missed_zones

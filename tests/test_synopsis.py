@@ -132,8 +132,10 @@ def test_pruned_scan_fetches_fewer_pages(layout):
     def cold_fetches(pruning):
         store.zone_pruning = pruning
         before = store.storage_stats()["buffer_pool"]["fetches"]
-        store.pool.clear()
-        count = sum(1 for _ in table.scan(predicate=predicate))
+        # Cold: no page in the pool, nothing decoded in the decoded cache.
+        count, _ = store.run_cold(
+            lambda: sum(1 for _ in table.scan(predicate=predicate))
+        )
         after = store.storage_stats()["buffer_pool"]["fetches"]
         return count, after - before
 

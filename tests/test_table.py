@@ -6,7 +6,7 @@ from repro.algebra.interpreter import AlgebraInterpreter
 from repro.algebra.parser import parse
 from repro.engine.database import RodentStore
 from repro.engine.table import normalize_order, split_design
-from repro.errors import QueryError, StorageError
+from repro.errors import QueryError, StorageError, TypeCheckError
 from repro.query.expressions import Range, Rect
 from repro.types import Schema
 
@@ -438,7 +438,6 @@ class TestHelpers:
         "mirror(orderby[a](T), limit[2](orderby[b](T)))",
         "mirror(columns(T), project[a](T))",
         "mirror(project[a, b](T), columns(T))",
-        "mirror(chunk[2](T), T)",
     ])
     def test_mirror_sides_must_store_the_same_records(self, layout):
         """A mirror's sides share one record pipeline (the left side's), so
@@ -456,6 +455,41 @@ class TestHelpers:
         with pytest.raises(StorageError):
             store.relayout("T", layout)
         assert list(store.table("T").scan()) == self.MIRROR_ROWS
+
+    CHUNK_ROWS = [(i, 2 * i, 3 * i) for i in range(6)]
+
+    def test_chunk_stores_its_leaves_as_values(self):
+        """``chunk`` makes an array of its input's leaves: the design's
+        schema is the array's one ``value`` column, and a scan yields the
+        values in row order."""
+        store = RodentStore(page_size=1024)
+        store.create_table(
+            "T", Schema.of("a:int", "b:int", "c:int"), layout="chunk[4](T)"
+        )
+        table = store.load("T", self.CHUNK_ROWS)
+        assert table.layout.plan.schema.names() == ["value"]
+        assert list(table.scan()) == [
+            (v,) for row in self.CHUNK_ROWS for v in row
+        ]
+
+    @pytest.mark.parametrize("layout", [
+        "rows(chunk[2](T))",
+        "orderby[a](chunk[2](T))",
+        "mirror(chunk[2](T), T)",
+    ])
+    def test_record_operator_over_a_chunk_is_refused_at_create(self, layout):
+        """A chunk's array has no record fields, so a record operator over
+        it — or a mirror pairing it with records — is a type error at
+        ``create_table`` and at ``relayout``; the table stays as it was."""
+        schema = Schema.of("a:int", "b:int", "c:int")
+        store = RodentStore(page_size=1024)
+        with pytest.raises(TypeCheckError, match="requires a record-shaped"):
+            store.create_table("T", schema, layout=layout)
+        store.create_table("T", schema)
+        store.load("T", self.CHUNK_ROWS)
+        with pytest.raises(TypeCheckError):
+            store.relayout("T", layout)
+        assert list(store.table("T").scan()) == self.CHUNK_ROWS
 
     @pytest.mark.parametrize("layout", [
         "mirror(orderby[a](T), orderby[b](T))",
