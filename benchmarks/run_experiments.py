@@ -416,7 +416,7 @@ def reorganization(scale: dict) -> None:
             ))
             reads += io.page_reads
         print(f"{policy.value:<15}"
-              f"{manager.reorganization_io.page_writes:>15}"
+              f"{store.obs['reorganization_io.page_writes']:>15}"
               f"{reads:>13}{store.table('Traces').main_plan.kind:>14}")
 
 

@@ -70,7 +70,7 @@ def main() -> None:
     manager.apply_design("Traces", rec.expression, source_records=records)
     after = run_workload()
     print(f"\npages/query after reorganization:     {after:10.1f}")
-    print(f"reorganization wrote {manager.reorganization_io.page_writes} "
+    print(f"reorganization wrote {store.obs['reorganization_io.page_writes']} "
           f"pages (one-time cost)")
     print(f"\nimprovement: {before / after:.1f}x fewer pages per query")
 

@@ -473,8 +473,10 @@ class _Checker:
     def _check_mirror(self, node: ast.Mirror) -> Checked:
         left = self.check(node.left)
         right = self.check(node.right)
-        left_schema = left.require_schema("mirror")
-        right.require_schema("mirror")
+        left_schema = left.require_schema(
+            f"mirror (left side {node.left.to_text()})"
+        )
+        right.require_schema(f"mirror (right side {node.right.to_text()})")
         return Checked(
             KIND_MIRROR, left_schema, {"left": left, "right": right}
         )

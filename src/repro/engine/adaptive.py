@@ -94,8 +94,6 @@ class AdaptiveController:
         self.enabled = enabled
         self.check_interval = check_interval
         self.reorganizer = ReorganizationManager(store)
-        self.adaptations = 0
-        self.checks = 0
         #: Optional hand-written workloads per table; each check merges the
         #: monitor's observed workload into them with decay (see
         #: :meth:`seed_workload`).
@@ -157,8 +155,8 @@ class AdaptiveController:
         # A re-layout may land while other scans are mid-iteration: each
         # reads its pinned snapshot, and the pages it supersedes wait for
         # the last of those pins.
-        if self.reorganizer.on_access(table.name):
-            self.adaptations += 1  # deferred rewrite fired
+        if self.reorganizer.on_access(table.name):  # a deferred rewrite fired
+            self.store.obs.add("adaptivity.adaptations")
         if self.enabled:
             count = self._since_check.get(table.name, 0) + 1
             if (
@@ -251,7 +249,7 @@ class AdaptiveController:
         """
         from repro.optimizer.advisor import recommend
 
-        self.checks += 1
+        self.store.obs.add("adaptivity.checks")
         entry = self.store.catalog.entry(name)
         decision: dict = {"table": name, "adapted": False}
         self.decisions[name] = decision
@@ -358,7 +356,7 @@ class AdaptiveController:
         with self.pause():
             merged = self.reorganizer.reorganize(entry.name, expr, regions)
         self._since_check[entry.name] = 0
-        self.adaptations += merged
+        self.store.obs.add("adaptivity.adaptations", merged)
         decision["adapted"] = True
         decision["policy"] = entry.policy
         decision["applied_immediately"] = merged
@@ -630,7 +628,7 @@ class AdaptiveController:
 
     def report(self) -> dict:
         """The ``adaptivity`` section of :meth:`RodentStore.storage_stats`."""
-        io = self.reorganizer.reorganization_io
+        obs = self.store.obs
         tables = {}
         for entry in self.store.catalog:
             if entry.monitor is None:
@@ -649,12 +647,7 @@ class AdaptiveController:
             "hysteresis": self.hysteresis,
             "min_observations": self.min_observations,
             "amortization_queries": self.amortization_queries,
-            "checks": self.checks,
-            "adaptations": self.adaptations,
-            "reorganizations": self.reorganizer.reorganizations,
-            "reorganization_io": {
-                "page_reads": io.page_reads,
-                "page_writes": io.page_writes,
-            },
+            **obs.snapshot("adaptivity."),
+            "reorganization_io": obs.snapshot("reorganization_io."),
             "tables": tables,
         }

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.storage.disk import IOStats
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -36,10 +34,6 @@ class CostModel:
     def cost_ms(self, pages: float, seeks: float) -> float:
         """Estimated latency for reading ``pages`` with ``seeks`` head moves."""
         return seeks * self.seek_ms + self.transfer_ms(pages)
-
-    def cost_of(self, stats: IOStats) -> float:
-        """Latency of a measured I/O trace (reads only, the scan-path cost)."""
-        return self.cost_ms(stats.page_reads, stats.read_seeks)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ from repro.layout.renderer import (
     LayoutRenderer,
     StoredLayout,
 )
+from repro.obs import DECODE_KINDS
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DEFAULT_PAGE_SIZE, DiskManager, IOStats
 from repro.storage.locks import LockManager
@@ -214,7 +215,6 @@ class RodentStore:
             1000 KB pages; benchmarks here default to smaller pages at
             smaller data scale).
         pool_capacity: buffer pool frames.
-        eviction: buffer pool policy (``"lru"`` or ``"clock"``).
 
     Example::
 
@@ -234,7 +234,6 @@ class RodentStore:
         path: str | None = None,
         page_size: int = DEFAULT_PAGE_SIZE,
         pool_capacity: int = 256,
-        eviction: str = "lru",
         wal_path: str | None = None,
         cost_model: CostModel | None = None,
         adaptive: bool = False,
@@ -264,8 +263,11 @@ class RodentStore:
         self.disk = DiskManager(
             path, page_size=page_size, verify_checksums=checksums
         )
-        #: Shared corruption ledger (verifications, failures, repairs,
-        #: quarantined pages) — surfaced via storage_stats()["integrity"].
+        #: The store's counters (:mod:`repro.obs`), which every component
+        #: counts into; :meth:`storage_stats` is their view.
+        self.obs = self.disk.obs
+        #: Shared corruption ledger (quarantined pages, skipped units) —
+        #: surfaced via storage_stats()["integrity"].
         self.integrity = self.disk.integrity
         from repro.engine.recovery import check_format, recover_store
 
@@ -275,8 +277,8 @@ class RodentStore:
         except BaseException:
             self.disk.close()  # a store refused at open keeps no file open
             raise
-        self.pool = BufferPool(self.disk, capacity=pool_capacity, policy=eviction)
-        self.wal.integrity = self.integrity
+        self.pool = BufferPool(self.disk, capacity=pool_capacity)
+        self.wal.obs = self.obs
         #: A checksum mismatch on a pool miss tries the WAL repair ladder
         #: before surfacing as CorruptPageError.
         self.pool.repair_handler = self._repair_page
@@ -302,8 +304,6 @@ class RodentStore:
         # a relayout's bulk load) joins the outer transaction instead of
         # deadlocking on its own table lock.
         self._mutation_local = threading.local()
-        self.recoveries_run = 0
-        self.checkpoints = 0
         self.recovery_summary: dict | None = None
         self.catalog = Catalog()
         self.renderer = LayoutRenderer(self.pool)
@@ -477,7 +477,7 @@ class RodentStore:
             self.wal.sync()
             os.replace(tmp_path, self.catalog_path)
             self.wal.truncate()
-            self.checkpoints += 1
+            self.obs.add("recovery.checkpoints")
 
     def inject_faults(self, injector) -> None:
         """Arm a :class:`~repro.storage.faults.FaultInjector` on the WAL
@@ -1309,7 +1309,10 @@ class RodentStore:
 
     def storage_stats(self) -> dict:
         """Cumulative storage-layer counters: buffer pool, decoded cache
-        (:class:`~repro.layout.cache.DecodedCache`) and disk.
+        (:class:`~repro.layout.cache.DecodedCache`), disk, WAL,
+        transactions, recovery, integrity, adaptivity and decode — a view
+        of the store's counter registry (:mod:`repro.obs`) beside the
+        state each component holds.
 
         Buffer-pool hit rate and eviction counts expose whether a workload
         fits in memory; the disk counters are the paper's pages/seeks
@@ -1320,10 +1323,10 @@ class RodentStore:
         the reusable spans), ``live_pages`` (the difference) and
         ``file_pages`` (frames actually written to the medium). A
         partition's ``rows`` are its live rows (:class:`Region`), a run's
-        the rows it stores.
+        the rows it stores. ``decode`` gives, per layout kind, the values
+        decoded and the seconds decoding took, for units the decoded
+        cache did not serve.
         """
-        pool = self.pool.stats
-        disk = self.disk.stats
         tables: dict[str, dict] = {}
         for entry in self.catalog:
             info: dict[str, Any] = {
@@ -1398,25 +1401,25 @@ class RodentStore:
                 }
             if info:
                 tables[entry.name] = info
+        obs = self.obs
+        pool = obs.snapshot("buffer_pool.")
+        fetches = pool["hits"] + pool["misses"]
         return {
             "adaptivity": self.adaptivity.report(),
             "tables": tables,
             "buffer_pool": {
                 "capacity": self.pool.capacity,
                 "resident_pages": len(self.pool),
-                "hits": pool.hits,
-                "misses": pool.misses,
-                "fetches": pool.hits + pool.misses,
-                "evictions": pool.evictions,
-                "flushes": pool.flushes,
-                "hit_rate": pool.hit_rate,
+                **pool,
+                "fetches": fetches,
+                "hit_rate": pool["hits"] / fetches if fetches else 0.0,
             },
-            "decoded_cache": self.renderer.cache.stats(),
+            "decoded_cache": {
+                **self.renderer.cache.stats(),
+                **obs.snapshot("decoded_cache."),
+            },
             "disk": {
-                "page_reads": disk.page_reads,
-                "page_writes": disk.page_writes,
-                "read_seeks": disk.read_seeks,
-                "write_seeks": disk.write_seeks,
+                **obs.snapshot("disk."),
                 "allocated_pages": self.disk.num_pages,
                 "free_pages": self.disk.free_pages,
                 "live_pages": self.disk.num_pages - self.disk.free_pages,
@@ -1424,25 +1427,30 @@ class RodentStore:
             },
             "wal": {
                 "wal_bytes": self.wal.size_bytes,
-                "appends": self.wal.appends,
-                "fsyncs": self.wal.fsyncs,
+                **obs.snapshot("wal."),
                 "flushed_lsn": self.wal.flushed_lsn,
             },
             "transactions": {
-                "txns_committed": self.transactions.committed,
-                "txns_aborted": self.transactions.aborted,
+                **obs.snapshot("transactions."),
                 "active": self.transactions.active_count,
             },
             "recovery": {
                 "durable": self.durable,
-                "recoveries_run": self.recoveries_run,
-                "checkpoints": self.checkpoints,
+                **obs.snapshot("recovery."),
                 "last_recovery": self.recovery_summary,
             },
             "integrity": {
                 "checksums": self.disk.verify_checksums,
                 "degraded_reads": self.degraded_reads,
+                **obs.snapshot("integrity."),
                 **self.integrity.snapshot(),
+            },
+            "decode": {
+                kind: {
+                    "values": obs[f"decode.{kind}.values"],
+                    "seconds": obs[f"decode.{kind}.ns"] / 1e9,
+                }
+                for kind in DECODE_KINDS
             },
         }
 

@@ -359,11 +359,8 @@ def read_catalog_payload(store: "RodentStore", path: str) -> dict:
                 raise CatalogError(
                     f"I/O error reading catalog {path}: {exc}"
                 ) from exc
-    registry = getattr(store, "integrity", None)
-
     def corrupt(why: str) -> CorruptCatalogError:
-        if registry is not None:
-            registry.record_catalog_failure()
+        store.obs.add("integrity.catalog_failures")
         return CorruptCatalogError(f"catalog file {path} {why}")
 
     try:
@@ -383,8 +380,7 @@ def read_catalog_payload(store: "RodentStore", path: str) -> dict:
         raise store_format_error(store.disk.path, f"catalog version {version!r}")
     if stored is None:
         raise corrupt("has no checksum")
-    if registry is not None:
-        registry.count_catalog_verification()
+    store.obs.add("integrity.catalog_verifications")
     return payload
 
 

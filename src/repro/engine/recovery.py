@@ -207,5 +207,5 @@ def recover_store(store: "RodentStore", payload: dict | None) -> dict:
     # the log; a crash *during* recovery simply replays from the same WAL.
     store.derive_free_pages()
     store.checkpoint()
-    store.recoveries_run += 1
+    store.obs.add("recovery.recoveries_run")
     return summary

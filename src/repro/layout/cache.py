@@ -24,6 +24,8 @@ import threading
 from collections import OrderedDict
 from typing import Any, Iterable
 
+from repro.obs import Registry
+
 #: The store-wide budget of decoded bytes (entry overheads included).
 DECODED_CACHE_BYTES = 16 << 20
 
@@ -35,9 +37,11 @@ ENTRY_OVERHEAD = 512
 class DecodedCache:
     """An LRU of decoded units across every run of a store."""
 
-    def __init__(self) -> None:
+    def __init__(self, obs: Registry) -> None:
         self.budget = DECODED_CACHE_BYTES
-        self.held = self.hits = self.misses = self.evictions = 0
+        self.held = 0
+        #: Counts ``decoded_cache.hits / misses / evictions`` under the lock.
+        self.obs = obs
         self._entries: OrderedDict = OrderedDict()  # key -> (value, bytes)
         #: ``id(layout) -> (layout, a page it owns, its units)``.
         self._owners: dict[int, tuple[Any, Any, set]] = {}
@@ -49,9 +53,9 @@ class DecodedCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.misses += 1
+                self.obs.add("decoded_cache.misses")
                 return None
-            self.hits += 1
+            self.obs.add("decoded_cache.hits")
             self._entries.move_to_end(key)
             return entry[0]
 
@@ -77,7 +81,7 @@ class DecodedCache:
             self.held += charge
             while self.held > self.budget:
                 self._drop(next(iter(self._entries)))
-                self.evictions += 1
+                self.obs.add("decoded_cache.evictions")
 
     def pop(self, layout, unit) -> Any:
         """Take the unit's value out of the cache (``None`` if absent)."""
@@ -107,13 +111,11 @@ class DecodedCache:
             self.held = 0
 
     def stats(self) -> dict:
+        """What the cache holds (its counters are in ``obs``)."""
         return {
             "budget_bytes": self.budget,
             "held_bytes": self.held,
             "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
         }
 
     def _drop(self, key) -> tuple | None:

@@ -55,6 +55,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, repeat
+from time import perf_counter_ns
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.algebra.physical import (
@@ -73,6 +74,7 @@ from repro.layout.columnar import Shaped
 from repro.compression import get_codec
 from repro.engine.synopsis import LayoutSynopsis, ZoneTable, group_chunk_rows
 from repro.errors import CorruptPageError, CrashError, StorageError
+from repro.obs import Registry
 from repro.storage.buffer import BufferPool
 from repro.storage.page import (
     BYTES_HEADER_SIZE,
@@ -439,18 +441,20 @@ class _GroupSlicer:
     def _decode(self, i: int) -> list:
         """Chunk ``i`` read and decoded, checked against its row count."""
         renderer, store = self._renderer, self._store
-        if self._serializer is None:
-            page_id = store.extent.page_ids[store.chunks[i][0]]
-            frame = renderer.pool.fetch(page_id)
-            try:
+        serializer = self._serializer
+        page_id = store.extent.page_ids[
+            i if serializer is not None else store.chunks[i][0]
+        ]
+        frame = renderer.pool.fetch(page_id)
+        try:
+            t0 = perf_counter_ns()
+            if serializer is None:
                 data = BytePage(renderer.page_size, frame.data).read()
-            finally:
-                renderer.pool.unpin(page_id)
-            columns = [self._codec.decode(data, self._dtype)]
-        else:
-            columns = renderer._read_slotted(
-                store.extent.page_ids[i], self._serializer
-            )
+                columns = [self._codec.decode(data, self._dtype)]
+            else:
+                columns = serializer.decode_page(frame.data, renderer.page_size)
+        finally:
+            renderer.pool.unpin(page_id)
         rows = self._starts[i + 1] - self._starts[i]
         held = len(columns[0]) if columns else 0
         if held != rows:
@@ -458,6 +462,7 @@ class _GroupSlicer:
                 f"chunk {i} of column group {store.fields} holds {held} "
                 f"rows, the catalog says {rows}"
             )
+        _count_decode(renderer.obs, "columns", rows * len(columns), t0)
         return columns
 
     def _unit(self, start: int, end: int) -> tuple[int, int, int]:
@@ -553,6 +558,13 @@ class _GroupSlicer:
         )
         for _, n, i in wanted:
             slicers[n]._staged[i] = slicers[n]._decode(i)
+
+
+def _count_decode(obs: Registry, kind: str, values: int, t0: int) -> None:
+    """Count ``values`` decoded as ``kind``, begun at ``perf_counter_ns()``
+    ``t0`` (the decode alone: the page fetches are not timed)."""
+    obs.add("decode." + kind + ".values", values)
+    obs.add("decode." + kind + ".ns", perf_counter_ns() - t0)
 
 
 @dataclass
@@ -752,6 +764,9 @@ class LayoutRenderer:
         self.pool = pool
         self.disk = pool.disk
         self.page_size = pool.disk.page_size
+        #: Counts ``decode.<kind>.*``: values decoded and decode time of
+        #: every unit not served from :attr:`cache`.
+        self.obs = pool.obs
         #: Optional ``(page_id, image)`` callable told of every page a
         #: render writes; a durable store logs the images at commit.
         self.page_sink = None
@@ -759,7 +774,7 @@ class LayoutRenderer:
         #: their page id lists; ``None`` outside a render).
         self._rendering = threading.local()
         #: What column, grid and folded reads decoded, store-wide.
-        self.cache = DecodedCache()
+        self.cache = DecodedCache(pool.obs)
 
     # ==================================================================
     # Rendering (write path)
@@ -1141,12 +1156,17 @@ class LayoutRenderer:
     # ==================================================================
 
     def _read_slotted(self, page_id: int, serializer: RecordSerializer) -> list:
-        """One slotted page's records as per-field vectors, via the pool."""
+        """One slotted page's records as per-field vectors, via the pool
+        (a ``rows`` decode: index probes fetch rows by position here)."""
         frame = self.pool.fetch(page_id)
         try:
-            return serializer.decode_page(frame.data, self.page_size)
+            t0 = perf_counter_ns()
+            columns = serializer.decode_page(frame.data, self.page_size)
         finally:
             self.pool.unpin(page_id)
+        values = len(columns[0]) * len(columns) if columns else 0
+        _count_decode(self.obs, "rows", values, t0)
+        return columns
 
     def _read_stream_range(
         self, layout: StoredLayout, offset: int, length: int
@@ -1231,9 +1251,11 @@ class LayoutRenderer:
         gathered = bytearray()
 
         def gathered_batch() -> ColumnBatch:
-            return ColumnBatch.from_columns(
-                fields, serializer.decode_heap(gathered)
-            )
+            t0 = perf_counter_ns()
+            columns = serializer.decode_heap(gathered)
+            rows = len(gathered) // serializer.record_size
+            _count_decode(self.obs, "rows", rows * len(fields), t0)
+            return ColumnBatch.from_columns(fields, columns)
 
         for page_index in range(start, len(page_ids)):
             if skip is not None and page_index in skip:
@@ -1249,7 +1271,10 @@ class LayoutRenderer:
                 page = SlottedPage(self.page_size, frame.data)
                 heap = serializer.packed_heap(page)
                 if heap is None:
+                    t0 = perf_counter_ns()
                     columns = serializer.decode_page(frame.data, self.page_size)
+                    rows = len(columns[0]) if columns else 0
+                    _count_decode(self.obs, "rows", rows * len(fields), t0)
                 else:
                     gathered += heap
                     heap.release()
@@ -1354,6 +1379,7 @@ class LayoutRenderer:
             header,
             [(f.name, f.dtype) for f in schema.fields],
             select_cell_fields(schema, needed),
+            "grid",
         )
 
     def iter_folded_batches(
@@ -1392,6 +1418,7 @@ class LayoutRenderer:
             header,
             list(zip(nest, types)),
             [i for i, f in enumerate(nest) if needed is None or f in needed],
+            "folded",
             tuple(plan.group_fields),
         )
 
@@ -1402,6 +1429,7 @@ class LayoutRenderer:
         header: Callable[[int, bytes, int, int], tuple[int, int, tuple]],
         fields: Sequence[tuple[str, Any]],
         wanted: Sequence[int],
+        kind: str,
         key_fields: tuple[str, ...] = (),
     ) -> Iterator[ColumnBatch]:
         """Columnar batches of the stream records — grid cells, folded
@@ -1412,7 +1440,8 @@ class LayoutRenderer:
         header, key)``, then one length-prefixed codec blob per ``(name,
         dtype)`` of ``fields``. A batch holds the ``key_fields`` (each key
         repeated ``count`` times) and the ``wanted`` fields, and closes at
-        the first record that brings its bytes to a page's worth.
+        the first record that brings its bytes to a page's worth. The
+        decodes count as ``kind``'s (``"grid"`` or ``"folded"``).
 
         A record decodes once: its ``(count, key, {field: vector})`` is
         kept in the store's decoded cache under its stream offset, and a
@@ -1497,6 +1526,7 @@ class LayoutRenderer:
                 parts = [(i, k, blob) for i in members for k, blob in blobs[i]]
                 if not parts:
                     continue
+                t0 = perf_counter_ns()
                 repeated = [records[k - start][0] for _, k, _ in parts]
                 values = get_codec(codec).decode_buffer(
                     b"".join(blob for _, _, blob in parts),
@@ -1506,6 +1536,7 @@ class LayoutRenderer:
                 )
                 if delta:
                     values = vector.prefix_sum(values, repeated)
+                _count_decode(self.obs, kind, len(values), t0)
                 cuts = accumulate(repeated, initial=0)
                 for (i, k, _), at, count in zip(parts, cuts, repeated):
                     piece = values[at : at + count]
@@ -1540,10 +1571,13 @@ class LayoutRenderer:
                 continue
             frame = self.pool.fetch(page_id)
             try:
-                page = BytePage(self.page_size, frame.data)
-                values = serializer.decode_buffer(page.read())
+                t0 = perf_counter_ns()
+                values = serializer.decode_buffer(
+                    BytePage(self.page_size, frame.data).read()
+                )
             finally:
                 self.pool.unpin(page_id)
+            _count_decode(self.obs, "array", len(values), t0)
             if len(values):
                 yield ColumnBatch.from_columns(("value",), [values])
 

@@ -44,7 +44,6 @@ from repro.engine.catalog import Region
 from repro.engine.database import RodentStore
 from repro.engine.levels import merge_regions, redesign
 from repro.errors import StorageError
-from repro.storage.disk import IOStats
 
 
 class Policy(Enum):
@@ -62,8 +61,6 @@ class ReorganizationManager:
     #: O(1) check). A table's first access looks for one: a reopen keeps
     #: a deferred design, and the policy.
     _accesses: dict[str, int | None] = field(default_factory=dict)
-    reorganization_io: IOStats = field(default_factory=IOStats)
-    reorganizations: int = 0
     #: The lazy rewrite fires once the rows a compaction would fold in
     #: reach this fraction of the table...
     lazy_unmerged_fraction = 0.25
@@ -164,15 +161,14 @@ class ReorganizationManager:
 
     def _rewrite(self, count: int, action, *args) -> None:
         """Run one rewrite of ``count`` regions and charge its I/O to the
-        reorganization counters."""
-        before = self.store.disk.stats.snapshot()
-        action(*args)
-        delta = self.store.disk.stats.delta(before)
-        self.reorganization_io.page_reads += delta.page_reads
-        self.reorganization_io.page_writes += delta.page_writes
-        self.reorganization_io.read_seeks += delta.read_seeks
-        self.reorganization_io.write_seeks += delta.write_seeks
-        self.reorganizations += count
+        store's ``adaptivity.reorganizations`` and ``reorganization_io.*``
+        counters."""
+        with self.store.disk.measure() as io:
+            action(*args)
+        obs = self.store.obs
+        obs.add("reorganization_io.page_reads", io.page_reads)
+        obs.add("reorganization_io.page_writes", io.page_writes)
+        obs.add("adaptivity.reorganizations", count)
 
     # -- access hook ---------------------------------------------------------
 

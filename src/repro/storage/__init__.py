@@ -1,6 +1,6 @@
 """Storage substrate: pages, disk manager, buffer pool, WAL, transactions."""
 
-from repro.storage.buffer import BufferPool, BufferPoolStats, Frame
+from repro.storage.buffer import BufferPool, Frame
 from repro.storage.disk import DEFAULT_PAGE_SIZE, DiskManager, IOStats
 from repro.storage.faults import FaultInjector, IoFault, IoFaultInjector
 from repro.storage.integrity import (
@@ -33,7 +33,6 @@ __all__ = [
     "KIND_COMMIT",
     "PAGE_TRAILER_SIZE",
     "BufferPool",
-    "BufferPoolStats",
     "BytePage",
     "DiskManager",
     "FaultInjector",

@@ -1,4 +1,4 @@
-"""Buffer pool with pluggable eviction (LRU and Clock).
+"""Buffer pool with LRU eviction.
 
 The paper motivates RodentStore partly by the "great deal of supporting code,
 including transaction, lock, and memory management facilities" every storage
@@ -8,7 +8,8 @@ memory instead of the (simulated) disk.
 
 The pool is **thread-safe**: parallel partition scans fetch/unpin from
 worker threads concurrently, so the page table, pin counts, eviction, and
-the stat counters are guarded by one re-entrant lock. Cache *misses* read
+the ``buffer_pool.*`` counters (in the disk manager's registry,
+:mod:`repro.obs`) are guarded by one re-entrant lock. Cache *misses* read
 the disk outside the lock (two threads missing the same page race benignly
 — the loser adopts the winner's frame), so a simulated-latency disk lets
 concurrent readers overlap their waits. A pinned frame is never evicted,
@@ -29,37 +30,13 @@ from repro.storage.disk import DiskManager
 class Frame:
     """A buffer-pool frame: one in-memory page plus bookkeeping."""
 
-    __slots__ = ("page_id", "data", "pin_count", "dirty", "referenced")
+    __slots__ = ("page_id", "data", "pin_count", "dirty")
 
     def __init__(self, page_id: int, data: bytearray):
         self.page_id = page_id
         self.data = data
         self.pin_count = 0
         self.dirty = False
-        self.referenced = True  # for the Clock policy
-
-
-class BufferPoolStats:
-    """Hit/miss/eviction counters."""
-
-    __slots__ = ("hits", "misses", "evictions", "flushes")
-
-    def __init__(self):
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.flushes = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def __repr__(self) -> str:
-        return (
-            f"BufferPoolStats(hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions}, flushes={self.flushes})"
-        )
 
 
 class BufferPool:
@@ -68,25 +45,20 @@ class BufferPool:
     Args:
         disk: the backing disk manager.
         capacity: number of frames.
-        policy: ``"lru"`` or ``"clock"``.
     """
 
-    def __init__(self, disk: DiskManager, capacity: int = 128, policy: str = "lru"):
+    def __init__(self, disk: DiskManager, capacity: int = 128):
         if capacity < 1:
             raise BufferPoolError("buffer pool needs at least one frame")
-        if policy not in ("lru", "clock"):
-            raise BufferPoolError(f"unknown eviction policy {policy!r}")
         self.disk = disk
         self.capacity = capacity
-        self.policy = policy
-        self.stats = BufferPoolStats()
+        self.obs = disk.obs
         #: Optional callable ``page_id -> bytearray | None`` tried when a
         #: disk read raises :class:`~repro.errors.CorruptPageError`; the
         #: store wires its WAL after-image repair ladder here. Returning
         #: ``None`` (or being unset) re-raises the corruption.
         self.repair_handler = None
         self._frames: OrderedDict[int, Frame] = OrderedDict()
-        self._clock_hand = 0
         self._lock = threading.RLock()
 
     # -- public API ---------------------------------------------------------
@@ -96,13 +68,11 @@ class BufferPool:
         with self._lock:
             frame = self._frames.get(page_id)
             if frame is not None:
-                self.stats.hits += 1
+                self.obs.add("buffer_pool.hits")
                 frame.pin_count += 1
-                frame.referenced = True
-                if self.policy == "lru":
-                    self._frames.move_to_end(page_id)
+                self._frames.move_to_end(page_id)
                 return frame
-            self.stats.misses += 1
+            self.obs.add("buffer_pool.misses")
         # Read outside the lock so concurrent misses overlap their I/O.
         try:
             data = self.disk.read_page(page_id)
@@ -119,9 +89,7 @@ class BufferPool:
                 # (the read above was redundant but harmless — pages are
                 # immutable while readable).
                 frame.pin_count += 1
-                frame.referenced = True
-                if self.policy == "lru":
-                    self._frames.move_to_end(page_id)
+                self._frames.move_to_end(page_id)
                 return frame
             frame = Frame(page_id, data)
             frame.pin_count = 1
@@ -175,7 +143,7 @@ class BufferPool:
             if frame.dirty:
                 self.disk.write_page(page_id, frame.data)
                 frame.dirty = False
-                self.stats.flushes += 1
+                self.obs.add("buffer_pool.flushes")
 
     def flush_all(self) -> None:
         with self._lock:
@@ -192,7 +160,6 @@ class BufferPool:
                     )
             self.flush_all()
             self._frames.clear()
-            self._clock_hand = 0
 
     def discard(self, page_id: int) -> None:
         """Drop a frame without flushing it (its page was freed).
@@ -231,9 +198,7 @@ class BufferPool:
         self._frames[frame.page_id] = frame
 
     def _evict_one(self) -> None:
-        victim = (
-            self._pick_lru() if self.policy == "lru" else self._pick_clock()
-        )
+        victim = self._pick_lru()
         if victim is None:
             raise BufferPoolError(
                 "all frames are pinned; cannot evict "
@@ -242,29 +207,11 @@ class BufferPool:
         frame = self._frames.pop(victim)
         if frame.dirty:
             self.disk.write_page(frame.page_id, frame.data)
-            self.stats.flushes += 1
-        self.stats.evictions += 1
+            self.obs.add("buffer_pool.flushes")
+        self.obs.add("buffer_pool.evictions")
 
     def _pick_lru(self) -> int | None:
         for page_id, frame in self._frames.items():
             if frame.pin_count == 0:
                 return page_id
-        return None
-
-    def _pick_clock(self) -> int | None:
-        page_ids = list(self._frames)
-        if not page_ids:
-            return None
-        # Two sweeps: first clears reference bits, second finds a victim.
-        for _ in range(2 * len(page_ids)):
-            self._clock_hand %= len(page_ids)
-            page_id = page_ids[self._clock_hand]
-            frame = self._frames[page_id]
-            self._clock_hand += 1
-            if frame.pin_count > 0:
-                continue
-            if frame.referenced:
-                frame.referenced = False
-                continue
-            return page_id
         return None

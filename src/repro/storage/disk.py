@@ -4,9 +4,12 @@ The paper's headline metric (Figure 2) is *pages read per query*; the second
 claim is that z-ordering "reduces the number of disk seeks". The disk manager
 therefore counts:
 
-* ``page_reads`` / ``page_writes`` — pages transferred;
-* ``read_seeks`` / ``write_seeks`` — accesses whose page id is not physically
-  adjacent to the previously accessed page (a simple single-head disk model).
+* ``disk.page_reads`` / ``disk.page_writes`` — pages transferred;
+* ``disk.read_seeks`` / ``disk.write_seeks`` — accesses whose page id is not
+  physically adjacent to the previously accessed page (a simple single-head
+  disk model),
+
+in the store's counter registry (``obs``, :mod:`repro.obs`).
 
 Two backends share the same interface: a real file and an in-memory dict
 (fast, used by tests and benchmarks — the counters behave identically).
@@ -39,11 +42,13 @@ import threading
 import time
 from bisect import bisect_right
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator
 
-from repro.errors import CorruptPageError, StorageError
 from binascii import crc32
 
+from repro.errors import CorruptPageError, StorageError
+from repro.obs import Registry
 from repro.storage.integrity import (
     _CRC_FIELD,
     _TRAILER_PREFIX,
@@ -56,65 +61,14 @@ from repro.storage.integrity import (
 DEFAULT_PAGE_SIZE = 8192
 
 
+@dataclass
 class IOStats:
-    """Mutable I/O counters with snapshot/delta helpers."""
+    """The pages and seeks one measured block cost (:meth:`DiskManager.measure`)."""
 
-    __slots__ = ("page_reads", "page_writes", "read_seeks", "write_seeks")
-
-    def __init__(
-        self,
-        page_reads: int = 0,
-        page_writes: int = 0,
-        read_seeks: int = 0,
-        write_seeks: int = 0,
-    ):
-        self.page_reads = page_reads
-        self.page_writes = page_writes
-        self.read_seeks = read_seeks
-        self.write_seeks = write_seeks
-
-    def snapshot(self) -> "IOStats":
-        return IOStats(
-            self.page_reads, self.page_writes, self.read_seeks, self.write_seeks
-        )
-
-    def delta(self, since: "IOStats") -> "IOStats":
-        return IOStats(
-            self.page_reads - since.page_reads,
-            self.page_writes - since.page_writes,
-            self.read_seeks - since.read_seeks,
-            self.write_seeks - since.write_seeks,
-        )
-
-    def reset(self) -> None:
-        self.page_reads = 0
-        self.page_writes = 0
-        self.read_seeks = 0
-        self.write_seeks = 0
-
-    @property
-    def total_seeks(self) -> int:
-        return self.read_seeks + self.write_seeks
-
-    @property
-    def total_pages(self) -> int:
-        return self.page_reads + self.page_writes
-
-    def __repr__(self) -> str:
-        return (
-            f"IOStats(reads={self.page_reads}, writes={self.page_writes}, "
-            f"read_seeks={self.read_seeks}, write_seeks={self.write_seeks})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IOStats):
-            return NotImplemented
-        return (
-            self.page_reads == other.page_reads
-            and self.page_writes == other.page_writes
-            and self.read_seeks == other.read_seeks
-            and self.write_seeks == other.write_seeks
-        )
+    page_reads: int = 0
+    page_writes: int = 0
+    read_seeks: int = 0
+    write_seeks: int = 0
 
 
 class FreeSpans:
@@ -247,8 +201,9 @@ class DiskManager:
         self.verify_checksums = verify_checksums
         self.max_read_retries = max_read_retries
         self.retry_backoff_s = retry_backoff_s
-        self.stats = IOStats()
-        self.integrity = IntegrityRegistry()
+        #: The store's counters; the disk counts ``disk.*`` under its lock.
+        self.obs = Registry()
+        self.integrity = IntegrityRegistry(self.obs)
         #: Optional FaultInjector observing page writes and fsyncs.
         self.faults = None
         #: Optional IoFaultInjector damaging reads / dropping writes.
@@ -421,9 +376,9 @@ class DiskManager:
         """
         with self._lock:
             self._check(page_id)
-            self.stats.page_reads += 1
+            self.obs.add("disk.page_reads")
             if self._last_page is None or page_id != self._last_page + 1:
-                self.stats.read_seeks += 1
+                self.obs.add("disk.read_seeks")
             self._last_page = page_id
             return self._read_verified(page_id)
 
@@ -436,9 +391,9 @@ class DiskManager:
         """
         with self._lock:
             self._check(page_id)
-            self.stats.page_reads += 1
+            self.obs.add("disk.page_reads")
             if self._last_page is None or page_id != self._last_page + 1:
-                self.stats.read_seeks += 1
+                self.obs.add("disk.read_seeks")
             self._last_page = page_id
             frame = self._read_frame_raw(page_id)
         if frame is None:
@@ -468,7 +423,7 @@ class DiskManager:
                     )
             except OSError as exc:
                 io_attempts += 1
-                self.integrity.record_transient_retry()
+                self.obs.add("integrity.transient_retries")
                 if io_attempts <= self.max_read_retries:
                     time.sleep(self.retry_backoff_s * io_attempts)
                     continue
@@ -496,8 +451,8 @@ class DiskManager:
                 (stored,) = _CRC_FIELD.unpack_from(frame, ps + 8)
                 if crc32(view[:ps]) & 0xFFFFFFFF == stored:
                     if rereads:
-                        self.integrity.record_reread_recovery()
-                    self.integrity.page_verifications += 1
+                        self.obs.add("integrity.reread_recoveries")
+                    self.obs.add("integrity.page_verifications")
                     return bytearray(view[:ps])
             _, reason = verify_frame(frame, ps)
             rereads += 1
@@ -526,9 +481,9 @@ class DiskManager:
                     raise StorageError(
                         f"page {page_id} write failed: {exc}"
                     ) from exc
-            self.stats.page_writes += 1
+            self.obs.add("disk.page_writes")
             if self._last_page is None or page_id != self._last_page + 1:
-                self.stats.write_seeks += 1
+                self.obs.add("disk.write_seeks")
             self._last_page = page_id
             if action == "torn":
                 # A torn frame: only the first half reaches the medium, the
@@ -610,16 +565,13 @@ class DiskManager:
                 run_query()
             print(io.page_reads)
         """
-        before = self.stats.snapshot()
-        delta = IOStats()
+        io = IOStats()
         try:
-            yield delta
+            with self.obs.measure("disk.") as delta:
+                yield io
         finally:
-            after = self.stats.delta(before)
-            delta.page_reads = after.page_reads
-            delta.page_writes = after.page_writes
-            delta.read_seeks = after.read_seeks
-            delta.write_seeks = after.write_seeks
+            for name, n in delta.items():
+                setattr(io, name, n)
 
     def reset_head(self) -> None:
         """Forget the simulated head position (e.g. between queries)."""

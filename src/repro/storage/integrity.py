@@ -9,9 +9,11 @@ the page image upper layers see)::
 
 ``read_page`` verifies the trailer and raises
 :class:`~repro.errors.CorruptPageError` on mismatch; the
-:class:`IntegrityRegistry` records every verification, failure, repair, and
-degraded-read skip so ``store.storage_stats()["integrity"]`` can surface
-them. The same registry counts WAL-record and catalog-checksum events.
+:class:`IntegrityRegistry` quarantines the pages that fail and logs every
+degraded-read skip; the verifications, failures, repairs and skips, and the
+WAL-record and catalog-checksum events, are counted in the store's
+:class:`~repro.obs.Registry`, and ``store.storage_stats()["integrity"]``
+surfaces both.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import struct
 import threading
 from binascii import crc32  # same CRC-32 as zlib's, marginally faster
 from typing import Any
+
+from repro.obs import Registry
 
 #: Frame trailer: magic, format version, CRC32 of the page data, reserved.
 TRAILER = struct.Struct("<IIII")
@@ -70,27 +74,19 @@ def verify_frame(frame: bytes, page_size: int) -> tuple[bool, str]:
 
 
 class IntegrityRegistry:
-    """Thread-safe counters and quarantine set for corruption events.
+    """Thread-safe quarantine set and skip log for corruption events.
 
-    One registry is shared by the disk manager, the WAL, and the store:
-    pages that fail verification are quarantined here until a successful
-    repair clears them, and every scan that skips a corrupt unit under
-    degraded reads records the skip.
+    One ledger is shared by the disk manager and the store: pages that
+    fail verification are quarantined here until a successful repair
+    clears them, and every scan that skips a corrupt unit under degraded
+    reads records the skip. Its counts (``integrity.*``: verifications,
+    failures, repairs, retries, WAL and catalog checks, scrubs, skips)
+    live in the store's :class:`~repro.obs.Registry`, ``obs``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, obs: Registry) -> None:
         self._lock = threading.Lock()
-        self.page_verifications = 0
-        self.page_failures = 0
-        self.page_repairs = 0
-        self.reread_recoveries = 0  # checksum mismatch cured by a re-read
-        self.transient_retries = 0  # EIO-style errors cured by retry
-        self.wal_records_verified = 0
-        self.wal_failures = 0
-        self.catalog_verifications = 0
-        self.catalog_failures = 0
-        self.scrubs = 0
-        self.scan_skips = 0
+        self.obs = obs
         #: page_id -> failure reason, for pages awaiting repair.
         self.quarantined: dict[int, str] = {}
         #: Recent degraded-read skip events (dicts), bounded.
@@ -98,21 +94,14 @@ class IntegrityRegistry:
         #: Report of the most recent ``store.scrub()``.
         self.last_scrub: dict[str, Any] | None = None
 
-    # -- pages -------------------------------------------------------------
-
-    def count_page_verification(self) -> None:
-        # Hot path (every page read): a bare increment — the GIL keeps it
-        # consistent enough for a statistic, and skipping the lock matters.
-        self.page_verifications += 1
-
     def record_page_failure(self, page_id: int, reason: str) -> None:
         with self._lock:
-            self.page_failures += 1
+            self.obs.add("integrity.page_failures")
             self.quarantined[page_id] = reason
 
     def record_page_repair(self, page_id: int) -> None:
         with self._lock:
-            self.page_repairs += 1
+            self.obs.add("integrity.page_repairs")
             self.quarantined.pop(page_id, None)
 
     def forget_pages_from(self, first: int) -> None:
@@ -122,63 +111,22 @@ class IntegrityRegistry:
             for page_id in [p for p in self.quarantined if p >= first]:
                 del self.quarantined[page_id]
 
-    def record_reread_recovery(self) -> None:
-        with self._lock:
-            self.reread_recoveries += 1
-
-    def record_transient_retry(self) -> None:
-        with self._lock:
-            self.transient_retries += 1
-
-    # -- WAL / catalog -----------------------------------------------------
-
-    def count_wal_record(self) -> None:
-        # Hot during recovery and scrub; same lock-free treatment as pages.
-        self.wal_records_verified += 1
-
-    def record_wal_failure(self) -> None:
-        with self._lock:
-            self.wal_failures += 1
-
-    def count_catalog_verification(self) -> None:
-        with self._lock:
-            self.catalog_verifications += 1
-
-    def record_catalog_failure(self) -> None:
-        with self._lock:
-            self.catalog_failures += 1
-
-    # -- scans / scrub -----------------------------------------------------
-
     def record_skip(self, event: dict[str, Any]) -> None:
         with self._lock:
-            self.scan_skips += 1
+            self.obs.add("integrity.scan_skips")
             self.skipped.append(event)
             if len(self.skipped) > MAX_SKIP_EVENTS:
                 del self.skipped[: len(self.skipped) - MAX_SKIP_EVENTS]
 
     def record_scrub(self, report: dict[str, Any]) -> None:
         with self._lock:
-            self.scrubs += 1
+            self.obs.add("integrity.scrubs")
             self.last_scrub = report
 
-    # -- reporting ---------------------------------------------------------
-
     def snapshot(self) -> dict[str, Any]:
-        """Plain-dict view for ``storage_stats()["integrity"]``."""
+        """The fault state of ``storage_stats()["integrity"]``."""
         with self._lock:
             return {
-                "page_verifications": self.page_verifications,
-                "page_failures": self.page_failures,
-                "page_repairs": self.page_repairs,
-                "reread_recoveries": self.reread_recoveries,
-                "transient_retries": self.transient_retries,
-                "wal_records_verified": self.wal_records_verified,
-                "wal_failures": self.wal_failures,
-                "catalog_verifications": self.catalog_verifications,
-                "catalog_failures": self.catalog_failures,
-                "scrubs": self.scrubs,
-                "scan_skips": self.scan_skips,
                 "quarantined": dict(self.quarantined),
                 "skipped": list(self.skipped),
                 "last_scrub": self.last_scrub,

@@ -131,8 +131,6 @@ class TransactionManager:
         self.locks = locks if locks is not None else LockManager()
         self.log = log
         self.group_window_s = group_window_s
-        self.committed = 0
-        self.aborted = 0
         self._next_txn_id = 1
         self._active: dict[int, Transaction] = {}
         self._lock = threading.Lock()
@@ -150,9 +148,9 @@ class TransactionManager:
         with self._lock:
             self._active.pop(txn_id, None)
             if committed:
-                self.committed += 1
+                self.wal.obs.add("transactions.txns_committed")
             elif committed is not None:
-                self.aborted += 1
+                self.wal.obs.add("transactions.txns_aborted")
 
     @property
     def active_count(self) -> int:

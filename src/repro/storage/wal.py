@@ -48,6 +48,7 @@ import zlib
 from typing import Iterator
 
 from repro.errors import CorruptWALError, WALError
+from repro.obs import Registry
 
 KIND_COMMIT = 3
 KIND_CHECKPOINT = 5
@@ -196,16 +197,14 @@ class WriteAheadLog:
         self.flushed_lsn = 0
         #: Byte offset of the log file the last fsync covered.
         self.synced_size = 0
-        #: Fsyncs actually issued (group commit makes this < commits).
-        self.fsyncs = 0
-        #: Records appended through this handle.
-        self.appends = 0
+        #: Counts ``wal.appends``, ``wal.fsyncs`` (group commit makes the
+        #: fsyncs fewer than the commits) and the WAL's ``integrity.*``
+        #: record checks; a store wires its own registry in.
+        self.obs = Registry()
         #: Optional FaultInjector observing appends and fsyncs.
         self.faults = None
         #: Optional IoFaultInjector damaging record reads / dropping appends.
         self.io_faults = None
-        #: Optional IntegrityRegistry counting record verifications.
-        self.integrity = None
         if path is None:
             self._buffer = bytearray()
             self._file = None
@@ -262,7 +261,7 @@ class WriteAheadLog:
                 else:
                     self._buffer.extend(encoded)
             self._next_lsn += 1
-            self.appends += 1
+            self.obs.add("wal.appends")
         if action is not None:
             assert self.faults is not None
             self.faults.crash("wal", action)
@@ -314,7 +313,7 @@ class WriteAheadLog:
                 # those bytes were never made durable.
             else:
                 self.synced_size = size
-            self.fsyncs += 1
+            self.obs.add("wal.fsyncs")
             self.flushed_lsn = covered
 
     def flush(self) -> None:
@@ -420,29 +419,25 @@ class WriteAheadLog:
             try:
                 record, offset = LogRecord.decode(data, offset)
             except CorruptWALError:
-                if self.integrity is not None:
-                    self.integrity.record_wal_failure()
+                self.obs.add("integrity.wal_failures")
                 raise
             except WALError:
                 fill(float("inf"))  # the rest of the log
                 if _resync_offset(data, 0) is not None:
-                    if self.integrity is not None:
-                        self.integrity.record_wal_failure()
+                    self.obs.add("integrity.wal_failures")
                     raise CorruptWALError(
                         f"mid-log corruption at byte {base}: valid "
                         "records follow an undecodable region"
                     )
                 return  # torn tail: everything after is discarded
             if prev_lsn is not None and record.lsn != prev_lsn + 1:
-                if self.integrity is not None:
-                    self.integrity.record_wal_failure()
+                self.obs.add("integrity.wal_failures")
                 raise CorruptWALError(
                     f"WAL LSN gap: record {record.lsn} follows {prev_lsn} "
                     "(a lost or reordered append)"
                 )
             prev_lsn = record.lsn
-            if self.integrity is not None:
-                self.integrity.count_wal_record()
+            self.obs.add("integrity.wal_records_verified")
             yield record
 
     def truncate(self) -> None:

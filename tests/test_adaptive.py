@@ -191,7 +191,7 @@ class TestHysteresis:
             assert decision["adapted"] is False
         assert "hysteresis" in store.adaptivity.decisions["T"]["reason"]
         assert store.table("T").plan.expr.to_text() == before
-        assert store.adaptivity.adaptations == 0
+        assert store.obs["adaptivity.adaptations"] == 0
 
     def test_adopted_design_is_stable(self):
         # Once adopted, the new incumbent must win the next checks — the
@@ -208,7 +208,7 @@ class TestHysteresis:
             decision = store.adapt("T")
             assert decision["adapted"] is False
             assert decision["reason"] == "incumbent is optimal"
-        assert store.adaptivity.adaptations == 1
+        assert store.obs["adaptivity.adaptations"] == 1
 
     def test_periodic_check_requires_enabled(self):
         store = make_store(n=4000)  # adaptive defaults to off
@@ -216,7 +216,7 @@ class TestHysteresis:
         for _ in range(200):
             list(table.scan(fieldlist=["v"], limit=1))
         assert store.table("T").plan.kind == "rows"
-        assert store.adaptivity.checks == 0
+        assert store.obs["adaptivity.checks"] == 0
 
     def test_adaptive_flag_is_a_settable_bool(self):
         store = make_store(n=4000, adaptive=True, adapt_interval=5)
@@ -226,7 +226,7 @@ class TestHysteresis:
         for _ in range(40):
             list(table.scan(fieldlist=["v"]))
         assert store.table("T").plan.kind == "rows"
-        assert store.adaptivity.checks == 0
+        assert store.obs["adaptivity.checks"] == 0
         store.adaptive = True
         for _ in range(10):
             list(store.table("T").scan(fieldlist=["v"]))
@@ -292,14 +292,14 @@ class TestPolicyInteraction:
         assert first["adapted"] is True
         assert first["applied_immediately"] is False
         # No data moved: a recorded pending design is not an adaptation.
-        assert store.adaptivity.adaptations == 0
+        assert store.obs["adaptivity.adaptations"] == 0
         for _ in range(3):
             list(store.table("T").scan(fieldlist=["v"]))
             decision = store.adapt("T")
             assert decision["adapted"] is False
             # The design is the table's: the incumbent already.
             assert decision["reason"] == "incumbent is optimal"
-        assert store.adaptivity.adaptations == 0  # no fake adaptations
+        assert store.obs["adaptivity.adaptations"] == 0  # no fake adaptations
 
     def test_lazy_policy_defers_until_access_threshold(self):
         store = make_store(n=4000)
@@ -320,10 +320,10 @@ class TestPolicyInteraction:
         list(store.table("T").scan(fieldlist=["v"]))
         list(store.table("T").scan(fieldlist=["v"]))
         assert store.table("T").main_plan.kind == "rows"
-        assert store.adaptivity.adaptations == 0  # nothing moved yet
+        assert store.obs["adaptivity.adaptations"] == 0  # nothing moved yet
         list(store.table("T").scan(fieldlist=["v"]))
         assert store.table("T").main_plan.kind == "columns"
-        assert store.adaptivity.adaptations == 1  # deferred rewrite fired
+        assert store.obs["adaptivity.adaptations"] == 1  # deferred rewrite fired
 
     def test_seed_workload_shapes_decisions_before_traffic(self):
         store = make_store(n=4000)
@@ -514,7 +514,7 @@ def test_every_shape_adapts_under_its_policy(tmp_path, shape, policy):
     eager = policy is Policy.EAGER
     assert decision["applied_immediately"] is eager
     assert set(region_designs(store)) == {"columns(T)"}
-    merged = reorganizer.reorganizations
+    merged = reorganizer.store.obs["adaptivity.reorganizations"]
     assert merged == ({"partitioned": 2}.get(shape, 1) if eager else 0)
 
     def check(table) -> None:
@@ -537,7 +537,7 @@ def test_every_shape_adapts_under_its_policy(tmp_path, shape, policy):
     fired = []
     for _ in range(3):
         list(table.scan(fieldlist=["x"]))
-        fired.append(reorganizer.reorganizations)
+        fired.append(reorganizer.store.obs["adaptivity.reorganizations"])
     if policy is Policy.LAZY:
         regions = len(region_designs(store))
         assert fired == [0, 0, regions]
@@ -681,7 +681,7 @@ class TestEndToEnd:
             assert len(rows) == 4000
         # The periodic check adopted a columnar design mid-workload...
         assert store.table("T").plan.kind == "columns"
-        assert store.adaptivity.adaptations >= 1
+        assert store.obs["adaptivity.adaptations"] >= 1
         # ...with zero behavioral diff between the scan, the model of the
         # loaded rows, and the compiled query after the switch.
         fresh = store.table("T")

@@ -1,4 +1,4 @@
-"""Tests for repro.storage.buffer (buffer pool, eviction policies,
+"""Tests for repro.storage.buffer (buffer pool, LRU eviction,
 thread-safety under concurrent scans)."""
 
 import random
@@ -11,9 +11,9 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 
 
-def make_pool(capacity=4, policy="lru"):
+def make_pool(capacity=4):
     disk = DiskManager(page_size=256)
-    return BufferPool(disk, capacity=capacity, policy=policy), disk
+    return BufferPool(disk, capacity=capacity), disk
 
 
 class TestBasics:
@@ -24,9 +24,9 @@ class TestBasics:
         pool.unpin(a)
         pool.fetch(a)
         pool.unpin(a)
-        assert disk.stats.page_reads == 1
-        assert pool.stats.hits == 1
-        assert pool.stats.misses == 1
+        assert disk.obs["disk.page_reads"] == 1
+        assert pool.obs["buffer_pool.hits"] == 1
+        assert pool.obs["buffer_pool.misses"] == 1
 
     def test_new_page_is_dirty_and_pinned(self):
         pool, disk = make_pool()
@@ -71,8 +71,6 @@ class TestBasics:
         disk = DiskManager(page_size=256)
         with pytest.raises(BufferPoolError):
             BufferPool(disk, capacity=0)
-        with pytest.raises(BufferPoolError):
-            BufferPool(disk, policy="mru")
 
 
 class TestEviction:
@@ -84,7 +82,7 @@ class TestEviction:
         pool.fetch(c); pool.unpin(c)  # evicts a
         assert not pool.contains(a)
         assert pool.contains(b) and pool.contains(c)
-        assert pool.stats.evictions == 1
+        assert pool.obs["buffer_pool.evictions"] == 1
 
     def test_lru_refresh_on_fetch(self):
         pool, disk = make_pool(capacity=2)
@@ -123,23 +121,6 @@ class TestEviction:
         pool.unpin(b)
         assert disk.read_page(a)[0] == 0x77
 
-    def test_clock_basic_eviction(self):
-        pool, disk = make_pool(capacity=2, policy="clock")
-        a, b, c = (disk.allocate_page() for _ in range(3))
-        pool.fetch(a); pool.unpin(a)
-        pool.fetch(b); pool.unpin(b)
-        pool.fetch(c); pool.unpin(c)
-        assert len(pool) == 2
-        assert pool.contains(c)
-
-    def test_clock_respects_pins(self):
-        pool, disk = make_pool(capacity=2, policy="clock")
-        a, b, c = (disk.allocate_page() for _ in range(3))
-        pool.fetch(a)
-        pool.fetch(b); pool.unpin(b)
-        pool.fetch(c); pool.unpin(c)
-        assert pool.contains(a)
-
 
 class TestClear:
     def test_clear_flushes_and_drops(self):
@@ -162,7 +143,8 @@ class TestClear:
         a = disk.allocate_page()
         pool.fetch(a); pool.unpin(a)
         pool.fetch(a); pool.unpin(a)
-        assert pool.stats.hit_rate == 0.5
+        hits, misses = pool.obs["buffer_pool.hits"], pool.obs["buffer_pool.misses"]
+        assert hits / (hits + misses) == 0.5
 
 
 class TestConcurrency:
@@ -203,7 +185,8 @@ class TestConcurrency:
         # Bookkeeping stayed consistent: every fetch was a hit or a miss
         # (racing double-misses may read the disk twice but only count
         # once each), nothing remains pinned, capacity was respected.
-        assert pool.stats.hits + pool.stats.misses == 6 * iterations
+        hits, misses = pool.obs["buffer_pool.hits"], pool.obs["buffer_pool.misses"]
+        assert hits + misses == 6 * iterations
         assert pool.pinned_pages() == []
         assert len(pool) <= pool.capacity
 
@@ -282,12 +265,13 @@ class TestInstall:
         image = bytearray(b"\x07" * 128)
         disk.write_page(a, image)
         pool.install(a, image)
-        reads = disk.stats.page_reads
+        reads = disk.obs["disk.page_reads"]
         frame = pool.fetch(a)
         assert bytes(frame.data) == image and not frame.dirty
         pool.unpin(a)
-        assert disk.stats.page_reads == reads
-        assert (pool.stats.hits, pool.stats.misses) == (1, 0)
+        assert disk.obs["disk.page_reads"] == reads
+        hits, misses = pool.obs["buffer_pool.hits"], pool.obs["buffer_pool.misses"]
+        assert (hits, misses) == (1, 0)
 
     def test_install_replaces_a_previous_tenants_frame(self):
         disk = DiskManager(page_size=128)

@@ -892,10 +892,10 @@ def test_limit_stops_the_probe_and_leaves_no_frame_pinned(numpy_leg):
 
     def data_page_reads(consume):
         store.pool.clear()
-        store.disk.stats.reset()
-        consume()
+        with store.disk.measure() as io:
+            consume()
         assert not store.pool.pinned_pages()
-        return store.disk.stats.page_reads
+        return io.page_reads
 
     everything = data_page_reads(lambda: list(fetch(table, positions)))
     first_only = data_page_reads(lambda: next(fetch(table, positions)))

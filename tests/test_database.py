@@ -184,4 +184,4 @@ class TestLifecycle:
         assert store.locks.holder("table:T") == txn.txn_id
         txn.commit()
         assert store.locks.holder("table:T") is None
-        assert store.transactions.committed == 1
+        assert store.obs["transactions.txns_committed"] == 1

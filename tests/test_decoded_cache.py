@@ -23,6 +23,7 @@ from repro.compression.base import Codec
 from repro.compression.varint import VarintCodec
 from repro.engine.database import RodentStore
 from repro.layout import cache as decoded_cache
+from repro.obs import Registry
 from repro.query.expressions import Range, Rect
 from repro.types import Schema
 
@@ -76,11 +77,11 @@ def test_a_second_identical_read_decodes_and_fetches_nothing(design):
     with reads_of(store) as (fetched, calls):
         first = list(table.scan(**read))
     assert fetched and calls
-    hits = store.renderer.cache.hits
+    hits = store.obs["decoded_cache.hits"]
     with reads_of(store) as (fetched, calls):
         second = list(table.scan(**read))
     assert fetched == [] and calls == []
-    assert second == first and store.renderer.cache.hits > hits
+    assert second == first and store.obs["decoded_cache.hits"] > hits
     check_table(table, model, **read)
 
 
@@ -180,7 +181,7 @@ def test_concurrent_scans_share_the_cache():
         for _ in range(3):
             check_table(table, model)
             check_table(table, model, predicate=READS[GRID]["predicate"])
-        assert store.renderer.cache.hits > 0
+        assert store.obs["decoded_cache.hits"] > 0
     finally:
         store.shutdown_scan_executor()
 
@@ -202,7 +203,7 @@ def test_concurrent_updates_keep_the_byte_count_exact(monkeypatch):
     is registered."""
     budget = 40 * decoded_cache.ENTRY_OVERHEAD
     monkeypatch.setattr(decoded_cache, "DECODED_CACHE_BYTES", budget)
-    cache = decoded_cache.DecodedCache()
+    cache = decoded_cache.DecodedCache(Registry())
     runs = [_Run(page) for page in range(6)]
     errors = []
 

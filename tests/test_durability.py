@@ -62,7 +62,7 @@ class TestDurableKnob:
         store = RodentStore(page_size=1024, pool_capacity=64)
         store.create_table("T", SCHEMA)
         store.load("T", ROWS)
-        assert store.wal.appends == 0
+        assert store.obs["wal.appends"] == 0
         assert store.storage_stats()["recovery"]["durable"] is False
 
 
@@ -99,7 +99,7 @@ class TestWalGrowthAndStats:
         store.checkpoint()
         assert store.wal.size_bytes == 0
         assert os.path.exists(store.catalog_path)
-        assert store.checkpoints == 1
+        assert store.obs["recovery.checkpoints"] == 1
         store.close()
 
 
@@ -144,7 +144,7 @@ class TestRecovery:
         assert summary["clean"] is False
         assert summary["committed_txns"] == 3
         assert summary["rows_replayed"] == 2
-        assert reopened.recoveries_run == 1
+        assert reopened.obs["recovery.recoveries_run"] == 1
         assert reopened.storage_stats()["recovery"]["recoveries_run"] == 1
         assert len(list(reopened.table("T").scan())) == len(ROWS) + 2
         # recovery re-checkpoints, so a second reopen is clean
@@ -386,10 +386,10 @@ def test_a_transaction_logs_its_effects_then_its_commit(tmp_path):
     table = store.load("T", ROWS)
 
     def logged(action):
-        lsn, fsyncs = store.wal.last_lsn, store.wal.fsyncs
+        lsn, fsyncs = store.wal.last_lsn, store.obs["wal.fsyncs"]
         action()
         kinds = [r.kind for r in store.wal.records() if r.lsn > lsn]
-        return kinds, store.wal.fsyncs - fsyncs
+        return kinds, store.obs["wal.fsyncs"] - fsyncs
 
     assert logged(lambda: table.insert([(1000, 1)])) == (
         [KIND_ROWS, KIND_COMMIT], 1
@@ -441,7 +441,7 @@ def test_a_failed_commit_append_aborts(tmp_path, monkeypatch, kind):
     monkeypatch.undo()
     assert sorted(table.scan()) == ROWS[:10]
     assert store.transactions.active_count == 0
-    assert store.transactions.aborted == 1
+    assert store.obs["transactions.txns_aborted"] == 1
     assert store.locks.holder("table:T") is None
     table.insert([(101, 101)])
     model.insert([(101, 101)])

@@ -163,11 +163,11 @@ class TestPageBacked:
         tree, disk = make_tree([(k, k) for k in range(2000)])
         assert tree.height == 3
         tree.pool.clear()
-        disk.stats.reset()
-        tree.search(999)
+        with disk.measure() as io:
+            tree.search(999)
         # One page per level (plus at most one next-leaf peek when the key
         # sits at a leaf boundary), through the pool -> disk reads counted.
-        assert tree.height <= disk.stats.page_reads <= tree.height + 1
+        assert tree.height <= io.page_reads <= tree.height + 1
 
     def test_survives_pool_eviction(self):
         # Tiny pool forces every node access through disk.
@@ -176,7 +176,7 @@ class TestPageBacked:
             BufferPool(disk, capacity=3), pairs=[(k, k) for k in range(300)]
         )
         assert [k for k, _ in tree.items()] == list(range(300))
-        assert disk.stats.page_writes == disk.num_pages  # each node once
+        assert disk.obs["disk.page_writes"] == disk.num_pages  # each node once
 
 
 class TestModelBased:

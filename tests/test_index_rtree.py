@@ -41,9 +41,9 @@ def brute_force(boxes, query):
 def pages_read(tree, disk, query):
     """Disk reads of one search from a cold pool, and its payloads."""
     tree.pool.clear()
-    disk.stats.reset()
-    hits = sorted(p for _, p in tree.search(query))
-    return disk.stats.page_reads, hits
+    with disk.measure() as io:
+        hits = sorted(p for _, p in tree.search(query))
+    return io.page_reads, hits
 
 
 class TestMBR:
@@ -158,7 +158,7 @@ class TestBulkLoad:
         rt, disk = make_rtree(boxes, page_size=4096)
         assert rt.height == 2
         assert disk.num_pages == len(rt.page_ids()) == 4 + 1
-        assert disk.stats.page_writes == disk.num_pages
+        assert disk.obs["disk.page_writes"] == disk.num_pages
 
 
 class TestOverlapBehaviour:

@@ -258,9 +258,9 @@ class TestPositionHelpers:
         first_page_rows = table.layout.page_row_counts[0]
         positions = list(range(min(5, first_page_rows)))
         store.pool.clear()
-        store.disk.stats.reset()
-        list(fetch_rows_by_position(store.renderer, table.layout, positions))
-        assert store.disk.stats.page_reads == 1
+        with store.disk.measure() as io:
+            list(fetch_rows_by_position(store.renderer, table.layout, positions))
+        assert io.page_reads == 1
 
 
 def test_a_delta_run_holds_no_index():

@@ -117,7 +117,7 @@ class TestDiskIntegrity:
             disk.read_page(pid)
         assert err.value.page_id == pid
         assert pid in disk.integrity.quarantined
-        assert disk.integrity.page_failures == 1
+        assert disk.obs["integrity.page_failures"] == 1
         disk.close()
 
     def test_short_read_is_corruption(self, tmp_path):
@@ -165,7 +165,7 @@ class TestDiskIntegrity:
         disk.fsync()
         disk.io_faults = IoFaultInjector(IoFault("eio", target="page", count=2))
         assert bytes(disk.read_page(pid)) == b"d" * 512
-        assert disk.integrity.transient_retries == 2
+        assert disk.obs["integrity.transient_retries"] == 2
 
     def test_persistent_eio_fails(self, tmp_path):
         path = str(tmp_path / "p.pages")
@@ -185,8 +185,8 @@ class TestDiskIntegrity:
         disk.fsync()
         disk.io_faults = IoFaultInjector(IoFault("bitflip", target="page", count=1))
         assert bytes(disk.read_page(pid)) == b"f" * 512
-        assert disk.integrity.reread_recoveries == 1
-        assert disk.integrity.page_failures == 0
+        assert disk.obs["integrity.reread_recoveries"] == 1
+        assert disk.obs["integrity.page_failures"] == 0
 
     def test_enospc_on_write(self, tmp_path):
         path = str(tmp_path / "p.pages")
@@ -426,7 +426,7 @@ class TestRepairAndDegradedReads:
         pid = _corrupt_first_table_page(store, path)
         rows = sorted(store.table("T").scan())
         assert rows == [(i, i * 2) for i in range(300)]
-        assert store.integrity.page_repairs == 1
+        assert store.obs["integrity.page_repairs"] == 1
         assert pid not in store.integrity.quarantined
         # repaired page was rewritten: cold read is clean again
         store.pool.clear()
@@ -466,7 +466,7 @@ class TestRepairAndDegradedReads:
         store.pool.discard(node)
         with pytest.raises(CorruptPageError):
             store.pool.fetch(node)
-        assert store.integrity.page_repairs == 0
+        assert store.obs["integrity.page_repairs"] == 0
         assert node in store.integrity.quarantined
         assert store.scrub(repair=True)["pages_repaired"] == 0
         with open(path, "rb") as f:
@@ -479,7 +479,7 @@ class TestRepairAndDegradedReads:
         store.pool.clear()
         flip_byte(str(tmp_path / "db"), run_pages[0] * store.disk.frame_size + 20)
         assert sorted(store.table("T").scan()) == [(i, i * 2) for i in range(300)]
-        assert store.integrity.page_repairs == 1
+        assert store.obs["integrity.page_repairs"] == 1
         store.close()
 
     def test_unrepairable_fails_loudly_by_default(self, tmp_path):
@@ -592,7 +592,7 @@ class TestScrub:
         report = store.scrub(repair=True)
         assert report["clean"] is True  # repaired from the WAL image
         assert report["pages_repaired"] == 1
-        assert store.integrity.page_repairs == 1
+        assert store.obs["integrity.page_repairs"] == 1
         store.close()
 
     def test_scrub_reports_unrepairable(self, tmp_path):

@@ -532,7 +532,7 @@ def test_update_and_delete_rewrite_only_reachable_partitions():
     pages = sum(map(len, before.values()))
 
     def fetches() -> int:
-        return store.pool.stats.hits + store.pool.stats.misses
+        return store.obs["buffer_pool.hits"] + store.obs["buffer_pool.misses"]
 
     hit = And(Range("g", 1, 1), Range("t", 100, 130))
     scanned, reads = pages - table.pruned_pages(hit), fetches()
@@ -558,11 +558,11 @@ def test_update_and_delete_rewrite_only_reachable_partitions():
 def test_rewrite_matching_nothing_renders_nothing():
     store, table = _partitioned()
     before = _page_ids(table)
-    writes = store.disk.stats.page_writes
+    writes = store.obs["disk.page_writes"]
     assert table.delete(And(Range("g", 0, 0), Range("t", 5000, 6000))) == 0
     assert table.update({"x": 1.0}, Range("t", -10, -1)) == 0
     assert _page_ids(table) == before
-    assert store.disk.stats.page_writes == writes
+    assert store.obs["disk.page_writes"] == writes
 
 
 def test_rewrite_sees_pending_and_overflow_rows_of_its_partition():

@@ -317,45 +317,30 @@ BUFFER_RECORDS = [
 ]
 
 
-def buffer_table(policy: str, capacity: int):
-    store = RodentStore(page_size=1024, pool_capacity=capacity, eviction=policy)
+def buffer_table(capacity: int):
+    store = RodentStore(page_size=1024, pool_capacity=capacity)
     store.create_table("T", BUFFER_SCHEMA)
     return store, store.load("T", BUFFER_RECORDS)
 
 
-def hot_set_hit_rate(policy: str, capacity: int) -> float:
+def hot_set_hit_rate(capacity: int) -> float:
     """Hit rate of 300 positional probes, 80% of them into the first 20% of
     the rows."""
-    store, table = buffer_table(policy, capacity)
+    store, table = buffer_table(capacity)
     rng = random.Random(1)
     n = table.row_count
     for _ in range(300):
         table.get_element(rng.randrange(n // 5 if rng.random() < 0.8 else n))
-    return store.pool.stats.hit_rate
-
-
-def scan_hit_rate(policy: str, capacity: int) -> float:
-    """Hit rate of three full scans."""
-    store, table = buffer_table(policy, capacity)
-    for _ in range(3):
-        for _ in table.scan():
-            pass
-    return store.pool.stats.hit_rate
+    return store.storage_stats()["buffer_pool"]["hit_rate"]
 
 
 def test_eviction_policies():
-    """Both policies keep a hot set resident; Clock tracks LRU within a band
-    on hot-set probes and on sequential scans."""
-    hot = {policy: hot_set_hit_rate(policy, 64) for policy in ("lru", "clock")}
-    scans = {policy: scan_hit_rate(policy, 64) for policy in ("lru", "clock")}
-    assert hot["lru"] > 0.5
-    assert hot["clock"] > 0.5
-    for rates in (hot, scans):
-        assert rates["clock"] >= rates["lru"] - 0.15
+    """The pool's LRU keeps a hot set resident."""
+    assert hot_set_hit_rate(64) > 0.5
 
 
 def test_pool_capacity_sweep():
-    assert hot_set_hit_rate("lru", 512) > hot_set_hit_rate("lru", 8)
+    assert hot_set_hit_rate(512) > hot_set_hit_rate(8)
 
 
 # -- Index access paths --------------------------------------------------------
@@ -372,9 +357,9 @@ def test_rtree_window_query():
         boxes.append((MBR(x, y, x + rng.uniform(0, 5), y + rng.uniform(0, 5)), i))
     tree = RTree(BufferPool(disk, capacity=512), boxes)
     tree.pool.clear()
-    disk.stats.reset()
-    tree.search(MBR(500, 500, 550, 550))
-    assert disk.stats.page_reads < 0.2 * disk.num_pages
+    with disk.measure() as io:
+        tree.search(MBR(500, 500, 550, 550))
+    assert io.page_reads < 0.2 * disk.num_pages
 
 
 def test_secondary_index_scan(traces_10v):
@@ -461,7 +446,7 @@ def run_policy(policy, records, queries):
         )
         read_pages += io.page_reads
     return (
-        manager.reorganizations,
+        manager.store.obs["adaptivity.reorganizations"],
         store.table("Traces").main_plan.kind,
         read_pages,
     )

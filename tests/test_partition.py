@@ -434,9 +434,8 @@ class TestPartitionMaintenance:
             "partition[r.t; range, 100, 200, 300](T)", records
         )
         target = table.partitions[1]
-        before = store.disk.stats.snapshot()
-        store.relayout_partition("T", target.pid, "columns(T)")
-        delta = store.disk.stats.delta(before)
+        with store.disk.measure() as delta:
+            store.relayout_partition("T", target.pid, "columns(T)")
         # Only that region's pages moved (a whole-table rewrite would read
         # 4x as much).
         region_pages = table.partitions[1].total_pages()

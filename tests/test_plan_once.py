@@ -324,7 +324,7 @@ def test_adaptive_re_render_between_plan_and_scan(traces):
         else:
             got = Q(store, "TracesGrid").where(square).agg(n="*").run()
             assert got == [(len(inside),)]
-    assert store.adaptivity.adaptations >= 1
+    assert store.obs["adaptivity.adaptations"] >= 1
 
 
 # -- selectivity ---------------------------------------------------------------

@@ -209,9 +209,9 @@ class TestArrayRendering:
 
         renderer, layout = render(str(records).replace("'", ""))
         renderer.pool.clear()
-        renderer.disk.stats.reset()
-        renderer.get_array_element(layout, (20, 10))
-        assert renderer.disk.stats.page_reads == 1
+        with renderer.disk.measure() as io:
+            renderer.get_array_element(layout, (20, 10))
+        assert io.page_reads == 1
 
 
 class TestMirrorRendering:

@@ -67,14 +67,14 @@ class TestEager:
         manager.set_policy("T", Policy.EAGER)
         manager.apply_design("T", NEW_DESIGN)
         assert store.table("T").plan.kind == "grid"
-        assert manager.reorganizations == 1
+        assert manager.store.obs["adaptivity.reorganizations"] == 1
         assert manager.pending("T") is None
 
     def test_pays_write_io_upfront(self, setup):
         store, manager = setup
         manager.set_policy("T", "eager")
         manager.apply_design("T", NEW_DESIGN)
-        assert manager.reorganization_io.page_writes > 0
+        assert manager.store.obs["reorganization_io.page_writes"] > 0
 
     def test_queries_fast_after(self, setup):
         store, manager = setup
@@ -186,19 +186,19 @@ def test_policies_are_merge_schedules(tmp_path, policy, layout):
     regions = len(table.partitions)
     if policy is Policy.EAGER:
         assert set(loaded) == {"columns(T)"}
-        assert manager.reorganizations == regions
+        assert manager.store.obs["adaptivity.reorganizations"] == regions
     else:
         assert set(loaded) == {old}
-        assert manager.reorganizations == 0
+        assert manager.store.obs["adaptivity.reorganizations"] == 0
         fired = [manager.on_access("T") for _ in range(3)]
         if policy is Policy.LAZY:
             assert fired == [False, False, True]
-            assert manager.reorganizations == regions
+            assert manager.store.obs["adaptivity.reorganizations"] == regions
             assert set(designs(table)) == {"columns(T)"}
         else:
             assert fired == [False] * 3
             assert designs(table) == loaded + ["columns(T)"]
-            assert manager.reorganizations == 0
+            assert manager.store.obs["adaptivity.reorganizations"] == 0
 
     def check(table):
         oracle.check_table(table, model, context=policy)
@@ -260,7 +260,7 @@ def test_the_policy_survives_reopen(tmp_path, how):
     assert manager.pending("T").to_text() == "columns(T)"
     for _ in range(10):
         list(reopened.table("T").scan())
-    assert manager.reorganizations == 1
+    assert manager.store.obs["adaptivity.reorganizations"] == 1
     assert manager.pending("T") is None
     assert designs(reopened.table("T")) == ["columns(T)"]
     assert sorted(reopened.table("T").scan()) == sorted(RECORDS)
@@ -277,12 +277,13 @@ class TestPolicyComparison:
 
         manager.set_policy("T", Policy.EAGER)
         manager.apply_design("T", NEW_DESIGN)
-        eager_writes = manager.reorganization_io.page_writes
+        eager_writes = store.obs["reorganization_io.page_writes"]
 
         lazy_manager = ReorganizationManager(store)
         lazy_manager.set_policy("U", Policy.LAZY)
-        lazy_manager.apply_design("U", "grid[lat, lon],[100, 100](U)")
-        assert lazy_manager.reorganization_io.page_writes == 0
+        with store.obs.measure("reorganization_io.") as lazy:
+            lazy_manager.apply_design("U", "grid[lat, lon],[100, 100](U)")
+        assert lazy["page_writes"] == 0
         assert eager_writes > 0
 
     def test_policy_string_coercion(self, setup):

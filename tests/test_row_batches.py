@@ -258,9 +258,9 @@ class FetchSpy:
 
 def _io(store):
     return (
-        store.pool.stats.hits + store.pool.stats.misses,
-        store.disk.stats.page_reads,
-        store.integrity.page_verifications,
+        store.obs["buffer_pool.hits"] + store.obs["buffer_pool.misses"],
+        store.obs["disk.page_reads"],
+        store.obs["integrity.page_verifications"],
     )
 
 

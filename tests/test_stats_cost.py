@@ -14,7 +14,6 @@ from repro.engine.database import RodentStore
 from repro.engine.persistence import entry_to_dict, stats_to_dict
 from repro.engine.stats import FieldStats, TableStats
 from repro.query import Range
-from repro.storage.disk import IOStats
 from repro.types import Schema
 
 SCHEMA = Schema.of("a:int", "b:float", "s:string")
@@ -438,11 +437,6 @@ class TestCostModel:
         random_io = model.cost_ms(10, 10)
         sequential = model.cost_ms(10, 1)
         assert random_io > sequential * 2
-
-    def test_cost_of_iostats(self):
-        model = CostModel(page_size=4096)
-        stats = IOStats(page_reads=100, read_seeks=5)
-        assert model.cost_of(stats) == model.cost_ms(100, 5)
 
     def test_estimate_helper(self):
         model = CostModel(page_size=4096)

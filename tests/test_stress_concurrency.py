@@ -142,7 +142,7 @@ def test_writers_vs_scanners(stress_store):
     assert not errors, errors[:5]
     # At least one automatic re-layout landed under the live reader, which
     # still returns exactly the rows it pinned.
-    assert store.adaptivity.reorganizer.reorganizations >= 1
+    assert store.obs["adaptivity.reorganizations"] >= 1
     assert [first, *reader] == BASE_ROWS
 
     # no lost updates: every increment landed

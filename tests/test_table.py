@@ -1,5 +1,7 @@
 """Tests for repro.engine.table — the paper §4.1 access-method API."""
 
+import re
+
 import pytest
 
 from repro.algebra.interpreter import AlgebraInterpreter
@@ -226,9 +228,9 @@ class TestGetElementAndNext:
     def test_get_element_rows_fast_path(self):
         store, table = make()
         store.pool.clear()
-        store.disk.stats.reset()
-        assert table.get_element(250) == RECORDS[250]
-        assert store.disk.stats.page_reads == 1  # direct page access
+        with store.disk.measure() as io:
+            assert table.get_element(250) == RECORDS[250]
+        assert io.page_reads == 1  # direct page access
 
     def test_get_element_out_of_range(self):
         _, table = make()
@@ -472,18 +474,27 @@ class TestHelpers:
             (v,) for row in self.CHUNK_ROWS for v in row
         ]
 
-    @pytest.mark.parametrize("layout", [
-        "rows(chunk[2](T))",
-        "orderby[a](chunk[2](T))",
-        "mirror(chunk[2](T), T)",
-    ])
+    #: Each refused layout and the operator (for a mirror, the side) its
+    #: error names.
+    REFUSED_OVER_A_CHUNK = {
+        "rows(chunk[2](T))": "rows",
+        "orderby[a](chunk[2](T))": "orderby",
+        "mirror(chunk[2](T), T)": "mirror (left side chunk[2](T))",
+        "mirror(T, chunk[2](T))": "mirror (right side chunk[2](T))",
+    }
+
+    @pytest.mark.parametrize("layout", list(REFUSED_OVER_A_CHUNK))
     def test_record_operator_over_a_chunk_is_refused_at_create(self, layout):
         """A chunk's array has no record fields, so a record operator over
         it — or a mirror pairing it with records — is a type error at
-        ``create_table`` and at ``relayout``; the table stays as it was."""
+        ``create_table`` and at ``relayout`` that names what it refuses (a
+        mirror: the offending side); the table stays as it was."""
         schema = Schema.of("a:int", "b:int", "c:int")
         store = RodentStore(page_size=1024)
-        with pytest.raises(TypeCheckError, match="requires a record-shaped"):
+        named = re.escape(self.REFUSED_OVER_A_CHUNK[layout])
+        with pytest.raises(
+            TypeCheckError, match=named + " requires a record-shaped"
+        ):
             store.create_table("T", schema, layout=layout)
         store.create_table("T", schema)
         store.load("T", self.CHUNK_ROWS)

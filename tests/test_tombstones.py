@@ -283,7 +283,7 @@ def test_compact_merges_one_region_per_transaction():
     table.insert([(1000, 0, 0), (1001, 2, 0)])  # two regions to merge
 
     def commits() -> int:
-        return store.transactions.committed
+        return store.obs["transactions.txns_committed"]
 
     before = commits()
     table.compact()

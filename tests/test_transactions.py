@@ -226,11 +226,13 @@ class TestCrashRecovery:
         store = open_store(tmp_path)
         store.create_table("T", SCHEMA)
         store.load("T", ROWS)
-        committed = store.transactions.committed
-        appends, fsyncs = store.wal.appends, store.wal.fsyncs
+        committed = store.obs["transactions.txns_committed"]
+        appends = store.obs["wal.appends"]
+        fsyncs = store.obs["wal.fsyncs"]
         store.table("T").flush_inserts()
-        assert (store.wal.appends, store.wal.fsyncs) == (appends, fsyncs)
-        assert store.transactions.committed == committed + 1
+        assert store.obs["wal.appends"] == appends
+        assert store.obs["wal.fsyncs"] == fsyncs
+        assert store.obs["transactions.txns_committed"] == committed + 1
         crash(store)
         reopened = open_store(tmp_path)
         assert sorted(reopened.table("T").scan()) == ROWS

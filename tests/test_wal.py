@@ -150,11 +150,11 @@ class TestWriteAheadLog:
         first = wal.append(KIND_COMMIT, 1)
         second = wal.append(KIND_COMMIT, 2)
         wal.sync(first)
-        assert wal.fsyncs == 1
+        assert wal.obs["wal.fsyncs"] == 1
         assert wal.flushed_lsn == second
         assert wal.synced_size == wal.size_bytes
         wal.sync(second)
-        assert wal.fsyncs == 1
+        assert wal.obs["wal.fsyncs"] == 1
         wal.close()
 
     def test_appends_stay_in_the_write_buffer(self, tmp_path):
