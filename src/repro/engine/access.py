@@ -377,10 +377,12 @@ def _open_grid(
         total = len(pages if entries is None else layout.extent.page_ids)
         return len(pages), count_runs(pages), total
 
-    return RunAccess(
-        _scan_fields(layout, needed), layout, entries,
-        lambda: renderer.iter_grid_batches(layout, entries, needed), io,
-    )
+    def read() -> Iterator[ColumnBatch]:
+        if entries == []:  # no cell can hold a match: nothing to read
+            return iter(())
+        return renderer.iter_grid_batches(layout, entries, needed)
+
+    return RunAccess(_scan_fields(layout, needed), layout, entries, read, io)
 
 
 def _open_folded(
@@ -525,17 +527,30 @@ def _probe_index(renderer, layout, index, bounds) -> Iterator[ColumnBatch]:
 
 @dataclass
 class TableAccess:
-    """How one scan node reads its table (:func:`decide_scan`): the
-    ``survivors`` of ``regions`` with the :class:`RunAccess` of every run
-    they hold (``runs``: ``id(run) -> (run, access)``, in scan order) —
-    decided from ``needed``, ``predicate`` and ``zone_pruning``."""
+    """How one scan node reads its table (:func:`decide_scan`), decided on
+    one frozen table state (``view``, :meth:`EntryMVCC.pin`): the
+    ``survivors`` of ``regions``, the ``needed`` fields, the projection and
+    predicate every run is opened with (``run_needed``, ``run_predicate``,
+    ``intervals``) and the :class:`RunAccess` of every run the survivors
+    hold (``runs``: ``id(run) -> (run, access)``, in scan order). What a
+    scan does to each batch — its filter, sort and projection — is the
+    ``setup`` the scan derives once (``Table._scan_setup``) and keeps here."""
 
-    needed: list[str] | None
+    view: Any
+    fieldlist: list[str] | None
     predicate: Predicate | None
+    order_keys: tuple
     zone_pruning: bool
+    needed: list[str] | None
+    target: list[str]
     regions: Sequence = ()
     survivors: Sequence = ()
+    run_needed: list[str] | None = None
+    run_predicate: Predicate | None = None
+    intervals: zonemaps.Intervals = field(default_factory=dict)
     runs: dict = field(default_factory=dict)
+    setup: Any = None
+    _signature: Any = None
 
     def cost(self, model: CostModel) -> CostEstimate:
         return sum(
@@ -556,42 +571,61 @@ class TableAccess:
         """Runs the scan reads through a secondary-index probe."""
         return sum(a.probed is not None for _, a in self.runs.values())
 
-    def holds(self, table: "Table", needed, predicate) -> bool:
-        """Does this decision still describe a scan of ``table`` (a pinned
-        view) for ``needed`` under ``predicate``? Which runs still hold is
-        :meth:`run_access`'s."""
+    @property
+    def signature(self):
+        """The scan's access signature, as the workload monitor keys it
+        (:func:`~repro.optimizer.monitor.access_signature`)."""
+        if self._signature is None:
+            from repro.optimizer.monitor import access_signature
+
+            self._signature = access_signature(
+                self.fieldlist, self.predicate, self.order_keys
+            )
+        return self._signature
+
+    def asks(self, fieldlist, predicate, order_keys) -> bool:
+        """Was this decision made for these scan arguments?"""
         return (
             predicate is self.predicate
-            and needed == self.needed
-            and self.zone_pruning == table.store.zone_pruning
+            and order_keys == self.order_keys
+            and (None if fieldlist is None else list(fieldlist))
+            == self.fieldlist
         )
 
-    def run_access(self, run) -> RunAccess | None:
-        """The carried access of that very (immutable) ``run``, if any — a
-        probe only while the run still holds its index (a dropped one is
-        retired)."""
-        carried = self.runs.get(id(run))
-        if carried is None or carried[1].probed not in (
-            None, *run.indexes.values()
-        ):
-            return None
-        return carried[1]
+    def holds(self, view, zone_pruning: bool) -> bool:
+        """Does this decision describe a scan pinned at ``view``? Views are
+        shared per table state, so any write since the decision made a new
+        one, and only a ``zone_pruning`` flip changes a decision besides."""
+        return view is self.view and zone_pruning == self.zone_pruning
 
 
 def decide_scan(
-    table: "Table", needed: Sequence[str] | None, predicate: Predicate | None
+    table: "Table",
+    fieldlist: Sequence[str] | None,
+    predicate: Predicate | None,
+    order_keys: tuple = (),
 ) -> TableAccess:
-    """The one access decision of a scan of ``table`` for ``needed`` fields
-    under ``predicate``: the partition survivors and
-    ``Table._run_accesses`` over their runs."""
+    """The one access decision of a scan of ``table`` (a pinned view, or
+    the live table) for ``fieldlist`` under ``predicate`` in ``order_keys``
+    order: the partition survivors and ``Table._run_accesses`` over their
+    runs."""
+    if fieldlist is not None:
+        fieldlist = list(fieldlist)
+    needed = table._needed_fields(fieldlist, predicate, order_keys)
     survivors = table.partition_survivors(predicate)
+    run_needed, run_predicate = table._run_scan_args(
+        survivors, needed, predicate
+    )
+    intervals = table._prune_intervals(run_predicate)
     return TableAccess(
-        needed, predicate, table.store.zone_pruning,
-        table._require_loaded(), survivors,
+        table._snap, fieldlist, predicate, order_keys,
+        table.store.zone_pruning, needed, table._target_fields(run_needed),
+        table._require_loaded(), survivors, run_needed, run_predicate,
+        intervals,
         {
             id(run): (run, access)
             for run, access in table._run_accesses(
-                survivors, needed, predicate
+                survivors, run_needed, run_predicate, intervals, predicate
             )
         },
     )

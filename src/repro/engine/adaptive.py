@@ -39,7 +39,7 @@ Safety properties:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro import vector
 from repro.algebra import ast
@@ -133,63 +133,45 @@ class AdaptiveController:
 
     def observe_scan(
         self,
-        table: "Table",
+        name: str,
         fieldlist: Sequence[str] | None,
         predicate: "Predicate | None",
         order_keys: Sequence[tuple[str, bool]],
+        signature=None,
     ):
-        """Record one access-method call; may trigger a lazy rewrite or a
-        periodic adaptation *before* the scan binds its layout.
+        """Record one access-method call on table ``name`` (its monitor's
+        ``signature`` of these arguments, when the caller has it); may
+        trigger a lazy rewrite or a periodic adaptation *before* the scan
+        binds its layout.
 
-        Returns ``(monitor, pattern key)`` for result-cardinality feedback,
-        or ``None`` while observation is paused.
+        Returns ``(monitor, pattern key)`` for result-cardinality feedback
+        (``WorkloadMonitor.record_result`` once the scan completes), or
+        ``None`` while observation is paused.
         """
         if self._suspended:
             return None
-        monitor = self.monitor(table.name)
-        key = monitor.observe(fieldlist, predicate, order_keys)
-        if table.name in self._write_load:
-            self._write_load[table.name] *= self.decay
+        monitor = self.monitor(name)
+        key = monitor.observe(fieldlist, predicate, order_keys, signature)
+        if name in self._write_load:
+            self._write_load[name] *= self.decay
         if self.store._stopped is not None:
             return monitor, key  # reads go on; nothing may be rewritten
         # A re-layout may land while other scans are mid-iteration: each
         # reads its pinned snapshot, and the pages it supersedes wait for
         # the last of those pins.
-        if self.reorganizer.on_access(table.name):  # a deferred rewrite fired
+        if self.reorganizer.on_access(name):  # a deferred rewrite fired
             self.store.obs.add("adaptivity.adaptations")
         if self.enabled:
-            count = self._since_check.get(table.name, 0) + 1
+            count = self._since_check.get(name, 0) + 1
             if (
                 count >= self.check_interval
                 and monitor.ticks >= self.min_observations
             ):
-                self._since_check[table.name] = 0
-                self.check(table.name)
+                self._since_check[name] = 0
+                self.check(name)
             else:
-                self._since_check[table.name] = count
+                self._since_check[name] = count
         return monitor, key
-
-    def count_batches(
-        self, observation, batches: Iterator[list[tuple]]
-    ) -> Iterator[list[tuple]]:
-        """Pass batches through, recording the result cardinality.
-
-        Only *fully consumed* scans record: an abandoned iterator's partial
-        count would poison the pattern's ``avg_rows`` (which the planner
-        falls back to when a table has no statistics). Limited scans are
-        excluded upstream for the same reason — ``limit`` is not part of
-        the access signature.
-        """
-        monitor, key = observation
-
-        def generate() -> Iterator[list[tuple]]:
-            n = 0
-            for batch in batches:
-                n += len(batch)
-                yield batch
-            monitor.record_result(key, n)
-
-        return generate()
 
     def note_write(self, name: str, rows: int) -> None:
         """Ingest signal from levelled inserts: bump the table's decayed
@@ -200,9 +182,7 @@ class AdaptiveController:
             self._write_load.get(name, 0.0) * self.decay + float(rows)
         )
 
-    def record_estimate(
-        self, name: str, estimated: float, actual: float
-    ) -> None:
+    def record_estimate(self, name: str, estimated, actual: float) -> None:
         """Planner feedback: a scan's estimated vs actual cardinality."""
         if self._suspended:
             return

@@ -242,6 +242,12 @@ class CatalogEntry:
     # The reorganization policy a new design reaches old runs under (a
     # :class:`~repro.optimizer.reorganize.Policy` value).
     policy: str = "eager"
+    # Reads since a deferred design, the lazy policy's access count
+    # (:meth:`~repro.optimizer.reorganize.ReorganizationManager.on_access`);
+    # ``None``: none due, an O(1) check. A fresh entry's first read looks
+    # for one: a reopen keeps a deferred design, and the policy. Never
+    # persisted.
+    lazy_accesses: int | None = 0
     # Monotonic partition-id allocator for this table.
     next_partition_id: int = 0
     # Cumulative partition-pruning counters (exposed by storage_stats).

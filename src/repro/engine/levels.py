@@ -111,7 +111,7 @@ def merge(
             newest = resolver.resolve_pending(newest)
         held.append(newest)
     for run in reversed(sorted(sources, key=lambda run: run.max_seq)):
-        batches, _ = table._region_batches(
+        batches = table._region_batches(
             Region(runs=[run]), None, None, fields, resolver=resolver
         )
         held[:0] = batches  # oldest source first, pending rows last
@@ -352,7 +352,7 @@ def _tombstone(
 
     _, pruning = table._run_scan_args([region], None, predicate)
     with db.adaptivity.pause():
-        batches, _ = table._region_batches(
+        batches = table._region_batches(
             region, None, pruning, names, table._resolver(region, names),
             select=predicate,
         )

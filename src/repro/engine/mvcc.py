@@ -18,6 +18,12 @@ version. Writers therefore hand the free operation to
 when the last pin at or below the retired version drains. That is all a
 reader needs: a re-layout may land while a scan is mid-iteration.
 
+Readers share: a pin hands out one frozen view per table state, built by
+the first pin after a change and reused by every later one until the next
+(RapidStore's readers likewise pin a version without copying it). Every
+change to the entry is made under ``EntryMVCC.lock``, and releasing that
+lock drops the shared view, so the next pin captures what the writer left.
+
 Locking discipline: ``EntryMVCC.lock`` (an RLock) guards all mutation of the
 entry's layout-bearing fields *and* all snapshot captures. Writers hold it
 only for the pointer swap, never during rendering — scans stay wait-free in
@@ -51,11 +57,12 @@ class TableSnapshot:
     buffer and that count hold its rows without a copy: an insert only
     appends to the buffer, every other change installs a new one.
 
-    A reader's snapshot :meth:`freeze`\\ s its regions; a transaction's
-    :meth:`restore`\\ s them, and the entry, on abort.
+    A reader's snapshot :meth:`freeze`\\ s its regions and is shared by
+    every pin of that state; a transaction's :meth:`restore`\\ s them, and
+    the entry, on abort (it keeps its own copy).
     """
 
-    __slots__ = (*ENTRY_FIELDS, "region_states", "version", "released")
+    __slots__ = (*ENTRY_FIELDS, "region_states", "version")
 
     def __init__(self, entry: "CatalogEntry", version: int = 0):
         for name in ENTRY_FIELDS:
@@ -68,7 +75,6 @@ class TableSnapshot:
             for region in self.regions
         ]
         self.version = version
-        self.released = False
 
     def freeze(self) -> None:
         """Make ``regions`` copies that later writes leave alone: what a
@@ -109,33 +115,66 @@ class TableSnapshot:
         }
 
 
+class _WriteLock:
+    """The entry's lock as writers take it (reentrant): its release drops
+    the shared reader view, so no pin after a write reads the state before
+    it."""
+
+    __slots__ = ("_mvcc",)
+
+    def __init__(self, mvcc: "EntryMVCC"):
+        self._mvcc = mvcc
+
+    def __enter__(self) -> "_WriteLock":
+        self._mvcc._lock.acquire()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._mvcc._view = None
+        self._mvcc._lock.release()
+
+
 class EntryMVCC:
-    """Version counter, pin registry, and deferred-free list for one entry."""
+    """Version counter, pin registry, shared reader view and deferred-free
+    list for one entry."""
 
     def __init__(self):
-        self.lock = threading.RLock()
+        self._lock = threading.RLock()
+        self.lock = _WriteLock(self)
         self.version = 0
         # version -> number of in-flight scans pinned at that version.
         self.pins: dict[int, int] = {}
         # (retired_at_version, free_fn): runs when no pin <= version remains.
         self.garbage: list[tuple[int, Callable[[], None]]] = []
+        # The frozen view of the current state every pin shares (None:
+        # the next pin builds it).
+        self._view: TableSnapshot | None = None
 
     # -- snapshots --------------------------------------------------------
 
-    def pin(self, entry: "CatalogEntry") -> TableSnapshot:
-        """Capture a snapshot and register it as an active reader."""
-        with self.lock:
-            snap = TableSnapshot(entry, self.version)
-            snap.freeze()
-            self.pins[self.version] = self.pins.get(self.version, 0) + 1
-            return snap
+    def pin(self, entry: "CatalogEntry", reader: bool = True) -> TableSnapshot:
+        """The frozen view of ``entry``'s current state, registered as an
+        active reader (released by :meth:`release`, once) unless ``reader``
+        is false: a planner deciding a scan that pins it later. A view
+        serves every pin until the next write; a catalog load that replaced
+        the plan or the regions is a new state too."""
+        with self._lock:
+            view = self._view
+            if (
+                view is None
+                or view.version != self.version
+                or view.plan is not entry.plan
+                or len(view.regions) != len(entry.regions)
+            ):
+                view = self._view = TableSnapshot(entry, self.version)
+                view.freeze()
+            if reader:
+                self.pins[view.version] = self.pins.get(view.version, 0) + 1
+            return view
 
     def release(self, snap: TableSnapshot) -> None:
-        """Drop a pin (idempotent) and free any garbage it was holding."""
-        with self.lock:
-            if snap.released:
-                return
-            snap.released = True
+        """Drop one pin of ``snap`` and free any garbage it was holding."""
+        with self._lock:
             count = self.pins.get(snap.version, 0)
             if count <= 1:
                 self.pins.pop(snap.version, None)
@@ -174,5 +213,5 @@ class EntryMVCC:
 
     @property
     def active_pins(self) -> int:
-        with self.lock:
+        with self._lock:
             return sum(self.pins.values())

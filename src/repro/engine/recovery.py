@@ -188,9 +188,10 @@ def recover_store(store: "RodentStore", payload: dict | None) -> dict:
         if entry.plan is None:
             continue
         table = Table(store, entry)
-        table._add_pending(ColumnBatch.from_rows(
-            tuple(table.scan_schema().names()), [tuple(v) for v in rows]
-        ))
+        with entry.mvcc.lock:
+            table._add_pending(ColumnBatch.from_rows(
+                tuple(table.scan_schema().names()), [tuple(v) for v in rows]
+            ))
         rows_replayed += len(rows)
 
     summary = {

@@ -53,7 +53,6 @@ over those decisions, for the scan, its cost and its explain fields alike.
 from __future__ import annotations
 
 import operator
-import weakref
 from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple, Sequence
@@ -360,12 +359,17 @@ class Table:
         the ranges are ignored, so this is an upper-bound style estimate —
         what the planner, the adaptation checks and the lazy policy need.
         """
+        return self.row_estimator(predicate)()
+
+    def row_estimator(self, predicate: Predicate | None = None):
+        """:meth:`estimated_row_count` of the table as it is now, as a
+        callable: the row counts and statistics are taken here, the
+        histogram selectivity only when it is called."""
         base = float(sum(region.row_count for region in self._regions))
-        if predicate is None or self._entry.stats is None:
-            return base
-        return base * self._entry.stats.predicate_selectivity(
-            predicate.ranges()
-        )
+        stats = self._entry.stats
+        if predicate is None or stats is None:
+            return lambda: base
+        return lambda: base * stats.predicate_selectivity(predicate.ranges())
 
     def observed_row_estimate(
         self,
@@ -389,8 +393,10 @@ class Table:
             return None
         return pattern.avg_rows
 
-    def record_scan_feedback(self, estimated: float, actual: float) -> None:
-        """Planner feedback: a compiled scan's estimated vs actual rows.
+    def record_scan_feedback(self, estimated, actual: float) -> None:
+        """Planner feedback: a compiled scan's estimated (a number, or a
+        callable the monitor evaluates when its feedback is read) vs
+        actual rows.
 
         :class:`~repro.query.operators.TableScanOp` reports here after a
         completed execution; the workload monitor folds it into a decayed
@@ -430,16 +436,10 @@ class Table:
         The iterator is produced batch-at-a-time internally (see
         :meth:`scan_batches`).
         """
-        batches, mvcc, snap = self._open_scan(
-            fieldlist, predicate, order, limit
+        batches = self._open_scan(
+            fieldlist, predicate, order, limit, emit=ColumnBatch.iter_rows
         )
-        # Release at batch granularity: each ColumnBatch lazily streams its
-        # native-python rows, and the pin drops once the last batch's
-        # iterator has been handed to the chain.
-        wrapped = _release_when_done(
-            map(ColumnBatch.iter_rows, batches), mvcc, snap
-        )
-        return _ScanStream(chain.from_iterable(wrapped), wrapped)
+        return _ScanStream(chain.from_iterable(batches), batches)
 
     def scan_batches(
         self,
@@ -456,10 +456,9 @@ class Table:
         per-row Python overhead is amortized across each page/chunk.
         Flattened, the batches equal :meth:`scan` output exactly.
         """
-        batches, mvcc, snap = self._open_scan(
-            fieldlist, predicate, order, limit
+        return self._open_scan(
+            fieldlist, predicate, order, limit, emit=ColumnBatch.rows
         )
-        return _release_when_done(map(ColumnBatch.rows, batches), mvcc, snap)
 
     def scan_column_batches(
         self,
@@ -478,10 +477,7 @@ class Table:
         for these arguments (:meth:`scan_access`), read through where it
         still holds.
         """
-        batches, mvcc, snap = self._open_scan(
-            fieldlist, predicate, order, limit, access
-        )
-        return _release_when_done(batches, mvcc, snap)
+        return self._open_scan(fieldlist, predicate, order, limit, access)
 
     def _open_scan(
         self,
@@ -490,86 +486,135 @@ class Table:
         order: Order | None,
         limit: int | None,
         access: TableAccess | None = None,
-    ):
-        """Shared scan setup: observation, MVCC pin, pinned batch pipeline.
-
-        Returns ``(batches, mvcc, snap)`` — the caller wraps ``batches``
-        (an iterator of :class:`ColumnBatch`) in ``_release_when_done``.
-        """
+        emit=None,
+    ) -> Iterator:
+        """Every scan entry point: observation, the MVCC pin, and the scan's
+        one generator (:meth:`_scan`), primed — its set-up runs now, so a
+        bad argument raises here, and from here on its ``finally`` releases
+        the pin: on exhaustion, on ``close()``, or when the scan is
+        discarded unstarted."""
         if limit is not None and limit < 0:
             limit = 0  # a negative limit selects nothing, like [:0]
         order_keys = normalize_order(order)
+        if access is not None and not access.asks(
+            fieldlist, predicate, order_keys
+        ):
+            access = None
         # Feed the adaptive loop *before* pinning any layout state: a due
-        # periodic adaptation may re-render the table here, and the
-        # snapshot below then captures the new design.
+        # periodic adaptation may re-render the table here, and the pin
+        # below then captures the new design.
         observation = self._db.adaptivity.observe_scan(
-            self, fieldlist, predicate, order_keys
+            self.name, fieldlist, predicate, order_keys,
+            None if access is None else access.signature,
         )
         mvcc = self._entry.mvcc
-        snap = mvcc.pin(self._entry)
-        try:
-            view = self._pinned_view(snap)
-            batches = view._scan_batches_pinned(
-                fieldlist, predicate, order_keys, limit, observation, access
-            )
-        except BaseException:
-            mvcc.release(snap)
-            raise
-        return batches, mvcc, snap
+        view = mvcc.pin(self._entry)
+        scan = self._pinned_view(view)._scan(
+            mvcc, view, fieldlist, predicate, order_keys, limit,
+            None if limit is not None else observation, access, emit,
+        )
+        next(scan)
+        return scan
 
-    def _corruption_guard(
-        self, source: Iterator[ColumnBatch], unit: str
-    ) -> Iterator[ColumnBatch]:
-        """Stream ``source``; contain an unrepairable corrupt page.
+    def _corruption_guard(self, exc: CorruptPageError, unit: str) -> None:
+        """Contain an unrepairable corrupt page of ``unit`` (one run, named
+        by its partition under a router), or re-raise it.
 
         Default behavior re-raises :class:`~repro.errors.CorruptPageError`
         (the query fails loudly). Under ``store.degraded_reads = True`` the
-        remaining batches of the affected *unit* (one run, or one
-        partition) are skipped instead, and the skip is
-        recorded both on the per-scan report (``corruption_skipped`` in
-        explain()) and in the store's integrity registry — degraded results
-        are never silently complete.
+        remaining batches of the affected *unit* are skipped instead, and
+        the skip is recorded both on the per-scan report
+        (``corruption_skipped`` in explain()) and in the store's integrity
+        registry — degraded results are never silently complete.
         """
-        try:
-            yield from source
-        except CorruptPageError as exc:
-            if not getattr(self._db, "degraded_reads", False):
-                raise
-            event = {
-                "table": self.name,
-                "unit": unit,
-                "page_id": exc.page_id,
-                "error": str(exc),
-            }
-            report = getattr(self, "_corruption_report", None)
-            if report is not None:
-                report.append(event)
-            self._db.integrity.record_skip(dict(event))
+        if not getattr(self._db, "degraded_reads", False):
+            raise exc
+        event = {
+            "table": self.name,
+            "unit": unit,
+            "page_id": exc.page_id,
+            "error": str(exc),
+        }
+        report = getattr(self, "_corruption_report", None)
+        if report is not None:
+            report.append(event)
+        self._db.integrity.record_skip(dict(event))
 
-    def _scan_batches_pinned(
+    def _scan(
         self,
+        mvcc,
+        view,
         fieldlist: Sequence[str] | None,
         predicate: Predicate | None,
         order_keys: tuple[tuple[str, bool], ...],
         limit: int | None,
         observation,
         access: TableAccess | None,
-    ) -> Iterator[ColumnBatch]:
-        """Body of every scan entry point, running on a pinned view (MVCC
-        snapshot): every layout-bearing read below resolves against the
-        snapshot, so concurrent commits cannot change what this scan sees.
-        Yields :class:`ColumnBatch` objects — filtered, projected, and
-        limit-trimmed — that columnar sources keep as typed vectors plus a
-        pending selection all the way out."""
-        # Per-scan degraded-read ledger: corrupt units this scan skipped.
-        # Published on the (shared) catalog entry so explain() can report
-        # the most recent scan's skips.
-        self._corruption_report = []
-        self._entry.last_corruption_skipped = self._corruption_report
-        needed = self._needed_fields(fieldlist, predicate, order_keys)
-        batches, avail = self._table_source(needed, predicate, access=access)
-        positions = {name: i for i, name in enumerate(avail)}
+        emit,
+    ) -> Iterator:
+        """THE scan, on this pinned view of ``view``: one generator from
+        set-up to the last batch, whose ``finally`` releases the pin.
 
+        The decision and the per-batch set-up are the planner's ``access``
+        while it holds for ``view`` (a write since made a new view), else
+        decided here. Yields :class:`ColumnBatch` objects — filtered,
+        projected, and limit-trimmed, columnar sources keeping typed vectors
+        plus a pending selection all the way out — each passed through
+        ``emit`` when given. A completed scan reports its row count to the
+        workload monitor (``observation``; limited scans pass none: limit is
+        not part of the access signature, so a truncated count would
+        corrupt the pattern's ``avg_rows``)."""
+        try:
+            if access is None or not access.holds(view, self._db.zone_pruning):
+                access = decide_scan(self, fieldlist, predicate, order_keys)
+            setup = access.setup
+            if setup is None:
+                setup = access.setup = self._scan_setup(access)
+            # Per-scan degraded-read ledger: corrupt units this scan skipped.
+            # Published on the (shared) catalog entry so explain() can
+            # report the most recent scan's skips.
+            self._corruption_report = []
+            self._entry.last_corruption_skipped = self._corruption_report
+            batches, _ = self._table_source(access.needed, predicate, access)
+            keep, project, remaining = setup.keep, setup.project, limit
+            yield  # primed: set-up is done, the pin is ours to release
+            if remaining == 0:
+                return
+            if setup.sort is not None:
+                if keep is not None:
+                    batches = (batch.select(keep(batch)) for batch in batches)
+                ordered = sort_batches(batches, setup.fields, *setup.sort, limit)
+                batches, keep, remaining = (ordered,), None, None
+            count = 0
+            for batch in batches:
+                if keep is not None:
+                    batch = batch.select(keep(batch))
+                if not batch.n_rows:
+                    continue
+                if project is not None:
+                    batch = project(batch)
+                if remaining is not None:
+                    if batch.n_rows >= remaining:
+                        batch = batch.head(remaining)
+                        yield batch if emit is None else emit(batch)
+                        return
+                    remaining -= batch.n_rows
+                count += batch.n_rows
+                yield batch if emit is None else emit(batch)
+            if observation is not None:
+                monitor, key = observation
+                monitor.record_result(key, count)
+        finally:
+            mvcc.release(view)
+
+    def _scan_setup(self, access: TableAccess) -> "ScanSetup":
+        """What a scan does to each batch of ``access``'s target fields,
+        derived once per decision: the compiled predicate, the sort the
+        stored order does not serve, the projection. A field the scan
+        cannot produce raises :class:`QueryError`."""
+        fieldlist, predicate = access.fieldlist, access.predicate
+        avail = access.target
+        positions = {name: i for i, name in enumerate(avail)}
         keep = None
         if predicate is not None:
             missing = predicate.fields_used() - set(avail)
@@ -578,80 +623,24 @@ class Table:
                     f"predicate references unavailable field(s) {sorted(missing)}"
                 )
             keep = selector(predicate, positions)
-
-        sort_idx: list[int] = []
-        sort_desc: list[bool] = []
-        sort_needed = bool(order_keys) and not self._order_satisfied(order_keys)
-        if sort_needed:
-            for name, ascending in order_keys:
+        sort = None
+        order_keys = access.order_keys
+        if order_keys and not self._order_satisfied(order_keys):
+            for name, _ in order_keys:
                 if name not in positions:
                     raise QueryError(f"unknown order field {name!r}")
-                sort_idx.append(positions[name])
-                sort_desc.append(not ascending)
-
-        scan_names = self.scan_schema().names()
-        out_idx: list[int] | None = None
+            sort = (
+                [positions[name] for name, _ in order_keys],
+                [not ascending for _, ascending in order_keys],
+            )
         if fieldlist is not None:
-            try:
-                out_idx = [positions[f] for f in fieldlist]
-            except KeyError as exc:
-                raise QueryError(
-                    f"unknown projection field {exc.args[0]!r}"
-                ) from None
-        elif tuple(avail) != tuple(scan_names):
-            out_idx = [positions[f] for f in scan_names if f in positions]
-        if out_idx is not None and out_idx == list(range(len(avail))):
-            out_idx = None  # the projection is already the stored order
-        project = _batch_projector(out_idx)
-        out_fields = (
-            tuple(avail)
-            if out_idx is None
-            else tuple(avail[i] for i in out_idx)
+            for name in fieldlist:
+                if name not in positions:
+                    raise QueryError(f"unknown projection field {name!r}")
+        out = avail if fieldlist is None else fieldlist
+        return ScanSetup(
+            tuple(avail), keep, sort, _batch_reorderer(avail, out)
         )
-
-        def filtered(batch: ColumnBatch) -> ColumnBatch:
-            return batch if keep is None else batch.select(keep(batch))
-
-        def projected(batch: ColumnBatch) -> ColumnBatch:
-            if project is None:
-                return batch
-            if batch.is_columnar:
-                return batch.project_columns(out_idx, out_fields)
-            return ColumnBatch.from_rows(out_fields, project(batch.rows()))
-
-        def generate() -> Iterator[ColumnBatch]:
-            if sort_needed:
-                ordered = sort_batches(
-                    map(filtered, batches),
-                    tuple(avail),
-                    sort_idx,
-                    sort_desc,
-                    limit,
-                )
-                if ordered.n_rows:
-                    yield projected(ordered)
-                return
-            remaining = limit
-            if remaining is not None and remaining <= 0:
-                return
-            for batch in batches:
-                batch = filtered(batch)
-                if not batch.n_rows:
-                    continue
-                batch = projected(batch)
-                if remaining is not None:
-                    if batch.n_rows >= remaining:
-                        yield batch.head(remaining)
-                        return
-                    remaining -= batch.n_rows
-                yield batch
-
-        if observation is None or limit is not None:
-            # Limited scans skip cardinality feedback: limit is not part of
-            # the access signature, so a truncated count would corrupt the
-            # pattern's avg_rows for its unlimited siblings.
-            return generate()
-        return self._db.adaptivity.count_batches(observation, generate())
 
     def _needed_fields(
         self,
@@ -695,44 +684,48 @@ class Table:
     ) -> tuple[Iterator[ColumnBatch], list[str]]:
         """``(source, fields)`` of a scan: every region it must read.
 
-        The router's survivors (:meth:`_partitions_for_scan`), each read by
-        :meth:`_region_batches` under its level policy's resolver, in one
-        target field order. A carried ``access`` no longer holding for this
-        snapshot is dropped.
+        The decision's survivors, each read by :meth:`_region_batches`
+        under its level policy's resolver, in one target field order —
+        ``access``, or a decision made here for ``needed`` fields under
+        ``predicate``. Under a router, the scan counts toward the partition
+        pruning counters and the monitor's per-partition skew.
         """
-        if access is not None and not access.holds(self, needed, predicate):
-            access = None
-        regions = self._partitions_for_scan(predicate)
-        needed, predicate = self._run_scan_args(regions, needed, predicate)
-        # Runs of different designs differ in field order: every scan
-        # normalizes to one target order.
-        target = self._target_fields(needed)
+        if access is None:
+            access = decide_scan(self, needed, predicate)
+        regions, target = access.survivors, access.target
         # A corrupt run is contained whole, per the store's degraded-read
         # policy, and named by its partition when there is a router.
         routed = self.plan.partition is not None
+        if routed:
+            entry = self._entry
+            entry.partition_scans += 1
+            entry.partitions_pruned_total += len(access.regions) - len(regions)
+            self._db.adaptivity.observe_partitions(
+                self.name, [r.pid for r in regions]
+            )
 
         def source(region):
             prefix = f"partition[{region.pid}] " * routed
             return self._region_batches(
-                region, needed, predicate, target,
+                region, access.run_needed, access.run_predicate, target,
                 self._resolver(region, target),
                 lambda run: f"{prefix}run[{run.rid}]", access,
-            )[0]
+            )
 
-        sources = [partial(source, region) for region in regions]
         workers = int(getattr(self._db, "scan_workers", 0) or 0)
-        if workers > 1 and len(sources) > 1:
+        if workers > 1 and len(regions) > 1:
             # Regions fan out to the store's shared thread pool
             # morsel-style and merge back **in partition order**, so
             # parallel results are byte-identical to serial ones (the
             # buffer pool is lock-guarded for exactly this path).
             from repro.query.operators import fan_out_partitions
 
+            sources = [partial(source, region) for region in regions]
             return (
                 fan_out_partitions(self._db.scan_executor(), sources, workers),
                 target,
             )
-        return chain.from_iterable(make() for make in sources), target
+        return chain.from_iterable(map(source, regions)), target
 
     def _resolver(
         self, region, fields: Sequence[str]
@@ -787,20 +780,6 @@ class Table:
             return 0
         return len(self._regions) - len(self.partition_survivors(predicate))
 
-    def _partitions_for_scan(self, predicate: Predicate | None) -> list:
-        """Survivors for an *executing* scan: under a router, updates the
-        cumulative pruning counters and feeds per-partition access skew to
-        the workload monitor."""
-        survivors = self.partition_survivors(predicate)
-        entry = self._entry
-        if self.plan.partition is not None:
-            entry.partition_scans += 1
-            entry.partitions_pruned_total += len(self._regions) - len(survivors)
-            self._db.adaptivity.observe_partitions(
-                self.name, [r.pid for r in survivors]
-            )
-        return survivors
-
     def _region_batches(
         self,
         region,
@@ -811,8 +790,8 @@ class Table:
         unit=None,
         access: TableAccess | None = None,
         select: Predicate | None = None,
-    ) -> tuple[Iterator[ColumnBatch], list[str]]:
-        """THE batch scan of one region: ``(batches, fields)``.
+    ) -> Iterator[ColumnBatch]:
+        """THE batch scan of one region.
 
         Runs stream in stored order with the pending buffer trailing — or,
         under a keyed ``resolver`` (last writer wins), the pending buffer
@@ -823,94 +802,104 @@ class Table:
         by its incrementally maintained zone; a run's secondary-index probe
         is one more such access. Batches are projected to
         ``target``. ``unit(run)`` names a run for degraded-read
-        containment; ``None`` leaves containment to the caller. A run
-        ``access`` (the planner's decision) holds is read through its
-        carried verdict. Every batch is filtered by ``select``, when given
-        (by ``predicate``, the caller's job, otherwise).
+        containment; ``None`` leaves containment to the caller. Under a
+        decision (``access``) every run is read through the access it
+        decided, and its intervals and compiled predicate are reused.
+        Every batch is filtered by ``select``, when given (by
+        ``predicate``, the caller's job, otherwise).
         """
-        runs = list(region.runs)
-        newest_first = resolver is not None and resolver.keyed
-        if newest_first:
-            runs.reverse()
-        intervals = self._prune_intervals(predicate)
         fields = tuple(target)
-        scan_names = tuple(self.scan_schema().names())
+        positions = None
+        if access is None:
+            intervals = self._prune_intervals(predicate)
+        else:
+            intervals = access.intervals
         # A verdict that cannot raise selects before the tombstones apply,
         # so only the rows the scan keeps become tuples to resolve; one that
         # can must never see a suppressed row.
-        positions = {f: i for i, f in enumerate(fields)}
         keep = pick = None
         if predicate is not None and predicate.total:
-            keep = selector(predicate, positions)
+            if access is not None and access.setup is not None:
+                keep = access.setup.keep  # the scan's own, over ``target``
+            else:
+                positions = {f: i for i, f in enumerate(fields)}
+                keep = selector(predicate, positions)
         if select is not None:
-            same = select is predicate and keep is not None
-            pick = keep if same else selector(select, positions)
-
-        def run_batches(run) -> Iterator[ColumnBatch]:
+            if select is predicate and keep is not None:
+                pick = keep
+            else:
+                positions = positions or {f: i for i, f in enumerate(fields)}
+                pick = selector(select, positions)
+        newest_first = resolver is not None and resolver.keyed
+        runs = region.runs
+        if newest_first:
+            pending = self._pending_batch(region, intervals, resolver, fields, pick)
+            if pending is not None:
+                yield pending
+            runs = runs[::-1]
+        for run in runs:
             if not run.row_count:
-                return
-            opened = access.run_access(run) if access else None
-            if opened is None:
+                continue
+            if access is not None:
+                opened = access.runs[id(run)][1]
+            else:
                 opened = self._open_run(run, needed, predicate, intervals)
-            source = opened.batches()
             reorder = _batch_reorderer(opened.fields, fields)
-            if reorder is not None:
-                source = map(reorder, source)
-            if resolver is None or not resolver.enter_run(run):
-                # Fast path (no tombstone newer than the run, no merge
-                # key): no suppression can apply, batches pass through the
-                # vectorized pipeline.
-                yield from source if pick is None else (
-                    batch.select(pick(batch)) for batch in source
-                )
-                return
-            for batch in source:
-                if keep is not None:
-                    batch = batch.select(keep(batch))
-                batch = resolver.survivors(batch)
-                if pick is not None and pick is not keep:
-                    batch = batch.select(pick(batch))
-                if batch.n_rows:
-                    yield batch
+            try:
+                if resolver is None or not resolver.enter_run(run):
+                    # Fast path (no tombstone newer than the run, no merge
+                    # key): no suppression can apply, batches pass through
+                    # the vectorized pipeline.
+                    for batch in opened.batches():
+                        if reorder is not None:
+                            batch = reorder(batch)
+                        yield batch if pick is None else batch.select(pick(batch))
+                    continue
+                for batch in opened.batches():
+                    if reorder is not None:
+                        batch = reorder(batch)
+                    if keep is not None:
+                        batch = batch.select(keep(batch))
+                    batch = resolver.survivors(batch)
+                    if pick is not None and pick is not keep:
+                        batch = batch.select(pick(batch))
+                    if batch.n_rows:
+                        yield batch
+            except CorruptPageError as exc:
+                if unit is None:
+                    raise
+                self._corruption_guard(exc, unit(run))
+        if not newest_first:
+            pending = self._pending_batch(region, intervals, resolver, fields, pick)
+            if pending is not None:
+                yield pending
 
-        def pending_batches() -> Iterator[ColumnBatch]:
-            zone = region.pending_zone
-            if (
-                intervals
-                and zone is not None
-                and not zone.may_match(intervals)
-            ):
-                return
-            if not region.pending:
-                return
-            batch = ColumnBatch.from_columns(scan_names, region.pending.columns())
-            if resolver is not None:
-                batch = resolver.resolve_pending(batch)
-            reorder = _batch_reorderer(scan_names, fields)
-            batch = batch if reorder is None else reorder(batch)
-            yield batch if pick is None else batch.select(pick(batch))
-
-        def generate() -> Iterator[ColumnBatch]:
-            if newest_first:
-                yield from pending_batches()
-            for run in runs:
-                source = run_batches(run)
-                if unit is not None:
-                    source = self._corruption_guard(source, unit(run))
-                yield from source
-            if not newest_first:
-                yield from pending_batches()
-
-        return generate(), list(target)
+    def _pending_batch(
+        self, region, intervals, resolver, fields: tuple, pick
+    ) -> ColumnBatch | None:
+        """``region``'s pending rows as one batch of ``fields``, resolved
+        and filtered by ``pick`` — ``None`` when it holds none, or its zone
+        rules the prune ``intervals`` out."""
+        zone = region.pending_zone
+        if intervals and zone is not None and not zone.may_match(intervals):
+            return None
+        if not region.pending:
+            return None
+        names = tuple(self.scan_schema().names())
+        batch = ColumnBatch.from_columns(names, region.pending.columns())
+        if resolver is not None:
+            batch = resolver.resolve_pending(batch)
+        reorder = _batch_reorderer(names, fields)
+        batch = batch if reorder is None else reorder(batch)
+        return batch if pick is None else batch.select(pick(batch))
 
     def _region_rows(self, region) -> list[tuple]:
         """Every live stored-shape row of one region (runs + pending,
         resolved) in canonical scan order."""
         names = self.scan_schema().names()
-        batches, _ = self._region_batches(
+        return _batch_rows(self._region_batches(
             region, None, None, names, self._resolver(region, names)
-        )
-        return _batch_rows(batches)
+        ))
 
     def _open_run(
         self,
@@ -1154,11 +1143,13 @@ class Table:
         order: Order | None = None,
     ) -> TableAccess:
         """The access decision a scan with these arguments makes
-        (:func:`~repro.engine.access.decide_scan`): the planner prices it
-        and hands it to :meth:`scan_column_batches` to read through."""
-        order_keys = normalize_order(order)
-        needed = self._needed_fields(fieldlist, predicate, order_keys)
-        return decide_scan(self, needed, predicate)
+        (:func:`~repro.engine.access.decide_scan`), on the table state a
+        scan pinned now would read: the planner prices it and hands it to
+        :meth:`scan_column_batches` to read through."""
+        view = self
+        if self._snap is None:
+            view = self._pinned_view(self._entry.mvcc.pin(self._entry, False))
+        return decide_scan(view, fieldlist, predicate, normalize_order(order))
 
     def scan_cost(
         self,
@@ -1177,16 +1168,28 @@ class Table:
         regions: Sequence,
         needed: Sequence[str] | None,
         predicate: Predicate | None,
+        intervals: dict[str, tuple[float, float]],
+        pruning: Predicate | None,
     ) -> Iterator[tuple[Any, RunAccess]]:
         """THE metadata walk: ``(run, RunAccess)`` for every run of
-        ``regions`` a scan with these arguments reads — the very values
-        :meth:`_region_batches` reads through, so cost and explain fold
-        what the scan does. Pending rows are memory-resident."""
-        needed, predicate = self._run_scan_args(regions, needed, predicate)
-        intervals = self._prune_intervals(predicate)
+        ``regions`` a scan opens with these arguments (:meth:`_run_scan_args`)
+        — the very values :meth:`_region_batches` reads through, so cost and
+        explain fold what the scan does. Pending rows are memory-resident.
+
+        Under a keyed level policy a region's oldest run alone prunes by
+        the scan's own predicate (``pruning``): it has no older version to
+        shadow, while a newer run's non-matching version must still hide
+        an older matching one."""
+        oldest = None
+        if predicate is not pruning:
+            oldest = (pruning, self._prune_intervals(pruning))
         for region in regions:
-            for run in region.runs:
-                yield run, self._open_run(run, needed, predicate, intervals)
+            runs = region.runs
+            for run in runs:
+                if oldest is not None and run is runs[0]:
+                    yield run, self._open_run(run, needed, *oldest)
+                else:
+                    yield run, self._open_run(run, needed, predicate, intervals)
 
     def _run_scan_args(
         self,
@@ -1198,8 +1201,9 @@ class Table:
         *run* — what the costing and pruning estimates must assume too.
         Only resolution widens them: a keyed level policy scans un-pruned
         and un-projected (a newer version must shadow older ones of its key
-        even when it fails the predicate), leaving selection to the
-        downstream filter, and tombstones compare whole rows."""
+        even when it fails the predicate; only a region's oldest run
+        prunes, :meth:`_run_accesses`), leaving selection to the downstream
+        filter, and tombstones compare whole rows."""
         spec = self.plan.levels
         if spec is not None and spec.key is not None:
             return None, None
@@ -1447,21 +1451,33 @@ class Table:
         return f"<Table {self.name} rows={self.row_count} [{plan}]>"
 
 
+class ScanSetup(NamedTuple):
+    """What a scan does to each batch of its decision's target ``fields``
+    (:meth:`Table._scan_setup`): filter by ``keep``, sort by ``sort`` —
+    ``(key positions, descending flags)``, ``None`` when the stored order
+    serves the scan — and project (``project``, ``None``: as stored)."""
+
+    fields: tuple[str, ...]
+    keep: Any
+    sort: tuple[list[int], list[bool]] | None
+    project: Any
+
+
 class _ScanStream:
     """Row iterator over a scan: chain-speed iteration plus ``close()``.
 
     ``for``-loops and genexprs call ``iter()`` and get the raw
     ``itertools.chain`` — per-row ``next()`` stays entirely in C. The
     wrapper itself only fields direct ``next(it)`` calls and ``close()``,
-    which abandons the scan by closing the release generator (dropping
-    the MVCC pin promptly instead of at GC).
+    which abandons the scan by closing its generator (dropping the MVCC
+    pin promptly instead of at GC).
     """
 
-    __slots__ = ("_rows", "_release")
+    __slots__ = ("_rows", "_scan")
 
-    def __init__(self, rows, release):
+    def __init__(self, rows, scan):
         self._rows = rows
-        self._release = release
+        self._scan = scan
 
     def __iter__(self):
         return self._rows
@@ -1470,27 +1486,7 @@ class _ScanStream:
         return next(self._rows)
 
     def close(self) -> None:
-        self._release.close()
-
-
-def _release_when_done(source, mvcc, snap):
-    """Wrap a scan iterator so its MVCC pin is dropped exactly once.
-
-    The ``finally`` fires on exhaustion, ``close()``, and generator GC; the
-    ``weakref.finalize`` is the backstop for a generator that is discarded
-    without ever starting (its frame never runs, so ``finally`` cannot).
-    ``EntryMVCC.release`` is idempotent, so double-firing is harmless.
-    """
-
-    def gen():
-        try:
-            yield from source
-        finally:
-            mvcc.release(snap)
-
-    wrapped = gen()
-    weakref.finalize(wrapped, mvcc.release, snap)
-    return wrapped
+        self._scan.close()
 
 
 def _scan_schema(plan: PhysicalPlan) -> Schema:

@@ -402,7 +402,7 @@ def count_hidden(store: RodentStore) -> int:
             pending = table._resolver(region, names).resolve_pending(
                 ColumnBatch.from_columns(tuple(names), region.pending.columns())
             )
-            batches, _ = table._region_batches(region, None, None, names)
+            batches = table._region_batches(region, None, None, names)
             runs = sum(batch.n_rows for batch in batches) - len(region.pending)
             live = len(table._region_rows(region)) - len(pending)  # in runs
             region.hidden = runs - live

@@ -23,6 +23,7 @@ survives ``save_catalog`` / ``RodentStore.open``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -150,22 +151,59 @@ class AccessPattern:
         )
 
 
-@dataclass
+#: Unevaluated scan estimates the feedback keeps. An older one's weight in
+#: the decayed mean, ``0.9 ** 256`` ≈ 2e-12, is below what a float shows
+#: beside the newer ones, so it is dropped without being evaluated.
+FEEDBACK_BACKLOG = 256
+
+
 class EstimationFeedback:
-    """Planner cardinality accuracy: decayed mean q-error of scan estimates."""
+    """Planner cardinality accuracy: decayed mean q-error of scan estimates.
 
-    samples: int = 0
-    mean_q_error: float = 1.0
+    A scan hands its estimate over unevaluated, as a callable: the newest
+    :data:`FEEDBACK_BACKLOG` wait, in arrival order, until ``samples`` or
+    ``mean_q_error`` is read, so a query that is only run computes no
+    estimate on its path."""
 
-    def record(self, estimated: float, actual: float) -> None:
-        est = max(1.0, float(estimated))
-        act = max(1.0, float(actual))
-        q_error = max(est / act, act / est)
-        self.samples += 1
-        if self.samples == 1:
-            self.mean_q_error = q_error
-        else:
-            self.mean_q_error = 0.9 * self.mean_q_error + 0.1 * q_error
+    def __init__(self, samples: int = 0, mean_q_error: float = 1.0):
+        self._samples = samples
+        self._mean = mean_q_error
+        self._backlog: deque = deque(maxlen=FEEDBACK_BACKLOG)
+        self._waiting = 0
+
+    def record(self, estimated, actual: float) -> None:
+        """One scan's estimate (a number, or a callable answering one) and
+        its actual row count."""
+        self._backlog.append((estimated, actual))
+        self._waiting += 1
+
+    def _fold(self) -> None:
+        backlog, self._backlog = self._backlog, deque(maxlen=FEEDBACK_BACKLOG)
+        first = self._samples == 0
+        self._samples += self._waiting
+        self._waiting = 0
+        for estimated, actual in backlog:
+            if callable(estimated):
+                estimated = estimated()
+            est = max(1.0, float(estimated))
+            act = max(1.0, float(actual))
+            q_error = max(est / act, act / est)
+            if first:
+                self._mean, first = q_error, False
+            else:
+                self._mean = 0.9 * self._mean + 0.1 * q_error
+
+    @property
+    def samples(self) -> int:
+        if self._waiting:
+            self._fold()
+        return self._samples
+
+    @property
+    def mean_q_error(self) -> float:
+        if self._waiting:
+            self._fold()
+        return self._mean
 
 
 class WorkloadMonitor:
@@ -191,9 +229,14 @@ class WorkloadMonitor:
         fieldlist: Sequence[str] | None,
         predicate: "Predicate | None",
         order: Sequence[tuple[str, bool]] | None,
+        signature: tuple | None = None,
     ) -> Signature:
-        """Fold one access-method call into the model; returns its key."""
-        key, ranges, extra = access_signature(fieldlist, predicate, order)
+        """Fold one access-method call into the model; returns its key.
+        ``signature`` is :func:`access_signature` of the arguments, when
+        the caller carries it (a planned scan's decision does)."""
+        if signature is None:
+            signature = access_signature(fieldlist, predicate, order)
+        key, ranges, extra = signature
         self.ticks += 1
         pattern = self.patterns.get(key)
         created = pattern is None
@@ -246,8 +289,9 @@ class WorkloadMonitor:
         if pattern is not None:
             pattern.record_rows(rows)
 
-    def record_estimate(self, estimated: float, actual: float) -> None:
-        """Planner feedback: estimated vs actual rows of one scan node."""
+    def record_estimate(self, estimated, actual: float) -> None:
+        """Planner feedback: estimated (a number, or a callable answering
+        one) vs actual rows of one scan node."""
         self.feedback.record(estimated, actual)
 
     # -- maintenance -------------------------------------------------------

@@ -34,7 +34,7 @@ state a lazy policy leaves — never a half-rewritten region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Sequence
 
@@ -57,10 +57,6 @@ class ReorganizationManager:
     """Apply new designs to tables under their policies."""
 
     store: RodentStore
-    #: Accesses per table since a deferred design; ``None``: none due (an
-    #: O(1) check). A table's first access looks for one: a reopen keeps
-    #: a deferred design, and the policy.
-    _accesses: dict[str, int | None] = field(default_factory=dict)
     #: The lazy rewrite fires once the rows a compaction would fold in
     #: reach this fraction of the table...
     lazy_unmerged_fraction = 0.25
@@ -74,7 +70,7 @@ class ReorganizationManager:
             entry = self.store.catalog.entry(table)
             entry.policy = Policy(policy).value
             m.touch(table)
-        self._accesses[table] = 0
+            entry.lazy_accesses = 0
 
     def policy(self, table: str) -> Policy:
         return Policy(self.store.catalog.entry(table).policy)
@@ -156,7 +152,7 @@ class ReorganizationManager:
             self._rewrite(len(regions), merge_regions, t, regions, expr)
             return True
         redesign(self.store.table(table), expr, regions)
-        self._accesses[table] = 0
+        self.store.catalog.entry(table).lazy_accesses = 0
         return False
 
     def _rewrite(self, count: int, action, *args) -> None:
@@ -179,19 +175,20 @@ class ReorganizationManager:
         region whose old runs are off its design; returns True when a
         reorganization happened.
         """
-        accesses = self._accesses.get(table, 0)
+        entry = self.store.catalog.entry(table)
+        accesses = entry.lazy_accesses
         if accesses is None:
             return False
         regions = self._off_design(table)
         if not regions or self.policy(table) is not Policy.LAZY:
-            self._accesses[table] = None  # nothing deferred, or not lazy
+            entry.lazy_accesses = None  # nothing deferred, or not lazy
             return False
-        self._accesses[table] = accesses + 1
+        entry.lazy_accesses = accesses + 1
         if not self._lazy_due(table, accesses + 1):
             return False
         t = self.store.table(table)
         self._rewrite(len(regions), merge_regions, t, regions)
-        self._accesses[table] = None
+        entry.lazy_accesses = None
         return True
 
     def _lazy_due(self, table: str, accesses: int) -> bool:

@@ -125,10 +125,11 @@ class TableScanOp(Operator):
     labels and counts from it, and :meth:`batches` hands it to
     :meth:`Table.scan_column_batches`, which reads through it wherever the
     pinned snapshot still holds the runs and indexes it was decided on.
-    """
 
-    #: CPU of sorting the output when the stored order does not serve it.
-    sort_cost: CostEstimate = CostEstimate.zero()
+    The estimates are lazy, like :attr:`est_cost`: a query that is only
+    run computes no histogram selectivity; a join, a group-by, sort costing
+    or ``explain()`` reads :attr:`est_rows` when it needs it.
+    """
 
     def __init__(
         self,
@@ -146,10 +147,51 @@ class TableScanOp(Operator):
         self.limit = limit
         self.access = access
         self._partitions_pruned: int | None = None
+        self._rows: float | None = None
         if self.fieldlist is not None:
             self.fields = tuple(self.fieldlist)
         else:
             self.fields = tuple(table.scan_schema().names())
+
+    def _estimated_rows(self) -> float:
+        """Rows the predicate keeps, before the limit: the histogram
+        selectivity (``Table.estimated_row_count``), or — with no collected
+        statistics, e.g. a pending-only table — the workload monitor's
+        observed cardinality of this access shape, the feedback loop
+        closing actual → estimated."""
+        if self._rows is None:
+            table = self.table
+            rows = table.estimated_row_count(self.predicate)
+            if table.stats is None:
+                observed = table.observed_row_estimate(
+                    self.fieldlist, self.predicate, self.order
+                )
+                if observed is not None:
+                    rows = observed
+            self._rows = rows
+        return self._rows
+
+    @property
+    def est_rows(self) -> float:
+        rows = self._estimated_rows()
+        return rows if self.limit is None else min(rows, float(self.limit))
+
+    @property
+    def sort_cost(self) -> CostEstimate:
+        """CPU of sorting the output when the stored order does not serve
+        it: the ordering sees every row the predicate keeps; the limit only
+        makes it a selection instead of a sort."""
+        if not self.order:
+            return CostEstimate.zero()
+        try:
+            if self.table.order_satisfied(self.order):
+                return CostEstimate.zero()
+        except StorageError:
+            pass
+        from repro.optimizer.cost_model import sort_cpu_ms
+
+        ms = sort_cpu_ms(self._estimated_rows(), self.limit)
+        return CostEstimate(0.0, 0.0, ms)
 
     @property
     def own_cost(self) -> CostEstimate:
@@ -220,8 +262,21 @@ class TableScanOp(Operator):
             parts.append(f"corruption_skipped={len(skipped)}")
         return " ".join(parts)
 
+    def _feedback_estimate(self):
+        """:attr:`est_rows` for the monitor's feedback: a number when it is
+        known, or observed (read now, before this scan records its own
+        count), else a callable over the table as it is now that runs the
+        histogram selectivity only when the feedback is read."""
+        if self._rows is not None or self.table.stats is None:
+            return self.est_rows
+        rows, limit = self.table.row_estimator(self.predicate), self.limit
+        if limit is None:
+            return rows
+        return lambda: min(rows(), float(limit))
+
     def batches(self) -> Iterator[ColumnBatch]:
         actual = 0
+        estimate = self._feedback_estimate()
         # The access method's native ColumnBatch stream: columnar layouts
         # arrive as typed vectors (plus any pending selection) and
         # stay columnar through the plan tree.
@@ -237,7 +292,7 @@ class TableScanOp(Operator):
         # Completed scans report actual-vs-estimated cardinality into the
         # table's workload monitor (abandoned scans would compare a full
         # estimate against a partial count, so they stay silent).
-        self.table.record_scan_feedback(self.est_rows, actual)
+        self.table.record_scan_feedback(estimate, actual)
 
 
 def fan_out_partitions(executor, sources, window: int):

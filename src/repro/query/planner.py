@@ -519,35 +519,7 @@ def _lower_scan(node: lp.Scan, binder: _Binder) -> Operator:
     op.fields = tuple(
         bound.out_names[f] for f in op.fields
     )
-    est = table.estimated_row_count(node.predicate)
-    if table.stats is None:
-        # No collected statistics (e.g. a pending-only table): fall back to
-        # the workload monitor's observed cardinality for this access shape
-        # — the feedback loop closing actual → estimated.
-        observed = table.observed_row_estimate(
-            list(node.fieldlist) if node.fieldlist else None,
-            node.predicate,
-            list(node.order) if node.order else None,
-        )
-        if observed is not None:
-            est = observed
-    if node.order and not _order_satisfied(table, node.order):
-        # The ordering sees every row the predicate keeps; the limit only
-        # makes it a selection instead of a sort.
-        op.sort_cost = _cpu(sort_cpu_ms(est, node.limit))
-    if node.limit is not None:
-        est = min(est, float(node.limit))
-    op.est_rows = est
     return op
-
-
-def _order_satisfied(
-    table: "Table", order: Sequence[tuple[str, bool]]
-) -> bool:
-    try:
-        return table.order_satisfied(list(order))
-    except StorageError:
-        return False
 
 
 def _lower_join(node: lp.Join, binder: _Binder) -> Operator:

@@ -27,6 +27,7 @@ from repro.engine.indexes import FieldIndex
 from repro.engine.stats import FieldStats, TableStats
 from repro.layout.renderer import LayoutRenderer
 from repro.query import Q, Range, Rect
+from repro.query.operators import TableScanOp
 from repro.query.planner import compile_query
 from repro.types import Schema
 from repro.workloads.cartel import BOSTON, TRACE_SCHEMA, generate_traces
@@ -158,6 +159,114 @@ def test_one_open_run_per_run_and_one_probe_per_scan(traces, calls):
             "open_run": runs, "lookups": runs if probe else 0
         }, (name, calls)
         assert runs, name
+
+
+def test_a_planned_run_derives_each_fact_once(traces, monkeypatch):
+    """A planned scan reads its set-up from the decision: per scan node one
+    compiled ``selector``, one ``partition_survivors`` and one
+    ``_run_scan_args``, and no histogram selectivity unless ``est_rows``
+    (a group's costing reads it) or ``explain()`` asks."""
+    counted = {}
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+        counted[name] = 0
+
+        def wrapper(*args, **kwargs):
+            counted[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(table_module, "selector")
+    spy(table_module.Table, "partition_survivors")
+    spy(table_module.Table, "_run_scan_args")
+    spy(TableStats, "predicate_selectivity")
+    for name, store, query, _, _, _ in _shapes(traces):
+        expected = query.run()
+        for key in counted:
+            counted[key] = 0
+        plan = compile_query(store.table(query.spec().table), query.spec())
+        grouped = not isinstance(plan, TableScanOp)
+        assert plan.rows() == expected, name
+        selectivity = counted.pop("predicate_selectivity")
+        assert counted == {
+            "selector": 1, "partition_survivors": 1, "_run_scan_args": 1,
+        }, (name, counted)
+        assert (selectivity > 0) == grouped, (name, selectivity)
+        counted["predicate_selectivity"] = 0
+        if not grouped:
+            assert plan.est_rows >= 0
+            assert counted["predicate_selectivity"] == 1, name
+            counted["predicate_selectivity"] = 0
+            str(query.explain())  # the tree shows each node's rows
+            assert counted["predicate_selectivity"] >= 1, name
+
+
+def test_readers_share_one_view_per_table_state():
+    """Every pin of one table state shares one frozen view; a write, or an
+    abort, makes the next pin a new one, and an earlier pin keeps its rows.
+    A scan discarded before its first batch still drains its pin."""
+    store = RodentStore(page_size=4096, pool_capacity=64)
+    store.create_table("T", SCHEMA, layout="T")
+    table = store.load("T", RECORDS)
+    entry = table._entry
+    mvcc = entry.mvcc
+    first = mvcc.pin(entry)
+    assert mvcc.pin(entry) is first
+    mvcc.release(first)
+    mvcc.release(first)
+    before = table.scan(["t"])  # pinned, not started
+    table.insert(MORE)
+    second = mvcc.pin(entry)
+    assert second is not first
+    after = table.scan(["t"])
+    with pytest.raises(ValueError):
+        with store.mutate("T"):
+            table.insert(MORE)
+            raise ValueError("abort")
+    third = mvcc.pin(entry)
+    assert third is not second
+    old, new = [r[0] for r in RECORDS], [r[0] for r in RECORDS + MORE]
+    assert sorted(r[0] for r in before) == old
+    assert sorted(r[0] for r in after) == new
+    assert sorted(r[0] for r in table.scan(["t"])) == new
+    mvcc.release(second)
+    mvcc.release(third)
+    assert mvcc.active_pins == 0
+    discarded = table.scan_column_batches(["t"], Range("x", 0, 50))
+    assert mvcc.active_pins == 1
+    del discarded
+    assert mvcc.active_pins == 0
+
+
+def test_keyed_levels_prune_only_the_oldest_run_by_its_bound():
+    """Under a keyed level policy the oldest run takes the run-bound skip
+    (no older version can hide behind it), and a newer one never does: its
+    non-matching version shadows an older matching one."""
+    keyed = "levels[4; 4; r.t](columns(T))"
+    rows = [(t, t % 10, t % 5) for t in range(30)]
+    store = RodentStore(page_size=1024, pool_capacity=32, level_seal_rows=30)
+    store.create_table("T", SCHEMA, layout=keyed)
+    table = store.table("T")
+    table.insert(rows)
+    model = oracle.Model(SCHEMA.names(), [], keyed)
+    model.insert(rows)
+    assert table.run_count == 1 and not table.partitions[0].pending
+    miss = Range("x", 500, 600)
+    got, io = store.run_cold(lambda: list(table.scan(predicate=miss)))
+    assert got == [] and io.page_reads == 0
+    oracle.check_table(table, model, None, miss)
+
+    newer = [(t, 100 + t, t % 5) for t in range(30)]  # every key, x moved
+    table.insert(newer)
+    model.insert(newer)
+    assert table.run_count == 2 and not table.partitions[0].pending
+    old_values = Range("x", 0, 9)  # only the shadowed versions match
+    assert list(table.scan(predicate=old_values)) == []
+    oracle.check_table(table, model, None, old_values)
+    oracle.check_table(table, model, None, Range("x", 100, 110))
+    store.close()
 
 
 def test_join_decides_each_scan_node_once(calls):
